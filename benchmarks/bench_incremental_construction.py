@@ -13,11 +13,10 @@ fusion.  This module quantifies two design choices the section argues for:
   fusion as the only synchronization point: the staged scheduler prepares
   every source/entity-type block independently, so a worker pool shrinks the
   pre-fusion work to its longest block while the serialized barrier stays
-  fixed.  Following the QUERYROUTE precedent, the speedup is modeled from one
-  staged run's measured per-block times (LPT makespan at the target pool
-  size) — CI runners cannot be trusted for wall-clock parallelism — with the
-  measured sequential wall time reported alongside, and byte-identical output
-  asserted.  Results land in ``BENCH_CONSTRUCT.json`` for the CI artifact
+  fixed.  The speedup is modeled from one staged run's measured per-block
+  times (LPT makespan at the target pool size) — CI runners cannot be
+  trusted for wall-clock parallelism — with the measured sequential wall
+  time reported alongside, and byte-identical output asserted.  Results land in ``BENCH_CONSTRUCT.json`` for the CI artifact
   trail.
 """
 

@@ -142,7 +142,7 @@ def bench_join_ivm_delta_vs_full_rebuild(benchmark):
         return (statistics.median(delta_seconds),
                 statistics.median(rebuild_seconds), rebuilt)
 
-    # Re-measures on a loss absorb scheduling jitter (QUERYROUTE pattern):
+    # Re-measures on a loss absorb scheduling jitter:
     # the correctness and counter claims are deterministic, only the
     # wall-clock ratio needs the retry.
     for _ in range(3):

@@ -104,6 +104,7 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 def _measure(index: LiveIndex) -> dict:
     executor = QueryExecutor(index)
+    reference_executor = QueryExecutor(index, vectorized=False)
     planner = QueryPlanner(selectivity=index.seed_selectivity)
     plans = {
         "type_scan_equality": type_scan_plan(
@@ -122,13 +123,13 @@ def _measure(index: LiveIndex) -> dict:
     }
     results: dict[str, dict] = {}
     for name, plan in plans.items():
-        vectorized = executor.execute(plan, use_cache=False, vectorized=True)
-        reference = executor.execute(plan, use_cache=False, vectorized=False)
+        vectorized = executor.execute(plan, use_cache=False)
+        reference = reference_executor.execute(plan, use_cache=False)
         rows = [(row.entity_id, row.values) for row in vectorized.rows]
         assert rows == [(row.entity_id, row.values) for row in reference.rows], name
         assert vectorized.candidates_examined == reference.candidates_examined, name
-        vec_s = _best_of(lambda: executor.execute(plan, use_cache=False, vectorized=True))
-        ref_s = _best_of(lambda: executor.execute(plan, use_cache=False, vectorized=False))
+        vec_s = _best_of(lambda: executor.execute(plan, use_cache=False))
+        ref_s = _best_of(lambda: reference_executor.execute(plan, use_cache=False))
         results[name] = {
             "rows": len(rows),
             "examined": vectorized.candidates_examined,
@@ -147,7 +148,7 @@ def bench_kgqexec_vectorized_vs_per_document(benchmark):
         "filter_heavy": FILTER_HEAVY_GATE,
     }
     # Re-measure on a gate miss to absorb scheduling jitter (same pattern as
-    # STORE/QUERYROUTE): the ratios are structural, only the timing is noisy.
+    # STORE): the ratios are structural, only the timing is noisy.
     for _ in range(3):
         results = _measure(index)
         if all(results[name]["speedup"] >= floor for name, floor in gates.items()):
@@ -178,4 +179,4 @@ def bench_kgqexec_vectorized_vs_per_document(benchmark):
 
     executor = QueryExecutor(index)
     plan = type_scan_plan([Condition(("genre",), "=", "genre_07")])
-    benchmark(lambda: executor.execute(plan, use_cache=False, vectorized=True))
+    benchmark(lambda: executor.execute(plan, use_cache=False))

@@ -179,8 +179,8 @@ def bench_triplestore_hot_loops(benchmark, bench_store):
         "snapshot": SNAPSHOT_GATE,
         "point_lookups": POINT_GATE,
     }
-    # Re-measure on a gate miss to absorb scheduling jitter (same pattern as
-    # QUERYROUTE): the ratios are structural, only the timing is noisy.
+    # Re-measure on a gate miss to absorb scheduling jitter: the ratios are
+    # structural, only the timing is noisy.
     for _ in range(3):
         results = _measure(rows)
         if all(results[name]["speedup"] >= floor for name, floor in gates.items()):

@@ -10,8 +10,8 @@ docs/views.md and docs/serving.md):
   **delta rules** — the view recomputes only the affected output rows, never
   the full join, and the journal carries the changed *output* subjects;
 * a three-replica serving fleet answers cross-view joins replica-side, both
-  ways: a small side **broadcast** to the big side's fragments, and a
-  **shuffle** that re-partitions both sides by join-key hash.
+  ways: a small side **broadcast** to the replica running the big side's
+  plan, and a **shuffle** that re-partitions both sides by join-key hash.
 
 Run with:  python examples/analytics_dashboard.py
 """

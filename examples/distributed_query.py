@@ -1,14 +1,16 @@
-"""Distributed KGQ execution: scatter-gather queries over the replica fleet.
+"""Distributed KGQ execution: one query, one replica of the serving fleet.
 
 Builds a Saga platform, materializes an incrementally maintained profile
 view, starts a three-replica serving fleet, and drives the distributed query
 path (see docs/serving.md):
 
-* KGQ scatter-gather: one compilation, plan fragments per consistent-hash
-  partition, replica-side execution, entity-ordered merge;
-* per-fragment consistency enforcement (``any`` / ``bounded_staleness`` /
-  ``read_your_writes``) with honest ``StaleReadError`` naming the laggards;
-* a replica crash mid-fleet — the surviving replicas absorb its partitions;
+* routed KGQ: one compilation, the whole plan placed by the hash of its query
+  text on one replica that holds a full copy of the view;
+* consistency enforcement on the replica chosen (``any`` /
+  ``bounded_staleness`` / ``read_your_writes``) with honest
+  ``StaleReadError`` naming the laggards;
+* a crash of the replica the query lands on — the next owner on the ring
+  answers it;
 * an anti-entropy audit catching injected divergence and repairing it with
   a targeted repair batch (no snapshot, no primary-side rebuild).
 
@@ -72,10 +74,10 @@ def main() -> None:
     watermark = engine.view_manager.built_at_lsn("entity_profile")
 
     # ------------------------------------------------------------ #
-    # Scatter-gather KGQs under the three consistency levels.
+    # Routed KGQs under the three consistency levels.
     # ------------------------------------------------------------ #
     query = 'MATCH song WHERE fact_count > 8 RETURN name, fact_count'
-    print(f"\n== scatter-gather over 3 replicas: {query} ==")
+    print(f"\n== one of 3 replicas answers: {query} ==")
     for consistency, label in (
         (Consistency.any(), "any"),
         (Consistency.bounded_staleness(0), "bounded_staleness(0)"),
@@ -83,7 +85,8 @@ def main() -> None:
     ):
         result = fleet.query(query, "entity_profile", consistency)
         print(f"  {label:<24} -> {len(result.rows)} rows, "
-              f"{result.candidates_examined} candidates examined fleet-wide, "
+              f"{result.candidates_examined} candidates examined"
+              f"{' (replica cache hit)' if result.from_cache else ''}, "
               f"{result.latency_ms:.2f} ms")
     for line in fleet.query_router.explain(query, "entity_profile"):
         print(f"    {line}")
@@ -91,7 +94,7 @@ def main() -> None:
     # The same execution through the live engine facade.
     routed = platform.live.routed_query(query, "entity_profile")
     print(f"  via live.routed_query      -> {len(routed.rows)} rows "
-          f"(identical merge order: "
+          f"(identical row order: "
           f"{[r.entity_id for r in routed.rows[:2]]} ...)")
 
     # ------------------------------------------------------------ #
@@ -110,14 +113,17 @@ def main() -> None:
     print(f"  bounded_staleness(0) after drain  -> {len(result.rows)} rows")
 
     # ------------------------------------------------------------ #
-    # Crash a replica: its partitions redistribute to the survivors.
+    # Crash the replica this query lands on: the next ring owner answers.
     # ------------------------------------------------------------ #
     print("\n== replica crash during distributed queries ==")
-    fleet.kill_replica("replica-1")
+    placement_key = fleet.query_router.compile(query).query.render()
+    preferred = fleet.router.owners(placement_key)[0]
+    fleet.kill_replica(preferred)
     result = fleet.query(query, "entity_profile")
-    print(f"  replica-1 down; survivors answered {len(result.rows)} rows "
+    print(f"  {preferred} down; {fleet.query_router.explain(query, 'entity_profile')[-1]} "
+          f"answered {len(result.rows)} rows "
           f"(healthy: {fleet.router.healthy_replicas()})")
-    fleet.restart_replica("replica-1")
+    fleet.restart_replica(preferred)
 
     # ------------------------------------------------------------ #
     # Anti-entropy: inject divergence, audit, repair — targeted.

@@ -57,7 +57,7 @@ def lpt_makespan(durations: Sequence[float], workers: int) -> float:
     The standard greedy schedule bound used to model what a worker pool of the
     given size would make of the measured per-block preparation times — the
     CONSTRUCT benchmark reports speedups from this model alongside measured
-    wall clock, mirroring the QUERYROUTE benchmark's modeled fleet throughput.
+    wall clock.
     """
     if not durations:
         return 0.0

@@ -128,7 +128,7 @@ class TenantIsolationError(FrontDoorError):
 
     Enforced at plan time: the query names a view outside the tenant's
     allowed set or MATCHes an entity type outside its KG slice, so the
-    request is refused before any replica sees a fragment.
+    request is refused before any replica sees the plan.
     """
 
 

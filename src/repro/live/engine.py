@@ -66,7 +66,7 @@ class LiveGraphEngine:
         self.curation = CurationPipeline()
         self._feed_revisions: dict[str, int] = {}        # feed -> view state revision
         self._router = None                              # optional replica read router
-        self._query_router = None                        # optional scatter-gather router
+        self._query_router = None                        # optional fleet query router
         self.view_feed_incremental_loads = 0             # journal-delta catch-ups
         self.view_feed_full_loads = 0                    # full artifact rewrites
         self.view_feed_journal_gaps = 0                  # gap-signalled resyncs
@@ -279,9 +279,9 @@ class LiveGraphEngine:
     def attach_query_router(self, query_router) -> None:
         """Route whole KGQ executions through a serving-fleet QueryRouter.
 
-        Once attached, :meth:`routed_query` scatter-gathers plan fragments
-        over the replica fleet instead of executing on this process's own
-        index — the local executor keeps serving non-routed queries.
+        Once attached, :meth:`routed_query` runs each query on one replica
+        of the fleet instead of executing on this process's own index — the
+        local executor keeps serving non-routed queries.
         """
         self._query_router = query_router
 
@@ -291,7 +291,8 @@ class LiveGraphEngine:
         """Execute a KGQ over the replica fleet's copy of *view_name*.
 
         *consistency* is a :class:`~repro.serving.router.Consistency` level
-        enforced per plan fragment (``None`` means "any live replica").
+        checked on the replica that answers (``None`` means "any live
+        replica").
         Raises :class:`~repro.errors.LiveGraphError` when no query router is
         attached; routing errors (no live replica, staleness) propagate from
         the router untranslated.

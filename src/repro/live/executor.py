@@ -12,9 +12,10 @@ accounting — property-proven by the seeded equivalence suite):
   answer), and the remaining conditions/projections run over batched value
   columns with one ``get_many`` per traversal hop;
 * **per-document** — the reference loop: one condition evaluation per
-  candidate document.  Kept as the semantic baseline and the comparison arm
-  of ``benchmarks/bench_kgq_executor.py`` (BENCH_KGQEXEC.json gates the
-  vectorized path at ≥3x on scan-heavy plans).
+  candidate document, selected only by constructing
+  ``QueryExecutor(index, vectorized=False)``.  Kept as the semantic baseline
+  and the comparison arm of ``benchmarks/bench_kgq_executor.py``
+  (BENCH_KGQEXEC.json gates the vectorized path at ≥3x on scan-heavy plans).
 
 Query latencies are recorded so benchmarks can report the p95 figure the
 paper quotes for the production deployment.
@@ -118,47 +119,6 @@ class QueryCache:
         self._entries.clear()
 
 
-def merge_partial_results(
-    plan: PhysicalPlan, partials: Sequence[QueryResult]
-) -> QueryResult:
-    """Gather-side merge of fragment results into one query result.
-
-    Rows are unioned, deduplicated by entity id (first fragment wins — with
-    disjoint partitions duplicates never occur, but a fallback re-dispatch may
-    overlap), ordered by entity id to match the single-node executor's
-    deterministic candidate order, and truncated to the plan's LIMIT.  The
-    merged ``candidates_examined`` sums the fragments (total fleet work);
-    ``latency_ms`` sums fragment latencies (the router stamps wall-clock on
-    top), and ``from_cache`` is true only when every fragment was served from
-    its replica's cache.
-    """
-    if len(partials) == 1:
-        # Single-fragment fast path (point lookups, single-replica routes):
-        # fragment rows are already entity-ordered and duplicate-free, so skip
-        # the dict build and re-sort.
-        examined = partials[0].candidates_examined
-        latency = partials[0].latency_ms
-        rows = list(partials[0].rows)
-    else:
-        by_entity: dict[str, QueryResultRow] = {}
-        examined = 0
-        latency = 0.0
-        for partial in partials:
-            examined += partial.candidates_examined
-            latency += partial.latency_ms
-            for row in partial.rows:
-                by_entity.setdefault(row.entity_id, row)
-        rows = [by_entity[entity_id] for entity_id in sorted(by_entity)]
-    if plan.limit is not None:
-        rows = rows[: plan.limit.limit]
-    return QueryResult(
-        rows=rows,
-        latency_ms=latency,
-        from_cache=bool(partials) and all(partial.from_cache for partial in partials),
-        candidates_examined=examined,
-    )
-
-
 #: Separator composing a joined row's entity id from its operand row ids.
 #: A left-join miss keeps the separator with an empty right half, so joined
 #: ids never collide with plain row ids and stay deterministic to sort.
@@ -212,7 +172,7 @@ def join_result_rows(
 
     The single join kernel of the distributed path: the primary reference
     (:func:`join_results`), the replica-side broadcast probe
-    (``ReplicaNode.join_fragment``), and the shuffle partition join
+    (``ReplicaNode.join_broadcast``), and the shuffle partition join
     (``ReplicaNode.join_partition``) all run exactly this function, which is
     what makes distributed joins result-identical to primary execution.
 
@@ -253,11 +213,9 @@ def finalize_joined_rows(
 ) -> list[QueryResultRow]:
     """Canonicalize gathered join rows: dedup by id, order, apply LIMIT.
 
-    The joined-row counterpart of :func:`merge_partial_results`' gather step:
-    duplicates (possible only when a dead-replica re-dispatch overlapped) are
+    Duplicates (possible only when a dead-replica re-dispatch overlapped) are
     dropped first-wins, rows sort by composite entity id, and *limit* bounds
-    the final result — per-side LIMITs are rejected at planning time because
-    a per-partition LIMIT under-collects.
+    the final result (per-side LIMITs are rejected at planning time).
     """
     by_id: dict[str, QueryResultRow] = {}
     for row in rows:
@@ -348,21 +306,18 @@ class QueryExecutor:
         use_cache: bool = True,
         scope: Callable[[LiveEntityDocument], bool] | None = None,
         scope_key: str = "",
-        vectorized: bool | None = None,
         reach_feed: str = "",
     ) -> QueryResult:
         """Run *plan* and return its result rows with timing.
 
         *scope* (when given) restricts execution to the documents it accepts,
         applied right after seeding and before any condition work — this is
-        how a plan fragment confines a replica to its own partition of a view
-        feed.  ``candidates_examined`` counts in-scope candidates actually
-        examined (a LIMIT early-break stops the count with the scan), so the
-        figure shows the work this executor actually did.  *scope_key* must
-        uniquely identify the scope for result caching; scoped executions with
-        an empty key bypass the cache rather than poison it.  *vectorized*
-        overrides the executor's default strategy for this call — both
-        strategies produce identical rows, ordering, and accounting.
+        how a replica confines a query to one view's feed.
+        ``candidates_examined`` counts in-scope candidates actually examined
+        (a LIMIT early-break stops the count with the scan), so the figure
+        shows the work this executor actually did.  *scope_key* must uniquely
+        identify the scope for result caching; scoped executions with an
+        empty key bypass the cache rather than poison it.
 
         *reach_feed* names the adjacency feed a REACH clause expands over:
         ``""`` is the live graph (the engine's own documents), ``"view:X"``
@@ -385,8 +340,8 @@ class QueryExecutor:
                 return QueryResult(rows=cached, latency_ms=latency, from_cache=True)
 
         if plan.reach is not None:
-            rows, examined = self._execute_reach(plan, scope, vectorized, reach_feed)
-        elif self.vectorized if vectorized is None else vectorized:
+            rows, examined = self._execute_reach(plan, scope, reach_feed)
+        elif self.vectorized:
             rows, examined = self._execute_vectorized(plan, scope)
         else:
             rows, examined = self._execute_per_document(plan, scope)
@@ -403,31 +358,24 @@ class QueryExecutor:
         self.cache.invalidate()
 
     # -------------------------------------------------------------- #
-    # document matching (shared by projection wrappers and REACH seeding)
+    # document matching (shared by both strategies' wrappers and REACH seeding)
     # -------------------------------------------------------------- #
     def match_documents(
         self,
         plan: PhysicalPlan,
         scope: Callable[[LiveEntityDocument], bool] | None = None,
-        vectorized: bool | None = None,
         apply_limit: bool = True,
     ) -> tuple[list[LiveEntityDocument], int]:
         """The documents *plan*'s seed/filter pipeline matches, plus examined.
 
         This is execution up to (but excluding) projection — the REACH seed
-        phase and replica fragment seeding use it with ``apply_limit=False``,
-        because a LIMIT applies to the final answers, not the seeds.
+        phase uses it with ``apply_limit=False``, because a LIMIT applies to
+        the final answers, not the seeds.
         """
         limit = plan.limit.limit if apply_limit and plan.limit is not None else None
-        if self.vectorized if vectorized is None else vectorized:
+        if self.vectorized:
             return self._match_vectorized(plan, scope, limit)
         return self._match_per_document(plan, scope, limit)
-
-    def project_documents(
-        self, documents: list[LiveEntityDocument], plan: PhysicalPlan
-    ) -> list[QueryResultRow]:
-        """Project *documents* through *plan*'s RETURN clause (batched)."""
-        return self._project_batch(documents, plan)
 
     # -------------------------------------------------------------- #
     # per-document strategy (the semantic baseline)
@@ -537,7 +485,6 @@ class QueryExecutor:
         self,
         plan: PhysicalPlan,
         scope: Callable[[LiveEntityDocument], bool] | None,
-        vectorized: bool | None,
         reach_feed: str,
     ) -> tuple[list[QueryResultRow], int]:
         """Seed via the plan's match pipeline, expand via the RPQ evaluator.
@@ -553,9 +500,7 @@ class QueryExecutor:
         """
         reach = plan.reach
         assert reach is not None
-        seeds, examined = self.match_documents(
-            plan, scope=scope, vectorized=vectorized, apply_limit=False
-        )
+        seeds, examined = self.match_documents(plan, scope=scope, apply_limit=False)
         prefix = reach_feed[5:] + ":" if reach_feed.startswith("view:") else ""
         seed_nodes = []
         for document in seeds:

@@ -8,16 +8,10 @@ The planner applies the two execution optimizations the paper calls out:
 * **bounded traversal** — multi-hop paths compile into explicit traversal
   operators over the KV store, so plan cost is proportional to the candidate
   set times the path length (KGQ's restricted expressiveness guarantees this).
-
-For distributed execution a compiled plan can additionally be split into
-**plan fragments**: the same operator list scoped to one partition of the
-subject hash space, executed replica-side against a view shard and merged by
-the scatter-gather router (see :mod:`repro.serving.query_router`).
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from repro.errors import KGQPlanError
@@ -133,62 +127,6 @@ class PhysicalPlan:
         return steps
 
 
-@dataclass(frozen=True)
-class PlanFragment:
-    """One partition-scoped slice of a physical plan (distributed execution).
-
-    ``ranges`` bounds the subject hash space this fragment covers, as
-    ``(low, high]`` intervals over the stable 64-bit subject hash; the plan's
-    operators are shared by every fragment (the query is compiled once).
-    ``owner`` names the replica the fragment was assigned to — informational
-    for the fragment itself, load-bearing for the router's bookkeeping.
-    """
-
-    plan: PhysicalPlan
-    view_name: str
-    ranges: tuple[tuple[int, int], ...]
-    owner: str = ""
-
-    def covers(self, subject_hash: int) -> bool:
-        """Whether this fragment's partition contains *subject_hash*."""
-        return any(low < subject_hash <= high for low, high in self.ranges)
-
-    def intersect(self, ranges: tuple[tuple[int, int], ...]) -> "PlanFragment":
-        """This fragment restricted to the overlap with *ranges*.
-
-        Used when a partition is re-dispatched after its owner died: the
-        replacement fragment must cover only the dead owner's share of the
-        hash space, never re-execute partitions already gathered.  The result
-        may have empty ``ranges`` (no overlap) — callers drop those.
-        """
-        overlap: list[tuple[int, int]] = []
-        for mine_low, mine_high in self.ranges:
-            for other_low, other_high in ranges:
-                low, high = max(mine_low, other_low), min(mine_high, other_high)
-                if low < high:
-                    overlap.append((low, high))
-        return PlanFragment(
-            plan=self.plan,
-            view_name=self.view_name,
-            ranges=tuple(sorted(overlap)),
-            owner=self.owner,
-        )
-
-    def cache_key(self) -> str:
-        """Stable per-partition key, composed into the executor cache key."""
-        digest = hashlib.blake2b(digest_size=8)
-        for low, high in self.ranges:
-            digest.update(f"{low}:{high};".encode("ascii"))
-        return f"{self.view_name}@{digest.hexdigest()}"
-
-    def describe(self) -> str:
-        """Human-readable fragment description (used in EXPLAIN output)."""
-        return (
-            f"Fragment(view={self.view_name}, owner={self.owner or '?'}, "
-            f"ranges={len(self.ranges)})"
-        )
-
-
 def plan_scope(plan: PhysicalPlan) -> frozenset[str]:
     """The entity types a plan's candidate set can draw from.
 
@@ -197,7 +135,7 @@ def plan_scope(plan: PhysicalPlan) -> frozenset[str]:
     from it directly; an IndexLookup seed is still gated by the type filter
     during execution), so the scope is exactly the query's entity type.
     Multi-tenant serving uses this to enforce a tenant's KG slice *before*
-    any replica sees a fragment — see
+    any replica sees the plan — see
     :class:`repro.serving.frontdoor.TenantRegistry`.
 
     A REACH clause widens the scope: answers carry the ``TO`` type when one
@@ -235,24 +173,6 @@ def ensure_plan_within_types(
             f"plan touches entity types outside the allowed slice: "
             f"{sorted(outside)} (allowed: {sorted(allowed_types)})"
         )
-
-
-def extract_fragments(
-    plan: PhysicalPlan,
-    view_name: str,
-    partitions: dict[str, list[tuple[int, int]]],
-) -> list[PlanFragment]:
-    """Split one compiled plan into per-partition fragments.
-
-    *partitions* maps an owner (replica name) to the hash ranges it covers;
-    owners with no ranges are skipped.  The fragments share the plan object —
-    fragment extraction never re-plans.
-    """
-    return [
-        PlanFragment(plan=plan, view_name=view_name, ranges=tuple(ranges), owner=owner)
-        for owner, ranges in sorted(partitions.items())
-        if ranges
-    ]
 
 
 class QueryPlanner:

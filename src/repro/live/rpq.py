@@ -17,8 +17,8 @@ This module gives the KGQ REACH clause (:mod:`repro.live.kgq`) its runtime:
   (shortest, then lexicographically least) witness.  Every answer therefore
   carries one concrete edge sequence ``(src, label, dst), ...`` proving
   reachability, and the canonical choice is independent of evaluation order —
-  which is what lets distributed scatter-gather rounds reproduce the primary's
-  witnesses bit for bit.
+  which is why a replica evaluating over its own copy of a view returns the
+  primary's witnesses bit for bit.
 * **Interval encoding** — for tree-shaped predicates (``part_of``-style
   ontologies) a pre/post-order interval index (the XPath-accelerator idiom)
   turns single-label closures (``p*``, ``^p+``, ...) into parent-chain walks
@@ -29,10 +29,10 @@ This module gives the KGQ REACH clause (:mod:`repro.live.kgq`) its runtime:
   scanning documents and runs a plain set-based BFS; it is the oracle the
   seeded equivalence suite (and the BENCH_RPQ gate) compares against.
 
-The round-based frontier protocol (:func:`expand_product_entries`,
-:func:`merge_frontier`, :func:`accepting_answers`) is shared verbatim between
-the local evaluator, :class:`~repro.serving.replica.ReplicaNode` expansion,
-and the :class:`~repro.serving.query_router.QueryRouter` fixpoint loop.
+The product BFS of :class:`RpqEvaluator` is round-synchronised
+(:func:`expand_product_entries`, :func:`merge_frontier`,
+:func:`accepting_answers`); primary and replicas run the same evaluator, a
+replica over the ``view:X`` feed of the view it serves.
 """
 
 from __future__ import annotations
@@ -444,7 +444,7 @@ class AdjacencyIndex:
 
 
 # ------------------------------------------------------------------ #
-# the shared round protocol (local, replica, and router use the same)
+# the product BFS, one round at a time
 # ------------------------------------------------------------------ #
 def expand_product_entries(
     graph: _FeedGraph | None, automaton: Automaton, entries: Iterable[FrontierEntry]
@@ -681,8 +681,8 @@ def naive_rpq(
     Deliberately independent of :class:`AdjacencyIndex` — the edge relation
     is re-derived from the documents on every call and expansion uses plain
     dict-of-set adjacency, so the seeded equivalence suite genuinely tests
-    the bitmap, interval, and distributed machinery against first
-    principles.  Same round protocol, same canonical witnesses.
+    the bitmap and interval machinery against first principles.  Same
+    round-synchronised BFS, same canonical witnesses.
     """
     forward: dict[str, dict[str, set[str]]] = {}
     reverse: dict[str, dict[str, set[str]]] = {}

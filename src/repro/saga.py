@@ -243,9 +243,12 @@ class SagaPlatform:
         *num_replicas* live replicas, persists delta journals (to segment
         files under *journal_dir* when given, in memory otherwise), and
         routes reads with the same LSN currency the engine's metadata store
-        uses.  The live engine (when instantiated) gains replica-backed
-        point reads through :meth:`LiveGraphEngine.routed_view_read` and
-        scatter-gather KGQ execution through
+        uses.  It returns once every live replica serves every named view
+        (:class:`~repro.errors.ServingError` when one does not in time), so
+        the first query cannot arrive before the snapshots have.  The live
+        engine (when instantiated) gains replica-backed point reads through
+        :meth:`LiveGraphEngine.routed_view_read` and replica-side KGQ
+        execution (one query, one replica) through
         :meth:`LiveGraphEngine.routed_query`.  With *anti_entropy_interval*
         the fleet also runs periodic checksum audits (with repair) on a
         background thread.
@@ -264,6 +267,18 @@ class SagaPlatform:
         ).start()
         try:
             fleet.serve_views(views)
+            # The snapshots apply asynchronously; a caller that queries the
+            # moment this returns must find every replica serving.
+            fleet.drain()
+            waiting = sorted(
+                f"{name}/{view}"
+                for name, node in fleet.replicas.items() if node.alive
+                for view in views if not node.serves_view(view)
+            )
+            if waiting:
+                raise ServingError(
+                    f"replicas did not apply their initial snapshots in time: {waiting}"
+                )
             if anti_entropy_interval is not None:
                 fleet.start_anti_entropy(anti_entropy_interval)
         except Exception:
@@ -283,7 +298,7 @@ class SagaPlatform:
         """Drain and stop the serving fleet (no-op when none is running).
 
         An attached front door is closed first: the request surface must
-        stop admitting before the fleet it scatters over disappears.
+        stop admitting before the fleet it queries disappears.
         """
         if self._fleet is None:
             return
@@ -314,8 +329,8 @@ class SagaPlatform:
 
         Requires :meth:`start_serving_fleet` to have been called: the front
         door admits per-tenant KGQ requests (token buckets, a bounded
-        priority admission queue, deadlines) and executes them over the
-        fleet's scatter-gather on a bounded worker pool, mirroring its
+        priority admission queue, deadlines) and executes them through the
+        fleet's query router on a bounded worker pool, mirroring its
         serving metrics into the engine's metadata store.  Tenants are
         onboarded through ``front_door.registry.register(...)``.
         """

@@ -7,7 +7,7 @@ LSN-ranged batches (:class:`JournalShipper` over a :class:`ReplicationBus`)
 to live replicas (:class:`ReplicaNode`) that apply them asynchronously, and
 reads are routed across the replicas by consistent hashing under a
 selectable consistency level (:class:`ShardRouter`, :class:`Consistency`).
-Whole KGQs scatter-gather over the same partitions through the
+Whole KGQs run on one replica each, placed by the same ring through the
 :class:`QueryRouter`, and the :class:`AntiEntropyAuditor` periodically
 checksums replica state against the primary, repairing lag by journal
 replay and divergence by targeted row re-shipment.

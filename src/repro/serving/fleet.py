@@ -10,7 +10,9 @@
 * N :class:`~repro.serving.replica.ReplicaNode` subscribers apply them
   asynchronously into their own live-index shards;
 * a :class:`~repro.serving.router.ShardRouter` consistent-hashes reads
-  across the replicas under a selectable consistency level.
+  across the replicas under a selectable consistency level, and a
+  :class:`~repro.serving.query_router.QueryRouter` places whole KGQs on
+  them by the same ring.
 
 Replica applied-LSN watermarks are mirrored into the platform
 :class:`~repro.engine.metadata.MetadataStore` replica namespace (keyed
@@ -162,11 +164,11 @@ class ServingFleet:
     def query(
         self, query, view_name: str, consistency: Consistency = ANY
     ) -> QueryResult:
-        """Scatter-gather KGQ execution over the fleet's copy of a view.
+        """Run a KGQ over the fleet's copy of a view, whole, on one replica.
 
-        Compiles once, fragments along the consistent-hash partitions,
-        executes replica-side, and merges — see
-        :class:`~repro.serving.query_router.QueryRouter`.
+        Compiles once, places the plan by the hash of its query text on the
+        first owner that may serve it, and returns that replica's answer —
+        see :class:`~repro.serving.query_router.QueryRouter`.
         """
         return self.query_router.execute(query, view_name, consistency)
 
@@ -186,8 +188,8 @@ class ServingFleet:
     ) -> QueryResult:
         """Cross-view join executed replica-side (broadcast or shuffle).
 
-        Small right sides broadcast to the left view's fragments; large ones
-        re-partition both sides by join-key hash — see
+        A small right side is shipped to the replica running the left plan;
+        large ones re-partition both sides by join-key hash — see
         :meth:`~repro.serving.query_router.QueryRouter.execute_join`.
         """
         return self.query_router.execute_join(

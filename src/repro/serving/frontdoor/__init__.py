@@ -4,8 +4,8 @@ See ``docs/frontdoor.md``.  :class:`FrontDoor` is the request layer:
 per-tenant KGQ requests with deadlines and priority classes are admitted
 through token buckets and a bounded priority queue
 (:mod:`~repro.serving.frontdoor.admission`), scoped and cached per tenant
-(:mod:`~repro.serving.frontdoor.tenancy`), executed over the fleet's
-scatter-gather on a bounded worker pool, and observed end to end
+(:mod:`~repro.serving.frontdoor.tenancy`), executed by the fleet's
+query router on a bounded worker pool, and observed end to end
 (:mod:`~repro.serving.frontdoor.metrics`).
 """
 

@@ -2,7 +2,7 @@
 
 :class:`FrontDoor` is the request layer the paper's "millions of users" hit:
 an asyncio surface accepting per-tenant KGQ requests with deadlines and
-priority classes, executing the fleet's synchronous scatter-gather
+priority classes, executing the fleet's synchronous routed query
 (:meth:`~repro.serving.fleet.ServingFleet.query`) on a bounded worker pool,
 and refusing work honestly when saturated.  One request flows through:
 
@@ -15,8 +15,8 @@ and refusing work honestly when saturated.  One request flows through:
    :class:`~repro.errors.DeadlineExceededError` carrying ``retry_after``
    (:mod:`~repro.serving.frontdoor.admission`);
 3. **serving** — per-tenant result cache (invalidated per view when the
-   primary commits a delta), else the compiled plan scatter-gathers over the
-   fleet with replica-side caches off — the front door's per-tenant caches
+   primary commits a delta), else the compiled plan runs on one replica of
+   the fleet with replica-side caches off — the front door's per-tenant caches
    *are* the serving cache, so a cross-tenant hit is structurally
    impossible;
 4. **observability** — every outcome and served latency streams into
@@ -26,7 +26,7 @@ and refusing work honestly when saturated.  One request flows through:
 
 Deadlines bound *waiting*, not execution: a request that reached a worker
 runs to completion (the synchronous fleet call cannot be cancelled
-mid-scatter), but it can never sit in the queue past its deadline and an
+mid-query), but it can never sit in the queue past its deadline and an
 expired request is never dispatched.
 """
 
@@ -64,7 +64,7 @@ _CONTENT_EVENTS = frozenset({"append", "truncate", "drop"})
 class FrontDoor:
     """Admission-controlled, tenant-isolated asyncio serving surface.
 
-    *fleet* supplies the scatter-gather executor (``fleet.query_router``) and
+    *fleet* supplies the query router (``fleet.query_router``) and
     the primary view manager whose journal events drive per-view cache
     invalidation (``fleet.manager``); *registry* scopes tenants.  All
     coroutine methods must be driven from one event loop; the synchronous
@@ -317,7 +317,7 @@ class FrontDoor:
         Combines the metrics layer (per-tenant counters, latency
         percentiles), the saturation gauges (queue depth / high-water mark,
         in-flight), the registry's cache counters, and the query router's
-        plan-cache and scatter-gather stats.  Mirrored into the metadata
+        plan-cache and placement stats.  Mirrored into the metadata
         store's serving-metrics namespace (component ``front_door``) when
         one is attached.
         """

@@ -1,7 +1,7 @@
 """Tenant scoping: allowed views, KG slices, and per-tenant caches.
 
 A tenant is scoped twice, and both boundaries are enforced at *plan* time —
-before any replica sees a fragment:
+before any replica sees the plan:
 
 * **views** — the set of served views the tenant may query.  A request
   naming any other view raises :class:`~repro.errors.TenantIsolationError`;

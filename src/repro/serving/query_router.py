@@ -1,28 +1,31 @@
-"""Scatter-gather KGQ execution over the replica fleet.
+"""Whole-query KGQ execution over the replica fleet: one query, one replica.
 
-The :class:`QueryRouter` turns the fleet from a point-read cache into a
-serving tier: a KGQ is compiled **once** (plans are cached by query text),
-split into :class:`~repro.live.planner.PlanFragment`\\ s along the
-:class:`~repro.serving.router.ShardRouter`'s consistent-hash partitions of
-the subject space, scattered to the replicas that own those partitions, and
-the partial results are gathered back through
-:func:`~repro.live.executor.merge_partial_results` (union, dedup by entity
-id, entity-ordered merge, LIMIT).
+Every replica holds a full copy of each view it serves, so the
+:class:`QueryRouter` never splits a plan.  A KGQ is compiled **once** (plans
+are cached by query text) and placed like a point read of its own text: the
+router walks :meth:`ShardRouter.owners(plan.query.render())
+<repro.serving.router.ShardRouter.owners>` and runs the **whole** plan —
+MATCH pipeline or REACH expansion — on the first replica that is alive,
+serves the view and satisfies the requested
+:class:`~repro.serving.router.Consistency` level
+(:meth:`~repro.serving.replica.ReplicaNode.query`).  Hashing the query text
+spreads distinct queries over the fleet and keeps repeats of one text on one
+replica, so its result cache stays warm.
 
-Consistency is enforced **per fragment**: a replica only receives a fragment
-when its applied-LSN watermark for the queried view satisfies the requested
-:class:`~repro.serving.router.Consistency` level.  Replicas that fail the
-check are skipped and their partitions reassigned to the next eligible owner
-on the ring — exactly the fallback walk a point read performs — and when no
-live replica can legally serve some partition the router raises an honest
-:class:`~repro.errors.StaleReadError` that names each lagging replica and
-how far it lags, or :class:`~repro.errors.ReplicaUnavailableError` when no
-owner is alive at all.
+That one placement rule (:meth:`QueryRouter._eligible_owners`) serves plain
+queries, both sides of a cross-view join, the broadcast probe, and the
+per-key owners of a shuffle join.  Replicas that fail the consistency check
+are skipped for the next owner on the ring — exactly the fallback walk a
+point read performs — and when no live replica can legally serve the view
+the router raises an honest :class:`~repro.errors.StaleReadError` that names
+each lagging replica and how far it lags, or
+:class:`~repro.errors.ReplicaUnavailableError` when no live replica serves
+the view at all.
 
-A replica that dies *between* partitioning and fragment execution is handled
-the same way: its fragment is re-dispatched to a surviving eligible replica
-(counted in ``fragment_retries``), so a crash mid-query degrades to a
-retried partition, never to a lost partial result.
+A replica that dies *between* placement and execution is handled the same
+way: the call is re-dispatched to the next eligible owner (counted in
+``fragment_retries``), so a crash mid-query degrades to a retried call,
+never to a lost result.
 """
 
 from __future__ import annotations
@@ -42,17 +45,15 @@ from repro.live.executor import (
     QueryResultRow,
     canonical_join_key,
     finalize_joined_rows,
-    merge_partial_results,
     projected_join_key,
 )
 from repro.live.kgq import CallQuery, Query, default_virtual_operators, parse
-from repro.live.planner import PhysicalPlan, PlanFragment, QueryPlanner, extract_fragments
-from repro.live.rpq import accepting_answers, initial_frontier, merge_frontier
-from repro.serving.router import ANY, Consistency, ShardRouter, stable_hash
+from repro.live.planner import PhysicalPlan, QueryPlanner
+from repro.serving.router import ANY, Consistency, ShardRouter
 
 
 class QueryRouter:
-    """Compile-once, scatter-gather KGQ execution over routed replicas."""
+    """Compile-once KGQ execution, each query placed whole on one replica."""
 
     def __init__(
         self,
@@ -71,18 +72,17 @@ class QueryRouter:
         # cache hit into a KeyError).
         self._plans_lock = threading.Lock()
         self.queries_routed = 0
-        self.fragments_dispatched = 0
+        self.fragments_dispatched = 0        # replica calls that answered
         self.fragment_retries = 0            # re-dispatches after a mid-query death
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0           # text compiles that had to plan
         self.plan_cache_evictions = 0        # LRU entries pushed out by capacity
         self.consistency_rejections = 0      # replicas skipped for staleness
-        self.reach_queries = 0               # REACH plans run via the round protocol
-        self.reach_rounds = 0                # frontier scatter rounds across them
+        self.reach_queries = 0               # routed plans with a REACH stage
         self.join_queries = 0                # cross-view joins through execute_join
         self.broadcast_joins = 0             # joins that shipped the small side
         self.shuffle_joins = 0               # joins re-partitioned by key hash
-        self.join_rows_broadcast = 0         # build rows shipped across all fragments
+        self.join_rows_broadcast = 0         # build rows shipped to the probing replica
         self.join_rows_shuffled = 0          # rows re-partitioned to key owners
 
     # -------------------------------------------------------------- #
@@ -116,40 +116,42 @@ class QueryRouter:
         return plan
 
     # -------------------------------------------------------------- #
-    # partitioning (per execution: membership and lag move constantly)
+    # placement (per execution: membership and lag move constantly)
     # -------------------------------------------------------------- #
-    def eligible_replicas(
-        self, view_name: str, consistency: Consistency
-    ) -> list[str]:
-        """Live replicas serving *view_name* that satisfy *consistency*.
+    def _eligible_owners(
+        self, key: str, view_name: str, consistency: Consistency, dead: set[str]
+    ):
+        """The one placement rule: *key*'s owners that may serve, in ring order.
 
-        Raises :class:`~repro.errors.ReplicaUnavailableError` when no live
-        replica serves the view at all, and :class:`~repro.errors.StaleReadError`
-        — naming each lagging replica and its lag in log positions — when
-        live servers exist but every one fails the consistency check.
+        Walks :meth:`ShardRouter.owners` exactly as a point read of *key*
+        would and yields each replica that is alive, not in *dead* (the
+        replicas that already failed this query), serves *view_name* and
+        satisfies *consistency*.  The walk never just ends: once no owner is
+        left it raises :class:`~repro.errors.StaleReadError` — naming every
+        lagging replica and its lag in log positions — when live servers
+        were skipped for staleness, and
+        :class:`~repro.errors.ReplicaUnavailableError` when no live replica
+        serves the view at all.
         """
-        if not self.router.replicas:
-            raise ReplicaUnavailableError(
-                "the query router has no replicas to scatter fragments to"
-            )
-        eligible: list[str] = []
         lagging: dict[str, int] = {}
-        saw_live_server = False
-        for name, node in sorted(self.router.replicas.items()):
-            if not node.alive or not node.serves_view(view_name):
+        for name in self.router.owners(key):
+            node = self.router.replicas.get(name)
+            if (
+                name in dead
+                or node is None
+                or not node.alive
+                or not node.serves_view(view_name)
+            ):
                 continue
-            saw_live_server = True
             if self.router.satisfies(node, view_name, consistency):
-                eligible.append(name)
+                yield node
             else:
                 self.consistency_rejections += 1
                 head = self.router.head_lsn_source()
                 lagging[name] = max(0, head - node.applied_lsn(view_name))
-        if eligible:
-            return eligible
-        if not saw_live_server:
+        if not lagging:
             raise ReplicaUnavailableError(
-                f"no live replica serves view {view_name!r}; cannot scatter the query"
+                f"no live replica serves view {view_name!r}; cannot run the query"
             )
         worst = max(lagging, key=lambda name: lagging[name])
         raise StaleReadError(
@@ -159,23 +161,44 @@ class QueryRouter:
             lagging=lagging,
         )
 
-    def partition_fragments(
+    def _dispatch(
+        self,
+        key: str,
+        view_name: str,
+        consistency: Consistency,
+        dead: set[str],
+        call,
+    ):
+        """Run *call(node)* on the first eligible owner of *key* that answers.
+
+        A :class:`~repro.errors.ReplicaUnavailableError` from the chosen node
+        (it died between placement and execution) adds it to *dead* — so the
+        later steps of the same query skip it too —, counts one
+        ``fragment_retries`` and moves on to the next eligible owner.
+        """
+        for node in self._eligible_owners(key, view_name, consistency, dead):
+            try:
+                result = call(node)
+            except ReplicaUnavailableError:
+                dead.add(node.name)
+                self.fragment_retries += 1
+            else:
+                self.fragments_dispatched += 1
+                return result
+
+    def _run_plan(
         self,
         plan: PhysicalPlan,
         view_name: str,
         consistency: Consistency,
-        exclude: set[str] | None = None,
-    ) -> list[PlanFragment]:
-        """Fragment *plan* along the hash partitions of the eligible replicas."""
-        eligible = self.eligible_replicas(view_name, consistency)
-        if exclude:
-            eligible = [name for name in eligible if name not in exclude]
-            if not eligible:
-                raise ReplicaUnavailableError(
-                    f"every eligible replica for view {view_name!r} died mid-query"
-                )
-        partitions = self.router.hash_partitions(eligible)
-        return extract_fragments(plan, view_name, partitions)
+        dead: set[str],
+        use_cache: bool,
+    ) -> QueryResult:
+        """Run the whole *plan* on the replica its query text places it on."""
+        return self._dispatch(
+            plan.query.render(), view_name, consistency, dead,
+            lambda node: node.query(plan, view_name, use_cache=use_cache),
+        )
 
     # -------------------------------------------------------------- #
     # execution
@@ -186,77 +209,25 @@ class QueryRouter:
         view_name: str,
         consistency: Consistency = ANY,
         use_cache: bool = True,
-        vectorized: bool | None = None,
     ) -> QueryResult:
-        """Scatter *query* over the fleet's copy of *view_name* and gather.
+        """Run *query* over the fleet's copy of *view_name* on one replica.
 
-        Fragments execute on the replicas owning their partitions; a replica
-        dying between partitioning and execution re-partitions its share over
-        the survivors.  The merged result is ordered by entity id and carries
-        the fleet-wide ``candidates_examined`` total; ``latency_ms`` is the
-        wall-clock of the whole scatter-gather.  *vectorized* overrides each
-        replica executor's strategy for this query (both strategies are
-        result-identical; the override exists so equivalence suites can run
-        the same fleet both ways).
+        The compiled plan is placed like a point read of its own text and
+        runs whole — MATCH pipeline or REACH expansion — through
+        :meth:`~repro.serving.replica.ReplicaNode.query`, so rows, ordering,
+        ``candidates_examined`` and REACH witnesses are exactly what
+        primary-side execution of the plan returns.  A replica dying
+        mid-query is answered by the next eligible owner.  ``latency_ms`` is
+        the wall-clock of the routed call.
         """
         started = time.perf_counter()
         plan = self.compile(query)
         self.queries_routed += 1
         if plan.reach is not None:
-            return self._execute_reach(plan, view_name, consistency, vectorized, started)
-        dead: set[str] = set()
-        partials = self._gather_fragments(
-            plan, view_name, consistency, dead,
-            lambda node, fragment: node.execute_fragment(
-                fragment, use_cache=use_cache, vectorized=vectorized
-            ),
-        )
-        result = merge_partial_results(plan, partials)
+            self.reach_queries += 1
+        result = self._run_plan(plan, view_name, consistency, set(), use_cache)
         result.latency_ms = (time.perf_counter() - started) * 1000.0
         return result
-
-    def _gather_fragments(
-        self,
-        plan: PhysicalPlan,
-        view_name: str,
-        consistency: Consistency,
-        dead: set[str],
-        dispatch,
-    ) -> list[QueryResult]:
-        """Run *dispatch(node, fragment)* over every partition of the plan.
-
-        The shared scatter loop of the one-shot paths (plain execution and
-        both join steps): fragments execute on the replicas owning their
-        partitions, and an owner dying between partitioning and execution has
-        its share re-partitioned over the survivors (mutating *dead* so later
-        phases of the same query skip it too).
-        """
-        partials: list[QueryResult] = []
-        pending = self.partition_fragments(plan, view_name, consistency, exclude=dead)
-        while pending:
-            fragment = pending.pop()
-            node = self.router.replicas.get(fragment.owner)
-            try:
-                if node is None:
-                    raise ReplicaUnavailableError(
-                        f"replica {fragment.owner!r} left the fleet mid-query"
-                    )
-                partials.append(dispatch(node, fragment))
-                self.fragments_dispatched += 1
-            except ReplicaUnavailableError:
-                # The owner died after partitioning: re-partition only this
-                # fragment's share of the hash space over the survivors.
-                dead.add(fragment.owner)
-                self.fragment_retries += 1
-                replacements = self.partition_fragments(
-                    plan, view_name, consistency, exclude=dead
-                )
-                pending.extend(
-                    replacement.intersect(fragment.ranges)
-                    for replacement in replacements
-                )
-                pending = [fragment for fragment in pending if fragment.ranges]
-        return partials
 
     # -------------------------------------------------------------- #
     # distributed cross-view joins (broadcast / shuffle)
@@ -275,7 +246,6 @@ class QueryRouter:
         broadcast_threshold: int = 64,
         limit: int | None = None,
         use_cache: bool = True,
-        vectorized: bool | None = None,
     ) -> QueryResult:
         """Join two views' query results replica-side, result-identical to primary.
 
@@ -284,26 +254,28 @@ class QueryRouter:
         ``left_key == right_key`` (both must be projected columns; key
         equality is :func:`~repro.live.executor.canonical_join_key`) exactly
         as :func:`~repro.live.executor.join_results` would on the primary.
-        The join itself runs **on the replicas**, by one of two shapes:
+        The right side always runs first, whole, on the replica its text
+        places it on; the join itself then takes one of two shapes:
 
-        * **broadcast** — the right side is gathered first; when it is small
-          (``≤ broadcast_threshold`` rows, or ``strategy="broadcast"``) it is
-          shipped to every fragment of the left side, each replica probing
-          only its own partition of the left view
-          (:meth:`~repro.serving.replica.ReplicaNode.join_fragment`) — the
-          big side never materializes at the router;
-        * **shuffle** — otherwise both gathered sides are re-partitioned by
-          ``stable_hash`` of their canonical join-key value, and each replica
-          joins the one key-range share it owns
+        * **broadcast** — when the right side is small
+          (``≤ broadcast_threshold`` rows, or ``strategy="broadcast"``) its
+          rows are shipped to the one replica that runs the left plan, which
+          probes them locally
+          (:meth:`~repro.serving.replica.ReplicaNode.join_broadcast`) — the
+          left side never materializes at the router;
+        * **shuffle** — otherwise the left side is gathered too, both sides
+          are re-partitioned by their canonical join-key value, each key
+          going to the first eligible replica among the key's ring owners,
+          and each replica joins the share it owns
           (:meth:`~repro.serving.replica.ReplicaNode.join_partition`), so
-          per-replica work is ~1/R of the primary-side join.
+          per-replica join work is ~1/R of the primary-side join.
 
-        Both shapes enforce *consistency* per fragment and re-dispatch dead
-        replicas' shares over the survivors, like the scatter-gather path.
-        Side queries must be plain MATCH pipelines: REACH sides route through
-        the round protocol instead, and a per-side LIMIT is rejected
-        (:class:`~repro.errors.KGQPlanError`) because a per-partition LIMIT
-        under-collects — bound the joined result with *limit*.
+        Every replica call goes through the same placement rule as
+        :meth:`execute`: *consistency* is checked on the replica chosen, and
+        a replica dying mid-join hands its step to the next eligible owner.
+        Side queries must be plain MATCH pipelines without LIMIT
+        (:class:`~repro.errors.KGQPlanError` otherwise) — bound the joined
+        result with *limit*.
         """
         started = time.perf_counter()
         if how not in ("inner", "left"):
@@ -317,31 +289,28 @@ class QueryRouter:
         right_plan = self._join_side_plan(right_query, "right")
         self.join_queries += 1
         dead: set[str] = set()
-        right_result = self._gather_side(
-            right_plan, right_view, consistency, dead, use_cache, vectorized
-        )
+        right_result = self._run_plan(right_plan, right_view, consistency, dead, use_cache)
         examined = right_result.candidates_examined
         if strategy == "broadcast" or (
             strategy == "auto" and len(right_result.rows) <= broadcast_threshold
         ):
             self.broadcast_joins += 1
-            partials = self._gather_fragments(
-                left_plan, left_view, consistency, dead,
-                lambda node, fragment: self._dispatch_broadcast(
-                    node, fragment, right_result.rows,
-                    left_key, right_key, how, use_cache, vectorized,
+            self.join_rows_broadcast += len(right_result.rows)
+            probed = self._dispatch(
+                left_plan.query.render(), left_view, consistency, dead,
+                lambda node: node.join_broadcast(
+                    left_plan, left_view, right_result.rows,
+                    left_key, right_key, how, use_cache=use_cache,
                 ),
             )
-            joined = [row for partial in partials for row in partial.rows]
-            examined += sum(partial.candidates_examined for partial in partials)
+            joined = probed.rows
+            examined += probed.candidates_examined
         else:
             self.shuffle_joins += 1
-            left_result = self._gather_side(
-                left_plan, left_view, consistency, dead, use_cache, vectorized
-            )
+            left_result = self._run_plan(left_plan, left_view, consistency, dead, use_cache)
             examined += left_result.candidates_examined
             joined = self._shuffle_join(
-                left_plan, left_view, consistency, dead,
+                left_view, consistency, dead,
                 left_result.rows, right_result.rows, left_key, right_key, how,
             )
         return QueryResult(
@@ -359,54 +328,17 @@ class QueryRouter:
         if plan.reach is not None:
             raise KGQPlanError(
                 f"the {side} side of a distributed join must be a plain MATCH "
-                "pipeline; REACH queries route through the round protocol"
+                "pipeline, not a REACH query"
             )
         if plan.limit is not None:
             raise KGQPlanError(
                 f"the {side} side of a distributed join must not carry LIMIT — "
-                "a per-partition LIMIT under-collects; bound the joined result "
-                "with execute_join(limit=...)"
+                "bound the joined result with execute_join(limit=...)"
             )
         return plan
 
-    def _gather_side(
-        self,
-        plan: PhysicalPlan,
-        view_name: str,
-        consistency: Consistency,
-        dead: set[str],
-        use_cache: bool,
-        vectorized: bool | None,
-    ) -> QueryResult:
-        """Scatter-gather one join side into a merged (dedup'd, ordered) result."""
-        partials = self._gather_fragments(
-            plan, view_name, consistency, dead,
-            lambda node, fragment: node.execute_fragment(
-                fragment, use_cache=use_cache, vectorized=vectorized
-            ),
-        )
-        return merge_partial_results(plan, partials)
-
-    def _dispatch_broadcast(
-        self,
-        node,
-        fragment: PlanFragment,
-        broadcast_rows: list[QueryResultRow],
-        left_key: str,
-        right_key: str,
-        how: str,
-        use_cache: bool,
-        vectorized: bool | None,
-    ) -> QueryResult:
-        self.join_rows_broadcast += len(broadcast_rows)
-        return node.join_fragment(
-            fragment, broadcast_rows, left_key, right_key, how,
-            use_cache=use_cache, vectorized=vectorized,
-        )
-
     def _shuffle_join(
         self,
-        plan: PhysicalPlan,
         view_name: str,
         consistency: Consistency,
         dead: set[str],
@@ -416,177 +348,47 @@ class QueryRouter:
         right_key: str,
         how: str,
     ) -> list[QueryResultRow]:
-        """Re-partition both sides by canonical key hash and join per owner.
+        """Re-partition both sides by canonical join key and join per owner.
 
-        Entries are ``(canonical_key, side, row)``; the shared scatter
-        protocol hashes the canonical key, so both sides' rows with equal
+        Rows are grouped by canonical key, so both sides' rows with equal
         join keys always land on the same owner and no match can be split.
+        An owner dying mid-join has its keys placed again over the
+        survivors.
         """
-        entries: list[tuple[str, str, QueryResultRow]] = []
-        for side, rows, key in (("L", left_rows, left_key), ("R", right_rows, right_key)):
+        groups: dict[str, tuple[list[QueryResultRow], list[QueryResultRow]]] = {}
+        for side, rows, column in ((0, left_rows, left_key), (1, right_rows, right_key)):
             for row in rows:
-                entries.append(
-                    (canonical_join_key(projected_join_key(row, key)), side, row)
-                )
-
-        def dispatch(node, owner_entries: list) -> list[QueryResultRow]:
-            lefts = [row for _, side, row in owner_entries if side == "L"]
-            rights = [row for _, side, row in owner_entries if side == "R"]
-            self.join_rows_shuffled += len(owner_entries)
-            return node.join_partition(lefts, rights, left_key, right_key, how)
-
-        return self._scatter_entries(
-            plan, view_name, consistency, dead, entries, dispatch
-        )
-
-    # -------------------------------------------------------------- #
-    # distributed REACH (round-based frontier scatter until fixpoint)
-    # -------------------------------------------------------------- #
-    def _execute_reach(
-        self,
-        plan: PhysicalPlan,
-        view_name: str,
-        consistency: Consistency,
-        vectorized: bool | None,
-        started: float,
-    ) -> QueryResult:
-        """Distributed RPQ: seed scatter, frontier rounds, answer gather.
-
-        REACH plans cannot use the one-shot fragment path — a node reachable
-        only from another partition's seed would be lost — so the router runs
-        the shared round protocol (:mod:`repro.live.rpq`): (1) every replica
-        seeds its own partition (the plan's MATCH/WHERE pipeline, LIMIT
-        deferred); (2) each BFS round's frontier is scattered by subject hash,
-        replicas expand one product step over their full view copy, and the
-        router merges the candidates — the semiring *plus* keeps the canonical
-        witness, making the merge order-insensitive — until the frontier is
-        empty; (3) accepting answers are gathered partition-wise (fetch, ``TO``
-        gate, projection) and the router attaches each row's witness.  A
-        replica dying in any phase re-dispatches its share to the survivors,
-        exactly like the fragment path.  Results are bit-identical to the
-        primary's: same rows, same ordering, same canonical witnesses.
-        """
-        self.reach_queries += 1
-        dead: set[str] = set()
-        seeds: set[str] = set()
-        examined = 0
-        pending = self.partition_fragments(plan, view_name, consistency)
+                key = canonical_join_key(projected_join_key(row, column))
+                groups.setdefault(key, ([], []))[side].append(row)
+        joined: list[QueryResultRow] = []
+        pending = list(groups)
         while pending:
-            fragment = pending.pop()
-            node = self.router.replicas.get(fragment.owner)
-            try:
-                if node is None:
-                    raise ReplicaUnavailableError(
-                        f"replica {fragment.owner!r} left the fleet mid-query"
-                    )
-                subjects, fragment_examined = node.reach_seed_fragment(
-                    fragment, vectorized=vectorized
-                )
-                seeds.update(subjects)
-                examined += fragment_examined
-                self.fragments_dispatched += 1
-            except ReplicaUnavailableError:
-                dead.add(fragment.owner)
-                self.fragment_retries += 1
-                replacements = self.partition_fragments(
-                    plan, view_name, consistency, exclude=dead
-                )
-                pending.extend(
-                    replacement.intersect(fragment.ranges)
-                    for replacement in replacements
-                )
-                pending = [fragment for fragment in pending if fragment.ranges]
-
-        automaton = plan.reach.automaton
-        visited, frontier = initial_frontier(seeds, automaton)
-        while frontier:
-            self.reach_rounds += 1
-            examined += len(frontier)
-            candidates = self._scatter_entries(
-                plan, view_name, consistency, dead, frontier,
-                lambda node, entries: node.expand_reach(view_name, automaton, entries),
-            )
-            frontier = merge_frontier(visited, candidates)
-        answers = accepting_answers(visited, automaton.accepting)
-
-        rows = self._scatter_entries(
-            plan, view_name, consistency, dead, sorted(answers),
-            lambda node, subjects: node.project_reach(view_name, plan, subjects),
-        )
-        prefix = f"{view_name}:"
-        for row in rows:
-            subject = row.entity_id[len(prefix):] if row.entity_id.startswith(prefix) else row.entity_id
-            row.witness = answers.get(subject)
-        rows.sort(key=lambda row: row.entity_id)
-        if plan.limit is not None:
-            rows = rows[: plan.limit.limit]
-        return QueryResult(
-            rows=rows,
-            latency_ms=(time.perf_counter() - started) * 1000.0,
-            from_cache=False,
-            candidates_examined=examined,
-        )
-
-    def _scatter_entries(
-        self,
-        plan: PhysicalPlan,
-        view_name: str,
-        consistency: Consistency,
-        dead: set[str],
-        entries: list,
-        dispatch,
-    ) -> list:
-        """Scatter *entries* to their partition owners, gathering the outputs.
-
-        Each entry is assigned to the replica whose hash partition covers its
-        subject (frontier entries hash their node; answer subjects hash
-        themselves); *dispatch(node, owner_entries)* runs the phase and its
-        outputs are concatenated.  An owner dying mid-phase is excluded and
-        its entries re-assigned over the survivors — mutating *dead* so later
-        phases skip it too.
-        """
-        outputs: list = []
-        pending = list(entries)
-        while pending:
-            fragments = self.partition_fragments(
-                plan, view_name, consistency, exclude=dead
-            )
-            by_owner: dict[str, list] = {}
-            for entry in pending:
-                subject = entry[0] if isinstance(entry, tuple) else entry
-                subject_hash = stable_hash(subject)
-                owner = next(
-                    (f.owner for f in fragments if f.covers(subject_hash)), None
-                )
-                if owner is None:
-                    raise ServingError(
-                        f"no partition covers subject {subject!r} for view "
-                        f"{view_name!r} — the hash ring left a gap"
-                    )
-                by_owner.setdefault(owner, []).append(entry)
+            by_owner: dict[str, list[str]] = {}
+            for key in pending:
+                owner = next(self._eligible_owners(key, view_name, consistency, dead))
+                by_owner.setdefault(owner.name, []).append(key)
             pending = []
-            for owner, owner_entries in sorted(by_owner.items()):
-                node = self.router.replicas.get(owner)
+            for name, keys in sorted(by_owner.items()):
+                lefts = [row for key in keys for row in groups[key][0]]
+                rights = [row for key in keys for row in groups[key][1]]
                 try:
-                    if node is None:
-                        raise ReplicaUnavailableError(
-                            f"replica {owner!r} left the fleet mid-query"
-                        )
-                    outputs.extend(dispatch(node, owner_entries))
-                    self.fragments_dispatched += 1
+                    joined.extend(self.router.replicas[name].join_partition(
+                        lefts, rights, left_key, right_key, how
+                    ))
                 except ReplicaUnavailableError:
-                    dead.add(owner)
+                    dead.add(name)
                     self.fragment_retries += 1
-                    pending.extend(owner_entries)
-        return outputs
+                    pending.extend(keys)
+                else:
+                    self.fragments_dispatched += 1
+                    self.join_rows_shuffled += len(lefts) + len(rights)
+        return joined
 
     def explain(self, query: str | Query | CallQuery, view_name: str) -> list[str]:
-        """EXPLAIN-style rendering: the shared plan plus current fragments."""
+        """EXPLAIN-style rendering: the plan plus the replica it would run on."""
         plan = self.compile(query)
-        steps = list(plan.explain())
-        for fragment in self.partition_fragments(plan, view_name, ANY):
-            steps.append(fragment.describe())
-        return steps
+        node = next(self._eligible_owners(plan.query.render(), view_name, ANY, set()))
+        return [*plan.explain(), f"Replica({node.name}, view={view_name})"]
 
     # -------------------------------------------------------------- #
     # introspection
@@ -611,7 +413,8 @@ class QueryRouter:
             ),
             "consistency_rejections": self.consistency_rejections,
             "reach_queries": self.reach_queries,
-            "reach_rounds": self.reach_rounds,
+            # Nothing routes in rounds any more; bench_e2e/layers.py reads the key.
+            "reach_rounds": 0,
             "join_queries": self.join_queries,
             "broadcast_joins": self.broadcast_joins,
             "shuffle_joins": self.shuffle_joins,

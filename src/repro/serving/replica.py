@@ -24,11 +24,11 @@ journal, starting at the last applied LSN** — no view artifact is rebuilt.
 
 Beyond point reads, every replica is a **query node**: it owns a
 :class:`~repro.live.planner.QueryPlanner` and
-:class:`~repro.live.executor.QueryExecutor` over its shard, executes plan
-fragments scoped to its partition of the subject hash space
-(:meth:`execute_fragment`, driven by the scatter-gather
-:class:`~repro.serving.query_router.QueryRouter`), answers whole KGQs
-locally (:meth:`query`), and audits its served rows against primary
+:class:`~repro.live.executor.QueryExecutor` over its full copy of the served
+views, answers whole KGQs — text or the compiled plans the
+:class:`~repro.serving.query_router.QueryRouter` places on it — through
+:meth:`query`, runs its step of a cross-view join (:meth:`join_broadcast`,
+:meth:`join_partition`), and audits its served rows against primary
 checksums (:meth:`checksum_divergence`, :meth:`apply_repair` — the
 anti-entropy hooks).
 """
@@ -42,7 +42,7 @@ from collections import deque
 from typing import Callable
 
 from repro.engine.metadata import WatermarkMap
-from repro.errors import KGQPlanError, ReplicaUnavailableError, ServingError
+from repro.errors import ReplicaUnavailableError, ServingError
 from repro.live.executor import (
     QueryExecutor,
     QueryResult,
@@ -51,9 +51,7 @@ from repro.live.executor import (
 )
 from repro.live.index import LiveIndex, document_checksum, view_row_documents
 from repro.live.kgq import CallQuery, Query, default_virtual_operators, parse
-from repro.live.planner import PhysicalPlan, PlanFragment, QueryPlanner
-from repro.live.rpq import Automaton, FrontierEntry, expand_product_entries
-from repro.serving.router import stable_hash
+from repro.live.planner import PhysicalPlan, QueryPlanner
 from repro.serving.shipping import ShipmentBatch
 
 #: Signature of the per-apply watermark callback: (replica, view, applied LSN).
@@ -101,7 +99,6 @@ class ReplicaNode:
         self.gaps_detected = 0
         self.resyncs = 0
         self.snapshot_resyncs = 0
-        self.fragments_executed = 0
         self.local_queries = 0
         self.joins_executed = 0                  # broadcast probes + shuffle partitions
         self.join_rows_probed = 0                # probe-side rows this node joined
@@ -260,92 +257,78 @@ class ReplicaNode:
         return self.index.get(f"{view_name}:{subject}")
 
     # -------------------------------------------------------------- #
-    # query surface (distributed KGQ execution)
+    # query surface (driven by QueryRouter: one whole plan per call)
     # -------------------------------------------------------------- #
-    def execute_fragment(
+    def query(
         self,
-        fragment: PlanFragment,
+        query: str | Query | CallQuery | PhysicalPlan,
+        view_name: str | None = None,
         use_cache: bool = True,
-        vectorized: bool | None = None,
     ) -> QueryResult:
-        """Execute one plan fragment over this node's copy of the view.
+        """Execute a whole KGQ against this node's own index.
 
-        The fragment's plan runs through this node's own executor, scoped to
-        the view's feed documents whose subject hashes into the fragment's
-        partition ranges — the node examines only the slice of the view it
-        owns, which is what lets fleet query capacity scale with replica
-        count.  Runs under the apply lock so a fragment never observes a
-        half-applied batch.  *vectorized* overrides the executor's strategy
-        for this fragment (both strategies are result-identical).  Raises
+        The one query entry point of a replica — the
+        :class:`~repro.serving.query_router.QueryRouter` hands it compiled
+        plans, and it also answers text directly (single-replica
+        deployments, debugging what one node would answer on its own).  An
+        already-compiled :class:`~repro.live.planner.PhysicalPlan` runs as
+        is; anything else is planned by this node's planner first.
+        *view_name* (when given) restricts execution to that view's feed and
+        is the graph a REACH stage expands over.  Runs under the apply lock
+        so a query never observes a half-applied batch.  Raises
         :class:`~repro.errors.ReplicaUnavailableError` when the node is down.
         """
         if not self._alive:
             raise ReplicaUnavailableError(
-                f"replica {self.name!r} is not running; cannot execute fragments"
+                f"replica {self.name!r} is not running; cannot serve queries"
             )
-        if fragment.plan.reach is not None:
-            raise KGQPlanError(
-                "REACH plans do not fragment: a partition-scoped answer set "
-                "would miss nodes reached from other partitions' seeds — "
-                "route them through QueryRouter's round protocol "
-                "(reach_seed_fragment / expand_reach / project_reach)"
-            )
-        in_partition = self._partition_scope(fragment)
+        if isinstance(query, PhysicalPlan):
+            plan = query
+        else:
+            plan = self.planner.plan(parse(query) if isinstance(query, str) else query)
+        scope = None
+        scope_key = ""
+        reach_feed = ""
+        if view_name is not None:
+            feed = f"view:{view_name}"
+            reach_feed = feed
+
+            def scope(document, feed=feed):
+                return document.source_id == feed
+
+            scope_key = f"feed:{view_name}"
         with self._apply_lock:
             result = self.executor.execute(
-                fragment.plan,
+                plan,
                 use_cache=use_cache,
-                scope=in_partition,
-                scope_key=fragment.cache_key(),
-                vectorized=vectorized,
+                scope=scope,
+                scope_key=scope_key,
+                reach_feed=reach_feed,
             )
-        self.fragments_executed += 1
+        self.local_queries += 1
         return result
-
-    def _partition_scope(self, fragment: PlanFragment) -> Callable:
-        """Scope callable confining execution to the fragment's partition."""
-        feed = f"view:{fragment.view_name}"
-        prefix = f"{fragment.view_name}:"
-
-        def in_partition(document) -> bool:
-            if document.source_id != feed:
-                return False
-            # The subject hash is a pure function of the entity id; memoize
-            # it on the document (replaced wholesale on every apply) so the
-            # per-query cost is range checks, not O(N) blake2b digests.
-            subject_hash = document.__dict__.get("_subject_hash")
-            if subject_hash is None:
-                subject_hash = stable_hash(document.entity_id[len(prefix):])
-                document._subject_hash = subject_hash
-            return fragment.covers(subject_hash)
-
-        return in_partition
 
     # -------------------------------------------------------------- #
     # distributed cross-view joins (driven by QueryRouter.execute_join)
     # -------------------------------------------------------------- #
-    def join_fragment(
+    def join_broadcast(
         self,
-        fragment: PlanFragment,
+        plan: PhysicalPlan,
+        view_name: str,
         broadcast_rows: list[QueryResultRow],
         left_key: str,
         right_key: str,
         how: str = "inner",
         use_cache: bool = True,
-        vectorized: bool | None = None,
     ) -> QueryResult:
-        """Broadcast join step: probe this partition's rows against a small side.
+        """Broadcast join step: run the left plan, probe the shipped small side.
 
-        The router ships the (already gathered, deduplicated) small side to
-        every fragment of the big side; this node executes its fragment of
-        the big side's plan locally and joins the partition's rows against
-        the broadcast build table — the big side is never materialized at the
-        router.  Each big-side row lives in exactly one partition, so
-        concatenating the fragments' joined rows reproduces the full join.
+        The router ships the (already gathered) small side here; this node
+        executes the left side's whole plan over its copy of *view_name* and
+        joins the rows against the broadcast build table — the left side is
+        never materialized at the router.
         """
-        result = self.execute_fragment(
-            fragment, use_cache=use_cache, vectorized=vectorized
-        )
+        result = self.query(plan, view_name, use_cache=use_cache)
         joined = join_result_rows(
             result.rows, broadcast_rows, left_key, right_key, how
         )
@@ -369,168 +352,22 @@ class ReplicaNode:
     ) -> list[QueryResultRow]:
         """Shuffle join step: join one key-partition's share of both sides.
 
-        The router re-partitions both gathered sides by the canonical hash
-        of their join-key values, so this node receives *every* row — left
-        and right — whose key falls in its partitions, and rows joining each
-        other are never split across nodes.  Returns the partition's joined
-        rows; per-replica work is the partition's share (~1/R of the
-        primary-side join), which is the scaling the IVMJOIN benchmark gates.
+        The router re-partitions both gathered sides by the canonical value
+        of their join keys, so this node receives *every* row — left and
+        right — whose key it owns, and rows joining each other are never
+        split across nodes.  Returns the partition's joined rows; per-replica
+        work is the partition's share (~1/R of the primary-side join), which
+        is the scaling the IVMJOIN benchmark gates.
         """
         if not self._alive:
             raise ReplicaUnavailableError(
                 f"replica {self.name!r} is not running; cannot join partitions"
             )
         joined = join_result_rows(left_rows, right_rows, left_key, right_key, how)
-        self.fragments_executed += 1
         self.joins_executed += 1
         self.join_rows_probed += len(left_rows)
         self.join_rows_built += len(right_rows)
         return joined
-
-    # -------------------------------------------------------------- #
-    # distributed REACH protocol (driven by QueryRouter)
-    # -------------------------------------------------------------- #
-    def reach_seed_fragment(
-        self,
-        fragment: PlanFragment,
-        vectorized: bool | None = None,
-    ) -> tuple[list[str], int]:
-        """Seed phase of a distributed REACH: this partition's matching subjects.
-
-        Runs the fragment plan's seed/filter pipeline (LIMIT deferred — it
-        bounds the final answers, not the seeds) over the partition this
-        fragment covers, and returns the matching **subjects** (view row keys
-        with the ``view:`` prefix stripped) plus the examined count.
-        """
-        if not self._alive:
-            raise ReplicaUnavailableError(
-                f"replica {self.name!r} is not running; cannot seed REACH queries"
-            )
-        prefix = f"{fragment.view_name}:"
-        in_partition = self._partition_scope(fragment)
-        with self._apply_lock:
-            documents, examined = self.executor.match_documents(
-                fragment.plan,
-                scope=in_partition,
-                vectorized=vectorized,
-                apply_limit=False,
-            )
-        self.fragments_executed += 1
-        subjects = [
-            document.entity_id[len(prefix):]
-            if document.entity_id.startswith(prefix)
-            else document.entity_id
-            for document in documents
-        ]
-        return subjects, examined
-
-    def expand_reach(
-        self,
-        view_name: str,
-        automaton: Automaton,
-        entries: list[FrontierEntry],
-    ) -> list[FrontierEntry]:
-        """One product-BFS step over this node's copy of the view's graph.
-
-        The router scatters each round's frontier by subject hash; every
-        replica holds the full view copy, so expanding any entry here yields
-        the same successors the primary would produce.  Returns the raw
-        candidate entries — the router merges them (semiring *plus*) across
-        replicas.
-        """
-        if not self._alive:
-            raise ReplicaUnavailableError(
-                f"replica {self.name!r} is not running; cannot expand REACH frontiers"
-            )
-        with self._apply_lock:
-            graph = self.index.adjacency.graph(f"view:{view_name}")
-            candidates = expand_product_entries(graph, automaton, entries)
-        self.fragments_executed += 1
-        return candidates
-
-    def project_reach(
-        self,
-        view_name: str,
-        plan: PhysicalPlan,
-        subjects: list[str],
-    ) -> list[QueryResultRow]:
-        """Gather phase: project this partition's REACH answer subjects.
-
-        Fetches each subject's served row document, applies the plan's ``TO``
-        type gate (untyped documents pass, as everywhere else), and projects
-        through the plan's RETURN clause.  Subjects not served here (vanished
-        rows, foreign feeds) are silently dropped — the router only sends
-        subjects it believes this node owns, and honest omission beats a
-        fabricated row.
-        """
-        if not self._alive:
-            raise ReplicaUnavailableError(
-                f"replica {self.name!r} is not running; cannot project REACH answers"
-            )
-        feed = f"view:{view_name}"
-        reach = plan.reach
-        with self._apply_lock:
-            documents = self.index.get_many(
-                [f"{view_name}:{subject}" for subject in subjects]
-            )
-            survivors = []
-            for subject in subjects:
-                document = documents.get(f"{view_name}:{subject}")
-                if document is None or document.source_id != feed:
-                    continue
-                if (
-                    reach is not None
-                    and reach.target_type
-                    and document.entity_type
-                    and document.entity_type != reach.target_type
-                ):
-                    continue
-                survivors.append(document)
-            rows = self.executor.project_documents(survivors, plan)
-        self.fragments_executed += 1
-        return rows
-
-    def query(
-        self,
-        query: str | Query | CallQuery,
-        view_name: str | None = None,
-        vectorized: bool | None = None,
-    ) -> QueryResult:
-        """Plan and execute a whole KGQ against this node's own index.
-
-        The local, un-fragmented query surface: useful for single-replica
-        deployments and for debugging what one node would answer on its own.
-        *view_name* (when given) restricts execution to that view's feed;
-        *vectorized* overrides the executor's strategy for this call.
-        """
-        if not self._alive:
-            raise ReplicaUnavailableError(
-                f"replica {self.name!r} is not running; cannot serve queries"
-            )
-        plan: PhysicalPlan = self.planner.plan(
-            parse(query) if isinstance(query, str) else query
-        )
-        scope = None
-        scope_key = ""
-        reach_feed = ""
-        if view_name is not None:
-            feed = f"view:{view_name}"
-            reach_feed = feed
-
-            def scope(document, feed=feed):
-                return document.source_id == feed
-
-            scope_key = f"feed:{view_name}"
-        with self._apply_lock:
-            result = self.executor.execute(
-                plan,
-                scope=scope,
-                scope_key=scope_key,
-                vectorized=vectorized,
-                reach_feed=reach_feed,
-            )
-        self.local_queries += 1
-        return result
 
     # -------------------------------------------------------------- #
     # anti-entropy hooks
@@ -614,7 +451,6 @@ class ReplicaNode:
             "gaps_detected": self.gaps_detected,
             "resyncs": self.resyncs,
             "snapshot_resyncs": self.snapshot_resyncs,
-            "fragments_executed": self.fragments_executed,
             "local_queries": self.local_queries,
             "joins_executed": self.joins_executed,
             "join_rows_probed": self.join_rows_probed,

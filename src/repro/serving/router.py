@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.errors import ReplicaUnavailableError, ServingError, StaleReadError
 from repro.hashing import MAX_HASH, stable_hash
@@ -110,59 +110,6 @@ class ShardRouter:
     def ring_points(self) -> list[tuple[int, str]]:
         """The sorted ``(point, replica)`` ring (read-only copy)."""
         return list(self._ring)
-
-    def hash_partitions(
-        self, eligible: Sequence[str]
-    ) -> dict[str, list[tuple[int, int]]]:
-        """Partition the subject hash space among the *eligible* replicas.
-
-        Each ring arc ``(previous point, point]`` is assigned to the first
-        eligible replica at or after its end point — exactly the replica
-        :meth:`read` would serve a subject hashing into that arc from, so a
-        scatter-gathered fragment and a point read of the same subject land
-        on the same node.  Ranges are ``(low, high]`` over the 64-bit hash
-        space; the wrap-around arc splits into a tail range and a head range.
-        Adjacent arcs with the same owner are coalesced.  Returns an empty
-        mapping when no eligible replica is on the ring.
-        """
-        allowed = set(eligible)
-        ring = self._ring
-        if not ring or not allowed:
-            return {}
-        size = len(ring)
-        # One backwards sweep (twice around for the wrap) carrying the next
-        # eligible owner at-or-after each position — O(ring), where a naive
-        # per-position forward walk is O(ring^2) exactly when most replicas
-        # are ineligible (the consistency-gated hot path).
-        arc_owners: list[str | None] = [None] * size
-        next_owner: str | None = None
-        for position in range(2 * size - 1, -1, -1):
-            name = ring[position % size][1]
-            if name in allowed:
-                next_owner = name
-            if position < size:
-                arc_owners[position] = next_owner
-        if arc_owners[0] is None:
-            return {}
-        partitions: dict[str, list[tuple[int, int]]] = {}
-        for position in range(1, size):
-            owner = arc_owners[position]
-            low, high = ring[position - 1][0], ring[position][0]
-            if low == high:
-                continue
-            ranges = partitions.setdefault(owner, [])
-            if ranges and ranges[-1][1] == low:
-                ranges[-1] = (ranges[-1][0], high)
-            else:
-                ranges.append((low, high))
-        # The wrap-around arc: everything above the last point plus
-        # everything at or below the first point belongs to arc 0's owner.
-        head_owner = arc_owners[0]
-        ranges = partitions.setdefault(head_owner, [])
-        if ring[-1][0] < MAX_HASH - 1:
-            ranges.append((ring[-1][0], MAX_HASH))
-        ranges.insert(0, (-1, ring[0][0]))
-        return partitions
 
     def owners(self, subject: str, count: int | None = None) -> list[str]:
         """The replicas responsible for *subject*, in ring (preference) order."""

@@ -25,6 +25,7 @@ import threading
 
 import pytest
 
+from repro import SagaPlatform
 from repro.engine.metadata import MetadataStore
 from repro.engine.views import ViewCatalog, ViewDefinition, ViewDelta, ViewManager
 from repro.errors import (
@@ -36,6 +37,7 @@ from repro.errors import (
 )
 from repro.live.executor import QueryCache, QueryResult, QueryResultRow
 from repro.live.planner import QueryPlanner
+from repro.model.entity import SourceEntity
 from repro.serving import (
     AdmissionQueue,
     FrontDoor,
@@ -46,6 +48,7 @@ from repro.serving import (
     TokenBucket,
 )
 from repro.serving.frontdoor.admission import Waiter
+from repro.serving.replica import ReplicaNode
 
 
 # ------------------------------------------------------------------ #
@@ -144,7 +147,7 @@ class StubQueryRouter:
         self.executed: list[str] = []
         self._lock = threading.Lock()
 
-    def execute(self, plan, view_name, consistency, use_cache=True, vectorized=None):
+    def execute(self, plan, view_name, consistency, use_cache=True):
         if self.gate is not None:
             assert self.gate.wait(timeout=10.0), "stub gate never opened"
         with self._lock:
@@ -680,3 +683,41 @@ def test_query_cache_rejects_nonpositive_capacity_and_counts_evictions():
     assert cache.evictions == 1
     assert cache.get("a") is None       # "a" was the LRU entry pushed out
     assert cache.get("c") is not None
+
+
+# ------------------------------------------------------------------ #
+# platform wiring: the fleet serves before start_serving_fleet returns
+# ------------------------------------------------------------------ #
+def test_first_query_after_fleet_start_finds_replicas_serving(monkeypatch):
+    """A slow replica apply must delay the start, not fail the first query."""
+    platform = SagaPlatform()
+    platform.graph_engine.register_standard_views()
+    platform.graph_engine.materialize_views()
+    platform.register_source("musicdb")
+    platform.ingest_snapshot("musicdb", [
+        SourceEntity(
+            entity_id=f"musicdb:artist/{i}", entity_type="music_artist",
+            properties={"name": name}, source_id="musicdb", trust=0.8,
+        )
+        for i, name in enumerate(["Echo Valley", "Blue Harbor"])
+    ])
+    platform.graph_engine.update_views()
+
+    apply = ReplicaNode._apply
+
+    def slow_apply(self, *args, **kwargs):
+        threading.Event().wait(0.05)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReplicaNode, "_apply", slow_apply)
+    fleet = platform.start_serving_fleet(views=["entity_features"], num_replicas=3)
+    try:
+        assert all(node.serves_view("entity_features") for node in fleet.replicas.values())
+        door = platform.start_front_door()
+        door.registry.register("app", views={"entity_features"})
+        result = asyncio.run(
+            door.query("app", "MATCH music_artist RETURN name", "entity_features")
+        )
+        assert len(result.rows) == 2
+    finally:
+        platform.stop_serving_fleet()

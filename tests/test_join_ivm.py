@@ -619,25 +619,29 @@ def test_replica_death_mid_join_redispatches_both_strategies():
     manager, _ = build_fleet_harness(model)
     manager.materialize()
     left_text, right_text = TWO_VIEW_QUERIES[0]
-    for method in ("join_fragment", "join_partition"):
+    for method in ("join_broadcast", "join_partition"):
         fleet = start_join_fleet(manager)
         try:
-            victim = fleet.replicas["replica-1"]
-            original = getattr(victim, method)
+            died: list[str] = []
 
-            def dying(*args, **kwargs):
-                fleet.kill_replica("replica-1")          # crash mid-dispatch
-                return original(*args, **kwargs)
+            def dying_once(node, original):
+                def dying(*args, **kwargs):
+                    if not died:                     # the first replica called
+                        died.append(node.name)       # crashes mid-dispatch
+                        fleet.kill_replica(node.name)
+                    return original(*args, **kwargs)
+                return dying
 
-            setattr(victim, method, dying)
-            strategy = "broadcast" if method == "join_fragment" else "shuffle"
+            for node in fleet.replicas.values():
+                setattr(node, method, dying_once(node, getattr(node, method)))
+            strategy = "broadcast" if method == "join_broadcast" else "shuffle"
             result = fleet.join(left_text, "people_rows", right_text,
                                 "city_rows", "home", "home", how="left",
                                 strategy=strategy)
             expected = primary_join(manager, left_text, right_text, "left")
             assert [(row.entity_id, row.values) for row in result.rows] == \
                    [(row.entity_id, row.values) for row in expected.rows]
-            assert fleet.query_router.fragment_retries >= 1
+            assert died and fleet.query_router.fragment_retries == 1
         finally:
             fleet.stop()
 
@@ -684,14 +688,14 @@ def test_join_side_validation_rejects_limit_reach_and_bad_options():
     fleet = start_join_fleet(manager, num_replicas=1)
     left_text, right_text = TWO_VIEW_QUERIES[0]
     try:
-        # a side carrying LIMIT under-collects per partition: rejected
+        # a side carrying LIMIT is rejected: limit= bounds the joined result
         for bad_side in ("left", "right"):
             args = [left_text, "people_rows", right_text, "city_rows"]
             args[0 if bad_side == "left" else 2] += " LIMIT 3"
             with pytest.raises(KGQPlanError) as excinfo:
                 fleet.join(args[0], args[1], args[2], args[3], "home", "home")
             assert bad_side in str(excinfo.value)
-        # REACH sides belong to the round protocol, not the join path
+        # REACH sides are not joinable: only plain MATCH pipelines are
         with pytest.raises(KGQPlanError):
             fleet.join("MATCH person REACH knows* RETURN name", "people_rows",
                        right_text, "city_rows", "home", "home")

@@ -8,8 +8,12 @@ batched-column evaluation and the per-document reference loop — return
 suite) proves it over random document universes and random plans: index and
 type-scan seeds, ``=`` / ``!=`` / ``<`` / ``>`` / CONTAINS filters over
 one- and two-hop paths, multi-hop projections, ``RETURN *``, limits, and
-scoped (fragment-style) execution — plus the same queries scattered through
-a real ``QueryRouter`` fleet in both modes.
+scoped (feed-style) execution — plus the same queries routed through a real
+``QueryRouter`` fleet whose replicas run either strategy.
+
+The strategy is a constructor choice, so every comparison builds two
+executors over one index: ``QueryExecutor(index)`` and the per-document
+reference ``QueryExecutor(index, vectorized=False)``.
 
 The fixed tests pin the cross-type equality semantics the postings probes
 must preserve (``3`` vs ``3.0`` vs ``"3"`` vs ``True``, reference-by-name
@@ -135,9 +139,15 @@ def rows_of(result):
     return [(row.entity_id, row.values) for row in result.rows]
 
 
-def assert_modes_agree(executor: QueryExecutor, plan, scope=None):
-    vectorized = executor.execute(plan, use_cache=False, scope=scope, vectorized=True)
-    reference = executor.execute(plan, use_cache=False, scope=scope, vectorized=False)
+def both_modes(index: LiveIndex) -> tuple[QueryExecutor, QueryExecutor]:
+    """The vectorized executor and the per-document reference over *index*."""
+    return QueryExecutor(index), QueryExecutor(index, vectorized=False)
+
+
+def assert_modes_agree(index: LiveIndex, plan, scope=None):
+    executor, reference_executor = both_modes(index)
+    vectorized = executor.execute(plan, use_cache=False, scope=scope)
+    reference = reference_executor.execute(plan, use_cache=False, scope=scope)
     assert rows_of(vectorized) == rows_of(reference), plan.explain()
     assert vectorized.candidates_examined == reference.candidates_examined, plan.explain()
 
@@ -146,18 +156,16 @@ def test_vectorized_equivalence_seeded(kgq_seed):
     rng = random.Random(61_000 + kgq_seed)
     index = build_universe(rng)
     planner = QueryPlanner(selectivity=index.seed_selectivity)
-    executor = QueryExecutor(index)
     for _ in range(8):
         plan = planner.plan(random_query(rng, index))
-        assert_modes_agree(executor, plan)
+        assert_modes_agree(index, plan)
 
 
 def test_vectorized_equivalence_scoped_seeded(kgq_seed):
-    """Fragment-style scoped execution agrees across modes too."""
+    """Scoped execution (how a replica confines a query) agrees across modes too."""
     rng = random.Random(87_000 + kgq_seed)
     index = build_universe(rng)
     planner = QueryPlanner(selectivity=index.seed_selectivity)
-    executor = QueryExecutor(index)
     modulus = rng.randint(2, 4)
 
     def scope(document):
@@ -165,7 +173,7 @@ def test_vectorized_equivalence_scoped_seeded(kgq_seed):
 
     for _ in range(6):
         plan = planner.plan(random_query(rng, index))
-        assert_modes_agree(executor, plan, scope=scope)
+        assert_modes_agree(index, plan, scope=scope)
 
 
 # ------------------------------------------------------------------ #
@@ -223,12 +231,12 @@ def test_vectorized_equality_matches_cross_type_values():
         # As a filter, equality is cross-type (3 == 3.0 == "3", True == 1):
         # the postings probes must surface every rendering for verification.
         plan = filter_plan("thing", Condition(("value",), "=", target))
-        assert_modes_agree(executor, plan)
-        result = executor.execute(plan, use_cache=False, vectorized=True)
+        assert_modes_agree(index, plan)
+        result = executor.execute(plan, use_cache=False)
         assert [row.entity_id for row in result.rows] == expected, target
         # Pushed into the seed the match is exact-normalized; both modes
         # must still agree on that narrower answer.
-        assert_modes_agree(executor, planner.plan(plan.query))
+        assert_modes_agree(index, planner.plan(plan.query))
 
 
 def test_vectorized_equality_matches_references_by_name():
@@ -243,8 +251,8 @@ def test_vectorized_equality_matches_references_by_name():
         Condition(("home_team",), "=", "Springfield Wolves"),
         returns=[("home_team", "name")],
     )
-    assert_modes_agree(executor, plan)
-    result = executor.execute(plan, use_cache=False, vectorized=True)
+    assert_modes_agree(index, plan)
+    result = executor.execute(plan, use_cache=False)
     assert [row.entity_id for row in result.rows] == ["g1"]
     assert result.rows[0].values["home_team.name"] == "Springfield Wolves"
 
@@ -273,23 +281,23 @@ def test_cache_hits_return_unaliased_rows():
 def test_limit_break_counts_only_examined_candidates():
     index = make_index([doc(f"e{i}", facts={"value": [i]}) for i in range(10)])
     planner = QueryPlanner(selectivity=index.seed_selectivity)
-    executor = QueryExecutor(index)
     # No filters: the scan stops at the limit-th match — exactly 3 examined.
     plan = planner.plan(parse("MATCH thing RETURN name LIMIT 3"))
-    for mode in (True, False):
-        result = executor.execute(plan, use_cache=False, vectorized=mode)
+    for executor in both_modes(index):
+        result = executor.execute(plan, use_cache=False)
         assert len(result.rows) == 3
         assert result.candidates_examined == 3
     # With a filter every candidate must be examined, limit or not.
     plan = planner.plan(parse("MATCH thing WHERE value > 1 RETURN name LIMIT 2"))
-    for mode in (True, False):
-        result = executor.execute(plan, use_cache=False, vectorized=mode)
+    for executor in both_modes(index):
+        result = executor.execute(plan, use_cache=False)
         assert len(result.rows) == 2
         assert result.candidates_examined == 10
 
 
 # ------------------------------------------------------------------ #
-# distributed: the same fleet answers identically in both modes
+# distributed: the same fleet answers identically whichever strategy its
+# replicas' executors were built with
 # ------------------------------------------------------------------ #
 def test_query_router_equivalence_across_modes():
     rows = tuple(
@@ -313,19 +321,25 @@ def test_query_router_equivalence_across_modes():
         for node in nodes:
             assert node.drain()
         query_router = QueryRouter(router)
-        for text in (
+        texts = (
             "MATCH alpha RETURN name, value",
             "MATCH alpha WHERE value > 4 RETURN name",
             'MATCH beta WHERE name CONTAINS "2" RETURN * LIMIT 3',
             "MATCH alpha WHERE value = 3 RETURN value",
             'MATCH beta WHERE name = "Entity 3" RETURN name',
-        ):
-            vectorized = query_router.execute(
-                text, "profile_rows", use_cache=False, vectorized=True
-            )
-            reference = query_router.execute(
-                text, "profile_rows", use_cache=False, vectorized=False
-            )
+        )
+
+        def answers():
+            return [
+                query_router.execute(text, "profile_rows", use_cache=False)
+                for text in texts
+            ]
+
+        vectorized_answers = answers()
+        for node in nodes:
+            assert node.executor.vectorized
+            node.executor = QueryExecutor(node.index, vectorized=False)
+        for text, vectorized, reference in zip(texts, vectorized_answers, answers()):
             assert rows_of(vectorized) == rows_of(reference), text
             assert vectorized.candidates_examined == reference.candidates_examined, text
     finally:

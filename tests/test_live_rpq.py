@@ -7,11 +7,11 @@ Three contracts, property-tested over seeded inputs:
   tree closures) returns exactly the rows *and witness paths* a from-scratch
   set-based BFS (:func:`repro.live.rpq.naive_rpq`) derives from the same
   documents (``rpq_seed`` sequences, scaled by ``--runs-seeded``);
-* **distributed ≡ primary** — a REACH routed through the ``QueryRouter``'s
-  round protocol over a replica fleet (seed scatter → frontier rounds →
-  partition-wise gather, with mid-sequence kills and restarts) returns the
-  same rows, values, ordering, and witnesses as primary-side execution over
-  the same view feed (``rpq_fleet_seed`` sequences);
+* **distributed ≡ primary** — a REACH routed through the ``QueryRouter`` to
+  one replica of a fleet (its evaluator over the ``view:X`` feed, with
+  mid-sequence kills and restarts) returns the same rows, values, ordering,
+  ``candidates_examined`` and witnesses as primary-side execution over the
+  same view feed (``rpq_fleet_seed`` sequences);
 * **tenancy** — REACH widens a plan's type scope, so a type-sliced tenant can
   run ``REACH ... TO type`` inside its slice but an unbounded REACH (or a TO
   outside the slice) is refused at plan time.
@@ -28,7 +28,6 @@ from repro.live.executor import QueryCache, QueryExecutor, QueryResultRow
 from repro.live.index import LiveEntityDocument, LiveIndex, view_row_document
 from repro.live.kgq import RpqAlt, RpqConcat, RpqLabel, RpqPlus, RpqStar, parse
 from repro.live.planner import (
-    PlanFragment,
     QueryPlanner,
     ensure_plan_within_types,
     plan_scope,
@@ -346,22 +345,6 @@ def test_reach_widens_plan_scope_and_tenancy_enforces_it():
     ensure_plan_within_types(unbounded, None)
 
 
-def test_reach_plans_refuse_the_one_shot_fragment_path():
-    model = QueryModel()
-    model.entities["e00"] = {"type": "alpha", "value": 1}
-    _, manager, _ = build_query_harness(model)
-    manager.materialize()
-    fleet = start_fleet(manager, num_replicas=1)
-    try:
-        plan = QueryPlanner().plan(parse("MATCH alpha REACH part_of* RETURN name"))
-        fragment = PlanFragment(plan=plan, view_name="profile_rows", ranges=((0, 2**64),))
-        replica = next(iter(fleet.replicas.values()))
-        with pytest.raises(KGQPlanError, match="round protocol"):
-            replica.execute_fragment(fragment)
-    finally:
-        fleet.stop()
-
-
 # ------------------------------------------------------------------ #
 # distributed ≡ primary over seeded fleet sequences
 # ------------------------------------------------------------------ #
@@ -417,16 +400,21 @@ def primary_reach_results(manager, queries):
         result = executor.execute(
             planner.plan(parse(text)), use_cache=False, reach_feed="view:profile_rows"
         )
-        results[text] = [(row.entity_id, row.values, row.witness) for row in result.rows]
+        results[text] = (reach_rows(result), result.candidates_examined)
     return results
+
+
+def reach_rows(result):
+    return [(row.entity_id, row.values, row.witness) for row in result.rows]
 
 
 def assert_fleet_reach_matches_primary(fleet, manager):
     expected = primary_reach_results(manager, DISTRIBUTED_BATTERY)
-    for text, rows in expected.items():
+    for text, (rows, examined) in expected.items():
         result = fleet.query(text, "profile_rows")
-        got = [(row.entity_id, row.values, row.witness) for row in result.rows]
-        assert got == rows, text
+        assert reach_rows(result) == rows, text
+        # a hit in the replica's result cache examined nothing
+        assert result.from_cache or result.candidates_examined == examined, text
 
 
 def test_distributed_reach_matches_primary_over_seeded_sequences(rpq_fleet_seed):
@@ -483,6 +471,7 @@ def test_distributed_reach_matches_primary_over_seeded_sequences(rpq_fleet_seed)
         assert_fleet_reach_matches_primary(fleet, manager)
         stats = fleet.query_router.stats()
         assert stats["reach_queries"] > 0
+        assert stats["fragments_dispatched"] == stats["queries_routed"]
     finally:
         fleet.stop()
 
@@ -496,21 +485,24 @@ def test_replica_death_mid_reach_re_dispatches_to_survivors():
     manager.materialize()
     fleet = start_fleet(manager, num_replicas=3)
     try:
-        expected = primary_reach_results(manager, DISTRIBUTED_BATTERY[:1])
-        # the victim dies *between* partitioning and its seed dispatch: the
-        # first seed call kills it, so the router must re-partition its share
-        victim_name = sorted(fleet.replicas)[0]
+        text = "MATCH alpha WHERE value > 40 REACH (knows|part_of)+ RETURN name"
+        rows, examined = primary_reach_results(manager, (text,))[text]
+        # the answers carry real paths, so witness identity is not vacuous
+        assert any(witness for _, _, witness in rows)
+        # the replica the text is placed on dies *between* placement and
+        # execution, so the router must hand the plan to the next owner
+        victim_name = fleet.router.owners(text)[0]
         victim = fleet.replicas[victim_name]
-        original = victim.reach_seed_fragment
+        original = victim.query
 
-        def dies_on_first_seed(fragment, vectorized=None):
+        def dies_on_first_query(*args, **kwargs):
             victim.kill()
-            return original(fragment, vectorized=vectorized)
+            return original(*args, **kwargs)
 
-        victim.reach_seed_fragment = dies_on_first_seed
-        result = fleet.query(DISTRIBUTED_BATTERY[0], "profile_rows")
-        got = [(row.entity_id, row.values, row.witness) for row in result.rows]
-        assert got == expected[DISTRIBUTED_BATTERY[0]]
-        assert fleet.query_router.fragment_retries >= 1
+        victim.query = dies_on_first_query
+        result = fleet.query(text, "profile_rows")
+        assert (reach_rows(result), result.candidates_examined) == (rows, examined)
+        assert fleet.query_router.fragment_retries == 1
+        assert fleet.replicas[fleet.router.owners(text)[1]].local_queries == 1
     finally:
         fleet.stop()

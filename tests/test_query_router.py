@@ -1,13 +1,14 @@
 """Distributed KGQ execution and anti-entropy audits over the replica fleet.
 
-The scatter-gather contract: a KGQ executed through the ``QueryRouter`` over
-N replicas returns results *identical* to primary-side execution of the same
-plan over the same view feed — property-tested over seeded operation
-sequences (adds, updates, retypes, deletes, flushes, replica kills and
-restarts).  Consistency levels are enforced per fragment with honest
-``StaleReadError``\\ s that name the lagging replicas; partitions cover the
-hash space exactly and agree with point-read routing; a replica dying
-mid-query re-dispatches only its share.
+The routing contract: a KGQ executed through the ``QueryRouter`` over N
+replicas returns results *identical* to primary-side execution of the same
+plan over the same view feed (rows, order, ``candidates_examined``) —
+property-tested over seeded operation sequences (adds, updates, retypes,
+deletes, flushes, replica kills and restarts).  One placement rule decides
+where a query runs: the whole plan goes to the first owner of its query text
+that is alive, serves the view and satisfies the consistency level, with
+honest ``StaleReadError``\\ s that name the lagging replicas; a replica dying
+mid-query hands the call to the next eligible owner.
 
 The anti-entropy contract: injected divergence (corrupted rows, lost rows,
 ghost rows) is detected by the checksum audit down to the exact subjects and
@@ -44,21 +45,20 @@ from repro.errors import (
     StaleReadError,
     ViewError,
 )
-from repro.live.executor import QueryExecutor, QueryResult, QueryResultRow, merge_partial_results
+from repro.live.executor import QueryExecutor
 from repro.live.index import LiveIndex, document_checksum, view_row_document
 from repro.live.kgq import parse
-from repro.live.planner import PlanFragment, QueryPlanner, extract_fragments
+from repro.live.planner import QueryPlanner
 from repro.serving import (
     Consistency,
     InMemoryJournalBackend,
     JournalStore,
     ServingFleet,
-    stable_hash,
 )
 
 
 # The qr_seed / ae_seed fixtures are parametrized by the repo-level
-# conftest.py from --runs-seeded (with proportional caps: the scatter-gather
+# conftest.py from --runs-seeded (with proportional caps: the routed-query
 # sequences spin up fleet worker threads, the divergence soak audits full
 # checksum maps per round).
 
@@ -151,19 +151,23 @@ def primary_results(manager, queries=QUERY_BATTERY):
     results = {}
     for text in queries:
         result = executor.execute(planner.plan(parse(text)), use_cache=False)
-        results[text] = [(row.entity_id, row.values) for row in result.rows]
+        results[text] = (rows_of(result), result.candidates_examined)
     return results
 
 
+def rows_of(result):
+    return [(row.entity_id, row.values) for row in result.rows]
+
+
 def assert_fleet_matches_primary(fleet, manager, consistency=None):
-    expected = primary_results(manager)
-    for text, rows in expected.items():
+    for text, (rows, examined) in primary_results(manager).items():
         if consistency is None:
             result = fleet.query(text, "profile_rows")
         else:
             result = fleet.query(text, "profile_rows", consistency)
-        got = [(row.entity_id, row.values) for row in result.rows]
-        assert got == rows, text
+        assert rows_of(result) == rows, text
+        # a hit in the replica's result cache examined nothing
+        assert result.from_cache or result.candidates_examined == examined, text
 
 
 def seed_model(model, rng, count=None):
@@ -173,74 +177,6 @@ def seed_model(model, rng, count=None):
             "type": rng.choice(TYPES), "value": rng.randint(0, 99),
         }
     return n
-
-
-# ------------------------------------------------------------------ #
-# partitioning: fragments agree with point-read routing
-# ------------------------------------------------------------------ #
-def test_hash_partitions_cover_space_and_match_point_routing():
-    model = QueryModel()
-    rng = random.Random(7)
-    seed_model(model, rng, count=64)
-    _, manager, _ = build_query_harness(model)
-    manager.materialize()
-    fleet = start_fleet(manager, num_replicas=4)
-    try:
-        eligible = sorted(fleet.replicas)
-        partitions = fleet.router.hash_partitions(eligible)
-        assert set(partitions) == set(eligible)
-        for subject in model.entities:
-            h = stable_hash(subject)
-            owners = [
-                name for name, ranges in partitions.items()
-                if any(low < h <= high for low, high in ranges)
-            ]
-            # covered exactly once, by the replica a point read would pick
-            assert owners == fleet.router.owners(subject, 1), subject
-        # a shrunk eligible set reassigns, still covering every subject
-        survivors = eligible[:2]
-        partitions = fleet.router.hash_partitions(survivors)
-        for subject in model.entities:
-            h = stable_hash(subject)
-            assert sum(
-                any(low < h <= high for low, high in ranges)
-                for ranges in partitions.values()
-            ) == 1
-        assert fleet.router.hash_partitions([]) == {}
-    finally:
-        fleet.stop()
-
-
-def test_fragment_intersection_and_cache_keys():
-    plan = QueryPlanner().plan(parse("MATCH alpha RETURN name"))
-    fragment = PlanFragment(plan=plan, view_name="v", ranges=((0, 100), (200, 300)))
-    narrowed = fragment.intersect(((50, 250),))
-    assert narrowed.ranges == ((50, 100), (200, 250))
-    assert fragment.intersect(((400, 500),)).ranges == ()
-    assert fragment.covers(50) and not fragment.covers(150)
-    # per-partition cache keys differ, equal partitions share one
-    assert fragment.cache_key() != narrowed.cache_key()
-    twin = PlanFragment(plan=plan, view_name="v", ranges=fragment.ranges, owner="x")
-    assert twin.cache_key() == fragment.cache_key()
-    fragments = extract_fragments(plan, "v", {"a": [(0, 10)], "b": []})
-    assert [fragment.owner for fragment in fragments] == ["a"]
-
-
-def test_merge_partial_results_orders_dedups_and_limits():
-    plan = QueryPlanner().plan(parse("MATCH alpha RETURN name LIMIT 3"))
-    partials = [
-        QueryResult(rows=[QueryResultRow("v:c", {"name": "C"}),
-                          QueryResultRow("v:a", {"name": "A"})],
-                    candidates_examined=4),
-        QueryResult(rows=[QueryResultRow("v:b", {"name": "B"}),
-                          QueryResultRow("v:a", {"name": "A-dup"}),
-                          QueryResultRow("v:d", {"name": "D"})],
-                    candidates_examined=5),
-    ]
-    merged = merge_partial_results(plan, partials)
-    assert [row.entity_id for row in merged.rows] == ["v:a", "v:b", "v:c"]
-    assert merged.rows[0].values == {"name": "A"}        # first fragment wins
-    assert merged.candidates_examined == 9
 
 
 # ------------------------------------------------------------------ #
@@ -302,14 +238,16 @@ def test_distributed_query_matches_primary_over_seeded_sequences(qr_seed):
         while killed:
             fleet.restart_replica(killed.pop())
         # ...and, once everyone is back, under read-your-writes at the
-        # primary watermark with the work spread over all three replicas
+        # primary watermark
         watermark = manager.built_at_lsn("profile_rows")
         assert_fleet_matches_primary(
             fleet, manager, Consistency.read_your_writes(watermark)
         )
         stats = fleet.query_router.stats()
         assert stats["queries_routed"] > 0
-        assert stats["fragments_dispatched"] >= stats["queries_routed"]
+        # kills between queries are seen at placement: one call per query
+        assert stats["fragments_dispatched"] == stats["queries_routed"]
+        assert stats["fragment_retries"] == 0
     finally:
         fleet.stop()
 
@@ -363,26 +301,146 @@ def test_dead_fleet_and_unserved_view_raise_honestly():
         fleet.stop()
 
 
-def test_replica_death_mid_query_redispatches_only_its_partition():
+# ------------------------------------------------------------------ #
+# the one placement rule: one query, one replica
+# ------------------------------------------------------------------ #
+PLACED_QUERIES = (
+    "MATCH alpha RETURN name, value",
+    "MATCH alpha REACH part_of* RETURN name",
+)
+
+
+def answering_replicas(fleet, run):
+    """Names of the replicas whose ``local_queries`` moved while *run* ran."""
+    before = {name: node.local_queries for name, node in fleet.replicas.items()}
+    run()
+    return sorted(
+        name for name, node in fleet.replicas.items()
+        if node.local_queries != before[name]
+    )
+
+
+def chosen_replica(fleet, text):
+    (name,) = answering_replicas(fleet, lambda: fleet.query(text, "profile_rows"))
+    return name
+
+
+def placement_fleet(seed, count=12):
     model = QueryModel()
-    seed_model(model, random.Random(11), count=40)
-    _, manager, _ = build_query_harness(model)
+    seed_model(model, random.Random(seed), count=count)
+    _, manager, clock = build_query_harness(model)
     manager.materialize()
-    fleet = start_fleet(manager)
+    return model, manager, clock, start_fleet(manager)
+
+
+@pytest.mark.parametrize("text", PLACED_QUERIES)
+def test_each_routed_query_makes_exactly_one_replica_call(text):
+    _, _, _, fleet = placement_fleet(41)
     try:
-        victim = fleet.replicas["replica-1"]
-        original = victim.execute_fragment
+        router = fleet.query_router
+        dispatched = router.fragments_dispatched
+        answered = answering_replicas(fleet, lambda: fleet.query(text, "profile_rows"))
+        assert len(answered) == 1
+        assert fleet.replicas[answered[0]].local_queries == 1
+        assert router.fragments_dispatched == dispatched + 1
+        assert router.stats()["reach_rounds"] == 0
+        # the same text lands on the same replica while membership holds
+        assert {chosen_replica(fleet, text) for _ in range(4)} == set(answered)
+        assert router.explain(text, "profile_rows")[-1] == (
+            f"Replica({answered[0]}, view=profile_rows)"
+        )
+    finally:
+        fleet.stop()
 
-        def dying(fragment, use_cache=True, **kwargs):
-            fleet.kill_replica("replica-1")    # crash between scatter and apply
-            return original(fragment, use_cache=use_cache, **kwargs)
 
-        victim.execute_fragment = dying
-        result = fleet.query("MATCH alpha RETURN name, value", "profile_rows")
-        assert fleet.query_router.fragment_retries >= 1
-        expected = primary_results(manager, ("MATCH alpha RETURN name, value",))
-        got = [(row.entity_id, row.values) for row in result.rows]
-        assert got == expected["MATCH alpha RETURN name, value"]
+def test_distinct_query_texts_spread_over_every_replica():
+    _, _, _, fleet = placement_fleet(43)
+    try:
+        chosen = {
+            chosen_replica(fleet, f"MATCH alpha WHERE value > {i} RETURN name")
+            for i in range(64)
+        }
+        assert chosen == set(fleet.replicas)
+    finally:
+        fleet.stop()
+
+
+def test_replica_death_mid_query_is_answered_by_the_next_owner():
+    _, manager, _, fleet = placement_fleet(11, count=40)
+    try:
+        text = "MATCH alpha RETURN name, value"
+        victim_name = chosen_replica(fleet, text)
+        victim = fleet.replicas[victim_name]
+        original = victim.query
+
+        def dying(*args, **kwargs):
+            fleet.kill_replica(victim_name)    # crash between placement and execution
+            return original(*args, **kwargs)
+
+        victim.query = dying
+        results = []
+        answered = answering_replicas(
+            fleet, lambda: results.append(fleet.query(text, "profile_rows"))
+        )
+        assert fleet.query_router.fragment_retries == 1
+        assert len(answered) == 1 and answered[0] != victim_name
+        assert answered[0] == fleet.router.owners(text)[1]
+        rows, _ = primary_results(manager, (text,))[text]
+        assert rows_of(results[0]) == rows
+    finally:
+        fleet.stop()
+
+
+def test_read_your_writes_skips_a_lagging_preferred_owner():
+    model, manager, clock, fleet = placement_fleet(47)
+    try:
+        text = "MATCH alpha RETURN name, value"
+        preferred = chosen_replica(fleet, text)
+        # the preferred owner misses the next flush: it lags, the others do not
+        fleet.kill_replica(preferred)
+        model.entities["e00"]["value"] = 777
+        clock["lsn"] += 1
+        manager.enqueue(["e00"], lsn=clock["lsn"])
+        manager.flush()
+        assert fleet.drain()
+        watermark = manager.built_at_lsn("profile_rows")
+        lagging = fleet.replicas[preferred]
+        lagging.resync_source = None            # come back without catching up
+        fleet.restart_replica(preferred)
+        assert lagging.alive and lagging.applied_lsn("profile_rows") < watermark
+        fresh = Consistency.read_your_writes(watermark)
+        answered = answering_replicas(
+            fleet, lambda: fleet.query(text, "profile_rows", fresh)
+        )
+        assert len(answered) == 1 and answered[0] != preferred
+        assert fleet.query_router.consistency_rejections >= 1
+        # any-consistency still prefers the ring's first owner
+        assert chosen_replica(fleet, text) == preferred
+        # when every replica lags, the error names every one of them
+        with pytest.raises(StaleReadError) as excinfo:
+            fleet.query(text, "profile_rows", Consistency.read_your_writes(watermark + 5))
+        assert set(excinfo.value.lagging) == set(fleet.replicas)
+    finally:
+        fleet.stop()
+
+
+def test_replica_query_runs_a_compiled_plan_without_planning():
+    _, manager, _, fleet = placement_fleet(53)
+    try:
+        node = fleet.replicas["replica-0"]
+        text = "MATCH alpha WHERE value > 5 RETURN name, value"
+        plan = QueryPlanner().plan(parse(text))
+
+        def refuses(query):
+            raise AssertionError("a compiled plan must not be planned again")
+
+        node.planner.plan = refuses
+        result = node.query(plan, "profile_rows", use_cache=False)
+        assert (rows_of(result), result.candidates_examined) == \
+            primary_results(manager, (text,))[text]
+        # use_cache reaches the replica's executor: the repeat is a cache hit
+        assert node.query(plan, "profile_rows").from_cache is False
+        assert node.query(plan, "profile_rows").from_cache is True
     finally:
         fleet.stop()
 
@@ -449,9 +507,9 @@ def test_replica_local_query_surface_matches_primary():
     try:
         node = fleet.replicas["replica-0"]
         expected = primary_results(manager)
-        for text, rows in expected.items():
+        for text, (rows, _) in expected.items():
             result = node.query(text, view_name="profile_rows")
-            assert [(row.entity_id, row.values) for row in result.rows] == rows
+            assert rows_of(result) == rows
         assert node.local_queries == len(expected)
         node.kill()
         with pytest.raises(ReplicaUnavailableError):
@@ -472,8 +530,7 @@ def test_routed_query_through_the_live_engine():
         result = live.engine.routed_query("MATCH alpha RETURN name, value",
                                           "profile_rows")
         expected = primary_results(manager, ("MATCH alpha RETURN name, value",))
-        got = [(row.entity_id, row.values) for row in result.rows]
-        assert got == expected["MATCH alpha RETURN name, value"]
+        assert rows_of(result) == expected["MATCH alpha RETURN name, value"][0]
         assert live.engine.stats()["routed_queries"] == 1
         live.engine.attach_query_router(None)
         with pytest.raises(LiveGraphError):
