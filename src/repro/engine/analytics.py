@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.errors import StoreError
 from repro.model.entity import NAME_PREDICATES
-from repro.model.triples import ExtendedTriple
+from repro.model.triples import ExtendedTriple, FactRow, fact_row_dict
 
 Row = dict
 
@@ -313,7 +313,9 @@ class AnalyticsStore:
     """Read-optimized warehouse of extended triples with hash-join views."""
 
     def __init__(self) -> None:
-        self._triples: list[ExtendedTriple] = []
+        # subject -> its fact rows: dropping or refreshing a subject touches
+        # that subject's rows only, never the whole warehouse
+        self._rows: dict[str, list[FactRow]] = {}
         # predicate -> subject -> [objects]
         self._by_predicate: dict[str, dict[str, list[object]]] = defaultdict(
             lambda: defaultdict(list)
@@ -329,35 +331,50 @@ class AnalyticsStore:
     # -------------------------------------------------------------- #
     def ingest(self, triples: Iterable[ExtendedTriple]) -> int:
         """Batch-ingest triples (updates to the engine are batched, §3.1.1)."""
+        return self.ingest_rows(
+            (
+                triple.subject,
+                triple.predicate,
+                triple.relationship_id,
+                triple.relationship_predicate,
+                triple.obj,
+                triple.locale,
+                tuple(triple.provenance.references),
+            )
+            for triple in triples
+        )
+
+    def ingest_rows(self, rows: Iterable[FactRow]) -> int:
+        """Batch-ingest decoded fact rows (:meth:`TripleBatch.rows
+        <repro.model.triples.TripleBatch.rows>`) without building triples."""
         count = 0
-        for triple in triples:
-            self._triples.append(triple)
-            predicate = triple.relationship_predicate or triple.predicate
-            self._by_predicate[predicate][triple.subject].append(triple.obj)
-            if triple.predicate == "type" and not triple.is_composite:
-                type_name = str(triple.obj)
-                self._types[triple.subject].append(type_name)
-                self._subjects_by_type[type_name].add(triple.subject)
-            if triple.predicate in NAME_PREDICATES and triple.subject not in self._names:
-                self._names[triple.subject] = str(triple.obj)
+        for row in rows:
+            subject, predicate, relationship_id, relationship_predicate, obj, _, _ = row
+            self._rows.setdefault(subject, []).append(row)
+            self._by_predicate[relationship_predicate or predicate][subject].append(obj)
+            if predicate == "type" and relationship_id is None:
+                type_name = str(obj)
+                self._types[subject].append(type_name)
+                self._subjects_by_type[type_name].add(subject)
+            if predicate in NAME_PREDICATES and subject not in self._names:
+                self._names[subject] = str(obj)
             count += 1
         return count
 
     def remove_subjects(self, subjects: Iterable[str]) -> int:
         """Drop every triple about the given subjects (delta maintenance)."""
-        doomed = set(subjects)
-        if not doomed:
-            return 0
-        before = len(self._triples)
-        self._triples = [t for t in self._triples if t.subject not in doomed]
-        for predicate_index in self._by_predicate.values():
-            for subject in doomed:
-                predicate_index.pop(subject, None)
-        for subject in doomed:
+        removed = 0
+        for subject in set(subjects):
+            rows = self._rows.pop(subject, None)
+            if rows is None:
+                continue
+            removed += len(rows)
+            for _, predicate, _, relationship_predicate, _, _, _ in rows:
+                self._by_predicate[relationship_predicate or predicate].pop(subject, None)
             for type_name in self._types.pop(subject, []):
                 self._subjects_by_type[type_name].discard(subject)
             self._names.pop(subject, None)
-        return before - len(self._triples)
+        return removed
 
     def refresh_subjects(
         self, subjects: Iterable[str], triples: Iterable[ExtendedTriple]
@@ -371,7 +388,7 @@ class AnalyticsStore:
     # -------------------------------------------------------------- #
     def triple_count(self) -> int:
         """Number of stored triple rows."""
-        return len(self._triples)
+        return sum(map(len, self._rows.values()))
 
     def subjects_of_type(self, entity_type: str) -> list[str]:
         """Subjects having the given type."""
@@ -474,7 +491,9 @@ class AnalyticsStore:
 
     def full_relation(self) -> Relation:
         """The raw extended-triples relation (used by ad-hoc analytics)."""
-        rows = [triple.to_row() for triple in self._triples]
+        rows = [
+            fact_row_dict(row) for subject_rows in self._rows.values() for row in subject_rows
+        ]
         self.rows_scanned += len(rows)
         return Relation("triples", rows)
 

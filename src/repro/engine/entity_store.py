@@ -79,12 +79,15 @@ class EntityStore:
             if not facts:
                 self.delete(subject)
                 continue
-            entity = KGEntity.from_triples(subject, facts)
-            existing = self._documents.get(subject)
-            importance = existing.importance if existing else 0.0
-            self.put(EntityDocument.from_entity(entity, importance))
+            self.put_entity(KGEntity.from_triples(subject, facts))
             refreshed += 1
         return refreshed
+
+    def put_entity(self, entity: KGEntity) -> None:
+        """Replace one entity's document, keeping its importance score."""
+        existing = self._documents.get(entity.entity_id)
+        importance = existing.importance if existing else 0.0
+        self.put(EntityDocument.from_entity(entity, importance))
 
     def set_importance(self, entity_id: str, importance: float) -> None:
         """Attach an importance score (produced by the importance view)."""

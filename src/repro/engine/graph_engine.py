@@ -11,6 +11,18 @@ The KG construction pipeline is the *sole producer*: it publishes ingest
 operations via :meth:`GraphEngine.publish_subjects` (payloads staged in the
 object store, operations appended to the log) and the engine replays them into
 every registered store.
+
+One payload, staged once: a publish asks the source store for a single
+immutable columnar :class:`~repro.model.triples.TripleBatch` of the changed
+subjects (:meth:`TripleStore.stage <repro.model.triples.TripleStore.stage>`)
+and every agent consumes that same batch — the primary translates its ids
+into its own dictionaries (``add_staged``), the warehouse ingests its decoded
+rows, and each changed subject's :class:`~repro.model.entity.KGEntity` is
+assembled once (:class:`StagedEntities`) for the entity store and the text
+index together.  No relational row dict, ``ExtendedTriple`` or provenance
+object is built on the way, and a batch keeps a snapshot's semantics, so a
+publish made with ``replay=False`` replays what was published however the
+source store changed in between.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from repro.engine.views import ViewCatalog, ViewContext, ViewDefinition, ViewMan
 from repro.errors import EngineError
 from repro.model.entity import KGEntity
 from repro.model.ontology import Ontology
-from repro.model.triples import ExtendedTriple, TripleStore
+from repro.model.triples import TripleBatch, TripleStore
 
 #: Replay order: the primary store must apply an operation before the derived
 #: stores read from it.
@@ -52,9 +64,9 @@ class PrimaryStoreAgent(OrchestrationAgent):
 
     def apply(self, record: LogRecord, payload: object) -> None:
         if record.operation == "ingest_delta" and isinstance(payload, dict):
-            self.store.remove_subjects_batch(payload.get("deleted", []))
-            self.store.remove_subjects_batch(payload.get("subjects", []))
-            self.store.add_rows(payload.get("triples", []))
+            self.store.remove_subjects_batch(payload["deleted"])
+            self.store.remove_subjects_batch(payload["subjects"])
+            self.store.add_staged(payload["batch"])
         elif record.operation == "remove_source":
             self.store.remove_source(record.source_id)
 
@@ -69,45 +81,76 @@ class AnalyticsAgent(OrchestrationAgent):
     def apply(self, record: LogRecord, payload: object) -> None:
         if record.operation != "ingest_delta" or not isinstance(payload, dict):
             return
-        self.analytics.remove_subjects(payload.get("deleted", []))
-        triples = [ExtendedTriple.from_row(row) for row in payload.get("triples", [])]
-        self.analytics.refresh_subjects(payload.get("subjects", []), triples)
+        self.analytics.remove_subjects([*payload["deleted"], *payload["subjects"]])
+        self.analytics.ingest_rows(payload["batch"].rows())
+
+
+class StagedEntities:
+    """The :class:`KGEntity` of every subject of the batch being replayed.
+
+    The entity store and the text index replay the same staged batch one
+    after the other and both need each subject's assembled entity; this
+    one-slot memo assembles them on the first request for a batch and hands
+    the same entities to the second.  It holds one batch's entities — not
+    the payload, which lives in the object store for the life of the log.
+    Subjects staged without facts have no entity.
+    """
+
+    def __init__(self) -> None:
+        self._batch: TripleBatch | None = None
+        self._entities: dict[str, KGEntity] = {}
+
+    def of(self, batch: TripleBatch) -> dict[str, KGEntity]:
+        """Subject → entity for every subject of *batch* that has facts."""
+        if batch is not self._batch:
+            self._entities = {
+                subject: KGEntity.from_facts(subject, facts)
+                for subject, facts in batch.subject_facts()
+                if facts
+            }
+            self._batch = batch
+        return self._entities
 
 
 class EntityStoreAgent(OrchestrationAgent):
-    """Maintains the key-value entity index from the primary store."""
+    """Maintains the key-value entity index from the staged batch."""
 
-    def __init__(self, entity_store: EntityStore, primary: TripleStore) -> None:
+    def __init__(self, entity_store: EntityStore, staged: StagedEntities) -> None:
         super().__init__("entity_store")
         self.entity_store = entity_store
-        self.primary = primary
+        self.staged = staged
 
     def apply(self, record: LogRecord, payload: object) -> None:
         if record.operation != "ingest_delta" or not isinstance(payload, dict):
             return
-        changed = list(payload.get("subjects", [])) + list(payload.get("deleted", []))
-        self.entity_store.update_from_store(self.primary, changed)
+        entities = self.staged.of(payload["batch"])
+        for subject in {*payload["subjects"], *payload["deleted"]}:
+            entity = entities.get(subject)
+            if entity is None:
+                self.entity_store.delete(subject)
+            else:
+                self.entity_store.put_entity(entity)
 
 
 class TextIndexAgent(OrchestrationAgent):
-    """Maintains the full-text entity index from the primary store."""
+    """Maintains the full-text entity index from the staged batch."""
 
-    def __init__(self, text_index: InvertedTextIndex, primary: TripleStore) -> None:
+    def __init__(self, text_index: InvertedTextIndex, staged: StagedEntities) -> None:
         super().__init__("text_index")
         self.text_index = text_index
-        self.primary = primary
+        self.staged = staged
 
     def apply(self, record: LogRecord, payload: object) -> None:
         if record.operation != "ingest_delta" or not isinstance(payload, dict):
             return
-        for subject in payload.get("deleted", []):
+        entities = self.staged.of(payload["batch"])
+        for subject in payload["deleted"]:
             self.text_index.remove(subject)
-        for subject in payload.get("subjects", []):
-            facts = self.primary.facts_about(subject)
-            if not facts:
+        for subject in payload["subjects"]:
+            entity = entities.get(subject)
+            if entity is None:
                 self.text_index.remove(subject)
                 continue
-            entity = KGEntity.from_triples(subject, facts)
             description = entity.value("description")
             text_parts = [*entity.names, *(str(description) if description else "").split()]
             self.text_index.index(
@@ -151,8 +194,9 @@ class GraphEngine:
         self.coordinator = AgentCoordinator(self.log, self.object_store, self.metadata)
         self.coordinator.register(PrimaryStoreAgent(self.triples))
         self.coordinator.register(AnalyticsAgent(self.analytics))
-        self.coordinator.register(EntityStoreAgent(self.entity_store, self.triples))
-        self.coordinator.register(TextIndexAgent(self.text_index, self.triples))
+        staged_entities = StagedEntities()
+        self.coordinator.register(EntityStoreAgent(self.entity_store, staged_entities))
+        self.coordinator.register(TextIndexAgent(self.text_index, staged_entities))
         self.view_catalog = ViewCatalog()
         # Views read the replayed stores, so their builds reflect the minimum
         # store watermark — not the log head, which may be ahead of replay.
@@ -185,9 +229,10 @@ class GraphEngine:
     ) -> LogRecord:
         """Publish the current state of *changed_subjects* from a construction store.
 
-        The full fact set of each changed subject is staged (so replay is
-        idempotent), the operation is appended to the durable log, and — by
-        default — agents replay immediately.
+        The full fact set of each changed subject is staged as one columnar
+        batch (so replay is idempotent, and independent of what the source
+        store becomes afterwards), the operation is appended to the durable
+        log, and — by default — agents replay immediately.
 
         When the producer already classified its change, *added_subjects*
         names the net-new subset of *changed_subjects*; the classification is
@@ -195,16 +240,10 @@ class GraphEngine:
         delta-journal consumers verbatim, instead of re-deriving it by
         diffing against the delivered-subject set.
         """
-        subjects = sorted(set(changed_subjects))
+        batch = source_store.stage(changed_subjects)
+        subjects = list(batch.subjects)
         deleted = sorted(set(deleted_subjects))
-        rows: list[dict] = []
-        if hasattr(source_store, "rows_about"):
-            for subject in subjects:
-                rows.extend(source_store.rows_about(subject))
-        else:
-            for subject in subjects:
-                rows.extend(triple.to_row() for triple in source_store.facts_about(subject))
-        payload = {"subjects": subjects, "deleted": deleted, "triples": rows}
+        payload = {"subjects": subjects, "deleted": deleted, "batch": batch}
         if added_subjects is not None:
             added = set(added_subjects)
             payload["classified"] = {

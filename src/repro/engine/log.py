@@ -103,8 +103,12 @@ class OperationLog:
         return self._records[-1].lsn if self._records else 0
 
     def read_from(self, lsn_exclusive: int) -> list[LogRecord]:
-        """Return every record with LSN strictly greater than *lsn_exclusive*."""
-        return [record for record in self._records if record.lsn > lsn_exclusive]
+        """Return every record with LSN strictly greater than *lsn_exclusive*.
+
+        LSNs are dense from 1 (:meth:`append` assigns them, :meth:`_recover`
+        checks them), so the record with LSN *n* sits at index *n* - 1.
+        """
+        return self._records[max(lsn_exclusive, 0):]
 
     def get(self, lsn: int) -> LogRecord:
         """Return the record with exactly *lsn*."""

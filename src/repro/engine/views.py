@@ -46,9 +46,16 @@ rebuilding every materialized view on any update:
 
 * **Delta journals.**  Every :class:`ViewState` carries a
   :class:`DeltaJournal` of the per-view deltas its artifact has absorbed,
-  with LSN ranges.  Views maintained through ``apply_delta`` or ``update``
-  append their scope-projected delta; views rebuilt through ``create``
-  truncate the journal (the extent of the change is unknown).  Downstream
+  with LSN ranges.  A journaled delta names the view's changed *output*
+  rows: an ``apply_delta`` builder either reports them itself
+  (:class:`DeltaApplyResult`) or returns a new subject → row mapping, which
+  the manager compares with the previous artifact on the projected delta's
+  subjects, leaving out every row that came back equal; ``update`` views,
+  and artifacts that cannot be compared, append their scope-projected input
+  delta.  A delta with nothing left in it is not appended — the view emits
+  the watermark-only ``advance`` event of an unaffected view.  Views
+  rebuilt through ``create`` truncate the journal (the extent of the change
+  is unknown).  Downstream
   consumers (the live serving layer) call :meth:`ViewManager.view_deltas_since`
   to fetch only what changed since the version they serve, falling back to a
   full reload when the journal cannot cover the gap.  Journals are compacted
@@ -213,16 +220,59 @@ class ViewDelta:
         )
 
 
+def _is_subject_keyed(artifact: dict) -> bool:
+    """Whether a dict artifact maps each subject to that subject's row.
+
+    Judged by its first entry: an aggregate (``{"total": 3}``) or a mapping
+    keyed by anything but the rows' own ``subject`` fails it, and keeps
+    journaling its input delta.
+    """
+    if not artifact:
+        return False
+    key, row = next(iter(artifact.items()))
+    return isinstance(row, dict) and row.get("subject") == key
+
+
+def _changed_rows(previous: dict, artifact: dict, delta: ViewDelta) -> ViewDelta:
+    """The output-row delta between two subject → row artifacts.
+
+    Only the subjects *delta* names are compared — the incremental-procedure
+    contract confines row changes to them — and each is classified by what
+    happened to its row; a subject whose row is equal in both (or absent
+    from both) is left out.
+    """
+    added: set[str] = set()
+    updated: set[str] = set()
+    deleted: set[str] = set()
+    for subject in delta.changed | delta.deleted:
+        old_row = previous.get(subject)
+        new_row = artifact.get(subject)
+        if new_row is None:
+            if old_row is not None:
+                deleted.add(subject)
+        elif old_row is None:
+            added.add(subject)
+        elif new_row != old_row:
+            updated.add(subject)
+    return ViewDelta(
+        added=frozenset(added),
+        updated=frozenset(updated),
+        deleted=frozenset(deleted),
+        first_lsn=delta.first_lsn,
+        last_lsn=delta.last_lsn,
+    )
+
+
 @dataclass(frozen=True)
 class DeltaApplyResult:
     """An ``apply_delta`` outcome that refines the journaled delta.
 
     A plain ``apply_delta`` return value is the new artifact, and the manager
-    journals the scope-projected *input* delta — correct for entity-scoped
-    views whose output rows are keyed by the very entities that changed.  A
-    join-shaped view breaks that identity: a delta on the *right* input
-    changes output rows keyed by *left* subjects, so journaling the input
-    delta would ship the wrong subjects to replicas.  Returning a
+    looks for changed rows among the subjects of the scope-projected *input*
+    delta — correct for entity-scoped views whose output rows are keyed by
+    the very entities that changed.  A join-shaped view breaks that
+    identity: a delta on the *right* input changes output rows keyed by
+    *left* subjects, so the input delta names the wrong subjects.  Returning a
     ``DeltaApplyResult`` instead lets the builder name the **output-row**
     delta (which subjects were added / updated / deleted in the artifact);
     the manager journals and ships exactly that, while still advancing the
@@ -301,9 +351,10 @@ class JournalEvent:
     """One committed journal transition, published to journal listeners.
 
     ``kind`` is ``"append"`` (an incremental delta was journaled — ``delta``
-    carries the scope-projected entities), ``"advance"`` (a flush proved the
-    view unaffected and only moved its watermark to ``lsn`` — shipped copies
-    advance their applied LSN without touching a row), ``"truncate"`` (the
+    carries the subjects whose rows changed), ``"advance"`` (only the
+    watermark moved to ``lsn``: the flush proved the view unaffected, or
+    maintained it and no output row changed — shipped copies advance their
+    applied LSN without touching a row), ``"truncate"`` (the
     view was rebuilt from scratch; history restarts at ``lsn`` and any
     shipped copy must resync from the artifact), or ``"drop"`` (the
     materialization was removed; shipped copies must stop serving the view).
@@ -1268,6 +1319,18 @@ class ViewManager:
                 # from the input-level projection below.
                 journaled = artifact.delta
                 artifact = artifact.artifact
+            elif (
+                isinstance(artifact, dict)
+                and isinstance(state.artifact, dict)
+                and artifact is not state.artifact
+                and _is_subject_keyed(artifact or state.artifact)
+            ):
+                # Same rule for a plain subject → row mapping: what consumers
+                # must re-read is the set of rows that differ from the
+                # previous artifact, not every entity the input delta named.
+                # (A builder that patched the previous dict in place left
+                # nothing to compare against; its input delta stands.)
+                journaled = _changed_rows(state.artifact, artifact, projected)
         else:
             kind = "update"
             artifact = definition.update(context, list(changed))
@@ -1300,6 +1363,13 @@ class ViewManager:
         if kind == "create":
             self._emit_journal_event(JournalEvent(
                 kind="truncate", view_name=name, lsn=state.built_at_lsn,
+                revision=state.revision,
+            ))
+        elif journaled.is_empty():
+            # Maintenance ran and no row moved: to every consumer this is the
+            # watermark-only progress of an unaffected view.
+            self._emit_journal_event(JournalEvent(
+                kind="advance", view_name=name, lsn=state.built_at_lsn,
                 revision=state.revision,
             ))
         else:

@@ -224,34 +224,48 @@ class KGEntity:
     @classmethod
     def from_triples(cls, entity_id: str, triples: Iterable[ExtendedTriple]) -> "KGEntity":
         """Assemble an entity from the triples having it as subject."""
+        return cls.from_facts(
+            entity_id,
+            (
+                (t.predicate, t.relationship_id, t.relationship_predicate, t.obj)
+                for t in triples
+                if t.subject == entity_id
+            ),
+        )
+
+    @classmethod
+    def from_facts(cls, entity_id: str, facts: Iterable[tuple]) -> "KGEntity":
+        """Assemble an entity from its ``(predicate, relationship_id,
+        relationship_predicate, object)`` facts, in the order given — the
+        column-side twin of :meth:`from_triples`
+        (:meth:`TripleBatch.subject_facts
+        <repro.model.triples.TripleBatch.subject_facts>` feeds it)."""
         entity = cls(entity_id=entity_id)
         nodes: dict[tuple[str, str], RelationshipNode] = {}
         names_by_predicate: dict[str, list[str]] = defaultdict(list)
-        for triple in triples:
-            if triple.subject != entity_id:
-                continue
-            if triple.is_composite:
-                key = (triple.predicate, triple.relationship_id)
+        for predicate, rel_id, rel_predicate, obj in facts:
+            if rel_id is not None:
+                key = (predicate, rel_id)
                 node = nodes.get(key)
                 if node is None:
-                    node = RelationshipNode(triple.relationship_id, triple.predicate)
+                    node = RelationshipNode(rel_id, predicate)
                     nodes[key] = node
-                node.facts[triple.relationship_predicate] = triple.obj
+                node.facts[rel_predicate] = obj
                 continue
-            if triple.predicate == TYPE_PREDICATE:
-                if triple.obj not in entity.types:
-                    entity.types.append(str(triple.obj))
-            elif triple.predicate == SAME_AS_PREDICATE:
-                if triple.obj not in entity.same_as:
-                    entity.same_as.append(str(triple.obj))
+            if predicate == TYPE_PREDICATE:
+                if obj not in entity.types:
+                    entity.types.append(str(obj))
+            elif predicate == SAME_AS_PREDICATE:
+                if obj not in entity.same_as:
+                    entity.same_as.append(str(obj))
             else:
-                entity.facts.setdefault(triple.predicate, [])
-                if triple.obj not in entity.facts[triple.predicate]:
-                    entity.facts[triple.predicate].append(triple.obj)
-                if triple.predicate in NAME_PREDICATES:
-                    name = str(triple.obj)
-                    if name not in names_by_predicate[triple.predicate]:
-                        names_by_predicate[triple.predicate].append(name)
+                values = entity.facts.setdefault(predicate, [])
+                if obj not in values:
+                    values.append(obj)
+                if predicate in NAME_PREDICATES:
+                    name = str(obj)
+                    if name not in names_by_predicate[predicate]:
+                        names_by_predicate[predicate].append(name)
         # Order display names by predicate priority: a proper "name" beats an
         # alias regardless of the order facts were stored in.
         for predicate in NAME_PREDICATES:

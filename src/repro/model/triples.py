@@ -21,7 +21,8 @@ columnar store (see :mod:`repro.model.columnar` for the storage primitives and
   partition's ``(subject, predicate)`` composite index;
 * batch operators (:meth:`add_batch`, :meth:`add_rows`,
   :meth:`remove_subjects_batch`, :meth:`merge_from`, :meth:`project`,
-  :meth:`scan_tuples`) move whole fact sets without materializing triples;
+  :meth:`scan_tuples`, :meth:`stage` / :meth:`add_staged`) move whole fact
+  sets without materializing triples;
 * the row-at-a-time API (:meth:`add`, :meth:`facts_about`, iteration, ...) is
   a compatibility shim materializing :class:`ExtendedTriple` views lazily and
   caching them per row — a materialized triple shares the store's live
@@ -40,6 +41,7 @@ relational layout is identical.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator
 
@@ -52,9 +54,31 @@ from repro.model.columnar import (
     TermDict,
     pack_ref,
 )
-from repro.model.provenance import DEFAULT_LOCALE, Provenance
+from repro.model.provenance import DEFAULT_LOCALE, Provenance, SourceReference
 
 Value = object  # literal (str, int, float, bool) or an entity identifier
+
+#: One decoded fact of a :class:`TripleBatch`: ``(subject, predicate,
+#: relationship_id, relationship_predicate, object, locale, references)`` with
+#: *references* a tuple of :class:`~repro.model.provenance.SourceReference`.
+#: Immutable end to end, so every consumer of a batch may keep it as is.
+FactRow = tuple[str, str, "str | None", "str | None", Value, str, tuple[SourceReference, ...]]
+
+
+def fact_row_dict(row: FactRow) -> dict:
+    """The flat relational row of Table 1 (:meth:`ExtendedTriple.to_row`'s
+    format) for one decoded fact."""
+    subject, predicate, relationship_id, relationship_predicate, obj, locale, references = row
+    return {
+        "subject": subject,
+        "predicate": predicate,
+        "r_id": relationship_id,
+        "r_predicate": relationship_predicate,
+        "object": obj,
+        "locale": locale,
+        "sources": [reference.source_id for reference in references],
+        "trust": [reference.trust for reference in references],
+    }
 
 
 @dataclass
@@ -173,6 +197,88 @@ class ExtendedTriple:
             locale=row.get("locale", DEFAULT_LOCALE),
             provenance=provenance,
         )
+
+
+class TripleBatch:
+    """Immutable columnar snapshot of every fact of a set of subjects.
+
+    Built by :meth:`TripleStore.stage` and applied by
+    :meth:`TripleStore.add_staged`: the payload one publish stages once and
+    every store replays.  Rows are grouped by subject (``subjects`` is
+    sorted; a subject without facts owns an empty group) and ordered as
+    :meth:`TripleStore.facts_about` orders them.  The id columns index the
+    source store's term dictionaries, which are append-only and therefore
+    stay valid however the source changes afterwards; object values and
+    provenance references are copied out, so the batch keeps describing the
+    moment it was staged — a snapshot's semantics at a delta's cost.
+    """
+
+    __slots__ = (
+        "subjects", "_starts", "_terms", "_pids", "_rids", "_rpids", "_oids", "_lids",
+        "_objs", "_refs",
+    )
+
+    def __init__(self, subjects: tuple[str, ...], terms: tuple) -> None:
+        self.subjects = subjects
+        self._starts = [0]                # row range of subjects[i]: _starts[i:i + 2]
+        self._terms = terms               # source (predicate, rid, locale, object) dictionaries
+        self._pids = array("q")
+        self._rids = array("q")
+        self._rpids = array("q")
+        self._oids = array("q")
+        self._lids = array("q")
+        self._objs: list[Value] = []      # object values as provided
+        self._refs: list[tuple[SourceReference, ...]] = []
+
+    def __len__(self) -> int:
+        return len(self._objs)
+
+    def rows(self) -> Iterator[FactRow]:
+        """Every staged fact, decoded, in batch order."""
+        predicate_terms, rid_terms, locale_terms, _ = self._terms
+        predicates, rids, locales = predicate_terms.terms, rid_terms.terms, locale_terms.terms
+        for index, subject in enumerate(self.subjects):
+            for row in range(self._starts[index], self._starts[index + 1]):
+                yield (
+                    subject,
+                    predicates[self._pids[row]],
+                    rids[self._rids[row]],
+                    predicates[self._rpids[row]],
+                    self._objs[row],
+                    locales[self._lids[row]],
+                    self._refs[row],
+                )
+
+    def subject_facts(self) -> Iterator[tuple[str, list[tuple]]]:
+        """``(subject, [(predicate, relationship_id, relationship_predicate,
+        object), ...])`` per staged subject — the entity-materialization feed
+        (:meth:`repro.model.entity.KGEntity.from_facts`)."""
+        predicate_terms, rid_terms, _, _ = self._terms
+        predicates, rids = predicate_terms.terms, rid_terms.terms
+        for index, subject in enumerate(self.subjects):
+            yield subject, [
+                (
+                    predicates[self._pids[row]],
+                    rids[self._rids[row]],
+                    predicates[self._rpids[row]],
+                    self._objs[row],
+                )
+                for row in range(self._starts[index], self._starts[index + 1])
+            ]
+
+
+def _translate_ids(column: Iterable[int], theirs: TermDict, mine: TermDict) -> list[int]:
+    """One id column of another store's dictionary, re-expressed in *mine*:
+    each distinct term is interned once, however many rows carry it."""
+    their_terms = theirs.terms
+    memo: dict[int, int] = {}
+    translated = []
+    for term_id in column:
+        mapped = memo.get(term_id)
+        if mapped is None:
+            mapped = memo[term_id] = mine.intern(their_terms[term_id])
+        translated.append(mapped)
+    return translated
 
 
 class TripleStore:
@@ -464,6 +570,67 @@ class TripleStore:
             self._insert_ids(
                 my_key, partition.predicate, partition.objs[row], partition.prov[row].references
             )
+        return len(self._by_key) - before
+
+    def stage(self, subjects: Iterable[str]) -> TripleBatch:
+        """Snapshot every fact of *subjects* into one :class:`TripleBatch`.
+
+        Reads the partitions' columns directly — no triple, row dict or
+        provenance object is built — and costs O(facts of *subjects*).
+        Later changes to this store do not show in the batch.
+        """
+        batch = TripleBatch(
+            tuple(sorted(set(subjects))),
+            (self._predicate_terms, self._rid_terms, self._locale_terms, self._object_terms),
+        )
+        for subject in batch.subjects:
+            sid = self._subject_terms.id_of(subject)
+            for ref in sorted(self._by_subject.get(sid, ()), key=self._repr_of):
+                partition = self._partitions[ref >> ROW_BITS]
+                row = ref & ROW_MASK
+                batch._pids.append(partition.pid)
+                batch._rids.append(partition.rid[row])
+                batch._rpids.append(partition.rpred[row])
+                batch._oids.append(partition.obj_ids[row])
+                batch._lids.append(partition.loc[row])
+                batch._objs.append(partition.objs[row])
+                batch._refs.append(tuple(partition.prov[row].references))
+            batch._starts.append(len(batch._objs))
+        return batch
+
+    def add_staged(self, batch: TripleBatch) -> int:
+        """Insert every fact of a staged *batch*; return new-fact count.
+
+        The batch's id columns are translated into this store's dictionaries
+        through per-column memo tables (each distinct term is interned once
+        per call, each subject once per group) and the rows inserted
+        id-encoded: no triple, row dict or intermediate provenance object is
+        built.  Merge semantics are
+        :meth:`add_batch`'s — a fact already present gains the batch's sources.
+        """
+        self._ensure_private()
+        before = len(self._by_key)
+        their_predicates, their_rids, their_locales, their_objects = batch._terms
+        pids = _translate_ids(batch._pids, their_predicates, self._predicate_terms)
+        rpids = _translate_ids(batch._rpids, their_predicates, self._predicate_terms)
+        rids = _translate_ids(batch._rids, their_rids, self._rid_terms)
+        oids = _translate_ids(batch._oids, their_objects, self._object_terms)
+        lids = _translate_ids(batch._lids, their_locales, self._locale_terms)
+        predicates = self._predicate_terms.terms
+        starts = batch._starts
+        for index, subject in enumerate(batch.subjects):
+            first, end = starts[index], starts[index + 1]
+            if first == end:
+                continue
+            sid = self._subject_terms.intern(subject)
+            for row in range(first, end):
+                pid = pids[row]
+                self._insert_ids(
+                    (sid, pid, rids[row], rpids[row], oids[row], lids[row]),
+                    predicates[pid],
+                    batch._objs[row],
+                    batch._refs[row],
+                )
         return len(self._by_key) - before
 
     def project(
@@ -843,6 +1010,9 @@ class TripleStore:
         rows = partition.by_subject.get(sid)
         if not rows:
             return []
+        if len(rows) == 1:
+            (row,) = rows
+            return [pack_ref(pid, row)]
         return sorted((pack_ref(pid, row) for row in rows), key=self._repr_of)
 
     def _materialize(self, ref: int) -> ExtendedTriple:

@@ -186,18 +186,20 @@ class ReplicaNode:
     def drain(self, timeout: float = 10.0) -> bool:
         """Wait until every offered batch has been applied (or *timeout*).
 
-        Polls the queue's unfinished-task count under its condition instead
-        of parking a thread in ``Queue.join()`` — a wedged replica must not
-        leak one permanently blocked waiter per drain attempt.
+        Waits on the queue's own ``all_tasks_done`` condition, which the
+        worker notifies when the last batch is done, so the caller wakes as
+        soon as the replica is current.  Unlike ``Queue.join()`` the wait is
+        timed: a wedged replica returns ``False`` at the deadline and leaves
+        no blocked waiter behind.
         """
         deadline = time.monotonic() + timeout
-        while True:
-            with self._queue.all_tasks_done:
-                if self._queue.unfinished_tasks == 0:
-                    return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.002)
+        with self._queue.all_tasks_done:
+            while self._queue.unfinished_tasks:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                self._queue.all_tasks_done.wait(remaining)
+        return True
 
     # -------------------------------------------------------------- #
     # replication protocol

@@ -127,3 +127,57 @@ def test_composite_triples_index_under_relationship_predicate(warehouse):
     ])
     assert len(warehouse.predicate_relation("school")) == 1
     assert len(warehouse.predicate_relation("educated_at")) == 0
+
+
+def test_subject_indexed_triples_match_a_naive_list(store_seed):
+    """``remove_subjects`` / ``refresh_subjects`` reach a subject's rows
+    through the per-subject index; a flat list filtered in full — the layout
+    it replaced — is the oracle for ``triple_count`` and ``full_relation``
+    (same rows in the same order), and the derived indexes must agree with a
+    warehouse rebuilt from that list."""
+    import random
+
+    rng = random.Random(52000 + store_seed)
+    subjects = [f"kg:e{i}" for i in range(9)]
+
+    def facts_for(subject):
+        facts = [triple(subject, "type", rng.choice(["song", "music_artist"]))]
+        for _ in range(rng.randint(0, 5)):
+            if rng.random() < 0.3:
+                facts.append(triple(subject, "educated_at", rng.choice("XYZ"),
+                                    r_id=f"rel:{rng.randint(0, 2)}",
+                                    r_pred=rng.choice(["school", "degree"])))
+            else:
+                facts.append(triple(subject, rng.choice(["name", "genre", "plays"]),
+                                    rng.choice(["A", "B", 1, 1.0, 7])))
+        return facts
+
+    warehouse = AnalyticsStore()
+    flat: list[ExtendedTriple] = []
+    for _ in range(rng.randint(10, 20)):
+        op = rng.choice(["refresh", "refresh", "remove", "remove_missing"])
+        chosen = rng.sample(subjects, rng.randint(1, 3))
+        if op == "refresh":
+            fresh = [fact for subject in chosen for fact in facts_for(subject)]
+            flat = [t for t in flat if t.subject not in chosen] + fresh
+            assert warehouse.refresh_subjects(chosen, fresh) == len(fresh)
+        elif op == "remove":
+            expected = sum(1 for t in flat if t.subject in chosen)
+            flat = [t for t in flat if t.subject not in chosen]
+            assert warehouse.remove_subjects(chosen) == expected
+        else:
+            assert warehouse.remove_subjects(["kg:never-ingested"]) == 0
+        assert warehouse.triple_count() == len(flat)
+        assert warehouse.full_relation().rows == [t.to_row() for t in flat]
+        rebuilt = AnalyticsStore()
+        rebuilt.ingest(flat)
+        for entity_type in ("song", "music_artist"):
+            assert warehouse.subjects_of_type(entity_type) == rebuilt.subjects_of_type(entity_type)
+            assert warehouse.entity_rows(entity_type, ["name", "genre", "school"]) == (
+                rebuilt.entity_rows(entity_type, ["name", "genre", "school"])
+            )
+        for predicate in ("type", "name", "genre", "plays", "school", "degree"):
+            assert warehouse.predicate_relation(predicate).rows == (
+                rebuilt.predicate_relation(predicate).rows
+            )
+        assert warehouse.name_relation().rows == rebuilt.name_relation().rows

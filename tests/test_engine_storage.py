@@ -26,6 +26,11 @@ def test_log_read_from_and_get():
     for index in range(5):
         log.append("op", metadata={"index": index})
     assert [record.lsn for record in log.read_from(2)] == [3, 4, 5]
+    assert [record.lsn for record in log.read_from(0)] == [1, 2, 3, 4, 5]
+    assert log.read_from(5) == [] and log.read_from(99) == []
+    tail = log.read_from(3)
+    tail.clear()                      # a copy: the caller may not reach the log through it
+    assert len(log) == 5
     assert log.get(3).metadata == {"index": 2}
     with pytest.raises(LogError):
         log.get(99)

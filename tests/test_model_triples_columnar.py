@@ -239,6 +239,30 @@ def test_batch_operators_match_rowwise(store_seed):
         lambda t: t.predicate == "genre"
     ).canonical_rows()
 
+    # stage + add_staged == add_rows over rows_about, in the same order; an
+    # absent subject stages an empty group
+    staged_subjects = SUBJECTS[1:6] + ["kg:absent"]
+    staged = merged.stage(staged_subjects)
+    via_dicts = TripleStore()
+    via_dicts.add_rows(
+        row for subject in sorted(staged_subjects) for row in merged.rows_about(subject)
+    )
+    assert staged.subjects == tuple(sorted(staged_subjects))
+    assert len(staged) == via_dicts.fact_count()
+    assert [row[:6] for row in staged.rows()] == [
+        (r["subject"], r["predicate"], r["r_id"], r["r_predicate"], r["object"], r["locale"])
+        for r in via_dicts.to_rows()
+    ]
+    via_batch = TripleStore()
+    assert via_batch.add_staged(staged) == via_dicts.fact_count()
+    assert via_batch.to_rows() == via_dicts.to_rows()
+    # staged into a store that already holds some of the facts: merge semantics
+    overlapping = TripleStore(t.copy() for t in extra)
+    expected_new = LegacyTripleStore(t.copy() for t in extra).add_all(
+        ExtendedTriple.from_row(row) for row in via_dicts.to_rows()
+    )
+    assert overlapping.add_staged(staged) == expected_new
+
     # remove_subjects_batch == per-subject remove_subject
     doomed = SUBJECTS[2:5]
     assert merged.remove_subjects_batch(doomed) == sum(
@@ -263,6 +287,12 @@ def test_batch_operators_match_rowwise(store_seed):
     )
     assert removed == expected_removed
     assert merged.canonical_rows() == legacy.canonical_rows()
+
+    # the batch staged above is a snapshot: removals and in-place provenance
+    # retractions on its source since then do not show in it
+    late = TripleStore()
+    late.add_staged(staged)
+    assert late.canonical_rows() == via_dicts.canonical_rows()
 
 
 def test_snapshot_is_copy_on_write_and_isolated():

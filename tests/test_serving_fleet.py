@@ -256,6 +256,32 @@ class TestShippingAndReplicas:
         assert node.applied_lsn("rows") == clock["lsn"]
         node.stop()
 
+    def test_drain_on_a_wedged_replica_times_out_on_time_and_parks_no_thread(self):
+        store, clock, manager = make_primary()
+        store["a"] = 1
+        manager.materialize()
+        fleet = ServingFleet(manager, num_replicas=1).start()
+        fleet.serve_view("rows")
+        assert fleet.drain()
+        node = fleet.replicas["replica-0"]
+        threads_before = threading.active_count()
+        # wedge the worker mid-apply: it blocks on the lock a query would hold
+        node._apply_lock.acquire()
+        try:
+            put(store, clock, manager, "a", 2)
+            manager.flush()
+            for _ in range(3):
+                started = time.monotonic()
+                assert node.drain(timeout=0.05) is False
+                assert 0.05 <= time.monotonic() - started < 1.0
+            assert threading.active_count() == threads_before
+        finally:
+            node._apply_lock.release()
+        # once unwedged, the same call wakes as soon as the batch is applied
+        assert node.drain(timeout=5.0) is True
+        assert node.applied_lsn("rows") == clock["lsn"]
+        fleet.stop()
+
     def test_rebuild_ships_snapshot_not_delta(self):
         store, clock, manager = make_primary()
         store["a"] = 1

@@ -12,6 +12,11 @@ suite asserts the four core invariants of incremental view maintenance:
 3. **No ghosts** — no view serves rows for deleted entities.
 4. **Accounting** — skip counters plus rebuild counters sum to the total
    maintenance decisions the flushes made.
+5. **Journal sufficiency** — a consumer that keeps a copy of ``alpha_rows``
+   current from ``view_deltas_since`` alone (full reload only on a gap or a
+   new revision) holds exactly the artifact, although the journal names only
+   the rows that changed: writes that leave a row as it was (the ``touch``
+   op) are journaled as nothing.
 
 The sequence count is controlled by ``--runs-seeded`` (default 25; the bare
 flag, as used in CI, runs 200).  The same module hosts the concurrency tests
@@ -20,6 +25,7 @@ for parallel branch flushing and the no-op-deletion regression tests.
 
 from __future__ import annotations
 
+import asyncio
 import random
 import threading
 import time
@@ -39,7 +45,13 @@ from repro.errors import StaleReadError
 from repro.live.engine import LiveGraphEngine
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
-from repro.serving import Consistency, InMemoryJournalBackend, JournalStore, ServingFleet
+from repro.serving import (
+    Consistency,
+    FrontDoor,
+    InMemoryJournalBackend,
+    JournalStore,
+    ServingFleet,
+)
 
 
 # The op_seed / live_seed / fleet_seed fixtures are parametrized by the
@@ -173,7 +185,43 @@ def expected_artifact(store: ModelStore, name: str):
     raise AssertionError(f"no expectation for view {name!r}")
 
 
-def check_invariants(store, catalog, manager, watermark_history):
+class JournalConsumer:
+    """A copy of one row view kept current from ``view_deltas_since`` alone."""
+
+    def __init__(self, manager, name):
+        self.manager, self.name = manager, name
+        self.rows: dict[str, dict] = {}
+        self.lsn = 0
+        self.revision = None
+        self.full_loads = 0
+
+    def catch_up(self):
+        manager, name = self.manager, self.name
+        if not manager.is_materialized(name):
+            self.revision = None
+            return
+        artifact = manager.artifact(name)
+        revision = manager.state_revision(name)
+        delta = manager.view_deltas_since(name, self.lsn) if revision == self.revision else None
+        if delta is None:
+            self.rows = {subject: dict(row) for subject, row in artifact.items()}
+            self.full_loads += 1
+        else:
+            for subject in delta.changed:
+                if subject in artifact:
+                    self.rows[subject] = dict(artifact[subject])
+                else:
+                    self.rows.pop(subject, None)
+            for subject in delta.deleted:
+                self.rows.pop(subject, None)
+        self.lsn, self.revision = manager.built_at_lsn(name), revision
+        assert self.rows == artifact
+
+
+def check_invariants(store, catalog, manager, watermark_history, consumer=None):
+    if consumer is not None:
+        # 5. the journal alone keeps a consumer's copy equal to the artifact
+        consumer.catch_up()
     for name in catalog.names():
         if not manager.is_materialized(name):
             continue
@@ -212,6 +260,7 @@ def test_random_op_sequences_preserve_view_invariants(op_seed):
         store.entities[f"e{counter}"] = {"type": rng.choice(TYPES), "value": counter}
     manager.materialize()
     watermark_history: dict[tuple, int] = {}
+    consumer = JournalConsumer(manager, "alpha_rows")
     expected_decisions = 0
 
     def any_materialized():
@@ -224,9 +273,9 @@ def test_random_op_sequences_preserve_view_invariants(op_seed):
 
     for _ in range(rng.randint(25, 45)):
         op = rng.choices(
-            ["add", "update", "retype", "delete", "revive", "flush", "drop",
+            ["add", "update", "touch", "retype", "delete", "revive", "flush", "drop",
              "rematerialize", "reregister"],
-            weights=[18, 18, 10, 15, 8, 25, 4, 8, 3],
+            weights=[18, 18, 10, 10, 15, 8, 25, 4, 8, 3],
         )[0]
         if op == "add":
             counter += 1
@@ -244,6 +293,12 @@ def test_random_op_sequences_preserve_view_invariants(op_seed):
             eid = rng.choice(sorted(store.entities))
             store.entities[eid]["value"] += 1
             enqueue([eid])
+        elif op == "touch" and store.entities:
+            # a write to a field no view reads: every row it reaches is
+            # recomputed to what it already was
+            eid = rng.choice(sorted(store.entities))
+            store.entities[eid]["popularity"] = rng.random()
+            enqueue([eid])
         elif op == "retype" and store.entities:
             eid = rng.choice(sorted(store.entities))
             store.entities[eid]["type"] = rng.choice(TYPES)
@@ -259,14 +314,14 @@ def test_random_op_sequences_preserve_view_invariants(op_seed):
                     1 for n in catalog.names() if manager.is_materialized(n)
                 )
             manager.flush()
-            check_invariants(store, catalog, manager, watermark_history)
+            check_invariants(store, catalog, manager, watermark_history, consumer)
         elif op == "drop":
             name = rng.choice(catalog.names())
             if manager.is_materialized(name):
                 manager.drop(name)
         elif op == "rematerialize":
             manager.materialize()
-            check_invariants(store, catalog, manager, watermark_history)
+            check_invariants(store, catalog, manager, watermark_history, consumer)
         elif op == "reregister":
             # swap in an equivalent definition: resets the view + dependents
             fresh_catalog, _, _ = build_harness(store)
@@ -280,7 +335,7 @@ def test_random_op_sequences_preserve_view_invariants(op_seed):
         )
     manager.flush()
     manager.materialize()
-    check_invariants(store, catalog, manager, watermark_history)
+    check_invariants(store, catalog, manager, watermark_history, consumer)
     assert manager.maintenance_decisions == expected_decisions
 
 
@@ -763,10 +818,13 @@ def _alpha_feed_converged(manager, fleet) -> None:
 
 
 def test_replicated_fleet_sequences_converge_and_honor_consistency(fleet_seed):
-    """Random add/update/retype/delete/kill/restart interleavings: after every
-    drained flush the fleet converges on the primary's rows, read-your-writes
-    at the primary watermark always succeeds, and a crashed replica restarted
-    from the persisted journal catches up without a primary-side rebuild."""
+    """Random add/update/touch/retype/delete/kill/restart interleavings: after
+    every drained flush the fleet converges on the primary's rows *and its
+    watermark* — also when the flush carried only ``touch`` writes, which
+    change no served row and ship as watermark-only batches —, read-your-
+    writes at the primary watermark always succeeds, and a crashed replica
+    restarted from the persisted journal catches up without a primary-side
+    rebuild."""
     rng = random.Random(9000 + fleet_seed)
     store = ModelStore()
     catalog, manager, clock = build_harness(store)
@@ -790,8 +848,8 @@ def test_replicated_fleet_sequences_converge_and_honor_consistency(fleet_seed):
     try:
         for _ in range(rng.randint(15, 30)):
             op = rng.choices(
-                ["add", "update", "retype", "delete", "flush", "kill", "restart"],
-                weights=[20, 20, 10, 12, 25, 6, 7],
+                ["add", "update", "touch", "retype", "delete", "flush", "kill", "restart"],
+                weights=[20, 20, 15, 10, 12, 25, 6, 7],
             )[0]
             if op == "add":
                 counter += 1
@@ -801,6 +859,11 @@ def test_replicated_fleet_sequences_converge_and_honor_consistency(fleet_seed):
             elif op == "update" and store.entities:
                 eid = rng.choice(sorted(store.entities))
                 store.entities[eid]["value"] += 100
+                enqueue([eid])
+            elif op == "touch" and store.entities:
+                # popularity-only write: a no-op for every served row
+                eid = rng.choice(sorted(store.entities))
+                store.entities[eid]["popularity"] = rng.random()
                 enqueue([eid])
             elif op == "retype" and store.entities:
                 eid = rng.choice(sorted(store.entities))
@@ -892,3 +955,169 @@ def test_engine_deletion_outside_scopes_skips_all_views(ontology):
     assert engine.view_manager.states["song_list"].skipped_updates == 1
     assert engine.view_freshness() == {}       # watermark still advanced
     assert engine.view_artifact("song_list") == ["kg:s1"]
+
+
+# ------------------------------------------------------------------ #
+# output-row cut-off: unchanged rows stop at the journal
+# ------------------------------------------------------------------ #
+def _two_view_primary():
+    """``value_rows`` and ``pop_rows``: two apply_delta views over the same
+    entities, each reading one field the other does not."""
+    store = ModelStore()
+    for index in range(1, 5):
+        store.entities[f"e{index}"] = {"type": "alpha", "value": index, "popularity": 0}
+    catalog = ViewCatalog()
+
+    def row_view(name, field):
+        def row_of(eid):
+            return {"subject": eid, "name": f"Entity {eid}", "types": ["alpha"],
+                    field: store.entities[eid][field]}
+
+        def create(context):
+            return {eid: row_of(eid) for eid in sorted(store.entities)}
+
+        def apply_delta(context, delta: ViewDelta):
+            artifact = dict(context.artifact(name))
+            for eid in delta.changed:
+                artifact[eid] = row_of(eid)
+            for eid in delta.deleted:
+                artifact.pop(eid, None)
+            return artifact
+
+        catalog.register(ViewDefinition(name, "analytics", create=create,
+                                        apply_delta=apply_delta))
+
+    row_view("value_rows", "value")
+    row_view("pop_rows", "popularity")
+    clock = {"lsn": 1}
+    manager = ViewManager(catalog, engines={}, metadata=MetadataStore(),
+                          lsn_source=lambda: clock["lsn"], entity_source=store.subjects)
+    return store, manager, clock
+
+
+def test_unchanged_rows_are_cut_off_before_journal_ship_and_apply():
+    """A write that changes ``popularity`` only reaches ``value_rows`` as a
+    recomputed-but-identical row: nothing is journaled for it, the manager
+    counts a no-op and emits ``advance`` (not ``append``), replicas move
+    their watermark without touching a document, and the front door keeps
+    the view's cached result — while ``pop_rows``, whose row did change,
+    takes the whole append → ship → apply → invalidate path."""
+    store, manager, clock = _two_view_primary()
+    manager.materialize()
+    fleet = ServingFleet(manager, num_replicas=3,
+                         journal_store=JournalStore(InMemoryJournalBackend())).start()
+    door = FrontDoor(fleet)
+    door.registry.register("acme", views={"value_rows", "pop_rows"})
+    events = []
+    manager.add_journal_listener(lambda event: events.append((event.kind, event.view_name)))
+    text = "MATCH alpha RETURN name"
+
+    def write(eid, **fields):
+        store.entities[eid].update(fields)
+        clock["lsn"] += 1
+        manager.enqueue([eid], lsn=clock["lsn"])
+        manager.flush()
+        assert fleet.drain()
+        return clock["lsn"]
+
+    async def ask(view):
+        return await door.query("acme", text, view)
+
+    try:
+        fleet.serve_views(["value_rows", "pop_rows"])
+        assert fleet.drain()
+        served_before = {
+            name: node.get("value_rows", "e1") for name, node in fleet.replicas.items()
+        }
+        asyncio.run(ask("value_rows"))
+        asyncio.run(ask("pop_rows"))
+        events.clear()
+        journal_appends = manager.states["value_rows"].journal.appends
+        shipped_before = fleet.shipper.batches_shipped
+
+        lsn = write("e1", popularity=7)
+
+        # journal and events
+        assert sorted(events) == [("advance", "value_rows"), ("append", "pop_rows")]
+        assert manager.noop_maintenance == 1
+        assert manager.delta_rows_journaled == 1            # pop_rows' one row
+        assert manager.incremental_applies == 2 and manager.full_rebuilds == 0
+        assert manager.states["value_rows"].journal.appends == journal_appends
+        assert manager.view_deltas_since("value_rows", lsn - 1).is_empty()
+        assert manager.view_deltas_since("pop_rows", lsn - 1).updated == {"e1"}
+        assert manager.built_at_lsn("value_rows") == lsn
+        # replicas: the watermark moved, the documents did not
+        assert fleet.shipper.batches_shipped == shipped_before + 2
+        for name, node in fleet.replicas.items():
+            assert node.applied_lsn("value_rows") == lsn
+            assert node.applied_lsn("pop_rows") == lsn
+            assert node.get("value_rows", "e1") is served_before[name]
+            assert node.get("pop_rows", "e1").value("popularity") == 7
+        document = fleet.read("value_rows", "e1", Consistency.read_your_writes(lsn))
+        assert document.value("value") == 1
+        # front door: value_rows' cached answer survives, pop_rows' does not
+        assert asyncio.run(ask("value_rows")).from_cache
+        assert not asyncio.run(ask("pop_rows")).from_cache
+        assert door.view_invalidations == 1
+
+        # a crashed replica misses a no-op flush and a real one, then
+        # restarts from its checkpoint and the persisted journal
+        fleet.kill_replica("replica-0")
+        write("e2", popularity=3)
+        lsn = write("e2", value=20, popularity=4)
+        fleet.restart_replica("replica-0")
+        assert fleet.drain()
+        for node in fleet.replicas.values():
+            for view in ("value_rows", "pop_rows"):
+                assert node.applied_lsn(view) == lsn
+                assert node.index.feed_documents(f"view:{view}") == {
+                    f"{view}:{eid}" for eid in store.entities
+                }
+            assert node.get("value_rows", "e2").value("value") == 20
+            assert node.get("pop_rows", "e2").value("popularity") == 4
+        assert all(report.clean() for report in fleet.audit(repair=False).values())
+    finally:
+        door.close()
+        fleet.stop()
+
+
+def test_cut_off_leaves_other_artifact_shapes_to_their_input_delta():
+    """Only a subject → row mapping returned as a *new* dict is compared row
+    by row.  A builder that patches the previous dict in place leaves nothing
+    to compare against, and a dict that is not keyed by its rows' subjects
+    (an aggregate) has no rows to compare: both keep journaling the
+    scope-projected input delta, as every ``update`` view does."""
+    store = ModelStore()
+    store.entities["e1"] = {"type": "alpha", "value": 1}
+    catalog = ViewCatalog()
+
+    def in_place(context, delta):
+        artifact = context.artifact("patched_rows")
+        for eid in delta.changed:
+            artifact[eid] = _row(store, eid)
+        return artifact
+
+    catalog.register(ViewDefinition(
+        "patched_rows", "analytics",
+        create=lambda ctx: {eid: _row(store, eid) for eid in store.entities},
+        apply_delta=in_place,
+    ))
+    catalog.register(ViewDefinition(
+        "totals", "analytics",
+        create=lambda ctx: {"count": len(store.entities)},
+        apply_delta=lambda ctx, delta: {"count": len(store.entities)},
+    ))
+    clock = {"lsn": 1}
+    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"],
+                          entity_source=store.subjects)
+    manager.materialize()
+    events = []
+    manager.add_journal_listener(lambda event: events.append((event.kind, event.view_name)))
+    store.entities["e1"]["popularity"] = 5          # no row changes anywhere
+    clock["lsn"] = 2
+    manager.enqueue(["e1"], lsn=2)
+    manager.flush()
+    assert sorted(events) == [("append", "patched_rows"), ("append", "totals")]
+    for name in ("patched_rows", "totals"):
+        assert manager.view_deltas_since(name, 1).updated == {"e1"}
+    assert manager.noop_maintenance == 0
