@@ -1,13 +1,15 @@
-"""KGQEXEC — vectorized KGQ executor vs the per-document reference loop.
+"""KGQEXEC — the set-based KGQ executor vs the per-document reference loop.
 
-The executor's vectorized strategy evaluates plans as set and column
-operations over candidate id batches: equality filters intersect raw
+The executor evaluates plans as set and column operations over candidate id
+batches: equality filters intersect raw
 inverted-index postings (with per-document verification of the probe
 superset), range/CONTAINS filters walk batched value columns fetched with
 one ``get_many`` per hop, and projections batch reference resolution.  The
-per-document strategy — one `_walk_path`/`_evaluate_condition` pass per
-candidate — is kept as the reference implementation, so every timed pair is
-first cross-checked for identical rows and ``candidates_examined``.
+per-document loop — one `_walk_path`/`_evaluate_condition` pass per
+candidate — is kept with the tests as the reference implementation
+(``oracles.per_document_executor``; run with ``tests/`` on ``PYTHONPATH``),
+so every timed pair is first cross-checked for identical rows and
+``candidates_examined``.
 
 Gated sections (≥3x):
 
@@ -18,10 +20,10 @@ Gated sections (≥3x):
   the postings cut runs first (ordered by seed selectivity), so the
   columnar filters see two orders of magnitude fewer candidates.
 
-Reported ungated: a two-equality indexed point query (both modes share the
+Reported ungated: a two-equality indexed point query (both executors share the
 seed, the win is only the residual filter), a pure range scan (columnar
 batch fetch vs per-document walks over the same candidate count), and a
-LIMIT early-break scan (both modes stop at the limit-th hit).
+LIMIT early-break scan (both stop at the limit-th hit).
 
 Writes ``BENCH_KGQEXEC.json`` (see ``write_bench_json``) so CI tracks the
 trajectory per commit; ``bench_live_query_latency.py`` merges the serving
@@ -34,6 +36,7 @@ import random
 import time
 
 from benchmarks.conftest import print_table, write_bench_json
+from oracles.per_document_executor import PerDocumentExecutor
 from repro.live.executor import QueryExecutor
 from repro.live.index import LiveEntityDocument, LiveIndex
 from repro.live.kgq import Condition, Query, parse
@@ -55,7 +58,7 @@ FILTER_HEAVY_GATE = 3.0
 
 def build_index(num_docs: int = NUM_DOCS) -> LiveIndex:
     rng = random.Random(4_242)
-    index = LiveIndex(num_shards=16)
+    index = LiveIndex()
     documents = []
     for i in range(num_docs):
         documents.append(LiveEntityDocument(
@@ -104,7 +107,7 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 def _measure(index: LiveIndex) -> dict:
     executor = QueryExecutor(index)
-    reference_executor = QueryExecutor(index, vectorized=False)
+    reference_executor = PerDocumentExecutor(index)
     planner = QueryPlanner(selectivity=index.seed_selectivity)
     plans = {
         "type_scan_equality": type_scan_plan(

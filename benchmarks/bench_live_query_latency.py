@@ -87,7 +87,10 @@ def bench_livelat_intent_answering(benchmark, live_engine, bench_world):
 
 def bench_livelat_p95_report(benchmark, live_engine, query_mix):
     """The headline number: p50/p95/p99 latency over a sustained query workload."""
+    # latencies_ms is the executor's bounded recent-query window (the sample
+    # the percentiles are over); queries_executed counts for its whole life.
     live_engine.executor.latencies_ms.clear()
+    already_executed = live_engine.executor.queries_executed
     live_engine.executor.invalidate_cache()
     rounds = 8
     for round_index in range(rounds):
@@ -97,12 +100,13 @@ def bench_livelat_p95_report(benchmark, live_engine, query_mix):
     p50 = live_engine.executor.latency_percentile(50)
     p95 = live_engine.executor.latency_percentile(95)
     p99 = live_engine.executor.latency_percentile(99)
+    queries_executed = live_engine.executor.queries_executed - already_executed
     stats = live_engine.stats()
     print_table(
         "Live KG query latency (paper: p95 < ~20 ms on production workloads)",
         ["metric", "value"],
         [
-            ["queries executed", len(live_engine.executor.latencies_ms)],
+            ["queries executed", queries_executed],
             ["documents indexed", stats["documents"]],
             ["cache hit count", stats["cache_hits"]],
             ["p50 latency (ms)", p50],
@@ -116,7 +120,7 @@ def bench_livelat_p95_report(benchmark, live_engine, query_mix):
     # the end-to-end latency they buy.
     write_bench_json("BENCH_KGQEXEC.json", {
         "serving_latency": {
-            "queries_executed": len(live_engine.executor.latencies_ms),
+            "queries_executed": queries_executed,
             "documents_indexed": stats["documents"],
             "cache_hits": stats["cache_hits"],
             "p50_ms": p50,

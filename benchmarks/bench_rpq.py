@@ -47,7 +47,7 @@ DESCENDANTS_GATE = 3.0
 def build_index() -> tuple[LiveIndex, list[LiveEntityDocument]]:
     """A ~4k-node ``part_of`` tree (fanout 4) with sparse ``knows`` edges."""
     rng = random.Random(7_117)
-    index = LiveIndex(num_shards=16)
+    index = LiveIndex()
     documents = []
     for i in range(NUM_NODES):
         facts: dict = {"rank": [i % 97]}

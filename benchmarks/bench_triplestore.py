@@ -5,8 +5,9 @@ facts out in per-predicate column partitions, so the hot loops that dominated
 profile time in construction fusion, view building, and serving now run over
 dense ids and cached materializations instead of re-sorting and re-hashing
 triple objects.  This benchmark measures the loops the refactor targeted, with
-:class:`repro.baselines.legacy_store.LegacyTripleStore` (the pre-refactor
-implementation, kept verbatim) as the baseline:
+:class:`oracles.legacy_store.LegacyTripleStore` (the pre-refactor
+implementation, kept verbatim with the tests — run with ``tests/`` on
+``PYTHONPATH``) as the baseline:
 
 * **bulk scan** — repeated ``facts_about`` sweeps over every subject, the
   access pattern of view delta builders and replica reads (gated ≥5x);
@@ -31,7 +32,7 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import print_table, write_bench_json
-from repro.baselines.legacy_store import LegacyTripleStore
+from oracles.legacy_store import LegacyTripleStore
 from repro.model.triples import TripleStore
 
 SCAN_PASSES = 5

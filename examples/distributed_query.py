@@ -4,8 +4,8 @@ Builds a Saga platform, materializes an incrementally maintained profile
 view, starts a three-replica serving fleet, and drives the distributed query
 path (see docs/serving.md):
 
-* routed KGQ: one compilation, the whole plan placed by the hash of its query
-  text on one replica that holds a full copy of the view;
+* routed KGQ: the whole plan placed by the hash of its query text on one
+  replica that holds a full copy of the view (``platform.fleet.query``);
 * consistency enforcement on the replica chosen (``any`` /
   ``bounded_staleness`` / ``read_your_writes``) with honest
   ``StaleReadError`` naming the laggards;
@@ -91,9 +91,11 @@ def main() -> None:
     for line in fleet.query_router.explain(query, "entity_profile"):
         print(f"    {line}")
 
-    # The same execution through the live engine facade.
-    routed = platform.live.routed_query(query, "entity_profile")
-    print(f"  via live.routed_query      -> {len(routed.rows)} rows "
+    # The router caches no plans: a caller that repeats a text compiles it
+    # once and hands the plan over (what the front door does per tenant).
+    plan = fleet.query_router.compile(query)
+    routed = platform.fleet.query(plan, "entity_profile")
+    print(f"  platform.fleet.query(plan) -> {len(routed.rows)} rows "
           f"(identical row order: "
           f"{[r.entity_id for r in routed.rows[:2]]} ...)")
 
@@ -116,7 +118,7 @@ def main() -> None:
     # Crash the replica this query lands on: the next ring owner answers.
     # ------------------------------------------------------------ #
     print("\n== replica crash during distributed queries ==")
-    placement_key = fleet.query_router.compile(query).query.render()
+    placement_key = plan.query.render()
     preferred = fleet.router.owners(placement_key)[0]
     fleet.kill_replica(preferred)
     result = fleet.query(query, "entity_profile")

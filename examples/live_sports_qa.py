@@ -108,7 +108,7 @@ def main() -> None:
           f"{live.index.get(game.entity_id).value('home_score')}")
 
     print(f"\np95 query latency so far: {live.latency_p95_ms():.2f} ms "
-          f"over {len(live.executor.latencies_ms)} queries")
+          f"over {live.executor.queries_executed} queries")
 
 
 if __name__ == "__main__":

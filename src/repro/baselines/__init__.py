@@ -10,14 +10,12 @@ from repro.baselines.legacy_nerd import (
     PopularityDisambiguator,
     PopularityDisambiguatorConfig,
 )
-from repro.baselines.legacy_store import LegacyTripleStore
 from repro.baselines.legacy_views import LegacyViewEngine
 
 __all__ = [
     "ClusterProfile",
     "DGLKEStyleTrainer",
     "LegacyEntityLinker",
-    "LegacyTripleStore",
     "LegacyViewEngine",
     "PBGStyleTrainer",
     "PopularityDisambiguator",

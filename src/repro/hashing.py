@@ -1,17 +1,16 @@
-"""Process-stable key hashing shared by the live and serving tiers.
+"""Process-stable key hashing for placement.
 
-Every structure that assigns keys to partitions — the serving tier's
-consistent-hash ring, its subject-space partitions, and the live KV store's
-shards — must agree on the hash of a key **across processes and runs**.
+Everything that assigns keys to replicas — the serving tier's
+consistent-hash ring, which places point reads, whole queries and join keys —
+must agree on the hash of a key **across processes and runs**.
 Python's builtin ``hash`` is salted per process (``PYTHONHASHSEED``), so it
-can never be used for placement: two processes would shard the same key
-differently, which breaks reproducible shard-layout assertions and corrupts
+can never be used for placement: two processes would place the same key
+differently, which breaks reproducible placement assertions and corrupts
 routing the moment placement decisions cross a process boundary.
 
-This module is the canonical home of the stable hash; it sits below both
-``repro.live`` and ``repro.serving`` so either side can import it without
-creating a package cycle.  :mod:`repro.serving.router` re-exports it for
-existing callers.
+This module is the canonical home of the stable hash; it sits below
+``repro.serving`` so any package can import it without creating a package
+cycle.  :mod:`repro.serving.router` re-exports it for existing callers.
 """
 
 from __future__ import annotations
@@ -23,5 +22,5 @@ MAX_HASH = 2**64
 
 
 def stable_hash(key: str) -> int:
-    """The 64-bit ring/partition/shard hash (stable across processes and runs)."""
+    """The 64-bit ring hash (stable across processes and runs)."""
     return int.from_bytes(hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big")

@@ -1,6 +1,6 @@
 """The Live Graph Query Engine facade (Section 4, Figure 9).
 
-Ties together live construction, the sharded indexes, the KGQ compiler and
+Ties together live construction, the live index, the KGQ compiler and
 executor, intent handling, multi-turn context, and the curation pipeline into
 one object that examples, tests, and benchmarks drive.
 """
@@ -16,7 +16,7 @@ from repro.live.construction import EntityResolutionClient, LiveGraphConstructio
 from repro.live.context import ContextGraph
 from repro.live.curation import CurationDecision, CurationPipeline
 from repro.live.executor import QueryExecutor, QueryResult
-from repro.live.index import LiveEntityDocument, LiveIndex, view_row_documents
+from repro.live.index import LiveIndex, view_row_documents
 from repro.live.intents import Intent, IntentHandler, default_intent_handler
 from repro.live.kgq import (
     CallQuery,
@@ -45,11 +45,10 @@ class LiveGraphEngine:
     def __init__(
         self,
         resolution_service=None,
-        num_shards: int = 4,
         virtual_operators: VirtualOperatorRegistry | None = None,
         intent_handler: IntentHandler | None = None,
     ) -> None:
-        self.index = LiveIndex(num_shards)
+        self.index = LiveIndex()
         resolution_client = (
             EntityResolutionClient(resolution_service) if resolution_service is not None else None
         )
@@ -65,12 +64,9 @@ class LiveGraphEngine:
         self.context = ContextGraph()
         self.curation = CurationPipeline()
         self._feed_revisions: dict[str, int] = {}        # feed -> view state revision
-        self._router = None                              # optional replica read router
-        self._query_router = None                        # optional fleet query router
         self.view_feed_incremental_loads = 0             # journal-delta catch-ups
         self.view_feed_full_loads = 0                    # full artifact rewrites
         self.view_feed_journal_gaps = 0                  # gap-signalled resyncs
-        self.routed_queries = 0                          # KGQs executed fleet-side
 
     # -------------------------------------------------------------- #
     # construction
@@ -246,68 +242,6 @@ class LiveGraphEngine:
         return applied
 
     # -------------------------------------------------------------- #
-    # replica-backed reads
-    # -------------------------------------------------------------- #
-    def attach_router(self, router) -> None:
-        """Route view reads through a serving-fleet :class:`ShardRouter`.
-
-        Once attached, :meth:`routed_view_read` serves view rows from the
-        replica fleet instead of this process's own index — the local index
-        keeps serving streaming documents and non-routed queries.
-        """
-        self._router = router
-
-    def routed_view_read(
-        self, view_name: str, subject: str, consistency=None
-    ) -> LiveEntityDocument | None:
-        """Read one served view row through the attached replica router.
-
-        *consistency* is a :class:`~repro.serving.router.Consistency` level
-        (``None`` means "any live replica").  Raises
-        :class:`~repro.errors.LiveGraphError` when no router is attached;
-        routing errors (no live replica, staleness) propagate from the
-        router untranslated.
-        """
-        if self._router is None:
-            raise LiveGraphError(
-                "no read router attached; call attach_router(fleet.router) first"
-            )
-        if consistency is None:
-            return self._router.read(view_name, subject)
-        return self._router.read(view_name, subject, consistency)
-
-    def attach_query_router(self, query_router) -> None:
-        """Route whole KGQ executions through a serving-fleet QueryRouter.
-
-        Once attached, :meth:`routed_query` runs each query on one replica
-        of the fleet instead of executing on this process's own index — the
-        local executor keeps serving non-routed queries.
-        """
-        self._query_router = query_router
-
-    def routed_query(
-        self, query: str | Query | CallQuery, view_name: str, consistency=None
-    ) -> QueryResult:
-        """Execute a KGQ over the replica fleet's copy of *view_name*.
-
-        *consistency* is a :class:`~repro.serving.router.Consistency` level
-        checked on the replica that answers (``None`` means "any live
-        replica").
-        Raises :class:`~repro.errors.LiveGraphError` when no query router is
-        attached; routing errors (no live replica, staleness) propagate from
-        the router untranslated.
-        """
-        if self._query_router is None:
-            raise LiveGraphError(
-                "no query router attached; call "
-                "attach_query_router(fleet.query_router) first"
-            )
-        self.routed_queries += 1
-        if consistency is None:
-            return self._query_router.execute(query, view_name)
-        return self._query_router.execute(query, view_name, consistency)
-
-    # -------------------------------------------------------------- #
     # querying
     # -------------------------------------------------------------- #
     def compile(self, query_text: str) -> PhysicalPlan:
@@ -354,18 +288,17 @@ class LiveGraphEngine:
     # operations
     # -------------------------------------------------------------- #
     def latency_p95_ms(self) -> float:
-        """95th-percentile query latency in milliseconds."""
+        """95th-percentile query latency (ms) over the executor's recent window."""
         return self.executor.latency_percentile(95.0)
 
     def stats(self) -> dict[str, object]:
         """Operational statistics of the live engine."""
         return {
             "documents": len(self.index),
-            "shard_sizes": self.index.kv.shard_sizes(),
             "events_processed": self.construction.stats.events_processed,
             "references_resolved": self.construction.stats.references_resolved,
             "references_unresolved": self.construction.stats.references_unresolved,
-            "queries": len(self.executor.latencies_ms),
+            "queries": self.executor.queries_executed,
             "cache_hits": self.executor.cache.hits,
             "p95_latency_ms": self.latency_p95_ms(),
             "quarantined_facts": len(self.curation.pending()),
@@ -373,6 +306,4 @@ class LiveGraphEngine:
             "view_feed_incremental_loads": self.view_feed_incremental_loads,
             "view_feed_full_loads": self.view_feed_full_loads,
             "view_feed_journal_gaps": self.view_feed_journal_gaps,
-            "routed_reads": self._router.reads_routed if self._router else 0,
-            "routed_queries": self.routed_queries,
         }

@@ -1,31 +1,29 @@
 """KGQ physical-plan execution over the live index (§4.2).
 
 The executor evaluates plans produced by :class:`repro.live.planner.QueryPlanner`
-against the :class:`repro.live.index.LiveIndex`.  Two execution strategies
-share exact semantics (rows, ordering, and ``candidates_examined``
-accounting — property-proven by the seeded equivalence suite):
+against the :class:`repro.live.index.LiveIndex`, and it has one strategy:
+candidates stay *id sets* for as long as possible.  Type gates are
+partition-membership checks, equality filters resolve through inverted-index
+postings intersection (a probe superset verified per document, so
+normalized-string postings can never change the answer), and the remaining
+conditions and projections run over batched value columns with one
+``get_many`` per traversal hop.
 
-* **vectorized** (the default) — candidates stay *id sets* for as long as
-  possible: type gates are partition-membership checks, equality filters
-  resolve through inverted-index postings intersection (a probe superset
-  verified per document, so normalized-string postings can never change the
-  answer), and the remaining conditions/projections run over batched value
-  columns with one ``get_many`` per traversal hop;
-* **per-document** — the reference loop: one condition evaluation per
-  candidate document, selected only by constructing
-  ``QueryExecutor(index, vectorized=False)``.  Kept as the semantic baseline
-  and the comparison arm of ``benchmarks/bench_kgq_executor.py``
-  (BENCH_KGQEXEC.json gates the vectorized path at ≥3x on scan-heavy plans).
+The per-document reference loop this replaced lives with the tests
+(``tests/oracles/per_document_executor.py``): the seeded equivalence suite
+and ``benchmarks/bench_kgq_executor.py`` compare rows, ordering and
+``candidates_examined`` against it.
 
-Query latencies are recorded so benchmarks can report the p95 figure the
-paper quotes for the production deployment.
+The latencies of the most recent :data:`LATENCY_WINDOW` queries are kept so
+benchmarks can report the p95 figure the paper quotes for the production
+deployment.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -254,12 +252,12 @@ def join_results(
 def _equality_probes(target: object) -> set[str]:
     """Normalized postings keys under which a value equal to *target* may post.
 
-    The inverted index keys values by ``normalize_string`` only, while the
-    per-document ``_equal`` admits cross-type matches (``3 == 3.0``,
+    The inverted index keys values by ``normalize_string`` only, while
+    ``_equal`` admits cross-type matches (``3 == 3.0``,
     ``1 == True``, ``"3"`` vs ``3``).  The probe set covers every normalized
     rendering such a matching value can post under, so the postings union is
     a strict superset of the true match set — verification then prunes it
-    with exact per-document semantics.  Returns an empty set when *target*
+    with exact ``_equal`` semantics.  Returns an empty set when *target*
     is not probeable (caller falls back to the column path).
     """
     base = normalize_string(target)
@@ -282,20 +280,19 @@ def _equality_probes(target: object) -> set[str]:
     return probes
 
 
+#: How many recent query latencies an executor keeps for its percentiles.
+LATENCY_WINDOW = 4096
+
+
 class QueryExecutor:
     """Execute physical plans against the live index."""
 
-    def __init__(
-        self,
-        index: LiveIndex,
-        cache: QueryCache | None = None,
-        vectorized: bool = True,
-    ) -> None:
+    def __init__(self, index: LiveIndex, cache: QueryCache | None = None) -> None:
         self.index = index
         self.cache = cache or QueryCache()
-        self.vectorized = vectorized
         self.rpq = RpqEvaluator(index.adjacency)
-        self.latencies_ms: list[float] = []
+        self.queries_executed = 0
+        self.latencies_ms: deque[float] = deque(maxlen=LATENCY_WINDOW)
 
     # -------------------------------------------------------------- #
     # execution
@@ -335,18 +332,16 @@ class QueryExecutor:
         if use_cache:
             cached = self.cache.get(cache_key)
             if cached is not None:
-                latency = (time.perf_counter() - started) * 1000.0
-                self.latencies_ms.append(latency)
-                return QueryResult(rows=cached, latency_ms=latency, from_cache=True)
+                return QueryResult(
+                    rows=cached, latency_ms=self._record_latency(started), from_cache=True
+                )
 
         if plan.reach is not None:
             rows, examined = self._execute_reach(plan, scope, reach_feed)
-        elif self.vectorized:
-            rows, examined = self._execute_vectorized(plan, scope)
         else:
-            rows, examined = self._execute_per_document(plan, scope)
-        latency = (time.perf_counter() - started) * 1000.0
-        self.latencies_ms.append(latency)
+            survivors, examined = self.match_documents(plan, scope)
+            rows = self._project_batch(survivors, plan)
+        latency = self._record_latency(started)
         if use_cache:
             self.cache.put(cache_key, rows)
         return QueryResult(
@@ -357,8 +352,14 @@ class QueryExecutor:
         """Invalidate cached results after live-index updates."""
         self.cache.invalidate()
 
+    def _record_latency(self, started: float) -> float:
+        latency = (time.perf_counter() - started) * 1000.0
+        self.queries_executed += 1
+        self.latencies_ms.append(latency)
+        return latency
+
     # -------------------------------------------------------------- #
-    # document matching (shared by both strategies' wrappers and REACH seeding)
+    # document matching (MATCH/WHERE pipeline; also the REACH seed phase)
     # -------------------------------------------------------------- #
     def match_documents(
         self,
@@ -373,64 +374,6 @@ class QueryExecutor:
         the final answers, not the seeds.
         """
         limit = plan.limit.limit if apply_limit and plan.limit is not None else None
-        if self.vectorized:
-            return self._match_vectorized(plan, scope, limit)
-        return self._match_per_document(plan, scope, limit)
-
-    # -------------------------------------------------------------- #
-    # per-document strategy (the semantic baseline)
-    # -------------------------------------------------------------- #
-    def _execute_per_document(
-        self,
-        plan: PhysicalPlan,
-        scope: Callable[[LiveEntityDocument], bool] | None,
-    ) -> tuple[list[QueryResultRow], int]:
-        limit = plan.limit.limit if plan.limit is not None else None
-        survivors, examined = self._match_per_document(plan, scope, limit)
-        return [self._project(document, plan) for document in survivors], examined
-
-    def _match_per_document(
-        self,
-        plan: PhysicalPlan,
-        scope: Callable[[LiveEntityDocument], bool] | None,
-        limit: int | None,
-    ) -> tuple[list[LiveEntityDocument], int]:
-        candidates = self._seed_candidates(plan)
-        if scope is not None:
-            candidates = [document for document in candidates if scope(document)]
-        query_type = plan.query.entity_type
-        examined = 0
-        survivors = []
-        for document in candidates:
-            examined += 1
-            if document.entity_type and query_type and document.entity_type != query_type:
-                continue
-            if all(self._evaluate_condition(document, f.condition) for f in plan.filters):
-                survivors.append(document)
-                if limit is not None and len(survivors) >= limit and not plan.filters:
-                    break
-        if limit is not None:
-            survivors = survivors[:limit]
-        return survivors, examined
-
-    # -------------------------------------------------------------- #
-    # vectorized strategy (id sets + batched columns)
-    # -------------------------------------------------------------- #
-    def _execute_vectorized(
-        self,
-        plan: PhysicalPlan,
-        scope: Callable[[LiveEntityDocument], bool] | None,
-    ) -> tuple[list[QueryResultRow], int]:
-        limit = plan.limit.limit if plan.limit is not None else None
-        survivors, examined = self._match_vectorized(plan, scope, limit)
-        return self._project_batch(survivors, plan), examined
-
-    def _match_vectorized(
-        self,
-        plan: PhysicalPlan,
-        scope: Callable[[LiveEntityDocument], bool] | None,
-        limit: int | None,
-    ) -> tuple[list[LiveEntityDocument], int]:
         candidate_ids, seed_type = self._seed_ids(plan)
         documents = self.index.get_many(candidate_ids)
         if scope is not None:
@@ -454,7 +397,7 @@ class QueryExecutor:
 
         if limit is not None and not plan.filters:
             # LIMIT early-break: walk ordered ids until the limit-th gate pass,
-            # reproducing the per-document loop's examined count exactly.
+            # so examined counts the candidates actually looked at.
             examined = 0
             survivor_ids: list[str] = []
             for entity_id in candidate_ids:
@@ -473,7 +416,7 @@ class QueryExecutor:
                     for entity_id in candidate_ids
                     if entity_id in typed_ids or entity_id in untyped_ids
                 ]
-            survivor_ids = self._apply_filters_vectorized(plan, survivor_ids, documents)
+            survivor_ids = self._apply_filters(plan, survivor_ids, documents)
             if limit is not None:
                 survivor_ids = survivor_ids[:limit]
         return [documents[entity_id] for entity_id in survivor_ids], examined
@@ -552,7 +495,7 @@ class QueryExecutor:
             return sorted(entity_ids), None
         raise KGQPlanError(f"unknown seed operator {seed!r}")
 
-    def _apply_filters_vectorized(
+    def _apply_filters(
         self,
         plan: PhysicalPlan,
         candidate_ids: list[str],
@@ -564,7 +507,7 @@ class QueryExecutor:
         (cheapest postings first, so later verification touches the fewest
         ids); everything else — ranges, CONTAINS, ``!=``, multi-hop paths —
         evaluates over batched value columns.  Candidate order is preserved
-        throughout, so the survivor list matches the per-document loop.
+        throughout.
         """
         if not plan.filters:
             return candidate_ids
@@ -617,7 +560,7 @@ class QueryExecutor:
         value may match by resolving to an entity whose *name* equals the
         target — the postings of every entity id so named.  The result is a
         superset of the true match set by construction; the caller verifies
-        each survivor with the exact per-document condition.
+        each survivor with the exact condition on its document.
         """
         inverted = self.index.inverted
         superset: set[str] = set()
@@ -636,7 +579,7 @@ class QueryExecutor:
     # latency statistics
     # -------------------------------------------------------------- #
     def latency_percentile(self, percentile: float = 95.0) -> float:
-        """The given latency percentile (ms) over all executed queries."""
+        """The given latency percentile (ms) over the recent-query window."""
         if not self.latencies_ms:
             return 0.0
         ordered = sorted(self.latencies_ms)
@@ -646,20 +589,6 @@ class QueryExecutor:
     # -------------------------------------------------------------- #
     # operator implementations
     # -------------------------------------------------------------- #
-    def _seed_candidates(self, plan: PhysicalPlan) -> list[LiveEntityDocument]:
-        seed = plan.seed
-        if isinstance(seed, TypeScan):
-            return self.index.kv.by_type(seed.entity_type)
-        if isinstance(seed, IndexLookup):
-            predicate = seed.predicate_path[0]
-            if predicate in ("name", "alias"):
-                entity_ids = self.index.inverted.lookup_name(str(seed.value))
-            else:
-                entity_ids = self.index.inverted.lookup_value(predicate, seed.value)
-            documents = [self.index.get(entity_id) for entity_id in sorted(entity_ids)]
-            return [document for document in documents if document is not None]
-        raise KGQPlanError(f"unknown seed operator {seed!r}")
-
     def _evaluate_condition(self, document: LiveEntityDocument, condition) -> bool:
         values = self._walk_path(document, condition.path)
         return self._match_values(values, condition.operator, condition.value)
@@ -683,31 +612,10 @@ class QueryExecutor:
                     return True
         return False
 
-    def _project(self, document: LiveEntityDocument, plan: PhysicalPlan) -> QueryResultRow:
-        row = QueryResultRow(entity_id=document.entity_id)
-        returns = plan.project.returns
-        if not returns or any(len(path) == 0 for path in returns):
-            row.values["name"] = document.name
-            for predicate, values in document.facts.items():
-                row.values[predicate] = values[0] if len(values) == 1 else list(values)
-            for predicate, reference in document.references.items():
-                row.values.setdefault(predicate, self._display(reference))
-            return row
-        for path in returns:
-            values = self._walk_path(document, path, resolve_names=True)
-            column = ".".join(path)
-            if not values:
-                row.values[column] = None
-            elif len(values) == 1:
-                row.values[column] = values[0]
-            else:
-                row.values[column] = values
-        return row
-
     def _project_batch(
         self, documents: list[LiveEntityDocument], plan: PhysicalPlan
     ) -> list[QueryResultRow]:
-        """Batch form of :func:`_project`: one display/walk batch per column."""
+        """Project *documents* to result rows: one display/walk batch per column."""
         returns = plan.project.returns
         if not returns or any(len(path) == 0 for path in returns):
             display = self._display_map(
@@ -739,11 +647,9 @@ class QueryExecutor:
     # -------------------------------------------------------------- #
     # path traversal
     # -------------------------------------------------------------- #
-    def _walk_path(
-        self, document: LiveEntityDocument, path: tuple[str, ...], resolve_names: bool = False
-    ) -> list[object]:
+    def _walk_path(self, document: LiveEntityDocument, path: tuple[str, ...]) -> list[object]:
         current: list[object] = [document]
-        for depth, predicate in enumerate(path):
+        for predicate in path:
             next_values: list[object] = []
             for item in current:
                 doc = self._as_document(item)
@@ -760,8 +666,6 @@ class QueryExecutor:
             current = next_values
             if not current:
                 return []
-        if resolve_names:
-            return [self._display(value) for value in current]
         return current
 
     def _walk_paths_batch(
@@ -773,7 +677,8 @@ class QueryExecutor:
         """Walk *path* from every document at once: one ``get_many`` per hop.
 
         Returns one value list per input document, each identical to
-        ``_walk_path(document, path, resolve_names)``.
+        ``_walk_path(document, path)``; *resolve_names* then replaces every
+        reference id that names a served document by that document's name.
         """
         frontiers: list[list[object]] = [[document] for document in documents]
         for predicate in path:
@@ -813,7 +718,7 @@ class QueryExecutor:
         return frontiers
 
     def _display_map(self, references: Iterable[str]) -> dict[str, object]:
-        """Batched `_display`: reference id -> display name where one exists."""
+        """Reference id -> display name, for the references that have one."""
         pending = set(references)
         if not pending:
             return {}
@@ -829,13 +734,6 @@ class QueryExecutor:
         if isinstance(value, str):
             return self.index.get(value)
         return None
-
-    def _display(self, value: object) -> object:
-        if isinstance(value, str):
-            document = self.index.get(value)
-            if document is not None and document.name:
-                return document.name
-        return value
 
     def _equal(self, value: object, target: object) -> bool:
         if isinstance(value, str) or isinstance(target, str):

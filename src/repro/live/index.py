@@ -1,11 +1,14 @@
-"""Live KG indexes: sharded key-value store plus inverted graph index (§4.1).
+"""Live KG indexes: key-value store plus inverted graph index (§4.1).
 
 The live KG is indexed with two structures optimized for low-latency retrieval
 under high concurrency: a key-value store holding the full document of every
 live (and stable-view) entity, and an inverted index from names / literal
-values to entity identifiers for entity search.  Both are sharded by key hash
-and can be replicated; replication here is a read-only copy mechanism used to
-model scale-out and failover in tests.
+values to entity identifiers for entity search.  The paper's index is
+"sharded and replicated"; here that scale-out is the serving fleet
+(:mod:`repro.serving`): each replica owns one :class:`LiveIndex`, the
+consistent-hash ring of :class:`~repro.serving.router.ShardRouter` places
+keys and queries on replicas, and inside one index every document is held
+exactly once.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.engine.metadata import WatermarkMap
-from repro.errors import LiveGraphError
-from repro.hashing import stable_hash
 from repro.live.rpq import AdjacencyIndex
 from repro.ml.similarity import normalize_string, tokens
 
@@ -68,42 +69,28 @@ class LiveEntityDocument:
 
 
 class GraphKVStore:
-    """Sharded key-value store of live entity documents.
+    """Key-value store of live entity documents: one dict, one owner.
 
-    Shard placement uses :func:`repro.hashing.stable_hash` — the same
-    process-stable function the serving tier's consistent-hash ring uses —
-    never Python's per-process-salted ``hash``, so the shard layout of a
-    given key set is byte-identical across runs, interpreters, and
-    ``PYTHONHASHSEED`` values.  That determinism is what lets shard layouts
-    be asserted in tests and, once replication crosses process boundaries,
-    lets two processes agree on placement without a handshake.
-
-    Reads go through a flat document mirror (one dict lookup, no hashing);
-    the shards hold the authoritative layout.  A per-type partition index
-    serves :meth:`by_type` / :meth:`ids_by_type` in time proportional to the
-    partition instead of scanning every shard — the entry point the
-    vectorized KGQ executor seeds type scans from.
+    Scale-out is the replica fleet's job (every replica holds its own
+    :class:`LiveIndex`; placement across replicas is
+    :meth:`repro.serving.router.ShardRouter.owners`), so inside one index a
+    document lives in exactly one dict.  A per-type partition index serves
+    :meth:`by_type` / :meth:`ids_by_type` in time proportional to the
+    partition instead of scanning the store — the entry point the KGQ
+    executor seeds type scans from.
     """
 
-    def __init__(self, num_shards: int = 4) -> None:
-        if num_shards <= 0:
-            raise LiveGraphError("the KV store needs at least one shard")
-        self.num_shards = num_shards
-        self._shards: list[dict[str, LiveEntityDocument]] = [dict() for _ in range(num_shards)]
+    def __init__(self) -> None:
         self._documents: dict[str, LiveEntityDocument] = {}
         # entity_type -> ids; "" holds untyped documents.
         self._by_type: dict[str, set[str]] = defaultdict(set)
         self.reads = 0
         self.writes = 0
 
-    def _shard_of(self, key: str) -> dict[str, LiveEntityDocument]:
-        return self._shards[stable_hash(key) % self.num_shards]
-
     def put(self, document: LiveEntityDocument) -> None:
         """Insert or merge-update a document."""
         existing = self._documents.get(document.entity_id)
         if existing is None:
-            self._shard_of(document.entity_id)[document.entity_id] = document
             self._documents[document.entity_id] = document
             self._by_type[document.entity_type].add(document.entity_id)
         else:
@@ -129,9 +116,8 @@ class GraphKVStore:
     def get_many(self, entity_ids: Iterable[str]) -> dict[str, LiveEntityDocument]:
         """Batched point lookups: one read operation, missing ids omitted.
 
-        The batch entry point of the vectorized executor — candidate id sets
-        resolve to documents in a single pass over the flat mirror instead of
-        one counted read (and one shard hash) per id.
+        The executor's batch entry point — candidate id sets resolve to
+        documents in a single pass instead of one counted read per id.
         """
         self.reads += 1
         documents = self._documents
@@ -147,7 +133,6 @@ class GraphKVStore:
         document = self._documents.pop(entity_id, None)
         if document is None:
             return False
-        self._shard_of(entity_id).pop(entity_id, None)
         self._discard_type(document.entity_type, entity_id)
         return True
 
@@ -170,34 +155,11 @@ class GraphKVStore:
         """
         return self._by_type.get(entity_type, _EMPTY_IDS)  # type: ignore[return-value]
 
-    def shard_sizes(self) -> list[int]:
-        """Document count per shard (used to verify sharding balance)."""
-        return [len(shard) for shard in self._shards]
-
-    def replicate(self) -> "GraphKVStore":
-        """Produce a read replica with the same contents."""
-        replica = GraphKVStore(self.num_shards)
-        for document in self:
-            replica.put(
-                LiveEntityDocument(
-                    entity_id=document.entity_id,
-                    entity_type=document.entity_type,
-                    name=document.name,
-                    facts={k: list(v) for k, v in document.facts.items()},
-                    references=dict(document.references),
-                    source_id=document.source_id,
-                    timestamp=document.timestamp,
-                    is_live=document.is_live,
-                )
-            )
-        return replica
-
     def __iter__(self) -> Iterator[LiveEntityDocument]:
-        for shard in self._shards:
-            yield from shard.values()
+        return iter(self._documents.values())
 
     def __len__(self) -> int:
-        return sum(len(shard) for shard in self._shards)
+        return len(self._documents)
 
     def __contains__(self, entity_id: object) -> bool:
         return isinstance(entity_id, str) and self.get(entity_id) is not None
@@ -293,7 +255,7 @@ class InvertedGraphIndex:
         return set(self._value_postings.get((predicate, normalize_string(value)), set()))
 
     # -------------------------------------------------------------- #
-    # raw postings (vectorized executor entry points)
+    # raw postings (executor entry points)
     # -------------------------------------------------------------- #
     def value_postings(self, predicate: str, normalized_value: str) -> set[str]:
         """The raw ``(predicate, normalized value)`` postings set, uncopied.
@@ -396,8 +358,8 @@ class LiveIndex:
     feed serves, so a replaced or dropped feed unserves vanished rows.
     """
 
-    def __init__(self, num_shards: int = 4) -> None:
-        self.kv = GraphKVStore(num_shards)
+    def __init__(self) -> None:
+        self.kv = GraphKVStore()
         self.inverted = InvertedGraphIndex()
         #: Per-feed, per-predicate compressed adjacency for REACH (RPQ)
         #: evaluation — maintained in lockstep with the postings, so shipped

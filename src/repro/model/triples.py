@@ -28,8 +28,8 @@ columnar store (see :mod:`repro.model.columnar` for the storage primitives and
   caching them per row — a materialized triple shares the store's live
   :class:`~repro.model.provenance.Provenance` object, so in-place provenance
   edits through it are visible to the store, exactly as with the legacy
-  dict-of-triples layout (kept verbatim as
-  :class:`repro.baselines.legacy_store.LegacyTripleStore`);
+  dict-of-triples layout (kept verbatim as a test-side oracle under
+  ``tests/oracles``);
 * :meth:`snapshot` is copy-on-write over the column chunks instead of a deep
   copy of every triple.
 

@@ -212,9 +212,6 @@ class SagaPlatform:
         if self._live is None:
             self._live = LiveGraphEngine(resolution_service=self.nerd)
             self._live.load_stable_view(self.graph_engine.triples)
-            if self._fleet is not None:
-                self._live.attach_router(self._fleet.router)
-                self._live.attach_query_router(self._fleet.query_router)
         return self._live
 
     def ingest_live_events(self, events: Iterable[LiveEvent]) -> int:
@@ -245,13 +242,11 @@ class SagaPlatform:
         routes reads with the same LSN currency the engine's metadata store
         uses.  It returns once every live replica serves every named view
         (:class:`~repro.errors.ServingError` when one does not in time), so
-        the first query cannot arrive before the snapshots have.  The live
-        engine (when instantiated) gains replica-backed point reads through
-        :meth:`LiveGraphEngine.routed_view_read` and replica-side KGQ
-        execution (one query, one replica) through
-        :meth:`LiveGraphEngine.routed_query`.  With *anti_entropy_interval*
-        the fleet also runs periodic checksum audits (with repair) on a
-        background thread.
+        the first query cannot arrive before the snapshots have.  Served
+        views are read through the fleet itself — ``fleet.read`` for one row,
+        ``fleet.query`` / ``fleet.join`` for KGQs (one query, one replica).
+        With *anti_entropy_interval* the fleet also runs periodic checksum
+        audits (with repair) on a background thread.
         """
         if self._fleet is not None:
             raise ServingError("a serving fleet is already running; stop it first")
@@ -289,9 +284,6 @@ class SagaPlatform:
             fleet.stop()
             raise
         self._fleet = fleet
-        if self._live is not None:
-            self._live.attach_router(self._fleet.router)
-            self._live.attach_query_router(self._fleet.query_router)
         return self._fleet
 
     def stop_serving_fleet(self) -> None:
@@ -305,9 +297,6 @@ class SagaPlatform:
         self.stop_front_door()
         self._fleet.drain()
         self._fleet.stop()
-        if self._live is not None:
-            self._live.attach_router(None)
-            self._live.attach_query_router(None)
         self._fleet = None
 
     # -------------------------------------------------------------- #

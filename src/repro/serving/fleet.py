@@ -8,11 +8,11 @@
 * a :class:`~repro.serving.shipping.JournalShipper` publishes LSN-ranged
   delta batches on a :class:`~repro.serving.shipping.ReplicationBus`;
 * N :class:`~repro.serving.replica.ReplicaNode` subscribers apply them
-  asynchronously into their own live-index shards;
+  asynchronously into their own live indexes;
 * a :class:`~repro.serving.router.ShardRouter` consistent-hashes reads
   across the replicas under a selectable consistency level, and a
   :class:`~repro.serving.query_router.QueryRouter` places whole KGQs on
-  them by the same ring.
+  them by the same ring and the same placement walk.
 
 Replica applied-LSN watermarks are mirrored into the platform
 :class:`~repro.engine.metadata.MetadataStore` replica namespace (keyed
@@ -46,7 +46,6 @@ class ServingFleet:
         journal_store: JournalStore | None = None,
         metadata: MetadataStore | None = None,
         head_lsn_source: Callable[[], int] | None = None,
-        num_shards: int = 4,
         queue_capacity: int = 256,
         virtual_nodes: int = 32,
         replica_prefix: str = "replica",
@@ -64,24 +63,17 @@ class ServingFleet:
         self.auditor = AntiEntropyAuditor(self)
         self.replicas: dict[str, ReplicaNode] = {}
         for index in range(num_replicas):
-            self.add_replica(
-                f"{replica_prefix}-{index}",
-                num_shards=num_shards,
-                queue_capacity=queue_capacity,
-            )
+            self.add_replica(f"{replica_prefix}-{index}", queue_capacity=queue_capacity)
 
     # -------------------------------------------------------------- #
     # membership and lifecycle
     # -------------------------------------------------------------- #
-    def add_replica(
-        self, name: str, num_shards: int = 4, queue_capacity: int = 256
-    ) -> ReplicaNode:
+    def add_replica(self, name: str, queue_capacity: int = 256) -> ReplicaNode:
         """Add (and register) one replica node; started by :meth:`start`."""
         if name in self.replicas:
             raise ServingError(f"replica {name!r} already exists in the fleet")
         node = ReplicaNode(
             name,
-            num_shards=num_shards,
             queue_capacity=queue_capacity,
             resync_source=self.shipper,
             journal_store=self.journal_store,
@@ -166,9 +158,9 @@ class ServingFleet:
     ) -> QueryResult:
         """Run a KGQ over the fleet's copy of a view, whole, on one replica.
 
-        Compiles once, places the plan by the hash of its query text on the
-        first owner that may serve it, and returns that replica's answer —
-        see :class:`~repro.serving.query_router.QueryRouter`.
+        Places the plan by the hash of its query text on the first owner
+        that may serve it and returns that replica's answer — see
+        :class:`~repro.serving.query_router.QueryRouter`.
         """
         return self.query_router.execute(query, view_name, consistency)
 
@@ -262,6 +254,7 @@ class ServingFleet:
             "delivery_errors": len(self.bus.delivery_errors),
             "reads_routed": self.router.reads_routed,
             "fallback_reads": self.router.fallback_reads,
+            "consistency_rejections": self.router.consistency_rejections,
             "query_router": self.query_router.stats(),
             "anti_entropy": {
                 "audits_run": self.auditor.audits_run,

@@ -6,9 +6,10 @@ priority classes, executing the fleet's synchronous routed query
 (:meth:`~repro.serving.fleet.ServingFleet.query`) on a bounded worker pool,
 and refusing work honestly when saturated.  One request flows through:
 
-1. **tenancy** — the tenant is resolved and the query compiled through the
-   tenant's own plan cache, with the view and entity-type boundary enforced
-   at plan time (:class:`~repro.serving.frontdoor.tenancy.TenantRegistry`);
+1. **tenancy** — the tenant is resolved once, on arrival, and the query
+   compiled through the tenant's own plan cache (the only plan cache on the
+   read path), with the view and entity-type boundary enforced at plan time
+   (:class:`~repro.serving.frontdoor.tenancy.TenantRegistry`);
 2. **admission** — deadline-already-expired check, per-tenant token bucket,
    then either a free worker slot or the bounded priority queue; refusals
    raise typed :class:`~repro.errors.OverloadedError` /
@@ -146,8 +147,8 @@ class FrontDoor:
         arrived = self._clock()
 
         try:
-            self.registry.ensure_view_allowed(tenant_id, view_name)
-            plan = self.registry.compile(tenant_id, query, self.query_router.planner)
+            self.registry.ensure_view_allowed(state, view_name)
+            plan = self.registry.compile(state, query, self.query_router.planner)
         except TenantIsolationError:
             self.metrics.count(tenant_id, "isolation_rejections")
             raise
@@ -169,7 +170,7 @@ class FrontDoor:
 
         cache_key = self._cache_key(plan, consistency)
         if use_cache:
-            rows = self.registry.cached_rows(tenant_id, view_name, cache_key)
+            rows = self.registry.cached_rows(state, view_name, cache_key)
             if rows is not None:
                 latency_ms = (self._clock() - arrived) * 1000.0
                 self.metrics.count(tenant_id, "admitted")
@@ -215,7 +216,7 @@ class FrontDoor:
         self.metrics.count(tenant_id, "completed")
         self.metrics.observe_latency(tenant_id, latency_ms)
         if use_cache:
-            self.registry.store_rows(tenant_id, view_name, cache_key, result.rows)
+            self.registry.store_rows(state, view_name, cache_key, result.rows)
         return result
 
     @staticmethod
@@ -316,8 +317,8 @@ class FrontDoor:
 
         Combines the metrics layer (per-tenant counters, latency
         percentiles), the saturation gauges (queue depth / high-water mark,
-        in-flight), the registry's cache counters, and the query router's
-        plan-cache and placement stats.  Mirrored into the metadata
+        in-flight), the registry's plan- and result-cache counters, and the
+        query router's dispatch and join stats.  Mirrored into the metadata
         store's serving-metrics namespace (component ``front_door``) when
         one is attached.
         """

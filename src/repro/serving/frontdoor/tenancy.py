@@ -128,7 +128,12 @@ class TenantRegistry:
             return sorted(self._tenants)
 
     def get(self, tenant_id: str) -> _TenantState:
-        """The runtime state of *tenant_id*; unknown tenants are refused."""
+        """The runtime state of *tenant_id*; unknown tenants are refused.
+
+        A request resolves its tenant once, on arrival, and hands the state
+        to the methods below: a tenant removed while its request is in flight
+        still gets its answer (the orphaned state is simply dropped after).
+        """
         with self._lock:
             state = self._tenants.get(tenant_id)
         if state is None:
@@ -138,18 +143,17 @@ class TenantRegistry:
     # -------------------------------------------------------------- #
     # plan-time enforcement
     # -------------------------------------------------------------- #
-    def ensure_view_allowed(self, tenant_id: str, view_name: str) -> None:
+    def ensure_view_allowed(self, state: _TenantState, view_name: str) -> None:
         """Refuse a view outside the tenant's allowed set (hard boundary)."""
-        state = self.get(tenant_id)
         if view_name not in state.profile.views:
             state.isolation_rejections += 1
             raise TenantIsolationError(
-                f"tenant {tenant_id!r} is not allowed to query view {view_name!r} "
-                f"(allowed: {sorted(state.profile.views)})"
+                f"tenant {state.profile.tenant_id!r} is not allowed to query "
+                f"view {view_name!r} (allowed: {sorted(state.profile.views)})"
             )
 
     def compile(
-        self, tenant_id: str, query: object, planner: QueryPlanner
+        self, state: _TenantState, query: object, planner: QueryPlanner
     ) -> PhysicalPlan:
         """Compile *query* through the tenant's own plan cache, scope-checked.
 
@@ -158,7 +162,6 @@ class TenantRegistry:
         entity-type slice before it became visible, so a cache hit is a
         proven-safe plan and never re-validates.
         """
-        state = self.get(tenant_id)
         if not isinstance(query, str):
             plan = query if isinstance(query, PhysicalPlan) else planner.plan(query)
             self._validate(state, plan)
@@ -191,10 +194,9 @@ class TenantRegistry:
     # per-tenant result caches
     # -------------------------------------------------------------- #
     def cached_rows(
-        self, tenant_id: str, view_name: str, key: str
+        self, state: _TenantState, view_name: str, key: str
     ) -> list[QueryResultRow] | None:
         """The tenant's cached rows for *key* on *view_name* (None on miss)."""
-        state = self.get(tenant_id)
         with self._lock:
             cache = state.result_caches.get(view_name)
             if cache is None:
@@ -202,10 +204,9 @@ class TenantRegistry:
             return cache.get(key)
 
     def store_rows(
-        self, tenant_id: str, view_name: str, key: str, rows: list[QueryResultRow]
+        self, state: _TenantState, view_name: str, key: str, rows: list[QueryResultRow]
     ) -> None:
         """Cache *rows* under the tenant's own cache for *view_name*."""
-        state = self.get(tenant_id)
         with self._lock:
             cache = state.result_caches.get(view_name)
             if cache is None:

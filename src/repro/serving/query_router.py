@@ -1,45 +1,39 @@
 """Whole-query KGQ execution over the replica fleet: one query, one replica.
 
 Every replica holds a full copy of each view it serves, so the
-:class:`QueryRouter` never splits a plan.  A KGQ is compiled **once** (plans
-are cached by query text) and placed like a point read of its own text: the
-router walks :meth:`ShardRouter.owners(plan.query.render())
-<repro.serving.router.ShardRouter.owners>` and runs the **whole** plan —
-MATCH pipeline or REACH expansion — on the first replica that is alive,
-serves the view and satisfies the requested
-:class:`~repro.serving.router.Consistency` level
+:class:`QueryRouter` never splits a plan.  A KGQ is placed like a point read
+of its own text: the router asks
+:meth:`ShardRouter.eligible(plan.query.render(), view, consistency, dead)
+<repro.serving.router.ShardRouter.eligible>` — the serving tier's one
+placement rule — and runs the **whole** plan — MATCH pipeline or REACH
+expansion — on the first replica it yields
 (:meth:`~repro.serving.replica.ReplicaNode.query`).  Hashing the query text
 spreads distinct queries over the fleet and keeps repeats of one text on one
 replica, so its result cache stays warm.
 
-That one placement rule (:meth:`QueryRouter._eligible_owners`) serves plain
-queries, both sides of a cross-view join, the broadcast probe, and the
-per-key owners of a shuffle join.  Replicas that fail the consistency check
-are skipped for the next owner on the ring — exactly the fallback walk a
-point read performs — and when no live replica can legally serve the view
-the router raises an honest :class:`~repro.errors.StaleReadError` that names
-each lagging replica and how far it lags, or
-:class:`~repro.errors.ReplicaUnavailableError` when no live replica serves
-the view at all.
+The same walk serves plain queries, both sides of a cross-view join, the
+broadcast probe, and the per-key owners of a shuffle join, so they skip
+stale replicas, count fallbacks and raise
+:class:`~repro.errors.StaleReadError` /
+:class:`~repro.errors.ReplicaUnavailableError` exactly as
+:meth:`ShardRouter.read <repro.serving.router.ShardRouter.read>` does.
 
 A replica that dies *between* placement and execution is handled the same
 way: the call is re-dispatched to the next eligible owner (counted in
 ``fragment_retries``), so a crash mid-query degrades to a retried call,
 never to a lost result.
+
+The router keeps no plan cache: parsing and planning a text costs tens of
+microseconds, callers that repeat texts at volume (the front door) hand it
+compiled plans from their per-tenant LRUs, and a
+:class:`~repro.live.planner.PhysicalPlan` passes through untouched.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 
-from repro.errors import (
-    KGQPlanError,
-    ReplicaUnavailableError,
-    ServingError,
-    StaleReadError,
-)
+from repro.errors import KGQPlanError, ReplicaUnavailableError, ServingError
 from repro.live.executor import (
     QueryResult,
     QueryResultRow,
@@ -53,31 +47,14 @@ from repro.serving.router import ANY, Consistency, ShardRouter
 
 
 class QueryRouter:
-    """Compile-once KGQ execution, each query placed whole on one replica."""
+    """KGQ execution over the fleet, each query placed whole on one replica."""
 
-    def __init__(
-        self,
-        router: ShardRouter,
-        planner: QueryPlanner | None = None,
-        plan_cache_size: int = 256,
-    ) -> None:
-        if plan_cache_size <= 0:
-            raise ServingError("the query router's plan cache needs capacity")
+    def __init__(self, router: ShardRouter, planner: QueryPlanner | None = None) -> None:
         self.router = router
         self.planner = planner or QueryPlanner(default_virtual_operators())
-        self.plan_cache_size = plan_cache_size
-        self._plans: OrderedDict[str, PhysicalPlan] = OrderedDict()
-        # Queries are served concurrently; the LRU's get/move/evict sequence
-        # must not interleave across threads (a racing eviction would turn a
-        # cache hit into a KeyError).
-        self._plans_lock = threading.Lock()
         self.queries_routed = 0
         self.fragments_dispatched = 0        # replica calls that answered
         self.fragment_retries = 0            # re-dispatches after a mid-query death
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0           # text compiles that had to plan
-        self.plan_cache_evictions = 0        # LRU entries pushed out by capacity
-        self.consistency_rejections = 0      # replicas skipped for staleness
         self.reach_queries = 0               # routed plans with a REACH stage
         self.join_queries = 0                # cross-view joins through execute_join
         self.broadcast_joins = 0             # joins that shipped the small side
@@ -85,82 +62,20 @@ class QueryRouter:
         self.join_rows_broadcast = 0         # build rows shipped to the probing replica
         self.join_rows_shuffled = 0          # rows re-partitioned to key owners
 
-    # -------------------------------------------------------------- #
-    # compilation (once per query text)
-    # -------------------------------------------------------------- #
     def compile(self, query: str | Query | CallQuery | PhysicalPlan) -> PhysicalPlan:
-        """Compile *query* to a physical plan, caching by query text.
+        """Parse (a text) and plan *query*; no cache, tens of microseconds.
 
-        Pre-parsed queries plan without touching the cache (their text is not
-        authoritative), and an already-compiled :class:`PhysicalPlan` passes
-        through untouched — the front door compiles through per-tenant plan
-        caches and must not re-plan per execution.
+        An already-compiled :class:`PhysicalPlan` passes through untouched —
+        the front door compiles through per-tenant plan caches and must not
+        re-plan per execution.
         """
         if isinstance(query, PhysicalPlan):
             return query
-        if not isinstance(query, str):
-            return self.planner.plan(query)
-        with self._plans_lock:
-            plan = self._plans.get(query)
-            if plan is not None:
-                self._plans.move_to_end(query)
-                self.plan_cache_hits += 1
-                return plan
-            self.plan_cache_misses += 1
-        plan = self.planner.plan(parse(query))
-        with self._plans_lock:
-            self._plans[query] = plan
-            while len(self._plans) > self.plan_cache_size:
-                self._plans.popitem(last=False)
-                self.plan_cache_evictions += 1
-        return plan
+        return self.planner.plan(parse(query) if isinstance(query, str) else query)
 
     # -------------------------------------------------------------- #
     # placement (per execution: membership and lag move constantly)
     # -------------------------------------------------------------- #
-    def _eligible_owners(
-        self, key: str, view_name: str, consistency: Consistency, dead: set[str]
-    ):
-        """The one placement rule: *key*'s owners that may serve, in ring order.
-
-        Walks :meth:`ShardRouter.owners` exactly as a point read of *key*
-        would and yields each replica that is alive, not in *dead* (the
-        replicas that already failed this query), serves *view_name* and
-        satisfies *consistency*.  The walk never just ends: once no owner is
-        left it raises :class:`~repro.errors.StaleReadError` — naming every
-        lagging replica and its lag in log positions — when live servers
-        were skipped for staleness, and
-        :class:`~repro.errors.ReplicaUnavailableError` when no live replica
-        serves the view at all.
-        """
-        lagging: dict[str, int] = {}
-        for name in self.router.owners(key):
-            node = self.router.replicas.get(name)
-            if (
-                name in dead
-                or node is None
-                or not node.alive
-                or not node.serves_view(view_name)
-            ):
-                continue
-            if self.router.satisfies(node, view_name, consistency):
-                yield node
-            else:
-                self.consistency_rejections += 1
-                head = self.router.head_lsn_source()
-                lagging[name] = max(0, head - node.applied_lsn(view_name))
-        if not lagging:
-            raise ReplicaUnavailableError(
-                f"no live replica serves view {view_name!r}; cannot run the query"
-            )
-        worst = max(lagging, key=lambda name: lagging[name])
-        raise StaleReadError(
-            f"no replica satisfies {consistency.level} for view {view_name!r}: "
-            f"replica {worst!r} lags the head by {lagging[worst]} LSNs "
-            f"(lagging: {lagging}, head LSN {self.router.head_lsn_source()})",
-            lagging=lagging,
-        )
-
     def _dispatch(
         self,
         key: str,
@@ -176,7 +91,7 @@ class QueryRouter:
         later steps of the same query skip it too —, counts one
         ``fragment_retries`` and moves on to the next eligible owner.
         """
-        for node in self._eligible_owners(key, view_name, consistency, dead):
+        for node in self.router.eligible(key, view_name, consistency, dead):
             try:
                 result = call(node)
             except ReplicaUnavailableError:
@@ -365,7 +280,7 @@ class QueryRouter:
         while pending:
             by_owner: dict[str, list[str]] = {}
             for key in pending:
-                owner = next(self._eligible_owners(key, view_name, consistency, dead))
+                owner = next(self.router.eligible(key, view_name, consistency, dead))
                 by_owner.setdefault(owner.name, []).append(key)
             pending = []
             for name, keys in sorted(by_owner.items()):
@@ -387,7 +302,7 @@ class QueryRouter:
     def explain(self, query: str | Query | CallQuery, view_name: str) -> list[str]:
         """EXPLAIN-style rendering: the plan plus the replica it would run on."""
         plan = self.compile(query)
-        node = next(self._eligible_owners(plan.query.render(), view_name, ANY, set()))
+        node = next(self.router.eligible(plan.query.render(), view_name, ANY, ()))
         return [*plan.explain(), f"Replica({node.name}, view={view_name})"]
 
     # -------------------------------------------------------------- #
@@ -396,22 +311,14 @@ class QueryRouter:
     def stats(self) -> dict[str, float]:
         """Operational counters of the distributed query path.
 
-        ``plan_cache_hit_ratio`` is hits over text compiles (0.0 before the
-        first); pre-parsed and precompiled queries bypass the cache and count
-        in neither term.
+        Placement counters (fallbacks, consistency rejections) belong to the
+        :class:`ShardRouter` whose walk counts them, for reads and queries
+        alike.
         """
-        compiles = self.plan_cache_hits + self.plan_cache_misses
         return {
             "queries_routed": self.queries_routed,
             "fragments_dispatched": self.fragments_dispatched,
             "fragment_retries": self.fragment_retries,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "plan_cache_evictions": self.plan_cache_evictions,
-            "plan_cache_hit_ratio": (
-                self.plan_cache_hits / compiles if compiles else 0.0
-            ),
-            "consistency_rejections": self.consistency_rejections,
             "reach_queries": self.reach_queries,
             # Nothing routes in rounds any more; bench_e2e/layers.py reads the key.
             "reach_rounds": 0,

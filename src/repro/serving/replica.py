@@ -1,4 +1,4 @@
-"""Replica nodes: apply shipped view deltas into a local live-index shard.
+"""Replica nodes: apply shipped view deltas into a local live index.
 
 A :class:`ReplicaNode` owns one :class:`~repro.live.index.LiveIndex` and
 applies :class:`~repro.serving.shipping.ShipmentBatch` messages into it
@@ -64,7 +64,6 @@ class ReplicaNode:
     def __init__(
         self,
         name: str,
-        num_shards: int = 4,
         queue_capacity: int = 256,
         resync_source=None,
         journal_store=None,
@@ -76,7 +75,7 @@ class ReplicaNode:
         if queue_capacity <= 0:
             raise ServingError("replica queue capacity must be positive")
         self.name = name
-        self.index = LiveIndex(num_shards)
+        self.index = LiveIndex()
         self.planner = QueryPlanner(
             default_virtual_operators(), selectivity=self.index.seed_selectivity
         )

@@ -1,9 +1,12 @@
-"""LSN-aware read routing over a consistent-hash ring of replicas.
+"""LSN-aware placement over a consistent-hash ring of replicas.
 
-The :class:`ShardRouter` spreads entities across replicas with a consistent
-hash ring (stable across processes — Python's salted ``hash`` is never used)
-and serves point reads under a selectable :class:`Consistency` level, checked
-against each replica's per-view applied-LSN watermark:
+The :class:`ShardRouter` spreads keys across replicas with a consistent hash
+ring (stable across processes — Python's salted ``hash`` is never used) and
+owns the **one placement rule** of the serving tier,
+:meth:`ShardRouter.eligible`: walk a key's owners in ring order and take the
+replicas that are alive, serve the view and satisfy the requested
+:class:`Consistency` level, checked against each replica's per-view
+applied-LSN watermark:
 
 * ``any`` — serve from the first live owner, staleness be damned;
 * ``bounded_staleness(max_lag_lsns)`` — the serving replica may lag the
@@ -11,17 +14,23 @@ against each replica's per-view applied-LSN watermark:
 * ``read_your_writes(min_lsn)`` — the serving replica must have applied at
   least the LSN of the write the reader just made.
 
-When the preferred owner fails the check the router walks the ring to the
-next replicas (a *fallback read*, counted); when no live replica satisfies
-the level it raises :class:`~repro.errors.StaleReadError` — an honest "wait
-or relax" answer instead of a silently stale row.
+Point reads (:meth:`ShardRouter.read`, keyed by subject) and everything the
+:class:`~repro.serving.query_router.QueryRouter` places (whole queries keyed
+by their text, join sides, shuffle partitions keyed by join key) use that one
+walk, so they skip the same replicas, count the same counters and fail with
+the same typed errors: an owner that fails the check is skipped for the next
+one on the ring (a *fallback*, counted); when live replicas serve the view
+but none satisfies the level the walk raises
+:class:`~repro.errors.StaleReadError` naming each lagging replica — an honest
+"wait or relax" answer instead of a silently stale row — and when no live
+replica serves the view at all, :class:`~repro.errors.ReplicaUnavailableError`.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Collection, Iterator
 
 from repro.errors import ReplicaUnavailableError, ServingError, StaleReadError
 from repro.hashing import MAX_HASH, stable_hash
@@ -64,9 +73,8 @@ class Consistency:
 #: The default level: availability first.
 ANY = Consistency.any()
 
-# MAX_HASH and stable_hash historically lived here; they moved to
-# repro.hashing so the live KV store can shard by the same function without
-# a live -> serving package cycle.  Re-exported above for existing callers.
+# MAX_HASH and stable_hash live in repro.hashing (importable without the
+# serving package); re-exported above for existing callers.
 
 
 class ShardRouter:
@@ -83,7 +91,8 @@ class ShardRouter:
         self.virtual_nodes = virtual_nodes
         self.replicas: dict[str, object] = {}
         self._ring: list[tuple[int, str]] = []   # (point, replica name), sorted
-        self.reads_routed = 0
+        self.reads_routed = 0                    # point reads
+        # Counted by eligible(), so point reads and placed queries alike:
         self.fallback_reads = 0                  # served by a non-preferred owner
         self.consistency_rejections = 0          # replicas skipped for staleness
 
@@ -126,45 +135,67 @@ class ShardRouter:
                     break
         return ordered
 
+    def eligible(
+        self,
+        key: str,
+        view_name: str,
+        consistency: Consistency,
+        dead: Collection[str],
+    ) -> Iterator:
+        """The one placement rule: *key*'s owners that may serve, in ring order.
+
+        Yields each replica node that is alive, not in *dead* (replicas that
+        already failed the caller's request), serves *view_name* — a node
+        that just joined and has not been seeded must not report false
+        misses — and satisfies *consistency*.  A node yielded from beyond the
+        ring's first position counts one ``fallback_reads``; a node skipped
+        for staleness counts one ``consistency_rejections``.  The walk never
+        just ends: once no owner is left it raises
+        :class:`~repro.errors.StaleReadError` — naming every lagging replica
+        and its lag in log positions — when live servers were skipped for
+        staleness, and :class:`~repro.errors.ReplicaUnavailableError` when no
+        live replica serves the view at all.
+        """
+        lagging: dict[str, int] = {}
+        for position, name in enumerate(self.owners(key)):
+            node = self.replicas.get(name)   # None: removed since owners() ran
+            if (
+                node is None
+                or name in dead
+                or not node.alive
+                or not node.serves_view(view_name)
+            ):
+                continue
+            if self.satisfies(node, view_name, consistency):
+                if position > 0:
+                    self.fallback_reads += 1
+                yield node
+            else:
+                self.consistency_rejections += 1
+                lagging[name] = max(0, self.head_lsn_source() - node.applied_lsn(view_name))
+        if not lagging:
+            raise ReplicaUnavailableError(f"no live replica serves view {view_name!r}")
+        worst = max(lagging, key=lagging.get)
+        raise StaleReadError(
+            f"no replica satisfies {consistency.level} for view {view_name!r}: "
+            f"replica {worst!r} lags the head by {lagging[worst]} LSNs "
+            f"(lagging: {lagging}, head LSN {self.head_lsn_source()})",
+            lagging=lagging,
+        )
+
     def read(self, view_name: str, subject: str, consistency: Consistency = ANY):
         """Serve one row document of *view_name* for *subject*.
 
-        Walks the subject's owners in preference order, skipping dead
-        replicas, replicas that do not serve the view at all (a node that
-        just joined and has not been seeded must not report false misses),
-        and replicas that fail the consistency check.  Returns the document
-        (or ``None`` when the qualifying replica does not serve the
-        subject — a real miss, e.g. a deleted row).  Raises
-        :class:`~repro.errors.ReplicaUnavailableError` when no owner is
-        alive and :class:`~repro.errors.StaleReadError` when live owners
-        exist but none satisfies *consistency*.
+        Reads from the first :meth:`eligible` owner of *subject* and returns
+        its document, or ``None`` when that replica does not serve the
+        subject — a real miss, e.g. a deleted row.  The walk's errors
+        propagate: :class:`~repro.errors.ReplicaUnavailableError` when no
+        live replica serves the view, :class:`~repro.errors.StaleReadError`
+        when those that do all fail *consistency*.
         """
-        owners = self.owners(subject)
-        if not owners:
-            raise ReplicaUnavailableError("the router has no replicas to serve reads")
         self.reads_routed += 1
-        saw_live = False
-        for position, name in enumerate(owners):
-            node = self.replicas[name]
-            if not node.alive:
-                continue
-            saw_live = True
-            if not node.serves_view(view_name):
-                continue
-            if not self.satisfies(node, view_name, consistency):
-                self.consistency_rejections += 1
-                continue
-            if position > 0:
-                self.fallback_reads += 1
-            return node.get(view_name, subject)
-        if not saw_live:
-            raise ReplicaUnavailableError(
-                f"no live replica among owners {owners} of {subject!r}"
-            )
-        raise StaleReadError(
-            f"no replica satisfies {consistency.level} for view {view_name!r} "
-            f"(owners {owners}, head LSN {self.head_lsn_source()})"
-        )
+        node = next(self.eligible(subject, view_name, consistency, ()))
+        return node.get(view_name, subject)
 
     def satisfies(self, node, view_name: str, consistency: Consistency) -> bool:
         """Whether *node*'s applied watermark meets *consistency* for the view."""

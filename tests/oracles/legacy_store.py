@@ -14,9 +14,10 @@ secondary indexes.  It is kept verbatim for two jobs:
   columnar batch operators against this implementation's scans.
 
 Do not "fix" or optimize this module: its value is that it stays exactly what
-shipped before.  Like the other baselines it accesses only its own private
-state; the lint guard banning ``TripleStore`` internals outside
-``src/repro/model/`` whitelists this file.
+shipped before.  It lives with the tests (``tests/oracles``), not in ``src/``:
+the program holds one triple store.  It accesses only its own private state;
+the lint guard banning ``TripleStore`` internals outside ``src/repro/model/``
+whitelists this file.
 """
 
 from __future__ import annotations

@@ -686,6 +686,52 @@ def test_query_cache_rejects_nonpositive_capacity_and_counts_evictions():
 
 
 # ------------------------------------------------------------------ #
+# a request resolves its tenant once: offboarding cannot lose its rows
+# ------------------------------------------------------------------ #
+def test_tenant_removed_while_its_request_is_on_a_worker_still_gets_rows(monkeypatch):
+    """``registry.remove`` during an in-flight request used to make the
+    closing ``store_rows`` raise ``FrontDoorError("unknown tenant")`` after
+    the query had run and been counted ``completed`` — the rows were lost."""
+    model = QueryModel()
+    seed_model(model, random.Random(31), count=10)
+    _, manager, _ = build_query_harness(model)
+    manager.materialize()
+    fleet = start_fleet(manager)
+    text = "MATCH alpha RETURN name, value"
+    expected = [(row.entity_id, row.values) for row in fleet.query(text, "profile_rows").rows]
+    on_worker, release = threading.Event(), threading.Event()
+    replica_query = ReplicaNode.query
+
+    def held_query(self, *args, **kwargs):
+        on_worker.set()
+        assert release.wait(timeout=10.0), "the test never released the replica"
+        return replica_query(self, *args, **kwargs)
+
+    monkeypatch.setattr(ReplicaNode, "query", held_query)
+    door = FrontDoor(fleet, max_concurrency=1)
+    door.registry.register("acme", views={"profile_rows"})
+    try:
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            request = asyncio.ensure_future(door.query("acme", text, "profile_rows"))
+            assert await loop.run_in_executor(None, on_worker.wait, 10.0)
+            door.registry.remove("acme")            # offboarded mid-request
+            release.set()
+            return await asyncio.wait_for(request, timeout=10.0)
+
+        result = asyncio.run(scenario())
+        assert expected and [(row.entity_id, row.values) for row in result.rows] == expected
+        assert door.metrics.tenant_snapshot("acme")["completed"] == 1
+        assert door.stats()["in_flight"] == 0       # the slot came back
+        with pytest.raises(FrontDoorError, match="unknown tenant"):
+            asyncio.run(door.query("acme", text, "profile_rows"))
+    finally:
+        release.set()
+        door.close()
+        fleet.stop()
+
+
+# ------------------------------------------------------------------ #
 # platform wiring: the fleet serves before start_serving_fleet returns
 # ------------------------------------------------------------------ #
 def test_first_query_after_fleet_start_finds_replicas_serving(monkeypatch):

@@ -9,8 +9,8 @@ invariants can hold) without auditing every caller.
 
 This test greps the tree for attribute access to the private fields and fails
 with the offending locations.  ``src/repro/model/`` owns the layout, and
-``src/repro/baselines/legacy_store.py`` is the frozen pre-refactor
-implementation whose same-named fields are its own.
+``tests/oracles/legacy_store.py`` is the frozen pre-refactor implementation
+(a test-side oracle) whose same-named fields are its own.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ PRIVATE_ACCESS = re.compile(r"\._(?:" + "|".join(PRIVATE_FIELDS) + r")\b")
 #: Files allowed to touch the layout, relative to the repo root.
 ALLOWED = (
     "src/repro/model/",
-    "src/repro/baselines/legacy_store.py",
+    "tests/oracles/legacy_store.py",
     "tests/test_lint_store_internals.py",
 )
 

@@ -1,7 +1,7 @@
 """Vectorized-vs-per-document executor equivalence, property-tested.
 
-The executor's contract: its two strategies — postings-intersection /
-batched-column evaluation and the per-document reference loop — return
+The executor's contract: postings-intersection / batched-column evaluation
+and the per-document reference loop return
 **identical** rows, in identical order, with identical
 ``candidates_examined`` accounting, for every plan.  The seeded suite
 (``kgq_seed``, parametrized from ``--runs-seeded`` like the columnar-store
@@ -9,11 +9,12 @@ suite) proves it over random document universes and random plans: index and
 type-scan seeds, ``=`` / ``!=`` / ``<`` / ``>`` / CONTAINS filters over
 one- and two-hop paths, multi-hop projections, ``RETURN *``, limits, and
 scoped (feed-style) execution — plus the same queries routed through a real
-``QueryRouter`` fleet whose replicas run either strategy.
+``QueryRouter`` fleet whose replicas run either one.
 
-The strategy is a constructor choice, so every comparison builds two
-executors over one index: ``QueryExecutor(index)`` and the per-document
-reference ``QueryExecutor(index, vectorized=False)``.
+``src/`` holds the set-based executor only; the per-document loop is the
+test-side oracle ``oracles.per_document_executor.PerDocumentExecutor``, so
+every comparison builds two executors over one index: ``QueryExecutor(index)``
+and ``PerDocumentExecutor(index)``.
 
 The fixed tests pin the cross-type equality semantics the postings probes
 must preserve (``3`` vs ``3.0`` vs ``"3"`` vs ``True``, reference-by-name
@@ -25,8 +26,9 @@ from __future__ import annotations
 
 import random
 
+from oracles.per_document_executor import PerDocumentExecutor
 from repro.hashing import stable_hash
-from repro.live.executor import QueryExecutor
+from repro.live.executor import LATENCY_WINDOW, QueryExecutor
 from repro.live.index import LiveEntityDocument, LiveIndex
 from repro.live.kgq import Condition, Query, parse
 from repro.live.planner import (
@@ -53,7 +55,7 @@ VALUE_POOL = (0, 1, 2, 3, 7, 2.5, 3.0, True, False, "3", "seven")
 
 def build_universe(rng: random.Random) -> LiveIndex:
     """A random live index: typed/untyped docs, mixed-type facts, references."""
-    index = LiveIndex(num_shards=4)
+    index = LiveIndex()
     count = rng.randint(25, 45)
     entity_ids = [f"e{i:02d}" for i in range(count)]
     for position, entity_id in enumerate(entity_ids):
@@ -141,7 +143,7 @@ def rows_of(result):
 
 def both_modes(index: LiveIndex) -> tuple[QueryExecutor, QueryExecutor]:
     """The vectorized executor and the per-document reference over *index*."""
-    return QueryExecutor(index), QueryExecutor(index, vectorized=False)
+    return QueryExecutor(index), PerDocumentExecutor(index)
 
 
 def assert_modes_agree(index: LiveIndex, plan, scope=None):
@@ -295,9 +297,29 @@ def test_limit_break_counts_only_examined_candidates():
         assert result.candidates_examined == 10
 
 
+def test_latency_window_is_bounded_and_queries_are_counted_apart():
+    """A replica executes queries for its whole life: the latency sample must
+    not grow with them (it once held one float per query, sorted whole per
+    percentile)."""
+    index = make_index([doc("e1", name="Ada", facts={"value": [1]})])
+    executor = QueryExecutor(index)
+    plan = QueryPlanner(selectivity=index.seed_selectivity).plan(
+        parse("MATCH thing RETURN name, value")
+    )
+    executor.latencies_ms.append(1e9)           # an outlier older than the window
+    total = 10 * LATENCY_WINDOW
+    for _ in range(total):
+        executor.execute(plan)
+    assert executor.queries_executed == total
+    assert len(executor.latencies_ms) == LATENCY_WINDOW
+    recent = sorted(executor.latencies_ms)
+    assert executor.latency_percentile(100.0) == recent[-1] < 1e9
+    assert executor.latency_percentile(50.0) == recent[round(0.5 * (LATENCY_WINDOW - 1))]
+
+
 # ------------------------------------------------------------------ #
-# distributed: the same fleet answers identically whichever strategy its
-# replicas' executors were built with
+# distributed: the same fleet answers identically whichever executor its
+# replicas run
 # ------------------------------------------------------------------ #
 def test_query_router_equivalence_across_modes():
     rows = tuple(
@@ -337,8 +359,8 @@ def test_query_router_equivalence_across_modes():
 
         vectorized_answers = answers()
         for node in nodes:
-            assert node.executor.vectorized
-            node.executor = QueryExecutor(node.index, vectorized=False)
+            assert type(node.executor) is QueryExecutor
+            node.executor = PerDocumentExecutor(node.index)
         for text, vectorized, reference in zip(texts, vectorized_answers, answers()):
             assert rows_of(vectorized) == rows_of(reference), text
             assert vectorized.candidates_examined == reference.candidates_examined, text

@@ -1,9 +1,10 @@
 """Tests for the live KV store and inverted graph index."""
 
-import pytest
+from types import SimpleNamespace
 
-from repro.errors import LiveGraphError
+from repro.hashing import stable_hash
 from repro.live.index import GraphKVStore, InvertedGraphIndex, LiveEntityDocument, LiveIndex
+from repro.serving.router import ShardRouter
 
 
 def doc(entity_id, name, entity_type="sports_game", timestamp=1, facts=None, refs=None,
@@ -27,21 +28,19 @@ def test_document_value_accessors_and_merge():
     assert document.value("home_score") == 7             # stale update ignored
 
 
-def test_kv_store_sharding_and_lookups():
-    store = GraphKVStore(num_shards=4)
+def test_kv_store_lookups():
+    store = GraphKVStore()
     for index in range(20):
         store.put(doc(f"g{index}", f"Game {index}"))
     assert len(store) == 20
-    assert sum(store.shard_sizes()) == 20
-    assert max(store.shard_sizes()) < 20                  # keys spread across shards
+    assert sorted(d.entity_id for d in store) == sorted(f"g{i}" for i in range(20))
     assert store.get("g3").name == "Game 3"
     assert store.get("missing") is None
     assert "g3" in store
     assert len(store.by_type("sports_game")) == 20
     assert store.delete("g3") is True
     assert store.delete("g3") is False
-    with pytest.raises(LiveGraphError):
-        GraphKVStore(num_shards=0)
+    assert len(store) == 19 and "g3" not in store
 
 
 def test_kv_store_put_merges_same_entity():
@@ -50,15 +49,6 @@ def test_kv_store_put_merges_same_entity():
     store.put(doc("g1", "Game 1", timestamp=2, facts={"home_score": [5]}))
     assert len(store) == 1
     assert store.get("g1").value("home_score") == 5
-
-
-def test_kv_store_replication():
-    store = GraphKVStore()
-    store.put(doc("g1", "Game 1"))
-    replica = store.replicate()
-    replica.put(doc("g2", "Game 2"))
-    assert len(store) == 1 and len(replica) == 2
-    assert replica.get("g1").name == "Game 1"
 
 
 def test_inverted_index_name_and_value_lookup():
@@ -78,7 +68,7 @@ def test_inverted_index_name_and_value_lookup():
 
 
 def test_live_index_maintains_both_structures():
-    live = LiveIndex(num_shards=2)
+    live = LiveIndex()
     live.upsert(doc("g1", "Madison Arena game", facts={"home_score": [1]}))
     assert len(live) == 1
     assert live.get("g1").value("home_score") == 1
@@ -91,16 +81,18 @@ def test_live_index_maintains_both_structures():
     assert live.inverted.search_name_tokens("madison arena") == set()
     assert live.upsert_many([doc("a", "A"), doc("b", "B")]) == 2
 
-def test_kv_store_shard_layout_is_process_stable():
-    """Shard placement must not depend on PYTHONHASHSEED.
 
-    The store used the builtin ``hash`` for shard placement, which Python
-    randomizes per process: two interpreters disagreed on which shard holds
-    which key, so any layout shipped across processes (replica hand-off,
-    serialized shard manifests) silently aliased.  Placement now goes through
-    :func:`repro.hashing.stable_hash` — two fresh interpreters launched with
-    *different* hash seeds must produce byte-identical layouts, matching the
-    in-process store.
+def test_replica_placement_is_process_stable():
+    """Placement must not depend on PYTHONHASHSEED.
+
+    Placement once went through the builtin ``hash``, which Python randomizes
+    per process: two interpreters disagreed on where a key lives, so any
+    layout shared across processes silently aliased.  The placement that
+    exists — which replica owns a key or a query text — goes through
+    :func:`repro.hashing.stable_hash` and the ring of
+    :meth:`repro.serving.router.ShardRouter.owners`: two fresh interpreters
+    launched with *different* hash seeds must agree byte for byte, with each
+    other and with this process.
     """
     import json
     import os
@@ -112,13 +104,14 @@ def test_kv_store_shard_layout_is_process_stable():
 
     snippet = (
         "import json\n"
-        "from repro.live.index import GraphKVStore, LiveEntityDocument\n"
-        "store = GraphKVStore(num_shards=8)\n"
-        "for i in range(64):\n"
-        "    store.put(LiveEntityDocument(\n"
-        "        entity_id=f'entity:{i:03d}', entity_type='thing', name=f'Entity {i}',\n"
-        "        facts={}, references={}, timestamp=1, is_live=True))\n"
-        "print(json.dumps([sorted(shard) for shard in store._shards]))\n"
+        "from types import SimpleNamespace\n"
+        "from repro.hashing import stable_hash\n"
+        "from repro.serving.router import ShardRouter\n"
+        "router = ShardRouter(lambda: 0)\n"
+        "for name in ('replica-0', 'replica-1', 'replica-2'):\n"
+        "    router.add_replica(SimpleNamespace(name=name))\n"
+        "keys = [f'entity:{i:03d}' for i in range(64)]\n"
+        "print(json.dumps([[stable_hash(k), router.owners(k)] for k in keys]))\n"
     )
     src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])
     layouts = []
@@ -131,14 +124,16 @@ def test_kv_store_shard_layout_is_process_stable():
         layouts.append(json.loads(output))
     assert layouts[0] == layouts[1]
 
-    store = GraphKVStore(num_shards=8)
-    for i in range(64):
-        store.put(doc(f"entity:{i:03d}", f"Entity {i}", entity_type="thing"))
-    assert [sorted(shard) for shard in store._shards] == layouts[0]
+    router = ShardRouter(lambda: 0)
+    for name in ("replica-0", "replica-1", "replica-2"):
+        router.add_replica(SimpleNamespace(name=name))
+    keys = [f"entity:{i:03d}" for i in range(64)]
+    assert [[stable_hash(k), router.owners(k)] for k in keys] == layouts[0]
+    assert {owners[0] for _, owners in layouts[0]} == set(router.replicas)   # keys spread
 
 
 def test_kv_store_get_many_and_type_partitions():
-    store = GraphKVStore(num_shards=4)
+    store = GraphKVStore()
     store.put(doc("g1", "Game 1"))
     store.put(doc("g2", "Game 2"))
     store.put(doc("t1", "Team 1", entity_type="sports_team"))

@@ -23,6 +23,7 @@ import random
 
 import pytest
 
+from oracles.per_document_executor import PerDocumentExecutor
 from repro.errors import KGQPlanError, KGQSyntaxError
 from repro.live.executor import QueryCache, QueryExecutor, QueryResultRow
 from repro.live.index import LiveEntityDocument, LiveIndex, view_row_document
@@ -226,7 +227,7 @@ def test_bitmap_rpq_matches_naive_bfs_over_seeded_graphs(rpq_seed):
     for text in queries:
         plan = planner.plan(parse(text))
         # the reference: per-document seed pipeline + set-based BFS
-        reference_executor = QueryExecutor(index, vectorized=False)
+        reference_executor = PerDocumentExecutor(index)
         seeds, _ = reference_executor.match_documents(plan, apply_limit=False)
         automaton = compile_automaton(plan.reach.expression)
         answers, _ = naive_rpq(documents, [d.entity_id for d in seeds], automaton)
@@ -244,12 +245,11 @@ def test_bitmap_rpq_matches_naive_bfs_over_seeded_graphs(rpq_seed):
             expected.append((node, answers[node]))
         if plan.limit is not None:
             expected = expected[: plan.limit.limit]
-        # both executor strategies must agree with the reference exactly
-        for vectorized in (True, False):
-            executor = QueryExecutor(index, vectorized=vectorized)
+        # the executor and its per-document oracle must agree with the reference
+        for executor in (QueryExecutor(index), reference_executor):
             result = executor.execute(plan, use_cache=False)
             got = [(row.entity_id, row.witness) for row in result.rows]
-            assert got == expected, (text, vectorized)
+            assert got == expected, (text, type(executor).__name__)
 
 
 def test_interval_fast_path_is_taken_and_agrees_with_product():

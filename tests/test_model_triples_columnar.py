@@ -3,7 +3,7 @@
 Random operation sequences (add / merge-provenance / discard / remove_subject /
 remove_source / overwrite_source_partition / in-place fusion-style retracts /
 snapshot) run against :class:`repro.model.triples.TripleStore` (columnar) and
-:class:`repro.baselines.legacy_store.LegacyTripleStore` (the pre-refactor
+:class:`oracles.legacy_store.LegacyTripleStore` (the pre-refactor
 implementation, kept verbatim), asserting ``canonical_rows()`` equality — the
 single byte-level oracle — plus iteration order, serialized rows, and every
 lookup surface.  The batch operators are additionally checked against their
@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro.baselines.legacy_store import LegacyTripleStore
+from oracles.legacy_store import LegacyTripleStore
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
 

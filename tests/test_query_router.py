@@ -39,7 +39,6 @@ from repro.engine.views import (
     row_checksum,
 )
 from repro.errors import (
-    LiveGraphError,
     ReplicaDivergenceError,
     ReplicaUnavailableError,
     StaleReadError,
@@ -413,7 +412,10 @@ def test_read_your_writes_skips_a_lagging_preferred_owner():
             fleet, lambda: fleet.query(text, "profile_rows", fresh)
         )
         assert len(answered) == 1 and answered[0] != preferred
-        assert fleet.query_router.consistency_rejections >= 1
+        # counted once, by the walk reads and queries share
+        assert fleet.router.consistency_rejections >= 1
+        assert fleet.router.fallback_reads >= 1
+        assert "consistency_rejections" not in fleet.query_router.stats()
         # any-consistency still prefers the ring's first owner
         assert chosen_replica(fleet, text) == preferred
         # when every replica lags, the error names every one of them
@@ -445,55 +447,52 @@ def test_replica_query_runs_a_compiled_plan_without_planning():
         fleet.stop()
 
 
-def test_query_plans_compile_once_per_text():
+def test_the_router_keeps_no_plan_cache_and_never_replans_a_plan():
     model = QueryModel()
     seed_model(model, random.Random(13), count=6)
     _, manager, _ = build_query_harness(model)
     manager.materialize()
     fleet = start_fleet(manager)
     try:
+        router = fleet.query_router
         calls = {"plans": 0}
-        original = fleet.query_router.planner.plan
+        original = router.planner.plan
 
         def counting(query):
             calls["plans"] += 1
             return original(query)
 
-        fleet.query_router.planner.plan = counting
-        for _ in range(5):
-            fleet.query("MATCH alpha RETURN value", "profile_rows")
-        assert calls["plans"] == 1
-        assert fleet.query_router.plan_cache_hits == 4
-        # replica-side result caches serve repeats until an apply invalidates
-        assert any(node.executor.cache.hits for node in fleet.replicas.values())
-        # stats() exposes the full plan-cache picture: misses, evictions, ratio
-        stats = fleet.query_router.stats()
-        assert stats["plan_cache_misses"] == 1
-        assert stats["plan_cache_evictions"] == 0
-        assert stats["plan_cache_hit_ratio"] == pytest.approx(4 / 5)
-    finally:
-        fleet.stop()
-
-
-def test_plan_cache_evictions_counted_and_ratio_starts_at_zero():
-    model = QueryModel()
-    seed_model(model, random.Random(23), count=4)
-    _, manager, _ = build_query_harness(model)
-    manager.materialize()
-    fleet = start_fleet(manager, num_replicas=1)
-    try:
-        router = fleet.query_router
-        assert router.stats()["plan_cache_hit_ratio"] == 0.0    # before any compile
-        router.plan_cache_size = 2
-        for text in ("MATCH alpha RETURN name", "MATCH beta RETURN name",
-                     "MATCH alpha RETURN value"):
-            fleet.query(text, "profile_rows")
-        stats = router.stats()
-        assert stats["plan_cache_misses"] == 3
-        assert stats["plan_cache_evictions"] == 1       # capacity 2, three texts
-        # the evicted text recompiles: a miss, never a stale hit
-        fleet.query("MATCH alpha RETURN name", "profile_rows")
-        assert router.stats()["plan_cache_misses"] == 4
+        router.planner.plan = counting
+        text = "MATCH alpha RETURN name, value"
+        # a text is parsed and planned per call; the repeats agree row for row
+        first = router.execute(text, "profile_rows", use_cache=False)
+        second = router.execute(text, "profile_rows", use_cache=False)
+        assert calls["plans"] == 2
+        assert rows_of(first) == rows_of(second) == primary_results(manager, (text,))[text][0]
+        assert not first.from_cache and not second.from_cache
+        # through fleet.query the only cache is the answering replica's result cache
+        assert rows_of(fleet.query(text, "profile_rows")) == rows_of(first)
+        assert fleet.query(text, "profile_rows").from_cache
+        # the same holds for both sides of a join
+        joins = [
+            fleet.join(text, "profile_rows", "MATCH beta RETURN name, value",
+                       "profile_rows", "value", "value", how="left")
+            for _ in range(2)
+        ]
+        assert rows_of(joins[0]) == rows_of(joins[1])
+        planned = calls["plans"]
+        assert planned == 2 + 2 + 4
+        # a precompiled plan passes through: never parsed, never planned again
+        plan = router.compile(text)
+        assert calls["plans"] == planned + 1
+        assert router.compile(plan) is plan
+        assert rows_of(router.execute(plan, "profile_rows", use_cache=False)) == rows_of(first)
+        assert rows_of(router.execute_join(
+            plan, "profile_rows", router.compile("MATCH beta RETURN name, value"),
+            "profile_rows", "value", "value", how="left", use_cache=False,
+        )) == rows_of(joins[0])
+        assert calls["plans"] == planned + 2
+        assert not any("plan_cache" in key for key in router.stats())
     finally:
         fleet.stop()
 
@@ -516,36 +515,6 @@ def test_replica_local_query_surface_matches_primary():
             node.query("MATCH alpha RETURN value", view_name="profile_rows")
     finally:
         fleet.stop()
-
-
-def test_routed_query_through_the_live_engine():
-    model = QueryModel()
-    seed_model(model, random.Random(19), count=10)
-    _, manager, _ = build_query_harness(model)
-    manager.materialize()
-    fleet = start_fleet(manager)
-    live = LiveGraphEngineFixture()
-    try:
-        live.engine.attach_query_router(fleet.query_router)
-        result = live.engine.routed_query("MATCH alpha RETURN name, value",
-                                          "profile_rows")
-        expected = primary_results(manager, ("MATCH alpha RETURN name, value",))
-        assert rows_of(result) == expected["MATCH alpha RETURN name, value"][0]
-        assert live.engine.stats()["routed_queries"] == 1
-        live.engine.attach_query_router(None)
-        with pytest.raises(LiveGraphError):
-            live.engine.routed_query("MATCH alpha RETURN name", "profile_rows")
-    finally:
-        fleet.stop()
-
-
-class LiveGraphEngineFixture:
-    """A bare live engine (no resolution service) for router attachment."""
-
-    def __init__(self):
-        from repro.live.engine import LiveGraphEngine
-
-        self.engine = LiveGraphEngine()
 
 
 # ------------------------------------------------------------------ #

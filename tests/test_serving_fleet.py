@@ -595,6 +595,53 @@ class TestShardRouter:
         with pytest.raises(ReplicaUnavailableError):
             router.read("v", "x")
 
+    def test_fleet_read_fails_like_a_query_through_the_one_placement_walk(self):
+        """Point reads share the queries' walk: same typed errors, same counters.
+
+        ``read`` of a view no live replica serves used to raise
+        ``StaleReadError("no replica satisfies any ...")`` even at
+        ``Consistency.any()``, and its ``StaleReadError`` carried no
+        ``lagging`` map.
+        """
+        store, clock, manager = make_primary()
+        store.update({"e1": 1, "e2": 2})
+        manager.materialize()
+        fleet = ServingFleet(manager, num_replicas=2).start()
+        try:
+            fleet.serve_view("rows")
+            assert fleet.drain()
+            # live replicas, none of which serves the view: unavailable, not stale
+            assert all(node.alive for node in fleet.replicas.values())
+            for read in (
+                lambda: fleet.read("never_served", "e1"),
+                lambda: fleet.read("never_served", "e1", Consistency.any()),
+                lambda: fleet.query("MATCH view_row RETURN value", "never_served"),
+            ):
+                with pytest.raises(ReplicaUnavailableError, match="never_served"):
+                    read()
+            assert fleet.router.consistency_rejections == 0
+            # replicas that serve it but lag: stale, naming each one and its lag
+            put(store, clock, manager, "e1", 10)              # enqueued, not flushed
+            ahead = Consistency.read_your_writes(clock["lsn"])
+            for read in (
+                lambda: fleet.read("rows", "e1", ahead),
+                lambda: fleet.query("MATCH view_row RETURN value", "rows", ahead),
+            ):
+                before = fleet.router.consistency_rejections
+                with pytest.raises(StaleReadError) as excinfo:
+                    read()
+                assert set(excinfo.value.lagging) == set(fleet.replicas)
+                assert all(lag >= 1 for lag in excinfo.value.lagging.values())
+                assert fleet.router.consistency_rejections == before + 2
+            assert fleet.status()["consistency_rejections"] == 4
+            # a fallback is counted where it happens, whoever asked
+            preferred = fleet.router.owners("e2")[0]
+            fleet.kill_replica(preferred)
+            assert fleet.read("rows", "e2").value("value") == 2
+            assert fleet.router.fallback_reads == 1
+        finally:
+            fleet.stop()
+
     def test_routed_reads_while_primary_flushes(self):
         """Acceptance: a 3-replica fleet serves reads during primary flushes."""
         store, clock, manager = make_primary()
