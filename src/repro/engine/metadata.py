@@ -10,24 +10,18 @@ reflects — but in a separate namespace: view freshness must not drag down
 :meth:`MetadataStore.minimum_watermark`, which answers "what KG version does
 every *store* serve" regardless of which views happen to be materialized.
 
-A third namespace mirrors per-view **delta-journal high-water marks**: the
-highest log position a view's delta journal has recorded applied entity
-deltas up to.  Consumers watching the marks can tell whether a view has been
-absorbing journaled deltas (the mark tracks the view watermark) or has been
-rebuilt from scratch / left untouched by recent flushes.
-
-A fourth namespace tracks **replica applied-LSN watermarks**: the log
+A third namespace tracks **replica applied-LSN watermarks**: the log
 position each serving replica has applied shipped view deltas up to.  The
 read router uses these to answer bounded-staleness and read-your-writes
 reads; like view marks, replica marks must not drag down
 :meth:`MetadataStore.minimum_watermark`.
 
-A fifth namespace mirrors per-view **row-checksum digests**: a content
+A fourth namespace mirrors per-view **row-checksum digests**: a content
 digest of the view's artifact rows stamped with the LSN it was computed at.
 Anti-entropy audits record the digest they verified against so divergence
 checks are observable with the same machinery as freshness.
 
-A sixth namespace holds **serving metrics**: the latest snapshot a serving
+A fifth namespace holds **serving metrics**: the latest snapshot a serving
 component (the multi-tenant front door, per component name) mirrored of its
 request counters, latency percentiles, and saturation gauges.  Snapshots are
 free-form dicts — the metrics layer owns their shape — replaced wholesale on
@@ -69,7 +63,6 @@ class MetadataStore:
 
     watermarks: WatermarkMap = field(default_factory=WatermarkMap)
     view_marks: WatermarkMap = field(default_factory=WatermarkMap)
-    journal_marks: WatermarkMap = field(default_factory=WatermarkMap)
     replica_marks: WatermarkMap = field(default_factory=WatermarkMap)
     checksum_marks: dict[str, tuple[int, str]] = field(default_factory=dict)
     serving_marks: dict[str, dict] = field(default_factory=dict)
@@ -118,21 +111,6 @@ class MetadataStore:
     def lagging_view_watermarks(self, head_lsn: int) -> dict[str, int]:
         """Views behind *head_lsn* and how many log positions behind they are."""
         return self.view_marks.lagging(head_lsn)
-
-    # -------------------------------------------------------------- #
-    # view delta-journal high-water marks
-    # -------------------------------------------------------------- #
-    def update_view_journal_mark(self, view_name: str, lsn: int) -> None:
-        """Record that *view_name*'s delta journal covers the log up to *lsn*."""
-        self.journal_marks.advance(view_name, lsn)
-
-    def view_journal_mark(self, view_name: str) -> int:
-        """The journal high-water mark of *view_name* (0 when unknown)."""
-        return self.journal_marks.of(view_name)
-
-    def clear_view_journal_mark(self, view_name: str) -> None:
-        """Forget a view's journal mark (the view was dropped or redefined)."""
-        self.journal_marks.pop(view_name, None)
 
     # -------------------------------------------------------------- #
     # replica applied-LSN watermarks

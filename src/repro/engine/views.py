@@ -1,4 +1,4 @@
-"""KG views: catalog, dependency graph, and delta-journaled, LSN-tracked maintenance.
+"""KG views: catalog, dependency graph, and delta-driven, LSN-tracked maintenance.
 
 Section 3.2: a view is *any* transformation of the graph — subgraph views,
 schematized relational views, aggregates, iterative algorithms (PageRank), or
@@ -44,39 +44,37 @@ rebuilding every materialized view on any update:
   initial ``create`` that later migrate out are missed (the pre-snapshot
   behavior; the Graph Engine always supplies ``entity_source``).
 
-* **Delta journals.**  Every :class:`ViewState` carries a
-  :class:`DeltaJournal` of the per-view deltas its artifact has absorbed,
-  with LSN ranges.  A journaled delta names the view's changed *output*
-  rows: an ``apply_delta`` builder either reports them itself
+* **Journal events.**  Every committed maintenance step is published to
+  journal listeners as one :class:`JournalEvent`; the manager itself keeps
+  no change history.  An ``append`` event carries the view's changed
+  *output* rows: an ``apply_delta`` builder either reports them itself
   (:class:`DeltaApplyResult`) or returns a new subject → row mapping, which
   the manager compares with the previous artifact on the projected delta's
   subjects, leaving out every row that came back equal; ``update`` views,
-  and artifacts that cannot be compared, append their scope-projected input
-  delta.  A delta with nothing left in it is not appended — the view emits
-  the watermark-only ``advance`` event of an unaffected view.  Views
-  rebuilt through ``create`` truncate the journal (the extent of the change
-  is unknown).  Downstream
-  consumers (the live serving layer) call :meth:`ViewManager.view_deltas_since`
-  to fetch only what changed since the version they serve, falling back to a
-  full reload when the journal cannot cover the gap.  Journals are compacted
-  once they exceed ``journal_limit`` entries.
+  and artifacts that cannot be compared, emit their scope-projected input
+  delta.  A delta with nothing left in it becomes the watermark-only
+  ``advance`` event of an unaffected view.  Views rebuilt through ``create``
+  emit ``truncate`` (the extent of the change is unknown), and removed
+  materializations emit ``drop``.  What changed since a given LSN is
+  answered downstream, by the serving tier's
+  :class:`~repro.serving.journal_store.JournalStore`, for the views
+  something consumes.
 
 * **Parallel branch flushing.**  ``flush()`` schedules the affected closure
   over the topological antichains of the dependency graph: views within one
   antichain are mutually independent and run on a thread pool when
   ``max_workers`` allows, while a dependent never starts before its
-  dependencies' antichain completed.  Journal append/truncate, scope-snapshot
-  update, and watermark publication are committed atomically per view under a
-  per-view lock, so a failing branch neither corrupts a sibling branch's
-  journal nor loses the pending delta (the flush restores it and re-raises).
+  dependencies' antichain completed.  Artifact, scope-snapshot update, and
+  watermark publication are committed atomically per view under a per-view
+  lock, so a failing branch neither corrupts a sibling branch's state nor
+  loses the pending delta (the flush restores it and re-raises).
 
 * **LSN watermarks.**  Every :class:`ViewState` records ``built_at_lsn`` — the
-  operation-log position its artifact reflects.  Watermarks and journal
-  high-water marks are mirrored into the platform
-  :class:`~repro.engine.metadata.MetadataStore` when one is attached, so
-  consumers can route reads with the same freshness machinery they use for
-  stores.  The wall-clock ``freshness_sla`` remains as an orthogonal
-  serving-side SLA.
+  operation-log position its artifact reflects.  Watermarks are mirrored
+  into the platform :class:`~repro.engine.metadata.MetadataStore` when one
+  is attached, so consumers can route reads with the same freshness
+  machinery they use for stores.  The wall-clock ``freshness_sla`` remains
+  as an orthogonal serving-side SLA.
 
 * **Lifecycle safety.**  ``drop`` cascades invalidation to transitive
   dependents so no dependent keeps serving an artifact built from a dropped
@@ -92,7 +90,7 @@ Incremental-procedure contract
 changes to the delta's entities: rows outside ``delta.changed | delta.deleted``
 must be byte-identical to a from-scratch rebuild.  A view whose rows can
 change beyond the delta (e.g. an iterative algorithm) must not declare an
-incremental procedure — the ``create`` fallback truncates the journal so no
+incremental procedure — the ``create`` fallback emits ``truncate`` so no
 consumer trusts a delta that undersells the change.
 """
 
@@ -112,7 +110,7 @@ import networkx as nx
 
 from repro.engine.analytics import JoinAccessPattern, _collapse
 from repro.engine.metadata import MetadataStore
-from repro.errors import JournalGapError, ViewError
+from repro.errors import ViewError
 
 
 def row_checksum(row: object) -> str:
@@ -170,8 +168,9 @@ class ViewDelta:
     """One entity-level delta with the LSN range it covers.
 
     ``added`` / ``updated`` / ``deleted`` partition the entity ids; ``changed``
-    is the union of the first two.  Journal entries and the arguments of
-    ``apply_delta`` procedures are instances of this class — for scoped views
+    is the union of the first two.  The deltas of ``append`` journal events
+    and the arguments of ``apply_delta`` procedures are instances of this
+    class — for scoped views
     the sets are projected onto the view's scope, so ``deleted`` also contains
     entities that migrated *out* of the scope (their rows leave the view).
     """
@@ -287,71 +286,12 @@ class DeltaApplyResult:
     delta: ViewDelta
 
 
-class DeltaJournal:
-    """Applied-delta history of one view, LSN-ascending and bounded.
-
-    ``floor_lsn`` marks the position below which history is unavailable —
-    either because it was never recorded (full ``create`` rebuilds truncate
-    the journal) or because compaction merged it away.  :meth:`since` answers
-    "what changed after LSN *n*" for consumers that serve version *n*, or
-    ``None`` when the journal cannot cover the gap (forcing a full reload).
-    """
-
-    def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 2:
-            raise ViewError("delta journal needs room for at least two entries")
-        self.max_entries = max_entries
-        self.entries: list[ViewDelta] = []
-        self.floor_lsn = 0
-        self.appends = 0
-        self.compactions = 0
-
-    def append(self, delta: ViewDelta) -> None:
-        """Record one applied delta (no-op for empty deltas)."""
-        if delta.is_empty():
-            return
-        self.entries.append(delta)
-        self.appends += 1
-        if len(self.entries) > self.max_entries:
-            self._compact()
-
-    def truncate(self, lsn: int) -> None:
-        """Forget all history: the artifact changed by an unknown extent."""
-        self.entries.clear()
-        self.floor_lsn = max(self.floor_lsn, lsn)
-
-    def since(self, lsn: int) -> ViewDelta | None:
-        """Net delta after *lsn*, or ``None`` when history does not reach back."""
-        if lsn < self.floor_lsn:
-            return None
-        merged = ViewDelta(first_lsn=lsn, last_lsn=lsn)
-        for entry in self.entries:
-            if entry.last_lsn > lsn:
-                merged = merged.merge(entry)
-        return merged
-
-    def high_water_mark(self) -> int:
-        """The highest LSN the journal has recorded history up to."""
-        if self.entries:
-            return self.entries[-1].last_lsn
-        return self.floor_lsn
-
-    def _compact(self) -> None:
-        """Merge the oldest half of the journal into a single entry."""
-        keep_from = len(self.entries) // 2
-        merged = self.entries[0]
-        for entry in self.entries[1:keep_from]:
-            merged = merged.merge(entry)
-        self.entries[:keep_from] = [merged]
-        self.compactions += 1
-
-
 @dataclass(frozen=True)
 class JournalEvent:
-    """One committed journal transition, published to journal listeners.
+    """One committed maintenance step, published to journal listeners.
 
-    ``kind`` is ``"append"`` (an incremental delta was journaled — ``delta``
-    carries the subjects whose rows changed), ``"advance"`` (only the
+    ``kind`` is ``"append"`` (incremental maintenance changed output rows —
+    ``delta`` carries the subjects whose rows changed), ``"advance"`` (only the
     watermark moved to ``lsn``: the flush proved the view unaffected, or
     maintained it and no output row changed — shipped copies advance their
     applied LSN without touching a row), ``"truncate"`` (the
@@ -749,7 +689,6 @@ class ViewState:
     skipped_updates: int = 0       # flushes that proved no rebuild was needed
     invalidations: int = 0         # cascade invalidations (drop / re-register)
     revision: int = 0              # bumped when state is recreated (redefinition)
-    journal: DeltaJournal = field(default_factory=DeltaJournal)
 
 
 class ViewCatalog:
@@ -874,7 +813,7 @@ class ViewManager:
 
     ``lsn_source`` (usually the operation log's ``head_lsn``) stamps every
     build with the log position it reflects; ``metadata`` mirrors the per-view
-    watermarks and journal high-water marks into the platform metadata store;
+    watermarks into the platform metadata store;
     ``batch_size`` turns on automatic flushing of the pending changed-entity
     delta; ``entity_source`` enumerates current entity ids so scoped views get
     complete pre-delete scope snapshots; ``max_workers`` > 1 flushes
@@ -890,7 +829,6 @@ class ViewManager:
         batch_size: int | None = None,
         entity_source: Callable[[], Iterable[str]] | None = None,
         max_workers: int | None = None,
-        journal_limit: int = 256,
         clock: Callable[[], float] | None = None,
     ) -> None:
         if batch_size is not None and batch_size <= 0:
@@ -910,7 +848,6 @@ class ViewManager:
         self.batch_size = batch_size
         self.entity_source = entity_source
         self.max_workers = max_workers
-        self.journal_limit = journal_limit
         self.states: dict[str, ViewState] = {}
         self.flushes = 0
         self.deltas_observed = 0
@@ -919,8 +856,8 @@ class ViewManager:
         self.maintenance_rebuilds = 0
         self.full_rebuilds = 0           # maintenance runs through the create fallback
         self.incremental_applies = 0     # maintenance runs through apply_delta/update
-        self.delta_rows_journaled = 0    # entities across journaled maintenance deltas
-        self.noop_maintenance = 0        # incremental runs that journaled an empty delta
+        self.delta_rows_journaled = 0    # entities across appended maintenance deltas
+        self.noop_maintenance = 0        # incremental runs that changed no output row
         self._pending: set[str] = set()
         self._pending_added: set[str] = set()
         self._pending_deleted: set[str] = set()
@@ -945,7 +882,7 @@ class ViewManager:
     def add_journal_listener(self, listener: JournalListener) -> None:
         """Call *listener* with every committed :class:`JournalEvent`.
 
-        Events fire after the per-view commit (artifact, journal, snapshot,
+        Events fire after the per-view commit (artifact, scope snapshot,
         watermark) released its lock, in the order the views committed.
         Listener failures are recorded in ``journal_listener_errors`` (a
         bounded deque of the most recent 256) and never unwind maintenance —
@@ -1013,10 +950,7 @@ class ViewManager:
             # A fresh revision distinguishes "same LSN, new definition" for
             # consumers caching by log position (e.g. the live serving layer).
             self._revision_counter += 1
-            state = ViewState(
-                revision=self._revision_counter,
-                journal=DeltaJournal(self.journal_limit),
-            )
+            state = ViewState(revision=self._revision_counter)
             self.states[name] = state
         with self._state_lock(name):
             state.materialized = True
@@ -1025,11 +959,10 @@ class ViewManager:
             state.last_build_seconds = elapsed
             state.built_at_lsn = max(state.built_at_lsn, self.current_lsn())
             state.builds += 1
-            # A from-scratch build changes the artifact by an unknown extent
-            # relative to any previously served version: history restarts here.
-            state.journal.truncate(state.built_at_lsn)
             self._seed_snapshot(name, definition)
             self._record_watermark(name, state)
+        # A from-scratch build changes the artifact by an unknown extent
+        # relative to any previously served version: history restarts here.
         self._emit_journal_event(JournalEvent(
             kind="truncate", view_name=name, lsn=state.built_at_lsn,
             revision=state.revision,
@@ -1053,7 +986,7 @@ class ViewManager:
         only the views that actually contained them are maintained (they
         still reach ``update`` procedures as part of the changed list).
         *added_entity_ids* classifies the subset of the changed ids that are
-        net-new, refining the delta journals downstream consumers read.
+        net-new, refining the journal events downstream consumers read.
         Returns flush timings when the pending batch reached ``batch_size``
         and auto-flushed, an empty dict otherwise.  Deltas observed before
         any view is materialized are dropped: the initial ``create`` reads
@@ -1094,8 +1027,8 @@ class ViewManager:
         Used for operations whose changed-entity set is unknown, e.g. a
         source removal that may touch arbitrary subjects.  Because no view's
         incremental procedure can be told *which* entities changed, the flush
-        rebuilds every view from scratch via ``create`` and truncates the
-        delta journals.
+        rebuilds every view from scratch via ``create`` and emits
+        ``truncate`` for each.
         """
         observed = int(lsn) if lsn is not None else self.current_lsn()
         self.delta_lsn = max(self.delta_lsn, observed)
@@ -1289,7 +1222,7 @@ class ViewManager:
         target_lsn: int,
         rebuild: bool,
     ) -> float:
-        """Maintain one view and commit journal + watermark atomically."""
+        """Maintain one view, commit artifact + watermark atomically, emit its event."""
         definition = self.catalog.get(name)
         state = self.states[name]
         projected = None if rebuild else self._project_delta(definition, delta)
@@ -1347,20 +1280,15 @@ class ViewManager:
                 context.artifacts[name] = artifact
             state.last_built_at = self.clock()
             state.last_build_seconds = elapsed
-            if kind == "create":
-                # The rebuild's change extent is unknown to consumers — even a
-                # delta-driven create may touch rows the delta does not name.
-                state.journal.truncate(target_lsn)
-                if rebuild:
-                    self._seed_snapshot(name, definition)
-                elif projected is not None:
-                    self._update_snapshot(name, definition, projected)
-            else:
-                state.journal.append(journaled)
+            if kind == "create" and rebuild:
+                self._seed_snapshot(name, definition)
+            elif projected is not None:
                 self._update_snapshot(name, definition, projected)
             state.built_at_lsn = max(state.built_at_lsn, target_lsn)
             self._record_watermark(name, state)
         if kind == "create":
+            # The rebuild's change extent is unknown to consumers — even a
+            # delta-driven create may touch rows the delta does not name.
             self._emit_journal_event(JournalEvent(
                 kind="truncate", view_name=name, lsn=state.built_at_lsn,
                 revision=state.revision,
@@ -1622,32 +1550,6 @@ class ViewManager:
         state = self.states.get(name)
         return state.revision if state is not None else 0
 
-    def view_deltas_since(
-        self, name: str, lsn: int, strict: bool = False
-    ) -> ViewDelta | None:
-        """Net per-view delta applied after *lsn*, from the view's journal.
-
-        Returns ``None`` when the journal cannot cover the gap (the view was
-        rebuilt from scratch since *lsn*, compaction passed it, or the view
-        is unknown/unmaterialized) — the consumer must fall back to a full
-        artifact reload.  An *empty* delta is a positive answer: nothing in
-        the artifact changed, only the watermark moved.
-
-        With ``strict=True`` a journal that cannot reach back to *lsn* for a
-        *materialized* view raises :class:`~repro.errors.JournalGapError`
-        instead of returning ``None``, so resync-capable consumers (the
-        serving fleet, the live layer) can tell "history was lost, resync"
-        apart from "the view does not exist here".
-        """
-        state = self.states.get(name)
-        if state is None or not state.materialized:
-            return None
-        with self._state_lock(name):
-            merged = state.journal.since(lsn)
-            if merged is None and strict:
-                raise JournalGapError(name, lsn, state.journal.floor_lsn)
-            return merged
-
     def view_rows_snapshot(self, name: str) -> tuple[int, int, dict[str, dict]]:
         """Atomic ``(built_at_lsn, revision, subject → row copy)`` snapshot.
 
@@ -1685,7 +1587,7 @@ class ViewManager:
     def view_digest(
         self, name: str, snapshot: tuple[int, int, dict[str, dict]] | None = None
     ) -> str:
-        """One content digest over the view's rows, recorded as a journal mark.
+        """One content digest over the view's rows, recorded in the metadata store.
 
         Combines the row checksums of one atomic snapshot (*snapshot* when a
         caller — the anti-entropy auditor — already took one;
@@ -1693,7 +1595,7 @@ class ViewManager:
         mirrors it — stamped with the **snapshot's** LSN, never a re-read
         one a concurrent flush could have moved — into the metadata store's
         checksum namespace, so audits leave an observable trail next to the
-        watermark and journal marks.  This is the one definition of the
+        view watermarks.  This is the one definition of the
         recorded digest; every writer of the checksum namespace goes through
         it.
         """
@@ -1753,9 +1655,9 @@ class ViewManager:
         ``create`` procedure, ``incremental_applies`` the runs served by
         ``apply_delta``/``update``; a delta-only workload over views with
         working incremental procedures keeps ``full_rebuilds`` at zero.
-        ``delta_rows_journaled`` totals the entities across journaled
-        maintenance deltas (the shipped change volume) and
-        ``noop_maintenance`` counts incremental runs whose journaled delta
+        ``delta_rows_journaled`` totals the entities across the deltas of
+        ``append`` events (the shipped change volume) and
+        ``noop_maintenance`` counts incremental runs whose output-row delta
         came out empty — affected views whose rows did not actually change.
         Mirrored into the metadata store's serving-metrics namespace under
         component ``"view_manager"`` after every materialize and flush.
@@ -1784,9 +1686,6 @@ class ViewManager:
                 "skipped_updates": state.skipped_updates,
                 "invalidations": state.invalidations,
                 "built_at_lsn": state.built_at_lsn,
-                "journal_entries": len(state.journal.entries),
-                "journal_floor_lsn": state.journal.floor_lsn,
-                "journal_compactions": state.journal.compactions,
             }
             for name, state in sorted(self.states.items())
         }
@@ -1838,9 +1737,6 @@ class ViewManager:
     def _record_watermark(self, name: str, state: ViewState) -> None:
         if self.metadata is not None:
             self.metadata.update_view_watermark(name, state.built_at_lsn)
-            self.metadata.update_view_journal_mark(
-                name, state.journal.high_water_mark()
-            )
 
     def _record_stats(self) -> None:
         if self.metadata is not None:
@@ -1849,7 +1745,6 @@ class ViewManager:
     def _clear_watermark(self, name: str) -> None:
         if self.metadata is not None:
             self.metadata.clear_view_watermark(name)
-            self.metadata.clear_view_journal_mark(name)
             self.metadata.clear_view_checksum(name)
 
     def _artifacts(self) -> dict[str, object]:

@@ -11,12 +11,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.datagen.streams import LiveEvent
-from repro.errors import IntentError, JournalGapError, LiveGraphError
+from repro.errors import IntentError
 from repro.live.construction import EntityResolutionClient, LiveGraphConstruction
 from repro.live.context import ContextGraph
 from repro.live.curation import CurationDecision, CurationPipeline
 from repro.live.executor import QueryExecutor, QueryResult
-from repro.live.index import LiveIndex, view_row_documents
+from repro.live.index import LiveIndex
 from repro.live.intents import Intent, IntentHandler, default_intent_handler
 from repro.live.kgq import (
     CallQuery,
@@ -63,10 +63,6 @@ class LiveGraphEngine:
         self.intents = intent_handler or default_intent_handler(self.index)
         self.context = ContextGraph()
         self.curation = CurationPipeline()
-        self._feed_revisions: dict[str, int] = {}        # feed -> view state revision
-        self.view_feed_incremental_loads = 0             # journal-delta catch-ups
-        self.view_feed_full_loads = 0                    # full artifact rewrites
-        self.view_feed_journal_gaps = 0                  # gap-signalled resyncs
 
     # -------------------------------------------------------------- #
     # construction
@@ -109,109 +105,6 @@ class LiveGraphEngine:
         if not entity_types:
             return "stable"
         return "stable:" + ",".join(sorted(entity_types))
-
-    def load_view_artifact(
-        self, graph_engine, view_name: str, entity_type: str = "view_row"
-    ) -> int:
-        """Serve a materialized Graph Engine view artifact from the live index.
-
-        The artifact must be row-shaped (a sequence of dicts with a
-        ``subject`` key, like the standard ``entity_features`` view).  Each
-        row becomes a live document keyed ``{view_name}:{subject}``.  The
-        view's ``built_at_lsn`` watermark gates the load: when the serving
-        copy already reflects that log position, nothing is reloaded.  When
-        the view's delta journal can answer "what changed since the version
-        this feed serves", only the journaled rows are rewritten instead of
-        re-diffing the full artifact; a journal gap (the view was rebuilt
-        from scratch, or the feed fell behind compaction) is signalled by an
-        explicit :class:`~repro.errors.JournalGapError`, counted in
-        ``view_feed_journal_gaps``, and consumed by resyncing through the
-        full rewrite.  Reading the artifact raises
-        :class:`~repro.errors.ViewError` if the view (or, via cascade
-        invalidation, one of its dependencies) was dropped — the live layer
-        can never serve stale dropped-view results.
-        """
-        rows = graph_engine.view_artifact(view_name)
-        manager = graph_engine.view_manager
-        version = manager.built_at_lsn(view_name)
-        revision = manager.state_revision(view_name)
-        feed = f"view:{view_name}"
-        # Skip only when both the log position AND the state revision are
-        # unchanged: a re-registered view rebuilt at the same LSN is new data.
-        if (
-            version
-            and self.index.is_fresh(feed, version)
-            and self._feed_revisions.get(feed) == revision
-        ):
-            return 0
-        if not isinstance(rows, (list, tuple)):
-            raise LiveGraphError(
-                f"view artifact {view_name!r} is not row-shaped; cannot serve it live"
-            )
-        served_version = self.index.watermark(feed)
-        delta = None
-        if served_version and self._feed_revisions.get(feed) == revision:
-            try:
-                delta = manager.view_deltas_since(view_name, served_version, strict=True)
-            except JournalGapError:
-                # Journal truncated or compacted past the version this feed
-                # serves: an explicit staleness signal, resynced through the
-                # full-reload path below instead of re-diffing blind.
-                self.view_feed_journal_gaps += 1
-        if delta is not None:
-            return self._apply_view_delta(
-                graph_engine, view_name, feed, rows, delta, version, entity_type
-            )
-        # Validate every row before touching the index: a malformed artifact
-        # must not leave a half-rewritten feed behind.
-        for row in rows:
-            if not isinstance(row, dict) or "subject" not in row:
-                raise LiveGraphError(
-                    f"view artifact {view_name!r} rows need a 'subject' key to be served"
-                )
-        loaded = self.index.replace_feed(
-            feed,
-            view_row_documents(view_name, feed, rows, version, entity_type),
-            version,
-        )
-        self._feed_revisions[feed] = revision
-        self.executor.invalidate_cache()
-        self.view_feed_full_loads += 1
-        return loaded
-
-    def _apply_view_delta(
-        self, graph_engine, view_name: str, feed: str, rows, delta, version: int,
-        entity_type: str,
-    ) -> int:
-        """Catch a view feed up by rewriting only the journaled rows."""
-        # Validate every row before touching the index — same contract as the
-        # full-load path: a malformed artifact (e.g. a buggy apply_delta
-        # corrupting one row) must fail loudly, not silently unserve entities.
-        by_subject = {}
-        for row in rows:
-            if not isinstance(row, dict) or "subject" not in row:
-                raise LiveGraphError(
-                    f"view artifact {view_name!r} rows need a 'subject' key to be served"
-                )
-            by_subject[row["subject"]] = row
-        changed_rows = []
-        deleted_ids = []
-        for subject in sorted(delta.changed):
-            row = by_subject.get(subject)
-            if row is None:
-                # The row left the artifact without a journaled delete (e.g.
-                # an incremental builder pruning beyond its scope): stop
-                # serving it rather than serve a stale copy.
-                deleted_ids.append(f"{view_name}:{subject}")
-                continue
-            changed_rows.append(row)
-        upserts = view_row_documents(view_name, feed, changed_rows, version, entity_type)
-        deleted_ids.extend(f"{view_name}:{subject}" for subject in sorted(delta.deleted))
-        loaded = self.index.apply_feed_delta(feed, upserts, deleted_ids, version)
-        if upserts or deleted_ids:
-            self.executor.invalidate_cache()
-        self.view_feed_incremental_loads += 1
-        return loaded
 
     def ingest_events(self, events: Iterable[LiveEvent], screen: bool = True) -> int:
         """Ingest streaming events, optionally screening them for curation."""
@@ -303,7 +196,4 @@ class LiveGraphEngine:
             "p95_latency_ms": self.latency_p95_ms(),
             "quarantined_facts": len(self.curation.pending()),
             "feed_watermarks": dict(self.index.watermarks),
-            "view_feed_incremental_loads": self.view_feed_incremental_loads,
-            "view_feed_full_loads": self.view_feed_full_loads,
-            "view_feed_journal_gaps": self.view_feed_journal_gaps,
         }

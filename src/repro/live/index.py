@@ -283,9 +283,9 @@ def view_row_documents(
 
     Documents are keyed ``{view_name}:{subject}`` so several views may serve
     rows about the same KG entity side by side; ``version`` (the LSN the rows
-    reflect) becomes the document timestamp.  Shared by the live engine's
-    view feeds and the replicated serving fleet, which must agree
-    byte-for-byte on how a shipped row is served.  Batch form: one call per
+    reflect) becomes the document timestamp.  Shared by replica apply and
+    the anti-entropy auditor, which must agree byte-for-byte on how a
+    shipped row is served.  Batch form: one call per
     shipment group instead of one per row, so replicas apply shipments
     without per-row function dispatch.
     """

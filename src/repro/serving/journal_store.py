@@ -1,14 +1,15 @@
 """Persistent, segmented storage for per-view delta journals.
 
-The in-process :class:`~repro.engine.views.DeltaJournal` dies with the
-primary.  The :class:`JournalStore` makes the journal survive restarts: every
+The :class:`JournalStore` is the one change history of a view: the
+:class:`~repro.engine.views.ViewManager` keeps none, it only emits journal
+events, and the shipper records those of every view it ships here.  Every
 committed view delta is appended to an LSN-ascending, segmented journal held
 by a pluggable backend — in-memory (tests, single-process fleets) or
 fsync-able segment files on disk (cross-process serving catch-up).  A
 restarted serving process replays ``deltas_since(view, last_applied_lsn)``
 instead of rebuilding view artifacts from scratch.
 
-Three record kinds mirror the manager's journal transitions:
+Three record kinds follow the manager's journal events:
 
 * ``delta`` — one scope-projected :class:`ViewDelta` a maintenance flush
   committed (entity ids plus the LSN range covered);
@@ -269,10 +270,11 @@ class FileJournalBackend(JournalBackend):
 class JournalStore:
     """Segmented, durably persisted delta journals for a view fleet.
 
-    The store mirrors the manager's per-view journals into the backend and
-    answers the same ``deltas_since`` question across process restarts.  A
-    fresh store over a non-empty backend recovers every view's segments,
-    floor, and revision before serving reads.
+    The store records the ``append`` / ``truncate`` / ``drop`` events of
+    every shipped view into the backend and answers "what changed since LSN
+    *n*" (``deltas_since``) across process restarts.  A fresh store over a
+    non-empty backend recovers every view's segments, floor, and revision
+    before serving reads.
     """
 
     def __init__(self, backend: JournalBackend | None = None, segment_records: int = 64) -> None:

@@ -1,20 +1,25 @@
 """Journal shipping: publish committed view deltas to subscriber replicas.
 
 The :class:`JournalShipper` hangs off the primary
-:class:`~repro.engine.views.ViewManager`'s journal-event hook.  Every
-committed delta of a *shipped* view becomes a :class:`ShipmentBatch` — the
-LSN-ranged entity delta plus the actual artifact rows for the changed
-entities — persisted to the :class:`~repro.serving.journal_store.JournalStore`
-(when one is attached) and published on the :class:`ReplicationBus` to every
-subscribed replica.  From-scratch rebuilds ship as snapshot batches (the full
-row set; incremental history restarts), and drops ship as drop batches.
+:class:`~repro.engine.views.ViewManager`'s journal-event hook; the manager
+keeps no change history of its own.  Every committed delta of a *shipped*
+view is persisted to the :class:`~repro.serving.journal_store.JournalStore`
+— the one place that answers "what changed since LSN *n*" — and becomes a
+:class:`ShipmentBatch` (the LSN-ranged entity delta plus the actual artifact
+rows for the changed entities) published on the :class:`ReplicationBus` to
+every subscribed replica.  From-scratch rebuilds ship as snapshot batches
+(the full row set; persisted history restarts), and drops ship as drop
+batches.
 
 Batches are chained: each delta batch carries ``prev_lsn``, the LSN of the
 batch it extends.  A replica whose applied LSN does not reach ``prev_lsn``
 has missed a shipment (backpressure drop, crash, late subscription) and must
 resync — it pulls :meth:`JournalShipper.catchup_batch`, which serves the gap
 from the persisted journal when it reaches back far enough and falls back to
-a full snapshot otherwise.
+a full snapshot otherwise.  A catch-up delta is stamped with the LSN the
+shipper has persisted and published for the view, never the manager's
+watermark: a flush that committed but whose event the shipper has not
+handled yet is not in the store, and its own batch must still apply.
 """
 
 from __future__ import annotations
@@ -151,10 +156,7 @@ class JournalShipper:
     """
 
     def __init__(
-        self,
-        manager: ViewManager,
-        bus: ReplicationBus,
-        journal_store: JournalStore | None = None,
+        self, manager: ViewManager, bus: ReplicationBus, journal_store: JournalStore
     ) -> None:
         self.manager = manager
         self.bus = bus
@@ -183,9 +185,9 @@ class JournalShipper:
         The snapshot also becomes the persisted journal's new baseline
         (history is truncated to the snapshot LSN): deltas that fell into an
         unshipped window were never persisted, so pre-snapshot history must
-        not be trusted for catch-up.
+        not be trusted for catch-up.  A view whose snapshot cannot be taken
+        (not materialized, not row-shaped) raises and is not shipped.
         """
-        self.shipped_views.setdefault(view_name, 0)
         return self._publish_snapshot(view_name)
 
     def unship_view(self, view_name: str) -> None:
@@ -200,23 +202,25 @@ class JournalShipper:
     def snapshot_batch(self, view_name: str) -> ShipmentBatch:
         """A full-row snapshot of the view's current artifact.
 
-        Rows are shallow-copied: replica workers read batches asynchronously
-        and must not alias dicts a later flush may patch in place.
+        Rows, LSN and revision come from one atomic
+        :meth:`~repro.engine.views.ViewManager.view_rows_snapshot`, whose
+        row copies the batch keeps: replica workers read batches
+        asynchronously and must not alias dicts a later flush may patch in
+        place.
         """
-        rows = rows_by_subject(self.manager.artifact(view_name), view_name)
+        lsn, revision, rows = self.manager.view_rows_snapshot(view_name)
         return ShipmentBatch(
             kind="snapshot",
             view_name=view_name,
-            revision=self.manager.state_revision(view_name),
-            lsn=self.manager.built_at_lsn(view_name),
-            rows=tuple(dict(row) for row in rows.values()),
+            revision=revision,
+            lsn=lsn,
+            rows=tuple(rows.values()),
         )
 
     def _publish_snapshot(self, view_name: str) -> ShipmentBatch:
         """Snapshot-resync subscribers and re-baseline the persisted journal."""
         batch = self.snapshot_batch(view_name)
-        if self.journal_store is not None:
-            self.journal_store.record_truncate(view_name, batch.revision, batch.lsn)
+        self.journal_store.record_truncate(view_name, batch.revision, batch.lsn)
         self.shipped_views[view_name] = batch.lsn
         self.bus.publish(batch)
         self.snapshots_shipped += 1
@@ -269,7 +273,11 @@ class JournalShipper:
 
         Serves a delta batch from the persisted journal when history reaches
         back to *applied_lsn* under the same revision; a gap, a redefinition,
-        or a missing journal store answers with a full snapshot instead.  A
+        or a view that is not being shipped (its persisted history is not
+        current) answers with a full snapshot instead.  The delta batch is
+        stamped with the LSN the shipper has persisted and published for the
+        view — what the journal actually covers — so a flush whose event the
+        shipper has not handled yet still applies when its batch arrives.  A
         view that is not materialized right now (dropped, or invalidated and
         not yet rebuilt) answers with a drop batch: the consumer must stop
         serving it rather than crash its whole catch-up.
@@ -280,15 +288,20 @@ class JournalShipper:
                 revision=self.manager.state_revision(view_name),
                 lsn=self.manager.built_at_lsn(view_name),
             )
-        current_revision = self.manager.state_revision(view_name)
-        if revision == current_revision and applied_lsn > 0:
+        shipped_lsn = self.shipped_views.get(view_name)
+        if (
+            shipped_lsn is not None
+            and applied_lsn > 0
+            and revision == self.manager.state_revision(view_name)
+            and revision == self.journal_store.revision_of(view_name)
+        ):
             try:
-                delta = self._deltas_since(view_name, applied_lsn)
+                delta = self.journal_store.deltas_since(view_name, applied_lsn)
             except JournalGapError:
                 delta = None
             if delta is not None:
-                return self._delta_batch(view_name, current_revision, delta,
-                                         prev_lsn=applied_lsn)
+                return self._delta_batch(view_name, revision, delta,
+                                         prev_lsn=applied_lsn, lsn=shipped_lsn)
         return self.snapshot_batch(view_name)
 
     # -------------------------------------------------------------- #
@@ -298,22 +311,22 @@ class JournalShipper:
         if event.view_name not in self.shipped_views:
             return
         if event.kind == "append":
-            if self.journal_store is not None:
-                try:
-                    self.journal_store.append_delta(event.view_name, event.revision,
-                                                    event.delta)
-                except Exception:
-                    # Persisted history is now incomplete (the store poisoned
-                    # its floor).  The live chain must not silently skip the
-                    # delta either — the next batch's prev_lsn would extend
-                    # every replica's applied LSN and they would diverge
-                    # undetectably.  Resync subscribers via snapshot, then
-                    # surface the persistence error to the manager's log.
-                    self._publish_snapshot(event.view_name)
-                    raise
-            prev_lsn = self.shipped_views[event.view_name]
-            batch = self._delta_batch(event.view_name, event.revision, event.delta,
-                                      prev_lsn=prev_lsn)
+            try:
+                self.journal_store.append_delta(event.view_name, event.revision,
+                                                event.delta)
+            except Exception:
+                # Persisted history is now incomplete (the store poisoned
+                # its floor).  The live chain must not silently skip the
+                # delta either — the next batch's prev_lsn would extend
+                # every replica's applied LSN and they would diverge
+                # undetectably.  Resync subscribers via snapshot, then
+                # surface the persistence error to the manager's log.
+                self._publish_snapshot(event.view_name)
+                raise
+            batch = self._delta_batch(
+                event.view_name, event.revision, event.delta,
+                prev_lsn=self.shipped_views[event.view_name], lsn=event.lsn,
+            )
             self.shipped_views[event.view_name] = batch.lsn
             self.bus.publish(batch)
             self.batches_shipped += 1
@@ -335,8 +348,7 @@ class JournalShipper:
         elif event.kind == "truncate":
             self._publish_snapshot(event.view_name)
         elif event.kind == "drop":
-            if self.journal_store is not None:
-                self.journal_store.record_drop(event.view_name, event.revision)
+            self.journal_store.record_drop(event.view_name, event.revision)
             self.shipped_views[event.view_name] = 0
             self.bus.publish(ShipmentBatch(
                 kind="drop", view_name=event.view_name,
@@ -344,7 +356,7 @@ class JournalShipper:
             ))
 
     def _delta_batch(
-        self, view_name: str, revision: int, delta: ViewDelta, prev_lsn: int
+        self, view_name: str, revision: int, delta: ViewDelta, prev_lsn: int, lsn: int
     ) -> ShipmentBatch:
         # Shallow-copied: replica workers read batches asynchronously and
         # must not alias dicts a later flush may patch in place.
@@ -358,20 +370,8 @@ class JournalShipper:
             kind="delta",
             view_name=view_name,
             revision=revision,
-            lsn=max(delta.last_lsn, self.manager.built_at_lsn(view_name)),
+            lsn=lsn,
             prev_lsn=prev_lsn,
             delta=delta,
             rows=rows,
         )
-
-    def _deltas_since(self, view_name: str, lsn: int) -> ViewDelta | None:
-        # The persisted journal is authoritative for catch-up: it survives
-        # restarts and may retain more history than the manager's bounded
-        # in-memory journal.  Fall back to the manager when no store exists.
-        if self.journal_store is not None:
-            if self.journal_store.revision_of(view_name) != (
-                self.manager.state_revision(view_name)
-            ):
-                return None
-            return self.journal_store.deltas_since(view_name, lsn)
-        return self.manager.view_deltas_since(view_name, lsn, strict=True)

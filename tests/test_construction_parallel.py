@@ -28,6 +28,7 @@ from repro.construction import (
 )
 from repro.construction.fusion import Fusion
 from repro.engine.agents import AgentCoordinator
+from repro.engine.views import ViewDefinition, ViewDelta
 from repro.errors import ConstructionBatchError
 from repro.model import default_ontology
 from repro.model.delta import SourceDelta
@@ -454,9 +455,30 @@ def _artist_entities(source_id: str, names: list[str]) -> list[SourceEntity]:
 
 
 def test_platform_publishes_classified_deltas_without_rediff(monkeypatch):
-    """Construction deltas reach the view journals with the coordinator's
-    diff-based classification provably never invoked."""
+    """Construction deltas reach the views' journal events with the
+    coordinator's diff-based classification provably never invoked."""
     platform = _platform_with_views()
+    engine = platform.graph_engine
+
+    def subject_row(subject):
+        return {"subject": subject, "facts": len(engine.triples.facts_about(subject))}
+
+    def apply_delta(context, delta):
+        rows = dict(context.artifact("subject_rows"))
+        for subject in delta.changed:
+            rows[subject] = subject_row(subject)
+        for subject in delta.deleted:
+            rows.pop(subject, None)
+        return rows
+
+    engine.register_view(ViewDefinition(
+        "subject_rows", "analytics",
+        create=lambda context: {s: subject_row(s) for s in engine.triples.subjects()},
+        apply_delta=apply_delta,
+    ))
+    engine.materialize_views(["subject_rows"])
+    events = []
+    engine.view_manager.add_journal_listener(events.append)
 
     def forbidden(self, record, payload):
         raise AssertionError(
@@ -479,13 +501,13 @@ def test_platform_publishes_classified_deltas_without_rediff(monkeypatch):
     timings = platform.graph_engine.update_views()
     assert timings is not None
 
-    # The classified deltas flowed into the per-view journals: the deleted
-    # subject appears as a journal deletion for the views that carried it.
-    manager = platform.graph_engine.view_manager
-    deleted = set(report.entity_delta.deleted)
-    journal_deltas = manager.view_deltas_since("entity_features", 0)
-    if journal_deltas is not None:
-        assert deleted <= set(journal_deltas.deleted) | set(journal_deltas.changed)
+    # The classified deltas flowed into the journal events: the deleted
+    # subject appears as a deletion in the appends of the view that carried it.
+    net = ViewDelta()
+    for event in events:
+        if event.kind == "append" and event.view_name == "subject_rows":
+            net = net.merge(event.delta)
+    assert set(report.entity_delta.deleted) <= set(net.deleted)
 
 
 def test_platform_ingest_batch_parallel_end_to_end():

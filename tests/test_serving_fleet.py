@@ -22,7 +22,6 @@ from repro.errors import (
     ServingError,
     StaleReadError,
 )
-from repro.live.engine import LiveGraphEngine
 from repro.serving import (
     Consistency,
     FileJournalBackend,
@@ -38,7 +37,7 @@ from repro.serving import (
 # ------------------------------------------------------------------ #
 # harness: a tiny row view over a mutable model store
 # ------------------------------------------------------------------ #
-def make_primary(metadata=None, journal_limit=256):
+def make_primary(metadata=None):
     """A one-view primary: ``rows`` maintained through apply_delta."""
     store: dict[str, int] = {}
     clock = {"lsn": 1}
@@ -62,7 +61,6 @@ def make_primary(metadata=None, journal_limit=256):
     manager = ViewManager(
         catalog, engines={}, metadata=metadata,
         lsn_source=lambda: clock["lsn"], entity_source=lambda: list(store),
-        journal_limit=journal_limit,
     )
     return store, clock, manager
 
@@ -680,34 +678,74 @@ class TestShardRouter:
 
 
 # ------------------------------------------------------------------ #
-# live engine integration: explicit journal-gap resync
+# catch-up: explicit journal-gap resync and the catch-up stamp
 # ------------------------------------------------------------------ #
 def test_live_view_feed_counts_journal_gap_resyncs():
-    store, clock, manager = make_primary(journal_limit=2)
+    """A replica that missed a from-scratch rebuild finds the persisted
+    journal truncated past its applied LSN — an explicit gap — and resyncs
+    from a snapshot; one that missed only journaled deltas catches up by
+    delta."""
+    store, clock, manager = make_primary()
     store.update({"a": 1, "b": 2})
     manager.materialize()
+    fleet = ServingFleet(manager, num_replicas=1).start()
+    node = fleet.replicas["replica-0"]
+    try:
+        assert fleet.serve_view("rows") == 2
+        assert fleet.drain()
+        fleet.kill_replica("replica-0")
+        store["c"] = 3
+        clock["lsn"] += 1
+        manager.mark_full_refresh(lsn=clock["lsn"])
+        manager.flush()
+        with pytest.raises(JournalGapError):
+            fleet.journal_store.deltas_since("rows", node.applied_lsn("rows"))
+        fleet.restart_replica("replica-0")
+        assert node.snapshot_resyncs == 1
+        assert node.index.feed_documents("view:rows") == {"rows:a", "rows:b", "rows:c"}
+        # while a journal-covered catch-up stays incremental
+        fleet.kill_replica("replica-0")
+        put(store, clock, manager, "a", 9)
+        manager.flush()
+        fleet.restart_replica("replica-0")
+        assert node.resyncs == 2
+        assert node.status()["snapshot_resyncs"] == 1
+        assert node.get("rows", "a").value("value") == 9
+        assert node.applied_lsn("rows") == clock["lsn"]
+    finally:
+        fleet.stop()
 
-    class EngineShim:
-        view_manager = manager
 
-        def view_artifact(self, name):
-            return list(manager.artifact(name).values())
+def test_catchup_racing_an_unhandled_append_does_not_skip_that_flush():
+    """Regression: a resync that lands after a flush committed but before the
+    shipper handled its ``append`` event read a journal without that delta,
+    yet was stamped with the manager's new watermark — the flush's own batch
+    then looked like a duplicate and was skipped, and the replica served the
+    old row under a satisfied ``read_your_writes``.  A catch-up batch is
+    stamped with what the shipper has persisted and published."""
+    store, clock, manager = make_primary()
+    store["a"] = 1
+    manager.materialize()
+    racing = {}
 
-    shim = EngineShim()
-    live = LiveGraphEngine()
-    assert live.load_view_artifact(shim, "rows") == 2
-    # a from-scratch rebuild truncates the journal past the feed's version
-    store["c"] = 3
-    clock["lsn"] += 1
-    manager.mark_full_refresh(lsn=clock["lsn"])
-    manager.flush()
-    assert live.load_view_artifact(shim, "rows") == 3
-    assert live.view_feed_journal_gaps == 1
-    assert live.view_feed_full_loads == 2
-    # while a journal-covered catch-up stays incremental
-    put(store, clock, manager, "a", 9)
-    manager.flush()
-    assert live.load_view_artifact(shim, "rows") == 1
-    assert live.view_feed_incremental_loads == 1
-    assert live.view_feed_journal_gaps == 1
-    assert live.stats()["view_feed_journal_gaps"] == 1
+    def resync_before_the_shipper(event):
+        if event.kind == "append" and "node" in racing:
+            racing["node"].resync("rows")
+
+    manager.add_journal_listener(resync_before_the_shipper)   # runs first
+    fleet = ServingFleet(manager, num_replicas=1).start()
+    try:
+        fleet.serve_view("rows")
+        assert fleet.drain()
+        node = racing["node"] = fleet.replicas["replica-0"]
+        put(store, clock, manager, "a", 100)
+        manager.flush()
+        assert fleet.drain()
+        assert node.resyncs == 1
+        assert node.applied_lsn("rows") == clock["lsn"]
+        assert node.get("rows", "a").value("value") == 100
+        fresh = Consistency.read_your_writes(clock["lsn"])
+        assert fleet.read("rows", "a", fresh).value("value") == 100
+        assert all(report.clean() for report in fleet.audit(repair=False).values())
+    finally:
+        fleet.stop()

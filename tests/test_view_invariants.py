@@ -12,11 +12,12 @@ suite asserts the four core invariants of incremental view maintenance:
 3. **No ghosts** — no view serves rows for deleted entities.
 4. **Accounting** — skip counters plus rebuild counters sum to the total
    maintenance decisions the flushes made.
-5. **Journal sufficiency** — a consumer that keeps a copy of ``alpha_rows``
-   current from ``view_deltas_since`` alone (full reload only on a gap or a
-   new revision) holds exactly the artifact, although the journal names only
-   the rows that changed: writes that leave a row as it was (the ``touch``
-   op) are journaled as nothing.
+5. **Journal sufficiency** — a replica that keeps ``alpha_rows`` current by
+   pulling catch-ups from the persisted ``JournalStore`` alone serves exactly
+   what a fresh snapshot load serves, and every catch-up rides a delta
+   unless the view was rebuilt or redefined in between — although the
+   journal names only the rows that changed: writes that leave a row as it
+   was (the ``touch`` op) are journaled as nothing.
 
 The sequence count is controlled by ``--runs-seeded`` (default 25; the bare
 flag, as used in CI, runs 200).  The same module hosts the concurrency tests
@@ -34,22 +35,19 @@ import pytest
 
 from repro.engine.graph_engine import GraphEngine
 from repro.engine.metadata import MetadataStore
-from repro.engine.views import (
-    DeltaJournal,
-    ViewCatalog,
-    ViewDefinition,
-    ViewDelta,
-    ViewManager,
-)
-from repro.errors import StaleReadError
-from repro.live.engine import LiveGraphEngine
+from repro.engine.views import ViewCatalog, ViewDefinition, ViewDelta, ViewManager
+from repro.errors import JournalGapError, StaleReadError
+from repro.live.index import document_checksum
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
 from repro.serving import (
     Consistency,
     FrontDoor,
     InMemoryJournalBackend,
+    JournalShipper,
     JournalStore,
+    ReplicaNode,
+    ReplicationBus,
     ServingFleet,
 )
 
@@ -166,7 +164,6 @@ def build_harness(store: ModelStore, max_workers=None, with_unscoped=False):
         lsn_source=lambda: clock["lsn"],
         entity_source=store.subjects,
         max_workers=max_workers,
-        journal_limit=4,            # tiny, so sequences exercise compaction
     )
     return catalog, manager, clock
 
@@ -185,42 +182,63 @@ def expected_artifact(store: ModelStore, name: str):
     raise AssertionError(f"no expectation for view {name!r}")
 
 
+def served_digests(node: ReplicaNode, view_name: str) -> dict[str, str]:
+    """Document id → content digest of everything *node* serves for a view."""
+    return {
+        doc_id: document_checksum(node.index.get(doc_id))
+        for doc_id in node.index.feed_documents(f"view:{view_name}")
+    }
+
+
+def appended(events, view_name: str, after_lsn: int) -> ViewDelta:
+    """Net delta of the ``append`` events *view_name* committed after an LSN."""
+    net = ViewDelta(first_lsn=after_lsn, last_lsn=after_lsn)
+    for event in events:
+        if event.kind == "append" and event.view_name == view_name and event.lsn > after_lsn:
+            net = net.merge(event.delta)
+    return net
+
+
 class JournalConsumer:
-    """A copy of one row view kept current from ``view_deltas_since`` alone."""
+    """A replica of one row view kept current from the persisted journal alone.
+
+    It subscribes to no bus: after every flush it pulls one catch-up batch
+    (``ReplicaNode.resync``), which the shipper answers from its
+    ``JournalStore`` — a delta while persisted history reaches back to the
+    replica's LSN under its revision, a snapshot otherwise.
+    """
 
     def __init__(self, manager, name):
         self.manager, self.name = manager, name
-        self.rows: dict[str, dict] = {}
-        self.lsn = 0
-        self.revision = None
-        self.full_loads = 0
+        self.shipper = JournalShipper(manager, ReplicationBus(), JournalStore())
+        self.shipper.ship_view(name)
+        self.node = ReplicaNode(f"{name}-consumer", resync_source=self.shipper)
+        self.lineage = None      # (revision, builds) the last catch-up served
 
     def catch_up(self):
-        manager, name = self.manager, self.name
+        manager, name, node = self.manager, self.name, self.node
+        snapshots, applied = node.snapshot_resyncs, node.applied_lsn(name)
+        node.resync(name)
         if not manager.is_materialized(name):
-            self.revision = None
+            assert served_digests(node, name) == {} and not node.serves_view(name)
+            self.lineage = None
             return
-        artifact = manager.artifact(name)
-        revision = manager.state_revision(name)
-        delta = manager.view_deltas_since(name, self.lsn) if revision == self.revision else None
-        if delta is None:
-            self.rows = {subject: dict(row) for subject, row in artifact.items()}
-            self.full_loads += 1
-        else:
-            for subject in delta.changed:
-                if subject in artifact:
-                    self.rows[subject] = dict(artifact[subject])
-                else:
-                    self.rows.pop(subject, None)
-            for subject in delta.deleted:
-                self.rows.pop(subject, None)
-        self.lsn, self.revision = manager.built_at_lsn(name), revision
-        assert self.rows == artifact
+        state = manager.states[name]
+        lineage = (state.revision, state.builds)
+        if lineage == self.lineage and applied > 0:
+            # neither rebuilt nor redefined since the last catch-up (and not
+            # still at LSN 0, which reads as "never applied"): a delta
+            assert node.snapshot_resyncs == snapshots, name
+        self.lineage = lineage
+        assert node.applied_lsn(name) == state.built_at_lsn
+        fresh = ReplicaNode("fresh", resync_source=self.shipper)
+        fresh.resync(name)                      # a new replica: snapshot load
+        assert served_digests(node, name) == served_digests(fresh, name)
 
 
 def check_invariants(store, catalog, manager, watermark_history, consumer=None):
     if consumer is not None:
-        # 5. the journal alone keeps a consumer's copy equal to the artifact
+        # 5. the journal alone keeps a replica equal to a fresh snapshot load
         consumer.catch_up()
     for name in catalog.names():
         if not manager.is_materialized(name):
@@ -235,7 +253,6 @@ def check_invariants(store, catalog, manager, watermark_history, consumer=None):
         key = (name, state.revision)
         assert state.built_at_lsn >= watermark_history.get(key, 0), name
         watermark_history[key] = state.built_at_lsn
-        assert state.journal.floor_lsn <= state.built_at_lsn, name
     # 4. skip + rebuild counters account for every maintenance decision
     assert manager.maintenance_decisions == (
         manager.maintenance_skips + manager.maintenance_rebuilds
@@ -348,6 +365,8 @@ def test_delete_then_readd_in_one_batch_nets_to_added():
     store.entities["y"] = {"type": "alpha", "value": 2}
     catalog, manager, clock = build_harness(store)
     manager.materialize()
+    events = []
+    manager.add_journal_listener(events.append)
     del store.entities["x"]
     clock["lsn"] = 2
     manager.enqueue([], lsn=2, deleted_entity_ids=["x"])
@@ -357,11 +376,11 @@ def test_delete_then_readd_in_one_batch_nets_to_added():
     manager.flush()
     assert manager.artifact("alpha_rows") == _typed_rows(store, "alpha")
     assert manager.artifact("alpha_rows")["x"]["value"] == 99
-    # the journal reports it as net-changed for serving-layer consumers (the
+    # the append reports it as net-changed for serving-layer consumers (the
     # projection calls it "updated": the un-flushed delete means the view's
     # artifact still held x's row, so the serving copy sees a replace)
-    delta = manager.view_deltas_since("alpha_rows", 1)
-    assert delta is not None and "x" in delta.changed and "x" not in delta.deleted
+    delta = appended(events, "alpha_rows", 1)
+    assert "x" in delta.changed and "x" not in delta.deleted
 
 
 def test_mis_scoped_apply_delta_dependent_rebuilds_instead_of_going_stale():
@@ -402,6 +421,8 @@ def test_mis_scoped_apply_delta_dependent_rebuilds_instead_of_going_stale():
                           entity_source=store.subjects)
     manager.materialize()
     assert manager.artifact("alpha_total") == 1
+    events = []
+    manager.add_journal_listener(events.append)
     store.entities["a1"]["value"] = 100
     clock["lsn"] = 2
     manager.enqueue(["a1"], lsn=2)
@@ -411,8 +432,8 @@ def test_mis_scoped_apply_delta_dependent_rebuilds_instead_of_going_stale():
         assert manager.states[name].builds == 2
         assert manager.states[name].delta_applies == 0
         assert manager.states[name].incremental_updates == 0
-        # the journal refuses an incremental answer rather than lying
-        assert manager.view_deltas_since(name, 1) is None
+        # consumers are told to resync rather than handed a delta that lies
+        assert [e.kind for e in events if e.view_name == name] == ["truncate"]
 
 
 def test_failed_flush_restore_respects_reentrant_readds():
@@ -448,29 +469,34 @@ def test_failed_flush_restore_respects_reentrant_readds():
 
 
 def test_delta_journal_merge_and_compaction_semantics():
-    journal = DeltaJournal(max_entries=4)
+    journal = JournalStore(segment_records=2)
     for lsn in range(1, 8):
-        journal.append(ViewDelta(
+        journal.append_delta("v", 1, ViewDelta(
             added=frozenset({f"e{lsn}"}),
             deleted=frozenset({f"e{lsn - 1}"}) if lsn > 1 else frozenset(),
             first_lsn=lsn, last_lsn=lsn,
         ))
-    assert journal.compactions >= 1
-    assert len(journal.entries) <= 4 + 1
-    merged = journal.since(0)
+    merged = journal.deltas_since("v", 0)
     # net effect: only the last added entity survives, everything prior deleted
-    assert merged is not None
     assert merged.added == frozenset({"e7"})
     assert merged.deleted == frozenset({f"e{i}" for i in range(1, 7)})
-    # history below the floor is refused after truncation
-    journal.truncate(10)
-    assert journal.since(9) is None
-    assert journal.since(10) is not None and journal.since(10).is_empty()
-    assert journal.high_water_mark() == 10
+    # compaction drops whole segments and never hands out a partial merge
+    assert journal.truncate_below("v", 4) == 2
+    with pytest.raises(JournalGapError):
+        journal.deltas_since("v", 3)
+    merged = journal.deltas_since("v", 4)
+    assert merged.added == frozenset({"e7"})
+    assert merged.deleted == frozenset({"e4", "e5", "e6"})
+    # history below the floor is refused after a rebuild's truncation
+    journal.record_truncate("v", 1, lsn=10)
+    with pytest.raises(JournalGapError):
+        journal.deltas_since("v", 9)
+    assert journal.deltas_since("v", 10).is_empty()
+    assert journal.high_water_mark("v") == 10
 
 
 # ------------------------------------------------------------------ #
-# end-to-end: live serving consumes per-view journal deltas
+# end-to-end: a serving replica consumes per-view journal deltas
 # ------------------------------------------------------------------ #
 def _triple(subject, predicate, obj, source="wiki"):
     return ExtendedTriple(subject=subject, predicate=predicate, obj=obj,
@@ -507,21 +533,11 @@ def _register_song_rows(engine: GraphEngine) -> None:
     ))
 
 
-def _served_docs(live: LiveGraphEngine, feed_ids) -> dict:
-    return {
-        doc_id: (doc.name, {k: list(v) for k, v in sorted(doc.facts.items())})
-        for doc_id in sorted(feed_ids)
-        for doc in [live.index.get(doc_id)]
-        if doc is not None
-    }
-
-
 def test_live_delta_consumption_matches_full_reload(live_seed, ontology):
     rng = random.Random(1000 + live_seed)
     source = TripleStore()
     engine = GraphEngine(ontology)
     _register_song_rows(engine)
-    live = LiveGraphEngine()
 
     songs: list[str] = []
     counter = 0
@@ -561,41 +577,46 @@ def test_live_delta_consumption_matches_full_reload(live_seed, ontology):
         add_song()
     add_other()
     engine.materialize_views()
-    assert live.load_view_artifact(engine, "song_rows") == len(songs)
+    fleet = ServingFleet(engine.view_manager, num_replicas=1).start()
+    node = fleet.replicas["replica-0"]
+    try:
+        assert fleet.serve_view("song_rows") == len(songs)
 
-    for _ in range(rng.randint(6, 12)):
-        op = rng.choices(["add", "update", "delete", "other"],
-                         weights=[30, 35, 20, 15])[0]
-        if op == "add":
-            add_song()
-        elif op == "update" and songs:
-            update_song()
-        elif op == "delete" and songs:
-            delete_song()
-        else:
-            add_other()
-        if rng.random() < 0.6:
-            engine.update_views()
-            live.load_view_artifact(engine, "song_rows")
-            # a fresh consumer full-loading the artifact must agree exactly
-            reference = LiveGraphEngine()
-            reference.load_view_artifact(engine, "song_rows")
-            feed = "view:song_rows"
-            assert _served_docs(live, live.index.feed_documents(feed)) == (
-                _served_docs(reference, reference.index.feed_documents(feed))
-            )
-            assert set(live.index.feed_documents(feed)) == {
-                f"song_rows:{s}" for s in songs
-            }
+        for _ in range(rng.randint(6, 12)):
+            op = rng.choices(["add", "update", "delete", "other"],
+                             weights=[30, 35, 20, 15])[0]
+            if op == "add":
+                add_song()
+            elif op == "update" and songs:
+                update_song()
+            elif op == "delete" and songs:
+                delete_song()
+            else:
+                add_other()
+            if rng.random() < 0.6:
+                engine.update_views()
+                assert fleet.drain()
+                # a fresh replica snapshot-loading the artifact must agree exactly
+                reference = ReplicaNode("reference", resync_source=fleet.shipper)
+                reference.resync("song_rows")
+                assert served_digests(node, "song_rows") == (
+                    served_digests(reference, "song_rows")
+                )
+                assert set(served_digests(node, "song_rows")) == {
+                    f"song_rows:{s}" for s in songs
+                }
 
-    engine.update_views()
-    loaded = live.load_view_artifact(engine, "song_rows")
-    assert loaded <= len(songs)
-    # the apply_delta view was never rebuilt wholesale after materialization,
-    # so every catch-up after the first load rode the journal
-    assert engine.view_manager.states["song_rows"].builds == 1
-    assert live.view_feed_full_loads == 1
-    assert live.view_feed_incremental_loads >= 1
+        engine.update_views()
+        assert fleet.drain()
+        assert node.applied_lsn("song_rows") == engine.view_manager.built_at_lsn("song_rows")
+        # the apply_delta view was never rebuilt wholesale after materialization,
+        # so every catch-up after the first load rode the journal
+        assert engine.view_manager.states["song_rows"].builds == 1
+        assert fleet.shipper.snapshots_shipped == 1
+        assert node.gaps_detected == node.snapshot_resyncs == 0
+        assert node.batches_applied >= 2
+    finally:
+        fleet.stop()
 
 
 # ------------------------------------------------------------------ #
@@ -669,6 +690,8 @@ def test_failing_branch_restores_delta_without_corrupting_sibling_journal():
     manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"],
                           max_workers=2)
     manager.materialize()
+    journal_events = []
+    manager.add_journal_listener(journal_events.append)
     clock["lsn"] = 2
     manager.enqueue(["a:1", "b:1"], lsn=2)
     with pytest.raises(RuntimeError, match="a_root branch down"):
@@ -677,12 +700,12 @@ def test_failing_branch_restores_delta_without_corrupting_sibling_journal():
     assert manager.pending_changes() == ["a:1", "b:1"]
     assert manager.built_at_lsn("a_root") == 1
     assert manager.states["a_child"].builds == 1            # blocked, never ran
-    # ...while the sibling branch committed atomically: artifact, journal,
-    # and watermark all advanced together
+    assert not [e for e in journal_events if e.view_name.startswith("a_")]
+    # ...while the sibling branch committed atomically: artifact, watermark
+    # and its append event all advanced together
     assert manager.artifact("b_root") == "b1"
     assert manager.built_at_lsn("b_root") == 2
-    sibling_delta = manager.view_deltas_since("b_root", 1)
-    assert sibling_delta is not None and sibling_delta.changed == frozenset({"b:1"})
+    assert appended(journal_events, "b_root", 1).changed == frozenset({"b:1"})
     # the retry maintains only the failed branch; the sibling skips by watermark
     fail_on.clear()
     retry = manager.flush()
@@ -892,6 +915,7 @@ def test_replicated_fleet_sequences_converge_and_honor_consistency(fleet_seed):
         while killed:
             fleet.restart_replica(killed.pop())
         _alpha_feed_converged(manager, fleet)
+        assert all(report.clean() for report in fleet.audit(repair=False).values())
 
         # catch-up never forced a primary-side rebuild: create ran only once
         assert manager.states["alpha_rows"].builds == builds_baseline == 1
@@ -1009,7 +1033,7 @@ def test_unchanged_rows_are_cut_off_before_journal_ship_and_apply():
     door = FrontDoor(fleet)
     door.registry.register("acme", views={"value_rows", "pop_rows"})
     events = []
-    manager.add_journal_listener(lambda event: events.append((event.kind, event.view_name)))
+    manager.add_journal_listener(events.append)
     text = "MATCH alpha RETURN name"
 
     def write(eid, **fields):
@@ -1032,19 +1056,21 @@ def test_unchanged_rows_are_cut_off_before_journal_ship_and_apply():
         asyncio.run(ask("value_rows"))
         asyncio.run(ask("pop_rows"))
         events.clear()
-        journal_appends = manager.states["value_rows"].journal.appends
+        persisted = fleet.journal_store.stats()["value_rows"]["records"]
         shipped_before = fleet.shipper.batches_shipped
 
         lsn = write("e1", popularity=7)
 
-        # journal and events
-        assert sorted(events) == [("advance", "value_rows"), ("append", "pop_rows")]
+        # events and the persisted journal
+        assert sorted((e.kind, e.view_name) for e in events) == [
+            ("advance", "value_rows"), ("append", "pop_rows"),
+        ]
         assert manager.noop_maintenance == 1
         assert manager.delta_rows_journaled == 1            # pop_rows' one row
         assert manager.incremental_applies == 2 and manager.full_rebuilds == 0
-        assert manager.states["value_rows"].journal.appends == journal_appends
-        assert manager.view_deltas_since("value_rows", lsn - 1).is_empty()
-        assert manager.view_deltas_since("pop_rows", lsn - 1).updated == {"e1"}
+        assert fleet.journal_store.stats()["value_rows"]["records"] == persisted
+        assert fleet.journal_store.deltas_since("value_rows", lsn - 1).is_empty()
+        assert fleet.journal_store.deltas_since("pop_rows", lsn - 1).updated == {"e1"}
         assert manager.built_at_lsn("value_rows") == lsn
         # replicas: the watermark moved, the documents did not
         assert fleet.shipper.batches_shipped == shipped_before + 2
@@ -1112,12 +1138,14 @@ def test_cut_off_leaves_other_artifact_shapes_to_their_input_delta():
                           entity_source=store.subjects)
     manager.materialize()
     events = []
-    manager.add_journal_listener(lambda event: events.append((event.kind, event.view_name)))
+    manager.add_journal_listener(events.append)
     store.entities["e1"]["popularity"] = 5          # no row changes anywhere
     clock["lsn"] = 2
     manager.enqueue(["e1"], lsn=2)
     manager.flush()
-    assert sorted(events) == [("append", "patched_rows"), ("append", "totals")]
+    assert sorted((e.kind, e.view_name) for e in events) == [
+        ("append", "patched_rows"), ("append", "totals"),
+    ]
     for name in ("patched_rows", "totals"):
-        assert manager.view_deltas_since(name, 1).updated == {"e1"}
+        assert appended(events, name, 1).updated == {"e1"}
     assert manager.noop_maintenance == 0

@@ -1,14 +1,16 @@
 """View lifecycle tests: drop cascades, re-registration, LSN watermarks,
-selective maintenance closures, batched flushing, and live serving freshness."""
+selective maintenance closures, batched flushing, and live serving freshness
+(stable feeds on the live engine, view artifacts on a one-replica fleet)."""
 
 import pytest
 
 from repro.engine.graph_engine import GraphEngine
 from repro.engine.views import ViewCatalog, ViewDefinition, ViewManager
-from repro.errors import LiveGraphError, ViewError
+from repro.errors import ReplicaUnavailableError, StaleReadError, ViewError
 from repro.live.engine import LiveGraphEngine
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
+from repro.serving import Consistency, ServingFleet
 
 
 def triple(subject, predicate, obj, source="wiki"):
@@ -298,22 +300,26 @@ def test_deletions_resolve_through_pre_delete_scope_snapshots(ontology):
     assert engine.view_freshness() == {}
 
 
-def test_live_reloads_after_view_redefinition_at_same_lsn(served_engine):
+def test_live_reloads_after_view_redefinition_at_same_lsn(served_engine, replica):
     engine, _ = served_engine
-    live = LiveGraphEngine()
+    fleet, node = replica
     engine.register_view(ViewDefinition(
         "tiny", "analytics", create=lambda ctx: [{"subject": "kg:a1", "name": "v1"}],
     ))
     engine.materialize_views(["tiny"])
-    assert live.load_view_artifact(engine, "tiny") == 1
-    assert live.index.get("tiny:kg:a1").name == "v1"
+    assert fleet.serve_view("tiny") == 1
+    assert fleet.drain()
+    assert node.get("tiny", "kg:a1").name == "v1"
+    lsn = node.applied_lsn("tiny")
     # redefine and rebuild without any new log records: same LSN, new data
     engine.register_view(ViewDefinition(
         "tiny", "analytics", create=lambda ctx: [{"subject": "kg:a1", "name": "v2"}],
     ))
     engine.materialize_views(["tiny"])
-    assert live.load_view_artifact(engine, "tiny") == 1
-    assert live.index.get("tiny:kg:a1").name == "v2"
+    assert fleet.drain()
+    assert node.get("tiny", "kg:a1").name == "v2"
+    assert node.applied_lsn("tiny") == lsn
+    assert node.revisions["tiny"] == engine.view_manager.state_revision("tiny")
 
 
 def test_full_refresh_rebuilds_instead_of_blind_incremental_update(ontology):
@@ -407,18 +413,20 @@ def test_listener_errors_do_not_unwind_replay_or_redeliver(ontology):
     assert seen == [1]
 
 
-def test_live_reload_removes_rows_that_left_the_artifact(served_engine):
+def test_live_reload_removes_rows_that_left_the_artifact(served_engine, replica):
     engine, store = served_engine
-    live = LiveGraphEngine()
-    assert live.load_view_artifact(engine, "entity_features") > 0
-    assert live.index.get("entity_features:kg:l1") is not None
+    fleet, node = replica
+    assert fleet.serve_view("entity_features") > 0
+    assert fleet.drain()
+    assert node.get("entity_features", "kg:l1") is not None
     store.remove_subject("kg:l1")
     engine.publish_subjects(store, [], deleted_subjects=["kg:l1"],
                             source_id="construction")
     engine.update_views()
-    assert live.load_view_artifact(engine, "entity_features") > 0
-    assert live.index.get("entity_features:kg:l1") is None     # no stale serving
-    assert live.index.get("entity_features:kg:a1") is not None
+    assert fleet.drain()
+    assert node.get("entity_features", "kg:l1") is None        # no stale serving
+    assert node.get("entity_features", "kg:a1") is not None
+    assert node.applied_lsn("entity_features") == engine.log.head_lsn()
 
 
 def test_drop_view_cascade_via_graph_engine(ontology):
@@ -456,6 +464,15 @@ def served_engine(ontology):
     return engine, store
 
 
+@pytest.fixture
+def replica(served_engine):
+    """A one-replica fleet over the served engine's views, and its node."""
+    engine, _ = served_engine
+    fleet = ServingFleet(engine.view_manager, num_replicas=1).start()
+    yield fleet, fleet.replicas["replica-0"]
+    fleet.stop()
+
+
 def test_live_sync_stable_view_skips_unchanged_upstream(served_engine):
     engine, store = served_engine
     live = LiveGraphEngine()
@@ -478,50 +495,77 @@ def test_live_sync_with_different_type_filter_is_not_skipped(served_engine):
     assert live.index.watermark("stable:record_label") == engine.minimum_version()
 
 
-def test_live_rejects_malformed_rows_without_partial_rewrite(served_engine):
+def _refused_without_trace(fleet, node, view_name: str, before: int) -> None:
+    """A view the fleet refused to serve left nothing behind anywhere."""
+    assert len(node.index) == before                   # nothing was half-written
+    assert not node.serves_view(view_name)
+    assert node.index.watermark(f"view:{view_name}") == 0
+    assert view_name not in fleet.shipper.shipped_views
+    assert view_name not in fleet.journal_store.view_names()
+    assert all(report.clean() for report in fleet.audit(repair=False).values())
+
+
+def test_live_rejects_malformed_rows_without_partial_rewrite(served_engine, replica):
     engine, _ = served_engine
-    live = LiveGraphEngine()
-    live.load_view_artifact(engine, "entity_features")
+    fleet, node = replica
+    fleet.serve_view("entity_features")
+    assert fleet.drain()
     engine.register_view(ViewDefinition(
         "broken_rows", "analytics",
         create=lambda ctx: [{"subject": "kg:a1", "name": "ok"}, {"name": "no subject"}],
     ))
     engine.materialize_views(["broken_rows"])
-    before = len(live.index)
-    with pytest.raises(LiveGraphError, match="subject"):
-        live.load_view_artifact(engine, "broken_rows")
-    assert len(live.index) == before                   # nothing was half-written
-    assert live.index.watermark("view:broken_rows") == 0
+    before = len(node.index)
+    with pytest.raises(ViewError, match="subject"):
+        fleet.serve_view("broken_rows")
+    assert fleet.drain()
+    _refused_without_trace(fleet, node, "broken_rows", before)
 
 
-def test_live_serves_view_artifact_with_watermark_gating(served_engine):
+def test_live_serves_view_artifact_with_watermark_gating(served_engine, replica):
     engine, store = served_engine
-    live = LiveGraphEngine()
-    loaded = live.load_view_artifact(engine, "entity_features")
-    assert loaded > 0
-    document = live.index.get("entity_features:kg:a1")
+    fleet, node = replica
+    assert fleet.serve_view("entity_features") > 0
+    assert fleet.drain()
+    document = node.get("entity_features", "kg:a1")
     assert document is not None
     assert document.name == "Echo Valley"
-    assert live.index.is_fresh("view:entity_features", engine.log.head_lsn())
-    assert live.load_view_artifact(engine, "entity_features") == 0   # fresh: skip
+    head = engine.log.head_lsn()
+    assert node.index.is_fresh("view:entity_features", head)
+    assert fleet.read("entity_features", "kg:a1",
+                      Consistency.read_your_writes(head)) is document
     store.add(triple("kg:a1", "genre", "pop", source="musicdb"))
     engine.publish_subjects(store, ["kg:a1"], source_id="musicdb")
+    head = engine.log.head_lsn()
+    with pytest.raises(StaleReadError):               # published, not flushed
+        fleet.read("entity_features", "kg:a1", Consistency.read_your_writes(head))
     engine.update_views()
-    assert live.load_view_artifact(engine, "entity_features") > 0    # stale: reload
-    assert "feed_watermarks" in live.stats()
+    assert fleet.drain()
+    fresh = fleet.read("entity_features", "kg:a1", Consistency.read_your_writes(head))
+    assert fresh.value("fact_count") == document.value("fact_count") + 1
+    assert fleet.status()["lag"] == {"entity_features": {"replica-0": 0}}
 
 
-def test_live_refuses_artifacts_of_dropped_views(served_engine):
+def test_live_refuses_artifacts_of_dropped_views(served_engine, replica):
     engine, _ = served_engine
-    live = LiveGraphEngine()
+    fleet, node = replica
+    fleet.serve_view("entity_features")
+    assert fleet.drain()
     engine.drop_view("entity_importance")              # cascades to features
+    assert fleet.drain()
+    assert node.index.feed_documents("view:entity_features") == set()
+    assert not node.serves_view("entity_features")
+    with pytest.raises(ReplicaUnavailableError):
+        fleet.read("entity_features", "kg:a1")
     with pytest.raises(ViewError):
-        live.load_view_artifact(engine, "entity_features")
+        fleet.serve_view("entity_features")
 
 
-def test_live_rejects_non_row_shaped_artifacts(served_engine):
+def test_live_rejects_non_row_shaped_artifacts(served_engine, replica):
     engine, _ = served_engine
-    live = LiveGraphEngine()
+    fleet, node = replica
+    before = len(node.index)
     # ranked_entity_index materializes to a document count, not rows
-    with pytest.raises(LiveGraphError, match="row-shaped"):
-        live.load_view_artifact(engine, "ranked_entity_index")
+    with pytest.raises(ViewError, match="row-shaped"):
+        fleet.serve_view("ranked_entity_index")
+    _refused_without_trace(fleet, node, "ranked_entity_index", before)
