@@ -29,7 +29,7 @@ def capped_runs(runs: int, ci_cap: int) -> int:
 #: uncapped).  Centralized so every suite scales off the same CI depth:
 #: op_seed/live_seed/fleet_seed drive tests/test_view_invariants.py,
 #: qr_seed/ae_seed drive tests/test_query_router.py, construct_seed drives
-#: tests/test_construction_parallel.py, store_seed drives
+#: tests/test_construction_batch.py, store_seed drives
 #: tests/test_model_triples_columnar.py, kgq_seed drives
 #: tests/test_live_executor_vectorized.py, fd_seed drives
 #: tests/test_front_door.py, rpq_seed/rpq_fleet_seed drive
@@ -38,7 +38,7 @@ def capped_runs(runs: int, ci_cap: int) -> int:
 #: those sequences spin up serving-fleet worker threads (fleet_seed,
 #: qr_seed, fd_seed, rpq_fleet_seed, join_fleet_seed), audit full checksum
 #: maps per round (ae_seed), or run the full linking pipeline twice per
-#: sequence (construct_seed).
+#: sequence, once delta by delta and once batch by batch (construct_seed).
 SEED_FIXTURES = {
     "op_seed": None,
     "live_seed": 60,

@@ -18,18 +18,14 @@ from repro.construction.clustering import (
 )
 from repro.construction.fusion import Fusion, FusionConfig, FusionReport, FusionStage
 from repro.construction.incremental import (
-    BlockPlan,
-    CommittedState,
     ConstructionReport,
     EntityDelta,
     IncrementalConstructor,
-    PreparedDelta,
 )
 from repro.construction.linking import (
     Linker,
     LinkingConfig,
     LinkingResult,
-    TypeLinkPlan,
     evaluate_linking,
 )
 from repro.construction.matching import (
@@ -63,11 +59,6 @@ from repro.construction.pipeline import (
     KnowledgeConstructionPipeline,
 )
 from repro.construction.records import LinkableRecord, records_by_type
-from repro.construction.scheduler import (
-    BatchStats,
-    ParallelConstructionScheduler,
-    lpt_makespan,
-)
 from repro.construction.stages import ConstructionStage, StageContext, StagePipeline
 from repro.construction.truth_discovery import (
     Claim,
@@ -78,9 +69,7 @@ from repro.construction.truth_discovery import (
 
 __all__ = [
     "BLOCKING_FUNCTIONS",
-    "BatchStats",
     "Block",
-    "BlockPlan",
     "Blocker",
     "BlockingConfig",
     "BlockingStage",
@@ -88,7 +77,6 @@ __all__ = [
     "Claim",
     "ClusteringConfig",
     "ClusteringStage",
-    "CommittedState",
     "ConstructionReport",
     "ConstructionStage",
     "CorrelationClustering",
@@ -117,8 +105,6 @@ __all__ = [
     "PairGenerationConfig",
     "PairGenerationStage",
     "PairGenerator",
-    "ParallelConstructionScheduler",
-    "PreparedDelta",
     "Resolution",
     "ResolutionContext",
     "ResolutionStage",
@@ -129,12 +115,10 @@ __all__ = [
     "TruthDiscovery",
     "TruthDiscoveryConfig",
     "TruthDiscoveryResult",
-    "TypeLinkPlan",
     "build_linkage_graph",
     "default_features",
     "evaluate_linking",
     "feature_vector",
-    "lpt_makespan",
     "materialize_clusters",
     "records_by_type",
     "score_pairs",

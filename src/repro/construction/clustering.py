@@ -200,9 +200,9 @@ class ClusteringStage:
     included so unmatched payloads still become singleton clusters), runs the
     seeded pivot clustering, and materializes :class:`EntityCluster` objects.
     Identifier assignment for clusters without a KG record is deliberately
-    *not* done here — it happens at the fusion barrier in deterministic commit
-    order, which is what keeps parallel construction byte-identical to
-    sequential.
+    *not* done here — :meth:`~repro.construction.linking.Linker.link` mints
+    them after clustering, in sorted type order, so the stage never touches
+    the shared identifier sequence.
     """
 
     config: ClusteringConfig

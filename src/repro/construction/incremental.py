@@ -1,7 +1,7 @@
 """Incremental, delta-based knowledge construction (Section 2.4, Figure 5).
 
 The :class:`IncrementalConstructor` consumes :class:`SourceDelta` payloads and
-applies the per-partition paths of the paper's parallel construction pipeline:
+applies the per-partition paths of the paper's construction pipeline:
 
 * **Added** entities run the full linking pipeline (blocking, matching,
   clustering) against a KG view of the relevant entity types, then object
@@ -15,38 +15,27 @@ applies the per-partition paths of the paper's parallel construction pipeline:
 The constructor keeps the link table (source entity id → KG id) across runs so
 that repeated consumption of the same source is incremental.
 
-Prepare / commit split
-----------------------
-
-Construction is factored into the two halves of the paper's Figure 5:
-
-* :meth:`IncrementalConstructor.prepare` runs the *pre-fusion* stages
-  (blocking → pair generation → matching → clustering) for every entity-type
-  block of a delta against a read-only KG view, producing speculative
-  :class:`BlockPlan`\\ s.  Preparation mutates nothing and mints no
-  identifiers, so many partitions may be prepared concurrently (see
-  :mod:`repro.construction.scheduler`).
-* :meth:`IncrementalConstructor.commit` is the serialized fusion barrier: it
-  validates each block plan against the :class:`CommittedState` accumulated by
-  earlier commits (replanning serially when an earlier commit could have
-  changed the block's KG view), assigns KG identifiers in deterministic order,
-  runs object resolution, and fuses — making parallel output byte-identical
-  to a sequential run.
+:meth:`IncrementalConstructor.commit` consumes one delta on the calling
+thread: the added partition runs the pre-fusion stages (blocking → pair
+generation → matching → clustering) per entity type against the KG as every
+earlier commit left it, then identifiers are minted, objects resolved and
+the partition fused.  Deltas commit one at a time, so fusion — the paper's
+only synchronization point — needs no further coordination.
 
 Every commit also classifies its effect on the KG into an
 :class:`EntityDelta` (added / updated / deleted subjects), which the platform
 publishes directly into the Graph Engine's delta journals — no store
-re-diffing downstream.
+re-diffing downstream.  A commit that fails part-way still classifies what
+its earlier steps fused, so that part is published too.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.construction.fusion import Fusion, FusionConfig, FusionReport, FusionStage
-from repro.construction.linking import Linker, LinkingConfig, LinkingResult, TypeLinkPlan
+from repro.construction.linking import Linker, LinkingConfig
 from repro.construction.matching import MatcherRegistry
 from repro.construction.object_resolution import (
     NameIndexResolver,
@@ -55,12 +44,10 @@ from repro.construction.object_resolution import (
     ObjectResolver,
     ResolutionStage,
 )
-from repro.construction.records import LinkableRecord, records_by_type
 from repro.construction.stages import StageContext
 from repro.model.delta import SourceDelta
 from repro.model.entity import (
     SAME_AS_PREDICATE,
-    TYPE_PREDICATE,
     KGEntity,
     SourceEntity,
     materialize_entities,
@@ -120,13 +107,14 @@ class ConstructionReport:
     updated_entities: int = 0
     deleted_entities: int = 0
     volatile_entities: int = 0
-    linking: LinkingResult | None = None
     fusion: FusionReport = field(default_factory=FusionReport)
     object_resolution: ObjectResolutionStats = field(default_factory=ObjectResolutionStats)
     entity_delta: EntityDelta = field(default_factory=EntityDelta)
-    plans_reused: int = 0          # prepared block plans committed as-is
-    plans_replanned: int = 0       # blocks recomputed serially at the barrier
-    error: str | None = None       # per-source failure captured by batch consumption
+    # Always 0: commits never plan ahead, so nothing is replanned.  Kept only
+    # because bench_e2e/harness.py reads it; it goes when the benchmark drops
+    # construction.plans_replanned.
+    plans_replanned: int = 0
+    error: str | None = None       # set when the commit raised part-way
 
     def summary(self) -> dict[str, object]:
         """Compact dictionary view used in logs and tests."""
@@ -145,71 +133,8 @@ class ConstructionReport:
         }
 
 
-@dataclass
-class BlockPlan:
-    """A speculative pre-fusion plan for one entity-type block of a delta.
-
-    ``view_types`` is the KG-view type filter the plan was computed against
-    (``()`` means the unfiltered view); ``unfiltered`` marks plans whose view
-    had no type filter at all — any commit invalidates those.  ``plan`` is
-    ``None`` when preparation failed or was skipped; the barrier then replans
-    the block serially (which reproduces sequential behavior exactly,
-    including any deterministic error).
-    """
-
-    entity_type: str
-    view_types: tuple[str, ...]
-    unfiltered: bool
-    entities: list[SourceEntity]
-    plan: TypeLinkPlan | None = None
-    prepare_seconds: float = 0.0
-    prepare_error: str | None = None
-
-
-@dataclass
-class PreparedDelta:
-    """The speculative pre-fusion output for one :class:`SourceDelta`.
-
-    Only the *unknown* half of the updated partition is kept: the barrier
-    recomputes the known/unknown split against the live link table (entities
-    linked by this delta's own added partition, or by an earlier same-source
-    commit of the batch, are known by then) and reuses the unknown plans only
-    when the recomputed split matches.
-    """
-
-    delta: SourceDelta
-    added_blocks: list[BlockPlan] = field(default_factory=list)
-    unknown_updated: list[SourceEntity] = field(default_factory=list)
-    unknown_blocks: list[BlockPlan] = field(default_factory=list)
-    prepare_seconds: float = 0.0
-
-    def blocks(self) -> list[BlockPlan]:
-        """Every block of the delta (added path plus unknown-updated path)."""
-        return [*self.added_blocks, *self.unknown_blocks]
-
-
-@dataclass
-class CommittedState:
-    """What fusion commits have touched since a batch's prepare snapshot.
-
-    Tracks the union of entity types (before *and* after each commit) of every
-    subject the committed fusions touched, plus whether any touched subject
-    was untyped — untyped entities appear in *every* KG view, so their
-    presence invalidates all outstanding plans.  :meth:`poison` marks the
-    store state unknown (used after a failed commit)."""
-
-    types: set[str] = field(default_factory=set)
-    untyped: bool = False
-    any_change: bool = False
-
-    def poison(self) -> None:
-        """Mark the store as changed in unknown ways: every plan is invalid."""
-        self.untyped = True
-        self.any_change = True
-
-
 class _CommitTracker:
-    """Pre-commit existence and type snapshots of every touched subject.
+    """Pre-commit existence snapshots of every touched subject.
 
     ``note`` must be called with the subjects a fusion step is about to touch
     *before* the step runs; ``finalize`` then classifies the commit's net
@@ -218,37 +143,26 @@ class _CommitTracker:
     def __init__(self, store: TripleStore) -> None:
         self.store = store
         self.pre_existing: dict[str, bool] = {}
-        self.pre_types: dict[str, set[str]] = {}
 
-    def alive(self, subject: str) -> tuple[bool, set[str]]:
-        """Whether *subject* carries knowledge-bearing facts, plus its types.
+    def alive(self, subject: str) -> bool:
+        """Whether *subject* carries knowledge-bearing facts.
 
         ``same_as`` rows do not count as life: fusion keeps linking provenance
         as a tombstone after a full retraction, but such an entity is gone
         from every downstream consumer's perspective.
         """
-        alive = False
-        types: set[str] = set()
-        # Columnar scan: liveness and types are order-independent, so skip
-        # the materialized, repr-sorted facts_about path entirely.
-        for predicate, is_composite, obj in self.store.scan_subject(subject):
-            if is_composite:
-                alive = True
-            elif predicate == TYPE_PREDICATE:
-                alive = True
-                types.add(str(obj))
-            elif predicate != SAME_AS_PREDICATE:
-                alive = True
-        return alive, types
+        # Columnar scan: liveness is order-independent, so skip the
+        # materialized, repr-sorted facts_about path entirely.
+        for predicate, is_composite, _ in self.store.scan_subject(subject):
+            if is_composite or predicate != SAME_AS_PREDICATE:
+                return True
+        return False
 
     def note(self, subjects: Iterable[str]) -> None:
-        """Snapshot existence and types of *subjects* before they are touched."""
+        """Snapshot existence of *subjects* before they are touched."""
         for subject in subjects:
-            if subject in self.pre_existing:
-                continue
-            alive, types = self.alive(subject)
-            self.pre_existing[subject] = alive
-            self.pre_types[subject] = types
+            if subject not in self.pre_existing:
+                self.pre_existing[subject] = self.alive(subject)
 
     def finalize(self, touched: Iterable[str]) -> EntityDelta:
         """Classify the touched subjects against the post-commit store."""
@@ -256,7 +170,7 @@ class _CommitTracker:
         updated: list[str] = []
         deleted: list[str] = []
         for subject in sorted(set(touched)):
-            exists_now, _ = self.alive(subject)
+            exists_now = self.alive(subject)
             existed_before = self.pre_existing.get(subject, False)
             if not exists_now:
                 if existed_before:
@@ -299,7 +213,6 @@ class IncrementalConstructor:
         self.obr_confidence_threshold = obr_confidence_threshold
         self.obr_create_missing = obr_create_missing
         self.link_table: dict[str, str] = {}
-        self.reports: list[ConstructionReport] = []
 
     # -------------------------------------------------------------- #
     # public API
@@ -312,129 +225,53 @@ class IncrementalConstructor:
         """Consume several deltas in order (fusion is the synchronization point)."""
         return [self.consume(delta) for delta in deltas]
 
-    def prepare(
-        self,
-        delta: SourceDelta,
-        view_source: Callable[[Sequence[str]], list[KGEntity]] | None = None,
-        link_table: dict[str, str] | None = None,
-        plan: bool = True,
-    ) -> PreparedDelta:
-        """Run the delta's pre-fusion stages speculatively (read-only).
+    def commit(self, delta: SourceDelta) -> ConstructionReport:
+        """Fuse one delta into the KG: added, updated, deleted, then volatile.
 
-        *view_source* supplies the KG view to link against (defaults to
-        :meth:`kg_view` over the live store) and *link_table* the link-table
-        snapshot the known/unknown split of the updated partition is computed
-        from.  With ``plan=False`` the blocks are only partitioned, not
-        planned — a scheduler then plans each block via :meth:`plan_block`
-        on its worker pool.  Preparation never mutates constructor state.
-        """
-        started = time.perf_counter()
-        view_fn = view_source if view_source is not None else self.kg_view
-        table = link_table if link_table is not None else self.link_table
-        prepared = PreparedDelta(delta=delta)
-        if delta.added:
-            prepared.added_blocks = self._partition_blocks(delta.added)
-        if delta.updated:
-            _, unknown = self._split_updated(delta.updated, table)
-            prepared.unknown_updated = unknown
-            if unknown:
-                prepared.unknown_blocks = self._partition_blocks(unknown)
-        if plan:
-            for block in prepared.blocks():
-                self.plan_block(block, view_fn)
-        prepared.prepare_seconds = time.perf_counter() - started
-        return prepared
-
-    def plan_block(
-        self,
-        block: BlockPlan,
-        view_source: Callable[[Sequence[str]], list[KGEntity]] | None = None,
-    ) -> BlockPlan:
-        """Run one block's pre-fusion stage chain, capturing failures.
-
-        A failed plan leaves ``block.plan`` as ``None`` (with the error
-        recorded): the barrier replans the block serially, which surfaces any
-        deterministic error exactly where the sequential path would."""
-        view_fn = view_source if view_source is not None else self.kg_view
-        started = time.perf_counter()
-        try:
-            plans = self.linker.plan(block.entities, view_fn(block.view_types))
-            block.plan = plans[0] if plans else None
-        except Exception as exc:  # noqa: BLE001 - speculative work must not fail the batch
-            block.plan = None
-            block.prepare_error = f"{type(exc).__name__}: {exc}"
-        block.prepare_seconds = time.perf_counter() - started
-        return block
-
-    def commit(
-        self,
-        delta: SourceDelta,
-        prepared: PreparedDelta | None = None,
-        committed: CommittedState | None = None,
-    ) -> ConstructionReport:
-        """Fuse one delta into the KG — the serialized barrier half.
-
-        With no *prepared* plans this is exactly the classic sequential
-        consumption path.  With plans, each block is committed as-is when
-        *committed* proves no earlier commit could have changed the block's KG
-        view, and replanned serially otherwise — so the outcome is
-        byte-identical either way.  The caller-supplied *committed* state is
-        updated in place with this commit's effect (types touched), letting a
-        scheduler chain validations across a whole batch.
+        A step that raises leaves in the store whatever the steps before it
+        (and possibly itself) fused.  The exception propagates unchanged,
+        carrying the failed report as ``construction_report``: its ``error``
+        is set and its ``entity_delta`` classifies every subject the commit
+        had noted — subjects are noted before each fusion step, so that
+        covers anything the failing step may have touched.
         """
         report = ConstructionReport(source_id=delta.source_id, timestamp=delta.to_timestamp)
-        state = committed if committed is not None else CommittedState()
         tracker = _CommitTracker(self.store)
-        resolver = self._resolver()
-        obr = ObjectResolutionStage(
-            ontology=self.ontology,
-            resolver=resolver,
-            id_generator=self.id_generator,
-            confidence_threshold=self.obr_confidence_threshold,
-            create_missing=self.obr_create_missing,
-        )
-
-        self._commit_added(
-            delta.source_id,
-            delta.added,
-            prepared.added_blocks if prepared is not None else None,
-            obr,
-            report,
-            tracker,
-            state,
-        )
-        self._commit_updated(delta, prepared, obr, report, tracker, state)
-        self._commit_deleted(delta, report, tracker, state)
-        self._commit_volatile(delta, report, tracker, state)
-
+        try:
+            obr = ObjectResolutionStage(
+                ontology=self.ontology,
+                resolver=self._resolver(),
+                id_generator=self.id_generator,
+                confidence_threshold=self.obr_confidence_threshold,
+                create_missing=self.obr_create_missing,
+            )
+            self._commit_added(delta.source_id, delta.added, obr, report, tracker)
+            self._commit_updated(delta, obr, report, tracker)
+            self._commit_deleted(delta, report, tracker)
+            self._commit_volatile(delta, report, tracker)
+        except Exception as exc:
+            report.error = f"{type(exc).__name__}: {exc}"
+            report.entity_delta = tracker.finalize(tracker.pre_existing)
+            exc.construction_report = report
+            raise
         report.entity_delta = tracker.finalize(report.fusion.subjects_touched)
-        self.reports.append(report)
         return report
 
     def kg_view(self, entity_types: Sequence[str] = ()) -> list[KGEntity]:
         """Materialize a KG view restricted to *entity_types* (all when empty).
 
         This is the "extract a subgraph containing relevant entities" step of
-        the linking pipeline (Section 2.3, step 1).
+        the linking pipeline (Section 2.3, step 1).  Untyped entities are in
+        every view.
         """
-        return self.filter_entities(materialize_entities(self.store), entity_types)
-
-    def filter_entities(
-        self, entities: dict[str, KGEntity], entity_types: Sequence[str] = ()
-    ) -> list[KGEntity]:
-        """Filter materialized *entities* with the KG-view type predicate.
-
-        Factored out of :meth:`kg_view` so a batch scheduler can materialize
-        the store once and slice per-block views from the shared result.
-        """
+        entities = materialize_entities(self.store).values()
         if not entity_types:
-            return list(entities.values())
+            return list(entities)
         allowed = set(entity_types)
-        view = []
-        for entity in entities.values():
-            if any(self._type_matches(t, allowed) for t in entity.types) or not entity.types:
-                view.append(entity)
-        return view
+        return [
+            entity for entity in entities
+            if not entity.types or any(self._type_matches(t, allowed) for t in entity.types)
+        ]
 
     def entity_count(self) -> int:
         """Number of entities currently in the KG."""
@@ -451,16 +288,14 @@ class IncrementalConstructor:
         self,
         source_id: str,
         entities: Sequence[SourceEntity],
-        blocks: list[BlockPlan] | None,
         obr: ObjectResolutionStage,
         report: ConstructionReport,
         tracker: _CommitTracker,
-        state: CommittedState,
     ) -> None:
         if not entities:
             return
-        linking = self._linking_for(entities, blocks, report, state)
-        report.linking = linking
+        payload_types = sorted({e.entity_type for e in entities if e.entity_type})
+        linking = self.linker.link(entities, self.kg_view(payload_types))
         report.linked_added = len(linking.assignments)
         report.new_entities = len(linking.new_entities)
         self.link_table.update(linking.assignments)
@@ -482,33 +317,22 @@ class IncrementalConstructor:
         ])
         FusionStage(self.fusion).run(context)
         report.fusion.merge(context.fusion_report)
-        self._observe_commit(state, tracker, context.fusion_report)
 
     def _commit_updated(
         self,
         delta: SourceDelta,
-        prepared: PreparedDelta | None,
         obr: ObjectResolutionStage,
         report: ConstructionReport,
         tracker: _CommitTracker,
-        state: CommittedState,
     ) -> None:
         if not delta.updated:
             return
-        # The split is recomputed against the live link table: entities linked
-        # by this very delta's added partition (or an earlier commit of the
-        # same source in the batch) are *known* by now.
-        known, unknown = self._split_updated(delta.updated, self.link_table)
-        # Entities never seen before (e.g. the platform was bootstrapped after
-        # the source started publishing) fall back to the full linking path.
+        # Entities linked by this very delta's added partition are known by
+        # now.  Entities never seen before (e.g. the platform was bootstrapped
+        # after the source started publishing) take the full linking path.
+        known, unknown = self._split_updated(delta.updated)
         if unknown:
-            blocks = None
-            if prepared is not None and (
-                [e.entity_id for e in unknown]
-                == [e.entity_id for e in prepared.unknown_updated]
-            ):
-                blocks = prepared.unknown_blocks
-            self._commit_added(delta.source_id, unknown, blocks, obr, report, tracker, state)
+            self._commit_added(delta.source_id, unknown, obr, report, tracker)
         if not known:
             return
         assignments = {e.entity_id: self.link_table[e.entity_id] for e in known}
@@ -530,14 +354,12 @@ class IncrementalConstructor:
         ])
         FusionStage(self.fusion).run(context)
         report.fusion.merge(context.fusion_report)
-        self._observe_commit(state, tracker, context.fusion_report)
 
     def _commit_deleted(
         self,
         delta: SourceDelta,
         report: ConstructionReport,
         tracker: _CommitTracker,
-        state: CommittedState,
     ) -> None:
         if not delta.deleted:
             return
@@ -556,14 +378,12 @@ class IncrementalConstructor:
         tracker.note(subjects)
         FusionStage(self.fusion).run(context)
         report.fusion.merge(context.fusion_report)
-        self._observe_commit(state, tracker, context.fusion_report)
 
     def _commit_volatile(
         self,
         delta: SourceDelta,
         report: ConstructionReport,
         tracker: _CommitTracker,
-        state: CommittedState,
     ) -> None:
         if not delta.volatile:
             return
@@ -586,133 +406,17 @@ class IncrementalConstructor:
         tracker.note(triples_by_subject)
         FusionStage(self.fusion).run(context)
         report.fusion.merge(context.fusion_report)
-        self._observe_commit(state, tracker, context.fusion_report)
-
-    # -------------------------------------------------------------- #
-    # plan validation and assignment
-    # -------------------------------------------------------------- #
-    def _linking_for(
-        self,
-        entities: Sequence[SourceEntity],
-        blocks: list[BlockPlan] | None,
-        report: ConstructionReport,
-        state: CommittedState,
-    ) -> LinkingResult:
-        """Turn prepared block plans (or a fresh serial run) into assignments.
-
-        Valid plans are committed as prepared; blocks whose KG view may have
-        changed since preparation — or that were never planned — are replanned
-        here, against the live store, exactly as the sequential path would.
-        Identifier assignment happens last, in sorted type order, so the mint
-        sequence is independent of which plans were reused.
-        """
-        by_type: dict[str, list[SourceEntity]] = {}
-        for entity in entities:
-            by_type.setdefault(entity.entity_type, []).append(entity)
-        plans: dict[str, TypeLinkPlan] = {}
-        for block in blocks or ():
-            if block.plan is not None and self.block_valid(state, block):
-                plans[block.entity_type] = block.plan
-        missing = [t for t in sorted(by_type) if t not in plans]
-        report.plans_reused += len(plans)
-        if missing:
-            if blocks:
-                report.plans_replanned += len(missing)
-            payload_types = tuple({e.entity_type for e in entities if e.entity_type})
-            view = self.kg_view(payload_types)
-            kg_by_type = records_by_type(
-                [LinkableRecord.from_kg_entity(e) for e in view]
-            )
-            for entity_type in missing:
-                records = [
-                    LinkableRecord.from_source_entity(e) for e in by_type[entity_type]
-                ]
-                plans[entity_type] = self.linker.plan_type(
-                    entity_type,
-                    records,
-                    self.linker.relevant_kg_records(entity_type, kg_by_type),
-                )
-        return self.linker.assign(plans[t] for t in sorted(by_type))
-
-    def block_valid(self, state: CommittedState, block: BlockPlan) -> bool:
-        """Whether a prepared block's KG view is provably unchanged.
-
-        The view is unchanged when nothing was committed since preparation,
-        or when every committed subject's types (before and after its commit)
-        fail the block's view filter and no untyped subject was involved —
-        untyped entities appear in every view, so they conservatively
-        invalidate everything."""
-        if not state.any_change:
-            return True
-        if state.untyped or block.unfiltered:
-            return False
-        allowed = set(block.view_types)
-        return not any(self._type_matches(t, allowed) for t in state.types)
-
-    def _observe_commit(
-        self,
-        state: CommittedState,
-        tracker: _CommitTracker,
-        fusion_report: FusionReport | None,
-    ) -> None:
-        """Fold one fusion step's touched subjects into the committed state.
-
-        A subject counts as untyped when it was *alive without types at any
-        point around the commit* — before it (an untyped entity sat in every
-        snapshot view, so typing or deleting it changes all of them) or after
-        it (it now sits in every view).  Only looking at the union of pre and
-        post types would miss the untyped→typed transition and let a stale
-        plan survive validation.
-        """
-        if fusion_report is None or not fusion_report.subjects_touched:
-            return
-        state.any_change = True
-        for subject in fusion_report.subjects_touched:
-            now_alive, now_types = tracker.alive(subject)
-            pre_alive = tracker.pre_existing.get(subject, False)
-            pre_types = tracker.pre_types.get(subject, set())
-            if (pre_alive and not pre_types) or (now_alive and not now_types):
-                state.untyped = True
-            state.types |= now_types | pre_types
 
     # -------------------------------------------------------------- #
     # helpers
     # -------------------------------------------------------------- #
-    def _partition_blocks(self, entities: Sequence[SourceEntity]) -> list[BlockPlan]:
-        """Partition a payload into per-entity-type blocks (untyped last).
-
-        Typed blocks link against the view of their own type; the untyped
-        block is compared against the full payload-typed view, exactly as the
-        sequential path derives its per-type candidate sets."""
-        payload_types = tuple({e.entity_type for e in entities if e.entity_type})
-        by_type: dict[str, list[SourceEntity]] = {}
-        for entity in entities:
-            by_type.setdefault(entity.entity_type, []).append(entity)
-        blocks = []
-        for entity_type in sorted(by_type):
-            if entity_type:
-                view_types: tuple[str, ...] = (entity_type,)
-                unfiltered = False
-            else:
-                view_types = payload_types
-                unfiltered = not payload_types
-            blocks.append(
-                BlockPlan(
-                    entity_type=entity_type,
-                    view_types=view_types,
-                    unfiltered=unfiltered,
-                    entities=by_type[entity_type],
-                )
-            )
-        return blocks
-
     def _split_updated(
-        self, entities: Sequence[SourceEntity], table: dict[str, str]
+        self, entities: Sequence[SourceEntity]
     ) -> tuple[list[SourceEntity], list[SourceEntity]]:
         known: list[SourceEntity] = []
         unknown: list[SourceEntity] = []
         for entity in entities:
-            (known if entity.entity_id in table else unknown).append(entity)
+            (known if entity.entity_id in self.link_table else unknown).append(entity)
         return known, unknown
 
     def _merge_resolution_stats(

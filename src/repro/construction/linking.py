@@ -10,12 +10,16 @@ types:
 4. assign every source record the identifier of the KG entity in its cluster,
    or mint a new KG identifier when the cluster has none;
 5. emit ``same_as`` links recording the provenance of the linking decision.
+
+Identifiers are minted while the clusters are read, in sorted type order, so
+one payload against one view always mints the same identifiers in the same
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.construction.blocking import Blocker, BlockingConfig, BlockingStage
 from repro.construction.clustering import (
@@ -44,24 +48,6 @@ class LinkingConfig:
     blocking: BlockingConfig = field(default_factory=BlockingConfig)
     pair_generation: PairGenerationConfig = field(default_factory=PairGenerationConfig)
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
-
-
-@dataclass
-class TypeLinkPlan:
-    """The deferred linking outcome of one entity type's pre-fusion stages.
-
-    A plan carries the correlation clusters of one per-type pipeline run —
-    *without* KG identifiers assigned to clusters lacking a KG record.
-    Identifier assignment is deferred to :meth:`Linker.assign`, which runs on
-    the serialized side of the fusion barrier so parallel preparation mints
-    exactly the identifiers (in exactly the order) a sequential run would.
-    """
-
-    entity_type: str
-    clusters: list[EntityCluster] = field(default_factory=list)
-    candidate_pair_count: int = 0
-    scored_pair_count: int = 0
-    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -121,9 +107,7 @@ class Linker:
         # check would reject person/music_artist pairs.
         pair_config = replace(self.config.pair_generation, require_compatible_types=False)
         self._pair_generator = PairGenerator(pair_config)
-        # The pre-fusion stage chain every per-type run flows through.  All
-        # four stages are pure with respect to shared state, which is what
-        # lets plan() run concurrently across partitions.
+        # The pre-fusion stage chain every per-type run flows through.
         self.stages = StagePipeline((
             BlockingStage(self._blocker),
             PairGenerationStage(self._pair_generator),
@@ -139,83 +123,38 @@ class Linker:
         """Link *source_entities* against the KG view.
 
         The payload is processed per entity type, mirroring the per-type
-        pipelines (artist, song, album, ...) described in the paper.
-        Equivalent to :meth:`plan` followed by :meth:`assign`.
+        pipelines (artist, song, album, ...) described in the paper: each
+        type's records and the compatible KG-view records run blocking →
+        clustering, then every cluster with source records takes its KG
+        record's identifier, or a freshly minted one when it has none.
+        Identifiers are minted in sorted type order, then cluster order.
         """
-        return self.assign(self.plan(source_entities, kg_view))
-
-    def plan(
-        self,
-        source_entities: Sequence[SourceEntity],
-        kg_view: Sequence[KGEntity] = (),
-    ) -> list[TypeLinkPlan]:
-        """Run the pre-fusion stages (blocking → clustering) for a payload.
-
-        Returns one :class:`TypeLinkPlan` per entity type present in the
-        payload, in sorted type order (the order :meth:`assign` must consume
-        them in).  Planning reads the KG view but mutates nothing and mints no
-        identifiers, so independent payload partitions may be planned
-        concurrently.
-        """
-        source_records = [LinkableRecord.from_source_entity(e) for e in source_entities]
-        kg_records = [LinkableRecord.from_kg_entity(e) for e in kg_view]
-        source_by_type = records_by_type(source_records)
-        kg_by_type = records_by_type(kg_records)
-        return [
-            self.plan_type(entity_type, records, self.relevant_kg_records(entity_type, kg_by_type))
-            for entity_type, records in sorted(source_by_type.items())
-        ]
-
-    def plan_type(
-        self,
-        entity_type: str,
-        source_records: list[LinkableRecord],
-        kg_records: list[LinkableRecord],
-    ) -> TypeLinkPlan:
-        """Run one entity type's pre-fusion stage chain into a plan."""
-        context = StageContext(
-            entity_type=entity_type,
-            source_records=source_records,
-            kg_records=kg_records,
+        source_by_type = records_by_type(
+            LinkableRecord.from_source_entity(e) for e in source_entities
         )
-        self.stages.run(context)
-        return TypeLinkPlan(
-            entity_type=entity_type,
-            clusters=context.clusters or [],
-            candidate_pair_count=len(context.pairs or []),
-            scored_pair_count=len(context.scored or []),
-            stage_seconds=dict(context.stage_seconds),
-        )
-
-    def assign(self, plans: Iterable[TypeLinkPlan]) -> LinkingResult:
-        """Assign KG identifiers to planned clusters (the serialized half).
-
-        Every cluster containing source records is resolved to its KG record's
-        identifier, or — when the cluster has none — to a freshly minted one.
-        Minting follows plan order (sorted entity type, then cluster order),
-        which is byte-identical to the sequential :meth:`link` path; callers
-        running plans from parallel preparation must therefore feed them back
-        in sorted type order.
-        """
+        kg_by_type = records_by_type(LinkableRecord.from_kg_entity(e) for e in kg_view)
         result = LinkingResult()
-        for plan in plans:
-            partial = LinkingResult(
-                clusters=list(plan.clusters),
-                scored_pair_count=plan.scored_pair_count,
-                candidate_pair_count=plan.candidate_pair_count,
+        for entity_type, records in sorted(source_by_type.items()):
+            context = StageContext(
+                entity_type=entity_type,
+                source_records=records,
+                kg_records=self.relevant_kg_records(entity_type, kg_by_type),
             )
-            for cluster in plan.clusters:
-                source_members = cluster.source_records
-                if not source_members:
+            self.stages.run(context)
+            clusters = context.clusters or []
+            result.clusters.extend(clusters)
+            result.candidate_pair_count += len(context.pairs or [])
+            result.scored_pair_count += len(context.scored or [])
+            for cluster in clusters:
+                if not cluster.source_records:
                     continue
                 if cluster.kg_record is not None:
                     kg_id = cluster.kg_record.record_id
                 else:
                     kg_id = self.id_generator.next_id()
-                    partial.new_entities.add(kg_id)
-                for record in source_members:
-                    partial.assignments[record.record_id] = kg_id
-            result = result.merge(partial)
+                    result.new_entities.add(kg_id)
+                for record in cluster.source_records:
+                    result.assignments[record.record_id] = kg_id
         return result
 
     # -------------------------------------------------------------- #

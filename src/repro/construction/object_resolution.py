@@ -113,8 +113,7 @@ class NameIndexResolver:
         bounded by the character-multiset overlap of the two strings — so a
         length-ratio check and a shared-character count eliminate the vast
         majority of candidates with exact results (the scan was the dominant
-        cost of object resolution, which is the serialized half of the
-        parallel construction pipeline).
+        cost of object resolution, which runs inside every commit).
         """
         normalized = normalize_string(mention)
         if not normalized:
@@ -357,10 +356,10 @@ class ObjectResolutionStage:
 class ResolutionStage:
     """Stage 5 of the construction pipeline: object resolution of linked triples.
 
-    Runs on the serialized side of the fusion barrier: it reads the live
-    store's name index (through the :class:`ObjectResolutionStage` machinery in
+    Runs inside a commit, just before fusion: it reads the live store's name
+    index (through the :class:`ObjectResolutionStage` machinery in
     ``context.resolution``) and may mint identifiers for unresolvable mentions,
-    so it must never run concurrently with another partition's commit.
+    so it must never run concurrently with another commit.
 
     The context's ``entities`` + ``assignments`` (source entity → KG id) are
     rewritten into KG-subject triples; the payload's own entities are

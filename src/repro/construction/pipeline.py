@@ -1,16 +1,13 @@
 """Multi-source knowledge construction pipeline (Figures 4 and 5).
 
 :class:`KnowledgeConstructionPipeline` coordinates ingestion results from
-many sources into a single KG.  Per the paper, source-specific processing is
-embarrassingly parallel and fusion is the synchronization point: batch
-consumption runs the pre-fusion stages of every source/entity-type partition
-concurrently through the :class:`~repro.construction.scheduler.
-ParallelConstructionScheduler` and serializes only the fusion commits, whose
-deterministic order makes parallel output byte-identical to sequential.  The
-pipeline records growth history (facts / entities over time), the measurement
-behind Figure 12 — growth points are stamped with a logical clock at
-*fusion-commit* time, so the series is reproducible run-to-run regardless of
-how the pre-fusion work was scheduled.
+many sources into a single KG.  Per the paper, each source's processing
+before fusion is independent and fusion is the synchronization point; here
+a batch commits one delta at a time, in input order, on the calling thread,
+so a batch produces exactly what consuming its payloads one by one does.
+The pipeline records growth history (facts / entities over time), the
+measurement behind Figure 12 — growth points are stamped with a logical
+clock at commit time, so the series depends only on commit order.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from typing import Iterable
 
 from repro.construction.incremental import ConstructionReport, IncrementalConstructor
 from repro.construction.matching import MatcherRegistry
-from repro.construction.scheduler import ParallelConstructionScheduler
+from repro.errors import ConstructionBatchError
 from repro.ingestion.pipeline import IngestionResult
 from repro.model.delta import SourceDelta
 from repro.model.ontology import Ontology
@@ -78,13 +75,7 @@ class GrowthHistory:
 
 
 class KnowledgeConstructionPipeline:
-    """End-to-end construction over ingestion results from many sources.
-
-    ``max_workers`` bounds the worker pool the scheduler prepares partitions
-    on during :meth:`consume_many` (``None`` prepares inline — the staged
-    pipeline still runs, just without concurrency); ``executor`` selects the
-    pool flavor (``"thread"`` or ``"serial"``, see the scheduler).
-    """
+    """End-to-end construction over ingestion results from many sources."""
 
     def __init__(
         self,
@@ -92,17 +83,12 @@ class KnowledgeConstructionPipeline:
         store: TripleStore | None = None,
         matchers: MatcherRegistry | None = None,
         constructor: IncrementalConstructor | None = None,
-        max_workers: int | None = None,
-        executor: str = "thread",
     ) -> None:
         self.ontology = ontology
         if constructor is not None:
             self.constructor = constructor
         else:
             self.constructor = IncrementalConstructor(ontology, store=store, matchers=matchers)
-        self.scheduler = ParallelConstructionScheduler(
-            self.constructor, max_workers=max_workers, executor=executor
-        )
         self.growth = GrowthHistory()
         self.reports: list[ConstructionReport] = []
         self._clock = 0
@@ -131,39 +117,38 @@ class KnowledgeConstructionPipeline:
         return self.consume_delta(result.delta)
 
     def consume_many(
-        self,
-        payloads: Iterable[SourceDelta | IngestionResult],
-        max_workers: int | None = None,
+        self, payloads: Iterable[SourceDelta | IngestionResult]
     ) -> list[ConstructionReport]:
-        """Consume a batch of payloads through the staged parallel pipeline.
+        """Consume a batch of payloads, one delta at a time in payload order.
 
-        Pre-fusion stages of every source/entity-type partition run
-        concurrently (bounded by *max_workers*, defaulting to the pipeline's
-        configuration); sources are fused sequentially in payload order
-        because fusion is the synchronization point across the
-        otherwise-parallel source pipelines (Section 2.4).  The result is
-        byte-identical to consuming the payloads one at a time.
-
-        A failing payload no longer aborts the batch: the remaining sources
-        keep fusing, the failed payload's report carries its ``error``, and a
-        :class:`~repro.errors.ConstructionBatchError` with every report is
-        raised after the batch finished.
+        Each delta commits exactly as :meth:`consume_delta` would.  A failing
+        payload does not abort the batch: the remaining sources keep fusing,
+        and a :class:`~repro.errors.ConstructionBatchError` carrying every
+        report is raised after the batch.  A failed report has its ``error``
+        set and classifies whatever its commit fused before failing.
         """
-        deltas = [
-            payload.delta if isinstance(payload, IngestionResult) else payload
-            for payload in payloads
-        ]
-        return self.scheduler.consume_many(
-            deltas, on_commit=self._record_commit, max_workers=max_workers
-        )
+        reports: list[ConstructionReport] = []
+        failures: list[tuple[str, Exception]] = []
+        for payload in payloads:
+            delta = payload.delta if isinstance(payload, IngestionResult) else payload
+            try:
+                report = self.constructor.commit(delta)
+            except Exception as exc:  # noqa: BLE001 - per-source failure isolation
+                report = exc.construction_report
+                failures.append((delta.source_id, exc))
+            else:
+                self._record_commit(report)
+            reports.append(report)
+        if failures:
+            raise ConstructionBatchError(reports, failures)
+        return reports
 
     def _record_commit(self, report: ConstructionReport) -> None:
-        """Stamp one fusion commit on the growth clock (deterministic order).
+        """Stamp one commit on the growth clock (commit order).
 
-        Called inside the fusion barrier, immediately after each commit —
-        never at consumption start — so the Figure 12 series depends only on
-        commit order, which parallel scheduling keeps identical to sequential.
-        Failed payloads never reach this hook and consume no clock tick.
+        Called right after each successful commit, never at consumption
+        start, so the Figure 12 series depends only on commit order.  Failed
+        payloads consume no clock tick.
         """
         self._clock += 1
         report.commit_clock = self._clock

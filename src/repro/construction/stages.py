@@ -2,37 +2,36 @@
 
 The paper's construction pipeline is a fixed chain of stages — blocking →
 pair generation → matching → clustering → object resolution → fusion — where
-everything before fusion is *embarrassingly parallel* per source (and per
-entity-type partition) and fusion is the single synchronization point.  This
-module defines the composable core both :class:`~repro.construction.incremental.
+everything before fusion is independent per source (and per entity-type
+partition) and fusion is the single synchronization point.  This module
+defines the composable core both :class:`~repro.construction.incremental.
 IncrementalConstructor` and :class:`~repro.construction.pipeline.
 KnowledgeConstructionPipeline` build on:
 
 * :class:`StageContext` — the per-partition state a payload accumulates while
   flowing through the stages (records in, blocks, candidate pairs, scored
-  pairs, clusters out; plus the barrier-side fields the serialized resolution
-  and fusion stages read);
+  pairs, clusters out; plus the fields the resolution and fusion stages
+  read);
 * :class:`ConstructionStage` — the protocol every stage implements (a ``name``
   and a ``run(context)`` that advances the context);
-* :class:`StagePipeline` — a deterministic stage chain that records per-stage
-  wall time into the context.
+* :class:`StagePipeline` — a deterministic stage chain.
 
 The concrete stages live next to the machinery they wrap —
 :class:`~repro.construction.blocking.BlockingStage`,
 :class:`~repro.construction.pairs.PairGenerationStage`,
 :class:`~repro.construction.matching.MatchingStage`,
-:class:`~repro.construction.clustering.ClusteringStage` on the parallel side
-of the barrier, :class:`~repro.construction.object_resolution.ResolutionStage`
-and :class:`~repro.construction.fusion.FusionStage` on the serialized side.
-The pre-fusion stages only read shared state (the KG view and the payload) and
-never mint identifiers, which is what makes them safe to run concurrently;
-identifier assignment, object resolution, and fusion happen at the barrier in
-deterministic commit order (see :mod:`repro.construction.scheduler`).
+:class:`~repro.construction.clustering.ClusteringStage` before fusion,
+:class:`~repro.construction.object_resolution.ResolutionStage` and
+:class:`~repro.construction.fusion.FusionStage` at it.  Every stage runs on
+the caller's thread, one delta at a time.  The pre-fusion stages only read
+shared state (the KG view and the payload) and never mint identifiers, so a
+process pool could take them over at one call site
+(:meth:`~repro.construction.linking.Linker.link`) without changing what a
+commit produces.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
@@ -56,24 +55,23 @@ class StageContext:
     """Per-partition state carried through the construction stages.
 
     The *pre-fusion* fields (``source_records`` / ``kg_records`` in; ``blocks``,
-    ``pairs``, ``scored``, ``clusters`` out) are filled by the parallel side of
-    the pipeline and never touch shared mutable state.  The *barrier* fields
-    (``store``, ``entities``, ``assignments``, ``resolution``, ``same_as``,
-    ``subjects``, ``fusion_kind``) are only populated on the serialized side,
-    where object resolution rewrites linked triples against the live store and
+    ``pairs``, ``scored``, ``clusters`` out) never touch shared mutable state.
+    The *fusion* fields (``store``, ``entities``, ``assignments``,
+    ``resolution``, ``same_as``, ``subjects``, ``fusion_kind``) are where
+    object resolution rewrites linked triples against the live store and
     fusion commits them.
     """
 
     source_id: str = ""
     entity_type: str = ""
-    # ---- pre-fusion (parallel) state ----------------------------------- #
+    # ---- pre-fusion state ---------------------------------------------- #
     source_records: list["LinkableRecord"] = field(default_factory=list)
     kg_records: list["LinkableRecord"] = field(default_factory=list)
     blocks: list["Block"] | None = None
     pairs: list["CandidatePair"] | None = None
     scored: list["ScoredPair"] | None = None
     clusters: list["EntityCluster"] | None = None
-    # ---- barrier (serialized) state ------------------------------------ #
+    # ---- fusion state -------------------------------------------------- #
     store: "TripleStore | None" = None
     entities: list["SourceEntity"] = field(default_factory=list)
     assignments: dict[str, str] = field(default_factory=dict)
@@ -84,8 +82,6 @@ class StageContext:
     resolution_stats: "ObjectResolutionStats | None" = None
     fusion_kind: str = "added"
     fusion_report: "FusionReport | None" = None
-    # ---- bookkeeping ---------------------------------------------------- #
-    stage_seconds: dict[str, float] = field(default_factory=dict)
 
     def combined_records(self) -> list["LinkableRecord"]:
         """The combined payload linking operates over: source then KG records."""
@@ -100,7 +96,7 @@ class ConstructionStage(Protocol):
     chaining).  Pre-fusion stages must be pure with respect to shared state:
     they may read the KG view embedded in the context but must not mutate the
     triple store, the link table, or mint identifiers — those effects belong
-    to the serialized barrier stages.
+    to resolution and fusion.
     """
 
     name: str
@@ -112,26 +108,12 @@ class ConstructionStage(Protocol):
 
 @dataclass
 class StagePipeline:
-    """A deterministic chain of construction stages.
-
-    Runs each stage in order, accumulating per-stage wall time into
-    ``context.stage_seconds`` so schedulers and benchmarks can attribute cost
-    to individual stages.
-    """
+    """A deterministic chain of construction stages."""
 
     stages: Sequence[ConstructionStage]
 
     def run(self, context: StageContext) -> StageContext:
         """Run every stage over *context* in order."""
         for stage in self.stages:
-            started = time.perf_counter()
             stage.run(context)
-            elapsed = time.perf_counter() - started
-            context.stage_seconds[stage.name] = (
-                context.stage_seconds.get(stage.name, 0.0) + elapsed
-            )
         return context
-
-    def stage_names(self) -> list[str]:
-        """The stage names in execution order."""
-        return [stage.name for stage in self.stages]

@@ -180,7 +180,6 @@ class GraphEngine:
         log_path: str | None = None,
         embedding_dimension: int = 32,
         view_batch_size: int | None = None,
-        view_max_workers: int | None = None,
     ) -> None:
         self.ontology = ontology
         self.triples = TripleStore()
@@ -209,7 +208,6 @@ class GraphEngine:
             # Scope snapshots enumerate the primary store so deletions resolve
             # to the views that actually contained the entity.
             entity_source=self.triples.subjects,
-            max_workers=view_max_workers,
         )
         self.coordinator.add_delta_listener(self._on_log_delta)
         self.importance = EntityImportance()

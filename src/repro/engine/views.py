@@ -60,14 +60,14 @@ rebuilding every materialized view on any update:
   :class:`~repro.serving.journal_store.JournalStore`, for the views
   something consumes.
 
-* **Parallel branch flushing.**  ``flush()`` schedules the affected closure
-  over the topological antichains of the dependency graph: views within one
-  antichain are mutually independent and run on a thread pool when
-  ``max_workers`` allows, while a dependent never starts before its
-  dependencies' antichain completed.  Artifact, scope-snapshot update, and
-  watermark publication are committed atomically per view under a per-view
-  lock, so a failing branch neither corrupts a sibling branch's state nor
-  loses the pending delta (the flush restores it and re-raises).
+* **Flush order.**  ``flush()`` maintains the affected closure one view at a
+  time on the calling thread, antichain by antichain of the dependency graph
+  (topological order), so a dependent never starts before its dependencies
+  committed.  Artifact, scope-snapshot update, and watermark publication are
+  committed atomically per view under a per-view lock — shipper and auditor
+  threads read through it — so a failing view neither corrupts a sibling
+  branch's state nor loses the pending delta (the flush restores it and
+  re-raises).
 
 * **LSN watermarks.**  Every :class:`ViewState` records ``built_at_lsn`` — the
   operation-log position its artifact reflects.  Watermarks are mirrored
@@ -100,9 +100,7 @@ import hashlib
 import json
 import threading
 import time
-import weakref
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -816,8 +814,8 @@ class ViewManager:
     watermarks into the platform metadata store;
     ``batch_size`` turns on automatic flushing of the pending changed-entity
     delta; ``entity_source`` enumerates current entity ids so scoped views get
-    complete pre-delete scope snapshots; ``max_workers`` > 1 flushes
-    independent dependency-graph branches on a thread pool.
+    complete pre-delete scope snapshots.  Maintenance runs on the caller's
+    thread, one view at a time.
     """
 
     def __init__(
@@ -828,13 +826,10 @@ class ViewManager:
         lsn_source: Callable[[], int] | None = None,
         batch_size: int | None = None,
         entity_source: Callable[[], Iterable[str]] | None = None,
-        max_workers: int | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
         if batch_size is not None and batch_size <= 0:
             raise ViewError("view maintenance batch_size must be positive")
-        if max_workers is not None and max_workers <= 0:
-            raise ViewError("view maintenance max_workers must be positive")
         if clock is not None and not callable(clock):
             raise ViewError("view maintenance clock must be callable")
         # Freshness math (last_built_at, stale_views) runs on a monotonic
@@ -847,7 +842,6 @@ class ViewManager:
         self.lsn_source = lsn_source
         self.batch_size = batch_size
         self.entity_source = entity_source
-        self.max_workers = max_workers
         self.states: dict[str, ViewState] = {}
         self.flushes = 0
         self.deltas_observed = 0
@@ -872,8 +866,6 @@ class ViewManager:
         self._scope_snapshots: dict[str, ScopeSnapshot] = {}
         self._state_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
-        self._counters_lock = threading.Lock()   # manager totals, pool-thread safe
-        self._pool: ThreadPoolExecutor | None = None   # lazy, shut down on failure/close
         self.journal_listeners: list[JournalListener] = []
         # Bounded: a persistently failing listener must not grow memory.
         self.journal_listener_errors: deque[str] = deque(maxlen=256)
@@ -1048,8 +1040,7 @@ class ViewManager:
         are maintained; every other materialized view merely advances its LSN
         watermark and counts a skipped update.  A view already at or beyond
         the batch's target LSN is not rebuilt unless the flush was forced by a
-        direct :meth:`update` call.  Independent branches of the affected
-        closure run in parallel when ``max_workers`` allows.
+        direct :meth:`update` call.
         """
         if not (self._pending or self._pending_full or self._pending_forced):
             return {}
@@ -1155,14 +1146,13 @@ class ViewManager:
         target_lsn: int,
         rebuild: bool,
     ) -> dict[str, float]:
-        """Run maintenance over the topological antichains of *names*.
+        """Maintain *names* one at a time, antichain by antichain.
 
-        Views inside one antichain (a ``topological_generations`` layer) have
-        no dependency edges between them, so they may run concurrently; the
-        barrier between antichains guarantees a dependent never starts before
-        every dependency has committed its artifact.  A failing view blocks
-        its own transitive dependents but sibling branches run to completion
-        before the first failure is re-raised (in topological order).
+        Walking the ``topological_generations`` layers in order guarantees a
+        dependent never starts before every dependency has committed its
+        artifact.  A failing view blocks its own transitive dependents but
+        sibling branches run to completion before the first failure is
+        re-raised (in topological order).
         """
         timings: dict[str, float] = {}
         if not names:
@@ -1172,45 +1162,20 @@ class ViewManager:
         failures: dict[str, Exception] = {}
         blocked: set[str] = set()
         for generation in nx.topological_generations(subgraph):
-            runnable = []
             for name in sorted(generation):
                 dependencies = self.catalog.get(name).dependencies
                 if any(dep in failures or dep in blocked for dep in dependencies):
                     blocked.add(name)
                     continue
-                runnable.append(name)
-            if not runnable:
-                continue
-            pool = self._flush_pool() if len(runnable) > 1 else None
-            if pool is not None:
-                futures = {
-                    name: pool.submit(
-                        self._maintain_one, name, context, changed, delta,
-                        target_lsn, rebuild,
+                try:
+                    timings[name] = self._maintain_one(
+                        name, context, changed, delta, target_lsn, rebuild
                     )
-                    for name in runnable
-                }
-                for name, future in futures.items():
-                    try:
-                        timings[name] = future.result()
-                    except Exception as exc:  # noqa: BLE001 - collected below
-                        failures[name] = exc
-            else:
-                for name in runnable:
-                    try:
-                        timings[name] = self._maintain_one(
-                            name, context, changed, delta, target_lsn, rebuild
-                        )
-                    except Exception as exc:  # noqa: BLE001 - collected below
-                        failures[name] = exc
-        if failures:
-            # Deterministic executor lifecycle: a failed flush must not leave
-            # worker threads behind for callers that abandon the manager after
-            # the error.  The pool is recreated lazily if a retry needs it.
-            self.close()
-            for name in names:
-                if name in failures:
-                    raise failures[name]
+                except Exception as exc:  # noqa: BLE001 - re-raised below
+                    failures[name] = exc
+        for name in names:
+            if name in failures:
+                raise failures[name]
         return timings
 
     def _maintain_one(
@@ -1305,18 +1270,17 @@ class ViewManager:
                 kind="append", view_name=name, lsn=state.built_at_lsn,
                 revision=state.revision, delta=journaled,
             ))
-        with self._counters_lock:
-            self.maintenance_decisions += 1
-            self.maintenance_rebuilds += 1
-            if kind == "create":
-                self.full_rebuilds += 1
-            else:
-                self.incremental_applies += 1
-                self.delta_rows_journaled += (
-                    len(journaled.added) + len(journaled.updated) + len(journaled.deleted)
-                )
-                if journaled.is_empty():
-                    self.noop_maintenance += 1
+        self.maintenance_decisions += 1
+        self.maintenance_rebuilds += 1
+        if kind == "create":
+            self.full_rebuilds += 1
+        else:
+            self.incremental_applies += 1
+            self.delta_rows_journaled += (
+                len(journaled.added) + len(journaled.updated) + len(journaled.deleted)
+            )
+            if journaled.is_empty():
+                self.noop_maintenance += 1
         return elapsed
 
     def update(
@@ -1662,18 +1626,17 @@ class ViewManager:
         Mirrored into the metadata store's serving-metrics namespace under
         component ``"view_manager"`` after every materialize and flush.
         """
-        with self._counters_lock:
-            return {
-                "flushes": self.flushes,
-                "deltas_observed": self.deltas_observed,
-                "maintenance_decisions": self.maintenance_decisions,
-                "maintenance_skips": self.maintenance_skips,
-                "maintenance_rebuilds": self.maintenance_rebuilds,
-                "full_rebuilds": self.full_rebuilds,
-                "incremental_applies": self.incremental_applies,
-                "delta_rows_journaled": self.delta_rows_journaled,
-                "noop_maintenance": self.noop_maintenance,
-            }
+        return {
+            "flushes": self.flushes,
+            "deltas_observed": self.deltas_observed,
+            "maintenance_decisions": self.maintenance_decisions,
+            "maintenance_skips": self.maintenance_skips,
+            "maintenance_rebuilds": self.maintenance_rebuilds,
+            "full_rebuilds": self.full_rebuilds,
+            "incremental_applies": self.incremental_applies,
+            "delta_rows_journaled": self.delta_rows_journaled,
+            "noop_maintenance": self.noop_maintenance,
+        }
 
     def maintenance_stats(self) -> dict[str, dict[str, object]]:
         """Per-view lifecycle counters proving the work selectivity avoided."""
@@ -1694,35 +1657,11 @@ class ViewManager:
     # internals
     # -------------------------------------------------------------- #
     def close(self) -> None:
-        """Release the flush thread pool (idempotent; recreated on demand).
+        """Release the manager's resources: there are none to release.
 
-        Called automatically when a flush fails (so failure paths never leak
-        worker threads) and by ``with ViewManager(...)``; long-lived owners
-        should call it on teardown.  ``shutdown(wait=True)`` makes the
-        lifecycle deterministic: after close returns, no ``view-flush``
-        thread is alive.
+        Maintenance runs on the caller's thread and holds no pool, so this is
+        a no-op, kept for owners that close the manager on teardown.
         """
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ViewManager":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    def _flush_pool(self) -> ThreadPoolExecutor | None:
-        """The manager-lifetime flush pool (lazily created, reused per flush)."""
-        if self.max_workers is None or self.max_workers <= 1:
-            return None
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="view-flush"
-            )
-            # Reap the workers when the manager is collected, not at exit.
-            weakref.finalize(self, self._pool.shutdown, wait=False)
-        return self._pool
 
     def _state_lock(self, name: str) -> threading.Lock:
         with self._locks_guard:

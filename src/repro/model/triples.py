@@ -857,9 +857,8 @@ class TripleStore:
 
         Sorted, hashable, and independent of insertion order — two stores are
         byte-equivalent (facts *and* per-source provenance) exactly when their
-        canonical rows are equal.  The parallel-construction and columnar
-        equivalence suites and the CONSTRUCT benchmark compare stores through
-        this one definition.
+        canonical rows are equal.  The batch-construction and columnar
+        equivalence suites compare stores through this one definition.
         """
         rows = []
         for ref in self._by_key.values():

@@ -121,31 +121,28 @@ class SagaPlatform:
         snapshots: Sequence[tuple[str, Sequence[SourceEntity]]],
         timestamp: int | None = None,
         publish: bool = True,
-        max_workers: int | None = None,
     ) -> list[ConstructionReport]:
         """Ingest several sources' snapshots as one construction batch.
 
         Every source's ingestion pipeline runs first (alignment, delta
-        computation, export); the resulting deltas are then consumed through
-        the staged construction scheduler — pre-fusion stages in parallel
-        (bounded by *max_workers*), fusion serialized in snapshot order — and
-        each commit's classified entity delta is published straight into the
-        Graph Engine's journals.  A failing source does not abort the batch:
-        the surviving sources are fused *and published*, then the
-        :class:`~repro.errors.ConstructionBatchError` (which carries every
-        report) propagates.
+        computation, export); the resulting deltas then commit one at a time
+        in snapshot order, and each commit's classified entity delta is
+        published straight into the Graph Engine's journals.  A failing
+        source does not abort the batch: the other sources are fused *and
+        published*, and so is whatever the failed commit fused before it
+        raised; then the :class:`~repro.errors.ConstructionBatchError`
+        (which carries every report) propagates.
         """
         results = [
             self.ingestion.get(source_id).run_entities(entities, timestamp=timestamp)
             for source_id, entities in snapshots
         ]
         try:
-            reports = self.construction.consume_many(results, max_workers=max_workers)
+            reports = self.construction.consume_many(results)
         except ConstructionBatchError as exc:
             if publish:
                 for report in exc.reports:
-                    if report.error is None:
-                        self._publish_report(report)
+                    self._publish_report(report)
             raise
         if publish:
             for report in reports:
@@ -153,7 +150,15 @@ class SagaPlatform:
         return reports
 
     def _consume(self, ingestion_result: IngestionResult, publish: bool) -> ConstructionReport:
-        report = self.construction.consume_ingestion_result(ingestion_result)
+        try:
+            report = self.construction.consume_ingestion_result(ingestion_result)
+        except Exception as exc:
+            # A commit that raised part-way still says what it fused; the
+            # served KG must not fall behind the constructed one.
+            failed = getattr(exc, "construction_report", None)
+            if publish and failed is not None:
+                self._publish_report(failed)
+            raise
         if publish:
             self._publish_report(report)
         return report

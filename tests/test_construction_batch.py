@@ -1,18 +1,19 @@
-"""Property suite for staged parallel construction (Section 2.4, Figure 5).
+"""Property suite for batch construction (Section 2.4, Figure 5).
 
-Seeded randomized multi-source delta sequences are consumed twice — once
-through the classic chained sequential path, once through the
-:class:`ParallelConstructionScheduler` batch path with a worker pool — and
-the suite asserts **byte-identical equivalence**: triple-store contents
-(facts and provenance), link table, per-payload report summaries, classified
-entity deltas, and the Figure 12 growth series must all match exactly.
+Seeded randomized multi-source delta sequences — plus two fixed ones, an
+untyped entity gaining a type and two sources sharing an entity type — are
+consumed twice: once delta by delta through ``consume_delta``, once batch by
+batch through ``consume_many``.  The suite asserts **byte-identical
+equivalence**: triple-store contents (``canonical_rows()`` and ``to_rows()``),
+link table, per-payload report summaries, classified entity deltas, commit
+clocks and the Figure 12 growth series must all match exactly.
 
 The sequence count scales with ``--runs-seeded`` like the view-invariant
 suite (capped proportionally, see the repo conftest).  The same module hosts
-the regression tests for the satellite fixes: per-source failure isolation in
-batch consumption, fusion-commit-time growth clocks, plan validation /
-replanning accounting, and the classified construction→views→serving delta
-path with the store re-diff provably not invoked.
+the regression tests for per-source failure isolation in batch consumption,
+the publishing of a commit that failed part-way, and the classified
+construction→views→serving delta path with the store re-diff provably not
+invoked.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _make_entity(rng: random.Random, source_id: str, entity_type: str, index: in
     }
     if entity_type == "music_artist" and rng.random() < 0.4:
         # Reference predicate: exercises object resolution (and its
-        # deterministic entity minting) at the barrier.
+        # deterministic entity minting) inside the commit.
         properties["record_label"] = rng.choice(LABELS)
     if rng.random() < 0.3:
         properties["popularity"] = rng.randint(1, 100)
@@ -77,9 +78,8 @@ def _mutate(rng: random.Random, entity: SourceEntity) -> SourceEntity:
     if rng.random() < 0.3:
         clone.properties["name"] = f"{clone.properties['name']} II"
     if not clone.entity_type and rng.random() < 0.5:
-        # An untyped entity gaining a type mid-sequence leaves every snapshot
-        # view it used to sit in — the transition that must poison plan
-        # validation (regression coverage for the untyped→typed case).
+        # An untyped entity gaining a type mid-sequence leaves every KG view
+        # it used to sit in.
         clone.entity_type = rng.choice(TYPES)
     return clone
 
@@ -91,8 +91,8 @@ def build_batches(seed: int) -> list[list[SourceDelta]]:
     sources = []
     for s in range(num_sources):
         source_id = f"src{s}"
-        # Some runs give sources disjoint type blocks (plans commit as
-        # prepared), others overlap on purpose (plans must replan).
+        # Some runs give sources disjoint entity types, others overlap on
+        # purpose (later sources link against earlier sources' entities).
         if rng.random() < 0.5:
             source_types = [TYPES[s % len(TYPES)]]
         else:
@@ -139,69 +139,42 @@ def build_batches(seed: int) -> list[list[SourceDelta]]:
     return batches
 
 
-def store_rows(store) -> list[tuple]:
-    """Canonical store content: every fact with its full provenance."""
-    return store.canonical_rows()
-
-
 # ------------------------------------------------------------------ #
 # the equivalence property
 # ------------------------------------------------------------------ #
-def test_parallel_equals_sequential(construct_seed):
-    """Parallel batch construction is byte-identical to chained sequential."""
+def assert_batches_equal_chain(batches: list[list[SourceDelta]]) -> KnowledgeConstructionPipeline:
+    """Consume *batches* through ``consume_many`` and, delta by delta,
+    through ``consume_delta``; assert both leave byte-identical state and
+    return the batched pipeline."""
     ontology = default_ontology()
-    rng = random.Random(31_000 + construct_seed)
-    batches = build_batches(construct_seed)
-
-    sequential = KnowledgeConstructionPipeline(ontology)
+    chained = KnowledgeConstructionPipeline(ontology)
     for batch in batches:
         for delta in batch:
-            sequential.consume_delta(delta)
+            chained.consume_delta(delta)
 
-    workers = rng.choice([2, 3, 4])
-    parallel = KnowledgeConstructionPipeline(ontology, max_workers=workers)
-    with parallel.scheduler:
-        for batch in batches:
-            parallel.consume_many(batch)
+    batched = KnowledgeConstructionPipeline(ontology)
+    for batch in batches:
+        batched.consume_many(batch)
 
-    assert store_rows(parallel.store) == store_rows(sequential.store)
-    assert parallel.link_table == sequential.link_table
-    assert [r.summary() for r in parallel.reports] == [
-        r.summary() for r in sequential.reports
+    assert batched.store.canonical_rows() == chained.store.canonical_rows()
+    assert batched.store.to_rows() == chained.store.to_rows()
+    assert batched.link_table == chained.link_table
+    assert [r.summary() for r in batched.reports] == [r.summary() for r in chained.reports]
+    assert [r.entity_delta for r in batched.reports] == [
+        r.entity_delta for r in chained.reports
     ]
-    assert [r.entity_delta for r in parallel.reports] == [
-        r.entity_delta for r in sequential.reports
-    ]
-    assert parallel.growth.series() == sequential.growth.series()
-    # Plan accounting: every block either committed as prepared or replanned.
-    stats = parallel.scheduler.last_batch
-    assert stats is not None
-    assert stats.plans_reused + stats.plans_replanned >= 0
-    assert stats.blocks == len(stats.block_seconds)
+    clocks = [r.commit_clock for r in batched.reports]
+    assert clocks == [r.commit_clock for r in chained.reports]
+    assert clocks == list(range(1, len(clocks) + 1))
+    assert batched.growth.series() == chained.growth.series()
+    return batched
 
 
-@pytest.mark.parametrize("clock_seed", range(5))
-def test_parallel_commit_clock_is_deterministic(clock_seed):
-    """Growth clocks depend only on commit order, not on scheduling."""
-    ontology = default_ontology()
-    batches = build_batches(clock_seed)
-    runs = []
-    for workers in (None, 2, 4):
-        pipeline = KnowledgeConstructionPipeline(ontology, max_workers=workers)
-        with pipeline.scheduler:
-            for batch in batches:
-                pipeline.consume_many(batch)
-        runs.append([
-            (r.commit_clock, r.source_id, g.fact_count)
-            for r, g in zip(pipeline.reports, pipeline.growth.points)
-        ])
-    assert runs[0] == runs[1] == runs[2]
-    assert [clock for clock, _, _ in runs[0]] == list(range(1, len(runs[0]) + 1))
+def test_consume_many_equals_chained_consume_delta(construct_seed):
+    """Batch construction is byte-identical to chained single-delta commits."""
+    assert_batches_equal_chain(build_batches(construct_seed))
 
 
-# ------------------------------------------------------------------ #
-# plan validation / reuse
-# ------------------------------------------------------------------ #
 def _initial_delta(source_id: str, entity_type: str, names: list[str]) -> SourceDelta:
     entities = [
         SourceEntity(
@@ -216,101 +189,70 @@ def _initial_delta(source_id: str, entity_type: str, names: list[str]) -> Source
     return SourceDelta.initial(source_id, entities, timestamp=1)
 
 
-def test_disjoint_type_blocks_commit_as_prepared():
-    """Type-disjoint sources never conflict: every plan commits as prepared."""
-    ontology = default_ontology()
-    pipeline = KnowledgeConstructionPipeline(ontology, max_workers=4)
-    batch = [
-        _initial_delta("musicdb", "music_artist", ["Echo Valley", "Blue Harbor"]),
-        _initial_delta("moviedb", "movie", ["Iron Crest", "Silver Lining"]),
-        _initial_delta("sportsdb", "sports_team", ["Golden Mile", "Velvet Coast"]),
-        _initial_delta("corpdb", "company", ["Paper Lantern", "Neon Skyline"]),
-    ]
-    with pipeline.scheduler:
-        pipeline.consume_many(batch)
-    stats = pipeline.scheduler.last_batch
-    # The first commit can never be invalidated; the remaining type-disjoint
-    # blocks must all have survived validation too.
-    assert stats.plans_reused == 4
-    assert stats.plans_replanned == 0
+def _untyped_entity_gains_a_type():
+    """An untyped entity sits in *every* KG view.  Once a commit types it as
+    a music artist it leaves the movie-typed view that a later untyped record
+    of the same name links against, so that record gets its own KG id."""
+    seed = SourceDelta.initial("seed", [SourceEntity(
+        entity_id="seed:thing/0", entity_type="",
+        properties={"name": "Iron Crest", "genre": "rock"}, source_id="seed", trust=0.8,
+    )], timestamp=1)
+    typed = SourceDelta(source_id="seed", updated=[SourceEntity(
+        entity_id="seed:thing/0", entity_type="music_artist",
+        properties={"name": "Iron Crest", "genre": "rock"}, source_id="seed", trust=0.8,
+    )], to_timestamp=2)
+    # The shared genre pushes the matcher over the positive-edge threshold
+    # for same-named records: while the seed entity is in view, they link.
+    untyped = SourceDelta.initial("b", [
+        SourceEntity(entity_id="b:m/0", entity_type="movie",
+                     properties={"name": "Paper Lantern"}, source_id="b", trust=0.8),
+        SourceEntity(entity_id="b:y/0", entity_type="",
+                     properties={"name": "Iron Crest", "genre": "rock"}, source_id="b", trust=0.8),
+    ], timestamp=2)
+
+    def check(pipeline):
+        assert pipeline.link_table["b:y/0"] != pipeline.link_table["seed:thing/0"]
+
+    return [[seed], [typed, untyped]], check
 
 
-def test_same_type_blocks_replan_at_the_barrier():
-    """Same-type sources conflict: later blocks replan serially — and still
-    produce exactly the sequential outcome (cross-source dedup included)."""
-    ontology = default_ontology()
-    pipeline = KnowledgeConstructionPipeline(ontology, max_workers=4)
+def _sources_share_an_entity_type():
+    """Two sources publish the same artist in one batch: the later source
+    links against what the earlier one just fused — one KG id for both."""
     batch = [
         _initial_delta("musicdb", "music_artist", ["Echo Valley", "Blue Harbor"]),
         _initial_delta("wiki", "music_artist", ["Echo Valley", "Iron Crest"]),
     ]
-    with pipeline.scheduler:
-        pipeline.consume_many(batch)
-    stats = pipeline.scheduler.last_batch
-    assert stats.plans_reused == 1
-    assert stats.plans_replanned == 1
-    # The shared artist must have been linked across sources, exactly as the
-    # sequential chain would: one KG id for both sources' "Echo Valley".
-    kg_ids = {
-        pipeline.link_table["musicdb:music_artist/0"],
-        pipeline.link_table["wiki:music_artist/0"],
-    }
-    assert len(kg_ids) == 1
+
+    def check(pipeline):
+        assert (
+            pipeline.link_table["musicdb:music_artist/0"]
+            == pipeline.link_table["wiki:music_artist/0"]
+        )
+
+    return [batch], check
 
 
-def test_typing_an_untyped_entity_poisons_stale_plans():
-    """An untyped entity sits in *every* KG view; a commit that gives it a
-    type changes every snapshot view, so later prepared plans must replan —
-    reusing them diverges from sequential (regression for the untyped→typed
-    validation gap)."""
-    ontology = default_ontology()
+FIXED_INPUTS = {
+    "untyped_to_typed": _untyped_entity_gains_a_type,
+    "same_type": _sources_share_an_entity_type,
+}
 
-    def batch_for(pipeline):
-        # Seed: an alive, untyped entity named "Iron Crest" (the shared genre
-        # pushes the matcher over the positive-edge threshold for same-named
-        # records, so the untyped record below links to it while it is in
-        # view).
-        pipeline.consume_delta(SourceDelta.initial("seed", [SourceEntity(
-            entity_id="seed:thing/0", entity_type="",
-            properties={"name": "Iron Crest", "genre": "rock"}, source_id="seed", trust=0.8,
-        )], timestamp=1))
-        # Batch: delta A is the seed source re-publishing the entity *with a
-        # type* (known-updated path: retract + re-assert types the KG
-        # subject, which removes it from every view whose filter its new
-        # type fails); delta B carries an untyped record of the same name
-        # whose snapshot view still contained the entity.
-        delta_a = SourceDelta(source_id="seed", updated=[SourceEntity(
-            entity_id="seed:thing/0", entity_type="music_artist",
-            properties={"name": "Iron Crest", "genre": "rock"}, source_id="seed", trust=0.8,
-        )], to_timestamp=2)
-        delta_b = SourceDelta.initial("b", [
-            SourceEntity(entity_id="b:m/0", entity_type="movie",
-                         properties={"name": "Paper Lantern"}, source_id="b", trust=0.8),
-            SourceEntity(entity_id="b:y/0", entity_type="",
-                         properties={"name": "Iron Crest", "genre": "rock"}, source_id="b", trust=0.8),
-        ], timestamp=2)
-        return [delta_a, delta_b]
 
-    sequential = KnowledgeConstructionPipeline(ontology)
-    for delta in batch_for(sequential):
-        sequential.consume_delta(delta)
-
-    parallel = KnowledgeConstructionPipeline(ontology, max_workers=2)
-    with parallel.scheduler:
-        parallel.consume_many(batch_for(parallel))
-
-    assert parallel.link_table == sequential.link_table
-    assert store_rows(parallel.store) == store_rows(sequential.store)
+@pytest.mark.parametrize("name", sorted(FIXED_INPUTS))
+def test_consume_many_equals_chain_on_fixed_input(name):
+    batches, check = FIXED_INPUTS[name]()
+    check(assert_batches_equal_chain(batches))
 
 
 # ------------------------------------------------------------------ #
-# satellite: per-source failure isolation
+# per-source failure isolation
 # ------------------------------------------------------------------ #
 def test_batch_isolates_per_source_failures(monkeypatch):
     """One failing delta no longer aborts the batch: the rest keep fusing and
     an aggregate error carrying every report is raised at the end."""
     ontology = default_ontology()
-    pipeline = KnowledgeConstructionPipeline(ontology, max_workers=2)
+    pipeline = KnowledgeConstructionPipeline(ontology)
 
     original = Fusion.fuse_added
 
@@ -328,8 +270,7 @@ def test_batch_isolates_per_source_failures(monkeypatch):
         _initial_delta("corpdb", "company", ["Paper Lantern"]),
     ]
     with pytest.raises(ConstructionBatchError) as excinfo:
-        with pipeline.scheduler:
-            pipeline.consume_many(batch)
+        pipeline.consume_many(batch)
     error = excinfo.value
     assert len(error.reports) == 3
     assert [r.error is None for r in error.reports] == [True, False, True]
@@ -342,7 +283,7 @@ def test_batch_isolates_per_source_failures(monkeypatch):
     assert "musicdb:music_artist/0" in pipeline.link_table
     assert "corpdb:company/0" in pipeline.link_table
     # Failure isolation is per-source, not transactional (matching a failed
-    # sequential consume): the faulty source may have linked, but nothing of
+    # single-delta consume): the faulty source may have linked, but nothing of
     # it reached the store — fusion is where the store mutates.
     faulty_kg_id = pipeline.link_table.get("faulty:movie/0")
     if faulty_kg_id is not None:
@@ -510,7 +451,7 @@ def test_platform_publishes_classified_deltas_without_rediff(monkeypatch):
     assert set(report.entity_delta.deleted) <= set(net.deleted)
 
 
-def test_platform_ingest_batch_parallel_end_to_end():
+def test_platform_ingest_batch_end_to_end():
     """ingest_batch runs multi-source construction and publishes every commit."""
     platform = _platform_with_views()
     for source_id in ("musicdb", "wiki"):
@@ -520,12 +461,11 @@ def test_platform_ingest_batch_parallel_end_to_end():
             ("musicdb", _artist_entities("musicdb", ["Echo Valley", "Blue Harbor"])),
             ("wiki", _artist_entities("wiki", ["Echo Valley", "Iron Crest"])),
         ],
-        max_workers=2,
     )
     assert [r.source_id for r in reports] == ["musicdb", "wiki"]
     assert all(r.error is None for r in reports)
     # Both publishes replayed into the engine and the cross-source duplicate
-    # was merged exactly as sequential ingestion would have.
+    # was merged to one KG id.
     assert platform.construction.link_table["musicdb:artist/0"] == (
         platform.construction.link_table["wiki:artist/0"]
     )
@@ -559,6 +499,43 @@ def test_platform_ingest_batch_publishes_survivors_on_failure(monkeypatch):
     # The surviving source was still published and replayed.
     assert all(lag == 0 for lag in platform.graph_engine.freshness().values())
     assert platform.graph_engine.search("Echo Valley", k=3)
+
+
+@pytest.mark.parametrize("entry_point", ["ingest_batch", "ingest_snapshot"])
+def test_a_commit_that_fails_part_way_publishes_what_it_fused(monkeypatch, entry_point):
+    """A source drops one artist and adds another, and the drop fails after
+    the addition fused.  The added artist is in the constructed KG, so it
+    must be in the served one too."""
+    platform = _platform_with_views()
+    platform.register_source("musicdb")
+    first, second, third = _artist_entities(
+        "musicdb", ["Echo Valley", "Blue Harbor", "Iron Crest"]
+    )
+    platform.ingest_snapshot("musicdb", [first, second])
+
+    def explosive(self, store, source_id, subjects):
+        raise RuntimeError("synthetic deletion failure")
+
+    monkeypatch.setattr(Fusion, "fuse_deleted", explosive)
+    if entry_point == "ingest_batch":
+        with pytest.raises(ConstructionBatchError) as excinfo:
+            platform.ingest_batch([("musicdb", [second, third])])
+        (failed,) = excinfo.value.reports
+    else:
+        with pytest.raises(RuntimeError) as excinfo:
+            platform.ingest_snapshot("musicdb", [second, third])
+
+    kg_id = platform.construction.link_table["musicdb:artist/2"]
+    constructed = platform.construction.store.facts_about(kg_id)
+    assert constructed
+    assert platform.graph_engine.triples.facts_about(kg_id) == constructed
+    assert platform.graph_engine.entity(kg_id) is not None
+    assert all(lag == 0 for lag in platform.graph_engine.freshness().values())
+    # The failed report is what was published: it names the added artist.
+    if entry_point == "ingest_snapshot":
+        failed = excinfo.value.construction_report
+    assert "RuntimeError" in failed.error
+    assert kg_id in failed.entity_delta.added
 
 
 def test_classified_deltas_ship_to_replica_fleet(tmp_path):

@@ -20,16 +20,14 @@ suite asserts the four core invariants of incremental view maintenance:
    was (the ``touch`` op) are journaled as nothing.
 
 The sequence count is controlled by ``--runs-seeded`` (default 25; the bare
-flag, as used in CI, runs 200).  The same module hosts the concurrency tests
-for parallel branch flushing and the no-op-deletion regression tests.
+flag, as used in CI, runs 200).  The same module hosts the flush-order and
+failure-semantics tests and the no-op-deletion regression tests.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
-import threading
-import time
 
 import pytest
 
@@ -86,7 +84,7 @@ def _typed_rows(store: ModelStore, entity_type: str) -> dict:
     return {eid: _row(store, eid) for eid in store.of_type(entity_type)}
 
 
-def build_harness(store: ModelStore, max_workers=None, with_unscoped=False):
+def build_harness(store: ModelStore, with_unscoped=False):
     """Register the harness views and return (catalog, manager).
 
     ``alpha_rows`` maintains through ``apply_delta`` (journal append path),
@@ -163,7 +161,6 @@ def build_harness(store: ModelStore, max_workers=None, with_unscoped=False):
         catalog, engines={}, metadata=MetadataStore(),
         lsn_source=lambda: clock["lsn"],
         entity_source=store.subjects,
-        max_workers=max_workers,
     )
     return catalog, manager, clock
 
@@ -265,11 +262,7 @@ def check_invariants(store, catalog, manager, watermark_history, consumer=None):
 def test_random_op_sequences_preserve_view_invariants(op_seed):
     rng = random.Random(op_seed)
     store = ModelStore()
-    catalog, manager, clock = build_harness(
-        store,
-        max_workers=2 if op_seed % 3 == 0 else None,
-        with_unscoped=op_seed % 2 == 1,
-    )
+    catalog, manager, clock = build_harness(store, with_unscoped=op_seed % 2 == 1)
     counter = 0
     graveyard: list[str] = []               # deleted ids eligible for revival
     for _ in range(rng.randint(3, 8)):      # initial population
@@ -620,29 +613,30 @@ def test_live_delta_consumption_matches_full_reload(live_seed, ontology):
 
 
 # ------------------------------------------------------------------ #
-# concurrency: parallel branch flushing
+# flush order and failure semantics
 # ------------------------------------------------------------------ #
-def _branch_catalog(events, barrier=None, fail_on=()):
-    """Two independent branches: (a_root -> a_child) and (b_root -> b_child)."""
+def _branch_catalog(events, fail_on=()):
+    """Two independent branches: (a_root -> a_child) and (b_root -> b_child).
+
+    Every maintenance step appends ``(view, phase)`` to *events*, so a test
+    reads the order the flush ran them in."""
     catalog = ViewCatalog()
 
-    def recording(name, result, wait=False):
+    def recording(name, result):
         def run(context, changed=None):
-            events.append((name, "start", time.monotonic()))
+            events.append((name, "start"))
             if name in fail_on:
-                events.append((name, "fail", time.monotonic()))
+                events.append((name, "fail"))
                 raise RuntimeError(f"{name} branch down")
-            if wait and barrier is not None:
-                barrier.wait(timeout=10)
-            events.append((name, "end", time.monotonic()))
+            events.append((name, "end"))
             return result
         return run
 
     def child_create(branch):
         def create(context):
-            events.append((f"{branch}_child", "start", time.monotonic()))
+            events.append((f"{branch}_child", "start"))
             artifact = context.artifact(f"{branch}_root") + "/child"
-            events.append((f"{branch}_child", "end", time.monotonic()))
+            events.append((f"{branch}_child", "end"))
             return artifact
         return create
 
@@ -650,7 +644,7 @@ def _branch_catalog(events, barrier=None, fail_on=()):
         catalog.register(ViewDefinition(
             f"{branch}_root", "analytics",
             create=lambda ctx, branch=branch: f"{branch}0",
-            update=recording(f"{branch}_root", f"{branch}1", wait=True),
+            update=recording(f"{branch}_root", f"{branch}1"),
             scope=lambda eid, branch=branch: eid.startswith(f"{branch}:"),
         ))
         catalog.register(ViewDefinition(
@@ -663,21 +657,27 @@ def _branch_catalog(events, barrier=None, fail_on=()):
 
 
 def test_parallel_flush_overlaps_branches_without_reordering_dependencies():
+    """Independent branches both flush — one view at a time, antichain by
+    antichain — and no dependent starts before its dependency committed."""
     events: list = []
-    barrier = threading.Barrier(2)    # both roots must be in flight at once
-    catalog = _branch_catalog(events, barrier=barrier)
+    catalog = _branch_catalog(events)
     clock = {"lsn": 1}
-    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"],
-                          max_workers=2)
+    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"])
     manager.materialize()
+    events.clear()
     clock["lsn"] = 2
     manager.enqueue(["a:1", "b:1"], lsn=2)
-    timings = manager.flush()   # would raise BrokenBarrierError if serial
+    timings = manager.flush()
     assert set(timings) == {"a_root", "a_child", "b_root", "b_child"}
-    stamps = {(name, phase): stamp for name, phase, stamp in events}
+    # antichain by antichain, sorted within one: both roots, then both children
+    assert [name for name, phase in events if phase == "start"] == [
+        "a_root", "b_root", "a_child", "b_child",
+    ]
     for branch in ("a", "b"):
         # a dependent never starts before its dependency committed
-        assert stamps[(f"{branch}_root", "end")] <= stamps[(f"{branch}_child", "start")]
+        assert events.index((f"{branch}_root", "end")) < events.index(
+            (f"{branch}_child", "start")
+        )
     assert manager.artifact("a_child") == "a1/child"
     assert manager.artifact("b_child") == "b1/child"
 
@@ -687,8 +687,7 @@ def test_failing_branch_restores_delta_without_corrupting_sibling_journal():
     fail_on = {"a_root"}                     # mutable: healed mid-test
     catalog = _branch_catalog(events, fail_on=fail_on)
     clock = {"lsn": 1}
-    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"],
-                          max_workers=2)
+    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"])
     manager.materialize()
     journal_events = []
     manager.add_journal_listener(journal_events.append)
@@ -764,55 +763,6 @@ def test_deletion_outside_every_scope_is_a_noop_flush():
     timings = manager.flush()
     assert set(timings) == {"alpha_rows", "alpha_index"}
     assert manager.artifact("alpha_rows") == {}
-
-
-# ------------------------------------------------------------------ #
-# regression: flush executor lifecycle is deterministic
-# ------------------------------------------------------------------ #
-def _flush_threads():
-    return {t for t in threading.enumerate() if t.name.startswith("view-flush")}
-
-
-def test_repeated_failing_flushes_do_not_leak_executor_threads():
-    """Regression: a failing parallel flush must shut its executor down —
-    repeated failures (or an abandoned manager after one) used to leave the
-    worker threads alive until garbage collection.  Thread accounting is
-    relative to a baseline: other managers in the process may hold pools."""
-    events: list = []
-    fail_on = {"a_root", "b_root"}          # both branches fail in parallel
-    catalog = _branch_catalog(events, fail_on=fail_on)
-    clock = {"lsn": 1}
-    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"],
-                          max_workers=4)
-    manager.materialize()
-    baseline = _flush_threads()             # pool is lazy: none of ours yet
-    for round_ in range(2, 7):
-        clock["lsn"] = round_
-        manager.enqueue(["a:1", "b:1"], lsn=round_)
-        with pytest.raises(RuntimeError, match="branch down"):
-            manager.flush()
-        assert _flush_threads() <= baseline  # failure path reaped our pool
-    # the retry after healing recreates the pool and still succeeds
-    fail_on.clear()
-    timings = manager.flush()
-    assert set(timings) == {"a_root", "a_child", "b_root", "b_child"}
-    manager.close()
-    assert _flush_threads() <= baseline
-
-
-def test_view_manager_context_manager_reaps_flush_pool():
-    events: list = []
-    catalog = _branch_catalog(events, barrier=threading.Barrier(2))
-    clock = {"lsn": 1}
-    baseline = _flush_threads()
-    with ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"],
-                     max_workers=2) as manager:
-        manager.materialize()
-        clock["lsn"] = 2
-        manager.enqueue(["a:1", "b:1"], lsn=2)
-        manager.flush()
-        assert _flush_threads() - baseline   # pool alive between flushes
-    assert _flush_threads() <= baseline
 
 
 # ------------------------------------------------------------------ #
