@@ -2,9 +2,10 @@
 
 The front door (docs/frontdoor.md) is the request layer between "millions
 of users" and the replica fleet: per-tenant admission (token buckets, a
-bounded priority queue, deadlines) over scatter-gather execution on a
-bounded worker pool.  This benchmark replays realistic traffic against a
-**live** fleet and gates on the contract the paper's serving tier makes:
+bounded priority queue, deadlines) over routed execution on one replica —
+MATCH plans, all this replay issues, inline on the event loop that also
+schedules the arrivals.  This benchmark replays realistic traffic against
+a **live** fleet and gates on the contract the paper's serving tier makes:
 
 * **open-loop arrivals** — request times are drawn from a Poisson process
   (exponential inter-arrivals), so arrival pressure does not slow down when

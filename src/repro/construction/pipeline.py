@@ -113,8 +113,15 @@ class KnowledgeConstructionPipeline:
         return report
 
     def consume_ingestion_result(self, result: IngestionResult) -> ConstructionReport:
-        """Consume the delta produced by an ingestion pipeline run."""
-        return self.consume_delta(result.delta)
+        """Consume the delta produced by an ingestion pipeline run.
+
+        The source's consumed snapshot advances only after the commit
+        succeeded; a commit that raised leaves it behind, so ingesting the
+        same snapshot again retries the whole delta.
+        """
+        report = self.consume_delta(result.delta)
+        result.commit()
+        return report
 
     def consume_many(
         self, payloads: Iterable[SourceDelta | IngestionResult]
@@ -125,7 +132,9 @@ class KnowledgeConstructionPipeline:
         payload does not abort the batch: the remaining sources keep fusing,
         and a :class:`~repro.errors.ConstructionBatchError` carrying every
         report is raised after the batch.  A failed report has its ``error``
-        set and classifies whatever its commit fused before failing.
+        set and classifies whatever its commit fused before failing; like
+        :meth:`consume_ingestion_result`, only a successful commit advances
+        its source's consumed snapshot.
         """
         reports: list[ConstructionReport] = []
         failures: list[tuple[str, Exception]] = []
@@ -138,6 +147,8 @@ class KnowledgeConstructionPipeline:
                 failures.append((delta.source_id, exc))
             else:
                 self._record_commit(report)
+                if isinstance(payload, IngestionResult):
+                    payload.commit()
             reports.append(report)
         if failures:
             raise ConstructionBatchError(reports, failures)

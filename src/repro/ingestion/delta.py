@@ -52,19 +52,8 @@ class DeltaComputer:
         A source never seen before yields a delta whose ``added`` partition
         holds the full payload, exactly how the paper onboards new sources.
         """
-        previous = self._snapshots.get(source_id, [])
-        from_timestamp = self._timestamps.get(source_id, 0)
-        to_timestamp = timestamp if timestamp is not None else from_timestamp + 1
-        delta = compute_delta(
-            source_id=source_id,
-            previous=previous,
-            current=entities,
-            volatile_predicates=self.volatile_predicates(),
-            from_timestamp=from_timestamp,
-            to_timestamp=to_timestamp,
-        )
-        self._snapshots[source_id] = [entity.copy() for entity in entities]
-        self._timestamps[source_id] = to_timestamp
+        delta = self.peek(source_id, entities, timestamp)
+        self.commit(source_id, entities, delta.to_timestamp)
         return delta
 
     def peek(
@@ -82,6 +71,18 @@ class DeltaComputer:
             from_timestamp=from_timestamp,
             to_timestamp=to_timestamp,
         )
+
+    def commit(
+        self, source_id: str, entities: Sequence[SourceEntity], timestamp: int
+    ) -> None:
+        """Record *entities* as the snapshot the KG has consumed.
+
+        Call once the delta :meth:`peek` produced has been committed: until
+        then the next delta still diffs against the previous snapshot, so a
+        commit that failed is retried in full instead of being skipped.
+        """
+        self._snapshots[source_id] = [entity.copy() for entity in entities]
+        self._timestamps[source_id] = timestamp
 
     def forget(self, source_id: str) -> None:
         """Drop the remembered snapshot (the next delta will be a full add)."""

@@ -24,7 +24,12 @@ from repro.model.ontology import Ontology
 
 @dataclass
 class IngestionResult:
-    """Everything produced by one run of an ingestion pipeline."""
+    """Everything produced by one run of an ingestion pipeline.
+
+    The run only *peeks* at its delta: the source's consumed snapshot stays
+    where it was until :meth:`commit` is called, which the construction
+    pipeline does once the KG has committed :attr:`delta`.
+    """
 
     source_id: str
     entities: list[SourceEntity]
@@ -33,6 +38,12 @@ class IngestionResult:
     integrity: IntegrityReport
     alignment: AlignmentReport
     timestamp: int = 0
+    delta_computer: DeltaComputer | None = field(default=None, repr=False, compare=False)
+
+    def commit(self) -> None:
+        """Advance the source's consumed snapshot to this run's entities."""
+        if self.delta_computer is not None:
+            self.delta_computer.commit(self.source_id, self.entities, self.timestamp)
 
     def summary(self) -> dict[str, object]:
         """Compact run summary for logging and tests."""
@@ -102,7 +113,7 @@ class IngestionPipeline:
         aligned, alignment_report = self.aligner.align(entities)
         self._runs += 1
         effective_timestamp = timestamp if timestamp is not None else self._runs
-        delta = self.delta_computer.compute(
+        delta = self.delta_computer.peek(
             self.source_id, aligned, timestamp=effective_timestamp
         )
         exported = export_delta(delta)
@@ -114,6 +125,7 @@ class IngestionPipeline:
             integrity=integrity,
             alignment=alignment_report,
             timestamp=effective_timestamp,
+            delta_computer=self.delta_computer,
         )
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.construction.matching import MatcherRegistry
-from repro.errors import ConstructionBatchError, ServingError
+from repro.errors import ConstructionBatchError, IngestionError, ServingError
 from repro.construction.pipeline import KnowledgeConstructionPipeline
 from repro.construction.incremental import ConstructionReport
 from repro.datagen.streams import LiveEvent
@@ -98,7 +98,9 @@ class SagaPlatform:
 
         Runs the source's ingestion pipeline (alignment, delta computation,
         export), consumes the delta with incremental knowledge construction,
-        and publishes the changed subjects to the Graph Engine.
+        and publishes the changed subjects to the Graph Engine.  The source's
+        consumed snapshot advances only once the commit succeeded, so after
+        a failed commit the same snapshot can be ingested again.
         """
         pipeline = self.ingestion.get(source_id)
         ingestion_result = pipeline.run_entities(entities, timestamp=timestamp)
@@ -131,8 +133,14 @@ class SagaPlatform:
         source does not abort the batch: the other sources are fused *and
         published*, and so is whatever the failed commit fused before it
         raised; then the :class:`~repro.errors.ConstructionBatchError`
-        (which carries every report) propagates.
+        (which carries every report) propagates.  Only the sources whose
+        commit succeeded advance their consumed snapshot.  Each source may
+        appear once per batch: every delta is computed before the first
+        commit, against the snapshot the KG had consumed.
         """
+        source_ids = [source_id for source_id, _ in snapshots]
+        if len(set(source_ids)) != len(source_ids):
+            raise IngestionError(f"a batch takes one snapshot per source, got {source_ids}")
         results = [
             self.ingestion.get(source_id).run_entities(entities, timestamp=timestamp)
             for source_id, entities in snapshots
@@ -324,7 +332,8 @@ class SagaPlatform:
         Requires :meth:`start_serving_fleet` to have been called: the front
         door admits per-tenant KGQ requests (token buckets, a bounded
         priority admission queue, deadlines) and executes them through the
-        fleet's query router on a bounded worker pool, mirroring its
+        fleet's query router (MATCH plans on the event loop, REACH plans on
+        a bounded worker pool), mirroring its
         serving metrics into the engine's metadata store.  Tenants are
         onboarded through ``front_door.registry.register(...)``.
         """

@@ -3,8 +3,8 @@
 :class:`FrontDoor` is the request layer the paper's "millions of users" hit:
 an asyncio surface accepting per-tenant KGQ requests with deadlines and
 priority classes, executing the fleet's synchronous routed query
-(:meth:`~repro.serving.fleet.ServingFleet.query`) on a bounded worker pool,
-and refusing work honestly when saturated.  One request flows through:
+(:meth:`~repro.serving.fleet.ServingFleet.query`), and refusing work
+honestly when saturated.  One request flows through:
 
 1. **tenancy** — the tenant is resolved once, on arrival, and the query
    compiled through the tenant's own plan cache (the only plan cache on the
@@ -19,16 +19,23 @@ and refusing work honestly when saturated.  One request flows through:
    primary commits a delta), else the compiled plan runs on one replica of
    the fleet with replica-side caches off — the front door's per-tenant caches
    *are* the serving cache, so a cross-tenant hit is structurally
-   impossible;
+   impossible.  A MATCH plan (no REACH stage) runs inline on the event loop:
+   its ~0.1 ms of index work is cheaper than the thread hop, two switches
+   and a future under one interpreter lock, that a worker pool would add.
+   The door then yields once (``asyncio.sleep(0)``), so the writer and
+   replica-apply threads get the lock between requests instead of waiting
+   out the forced switch interval.  A REACH plan, an automaton-product
+   expansion of unbounded size, runs on the door's bounded worker pool and
+   never holds up the loop;
 4. **observability** — every outcome and served latency streams into
    :class:`~repro.serving.frontdoor.metrics.ServingMetrics`, surfaced by
    :meth:`FrontDoor.stats` and mirrored into the
    :class:`~repro.engine.metadata.MetadataStore` serving-metrics namespace.
 
-Deadlines bound *waiting*, not execution: a request that reached a worker
-runs to completion (the synchronous fleet call cannot be cancelled
-mid-query), but it can never sit in the queue past its deadline and an
-expired request is never dispatched.
+Deadlines bound *waiting*, not execution: a dispatched request runs to
+completion (the synchronous fleet call cannot be cancelled mid-query), but
+it can never sit in the queue past its deadline and an expired request is
+never dispatched.
 """
 
 from __future__ import annotations
@@ -68,10 +75,11 @@ class FrontDoor:
     *fleet* supplies the query router (``fleet.query_router``) and
     the primary view manager whose journal events drive per-view cache
     invalidation (``fleet.manager``); *registry* scopes tenants.  All
-    coroutine methods must be driven from one event loop; the synchronous
-    fleet calls run on the door's own bounded thread pool, which is also the
-    global concurrency gate (``max_concurrency`` in-flight requests, then
-    the bounded queue, then load shedding).
+    coroutine methods must be driven from one event loop.  MATCH plans run
+    on that loop and yield once after each request; REACH plans run on the
+    door's own bounded thread pool.  ``max_concurrency`` in-flight requests
+    of either kind is the global concurrency gate, then the bounded queue,
+    then load shedding.
     """
 
     def __init__(
@@ -105,6 +113,8 @@ class FrontDoor:
         )
         self._in_flight = 0
         self._max_in_flight = 0
+        self.executed_inline = 0
+        self.executed_pooled = 0
         self._seq = 0
         self._ewma_service_s = 0.01     # drain estimate seed; updated per completion
         self._closed = False
@@ -193,7 +203,6 @@ class FrontDoor:
             if absolute_deadline is not None and self._clock() > absolute_deadline:
                 self.metrics.count(tenant_id, "deadline_exceeded")
                 raise deadline_error(tenant_id, "before dispatch")
-            loop = asyncio.get_running_loop()
             execute = partial(
                 self.query_router.execute,
                 plan,
@@ -201,9 +210,16 @@ class FrontDoor:
                 consistency,
                 use_cache=False,
             )
+            inline = plan.reach is None
             started_execution = self._clock()
             try:
-                result = await loop.run_in_executor(self._pool, execute)
+                if inline:
+                    self.executed_inline += 1
+                    result = execute()
+                else:
+                    self.executed_pooled += 1
+                    loop = asyncio.get_running_loop()
+                    result = await loop.run_in_executor(self._pool, execute)
             except Exception:
                 self.metrics.count(tenant_id, "execution_errors")
                 raise
@@ -211,6 +227,11 @@ class FrontDoor:
             self._ewma_service_s = 0.8 * self._ewma_service_s + 0.2 * elapsed
         finally:
             self._release_slot()
+        if inline:
+            # An inline request never let go of the interpreter lock: yield
+            # once, or the writer and replica-apply threads each wait out the
+            # forced switch interval at every hand-off between requests.
+            await asyncio.sleep(0)
 
         latency_ms = (self._clock() - arrived) * 1000.0
         self.metrics.count(tenant_id, "completed")
@@ -317,15 +338,17 @@ class FrontDoor:
 
         Combines the metrics layer (per-tenant counters, latency
         percentiles), the saturation gauges (queue depth / high-water mark,
-        in-flight), the registry's plan- and result-cache counters, and the
-        query router's dispatch and join stats.  Mirrored into the metadata
-        store's serving-metrics namespace (component ``front_door``) when
-        one is attached.
+        in-flight), the inline / pooled execution split, the registry's
+        plan- and result-cache counters, and the query router's dispatch and
+        join stats.  Mirrored into the metadata store's serving-metrics
+        namespace (component ``front_door``) when one is attached.
         """
         snapshot = {
             **self.metrics.snapshot(),
             "in_flight": self._in_flight,
             "max_in_flight": self._max_in_flight,
+            "executed_inline": self.executed_inline,
+            "executed_pooled": self.executed_pooled,
             "max_concurrency": self.max_concurrency,
             "queue": self.queue.stats(),
             "view_invalidations": self.view_invalidations,

@@ -30,7 +30,7 @@ from repro.construction import (
 from repro.construction.fusion import Fusion
 from repro.engine.agents import AgentCoordinator
 from repro.engine.views import ViewDefinition, ViewDelta
-from repro.errors import ConstructionBatchError
+from repro.errors import ConstructionBatchError, IngestionError
 from repro.model import default_ontology
 from repro.model.delta import SourceDelta
 from repro.model.entity import SourceEntity
@@ -536,6 +536,56 @@ def test_a_commit_that_fails_part_way_publishes_what_it_fused(monkeypatch, entry
         failed = excinfo.value.construction_report
     assert "RuntimeError" in failed.error
     assert kg_id in failed.entity_delta.added
+
+
+@pytest.mark.parametrize("entry_point", ["ingest_batch", "ingest_snapshot"])
+def test_a_failed_commit_does_not_advance_the_consumed_snapshot(monkeypatch, entry_point):
+    """A drop whose deletion failed must be retried by the next ingest of the
+    same snapshot; an ingestion side that advanced anyway would diff the
+    retry to an empty delta and the dropped artist would stay served."""
+    platform = _platform_with_views()
+    platform.register_source("musicdb")
+    first, second = _artist_entities("musicdb", ["Echo Valley", "Blue Harbor"])
+    platform.ingest_snapshot("musicdb", [first, second])
+    kg_id = platform.construction.link_table["musicdb:artist/0"]
+    assert platform.graph_engine.entity(kg_id) is not None
+
+    original = Fusion.fuse_deleted
+    calls = {"n": 0}
+
+    def fails_once(self, store, source_id, subjects):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise RuntimeError("synthetic deletion failure")
+        return original(self, store, source_id, subjects)
+
+    monkeypatch.setattr(Fusion, "fuse_deleted", fails_once)
+    ingest = getattr(platform, entry_point)
+
+    def ingest_second():
+        if entry_point == "ingest_batch":
+            return ingest([("musicdb", [second])])[0]
+        return ingest("musicdb", [second])
+
+    with pytest.raises((ConstructionBatchError, RuntimeError)):
+        ingest_second()
+    assert platform.graph_engine.entity(kg_id) is not None
+    report = ingest_second()
+    assert report.error is None and kg_id in report.entity_delta.deleted
+    constructed = platform.construction.store.facts_about(kg_id)
+    assert {fact.predicate for fact in constructed} <= {"same_as"}
+    assert platform.graph_engine.triples.facts_about(kg_id) == []
+    assert platform.graph_engine.entity(kg_id) is None
+    assert calls["n"] == 2
+
+
+def test_ingest_batch_takes_one_snapshot_per_source():
+    platform = _platform_with_views()
+    platform.register_source("musicdb")
+    entities = _artist_entities("musicdb", ["Echo Valley"])
+    with pytest.raises(IngestionError):
+        platform.ingest_batch([("musicdb", entities), ("musicdb", entities)])
+    assert platform.construction.reports == []
 
 
 def test_classified_deltas_ship_to_replica_fleet(tmp_path):

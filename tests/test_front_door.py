@@ -138,20 +138,32 @@ class FakeClock:
 # ------------------------------------------------------------------ #
 # stubs: a blockable single-view "fleet" for deterministic admission tests
 # ------------------------------------------------------------------ #
+#: A REACH plan runs on a door worker, so a gated one can hold the only slot
+#: while the event loop keeps admitting, queueing and shedding.
+SLOT_HOLDER = "MATCH alpha REACH part_of* TO alpha RETURN name"
+
+
 class StubQueryRouter:
-    """Executes instantly (or blocks on *gate*) and records dispatch order."""
+    """Executes instantly (or blocks on *gate*) and records dispatch order and
+    the thread each plan ran on; a query text in *failing* raises."""
 
     def __init__(self, gate: threading.Event | None = None):
         self.planner = QueryPlanner()
         self.gate = gate
+        self.failing: set[str] = set()
         self.executed: list[str] = []
+        self.threads: dict[str, threading.Thread] = {}
         self._lock = threading.Lock()
 
     def execute(self, plan, view_name, consistency, use_cache=True):
+        text = plan.query.render()
         if self.gate is not None:
             assert self.gate.wait(timeout=10.0), "stub gate never opened"
         with self._lock:
-            self.executed.append(plan.query.render())
+            self.executed.append(text)
+            self.threads[text] = threading.current_thread()
+        if text in self.failing:
+            raise RuntimeError(f"stub failure for {text!r}")
         return QueryResult(rows=[QueryResultRow("view:v:e1", {"name": "Entity e1"})])
 
     def stats(self):
@@ -313,7 +325,7 @@ def test_shed_ordering_under_mixed_priorities():
     order once the slot frees."""
     gate = threading.Event()
     door = make_door(gate, max_concurrency=1, queue_capacity=2)
-    q_running = "MATCH alpha RETURN name"
+    q_running = SLOT_HOLDER     # a REACH plan: held on a worker, not the loop
     q_batch = "MATCH alpha RETURN value"
     q_batch2 = "MATCH alpha RETURN name, value"
     q_interactive = "MATCH alpha RETURN *"
@@ -351,7 +363,7 @@ def test_shed_ordering_under_mixed_priorities():
         asyncio.run(scenario())
         # dispatch order: the running query, then INTERACTIVE before BATCH
         assert door.fleet.query_router.executed == [
-            "MATCH alpha RETURN name",
+            SLOT_HOLDER,
             "MATCH alpha RETURN *",
             "MATCH alpha RETURN value",
         ]
@@ -370,7 +382,7 @@ def test_deadline_while_queued_is_refused_and_slot_not_leaked():
     try:
         async def scenario():
             running = asyncio.create_task(door.query(
-                "acme", "MATCH alpha RETURN name", "profile_rows", use_cache=False))
+                "acme", SLOT_HOLDER, "profile_rows", use_cache=False))
             await asyncio.sleep(0.05)
             with pytest.raises(DeadlineExceededError):
                 await door.query("acme", "MATCH alpha RETURN value",
@@ -388,6 +400,79 @@ def test_deadline_while_queued_is_refused_and_slot_not_leaked():
         assert door._in_flight == 0
     finally:
         gate.set()
+        door.close()
+
+
+# ------------------------------------------------------------------ #
+# where a plan runs: MATCH inline on the loop, REACH on the pool
+# ------------------------------------------------------------------ #
+def test_match_runs_on_the_loop_thread_and_reach_on_a_worker():
+    door = make_door()
+    match = "MATCH alpha RETURN name"
+    try:
+        async def scenario():
+            await door.query("acme", match, "profile_rows")
+            await door.query("acme", SLOT_HOLDER, "profile_rows")
+            return threading.current_thread()
+
+        loop_thread = asyncio.run(scenario())
+        threads = door.fleet.query_router.threads
+        assert threads[match] is loop_thread
+        assert threads[SLOT_HOLDER] is not loop_thread
+        assert threads[SLOT_HOLDER].name.startswith("frontdoor")
+        snapshot = door.stats()
+        assert snapshot["executed_inline"] == 1
+        assert snapshot["executed_pooled"] == 1
+    finally:
+        door.close()
+
+
+def test_inline_match_requests_yield_between_requests():
+    """Two clients issuing MATCH requests back to back alternate: each inline
+    request yields the loop once, so neither client runs all of its
+    requests before the other gets one in."""
+    door = make_door()
+    texts = {
+        "a": ["MATCH alpha RETURN name", "MATCH alpha RETURN value",
+              "MATCH alpha RETURN *"],
+        "b": ["MATCH alpha RETURN name LIMIT 1", "MATCH alpha RETURN value LIMIT 1",
+              "MATCH alpha RETURN * LIMIT 1"],
+    }
+    try:
+        async def client(name):
+            for text in texts[name]:
+                await door.query("acme", text, "profile_rows", use_cache=False)
+
+        async def scenario():
+            await asyncio.gather(client("a"), client("b"))
+
+        asyncio.run(scenario())
+        expected = [text for pair in zip(texts["a"], texts["b"]) for text in pair]
+        assert door.fleet.query_router.executed == expected
+        assert door.stats()["executed_inline"] == 6
+    finally:
+        door.close()
+
+
+def test_inline_match_that_raises_counts_an_execution_error_and_frees_the_slot():
+    door = make_door(max_concurrency=1)
+    failing = "MATCH alpha RETURN value"
+    door.fleet.query_router.failing.add(failing)
+    try:
+        async def scenario():
+            with pytest.raises(RuntimeError, match="stub failure"):
+                await door.query("acme", failing, "profile_rows")
+            assert door._in_flight == 0
+            # the only slot came back: the next request is admitted and served
+            follow_up = await door.query("acme", "MATCH alpha RETURN name", "profile_rows")
+            assert not follow_up.from_cache
+
+        asyncio.run(scenario())
+        snapshot = door.metrics.tenant_snapshot("acme")
+        assert snapshot["execution_errors"] == 1
+        assert snapshot["completed"] == 1
+        assert door.stats()["in_flight"] == 0
+    finally:
         door.close()
 
 
@@ -634,6 +719,8 @@ def test_stats_snapshot_and_metadata_mirroring():
         assert snapshot["latency"]["p99_ms"] >= snapshot["latency"]["p50_ms"]
         assert snapshot["in_flight"] == 0
         assert snapshot["max_in_flight"] == 1
+        assert snapshot["executed_inline"] == 1     # the repeat was a cache hit
+        assert snapshot["executed_pooled"] == 0
         assert snapshot["queue"]["depth"] == 0
         assert snapshot["tenants"]["acme"]["admitted"] == 2
         assert snapshot["tenant_caches"]["acme"]["plan_cache_hits"] == 1
@@ -697,7 +784,7 @@ def test_tenant_removed_while_its_request_is_on_a_worker_still_gets_rows(monkeyp
     _, manager, _ = build_query_harness(model)
     manager.materialize()
     fleet = start_fleet(manager)
-    text = "MATCH alpha RETURN name, value"
+    text = "MATCH alpha REACH part_of* TO alpha RETURN name, value"   # runs on a worker
     expected = [(row.entity_id, row.values) for row in fleet.query(text, "profile_rows").rows]
     on_worker, release = threading.Event(), threading.Event()
     replica_query = ReplicaNode.query

@@ -103,11 +103,25 @@ def test_pipeline_incremental_runs_produce_deltas(ontology):
     pipeline = IngestionPipeline("musicdb", ontology)
     first = pipeline.run_entities([artist("musicdb:1", "A")])
     assert len(first.delta.added) == 1
+    first.commit()
     second = pipeline.run_entities([artist("musicdb:1", "A"), artist("musicdb:2", "B")])
     assert len(second.delta.added) == 1
     assert second.delta.added[0].entity_id == "musicdb:2"
+    second.commit()
     third = pipeline.run_entities([artist("musicdb:2", "B")])
     assert len(third.delta.deleted) == 1
+
+
+def test_pipeline_run_does_not_advance_until_committed(ontology):
+    pipeline = IngestionPipeline("musicdb", ontology)
+    pipeline.run_entities([artist("musicdb:1", "A")]).commit()
+    uncommitted = pipeline.run_entities([])
+    assert len(uncommitted.delta.deleted) == 1
+    retried = pipeline.run_entities([])
+    assert len(retried.delta.deleted) == 1     # still diffed against the last commit
+    retried.commit()
+    assert pipeline.delta_computer.last_timestamp("musicdb") == retried.timestamp
+    assert pipeline.run_entities([]).delta.deleted == []
 
 
 def test_pipeline_raises_when_every_entity_is_rejected(ontology):
