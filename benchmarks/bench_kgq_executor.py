@@ -26,8 +26,7 @@ batch fetch vs per-document walks over the same candidate count), and a
 LIMIT early-break scan (both stop at the limit-th hit).
 
 Writes ``BENCH_KGQEXEC.json`` (see ``write_bench_json``) so CI tracks the
-trajectory per commit; ``bench_live_query_latency.py`` merges the serving
-percentiles into the same file.
+trajectory per commit.
 """
 
 from __future__ import annotations

@@ -14,12 +14,9 @@ import time
 import pytest
 
 from repro.datagen import (
-    LiveStreamGenerator,
-    StreamConfig,
     TextCorpusConfig,
     TextCorpusGenerator,
     WorldConfig,
-    default_source_suite,
     generate_world,
     world_to_store,
 )
@@ -64,27 +61,12 @@ def bench_store(bench_world):
 
 
 @pytest.fixture(scope="session")
-def bench_sources(bench_world):
-    """Noisy source suite for the benchmark world."""
-    return default_source_suite(bench_world, seed=500)
-
-
-@pytest.fixture(scope="session")
 def bench_passages(bench_world):
     """Annotated text passages for the NERD benchmarks."""
     generator = TextCorpusGenerator(
         bench_world, TextCorpusConfig(num_passages=250, tail_fraction=0.55, seed=97)
     )
     return generator.generate()
-
-
-@pytest.fixture(scope="session")
-def bench_live_events(bench_world):
-    """Live event streams for the latency benchmark."""
-    generator = LiveStreamGenerator(
-        bench_world, StreamConfig(num_games=12, num_stocks=8, num_flights=8, seed=3)
-    )
-    return generator.all_events()
 
 
 def write_bench_json(filename: str, payload: dict) -> str:

@@ -23,6 +23,8 @@ from repro import SagaPlatform
 from repro.datagen import WorldConfig, default_source_suite, generate_world
 from repro.engine.views import ViewDefinition, ViewDelta
 from repro.errors import DeadlineExceededError, OverloadedError, TenantIsolationError
+from repro.model.provenance import Provenance
+from repro.model.triples import ExtendedTriple, TripleStore
 
 
 def register_entity_profile(engine) -> None:
@@ -101,13 +103,21 @@ async def serve_traffic(platform: SagaPlatform) -> None:
     text = "MATCH song RETURN name, fact_count"
     repeat = await door.query("music-app", text, "entity_profile")
     print(f"  repeat before ingest -> from_cache={repeat.from_cache}")
-    subject = sorted(engine.triples.subjects())[0]
-    engine.publish_subjects(engine.triples, [subject], source_id="hotfix")
+    # The hotfix source adds a fact to one song, so its profile row changes
+    # (republishing unchanged content would only advance the watermark and
+    # keep the cache).
+    subject = next(s for s in sorted(engine.triples.subjects())
+                   if engine.triples.value_of(s, "type") == "song")
+    hotfix = TripleStore(engine.triples.facts_about(subject))
+    hotfix.add(ExtendedTriple(subject, "genre", "hotfix-pop",
+                              provenance=Provenance.from_source("hotfix", 0.9)))
+    engine.publish_subjects(hotfix, [subject], source_id="hotfix")
     engine.update_views()                       # flush ships the delta
     platform.fleet.drain()
     after = await door.query("music-app", text, "entity_profile")
     print(f"  repeat after ingest  -> from_cache={after.from_cache} "
           "(the shipped delta dropped the tenant's cache)")
+    assert not after.from_cache
 
 
 def main() -> None:

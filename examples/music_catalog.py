@@ -77,7 +77,7 @@ def main() -> None:
     # ------------------------------------------------------------------ #
     engine = platform.graph_engine
     engine.register_standard_views()
-    timings = engine.materialize_views(reuse_shared=True)
+    timings = engine.materialize_views()
     print("\n== registered KG views ==")
     for name, seconds in sorted(timings.items()):
         print(f"  {name:<22} built in {seconds * 1000:.1f} ms")

@@ -328,29 +328,23 @@ class GraphEngine:
         """Register a view definition in the central catalog."""
         return self.view_catalog.register(definition)
 
-    def materialize_views(
-        self, targets: Sequence[str] | None = None, reuse_shared: bool = True
-    ) -> dict[str, float]:
+    def materialize_views(self, targets: Sequence[str] | None = None) -> dict[str, float]:
         """Materialize views (optionally only *targets*); returns per-view seconds."""
-        return self.view_manager.materialize(targets, reuse_shared=reuse_shared)
+        return self.view_manager.materialize(targets)
 
     def update_views(
-        self,
-        changed_entity_ids: Sequence[str] | None = None,
-        selective: bool = True,
+        self, changed_entity_ids: Sequence[str] | None = None
     ) -> dict[str, float]:
         """Maintain materialized views for the changed entities.
 
         With no argument, flushes the changed-entity delta accumulated from
         log replay (selective, batched maintenance).  With an explicit id
-        list, maintenance runs immediately; ``selective=False`` rebuilds every
-        materialized view regardless of scope (the pre-selective behavior,
-        kept for A/B measurement).
+        list, maintenance of the affected closure runs immediately.
         """
         if changed_entity_ids is None:
             return self.view_manager.flush()
         return self.view_manager.update(
-            changed_entity_ids, lsn=self.metadata.minimum_watermark(), selective=selective
+            changed_entity_ids, lsn=self.metadata.minimum_watermark()
         )
 
     def drop_view(self, name: str, cascade: bool = True) -> list[str]:

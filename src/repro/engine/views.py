@@ -3,8 +3,10 @@
 Section 3.2: a view is *any* transformation of the graph — subgraph views,
 schematized relational views, aggregates, iterative algorithms (PageRank), or
 alternative representations (embeddings).  View definitions are scripted
-against the target engine's native APIs and provide three procedures (create,
-update-given-changed-entity-ids, drop).  Definitions live in a central view
+against the target engine's native APIs and provide three procedures:
+``create``, ``apply_delta`` (the paper's update given the changed entities,
+handed over as a :class:`ViewDelta` with the ids classified) and ``drop``.
+Definitions live in a central view
 catalog with their dependencies; the View Manager coordinates execution over
 the dependency graph, which enables the 26% runtime saving from reusing shared
 intermediate views reported in the paper (the VIEWDEP benchmark re-measures
@@ -16,11 +18,12 @@ Maintenance model
 The manager maintains views *selectively* and *change-driven* rather than
 rebuilding every materialized view on any update:
 
-* **Entity-level deltas.**  Changed-entity deltas accumulate in a pending
-  batch (fed by the Graph Engine's log-replay progress, which classifies ids
-  as added / updated / deleted) and flush either explicitly or automatically
-  once ``batch_size`` distinct entities are pending.  A flush turns the batch
-  into one :class:`ViewDelta` carrying the LSN range it covers.
+* **Entity-level deltas.**  Changed-entity deltas (fed by the Graph Engine's
+  log-replay progress, which classifies ids as added / updated / deleted)
+  fold into one pending delta by the rule :meth:`ViewDelta.merge` defines,
+  and flush either explicitly or automatically once ``batch_size`` distinct
+  entities are pending.  A flush hands the batch on as one
+  :class:`ViewDelta` carrying the LSN range it covers.
 
 * **Affected closure.**  Each :class:`ViewDefinition` may declare an entity
   ``scope`` predicate.  A root view is affected when the delta's changed ids
@@ -50,10 +53,10 @@ rebuilding every materialized view on any update:
   *output* rows: an ``apply_delta`` builder either reports them itself
   (:class:`DeltaApplyResult`) or returns a new subject → row mapping, which
   the manager compares with the previous artifact on the projected delta's
-  subjects, leaving out every row that came back equal; ``update`` views,
-  and artifacts that cannot be compared, emit their scope-projected input
-  delta.  A delta with nothing left in it becomes the watermark-only
-  ``advance`` event of an unaffected view.  Views rebuilt through ``create``
+  subjects, leaving out every row that came back equal; artifacts that
+  cannot be compared emit their scope-projected input delta.  A delta with
+  nothing left in it becomes the watermark-only ``advance`` event of an
+  unaffected view.  Views rebuilt through ``create``
   emit ``truncate`` (the extent of the change is unknown), and removed
   materializations emit ``drop``.  What changed since a given LSN is
   answered downstream, by the serving tier's
@@ -86,12 +89,12 @@ rebuilding every materialized view on any update:
 Incremental-procedure contract
 ------------------------------
 
-``apply_delta(context, delta)`` (and ``update``) must confine artifact row
-changes to the delta's entities: rows outside ``delta.changed | delta.deleted``
-must be byte-identical to a from-scratch rebuild.  A view whose rows can
-change beyond the delta (e.g. an iterative algorithm) must not declare an
-incremental procedure — the ``create`` fallback emits ``truncate`` so no
-consumer trusts a delta that undersells the change.
+``apply_delta(context, delta)`` must confine artifact row changes to the
+delta's entities: rows outside ``delta.changed | delta.deleted`` must be
+byte-identical to a from-scratch rebuild.  A view whose rows can change
+beyond the delta (e.g. an iterative algorithm) must not declare
+``apply_delta`` — the ``create`` fallback emits ``truncate`` so no consumer
+trusts a delta that undersells the change.
 """
 
 from __future__ import annotations
@@ -189,31 +192,74 @@ class ViewDelta:
         return not (self.added or self.updated or self.deleted)
 
     def merge(self, later: "ViewDelta") -> "ViewDelta":
-        """Net effect of this delta followed by *later* (entity-wise fold)."""
-        added = set(self.added)
-        updated = set(self.updated)
-        deleted = set(self.deleted)
+        """Net effect of this delta followed by *later* (entity-wise fold).
+
+        The fold itself is :meth:`_DeltaBatch.fold`, run here on copies.
+        """
+        net = _DeltaBatch.of(self)
+        net.fold(later)
+        return net.delta()
+
+
+@dataclass
+class _DeltaBatch:
+    """A :class:`ViewDelta` under construction: mutable sets, folded in place.
+
+    :meth:`fold` is the one definition of the net-effect fold.
+    :meth:`ViewDelta.merge` runs it on copies; the manager's pending batch
+    runs it in place, so observing an event costs O(|event|), not
+    O(|batch|).
+    """
+
+    added: set[str] = field(default_factory=set)
+    updated: set[str] = field(default_factory=set)
+    deleted: set[str] = field(default_factory=set)
+    first_lsn: int = 0     # the lowest non-zero LSN folded in (0: none yet)
+    last_lsn: int = 0
+
+    @classmethod
+    def of(cls, delta: ViewDelta) -> "_DeltaBatch":
+        return cls(
+            set(delta.added), set(delta.updated), set(delta.deleted),
+            delta.first_lsn, delta.last_lsn,
+        )
+
+    def __len__(self) -> int:
+        """Distinct entities in the batch (the three sets partition them)."""
+        return len(self.added) + len(self.updated) + len(self.deleted)
+
+    def fold(self, later: ViewDelta) -> None:
+        """Fold *later* in: each entity takes its latest classification,
+        except that an update leaves an added entity added and brings a
+        deleted one back as added.  ``first_lsn`` stays the lowest non-zero
+        bound, ``last_lsn`` the highest."""
         for entity_id in later.added:
-            deleted.discard(entity_id)
-            updated.discard(entity_id)
-            added.add(entity_id)
+            self.deleted.discard(entity_id)
+            self.updated.discard(entity_id)
+            self.added.add(entity_id)
         for entity_id in later.updated:
-            if entity_id in deleted:
+            if entity_id in self.deleted:
                 # deleted then updated: net-new from the consumer's viewpoint
-                deleted.discard(entity_id)
-                added.add(entity_id)
-            elif entity_id not in added:
-                updated.add(entity_id)
+                self.deleted.discard(entity_id)
+                self.added.add(entity_id)
+            elif entity_id not in self.added:
+                self.updated.add(entity_id)
         for entity_id in later.deleted:
-            added.discard(entity_id)
-            updated.discard(entity_id)
-            deleted.add(entity_id)
+            self.added.discard(entity_id)
+            self.updated.discard(entity_id)
+            self.deleted.add(entity_id)
+        if later.first_lsn and (not self.first_lsn or later.first_lsn < self.first_lsn):
+            self.first_lsn = later.first_lsn
+        self.last_lsn = max(self.last_lsn, later.last_lsn)
+
+    def delta(self, default_lsn: int = 0) -> ViewDelta:
+        """The batch as a frozen delta; an unset LSN bound reads *default_lsn*."""
         return ViewDelta(
-            added=frozenset(added),
-            updated=frozenset(updated),
-            deleted=frozenset(deleted),
-            first_lsn=min(self.first_lsn, later.first_lsn) or later.first_lsn,
-            last_lsn=max(self.last_lsn, later.last_lsn),
+            added=frozenset(self.added),
+            updated=frozenset(self.updated),
+            deleted=frozenset(self.deleted),
+            first_lsn=self.first_lsn or default_lsn,
+            last_lsn=self.last_lsn or default_lsn,
         )
 
 
@@ -354,7 +400,6 @@ class ViewContext:
 
 
 CreateProcedure = Callable[[ViewContext], object]
-UpdateProcedure = Callable[[ViewContext, list[str]], object]
 DeltaProcedure = Callable[[ViewContext, ViewDelta], object]
 DropProcedure = Callable[[ViewContext], None]
 ScopePredicate = Callable[[str], bool]
@@ -367,7 +412,6 @@ class ViewDefinition:
     name: str
     engine: str
     create: CreateProcedure
-    update: UpdateProcedure | None = None
     apply_delta: DeltaProcedure | None = None  # incremental builder (ViewDelta in)
     drop: DropProcedure | None = None
     dependencies: tuple[str, ...] = ()
@@ -384,12 +428,6 @@ class ViewDefinition:
             raise ViewError(f"view {self.name!r} apply_delta must be callable")
         if self.scope is not None and not callable(self.scope):
             raise ViewError(f"view {self.name!r} scope must be callable")
-
-    def affected_by(self, changed_entity_ids: Sequence[str]) -> bool:
-        """Whether a batch of changed entities intersects this view's scope."""
-        if self.scope is None:
-            return True
-        return any(self.scope(entity_id) for entity_id in changed_entity_ids)
 
 
 #: Loads a join input's current rows: ``loader(context, None)`` enumerates the
@@ -682,7 +720,6 @@ class ViewState:
     last_build_seconds: float = 0.0
     built_at_lsn: int = 0          # operation-log position the artifact reflects
     builds: int = 0
-    incremental_updates: int = 0   # maintenance runs through the update procedure
     delta_applies: int = 0         # maintenance runs through apply_delta
     skipped_updates: int = 0       # flushes that proved no rebuild was needed
     invalidations: int = 0         # cascade invalidations (drop / re-register)
@@ -782,23 +819,6 @@ class ViewCatalog:
             return []
         return sorted(nx.descendants(graph, name))
 
-    def affected_closure(self, changed_entity_ids: Sequence[str]) -> list[str]:
-        """Views whose scope matches the changed entities, plus all dependents.
-
-        Returned in topological order; views with no declared scope are
-        conservatively considered affected by any change.  This is the
-        snapshot-free catalog-level closure; the manager refines it with
-        scope snapshots to keep deletions selective.
-        """
-        affected: set[str] = set()
-        for name in self.execution_order():
-            definition = self.get(name)
-            if any(dep in affected for dep in definition.dependencies) or (
-                definition.affected_by(changed_entity_ids)
-            ):
-                affected.add(name)
-        return [name for name in self.execution_order() if name in affected]
-
     def __contains__(self, name: object) -> bool:
         return name in self._definitions
 
@@ -849,17 +869,12 @@ class ViewManager:
         self.maintenance_skips = 0
         self.maintenance_rebuilds = 0
         self.full_rebuilds = 0           # maintenance runs through the create fallback
-        self.incremental_applies = 0     # maintenance runs through apply_delta/update
+        self.incremental_applies = 0     # maintenance runs through apply_delta
         self.delta_rows_journaled = 0    # entities across appended maintenance deltas
         self.noop_maintenance = 0        # incremental runs that changed no output row
-        self._pending: set[str] = set()
-        self._pending_added: set[str] = set()
-        self._pending_deleted: set[str] = set()
-        self._pending_lsn = 0
-        self._pending_first_lsn = 0
-        self._pending_forced = False
-        self._pending_full = False
-        self._pending_rebuild = False
+        self._pending = _DeltaBatch()
+        self._forced = False             # an update() call: skip the watermark gate
+        self._rebuild = False            # a full refresh: every view through create
         self._revision_counter = 0
         self._local_lsn = 0
         self.delta_lsn = 0          # highest LSN whose delta has been observed
@@ -901,33 +916,18 @@ class ViewManager:
     # -------------------------------------------------------------- #
     # materialization
     # -------------------------------------------------------------- #
-    def materialize(
-        self, targets: Sequence[str] | None = None, reuse_shared: bool = True
-    ) -> dict[str, float]:
+    def materialize(self, targets: Sequence[str] | None = None) -> dict[str, float]:
         """Materialize the target views (or all) and return per-view seconds.
 
-        With ``reuse_shared=True`` every view in the dependency closure is
-        built exactly once and its artifact reused by all dependents — the
-        multi-query-optimization practice behind the paper's 26% saving.  With
-        ``reuse_shared=False`` each target rebuilds its own dependency chain,
-        emulating the naive one-pipeline-per-view deployment.
+        Every view in the targets' dependency closure is built exactly once
+        and its artifact reused by all dependents — the
+        multi-query-optimization practice behind the paper's 26% saving.
         """
-        timings: dict[str, float] = {}
-        if reuse_shared:
-            order = self.catalog.execution_order(targets)
-            context = ViewContext(engines=self.engines)
-            for name in order:
-                seconds = self._build_view(name, context)
-                timings[name] = timings.get(name, 0.0) + seconds
-            self._record_stats()
-            return timings
-
-        target_names = list(targets) if targets is not None else self.catalog.names()
-        for target in target_names:
-            context = ViewContext(engines=self.engines)
-            for name in self.catalog.execution_order([target]):
-                seconds = self._build_view(name, context)
-                timings[name] = timings.get(name, 0.0) + seconds
+        context = ViewContext(engines=self.engines)
+        timings = {
+            name: self._build_view(name, context)
+            for name in self.catalog.execution_order(targets)
+        }
         self._record_stats()
         return timings
 
@@ -975,39 +975,28 @@ class ViewManager:
 
         *deleted_entity_ids* must name entities removed from the stores; the
         next flush resolves them against the pre-delete scope snapshots so
-        only the views that actually contained them are maintained (they
-        still reach ``update`` procedures as part of the changed list).
+        only the views that actually contained them are maintained.
         *added_entity_ids* classifies the subset of the changed ids that are
-        net-new, refining the journal events downstream consumers read.
-        Returns flush timings when the pending batch reached ``batch_size``
-        and auto-flushed, an empty dict otherwise.  Deltas observed before
-        any view is materialized are dropped: the initial ``create`` reads
-        current store state, so those changes are already covered.
+        net-new, refining the journal events downstream consumers read.  The
+        event folds into the pending batch as :meth:`ViewDelta.merge` would
+        fold it.  Returns flush timings when the pending batch reached
+        ``batch_size`` and auto-flushed, an empty dict otherwise.  Deltas
+        observed before any view is materialized are dropped: the initial
+        ``create`` reads current store state, so those changes are already
+        covered.
         """
         observed = int(lsn) if lsn is not None else self.current_lsn()
         self.delta_lsn = max(self.delta_lsn, observed)
         if not self._has_materialized():
             return {}
-        changed = set(changed_entity_ids)
-        added = set(added_entity_ids)
-        deleted = set(deleted_entity_ids)
-        self._pending.update(changed | added | deleted)
-        # Fold the event into the pending classification with the same net
-        # semantics as ViewDelta.merge: a delete followed by a re-add (or an
-        # update) resurrects the entity as net-added, never as net-deleted.
-        for entity_id in added:
-            self._pending_deleted.discard(entity_id)
-            self._pending_added.add(entity_id)
-        for entity_id in changed - added:
-            if entity_id in self._pending_deleted:
-                self._pending_deleted.discard(entity_id)
-                self._pending_added.add(entity_id)
-        for entity_id in deleted:
-            self._pending_added.discard(entity_id)
-            self._pending_deleted.add(entity_id)
-        self._pending_lsn = max(self._pending_lsn, observed)
-        if not self._pending_first_lsn:
-            self._pending_first_lsn = observed
+        added = frozenset(added_entity_ids)
+        self._pending.fold(ViewDelta(
+            added=added,
+            updated=frozenset(changed_entity_ids) - added,
+            deleted=frozenset(deleted_entity_ids),
+            first_lsn=observed,
+            last_lsn=observed,
+        ))
         self.deltas_observed += 1
         if self.batch_size is not None and len(self._pending) >= self.batch_size:
             return self.flush()
@@ -1026,11 +1015,8 @@ class ViewManager:
         self.delta_lsn = max(self.delta_lsn, observed)
         if not self._has_materialized():
             return
-        self._pending_full = True
-        self._pending_rebuild = True
-        self._pending_lsn = max(self._pending_lsn, observed)
-        if not self._pending_first_lsn:
-            self._pending_first_lsn = observed
+        self._pending.fold(ViewDelta(first_lsn=observed, last_lsn=observed))
+        self._rebuild = True
 
     def flush(self) -> dict[str, float]:
         """Maintain the affected closure of the pending delta.
@@ -1042,73 +1028,32 @@ class ViewManager:
         the batch's target LSN is not rebuilt unless the flush was forced by a
         direct :meth:`update` call.
         """
-        if not (self._pending or self._pending_full or self._pending_forced):
+        if not (self._pending or self._forced or self._rebuild):
             return {}
-        changed = sorted(self._pending)
-        added = set(self._pending_added)
-        deleted = set(self._pending_deleted)
-        forced = self._pending_forced
-        full = self._pending_full
-        rebuild = self._pending_rebuild
-        first_lsn = self._pending_first_lsn
+        batch, forced, rebuild = self._pending, self._forced, self._rebuild
+        self._pending, self._forced, self._rebuild = _DeltaBatch(), False, False
         self._local_lsn += 1
-        target_lsn = self._pending_lsn or self.current_lsn()
-        delta = ViewDelta(
-            added=frozenset(added - deleted),
-            updated=frozenset(set(changed) - added - deleted),
-            deleted=frozenset(deleted),
-            first_lsn=first_lsn or target_lsn,
-            last_lsn=target_lsn,
-        )
-        self._pending = set()
-        self._pending_added = set()
-        self._pending_deleted = set()
-        self._pending_lsn = 0
-        self._pending_first_lsn = 0
-        self._pending_forced = False
-        self._pending_full = False
-        self._pending_rebuild = False
-
+        delta = batch.delta(batch.last_lsn or self.current_lsn())
         try:
-            return self._flush_batch(changed, delta, target_lsn, forced, full, rebuild)
+            return self._flush_batch(delta, forced, rebuild)
         except Exception:
-            # A failed flush must not lose the delta: restore it (merged with
-            # anything enqueued by reentrant observers) so a retry still
-            # covers every pending change.  The restore must respect the fold
-            # semantics — a reentrant re-add (or re-delete) of one of the
-            # batch's ids wins over the batch's older classification.
-            reentrant_added = set(self._pending_added)
-            reentrant_deleted = set(self._pending_deleted)
-            self._pending.update(changed)
-            self._pending_added.update(added - reentrant_deleted)
-            self._pending_deleted.update(deleted - reentrant_added)
-            self._pending_lsn = max(self._pending_lsn, target_lsn)
-            self._pending_first_lsn = (
-                min(self._pending_first_lsn, first_lsn)
-                if self._pending_first_lsn and first_lsn
-                else (self._pending_first_lsn or first_lsn)
-            )
-            self._pending_forced = self._pending_forced or forced
-            self._pending_full = self._pending_full or full
-            self._pending_rebuild = self._pending_rebuild or rebuild
+            # A failed flush must not lose the delta: fold whatever reentrant
+            # observers enqueued meanwhile on top of it, so a retry covers
+            # every pending change and the newer classification of an id wins.
+            self._pending = _DeltaBatch.of(delta.merge(self._pending.delta()))
+            self._forced = self._forced or forced
+            self._rebuild = self._rebuild or rebuild
             raise
 
-    def _flush_batch(
-        self,
-        changed: list[str],
-        delta: ViewDelta,
-        target_lsn: int,
-        forced: bool,
-        full: bool,
-        rebuild: bool,
-    ) -> dict[str, float]:
-        closure = None if full else self._affected_closure(delta)
+    def _flush_batch(self, delta: ViewDelta, forced: bool, rebuild: bool) -> dict[str, float]:
+        target_lsn = delta.last_lsn
+        closure = None if rebuild else self._affected_closure(delta)
         to_maintain: list[str] = []
         for name in self.catalog.execution_order():
             state = self.states.get(name)
             if state is None or not state.materialized:
                 continue
-            if not (full or name in closure):
+            if not (rebuild or name in closure):
                 self.maintenance_decisions += 1
                 self.maintenance_skips += 1
                 state.skipped_updates += 1
@@ -1133,18 +1078,13 @@ class ViewManager:
             definition = self.catalog.get(name)
             self._require_dependencies(name, definition)
             to_maintain.append(name)
-        timings = self._run_schedule(to_maintain, changed, delta, target_lsn, rebuild)
+        timings = self._run_schedule(to_maintain, delta, rebuild)
         self.flushes += 1
         self._record_stats()
         return timings
 
     def _run_schedule(
-        self,
-        names: list[str],
-        changed: list[str],
-        delta: ViewDelta,
-        target_lsn: int,
-        rebuild: bool,
+        self, names: list[str], delta: ViewDelta, rebuild: bool
     ) -> dict[str, float]:
         """Maintain *names* one at a time, antichain by antichain.
 
@@ -1168,9 +1108,7 @@ class ViewManager:
                     blocked.add(name)
                     continue
                 try:
-                    timings[name] = self._maintain_one(
-                        name, context, changed, delta, target_lsn, rebuild
-                    )
+                    timings[name] = self._maintain_one(name, context, delta, rebuild)
                 except Exception as exc:  # noqa: BLE001 - re-raised below
                     failures[name] = exc
         for name in names:
@@ -1179,36 +1117,24 @@ class ViewManager:
         return timings
 
     def _maintain_one(
-        self,
-        name: str,
-        context: ViewContext,
-        changed: list[str],
-        delta: ViewDelta,
-        target_lsn: int,
-        rebuild: bool,
+        self, name: str, context: ViewContext, delta: ViewDelta, rebuild: bool
     ) -> float:
         """Maintain one view, commit artifact + watermark atomically, emit its event."""
         definition = self.catalog.get(name)
         state = self.states[name]
         projected = None if rebuild else self._project_delta(definition, delta)
-        incremental = not rebuild and (
-            definition.apply_delta is not None or definition.update is not None
-        )
+        incremental = not rebuild and definition.apply_delta is not None
         if incremental and projected.is_empty() and not delta.is_empty():
             # Only transitively affected, with nothing in its own scope: the
             # dependency change's extent relative to this view's rows is
-            # unknown.  An apply_delta call would keep a stale artifact, and
-            # an update call may change rows while the empty projection
-            # journals nothing — either way downstream consumers would read a
-            # false "nothing changed".  Rebuild (and truncate) instead.
+            # unknown.  An empty-delta apply_delta call would keep a stale
+            # artifact, or change rows while the empty projection journals
+            # nothing — either way downstream consumers would read a false
+            # "nothing changed".  Rebuild (and truncate) instead.
             incremental = False
         started = time.perf_counter()
         journaled = projected
-        if not incremental:
-            kind = "create"
-            artifact = definition.create(context)
-        elif definition.apply_delta is not None:
-            kind = "delta"
+        if incremental:
             artifact = definition.apply_delta(context, projected)
             if isinstance(artifact, DeltaApplyResult):
                 # The builder refined the journaled delta to the output rows
@@ -1230,28 +1156,25 @@ class ViewManager:
                 # nothing to compare against; its input delta stands.)
                 journaled = _changed_rows(state.artifact, artifact, projected)
         else:
-            kind = "update"
-            artifact = definition.update(context, list(changed))
+            artifact = definition.create(context)
         elapsed = time.perf_counter() - started
         with self._state_lock(name):
-            if kind == "create":
-                state.builds += 1
-            elif kind == "delta":
+            if incremental:
                 state.delta_applies += 1
             else:
-                state.incremental_updates += 1
+                state.builds += 1
             if artifact is not None:
                 state.artifact = artifact
                 context.artifacts[name] = artifact
             state.last_built_at = self.clock()
             state.last_build_seconds = elapsed
-            if kind == "create" and rebuild:
+            if projected is None:
                 self._seed_snapshot(name, definition)
-            elif projected is not None:
+            else:
                 self._update_snapshot(name, definition, projected)
-            state.built_at_lsn = max(state.built_at_lsn, target_lsn)
+            state.built_at_lsn = max(state.built_at_lsn, delta.last_lsn)
             self._record_watermark(name, state)
-        if kind == "create":
+        if not incremental:
             # The rebuild's change extent is unknown to consumers — even a
             # delta-driven create may touch rows the delta does not name.
             self._emit_journal_event(JournalEvent(
@@ -1272,38 +1195,34 @@ class ViewManager:
             ))
         self.maintenance_decisions += 1
         self.maintenance_rebuilds += 1
-        if kind == "create":
-            self.full_rebuilds += 1
-        else:
+        if incremental:
             self.incremental_applies += 1
             self.delta_rows_journaled += (
                 len(journaled.added) + len(journaled.updated) + len(journaled.deleted)
             )
             if journaled.is_empty():
                 self.noop_maintenance += 1
+        else:
+            self.full_rebuilds += 1
         return elapsed
 
     def update(
-        self,
-        changed_entity_ids: Sequence[str],
-        lsn: int | None = None,
-        selective: bool = True,
+        self, changed_entity_ids: Sequence[str], lsn: int | None = None
     ) -> dict[str, float]:
         """Immediately maintain views for the changed entities.
 
-        With ``selective=True`` only the affected closure is rebuilt; with
-        ``selective=False`` every materialized view is maintained regardless
-        of scope (the pre-selective behavior, kept for A/B measurement).
-        Views without an ``apply_delta`` or ``update`` procedure are rebuilt
-        from scratch, which is the fallback the paper allows for
+        The ids fold into the pending batch as updated entities (by the rule
+        of :meth:`ViewDelta.merge`, so an id the batch holds as deleted comes
+        back as added) and the batch flushes at once, forced past the
+        watermark gate.  Views without an ``apply_delta`` procedure are
+        rebuilt from scratch, which is the fallback the paper allows for
         non-incrementally-maintainable views (e.g. iterative algorithms).
         """
-        self._pending.update(changed_entity_ids)
-        self._pending_forced = True
-        if not selective:
-            self._pending_full = True
-        if lsn is not None:
-            self._pending_lsn = max(self._pending_lsn, int(lsn))
+        observed = int(lsn) if lsn is not None else 0
+        self._pending.fold(ViewDelta(
+            updated=frozenset(changed_entity_ids), first_lsn=observed, last_lsn=observed,
+        ))
+        self._forced = True
         return self.flush()
 
     def _affected_closure(self, delta: ViewDelta) -> set[str]:
@@ -1533,21 +1452,6 @@ class ViewManager:
             state = self.states[name]
             return state.built_at_lsn, state.revision, rows
 
-    def view_checksums(self, name: str) -> dict[str, str]:
-        """Per-subject row checksums of a materialized row-shaped artifact.
-
-        The primary-side half of the anti-entropy contract: a replica holding
-        the same rows produces the same digests.  Raises
-        :class:`~repro.errors.ViewError` when the artifact is not row-shaped
-        (nothing to audit row-wise) or not materialized.
-        """
-        # Hash in one pass under the state lock: the checksums only need a
-        # consistent read of each row, so the per-row dict copies a full
-        # snapshot makes for post-lock hashing are wasted work here.
-        with self._state_lock(name):
-            rows = rows_by_subject(self.artifact(name), name)
-            return {subject: row_checksum(row) for subject, row in rows.items()}
-
     def view_digest(
         self, name: str, snapshot: tuple[int, int, dict[str, dict]] | None = None
     ) -> str:
@@ -1585,7 +1489,8 @@ class ViewManager:
 
     def pending_changes(self) -> list[str]:
         """Changed entity ids accumulated and not yet flushed."""
-        return sorted(self._pending)
+        pending = self._pending
+        return sorted(pending.added | pending.updated | pending.deleted)
 
     def stale_views(self, now: float | None = None) -> list[str]:
         """Views whose wall-clock freshness SLA is violated at time *now*."""
@@ -1617,7 +1522,7 @@ class ViewManager:
 
         ``full_rebuilds`` counts maintenance runs that fell back to the
         ``create`` procedure, ``incremental_applies`` the runs served by
-        ``apply_delta``/``update``; a delta-only workload over views with
+        ``apply_delta``; a delta-only workload over views with
         working incremental procedures keeps ``full_rebuilds`` at zero.
         ``delta_rows_journaled`` totals the entities across the deltas of
         ``append`` events (the shipped change volume) and
@@ -1644,7 +1549,6 @@ class ViewManager:
             name: {
                 "materialized": state.materialized,
                 "builds": state.builds,
-                "incremental_updates": state.incremental_updates,
                 "delta_applies": state.delta_applies,
                 "skipped_updates": state.skipped_updates,
                 "invalidations": state.invalidations,

@@ -99,7 +99,7 @@ def test_standard_views_dependency_graph(engine):
     names = engine.register_standard_views()
     assert set(names) == {"entity_importance", "entity_features", "ranked_entity_index",
                           "entity_neighbourhood"}
-    timings = engine.materialize_views(reuse_shared=True)
+    timings = engine.materialize_views()
     assert set(timings) == set(names)
     features = engine.view_artifact("entity_features")
     assert any(row["subject"] == "kg:a1" for row in features)

@@ -63,7 +63,7 @@ def test_materialize_with_reuse_builds_shared_views_once():
     calls = []
     catalog = make_catalog_with_chain(calls)
     manager = ViewManager(catalog, engines={})
-    timings = manager.materialize(["left", "right"], reuse_shared=True)
+    timings = manager.materialize(["left", "right"])
     assert calls.count("shared") == 1
     assert calls.count("base") == 1
     assert set(timings) == {"base", "shared", "left", "right"}
@@ -75,7 +75,8 @@ def test_materialize_without_reuse_rebuilds_dependencies_per_target():
     calls = []
     catalog = make_catalog_with_chain(calls)
     manager = ViewManager(catalog, engines={})
-    manager.materialize(["left", "right"], reuse_shared=False)
+    for target in ("left", "right"):            # one pipeline per target
+        manager.materialize([target])
     assert calls.count("shared") == 2
     assert calls.count("base") == 2
 
@@ -86,7 +87,8 @@ def test_incremental_update_prefers_update_procedure():
     catalog.register(ViewDefinition(
         "incremental", "analytics",
         create=lambda ctx: {"built": True},
-        update=lambda ctx, changed: update_calls.append(list(changed)) or {"updated": True},
+        apply_delta=lambda ctx, delta: update_calls.append(sorted(delta.changed)) or
+        {"updated": True},
     ))
     rebuild_count = {"n": 0}
 
@@ -100,8 +102,9 @@ def test_incremental_update_prefers_update_procedure():
     manager.update(["kg:e1", "kg:e2"])
     assert update_calls == [["kg:e1", "kg:e2"]]
     assert manager.artifact("incremental") == {"updated": True}
-    assert rebuild_count["n"] == 2                      # no update proc -> rebuilt
-    assert manager.states["incremental"].incremental_updates == 1
+    assert rebuild_count["n"] == 2                      # no apply_delta -> rebuilt
+    assert manager.states["incremental"].delta_applies == 1
+    assert manager.states["incremental"].builds == 1
 
 
 def test_artifact_of_unmaterialized_view_raises_and_drop_works():

@@ -582,7 +582,10 @@ def test_audit_detects_exact_subjects_and_repair_converges():
         # checksum namespace never flips between digest definitions
         lsn, digest = manager.metadata.view_checksum("profile_rows")
         assert lsn == manager.built_at_lsn("profile_rows")
-        assert digest == combine_checksums(manager.view_checksums("profile_rows"))
+        _, _, rows = manager.view_rows_snapshot("profile_rows")
+        assert digest == combine_checksums(
+            {subject: row_checksum(row) for subject, row in rows.items()}
+        )
         assert digest == manager.view_digest("profile_rows")
         assert fleet.auditor.last_reports["profile_rows"].digest == digest
         # distributed queries see the repaired rows, not the corruption
@@ -776,8 +779,11 @@ def test_view_checksums_row_shape_and_metadata_lifecycle():
     seed_model(model, random.Random(41), count=5)
     catalog, manager, _ = build_query_harness(model)
     manager.materialize()
-    checksums = manager.view_checksums("profile_rows")
-    assert set(checksums) == set(model.entities)
+    lsn, revision, rows = manager.view_rows_snapshot("profile_rows")
+    assert lsn == manager.built_at_lsn("profile_rows")
+    assert revision == manager.state_revision("profile_rows")
+    assert set(rows) == set(model.entities)
+    checksums = {subject: row_checksum(row) for subject, row in rows.items()}
     # order-independent and content-sensitive
     some = sorted(model.entities)[0]
     row = dict(manager.artifact("profile_rows")[some])
@@ -785,10 +791,12 @@ def test_view_checksums_row_shape_and_metadata_lifecycle():
     assert row_checksum(dict(reversed(list(row.items())))) == checksums[some]
     row["value"] = object()                    # non-JSON values stringify
     assert row_checksum(row) != checksums[some]
+    # the snapshot's rows are copies: hashing them never races the artifact
+    rows[some]["value"] = -1
+    assert manager.artifact("profile_rows")[some]["value"] != -1
     digest = manager.view_digest("profile_rows")
-    assert manager.metadata.view_checksum("profile_rows") == (
-        manager.built_at_lsn("profile_rows"), digest
-    )
+    assert digest == combine_checksums(checksums)
+    assert manager.metadata.view_checksum("profile_rows") == (lsn, digest)
     # an older recomputation cannot overwrite a fresher digest
     manager.metadata.update_view_checksum("profile_rows", 0, "stale")
     assert manager.metadata.view_checksum("profile_rows")[1] == digest
@@ -799,7 +807,10 @@ def test_view_checksums_row_shape_and_metadata_lifecycle():
     catalog.register(ViewDefinition("scalar", "analytics", create=lambda ctx: 42))
     manager.materialize(["scalar"])
     with pytest.raises(ViewError):
-        manager.view_checksums("scalar")
+        manager.view_rows_snapshot("scalar")
+    with pytest.raises(ViewError):
+        manager.view_digest("scalar")
+    assert manager.metadata.view_checksum("scalar") is None
 
 
 def test_document_checksum_ignores_version_but_not_content():

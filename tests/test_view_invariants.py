@@ -6,7 +6,7 @@ suite asserts the four core invariants of incremental view maintenance:
 
 1. **Equivalence** — every materialized artifact equals a from-scratch
    rebuild from current store state, whether it was maintained through
-   ``apply_delta``, ``update``, or ``create``.
+   ``apply_delta`` or ``create``.
 2. **Monotonicity** — ``built_at_lsn`` never moves backwards within one state
    lineage (a drop / re-registration starts a new revision).
 3. **No ghosts** — no view serves rows for deleted entities.
@@ -87,10 +87,12 @@ def _typed_rows(store: ModelStore, entity_type: str) -> dict:
 def build_harness(store: ModelStore, with_unscoped=False):
     """Register the harness views and return (catalog, manager).
 
-    ``alpha_rows`` maintains through ``apply_delta`` (journal append path),
-    ``beta_rows`` through ``update`` (journal append path), ``gamma_rows``
-    through ``create`` only (journal truncate path), and ``pair_index``
-    depends on the first two with an always-false scope (transitive path).
+    ``alpha_rows`` maintains through ``apply_delta`` trusting the delta's
+    classification, ``beta_rows`` through ``apply_delta`` re-reading each
+    named entity's membership from the store (both journal append path),
+    ``gamma_rows`` through ``create`` only (journal truncate path), and
+    ``pair_index`` depends on the first two with an always-false scope
+    (transitive path).
     """
     catalog = ViewCatalog()
 
@@ -119,9 +121,9 @@ def build_harness(store: ModelStore, with_unscoped=False):
     def beta_create(context):
         return _typed_rows(store, "beta")
 
-    def beta_update(context, changed):
+    def beta_apply(context, delta: ViewDelta):
         artifact = dict(context.artifact("beta_rows"))
-        for eid in changed:
+        for eid in delta.changed | delta.deleted:
             fields = store.entities.get(eid)
             if fields is not None and fields["type"] == "beta":
                 artifact[eid] = _row(store, eid)
@@ -130,7 +132,7 @@ def build_harness(store: ModelStore, with_unscoped=False):
         return artifact
 
     catalog.register(ViewDefinition(
-        "beta_rows", "analytics", create=beta_create, update=beta_update,
+        "beta_rows", "analytics", create=beta_create, apply_delta=beta_apply,
         scope=scope_for("beta"),
     ))
 
@@ -403,11 +405,11 @@ def test_mis_scoped_apply_delta_dependent_rebuilds_instead_of_going_stale():
         apply_delta=lambda ctx, delta: ctx.artifact("alpha_total"),
         dependencies=("alpha_rows",), scope=lambda eid: False,
     ))
-    # same hazard through the legacy update procedure: it recomputes the
-    # artifact, but an empty projection would journal "nothing changed"
+    # same hazard for a builder that recomputes the artifact: it would be
+    # right, but its empty projection would journal "nothing changed"
     catalog.register(ViewDefinition(
-        "alpha_total_upd", "analytics", create=total,
-        update=lambda ctx, changed: total(ctx),
+        "alpha_total_recomputed", "analytics", create=total,
+        apply_delta=lambda ctx, delta: total(ctx),
         dependencies=("alpha_rows",), scope=lambda eid: False,
     ))
     manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"],
@@ -420,11 +422,10 @@ def test_mis_scoped_apply_delta_dependent_rebuilds_instead_of_going_stale():
     clock["lsn"] = 2
     manager.enqueue(["a1"], lsn=2)
     manager.flush()
-    for name in ("alpha_total", "alpha_total_upd"):
+    for name in ("alpha_total", "alpha_total_recomputed"):
         assert manager.artifact(name) == 100                 # rebuilt, not stale
         assert manager.states[name].builds == 2
         assert manager.states[name].delta_applies == 0
-        assert manager.states[name].incremental_updates == 0
         # consumers are told to resync rather than handed a delta that lies
         assert [e.kind for e in events if e.view_name == name] == ["truncate"]
 
@@ -459,6 +460,209 @@ def test_failed_flush_restore_respects_reentrant_readds():
     manager.flush()
     assert manager.artifact("alpha_rows") == _typed_rows(store, "alpha")
     assert manager.artifact("alpha_rows")["x"]["value"] == 99
+
+
+def test_failed_flush_restore_nets_a_reentrant_update_of_a_deleted_id_to_added():
+    """The restore folds reentrant events onto the failed batch as enqueue
+    would: an id the batch deleted and a reentrant observer then reports
+    changed (not classified as added) comes back, instead of staying
+    deleted while the store holds it again."""
+    store = ModelStore()
+    store.entities["x"] = {"type": "alpha", "value": 1}
+    catalog, manager, clock = build_harness(store)
+    trap = {"armed": False}
+
+    def booby_trapped_create(context):
+        if trap["armed"]:
+            trap["armed"] = False
+            store.entities["x"] = {"type": "alpha", "value": 99}
+            clock["lsn"] += 1
+            manager.enqueue(["x"], lsn=clock["lsn"])
+            raise RuntimeError("store hiccup")
+        return len(store.entities)
+
+    catalog.register(ViewDefinition("trap", "analytics", create=booby_trapped_create))
+    manager.materialize()
+    del store.entities["x"]
+    clock["lsn"] += 1
+    manager.enqueue([], lsn=clock["lsn"], deleted_entity_ids=["x"])
+    trap["armed"] = True
+    with pytest.raises(RuntimeError, match="store hiccup"):
+        manager.flush()
+    manager.flush()
+    assert manager.artifact("alpha_rows") == _typed_rows(store, "alpha")
+    assert manager.artifact("alpha_rows")["x"]["value"] == 99
+
+
+def test_update_of_an_id_deleted_in_the_batch_nets_to_added():
+    """``update()`` folds its ids into the pending batch as enqueue folds a
+    changed id: one the batch holds as deleted comes back as added, so the
+    view keeps the row the store holds again."""
+    store = ModelStore()
+    store.entities["x"] = {"type": "alpha", "value": 1}
+    store.entities["y"] = {"type": "alpha", "value": 2}
+    catalog, manager, clock = build_harness(store)
+    manager.materialize()
+    events = []
+    manager.add_journal_listener(events.append)
+    del store.entities["x"]
+    clock["lsn"] = 2
+    manager.enqueue([], lsn=2, deleted_entity_ids=["x"])
+    store.entities["x"] = {"type": "alpha", "value": 99}
+    manager.update(["x"])
+    assert manager.artifact("alpha_rows") == _typed_rows(store, "alpha")
+    assert manager.artifact("alpha_rows")["x"]["value"] == 99
+    delta = appended(events, "alpha_rows", 1)
+    assert "x" in delta.changed and "x" not in delta.deleted
+    assert manager.built_at_lsn("alpha_rows") == 2
+
+
+def test_merge_keeps_the_lowest_nonzero_first_lsn():
+    """A later delta without an LSN range (0) leaves ``first_lsn`` alone."""
+    early = ViewDelta(added=frozenset({"a"}), first_lsn=3, last_lsn=5)
+    unstamped = ViewDelta(updated=frozenset({"b"}))
+    assert early.merge(unstamped).first_lsn == 3
+    assert unstamped.merge(early).first_lsn == 3
+    assert early.merge(ViewDelta(first_lsn=2, last_lsn=2)).first_lsn == 2
+    assert early.merge(unstamped).last_lsn == 5
+
+
+def _net_class(previous: str | None, event: str) -> str:
+    """One entity's net class after one more event — the fold stated per id."""
+    if event == "updated" and previous in ("added", "deleted"):
+        return "added"      # still new, or back after its deletion
+    return event
+
+
+def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
+    """After any interleaving of enqueue, update and mark_full_refresh, the
+    delta a flush hands on — added, updated, deleted, first_lsn, last_lsn —
+    is the ``ViewDelta.merge`` fold of the events since the last flush, and
+    a flush that fails restores ``batch.merge(reentrant)``: the failed batch
+    with whatever observers enqueued during the failing call on top."""
+    rng = random.Random(7000 + op_seed)
+    universe = [f"e{index}" for index in range(6)]
+    clock = {"lsn": 1}
+    calls: list = []
+    trap: dict = {"reentrant": None}
+
+    def probe(kind, delta=None):
+        calls.append((kind, delta))
+        reentrant, trap["reentrant"] = trap["reentrant"], None
+        if reentrant is not None:
+            for event in reentrant:
+                send(event)
+            raise RuntimeError("probe down")
+        return {"calls": len(calls)}
+
+    catalog = ViewCatalog()
+    catalog.register(ViewDefinition(
+        "probe", "analytics",
+        create=lambda ctx: probe("create"),
+        apply_delta=lambda ctx, delta: probe("delta", delta),
+    ))
+    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"])
+    manager.materialize()
+    calls.clear()
+    pending = ViewDelta()          # the merge fold of the events since the last flush
+    classes: dict[str, str] = {}   # the same fold, entity by entity
+    forced = rebuild = False
+
+    def random_event() -> ViewDelta:
+        clock["lsn"] += 1
+        changed = set(rng.sample(universe, rng.randint(0, 3)))
+        added = {eid for eid in changed if rng.random() < 0.4}
+        return ViewDelta(
+            added=frozenset(added), updated=frozenset(changed - added),
+            deleted=frozenset(rng.sample(universe, rng.randint(0, 2))),
+            first_lsn=clock["lsn"], last_lsn=clock["lsn"],
+        )
+
+    def send(event: ViewDelta) -> None:
+        manager.enqueue(
+            sorted(event.changed), lsn=event.last_lsn,
+            deleted_entity_ids=sorted(event.deleted),
+            added_entity_ids=sorted(event.added),
+        )
+
+    def fold(event: ViewDelta) -> None:
+        nonlocal pending
+        pending = pending.merge(event)
+        for name in ("added", "updated", "deleted"):
+            for eid in getattr(event, name):
+                classes[eid] = _net_class(classes.get(eid), name)
+
+    def flush_through(call, fail: bool) -> None:
+        nonlocal pending, forced, rebuild
+        if pending.is_empty() and not (forced or rebuild):
+            assert call() == {} and not calls
+            return
+        # an empty delta affects no view: the probe only advances (no call)
+        fail = fail and (rebuild or not pending.is_empty())
+        reentrant = [random_event() for _ in range(rng.randint(0, 2))] if fail else None
+        target = pending.last_lsn or clock["lsn"]
+        want = ViewDelta(
+            added=pending.added, updated=pending.updated, deleted=pending.deleted,
+            first_lsn=pending.first_lsn or target, last_lsn=target,
+        )
+        for name in ("added", "updated", "deleted"):
+            assert getattr(want, name) == {e for e, c in classes.items() if c == name}
+        built_before = manager.built_at_lsn("probe")
+        trap["reentrant"] = reentrant
+        if fail:
+            with pytest.raises(RuntimeError, match="probe down"):
+                call()
+        else:
+            call()
+        if rebuild or not want.is_empty():
+            assert len(calls) == 1
+            kind, seen = calls.pop()
+            assert kind == ("create" if rebuild else "delta")
+            if kind == "delta":
+                assert seen == want
+        assert not calls
+        if fail:
+            assert manager.built_at_lsn("probe") == built_before
+            pending = want
+            for event in reentrant:
+                fold(event)
+            assert manager.pending_changes() == sorted(classes)
+        else:
+            assert manager.built_at_lsn("probe") == target
+            assert manager.pending_changes() == []
+            pending, forced, rebuild = ViewDelta(), False, False
+            classes.clear()
+
+    for _ in range(rng.randint(30, 50)):
+        op = rng.choices(["enqueue", "update", "full_refresh", "flush"],
+                         weights=[45, 15, 8, 20])[0]
+        fail = rng.random() < 0.3
+        if op == "enqueue":
+            event = random_event()
+            send(event)
+            fold(event)
+            assert manager.pending_changes() == sorted(classes)
+        elif op == "update":
+            ids = rng.sample(universe, rng.randint(0, 3))
+            lsn = None
+            if rng.random() < 0.5:
+                clock["lsn"] += 1
+                lsn = clock["lsn"]
+            fold(ViewDelta(updated=frozenset(ids), first_lsn=lsn or 0, last_lsn=lsn or 0))
+            forced = True
+            flush_through(lambda: manager.update(ids, lsn=lsn), fail)
+        elif op == "full_refresh":
+            clock["lsn"] += 1
+            if rng.random() < 0.5:
+                manager.mark_full_refresh(lsn=clock["lsn"])
+            else:
+                manager.mark_full_refresh()          # stamped off the lsn source
+            fold(ViewDelta(first_lsn=clock["lsn"], last_lsn=clock["lsn"]))
+            rebuild = True
+        else:
+            flush_through(manager.flush, fail)
+    flush_through(manager.flush, fail=False)
+    assert manager.pending_changes() == []
 
 
 def test_delta_journal_merge_and_compaction_semantics():
@@ -623,7 +827,7 @@ def _branch_catalog(events, fail_on=()):
     catalog = ViewCatalog()
 
     def recording(name, result):
-        def run(context, changed=None):
+        def run(context, delta):
             events.append((name, "start"))
             if name in fail_on:
                 events.append((name, "fail"))
@@ -644,7 +848,7 @@ def _branch_catalog(events, fail_on=()):
         catalog.register(ViewDefinition(
             f"{branch}_root", "analytics",
             create=lambda ctx, branch=branch: f"{branch}0",
-            update=recording(f"{branch}_root", f"{branch}1"),
+            apply_delta=recording(f"{branch}_root", f"{branch}1"),
             scope=lambda eid, branch=branch: eid.startswith(f"{branch}:"),
         ))
         catalog.register(ViewDefinition(
@@ -1062,7 +1266,7 @@ def test_cut_off_leaves_other_artifact_shapes_to_their_input_delta():
     by row.  A builder that patches the previous dict in place leaves nothing
     to compare against, and a dict that is not keyed by its rows' subjects
     (an aggregate) has no rows to compare: both keep journaling the
-    scope-projected input delta, as every ``update`` view does."""
+    scope-projected input delta."""
     store = ModelStore()
     store.entities["e1"] = {"type": "alpha", "value": 1}
     catalog = ViewCatalog()

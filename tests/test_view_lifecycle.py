@@ -135,7 +135,7 @@ def make_scoped_catalog():
     catalog = ViewCatalog()
     catalog.register(ViewDefinition(
         "a_root", "analytics", create=lambda ctx: "a",
-        update=lambda ctx, changed: "a+" + ",".join(changed),
+        apply_delta=lambda ctx, delta: "a+" + ",".join(sorted(delta.changed)),
         scope=lambda entity_id: entity_id.startswith("a:"),
     ))
     catalog.register(ViewDefinition(
@@ -161,16 +161,11 @@ def test_selective_update_rebuilds_only_the_affected_closure():
     assert manager.artifact("a_child") == "a+a:1/child"
     assert manager.artifact("b_root") == "b"
     assert manager.states["b_root"].skipped_updates == 1
-    # non-selective mode rebuilds everything, proving strictly more work
-    full = manager.update(["a:1"], selective=False)
+    # a full refresh rebuilds everything, proving strictly more work
+    manager.mark_full_refresh()
+    full = manager.update(["a:1"])
     assert set(full) == {"a_root", "b_root", "a_child"}
-
-
-def test_affected_closure_helper_orders_topologically():
-    catalog = make_scoped_catalog()
-    assert catalog.affected_closure(["a:1"]) == ["a_root", "a_child"]
-    assert catalog.affected_closure(["b:9"]) == ["b_root"]
-    assert catalog.affected_closure([]) == []
+    assert manager.artifact("a_root") == "a"             # through create
 
 
 # ------------------------------------------------------------------ #
@@ -323,7 +318,7 @@ def test_live_reloads_after_view_redefinition_at_same_lsn(served_engine, replica
 
 
 def test_full_refresh_rebuilds_instead_of_blind_incremental_update(ontology):
-    """An unknown-delta refresh must not feed update procs an empty change set."""
+    """An unknown-delta refresh must not feed apply_delta an empty change set."""
     store = TripleStore([
         triple("kg:a1", "type", "music_artist"),
         triple("kg:a1", "name", "Echo Valley"),
@@ -331,18 +326,18 @@ def test_full_refresh_rebuilds_instead_of_blind_incremental_update(ontology):
     ])
     engine = GraphEngine(ontology)
     engine.publish_store(store, source_id="construction")
-    update_calls = []
+    apply_calls = []
     engine.register_view(ViewDefinition(
         "subject_count", "analytics",
         create=lambda ctx: len(engine.triples.subjects()),
-        update=lambda ctx, changed: update_calls.append(list(changed)) or
+        apply_delta=lambda ctx, delta: apply_calls.append(delta) or
         len(engine.triples.subjects()),
     ))
     engine.materialize_views()
     assert engine.view_artifact("subject_count") == 2
     engine.remove_source("fanwiki")
     engine.update_views()
-    assert update_calls == []                      # create ran, not update([])
+    assert apply_calls == []                       # create ran, not an empty delta
     assert engine.view_artifact("subject_count") == 1
 
 
