@@ -5,18 +5,17 @@ from repro.construction.blocking import (
     Block,
     Blocker,
     BlockingConfig,
-    BlockingStage,
 )
 from repro.construction.clustering import (
     ClusteringConfig,
-    ClusteringStage,
     CorrelationClustering,
     EntityCluster,
     LinkageGraph,
     build_linkage_graph,
+    cluster_records,
     materialize_clusters,
 )
-from repro.construction.fusion import Fusion, FusionConfig, FusionReport, FusionStage
+from repro.construction.fusion import Fusion, FusionConfig, FusionReport
 from repro.construction.incremental import (
     ConstructionReport,
     EntityDelta,
@@ -32,7 +31,6 @@ from repro.construction.matching import (
     FeatureSpec,
     LearnedMatcher,
     MatcherRegistry,
-    MatchingStage,
     RuleBasedMatcher,
     ScoredPair,
     default_features,
@@ -45,12 +43,10 @@ from repro.construction.object_resolution import (
     ObjectResolutionStats,
     Resolution,
     ResolutionContext,
-    ResolutionStage,
 )
 from repro.construction.pairs import (
     CandidatePair,
     PairGenerationConfig,
-    PairGenerationStage,
     PairGenerator,
 )
 from repro.construction.pipeline import (
@@ -59,7 +55,6 @@ from repro.construction.pipeline import (
     KnowledgeConstructionPipeline,
 )
 from repro.construction.records import LinkableRecord, records_by_type
-from repro.construction.stages import ConstructionStage, StageContext, StagePipeline
 from repro.construction.truth_discovery import (
     Claim,
     TruthDiscovery,
@@ -72,13 +67,10 @@ __all__ = [
     "Block",
     "Blocker",
     "BlockingConfig",
-    "BlockingStage",
     "CandidatePair",
     "Claim",
     "ClusteringConfig",
-    "ClusteringStage",
     "ConstructionReport",
-    "ConstructionStage",
     "CorrelationClustering",
     "EntityCluster",
     "EntityDelta",
@@ -86,7 +78,6 @@ __all__ = [
     "Fusion",
     "FusionConfig",
     "FusionReport",
-    "FusionStage",
     "GrowthHistory",
     "GrowthPoint",
     "IncrementalConstructor",
@@ -98,24 +89,20 @@ __all__ = [
     "LinkingConfig",
     "LinkingResult",
     "MatcherRegistry",
-    "MatchingStage",
     "NameIndexResolver",
     "ObjectResolutionStage",
     "ObjectResolutionStats",
     "PairGenerationConfig",
-    "PairGenerationStage",
     "PairGenerator",
     "Resolution",
     "ResolutionContext",
-    "ResolutionStage",
     "RuleBasedMatcher",
     "ScoredPair",
-    "StageContext",
-    "StagePipeline",
     "TruthDiscovery",
     "TruthDiscoveryConfig",
     "TruthDiscoveryResult",
     "build_linkage_graph",
+    "cluster_records",
     "default_features",
     "evaluate_linking",
     "feature_vector",

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.construction.records import LinkableRecord, normalized_names
-from repro.construction.stages import StageContext
 from repro.ml.similarity import qgrams, soundex, tokens
 
 BlockingFunction = Callable[[LinkableRecord], Iterable[str]]
@@ -173,20 +172,3 @@ class Blocker:
             "mean_size": sum(sizes) / len(sizes),
             "candidate_pairs": pairs,
         }
-
-
-@dataclass
-class BlockingStage:
-    """Stage 1 of the construction pipeline: bucket the combined payload.
-
-    Pure with respect to shared state — reads the context's source and KG-view
-    records and writes ``context.blocks``.
-    """
-
-    blocker: Blocker
-    name: str = "blocking"
-
-    def run(self, context: StageContext) -> StageContext:
-        """Partition the combined payload into candidate blocks."""
-        context.blocks = self.blocker.block(context.combined_records())
-        return context

@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.construction.matching import ScoredPair
 from repro.construction.records import LinkableRecord
-from repro.construction.stages import StageContext
 
 
 @dataclass
@@ -192,32 +191,22 @@ class EntityCluster:
         return [record for record in self.members if not record.is_kg]
 
 
-@dataclass
-class ClusteringStage:
-    """Stage 4 of the construction pipeline: scored pairs → entity clusters.
+def cluster_records(
+    scored_pairs: Iterable[ScoredPair],
+    records: Iterable[LinkableRecord],
+    config: ClusteringConfig,
+) -> list[EntityCluster]:
+    """Cluster *records* into co-referent groups given their scored pairs.
 
-    Thresholds the scored pairs into a signed linkage graph (isolated records
-    included so unmatched payloads still become singleton clusters), runs the
-    seeded pivot clustering, and materializes :class:`EntityCluster` objects.
-    Identifier assignment for clusters without a KG record is deliberately
-    *not* done here — :meth:`~repro.construction.linking.Linker.link` mints
-    them after clustering, in sorted type order, so the stage never touches
-    the shared identifier sequence.
+    Thresholds the pairs into a signed linkage graph that holds every record
+    (so an unmatched record still becomes a singleton cluster), runs the
+    seeded pivot clustering and materializes :class:`EntityCluster` objects.
+    Clusters without a KG record get no identifier here:
+    :meth:`~repro.construction.linking.Linker.link` mints them afterwards, in
+    sorted type order.
     """
-
-    config: ClusteringConfig
-    name: str = "clustering"
-
-    def run(self, context: StageContext) -> StageContext:
-        """Cluster the context's scored pairs into co-referent groups."""
-        graph = build_linkage_graph(
-            context.scored or [],
-            self.config,
-            extra_records=context.combined_records(),
-        )
-        clustering = CorrelationClustering(self.config)
-        context.clusters = materialize_clusters(clustering.cluster(graph), graph)
-        return context
+    graph = build_linkage_graph(scored_pairs, config, extra_records=records)
+    return materialize_clusters(CorrelationClustering(config).cluster(graph), graph)
 
 
 def materialize_clusters(

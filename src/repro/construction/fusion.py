@@ -1,8 +1,16 @@
 """Fusion: merge linked source payloads into a consistent KG (Section 2.3).
 
+Fusion is the only step of construction that writes the shared triple store,
+so it is the pipeline's one synchronization point (Section 2.4, Figure 5).  A
+commit calls one method per partition of a source delta:
+:meth:`~Fusion.fuse_added`, :meth:`~Fusion.fuse_updated` (retract, then
+re-assert), :meth:`~Fusion.fuse_deleted` (retract) and
+:meth:`~Fusion.fuse_volatile` (replace the source's volatile facts of each
+subject).
+
 Fusion is non-destructive: facts are never overwritten, instead provenance is
 extended when a source re-asserts an existing fact and removed when a source
-retracts it.  The stage handles three kinds of work:
+retracts it.  Fusing a payload handles three kinds of work:
 
 * **simple facts** — an outer join with the KG triples: existing facts gain
   the new source in their provenance, new facts are added;
@@ -22,9 +30,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.construction.stages import StageContext
 from repro.construction.truth_discovery import Claim, TruthDiscovery, TruthDiscoveryResult
-from repro.errors import FusionError
 from repro.model.entity import SAME_AS_PREDICATE, RelationshipNode
 from repro.model.ontology import Ontology
 from repro.model.provenance import Provenance
@@ -293,41 +299,3 @@ class Fusion:
     def _score_conflicts(self, store: TripleStore, subjects: set[str]) -> int:
         result = self.resolve_functional_conflicts(store, subjects)
         return len({item for (item, _), _ in result.value_confidence.items()})
-
-
-@dataclass
-class FusionStage:
-    """Stage 6 of the construction pipeline: the synchronization barrier.
-
-    Fusion is the only stage that mutates the shared triple store, so it is
-    the single serialized point of the otherwise-parallel pipeline (Section
-    2.4, Figure 5).  The context's ``fusion_kind`` selects the partition path:
-    ``"added"`` (outer-join fusion of newly linked payloads), ``"updated"``
-    (retract-then-reassert), ``"deleted"`` (source retraction), or
-    ``"volatile"`` (partition overwrite).  The resulting
-    :class:`FusionReport` lands in ``context.fusion_report``.
-    """
-
-    fusion: Fusion
-    name: str = "fusion"
-
-    def run(self, context: StageContext) -> StageContext:
-        """Fuse the context's resolved triples into the store."""
-        store = context.store
-        if store is None:
-            raise FusionError("FusionStage needs context.store to be set")
-        triples = context.triples_by_subject or {}
-        if context.fusion_kind == "added":
-            report = self.fusion.fuse_added(store, triples, same_as=context.same_as)
-        elif context.fusion_kind == "updated":
-            report = self.fusion.fuse_updated(
-                store, context.source_id, triples, context.same_as
-            )
-        elif context.fusion_kind == "deleted":
-            report = self.fusion.fuse_deleted(store, context.source_id, context.subjects)
-        elif context.fusion_kind == "volatile":
-            report = self.fusion.fuse_volatile(store, context.source_id, triples)
-        else:
-            raise FusionError(f"unknown fusion kind {context.fusion_kind!r}")
-        context.fusion_report = report
-        return context

@@ -15,12 +15,14 @@ applies the per-partition paths of the paper's construction pipeline:
 The constructor keeps the link table (source entity id → KG id) across runs so
 that repeated consumption of the same source is incremental.
 
-:meth:`IncrementalConstructor.commit` consumes one delta on the calling
-thread: the added partition runs the pre-fusion stages (blocking → pair
-generation → matching → clustering) per entity type against the KG as every
-earlier commit left it, then identifiers are minted, objects resolved and
-the partition fused.  Deltas commit one at a time, so fusion — the paper's
-only synchronization point — needs no further coordination.
+:meth:`IncrementalConstructor.consume` commits one delta on the calling
+thread, as plain calls: :meth:`~repro.construction.linking.Linker.link` runs
+blocking → pair generation → matching → clustering per entity type against
+the KG as every earlier commit left it and mints identifiers, then
+:meth:`ObjectResolutionStage.resolve_linked` resolves objects and a
+:class:`Fusion` method fuses the partition.  Deltas commit one at a time, so
+fusion — the paper's only synchronization point — needs no further
+coordination.
 
 Every commit also classifies its effect on the KG into an
 :class:`EntityDelta` (added / updated / deleted subjects), which the platform
@@ -32,9 +34,9 @@ its earlier steps fused, so that part is published too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from repro.construction.fusion import Fusion, FusionConfig, FusionReport, FusionStage
+from repro.construction.fusion import Fusion, FusionConfig, FusionReport
 from repro.construction.linking import Linker, LinkingConfig
 from repro.construction.matching import MatcherRegistry
 from repro.construction.object_resolution import (
@@ -42,9 +44,7 @@ from repro.construction.object_resolution import (
     ObjectResolutionStage,
     ObjectResolutionStats,
     ObjectResolver,
-    ResolutionStage,
 )
-from repro.construction.stages import StageContext
 from repro.model.delta import SourceDelta
 from repro.model.entity import (
     SAME_AS_PREDICATE,
@@ -218,15 +218,7 @@ class IncrementalConstructor:
     # public API
     # -------------------------------------------------------------- #
     def consume(self, delta: SourceDelta) -> ConstructionReport:
-        """Consume one source delta and return the construction report."""
-        return self.commit(delta)
-
-    def consume_all(self, deltas: Iterable[SourceDelta]) -> list[ConstructionReport]:
-        """Consume several deltas in order (fusion is the synchronization point)."""
-        return [self.consume(delta) for delta in deltas]
-
-    def commit(self, delta: SourceDelta) -> ConstructionReport:
-        """Fuse one delta into the KG: added, updated, deleted, then volatile.
+        """Commit one delta to the KG: added, updated, deleted, then volatile.
 
         A step that raises leaves in the store whatever the steps before it
         (and possibly itself) fused.  The exception propagates unchanged,
@@ -245,7 +237,7 @@ class IncrementalConstructor:
                 confidence_threshold=self.obr_confidence_threshold,
                 create_missing=self.obr_create_missing,
             )
-            self._commit_added(delta.source_id, delta.added, obr, report, tracker)
+            self._commit_added(delta.added, obr, report, tracker)
             self._commit_updated(delta, obr, report, tracker)
             self._commit_deleted(delta, report, tracker)
             self._commit_volatile(delta, report, tracker)
@@ -286,7 +278,6 @@ class IncrementalConstructor:
     # -------------------------------------------------------------- #
     def _commit_added(
         self,
-        source_id: str,
         entities: Sequence[SourceEntity],
         obr: ObjectResolutionStage,
         report: ConstructionReport,
@@ -296,27 +287,18 @@ class IncrementalConstructor:
             return
         payload_types = sorted({e.entity_type for e in entities if e.entity_type})
         linking = self.linker.link(entities, self.kg_view(payload_types))
-        report.linked_added = len(linking.assignments)
-        report.new_entities = len(linking.new_entities)
+        report.linked_added += len(linking.assignments)
+        report.new_entities += len(linking.new_entities)
         self.link_table.update(linking.assignments)
-
-        context = StageContext(
-            source_id=source_id,
-            store=self.store,
-            entities=list(entities),
-            assignments=linking.assignments,
-            resolution=obr,
-            same_as=linking.same_as_links(),
-            fusion_kind="added",
+        self._resolve_and_fuse(
+            entities,
+            linking.assignments,
+            linking.same_as_links(),
+            lambda triples, same_as: self.fusion.fuse_added(self.store, triples, same_as),
+            obr,
+            report,
+            tracker,
         )
-        ResolutionStage().run(context)
-        self._merge_resolution_stats(report, context.resolution_stats)
-        tracker.note([
-            *context.triples_by_subject,
-            *(kg_id for kg_id, _ in context.same_as),
-        ])
-        FusionStage(self.fusion).run(context)
-        report.fusion.merge(context.fusion_report)
 
     def _commit_updated(
         self,
@@ -330,30 +312,25 @@ class IncrementalConstructor:
         # Entities linked by this very delta's added partition are known by
         # now.  Entities never seen before (e.g. the platform was bootstrapped
         # after the source started publishing) take the full linking path.
-        known, unknown = self._split_updated(delta.updated)
+        known = [e for e in delta.updated if e.entity_id in self.link_table]
+        unknown = [e for e in delta.updated if e.entity_id not in self.link_table]
         if unknown:
-            self._commit_added(delta.source_id, unknown, obr, report, tracker)
+            self._commit_added(unknown, obr, report, tracker)
         if not known:
             return
         assignments = {e.entity_id: self.link_table[e.entity_id] for e in known}
         report.updated_entities = len(known)
-        context = StageContext(
-            source_id=delta.source_id,
-            store=self.store,
-            entities=known,
-            assignments=assignments,
-            resolution=obr,
-            same_as=[(kg_id, source_id) for source_id, kg_id in assignments.items()],
-            fusion_kind="updated",
+        self._resolve_and_fuse(
+            known,
+            assignments,
+            [(kg_id, source_id) for source_id, kg_id in assignments.items()],
+            lambda triples, same_as: self.fusion.fuse_updated(
+                self.store, delta.source_id, triples, same_as
+            ),
+            obr,
+            report,
+            tracker,
         )
-        ResolutionStage().run(context)
-        self._merge_resolution_stats(report, context.resolution_stats)
-        tracker.note([
-            *context.triples_by_subject,
-            *(kg_id for kg_id, _ in context.same_as),
-        ])
-        FusionStage(self.fusion).run(context)
-        report.fusion.merge(context.fusion_report)
 
     def _commit_deleted(
         self,
@@ -369,15 +346,8 @@ class IncrementalConstructor:
             if kg_id is not None:
                 subjects.append(kg_id)
         report.deleted_entities = len(subjects)
-        context = StageContext(
-            source_id=delta.source_id,
-            store=self.store,
-            subjects=subjects,
-            fusion_kind="deleted",
-        )
         tracker.note(subjects)
-        FusionStage(self.fusion).run(context)
-        report.fusion.merge(context.fusion_report)
+        report.fusion.merge(self.fusion.fuse_deleted(self.store, delta.source_id, subjects))
 
     def _commit_volatile(
         self,
@@ -397,38 +367,36 @@ class IncrementalConstructor:
             triples = [t.with_subject(kg_id) for t in entity.to_triples()]
             triples_by_subject.setdefault(kg_id, []).extend(triples)
         report.volatile_entities = count
-        context = StageContext(
-            source_id=delta.source_id,
-            store=self.store,
-            triples_by_subject=triples_by_subject,
-            fusion_kind="volatile",
-        )
         tracker.note(triples_by_subject)
-        FusionStage(self.fusion).run(context)
-        report.fusion.merge(context.fusion_report)
+        report.fusion.merge(
+            self.fusion.fuse_volatile(self.store, delta.source_id, triples_by_subject)
+        )
+
+    def _resolve_and_fuse(
+        self,
+        entities: Sequence[SourceEntity],
+        assignments: dict[str, str],
+        same_as: list[tuple[str, str]],
+        fuse: Callable[
+            [dict[str, list[ExtendedTriple]], list[tuple[str, str]]], FusionReport
+        ],
+        obr: ObjectResolutionStage,
+        report: ConstructionReport,
+        tracker: _CommitTracker,
+    ) -> None:
+        """Resolve linked entities, note what fusion will touch, then fuse."""
+        triples_by_subject, stats = obr.resolve_linked(entities, assignments)
+        total = report.object_resolution
+        total.examined += stats.examined
+        total.resolved += stats.resolved
+        total.created += stats.created
+        total.unresolved += stats.unresolved
+        tracker.note([*triples_by_subject, *(kg_id for kg_id, _ in same_as)])
+        report.fusion.merge(fuse(triples_by_subject, same_as))
 
     # -------------------------------------------------------------- #
     # helpers
     # -------------------------------------------------------------- #
-    def _split_updated(
-        self, entities: Sequence[SourceEntity]
-    ) -> tuple[list[SourceEntity], list[SourceEntity]]:
-        known: list[SourceEntity] = []
-        unknown: list[SourceEntity] = []
-        for entity in entities:
-            (known if entity.entity_id in self.link_table else unknown).append(entity)
-        return known, unknown
-
-    def _merge_resolution_stats(
-        self, report: ConstructionReport, stats: ObjectResolutionStats | None
-    ) -> None:
-        if stats is None:
-            return
-        report.object_resolution.examined += stats.examined
-        report.object_resolution.resolved += stats.resolved
-        report.object_resolution.created += stats.created
-        report.object_resolution.unresolved += stats.unresolved
-
     def _resolver(self) -> ObjectResolver:
         if self._external_resolver is not None:
             return self._external_resolver

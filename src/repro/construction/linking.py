@@ -5,15 +5,20 @@ ontology-aligned source entities against a KG view of the relevant entity
 types:
 
 1. group the combined payload by entity type;
-2. block, generate candidate pairs, and score them with the type's matcher;
-3. build the signed linkage graph and run correlation clustering;
+2. block (:meth:`Blocker.block`), generate candidate pairs
+   (:meth:`PairGenerator.generate`) and score them with the type's matcher
+   (:func:`score_pairs`);
+3. build the signed linkage graph and run correlation clustering
+   (:func:`cluster_records`);
 4. assign every source record the identifier of the KG entity in its cluster,
    or mint a new KG identifier when the cluster has none;
 5. emit ``same_as`` links recording the provenance of the linking decision.
 
-Identifiers are minted while the clusters are read, in sorted type order, so
-one payload against one view always mints the same identifiers in the same
-order.
+Steps 1–3 only read the payload and the KG view.  Identifiers are minted
+while the clusters are read, in sorted type order, so one payload against one
+view always mints the same identifiers in the same order.  Object resolution
+and fusion, which write the store, are the constructor's
+(:mod:`repro.construction.incremental`).
 """
 
 from __future__ import annotations
@@ -21,21 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from repro.construction.blocking import Blocker, BlockingConfig, BlockingStage
-from repro.construction.clustering import (
-    ClusteringConfig,
-    ClusteringStage,
-    EntityCluster,
-)
+from repro.construction.blocking import Blocker, BlockingConfig
+from repro.construction.clustering import ClusteringConfig, EntityCluster, cluster_records
 from repro.construction.matching import (
     MatcherRegistry,
-    MatchingStage,
     RuleBasedMatcher,
     default_features,
+    score_pairs,
 )
-from repro.construction.pairs import PairGenerationConfig, PairGenerationStage, PairGenerator
+from repro.construction.pairs import PairGenerationConfig, PairGenerator
 from repro.construction.records import LinkableRecord, records_by_type
-from repro.construction.stages import StageContext, StagePipeline
 from repro.model.entity import KGEntity, SourceEntity
 from repro.model.identifiers import IdGenerator
 from repro.model.ontology import Ontology
@@ -68,17 +68,6 @@ class LinkingResult:
         """``(kg_id, source_entity_id)`` pairs recording linking provenance."""
         return [(kg_id, source_id) for source_id, kg_id in sorted(self.assignments.items())]
 
-    def merge(self, other: "LinkingResult") -> "LinkingResult":
-        """Combine results from independently linked payloads."""
-        merged = LinkingResult(
-            assignments={**self.assignments, **other.assignments},
-            new_entities=self.new_entities | other.new_entities,
-            clusters=[*self.clusters, *other.clusters],
-            scored_pair_count=self.scored_pair_count + other.scored_pair_count,
-            candidate_pair_count=self.candidate_pair_count + other.candidate_pair_count,
-        )
-        return merged
-
 
 class Linker:
     """Full record-linkage pipeline over a combined source + KG-view payload."""
@@ -107,13 +96,6 @@ class Linker:
         # check would reject person/music_artist pairs.
         pair_config = replace(self.config.pair_generation, require_compatible_types=False)
         self._pair_generator = PairGenerator(pair_config)
-        # The pre-fusion stage chain every per-type run flows through.
-        self.stages = StagePipeline((
-            BlockingStage(self._blocker),
-            PairGenerationStage(self._pair_generator),
-            MatchingStage(self.matchers),
-            ClusteringStage(self.config.clustering),
-        ))
 
     def link(
         self,
@@ -134,17 +116,14 @@ class Linker:
         )
         kg_by_type = records_by_type(LinkableRecord.from_kg_entity(e) for e in kg_view)
         result = LinkingResult()
-        for entity_type, records in sorted(source_by_type.items()):
-            context = StageContext(
-                entity_type=entity_type,
-                source_records=records,
-                kg_records=self.relevant_kg_records(entity_type, kg_by_type),
-            )
-            self.stages.run(context)
-            clusters = context.clusters or []
+        for entity_type, source_records in sorted(source_by_type.items()):
+            records = [*source_records, *self.relevant_kg_records(entity_type, kg_by_type)]
+            pairs = self._pair_generator.generate(self._blocker.block(records))
+            scored = score_pairs(pairs, self.matchers)
+            clusters = cluster_records(scored, records, self.config.clustering)
             result.clusters.extend(clusters)
-            result.candidate_pair_count += len(context.pairs or [])
-            result.scored_pair_count += len(context.scored or [])
+            result.candidate_pair_count += len(pairs)
+            result.scored_pair_count += len(scored)
             for cluster in clusters:
                 if not cluster.source_records:
                     continue

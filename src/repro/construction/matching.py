@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.construction.pairs import CandidatePair
 from repro.construction.records import LinkableRecord
-from repro.construction.stages import StageContext
 from repro.errors import LinkingError
 from repro.ml.encoders import EncoderRegistry
 from repro.ml.similarity import (
@@ -321,19 +320,6 @@ def score_pairs(
         matcher = registry.matcher_for(entity_type)
         scored.append(ScoredPair(pair, matcher.score(pair.left, pair.right)))
     return scored
-
-
-@dataclass
-class MatchingStage:
-    """Stage 3 of the construction pipeline: score pairs with type matchers."""
-
-    registry: MatcherRegistry
-    name: str = "matching"
-
-    def run(self, context: StageContext) -> StageContext:
-        """Score every candidate pair with its type-specific matcher."""
-        context.scored = score_pairs(context.pairs or [], self.registry)
-        return context
 
 
 def _sigmoid(value: float) -> float:

@@ -5,7 +5,9 @@ object field of a reference predicate.  OBR resolves such literals to existing
 KG entities — or creates new entities — so cross-references in the KG are
 normalized.  The production system backs OBR with the NERD stack (Section 5.2);
 this module defines the resolver interface, a lightweight name-index resolver
-used for bootstrapping and tests, and the stage that rewrites linked triples.
+used for bootstrapping and tests, and :class:`ObjectResolutionStage`, whose
+:meth:`~ObjectResolutionStage.resolve_linked` a construction commit calls to
+rewrite linked entities into KG triples just before fusing them.
 
 The NERD service (:mod:`repro.ml.nerd.service`) satisfies the
 :class:`ObjectResolver` protocol structurally, so it can be plugged in without
@@ -18,10 +20,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
-from repro.construction.stages import StageContext
-from repro.errors import LinkingError
 from repro.ml.similarity import jaro_winkler_normalized, normalize_string
-from repro.model.entity import NAME_PREDICATES
+from repro.model.entity import NAME_PREDICATES, SourceEntity
 from repro.model.identifiers import IdGenerator, is_kg_identifier
 from repro.model.ontology import Ontology, ValueKind
 from repro.model.provenance import Provenance
@@ -238,6 +238,34 @@ class ObjectResolutionStage:
     create_missing: bool = False
     _creations: dict[str, str] = field(default_factory=dict)
 
+    def resolve_linked(
+        self, entities: Sequence[SourceEntity], assignments: dict[str, str]
+    ) -> tuple[dict[str, list[ExtendedTriple]], ObjectResolutionStats]:
+        """Rewrite linked source entities into resolved KG triples by subject.
+
+        *assignments* maps source entity ids to KG ids; an entity without one
+        is skipped.  The payload's own entities are registered with a
+        name-index resolver first, so a reference can point at an entity
+        arriving in the same payload (a song naming an artist shipped
+        alongside it) instead of minting a duplicate.  Reads the live store's
+        name index and may mint identifiers, so it runs inside a commit.
+        """
+        if isinstance(self.resolver, NameIndexResolver):
+            for entity in entities:
+                kg_id = assignments.get(entity.entity_id)
+                if kg_id is not None:
+                    self.resolver.add_entity(kg_id, entity.names(), entity.entity_type)
+        all_triples: list[ExtendedTriple] = []
+        for entity in entities:
+            kg_id = assignments.get(entity.entity_id)
+            if kg_id is not None:
+                all_triples.extend(t.with_subject(kg_id) for t in entity.to_triples())
+        resolved, created, stats = self.resolve_triples(all_triples)
+        triples_by_subject: dict[str, list[ExtendedTriple]] = {}
+        for triple in [*resolved, *created]:
+            triples_by_subject.setdefault(triple.subject, []).append(triple)
+        return triples_by_subject, stats
+
     def resolve_triples(
         self, triples: Sequence[ExtendedTriple]
     ) -> tuple[list[ExtendedTriple], list[ExtendedTriple], ObjectResolutionStats]:
@@ -350,48 +378,3 @@ class ObjectResolutionStage:
                 entity_id, [str(triple.obj)], expected[0] if expected else ""
             )
         return entity_id, created
-
-
-@dataclass
-class ResolutionStage:
-    """Stage 5 of the construction pipeline: object resolution of linked triples.
-
-    Runs inside a commit, just before fusion: it reads the live store's name
-    index (through the :class:`ObjectResolutionStage` machinery in
-    ``context.resolution``) and may mint identifiers for unresolvable mentions,
-    so it must never run concurrently with another commit.
-
-    The context's ``entities`` + ``assignments`` (source entity → KG id) are
-    rewritten into KG-subject triples; the payload's own entities are
-    registered with the resolver first so that object resolution can point at
-    entities arriving in the same payload (e.g. a song referring to an artist
-    shipped alongside it) instead of minting spurious duplicates.  Results land
-    in ``context.triples_by_subject`` and ``context.resolution_stats``.
-    """
-
-    name: str = "object_resolution"
-
-    def run(self, context: StageContext) -> StageContext:
-        """Rewrite the context's linked entities into resolved KG triples."""
-        obr = context.resolution
-        if obr is None:
-            raise LinkingError("ResolutionStage needs context.resolution to be set")
-        assignments = context.assignments
-        if isinstance(obr.resolver, NameIndexResolver):
-            for entity in context.entities:
-                kg_id = assignments.get(entity.entity_id)
-                if kg_id is not None:
-                    obr.resolver.add_entity(kg_id, entity.names(), entity.entity_type)
-        all_triples: list[ExtendedTriple] = []
-        for entity in context.entities:
-            kg_id = assignments.get(entity.entity_id)
-            if kg_id is None:
-                continue
-            all_triples.extend(t.with_subject(kg_id) for t in entity.to_triples())
-        resolved, created, stats = obr.resolve_triples(all_triples)
-        context.resolution_stats = stats
-        triples_by_subject: dict[str, list[ExtendedTriple]] = {}
-        for triple in [*resolved, *created]:
-            triples_by_subject.setdefault(triple.subject, []).append(triple)
-        context.triples_by_subject = triples_by_subject
-        return context

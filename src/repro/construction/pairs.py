@@ -13,7 +13,6 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.construction.blocking import Block
 from repro.construction.records import LinkableRecord
-from repro.construction.stages import StageContext
 
 
 @dataclass(frozen=True)
@@ -79,19 +78,6 @@ class PairGenerator:
                     emitted += 1
                     if self.config.max_pairs is not None and emitted >= self.config.max_pairs:
                         return
-
-
-@dataclass
-class PairGenerationStage:
-    """Stage 2 of the construction pipeline: blocks → deduplicated pairs."""
-
-    generator: PairGenerator
-    name: str = "pair_generation"
-
-    def run(self, context: StageContext) -> StageContext:
-        """Materialize the candidate pairs for the context's blocks."""
-        context.pairs = self.generator.generate(context.blocks or [])
-        return context
 
 
 def _types_compatible(left: LinkableRecord, right: LinkableRecord) -> bool:

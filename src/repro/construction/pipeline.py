@@ -141,7 +141,7 @@ class KnowledgeConstructionPipeline:
         for payload in payloads:
             delta = payload.delta if isinstance(payload, IngestionResult) else payload
             try:
-                report = self.constructor.commit(delta)
+                report = self.constructor.consume(delta)
             except Exception as exc:  # noqa: BLE001 - per-source failure isolation
                 report = exc.construction_report
                 failures.append((delta.source_id, exc))

@@ -2,7 +2,7 @@
 
 Linking operates over a *combined payload* of source entities and a KG view
 (Section 2.3).  Both are normalized into :class:`LinkableRecord` — a flat,
-multi-valued property map plus bookkeeping flags — so every stage of the
+multi-valued property map plus bookkeeping flags — so every step of the
 linking pipeline is agnostic to where a record came from.
 """
 

@@ -60,10 +60,6 @@ class LinkingError(ConstructionError):
     """Raised during blocking, matching, or resolution."""
 
 
-class FusionError(ConstructionError):
-    """Raised when fusing linked payloads into the knowledge graph."""
-
-
 class EngineError(SagaError):
     """Raised by the graph engine (stores, views, orchestration)."""
 

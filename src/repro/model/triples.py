@@ -392,28 +392,6 @@ class TripleStore:
         self._by_source.pop(source_id, None)
         return removed
 
-    def overwrite_source_partition(
-        self, source_id: str, triples: Iterable[ExtendedTriple]
-    ) -> tuple[int, int]:
-        """Replace every fact attributed *only* to *source_id* with *triples*.
-
-        This is the optimized fusion path for volatile predicates described in
-        Section 2.4: the partition of the KG owned by a source (e.g. its
-        popularity facts) is overwritten wholesale without joins.
-
-        Returns ``(facts_removed, facts_added)``.
-        """
-        removed = 0
-        if self._by_source.get(source_id):
-            self._ensure_private()
-            for ref in list(self._by_source.get(source_id, ())):
-                prov = self._partitions[ref >> ROW_BITS].prov[ref & ROW_MASK]
-                if prov is not None and prov.sources == [source_id]:
-                    self._discard_ref(ref)
-                    removed += 1
-        added = self.add_batch(triples)
-        return removed, added
-
     # ------------------------------------------------------------------ #
     # batch operators
     # ------------------------------------------------------------------ #

@@ -95,19 +95,6 @@ class LegacyTripleStore:
                     removed += 1
         return removed
 
-    def overwrite_source_partition(
-        self, source_id: str, triples: Iterable[ExtendedTriple]
-    ) -> tuple[int, int]:
-        """Replace every fact attributed *only* to *source_id* with *triples*."""
-        removed = 0
-        for key in list(self._by_key):
-            triple = self._by_key[key]
-            if triple.provenance.sources == [source_id]:
-                self._discard_key(key)
-                removed += 1
-        added = self.add_all(triples)
-        return removed, added
-
     # ------------------------------------------------------------------ #
     # lookup
     # ------------------------------------------------------------------ #

@@ -18,6 +18,7 @@ invoked.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -243,6 +244,44 @@ FIXED_INPUTS = {
 def test_consume_many_equals_chain_on_fixed_input(name):
     batches, check = FIXED_INPUTS[name]()
     check(assert_batches_equal_chain(batches))
+
+
+# ------------------------------------------------------------------ #
+# construction output pinned across commits
+# ------------------------------------------------------------------ #
+# What construction produced for each input when the digests were recorded:
+# the fused store with provenance, the link table (so the order identifiers
+# were minted in) and every commit's classified entity delta.  The suite
+# above compares two entry points of one tree; these digests compare a tree
+# with its predecessors.  Re-record them only for an intended output change.
+PINNED_OUTPUT_DIGESTS = {
+    "same_type": "0a5b2cd886cd6361",
+    "seed0": "8b53ef001baad60b",
+    "seed1": "c34ad8b078bd278a",
+    "seed2": "ec886423ad902782",
+    "seed3": "4f9dd83722abd512",
+    "seed4": "3914e7cb42f70cf8",
+    "untyped_to_typed": "7e4a59a263fe802f",
+}
+
+
+def _output_digest(batches: list[list[SourceDelta]]) -> str:
+    pipeline = KnowledgeConstructionPipeline(default_ontology())
+    for batch in batches:
+        pipeline.consume_many(batch)
+    content = repr((
+        pipeline.store.canonical_rows(),
+        sorted(pipeline.link_table.items()),
+        [report.entity_delta.as_dict() for report in pipeline.reports],
+    ))
+    return hashlib.sha256(content.encode()).hexdigest()[:16]
+
+
+def test_construction_output_matches_pinned_digests():
+    inputs = {name: build()[0] for name, build in FIXED_INPUTS.items()}
+    inputs.update({f"seed{seed}": build_batches(seed) for seed in range(5)})
+    digests = {name: _output_digest(batches) for name, batches in sorted(inputs.items())}
+    assert digests == PINNED_OUTPUT_DIGESTS
 
 
 # ------------------------------------------------------------------ #

@@ -70,6 +70,20 @@ def test_unknown_updated_entity_falls_back_to_linking(constructor):
     assert report.linked_added == 1
 
 
+def test_unknown_updated_entities_add_to_the_added_counts(constructor):
+    """Unseen updated entities are linked after the added partition; the
+    report counts both partitions' links and mints, not the last one's."""
+    delta = SourceDelta(source_id="musicdb",
+                        added=[artist("musicdb:1", "Echo Valley", genre="pop")],
+                        updated=[artist("musicdb:2", "Crimson Skies", genre="rock")],
+                        to_timestamp=1)
+    report = constructor.consume(delta)
+    assert len(constructor.link_table) == 2
+    assert len(report.entity_delta.added) == 2
+    assert report.linked_added == 2
+    assert report.new_entities == 2
+
+
 def test_deleted_payload_retracts_source_facts(constructor):
     constructor.consume(SourceDelta.initial("musicdb", [
         artist("musicdb:1", "Echo Valley", genre="pop"),

@@ -120,11 +120,3 @@ def test_evaluate_linking_metrics():
     assert metrics["recall"] == 0.5              # missed (s3,s4)
     empty = evaluate_linking(LinkingResult(), {})
     assert empty["f1"] == 1.0
-
-
-def test_linking_result_merge(linker):
-    first = linker.link([source_artist("musicdb:1", "Alpha Omega")], [])
-    second = linker.link([source_artist("musicdb:2", "Beta Gamma")], [])
-    merged = first.merge(second)
-    assert set(merged.assignments) == {"musicdb:1", "musicdb:2"}
-    assert merged.candidate_pair_count == first.candidate_pair_count + second.candidate_pair_count

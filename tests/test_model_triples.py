@@ -127,19 +127,6 @@ def test_remove_source_purges_unsupported_facts():
     assert store.facts_about("kg:e1")[0].sources == ["b"]
 
 
-def test_overwrite_source_partition_replaces_only_that_source():
-    store = TripleStore()
-    store.add(make_triple(predicate="popularity", obj=0.5, source="musicdb"))
-    store.add(make_triple(predicate="name", obj="X", source="wiki"))
-    removed, added = store.overwrite_source_partition(
-        "musicdb", [make_triple(predicate="popularity", obj=0.9, source="musicdb")]
-    )
-    assert removed == 1
-    assert added == 1
-    assert store.value_of("kg:e1", "popularity") == 0.9
-    assert store.value_of("kg:e1", "name") == "X"
-
-
 def test_snapshot_is_independent():
     store = TripleStore([make_triple()])
     snapshot = store.snapshot()

@@ -1,8 +1,8 @@
 """Seeded equivalence suite: columnar TripleStore vs the frozen legacy store.
 
 Random operation sequences (add / merge-provenance / discard / remove_subject /
-remove_source / overwrite_source_partition / in-place fusion-style retracts /
-snapshot) run against :class:`repro.model.triples.TripleStore` (columnar) and
+remove_source / in-place fusion-style retracts / snapshot) run against
+:class:`repro.model.triples.TripleStore` (columnar) and
 :class:`oracles.legacy_store.LegacyTripleStore` (the pre-refactor
 implementation, kept verbatim), asserting ``canonical_rows()`` equality — the
 single byte-level oracle — plus iteration order, serialized rows, and every
@@ -109,7 +109,6 @@ def apply_random_op(rng: random.Random, columnar: TripleStore, legacy: LegacyTri
             "discard",
             "remove_subject",
             "remove_source",
-            "overwrite_source_partition",
             "inplace_retract",
             "snapshot",
         ]
@@ -140,18 +139,6 @@ def apply_random_op(rng: random.Random, columnar: TripleStore, legacy: LegacyTri
     elif op == "remove_source":
         source = rng.choice(SOURCES)
         assert columnar.remove_source(source) == legacy.remove_source(source)
-    elif op == "overwrite_source_partition":
-        source = rng.choice(SOURCES)
-        replacement = [random_triple(rng) for _ in range(rng.randrange(3))]
-        for triple in replacement:
-            triple.provenance = Provenance.from_source(source, rng.choice(TRUSTS))
-        col_counts = columnar.overwrite_source_partition(
-            source, [t.copy() for t in replacement]
-        )
-        leg_counts = legacy.overwrite_source_partition(
-            source, [t.copy() for t in replacement]
-        )
-        assert col_counts == leg_counts
     elif op == "inplace_retract":
         # The fusion retract pattern: mutate provenance in place through
         # materialized views, then discard facts left unsupported.  This is
