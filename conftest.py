@@ -34,7 +34,8 @@ def capped_runs(runs: int, ci_cap: int) -> int:
 #: tests/test_live_executor_vectorized.py, fd_seed drives
 #: tests/test_front_door.py, rpq_seed/rpq_fleet_seed drive
 #: tests/test_live_rpq.py, ivm_seed/join_fleet_seed drive
-#: tests/test_join_ivm.py.  The heavyweight caps exist because
+#: tests/test_join_ivm.py, jaro_seed drives tests/test_similarity_oracle.py.
+#: The heavyweight caps exist because
 #: those sequences spin up serving-fleet worker threads (fleet_seed,
 #: qr_seed, fd_seed, rpq_fleet_seed, join_fleet_seed), audit full checksum
 #: maps per round (ae_seed), or run the full linking pipeline twice per
@@ -53,6 +54,7 @@ SEED_FIXTURES = {
     "rpq_fleet_seed": 30,
     "ivm_seed": None,
     "join_fleet_seed": 30,
+    "jaro_seed": None,
 }
 
 

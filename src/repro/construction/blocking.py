@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.construction.records import LinkableRecord, normalized_names
+from repro.construction.records import LinkableRecord
 from repro.ml.similarity import qgrams, soundex, tokens
 
 BlockingFunction = Callable[[LinkableRecord], Iterable[str]]
@@ -26,7 +26,7 @@ def name_qgram_keys(record: LinkableRecord, q: int = 3, max_keys: int = 12) -> l
     which tolerates typos (the paper's example blocking function for movies).
     """
     keys: list[str] = []
-    for name in normalized_names(record):
+    for name in record.name_features.normalized:
         keys.extend(qgrams(name, q))
     # Deduplicate while preserving order, then cap to bound bucket fan-out.
     seen: set[str] = set()
@@ -43,7 +43,7 @@ def name_qgram_keys(record: LinkableRecord, q: int = 3, max_keys: int = 12) -> l
 def name_token_keys(record: LinkableRecord) -> list[str]:
     """Block on whole name tokens (robust for multi-word titles)."""
     keys: set[str] = set()
-    for name in normalized_names(record):
+    for name in record.name_features.normalized:
         for token in tokens(name):
             if len(token) >= 3:
                 keys.add(f"tok:{token}")
@@ -53,7 +53,7 @@ def name_token_keys(record: LinkableRecord) -> list[str]:
 def name_prefix_keys(record: LinkableRecord, length: int = 4) -> list[str]:
     """Block on the first *length* characters of each name."""
     keys = set()
-    for name in normalized_names(record):
+    for name in record.name_features.normalized:
         compact = name.replace(" ", "")
         if compact:
             keys.add(f"pfx:{compact[:length]}")
@@ -63,7 +63,7 @@ def name_prefix_keys(record: LinkableRecord, length: int = 4) -> list[str]:
 def soundex_keys(record: LinkableRecord) -> list[str]:
     """Block on the Soundex code of each name token (person names)."""
     keys = set()
-    for name in normalized_names(record):
+    for name in record.name_features.normalized:
         for token in tokens(name):
             code = soundex(token)
             if code:

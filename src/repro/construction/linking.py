@@ -36,6 +36,7 @@ from repro.construction.matching import (
 )
 from repro.construction.pairs import PairGenerationConfig, PairGenerator
 from repro.construction.records import LinkableRecord, records_by_type
+from repro.ml.similarity import JaroWinklerMemo
 from repro.model.entity import KGEntity, SourceEntity
 from repro.model.identifiers import IdGenerator
 from repro.model.ontology import Ontology
@@ -110,11 +111,16 @@ class Linker:
         clustering, then every cluster with source records takes its KG
         record's identifier, or a freshly minted one when it has none.
         Identifiers are minted in sorted type order, then cluster order.
+        The records of one call share one Jaro-Winkler memo, so each distinct
+        pair of names is compared once per call.
         """
-        source_by_type = records_by_type(
-            LinkableRecord.from_source_entity(e) for e in source_entities
-        )
-        kg_by_type = records_by_type(LinkableRecord.from_kg_entity(e) for e in kg_view)
+        all_source_records = [LinkableRecord.from_source_entity(e) for e in source_entities]
+        kg_records = [LinkableRecord.from_kg_entity(e) for e in kg_view]
+        memo = JaroWinklerMemo()
+        for record in (*all_source_records, *kg_records):
+            record.similarity_memo = memo
+        source_by_type = records_by_type(all_source_records)
+        kg_by_type = records_by_type(kg_records)
         result = LinkingResult()
         for entity_type, source_records in sorted(source_by_type.items()):
             records = [*source_records, *self.relevant_kg_records(entity_type, kg_by_type)]

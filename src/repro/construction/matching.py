@@ -25,12 +25,7 @@ from repro.construction.pairs import CandidatePair
 from repro.construction.records import LinkableRecord
 from repro.errors import LinkingError
 from repro.ml.encoders import EncoderRegistry
-from repro.ml.similarity import (
-    jaro_winkler_similarity,
-    monge_elkan_similarity,
-    set_similarity,
-    year_similarity,
-)
+from repro.ml.similarity import monge_elkan_tokens, set_similarity, year_similarity
 from repro.model.ontology import Ontology
 
 FeatureExtractor = Callable[[LinkableRecord, LinkableRecord], float]
@@ -47,21 +42,28 @@ class FeatureSpec:
 # --------------------------------------------------------------------- #
 # feature extractors
 # --------------------------------------------------------------------- #
-def best_name_similarity(
-    left: LinkableRecord,
-    right: LinkableRecord,
-    similarity: Callable[[object, object], float] = jaro_winkler_similarity,
-) -> float:
-    """Best similarity across the cross product of the two records' names."""
-    left_names, right_names = left.names(), right.names()
+def best_name_similarity(left: LinkableRecord, right: LinkableRecord) -> float:
+    """Best Jaro-Winkler across the cross product of the two records' names.
+
+    The records' normalized names are compared through the left record's
+    memo; a name that normalizes to nothing scores 0 against any name, so the
+    maximum is the one over the raw names.
+    """
+    left_names = left.name_features.normalized
+    right_names = right.name_features.normalized
     if not left_names or not right_names:
         return 0.0
-    return max(similarity(a, b) for a in left_names for b in right_names)
+    memo = left.similarity_memo
+    return max(memo[a][b] for a in left_names for b in right_names)
 
 
 def name_token_overlap(left: LinkableRecord, right: LinkableRecord) -> float:
     """Monge-Elkan token similarity of the primary names."""
-    return monge_elkan_similarity(left.primary_name(), right.primary_name())
+    return monge_elkan_tokens(
+        left.name_features.primary_tokens,
+        right.name_features.primary_tokens,
+        left.similarity_memo,
+    )
 
 
 def shared_predicate_agreement(left: LinkableRecord, right: LinkableRecord) -> float:

@@ -278,7 +278,7 @@ class ObjectResolutionStage:
         stats = ObjectResolutionStats()
         resolved: list[ExtendedTriple] = []
         new_entity_triples: list[ExtendedTriple] = []
-        context_cache: dict[str, tuple[str, ...]] = {}
+        contexts: dict[str, tuple[str, ...]] | None = None
 
         for triple in triples:
             predicate_name = triple.relationship_predicate or triple.predicate
@@ -286,11 +286,13 @@ class ObjectResolutionStage:
                 resolved.append(triple)
                 continue
             stats.examined += 1
+            if contexts is None:
+                contexts = _context_values(triples)
             context = ResolutionContext(
                 subject_id=triple.subject,
                 predicate=predicate_name,
                 expected_types=self._expected_types(predicate_name),
-                context_values=self._context_values(triple, triples, context_cache),
+                context_values=contexts[triple.subject],
                 locale=triple.locale,
             )
             resolution = self.resolver.resolve(str(triple.obj), context)
@@ -322,23 +324,6 @@ class ObjectResolutionStage:
         if not self.ontology.has_predicate(predicate_name):
             return ()
         return self.ontology.predicate(predicate_name).range_types
-
-    def _context_values(
-        self,
-        triple: ExtendedTriple,
-        triples: Sequence[ExtendedTriple],
-        cache: dict[str, tuple[str, ...]],
-    ) -> tuple[str, ...]:
-        cached = cache.get(triple.subject)
-        if cached is not None:
-            return cached
-        values = tuple(
-            str(other.obj)
-            for other in triples
-            if other.subject == triple.subject and isinstance(other.obj, str)
-        )[:12]
-        cache[triple.subject] = values
-        return values
 
     def _create_entity(
         self, triple: ExtendedTriple, predicate_name: str
@@ -378,3 +363,14 @@ class ObjectResolutionStage:
                 entity_id, [str(triple.obj)], expected[0] if expected else ""
             )
         return entity_id, created
+
+
+def _context_values(triples: Sequence[ExtendedTriple]) -> dict[str, tuple[str, ...]]:
+    """Each subject's first 12 string objects, in triple order, in one pass."""
+    grouped: dict[str, list[str]] = {}
+    for triple in triples:
+        if isinstance(triple.obj, str):
+            values = grouped.setdefault(triple.subject, [])
+            if len(values) < 12:
+                values.append(str(triple.obj))
+    return {subject: tuple(values) for subject, values in grouped.items()}

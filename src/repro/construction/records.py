@@ -9,15 +9,30 @@ linking pipeline is agnostic to where a record came from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, NamedTuple
 
-from repro.ml.similarity import normalize_string
+from repro.ml.similarity import JaroWinklerMemo, normalize_string, tokens
 from repro.model.entity import KGEntity, SourceEntity
+
+
+class NameFeatures(NamedTuple):
+    """What blocking and the name features read of a record's names."""
+
+    names: tuple[str, ...]            # name-like values, empty strings dropped
+    normalized: tuple[str, ...]       # normalize_string of each, empties dropped
+    primary_tokens: tuple[str, ...]   # tokens of the primary name
 
 
 @dataclass
 class LinkableRecord:
-    """A flattened record participating in record linkage."""
+    """A flattened record participating in record linkage.
+
+    A record derives its :attr:`name_features` once, on first use, so its
+    properties must not change after that.  The linker rebuilds records on
+    every :meth:`~repro.construction.linking.Linker.link` call and hands them
+    all one :class:`JaroWinklerMemo`, so both caches live one link run.
+    """
 
     record_id: str
     entity_type: str = ""
@@ -25,6 +40,9 @@ class LinkableRecord:
     is_kg: bool = False                 # True when the record comes from the KG view
     source_id: str = ""
     trust: float = 0.5
+    similarity_memo: JaroWinklerMemo = field(
+        default_factory=JaroWinklerMemo, init=False, repr=False, compare=False
+    )
 
     def values(self, predicate: str) -> list[object]:
         """All values of *predicate* (empty list when absent)."""
@@ -35,17 +53,22 @@ class LinkableRecord:
         values = self.values(predicate)
         return values[0] if values else None
 
+    @cached_property
+    def name_features(self) -> NameFeatures:
+        """The record's names, normalized names and primary-name tokens."""
+        names = tuple(
+            name
+            for predicate in ("name", "alias", "title", "full_title")
+            for name in map(str, self.values(predicate))
+            if name
+        )
+        normalized = tuple(name for name in map(normalize_string, names) if name)
+        primary = names[0] if names else self.record_id
+        return NameFeatures(names, normalized, tuple(tokens(primary)))
+
     def names(self) -> list[str]:
         """Name-like strings used by blocking and name features."""
-        names: list[str] = []
-        for predicate in ("name", "alias", "title", "full_title"):
-            names.extend(str(v) for v in self.values(predicate))
-        return [n for n in names if n]
-
-    def primary_name(self) -> str:
-        """Best display name, falling back to the record identifier."""
-        names = self.names()
-        return names[0] if names else self.record_id
+        return list(self.name_features.names)
 
     @classmethod
     def from_source_entity(cls, entity: SourceEntity) -> "LinkableRecord":
@@ -93,11 +116,6 @@ class LinkableRecord:
             source_id="kg",
             trust=0.9,
         )
-
-
-def normalized_names(record: LinkableRecord) -> list[str]:
-    """Lower-cased, whitespace-collapsed names of a record."""
-    return [normalize_string(name) for name in record.names() if normalize_string(name)]
 
 
 def records_by_type(records: Iterable[LinkableRecord]) -> dict[str, list[LinkableRecord]]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterable
+from typing import Iterable, Sequence
 
 _TOKEN_PATTERN = re.compile(r"[a-z0-9]+")
 
@@ -91,38 +91,48 @@ def jaro_similarity(first: object, second: object) -> float:
 
 
 def _jaro_normalized(a: str, b: str) -> float:
-    """Jaro similarity over strings that are already normalized."""
+    """Jaro similarity over strings that are already normalized.
+
+    Each character of *a* matches the first still-unmatched equal character
+    of *b* inside the window.  Rather than scanning the window, the kernel
+    keeps, per character, the positions of *b* not yet matched, nearest
+    last: the window's lower edge only moves right, so positions below it
+    are dropped for good, and the first position left is the greedy choice.
+    """
     if not a or not b:
         return 0.0
     if a == b:
         return 1.0
-    window = max(len(a), len(b)) // 2 - 1
-    window = max(window, 0)
-    a_matches = [False] * len(a)
-    b_matches = [False] * len(b)
-    matches = 0
+    window = max(max(len(a), len(b)) // 2 - 1, 0)
+    unmatched: dict[str, list[int]] = {}
+    for j in range(len(b) - 1, -1, -1):
+        positions = unmatched.get(b[j])
+        if positions is None:
+            unmatched[b[j]] = [j]
+        else:
+            positions.append(j)
+    matched_chars: list[str] = []
+    matched_positions: list[int] = []
     for i, char_a in enumerate(a):
-        low = max(0, i - window)
-        high = min(len(b), i + window + 1)
-        for j in range(low, high):
-            if b_matches[j] or b[j] != char_a:
-                continue
-            a_matches[i] = True
-            b_matches[j] = True
-            matches += 1
-            break
+        positions = unmatched.get(char_a)
+        if not positions:
+            continue
+        low = i - window
+        while positions and positions[-1] < low:
+            positions.pop()
+        if positions and positions[-1] <= i + window:
+            matched_chars.append(char_a)
+            matched_positions.append(positions.pop())
+    matches = len(matched_chars)
     if matches == 0:
         return 0.0
+    # Transpositions pair the matched characters of a and of b, each in
+    # string order.
+    matched_positions.sort()
     transpositions = 0
-    j = 0
-    for i, matched in enumerate(a_matches):
-        if not matched:
-            continue
-        while not b_matches[j]:
-            j += 1
-        if a[i] != b[j]:
+    for char_a, j in zip(matched_chars, matched_positions):
+        if char_a != b[j]:
             transpositions += 1
-        j += 1
     transpositions //= 2
     return (
         matches / len(a) + matches / len(b) + (matches - transpositions) / matches
@@ -139,10 +149,12 @@ def jaro_winkler_similarity(first: object, second: object, prefix_weight: float 
 def jaro_winkler_normalized(a: str, b: str, prefix_weight: float = 0.1) -> float:
     """Jaro-Winkler over already-normalized strings (hot-path variant).
 
-    Index-backed scans (object resolution's name index) normalize each string
-    once at indexing time; re-normalizing both sides on every comparison
-    dominated the profile, so they call this variant directly.  Identical
-    result to :func:`jaro_winkler_similarity` on normalized input.
+    Callers that hold normalized strings call this directly: object
+    resolution's name index normalizes each name once at indexing time, and
+    the linker's name features compare the names a
+    :class:`~repro.construction.records.LinkableRecord` normalized once per
+    link run, memoizing each distinct pair for that run.  Identical result to
+    :func:`jaro_winkler_similarity` on normalized input.
     """
     jaro = _jaro_normalized(a, b)
     prefix = 0
@@ -151,6 +163,35 @@ def jaro_winkler_normalized(a: str, b: str, prefix_weight: float = 0.1) -> float
             break
         prefix += 1
     return min(1.0, jaro + prefix * prefix_weight * (1.0 - jaro))
+
+
+class JaroWinklerMemo(dict):
+    """Jaro-Winkler of normalized string pairs, each distinct pair computed once.
+
+    ``memo[a][b]`` is ``jaro_winkler_normalized(a, b)``; a lookup that hits
+    allocates nothing.  The memo keeps every pair it was asked about, so its
+    owner bounds its life: the linker makes one per link run and never shares
+    it across runs (a process-wide memo would make a repeated bootstrap of the
+    same data run warm).
+    """
+
+    def __missing__(self, a: str) -> _JaroWinklerRow:
+        row = self[a] = _JaroWinklerRow(a)
+        return row
+
+
+class _JaroWinklerRow(dict):
+    """The scores of one string against the strings it was compared with."""
+
+    __slots__ = ("a",)
+
+    def __init__(self, a: str) -> None:
+        super().__init__()
+        self.a = a
+
+    def __missing__(self, b: str) -> float:
+        score = self[b] = jaro_winkler_normalized(self.a, b)
+        return score
 
 
 # --------------------------------------------------------------------- #
@@ -191,12 +232,19 @@ def qgram_similarity(first: object, second: object, q: int = 3) -> float:
 
 def monge_elkan_similarity(first: object, second: object) -> float:
     """Average best token-level Jaro-Winkler match (handles word reordering)."""
-    tokens_a, tokens_b = tokens(first), tokens(second)
+    return monge_elkan_tokens(tokens(first), tokens(second), JaroWinklerMemo())
+
+
+def monge_elkan_tokens(
+    tokens_a: Sequence[str], tokens_b: Sequence[str], scores: JaroWinklerMemo
+) -> float:
+    """Monge-Elkan over already-tokenized strings, scoring through *scores*."""
     if not tokens_a or not tokens_b:
         return 0.0
     total = 0.0
     for token_a in tokens_a:
-        total += max(jaro_winkler_similarity(token_a, token_b) for token_b in tokens_b)
+        row = scores[token_a]
+        total += max(row[token_b] for token_b in tokens_b)
     return total / len(tokens_a)
 
 

@@ -284,9 +284,9 @@ def materialize_entities(store: TripleStore) -> dict[str, KGEntity]:
 
     Subjects are enumerated in sorted order so a KG view materialized from
     equal store contents is byte-identical regardless of the store's insertion
-    history (or the process's hash seed) — the property the parallel
-    construction scheduler's plan validation relies on, and what makes
-    construction runs reproducible run-to-run.
+    history (or the process's hash seed).  Construction links every added
+    entity against such a view, so this is what makes its output repeat
+    run to run.
     """
     if hasattr(store, "iter_subject_groups"):
         # Columnar fast path: one pass over the subject index yields each

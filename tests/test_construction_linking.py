@@ -50,7 +50,7 @@ def test_linkable_record_from_source_and_kg_entity():
     kg_record = LinkableRecord.from_kg_entity(kg)
     assert kg_record.is_kg
     assert kg_record.entity_type == "music_artist"
-    assert kg_record.primary_name() == "Artist A"
+    assert kg_record.name_features.names[0] == "Artist A"
 
 
 def test_linking_matches_source_to_existing_kg_entity(linker):

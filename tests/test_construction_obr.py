@@ -152,3 +152,45 @@ def test_composite_reference_predicates_are_resolved(kg_store, ontology):
                                   resolver=NameIndexResolver(kg_store, ontology))
     resolved, _, stats = stage.resolve_triples(entity.to_triples())
     assert len(resolved) == len(entity.to_triples())
+
+
+def test_resolvers_see_each_subjects_first_string_objects(ontology):
+    """Every mention's context is its subject's first 12 string objects, in
+    triple order, however the subjects' triples interleave."""
+
+    class RecordingResolver:
+        def __init__(self):
+            self.seen = []
+
+        def resolve(self, mention, context):
+            self.seen.append((mention, context.subject_id, context.context_values))
+            return None
+
+    prov = Provenance.from_source("src")
+    triples = []
+    for i in range(15):
+        for subject in ("kg:a", "kg:b", "kg:c"):
+            triples.append(ExtendedTriple(subject, "genre", f"{subject}-g{i}", provenance=prov))
+            if i % 4 == 0:
+                triples.append(ExtendedTriple(subject, "popularity", i, provenance=prov))
+            if i % 5 == 2 and subject != "kg:c":
+                triples.append(ExtendedTriple(subject, "birth_place", f"Town {i}",
+                                              provenance=prov))
+    resolver = RecordingResolver()
+    stage = ObjectResolutionStage(ontology=ontology, resolver=resolver)
+    stage.resolve_triples(triples)
+
+    def scanned(subject):
+        # The scan each examined triple used to run over the whole list.
+        return tuple(
+            str(other.obj) for other in triples
+            if other.subject == subject and isinstance(other.obj, str)
+        )[:12]
+
+    assert [(m, s) for m, s, _ in resolver.seen] == [
+        (t.obj, t.subject) for t in triples if t.predicate == "birth_place"
+    ]
+    assert len(resolver.seen) == 6
+    for _, subject, context_values in resolver.seen:
+        assert context_values == scanned(subject)
+        assert len(context_values) == 12
