@@ -1,18 +1,11 @@
-"""IVMJOIN — delta-rule join maintenance vs full rebuild, and shuffle scaling.
+"""IVMJOIN — delta-rule join maintenance vs full rebuild.
 
-Two claims of the join-IVM layer (docs/views.md, docs/serving.md):
-
-* **maintenance asymptotics** — a :class:`JoinViewDefinition` absorbing a 1%
-  input delta through its delta rules (reload touched subjects, probe the
-  partner access pattern, recompute only affected output rows) must beat a
-  from-scratch rebuild of the same join by **≥5x**, while staying
-  row-identical to it.  This is the O(|delta| · lookup) vs O(|view|) gap the
-  access-pattern factorization buys.
-
-* **distributed join scaling** — a shuffle join re-partitions both sides by
-  join-key hash, so the rows any one replica probes/builds must be roughly
-  ``1/R`` of the primary-side join's row volume (gated at 2x the fair
-  share to absorb hash skew), while the result stays identical to primary.
+The maintenance claim of the join-IVM layer (docs/views.md): a
+:class:`JoinViewDefinition` absorbing a 1% input delta through its delta
+rules (reload touched subjects, probe the partner access pattern, recompute
+only affected output rows) must beat a from-scratch rebuild of the same join
+by **≥5x**, while staying row-identical to it.  This is the
+O(|delta| · lookup) vs O(|view|) gap the access-pattern factorization buys.
 
 Writes ``BENCH_IVMJOIN.json`` (see ``write_bench_json``) so CI tracks the
 trajectory per commit.
@@ -30,21 +23,13 @@ from repro.engine.views import (
     JoinInput,
     JoinViewDefinition,
     ViewCatalog,
-    ViewDefinition,
     ViewManager,
 )
-from repro.live.executor import QueryExecutor, join_results
-from repro.live.index import LiveIndex, view_row_document
-from repro.live.kgq import parse
-from repro.live.planner import QueryPlanner
-from repro.serving import InMemoryJournalBackend, JournalStore, ServingFleet
 
 PEOPLE = 4000
 CITIES = 80
 DELTA_FRACTION = 0.01
 SPEEDUP_FLOOR = 5.0
-REPLICAS = 4
-SKEW_TOLERANCE = 2.0        # max per-replica share vs the fair 1/R split
 
 
 class JoinWorld:
@@ -189,151 +174,3 @@ def bench_join_ivm_delta_vs_full_rebuild(benchmark):
         },
     })
     benchmark(lambda: (mutate_one_percent(), manager.flush()))
-
-
-# ------------------------------------------------------------------ #
-# distributed shuffle join: per-replica work ~ 1/R of primary
-# ------------------------------------------------------------------ #
-FLEET_PEOPLE = 600
-FLEET_CITIES = 40
-LEFT_QUERY = "MATCH person RETURN name, home, age"
-RIGHT_QUERY = "MATCH city RETURN name, home, pop"
-
-
-def _fleet_world(rng):
-    cities = {f"c{i:02d}": {"pop": rng.randint(1, 99) * 1000}
-              for i in range(FLEET_CITIES)}
-    people = {f"p{i:04d}": {"home": rng.choice(sorted(cities)),
-                            "age": rng.randint(18, 90)}
-              for i in range(FLEET_PEOPLE)}
-    return people, cities
-
-
-def _fleet_manager(people, cities):
-    catalog = ViewCatalog()
-
-    def register(name, store, row_of, prefix):
-        def create(context):
-            return {eid: row_of(eid) for eid in sorted(store)}
-
-        def apply_delta(context, delta):
-            artifact = dict(context.artifact(name))
-            for eid in delta.changed:
-                if eid in store:
-                    artifact[eid] = row_of(eid)
-            for eid in delta.deleted:
-                artifact.pop(eid, None)
-            return artifact
-
-        catalog.register(ViewDefinition(
-            name, "analytics", create=create, apply_delta=apply_delta,
-            scope=lambda e: e.startswith(prefix),
-        ))
-
-    register("people_rows", people,
-             lambda eid: {"subject": eid, "name": f"Person {eid}",
-                          "home": people[eid]["home"],
-                          "age": people[eid]["age"], "types": ["person"]},
-             "p")
-    register("city_rows", cities,
-             lambda eid: {"subject": eid, "name": f"City {eid}", "home": eid,
-                          "pop": cities[eid]["pop"], "types": ["city"]},
-             "c")
-    return ViewManager(
-        catalog, engines={}, metadata=MetadataStore(),
-        lsn_source=lambda: 1,
-        entity_source=lambda: list(people) + list(cities),
-    )
-
-
-def _primary_join(manager):
-    planner = QueryPlanner()
-    sides = {}
-    for view, text in (("people_rows", LEFT_QUERY), ("city_rows", RIGHT_QUERY)):
-        index = LiveIndex()
-        lsn = manager.built_at_lsn(view)
-        index.replace_feed(
-            f"view:{view}",
-            (view_row_document(view, f"view:{view}", row, lsn)
-             for row in manager.artifact(view).values()),
-            lsn,
-        )
-        sides[view] = QueryExecutor(index).execute(
-            planner.plan(parse(text)), use_cache=False)
-    started = time.perf_counter()
-    result = join_results(sides["people_rows"], sides["city_rows"],
-                          "home", "home", how="left")
-    join_ms = (time.perf_counter() - started) * 1000.0
-    primary_work = len(sides["people_rows"].rows) + len(sides["city_rows"].rows)
-    return result, primary_work, join_ms
-
-
-def bench_join_shuffle_splits_work_across_replicas(benchmark):
-    """Shuffle join: each replica handles ~1/R of the join's row volume."""
-    rng = random.Random(907)
-    people, cities = _fleet_world(rng)
-    manager = _fleet_manager(people, cities)
-    manager.materialize()
-    fleet = ServingFleet(
-        manager, num_replicas=REPLICAS,
-        journal_store=JournalStore(InMemoryJournalBackend()),
-    ).start()
-    try:
-        fleet.serve_view("people_rows")
-        fleet.serve_view("city_rows")
-        assert fleet.drain()
-        expected, primary_work, primary_join_ms = _primary_join(manager)
-
-        started = time.perf_counter()
-        result = fleet.join(LEFT_QUERY, "people_rows", RIGHT_QUERY, "city_rows",
-                            "home", "home", how="left", strategy="shuffle")
-        shuffle_ms = (time.perf_counter() - started) * 1000.0
-        # result-identical to the primary-side join
-        assert [(row.entity_id, row.values) for row in result.rows] == \
-               [(row.entity_id, row.values) for row in expected.rows]
-
-        per_replica = {
-            name: node.status()["join_rows_probed"]
-            + node.status()["join_rows_built"]
-            for name, node in fleet.replicas.items()
-        }
-        fair_share = primary_work / REPLICAS
-        worst = max(per_replica.values())
-        print_table(
-            f"Shuffle-join row volume per replica ({FLEET_PEOPLE} ⋈ "
-            f"{FLEET_CITIES}, {REPLICAS} replicas, "
-            f"primary total {primary_work})",
-            ["replica", "rows_handled", "share_of_primary"],
-            [[name, rows, rows / primary_work]
-             for name, rows in sorted(per_replica.items())]
-            + [["fair share (1/R)", fair_share, 1.0 / REPLICAS]],
-        )
-        assert sum(per_replica.values()) == primary_work   # nothing done twice
-        assert worst <= fair_share * SKEW_TOLERANCE, (
-            f"replica handled {worst} rows, over {SKEW_TOLERANCE}x the fair "
-            f"share {fair_share:.0f}"
-        )
-        router_stats = fleet.query_router.stats()
-        assert router_stats["shuffle_joins"] == 1
-        assert router_stats["join_rows_shuffled"] == primary_work
-        write_bench_json("BENCH_IVMJOIN.json", {
-            "shuffle": {
-                "people": FLEET_PEOPLE,
-                "cities": FLEET_CITIES,
-                "replicas": REPLICAS,
-                "primary_row_volume": primary_work,
-                "per_replica_rows": dict(sorted(per_replica.items())),
-                "max_share_of_primary": worst / primary_work,
-                "fair_share": 1.0 / REPLICAS,
-                "skew_tolerance": SKEW_TOLERANCE,
-                "primary_join_ms": primary_join_ms,
-                "distributed_join_ms": shuffle_ms,
-                "joined_rows": len(result.rows),
-            },
-        })
-        benchmark(lambda: fleet.join(
-            LEFT_QUERY, "people_rows", RIGHT_QUERY, "city_rows",
-            "home", "home", how="left", strategy="shuffle",
-        ))
-    finally:
-        fleet.stop()

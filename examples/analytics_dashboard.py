@@ -9,9 +9,8 @@ docs/views.md and docs/serving.md):
 * live updates (signings, label renames, label shutdowns) flow through the
   **delta rules** — the view recomputes only the affected output rows, never
   the full join, and the journal carries the changed *output* subjects;
-* a three-replica serving fleet answers cross-view joins replica-side, both
-  ways: a small side **broadcast** to the replica running the big side's
-  plan, and a **shuffle** that re-partitions both sides by join-key hash.
+* a three-replica serving fleet answers a cross-view join whole on one
+  replica that serves both views, reading both sides at one state of it.
 
 Run with:  python examples/analytics_dashboard.py
 """
@@ -136,7 +135,7 @@ def main() -> None:
           f"(mirrored: {manager.metadata.serving_metrics('view_manager') == stats})")
 
     # ------------------------------------------------------------ #
-    # The serving half: cross-view joins executed replica-side.
+    # The serving half: a cross-view join run whole on one replica.
     # ------------------------------------------------------------ #
     serving_catalog = ViewCatalog()
 
@@ -173,18 +172,18 @@ def main() -> None:
 
     left = "MATCH artist WHERE albums > 3 RETURN name, label, albums"
     right = "MATCH label RETURN label, country"
-    print(f"\n== distributed cross-view join over 3 replicas ==\n  {left}\n"
+    print(f"\n== cross-view join on a 3-replica fleet ==\n  {left}\n"
           f"  ⋈ {right}  on label")
-    for strategy in ("broadcast", "shuffle"):
-        result = fleet.join(left, "artist_rows", right, "label_rows",
-                            "label", "label", how="left", strategy=strategy)
-        print(f"  {strategy:<10} -> {len(result.rows)} rows in "
-              f"{result.latency_ms:.2f} ms; first: {result.rows[0].values}")
+    result = fleet.join(left, "artist_rows", right, "label_rows",
+                        "label", "label", how="left")
+    print(f"  -> {len(result.rows)} rows in {result.latency_ms:.2f} ms; "
+          f"first: {result.rows[0].values}")
     router = fleet.query_router.stats()
+    answered = {name: node.status()["joins_executed"]
+                for name, node in sorted(fleet.replicas.items())}
     print(f"  router: join_queries={router['join_queries']} "
-          f"broadcast={router['broadcast_joins']} shuffle={router['shuffle_joins']} "
-          f"rows_broadcast={router['join_rows_broadcast']} "
-          f"rows_shuffled={router['join_rows_shuffled']}")
+          f"fragments_dispatched={router['fragments_dispatched']} "
+          f"joins_executed={answered}")
     fleet.stop()
 
 

@@ -126,13 +126,10 @@ JOIN_ID_SEPARATOR = "⋈"
 def canonical_join_key(value: object) -> str:
     """Canonical string of a join-key value: equal values, equal strings.
 
-    The one key-equality definition every join path shares — the hash table
-    of :func:`join_result_rows` and the shuffle partitioner of
-    ``QueryRouter.execute_join`` must agree on which values join, or a
-    re-partitioned join would split a key group across replicas and lose
-    matches.  Numerics (``3``, ``3.0``, ``True``) normalize to one numeric
-    form, mirroring the executor's cross-type ``_equal`` semantics; every
-    other value canonicalizes through sorted-key JSON.
+    The key-equality definition of the hash table in
+    :func:`join_result_rows`.  Numerics (``3``, ``3.0``, ``True``) normalize
+    to one numeric form, mirroring the executor's cross-type ``_equal``
+    semantics; every other value canonicalizes through sorted-key JSON.
     """
     if isinstance(value, (bool, int, float)):
         as_float = float(value)
@@ -146,7 +143,7 @@ def projected_join_key(row: QueryResultRow, key: str) -> object:
     """The row's join-key value, which must be among its projected columns.
 
     Join sides must ``RETURN`` their join key — a row that did not project
-    it cannot be partitioned or matched, and silently joining a missing key
+    it cannot be matched, and silently joining a missing key
     as ``None`` would fabricate matches, so this raises
     :class:`~repro.errors.LiveGraphError` naming the row and the column.
     """
@@ -168,11 +165,8 @@ def join_result_rows(
 ) -> list[QueryResultRow]:
     """Hash-join two result-row sets on a projected key column.
 
-    The single join kernel of the distributed path: the primary reference
-    (:func:`join_results`), the replica-side broadcast probe
-    (``ReplicaNode.join_broadcast``), and the shuffle partition join
-    (``ReplicaNode.join_partition``) all run exactly this function, which is
-    what makes distributed joins result-identical to primary execution.
+    The join kernel of :func:`join_results`, which the primary and every
+    replica (``ReplicaNode.join``) run alike.
 
     Joined rows merge the right row's values under the left row's (the left
     side wins a column-name collision) and compose their entity id as
@@ -211,9 +205,9 @@ def finalize_joined_rows(
 ) -> list[QueryResultRow]:
     """Canonicalize gathered join rows: dedup by id, order, apply LIMIT.
 
-    Duplicates (possible only when a dead-replica re-dispatch overlapped) are
-    dropped first-wins, rows sort by composite entity id, and *limit* bounds
-    the final result (per-side LIMITs are rejected at planning time).
+    Duplicate ids are dropped first-wins, rows sort by composite entity id,
+    and *limit* bounds the final result (per-side LIMITs are rejected at
+    planning time).
     """
     by_id: dict[str, QueryResultRow] = {}
     for row in rows:
@@ -234,9 +228,11 @@ def join_results(
 ) -> QueryResult:
     """Join two query results — the primary-side reference for router joins.
 
-    ``QueryRouter.execute_join`` over any fleet must return exactly what this
-    produces from the primary's own execution of the two side queries (the
-    seeded equivalence suite property-tests that under kills and restarts).
+    ``QueryRouter.execute_join`` runs exactly this on the one replica it
+    places the join on, over both sides read at one replica state, so a
+    routed join returns what the primary's own execution of the two side
+    queries does at that state (the seeded equivalence suite property-tests
+    that under kills and restarts).
     """
     rows = finalize_joined_rows(
         join_result_rows(left.rows, right.rows, left_key, right_key, how), limit

@@ -174,21 +174,16 @@ class ServingFleet:
         right_key: str,
         how: str = "inner",
         consistency: Consistency = ANY,
-        strategy: str = "auto",
-        broadcast_threshold: int = 64,
         limit: int | None = None,
     ) -> QueryResult:
-        """Cross-view join executed replica-side (broadcast or shuffle).
+        """Cross-view join run whole on one replica serving both views.
 
-        A small right side is shipped to the replica running the left plan;
-        large ones re-partition both sides by join-key hash — see
+        Both sides read one state of that replica — see
         :meth:`~repro.serving.query_router.QueryRouter.execute_join`.
         """
         return self.query_router.execute_join(
             left_query, left_view, right_query, right_view,
-            left_key, right_key, how=how, consistency=consistency,
-            strategy=strategy, broadcast_threshold=broadcast_threshold,
-            limit=limit,
+            left_key, right_key, how=how, consistency=consistency, limit=limit,
         )
 
     def audit(

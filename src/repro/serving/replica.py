@@ -27,10 +27,10 @@ Beyond point reads, every replica is a **query node**: it owns a
 :class:`~repro.live.executor.QueryExecutor` over its full copy of the served
 views, answers whole KGQs — text or the compiled plans the
 :class:`~repro.serving.query_router.QueryRouter` places on it — through
-:meth:`query`, runs its step of a cross-view join (:meth:`join_broadcast`,
-:meth:`join_partition`), and audits its served rows against primary
-checksums (:meth:`checksum_divergence`, :meth:`apply_repair` — the
-anti-entropy hooks).
+:meth:`query`, answers whole cross-view joins at one state of its index
+(:meth:`join`), and audits its served rows against primary checksums
+(:meth:`checksum_divergence`, :meth:`apply_repair` — the anti-entropy
+hooks).
 """
 
 from __future__ import annotations
@@ -43,12 +43,7 @@ from typing import Callable
 
 from repro.engine.metadata import WatermarkMap
 from repro.errors import ReplicaUnavailableError, ServingError
-from repro.live.executor import (
-    QueryExecutor,
-    QueryResult,
-    QueryResultRow,
-    join_result_rows,
-)
+from repro.live.executor import QueryExecutor, QueryResult, join_results
 from repro.live.index import LiveIndex, document_checksum, view_row_documents
 from repro.live.kgq import CallQuery, Query, default_virtual_operators, parse
 from repro.live.planner import PhysicalPlan, QueryPlanner
@@ -99,9 +94,7 @@ class ReplicaNode:
         self.resyncs = 0
         self.snapshot_resyncs = 0
         self.local_queries = 0
-        self.joins_executed = 0                  # broadcast probes + shuffle partitions
-        self.join_rows_probed = 0                # probe-side rows this node joined
-        self.join_rows_built = 0                 # build-side rows this node received
+        self.joins_executed = 0                  # whole cross-view joins answered
         self.divergence_repairs = 0
         # Bounded: a stream of poison batches must not grow memory.
         self.apply_errors: deque[str] = deque(maxlen=256)
@@ -258,7 +251,7 @@ class ReplicaNode:
         return self.index.get(f"{view_name}:{subject}")
 
     # -------------------------------------------------------------- #
-    # query surface (driven by QueryRouter: one whole plan per call)
+    # query surface (driven by QueryRouter: one whole request per call)
     # -------------------------------------------------------------- #
     def query(
         self,
@@ -309,66 +302,31 @@ class ReplicaNode:
         self.local_queries += 1
         return result
 
-    # -------------------------------------------------------------- #
-    # distributed cross-view joins (driven by QueryRouter.execute_join)
-    # -------------------------------------------------------------- #
-    def join_broadcast(
+    def join(
         self,
-        plan: PhysicalPlan,
-        view_name: str,
-        broadcast_rows: list[QueryResultRow],
+        left_plan: PhysicalPlan,
+        left_view: str,
+        right_plan: PhysicalPlan,
+        right_view: str,
         left_key: str,
         right_key: str,
         how: str = "inner",
+        limit: int | None = None,
         use_cache: bool = True,
     ) -> QueryResult:
-        """Broadcast join step: run the left plan, probe the shipped small side.
+        """Run a whole cross-view join against this node's own index.
 
-        The router ships the (already gathered) small side here; this node
-        executes the left side's whole plan over its copy of *view_name* and
-        joins the rows against the broadcast build table — the left side is
-        never materialized at the router.
+        Both sides execute inside one hold of the apply lock, so they read
+        one state of this replica — no batch lands between them — and the
+        rows join through :func:`~repro.live.executor.join_results`, the
+        primary-side reference itself.  Raises
+        :class:`~repro.errors.ReplicaUnavailableError` when the node is down.
         """
-        result = self.query(plan, view_name, use_cache=use_cache)
-        joined = join_result_rows(
-            result.rows, broadcast_rows, left_key, right_key, how
-        )
+        with self._apply_lock:
+            right = self.query(right_plan, right_view, use_cache=use_cache)
+            left = self.query(left_plan, left_view, use_cache=use_cache)
         self.joins_executed += 1
-        self.join_rows_probed += len(result.rows)
-        self.join_rows_built += len(broadcast_rows)
-        return QueryResult(
-            rows=joined,
-            latency_ms=result.latency_ms,
-            from_cache=result.from_cache,
-            candidates_examined=result.candidates_examined,
-        )
-
-    def join_partition(
-        self,
-        left_rows: list[QueryResultRow],
-        right_rows: list[QueryResultRow],
-        left_key: str,
-        right_key: str,
-        how: str = "inner",
-    ) -> list[QueryResultRow]:
-        """Shuffle join step: join one key-partition's share of both sides.
-
-        The router re-partitions both gathered sides by the canonical value
-        of their join keys, so this node receives *every* row — left and
-        right — whose key it owns, and rows joining each other are never
-        split across nodes.  Returns the partition's joined rows; per-replica
-        work is the partition's share (~1/R of the primary-side join), which
-        is the scaling the IVMJOIN benchmark gates.
-        """
-        if not self._alive:
-            raise ReplicaUnavailableError(
-                f"replica {self.name!r} is not running; cannot join partitions"
-            )
-        joined = join_result_rows(left_rows, right_rows, left_key, right_key, how)
-        self.joins_executed += 1
-        self.join_rows_probed += len(left_rows)
-        self.join_rows_built += len(right_rows)
-        return joined
+        return join_results(left, right, left_key, right_key, how, limit)
 
     # -------------------------------------------------------------- #
     # anti-entropy hooks
@@ -454,8 +412,6 @@ class ReplicaNode:
             "snapshot_resyncs": self.snapshot_resyncs,
             "local_queries": self.local_queries,
             "joins_executed": self.joins_executed,
-            "join_rows_probed": self.join_rows_probed,
-            "join_rows_built": self.join_rows_built,
             "divergence_repairs": self.divergence_repairs,
             "apply_errors": list(self.apply_errors),
         }

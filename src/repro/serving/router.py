@@ -4,9 +4,9 @@ The :class:`ShardRouter` spreads keys across replicas with a consistent hash
 ring (stable across processes — Python's salted ``hash`` is never used) and
 owns the **one placement rule** of the serving tier,
 :meth:`ShardRouter.eligible`: walk a key's owners in ring order and take the
-replicas that are alive, serve the view and satisfy the requested
-:class:`Consistency` level, checked against each replica's per-view
-applied-LSN watermark:
+replicas that are alive, serve every view the call reads and satisfy the
+requested :class:`Consistency` level on each, checked against the replica's
+per-view applied-LSN watermarks:
 
 * ``any`` — serve from the first live owner, staleness be damned;
 * ``bounded_staleness(max_lag_lsns)`` — the serving replica may lag the
@@ -16,21 +16,22 @@ applied-LSN watermark:
 
 Point reads (:meth:`ShardRouter.read`, keyed by subject) and everything the
 :class:`~repro.serving.query_router.QueryRouter` places (whole queries keyed
-by their text, join sides, shuffle partitions keyed by join key) use that one
-walk, so they skip the same replicas, count the same counters and fail with
-the same typed errors: an owner that fails the check is skipped for the next
-one on the ring (a *fallback*, counted); when live replicas serve the view
-but none satisfies the level the walk raises
-:class:`~repro.errors.StaleReadError` naming each lagging replica — an honest
-"wait or relax" answer instead of a silently stale row — and when no live
-replica serves the view at all, :class:`~repro.errors.ReplicaUnavailableError`.
+by their text, whole cross-view joins keyed by their left side's text and
+checked on both views) use that one walk, so they skip the same replicas,
+count the same counters and fail with the same typed errors: an owner that
+fails the check is skipped for the next one on the ring (a *fallback*,
+counted); when live replicas serve the views but none satisfies the level
+the walk raises :class:`~repro.errors.StaleReadError` naming each lagging
+replica — an honest "wait or relax" answer instead of a silently stale row —
+and when no live replica serves them at all,
+:class:`~repro.errors.ReplicaUnavailableError`.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterator
+from typing import Callable, Iterator
 
 from repro.errors import ReplicaUnavailableError, ServingError, StaleReadError
 from repro.hashing import MAX_HASH, stable_hash
@@ -138,46 +139,50 @@ class ShardRouter:
     def eligible(
         self,
         key: str,
-        view_name: str,
+        view_names: tuple[str, ...],
         consistency: Consistency,
-        dead: Collection[str],
     ) -> Iterator:
         """The one placement rule: *key*'s owners that may serve, in ring order.
 
-        Yields each replica node that is alive, not in *dead* (replicas that
-        already failed the caller's request), serves *view_name* — a node
-        that just joined and has not been seeded must not report false
-        misses — and satisfies *consistency*.  A node yielded from beyond the
-        ring's first position counts one ``fallback_reads``; a node skipped
-        for staleness counts one ``consistency_rejections``.  The walk never
-        just ends: once no owner is left it raises
+        Yields each replica node that is alive, serves **every** view in
+        *view_names* — a node that just joined and has not been seeded must
+        not report false misses — and satisfies *consistency* on every one
+        of them; a call reading one view passes a one-tuple.  A node yielded
+        from beyond the ring's first position counts one ``fallback_reads``;
+        a node skipped for staleness counts one ``consistency_rejections``.
+        The walk never just ends: once no owner is left it raises
         :class:`~repro.errors.StaleReadError` — naming every lagging replica
-        and its lag in log positions — when live servers were skipped for
-        staleness, and :class:`~repro.errors.ReplicaUnavailableError` when no
-        live replica serves the view at all.
+        and its worst lag over the views, in log positions — when live
+        servers were skipped for staleness, and
+        :class:`~repro.errors.ReplicaUnavailableError` when no live replica
+        serves the views at all.
         """
         lagging: dict[str, int] = {}
         for position, name in enumerate(self.owners(key)):
             node = self.replicas.get(name)   # None: removed since owners() ran
             if (
                 node is None
-                or name in dead
                 or not node.alive
-                or not node.serves_view(view_name)
+                or not all(node.serves_view(view) for view in view_names)
             ):
                 continue
-            if self.satisfies(node, view_name, consistency):
+            if all(self.satisfies(node, view, consistency) for view in view_names):
                 if position > 0:
                     self.fallback_reads += 1
                 yield node
             else:
                 self.consistency_rejections += 1
-                lagging[name] = max(0, self.head_lsn_source() - node.applied_lsn(view_name))
+                lagging[name] = max(0, self.head_lsn_source() - min(
+                    node.applied_lsn(view) for view in view_names
+                ))
+        views = ("view " if len(view_names) == 1 else "views ") + ", ".join(
+            map(repr, view_names)
+        )
         if not lagging:
-            raise ReplicaUnavailableError(f"no live replica serves view {view_name!r}")
+            raise ReplicaUnavailableError(f"no live replica serves {views}")
         worst = max(lagging, key=lagging.get)
         raise StaleReadError(
-            f"no replica satisfies {consistency.level} for view {view_name!r}: "
+            f"no replica satisfies {consistency.level} for {views}: "
             f"replica {worst!r} lags the head by {lagging[worst]} LSNs "
             f"(lagging: {lagging}, head LSN {self.head_lsn_source()})",
             lagging=lagging,
@@ -194,7 +199,7 @@ class ShardRouter:
         when those that do all fail *consistency*.
         """
         self.reads_routed += 1
-        node = next(self.eligible(subject, view_name, consistency, ()))
+        node = next(self.eligible(subject, (view_name,), consistency))
         return node.get(view_name, subject)
 
     def satisfies(self, node, view_name: str, consistency: Consistency) -> bool:

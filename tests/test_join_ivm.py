@@ -11,9 +11,10 @@ Two equivalence contracts, both property-tested over seeded sequences:
   converges without resync.
 
 * **distributed ≡ primary** — a cross-view join routed through
-  ``QueryRouter.execute_join`` (broadcast and shuffle, forced both ways)
-  returns results identical to primary-side ``join_results`` over the same
-  artifacts, under replica kills and restarts mid-sequence.
+  ``QueryRouter.execute_join`` runs whole on one replica and returns results
+  identical to primary-side ``join_results`` over the same artifacts, under
+  replica kills and restarts mid-sequence — and, with replicas at different
+  LSNs, equal to the primary at one state, never a mix of two.
 
 The warehouse satellites ride along: ``Relation.from_columns`` ragged-column
 rejection, ``hash_join`` missing-key rejection, and operator edge cases
@@ -43,6 +44,7 @@ from repro.errors import (
     KGQPlanError,
     LiveGraphError,
     ServingError,
+    StaleReadError,
     StoreError,
     ViewError,
 )
@@ -54,7 +56,7 @@ from repro.live.executor import (
 from repro.live.index import LiveIndex, view_row_document
 from repro.live.kgq import parse
 from repro.live.planner import QueryPlanner
-from repro.serving import InMemoryJournalBackend, JournalStore, ServingFleet
+from repro.serving import Consistency, InMemoryJournalBackend, JournalStore, ServingFleet
 
 
 # ------------------------------------------------------------------ #
@@ -547,17 +549,16 @@ def primary_join(manager, left_text, right_text, how, limit=None):
                         "home", "home", how=how, limit=limit)
 
 
+def joined(result):
+    return [(row.entity_id, row.values) for row in result.rows]
+
+
 def assert_join_matches_primary(fleet, manager, how="left"):
     for left_text, right_text in TWO_VIEW_QUERIES:
         expected = primary_join(manager, left_text, right_text, how)
-        want = [(row.entity_id, row.values) for row in expected.rows]
-        # both physical strategies must agree with the logical result
-        for strategy in ("broadcast", "shuffle"):
-            result = fleet.join(left_text, "people_rows", right_text,
-                                "city_rows", "home", "home", how=how,
-                                strategy=strategy)
-            got = [(row.entity_id, row.values) for row in result.rows]
-            assert got == want, (left_text, strategy)
+        result = fleet.join(left_text, "people_rows", right_text,
+                            "city_rows", "home", "home", how=how)
+        assert joined(result) == joined(expected), left_text
 
 
 def seed_fleet_model(model: FleetModel, rng):
@@ -628,46 +629,43 @@ def test_distributed_join_matches_primary_over_seeded_sequences(join_fleet_seed)
         assert_join_matches_primary(fleet, manager, how)
         stats = fleet.query_router.stats()
         assert stats["join_queries"] > 0
-        assert stats["broadcast_joins"] + stats["shuffle_joins"] == stats["join_queries"]
+        # every join was answered by exactly one replica call
+        assert stats["fragments_dispatched"] == stats["join_queries"]
     finally:
         fleet.stop()
 
 
-def test_replica_death_mid_join_redispatches_both_strategies():
+def test_replica_death_mid_join_redispatches_the_whole_join():
     rng = random.Random(17)
     model = FleetModel()
     seed_fleet_model(model, rng)
     manager, _ = build_fleet_harness(model)
     manager.materialize()
     left_text, right_text = TWO_VIEW_QUERIES[0]
-    for method in ("join_broadcast", "join_partition"):
-        fleet = start_join_fleet(manager)
-        try:
-            died: list[str] = []
+    fleet = start_join_fleet(manager)
+    try:
+        died: list[str] = []
 
-            def dying_once(node, original):
-                def dying(*args, **kwargs):
-                    if not died:                     # the first replica called
-                        died.append(node.name)       # crashes mid-dispatch
-                        fleet.kill_replica(node.name)
-                    return original(*args, **kwargs)
-                return dying
+        def dying_once(node, original):
+            def dying(*args, **kwargs):
+                if not died:                     # the first replica called
+                    died.append(node.name)       # crashes mid-dispatch
+                    fleet.kill_replica(node.name)
+                return original(*args, **kwargs)
+            return dying
 
-            for node in fleet.replicas.values():
-                setattr(node, method, dying_once(node, getattr(node, method)))
-            strategy = "broadcast" if method == "join_broadcast" else "shuffle"
-            result = fleet.join(left_text, "people_rows", right_text,
-                                "city_rows", "home", "home", how="left",
-                                strategy=strategy)
-            expected = primary_join(manager, left_text, right_text, "left")
-            assert [(row.entity_id, row.values) for row in result.rows] == \
-                   [(row.entity_id, row.values) for row in expected.rows]
-            assert died and fleet.query_router.fragment_retries == 1
-        finally:
-            fleet.stop()
+        for node in fleet.replicas.values():
+            node.join = dying_once(node, node.join)
+        result = fleet.join(left_text, "people_rows", right_text,
+                            "city_rows", "home", "home", how="left")
+        expected = primary_join(manager, left_text, right_text, "left")
+        assert joined(result) == joined(expected)
+        assert died and fleet.query_router.fragment_retries == 1
+    finally:
+        fleet.stop()
 
 
-def test_join_strategy_selection_limit_and_counters():
+def test_join_limit_and_counters():
     rng = random.Random(23)
     model = FleetModel()
     seed_fleet_model(model, rng)
@@ -677,26 +675,130 @@ def test_join_strategy_selection_limit_and_counters():
     left_text, right_text = TWO_VIEW_QUERIES[0]
     try:
         router = fleet.query_router
-        # auto picks broadcast for a small right side, shuffle past the bar
-        fleet.join(left_text, "people_rows", right_text, "city_rows",
-                   "home", "home", broadcast_threshold=64)
-        assert (router.broadcast_joins, router.shuffle_joins) == (1, 0)
-        fleet.join(left_text, "people_rows", right_text, "city_rows",
-                   "home", "home", broadcast_threshold=0)
-        assert (router.broadcast_joins, router.shuffle_joins) == (1, 1)
-        assert router.join_rows_broadcast > 0 and router.join_rows_shuffled > 0
-        # the row-volume counters land in stats() and on the replicas
+        for _ in range(2):
+            fleet.join(left_text, "people_rows", right_text, "city_rows",
+                       "home", "home")
+        # the join counters land in stats() and on the answering replicas
         stats = router.stats()
         assert stats["join_queries"] == 2
+        assert stats["fragments_dispatched"] == 2
         assert sum(node.status()["joins_executed"]
-                   for node in fleet.replicas.values()) > 0
+                   for node in fleet.replicas.values()) == 2
         # limit bounds the FINAL joined result, identically to primary
         limited = fleet.join(left_text, "people_rows", right_text, "city_rows",
                              "home", "home", how="left", limit=3)
         expected = primary_join(manager, left_text, right_text, "left", limit=3)
-        assert [(row.entity_id, row.values) for row in limited.rows] == \
-               [(row.entity_id, row.values) for row in expected.rows]
+        assert joined(limited) == joined(expected)
         assert len(limited.rows) == 3
+    finally:
+        fleet.stop()
+
+
+# ------------------------------------------------------------------ #
+# distributed join: one replica, one state
+# ------------------------------------------------------------------ #
+#: Left texts spread over the ring; p00 (age 80) is in every one's result.
+LEFT_TEXT_RANGE = [
+    f"MATCH person WHERE age > {floor} RETURN name, home, age"
+    for floor in range(20, 80, 3)
+]
+CITY_TEXT = TWO_VIEW_QUERIES[0][1]
+
+
+def lagging_replica_fleet():
+    """Two replicas over fixed people/cities; replica-1 gets no more batches."""
+    model = FleetModel()
+    model.cities.update({"c0": {"pop": 1000}, "c1": {"pop": 2000}})
+    for i in range(8):
+        model.people[f"p{i:02d}"] = {"home": f"c{i % 2}", "age": 20 + 8 * i}
+    model.people["p00"]["age"] = 80
+    manager, clock = build_fleet_harness(model)
+    manager.materialize()
+    fleet = start_join_fleet(manager, num_replicas=2)
+    fleet.bus.unsubscribe("replica-1")
+    return model, manager, clock, fleet
+
+
+def flush_city_and_person(model, manager, clock, fleet):
+    """One flush changing city c0 and p00, a person joined to it."""
+    model.cities["c0"]["pop"] += 111
+    model.people["p00"]["age"] += 1
+    clock["lsn"] += 1
+    manager.enqueue(["c0", "p00"], lsn=clock["lsn"])
+    manager.flush()
+    assert fleet.drain()
+    return clock["lsn"]
+
+
+def primary_joins(manager):
+    return {text: joined(primary_join(manager, text, CITY_TEXT, "left"))
+            for text in LEFT_TEXT_RANGE}
+
+
+def test_join_never_mixes_two_replica_states():
+    model, manager, clock, fleet = lagging_replica_fleet()
+    try:
+        old = primary_joins(manager)
+        flush_city_and_person(model, manager, clock, fleet)
+        new = primary_joins(manager)
+        called: list[str] = []
+
+        def spying(node, original):
+            def spy(*args, **kwargs):
+                called.append(node.name)
+                return original(*args, **kwargs)
+            return spy
+
+        for node in fleet.replicas.values():
+            node.query = spying(node, node.query)
+        served = set()
+        for text in LEFT_TEXT_RANGE:
+            called.clear()
+            result = fleet.join(text, "people_rows", CITY_TEXT, "city_rows",
+                                "home", "home", how="left",
+                                consistency=Consistency.any())
+            assert len(set(called)) == 1, (text, called)
+            got = joined(result)
+            # the primary join at the old state or the new one, never a mix
+            assert got in (old[text], new[text]), text
+            served.add("old" if got == old[text] else "new")
+        # both replicas answered: the lagging one really served the old state
+        assert served == {"old", "new"}
+    finally:
+        fleet.stop()
+
+
+def test_join_needs_one_replica_fresh_on_both_views():
+    model, manager, clock, fleet = lagging_replica_fleet()
+    try:
+        lsn = flush_city_and_person(model, manager, clock, fleet)
+        lagging = fleet.replicas["replica-1"]
+        lagging.resync("people_rows")                 # fresh on people_rows only
+        assert lagging.applied_lsn("people_rows") == lsn
+        assert lagging.applied_lsn("city_rows") < lsn
+        fresh_writes = Consistency.read_your_writes(lsn)
+        router = fleet.router
+        expected = primary_joins(manager)
+        for text in LEFT_TEXT_RANGE:
+            result = fleet.join(text, "people_rows", CITY_TEXT, "city_rows",
+                                "home", "home", how="left",
+                                consistency=fresh_writes)
+            assert joined(result) == expected[text], text
+        # replica-1 was skipped wherever it was the preferred owner
+        assert lagging.joins_executed == 0
+        assert fleet.replicas["replica-0"].joins_executed == len(LEFT_TEXT_RANGE)
+        assert router.consistency_rejections == router.fallback_reads > 0
+        # with replica-0 down no replica qualifies, and the error names replica-1
+        fleet.kill_replica("replica-0")
+        with pytest.raises(StaleReadError) as excinfo:
+            fleet.join(LEFT_TEXT_RANGE[0], "people_rows", CITY_TEXT, "city_rows",
+                       "home", "home", consistency=fresh_writes)
+        assert excinfo.value.lagging == {
+            "replica-1": lsn - lagging.applied_lsn("city_rows")
+        }
+        # a query of people_rows alone still qualifies replica-1
+        result = fleet.query(LEFT_TEXT_RANGE[0], "people_rows", fresh_writes)
+        assert result.rows
     finally:
         fleet.stop()
 
@@ -728,16 +830,13 @@ def test_join_side_validation_rejects_limit_reach_and_bad_options():
         with pytest.raises(ServingError):
             fleet.join(left_text, "people_rows", right_text, "city_rows",
                        "home", "home", how="outer")
-        with pytest.raises(ServingError):
-            fleet.join(left_text, "people_rows", right_text, "city_rows",
-                       "home", "home", strategy="sideways")
     finally:
         fleet.stop()
 
 
 def test_canonical_join_key_unifies_numeric_and_structured_values():
-    # the shuffle partitioner and the hash table must agree on key equality:
-    # numerically equal values share a canonical key...
+    # the join hash table's key equality: numerically equal values share a
+    # canonical key...
     assert canonical_join_key(3) == canonical_join_key(3.0)
     assert canonical_join_key(0) == canonical_join_key(0.0)
     assert canonical_join_key(1) == canonical_join_key(True)
