@@ -57,7 +57,7 @@ def growth_run(ontology, bench_world):
     bootstrap = generate_source(bench_world, _bootstrap_spec())
     hub.register_source(bootstrap.source_id)
     result = hub.get(bootstrap.source_id).run_entities(bootstrap.entities)
-    pipeline.consume_ingestion_result(result)
+    pipeline.consume_many([result])
 
     snapshots = {bootstrap.source_id: bootstrap}
     for spec in _onboarded_specs():
@@ -65,7 +65,7 @@ def growth_run(ontology, bench_world):
         snapshots[spec.source_id] = source
         hub.register_source(spec.source_id)
         result = hub.get(spec.source_id).run_entities(source.entities)
-        pipeline.consume_ingestion_result(result)
+        pipeline.consume_many([result])
 
     # Continuous operation: every source publishes two evolved snapshots.
     for _ in range(2):
@@ -74,7 +74,7 @@ def growth_run(ontology, bench_world):
                                     updated_fraction=0.15, deleted_fraction=0.01)
             snapshots[source_id] = evolved
             result = hub.get(source_id).run_entities(evolved.entities)
-            pipeline.consume_ingestion_result(result)
+            pipeline.consume_many([result])
     return pipeline
 
 
@@ -119,7 +119,7 @@ def bench_fig12_single_source_consumption(benchmark, ontology, bench_world):
         pipeline = KnowledgeConstructionPipeline(ontology)
         hub.register_source(source.source_id)
         result = hub.get(source.source_id).run_entities(source.entities)
-        return pipeline.consume_ingestion_result(result)
+        return pipeline.consume_many([result])[0]
 
     report = benchmark(consume_once)
     assert report.linked_added > 0

@@ -107,20 +107,13 @@ class KnowledgeConstructionPipeline:
     # consumption APIs
     # -------------------------------------------------------------- #
     def consume_delta(self, delta: SourceDelta) -> ConstructionReport:
-        """Consume one source delta and record KG growth at its commit."""
+        """Consume one source delta and record KG growth at its commit.
+
+        A commit that raises propagates its own exception, which carries
+        the failed report as ``construction_report``.
+        """
         report = self.constructor.consume(delta)
         self._record_commit(report)
-        return report
-
-    def consume_ingestion_result(self, result: IngestionResult) -> ConstructionReport:
-        """Consume the delta produced by an ingestion pipeline run.
-
-        The source's consumed snapshot advances only after the commit
-        succeeded; a commit that raised leaves it behind, so ingesting the
-        same snapshot again retries the whole delta.
-        """
-        report = self.consume_delta(result.delta)
-        result.commit()
         return report
 
     def consume_many(
@@ -128,25 +121,26 @@ class KnowledgeConstructionPipeline:
     ) -> list[ConstructionReport]:
         """Consume a batch of payloads, one delta at a time in payload order.
 
-        Each delta commits exactly as :meth:`consume_delta` would.  A failing
+        This is the one loop that commits ingestion results: each delta
+        commits through :meth:`consume_delta`, and an
+        :class:`~repro.ingestion.pipeline.IngestionResult` advances its
+        source's consumed snapshot only after its commit succeeded, so the
+        same snapshot ingested again retries the whole delta.  A failing
         payload does not abort the batch: the remaining sources keep fusing,
         and a :class:`~repro.errors.ConstructionBatchError` carrying every
         report is raised after the batch.  A failed report has its ``error``
-        set and classifies whatever its commit fused before failing; like
-        :meth:`consume_ingestion_result`, only a successful commit advances
-        its source's consumed snapshot.
+        set and classifies whatever its commit fused before failing.
         """
         reports: list[ConstructionReport] = []
         failures: list[tuple[str, Exception]] = []
         for payload in payloads:
             delta = payload.delta if isinstance(payload, IngestionResult) else payload
             try:
-                report = self.constructor.consume(delta)
+                report = self.consume_delta(delta)
             except Exception as exc:  # noqa: BLE001 - per-source failure isolation
                 report = exc.construction_report
                 failures.append((delta.source_id, exc))
             else:
-                self._record_commit(report)
                 if isinstance(payload, IngestionResult):
                     payload.commit()
             reports.append(report)
@@ -157,9 +151,9 @@ class KnowledgeConstructionPipeline:
     def _record_commit(self, report: ConstructionReport) -> None:
         """Stamp one commit on the growth clock (commit order).
 
-        Called right after each successful commit, never at consumption
-        start, so the Figure 12 series depends only on commit order.  Failed
-        payloads consume no clock tick.
+        Called by :meth:`consume_delta` right after each successful commit,
+        never at consumption start, so the Figure 12 series depends only on
+        commit order.  Failed payloads consume no clock tick.
         """
         self._clock += 1
         report.commit_clock = self._clock

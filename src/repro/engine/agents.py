@@ -97,31 +97,24 @@ class AgentCoordinator:
         self.object_store = object_store
         self.metadata = metadata
         self.agents: dict[str, OrchestrationAgent] = {}
-        self.progress_listeners: list[Callable[[LogRecord, object], None]] = []
         self.delta_listeners: list[Callable[[ProgressDelta], None]] = []
         self.listener_errors: list[str] = []
         self._delivered_lsn = 0
         self._live_subjects: set[str] = set()
 
-    def add_progress_listener(self, listener: Callable[[LogRecord, object], None]) -> None:
-        """Call *listener* with each record once every store has applied it.
+    def add_delta_listener(self, listener: Callable[[ProgressDelta], None]) -> None:
+        """Call *listener* with a classified :class:`ProgressDelta` per record.
 
         Listeners see records strictly in LSN order and exactly once, and only
         after the minimum watermark across all registered agents has passed
         the record — i.e. when every store is consistent with it.  Derived
         maintenance (view deltas) hangs off this hook so it never reads a
-        store that has not replayed the operation yet.
-        """
-        self.progress_listeners.append(listener)
-
-    def add_delta_listener(self, listener: Callable[[ProgressDelta], None]) -> None:
-        """Call *listener* with a classified :class:`ProgressDelta` per record.
-
-        Same delivery guarantees as :meth:`add_progress_listener` (strict LSN
-        order, exactly once, only after every store replayed the record), but
-        the payload is pre-classified into added / updated / deleted subjects
-        so delta-journal consumers (the view manager) can record entity-level
-        deltas without re-deriving them from raw payloads.
+        store that has not replayed the operation yet.  The payload is
+        pre-classified into added / updated / deleted subjects, so
+        delta-journal consumers (the view manager) record entity-level deltas
+        without re-deriving them from raw payloads.  A listener that raises
+        is recorded in ``listener_errors``; it neither unwinds replay nor
+        causes redelivery.
         """
         self.delta_listeners.append(listener)
 
@@ -132,10 +125,6 @@ class AgentCoordinator:
         self.agents[agent.name] = agent
         self.metadata.update_watermark(agent.name, self.metadata.watermark(agent.name))
         return agent
-
-    def unregister(self, agent_name: str) -> None:
-        """Remove an agent from coordination."""
-        self.agents.pop(agent_name, None)
 
     def replay(self, agent_names: list[str] | None = None) -> ReplayReport:
         """Replay pending log records on the selected (or all) agents.
@@ -174,7 +163,7 @@ class AgentCoordinator:
         return report
 
     def _notify_progress(self) -> None:
-        if (not self.progress_listeners and not self.delta_listeners) or not self.agents:
+        if not self.delta_listeners or not self.agents:
             return
         fully_applied = min(self.metadata.watermark(name) for name in self.agents)
         if fully_applied <= self._delivered_lsn:
@@ -185,18 +174,13 @@ class AgentCoordinator:
             payload = (
                 self.object_store.get(record.payload_key) if record.payload_key else None
             )
-            for listener in self.progress_listeners:
-                try:
-                    listener(record, payload)
-                except Exception as exc:  # noqa: BLE001 - replay already committed
-                    # Stores applied this record; a derived-maintenance error
-                    # must neither unwind replay nor cause redelivery.
-                    self.listener_errors.append(f"lsn={record.lsn}: {exc}")
             delta = self._classify(record, payload)
             for listener in self.delta_listeners:
                 try:
                     listener(delta)
                 except Exception as exc:  # noqa: BLE001 - replay already committed
+                    # Stores applied this record; a derived-maintenance error
+                    # must neither unwind replay nor cause redelivery.
                     self.listener_errors.append(f"lsn={record.lsn}: {exc}")
             self._delivered_lsn = record.lsn
 

@@ -27,7 +27,7 @@ source store changed in between.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.engine.agents import (
@@ -168,7 +168,6 @@ class EngineStats:
 
     operations_published: int = 0
     subjects_published: int = 0
-    replay_reports: list[ReplayReport] = field(default_factory=list)
 
 
 class GraphEngine:
@@ -179,7 +178,6 @@ class GraphEngine:
         ontology: Ontology,
         log_path: str | None = None,
         embedding_dimension: int = 32,
-        view_batch_size: int | None = None,
     ) -> None:
         self.ontology = ontology
         self.triples = TripleStore()
@@ -204,7 +202,6 @@ class GraphEngine:
             self._engine_map(),
             metadata=self.metadata,
             lsn_source=self.metadata.minimum_watermark,
-            batch_size=view_batch_size,
             # Scope snapshots enumerate the primary store so deletions resolve
             # to the views that actually contained the entity.
             entity_source=self.triples.subjects,
@@ -277,9 +274,7 @@ class GraphEngine:
         """Replay pending log records into every store in dependency order."""
         ordered = [name for name in AGENT_ORDER if name in self.coordinator.agents]
         extra = [name for name in sorted(self.coordinator.agents) if name not in ordered]
-        report = self.coordinator.replay(ordered + extra)
-        self.stats.replay_reports.append(report)
-        return report
+        return self.coordinator.replay(ordered + extra)
 
     # -------------------------------------------------------------- #
     # freshness

@@ -108,10 +108,6 @@ class MetadataStore:
         """Forget a view's watermark (the view was dropped or redefined)."""
         self.view_marks.pop(view_name, None)
 
-    def lagging_view_watermarks(self, head_lsn: int) -> dict[str, int]:
-        """Views behind *head_lsn* and how many log positions behind they are."""
-        return self.view_marks.lagging(head_lsn)
-
     # -------------------------------------------------------------- #
     # replica applied-LSN watermarks
     # -------------------------------------------------------------- #

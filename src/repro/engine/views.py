@@ -21,9 +21,9 @@ rebuilding every materialized view on any update:
 * **Entity-level deltas.**  Changed-entity deltas (fed by the Graph Engine's
   log-replay progress, which classifies ids as added / updated / deleted)
   fold into one pending delta by the rule :meth:`ViewDelta.merge` defines,
-  and flush either explicitly or automatically once ``batch_size`` distinct
-  entities are pending.  A flush hands the batch on as one
-  :class:`ViewDelta` carrying the LSN range it covers.
+  and flush only when asked (``flush`` / ``update``; the Graph Engine's
+  ``update_views``).  A flush hands the batch on as one :class:`ViewDelta`
+  carrying the LSN range it covers.
 
 * **Affected closure.**  Each :class:`ViewDefinition` may declare an entity
   ``scope`` predicate.  A root view is affected when the delta's changed ids
@@ -831,11 +831,9 @@ class ViewManager:
 
     ``lsn_source`` (usually the operation log's ``head_lsn``) stamps every
     build with the log position it reflects; ``metadata`` mirrors the per-view
-    watermarks into the platform metadata store;
-    ``batch_size`` turns on automatic flushing of the pending changed-entity
-    delta; ``entity_source`` enumerates current entity ids so scoped views get
-    complete pre-delete scope snapshots.  Maintenance runs on the caller's
-    thread, one view at a time.
+    watermarks into the platform metadata store; ``entity_source`` enumerates
+    current entity ids so scoped views get complete pre-delete scope
+    snapshots.  Maintenance runs on the caller's thread, one view at a time.
     """
 
     def __init__(
@@ -844,12 +842,9 @@ class ViewManager:
         engines: dict[str, object],
         metadata: MetadataStore | None = None,
         lsn_source: Callable[[], int] | None = None,
-        batch_size: int | None = None,
         entity_source: Callable[[], Iterable[str]] | None = None,
         clock: Callable[[], float] | None = None,
     ) -> None:
-        if batch_size is not None and batch_size <= 0:
-            raise ViewError("view maintenance batch_size must be positive")
         if clock is not None and not callable(clock):
             raise ViewError("view maintenance clock must be callable")
         # Freshness math (last_built_at, stale_views) runs on a monotonic
@@ -860,7 +855,6 @@ class ViewManager:
         self.engines = engines
         self.metadata = metadata
         self.lsn_source = lsn_source
-        self.batch_size = batch_size
         self.entity_source = entity_source
         self.states: dict[str, ViewState] = {}
         self.flushes = 0
@@ -970,8 +964,8 @@ class ViewManager:
         lsn: int | None = None,
         deleted_entity_ids: Iterable[str] = (),
         added_entity_ids: Iterable[str] = (),
-    ) -> dict[str, float]:
-        """Accumulate a changed-entity delta for a later (or automatic) flush.
+    ) -> None:
+        """Accumulate a changed-entity delta for the next flush.
 
         *deleted_entity_ids* must name entities removed from the stores; the
         next flush resolves them against the pre-delete scope snapshots so
@@ -979,16 +973,14 @@ class ViewManager:
         *added_entity_ids* classifies the subset of the changed ids that are
         net-new, refining the journal events downstream consumers read.  The
         event folds into the pending batch as :meth:`ViewDelta.merge` would
-        fold it.  Returns flush timings when the pending batch reached
-        ``batch_size`` and auto-flushed, an empty dict otherwise.  Deltas
-        observed before any view is materialized are dropped: the initial
-        ``create`` reads current store state, so those changes are already
-        covered.
+        fold it.  Deltas observed before any view is materialized are
+        dropped: the initial ``create`` reads current store state, so those
+        changes are already covered.
         """
         observed = int(lsn) if lsn is not None else self.current_lsn()
         self.delta_lsn = max(self.delta_lsn, observed)
         if not self._has_materialized():
-            return {}
+            return
         added = frozenset(added_entity_ids)
         self._pending.fold(ViewDelta(
             added=added,
@@ -998,9 +990,6 @@ class ViewManager:
             last_lsn=observed,
         ))
         self.deltas_observed += 1
-        if self.batch_size is not None and len(self._pending) >= self.batch_size:
-            return self.flush()
-        return {}
 
     def mark_full_refresh(self, lsn: int | None = None) -> None:
         """Force the next flush to treat every materialized view as affected.
@@ -1476,10 +1465,6 @@ class ViewManager:
         if self.metadata is not None:
             self.metadata.update_view_checksum(name, lsn, digest)
         return digest
-
-    def scope_snapshot(self, name: str) -> ScopeSnapshot | None:
-        """The pre-delete scope snapshot tracked for *name* (read-only use)."""
-        return self._scope_snapshots.get(name)
 
     def current_lsn(self) -> int:
         """The log position maintenance is stamped against right now."""

@@ -134,8 +134,9 @@ class IngestionHub:
     """Registry of per-source pipelines (the "source ingestion platform").
 
     Pipelines for different sources are independent, which is what lets the
-    production system run them in parallel; here they simply run one after
-    another when :meth:`run_all` is called.
+    production system run them in parallel; here the platform runs them one
+    after another (``SagaPlatform.ingest_batch``), refusing a batch that
+    names a source twice.
     """
 
     ontology: Ontology
@@ -167,13 +168,3 @@ class IngestionHub:
             return self.pipelines[source_id]
         except KeyError:
             raise IngestionError(f"no ingestion pipeline registered for {source_id!r}") from None
-
-    def run_all(
-        self, payloads: dict[str, Sequence[SourceEntity]], timestamp: int | None = None
-    ) -> list[IngestionResult]:
-        """Run every registered pipeline whose source appears in *payloads*."""
-        results = []
-        for source_id, entities in payloads.items():
-            pipeline = self.get(source_id)
-            results.append(pipeline.run_entities(entities, timestamp=timestamp))
-        return results

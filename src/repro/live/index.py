@@ -277,13 +277,13 @@ def view_row_documents(
     feed: str,
     rows: Iterable[dict],
     version: int,
-    entity_type: str = "view_row",
 ) -> list[LiveEntityDocument]:
     """Turn a batch of row-shaped view rows into serving documents.
 
     Documents are keyed ``{view_name}:{subject}`` so several views may serve
     rows about the same KG entity side by side; ``version`` (the LSN the rows
-    reflect) becomes the document timestamp.  Shared by replica apply and
+    reflect) becomes the document timestamp, and a row without ``types`` is
+    typed ``view_row``.  Shared by replica apply and
     the anti-entropy auditor, which must agree byte-for-byte on how a
     shipped row is served.  Batch form: one call per
     shipment group instead of one per row, so replicas apply shipments
@@ -301,7 +301,7 @@ def view_row_documents(
         documents.append(
             LiveEntityDocument(
                 entity_id=prefix + str(row["subject"]),
-                entity_type=str(types[0]) if types else entity_type,
+                entity_type=str(types[0]) if types else "view_row",
                 name=str(row.get("name", "")),
                 facts=facts,
                 source_id=feed,
@@ -312,11 +312,9 @@ def view_row_documents(
     return documents
 
 
-def view_row_document(
-    view_name: str, feed: str, row: dict, version: int, entity_type: str = "view_row"
-) -> LiveEntityDocument:
+def view_row_document(view_name: str, feed: str, row: dict, version: int) -> LiveEntityDocument:
     """Single-row convenience form of :func:`view_row_documents`."""
-    return view_row_documents(view_name, feed, (row,), version, entity_type)[0]
+    return view_row_documents(view_name, feed, (row,), version)[0]
 
 
 def document_checksum(document: LiveEntityDocument) -> str:

@@ -57,7 +57,17 @@ class SagaMetrics:
 
 
 class SagaPlatform:
-    """End-to-end knowledge construction and serving platform."""
+    """End-to-end knowledge construction and serving platform.
+
+    A snapshot enters the KG one way.  :meth:`ingest_batch`,
+    :meth:`ingest_snapshot` and :meth:`ingest_importer` only build their
+    ingestion results; one private path commits them through
+    :meth:`~repro.construction.pipeline.KnowledgeConstructionPipeline.consume_many`
+    and publishes every report, a failed commit's included.  A batch fails
+    with :class:`~repro.errors.ConstructionBatchError`; a call that ingests
+    one snapshot re-raises its commit's own exception, which carries the
+    failed report as ``construction_report``.
+    """
 
     def __init__(
         self,
@@ -97,14 +107,13 @@ class SagaPlatform:
         """Ingest one snapshot of a source end-to-end.
 
         Runs the source's ingestion pipeline (alignment, delta computation,
-        export), consumes the delta with incremental knowledge construction,
-        and publishes the changed subjects to the Graph Engine.  The source's
-        consumed snapshot advances only once the commit succeeded, so after
-        a failed commit the same snapshot can be ingested again.
+        export) and commits the delta as a one-element :meth:`ingest_batch`
+        does, with one difference: a failed commit re-raises its own
+        exception, whose ``construction_report`` is the failed report,
+        instead of a :class:`~repro.errors.ConstructionBatchError`.
         """
-        pipeline = self.ingestion.get(source_id)
-        ingestion_result = pipeline.run_entities(entities, timestamp=timestamp)
-        return self._consume(ingestion_result, publish)
+        result = self.ingestion.get(source_id).run_entities(entities, timestamp=timestamp)
+        return self._ingest_one(result, publish)
 
     def ingest_importer(
         self,
@@ -113,10 +122,12 @@ class SagaPlatform:
         timestamp: int | None = None,
         publish: bool = True,
     ) -> ConstructionReport:
-        """Ingest a snapshot read from an importer (CSV / JSON / in-memory)."""
-        pipeline = self.ingestion.get(source_id)
-        ingestion_result = pipeline.run(importer, timestamp=timestamp)
-        return self._consume(ingestion_result, publish)
+        """Ingest a snapshot read from an importer (CSV / JSON / in-memory).
+
+        Commits and fails exactly as :meth:`ingest_snapshot` does.
+        """
+        result = self.ingestion.get(source_id).run(importer, timestamp=timestamp)
+        return self._ingest_one(result, publish)
 
     def ingest_batch(
         self,
@@ -128,14 +139,16 @@ class SagaPlatform:
 
         Every source's ingestion pipeline runs first (alignment, delta
         computation, export); the resulting deltas then commit one at a time
-        in snapshot order, and each commit's classified entity delta is
-        published straight into the Graph Engine's journals.  A failing
-        source does not abort the batch: the other sources are fused *and
-        published*, and so is whatever the failed commit fused before it
-        raised; then the :class:`~repro.errors.ConstructionBatchError`
-        (which carries every report) propagates.  Only the sources whose
-        commit succeeded advance their consumed snapshot.  Each source may
-        appear once per batch: every delta is computed before the first
+        in snapshot order through
+        :meth:`~repro.construction.pipeline.KnowledgeConstructionPipeline.consume_many`,
+        and each commit's classified entity delta is published straight into
+        the Graph Engine's journals.  A failing source does not abort the
+        batch: the other sources are fused *and published*, and so is
+        whatever the failed commit fused before it raised; then the
+        :class:`~repro.errors.ConstructionBatchError` (which carries every
+        report) propagates, whatever the batch's size.  Only the sources
+        whose commit succeeded advance their consumed snapshot.  Each source
+        may appear once per batch: every delta is computed before the first
         commit, against the snapshot the KG had consumed.
         """
         source_ids = [source_id for source_id, _ in snapshots]
@@ -145,6 +158,16 @@ class SagaPlatform:
             self.ingestion.get(source_id).run_entities(entities, timestamp=timestamp)
             for source_id, entities in snapshots
         ]
+        return self._ingest(results, publish)
+
+    def _ingest(self, results: list[IngestionResult], publish: bool) -> list[ConstructionReport]:
+        """Commit *results* and publish every report, failed ones included.
+
+        The one path from ingestion results into the KG.  A commit that
+        raised part-way still says what it fused, and the served KG must
+        not fall behind the constructed one, so a failed batch is published
+        before its :class:`~repro.errors.ConstructionBatchError` propagates.
+        """
         try:
             reports = self.construction.consume_many(results)
         except ConstructionBatchError as exc:
@@ -157,19 +180,14 @@ class SagaPlatform:
                 self._publish_report(report)
         return reports
 
-    def _consume(self, ingestion_result: IngestionResult, publish: bool) -> ConstructionReport:
+    def _ingest_one(self, result: IngestionResult, publish: bool) -> ConstructionReport:
+        """:meth:`_ingest` of one snapshot; a failure raises the commit's own
+        exception (carrying ``construction_report``), not the batch error."""
         try:
-            report = self.construction.consume_ingestion_result(ingestion_result)
-        except Exception as exc:
-            # A commit that raised part-way still says what it fused; the
-            # served KG must not fall behind the constructed one.
-            failed = getattr(exc, "construction_report", None)
-            if publish and failed is not None:
-                self._publish_report(failed)
-            raise
-        if publish:
-            self._publish_report(report)
-        return report
+            return self._ingest([result], publish)[0]
+        except ConstructionBatchError as exc:
+            ((_, failure),) = exc.failures
+        raise failure
 
     def _publish_report(self, report: ConstructionReport) -> None:
         """Publish one commit's classified entity delta to the Graph Engine.

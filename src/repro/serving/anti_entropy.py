@@ -322,11 +322,7 @@ class AntiEntropyAuditor:
         as false divergence.
         """
         feed = f"view:{view_name}"
-        entity_types = {node.entity_type for node in self.fleet.replicas.values()}
-        entity_type = entity_types.pop() if len(entity_types) == 1 else "view_row"
         return {
-            subject: document_checksum(
-                view_row_document(view_name, feed, row, 0, entity_type)
-            )
+            subject: document_checksum(view_row_document(view_name, feed, row, 0))
             for subject, row in rows.items()
         }

@@ -122,11 +122,6 @@ class TenantRegistry:
         with self._lock:
             self._tenants.pop(tenant_id, None)
 
-    def tenant_ids(self) -> list[str]:
-        """Registered tenants, sorted."""
-        with self._lock:
-            return sorted(self._tenants)
-
     def get(self, tenant_id: str) -> _TenantState:
         """The runtime state of *tenant_id*; unknown tenants are refused.
 

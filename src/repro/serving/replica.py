@@ -63,7 +63,6 @@ class ReplicaNode:
         resync_source=None,
         journal_store=None,
         watermark_sink: WatermarkSink | None = None,
-        entity_type: str = "view_row",
     ) -> None:
         if not name:
             raise ServingError("replica needs a non-empty name")
@@ -80,7 +79,6 @@ class ReplicaNode:
         self.resync_source = resync_source
         self.journal_store = journal_store
         self.watermark_sink = watermark_sink
-        self.entity_type = entity_type
         self._queue: queue.Queue[ShipmentBatch | None] = queue.Queue(maxsize=queue_capacity)
         self._worker: threading.Thread | None = None
         self._alive = False
@@ -239,12 +237,6 @@ class ReplicaNode:
         index as a row miss.
         """
         return view_name in self.revisions
-
-    def min_applied_lsn(self) -> int:
-        """The LSN every served view has reached (0 when nothing is served)."""
-        if not self.applied:
-            return 0
-        return min(self.applied.values())
 
     def get(self, view_name: str, subject: str):
         """Point-read one served row document (None when not served here)."""
@@ -444,9 +436,7 @@ class ReplicaNode:
             self._checkpoint()
             return
         if batch.kind == "snapshot":
-            documents = view_row_documents(
-                batch.view_name, feed, batch.rows, batch.lsn, self.entity_type
-            )
+            documents = view_row_documents(batch.view_name, feed, batch.rows, batch.lsn)
             self.index.replace_feed(feed, documents, batch.lsn)
             # Snapshots may rewind across revisions: set, don't advance.
             self.applied[batch.view_name] = batch.lsn
@@ -474,9 +464,7 @@ class ReplicaNode:
             return
         rows = batch.rows_by_subject()
         delta = batch.delta
-        upserts = view_row_documents(
-            batch.view_name, feed, rows.values(), batch.lsn, self.entity_type
-        )
+        upserts = view_row_documents(batch.view_name, feed, rows.values(), batch.lsn)
         deleted_ids = [f"{batch.view_name}:{s}" for s in sorted(delta.deleted)]
         # A changed subject with no shipped row vanished from the artifact:
         # stop serving it rather than keep a stale copy.

@@ -117,10 +117,6 @@ class ShardRouter:
     # -------------------------------------------------------------- #
     # routing
     # -------------------------------------------------------------- #
-    def ring_points(self) -> list[tuple[int, str]]:
-        """The sorted ``(point, replica)`` ring (read-only copy)."""
-        return list(self._ring)
-
     def owners(self, subject: str, count: int | None = None) -> list[str]:
         """The replicas responsible for *subject*, in ring (preference) order."""
         if not self._ring:

@@ -32,6 +32,7 @@ from repro.construction.fusion import Fusion
 from repro.engine.agents import AgentCoordinator
 from repro.engine.views import ViewDefinition, ViewDelta
 from repro.errors import ConstructionBatchError, IngestionError
+from repro.ingestion.importers import InMemoryImporter
 from repro.model import default_ontology
 from repro.model.delta import SourceDelta
 from repro.model.entity import SourceEntity
@@ -615,6 +616,53 @@ def test_a_failed_commit_does_not_advance_the_consumed_snapshot(monkeypatch, ent
     assert {fact.predicate for fact in constructed} <= {"same_as"}
     assert platform.graph_engine.triples.facts_about(kg_id) == []
     assert platform.graph_engine.entity(kg_id) is None
+    assert calls["n"] == 2
+
+
+def test_a_failed_importer_commit_publishes_what_it_fused_and_retries(monkeypatch):
+    """ingest_importer commits as ingest_snapshot does.  The importer's second
+    snapshot drops one artist and adds another, and the drop fails after the
+    addition fused: the added artist is served, the commit's own exception
+    carries the failed report, and ingesting the same importer snapshot
+    again deletes the dropped artist."""
+    platform = _platform_with_views()
+    platform.register_source("musicdb")
+    rows = [
+        {"id": f"artist/{i}", "type": "music_artist", "name": name}
+        for i, name in enumerate(["Echo Valley", "Blue Harbor", "Iron Crest"])
+    ]
+    platform.ingest_importer("musicdb", InMemoryImporter(rows[:2]))
+    dropped = platform.construction.link_table["musicdb:artist/0"]
+    second = InMemoryImporter(rows[1:])
+
+    original = Fusion.fuse_deleted
+    calls = {"n": 0}
+
+    def fails_once(self, store, source_id, subjects):
+        calls["n"] += 1
+        if calls["n"] == 1:
+            raise RuntimeError("synthetic deletion failure")
+        return original(self, store, source_id, subjects)
+
+    monkeypatch.setattr(Fusion, "fuse_deleted", fails_once)
+    with pytest.raises(RuntimeError) as excinfo:
+        platform.ingest_importer("musicdb", second)
+    assert excinfo.type is RuntimeError            # not a ConstructionBatchError
+    failed = excinfo.value.construction_report
+    added = platform.construction.link_table["musicdb:artist/2"]
+    assert "RuntimeError" in failed.error
+    assert added in failed.entity_delta.added
+    constructed = platform.construction.store.facts_about(added)
+    assert constructed
+    assert platform.graph_engine.triples.facts_about(added) == constructed
+    assert platform.graph_engine.entity(added) is not None
+    assert platform.graph_engine.entity(dropped) is not None
+    assert all(lag == 0 for lag in platform.graph_engine.freshness().values())
+
+    report = platform.ingest_importer("musicdb", second)
+    assert report.error is None and dropped in report.entity_delta.deleted
+    assert platform.graph_engine.entity(dropped) is None
+    assert platform.graph_engine.entity(added) is not None
     assert calls["n"] == 2
 
 

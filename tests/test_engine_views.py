@@ -166,11 +166,9 @@ def test_injectable_clock_drives_staleness_without_wall_time():
         ViewManager(catalog, engines={}, clock="not-a-clock")  # type: ignore[arg-type]
 
 
-def test_scope_must_be_callable_and_batch_size_positive():
+def test_scope_must_be_callable():
     with pytest.raises(ViewError):
         ViewDefinition("v", "analytics", lambda ctx: 1, scope="a:*")  # type: ignore[arg-type]
-    with pytest.raises(ViewError):
-        ViewManager(ViewCatalog(), engines={}, batch_size=0)
 
 
 def test_maintenance_stats_report_skips_and_builds():
@@ -193,8 +191,8 @@ def test_maintenance_stats_report_skips_and_builds():
 def test_enqueue_before_any_materialization_is_dropped():
     catalog = ViewCatalog()
     catalog.register(ViewDefinition("v", "analytics", lambda ctx: 1))
-    manager = ViewManager(catalog, engines={}, batch_size=1)
-    assert manager.enqueue(["kg:e1"], lsn=5) == {}
+    manager = ViewManager(catalog, engines={})
+    manager.enqueue(["kg:e1"], lsn=5)
     assert manager.pending_changes() == []
     assert manager.delta_lsn == 5                      # observation is still recorded
     assert manager.flush() == {}

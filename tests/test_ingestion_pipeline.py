@@ -137,9 +137,11 @@ def test_hub_registers_and_runs_sources(ontology):
     hub.register_source("wiki")
     with pytest.raises(IngestionError):
         hub.get("unknown")
-    results = hub.run_all({
+    payloads = {
         "musicdb": [artist("musicdb:1", "A")],
         "wiki": [SourceEntity(entity_id="wiki:p1", entity_type="person",
                               properties={"name": "P"}, source_id="wiki")],
-    })
-    assert {result.source_id for result in results} == {"musicdb", "wiki"}
+    }
+    results = [hub.get(source_id).run_entities(entities)
+               for source_id, entities in payloads.items()]
+    assert [result.source_id for result in results] == ["musicdb", "wiki"]

@@ -171,22 +171,23 @@ def test_selective_update_rebuilds_only_the_affected_closure():
 # ------------------------------------------------------------------ #
 # batched flushing and LSN watermarks
 # ------------------------------------------------------------------ #
-def test_batched_flush_accumulates_until_batch_size():
+def test_pending_deltas_accumulate_until_flush():
     clock = {"lsn": 0}
     catalog = make_scoped_catalog()
-    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"],
-                          batch_size=3)
+    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"])
     clock["lsn"] = 1
     manager.materialize()
     assert manager.built_at_lsn("a_root") == 1
     clock["lsn"] = 2
-    assert manager.enqueue(["a:1"], lsn=2) == {}
+    manager.enqueue(["a:1"], lsn=2)
     clock["lsn"] = 3
-    assert manager.enqueue(["a:2"], lsn=3) == {}
+    manager.enqueue(["a:2"], lsn=3)
     assert manager.pending_changes() == ["a:1", "a:2"]
     assert manager.lagging_views() == {"a_child": 2, "a_root": 2, "b_root": 2}
     clock["lsn"] = 4
-    timings = manager.enqueue(["b:1"], lsn=4)     # third distinct id: auto-flush
+    manager.enqueue(["b:1"], lsn=4)
+    assert manager.flushes == 0                    # enqueue never flushes
+    timings = manager.flush()
     assert set(timings) == {"a_root", "a_child", "b_root"}
     assert manager.pending_changes() == []
     assert manager.flushes == 1
@@ -396,11 +397,11 @@ def test_listener_errors_do_not_unwind_replay_or_redeliver(ontology):
     engine = GraphEngine(ontology)
     seen = []
 
-    def flaky_listener(record, payload):
-        seen.append(record.lsn)
+    def flaky_listener(delta):
+        seen.append(delta.lsn)
         raise RuntimeError("listener exploded")
 
-    engine.coordinator.add_progress_listener(flaky_listener)
+    engine.coordinator.add_delta_listener(flaky_listener)
     engine.publish_store(store)                    # replay must not raise
     assert seen == [1]
     assert engine.coordinator.listener_errors == ["lsn=1: listener exploded"]
