@@ -125,13 +125,13 @@ def _measure(index: LiveIndex) -> dict:
     }
     results: dict[str, dict] = {}
     for name, plan in plans.items():
-        vectorized = executor.execute(plan, use_cache=False)
-        reference = reference_executor.execute(plan, use_cache=False)
+        vectorized = executor.execute(plan)
+        reference = reference_executor.execute(plan)
         rows = [(row.entity_id, row.values) for row in vectorized.rows]
         assert rows == [(row.entity_id, row.values) for row in reference.rows], name
         assert vectorized.candidates_examined == reference.candidates_examined, name
-        vec_s = _best_of(lambda: executor.execute(plan, use_cache=False))
-        ref_s = _best_of(lambda: reference_executor.execute(plan, use_cache=False))
+        vec_s = _best_of(lambda: executor.execute(plan))
+        ref_s = _best_of(lambda: reference_executor.execute(plan))
         results[name] = {
             "rows": len(rows),
             "examined": vectorized.candidates_examined,
@@ -181,4 +181,4 @@ def bench_kgqexec_vectorized_vs_per_document(benchmark):
 
     executor = QueryExecutor(index)
     plan = type_scan_plan([Condition(("genre",), "=", "genre_07")])
-    benchmark(lambda: executor.execute(plan, use_cache=False))
+    benchmark(lambda: executor.execute(plan))

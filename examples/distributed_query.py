@@ -9,8 +9,8 @@ path (see docs/serving.md):
 * consistency enforcement on the replica chosen (``any`` /
   ``bounded_staleness`` / ``read_your_writes``) with honest
   ``StaleReadError`` naming the laggards;
-* a crash of the replica the query lands on — the next owner on the ring
-  answers it;
+* a crash of the replica the query lands on — the next owner in the
+  query's preference order answers it;
 * an anti-entropy audit catching injected divergence and repairing it with
   a targeted repair batch (no snapshot, no primary-side rebuild).
 
@@ -85,8 +85,7 @@ def main() -> None:
     ):
         result = fleet.query(query, "entity_profile", consistency)
         print(f"  {label:<24} -> {len(result.rows)} rows, "
-              f"{result.candidates_examined} candidates examined"
-              f"{' (replica cache hit)' if result.from_cache else ''}, "
+              f"{result.candidates_examined} candidates examined, "
               f"{result.latency_ms:.2f} ms")
     for line in fleet.query_router.explain(query, "entity_profile"):
         print(f"    {line}")
@@ -115,7 +114,7 @@ def main() -> None:
     print(f"  bounded_staleness(0) after drain  -> {len(result.rows)} rows")
 
     # ------------------------------------------------------------ #
-    # Crash the replica this query lands on: the next ring owner answers.
+    # Crash the replica this query lands on: the next owner answers.
     # ------------------------------------------------------------ #
     print("\n== replica crash during distributed queries ==")
     placement_key = plan.query.render()

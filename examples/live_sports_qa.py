@@ -63,7 +63,7 @@ def main() -> None:
     result = live.query(leader_query)
     print(f"\nKGQ> {leader_query}")
     print(f"  -> {result.first_value('head_of_state.name')}  "
-          f"({result.latency_ms:.2f} ms, cached={result.from_cache})")
+          f"({result.latency_ms:.2f} ms)")
 
     # Virtual operators encapsulate reusable expressions.
     print(f"\nKGQ> CALL GameScore(\"{team.name}\")")

@@ -9,7 +9,7 @@ fleet over both with file-backed persistent journals (see docs/serving.md):
 * incremental journal shipping while the KG keeps ingesting;
 * a replica crash, missed deltas, and a restart that catches up by
   journal replay — no view artifact is rebuilt;
-* fleet introspection: lag matrix, shard map, journal segments.
+* fleet introspection: lag matrix, read placement, journal segments.
 
 Run with:  python examples/replicated_serving.py
 """
@@ -138,7 +138,8 @@ def main() -> None:
         print(f"  batches:        {status['batches_published']} published, "
               f"{status['reads_routed']} reads routed")
         print(f"  journal:        {status['journal']['entity_profile']}")
-        print(f"  shard map:      {fleet.router.shard_map(subjects)}")
+        placement = {s: fleet.router.owners(s)[0] for s in subjects}
+        print(f"  placement:      {placement}")
         print(f"  compacted:      {fleet.compact_journals()} segments dropped")
         platform.stop_serving_fleet()
 

@@ -1,8 +1,8 @@
 """Process-stable key hashing for placement.
 
-Everything that assigns keys to replicas — the serving tier's
-consistent-hash ring, which places point reads, whole queries and join keys —
-must agree on the hash of a key **across processes and runs**.
+Everything that assigns keys to replicas — the serving tier's per-key
+replica preference order, which places point reads, whole queries and
+joins — must agree on the hash of a key **across processes and runs**.
 Python's builtin ``hash`` is salted per process (``PYTHONHASHSEED``), so it
 can never be used for placement: two processes would place the same key
 differently, which breaks reproducible placement assertions and corrupts
@@ -17,10 +17,7 @@ from __future__ import annotations
 
 import hashlib
 
-#: Exclusive upper bound of the ring/partition hash space (64-bit digests).
-MAX_HASH = 2**64
-
 
 def stable_hash(key: str) -> int:
-    """The 64-bit ring hash (stable across processes and runs)."""
+    """The 64-bit placement hash (stable across processes and runs)."""
     return int.from_bytes(hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest(), "big")

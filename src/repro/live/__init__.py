@@ -14,7 +14,7 @@ from repro.live.curation import (
     VandalismDetector,
 )
 from repro.live.engine import IntentAnswer, LiveGraphEngine
-from repro.live.executor import QueryCache, QueryExecutor, QueryResult, QueryResultRow
+from repro.live.executor import QueryExecutor, QueryResult, QueryResultRow
 from repro.live.index import (
     GraphKVStore,
     InvertedGraphIndex,
@@ -71,7 +71,6 @@ __all__ = [
     "PhysicalPlan",
     "QuarantinedFact",
     "Query",
-    "QueryCache",
     "QueryExecutor",
     "QueryPlanner",
     "QueryResult",

@@ -83,7 +83,6 @@ class LiveGraphEngine:
         loaded = self.construction.load_stable_view(store, entity_types)
         if version is not None:
             self.index.set_watermark(self._stable_feed(entity_types), version)
-        self.executor.invalidate_cache()
         return loaded
 
     def sync_stable_view(self, graph_engine, entity_types: Sequence[str] = ()) -> int:
@@ -114,8 +113,6 @@ class LiveGraphEngine:
             if screen:
                 self.curation.screen(document)
             count += 1
-        if count:
-            self.executor.invalidate_cache()
         return count
 
     def apply_curation_decision(self, decision: CurationDecision) -> int:
@@ -130,8 +127,6 @@ class LiveGraphEngine:
                 edits = {k: v for k, v in event.payload.items() if k != "name"}
                 if self.construction.apply_curation(event.event_id, edits):
                     applied += 1
-        if applied:
-            self.executor.invalidate_cache()
         return applied
 
     # -------------------------------------------------------------- #
@@ -141,13 +136,13 @@ class LiveGraphEngine:
         """Parse and plan a KGQ query string."""
         return self.planner.plan(parse(query_text))
 
-    def query(self, query: str | Query | CallQuery, use_cache: bool = True) -> QueryResult:
+    def query(self, query: str | Query | CallQuery) -> QueryResult:
         """Execute a KGQ query (text or pre-parsed) against the live index."""
         if isinstance(query, str):
             plan = self.compile(query)
         else:
             plan = self.planner.plan(query)
-        return self.executor.execute(plan, use_cache=use_cache)
+        return self.executor.execute(plan)
 
     def explain(self, query_text: str) -> list[str]:
         """Return the physical plan of a query as EXPLAIN-style lines."""
@@ -192,7 +187,6 @@ class LiveGraphEngine:
             "references_resolved": self.construction.stats.references_resolved,
             "references_unresolved": self.construction.stats.references_unresolved,
             "queries": self.executor.queries_executed,
-            "cache_hits": self.executor.cache.hits,
             "p95_latency_ms": self.latency_p95_ms(),
             "quarantined_facts": len(self.curation.pending()),
             "feed_watermarks": dict(self.index.watermarks),

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -55,7 +55,7 @@ class QueryResult:
 
     rows: list[QueryResultRow] = field(default_factory=list)
     latency_ms: float = 0.0
-    from_cache: bool = False
+    from_cache: bool = False        # answered by the front door's result cache
     candidates_examined: int = 0
 
     def first_value(self, column: str | None = None) -> object | None:
@@ -66,55 +66,6 @@ class QueryResult:
         if column is not None:
             return row.values.get(column)
         return next(iter(row.values.values()), None)
-
-
-class QueryCache:
-    """Tiny LRU cache keyed by rendered query text.
-
-    Rows are defensively copied on both :meth:`put` and :meth:`get` (the
-    ``values`` dict of every row), so a caller mutating a returned row can
-    never poison later cache hits and a caller mutating its input rows after
-    ``put`` cannot corrupt the cached entry.
-    """
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise LiveGraphError("the query cache needs positive capacity")
-        self.capacity = capacity
-        self._entries: OrderedDict[str, list[QueryResultRow]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    @staticmethod
-    def _copy_rows(rows: list[QueryResultRow]) -> list[QueryResultRow]:
-        # Witnesses are immutable tuples, so sharing them across copies is safe.
-        return [
-            QueryResultRow(entity_id=row.entity_id, values=dict(row.values), witness=row.witness)
-            for row in rows
-        ]
-
-    def get(self, key: str) -> list[QueryResultRow] | None:
-        """Cached rows for *key* (fresh copies), refreshing recency."""
-        rows = self._entries.get(key)
-        if rows is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return self._copy_rows(rows)
-
-    def put(self, key: str, rows: list[QueryResultRow]) -> None:
-        """Insert copies of *rows* for *key*, evicting the least-recently-used."""
-        self._entries[key] = self._copy_rows(rows)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def invalidate(self) -> None:
-        """Drop every cached result (called after live updates)."""
-        self._entries.clear()
 
 
 #: Separator composing a joined row's entity id from its operand row ids.
@@ -240,7 +191,6 @@ def join_results(
     return QueryResult(
         rows=rows,
         latency_ms=left.latency_ms + right.latency_ms,
-        from_cache=left.from_cache and right.from_cache,
         candidates_examined=left.candidates_examined + right.candidates_examined,
     )
 
@@ -283,9 +233,8 @@ LATENCY_WINDOW = 4096
 class QueryExecutor:
     """Execute physical plans against the live index."""
 
-    def __init__(self, index: LiveIndex, cache: QueryCache | None = None) -> None:
+    def __init__(self, index: LiveIndex) -> None:
         self.index = index
-        self.cache = cache or QueryCache()
         self.rpq = RpqEvaluator(index.adjacency)
         self.queries_executed = 0
         self.latencies_ms: deque[float] = deque(maxlen=LATENCY_WINDOW)
@@ -298,61 +247,37 @@ class QueryExecutor:
         plan: PhysicalPlan,
         use_cache: bool = True,
         scope: Callable[[LiveEntityDocument], bool] | None = None,
-        scope_key: str = "",
         reach_feed: str = "",
     ) -> QueryResult:
         """Run *plan* and return its result rows with timing.
+
+        Every call executes: the executor keeps no result cache (the front
+        door's per-tenant caches are the read path's only one).  *use_cache*
+        is accepted and ignored, for callers written against the old
+        signature.
 
         *scope* (when given) restricts execution to the documents it accepts,
         applied right after seeding and before any condition work — this is
         how a replica confines a query to one view's feed.
         ``candidates_examined`` counts in-scope candidates actually examined
         (a LIMIT early-break stops the count with the scan), so the figure
-        shows the work this executor actually did.  *scope_key* must uniquely
-        identify the scope for result caching; scoped executions with an
-        empty key bypass the cache rather than poison it.
+        shows the work this executor actually did.
 
         *reach_feed* names the adjacency feed a REACH clause expands over:
         ``""`` is the live graph (the engine's own documents), ``"view:X"``
         the subject-space graph of a loaded view feed (the replica path).
         Ignored for plans without a REACH stage.
         """
-        cache_key = plan.query.render()
-        if plan.reach is not None and reach_feed:
-            cache_key = f"{cache_key} |reach@{reach_feed}"
-        if scope is not None:
-            if not scope_key:
-                use_cache = False
-            cache_key = f"{cache_key} |{scope_key}"
         started = time.perf_counter()
-        if use_cache:
-            cached = self.cache.get(cache_key)
-            if cached is not None:
-                return QueryResult(
-                    rows=cached, latency_ms=self._record_latency(started), from_cache=True
-                )
-
         if plan.reach is not None:
             rows, examined = self._execute_reach(plan, scope, reach_feed)
         else:
             survivors, examined = self.match_documents(plan, scope)
             rows = self._project_batch(survivors, plan)
-        latency = self._record_latency(started)
-        if use_cache:
-            self.cache.put(cache_key, rows)
-        return QueryResult(
-            rows=rows, latency_ms=latency, from_cache=False, candidates_examined=examined
-        )
-
-    def invalidate_cache(self) -> None:
-        """Invalidate cached results after live-index updates."""
-        self.cache.invalidate()
-
-    def _record_latency(self, started: float) -> float:
         latency = (time.perf_counter() - started) * 1000.0
         self.queries_executed += 1
         self.latencies_ms.append(latency)
-        return latency
+        return QueryResult(rows=rows, latency_ms=latency, candidates_examined=examined)
 
     # -------------------------------------------------------------- #
     # document matching (MATCH/WHERE pipeline; also the REACH seed phase)

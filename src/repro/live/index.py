@@ -5,10 +5,9 @@ under high concurrency: a key-value store holding the full document of every
 live (and stable-view) entity, and an inverted index from names / literal
 values to entity identifiers for entity search.  The paper's index is
 "sharded and replicated"; here that scale-out is the serving fleet
-(:mod:`repro.serving`): each replica owns one :class:`LiveIndex`, the
-consistent-hash ring of :class:`~repro.serving.router.ShardRouter` places
-keys and queries on replicas, and inside one index every document is held
-exactly once.
+(:mod:`repro.serving`): each replica owns one :class:`LiveIndex`,
+:class:`~repro.serving.router.ShardRouter` places keys and queries on
+replicas, and inside one index every document is held exactly once.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ replicated serving tier (see ``docs/serving.md``): the primary's committed
 view deltas are durably journaled (:class:`JournalStore`), shipped as
 LSN-ranged batches (:class:`JournalShipper` over a :class:`ReplicationBus`)
 to live replicas (:class:`ReplicaNode`) that apply them asynchronously, and
-reads are routed across the replicas by consistent hashing under a
-selectable consistency level (:class:`ShardRouter`, :class:`Consistency`).
-Whole KGQs run on one replica each, placed by the same ring through the
-:class:`QueryRouter`, and the :class:`AntiEntropyAuditor` periodically
+reads are routed across the replicas by a fixed per-key preference order
+under a selectable consistency level (:class:`ShardRouter`,
+:class:`Consistency`).  Whole KGQs run on one replica each, placed by the
+same order through the :class:`QueryRouter`, and the :class:`AntiEntropyAuditor` periodically
 checksums replica state against the primary, repairing lag by journal
 replay and divergence by targeted row re-shipment.
 :class:`ServingFleet` wires all of it over one view manager, and the

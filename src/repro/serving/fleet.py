@@ -9,10 +9,11 @@
   delta batches on a :class:`~repro.serving.shipping.ReplicationBus`;
 * N :class:`~repro.serving.replica.ReplicaNode` subscribers apply them
   asynchronously into their own live indexes;
-* a :class:`~repro.serving.router.ShardRouter` consistent-hashes reads
-  across the replicas under a selectable consistency level, and a
+* a :class:`~repro.serving.router.ShardRouter` routes reads across the
+  replicas by a fixed per-key preference order under a selectable
+  consistency level, and a
   :class:`~repro.serving.query_router.QueryRouter` places whole KGQs on
-  them by the same ring and the same placement walk.
+  them by the same order and the same placement walk.
 
 Replica applied-LSN watermarks are mirrored into the platform
 :class:`~repro.engine.metadata.MetadataStore` replica namespace (keyed
@@ -47,7 +48,6 @@ class ServingFleet:
         metadata: MetadataStore | None = None,
         head_lsn_source: Callable[[], int] | None = None,
         queue_capacity: int = 256,
-        virtual_nodes: int = 32,
         replica_prefix: str = "replica",
     ) -> None:
         if num_replicas <= 0:
@@ -58,7 +58,7 @@ class ServingFleet:
         self.head_lsn_source = head_lsn_source or manager.current_lsn
         self.bus = ReplicationBus()
         self.shipper = JournalShipper(manager, self.bus, self.journal_store)
-        self.router = ShardRouter(self.head_lsn_source, virtual_nodes=virtual_nodes)
+        self.router = ShardRouter(self.head_lsn_source)
         self.query_router = QueryRouter(self.router)
         self.auditor = AntiEntropyAuditor(self)
         self.replicas: dict[str, ReplicaNode] = {}
@@ -83,7 +83,7 @@ class ServingFleet:
         self.bus.subscribe(node)
         self.router.add_replica(node)
         if self.shipper.shipped_views:
-            # A replica joining a serving fleet owns key ranges immediately:
+            # A replica joining a serving fleet is routed to immediately:
             # seed it with every shipped view's current state or routed
             # reads would hit its empty index as false misses.
             node.start()

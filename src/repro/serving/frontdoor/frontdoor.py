@@ -17,8 +17,8 @@ honestly when saturated.  One request flows through:
    (:mod:`~repro.serving.frontdoor.admission`);
 3. **serving** — per-tenant result cache (invalidated per view when the
    primary commits a delta), else the compiled plan runs on one replica of
-   the fleet with replica-side caches off — the front door's per-tenant caches
-   *are* the serving cache, so a cross-tenant hit is structurally
+   the fleet.  The per-tenant caches are the read path's only result cache
+   (replicas cache nothing), so a cross-tenant hit is structurally
    impossible.  A MATCH plan (no REACH stage) runs inline on the event loop:
    its ~0.1 ms of index work is cheaper than the thread hop, two switches
    and a future under one interpreter lock, that a worker pool would add.
@@ -142,7 +142,9 @@ class FrontDoor:
 
         *deadline* is relative seconds (``None`` falls back to the door's
         ``default_deadline``); an already-expired deadline is refused before
-        it can consume tokens or a slot.  Raises
+        it can consume tokens or a slot.  *use_cache* switches the tenant's
+        result cache, the read path's only one: ``False`` neither reads nor
+        fills it.  Raises
         :class:`~repro.errors.TenantIsolationError` for boundary violations,
         :class:`~repro.errors.OverloadedError` (with ``retry_after``) for
         rate-limit and shed refusals, and
@@ -203,13 +205,7 @@ class FrontDoor:
             if absolute_deadline is not None and self._clock() > absolute_deadline:
                 self.metrics.count(tenant_id, "deadline_exceeded")
                 raise deadline_error(tenant_id, "before dispatch")
-            execute = partial(
-                self.query_router.execute,
-                plan,
-                view_name,
-                consistency,
-                use_cache=False,
-            )
+            execute = partial(self.query_router.execute, plan, view_name, consistency)
             inline = plan.reach is None
             started_execution = self._clock()
             try:

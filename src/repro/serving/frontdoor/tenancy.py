@@ -17,10 +17,12 @@ hit is structurally impossible, not merely key-disambiguated:
 * a **compiled-plan LRU** keyed by query text; plans are validated against
   the tenant's scope *before* insertion, so a cached plan is a proven-safe
   plan;
-* **result caches**, one :class:`~repro.live.executor.QueryCache` per
-  ``(tenant, view)``, invalidated per view when the primary commits (and the
-  fleet ships) a delta for that view — a tenant only ever re-reads its own
-  freshly-invalidated cache, never another tenant's.
+* **result caches**, one :class:`QueryCache` per ``(tenant, view)``,
+  invalidated per view when the primary commits (and the fleet ships) a
+  delta for that view — a tenant only ever re-reads its own
+  freshly-invalidated cache, never another tenant's.  They are the read
+  path's only result cache: replicas and their executors execute every
+  plan they are handed.
 """
 
 from __future__ import annotations
@@ -31,11 +33,56 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import FrontDoorError, KGQPlanError, TenantIsolationError
-from repro.live.executor import QueryCache, QueryResultRow
+from repro.errors import FrontDoorError, KGQPlanError, LiveGraphError, TenantIsolationError
+from repro.live.executor import QueryResultRow
 from repro.live.kgq import parse
 from repro.live.planner import PhysicalPlan, QueryPlanner, ensure_plan_within_types
 from repro.serving.frontdoor.admission import TokenBucket
+
+
+class QueryCache:
+    """Tiny LRU cache of result rows keyed by query text.
+
+    Rows are defensively copied on both :meth:`put` and :meth:`get` (the
+    ``values`` dict of every row), so a caller mutating a returned row can
+    never poison later cache hits and a caller mutating its input rows after
+    ``put`` cannot corrupt the cached entry.
+    """
+
+    def __init__(self, capacity: int = 256) -> None:
+        if capacity <= 0:
+            raise LiveGraphError("the query cache needs positive capacity")
+        self.capacity = capacity
+        self._entries: OrderedDict[str, list[QueryResultRow]] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    @staticmethod
+    def _copy_rows(rows: list[QueryResultRow]) -> list[QueryResultRow]:
+        # Witnesses are immutable tuples, so sharing them across copies is safe.
+        return [
+            QueryResultRow(entity_id=row.entity_id, values=dict(row.values), witness=row.witness)
+            for row in rows
+        ]
+
+    def get(self, key: str) -> list[QueryResultRow] | None:
+        """Cached rows for *key* (fresh copies), refreshing recency."""
+        rows = self._entries.get(key)
+        if rows is None:
+            self.misses += 1
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return self._copy_rows(rows)
+
+    def put(self, key: str, rows: list[QueryResultRow]) -> None:
+        """Insert copies of *rows* for *key*, evicting the least-recently-used."""
+        self._entries[key] = self._copy_rows(rows)
+        self._entries.move_to_end(key)
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
 
 
 @dataclass(frozen=True)

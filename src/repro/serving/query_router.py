@@ -8,8 +8,8 @@ read of its own text: the router asks
 placement rule — and runs the **whole** plan — MATCH pipeline or REACH
 expansion — on the first replica it yields
 (:meth:`~repro.serving.replica.ReplicaNode.query`).  Hashing the query text
-spreads distinct queries over the fleet and keeps repeats of one text on one
-replica, so its result cache stays warm.
+only spreads distinct queries over the fleet: no replica keeps state keyed
+by placement (results are cached once, per tenant, at the front door).
 
 A cross-view join is one request too: it is placed by its left side's text
 on a replica that serves both views and meets the consistency level on both,
@@ -108,7 +108,8 @@ class QueryRouter:
         ``candidates_examined`` and REACH witnesses are exactly what
         primary-side execution of the plan returns.  A replica dying
         mid-query is answered by the next eligible owner.  ``latency_ms`` is
-        the wall-clock of the routed call.
+        the wall-clock of the routed call.  *use_cache* is accepted and
+        ignored: no replica caches results.
         """
         started = time.perf_counter()
         plan = self.compile(query)
@@ -117,7 +118,7 @@ class QueryRouter:
             self.reach_queries += 1
         result = self._dispatch(
             plan.query.render(), (view_name,), consistency,
-            lambda node: node.query(plan, view_name, use_cache=use_cache),
+            lambda node: node.query(plan, view_name),
         )
         result.latency_ms = (time.perf_counter() - started) * 1000.0
         return result
@@ -133,7 +134,6 @@ class QueryRouter:
         how: str = "inner",
         consistency: Consistency = ANY,
         limit: int | None = None,
-        use_cache: bool = True,
     ) -> QueryResult:
         """Join two views' query results on one replica, identical to primary.
 
@@ -160,7 +160,7 @@ class QueryRouter:
             left_plan.query.render(), (left_view, right_view), consistency,
             lambda node: node.join(
                 left_plan, left_view, right_plan, right_view,
-                left_key, right_key, how, limit, use_cache=use_cache,
+                left_key, right_key, how, limit,
             ),
         )
         result.latency_ms = (time.perf_counter() - started) * 1000.0

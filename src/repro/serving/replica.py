@@ -30,7 +30,8 @@ views, answers whole KGQs — text or the compiled plans the
 :meth:`query`, answers whole cross-view joins at one state of its index
 (:meth:`join`), and audits its served rows against primary checksums
 (:meth:`checksum_divergence`, :meth:`apply_repair` — the anti-entropy
-hooks).
+hooks).  It keeps no result cache: every call executes against the index
+as it stands, so applying a batch never has a cache to invalidate.
 """
 
 from __future__ import annotations
@@ -249,7 +250,6 @@ class ReplicaNode:
         self,
         query: str | Query | CallQuery | PhysicalPlan,
         view_name: str | None = None,
-        use_cache: bool = True,
     ) -> QueryResult:
         """Execute a whole KGQ against this node's own index.
 
@@ -273,7 +273,6 @@ class ReplicaNode:
         else:
             plan = self.planner.plan(parse(query) if isinstance(query, str) else query)
         scope = None
-        scope_key = ""
         reach_feed = ""
         if view_name is not None:
             feed = f"view:{view_name}"
@@ -282,15 +281,8 @@ class ReplicaNode:
             def scope(document, feed=feed):
                 return document.source_id == feed
 
-            scope_key = f"feed:{view_name}"
         with self._apply_lock:
-            result = self.executor.execute(
-                plan,
-                use_cache=use_cache,
-                scope=scope,
-                scope_key=scope_key,
-                reach_feed=reach_feed,
-            )
+            result = self.executor.execute(plan, scope=scope, reach_feed=reach_feed)
         self.local_queries += 1
         return result
 
@@ -304,7 +296,6 @@ class ReplicaNode:
         right_key: str,
         how: str = "inner",
         limit: int | None = None,
-        use_cache: bool = True,
     ) -> QueryResult:
         """Run a whole cross-view join against this node's own index.
 
@@ -315,8 +306,8 @@ class ReplicaNode:
         :class:`~repro.errors.ReplicaUnavailableError` when the node is down.
         """
         with self._apply_lock:
-            right = self.query(right_plan, right_view, use_cache=use_cache)
-            left = self.query(left_plan, left_view, use_cache=use_cache)
+            right = self.query(right_plan, right_view)
+            left = self.query(left_plan, left_view)
         self.joins_executed += 1
         return join_results(left, right, left_key, right_key, how, limit)
 
@@ -432,7 +423,6 @@ class ReplicaNode:
             self.index.drop_feed(feed)
             self.applied.pop(batch.view_name, None)
             self.revisions.pop(batch.view_name, None)
-            self.executor.invalidate_cache()
             self._checkpoint()
             return
         if batch.kind == "snapshot":
@@ -441,7 +431,6 @@ class ReplicaNode:
             # Snapshots may rewind across revisions: set, don't advance.
             self.applied[batch.view_name] = batch.lsn
             self.revisions[batch.view_name] = batch.revision
-            self.executor.invalidate_cache()
             self._commit(batch.view_name)
             return
         # delta batch
@@ -472,8 +461,6 @@ class ReplicaNode:
             f"{batch.view_name}:{s}" for s in sorted(delta.changed) if s not in rows
         )
         self.index.apply_feed_delta(feed, upserts, deleted_ids, batch.lsn)
-        if upserts or deleted_ids:
-            self.executor.invalidate_cache()
         self.applied.advance(batch.view_name, batch.lsn)
         self.revisions[batch.view_name] = batch.revision
         # Watermark-only (advance) batches skip the checkpoint write: a

@@ -1,12 +1,17 @@
-"""LSN-aware placement over a consistent-hash ring of replicas.
+"""LSN-aware placement over a fixed replica preference order.
 
-The :class:`ShardRouter` spreads keys across replicas with a consistent hash
-ring (stable across processes — Python's salted ``hash`` is never used) and
-owns the **one placement rule** of the serving tier,
-:meth:`ShardRouter.eligible`: walk a key's owners in ring order and take the
-replicas that are alive, serve every view the call reads and satisfy the
-requested :class:`Consistency` level on each, checked against the replica's
-per-view applied-LSN watermarks:
+Every replica holds each view it serves whole and keeps no state keyed by
+placement, so placement only has to spread keys and be deterministic.  A
+key's preference order (:meth:`ShardRouter.owners`) is the routed replicas'
+sorted names rotated to start at ``stable_hash(key) % n`` — stable across
+processes, since Python's salted ``hash`` is never used.  Removing a replica
+keeps the others in the same relative order.
+
+The :class:`ShardRouter` owns the **one placement rule** of the serving
+tier, :meth:`ShardRouter.eligible`: walk a key's owners in preference order
+and take the replicas that are alive, serve every view the call reads and
+satisfy the requested :class:`Consistency` level on each, checked against
+the replica's per-view applied-LSN watermarks:
 
 * ``any`` — serve from the first live owner, staleness be damned;
 * ``bounded_staleness(max_lag_lsns)`` — the serving replica may lag the
@@ -19,7 +24,7 @@ Point reads (:meth:`ShardRouter.read`, keyed by subject) and everything the
 by their text, whole cross-view joins keyed by their left side's text and
 checked on both views) use that one walk, so they skip the same replicas,
 count the same counters and fail with the same typed errors: an owner that
-fails the check is skipped for the next one on the ring (a *fallback*,
+fails the check is skipped for the next one in the order (a *fallback*,
 counted); when live replicas serve the views but none satisfies the level
 the walk raises :class:`~repro.errors.StaleReadError` naming each lagging
 replica — an honest "wait or relax" answer instead of a silently stale row —
@@ -29,17 +34,15 @@ and when no live replica serves them at all,
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.errors import ReplicaUnavailableError, ServingError, StaleReadError
-from repro.hashing import MAX_HASH, stable_hash
+from repro.hashing import stable_hash
 
 __all__ = [
     "ANY",
     "Consistency",
-    "MAX_HASH",
     "ShardRouter",
     "stable_hash",
 ]
@@ -74,24 +77,16 @@ class Consistency:
 #: The default level: availability first.
 ANY = Consistency.any()
 
-# MAX_HASH and stable_hash live in repro.hashing (importable without the
-# serving package); re-exported above for existing callers.
+# stable_hash lives in repro.hashing (importable without the serving
+# package); re-exported above for existing callers.
 
 
 class ShardRouter:
-    """Consistent-hash read router over the fleet's replica nodes."""
+    """Read router over the fleet's replica nodes, one preference order per key."""
 
-    def __init__(
-        self,
-        head_lsn_source: Callable[[], int],
-        virtual_nodes: int = 32,
-    ) -> None:
-        if virtual_nodes <= 0:
-            raise ServingError("the hash ring needs at least one virtual node per replica")
+    def __init__(self, head_lsn_source: Callable[[], int]) -> None:
         self.head_lsn_source = head_lsn_source
-        self.virtual_nodes = virtual_nodes
         self.replicas: dict[str, object] = {}
-        self._ring: list[tuple[int, str]] = []   # (point, replica name), sorted
         self.reads_routed = 0                    # point reads
         # Counted by eligible(), so point reads and placed queries alike:
         self.fallback_reads = 0                  # served by a non-preferred owner
@@ -101,36 +96,30 @@ class ShardRouter:
     # membership
     # -------------------------------------------------------------- #
     def add_replica(self, node) -> None:
-        """Add a replica node to the ring (``virtual_nodes`` points each)."""
+        """Route to one more replica node."""
         if node.name in self.replicas:
             raise ServingError(f"replica {node.name!r} is already routed")
         self.replicas[node.name] = node
-        for index in range(self.virtual_nodes):
-            point = stable_hash(f"{node.name}#{index}")
-            bisect.insort(self._ring, (point, node.name))
 
     def remove_replica(self, name: str) -> None:
-        """Remove a replica; its key ranges redistribute to ring successors."""
+        """Stop routing to a replica; the others keep their relative order."""
         self.replicas.pop(name, None)
-        self._ring = [(point, owner) for point, owner in self._ring if owner != name]
 
     # -------------------------------------------------------------- #
     # routing
     # -------------------------------------------------------------- #
-    def owners(self, subject: str, count: int | None = None) -> list[str]:
-        """The replicas responsible for *subject*, in ring (preference) order."""
-        if not self._ring:
+    def owners(self, key: str) -> list[str]:
+        """Every routed replica, in *key*'s preference order.
+
+        The sorted replica names, rotated to start at
+        ``stable_hash(key) % n``: deterministic across processes, and each
+        replica comes first for about one key in *n*.
+        """
+        names = sorted(self.replicas)
+        if not names:
             return []
-        limit = count if count is not None else len(self.replicas)
-        start = bisect.bisect_left(self._ring, (stable_hash(subject), ""))
-        ordered: list[str] = []
-        for offset in range(len(self._ring)):
-            _, name = self._ring[(start + offset) % len(self._ring)]
-            if name not in ordered:
-                ordered.append(name)
-                if len(ordered) >= limit:
-                    break
-        return ordered
+        start = stable_hash(key) % len(names)
+        return names[start:] + names[:start]
 
     def eligible(
         self,
@@ -138,13 +127,13 @@ class ShardRouter:
         view_names: tuple[str, ...],
         consistency: Consistency,
     ) -> Iterator:
-        """The one placement rule: *key*'s owners that may serve, in ring order.
+        """The one placement rule: *key*'s owners that may serve, in order.
 
         Yields each replica node that is alive, serves **every** view in
         *view_names* — a node that just joined and has not been seeded must
         not report false misses — and satisfies *consistency* on every one
         of them; a call reading one view passes a one-tuple.  A node yielded
-        from beyond the ring's first position counts one ``fallback_reads``;
+        from beyond the order's first position counts one ``fallback_reads``;
         a node skipped for staleness counts one ``consistency_rejections``.
         The walk never just ends: once no owner is left it raises
         :class:`~repro.errors.StaleReadError` — naming every lagging replica
@@ -212,10 +201,6 @@ class ShardRouter:
     # -------------------------------------------------------------- #
     # introspection
     # -------------------------------------------------------------- #
-    def shard_map(self, subjects: list[str]) -> dict[str, str]:
-        """Preferred owner per subject (for balance inspection)."""
-        return {subject: (self.owners(subject, 1) or [""])[0] for subject in subjects}
-
     def replica_lag(self, view_name: str) -> dict[str, int]:
         """Per-replica lag behind the primary head for one view, in LSNs."""
         head = self.head_lsn_source()

@@ -35,7 +35,7 @@ from repro.errors import (
     OverloadedError,
     TenantIsolationError,
 )
-from repro.live.executor import QueryCache, QueryResult, QueryResultRow
+from repro.live.executor import QueryResult, QueryResultRow
 from repro.live.planner import QueryPlanner
 from repro.model.entity import SourceEntity
 from repro.serving import (
@@ -48,6 +48,7 @@ from repro.serving import (
     TokenBucket,
 )
 from repro.serving.frontdoor.admission import Waiter
+from repro.serving.frontdoor.tenancy import QueryCache
 from repro.serving.replica import ReplicaNode
 
 
@@ -155,7 +156,7 @@ class StubQueryRouter:
         self.threads: dict[str, threading.Thread] = {}
         self._lock = threading.Lock()
 
-    def execute(self, plan, view_name, consistency, use_cache=True):
+    def execute(self, plan, view_name, consistency):
         text = plan.query.render()
         if self.gate is not None:
             assert self.gate.wait(timeout=10.0), "stub gate never opened"
@@ -755,7 +756,7 @@ def test_latency_histogram_percentiles_are_monotone_and_bounded():
 
 
 # ------------------------------------------------------------------ #
-# satellites: QueryCache validation + eviction accounting
+# the result cache: validation, eviction accounting, unaliased rows
 # ------------------------------------------------------------------ #
 def test_query_cache_rejects_nonpositive_capacity_and_counts_evictions():
     with pytest.raises(LiveGraphError):
@@ -770,6 +771,39 @@ def test_query_cache_rejects_nonpositive_capacity_and_counts_evictions():
     assert cache.evictions == 1
     assert cache.get("a") is None       # "a" was the LRU entry pushed out
     assert cache.get("c") is not None
+
+
+def test_cache_hits_return_unaliased_rows():
+    cache = QueryCache()
+    rows = [QueryResultRow("e1", {"name": "Ada", "value": 1})]
+    cache.put("k", rows)
+    # A caller scribbling over the rows it stored must not poison later hits …
+    rows[0].values["name"] = "CORRUPTED"
+    rehit = cache.get("k")
+    assert rehit[0].values["name"] == "Ada"
+    # … and neither must a caller mutating a row served *from* the cache.
+    rehit[0].values["value"] = 999
+    assert cache.get("k")[0].values == {"name": "Ada", "value": 1}
+
+
+def test_door_cache_hits_survive_callers_mutating_their_rows():
+    door = make_door()
+    text = "MATCH alpha RETURN name"
+    try:
+        async def scenario():
+            first = await door.query("acme", text, "profile_rows")
+            first.rows[0].values["name"] = "CORRUPTED"
+            rehit = await door.query("acme", text, "profile_rows")
+            assert rehit.from_cache
+            assert rehit.rows[0].values == {"name": "Entity e1"}
+            rehit.rows[0].values["name"] = "CORRUPTED"
+            again = await door.query("acme", text, "profile_rows")
+            assert again.from_cache
+            assert again.rows[0].values == {"name": "Entity e1"}
+        asyncio.run(scenario())
+        assert len(door.fleet.query_router.executed) == 1
+    finally:
+        door.close()
 
 
 # ------------------------------------------------------------------ #

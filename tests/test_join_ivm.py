@@ -543,8 +543,7 @@ def primary_join(manager, left_text, right_text, how, limit=None):
              for row in manager.artifact(view).values()),
             lsn,
         )
-        sides[view] = QueryExecutor(index).execute(
-            planner.plan(parse(text)), use_cache=False)
+        sides[view] = QueryExecutor(index).execute(planner.plan(parse(text)))
     return join_results(sides["people_rows"], sides["city_rows"],
                         "home", "home", how=how, limit=limit)
 

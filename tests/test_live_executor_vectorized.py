@@ -18,8 +18,7 @@ and ``PerDocumentExecutor(index)``.
 
 The fixed tests pin the cross-type equality semantics the postings probes
 must preserve (``3`` vs ``3.0`` vs ``"3"`` vs ``True``, reference-by-name
-matches), the result-cache aliasing regression, and the exact LIMIT
-early-break ``candidates_examined`` counts.
+matches) and the exact LIMIT early-break ``candidates_examined`` counts.
 """
 
 from __future__ import annotations
@@ -148,8 +147,8 @@ def both_modes(index: LiveIndex) -> tuple[QueryExecutor, QueryExecutor]:
 
 def assert_modes_agree(index: LiveIndex, plan, scope=None):
     executor, reference_executor = both_modes(index)
-    vectorized = executor.execute(plan, use_cache=False, scope=scope)
-    reference = reference_executor.execute(plan, use_cache=False, scope=scope)
+    vectorized = executor.execute(plan, scope=scope)
+    reference = reference_executor.execute(plan, scope=scope)
     assert rows_of(vectorized) == rows_of(reference), plan.explain()
     assert vectorized.candidates_examined == reference.candidates_examined, plan.explain()
 
@@ -234,7 +233,7 @@ def test_vectorized_equality_matches_cross_type_values():
         # the postings probes must surface every rendering for verification.
         plan = filter_plan("thing", Condition(("value",), "=", target))
         assert_modes_agree(index, plan)
-        result = executor.execute(plan, use_cache=False)
+        result = executor.execute(plan)
         assert [row.entity_id for row in result.rows] == expected, target
         # Pushed into the seed the match is exact-normalized; both modes
         # must still agree on that narrower answer.
@@ -254,45 +253,27 @@ def test_vectorized_equality_matches_references_by_name():
         returns=[("home_team", "name")],
     )
     assert_modes_agree(index, plan)
-    result = executor.execute(plan, use_cache=False)
+    result = executor.execute(plan)
     assert [row.entity_id for row in result.rows] == ["g1"]
     assert result.rows[0].values["home_team.name"] == "Springfield Wolves"
 
 
 # ------------------------------------------------------------------ #
-# result-cache aliasing and LIMIT accounting regressions
+# LIMIT accounting regressions
 # ------------------------------------------------------------------ #
-def test_cache_hits_return_unaliased_rows():
-    index = make_index([doc("e1", name="Ada", facts={"value": [1]})])
-    executor = QueryExecutor(index)
-    plan = QueryPlanner(selectivity=index.seed_selectivity).plan(
-        parse("MATCH thing RETURN name, value")
-    )
-    first = executor.execute(plan)
-    # A caller scribbling over its rows must not poison later cache hits …
-    first.rows[0].values["name"] = "CORRUPTED"
-    rehit = executor.execute(plan)
-    assert rehit.from_cache is True
-    assert rehit.rows[0].values["name"] == "Ada"
-    # … and neither must a caller mutating a row served *from* the cache.
-    rehit.rows[0].values["value"] = 999
-    again = executor.execute(plan)
-    assert again.rows[0].values == {"name": "Ada", "value": 1}
-
-
 def test_limit_break_counts_only_examined_candidates():
     index = make_index([doc(f"e{i}", facts={"value": [i]}) for i in range(10)])
     planner = QueryPlanner(selectivity=index.seed_selectivity)
     # No filters: the scan stops at the limit-th match — exactly 3 examined.
     plan = planner.plan(parse("MATCH thing RETURN name LIMIT 3"))
     for executor in both_modes(index):
-        result = executor.execute(plan, use_cache=False)
+        result = executor.execute(plan)
         assert len(result.rows) == 3
         assert result.candidates_examined == 3
     # With a filter every candidate must be examined, limit or not.
     plan = planner.plan(parse("MATCH thing WHERE value > 1 RETURN name LIMIT 2"))
     for executor in both_modes(index):
-        result = executor.execute(plan, use_cache=False)
+        result = executor.execute(plan)
         assert len(result.rows) == 2
         assert result.candidates_examined == 10
 
@@ -352,10 +333,7 @@ def test_query_router_equivalence_across_modes():
         )
 
         def answers():
-            return [
-                query_router.execute(text, "profile_rows", use_cache=False)
-                for text in texts
-            ]
+            return [query_router.execute(text, "profile_rows") for text in texts]
 
         vectorized_answers = answers()
         for node in nodes:

@@ -25,7 +25,7 @@ import pytest
 
 from oracles.per_document_executor import PerDocumentExecutor
 from repro.errors import KGQPlanError, KGQSyntaxError
-from repro.live.executor import QueryCache, QueryExecutor, QueryResultRow
+from repro.live.executor import QueryExecutor, QueryResultRow
 from repro.live.index import LiveEntityDocument, LiveIndex, view_row_document
 from repro.live.kgq import RpqAlt, RpqConcat, RpqLabel, RpqPlus, RpqStar, parse
 from repro.live.planner import (
@@ -38,6 +38,7 @@ from repro.live.rpq import (
     naive_rpq,
     single_label_closure,
 )
+from repro.serving.frontdoor.tenancy import QueryCache
 from test_query_router import QueryModel, build_query_harness, start_fleet
 
 # The rpq_seed / rpq_fleet_seed fixtures are parametrized by the repo-level
@@ -247,7 +248,7 @@ def test_bitmap_rpq_matches_naive_bfs_over_seeded_graphs(rpq_seed):
             expected = expected[: plan.limit.limit]
         # the executor and its per-document oracle must agree with the reference
         for executor in (QueryExecutor(index), reference_executor):
-            result = executor.execute(plan, use_cache=False)
+            result = executor.execute(plan)
             got = [(row.entity_id, row.witness) for row in result.rows]
             assert got == expected, (text, type(executor).__name__)
 
@@ -267,7 +268,7 @@ def test_interval_fast_path_is_taken_and_agrees_with_product():
     ):
         plan = planner.plan(parse(text))
         fast = QueryExecutor(index)
-        fast_result = fast.execute(plan, use_cache=False)
+        fast_result = fast.execute(plan)
         assert fast.rpq.interval_hits == 1 and fast.rpq.product_runs == 0
         # force the product path by stripping the closure marker
         slow = QueryExecutor(index)
@@ -303,12 +304,13 @@ def test_witness_is_shortest_then_lexicographically_least():
 
 
 def test_query_cache_preserves_witnesses():
+    # the front door's result cache hands back the REACH rows' witnesses
     cache = QueryCache(capacity=4)
     witness = (("a", "part_of", "b"),)
     cache.put("k", [QueryResultRow("a", {"name": "A"}, witness=witness)])
     cached = cache.get("k")
     assert cached is not None and cached[0].witness == witness
-    # cached REACH executions return the same witnesses as the first run
+    # a cached REACH result returns the same witnesses as its execution
     index = LiveIndex()
     index.upsert(_doc("a", etype="seedling", part_of="b"))
     index.upsert(_doc("b"))
@@ -316,9 +318,9 @@ def test_query_cache_preserves_witnesses():
     planner = QueryPlanner(selectivity=index.seed_selectivity)
     plan = planner.plan(parse("MATCH seedling REACH part_of+ RETURN name"))
     first = executor.execute(plan)
-    second = executor.execute(plan)
-    assert second.from_cache
-    assert [(r.entity_id, r.witness) for r in second.rows] == [
+    assert any(row.witness for row in first.rows)
+    cache.put("reach", first.rows)
+    assert [(r.entity_id, r.witness) for r in cache.get("reach")] == [
         (r.entity_id, r.witness) for r in first.rows
     ]
 
@@ -398,7 +400,7 @@ def primary_reach_results(manager, queries):
     results = {}
     for text in queries:
         result = executor.execute(
-            planner.plan(parse(text)), use_cache=False, reach_feed="view:profile_rows"
+            planner.plan(parse(text)), reach_feed="view:profile_rows"
         )
         results[text] = (reach_rows(result), result.candidates_examined)
     return results
@@ -413,8 +415,7 @@ def assert_fleet_reach_matches_primary(fleet, manager):
     for text, (rows, examined) in expected.items():
         result = fleet.query(text, "profile_rows")
         assert reach_rows(result) == rows, text
-        # a hit in the replica's result cache examined nothing
-        assert result.from_cache or result.candidates_examined == examined, text
+        assert result.candidates_examined == examined, text
 
 
 def test_distributed_reach_matches_primary_over_seeded_sequences(rpq_fleet_seed):

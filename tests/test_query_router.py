@@ -149,7 +149,7 @@ def primary_results(manager, queries=QUERY_BATTERY):
     planner = QueryPlanner()
     results = {}
     for text in queries:
-        result = executor.execute(planner.plan(parse(text)), use_cache=False)
+        result = executor.execute(planner.plan(parse(text)))
         results[text] = (rows_of(result), result.candidates_examined)
     return results
 
@@ -165,8 +165,7 @@ def assert_fleet_matches_primary(fleet, manager, consistency=None):
         else:
             result = fleet.query(text, "profile_rows", consistency)
         assert rows_of(result) == rows, text
-        # a hit in the replica's result cache examined nothing
-        assert result.from_cache or result.candidates_examined == examined, text
+        assert result.candidates_examined == examined, text
 
 
 def seed_model(model, rng, count=None):
@@ -437,12 +436,16 @@ def test_replica_query_runs_a_compiled_plan_without_planning():
             raise AssertionError("a compiled plan must not be planned again")
 
         node.planner.plan = refuses
-        result = node.query(plan, "profile_rows", use_cache=False)
+        result = node.query(plan, "profile_rows")
         assert (rows_of(result), result.candidates_examined) == \
             primary_results(manager, (text,))[text]
-        # use_cache reaches the replica's executor: the repeat is a cache hit
-        assert node.query(plan, "profile_rows").from_cache is False
-        assert node.query(plan, "profile_rows").from_cache is True
+        # a replica keeps no result cache: the repeat is executed again
+        executed = node.executor.queries_executed
+        repeat = node.query(plan, "profile_rows")
+        assert node.executor.queries_executed == executed + 1
+        assert not repeat.from_cache
+        assert (rows_of(repeat), repeat.candidates_examined) == \
+            (rows_of(result), result.candidates_examined)
     finally:
         fleet.stop()
 
@@ -465,14 +468,15 @@ def test_the_router_keeps_no_plan_cache_and_never_replans_a_plan():
         router.planner.plan = counting
         text = "MATCH alpha RETURN name, value"
         # a text is parsed and planned per call; the repeats agree row for row
-        first = router.execute(text, "profile_rows", use_cache=False)
-        second = router.execute(text, "profile_rows", use_cache=False)
+        first = router.execute(text, "profile_rows")
+        second = router.execute(text, "profile_rows")
         assert calls["plans"] == 2
         assert rows_of(first) == rows_of(second) == primary_results(manager, (text,))[text][0]
         assert not first.from_cache and not second.from_cache
-        # through fleet.query the only cache is the answering replica's result cache
-        assert rows_of(fleet.query(text, "profile_rows")) == rows_of(first)
-        assert fleet.query(text, "profile_rows").from_cache
+        # below the door nothing caches results: fleet.query always executes
+        repeats = [fleet.query(text, "profile_rows") for _ in range(2)]
+        assert all(rows_of(result) == rows_of(first) for result in repeats)
+        assert not any(result.from_cache for result in repeats)
         # the same holds for both sides of a join
         joins = [
             fleet.join(text, "profile_rows", "MATCH beta RETURN name, value",
@@ -486,10 +490,10 @@ def test_the_router_keeps_no_plan_cache_and_never_replans_a_plan():
         plan = router.compile(text)
         assert calls["plans"] == planned + 1
         assert router.compile(plan) is plan
-        assert rows_of(router.execute(plan, "profile_rows", use_cache=False)) == rows_of(first)
+        assert rows_of(router.execute(plan, "profile_rows")) == rows_of(first)
         assert rows_of(router.execute_join(
             plan, "profile_rows", router.compile("MATCH beta RETURN name, value"),
-            "profile_rows", "value", "value", how="left", use_cache=False,
+            "profile_rows", "value", "value", how="left",
         )) == rows_of(joins[0])
         assert calls["plans"] == planned + 2
         assert not any("plan_cache" in key for key in router.stats())

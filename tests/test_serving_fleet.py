@@ -4,7 +4,7 @@ Covers the serving subsystem end to end: durable segmented journal storage
 (persistence, recovery, compaction-aware truncation, gap signalling),
 journal shipping over the replication bus, asynchronous replica apply with
 gap-triggered resync, crash/restart catch-up from persisted journals, and
-LSN-aware consistent-hash read routing under the three consistency levels.
+LSN-aware read routing under the three consistency levels.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from repro.serving import (
     ReplicationBus,
     ServingFleet,
     ShardRouter,
+    stable_hash,
 )
 
 
@@ -546,18 +547,32 @@ class FakeReplica:
 
 
 class TestShardRouter:
-    def test_owner_assignment_is_stable_and_balanced(self):
+    def test_owners_rotate_the_sorted_names_and_spread_first_place(self):
         router = ShardRouter(lambda: 0)
-        nodes = [FakeReplica(f"r{i}") for i in range(3)]
-        for node in nodes:
-            router.add_replica(node)
-        subjects = [f"kg:e{i}" for i in range(300)]
-        owners = router.shard_map(subjects)
-        assert owners == router.shard_map(subjects)        # deterministic
-        counts = {name: 0 for name in router.replicas}
-        for owner in owners.values():
-            counts[owner] += 1
-        assert all(count > 0 for count in counts.values())  # no empty shard
+        for name in ("r2", "r0", "r1"):                      # insertion order is irrelevant
+            router.add_replica(FakeReplica(name))
+        names = ["r0", "r1", "r2"]
+        firsts = set()
+        for key in (f"kg:e{i}" for i in range(300)):
+            start = stable_hash(key) % 3
+            assert router.owners(key) == names[start:] + names[:start]
+            firsts.add(router.owners(key)[0])
+        assert firsts == set(names)                          # every replica leads somewhere
+
+    def test_removing_a_replica_keeps_the_others_relative_order(self):
+        router = ShardRouter(lambda: 0)
+        for i in range(4):
+            router.add_replica(FakeReplica(f"r{i}"))
+        keys = [f"kg:e{i}" for i in range(100)]
+        before = {key: router.owners(key) for key in keys}
+        router.remove_replica("r2")
+        for key in keys:
+            after = router.owners(key)
+            assert sorted(after) == ["r0", "r1", "r3"]
+            # the survivors' cyclic order is the one they had before
+            survivors = [name for name in before[key] if name != "r2"]
+            rotation = survivors.index(after[0])
+            assert after == survivors[rotation:] + survivors[:rotation]
 
     def test_consistency_levels_gate_replicas(self):
         router = ShardRouter(lambda: 10)
