@@ -11,15 +11,10 @@ implementation, kept verbatim with the tests — run with ``tests/`` on
 
 * **bulk scan** — repeated ``facts_about`` sweeps over every subject, the
   access pattern of view delta builders and replica reads (gated ≥5x);
-* **bulk merge** — merging a full store into a fresh consumer, the
-  serving-bootstrap / fusion-barrier case, which the columnar store serves by
-  adopting column chunks through copy-on-write (gated ≥5x);
-* **snapshot** — versioned-analytics snapshots, copy-on-write vs deep copy
-  (gated ≥5x);
 * **point lookups** — ``value_of``/``values_of`` via the ``(subject,
   predicate)`` composite index (gated ≥3x);
-* bulk load, incremental merge into a populated store, ``remove_source`` via
-  the inverted source index, and ``canonical_rows`` are reported ungated.
+* bulk load, ``remove_source`` via the inverted source index, and
+  ``canonical_rows`` are reported ungated.
 
 Every timed pair is cross-checked through ``canonical_rows()`` — a speedup on
 a store that diverged from the legacy baseline would be meaningless.  Writes
@@ -39,8 +34,6 @@ SCAN_PASSES = 5
 POINT_PREDICATES = ("name", "type", "genre", "popularity", "birth_date")
 
 SCAN_GATE = 5.0
-MERGE_GATE = 5.0
-SNAPSHOT_GATE = 5.0
 POINT_GATE = 3.0
 
 
@@ -102,35 +95,6 @@ def _measure(rows: list[dict]) -> dict:
             )
     section("point_lookups", lambda: points(columnar), lambda: points(legacy))
 
-    # Bulk merge: a full store lands in a fresh consumer (replica bootstrap,
-    # fusion barrier).  The legacy baseline must copy each triple because its
-    # add() stores the object it is handed.
-    def bootstrap_columnar() -> None:
-        TripleStore().merge_from(columnar)
-
-    def bootstrap_legacy() -> None:
-        LegacyTripleStore().add_all(t.copy() for t in legacy)
-
-    adopted = TripleStore()
-    adopted.merge_from(columnar)
-    assert adopted.canonical_rows() == legacy.canonical_rows()
-    adopted.remove_subject(subjects[0])  # adoption is isolated, not aliased
-    assert columnar.canonical_rows() == legacy.canonical_rows()
-    section("bootstrap_merge", bootstrap_columnar, bootstrap_legacy)
-
-    # Incremental merge: the same facts land in an already-populated store
-    # (provenance re-assert path) — ungated, the win here is not copying.
-    populated_col = TripleStore.from_rows(rows)
-    populated_leg = LegacyTripleStore.from_rows(rows)
-    section(
-        "incremental_merge",
-        lambda: populated_col.merge_from(columnar),
-        lambda: populated_leg.add_all(t.copy() for t in legacy),
-    )
-    assert populated_col.canonical_rows() == populated_leg.canonical_rows()
-
-    section("snapshot", lambda: columnar.snapshot(), lambda: legacy.snapshot())
-
     # Source deletion: spread the facts over fifty feeds and delete one, the
     # governance case the inverted source index exists for — the legacy store
     # scans every fact, the columnar store touches only the feed's slice (the
@@ -139,13 +103,11 @@ def _measure(rows: list[dict]) -> dict:
         {**row, "sources": [f"feed-{index % 50}"], "trust": [0.9]}
         for index, row in enumerate(rows)
     ]
-    multi_col = TripleStore.from_rows(multi_rows)
-    multi_leg = LegacyTripleStore.from_rows(multi_rows)
-    check_col, check_leg = multi_col.snapshot(), multi_leg.snapshot()
+    check_col = TripleStore.from_rows(multi_rows)
+    check_leg = LegacyTripleStore.from_rows(multi_rows)
     assert check_col.remove_source("feed-3") == check_leg.remove_source("feed-3")
     assert check_col.canonical_rows() == check_leg.canonical_rows()
-    # Private builds for both pools: a copy-on-write snapshot would pay its
-    # deferred copy inside the timed region and skew the comparison.  The
+    # Fresh builds for both pools, made before the timed region.  The
     # consumed stores are kept alive so their deallocation (thousands of
     # objects) also lands outside the timed region.
     col_pool = [TripleStore.from_rows(multi_rows) for _ in range(3)]
@@ -176,8 +138,6 @@ def bench_triplestore_hot_loops(benchmark, bench_store):
     rows = bench_store.to_rows()
     gates = {
         "scan_sweep": SCAN_GATE,
-        "bootstrap_merge": MERGE_GATE,
-        "snapshot": SNAPSHOT_GATE,
         "point_lookups": POINT_GATE,
     }
     # Re-measure on a gate miss to absorb scheduling jitter: the ratios are

@@ -258,7 +258,7 @@ class Fusion:
                 relationship_id=target_id,
                 relationship_predicate=triple.relationship_predicate,
                 locale=triple.locale,
-                provenance=triple.provenance.copy(),
+                provenance=triple.provenance,
             )
             self._add_fact(store, rewritten, report)
         return merged

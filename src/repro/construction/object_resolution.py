@@ -24,7 +24,6 @@ from repro.ml.similarity import jaro_winkler_normalized, normalize_string
 from repro.model.entity import NAME_PREDICATES, SourceEntity
 from repro.model.identifiers import IdGenerator, is_kg_identifier
 from repro.model.ontology import Ontology, ValueKind
-from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
 
 
@@ -336,14 +335,13 @@ class ObjectResolutionStage:
         self.id_generator = generator
         entity_id = generator.next_id()
         self._creations[mention_key] = entity_id
-        provenance = triple.provenance.copy() if triple.provenance else Provenance()
         created = [
             ExtendedTriple(
                 subject=entity_id,
                 predicate="name",
                 obj=str(triple.obj),
                 locale=triple.locale,
-                provenance=provenance,
+                provenance=triple.provenance,
             )
         ]
         expected = self._expected_types(predicate_name)
@@ -354,7 +352,7 @@ class ObjectResolutionStage:
                     predicate="type",
                     obj=expected[0],
                     locale=triple.locale,
-                    provenance=provenance.copy(),
+                    provenance=triple.provenance,
                 )
             )
         # Make the fresh entity immediately addressable by later mentions.

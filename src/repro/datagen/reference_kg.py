@@ -28,7 +28,7 @@ def world_to_store(world: World, source_id: str = REFERENCE_SOURCE) -> TripleSto
                 subject=entity.truth_id,
                 predicate="type",
                 obj=entity.entity_type,
-                provenance=provenance.copy(),
+                provenance=provenance,
             )
         )
         store.add(
@@ -36,7 +36,7 @@ def world_to_store(world: World, source_id: str = REFERENCE_SOURCE) -> TripleSto
                 subject=entity.truth_id,
                 predicate="name",
                 obj=entity.name,
-                provenance=provenance.copy(),
+                provenance=provenance,
             )
         )
         for alias in entity.aliases:
@@ -45,7 +45,7 @@ def world_to_store(world: World, source_id: str = REFERENCE_SOURCE) -> TripleSto
                     subject=entity.truth_id,
                     predicate="alias",
                     obj=alias,
-                    provenance=provenance.copy(),
+                    provenance=provenance,
                 )
             )
         store.add(
@@ -53,7 +53,7 @@ def world_to_store(world: World, source_id: str = REFERENCE_SOURCE) -> TripleSto
                 subject=entity.truth_id,
                 predicate="popularity",
                 obj=round(float(entity.popularity), 4),
-                provenance=provenance.copy(),
+                provenance=provenance,
             )
         )
         for predicate, value in entity.facts.items():
@@ -65,7 +65,7 @@ def world_to_store(world: World, source_id: str = REFERENCE_SOURCE) -> TripleSto
                         subject=entity.truth_id,
                         predicate=predicate,
                         obj=item,
-                        provenance=provenance.copy(),
+                        provenance=provenance,
                     )
                 )
         for predicate, nodes in entity.relationships.items():
@@ -82,7 +82,7 @@ def world_to_store(world: World, source_id: str = REFERENCE_SOURCE) -> TripleSto
                             obj=rel_value,
                             relationship_id=rel_id,
                             relationship_predicate=rel_predicate,
-                            provenance=provenance.copy(),
+                            provenance=provenance,
                         )
                     )
     return store

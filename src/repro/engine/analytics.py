@@ -339,7 +339,7 @@ class AnalyticsStore:
                 triple.relationship_predicate,
                 triple.obj,
                 triple.locale,
-                tuple(triple.provenance.references),
+                triple.provenance.references,
             )
             for triple in triples
         )

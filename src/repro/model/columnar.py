@@ -21,12 +21,11 @@ Partitions also carry the store's per-row side state — provenance, the lazy
 ``(subject, predicate)`` composite index (``by_subject``), since a partition
 already fixes the predicate.
 
-Copy-on-write: a snapshot shares a partition's column chunks and indexes with
-the original and marks both sides ``shared``; the first mutation on either
-side copies its own view (:meth:`PredicatePartition.ensure_private`).  The
-per-row ``prov``/``shims`` side state is never shared — provenance objects
-are mutated in place by fusion retracts that bypass the store's mutators, so
-deferring their copy would let one store's retraction corrupt the other.
+A row's provenance is an immutable
+:class:`~repro.model.provenance.Provenance` value, so rows (and the staged
+batches of :meth:`~repro.model.triples.TripleStore.stage`) share values
+instead of copying them; only the store's operators replace the value a row
+holds (:meth:`PredicatePartition.replace_prov`).
 
 Row references are packed ints: ``(partition id << ROW_BITS) | row index``.
 """
@@ -56,9 +55,9 @@ def unpack_ref(ref: int) -> tuple[int, int]:
 class TermDict:
     """Append-only interning dictionary from terms (str or None) to dense ids.
 
-    Ids are never reused or remapped, so a :class:`TermDict` can be shared
-    between a store and its snapshots forever: interning new terms on one
-    side only appends entries the other side never references.
+    Ids are never reused or remapped, so an id taken from a :class:`TermDict`
+    stays valid forever: a staged batch can keep indexing its source store's
+    dictionaries however that store changes afterwards.
     """
 
     __slots__ = ("ids", "terms")
@@ -124,7 +123,6 @@ class PredicatePartition:
         "by_subject",
         "free",
         "live",
-        "shared",
     )
 
     def __init__(self, pid: int, predicate: str) -> None:
@@ -142,54 +140,6 @@ class PredicatePartition:
         self.by_subject: dict[int, set[int]] = {}
         self.free: list[int] = []
         self.live = 0
-        self.shared = False
-
-    # ------------------------------------------------------------------ #
-    # copy-on-write
-    # ------------------------------------------------------------------ #
-    def cow_clone(self) -> "PredicatePartition":
-        """A snapshot-side clone sharing column chunks with this partition.
-
-        Columns, repr cache, composite index, and free list are shared until
-        either side mutates (both get ``shared=True``); provenance is copied
-        eagerly — fusion mutates ``Provenance`` objects in place through
-        materialized triples, bypassing the store's mutators, so sharing them
-        would corrupt the snapshot retroactively.  Shims start empty: a
-        materialized triple must hand out its own store's provenance object.
-        """
-        clone = PredicatePartition(self.pid, self.predicate)
-        clone.subj = self.subj
-        clone.rid = self.rid
-        clone.rpred = self.rpred
-        clone.obj_ids = self.obj_ids
-        clone.loc = self.loc
-        clone.objs = self.objs
-        clone.reprs = self.reprs
-        clone.by_subject = self.by_subject
-        clone.free = self.free
-        clone.live = self.live
-        clone.prov = [
-            Provenance(list(p.references)) if p is not None else None for p in self.prov
-        ]
-        clone.shims = [None] * len(self.prov)
-        clone.shared = True
-        self.shared = True
-        return clone
-
-    def ensure_private(self) -> None:
-        """Copy shared column chunks before the first post-snapshot mutation."""
-        if not self.shared:
-            return
-        self.subj = array("q", self.subj)
-        self.rid = array("q", self.rid)
-        self.rpred = array("q", self.rpred)
-        self.obj_ids = array("q", self.obj_ids)
-        self.loc = array("q", self.loc)
-        self.objs = list(self.objs)
-        self.reprs = list(self.reprs)
-        self.by_subject = {sid: set(rows) for sid, rows in self.by_subject.items()}
-        self.free = list(self.free)
-        self.shared = False
 
     # ------------------------------------------------------------------ #
     # row lifecycle
@@ -234,6 +184,14 @@ class PredicatePartition:
             rows.add(row)
         self.live += 1
         return row
+
+    def replace_prov(self, row: int, prov: Provenance) -> None:
+        """Give a live row a new provenance value; the row's materialized
+        triple, if one was handed out, reads the new value too."""
+        self.prov[row] = prov
+        shim = self.shims[row]
+        if shim is not None:
+            shim.provenance = prov
 
     def release(self, row: int) -> None:
         """Mark a row dead and recycle its slot."""

@@ -103,7 +103,7 @@ class SourceEntity:
                     predicate=TYPE_PREDICATE,
                     obj=self.entity_type,
                     locale=self.locale,
-                    provenance=provenance.copy(),
+                    provenance=provenance,
                 )
             )
         for predicate in sorted(self.properties):
@@ -114,7 +114,7 @@ class SourceEntity:
                         predicate=predicate,
                         obj=value,
                         locale=self.locale,
-                        provenance=provenance.copy(),
+                        provenance=provenance,
                     )
                 )
             for index, node in enumerate(self.relationships(predicate)):
@@ -131,7 +131,7 @@ class SourceEntity:
                             relationship_id=rel_id,
                             relationship_predicate=rel_predicate,
                             locale=self.locale,
-                            provenance=provenance.copy(),
+                            provenance=provenance,
                         )
                     )
         return triples
@@ -288,14 +288,7 @@ def materialize_entities(store: TripleStore) -> dict[str, KGEntity]:
     entity against such a view, so this is what makes its output repeat
     run to run.
     """
-    if hasattr(store, "iter_subject_groups"):
-        # Columnar fast path: one pass over the subject index yields each
-        # group already in facts_about order, skipping the per-subject lookups.
-        return {
-            subject: KGEntity.from_triples(subject, facts)
-            for subject, facts in store.iter_subject_groups()
-        }
     return {
-        subject: KGEntity.from_triples(subject, store.facts_about(subject))
-        for subject in sorted(store.subjects())
+        subject: KGEntity.from_triples(subject, facts)
+        for subject, facts in store.iter_subject_groups()
     }

@@ -3,7 +3,8 @@
 Section 2.1 of the paper extends the triple format with three metadata
 fields: an array of *sources* (data provenance), a *locale*, and an array of
 *trust* scores aligned with the sources.  This module models that metadata and
-the bookkeeping operations the platform performs on it:
+the bookkeeping operations the platform performs on it (provenance is an
+immutable value, so merging and removing a source return a new one):
 
 * merging the provenance of two equivalent facts coming from different
   sources (non-destructive integration);
@@ -14,7 +15,7 @@ the bookkeeping operations the platform performs on it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from repro.errors import DataModelError
@@ -40,22 +41,29 @@ class SourceReference:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Provenance:
-    """Ordered, deduplicated collection of source references for one fact."""
+    """Ordered, deduplicated source references for one fact: an immutable
+    value, hashable and equal by content.
 
-    references: list[SourceReference] = field(default_factory=list)
+    Nothing edits a provenance in place.  :meth:`merge` and :meth:`without`
+    return the changed value (or ``self`` when nothing changes), and only the
+    :class:`~repro.model.triples.TripleStore` operators replace the value a
+    stored fact holds.
+    """
+
+    references: tuple[SourceReference, ...] = ()
 
     @classmethod
     def from_source(cls, source_id: str, trust: float = DEFAULT_TRUST) -> "Provenance":
         """Build provenance for a fact observed in a single source."""
-        return cls([SourceReference(source_id, trust)])
+        return cls((SourceReference(source_id, trust),))
 
     @classmethod
     def from_mapping(cls, trust_by_source: Mapping[str, float]) -> "Provenance":
         """Build provenance from a ``{source_id: trust}`` mapping."""
         return cls(
-            [SourceReference(sid, trust) for sid, trust in trust_by_source.items()]
+            tuple(SourceReference(sid, trust) for sid, trust in trust_by_source.items())
         )
 
     @property
@@ -75,42 +83,39 @@ class Provenance:
                 return ref.trust
         return None
 
-    def add(self, source_id: str, trust: float = DEFAULT_TRUST) -> None:
-        """Record that *source_id* also asserts this fact.
-
-        If the source is already present the trust score is updated to the
-        maximum of the old and new values (a source never becomes less sure of
-        a fact it re-asserts).
-        """
-        for index, ref in enumerate(self.references):
-            if ref.source_id == source_id:
-                if trust > ref.trust:
-                    self.references[index] = SourceReference(source_id, trust)
-                return
-        self.references.append(SourceReference(source_id, trust))
-
     def merge(self, other: "Provenance") -> "Provenance":
-        """Return a new provenance combining this one with *other*."""
-        merged = Provenance(list(self.references))
-        for ref in other.references:
-            merged.add(ref.source_id, ref.trust)
-        return merged
+        """This provenance combined with *other* (non-destructive integration).
 
-    def remove_source(self, source_id: str) -> bool:
-        """Drop *source_id* from the provenance.
-
-        Returns ``True`` if the source was present.  Used to enforce
-        on-demand data deletion and license compliance: a fact whose
-        provenance becomes empty must be removed from served views.
+        A source new to this provenance is appended.  A source already
+        present keeps the maximum of its old and new trust: a source never
+        becomes less sure of a fact it re-asserts.  Returns ``self`` when
+        *other* changes nothing.
         """
-        before = len(self.references)
-        self.references = [r for r in self.references if r.source_id != source_id]
-        return len(self.references) != before
+        references = self.references
+        for ref in other.references:
+            for index, mine in enumerate(references):
+                if mine.source_id == ref.source_id:
+                    if ref.trust > mine.trust:
+                        references = (*references[:index], ref, *references[index + 1:])
+                    break
+            else:
+                references = (*references, ref)
+        return self if references is self.references else Provenance(references)
+
+    def without(self, source_id: str) -> "Provenance":
+        """This provenance with *source_id* dropped; ``self`` when absent.
+
+        Used to enforce on-demand data deletion and license compliance: a
+        fact whose provenance becomes empty must be removed from served
+        views.
+        """
+        kept = tuple(r for r in self.references if r.source_id != source_id)
+        return self if len(kept) == len(self.references) else Provenance(kept)
 
     def restrict_to(self, allowed_sources: Iterable[str]) -> "Provenance":
         """Return provenance restricted to an allow-list of sources."""
         allowed = set(allowed_sources)
-        return Provenance([r for r in self.references if r.source_id in allowed])
+        return Provenance(tuple(r for r in self.references if r.source_id in allowed))
 
     def confidence(self) -> float:
         """Aggregate per-source trust into a single correctness probability.
@@ -131,10 +136,6 @@ class Provenance:
     def is_empty(self) -> bool:
         """Return ``True`` when no source supports the fact any longer."""
         return not self.references
-
-    def copy(self) -> "Provenance":
-        """Return an independent copy."""
-        return Provenance(list(self.references))
 
     def __len__(self) -> int:
         return len(self.references)

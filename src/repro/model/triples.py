@@ -20,18 +20,19 @@ columnar store (see :mod:`repro.model.columnar` for the storage primitives and
   predicate scans touch one contiguous partition and point lookups use the
   partition's ``(subject, predicate)`` composite index;
 * batch operators (:meth:`add_batch`, :meth:`add_rows`,
-  :meth:`remove_subjects_batch`, :meth:`merge_from`, :meth:`project`,
+  :meth:`remove_subjects_batch`, :meth:`retract_source_from_subjects`,
   :meth:`scan_tuples`, :meth:`stage` / :meth:`add_staged`) move whole fact
   sets without materializing triples;
+* a row holds an immutable :class:`~repro.model.provenance.Provenance`
+  value, and a stored fact's provenance changes only through the store's
+  operators (a re-assert, :meth:`remove_source`,
+  :meth:`retract_source_from_subjects`), which replace the value;
 * the row-at-a-time API (:meth:`add`, :meth:`facts_about`, iteration, ...) is
   a compatibility shim materializing :class:`ExtendedTriple` views lazily and
-  caching them per row — a materialized triple shares the store's live
-  :class:`~repro.model.provenance.Provenance` object, so in-place provenance
-  edits through it are visible to the store, exactly as with the legacy
-  dict-of-triples layout (kept verbatim as a test-side oracle under
-  ``tests/oracles``);
-* :meth:`snapshot` is copy-on-write over the column chunks instead of a deep
-  copy of every triple.
+  caching them per row; a replacement updates the row's view, so a triple
+  the store handed out earlier reads the fact's current provenance, as with
+  the legacy dict-of-triples layout (kept verbatim as a test-side oracle
+  under ``tests/oracles``).
 
 :meth:`canonical_rows` is the single equivalence oracle: the seeded suites
 prove the columnar store byte-identical to the legacy layout through it.  The
@@ -159,15 +160,15 @@ class ExtendedTriple:
 
     def with_subject(self, subject: str) -> "ExtendedTriple":
         """Return a copy with the subject replaced (used after linking)."""
-        return replace(self, subject=subject, provenance=self.provenance.copy())
+        return replace(self, subject=subject)
 
     def with_object(self, obj: Value) -> "ExtendedTriple":
         """Return a copy with the object replaced (used after object resolution)."""
-        return replace(self, obj=obj, provenance=self.provenance.copy())
+        return replace(self, obj=obj)
 
     def copy(self) -> "ExtendedTriple":
         """Return an independent copy of the triple."""
-        return replace(self, provenance=self.provenance.copy())
+        return replace(self)
 
     def to_row(self) -> dict:
         """Serialize to the flat relational row shown in Table 1."""
@@ -209,13 +210,14 @@ class TripleBatch:
     :meth:`TripleStore.facts_about` orders them.  The id columns index the
     source store's term dictionaries, which are append-only and therefore
     stay valid however the source changes afterwards; object values and
-    provenance references are copied out, so the batch keeps describing the
+    provenance values are kept as the rows held them (the store replaces a
+    row's provenance, never edits it), so the batch keeps describing the
     moment it was staged — a snapshot's semantics at a delta's cost.
     """
 
     __slots__ = (
         "subjects", "_starts", "_terms", "_pids", "_rids", "_rpids", "_oids", "_lids",
-        "_objs", "_refs",
+        "_objs", "_provs",
     )
 
     def __init__(self, subjects: tuple[str, ...], terms: tuple) -> None:
@@ -228,7 +230,7 @@ class TripleBatch:
         self._oids = array("q")
         self._lids = array("q")
         self._objs: list[Value] = []      # object values as provided
-        self._refs: list[tuple[SourceReference, ...]] = []
+        self._provs: list[Provenance] = []
 
     def __len__(self) -> int:
         return len(self._objs)
@@ -246,7 +248,7 @@ class TripleBatch:
                     predicates[self._rpids[row]],
                     self._objs[row],
                     locales[self._lids[row]],
-                    self._refs[row],
+                    self._provs[row].references,
                 )
 
     def subject_facts(self) -> Iterator[tuple[str, list[tuple]]]:
@@ -301,11 +303,9 @@ class TripleStore:
     ``_by_subject`` / ``_by_object``
         Exact secondary indexes from subject / object id to packed refs.
     ``_by_source``
-        Inverted index from source id to packed refs.  A *superset* index:
-        fusion removes sources from provenance in place through materialized
-        triples without telling the store, so entries are re-checked against
-        live provenance before use (no code path adds sources in place, so the
-        superset never misses a fact).
+        Exact inverted index from source id to packed refs: a row's
+        provenance changes only through the store, which keeps this index
+        in step.
     """
 
     def __init__(self, triples: Iterable[ExtendedTriple] | None = None) -> None:
@@ -322,12 +322,10 @@ class TripleStore:
         self._by_object: dict[int, set[int]] = {}
         self._by_source: dict[str, set[int]] = {}
         # Repeated-scan cache: subject id -> facts in facts_about order.
-        # Invalidated per subject when a fact is created or removed; provenance
-        # merges mutate the cached facts in place and need no invalidation.
+        # Invalidated per subject when a fact is created or removed; a
+        # provenance replacement updates the cached view in place.
         self._facts_cache: dict[int, list[ExtendedTriple]] = {}
-        self._cow = False
         if triples:
-            self._ensure_private()
             for triple in triples:
                 self._upsert_triple(triple)
 
@@ -340,7 +338,6 @@ class TripleStore:
         Returns the stored triple (the same materialized view on every call
         for a given fact).
         """
-        self._ensure_private()
         return self._materialize(self._upsert_triple(triple))
 
     def add_all(self, triples: Iterable[ExtendedTriple]) -> int:
@@ -355,7 +352,6 @@ class TripleStore:
         ref = self._by_key.get(key)
         if ref is None:
             return False
-        self._ensure_private()
         self._discard_ref(ref)
         return True
 
@@ -364,7 +360,6 @@ class TripleStore:
         sid = self._subject_terms.id_of(subject)
         if sid is None or sid not in self._by_subject:
             return 0
-        self._ensure_private()
         refs = list(self._by_subject.get(sid, ()))
         for ref in refs:
             self._discard_ref(ref)
@@ -377,27 +372,16 @@ class TripleStore:
         Returns the number of facts removed entirely.  Touches only the facts
         in the source's inverted-index entry, not the whole store.
         """
-        if not self._by_source.get(source_id):
+        refs = self._by_source.get(source_id)
+        if not refs:
             return 0
-        self._ensure_private()
-        removed = 0
-        for ref in list(self._by_source.get(source_id, ())):
-            prov = self._partitions[ref >> ROW_BITS].prov[ref & ROW_MASK]
-            if prov is None or source_id not in prov:
-                continue  # stale superset entry: the source left this fact in place
-            prov.remove_source(source_id)
-            if prov.is_empty():
-                self._discard_ref(ref)
-                removed += 1
-        self._by_source.pop(source_id, None)
-        return removed
+        return sum(self._retract(ref, source_id) for ref in list(refs))
 
     # ------------------------------------------------------------------ #
     # batch operators
     # ------------------------------------------------------------------ #
     def add_batch(self, triples: Iterable[ExtendedTriple]) -> int:
         """Insert triples without materializing views; return new-fact count."""
-        self._ensure_private()
         before = len(self._by_key)
         for triple in triples:
             self._upsert_triple(triple)
@@ -409,7 +393,6 @@ class TripleStore:
         Skips triple construction entirely; validation matches
         :meth:`ExtendedTriple.from_row` exactly.  Returns new-fact count.
         """
-        self._ensure_private()
         before = len(self._by_key)
         for row in rows:
             subject = row["subject"]
@@ -435,7 +418,7 @@ class TripleStore:
                 relationship_predicate,
                 row["object"],
                 row.get("locale", DEFAULT_LOCALE),
-                provenance.references,
+                provenance,
             )
         return len(self._by_key) - before
 
@@ -472,7 +455,6 @@ class TripleStore:
             pid_filter = {pid for pid in ids if pid is not None}
         ids = (self._predicate_terms.id_of(p) for p in skip_predicates)
         skip_pids = {pid for pid in ids if pid is not None}
-        self._ensure_private()
         removed = 0
         for subject in subjects:
             sid = self._subject_terms.id_of(subject)
@@ -488,74 +470,15 @@ class TripleStore:
                     continue
                 if pid in skip_pids:
                     continue
-                prov = self._partitions[pid].prov[ref & ROW_MASK]
-                if prov is None or source_id not in prov:
-                    continue  # stale superset entry
-                prov.remove_source(source_id)
-                refs = self._by_source.get(source_id)
-                if refs is not None:
-                    refs.discard(ref)
-                    if not refs:
-                        del self._by_source[source_id]
-                if prov.is_empty():
-                    self._discard_ref(ref)
-                    removed += 1
+                removed += self._retract(ref, source_id)
         return removed
-
-    def merge_from(self, other: "TripleStore") -> int:
-        """Merge every fact of *other* into this store; return new-fact count.
-
-        The columnar fast path translates *other*'s dense ids into this
-        store's dictionaries through per-column memo tables, so each distinct
-        term is hashed once regardless of how many rows use it.  Merging into
-        an **empty** store adopts *other*'s column chunks wholesale through
-        the copy-on-write machinery (the serving-bootstrap / fusion-barrier
-        case) instead of re-inserting row by row.  Falls back to
-        :meth:`add_batch` for plain triple iterables.
-        """
-        if not isinstance(other, TripleStore):
-            return self.add_batch(other)
-        if not self._by_key:
-            adopted = other.snapshot()
-            self.__dict__.update(adopted.__dict__)
-            return len(self._by_key)
-        self._ensure_private()
-        before = len(self._by_key)
-        smemo: dict[int, int] = {}
-        pmemo: dict[int, int] = {}
-        rmemo: dict[int, int] = {}
-        omemo: dict[int, int] = {}
-        lmemo: dict[int, int] = {}
-
-        def translate(memo: dict[int, int], theirs: TermDict, mine: TermDict, tid: int) -> int:
-            mapped = memo.get(tid)
-            if mapped is None:
-                mapped = mine.intern(theirs.terms[tid])
-                memo[tid] = mapped
-            return mapped
-
-        for key, ref in list(other._by_key.items()):
-            partition = other._partitions[key[1]]
-            row = ref & ROW_MASK
-            my_key = (
-                translate(smemo, other._subject_terms, self._subject_terms, key[0]),
-                translate(pmemo, other._predicate_terms, self._predicate_terms, key[1]),
-                translate(rmemo, other._rid_terms, self._rid_terms, key[2]),
-                translate(pmemo, other._predicate_terms, self._predicate_terms, key[3]),
-                translate(omemo, other._object_terms, self._object_terms, key[4]),
-                translate(lmemo, other._locale_terms, self._locale_terms, key[5]),
-            )
-            self._insert_ids(
-                my_key, partition.predicate, partition.objs[row], partition.prov[row].references
-            )
-        return len(self._by_key) - before
 
     def stage(self, subjects: Iterable[str]) -> TripleBatch:
         """Snapshot every fact of *subjects* into one :class:`TripleBatch`.
 
         Reads the partitions' columns directly — no triple, row dict or
-        provenance object is built — and costs O(facts of *subjects*).
-        Later changes to this store do not show in the batch.
+        provenance object is built or copied — and costs O(facts of
+        *subjects*).  Later changes to this store do not show in the batch.
         """
         batch = TripleBatch(
             tuple(sorted(set(subjects))),
@@ -572,7 +495,7 @@ class TripleStore:
                 batch._oids.append(partition.obj_ids[row])
                 batch._lids.append(partition.loc[row])
                 batch._objs.append(partition.objs[row])
-                batch._refs.append(tuple(partition.prov[row].references))
+                batch._provs.append(partition.prov[row])
             batch._starts.append(len(batch._objs))
         return batch
 
@@ -582,11 +505,11 @@ class TripleStore:
         The batch's id columns are translated into this store's dictionaries
         through per-column memo tables (each distinct term is interned once
         per call, each subject once per group) and the rows inserted
-        id-encoded: no triple, row dict or intermediate provenance object is
-        built.  Merge semantics are
-        :meth:`add_batch`'s — a fact already present gains the batch's sources.
+        id-encoded, sharing the batch's provenance values: no triple, row
+        dict or provenance object is built for a new fact.  Merge semantics
+        are :meth:`add_batch`'s — a fact already present gains the batch's
+        sources.
         """
-        self._ensure_private()
         before = len(self._by_key)
         their_predicates, their_rids, their_locales, their_objects = batch._terms
         pids = _translate_ids(batch._pids, their_predicates, self._predicate_terms)
@@ -607,46 +530,9 @@ class TripleStore:
                     (sid, pid, rids[row], rpids[row], oids[row], lids[row]),
                     predicates[pid],
                     batch._objs[row],
-                    batch._refs[row],
+                    batch._provs[row],
                 )
         return len(self._by_key) - before
-
-    def project(
-        self,
-        subjects: Iterable[str] | None = None,
-        predicates: Iterable[str] | None = None,
-    ) -> "TripleStore":
-        """Return a new store restricted to the given subjects and/or predicates.
-
-        Filtering happens on dense ids before any triple is materialized;
-        omitted filters match everything.
-        """
-        subject_ids = None
-        if subjects is not None:
-            ids = (self._subject_terms.id_of(s) for s in subjects)
-            subject_ids = {sid for sid in ids if sid is not None}
-        partition_ids = None
-        if predicates is not None:
-            ids = (self._predicate_terms.id_of(p) for p in predicates)
-            partition_ids = {pid for pid in ids if pid is not None}
-        result = TripleStore()
-        for key, ref in self._by_key.items():
-            if subject_ids is not None and key[0] not in subject_ids:
-                continue
-            if partition_ids is not None and key[1] not in partition_ids:
-                continue
-            partition = self._partitions[key[1]]
-            row = ref & ROW_MASK
-            result._upsert(
-                self._subject_terms.terms[key[0]],
-                partition.predicate,
-                self._rid_terms.terms[key[2]],
-                self._predicate_terms.terms[key[3]],
-                partition.objs[row],
-                self._locale_terms.terms[key[5]],
-                partition.prov[row].references,
-            )
-        return result
 
     def scan_tuples(self) -> Iterator[tuple]:
         """Insertion-ordered ``(subject, predicate, relationship_predicate, object)``
@@ -678,15 +564,6 @@ class TripleStore:
                 partition.rid[row] != self._none_rid,
                 partition.objs[row],
             )
-
-    def rows_about(self, subject: str) -> list[dict]:
-        """Relational rows of every fact about *subject*, in
-        :meth:`facts_about` order, built straight from the columns."""
-        sid = self._subject_terms.id_of(subject)
-        refs = self._by_subject.get(sid) if sid is not None else None
-        if not refs:
-            return []
-        return [self._row_of(ref) for ref in sorted(refs, key=self._repr_of)]
 
     def iter_subject_groups(self) -> Iterator[tuple[str, list[ExtendedTriple]]]:
         """Yield ``(subject, facts)`` for every subject in sorted order, with
@@ -797,34 +674,7 @@ class TripleStore:
 
     def filter(self, predicate_fn: Callable[[ExtendedTriple], bool]) -> "TripleStore":
         """Return a new store with the facts satisfying *predicate_fn*."""
-        return TripleStore(t.copy() for t in self if predicate_fn(t))
-
-    def snapshot(self) -> "TripleStore":
-        """Return an independent view of the store (used for versioned analytics).
-
-        Copy-on-write: column chunks and indexes are shared with the original
-        until either side mutates, so a snapshot costs one provenance copy per
-        fact instead of a deep copy of every triple.
-        """
-        clone = TripleStore.__new__(TripleStore)
-        clone._subject_terms = self._subject_terms
-        clone._predicate_terms = self._predicate_terms
-        clone._rid_terms = self._rid_terms
-        clone._locale_terms = self._locale_terms
-        clone._object_terms = self._object_terms
-        clone._none_rid = self._none_rid
-        clone._none_rpred = self._none_rpred
-        clone._partitions = {
-            pid: partition.cow_clone() for pid, partition in self._partitions.items()
-        }
-        clone._by_key = self._by_key
-        clone._by_subject = self._by_subject
-        clone._by_object = self._by_object
-        clone._by_source = self._by_source
-        clone._facts_cache = {}  # the clone materializes its own views
-        clone._cow = True
-        self._cow = True
-        return clone
+        return TripleStore(t for t in self if predicate_fn(t))
 
     def to_rows(self) -> list[dict]:
         """Serialize the whole store to relational rows."""
@@ -860,17 +710,6 @@ class TripleStore:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _ensure_private(self) -> None:
-        """Copy shared store-level indexes before the first post-snapshot
-        mutation (partition chunks are copied per-partition on demand)."""
-        if not self._cow:
-            return
-        self._by_key = dict(self._by_key)
-        self._by_subject = {sid: set(refs) for sid, refs in self._by_subject.items()}
-        self._by_object = {oid: set(refs) for oid, refs in self._by_object.items()}
-        self._by_source = {src: set(refs) for src, refs in self._by_source.items()}
-        self._cow = False
-
     def _upsert_triple(self, triple: ExtendedTriple) -> int:
         return self._upsert(
             triple.subject,
@@ -879,7 +718,7 @@ class TripleStore:
             triple.relationship_predicate,
             triple.obj,
             triple.locale,
-            triple.provenance.references,
+            triple.provenance,
         )
 
     def _upsert(
@@ -890,7 +729,7 @@ class TripleStore:
         relationship_predicate: str | None,
         obj: Value,
         locale: str,
-        references: list,
+        provenance: Provenance,
     ) -> int:
         # Intern the object first: an unhashable value raises TypeError before
         # anything is modified, as the legacy key-tuple dict did.
@@ -902,31 +741,32 @@ class TripleStore:
             self._object_terms.intern(obj),
             self._locale_terms.intern(locale),
         )
-        return self._insert_ids(key, predicate, obj, references)
+        return self._insert_ids(key, predicate, obj, provenance)
 
-    def _insert_ids(self, key: tuple, predicate: str, obj: Value, references: list) -> int:
-        """Insert or merge one id-encoded fact; the caller holds privacy."""
+    def _insert_ids(self, key: tuple, predicate: str, obj: Value, provenance: Provenance) -> int:
+        """Insert one id-encoded fact holding *provenance*, or merge
+        *provenance* into the fact already stored under *key*."""
+        pid = key[1]
         ref = self._by_key.get(key)
         if ref is not None:
-            prov = self._partitions[key[1]].prov[ref & ROW_MASK]
-            for r in references:
-                prov.add(r.source_id, r.trust)
-                self._by_source.setdefault(r.source_id, set()).add(ref)
+            partition = self._partitions[pid]
+            row = ref & ROW_MASK
+            existing = partition.prov[row]
+            merged = existing.merge(provenance)
+            if merged is not existing:
+                partition.replace_prov(row, merged)
+                for r in provenance.references:
+                    self._by_source.setdefault(r.source_id, set()).add(ref)
             return ref
-        pid = key[1]
         partition = self._partitions.get(pid)
         if partition is None:
             partition = self._partitions[pid] = PredicatePartition(pid, predicate)
-        else:
-            partition.ensure_private()
-        row = partition.alloc(
-            key[0], key[2], key[3], key[4], key[5], obj, Provenance(list(references))
-        )
+        row = partition.alloc(key[0], key[2], key[3], key[4], key[5], obj, provenance)
         ref = pack_ref(pid, row)
         self._by_key[key] = ref
         self._by_subject.setdefault(key[0], set()).add(ref)
         self._by_object.setdefault(key[4], set()).add(ref)
-        for r in references:
+        for r in provenance.references:
             self._by_source.setdefault(r.source_id, set()).add(ref)
         self._facts_cache.pop(key[0], None)
         return ref
@@ -945,8 +785,24 @@ class TripleStore:
             return None
         return (sid, pid, rid, rpid, oid, lid)
 
+    def _retract(self, ref: int, source_id: str) -> bool:
+        """Drop *source_id* from one live row that holds it, releasing the
+        row when no source is left; ``True`` when the row was released."""
+        partition = self._partitions[ref >> ROW_BITS]
+        row = ref & ROW_MASK
+        prov = partition.prov[row].without(source_id)
+        if prov.is_empty():
+            self._discard_ref(ref)
+            return True
+        partition.replace_prov(row, prov)
+        refs = self._by_source[source_id]
+        refs.discard(ref)
+        if not refs:
+            del self._by_source[source_id]
+        return False
+
     def _discard_ref(self, ref: int) -> None:
-        """Remove one live row; the caller holds store-level privacy."""
+        """Remove one live row."""
         pid, row = ref >> ROW_BITS, ref & ROW_MASK
         partition = self._partitions[pid]
         sid = partition.subj[row]
@@ -971,7 +827,6 @@ class TripleStore:
                 refs.discard(ref)
                 if not refs:
                     del self._by_source[r.source_id]
-        partition.ensure_private()
         partition.release(row)
 
     def _composite_index_refs(self, subject: str, predicate: str) -> list[int]:
@@ -995,9 +850,10 @@ class TripleStore:
     def _materialize(self, ref: int) -> ExtendedTriple:
         """The cached :class:`ExtendedTriple` view of one live row.
 
-        The view shares the store's live ``Provenance`` object so that
-        in-place provenance edits made through it (fusion retracts) are
-        visible to the store, matching the legacy stored-instance behaviour.
+        The view holds the row's provenance value, and every replacement of
+        that value updates it (:meth:`PredicatePartition.replace_prov`), so
+        the view always reads the fact's current provenance, matching the
+        legacy stored-instance behaviour.
         """
         partition = self._partitions[ref >> ROW_BITS]
         row = ref & ROW_MASK

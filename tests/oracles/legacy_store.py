@@ -14,7 +14,9 @@ secondary indexes.  It is kept verbatim for two jobs:
   columnar batch operators against this implementation's scans.
 
 Do not "fix" or optimize this module: its value is that it stays exactly what
-shipped before.  It lives with the tests (``tests/oracles``), not in ``src/``:
+shipped before.  Its one edit since follows the data model, not the store:
+provenance became an immutable value, so :meth:`LegacyTripleStore.remove_source`
+gives a triple a new value instead of editing the old one.  It lives with the tests (``tests/oracles``), not in ``src/``:
 the program holds one triple store.  It accesses only its own private state;
 the lint guard banning ``TripleStore`` internals outside ``src/repro/model/``
 whitelists this file.
@@ -89,7 +91,7 @@ class LegacyTripleStore:
         for key in list(self._by_key):
             triple = self._by_key[key]
             if source_id in triple.provenance:
-                triple.provenance.remove_source(source_id)
+                triple.provenance = triple.provenance.without(source_id)
                 if triple.provenance.is_empty():
                     self._discard_key(key)
                     removed += 1

@@ -29,7 +29,7 @@ def kg_store():
     ]
     for subject, predicate, obj in facts:
         store.add(ExtendedTriple(subject=subject, predicate=predicate, obj=obj,
-                                 provenance=prov.copy()))
+                                 provenance=prov))
     return store
 
 

@@ -4,9 +4,9 @@ Seeded equivalence of ``GraphEngine.publish_subjects`` — one
 :class:`~repro.model.triples.TripleBatch` staged from the source store's
 columns and consumed by all four agents — against the dict-row path it
 replaced, kept here as the oracle: relational rows staged with
-``rows_about``, the primary fed through ``add_rows``, the warehouse through
-``ExtendedTriple.from_row``, and the entity store and text index each
-re-reading the primary.  After every publish the primary's rows and
+``facts_about`` + ``to_row``, the primary fed through ``add_rows``, the
+warehouse through ``ExtendedTriple.from_row``, and the entity store and text
+index each re-reading the primary.  After every publish the primary's rows and
 provenance, the warehouse's relations, the entity documents and the text
 hits must be identical, over random stores with composite facts,
 multi-source provenance, deletes, re-adds, and publishes staged with
@@ -82,7 +82,7 @@ class DictRowOracle:
     @staticmethod
     def stage(source: TripleStore, subjects, deleted) -> dict:
         subjects = sorted(set(subjects))
-        rows = [row for subject in subjects for row in source.rows_about(subject)]
+        rows = [t.to_row() for subject in subjects for t in source.facts_about(subject)]
         return {"subjects": subjects, "deleted": sorted(set(deleted)), "triples": rows}
 
     def apply(self, payload: dict) -> None:
@@ -217,10 +217,12 @@ def test_replay_false_replays_what_was_published_not_what_the_source_became(onto
     engine = GraphEngine(ontology)
     engine.publish_subjects(source, ["kg:a"], replay=False)
     # the source moves on before anything replays: a new fact, a dropped
-    # fact, and an in-place provenance edit on a staged one
+    # fact, and a second source re-asserting a staged one
     source.add(ExtendedTriple("kg:a", "alias", "Later"))
     source.discard(ExtendedTriple("kg:a", "name", "First"))
-    source.facts_about("kg:a")[0].provenance.add("fanwiki", 0.9)
+    source.add(ExtendedTriple("kg:a", "type", "song",
+                              provenance=Provenance.from_source("fanwiki", 0.9)))
+    assert source.facts_about("kg:a")[1].sources == ["wiki", "fanwiki"]
     engine.replay()
     assert [(t.predicate, t.obj, t.sources) for t in engine.triples.facts_about("kg:a")] == [
         ("name", "First", ["wiki"]),
@@ -229,6 +231,27 @@ def test_replay_false_replays_what_was_published_not_what_the_source_became(onto
     assert engine.entity("kg:a").name == "First"
     assert [hit.doc_id for hit in engine.search("first")] == ["kg:a"]
     assert engine.search("later") == []
+
+
+def test_publish_shares_provenance_values(ontology):
+    """Staging and publishing copy no provenance: the batch and the primary
+    hold the construction store's own values."""
+    source = TripleStore([
+        ExtendedTriple("kg:a", "type", "song", provenance=Provenance.from_source("wiki", 0.5)),
+        ExtendedTriple("kg:a", "name", "First",
+                       provenance=Provenance.from_mapping({"wiki": 0.5, "fanwiki": 0.9})),
+        ExtendedTriple("kg:b", "type", "song", provenance=Provenance.from_source("wiki", 0.5)),
+    ])
+    expected = [t.provenance for s in ("kg:a", "kg:b") for t in source.facts_about(s)]
+    staged = [row[6] for row in source.stage(["kg:a", "kg:b"]).rows()]
+    assert len(staged) == len(expected) == 3
+    assert all(mine is theirs.references for mine, theirs in zip(staged, expected))
+
+    engine = GraphEngine(ontology)
+    engine.publish_subjects(source, ["kg:a", "kg:b"])
+    published = [t.provenance for s in ("kg:a", "kg:b") for t in engine.triples.facts_about(s)]
+    assert len(published) == len(expected)
+    assert all(mine is theirs for mine, theirs in zip(published, expected))
 
 
 def test_publishing_from_the_primary_store_itself(ontology):

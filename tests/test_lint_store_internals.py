@@ -4,8 +4,9 @@ The columnar refactor (docs/store.md) made the store's layout an
 implementation detail: per-predicate column partitions, term dictionaries, and
 the key/subject/object/source indexes.  Consumers must go through the public
 API — ``facts_about``/``value_of`` lookups, the batch operators, ``to_rows``/
-``canonical_rows`` — so the layout can keep evolving (and the copy-on-write
-invariants can hold) without auditing every caller.
+``canonical_rows`` — so the layout can keep evolving (and the exact source
+index can stay in step with every provenance replacement) without auditing
+every caller.
 
 This test greps the tree for attribute access to the private fields and fails
 with the offending locations.  ``src/repro/model/`` owns the layout, and

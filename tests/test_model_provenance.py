@@ -1,9 +1,12 @@
 """Tests for provenance and trust metadata (repro.model.provenance)."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.errors import DataModelError
 from repro.model.provenance import Provenance, SourceReference
+from repro.model.triples import ExtendedTriple
 
 
 def test_source_reference_validates_trust_bounds():
@@ -27,9 +30,9 @@ def test_from_source_and_accessors():
 
 def test_add_is_idempotent_and_keeps_max_trust():
     prov = Provenance.from_source("wiki", 0.5)
-    prov.add("wiki", 0.8)
+    prov = prov.merge(Provenance.from_source("wiki", 0.8))
     assert prov.trust_of("wiki") == 0.8
-    prov.add("wiki", 0.3)
+    assert prov.merge(Provenance.from_source("wiki", 0.3)) is prov
     assert prov.trust_of("wiki") == 0.8
     assert len(prov) == 1
 
@@ -46,11 +49,10 @@ def test_merge_is_non_destructive():
 
 def test_remove_source_enables_on_demand_deletion():
     prov = Provenance.from_mapping({"a": 0.5, "b": 0.6})
-    assert prov.remove_source("a") is True
-    assert prov.sources == ["b"]
-    assert prov.remove_source("a") is False
-    prov.remove_source("b")
-    assert prov.is_empty()
+    remaining = prov.without("a")
+    assert remaining.sources == ["b"]
+    assert remaining.without("a") is remaining
+    assert remaining.without("b").is_empty()
 
 
 def test_restrict_to_allow_list():
@@ -74,8 +76,26 @@ def test_confidence_of_empty_provenance_is_zero():
 
 
 def test_copy_is_independent():
-    prov = Provenance.from_source("a", 0.5)
-    clone = prov.copy()
-    clone.add("b", 0.5)
-    assert prov.sources == ["a"]
-    assert clone.sources == ["a", "b"]
+    """A value needs no copy: holders share it, and a change is a new value."""
+    first = ExtendedTriple("kg:e1", "name", "A", provenance=Provenance.from_source("a", 0.5))
+    second = first.copy()
+    second.provenance = second.provenance.merge(Provenance.from_source("b", 0.5))
+    assert first.sources == ["a"]
+    assert second.sources == ["a", "b"]
+
+
+def test_provenance_is_a_frozen_hashable_value():
+    prov = Provenance.from_mapping({"a": 0.5, "b": 0.6})
+    assert prov == Provenance.from_mapping({"a": 0.5, "b": 0.6})
+    assert hash(prov) == hash(Provenance.from_mapping({"a": 0.5, "b": 0.6}))
+    assert len({prov, Provenance.from_mapping({"a": 0.5, "b": 0.6})}) == 1
+    assert isinstance(prov.references, tuple)
+    with pytest.raises(FrozenInstanceError):
+        prov.references = ()
+    # merge and without return new values and leave the original unchanged
+    merged = prov.merge(Provenance.from_mapping({"a": 0.9, "c": 0.4}))
+    assert merged.sources == ["a", "b", "c"]
+    assert merged.trust_of("a") == 0.9
+    dropped = prov.without("a")
+    assert dropped.sources == ["b"]
+    assert prov == Provenance.from_mapping({"a": 0.5, "b": 0.6})

@@ -58,7 +58,7 @@ def test_to_row_from_row_roundtrip():
 def test_with_subject_and_with_object_do_not_share_provenance():
     triple = make_triple()
     relinked = triple.with_subject("kg:e2")
-    relinked.provenance.add("src2")
+    relinked.provenance = relinked.provenance.merge(Provenance.from_source("src2"))
     assert triple.sources == ["src1"]
     assert relinked.subject == "kg:e2"
     resolved = triple.with_object("kg:e3")
@@ -125,14 +125,6 @@ def test_remove_source_purges_unsupported_facts():
     assert removed == 1                              # only the single-source fact vanishes
     assert store.fact_count() == 1
     assert store.facts_about("kg:e1")[0].sources == ["b"]
-
-
-def test_snapshot_is_independent():
-    store = TripleStore([make_triple()])
-    snapshot = store.snapshot()
-    store.add(make_triple(predicate="birth_date", obj="1980"))
-    assert snapshot.fact_count() == 1
-    assert store.fact_count() == 2
 
 
 def test_filter_and_rows_roundtrip():

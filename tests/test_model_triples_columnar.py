@@ -1,7 +1,7 @@
 """Seeded equivalence suite: columnar TripleStore vs the frozen legacy store.
 
 Random operation sequences (add / merge-provenance / discard / remove_subject /
-remove_source / in-place fusion-style retracts / snapshot) run against
+remove_source / fusion-style retract_source_from_subjects) run against
 :class:`repro.model.triples.TripleStore` (columnar) and
 :class:`oracles.legacy_store.LegacyTripleStore` (the pre-refactor
 implementation, kept verbatim), asserting ``canonical_rows()`` equality — the
@@ -21,12 +21,14 @@ import random
 import pytest
 
 from oracles.legacy_store import LegacyTripleStore
+from repro.model.entity import KGEntity
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
 
 SUBJECTS = [f"kg:e{i}" for i in range(8)]
 SIMPLE_PREDICATES = ["name", "genre", "popularity", "spouse"]
 COMPOSITE_PREDICATE = "educated_at"
+PREDICATES = [*SIMPLE_PREDICATES, COMPOSITE_PREDICATE]
 RELATIONSHIP_PREDICATES = ["school", "degree"]
 RELATIONSHIP_IDS = [f"rel:{i}" for i in range(4)]
 # Deliberate dict-equality colliders (1 == 1.0 == True, 0 == 0.0 == False):
@@ -73,7 +75,7 @@ def assert_equivalent(columnar: TripleStore, legacy: LegacyTripleStore) -> None:
         leg_facts = legacy.facts_about(subject)
         assert [t.key() for t in col_facts] == [t.key() for t in leg_facts]
         assert [t.sources for t in col_facts] == [t.sources for t in leg_facts]
-        assert columnar.rows_about(subject) == [t.to_row() for t in leg_facts]
+        assert [t.to_row() for t in col_facts] == [t.to_row() for t in leg_facts]
         for predicate in SIMPLE_PREDICATES:
             assert columnar.value_of(subject, predicate) == legacy.value_of(
                 subject, predicate
@@ -86,7 +88,7 @@ def assert_equivalent(columnar: TripleStore, legacy: LegacyTripleStore) -> None:
         assert {k: [t.key() for t in v] for k, v in col_rel.items()} == {
             k: [t.key() for t in v] for k, v in leg_rel.items()
         }
-    for predicate in [*SIMPLE_PREDICATES, COMPOSITE_PREDICATE]:
+    for predicate in PREDICATES:
         assert [t.key() for t in columnar.facts_with_predicate(predicate)] == [
             t.key() for t in legacy.facts_with_predicate(predicate)
         ]
@@ -96,22 +98,30 @@ def assert_equivalent(columnar: TripleStore, legacy: LegacyTripleStore) -> None:
         ]
 
 
-def apply_random_op(rng: random.Random, columnar: TripleStore, legacy: LegacyTripleStore):
-    """Apply one random mutation to both stores; returns new stores when the
-    op swaps the active pair to a snapshot."""
+def legacy_retract(
+    legacy: LegacyTripleStore, source: str, subjects, only_predicates=None, skip_predicates=()
+) -> int:
+    """The fusion retract loop over the legacy store: the oracle of
+    :meth:`TripleStore.retract_source_from_subjects`."""
+    removed = 0
+    for subject in subjects:
+        for triple in legacy.facts_about(subject):
+            if source not in triple.provenance or triple.predicate in skip_predicates:
+                continue
+            if only_predicates is not None and triple.predicate not in only_predicates:
+                continue
+            triple.provenance = triple.provenance.without(source)
+            if triple.provenance.is_empty():
+                legacy.discard(triple)
+                removed += 1
+    return removed
+
+
+def apply_random_op(rng: random.Random, columnar: TripleStore, legacy: LegacyTripleStore) -> None:
+    """Apply one random mutation to both stores."""
     op = rng.choice(
-        [
-            "add",
-            "add",
-            "add",
-            "add",
-            "merge",
-            "discard",
-            "remove_subject",
-            "remove_source",
-            "inplace_retract",
-            "snapshot",
-        ]
+        ["add", "add", "add", "add", "merge", "discard", "remove_subject", "remove_source",
+         "retract"]
     )
     if op == "add":
         triple = random_triple(rng)
@@ -139,45 +149,30 @@ def apply_random_op(rng: random.Random, columnar: TripleStore, legacy: LegacyTri
     elif op == "remove_source":
         source = rng.choice(SOURCES)
         assert columnar.remove_source(source) == legacy.remove_source(source)
-    elif op == "inplace_retract":
-        # The fusion retract pattern: mutate provenance in place through
-        # materialized views, then discard facts left unsupported.  This is
-        # the path that bypasses the store's mutators and makes the source
-        # index a superset.
-        subject = rng.choice(SUBJECTS)
+    elif op == "retract":
+        # The fusion retract: one source leaves some subjects' facts,
+        # optionally only on some predicates (the volatile partition) or
+        # sparing some (sameAs links).
         source = rng.choice(SOURCES)
-        for store in (columnar, legacy):
-            for triple in store.facts_about(subject):
-                if source in triple.provenance:
-                    triple.provenance.remove_source(source)
-                    if triple.provenance.is_empty():
-                        store.discard(triple)
-    elif op == "snapshot":
-        col_snap, leg_snap = columnar.snapshot(), legacy.snapshot()
+        subjects = rng.sample(SUBJECTS, rng.randint(1, len(SUBJECTS)))
+        only = None
         if rng.random() < 0.5:
-            # Continue mutating the snapshots; the originals must stay frozen
-            # (checked by the caller holding them).
-            return col_snap, leg_snap
-        assert col_snap.canonical_rows() == leg_snap.canonical_rows()
-    return None
+            only = set(rng.sample(PREDICATES, rng.randint(1, len(PREDICATES))))
+        skip = set(rng.sample(PREDICATES, rng.randint(0, 2)))
+        expected = legacy_retract(legacy, source, subjects, only, skip)
+        assert columnar.retract_source_from_subjects(
+            source, subjects, only_predicates=only, skip_predicates=skip
+        ) == expected
 
 
 def test_random_op_sequences_match_legacy(store_seed):
     rng = random.Random(9000 + store_seed)
     columnar, legacy = TripleStore(), LegacyTripleStore()
-    frozen: list[tuple[TripleStore, LegacyTripleStore]] = []
     for step in range(rng.randrange(20, 45)):
-        swapped = apply_random_op(rng, columnar, legacy)
-        if swapped is not None:
-            # The pre-snapshot pair must stay byte-identical while the
-            # snapshots are mutated from here on (copy-on-write isolation).
-            frozen.append((columnar, legacy))
-            columnar, legacy = swapped
+        apply_random_op(rng, columnar, legacy)
         if step % 5 == 0:
             assert columnar.canonical_rows() == legacy.canonical_rows()
     assert_equivalent(columnar, legacy)
-    for col_frozen, leg_frozen in frozen:
-        assert col_frozen.canonical_rows() == leg_frozen.canonical_rows()
 
 
 def test_batch_operators_match_rowwise(store_seed):
@@ -197,42 +192,17 @@ def test_batch_operators_match_rowwise(store_seed):
     assert via_rows.canonical_rows() == legacy.canonical_rows()
     assert via_rows.to_rows() == legacy.to_rows()
 
-    other = TripleStore(t.copy() for t in extra)
     merged = TripleStore(t.copy() for t in triples)
-    assert merged.merge_from(other) == legacy.add_all(t.copy() for t in extra)
+    assert merged.add_batch(t.copy() for t in extra) == legacy.add_all(t.copy() for t in extra)
     assert merged.canonical_rows() == legacy.canonical_rows()
 
-    # Merging into an empty store takes the copy-on-write adopt fast path;
-    # it must be observationally identical and fully isolated afterwards.
-    adopted = TripleStore()
-    assert adopted.merge_from(merged) == merged.fact_count()
-    assert adopted.canonical_rows() == merged.canonical_rows()
-    assert adopted.to_rows() == merged.to_rows()
-    before = merged.canonical_rows()
-    adopted.remove_subject(SUBJECTS[0])
-    adopted.add(random_triple(rng))
-    assert merged.canonical_rows() == before
-
-    # project == filter by subject/predicate membership
-    keep_subjects = set(SUBJECTS[:3])
-    keep_predicates = {"name", COMPOSITE_PREDICATE}
-    projected = merged.project(subjects=keep_subjects, predicates=keep_predicates)
-    filtered = legacy.filter(
-        lambda t: t.subject in keep_subjects and t.predicate in keep_predicates
-    )
-    assert projected.canonical_rows() == filtered.canonical_rows()
-    only_predicates = merged.project(predicates={"genre"})
-    assert only_predicates.canonical_rows() == legacy.filter(
-        lambda t: t.predicate == "genre"
-    ).canonical_rows()
-
-    # stage + add_staged == add_rows over rows_about, in the same order; an
-    # absent subject stages an empty group
+    # stage + add_staged == add_rows over facts_about rows, in the same
+    # order; an absent subject stages an empty group
     staged_subjects = SUBJECTS[1:6] + ["kg:absent"]
     staged = merged.stage(staged_subjects)
     via_dicts = TripleStore()
     via_dicts.add_rows(
-        row for subject in sorted(staged_subjects) for row in merged.rows_about(subject)
+        t.to_row() for subject in sorted(staged_subjects) for t in merged.facts_about(subject)
     )
     assert staged.subjects == tuple(sorted(staged_subjects))
     assert len(staged) == via_dicts.fact_count()
@@ -260,91 +230,54 @@ def test_batch_operators_match_rowwise(store_seed):
     # retract_source_from_subjects == the fusion retract loop
     source = rng.choice(SOURCES)
     skip = {"name"}
-    expected_removed = 0
-    for subject in SUBJECTS:
-        for triple in legacy.facts_about(subject):
-            if source not in triple.provenance or triple.predicate in skip:
-                continue
-            triple.provenance.remove_source(source)
-            if triple.provenance.is_empty():
-                legacy.discard(triple)
-                expected_removed += 1
+    expected_removed = legacy_retract(legacy, source, SUBJECTS, skip_predicates=skip)
     removed = merged.retract_source_from_subjects(
         source, SUBJECTS, skip_predicates=skip
     )
     assert removed == expected_removed
     assert merged.canonical_rows() == legacy.canonical_rows()
 
-    # the batch staged above is a snapshot: removals and in-place provenance
+    # the batch staged above is a snapshot: removals and provenance
     # retractions on its source since then do not show in it
     late = TripleStore()
     late.add_staged(staged)
     assert late.canonical_rows() == via_dicts.canonical_rows()
 
 
-def test_snapshot_is_copy_on_write_and_isolated():
-    store = TripleStore()
-    t1 = ExtendedTriple(
-        subject="kg:e1", predicate="name", obj="A",
-        provenance=Provenance.from_source("src0", 0.9),
+def test_handed_out_triple_reads_current_provenance():
+    """A store operator replaces a fact's provenance value; the triple
+    handed out earlier reads the new value, and the old value is unchanged."""
+    store = TripleStore(
+        [
+            ExtendedTriple("kg:e1", "name", "A", provenance=Provenance.from_source("a", 0.5)),
+            ExtendedTriple("kg:e1", "genre", "pop", provenance=Provenance.from_source("a", 0.5)),
+        ]
     )
-    t2 = ExtendedTriple(
-        subject="kg:e2", predicate="name", obj="B",
-        provenance=Provenance.from_source("src1", 0.8),
-    )
-    store.add(t1)
-    store.add(t2)
-    snapshot = store.snapshot()
-    before = store.canonical_rows()
-    assert snapshot.canonical_rows() == before
+    name = next(t for t in store.facts_about("kg:e1") if t.predicate == "name")
+    first = name.provenance
 
-    # Mutations on either side must not leak to the other.
-    store.add(
-        ExtendedTriple(
-            subject="kg:e3", predicate="name", obj="C",
-            provenance=Provenance.from_source("src2", 0.7),
-        )
-    )
-    snapshot.remove_subject("kg:e1")
-    assert snapshot.fact_count() == 1
-    assert store.fact_count() == 3
-    assert [t.key() for t in store.facts_about("kg:e1")] == [t1.key()]
+    store.add(ExtendedTriple("kg:e1", "name", "A", provenance=Provenance.from_source("b", 0.7)))
+    assert name.sources == ["a", "b"]
+    assert first.sources == ["a"]
+    reasserted = name.provenance
 
-    # In-place provenance mutation through a materialized view (the fusion
-    # pattern) must not reach into the snapshot retroactively.
-    second = store.snapshot()
-    fact = store.facts_about("kg:e2")[0]
-    fact.provenance.remove_source("src1")
-    store.discard(fact)
-    assert store.value_of("kg:e2", "name") is None
-    assert second.value_of("kg:e2", "name") == "B"
-    assert second.facts_about("kg:e2")[0].sources == ["src1"]
+    store.add(ExtendedTriple("kg:e1", "name", "A", provenance=Provenance.from_source("b", 0.6)))
+    assert name.provenance is reasserted  # nothing new: the value stays
 
+    assert store.retract_source_from_subjects("a", ["kg:e1"]) == 1  # genre purged
+    assert name.sources == ["b"]
+    assert name.trust == [0.7]
+    assert reasserted.sources == ["a", "b"]
+    assert [t.predicate for t in store.facts_about("kg:e1")] == ["name"]
 
-def test_source_index_survives_inplace_retracts():
-    """The fusion pattern leaves the source index a superset; later
-    governance deletes must still be exact."""
-    store = TripleStore()
-    shared = ExtendedTriple(
-        subject="kg:e1", predicate="name", obj="A",
-        provenance=Provenance.from_mapping({"keep": 0.9, "gone": 0.5}),
-    )
-    solo = ExtendedTriple(
-        subject="kg:e1", predicate="genre", obj="pop",
-        provenance=Provenance.from_source("gone", 0.6),
-    )
-    store.add(shared)
-    store.add(solo)
-    # In-place removal through the materialized view, no store mutator call.
-    view = store.facts_about("kg:e1")[0]
-    assert view.predicate == "genre" or view.predicate == "name"
-    for triple in store.facts_about("kg:e1"):
-        if triple.predicate == "name":
-            triple.provenance.remove_source("gone")
-    # The store-level delete re-checks provenance: only the solo fact counts.
-    assert store.remove_source("gone") == 1
-    assert store.fact_count() == 1
-    assert store.facts_about("kg:e1")[0].sources == ["keep"]
+    store.add(ExtendedTriple("kg:e1", "name", "A", provenance=Provenance.from_source("c", 0.4)))
+    retracted = name.provenance
+    assert store.remove_source("b") == 0
+    assert name.sources == ["c"]
+    assert retracted.sources == ["b", "c"]
+    assert store.remove_source("b") == 0
+    assert store.remove_source("c") == 1
+    assert store.fact_count() == 0
 
 
 def test_unhashable_objects_raise_like_legacy():
@@ -412,7 +345,10 @@ def test_engine_publish_matches_legacy_rebuild(ontology, store_seed):
     assert engine.triples.canonical_rows() == legacy.canonical_rows()
 
     col_entities = materialize_entities(construction)
-    leg_entities = materialize_entities(legacy)
+    leg_entities = {
+        subject: KGEntity.from_triples(subject, legacy.facts_about(subject))
+        for subject in legacy.subjects()
+    }
     assert sorted(col_entities) == sorted(leg_entities)
     for entity_id, entity in col_entities.items():
         twin = leg_entities[entity_id]
@@ -429,6 +365,6 @@ def test_engine_publish_matches_legacy_rebuild(ontology, store_seed):
     engine.publish_subjects(construction, changed, deleted_subjects=[doomed])
     rebuilt = LegacyTripleStore()
     for subject in sorted(engine.triples.subjects()):
-        for row in engine.triples.rows_about(subject):
-            rebuilt.add(ExtendedTriple.from_row(row))
+        for triple in engine.triples.facts_about(subject):
+            rebuilt.add(ExtendedTriple.from_row(triple.to_row()))
     assert engine.triples.canonical_rows() == rebuilt.canonical_rows()

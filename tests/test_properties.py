@@ -54,9 +54,12 @@ def test_identity_similarity_is_one_for_nonempty_strings(text):
 def test_provenance_merge_is_idempotent_and_bounded(pairs):
     provenance = Provenance()
     for source_id, trust in pairs:
-        provenance.add(source_id, trust)
+        provenance = provenance.merge(Provenance.from_source(source_id, trust))
     merged = provenance.merge(provenance)
-    assert merged.sources == provenance.sources
+    assert merged == provenance
+    for source_id, _ in pairs:
+        # a re-asserting source keeps its highest trust
+        assert provenance.trust_of(source_id) == max(t for s, t in pairs if s == source_id)
     assert 0.0 <= provenance.confidence() <= 1.0
     assert len(set(provenance.sources)) == len(provenance.sources)
 
@@ -66,10 +69,9 @@ def test_provenance_merge_is_idempotent_and_bounded(pairs):
 def test_provenance_confidence_never_increases_when_removing_a_source(pairs, victim):
     provenance = Provenance()
     for source_id, trust in pairs:
-        provenance.add(source_id, trust)
+        provenance = provenance.merge(Provenance.from_source(source_id, trust))
     before = provenance.confidence()
-    provenance.remove_source(victim)
-    assert provenance.confidence() <= before + 1e-12
+    assert provenance.without(victim).confidence() <= before + 1e-12
 
 
 # --------------------------------------------------------------------- #
