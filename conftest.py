@@ -33,8 +33,9 @@ def capped_runs(runs: int, ci_cap: int) -> int:
 #: tests/test_model_triples_columnar.py, kgq_seed drives
 #: tests/test_live_executor_vectorized.py, fd_seed drives
 #: tests/test_front_door.py, rpq_seed/rpq_fleet_seed drive
-#: tests/test_live_rpq.py, ivm_seed/join_fleet_seed drive
-#: tests/test_join_ivm.py, jaro_seed drives tests/test_similarity_oracle.py.
+#: tests/test_live_rpq.py, index_seed drives tests/test_live_index_apply.py,
+#: ivm_seed/join_fleet_seed drive tests/test_join_ivm.py, jaro_seed drives
+#: tests/test_similarity_oracle.py.
 #: The heavyweight caps exist because
 #: those sequences spin up serving-fleet worker threads (fleet_seed,
 #: qr_seed, fd_seed, rpq_fleet_seed, join_fleet_seed), audit full checksum
@@ -52,6 +53,7 @@ SEED_FIXTURES = {
     "fd_seed": 40,
     "rpq_seed": None,
     "rpq_fleet_seed": 30,
+    "index_seed": None,
     "ivm_seed": None,
     "join_fleet_seed": 30,
     "jaro_seed": None,

@@ -16,8 +16,10 @@ One payload, staged once: a publish asks the source store for a single
 immutable columnar :class:`~repro.model.triples.TripleBatch` of the changed
 subjects (:meth:`TripleStore.stage <repro.model.triples.TripleStore.stage>`)
 and every agent consumes that same batch — the primary translates its ids
-into its own dictionaries (``add_staged``), the warehouse ingests its decoded
-rows, and each changed subject's :class:`~repro.model.entity.KGEntity` is
+into its own dictionaries and applies each subject's diff (``apply_staged``:
+an unchanged fact keeps its row, a dropped one is discarded, a new one is
+inserted), the warehouse ingests its decoded rows, and each changed
+subject's :class:`~repro.model.entity.KGEntity` is
 assembled once (:class:`StagedEntities`) for the entity store and the text
 index together.  No relational row dict, ``ExtendedTriple`` or provenance
 object is built on the way, and a batch keeps a snapshot's semantics, so a
@@ -65,8 +67,7 @@ class PrimaryStoreAgent(OrchestrationAgent):
     def apply(self, record: LogRecord, payload: object) -> None:
         if record.operation == "ingest_delta" and isinstance(payload, dict):
             self.store.remove_subjects_batch(payload["deleted"])
-            self.store.remove_subjects_batch(payload["subjects"])
-            self.store.add_staged(payload["batch"])
+            self.store.apply_staged(payload["batch"])
         elif record.operation == "remove_source":
             self.store.remove_source(record.source_id)
 

@@ -164,70 +164,69 @@ class GraphKVStore:
         return isinstance(entity_id, str) and self.get(entity_id) is not None
 
 
+def _unpost(postings: dict, key: object, entity_id: str) -> None:
+    """Drop *entity_id* from one postings set, and the set once empty."""
+    posted = postings.get(key)
+    if posted is not None:
+        posted.discard(entity_id)
+        if not posted:
+            del postings[key]
+
+
 class InvertedGraphIndex:
-    """Inverted index from tokens of names / literal values to entity ids."""
+    """Inverted index from tokens of names / literal values to entity ids.
+
+    Re-indexing a document diffs its posting keys against the keys recorded
+    for it in ``_doc_keys`` and touches only the postings it left or joined,
+    so a shipped row that changed one fact moves one posting.
+    """
 
     def __init__(self) -> None:
         self._name_postings: dict[str, set[str]] = defaultdict(set)
         self._exact_names: dict[str, set[str]] = defaultdict(set)
         self._value_postings: dict[tuple[str, str], set[str]] = defaultdict(set)
         # Reverse map: entity id -> (name tokens, exact names, value keys) it
-        # is posted under, so re-indexing a document touches only its own
-        # postings instead of scanning the whole index.
+        # is posted under, aligned with _postings().
         self._doc_keys: dict[str, tuple[set[str], set[str], set[tuple[str, str]]]] = {}
         self.lookups = 0
 
+    def _postings(self) -> tuple[dict, dict, dict]:
+        return (self._name_postings, self._exact_names, self._value_postings)
+
     def index_document(self, document: LiveEntityDocument) -> None:
         """Index (or re-index) one entity document."""
-        self.remove(document.entity_id)
+        entity_id = document.entity_id
         name_tokens: set[str] = set()
         exact_names: set[str] = set()
         value_keys: set[tuple[str, str]] = set()
         names = [document.name, *[str(v) for v in document.facts.get("alias", [])]]
         for name in names:
             normalized = normalize_string(name)
-            if not normalized:
-                continue
-            self._exact_names[normalized].add(document.entity_id)
-            exact_names.add(normalized)
-            for token in tokens(normalized):
-                self._name_postings[token].add(document.entity_id)
-                name_tokens.add(token)
+            if normalized:
+                exact_names.add(normalized)
+                name_tokens.update(tokens(normalized))
         for predicate, values in document.facts.items():
             for value in values:
-                key = (predicate, normalize_string(value))
-                self._value_postings[key].add(document.entity_id)
-                value_keys.add(key)
+                value_keys.add((predicate, normalize_string(value)))
         for predicate, reference in document.references.items():
-            key = (predicate, normalize_string(reference))
-            self._value_postings[key].add(document.entity_id)
-            value_keys.add(key)
-        self._doc_keys[document.entity_id] = (name_tokens, exact_names, value_keys)
+            value_keys.add((predicate, normalize_string(reference)))
+        keys = (name_tokens, exact_names, value_keys)
+        held = self._doc_keys.get(entity_id, (_EMPTY_IDS, _EMPTY_IDS, _EMPTY_IDS))
+        for postings, before, after in zip(self._postings(), held, keys):
+            for key in before - after:
+                _unpost(postings, key, entity_id)
+            for key in after - before:
+                postings[key].add(entity_id)
+        self._doc_keys[entity_id] = keys
 
     def remove(self, entity_id: str) -> None:
         """Drop an entity from all postings it is listed under."""
         keys = self._doc_keys.pop(entity_id, None)
         if keys is None:
             return
-        name_tokens, exact_names, value_keys = keys
-        for token in name_tokens:
-            postings = self._name_postings.get(token)
-            if postings is not None:
-                postings.discard(entity_id)
-                if not postings:
-                    del self._name_postings[token]
-        for name in exact_names:
-            postings = self._exact_names.get(name)
-            if postings is not None:
-                postings.discard(entity_id)
-                if not postings:
-                    del self._exact_names[name]
-        for key in value_keys:
-            postings = self._value_postings.get(key)
-            if postings is not None:
-                postings.discard(entity_id)
-                if not postings:
-                    del self._value_postings[key]
+        for postings, held in zip(self._postings(), keys):
+            for key in held:
+                _unpost(postings, key, entity_id)
 
     def lookup_name(self, name: str) -> set[str]:
         """Entity ids whose name matches *name* exactly (normalized)."""
@@ -392,7 +391,8 @@ class LiveIndex:
         replace serves feeds whose rows are the whole truth — view artifacts —
         so predicates dropped from a row do not survive the reload.  KV-level
         delete suffices: the subsequent upsert re-indexes the document, which
-        already clears its old postings.
+        diffs its postings and edges against the ones recorded for the
+        replaced document and moves only those that changed.
         """
         self.kv.delete(document.entity_id)
         self.upsert(document)

@@ -10,8 +10,8 @@ This module gives the KGQ REACH clause (:mod:`repro.live.kgq`) its runtime:
   per feed and per edge label, forward and reverse adjacency rows as packed
   bitsets (arbitrary-precision ints over dense node ordinals), kept
   incrementally consistent by :class:`~repro.live.index.LiveIndex` on every
-  upsert/replace/delete — shipped view deltas invalidate adjacency exactly
-  like they invalidate postings.
+  upsert/replace/delete — a shipped view delta sets and clears only the
+  edges it changed, exactly like it touches only the postings it changed.
 * **Provenance witnesses** — evaluation is a provenance semiring over edge
   sequences: *times* is path concatenation, *plus* keeps the canonical
   (shortest, then lexicographically least) witness.  Every answer therefore
@@ -24,7 +24,7 @@ This module gives the KGQ REACH clause (:mod:`repro.live.kgq`) its runtime:
   turns single-label closures (``p*``, ``^p+``, ...) into parent-chain walks
   and preorder range scans instead of iteration to fixpoint.  The index is
   rebuilt lazily and invalidated by a per-feed mutation counter, so a shipped
-  delta always drops the stale encoding.
+  delta that changes an edge drops the stale encoding.
 * **Naive BFS reference** — :func:`naive_rpq` re-derives the edge relation by
   scanning documents and runs a plain set-based BFS; it is the oracle the
   seeded equivalence suite (and the BENCH_RPQ gate) compares against.
@@ -345,16 +345,38 @@ def _build_interval_index(graph: _FeedGraph, predicate: str) -> IntervalIndex | 
     return IntervalIndex(parent=parent, pre=pre, end=end, order=order)
 
 
+def _set_edge(graph: _FeedGraph, predicate: str, source: int, target: int) -> None:
+    row = graph.forward.setdefault(predicate, {})
+    row[source] = row.get(source, 0) | (1 << target)
+    row = graph.reverse.setdefault(predicate, {})
+    row[target] = row.get(target, 0) | (1 << source)
+
+
+def _clear_edge(graph: _FeedGraph, predicate: str, source: int, target: int) -> None:
+    for rows, key, bit in ((graph.forward, source, target), (graph.reverse, target, source)):
+        row = rows.get(predicate)
+        if row is None:
+            continue
+        remaining = row.get(key, 0) & ~(1 << bit)
+        if remaining:
+            row[key] = remaining
+            continue
+        row.pop(key, None)
+        if not row:
+            del rows[predicate]
+
+
 class AdjacencyIndex:
     """Per-feed, per-predicate compressed adjacency, incrementally maintained.
 
     Mirrors the :class:`~repro.live.index.InvertedGraphIndex` maintenance
-    discipline: ``index_document`` re-derives one document's edges (removing
-    its previous contribution first, via the per-document reverse map), and
-    ``remove`` clears exactly the bits that document set.  Interval encodings
-    are derived state: any mutation of a feed bumps its mutation counter,
-    and :meth:`interval_index` rebuilds lazily when its stamp is stale — so
-    shipped view deltas invalidate the encoding exactly like postings.
+    discipline: ``index_document`` diffs one document's edges against the
+    edges recorded for it (the per-document reverse map) and sets or clears
+    only the bits that changed, and ``remove`` clears exactly the bits that
+    document set.  Interval encodings are derived state: a change to a
+    feed's edges bumps its mutation counter, and :meth:`interval_index`
+    rebuilds lazily when its stamp is stale — so a shipped delta that moves
+    an edge drops the encoding, and one that moves none keeps it.
     """
 
     def __init__(self) -> None:
@@ -365,24 +387,30 @@ class AdjacencyIndex:
 
     def index_document(self, document) -> None:
         """Record (or re-record) one document's out-edges."""
-        self.remove(document.entity_id)
+        doc_id = document.entity_id
         feed_key, node = document_feed_node(document)
+        if self._doc_feed.get(doc_id, feed_key) != feed_key:
+            self.remove(doc_id)               # the document moved feeds
         graph = self._feeds.get(feed_key)
         if graph is None:
             graph = self._feeds[feed_key] = _FeedGraph()
-        source = graph.intern(node)
-        recorded: list[tuple[str, int]] = []
-        for predicate, target in document_edges(document):
-            ordinal = graph.intern(target)
-            row = graph.forward.setdefault(predicate, {})
-            row[source] = row.get(source, 0) | (1 << ordinal)
-            reverse_row = graph.reverse.setdefault(predicate, {})
-            reverse_row[ordinal] = reverse_row.get(ordinal, 0) | (1 << source)
-            recorded.append((predicate, ordinal))
-        graph.doc_edges[document.entity_id] = (source, tuple(recorded))
-        self._doc_feed[document.entity_id] = feed_key
-        if recorded:
-            graph.mutations += 1
+        intern = graph.intern
+        source = intern(node)
+        recorded = tuple(
+            [(predicate, intern(target)) for predicate, target in document_edges(document)]
+        )
+        held = graph.doc_edges.get(doc_id, (source, ()))[1]
+        if held != recorded:
+            gone = set(held).difference(recorded)
+            new = set(recorded).difference(held)
+            for predicate, target in gone:
+                _clear_edge(graph, predicate, source, target)
+            for predicate, target in new:
+                _set_edge(graph, predicate, source, target)
+            if gone or new:
+                graph.mutations += 1
+        graph.doc_edges[doc_id] = (source, recorded)
+        self._doc_feed[doc_id] = feed_key
 
     def remove(self, doc_id: str) -> None:
         """Clear every bit the document set (no-op when never indexed)."""
@@ -390,28 +418,11 @@ class AdjacencyIndex:
         if feed_key is None:
             return
         graph = self._feeds[feed_key]
-        source, recorded = graph.doc_edges.pop(doc_id, (0, ()))
+        source, recorded = graph.doc_edges.pop(doc_id)
         if not recorded:
             return
-        for predicate, ordinal in recorded:
-            row = graph.forward.get(predicate)
-            if row is not None:
-                remaining = row.get(source, 0) & ~(1 << ordinal)
-                if remaining:
-                    row[source] = remaining
-                else:
-                    row.pop(source, None)
-                if not row:
-                    del graph.forward[predicate]
-            reverse_row = graph.reverse.get(predicate)
-            if reverse_row is not None:
-                remaining = reverse_row.get(ordinal, 0) & ~(1 << source)
-                if remaining:
-                    reverse_row[ordinal] = remaining
-                else:
-                    reverse_row.pop(ordinal, None)
-                if not reverse_row:
-                    del graph.reverse[predicate]
+        for predicate, target in recorded:
+            _clear_edge(graph, predicate, source, target)
         graph.mutations += 1
 
     def graph(self, feed: str) -> _FeedGraph | None:

@@ -21,8 +21,9 @@ columnar store (see :mod:`repro.model.columnar` for the storage primitives and
   partition's ``(subject, predicate)`` composite index;
 * batch operators (:meth:`add_batch`, :meth:`add_rows`,
   :meth:`remove_subjects_batch`, :meth:`retract_source_from_subjects`,
-  :meth:`scan_tuples`, :meth:`stage` / :meth:`add_staged`) move whole fact
-  sets without materializing triples;
+  :meth:`scan_tuples`, :meth:`stage` / :meth:`apply_staged`) move whole fact
+  sets without materializing triples; :meth:`apply_staged` writes only the
+  difference between a subject's stored and staged facts;
 * a row holds an immutable :class:`~repro.model.provenance.Provenance`
   value, and a stored fact's provenance changes only through the store's
   operators (a re-assert, :meth:`remove_source`,
@@ -204,7 +205,7 @@ class TripleBatch:
     """Immutable columnar snapshot of every fact of a set of subjects.
 
     Built by :meth:`TripleStore.stage` and applied by
-    :meth:`TripleStore.add_staged`: the payload one publish stages once and
+    :meth:`TripleStore.apply_staged`: the payload one publish stages once and
     every store replays.  Rows are grouped by subject (``subjects`` is
     sorted; a subject without facts owns an empty group) and ordered as
     :meth:`TripleStore.facts_about` orders them.  The id columns index the
@@ -499,18 +500,30 @@ class TripleStore:
             batch._starts.append(len(batch._objs))
         return batch
 
-    def add_staged(self, batch: TripleBatch) -> int:
-        """Insert every fact of a staged *batch*; return new-fact count.
+    def apply_staged(self, batch: TripleBatch) -> int:
+        """Make each subject of a staged *batch* hold exactly its staged
+        facts; return how many facts were inserted.
 
         The batch's id columns are translated into this store's dictionaries
         through per-column memo tables (each distinct term is interned once
-        per call, each subject once per group) and the rows inserted
-        id-encoded, sharing the batch's provenance values: no triple, row
-        dict or provenance object is built for a new fact.  Merge semantics
-        are :meth:`add_batch`'s — a fact already present gains the batch's
-        sources.
+        per call, each subject once per group), and each subject's group is
+        diffed against the rows the store holds for it:
+
+        * a staged fact already stored keeps its row, its materialized
+          triple and its cached ``repr``; the row's provenance is replaced
+          only when the batch's value differs;
+        * a stored fact the batch no longer names is discarded (a subject
+          staged without facts leaves the store);
+        * a new fact is inserted id-encoded, sharing the batch's provenance
+          value.
+
+        Object ids conflate dict-equal literals (``True``, ``1``, ``1.0``),
+        so a stored row matches only when its literal is also the staged
+        one; otherwise the row is rewritten with the staged literal.  The
+        result equals :meth:`remove_subjects_batch` of the batch's subjects
+        followed by inserting its facts; only :meth:`to_rows` order differs,
+        since unchanged facts keep their place.
         """
-        before = len(self._by_key)
         their_predicates, their_rids, their_locales, their_objects = batch._terms
         pids = _translate_ids(batch._pids, their_predicates, self._predicate_terms)
         rpids = _translate_ids(batch._rpids, their_predicates, self._predicate_terms)
@@ -518,21 +531,31 @@ class TripleStore:
         oids = _translate_ids(batch._oids, their_objects, self._object_terms)
         lids = _translate_ids(batch._lids, their_locales, self._locale_terms)
         predicates = self._predicate_terms.terms
-        starts = batch._starts
+        objs, provs, starts = batch._objs, batch._provs, batch._starts
+        inserted = 0
         for index, subject in enumerate(batch.subjects):
             first, end = starts[index], starts[index + 1]
             if first == end:
-                continue
-            sid = self._subject_terms.intern(subject)
+                sid = self._subject_terms.id_of(subject)
+            else:
+                sid = self._subject_terms.intern(subject)
+            stale = set(self._by_subject.get(sid, ()))
+            fresh: list[tuple[tuple, int]] = []
             for row in range(first, end):
-                pid = pids[row]
-                self._insert_ids(
-                    (sid, pid, rids[row], rpids[row], oids[row], lids[row]),
-                    predicates[pid],
-                    batch._objs[row],
-                    batch._provs[row],
-                )
-        return len(self._by_key) - before
+                key = (sid, pids[row], rids[row], rpids[row], oids[row], lids[row])
+                ref = self._by_key.get(key)
+                if ref in stale and self._holds_literal(ref, objs[row]):
+                    stale.discard(ref)
+                    self._set_prov(ref, provs[row])
+                else:
+                    fresh.append((key, row))
+            for ref in stale:
+                self._discard_ref(ref)
+            before = len(self._by_key)
+            for key, row in fresh:
+                self._insert_ids(key, predicates[key[1]], objs[row], provs[row])
+            inserted += len(self._by_key) - before
+        return inserted
 
     def scan_tuples(self) -> Iterator[tuple]:
         """Insertion-ordered ``(subject, predicate, relationship_predicate, object)``
@@ -749,14 +772,8 @@ class TripleStore:
         pid = key[1]
         ref = self._by_key.get(key)
         if ref is not None:
-            partition = self._partitions[pid]
-            row = ref & ROW_MASK
-            existing = partition.prov[row]
-            merged = existing.merge(provenance)
-            if merged is not existing:
-                partition.replace_prov(row, merged)
-                for r in provenance.references:
-                    self._by_source.setdefault(r.source_id, set()).add(ref)
+            held = self._partitions[pid].prov[ref & ROW_MASK]
+            self._set_prov(ref, held.merge(provenance))
             return ref
         partition = self._partitions.get(pid)
         if partition is None:
@@ -770,6 +787,35 @@ class TripleStore:
             self._by_source.setdefault(r.source_id, set()).add(ref)
         self._facts_cache.pop(key[0], None)
         return ref
+
+    def _holds_literal(self, ref: int, obj: Value) -> bool:
+        """Whether the live row stores *obj* as provided, not merely a
+        dict-equal literal of another type or spelling (``1`` for ``True``)."""
+        stored = self._partitions[ref >> ROW_BITS].objs[ref & ROW_MASK]
+        if stored is obj:
+            return True
+        if type(stored) is not type(obj):
+            return False
+        return type(obj) is str or repr(stored) == repr(obj)
+
+    def _set_prov(self, ref: int, provenance: Provenance) -> None:
+        """Give one live row *provenance* unless it already holds that value;
+        ``_by_source`` follows the sources that left or joined."""
+        partition = self._partitions[ref >> ROW_BITS]
+        row = ref & ROW_MASK
+        held = partition.prov[row]
+        if held is provenance or held == provenance:
+            return
+        partition.replace_prov(row, provenance)
+        before = {r.source_id for r in held.references}
+        after = {r.source_id for r in provenance.references}
+        for source_id in before - after:
+            refs = self._by_source[source_id]
+            refs.discard(ref)
+            if not refs:
+                del self._by_source[source_id]
+        for source_id in after - before:
+            self._by_source.setdefault(source_id, set()).add(ref)
 
     def _key_ids(self, triple: ExtendedTriple) -> tuple | None:
         """Id-encode *triple*'s key, or ``None`` when any term is unknown.
@@ -788,17 +834,11 @@ class TripleStore:
     def _retract(self, ref: int, source_id: str) -> bool:
         """Drop *source_id* from one live row that holds it, releasing the
         row when no source is left; ``True`` when the row was released."""
-        partition = self._partitions[ref >> ROW_BITS]
-        row = ref & ROW_MASK
-        prov = partition.prov[row].without(source_id)
+        prov = self._partitions[ref >> ROW_BITS].prov[ref & ROW_MASK].without(source_id)
         if prov.is_empty():
             self._discard_ref(ref)
             return True
-        partition.replace_prov(row, prov)
-        refs = self._by_source[source_id]
-        refs.discard(ref)
-        if not refs:
-            del self._by_source[source_id]
+        self._set_prov(ref, prov)
         return False
 
     def _discard_ref(self, ref: int) -> None:

@@ -6,11 +6,13 @@ columns and consumed by all four agents — against the dict-row path it
 replaced, kept here as the oracle: relational rows staged with
 ``facts_about`` + ``to_row``, the primary fed through ``add_rows``, the
 warehouse through ``ExtendedTriple.from_row``, and the entity store and text
-index each re-reading the primary.  After every publish the primary's rows and
-provenance, the warehouse's relations, the entity documents and the text
-hits must be identical, over random stores with composite facts,
-multi-source provenance, deletes, re-adds, and publishes staged with
-``replay=False`` and replayed after the source store moved on.
+index each re-reading the primary.  After every publish the primary's facts
+and provenance (``canonical_rows``, not ``to_rows()`` order: the primary
+applies a subject's diff, so unchanged facts keep their place), the
+warehouse's relations, the entity documents and the text hits must be
+identical, over random stores with
+composite facts, multi-source provenance, deletes, re-adds, and publishes
+staged with ``replay=False`` and replayed after the source store moved on.
 
 Sequence counts follow ``--runs-seeded`` (``store_seed``, see conftest.py).
 """
@@ -113,9 +115,9 @@ class DictRowOracle:
 
 
 def assert_stores_identical(engine: GraphEngine, oracle: DictRowOracle) -> None:
-    # primary: facts with provenance, and the very same insertion order
+    # primary: facts with provenance.  A republish keeps unchanged facts in
+    # place, so to_rows() order is not the rewrite's.
     assert engine.triples.canonical_rows() == oracle.primary.canonical_rows()
-    assert engine.triples.to_rows() == oracle.primary.to_rows()
     # warehouse
     assert engine.analytics.triple_count() == oracle.analytics.triple_count()
     assert engine.analytics.full_relation().rows == oracle.analytics.full_relation().rows
@@ -270,3 +272,43 @@ def test_publishing_from_the_primary_store_itself(ontology):
     assert engine.triples.canonical_rows() == before
     assert engine.entity("kg:a").facts["genre"] == ["rock"]
     assert engine.analytics.triple_count() == 4
+
+
+def test_republish_keeps_unchanged_rows(ontology):
+    """A republish that changes one fact of a subject rewrites that fact
+    only: the subject's other rows keep their materialized triples."""
+    source = TripleStore([
+        ExtendedTriple("kg:a", "type", "song", provenance=Provenance.from_source("wiki", 0.5)),
+        ExtendedTriple("kg:a", "name", "First", provenance=Provenance.from_source("wiki", 0.5)),
+        ExtendedTriple("kg:a", "popularity", 3, provenance=Provenance.from_source("wiki", 0.5)),
+    ])
+    engine = GraphEngine(ontology)
+    engine.publish_subjects(source, ["kg:a"])
+    before = {t.predicate: t for t in engine.triples.facts_about("kg:a")}
+
+    source.discard(ExtendedTriple("kg:a", "popularity", 3))
+    source.add(ExtendedTriple("kg:a", "popularity", 4,
+                              provenance=Provenance.from_source("wiki", 0.5)))
+    engine.publish_subjects(source, ["kg:a"])
+    after = {t.predicate: t for t in engine.triples.facts_about("kg:a")}
+    assert after["type"] is before["type"]
+    assert after["name"] is before["name"]
+    assert after["popularity"].obj == 4
+    assert engine.triples.canonical_rows() == source.canonical_rows()
+
+
+def test_republish_replaces_dict_equal_literals(ontology):
+    """``True``, ``1.0`` and ``1`` share an object id; a republish must
+    still store the literal the source now holds, not keep the old one."""
+    source = TripleStore()
+    engine = GraphEngine(ontology)
+    source.add(ExtendedTriple("kg:a", "type", "song"))
+    for value in (True, 1.0, 1):
+        source.remove_subject("kg:a")
+        source.add(ExtendedTriple("kg:a", "type", "song"))
+        source.add(ExtendedTriple("kg:a", "popularity", value))
+        engine.publish_subjects(source, ["kg:a"])
+        stored = engine.triples.value_of("kg:a", "popularity")
+        assert type(stored) is type(value) and stored == value
+        assert engine.triples.canonical_rows() == source.canonical_rows()
+        assert engine.entity("kg:a").facts["popularity"] == [value]

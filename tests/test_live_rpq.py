@@ -159,6 +159,10 @@ def test_interval_index_invalidated_by_shipped_mutations():
     # unchanged graph: the cached encoding is reused
     assert index.adjacency.interval_index("", "part_of") is interval
     assert index.adjacency.interval_builds == builds
+    # a re-upsert that adds a non-edge fact moves no edge: still reused
+    index.upsert(_doc("n4", part_of="n2", weight=3))
+    assert index.adjacency.interval_index("", "part_of") is interval
+    assert index.adjacency.interval_builds == builds
     # a second parent breaks tree shape -> the encoding honestly refuses
     index.upsert(_doc("n7", part_of=["n3", "n5"]))
     assert index.adjacency.interval_index("", "part_of") is None

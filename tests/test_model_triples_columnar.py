@@ -196,7 +196,7 @@ def test_batch_operators_match_rowwise(store_seed):
     assert merged.add_batch(t.copy() for t in extra) == legacy.add_all(t.copy() for t in extra)
     assert merged.canonical_rows() == legacy.canonical_rows()
 
-    # stage + add_staged == add_rows over facts_about rows, in the same
+    # stage + apply_staged == add_rows over facts_about rows, in the same
     # order; an absent subject stages an empty group
     staged_subjects = SUBJECTS[1:6] + ["kg:absent"]
     staged = merged.stage(staged_subjects)
@@ -211,14 +211,24 @@ def test_batch_operators_match_rowwise(store_seed):
         for r in via_dicts.to_rows()
     ]
     via_batch = TripleStore()
-    assert via_batch.add_staged(staged) == via_dicts.fact_count()
+    assert via_batch.apply_staged(staged) == via_dicts.fact_count()
     assert via_batch.to_rows() == via_dicts.to_rows()
-    # staged into a store that already holds some of the facts: merge semantics
+    # staged into a store that already holds facts of the staged subjects:
+    # each staged subject holds exactly its staged facts afterwards, as if
+    # its stored facts were removed and the staged rows added; the other
+    # subjects are untouched, and applying the batch again inserts nothing
     overlapping = TripleStore(t.copy() for t in extra)
-    expected_new = LegacyTripleStore(t.copy() for t in extra).add_all(
-        ExtendedTriple.from_row(row) for row in via_dicts.to_rows()
-    )
-    assert overlapping.add_staged(staged) == expected_new
+    rebuilt = TripleStore(t.copy() for t in extra)
+    rebuilt.remove_subjects_batch(staged.subjects)
+    rebuilt.add_rows(via_dicts.to_rows())
+    overlapping.apply_staged(staged)
+    assert overlapping.canonical_rows() == rebuilt.canonical_rows()
+    assert overlapping.apply_staged(staged) == 0
+    assert overlapping.canonical_rows() == rebuilt.canonical_rows()
+    # the source index followed every replaced provenance
+    for source in SOURCES:
+        assert overlapping.remove_source(source) == rebuilt.remove_source(source)
+        assert overlapping.canonical_rows() == rebuilt.canonical_rows()
 
     # remove_subjects_batch == per-subject remove_subject
     doomed = SUBJECTS[2:5]
@@ -240,7 +250,7 @@ def test_batch_operators_match_rowwise(store_seed):
     # the batch staged above is a snapshot: removals and provenance
     # retractions on its source since then do not show in it
     late = TripleStore()
-    late.add_staged(staged)
+    late.apply_staged(staged)
     assert late.canonical_rows() == via_dicts.canonical_rows()
 
 
