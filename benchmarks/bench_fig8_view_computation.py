@@ -84,13 +84,6 @@ def engines(bench_store):
     return optimized, legacy
 
 
-def _full_maintenance(manager: ViewManager, changed: list[str]) -> dict[str, float]:
-    """Maintain every materialized view through ``create``: a full refresh,
-    flushed at once (past the watermark gate) by the update of *changed*."""
-    manager.mark_full_refresh()
-    return manager.update(changed)
-
-
 def _measure(callable_, repeat=3):
     best = float("inf")
     for _ in range(repeat):
@@ -150,12 +143,12 @@ def bench_fig8_selective_view_maintenance(benchmark, engines):
     manager.materialize()
 
     changed = sorted(view_subjects["Songs"])[:10]
-    full = _full_maintenance(manager, changed)
+    full = manager.materialize()
     selective = manager.update(changed)
     assert len(selective) < len(full)
     assert "Songs" in selective and "Media People" not in selective
 
-    full_seconds = _measure(lambda: _full_maintenance(manager, changed))
+    full_seconds = _measure(manager.materialize)
     selective_seconds = _measure(lambda: manager.update(changed))
     print_table(
         "Figure 8 views — selective vs full maintenance (10 changed songs)",

@@ -11,7 +11,9 @@ popularity.  The example shows:
 * consuming an *evolved* snapshot incrementally — only the delta is processed
   and the volatile popularity partition takes the optimized overwrite path;
 * registering and maintaining Graph Engine views (entity features, ranked
-  entity index) and reading entity cards for a popular artist.
+  entity index) and reading entity cards for a popular artist;
+* removing a source on demand: the artist's entity card and search hit lose
+  exactly the facts only that source supported.
 
 Run with:  python examples/music_catalog.py
 """
@@ -107,11 +109,39 @@ def main() -> None:
           f"(non-destructive integration)")
 
     # Licensing / governance: drop a source on demand and show the KG shrink.
+    # The removal is published like any other change, so the entity card and
+    # the search index lose exactly the facts only musicdb supported.
+    musicdb_only = {
+        (fact.predicate, fact.obj)
+        for fact in engine.triples.facts_about(top_artist_id)
+        if fact.sources == ["musicdb"] and fact.predicate in card.facts
+    }
+
+    def own_hit() -> str:
+        hits = engine.search(card.name, k=100)
+        hit = next((hit for hit in hits if hit.doc_id == top_artist_id), None)
+        return "no hit" if hit is None else f"{hit.payload['name']!r} (score {hit.score:.2f})"
+
+    hit_before = own_hit()
     before = engine.triples.fact_count()
     engine.remove_source("musicdb")
     after = engine.triples.fact_count()
     print(f"\nOn-demand source removal: dropping 'musicdb' removed "
           f"{before - after} facts that no other source supported")
+    card_after = engine.entity(top_artist_id)
+    facts_after = card_after.facts if card_after is not None else {}
+    lost = {
+        (predicate, value)
+        for predicate, values in card.facts.items()
+        for value in values
+        if value not in facts_after.get(predicate, [])
+    }
+    if lost != musicdb_only:
+        raise SystemExit(f"entity card lost {sorted(lost)}, expected {sorted(musicdb_only)}")
+    print(f"  entity card of {card.name} lost the facts only musicdb supported:")
+    for predicate, value in sorted(lost, key=repr):
+        print(f"    {predicate}: {value}")
+    print(f"  its search hit for {card.name!r}: {hit_before} -> {own_hit()}")
 
 
 if __name__ == "__main__":

@@ -87,7 +87,7 @@ class EntityDelta:
         return not (self.added or self.updated or self.deleted)
 
     def as_dict(self) -> dict[str, list[str]]:
-        """Plain-dict view, the shape embedded in published log payloads."""
+        """Plain-dict view of the three tuples."""
         return {
             "added": list(self.added),
             "updated": list(self.updated),

@@ -3,18 +3,23 @@
 Section 3.1: an extensible orchestration-agent framework lets new storage or
 compute engines be onboarded with small engineering effort.  Agents
 encapsulate all store-specific logic; the surrounding framework (log reading,
-payload fetching, watermark tracking) is generic.
+payload fetching, watermark tracking) is generic.  Once every agent has
+replayed a record, the coordinator hands the subject delta its publish
+staged — a :class:`~repro.engine.views.ViewDelta`, stamped with the record's
+LSN — to its listeners unchanged: nothing between publish and replica
+re-derives which subjects an operation added, updated or deleted.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from repro.engine.log import LogRecord, OperationLog
 from repro.engine.metadata import MetadataStore
 from repro.engine.object_store import ObjectStore
+from repro.engine.views import ViewDelta
 from repro.errors import EngineError
 
 
@@ -61,29 +66,6 @@ class ReplayReport:
         return sum(self.applied.values())
 
 
-@dataclass(frozen=True)
-class ProgressDelta:
-    """One fully-replayed operation, classified for delta-journal consumers.
-
-    The coordinator tracks the set of live subjects it has delivered so far,
-    so each ``ingest_delta`` splits into *added* (never delivered, or deleted
-    since) versus *updated* subjects; *deleted* mirrors the payload.
-    Operations whose changed-entity set is unknown (``remove_source``) are
-    delivered with ``full_refresh=True`` and empty id tuples.
-    """
-
-    lsn: int
-    added: tuple[str, ...] = ()
-    updated: tuple[str, ...] = ()
-    deleted: tuple[str, ...] = ()
-    full_refresh: bool = False
-
-    @property
-    def changed(self) -> tuple[str, ...]:
-        """Added plus updated subjects, in delivery order."""
-        return self.added + self.updated
-
-
 class AgentCoordinator:
     """Drive every registered agent from its watermark to the log head."""
 
@@ -97,24 +79,22 @@ class AgentCoordinator:
         self.object_store = object_store
         self.metadata = metadata
         self.agents: dict[str, OrchestrationAgent] = {}
-        self.delta_listeners: list[Callable[[ProgressDelta], None]] = []
+        self.delta_listeners: list[Callable[[ViewDelta], None]] = []
         self.listener_errors: list[str] = []
         self._delivered_lsn = 0
-        self._live_subjects: set[str] = set()
 
-    def add_delta_listener(self, listener: Callable[[ProgressDelta], None]) -> None:
-        """Call *listener* with a classified :class:`ProgressDelta` per record.
+    def add_delta_listener(self, listener: Callable[[ViewDelta], None]) -> None:
+        """Call *listener* with each record's :class:`ViewDelta`.
 
         Listeners see records strictly in LSN order and exactly once, and only
         after the minimum watermark across all registered agents has passed
         the record — i.e. when every store is consistent with it.  Derived
         maintenance (view deltas) hangs off this hook so it never reads a
-        store that has not replayed the operation yet.  The payload is
-        pre-classified into added / updated / deleted subjects, so
-        delta-journal consumers (the view manager) record entity-level deltas
-        without re-deriving them from raw payloads.  A listener that raises
-        is recorded in ``listener_errors``; it neither unwinds replay nor
-        causes redelivery.
+        store that has not replayed the operation yet.  The delta is the one
+        the publish staged in the payload (``"delta"``), stamped with the
+        record's LSN; a record without a payload delivers an empty delta.  A
+        listener that raises is recorded in ``listener_errors``; it neither
+        unwinds replay nor causes redelivery.
         """
         self.delta_listeners.append(listener)
 
@@ -174,7 +154,8 @@ class AgentCoordinator:
             payload = (
                 self.object_store.get(record.payload_key) if record.payload_key else None
             )
-            delta = self._classify(record, payload)
+            staged = payload["delta"] if payload is not None else ViewDelta()
+            delta = replace(staged, first_lsn=record.lsn, last_lsn=record.lsn)
             for listener in self.delta_listeners:
                 try:
                     listener(delta)
@@ -183,53 +164,6 @@ class AgentCoordinator:
                     # must neither unwind replay nor cause redelivery.
                     self.listener_errors.append(f"lsn={record.lsn}: {exc}")
             self._delivered_lsn = record.lsn
-
-    def _classify(self, record: LogRecord, payload: object) -> ProgressDelta:
-        """Split one delivered record into added / updated / deleted subjects.
-
-        Producers that already classified their change (knowledge construction
-        embeds the commit's :class:`~repro.construction.incremental.
-        EntityDelta` as the payload's ``classified`` section) are passed
-        through verbatim — no store re-diffing happens on this path, the
-        classification computed at fusion-commit time flows unchanged into the
-        view delta journals.  Unclassified payloads fall back to
-        :meth:`_classify_by_diff`.  Either way the live-subject set is kept
-        consistent, since a later unclassified operation may need it.
-        """
-        if record.operation == "ingest_delta" and isinstance(payload, dict):
-            classified = payload.get("classified")
-            if isinstance(classified, dict):
-                added = tuple(str(s) for s in classified.get("added", ()))
-                updated = tuple(str(s) for s in classified.get("updated", ()))
-                deleted = tuple(str(s) for s in classified.get("deleted", ()))
-                self._live_subjects.update(added)
-                self._live_subjects.update(updated)
-                self._live_subjects.difference_update(deleted)
-                return ProgressDelta(
-                    lsn=record.lsn, added=added, updated=updated, deleted=deleted
-                )
-            return self._classify_by_diff(record, payload)
-        return ProgressDelta(lsn=record.lsn, full_refresh=True)
-
-    def _classify_by_diff(self, record: LogRecord, payload: dict) -> ProgressDelta:
-        """Diff-based fallback classification for unclassified payloads.
-
-        Stateful against the subjects delivered so far, so it must run exactly
-        once per record even when no delta listener is registered yet.  After
-        a ``full_refresh`` the live-subject set may retain subjects a
-        ``remove_source`` actually dropped; a later re-add then classifies as
-        *updated* — harmless for journal consumers, which treat added and
-        updated rows identically.
-        """
-        subjects = [str(s) for s in payload.get("subjects", [])]
-        deleted = [str(s) for s in payload.get("deleted", [])]
-        added = tuple(s for s in subjects if s not in self._live_subjects)
-        updated = tuple(s for s in subjects if s in self._live_subjects)
-        self._live_subjects.update(subjects)
-        self._live_subjects.difference_update(deleted)
-        return ProgressDelta(
-            lsn=record.lsn, added=added, updated=updated, deleted=tuple(deleted)
-        )
 
     def freshness(self) -> dict[str, int]:
         """Per-store lag behind the log head, in operations."""

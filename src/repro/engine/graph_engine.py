@@ -25,6 +25,15 @@ index together.  No relational row dict, ``ExtendedTriple`` or provenance
 object is built on the way, and a batch keeps a snapshot's semantics, so a
 publish made with ``replay=False`` replays what was published however the
 source store changed in between.
+
+One delta, built once: the payload also carries the publish's
+:class:`~repro.engine.views.ViewDelta` (added / updated / deleted subjects).
+The agents iterate it, the coordinator hands it on stamped with the record's
+LSN, and the view manager folds it into the deltas its journal events carry
+to the serving tier.  A source removal (:meth:`GraphEngine.remove_source`)
+is an ordinary publish of the subjects the source touched, staged from the
+primary without that source, so it reaches every view and replica as a
+delta as well.
 """
 
 from __future__ import annotations
@@ -32,12 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.engine.agents import (
-    AgentCoordinator,
-    OrchestrationAgent,
-    ProgressDelta,
-    ReplayReport,
-)
+from repro.engine.agents import AgentCoordinator, OrchestrationAgent, ReplayReport
 from repro.engine.analytics import AnalyticsStore, EntityViewSpec, Relation
 from repro.engine.entity_store import EntityDocument, EntityStore
 from repro.engine.importance import EntityImportance, ImportanceScore, importance_view_rows
@@ -46,7 +50,7 @@ from repro.engine.metadata import MetadataStore
 from repro.engine.object_store import ObjectStore
 from repro.engine.text_index import InvertedTextIndex, SearchHit, TextDocument
 from repro.engine.vector_db import VectorDB, VectorHit
-from repro.engine.views import ViewCatalog, ViewContext, ViewDefinition, ViewManager
+from repro.engine.views import ViewCatalog, ViewContext, ViewDefinition, ViewDelta, ViewManager
 from repro.errors import EngineError
 from repro.model.entity import KGEntity
 from repro.model.ontology import Ontology
@@ -64,12 +68,9 @@ class PrimaryStoreAgent(OrchestrationAgent):
         super().__init__("primary")
         self.store = store
 
-    def apply(self, record: LogRecord, payload: object) -> None:
-        if record.operation == "ingest_delta" and isinstance(payload, dict):
-            self.store.remove_subjects_batch(payload["deleted"])
-            self.store.apply_staged(payload["batch"])
-        elif record.operation == "remove_source":
-            self.store.remove_source(record.source_id)
+    def apply(self, record: LogRecord, payload: dict) -> None:
+        self.store.remove_subjects_batch(sorted(payload["delta"].deleted))
+        self.store.apply_staged(payload["batch"])
 
 
 class AnalyticsAgent(OrchestrationAgent):
@@ -79,11 +80,10 @@ class AnalyticsAgent(OrchestrationAgent):
         super().__init__("analytics")
         self.analytics = analytics
 
-    def apply(self, record: LogRecord, payload: object) -> None:
-        if record.operation != "ingest_delta" or not isinstance(payload, dict):
-            return
-        self.analytics.remove_subjects([*payload["deleted"], *payload["subjects"]])
-        self.analytics.ingest_rows(payload["batch"].rows())
+    def apply(self, record: LogRecord, payload: dict) -> None:
+        batch = payload["batch"]
+        self.analytics.remove_subjects([*payload["delta"].deleted, *batch.subjects])
+        self.analytics.ingest_rows(batch.rows())
 
 
 class StagedEntities:
@@ -121,11 +121,10 @@ class EntityStoreAgent(OrchestrationAgent):
         self.entity_store = entity_store
         self.staged = staged
 
-    def apply(self, record: LogRecord, payload: object) -> None:
-        if record.operation != "ingest_delta" or not isinstance(payload, dict):
-            return
-        entities = self.staged.of(payload["batch"])
-        for subject in {*payload["subjects"], *payload["deleted"]}:
+    def apply(self, record: LogRecord, payload: dict) -> None:
+        batch = payload["batch"]
+        entities = self.staged.of(batch)
+        for subject in dict.fromkeys([*batch.subjects, *sorted(payload["delta"].deleted)]):
             entity = entities.get(subject)
             if entity is None:
                 self.entity_store.delete(subject)
@@ -141,13 +140,12 @@ class TextIndexAgent(OrchestrationAgent):
         self.text_index = text_index
         self.staged = staged
 
-    def apply(self, record: LogRecord, payload: object) -> None:
-        if record.operation != "ingest_delta" or not isinstance(payload, dict):
-            return
-        entities = self.staged.of(payload["batch"])
-        for subject in payload["deleted"]:
+    def apply(self, record: LogRecord, payload: dict) -> None:
+        batch = payload["batch"]
+        entities = self.staged.of(batch)
+        for subject in sorted(payload["delta"].deleted):
             self.text_index.remove(subject)
-        for subject in payload["subjects"]:
+        for subject in batch.subjects:
             entity = entities.get(subject)
             if entity is None:
                 self.text_index.remove(subject)
@@ -231,29 +229,13 @@ class GraphEngine:
         log, and — by default — agents replay immediately.
 
         When the producer already classified its change, *added_subjects*
-        names the net-new subset of *changed_subjects*; the classification is
-        embedded in the staged payload and the coordinator delivers it to
-        delta-journal consumers verbatim, instead of re-deriving it by
-        diffing against the delivered-subject set.
+        names the net-new subset of *changed_subjects*; otherwise the
+        changed subjects the primary does not hold yet are the added ones.
         """
-        batch = source_store.stage(changed_subjects)
-        subjects = list(batch.subjects)
-        deleted = sorted(set(deleted_subjects))
-        payload = {"subjects": subjects, "deleted": deleted, "batch": batch}
-        if added_subjects is not None:
-            added = set(added_subjects)
-            payload["classified"] = {
-                "added": sorted(added),
-                "updated": [s for s in subjects if s not in added],
-                "deleted": deleted,
-            }
-        key = self.object_store.put(payload)
-        record = self.log.append("ingest_delta", source_id=source_id, payload_key=key)
-        self.stats.operations_published += 1
-        self.stats.subjects_published += len(subjects)
-        if replay:
-            self.replay()
-        return record
+        return self._publish(
+            source_store.stage(changed_subjects), deleted_subjects, added_subjects,
+            source_id, replay,
+        )
 
     def publish_store(
         self, source_store: TripleStore, source_id: str = "construction", replay: bool = True
@@ -263,10 +245,46 @@ class GraphEngine:
             source_store, source_store.subjects(), source_id=source_id, replay=replay
         )
 
-    def remove_source(self, source_id: str, replay: bool = True) -> LogRecord:
-        """Publish an on-demand source removal (licensing / deletion requests)."""
-        record = self.log.append("remove_source", source_id=source_id)
+    def remove_source(self, source_id: str) -> LogRecord:
+        """Publish an on-demand source removal (licensing / deletion requests).
+
+        Pending records replay first, so the primary holds every fact the
+        removal retracts.  Every subject holding a fact from *source_id* is
+        then staged from the primary without that source
+        (:meth:`TripleStore.stage_without_source`) and published like any
+        other change: a fact left with no source is dropped, a subject left
+        with no facts is deleted, and every store, view and replica applies
+        the removal as a delta.
+        """
+        self.replay()
+        batch, emptied = self.triples.stage_without_source(source_id)
+        return self._publish(batch, emptied, None, source_id, replay=True)
+
+    def _publish(
+        self,
+        batch: TripleBatch,
+        deleted_subjects: Iterable[str],
+        added_subjects: Iterable[str] | None,
+        source_id: str,
+        replay: bool,
+    ) -> LogRecord:
+        """Stage *batch* with its subject delta, log it, and maybe replay.
+
+        The delta is built here, once: the agents, the view manager and the
+        serving journal all read this one :class:`ViewDelta`.
+        """
+        subjects = frozenset(batch.subjects)
+        if added_subjects is None:
+            added = frozenset(s for s in subjects if not self.triples.has_subject(s))
+        else:
+            added = frozenset(added_subjects)
+        delta = ViewDelta(
+            added=added, updated=subjects - added, deleted=frozenset(deleted_subjects)
+        )
+        key = self.object_store.put({"batch": batch, "delta": delta})
+        record = self.log.append("ingest_delta", source_id=source_id, payload_key=key)
         self.stats.operations_published += 1
+        self.stats.subjects_published += len(subjects)
         if replay:
             self.replay()
         return record
@@ -355,18 +373,14 @@ class GraphEngine:
         """Return the materialized artifact of a registered view."""
         return self.view_manager.artifact(name)
 
-    def _on_log_delta(self, delta: ProgressDelta) -> None:
-        """Feed fully-replayed, classified operations to the view manager."""
-        if delta.full_refresh:
-            # changed-entity set unknown (e.g. remove_source): full refresh
-            self.view_manager.mark_full_refresh(delta.lsn)
-        else:
-            self.view_manager.enqueue(
-                delta.changed,
-                lsn=delta.lsn,
-                deleted_entity_ids=delta.deleted,
-                added_entity_ids=delta.added,
-            )
+    def _on_log_delta(self, delta: ViewDelta) -> None:
+        """Feed each fully-replayed publish's subject delta to the view manager."""
+        self.view_manager.enqueue(
+            delta.changed,
+            lsn=delta.last_lsn,
+            deleted_entity_ids=delta.deleted,
+            added_entity_ids=delta.added,
+        )
 
     def register_standard_views(self) -> list[str]:
         """Register the production-style view dependency graph of Figure 7.

@@ -19,10 +19,10 @@ The manager maintains views *selectively* and *change-driven* rather than
 rebuilding every materialized view on any update:
 
 * **Entity-level deltas.**  Changed-entity deltas (fed by the Graph Engine's
-  log-replay progress, which classifies ids as added / updated / deleted)
-  fold into one pending delta by the rule :meth:`ViewDelta.merge` defines,
-  and flush only when asked (``flush`` / ``update``; the Graph Engine's
-  ``update_views``).  A flush hands the batch on as one :class:`ViewDelta`
+  log-replay progress: the :class:`ViewDelta` each publish staged, source
+  removals included) fold into one pending delta by the rule
+  :meth:`ViewDelta.merge` defines, and flush only when asked (``flush`` /
+  ``update``; the Graph Engine's ``update_views``).  A flush hands the batch on as one :class:`ViewDelta`
   carrying the LSN range it covers.
 
 * **Affected closure.**  Each :class:`ViewDefinition` may declare an entity
@@ -64,13 +64,13 @@ rebuilding every materialized view on any update:
   something consumes.
 
 * **Flush order.**  ``flush()`` maintains the affected closure one view at a
-  time on the calling thread, antichain by antichain of the dependency graph
-  (topological order), so a dependent never starts before its dependencies
-  committed.  Artifact, scope-snapshot update, and watermark publication are
-  committed atomically per view under a per-view lock — shipper and auditor
-  threads read through it — so a failing view neither corrupts a sibling
-  branch's state nor loses the pending delta (the flush restores it and
-  re-raises).
+  time on the calling thread, generation by generation of the dependency
+  order the catalog computes once per registration, so a dependent never
+  starts before its dependencies committed.  Artifact, scope-snapshot
+  update, and watermark publication are committed atomically per view under
+  a per-view lock — shipper and auditor threads read through it — so a
+  failing view neither corrupts a sibling branch's state nor loses the
+  pending delta (the flush restores it and re-raises).
 
 * **LSN watermarks.**  Every :class:`ViewState` records ``built_at_lsn`` — the
   operation-log position its artifact reflects.  Watermarks are mirrored
@@ -106,8 +106,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
-
-import networkx as nx
 
 from repro.engine.analytics import JoinAccessPattern, _collapse
 from repro.engine.metadata import MetadataStore
@@ -726,11 +724,37 @@ class ViewState:
     revision: int = 0              # bumped when state is recreated (redefinition)
 
 
+def _topological_order(definitions: dict[str, ViewDefinition]) -> tuple[str, ...] | None:
+    """Every view after all its dependencies, generation by generation, in
+    the order ``networkx.topological_sort`` gives the dependency graph built
+    from *definitions*; ``None`` on a dependency cycle."""
+    dependents: dict[str, list[str]] = {}     # keyed in order of first mention
+    waiting: dict[str, int] = {}
+    for name, definition in definitions.items():
+        dependents.setdefault(name, [])
+        dependencies = dict.fromkeys(definition.dependencies)
+        waiting[name] = len(dependencies)
+        for dependency in dependencies:
+            dependents.setdefault(dependency, []).append(name)
+    order = [name for name in dependents if not waiting[name]]
+    for name in order:              # grows while walked: a breadth-first pass
+        for dependent in dependents[name]:
+            waiting[dependent] -= 1
+            if not waiting[dependent]:
+                order.append(dependent)
+    return tuple(order) if len(order) == len(definitions) else None
+
+
 class ViewCatalog:
-    """Central registry of view definitions and their dependency graph."""
+    """Central registry of view definitions and their dependency order.
+
+    The topological order is computed once per :meth:`register`, the only
+    place definitions change, and every ordered walk reads it.
+    """
 
     def __init__(self) -> None:
         self._definitions: dict[str, ViewDefinition] = {}
+        self._order: tuple[str, ...] = ()
         self._managers: list["ViewManager"] = []
 
     def attach(self, manager: "ViewManager") -> None:
@@ -745,7 +769,9 @@ class ViewCatalog:
         swaps the definition and resets the runtime state of the view *and*
         of every transitive dependent in all attached managers — stale state
         built against the old definition must never survive.  With
-        ``replace=False`` re-registration is rejected outright.
+        ``replace=False`` re-registration is rejected outright.  A
+        definition that would close a dependency cycle is rejected and the
+        catalog keeps its previous state.
         """
         for dependency in definition.dependencies:
             if dependency != definition.name and dependency not in self._definitions:
@@ -753,26 +779,20 @@ class ViewCatalog:
                     f"view {definition.name!r} depends on unknown view {dependency!r}"
                 )
         existing = self._definitions.get(definition.name)
-        if existing is None:
-            self._definitions[definition.name] = definition
-            if not nx.is_directed_acyclic_graph(self.dependency_graph()):
-                del self._definitions[definition.name]
-                raise ViewError(
-                    f"registering view {definition.name!r} would create a dependency cycle"
-                )
-            return definition
-        if not replace:
+        if existing is not None and not replace:
             raise ViewError(f"view {definition.name!r} is already registered")
         old_dependents = self.dependents_of(definition.name)
-        self._definitions[definition.name] = definition
-        if not nx.is_directed_acyclic_graph(self.dependency_graph()):
-            self._definitions[definition.name] = existing
+        definitions = {**self._definitions, definition.name: definition}
+        order = _topological_order(definitions)
+        if order is None:
             raise ViewError(
-                f"re-registering view {definition.name!r} would create a dependency cycle"
+                f"registering view {definition.name!r} would create a dependency cycle"
             )
-        affected = {definition.name, *old_dependents, *self.dependents_of(definition.name)}
-        for manager in self._managers:
-            manager.reset_views(affected)
+        self._definitions, self._order = definitions, order
+        if existing is not None:
+            affected = {definition.name, *old_dependents, *self.dependents_of(definition.name)}
+            for manager in self._managers:
+                manager.reset_views(affected)
         return definition
 
     def get(self, name: str) -> ViewDefinition:
@@ -786,22 +806,10 @@ class ViewCatalog:
         """All registered view names."""
         return sorted(self._definitions)
 
-    def dependency_graph(self) -> nx.DiGraph:
-        """Directed graph with an edge dependency → dependent view."""
-        graph = nx.DiGraph()
-        for name, definition in self._definitions.items():
-            graph.add_node(name)
-            for dependency in definition.dependencies:
-                graph.add_edge(dependency, name)
-        return graph
-
     def execution_order(self, targets: Iterable[str] | None = None) -> list[str]:
         """Topological execution order covering *targets* and their dependencies."""
-        graph = self.dependency_graph()
-        if not nx.is_directed_acyclic_graph(graph):
-            raise ViewError("view dependency graph contains a cycle")
         if targets is None:
-            return list(nx.topological_sort(graph))
+            return list(self._order)
         needed: set[str] = set()
         frontier = list(targets)
         while frontier:
@@ -810,14 +818,30 @@ class ViewCatalog:
                 continue
             needed.add(name)
             frontier.extend(self.get(name).dependencies)
-        return [name for name in nx.topological_sort(graph) if name in needed]
+        return [name for name in self._order if name in needed]
+
+    def generation_order(self, names: Iterable[str]) -> list[str]:
+        """*names* generation by generation of their own dependency subgraph
+        (a view's generation is one past the highest of its dependencies
+        among *names*), each generation sorted by name."""
+        wanted = set(names)
+        level: dict[str, int] = {}
+        for name in self._order:
+            if name in wanted:
+                level[name] = max(
+                    (level[d] + 1 for d in self._definitions[name].dependencies if d in level),
+                    default=0,
+                )
+        return sorted(level, key=lambda name: (level[name], name))
 
     def dependents_of(self, name: str) -> list[str]:
         """Views that (transitively) depend on *name*."""
-        graph = self.dependency_graph()
-        if name not in graph:
-            return []
-        return sorted(nx.descendants(graph, name))
+        reached = {name}
+        for view in self._order:
+            if any(d in reached for d in self._definitions[view].dependencies):
+                reached.add(view)
+        reached.discard(name)
+        return sorted(reached)
 
     def __contains__(self, name: object) -> bool:
         return name in self._definitions
@@ -868,7 +892,6 @@ class ViewManager:
         self.noop_maintenance = 0        # incremental runs that changed no output row
         self._pending = _DeltaBatch()
         self._forced = False             # an update() call: skip the watermark gate
-        self._rebuild = False            # a full refresh: every view through create
         self._revision_counter = 0
         self._local_lsn = 0
         self.delta_lsn = 0          # highest LSN whose delta has been observed
@@ -991,22 +1014,6 @@ class ViewManager:
         ))
         self.deltas_observed += 1
 
-    def mark_full_refresh(self, lsn: int | None = None) -> None:
-        """Force the next flush to treat every materialized view as affected.
-
-        Used for operations whose changed-entity set is unknown, e.g. a
-        source removal that may touch arbitrary subjects.  Because no view's
-        incremental procedure can be told *which* entities changed, the flush
-        rebuilds every view from scratch via ``create`` and emits
-        ``truncate`` for each.
-        """
-        observed = int(lsn) if lsn is not None else self.current_lsn()
-        self.delta_lsn = max(self.delta_lsn, observed)
-        if not self._has_materialized():
-            return
-        self._pending.fold(ViewDelta(first_lsn=observed, last_lsn=observed))
-        self._rebuild = True
-
     def flush(self) -> dict[str, float]:
         """Maintain the affected closure of the pending delta.
 
@@ -1017,32 +1024,31 @@ class ViewManager:
         the batch's target LSN is not rebuilt unless the flush was forced by a
         direct :meth:`update` call.
         """
-        if not (self._pending or self._forced or self._rebuild):
+        if not (self._pending or self._forced):
             return {}
-        batch, forced, rebuild = self._pending, self._forced, self._rebuild
-        self._pending, self._forced, self._rebuild = _DeltaBatch(), False, False
+        batch, forced = self._pending, self._forced
+        self._pending, self._forced = _DeltaBatch(), False
         self._local_lsn += 1
         delta = batch.delta(batch.last_lsn or self.current_lsn())
         try:
-            return self._flush_batch(delta, forced, rebuild)
+            return self._flush_batch(delta, forced)
         except Exception:
             # A failed flush must not lose the delta: fold whatever reentrant
             # observers enqueued meanwhile on top of it, so a retry covers
             # every pending change and the newer classification of an id wins.
             self._pending = _DeltaBatch.of(delta.merge(self._pending.delta()))
             self._forced = self._forced or forced
-            self._rebuild = self._rebuild or rebuild
             raise
 
-    def _flush_batch(self, delta: ViewDelta, forced: bool, rebuild: bool) -> dict[str, float]:
+    def _flush_batch(self, delta: ViewDelta, forced: bool) -> dict[str, float]:
         target_lsn = delta.last_lsn
-        closure = None if rebuild else self._affected_closure(delta)
+        closure = self._affected_closure(delta)
         to_maintain: list[str] = []
         for name in self.catalog.execution_order():
             state = self.states.get(name)
             if state is None or not state.materialized:
                 continue
-            if not (rebuild or name in closure):
+            if name not in closure:
                 self.maintenance_decisions += 1
                 self.maintenance_skips += 1
                 state.skipped_updates += 1
@@ -1067,52 +1073,46 @@ class ViewManager:
             definition = self.catalog.get(name)
             self._require_dependencies(name, definition)
             to_maintain.append(name)
-        timings = self._run_schedule(to_maintain, delta, rebuild)
+        timings = self._run_schedule(to_maintain, delta)
         self.flushes += 1
         self._record_stats()
         return timings
 
-    def _run_schedule(
-        self, names: list[str], delta: ViewDelta, rebuild: bool
-    ) -> dict[str, float]:
-        """Maintain *names* one at a time, antichain by antichain.
+    def _run_schedule(self, names: list[str], delta: ViewDelta) -> dict[str, float]:
+        """Maintain *names* one at a time, generation by generation.
 
-        Walking the ``topological_generations`` layers in order guarantees a
-        dependent never starts before every dependency has committed its
-        artifact.  A failing view blocks its own transitive dependents but
-        sibling branches run to completion before the first failure is
-        re-raised (in topological order).
+        Walking the catalog's dependency generations of *names* in order
+        guarantees a dependent never starts before every dependency has
+        committed its artifact.  A failing view blocks its own transitive
+        dependents but sibling branches run to completion before the first
+        failure is re-raised (in topological order).
         """
         timings: dict[str, float] = {}
         if not names:
             return timings
         context = ViewContext(engines=self.engines, artifacts=self._artifacts())
-        subgraph = self.catalog.dependency_graph().subgraph(names)
         failures: dict[str, Exception] = {}
         blocked: set[str] = set()
-        for generation in nx.topological_generations(subgraph):
-            for name in sorted(generation):
-                dependencies = self.catalog.get(name).dependencies
-                if any(dep in failures or dep in blocked for dep in dependencies):
-                    blocked.add(name)
-                    continue
-                try:
-                    timings[name] = self._maintain_one(name, context, delta, rebuild)
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    failures[name] = exc
+        for name in self.catalog.generation_order(names):
+            dependencies = self.catalog.get(name).dependencies
+            if any(dep in failures or dep in blocked for dep in dependencies):
+                blocked.add(name)
+                continue
+            try:
+                timings[name] = self._maintain_one(name, context, delta)
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                failures[name] = exc
         for name in names:
             if name in failures:
                 raise failures[name]
         return timings
 
-    def _maintain_one(
-        self, name: str, context: ViewContext, delta: ViewDelta, rebuild: bool
-    ) -> float:
+    def _maintain_one(self, name: str, context: ViewContext, delta: ViewDelta) -> float:
         """Maintain one view, commit artifact + watermark atomically, emit its event."""
         definition = self.catalog.get(name)
         state = self.states[name]
-        projected = None if rebuild else self._project_delta(definition, delta)
-        incremental = not rebuild and definition.apply_delta is not None
+        projected = self._project_delta(definition, delta)
+        incremental = definition.apply_delta is not None
         if incremental and projected.is_empty() and not delta.is_empty():
             # Only transitively affected, with nothing in its own scope: the
             # dependency change's extent relative to this view's rows is
@@ -1157,10 +1157,7 @@ class ViewManager:
                 context.artifacts[name] = artifact
             state.last_built_at = self.clock()
             state.last_build_seconds = elapsed
-            if projected is None:
-                self._seed_snapshot(name, definition)
-            else:
-                self._update_snapshot(name, definition, projected)
+            self._update_snapshot(name, definition, projected)
             state.built_at_lsn = max(state.built_at_lsn, delta.last_lsn)
             self._record_watermark(name, state)
         if not incremental:

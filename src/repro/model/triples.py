@@ -21,9 +21,10 @@ columnar store (see :mod:`repro.model.columnar` for the storage primitives and
   partition's ``(subject, predicate)`` composite index;
 * batch operators (:meth:`add_batch`, :meth:`add_rows`,
   :meth:`remove_subjects_batch`, :meth:`retract_source_from_subjects`,
-  :meth:`scan_tuples`, :meth:`stage` / :meth:`apply_staged`) move whole fact
-  sets without materializing triples; :meth:`apply_staged` writes only the
-  difference between a subject's stored and staged facts;
+  :meth:`scan_tuples`, :meth:`stage` / :meth:`stage_without_source` /
+  :meth:`apply_staged`) move whole fact sets without materializing
+  triples; :meth:`apply_staged` writes only the difference between a
+  subject's stored and staged facts;
 * a row holds an immutable :class:`~repro.model.provenance.Provenance`
   value, and a stored fact's provenance changes only through the store's
   operators (a re-assert, :meth:`remove_source`,
@@ -481,23 +482,56 @@ class TripleStore:
         provenance object is built or copied — and costs O(facts of
         *subjects*).  Later changes to this store do not show in the batch.
         """
+        return self._stage(sorted(set(subjects)))
+
+    def stage_without_source(self, source_id: str) -> tuple[TripleBatch, list[str]]:
+        """Stage every subject holding a fact from *source_id* as
+        :meth:`remove_source` would leave it, without changing the store.
+
+        Each staged fact's provenance drops *source_id*, and a fact left with
+        no source is omitted.  Returns the batch of the subjects that keep a
+        fact and, sorted, the subjects left with none.  Costs O(facts of the
+        touched subjects): the subjects come from the source's inverted index.
+        """
+        terms, partitions = self._subject_terms.terms, self._partitions
+        touched = sorted({
+            terms[partitions[ref >> ROW_BITS].subj[ref & ROW_MASK]]
+            for ref in self._by_source.get(source_id, ())
+        })
+        batch = self._stage(touched, dropped_source=source_id)
+        kept = set(batch.subjects)
+        return batch, [subject for subject in touched if subject not in kept]
+
+    def _stage(self, subjects: list[str], dropped_source: str | None = None) -> TripleBatch:
+        """The batch of *subjects* (sorted, distinct).  With *dropped_source*,
+        that source leaves every row's provenance, a row it leaves with no
+        source is skipped, and a subject left with no row is left out."""
         batch = TripleBatch(
-            tuple(sorted(set(subjects))),
+            (),
             (self._predicate_terms, self._rid_terms, self._locale_terms, self._object_terms),
         )
-        for subject in batch.subjects:
+        kept: list[str] = []
+        for subject in subjects:
             sid = self._subject_terms.id_of(subject)
             for ref in sorted(self._by_subject.get(sid, ()), key=self._repr_of):
                 partition = self._partitions[ref >> ROW_BITS]
                 row = ref & ROW_MASK
+                provenance = partition.prov[row]
+                if dropped_source is not None and dropped_source in provenance:
+                    provenance = provenance.without(dropped_source)
+                    if provenance.is_empty():
+                        continue
                 batch._pids.append(partition.pid)
                 batch._rids.append(partition.rid[row])
                 batch._rpids.append(partition.rpred[row])
                 batch._oids.append(partition.obj_ids[row])
                 batch._lids.append(partition.loc[row])
                 batch._objs.append(partition.objs[row])
-                batch._provs.append(partition.prov[row])
-            batch._starts.append(len(batch._objs))
+                batch._provs.append(provenance)
+            if dropped_source is None or len(batch._objs) > batch._starts[-1]:
+                batch._starts.append(len(batch._objs))
+                kept.append(subject)
+        batch.subjects = tuple(kept)
         return batch
 
     def apply_staged(self, batch: TripleBatch) -> int:
@@ -678,6 +712,11 @@ class TripleStore:
                 relationship_id = self._rid_terms.terms[rid]
                 grouped.setdefault(relationship_id, []).append(self._materialize(ref))
         return grouped
+
+    def has_subject(self, subject: str) -> bool:
+        """Whether the store holds at least one fact about *subject*."""
+        sid = self._subject_terms.id_of(subject)
+        return sid is not None and sid in self._by_subject
 
     def subjects(self) -> set[str]:
         """Return the set of all subject identifiers."""

@@ -12,7 +12,8 @@ instead of rebuilding view artifacts from scratch.
 Three record kinds follow the manager's journal events:
 
 * ``delta`` — one scope-projected :class:`ViewDelta` a maintenance flush
-  committed (entity ids plus the LSN range covered);
+  committed (entity ids plus the LSN range covered), held by the record as
+  the same value, not re-shaped;
 * ``truncate`` — the view was rebuilt from scratch; persisted history below
   the record's LSN is dropped and the floor advances (consumers below the
   floor must resync from a snapshot);
@@ -45,39 +46,30 @@ from repro.errors import JournalGapError, ServingError
 
 @dataclass(frozen=True)
 class JournalRecord:
-    """One durable journal entry of one view."""
+    """One durable journal entry of one view.
+
+    A ``delta`` record holds the committed :class:`ViewDelta` itself; a
+    ``truncate`` marker holds an empty delta at the LSN of the rebuild.
+    """
 
     view_name: str
     kind: str                    # "delta" | "truncate" | "drop"
     revision: int
-    first_lsn: int = 0
-    last_lsn: int = 0
-    added: tuple[str, ...] = ()
-    updated: tuple[str, ...] = ()
-    deleted: tuple[str, ...] = ()
-
-    def delta(self) -> ViewDelta:
-        """The entity-level delta this record carries (empty for markers)."""
-        return ViewDelta(
-            added=frozenset(self.added),
-            updated=frozenset(self.updated),
-            deleted=frozenset(self.deleted),
-            first_lsn=self.first_lsn,
-            last_lsn=self.last_lsn,
-        )
+    delta: ViewDelta = ViewDelta()
 
     def to_json(self) -> str:
         """Serialize the record to one JSON line."""
+        delta = self.delta
         return json.dumps(
             {
                 "view": self.view_name,
                 "kind": self.kind,
                 "revision": self.revision,
-                "first_lsn": self.first_lsn,
-                "last_lsn": self.last_lsn,
-                "added": sorted(self.added),
-                "updated": sorted(self.updated),
-                "deleted": sorted(self.deleted),
+                "first_lsn": delta.first_lsn,
+                "last_lsn": delta.last_lsn,
+                "added": sorted(delta.added),
+                "updated": sorted(delta.updated),
+                "deleted": sorted(delta.deleted),
             },
             sort_keys=True,
         )
@@ -90,27 +82,13 @@ class JournalRecord:
             view_name=data["view"],
             kind=data["kind"],
             revision=int(data["revision"]),
-            first_lsn=int(data.get("first_lsn", 0)),
-            last_lsn=int(data.get("last_lsn", 0)),
-            added=tuple(data.get("added", ())),
-            updated=tuple(data.get("updated", ())),
-            deleted=tuple(data.get("deleted", ())),
-        )
-
-    @classmethod
-    def from_delta(
-        cls, view_name: str, revision: int, delta: ViewDelta
-    ) -> "JournalRecord":
-        """Build a ``delta`` record from a committed :class:`ViewDelta`."""
-        return cls(
-            view_name=view_name,
-            kind="delta",
-            revision=revision,
-            first_lsn=delta.first_lsn,
-            last_lsn=delta.last_lsn,
-            added=tuple(sorted(delta.added)),
-            updated=tuple(sorted(delta.updated)),
-            deleted=tuple(sorted(delta.deleted)),
+            delta=ViewDelta(
+                added=frozenset(data.get("added", ())),
+                updated=frozenset(data.get("updated", ())),
+                deleted=frozenset(data.get("deleted", ())),
+                first_lsn=int(data.get("first_lsn", 0)),
+                last_lsn=int(data.get("last_lsn", 0)),
+            ),
         )
 
 
@@ -300,7 +278,7 @@ class JournalStore:
         if self._revisions.get(view_name, revision) != revision:
             # A new state lineage invalidates persisted history wholesale.
             self._drop_view(view_name)
-        record = JournalRecord.from_delta(view_name, revision, delta)
+        record = JournalRecord(view_name, "delta", revision, delta)
         self._append(record)
         self.appends += 1
         return record
@@ -311,8 +289,7 @@ class JournalStore:
         self._floors[view_name] = lsn
         self._revisions[view_name] = revision
         self._append(JournalRecord(
-            view_name=view_name, kind="truncate", revision=revision,
-            first_lsn=lsn, last_lsn=lsn,
+            view_name, "truncate", revision, ViewDelta(first_lsn=lsn, last_lsn=lsn)
         ))
         self.truncations += 1
 
@@ -337,7 +314,7 @@ class JournalStore:
         new_floor = self._floors.get(view_name, 0)
         keep_index = 0
         for index, (segment_id, records) in enumerate(segments):
-            high = max((r.last_lsn for r in records), default=0)
+            high = max((r.delta.last_lsn for r in records), default=0)
             # Never drop the last segment: appends continue into it.
             if high <= lsn and index < len(segments) - 1:
                 dropped.append(segment_id)
@@ -372,8 +349,8 @@ class JournalStore:
         merged = ViewDelta(first_lsn=lsn, last_lsn=lsn)
         for _, records in self._segments.get(view_name, []):
             for record in records:
-                if record.kind == "delta" and record.last_lsn > lsn:
-                    merged = merged.merge(record.delta())
+                if record.kind == "delta" and record.delta.last_lsn > lsn:
+                    merged = merged.merge(record.delta)
         return merged
 
     def revision_of(self, view_name: str) -> int:
@@ -389,7 +366,7 @@ class JournalStore:
         high = self._floors.get(view_name, 0)
         for _, records in self._segments.get(view_name, []):
             for record in records:
-                high = max(high, record.last_lsn)
+                high = max(high, record.delta.last_lsn)
         return high
 
     def view_names(self) -> list[str]:
@@ -461,7 +438,7 @@ class JournalStore:
             # hits an explicit gap (and resyncs) instead of trusting an
             # incomplete merge that would diverge it forever.
             self._floors[record.view_name] = max(
-                self._floors.get(record.view_name, 0), record.last_lsn
+                self._floors.get(record.view_name, 0), record.delta.last_lsn
             )
             try:
                 self._save_meta(record.view_name)

@@ -29,8 +29,7 @@ from repro.construction import (
     KnowledgeConstructionPipeline,
 )
 from repro.construction.fusion import Fusion
-from repro.engine.agents import AgentCoordinator
-from repro.engine.views import ViewDefinition, ViewDelta
+from repro.engine.views import ViewDefinition
 from repro.errors import ConstructionBatchError, IngestionError
 from repro.ingestion.importers import InMemoryImporter
 from repro.model import default_ontology
@@ -435,9 +434,10 @@ def _artist_entities(source_id: str, names: list[str]) -> list[SourceEntity]:
     ]
 
 
-def test_platform_publishes_classified_deltas_without_rediff(monkeypatch):
-    """Construction deltas reach the views' journal events with the
-    coordinator's diff-based classification provably never invoked."""
+def test_platform_publishes_classified_deltas_without_rediff():
+    """Construction deltas reach the views' journal events exactly as
+    construction classified them: nothing between publish and journal
+    re-derives which subjects a commit added, updated or deleted."""
     platform = _platform_with_views()
     engine = platform.graph_engine
 
@@ -445,7 +445,8 @@ def test_platform_publishes_classified_deltas_without_rediff(monkeypatch):
         return {"subject": subject, "facts": len(engine.triples.facts_about(subject))}
 
     def apply_delta(context, delta):
-        rows = dict(context.artifact("subject_rows"))
+        # Patched in place, so the journal event carries the input delta.
+        rows = context.artifact("subject_rows")
         for subject in delta.changed:
             rows[subject] = subject_row(subject)
         for subject in delta.deleted:
@@ -461,12 +462,14 @@ def test_platform_publishes_classified_deltas_without_rediff(monkeypatch):
     events = []
     engine.view_manager.add_journal_listener(events.append)
 
-    def forbidden(self, record, payload):
-        raise AssertionError(
-            "store re-diff classification must not run for construction publishes"
-        )
+    def journaled_since(count):
+        return [
+            event.delta for event in events[count:]
+            if event.kind == "append" and event.view_name == "subject_rows"
+        ]
 
-    monkeypatch.setattr(AgentCoordinator, "_classify_by_diff", forbidden)
+    def classification(delta):
+        return (set(delta.added), set(delta.updated), set(delta.deleted))
 
     platform.register_source("musicdb")
     report = platform.ingest_snapshot(
@@ -474,21 +477,19 @@ def test_platform_publishes_classified_deltas_without_rediff(monkeypatch):
     )
     assert set(report.entity_delta.added)
     platform.graph_engine.update_views()
+    (first,) = journaled_since(0)
+    assert classification(first) == classification(report.entity_delta)
 
     # Second snapshot: one update, one deletion — classified end to end.
+    seen = len(events)
     second = _artist_entities("musicdb", ["Echo Valley Band"])
     report = platform.ingest_snapshot("musicdb", second)
     assert report.entity_delta.deleted, "the dropped artist must classify as deleted"
     timings = platform.graph_engine.update_views()
     assert timings is not None
-
-    # The classified deltas flowed into the journal events: the deleted
-    # subject appears as a deletion in the appends of the view that carried it.
-    net = ViewDelta()
-    for event in events:
-        if event.kind == "append" and event.view_name == "subject_rows":
-            net = net.merge(event.delta)
-    assert set(report.entity_delta.deleted) <= set(net.deleted)
+    (journaled,) = journaled_since(seen)
+    assert classification(journaled) == classification(report.entity_delta)
+    assert journaled.first_lsn == journaled.last_lsn == engine.log.head_lsn()
 
 
 def test_platform_ingest_batch_end_to_end():

@@ -126,10 +126,15 @@ def test_cycle_detection():
     catalog = ViewCatalog()
     catalog.register(ViewDefinition("a", "analytics", lambda ctx: 1))
     catalog.register(ViewDefinition("b", "analytics", lambda ctx: 1, dependencies=("a",)))
-    # introduce a cycle by hand (register would prevent it normally)
-    catalog._definitions["a"] = ViewDefinition("a", "analytics", lambda ctx: 1, dependencies=("b",))
-    with pytest.raises(ViewError):
-        catalog.execution_order()
+    # registration is the only way in, and it refuses to close a cycle
+    with pytest.raises(ViewError, match="cycle"):
+        catalog.register(ViewDefinition("a", "analytics", lambda ctx: 1, dependencies=("b",)))
+    with pytest.raises(ViewError, match="cycle"):
+        catalog.register(ViewDefinition("c", "analytics", lambda ctx: 1, dependencies=("c",)))
+    # a refused registration leaves the catalog as it was
+    assert catalog.execution_order() == ["a", "b"]
+    assert catalog.get("a").dependencies == ()
+    assert "c" not in catalog
 
 
 def test_freshness_sla_detection(monkeypatch):

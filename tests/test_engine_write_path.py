@@ -11,8 +11,11 @@ and provenance (``canonical_rows``, not ``to_rows()`` order: the primary
 applies a subject's diff, so unchanged facts keep their place), the
 warehouse's relations, the entity documents and the text hits must be
 identical, over random stores with
-composite facts, multi-source provenance, deletes, re-adds, and publishes
-staged with ``replay=False`` and replayed after the source store moved on.
+composite facts, multi-source provenance, deletes, re-adds, publishes
+staged with ``replay=False`` and replayed after the source store moved on,
+and source removals: ``GraphEngine.remove_source`` against the oracle's
+``TripleStore.remove_source`` on its primary, with every touched subject
+re-derived in the warehouse, the entity store and the text index.
 
 Sequence counts follow ``--runs-seeded`` (``store_seed``, see conftest.py).
 """
@@ -99,6 +102,20 @@ class DictRowOracle:
         self.entity_store.update_from_store(self.primary, subjects + deleted)
         for subject in deleted:
             self.text_index.remove(subject)
+        self.index_text(subjects)
+
+    def remove_source(self, source_id: str) -> None:
+        """The primary's own ``remove_source``, then every subject the source
+        touched re-derived in the other three stores."""
+        touched = sorted({t.subject for t in self.primary if source_id in t.provenance})
+        self.primary.remove_source(source_id)
+        self.analytics.refresh_subjects(
+            touched, [t for subject in touched for t in self.primary.facts_about(subject)]
+        )
+        self.entity_store.update_from_store(self.primary, touched)
+        self.index_text(touched)
+
+    def index_text(self, subjects) -> None:
         for subject in subjects:
             facts = self.primary.facts_about(subject)
             if not facts:
@@ -164,10 +181,17 @@ def test_staged_publish_matches_the_dict_row_path(ontology, store_seed):
             source.add(random_fact(rng, subject))
     publish(source.subjects())
 
+    def remove(source_id):
+        engine.remove_source(source_id)       # replays what is pending first
+        while pending:
+            oracle.apply(pending.pop(0))
+        oracle.remove_source(source_id)
+        assert_stores_identical(engine, oracle)
+
     live = set(source.subjects())
     for _ in range(rng.randint(8, 14)):
-        op = rng.choices(["grow", "rewrite", "delete", "readd", "resource"],
-                         weights=[30, 25, 15, 15, 15])[0]
+        op = rng.choices(["grow", "rewrite", "delete", "readd", "resource", "remove"],
+                         weights=[30, 25, 15, 15, 15, 10])[0]
         if op == "grow":
             touched = rng.sample(SUBJECTS, rng.randint(1, 3))
             for subject in touched:
@@ -203,7 +227,10 @@ def test_staged_publish_matches_the_dict_row_path(ontology, store_seed):
                 Provenance.from_source(rng.choice(SOURCES), rng.choice(TRUSTS)),
             ))
             publish([subject])
+        elif op == "remove":
+            remove(rng.choice(SOURCES))
 
+    remove(rng.choice(SOURCES))
     engine.replay()
     while pending:
         oracle.apply(pending.pop(0))

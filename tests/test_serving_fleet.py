@@ -156,6 +156,28 @@ class TestJournalStore:
         assert applied == {"song_rows": 4}
         assert revisions == {"song_rows": 3}
 
+    def test_persisted_line_format_is_stable(self, tmp_path):
+        """A journal directory outlives the code that wrote it: the JSON line
+        a record persists as, and the delta a line recovers to, stay fixed."""
+        store = JournalStore(FileJournalBackend(tmp_path))
+        store.append_delta("v", 1, delta(added=["b", "a"], updated=["u"], deleted=["c"],
+                                         first_lsn=1, last_lsn=2))
+        store.record_truncate("w", 3, lsn=4)
+        backend = FileJournalBackend(tmp_path)
+        assert backend.read_segment("v", 1) == [
+            '{"added": ["a", "b"], "deleted": ["c"], "first_lsn": 1, "kind": "delta", '
+            '"last_lsn": 2, "revision": 1, "updated": ["u"], "view": "v"}'
+        ]
+        assert backend.read_segment("w", 1) == [
+            '{"added": [], "deleted": [], "first_lsn": 4, "kind": "truncate", '
+            '"last_lsn": 4, "revision": 3, "updated": [], "view": "w"}'
+        ]
+        recovered = JournalStore(backend)
+        assert recovered.deltas_since("v", 0) == delta(
+            added=["a", "b"], updated=["u"], deleted=["c"], first_lsn=1, last_lsn=2
+        )
+        assert recovered.floor_lsn("w") == 4 and recovered.revision_of("w") == 3
+
     def test_file_backend_keeps_dot_prefixed_view_names_apart(self, tmp_path):
         """Regression: a view named 'a.b' must not shadow view 'a' in the
         segment-file namespace (the dot also separates the segment id)."""
@@ -290,8 +312,7 @@ class TestShippingAndReplicas:
         snapshots_before = fleet.shipper.snapshots_shipped
         store["b"] = 2
         clock["lsn"] += 1
-        manager.mark_full_refresh(lsn=clock["lsn"])    # unknown extent: rebuild
-        manager.flush()
+        manager.materialize()                          # from scratch: unknown extent
         assert fleet.drain()
         assert fleet.shipper.snapshots_shipped == snapshots_before + 1
         node = fleet.replicas["replica-0"]
@@ -711,8 +732,7 @@ def test_live_view_feed_counts_journal_gap_resyncs():
         fleet.kill_replica("replica-0")
         store["c"] = 3
         clock["lsn"] += 1
-        manager.mark_full_refresh(lsn=clock["lsn"])
-        manager.flush()
+        manager.materialize()
         with pytest.raises(JournalGapError):
             fleet.journal_store.deltas_since("rows", node.applied_lsn("rows"))
         fleet.restart_replica("replica-0")

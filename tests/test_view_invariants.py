@@ -535,7 +535,7 @@ def _net_class(previous: str | None, event: str) -> str:
 
 
 def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
-    """After any interleaving of enqueue, update and mark_full_refresh, the
+    """After any interleaving of enqueue, update and flush, the
     delta a flush hands on — added, updated, deleted, first_lsn, last_lsn —
     is the ``ViewDelta.merge`` fold of the events since the last flush, and
     a flush that fails restores ``batch.merge(reentrant)``: the failed batch
@@ -566,7 +566,7 @@ def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
     calls.clear()
     pending = ViewDelta()          # the merge fold of the events since the last flush
     classes: dict[str, str] = {}   # the same fold, entity by entity
-    forced = rebuild = False
+    forced = False
 
     def random_event() -> ViewDelta:
         clock["lsn"] += 1
@@ -593,12 +593,12 @@ def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
                 classes[eid] = _net_class(classes.get(eid), name)
 
     def flush_through(call, fail: bool) -> None:
-        nonlocal pending, forced, rebuild
-        if pending.is_empty() and not (forced or rebuild):
+        nonlocal pending, forced
+        if pending.is_empty() and not forced:
             assert call() == {} and not calls
             return
         # an empty delta affects no view: the probe only advances (no call)
-        fail = fail and (rebuild or not pending.is_empty())
+        fail = fail and not pending.is_empty()
         reentrant = [random_event() for _ in range(rng.randint(0, 2))] if fail else None
         target = pending.last_lsn or clock["lsn"]
         want = ViewDelta(
@@ -614,12 +614,8 @@ def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
                 call()
         else:
             call()
-        if rebuild or not want.is_empty():
-            assert len(calls) == 1
-            kind, seen = calls.pop()
-            assert kind == ("create" if rebuild else "delta")
-            if kind == "delta":
-                assert seen == want
+        if not want.is_empty():
+            assert calls.pop() == ("delta", want)
         assert not calls
         if fail:
             assert manager.built_at_lsn("probe") == built_before
@@ -630,12 +626,11 @@ def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
         else:
             assert manager.built_at_lsn("probe") == target
             assert manager.pending_changes() == []
-            pending, forced, rebuild = ViewDelta(), False, False
+            pending, forced = ViewDelta(), False
             classes.clear()
 
     for _ in range(rng.randint(30, 50)):
-        op = rng.choices(["enqueue", "update", "full_refresh", "flush"],
-                         weights=[45, 15, 8, 20])[0]
+        op = rng.choices(["enqueue", "update", "flush"], weights=[45, 15, 20])[0]
         fail = rng.random() < 0.3
         if op == "enqueue":
             event = random_event()
@@ -651,14 +646,6 @@ def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
             fold(ViewDelta(updated=frozenset(ids), first_lsn=lsn or 0, last_lsn=lsn or 0))
             forced = True
             flush_through(lambda: manager.update(ids, lsn=lsn), fail)
-        elif op == "full_refresh":
-            clock["lsn"] += 1
-            if rng.random() < 0.5:
-                manager.mark_full_refresh(lsn=clock["lsn"])
-            else:
-                manager.mark_full_refresh()          # stamped off the lsn source
-            fold(ViewDelta(first_lsn=clock["lsn"], last_lsn=clock["lsn"]))
-            rebuild = True
         else:
             flush_through(manager.flush, fail)
     flush_through(manager.flush, fail=False)
@@ -812,6 +799,61 @@ def test_live_delta_consumption_matches_full_reload(live_seed, ontology):
         assert fleet.shipper.snapshots_shipped == 1
         assert node.gaps_detected == node.snapshot_resyncs == 0
         assert node.batches_applied >= 2
+    finally:
+        fleet.stop()
+
+
+def test_source_removal_reaches_a_served_view_as_a_delta(ontology):
+    """A source removal is an ordinary publish: the served view takes one
+    incremental apply naming the subjects the source touched, no snapshot
+    ships, and the replica serves exactly the primary's artifact."""
+    source = TripleStore([
+        _triple("kg:s1", "type", "song"),
+        _triple("kg:s1", "name", "Blue River"),
+        _triple("kg:s1", "plays", 7, source="fanwiki"),
+        _triple("kg:s2", "type", "song", source="fanwiki"),
+        _triple("kg:s2", "name", "Fan Song", source="fanwiki"),
+        _triple("kg:s3", "type", "song"),
+        _triple("kg:s3", "name", "Golden Echo", source="fanwiki"),
+        _triple("kg:s3", "name", "Golden Echo"),
+        _triple("kg:s3", "plays", 3),
+    ])
+    engine = GraphEngine(ontology)
+    _register_song_rows(engine)
+    engine.publish_store(source)
+    engine.materialize_views()
+    fleet = ServingFleet(engine.view_manager, num_replicas=1).start()
+    node = fleet.replicas["replica-0"]
+    try:
+        assert fleet.serve_view("song_rows") == 3
+        assert fleet.drain()
+        snapshots = fleet.shipper.snapshots_shipped
+        events = []
+        engine.view_manager.add_journal_listener(events.append)
+        record = engine.remove_source("fanwiki")
+        engine.update_views()
+        assert fleet.drain()
+
+        # kg:s3 keeps its row but lost fanwiki's provenance: still touched
+        assert [(e.kind, e.delta) for e in events] == [("append", ViewDelta(
+            updated=frozenset({"kg:s1", "kg:s3"}), deleted=frozenset({"kg:s2"}),
+            first_lsn=record.lsn, last_lsn=record.lsn,
+        ))]
+        state = engine.view_manager.states["song_rows"]
+        assert (state.builds, state.delta_applies) == (1, 1)
+        assert fleet.shipper.snapshots_shipped == snapshots
+        assert node.snapshot_resyncs == node.gaps_detected == 0
+        assert node.applied_lsn("song_rows") == record.lsn
+        assert engine.view_artifact("song_rows") == [
+            {"subject": "kg:s1", "name": "Blue River", "plays": 0},
+            {"subject": "kg:s3", "name": "Golden Echo", "plays": 3},
+        ]
+        # the replica, kept by the delta alone, equals a snapshot of the artifact
+        reference = ReplicaNode("reference", resync_source=fleet.shipper)
+        reference.resync("song_rows")
+        assert served_digests(node, "song_rows") == served_digests(reference, "song_rows")
+        assert set(served_digests(node, "song_rows")) == {"song_rows:kg:s1", "song_rows:kg:s3"}
+        assert node.get("song_rows", "kg:s1").value("plays") == 0
     finally:
         fleet.stop()
 

@@ -5,7 +5,7 @@ selective maintenance closures, batched flushing, and live serving freshness
 import pytest
 
 from repro.engine.graph_engine import GraphEngine
-from repro.engine.views import ViewCatalog, ViewDefinition, ViewManager
+from repro.engine.views import ViewCatalog, ViewDefinition, ViewDelta, ViewManager
 from repro.errors import ReplicaUnavailableError, StaleReadError, ViewError
 from repro.live.engine import LiveGraphEngine
 from repro.model.provenance import Provenance
@@ -161,9 +161,8 @@ def test_selective_update_rebuilds_only_the_affected_closure():
     assert manager.artifact("a_child") == "a+a:1/child"
     assert manager.artifact("b_root") == "b"
     assert manager.states["b_root"].skipped_updates == 1
-    # a full refresh rebuilds everything, proving strictly more work
-    manager.mark_full_refresh()
-    full = manager.update(["a:1"])
+    # a full rebuild builds everything, proving strictly more work
+    full = manager.materialize()
     assert set(full) == {"a_root", "b_root", "a_child"}
     assert manager.artifact("a_root") == "a"             # through create
 
@@ -319,7 +318,8 @@ def test_live_reloads_after_view_redefinition_at_same_lsn(served_engine, replica
 
 
 def test_full_refresh_rebuilds_instead_of_blind_incremental_update(ontology):
-    """An unknown-delta refresh must not feed apply_delta an empty change set."""
+    """A source removal reaches apply_delta naming exactly the subjects it
+    changed — never an empty change set, never a rebuild."""
     store = TripleStore([
         triple("kg:a1", "type", "music_artist"),
         triple("kg:a1", "name", "Echo Valley"),
@@ -336,9 +336,12 @@ def test_full_refresh_rebuilds_instead_of_blind_incremental_update(ontology):
     ))
     engine.materialize_views()
     assert engine.view_artifact("subject_count") == 2
-    engine.remove_source("fanwiki")
+    record = engine.remove_source("fanwiki")
     engine.update_views()
-    assert apply_calls == []                       # create ran, not an empty delta
+    assert apply_calls == [ViewDelta(
+        deleted=frozenset({"kg:p1"}), first_lsn=record.lsn, last_lsn=record.lsn,
+    )]
+    assert engine.view_manager.states["subject_count"].builds == 1
     assert engine.view_artifact("subject_count") == 1
 
 
@@ -398,7 +401,7 @@ def test_listener_errors_do_not_unwind_replay_or_redeliver(ontology):
     seen = []
 
     def flaky_listener(delta):
-        seen.append(delta.lsn)
+        seen.append(delta.last_lsn)
         raise RuntimeError("listener exploded")
 
     engine.coordinator.add_delta_listener(flaky_listener)
