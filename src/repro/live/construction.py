@@ -10,6 +10,7 @@ updating streaming entities, indexed for low-latency search.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -185,8 +186,8 @@ class LiveGraphConstruction:
         document = self.index.get(entity_id)
         if document is None:
             return False
-        for predicate, value in edits.items():
-            document.facts[predicate] = value if isinstance(value, list) else [value]
-        self.index.upsert(document)
+        # A held document is never mutated: the edited one replaces it.
+        facts = {p: v if isinstance(v, list) else [v] for p, v in edits.items()}
+        self.index.replace(dataclasses.replace(document, facts={**document.facts, **facts}))
         self.stats.curations_applied += 1
         return True

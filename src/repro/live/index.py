@@ -7,7 +7,12 @@ values to entity identifiers for entity search.  The paper's index is
 "sharded and replicated"; here that scale-out is the serving fleet
 (:mod:`repro.serving`): each replica owns one :class:`LiveIndex`,
 :class:`~repro.serving.router.ShardRouter` places keys and queries on
-replicas, and inside one index every document is held exactly once.
+replicas, and inside one index every document is held exactly once.  A
+held document is a value: nothing mutates it once an index holds it, so
+the replicas of one process share the documents a shipped batch decodes to
+(:meth:`repro.serving.shipping.ShipmentBatch.documents`), and each index
+diffs a new document against the one it replaces instead of keeping a
+reverse map of its own.
 """
 
 from __future__ import annotations
@@ -19,16 +24,27 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.engine.metadata import WatermarkMap
-from repro.live.rpq import AdjacencyIndex
+from repro.live.rpq import AdjacencyIndex, document_edges
 from repro.ml.similarity import normalize_string, tokens
 
 #: Shared immutable empty postings set (avoids allocating on every miss).
 _EMPTY_IDS: frozenset[str] = frozenset()
 
+def _shared(normalized: str, value: object) -> str:
+    """*normalized*, or *value* itself when normalizing did not change it."""
+    return value if normalized == value else normalized   # type: ignore[return-value]
 
-@dataclass
+
+@dataclass(slots=True)
 class LiveEntityDocument:
-    """The serving document of one entity in the live KG."""
+    """The serving document of one entity in the live KG.
+
+    Once an index holds a document it is a value: nothing mutates it (an
+    update stores a new document), so several indexes may hold the same
+    object.  Its posting keys and edges are computed on first use and
+    cached on it; the cache fields take no part in equality or in
+    :func:`document_checksum`.
+    """
 
     entity_id: str
     entity_type: str = ""
@@ -38,6 +54,8 @@ class LiveEntityDocument:
     source_id: str = ""
     timestamp: int = 0
     is_live: bool = False       # True for streaming entities, False for stable-view entities
+    _keys: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _edges: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def value(self, predicate: str) -> object | None:
         """First value of *predicate* (falls back to references)."""
@@ -53,18 +71,51 @@ class LiveEntityDocument:
             values.append(self.references[predicate])
         return values
 
-    def merge_update(self, other: "LiveEntityDocument") -> None:
-        """Apply a newer document for the same entity (streaming upsert)."""
+    def merged(self, other: "LiveEntityDocument") -> "LiveEntityDocument":
+        """This document updated by a newer one (streaming upsert), as a new value.
+
+        Predicates and references *other* names replace this document's;
+        the rest carry over.  An older *other* changes nothing: ``self``.
+        """
         if other.timestamp < self.timestamp:
-            return
-        self.name = other.name or self.name
-        self.entity_type = other.entity_type or self.entity_type
-        for predicate, values in other.facts.items():
-            self.facts[predicate] = list(values)
-        self.references.update(other.references)
-        self.source_id = other.source_id or self.source_id
-        self.timestamp = other.timestamp
-        self.is_live = self.is_live or other.is_live
+            return self
+        return LiveEntityDocument(
+            entity_id=self.entity_id,
+            entity_type=other.entity_type or self.entity_type,
+            name=other.name or self.name,
+            facts={**self.facts, **{p: list(values) for p, values in other.facts.items()}},
+            references={**self.references, **other.references},
+            source_id=other.source_id or self.source_id,
+            timestamp=other.timestamp,
+            is_live=self.is_live or other.is_live,
+        )
+
+    def posting_keys(self) -> tuple[tuple, tuple, tuple]:
+        """``(name tokens, exact names, value keys)`` the inverted index posts
+        this document under, computed once.  A normalized string equal to the
+        document's own value is that value, not a copy."""
+        if self._keys is None:
+            name_tokens: set[str] = set()
+            exact_names: set[str] = set()
+            value_keys: set[tuple[str, str]] = set()
+            for name in [self.name, *[str(v) for v in self.facts.get("alias", [])]]:
+                normalized = _shared(normalize_string(name), name)
+                if normalized:
+                    exact_names.add(normalized)
+                    name_tokens.update(tokens(normalized))
+            for predicate, values in self.facts.items():
+                for value in values:
+                    value_keys.add((predicate, _shared(normalize_string(value), value)))
+            for predicate, reference in self.references.items():
+                value_keys.add((predicate, _shared(normalize_string(reference), reference)))
+            self._keys = (tuple(name_tokens), tuple(exact_names), tuple(value_keys))
+        return self._keys
+
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """The document's :func:`~repro.live.rpq.document_edges`, computed once."""
+        if self._edges is None:
+            self._edges = tuple(document_edges(self))
+        return self._edges
 
 
 class GraphKVStore:
@@ -84,21 +135,26 @@ class GraphKVStore:
         # entity_type -> ids; "" holds untyped documents.
         self._by_type: dict[str, set[str]] = defaultdict(set)
         self.reads = 0
-        self.writes = 0
 
-    def put(self, document: LiveEntityDocument) -> None:
-        """Insert or merge-update a document."""
-        existing = self._documents.get(document.entity_id)
-        if existing is None:
-            self._documents[document.entity_id] = document
-            self._by_type[document.entity_type].add(document.entity_id)
-        else:
-            old_type = existing.entity_type
-            existing.merge_update(document)
-            if existing.entity_type != old_type:
-                self._discard_type(old_type, document.entity_id)
-                self._by_type[existing.entity_type].add(document.entity_id)
-        self.writes += 1
+    def put(self, document: LiveEntityDocument) -> LiveEntityDocument | None:
+        """Insert or merge-update a document; returns the one it displaced.
+
+        A held document is never mutated: an update stores
+        :meth:`LiveEntityDocument.merged`, a new document.
+        """
+        previous = self._documents.get(document.entity_id)
+        return self.replace(document if previous is None else previous.merged(document))
+
+    def replace(self, document: LiveEntityDocument) -> LiveEntityDocument | None:
+        """Hold *document* as it is; returns the document it displaced."""
+        entity_id = document.entity_id
+        previous = self._documents.get(entity_id)
+        self._documents[entity_id] = document
+        if previous is None or previous.entity_type != document.entity_type:
+            if previous is not None:
+                self._discard_type(previous.entity_type, entity_id)
+            self._by_type[document.entity_type].add(entity_id)
+        return previous
 
     def _discard_type(self, entity_type: str, entity_id: str) -> None:
         partition = self._by_type.get(entity_type)
@@ -127,13 +183,12 @@ class GraphKVStore:
                 found[entity_id] = document
         return found
 
-    def delete(self, entity_id: str) -> bool:
-        """Remove a document; returns ``True`` when it existed."""
+    def pop(self, entity_id: str) -> LiveEntityDocument | None:
+        """Remove a document and return it (``None`` when absent)."""
         document = self._documents.pop(entity_id, None)
-        if document is None:
-            return False
-        self._discard_type(document.entity_type, entity_id)
-        return True
+        if document is not None:
+            self._discard_type(document.entity_type, entity_id)
+        return document
 
     def by_type(self, entity_type: str) -> list[LiveEntityDocument]:
         """All documents of one entity type, ordered by entity id.
@@ -176,57 +231,43 @@ def _unpost(postings: dict, key: object, entity_id: str) -> None:
 class InvertedGraphIndex:
     """Inverted index from tokens of names / literal values to entity ids.
 
-    Re-indexing a document diffs its posting keys against the keys recorded
-    for it in ``_doc_keys`` and touches only the postings it left or joined,
-    so a shipped row that changed one fact moves one posting.
+    Re-indexing a document diffs its posting keys against those of the
+    document it replaces (:meth:`LiveEntityDocument.posting_keys`, cached
+    on the document) and touches only the postings it left or joined, so a
+    shipped row that changed one fact moves one posting.
     """
 
     def __init__(self) -> None:
         self._name_postings: dict[str, set[str]] = defaultdict(set)
         self._exact_names: dict[str, set[str]] = defaultdict(set)
         self._value_postings: dict[tuple[str, str], set[str]] = defaultdict(set)
-        # Reverse map: entity id -> (name tokens, exact names, value keys) it
-        # is posted under, aligned with _postings().
-        self._doc_keys: dict[str, tuple[set[str], set[str], set[tuple[str, str]]]] = {}
         self.lookups = 0
 
     def _postings(self) -> tuple[dict, dict, dict]:
         return (self._name_postings, self._exact_names, self._value_postings)
 
-    def index_document(self, document: LiveEntityDocument) -> None:
-        """Index (or re-index) one entity document."""
-        entity_id = document.entity_id
-        name_tokens: set[str] = set()
-        exact_names: set[str] = set()
-        value_keys: set[tuple[str, str]] = set()
-        names = [document.name, *[str(v) for v in document.facts.get("alias", [])]]
-        for name in names:
-            normalized = normalize_string(name)
-            if normalized:
-                exact_names.add(normalized)
-                name_tokens.update(tokens(normalized))
-        for predicate, values in document.facts.items():
-            for value in values:
-                value_keys.add((predicate, normalize_string(value)))
-        for predicate, reference in document.references.items():
-            value_keys.add((predicate, normalize_string(reference)))
-        keys = (name_tokens, exact_names, value_keys)
-        held = self._doc_keys.get(entity_id, (_EMPTY_IDS, _EMPTY_IDS, _EMPTY_IDS))
-        for postings, before, after in zip(self._postings(), held, keys):
-            for key in before - after:
-                _unpost(postings, key, entity_id)
-            for key in after - before:
-                postings[key].add(entity_id)
-        self._doc_keys[entity_id] = keys
-
-    def remove(self, entity_id: str) -> None:
-        """Drop an entity from all postings it is listed under."""
-        keys = self._doc_keys.pop(entity_id, None)
-        if keys is None:
+    def index_document(
+        self, document: LiveEntityDocument, previous: LiveEntityDocument | None = None
+    ) -> None:
+        """Index *document* in place of *previous*, the document this index
+        held under the same id (``None`` when it held none)."""
+        if previous is document:
             return
-        for postings, held in zip(self._postings(), keys):
-            for key in held:
+        entity_id = document.entity_id
+        held = ((), (), ()) if previous is None else previous.posting_keys()
+        for postings, before, after in zip(self._postings(), held, document.posting_keys()):
+            if before == after:
+                continue
+            for key in set(before).difference(after):
                 _unpost(postings, key, entity_id)
+            for key in set(after).difference(before):
+                postings[key].add(entity_id)
+
+    def remove(self, document: LiveEntityDocument) -> None:
+        """Drop a held document from all postings it is listed under."""
+        for postings, held in zip(self._postings(), document.posting_keys()):
+            for key in held:
+                _unpost(postings, key, document.entity_id)
 
     def lookup_name(self, name: str) -> set[str]:
         """Entity ids whose name matches *name* exactly (normalized)."""
@@ -324,8 +365,10 @@ def document_checksum(document: LiveEntityDocument) -> str:
     delta, different LSNs) must still hash identically on every replica.
 
     Always recomputed from the document: anti-entropy exists to catch silent
-    in-place corruption, so the digest must never be cached on the object it
-    is auditing.
+    in-place corruption, so the digest is never cached on the object it is
+    auditing, and the posting keys and edges that are cached on it take no
+    part.  Replicas share documents, so an in-place corruption shows on
+    every replica holding that document.
     """
     canonical = json.dumps(
         [
@@ -378,24 +421,25 @@ class LiveIndex:
 
     def upsert(self, document: LiveEntityDocument) -> None:
         """Insert or update a document in both structures."""
-        self.kv.put(document)
-        merged = self.kv.get(document.entity_id)
-        if merged is not None:
-            self.inverted.index_document(merged)
-            self.adjacency.index_document(merged)
+        previous = self.kv.put(document)
+        self._index(self.kv.get(document.entity_id), previous)
 
     def replace(self, document: LiveEntityDocument) -> None:
         """Authoritatively replace a document, discarding any prior state.
 
         Unlike :meth:`upsert` (which merge-updates streaming documents), a
         replace serves feeds whose rows are the whole truth — view artifacts —
-        so predicates dropped from a row do not survive the reload.  KV-level
-        delete suffices: the subsequent upsert re-indexes the document, which
-        diffs its postings and edges against the ones recorded for the
-        replaced document and moves only those that changed.
+        so predicates dropped from a row do not survive the reload.  The
+        postings and edges diff against the replaced document, so only those
+        that changed move.
         """
-        self.kv.delete(document.entity_id)
-        self.upsert(document)
+        self._index(document, self.kv.replace(document))
+
+    def _index(
+        self, document: LiveEntityDocument, previous: LiveEntityDocument | None
+    ) -> None:
+        self.inverted.index_document(document, previous)
+        self.adjacency.index_document(document, previous)
 
     def delete_many(self, entity_ids: Iterable[str]) -> int:
         """Delete several documents; returns how many actually existed."""
@@ -467,9 +511,12 @@ class LiveIndex:
 
     def delete(self, entity_id: str) -> bool:
         """Delete a document from both structures."""
-        self.inverted.remove(entity_id)
-        self.adjacency.remove(entity_id)
-        return self.kv.delete(entity_id)
+        document = self.kv.pop(entity_id)
+        if document is None:
+            return False
+        self.inverted.remove(document)
+        self.adjacency.remove(document)
+        return True
 
     def get(self, entity_id: str) -> LiveEntityDocument | None:
         """Point lookup by entity id."""

@@ -247,7 +247,7 @@ def _iter_bits(bitmap: int) -> Iterator[int]:
 class _FeedGraph:
     """One feed's labeled graph: interned nodes + per-predicate bitmap rows."""
 
-    __slots__ = ("ids", "names", "forward", "reverse", "doc_edges", "mutations")
+    __slots__ = ("ids", "names", "forward", "reverse", "mutations")
 
     def __init__(self) -> None:
         self.ids: dict[str, int] = {}
@@ -255,8 +255,6 @@ class _FeedGraph:
         # predicate -> source ordinal -> bitset of target ordinals (and back).
         self.forward: dict[str, dict[int, int]] = {}
         self.reverse: dict[str, dict[int, int]] = {}
-        # document id -> (source ordinal, its recorded (predicate, target) edges)
-        self.doc_edges: dict[str, tuple[int, tuple[tuple[str, int], ...]]] = {}
         self.mutations = 0
 
     def intern(self, node: str) -> int:
@@ -370,59 +368,57 @@ class AdjacencyIndex:
     """Per-feed, per-predicate compressed adjacency, incrementally maintained.
 
     Mirrors the :class:`~repro.live.index.InvertedGraphIndex` maintenance
-    discipline: ``index_document`` diffs one document's edges against the
-    edges recorded for it (the per-document reverse map) and sets or clears
-    only the bits that changed, and ``remove`` clears exactly the bits that
-    document set.  Interval encodings are derived state: a change to a
-    feed's edges bumps its mutation counter, and :meth:`interval_index`
-    rebuilds lazily when its stamp is stale — so a shipped delta that moves
-    an edge drops the encoding, and one that moves none keeps it.
+    discipline: ``index_document`` diffs one document's edges against those
+    of the document it replaces (``document.edges()``, cached on the
+    immutable document) and sets or clears only the bits that changed, and
+    ``remove`` clears exactly the bits the removed document set.  Interval
+    encodings are derived state: a change to a feed's edges bumps its
+    mutation counter, and :meth:`interval_index` rebuilds lazily when its
+    stamp is stale — so a shipped delta that moves an edge drops the
+    encoding, and one that moves none keeps it.
     """
 
     def __init__(self) -> None:
         self._feeds: dict[str, _FeedGraph] = {}
-        self._doc_feed: dict[str, str] = {}
         self._intervals: dict[tuple[str, str], tuple[int, IntervalIndex | None]] = {}
         self.interval_builds = 0
 
-    def index_document(self, document) -> None:
-        """Record (or re-record) one document's out-edges."""
-        doc_id = document.entity_id
+    def index_document(self, document, previous=None) -> None:
+        """Record *document*'s out-edges in place of *previous*, the document
+        this index held under the same id (``None`` when it held none)."""
+        if previous is document:
+            return
         feed_key, node = document_feed_node(document)
-        if self._doc_feed.get(doc_id, feed_key) != feed_key:
-            self.remove(doc_id)               # the document moved feeds
+        held = () if previous is None else previous.edges()
+        if held and document_feed_node(previous) != (feed_key, node):
+            self.remove(previous)             # the document moved feeds
+            held = ()
         graph = self._feeds.get(feed_key)
         if graph is None:
             graph = self._feeds[feed_key] = _FeedGraph()
-        intern = graph.intern
-        source = intern(node)
-        recorded = tuple(
-            [(predicate, intern(target)) for predicate, target in document_edges(document)]
-        )
-        held = graph.doc_edges.get(doc_id, (source, ()))[1]
-        if held != recorded:
-            gone = set(held).difference(recorded)
-            new = set(recorded).difference(held)
-            for predicate, target in gone:
-                _clear_edge(graph, predicate, source, target)
-            for predicate, target in new:
-                _set_edge(graph, predicate, source, target)
-            if gone or new:
-                graph.mutations += 1
-        graph.doc_edges[doc_id] = (source, recorded)
-        self._doc_feed[doc_id] = feed_key
+        source = graph.intern(node)
+        edges = document.edges()
+        if held == edges:
+            return
+        gone = set(held).difference(edges)
+        new = set(edges).difference(held)
+        for predicate, target in gone:
+            _clear_edge(graph, predicate, source, graph.ids[target])
+        for predicate, target in new:
+            _set_edge(graph, predicate, source, graph.intern(target))
+        if gone or new:
+            graph.mutations += 1
 
-    def remove(self, doc_id: str) -> None:
-        """Clear every bit the document set (no-op when never indexed)."""
-        feed_key = self._doc_feed.pop(doc_id, None)
-        if feed_key is None:
+    def remove(self, document) -> None:
+        """Clear every bit a held document set."""
+        edges = document.edges()
+        if not edges:
             return
+        feed_key, node = document_feed_node(document)
         graph = self._feeds[feed_key]
-        source, recorded = graph.doc_edges.pop(doc_id)
-        if not recorded:
-            return
-        for predicate, target in recorded:
-            _clear_edge(graph, predicate, source, target)
+        source = graph.ids[node]
+        for predicate, target in edges:
+            _clear_edge(graph, predicate, source, graph.ids[target])
         graph.mutations += 1
 
     def graph(self, feed: str) -> _FeedGraph | None:
@@ -442,16 +438,6 @@ class AdjacencyIndex:
         self._intervals[key] = (graph.mutations, built)
         self.interval_builds += 1
         return built
-
-    def stats(self) -> dict[str, int]:
-        """Size counters for introspection."""
-        return {
-            "feeds": len(self._feeds),
-            "documents": len(self._doc_feed),
-            "nodes": sum(len(graph.names) for graph in self._feeds.values()),
-            "predicates": sum(len(graph.forward) for graph in self._feeds.values()),
-            "interval_builds": self.interval_builds,
-        }
 
 
 # ------------------------------------------------------------------ #

@@ -45,7 +45,7 @@ from typing import Callable
 from repro.engine.metadata import WatermarkMap
 from repro.errors import ReplicaUnavailableError, ServingError
 from repro.live.executor import QueryExecutor, QueryResult, join_results
-from repro.live.index import LiveIndex, document_checksum, view_row_documents
+from repro.live.index import LiveIndex, document_checksum
 from repro.live.kgq import CallQuery, Query, default_virtual_operators, parse
 from repro.live.planner import PhysicalPlan, QueryPlanner
 from repro.serving.shipping import ShipmentBatch
@@ -426,8 +426,7 @@ class ReplicaNode:
             self._checkpoint()
             return
         if batch.kind == "snapshot":
-            documents = view_row_documents(batch.view_name, feed, batch.rows, batch.lsn)
-            self.index.replace_feed(feed, documents, batch.lsn)
+            self.index.replace_feed(feed, batch.documents(), batch.lsn)
             # Snapshots may rewind across revisions: set, don't advance.
             self.applied[batch.view_name] = batch.lsn
             self.revisions[batch.view_name] = batch.revision
@@ -451,14 +450,14 @@ class ReplicaNode:
             self.gaps_detected += 1
             self.resync(batch.view_name)
             return
-        rows = batch.rows_by_subject()
         delta = batch.delta
-        upserts = view_row_documents(batch.view_name, feed, rows.values(), batch.lsn)
+        upserts = batch.documents()
         deleted_ids = [f"{batch.view_name}:{s}" for s in sorted(delta.deleted)]
         # A changed subject with no shipped row vanished from the artifact:
         # stop serving it rather than keep a stale copy.
+        shipped = {row["subject"] for row in batch.rows}
         deleted_ids.extend(
-            f"{batch.view_name}:{s}" for s in sorted(delta.changed) if s not in rows
+            f"{batch.view_name}:{s}" for s in sorted(delta.changed) if s not in shipped
         )
         self.index.apply_feed_delta(feed, upserts, deleted_ids, batch.lsn)
         self.applied.advance(batch.view_name, batch.lsn)

@@ -24,13 +24,15 @@ handled yet is not in the store, and its own batch must still apply.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.engine.views import JournalEvent, ViewDelta, ViewManager
 from repro.engine.views import rows_by_subject as _rows_by_subject
 from repro.errors import JournalGapError, ServingError
+from repro.live.index import LiveEntityDocument, view_row_documents
 from repro.serving.journal_store import JournalStore
 
 
@@ -52,20 +54,26 @@ class ShipmentBatch:
     prev_lsn: int = 0
     delta: ViewDelta | None = None
     rows: tuple[dict, ...] = ()
+    _documents: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _decode_lock: threading.Lock = field(default_factory=threading.Lock, init=False,
+                                         repr=False, compare=False)
 
-    def rows_by_subject(self) -> dict[str, dict]:
-        """The batch's rows keyed by subject.
+    def documents(self) -> tuple[LiveEntityDocument, ...]:
+        """The batch's rows as serving documents, decoded once per process.
 
-        Memoized: the same batch object fans out to every subscribed replica,
-        so the mapping is built once instead of once per replica apply.  The
-        cache slips past the frozen dataclass via ``__dict__``; batch rows are
-        never mutated after publication.
+        The same batch object fans out to every subscribed replica, and a
+        held document is never mutated, so every replica applies these same
+        objects.  The first replica to apply the batch decodes it, under the
+        batch's lock; the others wait for that decode and reuse it.  Batch
+        rows are never mutated after publication.
         """
-        cached = self.__dict__.get("_rows_by_subject")
-        if cached is None:
-            cached = {row["subject"]: row for row in self.rows}
-            self.__dict__["_rows_by_subject"] = cached
-        return cached
+        with self._decode_lock:
+            if self._documents is None:
+                feed = f"view:{self.view_name}"
+                object.__setattr__(self, "_documents", tuple(
+                    view_row_documents(self.view_name, feed, self.rows, self.lsn)
+                ))
+        return self._documents
 
 
 class ReplicationBus:

@@ -21,11 +21,12 @@ def test_document_value_accessors_and_merge():
     assert document.value("home_team") == "kg:t1"
     assert document.values("home_team") == ["kg:t1"]
     newer = doc("g1", "Game 1", timestamp=5, facts={"home_score": [7]})
-    document.merge_update(newer)
-    assert document.value("home_score") == 7
+    merged = document.merged(newer)
+    assert merged.value("home_score") == 7
+    assert merged.value("home_team") == "kg:t1"            # carried over
+    assert document.value("home_score") == 3             # a new value, not an edit
     stale = doc("g1", "Game 1", timestamp=2, facts={"home_score": [1]})
-    document.merge_update(stale)
-    assert document.value("home_score") == 7             # stale update ignored
+    assert merged.merged(stale) is merged                # stale update ignored
 
 
 def test_kv_store_lookups():
@@ -38,8 +39,8 @@ def test_kv_store_lookups():
     assert store.get("missing") is None
     assert "g3" in store
     assert len(store.by_type("sports_game")) == 20
-    assert store.delete("g3") is True
-    assert store.delete("g3") is False
+    assert store.pop("g3").name == "Game 3"
+    assert store.pop("g3") is None
     assert len(store) == 19 and "g3" not in store
 
 
@@ -53,9 +54,9 @@ def test_kv_store_put_merges_same_entity():
 
 def test_inverted_index_name_and_value_lookup():
     index = InvertedGraphIndex()
-    index.index_document(doc("g1", "Springfield Wolves vs Hanover Hawks",
-                             facts={"game_status": ["final"]},
-                             refs={"home_team": "kg:t1"}))
+    game = doc("g1", "Springfield Wolves vs Hanover Hawks",
+               facts={"game_status": ["final"]}, refs={"home_team": "kg:t1"})
+    index.index_document(game)
     index.index_document(doc("t1", "Springfield Wolves", entity_type="sports_team"))
     assert index.lookup_name("Springfield Wolves") == {"t1"}
     assert index.search_name_tokens("springfield wolves") == {"g1", "t1"}
@@ -63,7 +64,7 @@ def test_inverted_index_name_and_value_lookup():
     assert index.search_name_tokens("unknown tokens") == set()
     assert index.lookup_value("game_status", "FINAL") == {"g1"}
     assert index.lookup_value("home_team", "kg:t1") == {"g1"}
-    index.remove("g1")
+    index.remove(game)
     assert index.search_name_tokens("hanover hawks") == set()
 
 
@@ -159,7 +160,7 @@ def test_kv_store_type_change_moves_partition():
     assert store.ids_by_type("draft") == frozenset()     # empty partition pruned
     assert store.ids_by_type("published") == {"x1"}
     assert [d.entity_id for d in store.by_type("published")] == ["x1"]
-    store.delete("x1")
+    store.pop("x1")
     assert store.ids_by_type("published") == frozenset()
 
 

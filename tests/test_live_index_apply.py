@@ -1,24 +1,30 @@
 """A replica's index applies a document's diff; the result equals a rebuild.
 
 ``InvertedGraphIndex.index_document`` and ``AdjacencyIndex.index_document``
-move only the postings and edges a re-indexed document left or joined.
-Seeded sequences of ``apply_feed_delta`` / ``replace_feed`` / ``delete`` over
-random documents (changing names, aliases, feeds, a fact equal to a
-reference, a node gaining a second parent, a re-shipped document whose
-popularity alone moved or that lost one edge predicate) are checked after
-every step against a fresh :class:`~repro.live.index.LiveIndex` loaded with
-the documents that survived: the documents served, every postings map and
-``_doc_keys``, the forward / reverse bitmaps, ``doc_edges`` and the
-interval encodings, compared in node-name space because the two indexes
-intern nodes in different orders.
+diff a document against the one it replaces and move only the postings and
+edges it left or joined.  Seeded sequences of ``apply_feed_delta`` /
+``replace_feed`` / ``delete`` over random documents (changing names,
+aliases, feeds, a fact equal to a reference, a node gaining a second
+parent, a re-shipped document whose popularity alone moved or that lost one
+edge predicate) are checked after every step against a fresh
+:class:`~repro.live.index.LiveIndex` loaded with the documents that
+survived: the documents served (the very objects), every postings map, the
+forward / reverse bitmaps and the interval encodings, compared in node-name
+space because the two indexes intern nodes in different orders.  Replicas
+in one process share the documents a batch decodes to, so the same
+sequence also runs through two indexes holding the same objects, one a step
+behind the other; and a streaming upsert must leave a document another
+index holds untouched.
 
 Sequence counts follow ``--runs-seeded`` (``index_seed``, see conftest.py).
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import random
+from typing import Callable
 
 from repro.live.index import LiveEntityDocument, LiveIndex
 from repro.live.rpq import _iter_bits
@@ -76,11 +82,11 @@ def edited_document(rng: random.Random, document: LiveEntityDocument, lsn: int) 
 
 
 def graph_state(index: LiveIndex, feed: str) -> tuple:
-    """One feed's adjacency in node names: bitmaps, doc_edges, intervals."""
+    """One feed's adjacency in node names: bitmaps and intervals."""
     adjacency = index.adjacency
     graph = adjacency.graph(feed)
     if graph is None:       # a feed with no documents left encodes an empty forest
-        return {}, {}, {}, {predicate: ([], {}, {}) for predicate in PREDICATES}
+        return {}, {}, {predicate: ([], {}, {}) for predicate in PREDICATES}
     names = graph.names
 
     def rows(by_predicate):
@@ -90,10 +96,6 @@ def graph_state(index: LiveIndex, feed: str) -> tuple:
             for predicate, row in by_predicate.items()
         }
 
-    doc_edges = {
-        doc_id: (names[source], tuple((p, names[t]) for p, t in recorded))
-        for doc_id, (source, recorded) in graph.doc_edges.items()
-    }
     intervals = {}
     for predicate in PREDICATES:
         interval = adjacency.interval_index(feed, predicate)
@@ -106,7 +108,7 @@ def graph_state(index: LiveIndex, feed: str) -> tuple:
             )
         else:
             intervals[predicate] = None
-    return rows(graph.forward), rows(graph.reverse), doc_edges, intervals
+    return rows(graph.forward), rows(graph.reverse), intervals
 
 
 def assert_index_equals_rebuild(index: LiveIndex, documents: dict[str, LiveEntityDocument]) -> None:
@@ -119,15 +121,17 @@ def assert_index_equals_rebuild(index: LiveIndex, documents: dict[str, LiveEntit
     assert mine._name_postings == theirs._name_postings
     assert mine._exact_names == theirs._exact_names
     assert mine._value_postings == theirs._value_postings
-    assert mine._doc_keys == theirs._doc_keys
-    assert index.adjacency._doc_feed == fresh.adjacency._doc_feed
     for feed in ["", "view:other", *(f"view:{view}" for view in VIEWS)]:
         assert graph_state(index, feed) == graph_state(fresh, feed), feed
 
 
-def test_index_diff_apply_matches_a_rebuild(index_seed):
-    rng = random.Random(47000 + index_seed)
-    index = LiveIndex()
+#: One step of a sequence: apply it to an index, and the documents served after it.
+Step = tuple[Callable[[LiveIndex], None], dict[str, LiveEntityDocument]]
+
+
+def random_steps(rng: random.Random) -> list[Step]:
+    """A seeded sequence of feed deltas, edits, feed replaces and deletes."""
+    steps: list[Step] = []
     documents: dict[str, LiveEntityDocument] = {}     # what the index must serve
     served: dict[str, set[str]] = {}                  # feed -> ids it loaded
     lsn = 0
@@ -144,7 +148,10 @@ def test_index_diff_apply_matches_a_rebuild(index_seed):
             fresh_ids = {document.entity_id for document in upserts}
             held = sorted(served.get(feed, set()) - fresh_ids)
             deleted = rng.sample(held, min(len(held), rng.randint(0, 2)))
-            index.apply_feed_delta(feed, upserts, deleted, lsn)
+
+            def apply(index, feed=feed, upserts=upserts, deleted=deleted, lsn=lsn):
+                index.apply_feed_delta(feed, upserts, deleted, lsn)
+
             for document in upserts:
                 documents[document.entity_id] = document
             served.setdefault(feed, set()).update(fresh_ids)
@@ -153,14 +160,20 @@ def test_index_diff_apply_matches_a_rebuild(index_seed):
                 served[feed].discard(doc_id)
         elif op == "edit" and served.get(feed):
             document = edited_document(rng, documents[rng.choice(sorted(served[feed]))], lsn)
-            index.apply_feed_delta(feed, [document], [], lsn)
+
+            def apply(index, feed=feed, document=document, lsn=lsn):
+                index.apply_feed_delta(feed, [document], [], lsn)
+
             documents[document.entity_id] = document
         elif op == "replace":
             loaded = [
                 random_document(rng, view, subject, lsn)
                 for subject in rng.sample(SUBJECTS, rng.randint(0, len(SUBJECTS)))
             ]
-            index.replace_feed(feed, loaded, lsn)
+
+            def apply(index, feed=feed, loaded=loaded, lsn=lsn):
+                index.replace_feed(feed, loaded, lsn)
+
             fresh_ids = {document.entity_id for document in loaded}
             for doc_id in served.get(feed, set()) - fresh_ids:
                 documents.pop(doc_id, None)
@@ -169,8 +182,65 @@ def test_index_diff_apply_matches_a_rebuild(index_seed):
             served[feed] = fresh_ids
         elif documents:
             doc_id = rng.choice(sorted(documents))
-            assert index.delete(doc_id)
+
+            def apply(index, doc_id=doc_id):
+                assert index.delete(doc_id)
+
             del documents[doc_id]
             for held in served.values():
                 held.discard(doc_id)
+        else:
+            continue
+        steps.append((apply, dict(documents)))
+    return steps
+
+
+def test_index_diff_apply_matches_a_rebuild(index_seed):
+    index = LiveIndex()
+    for apply, documents in random_steps(random.Random(47000 + index_seed)):
+        apply(index)
         assert_index_equals_rebuild(index, documents)
+
+
+def test_indexes_sharing_documents_each_match_a_rebuild(index_seed):
+    """Two indexes apply the same document objects, one a step behind (a
+    lagging replica): neither disturbs what the other holds."""
+    steps = random_steps(random.Random(48000 + index_seed))
+    leader, follower = LiveIndex(), LiveIndex()
+    for position, (apply, documents) in enumerate(steps):
+        apply(leader)
+        assert_index_equals_rebuild(leader, documents)
+        if position:
+            lagged, lagged_documents = steps[position - 1]
+            lagged(follower)
+            assert_index_equals_rebuild(follower, lagged_documents)
+    if steps:
+        apply, documents = steps[-1]
+        apply(follower)
+        assert_index_equals_rebuild(follower, documents)
+
+
+def test_streaming_upsert_leaves_a_document_another_index_holds_unchanged():
+    held = LiveEntityDocument(
+        entity_id="g1", entity_type="game", name="Wolves vs Hawks",
+        facts={"score": [1], "venue": ["arena"]}, references={"home": "t1"},
+        source_id="stream", timestamp=1, is_live=True,
+    )
+    original = copy.deepcopy(held)
+    writer, bystander = LiveIndex(), LiveIndex()
+    writer.upsert(held)
+    bystander.upsert(held)
+    writer.upsert(dataclasses.replace(
+        held, name="Wolves at Hawks", facts={"score": [4]}, references={"home": "t2"},
+        timestamp=2,
+    ))
+    merged = writer.get("g1")
+    assert merged is not held
+    assert merged.value("score") == 4 and merged.value("venue") == "arena"
+    assert merged.value("home") == "t2"
+    assert held == original
+    assert bystander.get("g1") is held
+    assert_index_equals_rebuild(bystander, {"g1": held})
+    assert bystander.inverted.lookup_value("score", 1) == {"g1"}
+    assert bystander.inverted.lookup_value("score", 4) == set()
+    assert_index_equals_rebuild(writer, {"g1": merged})

@@ -25,6 +25,7 @@ suite caps ``fleet_seed``.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -524,6 +525,28 @@ def test_replica_local_query_surface_matches_primary():
 # ------------------------------------------------------------------ #
 # anti-entropy: checksum audits, divergence detection, targeted repair
 # ------------------------------------------------------------------ #
+def corrupt_row(node, view_name, subject, value):
+    """Swap a corrupted copy of one served document into *node* only.
+
+    Replicas share the documents a batch decodes to, so writing to the held
+    document in place would corrupt every replica at once.
+    """
+    document = node.get(view_name, subject)
+    node.index.replace(dataclasses.replace(document, facts={**document.facts, "value": [value]}))
+
+
+def assert_others_match_primary(fleet, manager, view_name, victim):
+    """Every replica but *victim* serves exactly the primary's checksums."""
+    feed = f"view:{view_name}"
+    expected = {
+        subject: document_checksum(view_row_document(view_name, feed, row, 0))
+        for subject, row in manager.view_rows_snapshot(view_name)[2].items()
+    }
+    for name, node in fleet.replicas.items():
+        if name != victim:
+            assert node.checksum_divergence(view_name, expected) == ([], [], []), name
+
+
 def inject_divergence(node, view_name, rng, subjects):
     """Corrupt one replica three ways; returns the subjects per failure mode."""
     feed = f"view:{view_name}"
@@ -532,7 +555,7 @@ def inject_divergence(node, view_name, rng, subjects):
     corrupted = pool[0] if pool else None
     lost = pool[1] if len(pool) > 1 else None
     if corrupted is not None:
-        node.get(view_name, corrupted).facts["value"] = [987654]
+        corrupt_row(node, view_name, corrupted, 987654)
     if lost is not None:
         node.index.delete(f"{view_name}:{lost}")
     ghost = f"ghost{rng.randint(0, 99):02d}"
@@ -560,6 +583,7 @@ def test_audit_detects_exact_subjects_and_repair_converges():
         corrupted, lost, ghost = inject_divergence(
             node, "profile_rows", random.Random(1), sorted(model.entities)
         )
+        assert_others_match_primary(fleet, manager, "profile_rows", "replica-2")
         report = fleet.auditor.audit_view("profile_rows")
         audits = {audit.replica: audit for audit in report.replicas}
         assert audits["replica-0"].status == "ok"
@@ -610,7 +634,8 @@ def test_repair_is_stamped_at_the_audited_snapshot_not_the_live_head():
     try:
         node = fleet.replicas["replica-0"]
         victim = sorted(model.entities)[0]
-        node.get("profile_rows", victim).facts["value"] = [31337]
+        corrupt_row(node, "profile_rows", victim, 31337)
+        assert_others_match_primary(fleet, manager, "profile_rows", "replica-0")
         report = fleet.auditor.audit_view("profile_rows")
         assert {audit.replica for audit in report.diverged()} == {"replica-0"}
         # a flush lands AFTER the audit and reaches every replica
@@ -650,7 +675,8 @@ def test_stale_revision_replica_is_resynced_not_skipped():
         victim = sorted(model.entities)[0]
         # simulate a missed redefinition: older revision, stale row content
         node.revisions["profile_rows"] -= 1
-        node.get("profile_rows", victim).facts["value"] = [-1]
+        corrupt_row(node, "profile_rows", victim, -1)
+        assert_others_match_primary(fleet, manager, "profile_rows", "replica-1")
         report = fleet.auditor.audit_view("profile_rows")
         assert {audit.replica for audit in report.lagging()} == {"replica-1"}
         fleet.auditor.repair(report)
@@ -757,6 +783,7 @@ def test_anti_entropy_soak_detects_and_repairs_random_divergence(ae_seed):
             node = fleet.replicas[victim]
             injected = inject_divergence(node, "profile_rows", rng,
                                          sorted(model.entities))
+            assert_others_match_primary(fleet, manager, "profile_rows", victim)
             report = fleet.auditor.audit_view("profile_rows")
             flagged = {audit.replica for audit in report.diverged()}
             assert victim in flagged
