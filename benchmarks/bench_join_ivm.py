@@ -18,7 +18,6 @@ import statistics
 import time
 
 from benchmarks.conftest import print_table, write_bench_json
-from repro.engine.metadata import MetadataStore
 from repro.engine.views import (
     JoinInput,
     JoinViewDefinition,
@@ -93,7 +92,7 @@ def bench_join_ivm_delta_vs_full_rebuild(benchmark):
     catalog.register(definition)
     clock = {"lsn": 1}
     manager = ViewManager(
-        catalog, engines={}, metadata=MetadataStore(),
+        catalog, engines={},
         lsn_source=lambda: clock["lsn"], entity_source=world.subjects,
     )
     manager.materialize()

@@ -68,7 +68,6 @@ def serving_env(ontology, bench_store):
     fleet = ServingFleet(
         engine.view_manager,
         num_replicas=3,
-        metadata=engine.metadata,
         head_lsn_source=engine.minimum_version,
     ).start()
     fleet.serve_view("song_rows")

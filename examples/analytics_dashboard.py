@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 
 from repro.engine.analytics import AnalyticsStore
-from repro.engine.metadata import MetadataStore
 from repro.engine.views import (
     JoinInput,
     JoinViewDefinition,
@@ -92,7 +91,7 @@ def main() -> None:
     catalog.register(dashboard)
     clock = {"lsn": 1}
     manager = ViewManager(
-        catalog, engines={}, metadata=MetadataStore(),
+        catalog, engines={},
         lsn_source=lambda: clock["lsn"],
         entity_source=lambda: list(artists) + list(labels),
     )
@@ -132,7 +131,7 @@ def main() -> None:
     print(f"  ivm stats: {ivm}")
     print(f"  manager:   full_rebuilds={stats['full_rebuilds']} "
           f"incremental_applies={stats['incremental_applies']} "
-          f"(mirrored: {manager.metadata.serving_metrics('view_manager') == stats})")
+          f"flushes={stats['flushes']}")
 
     # ------------------------------------------------------------ #
     # The serving half: a cross-view join run whole on one replica.
@@ -157,7 +156,7 @@ def main() -> None:
                         "types": ["label"]},
              "l")
     serving_manager = ViewManager(
-        serving_catalog, engines={}, metadata=MetadataStore(),
+        serving_catalog, engines={},
         lsn_source=lambda: 1,
         entity_source=lambda: list(artists) + list(labels),
     )

@@ -149,7 +149,8 @@ def main() -> None:
     print("\n== fleet introspection ==")
     print(f"  query_router:  {status['query_router']}")
     print(f"  anti_entropy:  {status['anti_entropy']}")
-    print(f"  view digest:   {engine.metadata.view_checksum('entity_profile')}")
+    audited = fleet.auditor.last_reports["entity_profile"]
+    print(f"  view digest:   {audited.digest} (audited at LSN {audited.primary_lsn})")
     platform.stop_serving_fleet()
 
 

@@ -10,7 +10,7 @@ front door over it (see docs/frontdoor.md):
   ``retry_after``, and deadline refusals before any work is wasted;
 * per-tenant result caches invalidated by shipped deltas;
 * the serving-metrics snapshot (latency percentiles, admission counters)
-  mirrored into the platform's metadata store.
+  read from ``FrontDoor.stats()``.
 
 Run with:  python examples/front_door.py
 """
@@ -144,7 +144,7 @@ def main() -> None:
     asyncio.run(serve_traffic(platform))
 
     # -------------------------------------------------------------- #
-    # Observability: one snapshot, also mirrored into the metadata store.
+    # Observability: one snapshot, read from the door that counts it.
     # -------------------------------------------------------------- #
     stats = door.stats()
     print("\n== serving metrics ==")
@@ -154,9 +154,7 @@ def main() -> None:
     latency = stats["latency"]
     print(f"  latency: p50={latency['p50_ms']:.2f} ms "
           f"p95={latency['p95_ms']:.2f} ms p99={latency['p99_ms']:.2f} ms")
-    mirrored = engine.metadata.serving_metrics("front_door")
-    print(f"  mirrored into MetadataStore: requests={mirrored['requests']}, "
-          f"tenants={sorted(mirrored['tenants'])}")
+    print(f"  tenants={sorted(stats['tenants'])}")
 
     platform.stop_serving_fleet()
     print("\nfront door and fleet stopped cleanly")

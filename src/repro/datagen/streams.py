@@ -9,7 +9,6 @@ that live-graph construction must resolve against the stable KG.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -177,10 +176,6 @@ class LiveStreamGenerator:
         """All streams merged and ordered by timestamp."""
         events = self.sports_events() + self.stock_events() + self.flight_events()
         return sorted(events, key=lambda event: (event.timestamp, event.event_id))
-
-    def iter_events(self) -> Iterator[LiveEvent]:
-        """Iterate over all events in timestamp order."""
-        return iter(self.all_events())
 
     def _mention(self, entity: WorldEntity) -> str:
         """Render a (possibly alias) text mention of a stable entity."""

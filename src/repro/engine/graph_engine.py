@@ -3,8 +3,8 @@
 The Graph Engine is the primary store for the KG, computes knowledge views
 over the graph, and exposes query APIs to consumers.  It follows a federated
 polystore design: specialized stores (analytics warehouse, entity KV index,
-full-text index, vector DB) are kept consistent by replaying a shared,
-durable operation log through per-store orchestration agents; log sequence
+full-text index, vector DB) are kept consistent by replaying a shared
+operation log through per-store orchestration agents; log sequence
 numbers give consumers a freshness guarantee per store.
 
 The KG construction pipeline is the *sole producer*: it publishes ingest
@@ -175,7 +175,6 @@ class GraphEngine:
     def __init__(
         self,
         ontology: Ontology,
-        log_path: str | None = None,
         embedding_dimension: int = 32,
     ) -> None:
         self.ontology = ontology
@@ -184,7 +183,9 @@ class GraphEngine:
         self.entity_store = EntityStore()
         self.text_index = InvertedTextIndex()
         self.vector_db = VectorDB(dimension=embedding_dimension)
-        self.log = OperationLog(log_path)
+        # In memory, like the object store holding the payloads its records
+        # point at: a log recovered without its payloads could not be replayed.
+        self.log = OperationLog()
         self.object_store = ObjectStore()
         self.metadata = MetadataStore()
         self.coordinator = AgentCoordinator(self.log, self.object_store, self.metadata)
@@ -199,7 +200,6 @@ class GraphEngine:
         self.view_manager = ViewManager(
             self.view_catalog,
             self._engine_map(),
-            metadata=self.metadata,
             lsn_source=self.metadata.minimum_watermark,
             # Scope snapshots enumerate the primary store so deletions resolve
             # to the views that actually contained the entity.
@@ -225,7 +225,7 @@ class GraphEngine:
 
         The full fact set of each changed subject is staged as one columnar
         batch (so replay is idempotent, and independent of what the source
-        store becomes afterwards), the operation is appended to the durable
+        store becomes afterwards), the operation is appended to the
         log, and — by default — agents replay immediately.
 
         When the producer already classified its change, *added_subjects*

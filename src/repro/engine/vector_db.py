@@ -90,10 +90,6 @@ class VectorDB:
             return None
         return self._matrix[index].copy()
 
-    def attributes_of(self, key: str) -> dict:
-        """Attributes stored with *key*."""
-        return dict(self._attributes.get(key, {}))
-
     # -------------------------------------------------------------- #
     # search
     # -------------------------------------------------------------- #

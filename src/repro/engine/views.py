@@ -73,11 +73,9 @@ rebuilding every materialized view on any update:
   pending delta (the flush restores it and re-raises).
 
 * **LSN watermarks.**  Every :class:`ViewState` records ``built_at_lsn`` — the
-  operation-log position its artifact reflects.  Watermarks are mirrored
-  into the platform :class:`~repro.engine.metadata.MetadataStore` when one
-  is attached, so consumers can route reads with the same freshness
-  machinery they use for stores.  The wall-clock ``freshness_sla`` remains
-  as an orthogonal serving-side SLA.
+  operation-log position its artifact reflects — and
+  :meth:`ViewManager.lagging_views` answers which views trail the log head.
+  The wall-clock ``freshness_sla`` remains as an orthogonal serving-side SLA.
 
 * **Lifecycle safety.**  ``drop`` cascades invalidation to transitive
   dependents so no dependent keeps serving an artifact built from a dropped
@@ -108,7 +106,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.engine.analytics import JoinAccessPattern, _collapse
-from repro.engine.metadata import MetadataStore
 from repro.errors import ViewError
 
 
@@ -854,17 +851,16 @@ class ViewManager:
     """Materialize and selectively maintain views over the engine's stores.
 
     ``lsn_source`` (usually the operation log's ``head_lsn``) stamps every
-    build with the log position it reflects; ``metadata`` mirrors the per-view
-    watermarks into the platform metadata store; ``entity_source`` enumerates
-    current entity ids so scoped views get complete pre-delete scope
-    snapshots.  Maintenance runs on the caller's thread, one view at a time.
+    build with the log position it reflects (read back through
+    :meth:`lagging_views` and each state's ``built_at_lsn``);
+    ``entity_source`` enumerates current entity ids so scoped views get
+    complete pre-delete scope snapshots.  Maintenance runs on the caller's thread, one view at a time.
     """
 
     def __init__(
         self,
         catalog: ViewCatalog,
         engines: dict[str, object],
-        metadata: MetadataStore | None = None,
         lsn_source: Callable[[], int] | None = None,
         entity_source: Callable[[], Iterable[str]] | None = None,
         clock: Callable[[], float] | None = None,
@@ -877,7 +873,6 @@ class ViewManager:
         self.clock: Callable[[], float] = clock if clock is not None else time.monotonic
         self.catalog = catalog
         self.engines = engines
-        self.metadata = metadata
         self.lsn_source = lsn_source
         self.entity_source = entity_source
         self.states: dict[str, ViewState] = {}
@@ -941,12 +936,10 @@ class ViewManager:
         multi-query-optimization practice behind the paper's 26% saving.
         """
         context = ViewContext(engines=self.engines)
-        timings = {
+        return {
             name: self._build_view(name, context)
             for name in self.catalog.execution_order(targets)
         }
-        self._record_stats()
-        return timings
 
     def _build_view(self, name: str, context: ViewContext) -> float:
         definition = self.catalog.get(name)
@@ -969,7 +962,6 @@ class ViewManager:
             state.built_at_lsn = max(state.built_at_lsn, self.current_lsn())
             state.builds += 1
             self._seed_snapshot(name, definition)
-            self._record_watermark(name, state)
         # A from-scratch build changes the artifact by an unknown extent
         # relative to any previously served version: history restarts here.
         self._emit_journal_event(JournalEvent(
@@ -1055,7 +1047,6 @@ class ViewManager:
                 if target_lsn > state.built_at_lsn:
                     with self._state_lock(name):
                         state.built_at_lsn = target_lsn
-                        self._record_watermark(name, state)
                     # Watermark-only progress still ships: replicas must
                     # advance their applied LSN or consistency-gated reads
                     # would reject them for changes that never touched the
@@ -1075,7 +1066,6 @@ class ViewManager:
             to_maintain.append(name)
         timings = self._run_schedule(to_maintain, delta)
         self.flushes += 1
-        self._record_stats()
         return timings
 
     def _run_schedule(self, names: list[str], delta: ViewDelta) -> dict[str, float]:
@@ -1159,7 +1149,6 @@ class ViewManager:
             state.last_build_seconds = elapsed
             self._update_snapshot(name, definition, projected)
             state.built_at_lsn = max(state.built_at_lsn, delta.last_lsn)
-            self._record_watermark(name, state)
         if not incremental:
             # The rebuild's change extent is unknown to consumers — even a
             # delta-driven create may touch rows the delta does not name.
@@ -1346,7 +1335,6 @@ class ViewManager:
             removed.append(name)
         self.states.pop(name, None)
         self._scope_snapshots.pop(name, None)
-        self._clear_watermark(name)
         if state is not None:
             self._emit_journal_event(JournalEvent(
                 kind="drop", view_name=name, lsn=state.built_at_lsn,
@@ -1366,7 +1354,6 @@ class ViewManager:
         state.artifact = None
         state.invalidations += 1
         self._scope_snapshots.pop(name, None)
-        self._clear_watermark(name)
         self._emit_journal_event(JournalEvent(
             kind="drop", view_name=name, lsn=state.built_at_lsn,
             revision=state.revision,
@@ -1383,7 +1370,6 @@ class ViewManager:
         for name in names:
             state = self.states.pop(name, None)
             self._scope_snapshots.pop(name, None)
-            self._clear_watermark(name)
             if state is not None:
                 self._emit_journal_event(JournalEvent(
                     kind="drop", view_name=name, lsn=state.built_at_lsn,
@@ -1441,27 +1427,21 @@ class ViewManager:
     def view_digest(
         self, name: str, snapshot: tuple[int, int, dict[str, dict]] | None = None
     ) -> str:
-        """One content digest over the view's rows, recorded in the metadata store.
+        """One content digest over the view's rows.
 
         Combines the row checksums of one atomic snapshot (*snapshot* when a
         caller — the anti-entropy auditor — already took one;
-        :meth:`view_rows_snapshot` otherwise) into a single digest and
-        mirrors it — stamped with the **snapshot's** LSN, never a re-read
-        one a concurrent flush could have moved — into the metadata store's
-        checksum namespace, so audits leave an observable trail next to the
-        view watermarks.  This is the one definition of the
-        recorded digest; every writer of the checksum namespace goes through
-        it.
+        :meth:`view_rows_snapshot` otherwise) into a single digest.  This is
+        the one definition of the audited digest: the anti-entropy auditor
+        records it, with the snapshot's LSN, on its
+        :class:`~repro.serving.anti_entropy.AuditReport`.
         """
         if snapshot is None:
             snapshot = self.view_rows_snapshot(name)
-        lsn, _, rows = snapshot
-        digest = combine_checksums(
+        _, _, rows = snapshot
+        return combine_checksums(
             {subject: row_checksum(row) for subject, row in rows.items()}
         )
-        if self.metadata is not None:
-            self.metadata.update_view_checksum(name, lsn, digest)
-        return digest
 
     def current_lsn(self) -> int:
         """The log position maintenance is stamped against right now."""
@@ -1510,8 +1490,6 @@ class ViewManager:
         ``append`` events (the shipped change volume) and
         ``noop_maintenance`` counts incremental runs whose output-row delta
         came out empty — affected views whose rows did not actually change.
-        Mirrored into the metadata store's serving-metrics namespace under
-        component ``"view_manager"`` after every materialize and flush.
         """
         return {
             "flushes": self.flushes,
@@ -1558,19 +1536,6 @@ class ViewManager:
 
     def _has_materialized(self) -> bool:
         return any(state.materialized for state in self.states.values())
-
-    def _record_watermark(self, name: str, state: ViewState) -> None:
-        if self.metadata is not None:
-            self.metadata.update_view_watermark(name, state.built_at_lsn)
-
-    def _record_stats(self) -> None:
-        if self.metadata is not None:
-            self.metadata.update_serving_metrics("view_manager", self.stats())
-
-    def _clear_watermark(self, name: str) -> None:
-        if self.metadata is not None:
-            self.metadata.clear_view_watermark(name)
-            self.metadata.clear_view_checksum(name)
 
     def _artifacts(self) -> dict[str, object]:
         return {

@@ -390,9 +390,8 @@ class LiveIndex:
 
     ``watermarks`` track, per upstream feed (the stable view, each served
     view artifact), the Graph Engine log position (LSN) the loaded documents
-    reflect — the same freshness currency the engine's metadata store uses —
-    so refreshes can be skipped when the upstream has not advanced.  Feeds
-    loaded through :meth:`replace_feed` / :meth:`apply_feed_delta` (the
+    reflect, so refreshes can be skipped when the upstream has not advanced.
+    Feeds loaded through :meth:`replace_feed` / :meth:`apply_feed_delta` (the
     replica-backed serving path) additionally track which document ids each
     feed serves, so a replaced or dropped feed unserves vanished rows.
     """

@@ -47,11 +47,6 @@ def pack_ref(pid: int, row: int) -> int:
     return (pid << ROW_BITS) | row
 
 
-def unpack_ref(ref: int) -> tuple[int, int]:
-    """Invert :func:`pack_ref`."""
-    return ref >> ROW_BITS, ref & ROW_MASK
-
-
 class TermDict:
     """Append-only interning dictionary from terms (str or None) to dense ids.
 

@@ -83,13 +83,6 @@ class IdGenerator:
         value = next(self._counter)
         return qualify(self.namespace, f"{self.prefix}{value:0{self.width}d}")
 
-    def peek_count(self) -> int:
-        """Return how many identifiers have been minted so far."""
-        probe = next(self._counter)
-        # Rewind by building a fresh counter; itertools.count cannot step back.
-        self._counter = itertools.count(probe)
-        return probe - self.start
-
 
 def relationship_id(subject: str, predicate: str, discriminator: str = "") -> str:
     """Return a deterministic identifier for a composite relationship node.

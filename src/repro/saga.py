@@ -287,7 +287,6 @@ class SagaPlatform:
             engine.view_manager,
             num_replicas=num_replicas,
             journal_store=JournalStore(backend) if backend is not None else None,
-            metadata=engine.metadata,
             head_lsn_source=engine.minimum_version,
             queue_capacity=queue_capacity,
         ).start()
@@ -351,9 +350,8 @@ class SagaPlatform:
         door admits per-tenant KGQ requests (token buckets, a bounded
         priority admission queue, deadlines) and executes them through the
         fleet's query router (MATCH plans on the event loop, REACH plans on
-        a bounded worker pool), mirroring its
-        serving metrics into the engine's metadata store.  Tenants are
-        onboarded through ``front_door.registry.register(...)``.
+        a bounded worker pool); ``front_door.stats()`` reports its serving
+        metrics.  Tenants are onboarded through ``front_door.registry.register(...)``.
         """
         if self._fleet is None:
             raise ServingError("start a serving fleet before the front door")
@@ -365,7 +363,6 @@ class SagaPlatform:
             max_concurrency=max_concurrency,
             queue_capacity=queue_capacity,
             default_deadline=default_deadline,
-            metadata=self.graph_engine.metadata,
         )
         return self._front_door
 

@@ -20,9 +20,9 @@ over the LSN range both sides agree on:
 
 The primary side of every audit is read as one atomic snapshot
 (:meth:`~repro.engine.views.ViewManager.view_rows_snapshot`, under the
-view's maintenance lock) and its combined digest is recorded in the
-metadata store's checksum namespace, so "when was this view last verified,
-at which LSN, with which digest" is observable alongside the watermarks.
+view's maintenance lock) and its combined digest is kept on the view's
+:class:`AuditReport` in :attr:`AntiEntropyAuditor.last_reports`, so "when was
+this view last verified, at which LSN, with which digest" is one lookup.
 :meth:`AntiEntropyAuditor.start` runs audits periodically on a daemon
 thread — failures are counted and surfaced (``audit_failures``,
 ``last_audit_error``), never silently swallowed — and every entry point is
@@ -117,18 +117,16 @@ class AntiEntropyAuditor:
         The primary side is read as one atomic snapshot
         (:meth:`~repro.engine.views.ViewManager.view_rows_snapshot`, taken
         under the view's maintenance lock) so a concurrent flush can never
-        pair the rows of one commit with the LSN of another; the combined
-        digest of the audited checksums is recorded — stamped with the
-        snapshot LSN — in the metadata store's checksum namespace.
+        pair the rows of one commit with the LSN of another; the report
+        carries the combined digest of the audited rows next to the snapshot
+        LSN.
         """
         manager = self.fleet.manager
         primary_lsn, revision, rows = manager.view_rows_snapshot(view_name)
         expected = self._expected_checksums(view_name, rows)
-        # Leave the audited-digest trail next to the watermarks, through the
-        # one canonical digest definition (ViewManager.view_digest) so the
-        # checksum namespace never mixes digest flavors.  The document-level
-        # map above is the replica comparison currency, not the recorded
-        # digest.
+        # The report's digest goes through the one canonical definition
+        # (ViewManager.view_digest).  The document-level map above is the
+        # replica comparison currency, not the recorded digest.
         digest = manager.view_digest(
             view_name, snapshot=(primary_lsn, revision, rows)
         )

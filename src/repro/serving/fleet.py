@@ -15,17 +15,15 @@
   :class:`~repro.serving.query_router.QueryRouter` places whole KGQs on
   them by the same order and the same placement walk.
 
-Replica applied-LSN watermarks are mirrored into the platform
-:class:`~repro.engine.metadata.MetadataStore` replica namespace (keyed
-``{replica}/{view}``) when one is attached, so fleet freshness is observable
-with the same machinery as store and view freshness.
+Each replica owns its applied-LSN watermarks
+(:meth:`~repro.serving.replica.ReplicaNode.applied_lsn`); :meth:`ServingFleet.lag`
+reads them as per-view, per-replica lag behind the primary head.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.engine.metadata import MetadataStore
 from repro.engine.views import ViewManager
 from repro.errors import ServingError
 from repro.live.executor import QueryResult
@@ -45,7 +43,6 @@ class ServingFleet:
         manager: ViewManager,
         num_replicas: int = 3,
         journal_store: JournalStore | None = None,
-        metadata: MetadataStore | None = None,
         head_lsn_source: Callable[[], int] | None = None,
         queue_capacity: int = 256,
         replica_prefix: str = "replica",
@@ -54,7 +51,6 @@ class ServingFleet:
             raise ServingError("a serving fleet needs at least one replica")
         self.manager = manager
         self.journal_store = journal_store if journal_store is not None else JournalStore()
-        self.metadata = metadata
         self.head_lsn_source = head_lsn_source or manager.current_lsn
         self.bus = ReplicationBus()
         self.shipper = JournalShipper(manager, self.bus, self.journal_store)
@@ -77,7 +73,6 @@ class ServingFleet:
             queue_capacity=queue_capacity,
             resync_source=self.shipper,
             journal_store=self.journal_store,
-            watermark_sink=self._record_replica_watermark,
         )
         self.replicas[name] = node
         self.bus.subscribe(node)
@@ -108,7 +103,7 @@ class ServingFleet:
         """Retire a replica for good: stop it and forget every trace of it.
 
         Unsubscribes it from the bus and router, drops its persisted
-        checkpoint, and clears its metadata watermarks — unlike
+        checkpoint — unlike
         :meth:`kill_replica`, which models a crash that will be recovered.
         """
         node = self._node(name)
@@ -116,8 +111,6 @@ class ServingFleet:
         self.bus.unsubscribe(name)
         self.router.remove_replica(name)
         self.journal_store.drop_replica_checkpoint(name)
-        if self.metadata is not None:
-            self.metadata.clear_replica_watermark(name)
         del self.replicas[name]
 
     def kill_replica(self, name: str) -> int:
@@ -272,7 +265,3 @@ class ServingFleet:
             return self.replicas[name]
         except KeyError:
             raise ServingError(f"unknown replica {name!r}") from None
-
-    def _record_replica_watermark(self, replica: str, view_name: str, lsn: int) -> None:
-        if self.metadata is not None:
-            self.metadata.update_replica_watermark(f"{replica}/{view_name}", lsn)

@@ -29,8 +29,7 @@ honestly when saturated.  One request flows through:
    never holds up the loop;
 4. **observability** — every outcome and served latency streams into
    :class:`~repro.serving.frontdoor.metrics.ServingMetrics`, surfaced by
-   :meth:`FrontDoor.stats` and mirrored into the
-   :class:`~repro.engine.metadata.MetadataStore` serving-metrics namespace.
+   :meth:`FrontDoor.stats`.
 
 Deadlines bound *waiting*, not execution: a dispatched request runs to
 completion (the synchronous fleet call cannot be cancelled mid-query), but
@@ -90,7 +89,6 @@ class FrontDoor:
         queue_capacity: int = 64,
         default_deadline: float | None = None,
         clock: Callable[[], float] | None = None,
-        metadata=None,
         retry_after_floor: float = 0.05,
     ) -> None:
         if max_concurrency <= 0:
@@ -104,7 +102,6 @@ class FrontDoor:
         self.registry = registry if registry is not None else TenantRegistry(clock=self._clock)
         self.max_concurrency = max_concurrency
         self.default_deadline = default_deadline
-        self.metadata = metadata if metadata is not None else getattr(fleet, "metadata", None)
         self.retry_after_floor = retry_after_floor
         self.metrics = ServingMetrics()
         self.queue = AdmissionQueue(queue_capacity, clock=self._clock)
@@ -336,10 +333,9 @@ class FrontDoor:
         percentiles), the saturation gauges (queue depth / high-water mark,
         in-flight), the inline / pooled execution split, the registry's
         plan- and result-cache counters, and the query router's dispatch and
-        join stats.  Mirrored into the metadata store's serving-metrics
-        namespace (component ``front_door``) when one is attached.
+        join stats.
         """
-        snapshot = {
+        return {
             **self.metrics.snapshot(),
             "in_flight": self._in_flight,
             "max_in_flight": self._max_in_flight,
@@ -351,9 +347,6 @@ class FrontDoor:
             "tenant_caches": self.registry.stats(),
             "query_router": self.query_router.stats(),
         }
-        if self.metadata is not None:
-            self.metadata.update_serving_metrics("front_door", snapshot)
-        return snapshot
 
     def close(self) -> None:
         """Detach from the view manager and retire the worker pool.

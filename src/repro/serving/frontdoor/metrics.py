@@ -4,9 +4,7 @@ The front door answers "is serving healthy, and for whom?" with bounded
 memory: latencies stream into geometric-bucket histograms (one global, one
 per tenant) that answer p50/p95/p99 without retaining samples, and every
 admission outcome increments a per-tenant counter.  Snapshots are plain
-dicts, surfaced by ``FrontDoor.stats()`` and mirrored into the platform
-:class:`~repro.engine.metadata.MetadataStore` serving-metrics namespace so
-fleet health is observable with the same machinery as freshness.
+dicts, surfaced by ``FrontDoor.stats()``.
 
 Counter glossary (per tenant and summed globally):
 

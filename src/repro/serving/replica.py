@@ -40,7 +40,6 @@ import queue
 import threading
 import time
 from collections import deque
-from typing import Callable
 
 from repro.engine.metadata import WatermarkMap
 from repro.errors import ReplicaUnavailableError, ServingError
@@ -49,9 +48,6 @@ from repro.live.index import LiveIndex, document_checksum
 from repro.live.kgq import CallQuery, Query, default_virtual_operators, parse
 from repro.live.planner import PhysicalPlan, QueryPlanner
 from repro.serving.shipping import ShipmentBatch
-
-#: Signature of the per-apply watermark callback: (replica, view, applied LSN).
-WatermarkSink = Callable[[str, str, int], None]
 
 
 class ReplicaNode:
@@ -63,7 +59,6 @@ class ReplicaNode:
         queue_capacity: int = 256,
         resync_source=None,
         journal_store=None,
-        watermark_sink: WatermarkSink | None = None,
     ) -> None:
         if not name:
             raise ServingError("replica needs a non-empty name")
@@ -79,7 +74,6 @@ class ReplicaNode:
         self.revisions: dict[str, int] = {}      # view -> state lineage served
         self.resync_source = resync_source
         self.journal_store = journal_store
-        self.watermark_sink = watermark_sink
         self._queue: queue.Queue[ShipmentBatch | None] = queue.Queue(maxsize=queue_capacity)
         self._worker: threading.Thread | None = None
         self._alive = False
@@ -430,7 +424,7 @@ class ReplicaNode:
             # Snapshots may rewind across revisions: set, don't advance.
             self.applied[batch.view_name] = batch.lsn
             self.revisions[batch.view_name] = batch.revision
-            self._commit(batch.view_name)
+            self._commit()
             return
         # delta batch
         applied = self.applied.of(batch.view_name)
@@ -465,14 +459,12 @@ class ReplicaNode:
         # Watermark-only (advance) batches skip the checkpoint write: a
         # restart catch-up re-stamps the current watermark anyway, and a
         # per-flush no-op fsync per view per replica adds up fast.
-        self._commit(batch.view_name, persist=bool(upserts or deleted_ids))
+        self._commit(persist=bool(upserts or deleted_ids))
 
-    def _commit(self, view_name: str, persist: bool = True) -> None:
+    def _commit(self, persist: bool = True) -> None:
         self.batches_applied += 1
         if persist:
             self._checkpoint()
-        if self.watermark_sink is not None:
-            self.watermark_sink(self.name, view_name, self.applied.of(view_name))
 
     def _checkpoint(self) -> None:
         if self.journal_store is not None:

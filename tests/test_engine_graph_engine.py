@@ -120,11 +120,3 @@ def test_register_agent_rejects_duplicates(engine):
     engine.register_agent(NullAgent("extra_store"))
     with pytest.raises(EngineError):
         engine.register_agent(NullAgent("extra_store"))
-
-
-def test_log_durability_via_graph_engine(ontology, construction_store, tmp_path):
-    path = tmp_path / "engine.log"
-    engine = GraphEngine(ontology, log_path=str(path))
-    engine.publish_store(construction_store)
-    assert path.exists()
-    assert engine.log.head_lsn() == 1

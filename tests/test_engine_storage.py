@@ -86,9 +86,6 @@ def test_metadata_watermarks_and_freshness():
     assert metadata.is_fresh("text_index", 6)
     assert not metadata.is_fresh("analytics", 6)
     assert metadata.lagging_stores(7) == {"analytics": 2}
-    metadata.annotate("views", owner="platform")
-    assert metadata.annotation("views") == {"owner": "platform"}
-    assert metadata.annotation("missing") == {}
 
 
 # --------------------------------------------------------------------- #

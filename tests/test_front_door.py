@@ -26,7 +26,6 @@ import threading
 import pytest
 
 from repro import SagaPlatform
-from repro.engine.metadata import MetadataStore
 from repro.engine.views import ViewCatalog, ViewDefinition, ViewDelta, ViewManager
 from repro.errors import (
     DeadlineExceededError,
@@ -97,7 +96,7 @@ def build_query_harness(model: QueryModel):
     ))
     clock = {"lsn": 1}
     manager = ViewManager(
-        catalog, engines={}, metadata=MetadataStore(),
+        catalog, engines={},
         lsn_source=lambda: clock["lsn"], entity_source=model.subjects,
     )
     return catalog, manager, clock
@@ -183,12 +182,11 @@ class StubManager:
 
 
 class StubFleet:
-    """Just enough fleet surface for the FrontDoor: router, manager, metadata."""
+    """Just enough fleet surface for the FrontDoor: router and manager."""
 
     def __init__(self, gate: threading.Event | None = None):
         self.query_router = StubQueryRouter(gate)
         self.manager = StubManager()
-        self.metadata = None
 
 
 def make_door(gate=None, **kwargs) -> FrontDoor:
@@ -701,11 +699,10 @@ def test_two_tenant_isolation_over_seeded_sequences(fd_seed):
 
 
 # ------------------------------------------------------------------ #
-# observability: stats shape and metadata mirroring
+# observability: stats shape
 # ------------------------------------------------------------------ #
-def test_stats_snapshot_and_metadata_mirroring():
-    metadata = MetadataStore()
-    door = FrontDoor(StubFleet(), metadata=metadata)
+def test_stats_snapshot():
+    door = FrontDoor(StubFleet())
     door.registry.register("acme", views={"profile_rows"}, entity_types={"alpha"})
     try:
         async def scenario():
@@ -726,12 +723,8 @@ def test_stats_snapshot_and_metadata_mirroring():
         assert snapshot["tenants"]["acme"]["admitted"] == 2
         assert snapshot["tenant_caches"]["acme"]["plan_cache_hits"] == 1
         assert "queries_routed" in snapshot["query_router"]
-        # the same snapshot is mirrored into the metadata store's namespace
-        mirrored = metadata.serving_metrics("front_door")
-        assert mirrored["requests"] == 2
-        assert mirrored["latency"]["count"] == 2
-        metadata.clear_serving_metrics("front_door")
-        assert metadata.serving_metrics("front_door") == {}
+        # a pure read: asking again changes nothing
+        assert door.stats() == snapshot
     finally:
         door.close()
 

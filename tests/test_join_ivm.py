@@ -31,7 +31,6 @@ import random
 import pytest
 
 from repro.engine.analytics import JoinAccessPattern, Relation
-from repro.engine.metadata import MetadataStore
 from repro.engine.views import (
     JoinInput,
     JoinViewDefinition,
@@ -222,7 +221,7 @@ def build_join_harness(model: JoinModel, how="left"):
     catalog.register(definition)
     clock = {"lsn": 1}
     manager = ViewManager(
-        catalog, engines={}, metadata=MetadataStore(),
+        catalog, engines={},
         lsn_source=lambda: clock["lsn"], entity_source=model.subjects,
     )
     return definition, manager, clock
@@ -431,13 +430,13 @@ def test_join_view_delta_maintenance_matches_full_rebuild(ivm_seed):
     assert len(definition._right_index) == len(model.cities)
 
 
-def test_manager_maintenance_stats_mirror_into_metadata():
+def test_manager_maintenance_stats():
     model = JoinModel()
     seed_join_model(model, random.Random(5), people=8)
     definition, manager, clock = build_join_harness(model)
     manager.materialize()
-    assert manager.metadata.serving_metrics("view_manager") == manager.stats()
-    # a delta-only workload: counters move, the mirror follows, no rebuilds
+    assert manager.stats()["flushes"] == 0
+    # a delta-only workload: counters move, no rebuilds
     eid = sorted(model.people)[0]
     model.people[eid]["age"] += 1
     clock["lsn"] += 1
@@ -447,14 +446,13 @@ def test_manager_maintenance_stats_mirror_into_metadata():
     assert stats["full_rebuilds"] == 0
     assert stats["incremental_applies"] == 1
     assert stats["delta_rows_journaled"] >= 1
-    assert manager.metadata.serving_metrics("view_manager") == stats
-    # an unaffected flush counts as noop maintenance, and still mirrors
+    # an unaffected flush is still counted, and rebuilds nothing
     clock["lsn"] += 1
     manager.enqueue(["zz_unrelated"], lsn=clock["lsn"])
     manager.flush()
     stats = manager.stats()
+    assert stats["flushes"] == 2
     assert stats["full_rebuilds"] == 0
-    assert manager.metadata.serving_metrics("view_manager") == stats
 
 
 # ------------------------------------------------------------------ #
@@ -513,7 +511,7 @@ def build_fleet_harness(model: FleetModel):
     row_view("city_rows", model.cities, model.city_row, "c")
     clock = {"lsn": 1}
     manager = ViewManager(
-        catalog, engines={}, metadata=MetadataStore(),
+        catalog, engines={},
         lsn_source=lambda: clock["lsn"], entity_source=model.subjects,
     )
     return manager, clock

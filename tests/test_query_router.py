@@ -30,7 +30,6 @@ import random
 
 import pytest
 
-from repro.engine.metadata import MetadataStore
 from repro.engine.views import (
     ViewCatalog,
     ViewDefinition,
@@ -107,7 +106,7 @@ def build_query_harness(model: QueryModel):
     ))
     clock = {"lsn": 1}
     manager = ViewManager(
-        catalog, engines={}, metadata=MetadataStore(),
+        catalog, engines={},
         lsn_source=lambda: clock["lsn"], entity_source=model.subjects,
     )
     return catalog, manager, clock
@@ -605,17 +604,17 @@ def test_audit_detects_exact_subjects_and_repair_converges():
         assert node.divergence_repairs == 1
         assert node.snapshot_resyncs == 0                     # never a snapshot
         assert manager.states["profile_rows"].builds == builds_before
-        # the audited digest is on the metadata trail, and it is the same
-        # canonical row-level digest ViewManager.view_digest computes — the
-        # checksum namespace never flips between digest definitions
-        lsn, digest = manager.metadata.view_checksum("profile_rows")
+        # the last audit report carries the audited digest, stamped with its
+        # snapshot LSN, and it is the same canonical row-level digest
+        # ViewManager.view_digest computes — never a second digest flavor
+        last = fleet.auditor.last_reports["profile_rows"]
+        lsn, digest = last.primary_lsn, last.digest
         assert lsn == manager.built_at_lsn("profile_rows")
         _, _, rows = manager.view_rows_snapshot("profile_rows")
         assert digest == combine_checksums(
             {subject: row_checksum(row) for subject, row in rows.items()}
         )
         assert digest == manager.view_digest("profile_rows")
-        assert fleet.auditor.last_reports["profile_rows"].digest == digest
         # distributed queries see the repaired rows, not the corruption
         assert_fleet_matches_primary(fleet, manager)
     finally:
@@ -827,13 +826,12 @@ def test_view_checksums_row_shape_and_metadata_lifecycle():
     assert manager.artifact("profile_rows")[some]["value"] != -1
     digest = manager.view_digest("profile_rows")
     assert digest == combine_checksums(checksums)
-    assert manager.metadata.view_checksum("profile_rows") == (lsn, digest)
-    # an older recomputation cannot overwrite a fresher digest
-    manager.metadata.update_view_checksum("profile_rows", 0, "stale")
-    assert manager.metadata.view_checksum("profile_rows")[1] == digest
-    # drop clears the digest with the watermarks
+    # the digest is a pure read of the rows: asking again changes nothing
+    assert manager.view_digest("profile_rows") == digest
+    # a dropped view has no rows left to digest
     manager.drop("profile_rows")
-    assert manager.metadata.view_checksum("profile_rows") is None
+    with pytest.raises(ViewError):
+        manager.view_digest("profile_rows")
     # non-row-shaped artifacts refuse row checksums
     catalog.register(ViewDefinition("scalar", "analytics", create=lambda ctx: 42))
     manager.materialize(["scalar"])
@@ -841,7 +839,6 @@ def test_view_checksums_row_shape_and_metadata_lifecycle():
         manager.view_rows_snapshot("scalar")
     with pytest.raises(ViewError):
         manager.view_digest("scalar")
-    assert manager.metadata.view_checksum("scalar") is None
 
 
 def test_document_checksum_ignores_version_but_not_content():

@@ -14,7 +14,6 @@ import time
 
 import pytest
 
-from repro.engine.metadata import MetadataStore
 from repro.engine.views import ViewCatalog, ViewDefinition, ViewDelta, ViewManager
 from repro.errors import (
     JournalGapError,
@@ -38,7 +37,7 @@ from repro.serving import (
 # ------------------------------------------------------------------ #
 # harness: a tiny row view over a mutable model store
 # ------------------------------------------------------------------ #
-def make_primary(metadata=None):
+def make_primary():
     """A one-view primary: ``rows`` maintained through apply_delta."""
     store: dict[str, int] = {}
     clock = {"lsn": 1}
@@ -60,7 +59,7 @@ def make_primary(metadata=None):
         scope=lambda eid: eid in store,
     ))
     manager = ViewManager(
-        catalog, engines={}, metadata=metadata,
+        catalog, engines={},
         lsn_source=lambda: clock["lsn"], entity_source=lambda: list(store),
     )
     return store, clock, manager
@@ -506,18 +505,18 @@ class TestShippingAndReplicas:
         fleet.stop()
 
     def test_remove_replica_forgets_checkpoint_and_watermarks(self):
-        metadata = MetadataStore()
-        store, clock, manager = make_primary(metadata=metadata)
+        store, clock, manager = make_primary()
         store["a"] = 1
         manager.materialize()
-        fleet = ServingFleet(manager, num_replicas=2, metadata=metadata).start()
+        fleet = ServingFleet(manager, num_replicas=2).start()
         fleet.serve_view("rows")
         assert fleet.drain()
-        assert metadata.replica_watermark("replica-1/rows") > 0
+        assert fleet.replicas["replica-1"].applied_lsn("rows") > 0
+        assert set(fleet.lag()["rows"]) == {"replica-0", "replica-1"}
         fleet.remove_replica("replica-1")
         assert "replica-1" not in fleet.replicas
         assert fleet.router.healthy_replicas() == ["replica-0"]
-        assert metadata.replica_watermark("replica-1/rows") == 0
+        assert fleet.lag() == {"rows": {"replica-0": 0}}
         assert fleet.journal_store.load_replica_checkpoint("replica-1") == ({}, {})
         put(store, clock, manager, "a", 2)    # shipping continues without it
         manager.flush()
@@ -525,23 +524,20 @@ class TestShippingAndReplicas:
         assert fleet.replicas["replica-0"].get("rows", "a").value("value") == 2
         fleet.stop()
 
-    def test_replica_watermarks_mirrored_into_metadata(self):
-        metadata = MetadataStore()
-        store, clock, manager = make_primary(metadata=metadata)
+    def test_replica_watermarks_read_from_the_replicas(self):
+        store, clock, manager = make_primary()
         store["a"] = 1
         manager.materialize()
-        fleet = ServingFleet(manager, num_replicas=2, metadata=metadata).start()
+        fleet = ServingFleet(manager, num_replicas=2).start()
         fleet.serve_view("rows")
         put(store, clock, manager, "a", 2)
         manager.flush()
         assert fleet.drain()
         for name in ("replica-0", "replica-1"):
-            assert metadata.replica_watermark(f"{name}/rows") == clock["lsn"]
-        assert metadata.lagging_replicas(clock["lsn"] + 2) == {
-            "replica-0/rows": 2, "replica-1/rows": 2,
-        }
-        # replica marks live in their own namespace: store freshness unaffected
-        assert metadata.minimum_watermark() == 0
+            assert fleet.replicas[name].applied_lsn("rows") == clock["lsn"]
+        assert fleet.lag() == {"rows": {"replica-0": 0, "replica-1": 0}}
+        clock["lsn"] += 2                     # the head moves on, unshipped
+        assert fleet.lag() == {"rows": {"replica-0": 2, "replica-1": 2}}
         fleet.stop()
 
 

@@ -32,7 +32,6 @@ import random
 import pytest
 
 from repro.engine.graph_engine import GraphEngine
-from repro.engine.metadata import MetadataStore
 from repro.engine.views import ViewCatalog, ViewDefinition, ViewDelta, ViewManager
 from repro.errors import JournalGapError, StaleReadError
 from repro.live.index import document_checksum
@@ -160,7 +159,7 @@ def build_harness(store: ModelStore, with_unscoped=False):
 
     clock = {"lsn": 0}
     manager = ViewManager(
-        catalog, engines={}, metadata=MetadataStore(),
+        catalog, engines={},
         lsn_source=lambda: clock["lsn"],
         entity_source=store.subjects,
     )
@@ -1210,7 +1209,7 @@ def _two_view_primary():
     row_view("value_rows", "value")
     row_view("pop_rows", "popularity")
     clock = {"lsn": 1}
-    manager = ViewManager(catalog, engines={}, metadata=MetadataStore(),
+    manager = ViewManager(catalog, engines={},
                           lsn_source=lambda: clock["lsn"], entity_source=store.subjects)
     return store, manager, clock
 

