@@ -21,7 +21,7 @@ import pytest
 from benchmarks.conftest import print_table
 from repro.baselines import LegacyViewEngine
 from repro.engine.analytics import AnalyticsStore, EntityViewSpec
-from repro.engine.views import ViewCatalog, ViewDefinition, ViewManager
+from repro.engine.views import ViewCatalog, ViewDefinition, ViewDelta, ViewManager
 
 #: The six production views of Figure 8, expressed over our ontology.
 VIEW_SPECS = [
@@ -84,9 +84,12 @@ def engines(bench_store):
     return optimized, legacy
 
 
-def _measure(callable_, repeat=3):
+def _measure(callable_, repeat=3, setup=None):
+    """Best of *repeat* timed calls; *setup* runs untimed before each."""
     best = float("inf")
     for _ in range(repeat):
+        if setup is not None:
+            setup()
         started = time.perf_counter()
         callable_()
         best = min(best, time.perf_counter() - started)
@@ -115,16 +118,22 @@ def bench_fig8_legacy_views(benchmark, engines):
     assert all(len(view) > 0 for view in views)
 
 
-def bench_fig8_selective_view_maintenance(benchmark, engines):
+def bench_fig8_selective_view_maintenance(benchmark, engines, bench_store):
     """Maintaining the six Figure 8 views selectively after a small delta.
 
     Each view is registered in a catalog with a scope covering the subjects
     it materializes, so changing a handful of song entities only rebuilds the
-    views that actually read them instead of all six.
+    views that actually read them instead of all six.  Every selective run
+    flushes a freshly stamped delta of the changed songs, enqueued untimed.
     """
     optimized, _ = engines
     catalog = ViewCatalog()
-    manager = ViewManager(catalog, engines={"analytics": optimized})
+    clock = {"lsn": 0}
+    manager = ViewManager(
+        catalog, engines={"analytics": optimized},
+        lsn_source=lambda: clock["lsn"],
+        entity_source=bench_store.subjects,
+    )
     view_subjects: dict[str, set[str]] = {}
     for spec in VIEW_SPECS:
         view_subjects[spec.name] = {
@@ -143,13 +152,21 @@ def bench_fig8_selective_view_maintenance(benchmark, engines):
     manager.materialize()
 
     changed = sorted(view_subjects["Songs"])[:10]
+
+    def enqueue_changed():
+        clock["lsn"] += 1
+        manager.enqueue(ViewDelta(
+            updated=frozenset(changed), first_lsn=clock["lsn"], last_lsn=clock["lsn"],
+        ))
+
     full = manager.materialize()
-    selective = manager.update(changed)
+    enqueue_changed()
+    selective = manager.flush()
     assert len(selective) < len(full)
     assert "Songs" in selective and "Media People" not in selective
 
     full_seconds = _measure(manager.materialize)
-    selective_seconds = _measure(lambda: manager.update(changed))
+    selective_seconds = _measure(manager.flush, setup=enqueue_changed)
     print_table(
         "Figure 8 views — selective vs full maintenance (10 changed songs)",
         ["configuration", "views_rebuilt", "seconds"],
@@ -161,7 +178,7 @@ def bench_fig8_selective_view_maintenance(benchmark, engines):
     # 10% tolerance: the margin here is only the skipped views, so shared-CI
     # scheduling jitter must not turn a non-regression into a red build.
     assert selective_seconds <= full_seconds * 1.10
-    benchmark(lambda: manager.update(changed))
+    benchmark.pedantic(manager.flush, setup=enqueue_changed, rounds=5)
 
 
 def bench_fig8_speedup_table(benchmark, engines):

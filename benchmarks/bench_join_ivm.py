@@ -22,6 +22,7 @@ from repro.engine.views import (
     JoinInput,
     JoinViewDefinition,
     ViewCatalog,
+    ViewDelta,
     ViewManager,
 )
 
@@ -108,7 +109,10 @@ def bench_join_ivm_delta_vs_full_rebuild(benchmark):
         city = rng.choice(world.city_names)
         world.cities[city]["population"] += 1
         clock["lsn"] += 1
-        manager.enqueue(changed + [city], lsn=clock["lsn"])
+        manager.enqueue(ViewDelta(
+            updated=frozenset(changed + [city]),
+            first_lsn=clock["lsn"], last_lsn=clock["lsn"],
+        ))
 
     def measure(rounds=8, rebuilds=3):
         delta_seconds = []

@@ -25,6 +25,7 @@ from repro.engine.views import (
     JoinViewDefinition,
     ViewCatalog,
     ViewDefinition,
+    ViewDelta,
     ViewManager,
 )
 from repro.model.triples import ExtendedTriple
@@ -103,7 +104,10 @@ def main() -> None:
     # Live updates: only the affected output rows are recomputed.
     def apply(changed=(), deleted=()):
         clock["lsn"] += 1
-        manager.enqueue(changed, lsn=clock["lsn"], deleted_entity_ids=deleted)
+        manager.enqueue(ViewDelta(
+            updated=frozenset(changed), deleted=frozenset(deleted),
+            first_lsn=clock["lsn"], last_lsn=clock["lsn"],
+        ))
         manager.flush()
 
     store.refresh_subjects(["a00"], [

@@ -13,6 +13,7 @@ re-derives which subjects an operation added, updated or deleted.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -31,7 +32,8 @@ class OrchestrationAgent(ABC):
             raise EngineError("orchestration agent needs a non-empty name")
         self.name = name
         self.operations_applied = 0
-        self.errors: list[str] = []
+        # Bounded: an agent failing on every record must not grow memory.
+        self.errors: deque[str] = deque(maxlen=256)
 
     @abstractmethod
     def apply(self, record: LogRecord, payload: object) -> None:
@@ -80,7 +82,8 @@ class AgentCoordinator:
         self.metadata = metadata
         self.agents: dict[str, OrchestrationAgent] = {}
         self.delta_listeners: list[Callable[[ViewDelta], None]] = []
-        self.listener_errors: list[str] = []
+        # Bounded: a listener failing on every publish must not grow memory.
+        self.listener_errors: deque[str] = deque(maxlen=256)
         self._delivered_lsn = 0
 
     def add_delta_listener(self, listener: Callable[[ViewDelta], None]) -> None:
@@ -93,8 +96,9 @@ class AgentCoordinator:
         store that has not replayed the operation yet.  The delta is the one
         the publish staged in the payload (``"delta"``), stamped with the
         record's LSN; a record without a payload delivers an empty delta.  A
-        listener that raises is recorded in ``listener_errors``; it neither
-        unwinds replay nor causes redelivery.
+        listener that raises is recorded in ``listener_errors`` (a bounded
+        deque of the most recent 256); it neither unwinds replay nor causes
+        redelivery.
         """
         self.delta_listeners.append(listener)
 

@@ -205,7 +205,7 @@ class GraphEngine:
             # to the views that actually contained the entity.
             entity_source=self.triples.subjects,
         )
-        self.coordinator.add_delta_listener(self._on_log_delta)
+        self.coordinator.add_delta_listener(self.view_manager.enqueue)
         self.importance = EntityImportance()
         self.stats = EngineStats()
 
@@ -346,24 +346,13 @@ class GraphEngine:
         """Materialize views (optionally only *targets*); returns per-view seconds."""
         return self.view_manager.materialize(targets)
 
-    def update_views(
-        self, changed_entity_ids: Sequence[str] | None = None
-    ) -> dict[str, float]:
-        """Maintain materialized views for the changed entities.
+    def update_views(self) -> dict[str, float]:
+        """Flush the delta log replay accumulated: maintain the affected views."""
+        return self.view_manager.flush()
 
-        With no argument, flushes the changed-entity delta accumulated from
-        log replay (selective, batched maintenance).  With an explicit id
-        list, maintenance of the affected closure runs immediately.
-        """
-        if changed_entity_ids is None:
-            return self.view_manager.flush()
-        return self.view_manager.update(
-            changed_entity_ids, lsn=self.metadata.minimum_watermark()
-        )
-
-    def drop_view(self, name: str, cascade: bool = True) -> list[str]:
+    def drop_view(self, name: str) -> list[str]:
         """Drop a view's materialization, cascading invalidation to dependents."""
-        return self.view_manager.drop(name, cascade=cascade)
+        return self.view_manager.drop(name)
 
     def view_freshness(self) -> dict[str, int]:
         """Per-view lag (in log positions) behind the operation-log head."""
@@ -372,15 +361,6 @@ class GraphEngine:
     def view_artifact(self, name: str) -> object:
         """Return the materialized artifact of a registered view."""
         return self.view_manager.artifact(name)
-
-    def _on_log_delta(self, delta: ViewDelta) -> None:
-        """Feed each fully-replayed publish's subject delta to the view manager."""
-        self.view_manager.enqueue(
-            delta.changed,
-            lsn=delta.last_lsn,
-            deleted_entity_ids=delta.deleted,
-            added_entity_ids=delta.added,
-        )
 
     def register_standard_views(self) -> list[str]:
         """Register the production-style view dependency graph of Figure 7.

@@ -18,11 +18,14 @@ Maintenance model
 The manager maintains views *selectively* and *change-driven* rather than
 rebuilding every materialized view on any update:
 
-* **Entity-level deltas.**  Changed-entity deltas (fed by the Graph Engine's
-  log-replay progress: the :class:`ViewDelta` each publish staged, source
-  removals included) fold into one pending delta by the rule
-  :meth:`ViewDelta.merge` defines, and flush only when asked (``flush`` /
-  ``update``; the Graph Engine's ``update_views``).  A flush hands the batch on as one :class:`ViewDelta`
+* **One input.**  :meth:`ViewManager.enqueue` takes one :class:`ViewDelta`
+  stamped with the operation-log LSN it reflects — the Graph Engine
+  registers it as the log replay's delta listener, so every publish's
+  delta arrives, source removals included; an unstamped delta
+  (``last_lsn == 0``) is refused with a :class:`~repro.errors.ViewError`.
+  Deltas fold into one pending delta by the rule :meth:`ViewDelta.merge`
+  defines, and flush only when asked (``flush``; the Graph Engine's
+  ``update_views``).  A flush hands the batch on as one :class:`ViewDelta`
   carrying the LSN range it covers.
 
 * **Affected closure.**  Each :class:`ViewDefinition` may declare an entity
@@ -35,17 +38,12 @@ rebuilding every materialized view on any update:
 
 * **Pre-delete scope snapshots.**  A deleted entity can no longer be
   classified by a store-derived scope predicate, so the manager keeps a
-  per-view snapshot of scope membership (seeded from ``entity_source`` at
-  build time, maintained from deltas afterwards).  Deletions resolve to the
-  views whose snapshot actually contained the entity; a deletion matching no
-  snapshot (and no unscoped view) is a no-op flush.  Without a complete
-  snapshot the manager stays conservative about *deletions* and treats the
-  view as affected.  Scope *migration* (a changed entity leaving a view's
-  scope) is caught through snapshot membership, which is only complete when
-  ``entity_source`` is supplied — a standalone manager without one tracks
-  membership from observed deltas only, so entities present since the
-  initial ``create`` that later migrate out are missed (the pre-snapshot
-  behavior; the Graph Engine always supplies ``entity_source``).
+  per-view set of the entities in its scope (seeded from ``entity_source``
+  at build time, maintained from deltas afterwards).  Deletions resolve to
+  the views whose snapshot actually contained the entity; a deletion
+  matching no snapshot (and no unscoped view) is a no-op flush.  Scope
+  *migration* (a changed entity leaving a view's scope) is caught through
+  snapshot membership the same way.
 
 * **Journal events.**  Every committed maintenance step is published to
   journal listeners as one :class:`JournalEvent`; the manager itself keeps
@@ -73,16 +71,17 @@ rebuilding every materialized view on any update:
   pending delta (the flush restores it and re-raises).
 
 * **LSN watermarks.**  Every :class:`ViewState` records ``built_at_lsn`` — the
-  operation-log position its artifact reflects — and
-  :meth:`ViewManager.lagging_views` answers which views trail the log head.
-  The wall-clock ``freshness_sla`` remains as an orthogonal serving-side SLA.
+  operation-log position its artifact reflects, the one freshness measure —
+  and :meth:`ViewManager.lagging_views` answers which views trail the log
+  head.  A view already at or beyond a batch's LSN is not maintained again.
 
 * **Lifecycle safety.**  ``drop`` cascades invalidation to transitive
   dependents so no dependent keeps serving an artifact built from a dropped
-  view; re-registering a view resets the runtime state of the view and its
-  dependents in every attached manager; and maintenance fails fast with a
-  :class:`~repro.errors.ViewError` when a dependent would be rebuilt on top
-  of a dependency that has never been materialized.
+  view; re-registering a view swaps its definition and resets the runtime
+  state of the view and its dependents in every attached manager; and
+  maintenance fails fast with a :class:`~repro.errors.ViewError` when a
+  dependent would be rebuilt on top of a dependency that has never been
+  materialized.
 
 Incremental-procedure contract
 ------------------------------
@@ -247,14 +246,14 @@ class _DeltaBatch:
             self.first_lsn = later.first_lsn
         self.last_lsn = max(self.last_lsn, later.last_lsn)
 
-    def delta(self, default_lsn: int = 0) -> ViewDelta:
-        """The batch as a frozen delta; an unset LSN bound reads *default_lsn*."""
+    def delta(self) -> ViewDelta:
+        """The batch as a frozen delta."""
         return ViewDelta(
             added=frozenset(self.added),
             updated=frozenset(self.updated),
             deleted=frozenset(self.deleted),
-            first_lsn=self.first_lsn or default_lsn,
-            last_lsn=self.last_lsn or default_lsn,
+            first_lsn=self.first_lsn,
+            last_lsn=self.last_lsn,
         )
 
 
@@ -352,18 +351,6 @@ JournalListener = Callable[[JournalEvent], None]
 
 
 @dataclass
-class ScopeSnapshot:
-    """Pre-delete snapshot of which entities a view's scope contains.
-
-    ``complete`` is only True when the membership was seeded from a full
-    entity enumeration; otherwise deletions stay conservative for the view.
-    """
-
-    members: set[str] = field(default_factory=set)
-    complete: bool = False
-
-
-@dataclass
 class ViewContext:
     """Execution context handed to view procedures.
 
@@ -402,7 +389,7 @@ ScopePredicate = Callable[[str], bool]
 
 @dataclass
 class ViewDefinition:
-    """A registered view: procedures plus dependency, scope, and SLA metadata."""
+    """A registered view: procedures plus dependency and scope metadata."""
 
     name: str
     engine: str
@@ -411,7 +398,6 @@ class ViewDefinition:
     drop: DropProcedure | None = None
     dependencies: tuple[str, ...] = ()
     scope: ScopePredicate | None = None    # entity-id predicate for selectivity
-    freshness_sla: float | None = None     # seconds of staleness tolerated
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -505,7 +491,6 @@ class JoinViewDefinition(ViewDefinition):
         how: str = "left",
         engine: str = "analytics",
         dependencies: tuple[str, ...] = (),
-        freshness_sla: float | None = None,
         description: str = "",
     ) -> None:
         if how not in ("inner", "left"):
@@ -535,7 +520,6 @@ class JoinViewDefinition(ViewDefinition):
             apply_delta=self._apply_delta,
             dependencies=dependencies,
             scope=scope,
-            freshness_sla=freshness_sla,
             description=description or (
                 f"{how} join of {left.name!r} and {right.name!r} on "
                 f"{left.key!r} = {right.key!r}, delta-maintained"
@@ -711,8 +695,6 @@ class ViewState:
 
     materialized: bool = False
     artifact: object = None
-    last_built_at: float = 0.0     # manager-clock stamp (monotonic by default)
-    last_build_seconds: float = 0.0
     built_at_lsn: int = 0          # operation-log position the artifact reflects
     builds: int = 0
     delta_applies: int = 0         # maintenance runs through apply_delta
@@ -759,16 +741,14 @@ class ViewCatalog:
         if manager not in self._managers:
             self._managers.append(manager)
 
-    def register(self, definition: ViewDefinition, replace: bool = True) -> ViewDefinition:
+    def register(self, definition: ViewDefinition) -> ViewDefinition:
         """Register a view; dependencies must already be registered.
 
-        Re-registering an existing name with ``replace=True`` (the default)
-        swaps the definition and resets the runtime state of the view *and*
-        of every transitive dependent in all attached managers — stale state
-        built against the old definition must never survive.  With
-        ``replace=False`` re-registration is rejected outright.  A
-        definition that would close a dependency cycle is rejected and the
-        catalog keeps its previous state.
+        Re-registering an existing name swaps the definition and resets the
+        runtime state of the view *and* of every transitive dependent in all
+        attached managers — stale state built against the old definition
+        must never survive.  A definition that would close a dependency
+        cycle is rejected and the catalog keeps its previous state.
         """
         for dependency in definition.dependencies:
             if dependency != definition.name and dependency not in self._definitions:
@@ -776,8 +756,6 @@ class ViewCatalog:
                     f"view {definition.name!r} depends on unknown view {dependency!r}"
                 )
         existing = self._definitions.get(definition.name)
-        if existing is not None and not replace:
-            raise ViewError(f"view {definition.name!r} is already registered")
         old_dependents = self.dependents_of(definition.name)
         definitions = {**self._definitions, definition.name: definition}
         order = _topological_order(definitions)
@@ -850,27 +828,22 @@ class ViewCatalog:
 class ViewManager:
     """Materialize and selectively maintain views over the engine's stores.
 
-    ``lsn_source`` (usually the operation log's ``head_lsn``) stamps every
+    ``lsn_source`` (the log position every store has replayed) stamps every
     build with the log position it reflects (read back through
     :meth:`lagging_views` and each state's ``built_at_lsn``);
-    ``entity_source`` enumerates current entity ids so scoped views get
-    complete pre-delete scope snapshots.  Maintenance runs on the caller's thread, one view at a time.
+    ``entity_source`` enumerates current entity ids, which seed the scoped
+    views' pre-delete scope snapshots.  Changes arrive through
+    :meth:`enqueue` only.  Maintenance runs on the caller's thread, one view
+    at a time.
     """
 
     def __init__(
         self,
         catalog: ViewCatalog,
         engines: dict[str, object],
-        lsn_source: Callable[[], int] | None = None,
-        entity_source: Callable[[], Iterable[str]] | None = None,
-        clock: Callable[[], float] | None = None,
+        lsn_source: Callable[[], int],
+        entity_source: Callable[[], Iterable[str]],
     ) -> None:
-        if clock is not None and not callable(clock):
-            raise ViewError("view maintenance clock must be callable")
-        # Freshness math (last_built_at, stale_views) runs on a monotonic
-        # clock: a wall-clock jump (NTP step, DST) must not mark every view
-        # stale or fresh at once, and tests can fake time without sleeping.
-        self.clock: Callable[[], float] = clock if clock is not None else time.monotonic
         self.catalog = catalog
         self.engines = engines
         self.lsn_source = lsn_source
@@ -886,11 +859,8 @@ class ViewManager:
         self.delta_rows_journaled = 0    # entities across appended maintenance deltas
         self.noop_maintenance = 0        # incremental runs that changed no output row
         self._pending = _DeltaBatch()
-        self._forced = False             # an update() call: skip the watermark gate
         self._revision_counter = 0
-        self._local_lsn = 0
-        self.delta_lsn = 0          # highest LSN whose delta has been observed
-        self._scope_snapshots: dict[str, ScopeSnapshot] = {}
+        self._scope_snapshots: dict[str, set[str]] = {}
         self._state_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
         self.journal_listeners: list[JournalListener] = []
@@ -957,8 +927,6 @@ class ViewManager:
         with self._state_lock(name):
             state.materialized = True
             state.artifact = artifact
-            state.last_built_at = self.clock()
-            state.last_build_seconds = elapsed
             state.built_at_lsn = max(state.built_at_lsn, self.current_lsn())
             state.builds += 1
             self._seed_snapshot(name, definition)
@@ -973,37 +941,23 @@ class ViewManager:
     # -------------------------------------------------------------- #
     # incremental maintenance
     # -------------------------------------------------------------- #
-    def enqueue(
-        self,
-        changed_entity_ids: Iterable[str],
-        lsn: int | None = None,
-        deleted_entity_ids: Iterable[str] = (),
-        added_entity_ids: Iterable[str] = (),
-    ) -> None:
-        """Accumulate a changed-entity delta for the next flush.
+    def enqueue(self, delta: ViewDelta) -> None:
+        """Accumulate one LSN-stamped delta for the next flush.
 
-        *deleted_entity_ids* must name entities removed from the stores; the
+        ``delta.deleted`` must name entities removed from the stores; the
         next flush resolves them against the pre-delete scope snapshots so
-        only the views that actually contained them are maintained.
-        *added_entity_ids* classifies the subset of the changed ids that are
-        net-new, refining the journal events downstream consumers read.  The
-        event folds into the pending batch as :meth:`ViewDelta.merge` would
-        fold it.  Deltas observed before any view is materialized are
-        dropped: the initial ``create`` reads current store state, so those
-        changes are already covered.
+        only the views that actually contained them are maintained.  The
+        delta folds into the pending batch as :meth:`ViewDelta.merge` would
+        fold it.  A delta without an LSN (``last_lsn == 0``) is refused: a
+        view's freshness is the log position it reflects.  Deltas observed
+        before any view is materialized are dropped: the initial ``create``
+        reads current store state, so those changes are already covered.
         """
-        observed = int(lsn) if lsn is not None else self.current_lsn()
-        self.delta_lsn = max(self.delta_lsn, observed)
+        if not delta.last_lsn:
+            raise ViewError("a view delta must carry the LSN it reflects")
         if not self._has_materialized():
             return
-        added = frozenset(added_entity_ids)
-        self._pending.fold(ViewDelta(
-            added=added,
-            updated=frozenset(changed_entity_ids) - added,
-            deleted=frozenset(deleted_entity_ids),
-            first_lsn=observed,
-            last_lsn=observed,
-        ))
+        self._pending.fold(delta)
         self.deltas_observed += 1
 
     def flush(self) -> dict[str, float]:
@@ -1013,26 +967,22 @@ class ViewManager:
         scope or snapshot, or transitively through an affected dependency)
         are maintained; every other materialized view merely advances its LSN
         watermark and counts a skipped update.  A view already at or beyond
-        the batch's target LSN is not rebuilt unless the flush was forced by a
-        direct :meth:`update` call.
+        the batch's target LSN is not maintained again.
         """
-        if not (self._pending or self._forced):
+        if not self._pending:
             return {}
-        batch, forced = self._pending, self._forced
-        self._pending, self._forced = _DeltaBatch(), False
-        self._local_lsn += 1
-        delta = batch.delta(batch.last_lsn or self.current_lsn())
+        delta = self._pending.delta()
+        self._pending = _DeltaBatch()
         try:
-            return self._flush_batch(delta, forced)
+            return self._flush_batch(delta)
         except Exception:
             # A failed flush must not lose the delta: fold whatever reentrant
             # observers enqueued meanwhile on top of it, so a retry covers
             # every pending change and the newer classification of an id wins.
             self._pending = _DeltaBatch.of(delta.merge(self._pending.delta()))
-            self._forced = self._forced or forced
             raise
 
-    def _flush_batch(self, delta: ViewDelta, forced: bool) -> dict[str, float]:
+    def _flush_batch(self, delta: ViewDelta) -> dict[str, float]:
         target_lsn = delta.last_lsn
         closure = self._affected_closure(delta)
         to_maintain: list[str] = []
@@ -1056,7 +1006,7 @@ class ViewManager:
                         revision=state.revision,
                     ))
                 continue
-            if not forced and state.built_at_lsn >= target_lsn:
+            if state.built_at_lsn >= target_lsn:
                 self.maintenance_decisions += 1
                 self.maintenance_skips += 1
                 state.skipped_updates += 1
@@ -1145,8 +1095,6 @@ class ViewManager:
             if artifact is not None:
                 state.artifact = artifact
                 context.artifacts[name] = artifact
-            state.last_built_at = self.clock()
-            state.last_build_seconds = elapsed
             self._update_snapshot(name, definition, projected)
             state.built_at_lsn = max(state.built_at_lsn, delta.last_lsn)
         if not incremental:
@@ -1181,42 +1129,17 @@ class ViewManager:
             self.full_rebuilds += 1
         return elapsed
 
-    def update(
-        self, changed_entity_ids: Sequence[str], lsn: int | None = None
-    ) -> dict[str, float]:
-        """Immediately maintain views for the changed entities.
-
-        The ids fold into the pending batch as updated entities (by the rule
-        of :meth:`ViewDelta.merge`, so an id the batch holds as deleted comes
-        back as added) and the batch flushes at once, forced past the
-        watermark gate.  Views without an ``apply_delta`` procedure are
-        rebuilt from scratch, which is the fallback the paper allows for
-        non-incrementally-maintainable views (e.g. iterative algorithms).
-        """
-        observed = int(lsn) if lsn is not None else 0
-        self._pending.fold(ViewDelta(
-            updated=frozenset(changed_entity_ids), first_lsn=observed, last_lsn=observed,
-        ))
-        self._forced = True
-        return self.flush()
-
     def _affected_closure(self, delta: ViewDelta) -> set[str]:
         """Views the delta affects, resolved against pre-delete snapshots.
 
         A scoped root is affected when the delta's changed ids intersect its
         scope or its snapshot (an entity migrating out of scope must leave
-        the view), or when a deleted id was a snapshot member.  Deletions
-        against an incomplete snapshot stay conservative.  Unscoped views are
-        affected by any change, including any deletion.
-
-        Note the snapshot-membership check is only as complete as the
-        snapshot: without ``entity_source``, membership covers delta-observed
-        entities only, so a create-era entity migrating out of scope is not
-        detected (documented limitation; supply ``entity_source`` for full
-        migration tracking).
+        the view), or when a deleted id was a snapshot member.  Unscoped
+        views are affected by any change, including any deletion.
         """
         affected: set[str] = set()
-        has_changes = bool(delta.changed) or bool(delta.deleted)
+        changed = delta.changed
+        has_changes = bool(changed or delta.deleted)
         for name in self.catalog.execution_order():
             definition = self.catalog.get(name)
             if any(dep in affected for dep in definition.dependencies):
@@ -1226,28 +1149,19 @@ class ViewManager:
                 if has_changes:
                     affected.add(name)
                 continue
-            snapshot = self._scope_snapshots.get(name)
-            members = snapshot.members if snapshot is not None else set()
-            if any(definition.scope(e) for e in delta.changed):
-                affected.add(name)
-                continue
-            if any(e in members for e in delta.changed):
-                affected.add(name)              # entity left the scope
-                continue
-            if delta.deleted:
-                if snapshot is None or not snapshot.complete:
-                    affected.add(name)          # cannot prove the delete missed us
-                elif any(e in members for e in delta.deleted):
-                    affected.add(name)
+            members = self._scope_snapshots.get(name, ())
+            if (
+                any(definition.scope(e) or e in members for e in changed)
+                or any(e in members for e in delta.deleted)
+            ):
+                affected.add(name)      # in scope, left the scope, or deleted
         return affected
 
     def _project_delta(self, definition: ViewDefinition, delta: ViewDelta) -> ViewDelta:
         """Restrict a delta to one view's scope using its pre-delete snapshot."""
         if definition.scope is None:
             return delta
-        snapshot = self._scope_snapshots.get(definition.name)
-        members = snapshot.members if snapshot is not None else set()
-        complete = snapshot.complete if snapshot is not None else False
+        members = self._scope_snapshots.get(definition.name, ())
         added: set[str] = set()
         updated: set[str] = set()
         deleted: set[str] = set()
@@ -1256,9 +1170,7 @@ class ViewManager:
                 (updated if entity_id in members else added).add(entity_id)
             elif entity_id in members:
                 deleted.add(entity_id)          # migrated out of scope
-        for entity_id in delta.deleted:
-            if entity_id in members or not complete:
-                deleted.add(entity_id)
+        deleted.update(e for e in delta.deleted if e in members)
         return ViewDelta(
             added=frozenset(added),
             updated=frozenset(updated),
@@ -1272,12 +1184,9 @@ class ViewManager:
         if definition.scope is None:
             self._scope_snapshots.pop(name, None)
             return
-        if self.entity_source is None:
-            snapshot = self._scope_snapshots.setdefault(name, ScopeSnapshot())
-            snapshot.complete = False
-            return
-        members = {e for e in self.entity_source() if definition.scope(e)}
-        self._scope_snapshots[name] = ScopeSnapshot(members=members, complete=True)
+        self._scope_snapshots[name] = {
+            e for e in self.entity_source() if definition.scope(e)
+        }
 
     def _update_snapshot(
         self, name: str, definition: ViewDefinition, projected: ViewDelta
@@ -1285,9 +1194,9 @@ class ViewManager:
         """Advance scope membership by one applied (already projected) delta."""
         if definition.scope is None:
             return
-        snapshot = self._scope_snapshots.setdefault(name, ScopeSnapshot())
-        snapshot.members |= projected.added | projected.updated
-        snapshot.members -= projected.deleted
+        members = self._scope_snapshots.setdefault(name, set())
+        members |= projected.changed
+        members -= projected.deleted
 
     def _require_dependencies(self, name: str, definition: ViewDefinition) -> None:
         missing = [
@@ -1304,23 +1213,16 @@ class ViewManager:
     # -------------------------------------------------------------- #
     # lifecycle
     # -------------------------------------------------------------- #
-    def drop(self, name: str, cascade: bool = True) -> list[str]:
+    def drop(self, name: str) -> list[str]:
         """Drop one view's materialization, cascading to its dependents.
 
         Transitive dependents are invalidated (their drop procedures run, the
         artifacts are discarded) in reverse topological order so no dependent
-        keeps serving a result built from the dropped view.  With
-        ``cascade=False`` the drop is rejected while materialized dependents
-        exist.  Returns the names whose materialization was removed.
+        keeps serving a result built from the dropped view.  Returns the
+        names whose materialization was removed.
         """
         definition = self.catalog.get(name)
         dependents = self.catalog.dependents_of(name)
-        materialized_dependents = [d for d in dependents if self.is_materialized(d)]
-        if not cascade and materialized_dependents:
-            raise ViewError(
-                f"cannot drop view {name!r}: materialized dependents "
-                f"{materialized_dependents} would go stale (use cascade=True)"
-            )
         removed: list[str] = []
         if dependents:
             dependent_set = set(dependents)
@@ -1445,30 +1347,12 @@ class ViewManager:
 
     def current_lsn(self) -> int:
         """The log position maintenance is stamped against right now."""
-        if self.lsn_source is not None:
-            return int(self.lsn_source())
-        return self._local_lsn
+        return int(self.lsn_source())
 
     def pending_changes(self) -> list[str]:
         """Changed entity ids accumulated and not yet flushed."""
         pending = self._pending
         return sorted(pending.added | pending.updated | pending.deleted)
-
-    def stale_views(self, now: float | None = None) -> list[str]:
-        """Views whose wall-clock freshness SLA is violated at time *now*."""
-        current = now if now is not None else self.clock()
-        stale = []
-        for name in self.catalog.names():
-            definition = self.catalog.get(name)
-            state = self.states.get(name)
-            if definition.freshness_sla is None:
-                continue
-            if state is None or not state.materialized:
-                stale.append(name)
-                continue
-            if current - state.last_built_at > definition.freshness_sla:
-                stale.append(name)
-        return stale
 
     def lagging_views(self, head_lsn: int | None = None) -> dict[str, int]:
         """Materialized views behind *head_lsn*, and how many log positions."""

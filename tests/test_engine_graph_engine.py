@@ -95,7 +95,7 @@ def test_entity_view_and_importance(engine):
     assert engine.entity("kg:l1").importance == scores["kg:l1"].score
 
 
-def test_standard_views_dependency_graph(engine):
+def test_standard_views_dependency_graph(engine, construction_store):
     names = engine.register_standard_views()
     assert set(names) == {"entity_importance", "entity_features", "ranked_entity_index",
                           "entity_neighbourhood"}
@@ -109,7 +109,8 @@ def test_standard_views_dependency_graph(engine):
     assert any(edge["source"] == "kg:a1" and edge["target"] == "kg:l1" for edge in neighbourhood)
     # registering twice is a no-op
     assert engine.register_standard_views() == names
-    engine.update_views(["kg:a1"])
+    engine.publish_subjects(construction_store, ["kg:a1"])
+    assert set(engine.update_views()) == set(names)
 
 
 def test_register_agent_rejects_duplicates(engine):

@@ -149,6 +149,17 @@ def test_failed_agent_stops_at_failure_but_others_progress():
     assert coordinator.freshness() == {"flaky": 2, "healthy": 0}
 
 
+def test_agent_error_log_is_bounded():
+    """An agent failing on every replay keeps only its newest 256 errors."""
+    log, _, metadata, coordinator = make_coordinator()
+    stuck = coordinator.register(RecordingAgent("stuck", fail_on_lsn=1))
+    log.append("ingest_delta")
+    for _ in range(300):
+        assert coordinator.replay().failed == {"stuck": 1}
+    assert len(stuck.errors) == 256
+    assert metadata.watermark("stuck") == 0
+
+
 def test_callback_agent_and_lagging_store_catches_up():
     log, objects, metadata, coordinator = make_coordinator()
     seen = []

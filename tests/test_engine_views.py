@@ -2,8 +2,25 @@
 
 import pytest
 
-from repro.engine.views import ViewCatalog, ViewContext, ViewDefinition, ViewManager
+from repro.engine.views import (
+    ViewCatalog,
+    ViewContext,
+    ViewDefinition,
+    ViewDelta,
+    ViewManager,
+)
 from repro.errors import ViewError
+
+
+def make_manager(catalog):
+    """A manager over no stores: builds stamp LSN 0, no entity is stored."""
+    return ViewManager(catalog, engines={}, lsn_source=lambda: 0, entity_source=lambda: ())
+
+
+def flush_changed(manager, ids, lsn=1):
+    """Enqueue *ids* as updated at *lsn* and flush them."""
+    manager.enqueue(ViewDelta(updated=frozenset(ids), first_lsn=lsn, last_lsn=lsn))
+    return manager.flush()
 
 
 def make_catalog_with_chain(calls):
@@ -62,7 +79,7 @@ def test_execution_order_is_topological():
 def test_materialize_with_reuse_builds_shared_views_once():
     calls = []
     catalog = make_catalog_with_chain(calls)
-    manager = ViewManager(catalog, engines={})
+    manager = make_manager(catalog)
     timings = manager.materialize(["left", "right"])
     assert calls.count("shared") == 1
     assert calls.count("base") == 1
@@ -74,7 +91,7 @@ def test_materialize_with_reuse_builds_shared_views_once():
 def test_materialize_without_reuse_rebuilds_dependencies_per_target():
     calls = []
     catalog = make_catalog_with_chain(calls)
-    manager = ViewManager(catalog, engines={})
+    manager = make_manager(catalog)
     for target in ("left", "right"):            # one pipeline per target
         manager.materialize([target])
     assert calls.count("shared") == 2
@@ -97,9 +114,9 @@ def test_incremental_update_prefers_update_procedure():
         return rebuild_count["n"]
 
     catalog.register(ViewDefinition("full_rebuild", "analytics", create=rebuild))
-    manager = ViewManager(catalog, engines={})
+    manager = make_manager(catalog)
     manager.materialize()
-    manager.update(["kg:e1", "kg:e2"])
+    flush_changed(manager, ["kg:e1", "kg:e2"])
     assert update_calls == [["kg:e1", "kg:e2"]]
     assert manager.artifact("incremental") == {"updated": True}
     assert rebuild_count["n"] == 2                      # no apply_delta -> rebuilt
@@ -112,7 +129,7 @@ def test_artifact_of_unmaterialized_view_raises_and_drop_works():
     dropped = []
     catalog.register(ViewDefinition("v", "analytics", lambda ctx: 42,
                                     drop=lambda ctx: dropped.append("v")))
-    manager = ViewManager(catalog, engines={})
+    manager = make_manager(catalog)
     with pytest.raises(ViewError):
         manager.artifact("v")
     manager.materialize(["v"])
@@ -137,40 +154,6 @@ def test_cycle_detection():
     assert "c" not in catalog
 
 
-def test_freshness_sla_detection(monkeypatch):
-    catalog = ViewCatalog()
-    catalog.register(ViewDefinition("fresh", "analytics", lambda ctx: 1, freshness_sla=3600))
-    catalog.register(ViewDefinition("no_sla", "analytics", lambda ctx: 1))
-    manager = ViewManager(catalog, engines={})
-    assert manager.stale_views() == ["fresh"]            # never materialized
-    manager.materialize()
-    assert manager.stale_views() == []
-    state = manager.states["fresh"]
-    assert manager.stale_views(now=state.last_built_at + 7200) == ["fresh"]
-
-
-def test_injectable_clock_drives_staleness_without_wall_time():
-    """Build stamps and SLA checks follow the injected monotonic clock, so
-    freshness is immune to wall-clock jumps and testable without sleeping."""
-    fake = {"now": 1000.0}
-    catalog = ViewCatalog()
-    catalog.register(ViewDefinition("fresh", "analytics", lambda ctx: 1, freshness_sla=60))
-    manager = ViewManager(catalog, engines={}, clock=lambda: fake["now"])
-    manager.materialize()
-    assert manager.states["fresh"].last_built_at == 1000.0
-    assert manager.stale_views() == []
-    fake["now"] += 59.0
-    assert manager.stale_views() == []      # within the SLA on the fake clock
-    fake["now"] += 2.0
-    assert manager.stale_views() == ["fresh"]
-    fake["now"] += 100.0
-    manager.update(["e:1"])                 # a rebuild re-stamps off the clock
-    assert manager.states["fresh"].last_built_at == 1161.0
-    assert manager.stale_views() == []
-    with pytest.raises(ViewError):
-        ViewManager(catalog, engines={}, clock="not-a-clock")  # type: ignore[arg-type]
-
-
 def test_scope_must_be_callable():
     with pytest.raises(ViewError):
         ViewDefinition("v", "analytics", lambda ctx: 1, scope="a:*")  # type: ignore[arg-type]
@@ -183,9 +166,9 @@ def test_maintenance_stats_report_skips_and_builds():
         "scoped", "analytics", lambda ctx: 2,
         scope=lambda entity_id: entity_id.startswith("x:"),
     ))
-    manager = ViewManager(catalog, engines={})
+    manager = make_manager(catalog)
     manager.materialize()
-    manager.update(["y:1"])
+    flush_changed(manager, ["y:1"])
     stats = manager.maintenance_stats()
     assert stats["everything"]["builds"] == 2          # rebuilt: no scope
     assert stats["scoped"]["builds"] == 1
@@ -196,11 +179,23 @@ def test_maintenance_stats_report_skips_and_builds():
 def test_enqueue_before_any_materialization_is_dropped():
     catalog = ViewCatalog()
     catalog.register(ViewDefinition("v", "analytics", lambda ctx: 1))
-    manager = ViewManager(catalog, engines={})
-    manager.enqueue(["kg:e1"], lsn=5)
+    manager = make_manager(catalog)
+    manager.enqueue(ViewDelta(updated=frozenset({"kg:e1"}), first_lsn=5, last_lsn=5))
     assert manager.pending_changes() == []
-    assert manager.delta_lsn == 5                      # observation is still recorded
     assert manager.flush() == {}
+
+
+def test_an_unstamped_delta_is_refused():
+    """A view's freshness is the log position it reflects: a delta that
+    names none is refused before it reaches the pending batch."""
+    catalog = ViewCatalog()
+    catalog.register(ViewDefinition("v", "analytics", lambda ctx: 1))
+    manager = make_manager(catalog)
+    manager.materialize()
+    with pytest.raises(ViewError, match="LSN"):
+        manager.enqueue(ViewDelta(updated=frozenset({"kg:e1"})))
+    assert manager.pending_changes() == []
+    assert manager.stats()["deltas_observed"] == 0
 
 
 def test_view_context_errors():

@@ -54,6 +54,14 @@ from repro.serving.replica import ReplicaNode
 # ------------------------------------------------------------------ #
 # harness: a typed row view over a mutable model, served by a fleet
 # ------------------------------------------------------------------ #
+def delta_at(lsn, added=(), updated=(), deleted=()):
+    """The delta of the one operation at log position *lsn*."""
+    return ViewDelta(
+        added=frozenset(added), updated=frozenset(updated), deleted=frozenset(deleted),
+        first_lsn=lsn, last_lsn=lsn,
+    )
+
+
 TYPES = ("alpha", "beta")
 
 
@@ -638,8 +646,9 @@ def test_two_tenant_isolation_over_seeded_sequences(fd_seed):
 
     def enqueue(changed=(), deleted=(), added=()):
         clock["lsn"] += 1
-        manager.enqueue(changed, lsn=clock["lsn"], deleted_entity_ids=deleted,
-                        added_entity_ids=added)
+        manager.enqueue(delta_at(
+            clock["lsn"], added=added, updated=set(changed) - set(added), deleted=deleted,
+        ))
 
     async def scenario():
         nonlocal counter

@@ -58,6 +58,14 @@ from repro.live.planner import QueryPlanner
 from repro.serving import Consistency, InMemoryJournalBackend, JournalStore, ServingFleet
 
 
+def delta_at(lsn, added=(), updated=(), deleted=()):
+    """The delta of the one operation at log position *lsn*."""
+    return ViewDelta(
+        added=frozenset(added), updated=frozenset(updated), deleted=frozenset(deleted),
+        first_lsn=lsn, last_lsn=lsn,
+    )
+
+
 # ------------------------------------------------------------------ #
 # warehouse operators (the join-input layer)
 # ------------------------------------------------------------------ #
@@ -307,7 +315,7 @@ def test_join_view_create_and_basic_delta_round():
     lsn0 = manager.built_at_lsn("person_city")
     model.cities["c0"]["population"] = 2000
     clock["lsn"] += 1
-    manager.enqueue(["c0"], lsn=clock["lsn"])
+    manager.enqueue(delta_at(clock["lsn"], updated={"c0"}))
     manager.flush()
     net = appended_since(appends, lsn0)
     assert set(net.updated) == {"p00"}
@@ -328,7 +336,7 @@ def test_inner_join_view_drops_and_revives_unmatched_subjects():
     # rekeying p01 onto a real city ADDS its output row through the delta path
     model.people["p01"]["home"] = "c0"
     clock["lsn"] += 1
-    manager.enqueue(["p01"], lsn=clock["lsn"])
+    manager.enqueue(delta_at(clock["lsn"], updated={"p01"}))
     manager.flush()
     assert set(manager.artifact("person_city")) == {"p00", "p01"}
     # deleting the city removes BOTH output rows, journaled as deletions
@@ -336,7 +344,7 @@ def test_inner_join_view_drops_and_revives_unmatched_subjects():
     lsn0 = manager.built_at_lsn("person_city")
     del model.cities["c0"]
     clock["lsn"] += 1
-    manager.enqueue([], lsn=clock["lsn"], deleted_entity_ids=["c0"])
+    manager.enqueue(delta_at(clock["lsn"], deleted={"c0"}))
     manager.flush()
     assert manager.artifact("person_city") == {}
     net = appended_since(appends, lsn0)
@@ -360,8 +368,9 @@ def test_join_view_delta_maintenance_matches_full_rebuild(ivm_seed):
 
     def enqueue(changed=(), deleted=(), added=()):
         clock["lsn"] += 1
-        manager.enqueue(changed, lsn=clock["lsn"], deleted_entity_ids=deleted,
-                        added_entity_ids=added)
+        manager.enqueue(delta_at(
+            clock["lsn"], added=added, updated=set(changed) - set(added), deleted=deleted,
+        ))
 
     for _ in range(rng.randint(8, 20)):
         op = rng.choices(
@@ -440,7 +449,7 @@ def test_manager_maintenance_stats():
     eid = sorted(model.people)[0]
     model.people[eid]["age"] += 1
     clock["lsn"] += 1
-    manager.enqueue([eid], lsn=clock["lsn"])
+    manager.enqueue(delta_at(clock["lsn"], updated={eid}))
     manager.flush()
     stats = manager.stats()
     assert stats["full_rebuilds"] == 0
@@ -448,7 +457,7 @@ def test_manager_maintenance_stats():
     assert stats["delta_rows_journaled"] >= 1
     # an unaffected flush is still counted, and rebuilds nothing
     clock["lsn"] += 1
-    manager.enqueue(["zz_unrelated"], lsn=clock["lsn"])
+    manager.enqueue(delta_at(clock["lsn"], updated={"zz_unrelated"}))
     manager.flush()
     stats = manager.stats()
     assert stats["flushes"] == 2
@@ -583,8 +592,9 @@ def test_distributed_join_matches_primary_over_seeded_sequences(join_fleet_seed)
 
     def enqueue(changed=(), deleted=(), added=()):
         clock["lsn"] += 1
-        manager.enqueue(changed, lsn=clock["lsn"], deleted_entity_ids=deleted,
-                        added_entity_ids=added)
+        manager.enqueue(delta_at(
+            clock["lsn"], added=added, updated=set(changed) - set(added), deleted=deleted,
+        ))
 
     try:
         for _ in range(rng.randint(6, 14)):
@@ -721,7 +731,7 @@ def flush_city_and_person(model, manager, clock, fleet):
     model.cities["c0"]["pop"] += 111
     model.people["p00"]["age"] += 1
     clock["lsn"] += 1
-    manager.enqueue(["c0", "p00"], lsn=clock["lsn"])
+    manager.enqueue(delta_at(clock["lsn"], updated={"c0", "p00"}))
     manager.flush()
     assert fleet.drain()
     return clock["lsn"]

@@ -39,7 +39,7 @@ from repro.live.rpq import (
     single_label_closure,
 )
 from repro.serving.frontdoor.tenancy import QueryCache
-from test_query_router import QueryModel, build_query_harness, start_fleet
+from test_query_router import QueryModel, build_query_harness, delta_at, start_fleet
 
 # The rpq_seed / rpq_fleet_seed fixtures are parametrized by the repo-level
 # conftest.py from --runs-seeded (rpq_fleet_seed capped: each sequence spins
@@ -435,9 +435,9 @@ def test_distributed_reach_matches_primary_over_seeded_sequences(rpq_fleet_seed)
 
     def enqueue(changed=(), deleted=(), added=()):
         clock["lsn"] += 1
-        manager.enqueue(
-            changed, lsn=clock["lsn"], deleted_entity_ids=deleted, added_entity_ids=added
-        )
+        manager.enqueue(delta_at(
+            clock["lsn"], added=added, updated=set(changed) - set(added), deleted=deleted,
+        ))
 
     try:
         for _ in range(rng.randint(6, 14)):

@@ -64,6 +64,14 @@ from repro.serving import (
 # ------------------------------------------------------------------ #
 # harness: a queryable row view over a mutable model store
 # ------------------------------------------------------------------ #
+def delta_at(lsn, added=(), updated=(), deleted=()):
+    """The delta of the one operation at log position *lsn*."""
+    return ViewDelta(
+        added=frozenset(added), updated=frozenset(updated), deleted=frozenset(deleted),
+        first_lsn=lsn, last_lsn=lsn,
+    )
+
+
 TYPES = ("alpha", "beta")
 
 
@@ -191,8 +199,9 @@ def test_distributed_query_matches_primary_over_seeded_sequences(qr_seed):
 
     def enqueue(changed=(), deleted=(), added=()):
         clock["lsn"] += 1
-        manager.enqueue(changed, lsn=clock["lsn"], deleted_entity_ids=deleted,
-                        added_entity_ids=added)
+        manager.enqueue(delta_at(
+            clock["lsn"], added=added, updated=set(changed) - set(added), deleted=deleted,
+        ))
 
     try:
         for _ in range(rng.randint(10, 25)):
@@ -265,7 +274,7 @@ def test_consistency_enforcement_names_the_lagging_replica():
         # refuse, naming each lagging replica and its lag
         model.entities["e00"]["value"] = 777
         clock["lsn"] += 1
-        manager.enqueue(["e00"], lsn=clock["lsn"])
+        manager.enqueue(delta_at(clock["lsn"], updated={"e00"}))
         with pytest.raises(StaleReadError) as excinfo:
             fleet.query("MATCH alpha RETURN value", "profile_rows",
                         Consistency.bounded_staleness(0))
@@ -398,7 +407,7 @@ def test_read_your_writes_skips_a_lagging_preferred_owner():
         fleet.kill_replica(preferred)
         model.entities["e00"]["value"] = 777
         clock["lsn"] += 1
-        manager.enqueue(["e00"], lsn=clock["lsn"])
+        manager.enqueue(delta_at(clock["lsn"], updated={"e00"}))
         manager.flush()
         assert fleet.drain()
         watermark = manager.built_at_lsn("profile_rows")
@@ -641,7 +650,7 @@ def test_repair_is_stamped_at_the_audited_snapshot_not_the_live_head():
         other = sorted(model.entities)[1]
         model.entities[other]["value"] = 4000
         clock["lsn"] += 1
-        manager.enqueue([other], lsn=clock["lsn"])
+        manager.enqueue(delta_at(clock["lsn"], updated={other}))
         manager.flush()
         assert fleet.drain()
         # the now-stale repair is refused, not force-applied over newer state
@@ -699,7 +708,7 @@ def test_lagging_replica_repaired_through_journal_replay():
         fleet.kill_replica("replica-1")
         model.entities["e00"]["value"] = 555
         clock["lsn"] += 1
-        manager.enqueue(["e00"], lsn=clock["lsn"])
+        manager.enqueue(delta_at(clock["lsn"], updated={"e00"}))
         manager.flush()
         assert fleet.drain()
         node = fleet.replicas["replica-1"]
@@ -764,17 +773,17 @@ def test_anti_entropy_soak_detects_and_repairs_random_divergence(ae_seed):
                     model.entities[eid] = {"type": rng.choice(TYPES),
                                            "value": rng.randint(0, 99)}
                     clock["lsn"] += 1
-                    manager.enqueue([eid], lsn=clock["lsn"], added_entity_ids=[eid])
+                    manager.enqueue(delta_at(clock["lsn"], added={eid}))
                 elif op == "update" and model.entities:
                     eid = rng.choice(sorted(model.entities))
                     model.entities[eid]["value"] += 7
                     clock["lsn"] += 1
-                    manager.enqueue([eid], lsn=clock["lsn"])
+                    manager.enqueue(delta_at(clock["lsn"], updated={eid}))
                 elif op == "delete" and model.entities:
                     eid = rng.choice(sorted(model.entities))
                     del model.entities[eid]
                     clock["lsn"] += 1
-                    manager.enqueue([], lsn=clock["lsn"], deleted_entity_ids=[eid])
+                    manager.enqueue(delta_at(clock["lsn"], deleted={eid}))
             manager.flush()
             assert fleet.drain()
             # inject divergence into one replica, audit, verify, repair

@@ -69,13 +69,16 @@ def put(store, clock, manager, eid, value, added=False):
     is_new = added or eid not in store
     store[eid] = value
     clock["lsn"] += 1
-    manager.enqueue([eid], lsn=clock["lsn"], added_entity_ids=[eid] if is_new else [])
+    manager.enqueue(delta(
+        added=[eid] if is_new else [], updated=[] if is_new else [eid],
+        first_lsn=clock["lsn"], last_lsn=clock["lsn"],
+    ))
 
 
 def remove(store, clock, manager, eid):
     store.pop(eid, None)
     clock["lsn"] += 1
-    manager.enqueue([], lsn=clock["lsn"], deleted_entity_ids=[eid])
+    manager.enqueue(delta(deleted=[eid], first_lsn=clock["lsn"], last_lsn=clock["lsn"]))
 
 
 def delta(added=(), updated=(), deleted=(), first_lsn=1, last_lsn=1):

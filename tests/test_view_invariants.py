@@ -56,6 +56,14 @@ from repro.serving import (
 # ------------------------------------------------------------------ #
 # model harness
 # ------------------------------------------------------------------ #
+def delta_at(lsn, added=(), updated=(), deleted=()):
+    """The delta of the one operation at log position *lsn*."""
+    return ViewDelta(
+        added=frozenset(added), updated=frozenset(updated), deleted=frozenset(deleted),
+        first_lsn=lsn, last_lsn=lsn,
+    )
+
+
 TYPES = ("alpha", "beta", "gamma")
 
 
@@ -279,8 +287,9 @@ def test_random_op_sequences_preserve_view_invariants(op_seed):
 
     def enqueue(changed=(), deleted=(), added=()):
         clock["lsn"] += 1
-        manager.enqueue(changed, lsn=clock["lsn"], deleted_entity_ids=deleted,
-                        added_entity_ids=added)
+        manager.enqueue(delta_at(
+            clock["lsn"], added=added, updated=set(changed) - set(added), deleted=deleted,
+        ))
 
     for _ in range(rng.randint(25, 45)):
         op = rng.choices(
@@ -363,10 +372,10 @@ def test_delete_then_readd_in_one_batch_nets_to_added():
     manager.add_journal_listener(events.append)
     del store.entities["x"]
     clock["lsn"] = 2
-    manager.enqueue([], lsn=2, deleted_entity_ids=["x"])
+    manager.enqueue(delta_at(2, deleted={"x"}))
     store.entities["x"] = {"type": "alpha", "value": 99}     # re-ingested
     clock["lsn"] = 3
-    manager.enqueue(["x"], lsn=3, added_entity_ids=["x"])
+    manager.enqueue(delta_at(3, added={"x"}))
     manager.flush()
     assert manager.artifact("alpha_rows") == _typed_rows(store, "alpha")
     assert manager.artifact("alpha_rows")["x"]["value"] == 99
@@ -419,7 +428,7 @@ def test_mis_scoped_apply_delta_dependent_rebuilds_instead_of_going_stale():
     manager.add_journal_listener(events.append)
     store.entities["a1"]["value"] = 100
     clock["lsn"] = 2
-    manager.enqueue(["a1"], lsn=2)
+    manager.enqueue(delta_at(2, updated={"a1"}))
     manager.flush()
     for name in ("alpha_total", "alpha_total_recomputed"):
         assert manager.artifact(name) == 100                 # rebuilt, not stale
@@ -443,7 +452,7 @@ def test_failed_flush_restore_respects_reentrant_readds():
             # a reentrant observer re-ingests the entity mid-flush...
             store.entities["x"] = {"type": "alpha", "value": 99}
             clock["lsn"] += 1
-            manager.enqueue(["x"], lsn=clock["lsn"], added_entity_ids=["x"])
+            manager.enqueue(delta_at(clock["lsn"], added={"x"}))
             raise RuntimeError("store hiccup")
         return len(store.entities)
 
@@ -451,7 +460,7 @@ def test_failed_flush_restore_respects_reentrant_readds():
     manager.materialize()
     del store.entities["x"]
     clock["lsn"] += 1
-    manager.enqueue([], lsn=clock["lsn"], deleted_entity_ids=["x"])
+    manager.enqueue(delta_at(clock["lsn"], deleted={"x"}))
     trap["armed"] = True
     with pytest.raises(RuntimeError, match="store hiccup"):
         manager.flush()
@@ -476,7 +485,7 @@ def test_failed_flush_restore_nets_a_reentrant_update_of_a_deleted_id_to_added()
             trap["armed"] = False
             store.entities["x"] = {"type": "alpha", "value": 99}
             clock["lsn"] += 1
-            manager.enqueue(["x"], lsn=clock["lsn"])
+            manager.enqueue(delta_at(clock["lsn"], updated={"x"}))
             raise RuntimeError("store hiccup")
         return len(store.entities)
 
@@ -484,7 +493,7 @@ def test_failed_flush_restore_nets_a_reentrant_update_of_a_deleted_id_to_added()
     manager.materialize()
     del store.entities["x"]
     clock["lsn"] += 1
-    manager.enqueue([], lsn=clock["lsn"], deleted_entity_ids=["x"])
+    manager.enqueue(delta_at(clock["lsn"], deleted={"x"}))
     trap["armed"] = True
     with pytest.raises(RuntimeError, match="store hiccup"):
         manager.flush()
@@ -494,9 +503,8 @@ def test_failed_flush_restore_nets_a_reentrant_update_of_a_deleted_id_to_added()
 
 
 def test_update_of_an_id_deleted_in_the_batch_nets_to_added():
-    """``update()`` folds its ids into the pending batch as enqueue folds a
-    changed id: one the batch holds as deleted comes back as added, so the
-    view keeps the row the store holds again."""
+    """An update of an id the pending batch holds as deleted folds to
+    added, so the view keeps the row the store holds again."""
     store = ModelStore()
     store.entities["x"] = {"type": "alpha", "value": 1}
     store.entities["y"] = {"type": "alpha", "value": 2}
@@ -506,14 +514,16 @@ def test_update_of_an_id_deleted_in_the_batch_nets_to_added():
     manager.add_journal_listener(events.append)
     del store.entities["x"]
     clock["lsn"] = 2
-    manager.enqueue([], lsn=2, deleted_entity_ids=["x"])
+    manager.enqueue(delta_at(2, deleted={"x"}))
     store.entities["x"] = {"type": "alpha", "value": 99}
-    manager.update(["x"])
+    clock["lsn"] = 3
+    manager.enqueue(delta_at(3, updated={"x"}))
+    manager.flush()
     assert manager.artifact("alpha_rows") == _typed_rows(store, "alpha")
     assert manager.artifact("alpha_rows")["x"]["value"] == 99
     delta = appended(events, "alpha_rows", 1)
     assert "x" in delta.changed and "x" not in delta.deleted
-    assert manager.built_at_lsn("alpha_rows") == 2
+    assert manager.built_at_lsn("alpha_rows") == 3
 
 
 def test_merge_keeps_the_lowest_nonzero_first_lsn():
@@ -534,7 +544,7 @@ def _net_class(previous: str | None, event: str) -> str:
 
 
 def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
-    """After any interleaving of enqueue, update and flush, the
+    """After any interleaving of enqueue and flush, the
     delta a flush hands on — added, updated, deleted, first_lsn, last_lsn —
     is the ``ViewDelta.merge`` fold of the events since the last flush, and
     a flush that fails restores ``batch.merge(reentrant)``: the failed batch
@@ -560,12 +570,12 @@ def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
         create=lambda ctx: probe("create"),
         apply_delta=lambda ctx, delta: probe("delta", delta),
     ))
-    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"])
+    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"],
+                          entity_source=lambda: ())
     manager.materialize()
     calls.clear()
     pending = ViewDelta()          # the merge fold of the events since the last flush
     classes: dict[str, str] = {}   # the same fold, entity by entity
-    forced = False
 
     def random_event() -> ViewDelta:
         clock["lsn"] += 1
@@ -578,11 +588,7 @@ def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
         )
 
     def send(event: ViewDelta) -> None:
-        manager.enqueue(
-            sorted(event.changed), lsn=event.last_lsn,
-            deleted_entity_ids=sorted(event.deleted),
-            added_entity_ids=sorted(event.added),
-        )
+        manager.enqueue(event)
 
     def fold(event: ViewDelta) -> None:
         nonlocal pending
@@ -591,63 +597,45 @@ def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
             for eid in getattr(event, name):
                 classes[eid] = _net_class(classes.get(eid), name)
 
-    def flush_through(call, fail: bool) -> None:
-        nonlocal pending, forced
-        if pending.is_empty() and not forced:
-            assert call() == {} and not calls
+    def flush_through(fail: bool) -> None:
+        nonlocal pending
+        if pending.is_empty():
+            # an empty delta affects no view: nothing to flush (no call)
+            assert manager.flush() == {} and not calls
             return
-        # an empty delta affects no view: the probe only advances (no call)
-        fail = fail and not pending.is_empty()
         reentrant = [random_event() for _ in range(rng.randint(0, 2))] if fail else None
-        target = pending.last_lsn or clock["lsn"]
-        want = ViewDelta(
-            added=pending.added, updated=pending.updated, deleted=pending.deleted,
-            first_lsn=pending.first_lsn or target, last_lsn=target,
-        )
         for name in ("added", "updated", "deleted"):
-            assert getattr(want, name) == {e for e, c in classes.items() if c == name}
+            assert getattr(pending, name) == {e for e, c in classes.items() if c == name}
         built_before = manager.built_at_lsn("probe")
         trap["reentrant"] = reentrant
         if fail:
             with pytest.raises(RuntimeError, match="probe down"):
-                call()
+                manager.flush()
         else:
-            call()
-        if not want.is_empty():
-            assert calls.pop() == ("delta", want)
+            manager.flush()
+        assert calls.pop() == ("delta", pending)
         assert not calls
         if fail:
             assert manager.built_at_lsn("probe") == built_before
-            pending = want
             for event in reentrant:
                 fold(event)
             assert manager.pending_changes() == sorted(classes)
         else:
-            assert manager.built_at_lsn("probe") == target
+            assert manager.built_at_lsn("probe") == pending.last_lsn
             assert manager.pending_changes() == []
-            pending, forced = ViewDelta(), False
+            pending = ViewDelta()
             classes.clear()
 
     for _ in range(rng.randint(30, 50)):
-        op = rng.choices(["enqueue", "update", "flush"], weights=[45, 15, 20])[0]
-        fail = rng.random() < 0.3
+        op = rng.choices(["enqueue", "flush"], weights=[45, 35])[0]
         if op == "enqueue":
             event = random_event()
             send(event)
             fold(event)
             assert manager.pending_changes() == sorted(classes)
-        elif op == "update":
-            ids = rng.sample(universe, rng.randint(0, 3))
-            lsn = None
-            if rng.random() < 0.5:
-                clock["lsn"] += 1
-                lsn = clock["lsn"]
-            fold(ViewDelta(updated=frozenset(ids), first_lsn=lsn or 0, last_lsn=lsn or 0))
-            forced = True
-            flush_through(lambda: manager.update(ids, lsn=lsn), fail)
         else:
-            flush_through(manager.flush, fail)
-    flush_through(manager.flush, fail=False)
+            flush_through(fail=rng.random() < 0.3)
+    flush_through(fail=False)
     assert manager.pending_changes() == []
 
 
@@ -907,11 +895,12 @@ def test_parallel_flush_overlaps_branches_without_reordering_dependencies():
     events: list = []
     catalog = _branch_catalog(events)
     clock = {"lsn": 1}
-    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"])
+    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"],
+                          entity_source=lambda: ())
     manager.materialize()
     events.clear()
     clock["lsn"] = 2
-    manager.enqueue(["a:1", "b:1"], lsn=2)
+    manager.enqueue(delta_at(2, updated={"a:1", "b:1"}))
     timings = manager.flush()
     assert set(timings) == {"a_root", "a_child", "b_root", "b_child"}
     # antichain by antichain, sorted within one: both roots, then both children
@@ -932,12 +921,13 @@ def test_failing_branch_restores_delta_without_corrupting_sibling_journal():
     fail_on = {"a_root"}                     # mutable: healed mid-test
     catalog = _branch_catalog(events, fail_on=fail_on)
     clock = {"lsn": 1}
-    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"])
+    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"],
+                          entity_source=lambda: ())
     manager.materialize()
     journal_events = []
     manager.add_journal_listener(journal_events.append)
     clock["lsn"] = 2
-    manager.enqueue(["a:1", "b:1"], lsn=2)
+    manager.enqueue(delta_at(2, updated={"a:1", "b:1"}))
     with pytest.raises(RuntimeError, match="a_root branch down"):
         manager.flush()
     # the failing branch restored the whole pending delta...
@@ -992,7 +982,7 @@ def test_deletion_outside_every_scope_is_a_noop_flush():
     # delete the gamma entity: it sits in no view's scope snapshot
     del store.entities["g1"]
     clock["lsn"] = 2
-    manager.enqueue([], lsn=2, deleted_entity_ids=["g1"])
+    manager.enqueue(delta_at(2, deleted={"g1"}))
     timings = manager.flush()
     assert timings == {}                                     # the no-op, proven...
     assert manager.states["alpha_rows"].skipped_updates == 1   # ...by the skip
@@ -1004,7 +994,7 @@ def test_deletion_outside_every_scope_is_a_noop_flush():
     # deleting a snapshot member, by contrast, maintains exactly that branch
     del store.entities["a1"]
     clock["lsn"] = 3
-    manager.enqueue([], lsn=3, deleted_entity_ids=["a1"])
+    manager.enqueue(delta_at(3, deleted={"a1"}))
     timings = manager.flush()
     assert set(timings) == {"alpha_rows", "alpha_index"}
     assert manager.artifact("alpha_rows") == {}
@@ -1060,8 +1050,9 @@ def test_replicated_fleet_sequences_converge_and_honor_consistency(fleet_seed):
 
     def enqueue(changed=(), deleted=(), added=()):
         clock["lsn"] += 1
-        manager.enqueue(changed, lsn=clock["lsn"], deleted_entity_ids=deleted,
-                        added_entity_ids=added)
+        manager.enqueue(delta_at(
+            clock["lsn"], added=added, updated=set(changed) - set(added), deleted=deleted,
+        ))
 
     try:
         for _ in range(rng.randint(15, 30)):
@@ -1234,7 +1225,7 @@ def test_unchanged_rows_are_cut_off_before_journal_ship_and_apply():
     def write(eid, **fields):
         store.entities[eid].update(fields)
         clock["lsn"] += 1
-        manager.enqueue([eid], lsn=clock["lsn"])
+        manager.enqueue(delta_at(clock["lsn"], updated={eid}))
         manager.flush()
         assert fleet.drain()
         return clock["lsn"]
@@ -1336,7 +1327,7 @@ def test_cut_off_leaves_other_artifact_shapes_to_their_input_delta():
     manager.add_journal_listener(events.append)
     store.entities["e1"]["popularity"] = 5          # no row changes anywhere
     clock["lsn"] = 2
-    manager.enqueue(["e1"], lsn=2)
+    manager.enqueue(delta_at(2, updated={"e1"}))
     manager.flush()
     assert sorted((e.kind, e.view_name) for e in events) == [
         ("append", "patched_rows"), ("append", "totals"),

@@ -42,13 +42,23 @@ def make_chain_catalog(calls, dropped=None):
     return catalog, dropped
 
 
+def make_manager(catalog, lsn_source=lambda: 0):
+    """A manager over no stores (no entity is stored)."""
+    return ViewManager(catalog, engines={}, lsn_source=lsn_source, entity_source=lambda: ())
+
+
+def updated(ids, lsn):
+    """The delta of *ids* updated by the operation at *lsn*."""
+    return ViewDelta(updated=frozenset(ids), first_lsn=lsn, last_lsn=lsn)
+
+
 # ------------------------------------------------------------------ #
 # drop cascade
 # ------------------------------------------------------------------ #
 def test_drop_cascades_invalidation_to_transitive_dependents():
     calls = []
     catalog, dropped = make_chain_catalog(calls)
-    manager = ViewManager(catalog, engines={})
+    manager = make_manager(catalog)
     manager.materialize()
     removed = manager.drop("base")
     assert set(removed) == {"base", "shared", "left", "right"}
@@ -64,33 +74,20 @@ def test_drop_cascades_invalidation_to_transitive_dependents():
     assert manager.states["left"].invalidations == 1
 
 
-def test_drop_without_cascade_is_rejected_while_dependents_are_live():
-    calls = []
-    catalog, _ = make_chain_catalog(calls)
-    manager = ViewManager(catalog, engines={})
-    manager.materialize()
-    with pytest.raises(ViewError, match="cascade"):
-        manager.drop("shared", cascade=False)
-    assert manager.is_materialized("shared")
-    # once the dependents are gone, a non-cascading drop is fine
-    manager.drop("left")
-    manager.drop("right")
-    assert manager.drop("shared", cascade=False) == ["shared"]
-
-
 # ------------------------------------------------------------------ #
 # skipped-dependency fail-fast
 # ------------------------------------------------------------------ #
 def test_update_fails_fast_when_dependency_was_never_materialized():
     calls = []
     catalog, _ = make_chain_catalog(calls)
-    manager = ViewManager(catalog, engines={})
+    manager = make_manager(catalog)
     manager.materialize()
     # simulate an operator wiping the dependency's materialization out-of-band
     manager.states["shared"].materialized = False
     manager.states["shared"].artifact = None
     with pytest.raises(ViewError, match="'left'.*shared.*never"):
-        manager.update(["kg:e1"])
+        manager.enqueue(updated(["kg:e1"], 1))
+        manager.flush()
 
 
 # ------------------------------------------------------------------ #
@@ -99,7 +96,7 @@ def test_update_fails_fast_when_dependency_was_never_materialized():
 def test_reregistration_resets_state_of_view_and_dependents():
     calls = []
     catalog, _ = make_chain_catalog(calls)
-    manager = ViewManager(catalog, engines={})
+    manager = make_manager(catalog)
     manager.materialize()
     assert manager.artifact("shared") == 3
     catalog.register(ViewDefinition("shared", "analytics",
@@ -114,12 +111,9 @@ def test_reregistration_resets_state_of_view_and_dependents():
     assert manager.artifact("shared") == "redefined"
 
 
-def test_reregistration_can_be_rejected_and_cycles_are_refused():
+def test_reregistration_that_closes_a_cycle_is_refused():
     calls = []
     catalog, _ = make_chain_catalog(calls)
-    with pytest.raises(ViewError, match="already registered"):
-        catalog.register(ViewDefinition("shared", "analytics", lambda ctx: 1),
-                         replace=False)
     with pytest.raises(ViewError, match="cycle"):
         catalog.register(ViewDefinition("base", "analytics", lambda ctx: 1,
                                         dependencies=("left",)))
@@ -153,9 +147,10 @@ def make_scoped_catalog():
 
 def test_selective_update_rebuilds_only_the_affected_closure():
     catalog = make_scoped_catalog()
-    manager = ViewManager(catalog, engines={})
+    manager = make_manager(catalog)
     manager.materialize()
-    timings = manager.update(["a:1"])
+    manager.enqueue(updated(["a:1"], 1))
+    timings = manager.flush()
     assert set(timings) == {"a_root", "a_child"}
     assert manager.artifact("a_root") == "a+a:1"
     assert manager.artifact("a_child") == "a+a:1/child"
@@ -173,18 +168,18 @@ def test_selective_update_rebuilds_only_the_affected_closure():
 def test_pending_deltas_accumulate_until_flush():
     clock = {"lsn": 0}
     catalog = make_scoped_catalog()
-    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"])
+    manager = make_manager(catalog, lsn_source=lambda: clock["lsn"])
     clock["lsn"] = 1
     manager.materialize()
     assert manager.built_at_lsn("a_root") == 1
     clock["lsn"] = 2
-    manager.enqueue(["a:1"], lsn=2)
+    manager.enqueue(updated(["a:1"], 2))
     clock["lsn"] = 3
-    manager.enqueue(["a:2"], lsn=3)
+    manager.enqueue(updated(["a:2"], 3))
     assert manager.pending_changes() == ["a:1", "a:2"]
     assert manager.lagging_views() == {"a_child": 2, "a_root": 2, "b_root": 2}
     clock["lsn"] = 4
-    manager.enqueue(["b:1"], lsn=4)
+    manager.enqueue(updated(["b:1"], 4))
     assert manager.flushes == 0                    # enqueue never flushes
     timings = manager.flush()
     assert set(timings) == {"a_root", "a_child", "b_root"}
@@ -197,11 +192,11 @@ def test_pending_deltas_accumulate_until_flush():
 def test_flush_skips_views_already_at_target_lsn():
     clock = {"lsn": 1}
     catalog = make_scoped_catalog()
-    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"])
-    manager.enqueue(["a:0"], lsn=1)               # before materialization: dropped
+    manager = make_manager(catalog, lsn_source=lambda: clock["lsn"])
+    manager.enqueue(updated(["a:0"], 1))               # before materialization: dropped
     assert manager.pending_changes() == []
     manager.materialize()                          # built at LSN 1
-    manager.enqueue(["a:1"], lsn=1)                # delta the build already covers
+    manager.enqueue(updated(["a:1"], 1))                # delta the build already covers
     assert manager.flush() == {}                   # watermark gate: nothing rebuilt
     assert manager.states["a_root"].skipped_updates == 1
 
@@ -378,10 +373,10 @@ def test_failed_flush_preserves_the_pending_delta():
         return "ok"
 
     catalog.register(ViewDefinition("fragile", "analytics", create=create))
-    manager = ViewManager(catalog, engines={}, lsn_source=lambda: clock["lsn"])
+    manager = make_manager(catalog, lsn_source=lambda: clock["lsn"])
     manager.materialize()
     clock["lsn"] = 2
-    manager.enqueue(["kg:e1"], lsn=2)
+    manager.enqueue(updated(["kg:e1"], 2))
     boom["on"] = True
     with pytest.raises(RuntimeError):
         manager.flush()
@@ -406,9 +401,31 @@ def test_listener_errors_do_not_unwind_replay_or_redeliver(ontology):
     engine.coordinator.add_delta_listener(flaky_listener)
     engine.publish_store(store)                    # replay must not raise
     assert seen == [1]
-    assert engine.coordinator.listener_errors == ["lsn=1: listener exploded"]
+    assert list(engine.coordinator.listener_errors) == ["lsn=1: listener exploded"]
     engine.replay()                                # no redelivery of LSN 1
     assert seen == [1]
+
+
+def test_listener_error_log_is_bounded_and_delivery_continues(ontology):
+    """A listener failing on every publish keeps only the newest 256 errors,
+    and every later record is still delivered to it."""
+    store = TripleStore([triple("kg:a1", "type", "music_artist")])
+    engine = GraphEngine(ontology)
+    seen = []
+
+    def failing_listener(delta):
+        seen.append(delta.last_lsn)
+        raise RuntimeError("listener exploded")
+
+    engine.coordinator.add_delta_listener(failing_listener)
+    for number in range(300):
+        store.add(triple("kg:a1", "name", f"Name {number}"))
+        engine.publish_subjects(store, ["kg:a1"])
+    assert seen == list(range(1, 301))
+    errors = engine.coordinator.listener_errors
+    assert len(errors) == 256
+    assert errors[0] == "lsn=45: listener exploded"
+    assert errors[-1] == "lsn=300: listener exploded"
 
 
 def test_live_reload_removes_rows_that_left_the_artifact(served_engine, replica):
