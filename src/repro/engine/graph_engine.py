@@ -183,8 +183,6 @@ class GraphEngine:
         self.entity_store = EntityStore()
         self.text_index = InvertedTextIndex()
         self.vector_db = VectorDB(dimension=embedding_dimension)
-        # In memory, like the object store holding the payloads its records
-        # point at: a log recovered without its payloads could not be replayed.
         self.log = OperationLog()
         self.object_store = ObjectStore()
         self.metadata = MetadataStore()

@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 
 from repro.datagen.streams import LiveEvent
 from repro.live.index import LiveEntityDocument, LiveIndex
-from repro.model.entity import KGEntity, materialize_entities
-from repro.model.triples import TripleStore
+from repro.model.entity import KGEntity
 
 
 @dataclass
@@ -27,8 +26,24 @@ class LiveConstructionStats:
     events_processed: int = 0
     references_resolved: int = 0
     references_unresolved: int = 0
-    stable_entities_loaded: int = 0
     curations_applied: int = 0
+
+
+def stable_document(entity: KGEntity) -> LiveEntityDocument:
+    """The live-index document serving one stable-KG entity."""
+    facts: dict[str, list[object]] = {
+        predicate: list(values) for predicate, values in entity.facts.items()
+    }
+    if entity.names:
+        facts.setdefault("alias", []).extend(entity.names[1:])
+    return LiveEntityDocument(
+        entity_id=entity.entity_id,
+        entity_type=entity.types[0] if entity.types else "",
+        name=entity.primary_name,
+        facts=facts,
+        source_id="stable_kg",
+        is_live=False,
+    )
 
 
 class EntityResolutionClient:
@@ -88,40 +103,6 @@ class LiveGraphConstruction:
         self.index = index if index is not None else LiveIndex()
         self.resolution = resolution_client
         self.stats = LiveConstructionStats()
-
-    # -------------------------------------------------------------- #
-    # stable view loading
-    # -------------------------------------------------------------- #
-    def load_stable_view(self, store: TripleStore, entity_types: Sequence[str] = ()) -> int:
-        """Load a view of the stable KG into the live index.
-
-        Only the entity types the live use cases need (teams, venues, people,
-        cities, companies, ...) are loaded; an empty filter loads everything.
-        """
-        allowed = set(entity_types)
-        loaded = 0
-        for entity_id, entity in materialize_entities(store).items():
-            if allowed and not (set(entity.types) & allowed):
-                continue
-            self.index.upsert(self._stable_document(entity))
-            loaded += 1
-        self.stats.stable_entities_loaded += loaded
-        return loaded
-
-    def _stable_document(self, entity: KGEntity) -> LiveEntityDocument:
-        facts: dict[str, list[object]] = {
-            predicate: list(values) for predicate, values in entity.facts.items()
-        }
-        if entity.names:
-            facts.setdefault("alias", []).extend(entity.names[1:])
-        return LiveEntityDocument(
-            entity_id=entity.entity_id,
-            entity_type=entity.types[0] if entity.types else "",
-            name=entity.primary_name,
-            facts=facts,
-            source_id="stable_kg",
-            is_live=False,
-        )
 
     # -------------------------------------------------------------- #
     # streaming ingest

@@ -3,20 +3,30 @@
 Ties together live construction, the live index, the KGQ compiler and
 executor, intent handling, multi-turn context, and the curation pipeline into
 one object that examples, tests, and benchmarks drive.
+
+The stable KG is one feed of the live index.  :meth:`LiveGraphEngine.load_stable_view`
+loads it whole (``LiveIndex.replace_feed``), and from then on
+:meth:`LiveGraphEngine.apply_stable_delta` follows the Graph Engine's log with
+it: each LSN-stamped delta becomes one ``LiveIndex.apply_feed_delta``, the two
+calls a serving replica applies a shipped batch through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 from repro.datagen.streams import LiveEvent
 from repro.errors import IntentError
-from repro.live.construction import EntityResolutionClient, LiveGraphConstruction
+from repro.live.construction import (
+    EntityResolutionClient,
+    LiveGraphConstruction,
+    stable_document,
+)
 from repro.live.context import ContextGraph
 from repro.live.curation import CurationDecision, CurationPipeline
 from repro.live.executor import QueryExecutor, QueryResult
-from repro.live.index import LiveIndex
+from repro.live.index import LiveEntityDocument, LiveIndex
 from repro.live.intents import Intent, IntentHandler, default_intent_handler
 from repro.live.kgq import (
     CallQuery,
@@ -26,7 +36,14 @@ from repro.live.kgq import (
     parse,
 )
 from repro.live.planner import PhysicalPlan, QueryPlanner
+from repro.model.entity import KGEntity, materialize_entities
 from repro.model.triples import TripleStore
+
+if TYPE_CHECKING:
+    from repro.engine.views import ViewDelta
+
+#: The live index feed serving the stable KG.
+STABLE_FEED = "stable"
 
 
 @dataclass
@@ -67,43 +84,35 @@ class LiveGraphEngine:
     # -------------------------------------------------------------- #
     # construction
     # -------------------------------------------------------------- #
-    def load_stable_view(
-        self,
-        store: TripleStore,
-        entity_types: Sequence[str] = (),
-        version: int | None = None,
-    ) -> int:
-        """Load a stable-KG view into the live index.
+    def load_stable_view(self, store: TripleStore, version: int = 0) -> int:
+        """Load the whole stable KG as the index's stable feed.
 
         *version* is the Graph Engine log position (LSN) the store reflects;
-        when given it is recorded as the stable feed's watermark (keyed per
-        ``entity_types`` filter) so later syncs can skip reloading an
-        unchanged upstream.
+        it becomes the feed's watermark.  A document of an entity the store no
+        longer holds stops being served.  Returns the number of documents
+        loaded.
         """
-        loaded = self.construction.load_stable_view(store, entity_types)
-        if version is not None:
-            self.index.set_watermark(self._stable_feed(entity_types), version)
-        return loaded
+        documents = (stable_document(entity) for entity in materialize_entities(store).values())
+        return self.index.replace_feed(STABLE_FEED, documents, version)
 
-    def sync_stable_view(self, graph_engine, entity_types: Sequence[str] = ()) -> int:
-        """Refresh the stable view from a Graph Engine only when it advanced.
+    def apply_stable_delta(self, store: TripleStore, delta: ViewDelta) -> int:
+        """Apply one LSN-stamped log delta to the stable feed.
 
-        Compares the engine's minimum store version (the LSN every store has
-        replayed) against the watermark of this ``entity_types`` filter's
-        feed; returns 0 without touching the index when the serving copy is
-        already fresh.  A sync with a *different* type filter is its own feed
-        and is never skipped on another filter's account.
+        Each subject *delta* names is served as *store* holds it now, or
+        unserved when the store holds no fact about it; the feed's watermark
+        advances to the delta's LSN.  ``SagaPlatform.live`` registers this
+        as a delta listener of the Graph Engine's coordinator.  Returns the
+        number of documents written.
         """
-        version = graph_engine.minimum_version()
-        if version and self.index.is_fresh(self._stable_feed(entity_types), version):
-            return 0
-        return self.load_stable_view(graph_engine.triples, entity_types, version=version)
-
-    @staticmethod
-    def _stable_feed(entity_types: Sequence[str]) -> str:
-        if not entity_types:
-            return "stable"
-        return "stable:" + ",".join(sorted(entity_types))
+        upserts: list[LiveEntityDocument] = []
+        deleted: list[str] = []
+        for subject in sorted(delta.added | delta.updated | delta.deleted):
+            facts = store.facts_about(subject)
+            if facts:
+                upserts.append(stable_document(KGEntity.from_triples(subject, facts)))
+            else:
+                deleted.append(subject)
+        return self.index.apply_feed_delta(STABLE_FEED, upserts, deleted, delta.last_lsn)
 
     def ingest_events(self, events: Iterable[LiveEvent], screen: bool = True) -> int:
         """Ingest streaming events, optionally screening them for curation."""

@@ -388,12 +388,12 @@ def document_checksum(document: LiveEntityDocument) -> str:
 class LiveIndex:
     """The KV store and inverted index maintained together.
 
-    ``watermarks`` track, per upstream feed (the stable view, each served
-    view artifact), the Graph Engine log position (LSN) the loaded documents
-    reflect, so refreshes can be skipped when the upstream has not advanced.
-    Feeds loaded through :meth:`replace_feed` / :meth:`apply_feed_delta` (the
-    replica-backed serving path) additionally track which document ids each
-    feed serves, so a replaced or dropped feed unserves vanished rows.
+    ``watermarks`` track, per upstream feed (the stable KG, each served view
+    artifact), the Graph Engine log position (LSN) the loaded documents
+    reflect.  A feed is loaded whole with :meth:`replace_feed` and kept
+    current with :meth:`apply_feed_delta`, which also track which document
+    ids each feed serves, so a replaced or dropped feed unserves vanished
+    rows.  Streaming documents belong to no feed (:meth:`upsert`).
     """
 
     def __init__(self) -> None:
@@ -405,10 +405,6 @@ class LiveIndex:
         self.adjacency = AdjacencyIndex()
         self.watermarks = WatermarkMap()
         self._feed_documents: dict[str, set[str]] = {}
-
-    def set_watermark(self, feed: str, lsn: int) -> None:
-        """Record that *feed*'s documents reflect the upstream log up to *lsn*."""
-        self.watermarks.advance(feed, lsn)
 
     def watermark(self, feed: str) -> int:
         """The upstream LSN *feed* currently serves (0 when never loaded)."""

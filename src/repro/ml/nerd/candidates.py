@@ -41,6 +41,21 @@ class CandidateRetrieverConfig:
     use_learned_similarity: bool = True
 
 
+def _tokens_of(names: set[str]) -> set[str]:
+    return {token for name in names for token in tokens(name)}
+
+
+def _move(postings: dict[str, set[str]], entity_id: str, before: set[str], after: set[str]) -> None:
+    """Post *entity_id* under the keys of *after* instead of those of *before*."""
+    for key in before - after:
+        posted = postings[key]
+        posted.discard(entity_id)
+        if not posted:
+            del postings[key]
+    for key in after - before:
+        postings[key].add(entity_id)
+
+
 class CandidateRetriever:
     """Name-based candidate generation over the NERD Entity View."""
 
@@ -57,34 +72,23 @@ class CandidateRetriever:
         self.config = config or CandidateRetrieverConfig()
         self._exact: dict[str, set[str]] = defaultdict(set)
         self._token_postings: dict[str, set[str]] = defaultdict(set)
-        self.rebuild()
+        self.reindex({record.entity_id: None for record in view.records()})
 
-    def rebuild(self) -> None:
-        """Rebuild the retrieval indexes from the current entity view."""
-        self._exact.clear()
-        self._token_postings.clear()
-        for record in self.view.records():
-            for name in record.normalized_names():
-                self._exact[name].add(record.entity_id)
-                for token in tokens(name):
-                    self._token_postings[token].add(record.entity_id)
-
-    def refresh_entities(self, entity_ids: list[str]) -> None:
-        """Re-index specific entities after the entity view was refreshed."""
-        doomed = set(entity_ids)
-        for postings in (self._exact, self._token_postings):
-            for key in list(postings):
-                postings[key] -= doomed
-                if not postings[key]:
-                    del postings[key]
-        for entity_id in entity_ids:
+    def reindex(self, previous: dict[str, NERDEntityRecord | None]) -> None:
+        """Move each entity's postings from the names of its *previous* record
+        (``None``: none) to the names of its record in the view now."""
+        for entity_id, old in previous.items():
             record = self.view.get(entity_id)
-            if record is None:
+            before = old.normalized_names() if old is not None else set()
+            after = record.normalized_names() if record is not None else set()
+            if before == after:
                 continue
-            for name in record.normalized_names():
-                self._exact[name].add(entity_id)
-                for token in tokens(name):
-                    self._token_postings[token].add(entity_id)
+            _move(self._exact, entity_id, before, after)
+            _move(self._token_postings, entity_id, _tokens_of(before), _tokens_of(after))
+
+    def knows_name(self, normalized: str) -> bool:
+        """Whether some record has *normalized* as a normalized name."""
+        return normalized in self._exact
 
     # -------------------------------------------------------------- #
     # retrieval

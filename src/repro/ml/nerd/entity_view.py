@@ -3,19 +3,24 @@
 Each record summarizes what the KG knows about an entity — names and aliases,
 ontology types, a textual description, important one-hop relationships, the
 types of important neighbours, and the entity-importance score.  The view is
-computed by the Graph Engine and kept fresh incrementally as facts arrive;
-disambiguation compares the context of a text mention against these summaries.
+built over the Graph Engine's primary store and kept fresh from the log: each
+:class:`~repro.engine.views.ViewDelta` the engine's coordinator delivers
+rebuilds the records it can change.  Disambiguation compares the context of a
+text mention against these summaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import TYPE_CHECKING
 
 from repro.model.entity import KGEntity
 from repro.model.identifiers import is_kg_identifier
 from repro.model.triples import TripleStore
 from repro.ml.similarity import normalize_string, tokens
+
+if TYPE_CHECKING:
+    from repro.engine.views import ViewDelta
 
 
 @dataclass
@@ -49,10 +54,21 @@ class NERDEntityRecord:
 
 
 class NERDEntityView:
-    """Materialized, incrementally-maintainable collection of entity summaries."""
+    """Materialized entity summaries, kept current from the log's deltas.
 
-    def __init__(self) -> None:
+    The view keeps the store and the importance map it was built from.
+    :meth:`build` and :meth:`apply_delta` share one record builder, so a
+    record rebuilt after a change equals the record a fresh :meth:`build`
+    of the same store and importance map would hold.
+    """
+
+    def __init__(self, store: TripleStore, importance: dict[str, float] | None = None) -> None:
+        self.store = store
+        self.importance = importance or {}
         self._records: dict[str, NERDEntityRecord] = {}
+        # entity id -> the ids its record was built from: the values it
+        # links to and the subjects pointing at it.
+        self._neighbours: dict[str, frozenset[str]] = {}
 
     # -------------------------------------------------------------- #
     # construction / maintenance
@@ -64,42 +80,36 @@ class NERDEntityView:
         importance: dict[str, float] | None = None,
     ) -> "NERDEntityView":
         """Build the view for every entity in *store*."""
-        view = cls()
-        view.refresh(store, store.subjects(), importance)
+        view = cls(store, importance)
+        names: dict[str, str] = {}
+        for entity_id in store.subjects():
+            view._rebuild(entity_id, names)
         return view
 
-    def refresh(
-        self,
-        store: TripleStore,
-        entity_ids: Iterable[str],
-        importance: dict[str, float] | None = None,
-    ) -> int:
-        """(Re)build the records of *entity_ids* from the store."""
-        importance = importance or {}
-        names_cache: dict[str, str] = {}
-        refreshed = 0
-        for entity_id in entity_ids:
-            facts = store.facts_about(entity_id)
-            if not facts:
-                self._records.pop(entity_id, None)
-                continue
-            entity = KGEntity.from_triples(entity_id, facts)
-            record = NERDEntityRecord(
-                entity_id=entity_id,
-                names=list(entity.names) or [entity_id],
-                types=list(entity.types),
-                description=str(entity.value("description") or ""),
-                importance=float(importance.get(entity_id, self._popularity(entity))),
-            )
-            record.relations = self._relations(store, entity, names_cache)
-            record.neighbor_types = self._neighbor_types(store, entity)
-            self._records[entity_id] = record
-            refreshed += 1
-        return refreshed
+    def apply_delta(self, delta: ViewDelta) -> dict[str, NERDEntityRecord | None]:
+        """Rebuild every record *delta* can change, from the store now.
 
-    def remove(self, entity_id: str) -> bool:
-        """Drop an entity's record (entity deleted from the KG)."""
-        return self._records.pop(entity_id, None) is not None
+        A record embeds its neighbours' names and types, so the delta's
+        subjects pull in their one-hop in- and out-neighbours, both those in
+        the store now and those their old records were built from (a deleted
+        subject's out-edges are already gone from the store).  The store may
+        already be past *delta*; any other rebuilt record whose neighbours
+        moved pulls in the ids that left or joined it.  A subject with no
+        facts left loses its record.  Returns the previous record (``None``:
+        none) of every id rebuilt.
+        """
+        subjects = delta.added | delta.updated | delta.deleted
+        pending = set(subjects)
+        previous: dict[str, NERDEntityRecord | None] = {}
+        names: dict[str, str] = {}
+        while pending:
+            entity_id = pending.pop()
+            previous[entity_id] = self._records.get(entity_id)
+            before = self._neighbours.get(entity_id, frozenset())
+            after = self._rebuild(entity_id, names)
+            moved = before | after if entity_id in subjects else before ^ after
+            pending.update(moved.difference(previous))
+        return previous
 
     # -------------------------------------------------------------- #
     # access
@@ -121,56 +131,71 @@ class NERDEntityView:
     # -------------------------------------------------------------- #
     # internals
     # -------------------------------------------------------------- #
-    def _relations(
-        self, store: TripleStore, entity: KGEntity, names_cache: dict[str, str]
-    ) -> list[tuple[str, str]]:
-        relations: list[tuple[str, str]] = []
-        for predicate, values in entity.facts.items():
-            for value in values:
-                if isinstance(value, str) and self._is_entity_reference(store, value):
-                    relations.append((predicate, self._name_of(store, value, names_cache)))
-        for predicate, nodes in entity.relationships.items():
-            for node in nodes:
-                for rel_predicate, value in node.facts.items():
-                    if isinstance(value, str) and self._is_entity_reference(store, value):
-                        relations.append(
-                            (f"{predicate}.{rel_predicate}", self._name_of(store, value, names_cache))
-                        )
+    def _rebuild(self, entity_id: str, names: dict[str, str]) -> frozenset[str]:
+        """(Re)build *entity_id*'s record, or drop it when the subject has no
+        facts; return the ids the record was built from."""
+        store = self.store
+        pointing = store.facts_with_object(entity_id)
+        facts = store.facts_about(entity_id)
+        if not facts:
+            self._records.pop(entity_id, None)
+            self._neighbours.pop(entity_id, None)
+            return frozenset(t.subject for t in pointing)
+        entity = KGEntity.from_triples(entity_id, facts)
+        linked = [
+            (predicate, value)
+            for predicate, values in entity.facts.items()
+            for value in values
+            if isinstance(value, str) and self._is_entity_reference(value)
+        ]
+        nested = [
+            (f"{predicate}.{rel_predicate}", value)
+            for predicate, nodes in entity.relationships.items()
+            for node in nodes
+            for rel_predicate, value in node.facts.items()
+            if isinstance(value, str) and self._is_entity_reference(value)
+        ]
+        relations = [
+            (predicate, self._name_of(value, names)) for predicate, value in linked + nested
+        ]
         # Reverse relations: who points at this entity (e.g. the albums of an artist).
-        for triple in store.facts_with_object(entity.entity_id):
-            if triple.subject == entity.entity_id:
-                continue
-            relations.append(
-                (f"~{triple.relationship_predicate or triple.predicate}",
-                 self._name_of(store, triple.subject, names_cache))
-            )
+        for triple in pointing:
             if len(relations) >= 40:
                 break
-        return relations[:40]
+            if triple.subject != entity_id:
+                relations.append(
+                    (f"~{triple.relationship_predicate or triple.predicate}",
+                     self._name_of(triple.subject, names))
+                )
+        neighbours = {value for _, value in linked} | {t.subject for t in pointing}
+        self._records[entity_id] = NERDEntityRecord(
+            entity_id=entity_id,
+            names=list(entity.names) or [entity_id],
+            types=list(entity.types),
+            description=str(entity.value("description") or ""),
+            relations=relations[:40],
+            neighbor_types=self._neighbor_types(neighbours),
+            importance=float(self.importance.get(entity_id, self._popularity(entity))),
+        )
+        self._neighbours[entity_id] = frozenset(neighbours.union(v for _, v in nested))
+        return self._neighbours[entity_id]
 
-    def _neighbor_types(self, store: TripleStore, entity: KGEntity) -> list[str]:
+    def _neighbor_types(self, neighbours: set[str]) -> list[str]:
         neighbor_types: list[str] = []
-        neighbors: set[str] = set()
-        for values in entity.facts.values():
-            for value in values:
-                if isinstance(value, str) and self._is_entity_reference(store, value):
-                    neighbors.add(value)
-        for triple in store.facts_with_object(entity.entity_id):
-            neighbors.add(triple.subject)
-        for neighbor in sorted(neighbors):
-            for type_value in store.values_of(neighbor, "type"):
+        for neighbor in sorted(neighbours):
+            for type_value in self.store.values_of(neighbor, "type"):
                 if type_value not in neighbor_types:
                     neighbor_types.append(str(type_value))
         return neighbor_types[:20]
 
-    def _is_entity_reference(self, store: TripleStore, value: str) -> bool:
-        return is_kg_identifier(value) or bool(store.facts_about(value))
+    def _is_entity_reference(self, value: str) -> bool:
+        return is_kg_identifier(value) or self.store.has_subject(value)
 
-    def _name_of(self, store: TripleStore, entity_id: str, cache: dict[str, str]) -> str:
+    def _name_of(self, entity_id: str, cache: dict[str, str]) -> str:
         cached = cache.get(entity_id)
         if cached is not None:
             return cached
-        name = store.value_of(entity_id, "name") or entity_id
+        name = self.store.value_of(entity_id, "name") or entity_id
         cache[entity_id] = str(name)
         return str(name)
 

@@ -10,13 +10,18 @@ describes:
   satisfies :class:`repro.construction.object_resolution.ObjectResolver`, so
   the construction pipeline can plug it in directly (optionally with entity
   type hints, the "NERD + type hints" configuration of Figure 14b).
+
+The service follows the log like every other consumer of the Graph Engine:
+:meth:`NERDService.apply_delta` takes each LSN-stamped
+:class:`~repro.engine.views.ViewDelta` and rebuilds the entity records it can
+change, moving only their retrieval postings.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.ml.encoders import StringEncoder
 from repro.ml.nerd.candidates import CandidateRetriever, CandidateRetrieverConfig
@@ -29,6 +34,9 @@ from repro.ml.nerd.entity_view import NERDEntityView
 from repro.ml.similarity import normalize_string
 from repro.model.ontology import Ontology
 from repro.model.triples import TripleStore
+
+if TYPE_CHECKING:
+    from repro.engine.views import ViewDelta
 
 
 @dataclass
@@ -80,8 +88,6 @@ class NERDService:
         self.disambiguator = disambiguator or ContextualDisambiguator(
             encoder=encoder, rejection_threshold=self.config.confidence_threshold
         )
-        self._gazetteer: dict[str, list[str]] = {}
-        self._rebuild_gazetteer()
 
     @classmethod
     def from_store(
@@ -99,19 +105,13 @@ class NERDService:
     # -------------------------------------------------------------- #
     # maintenance
     # -------------------------------------------------------------- #
-    def refresh_entities(self, store: TripleStore, entity_ids: list[str]) -> None:
-        """Refresh the entity view and retrieval indexes for changed entities."""
-        self.view.refresh(store, entity_ids)
-        self.retriever.refresh_entities(entity_ids)
-        self._rebuild_gazetteer()
+    def apply_delta(self, delta: ViewDelta) -> None:
+        """Bring the entity view and the retrieval indexes up to one log delta.
 
-    def _rebuild_gazetteer(self) -> None:
-        self._gazetteer.clear()
-        for record in self.view.records():
-            for name in record.names:
-                normalized = normalize_string(name)
-                if normalized:
-                    self._gazetteer.setdefault(normalized, []).append(record.entity_id)
+        The Graph Engine's coordinator calls this with each LSN-stamped delta
+        once every store has replayed it (``SagaPlatform.nerd`` registers it).
+        """
+        self.retriever.reindex(self.view.apply_delta(delta))
 
     # -------------------------------------------------------------- #
     # mention generation
@@ -119,9 +119,10 @@ class NERDService:
     def generate_mentions(self, text: str) -> list[Mention]:
         """Detect candidate entity mentions in *text*.
 
-        A gazetteer matcher over the entity view's surface forms: the longest
-        non-overlapping known name at each position becomes a mention.  This
-        is the "Mention Generation" component of the batch NERD deployment.
+        A gazetteer matcher over the retriever's exact-name index (the entity
+        view's surface forms): the longest non-overlapping known name at each
+        position becomes a mention.  This is the "Mention Generation"
+        component of the batch NERD deployment.
         """
         if not text:
             return []
@@ -134,7 +135,7 @@ class NERDService:
                 start = word_spans[position][0]
                 end = word_spans[position + width - 1][1]
                 surface = text[start:end].strip(" ,.;:!?'\"")
-                if normalize_string(surface) in self._gazetteer:
+                if self.retriever.knows_name(normalize_string(surface)):
                     matched = Mention(text=surface, start=start, end=start + len(surface))
                     position += width
                     break

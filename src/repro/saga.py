@@ -6,7 +6,10 @@ knowledge-construction pipeline, whose output is published to the Graph Engine
 (the polystore serving layer); the NERD service is built over the engine's KG
 and powers both object resolution and semantic annotation; and the Live Graph
 engine serves the union of a stable-KG view with streaming sources under
-interactive latencies.
+interactive latencies.  Like the engine's stores, views and replicas, the NERD
+entity view and the live graph's stable feed follow the operation log: each
+registers with the engine's coordinator when first used and applies every
+LSN-stamped delta from then on.
 
 The facade is intentionally thin: every subsystem remains usable on its own
 (and is exercised independently in tests and benchmarks), but examples and
@@ -20,6 +23,7 @@ downstream users get a one-object entry point::
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -207,16 +211,17 @@ class SagaPlatform:
             deleted_subjects=delta.deleted,
             added_subjects=delta.added,
         )
-        touched = sorted({*changed, *delta.deleted})
-        if self._nerd is not None and touched:
-            self._nerd.refresh_entities(self.graph_engine.triples, touched)
 
     # -------------------------------------------------------------- #
     # ML services
     # -------------------------------------------------------------- #
     @property
     def nerd(self) -> NERDService:
-        """The NERD service over the current KG (built lazily, kept fresh)."""
+        """The NERD service over the current KG.
+
+        Built on first use; from then on it follows the log as one more
+        delta listener of the Graph Engine's coordinator.
+        """
         if self._nerd is None:
             importance = {
                 entity_id: score.score
@@ -228,6 +233,7 @@ class SagaPlatform:
                 encoder=self.name_encoder,
                 importance=importance,
             )
+            self.graph_engine.coordinator.add_delta_listener(self._nerd.apply_delta)
         return self._nerd
 
     def annotate(self, text: str) -> list:
@@ -239,10 +245,20 @@ class SagaPlatform:
     # -------------------------------------------------------------- #
     @property
     def live(self) -> LiveGraphEngine:
-        """The live graph engine, seeded with a stable-KG view on first use."""
+        """The live graph engine over the stable KG and the streaming feeds.
+
+        Built on first use, when the whole stable KG is loaded; from then on
+        its stable feed follows the log as one more delta listener of the
+        Graph Engine's coordinator.
+        """
         if self._live is None:
-            self._live = LiveGraphEngine(resolution_service=self.nerd)
-            self._live.load_stable_view(self.graph_engine.triples)
+            engine = self.graph_engine
+            live = LiveGraphEngine(resolution_service=self.nerd)
+            live.load_stable_view(engine.triples, version=engine.minimum_version())
+            engine.coordinator.add_delta_listener(
+                functools.partial(live.apply_stable_delta, engine.triples)
+            )
+            self._live = live
         return self._live
 
     def ingest_live_events(self, events: Iterable[LiveEvent]) -> int:

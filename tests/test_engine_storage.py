@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.agents import AgentCoordinator, CallbackAgent, OrchestrationAgent
-from repro.engine.log import LogRecord, OperationLog
+from repro.engine.log import OperationLog
 from repro.engine.metadata import MetadataStore
 from repro.engine.object_store import ObjectStore
 from repro.errors import EngineError, LogError, StoreError
@@ -36,24 +36,6 @@ def test_log_read_from_and_get():
         log.get(99)
     with pytest.raises(LogError):
         log.append("")
-
-
-def test_log_durability_and_recovery(tmp_path):
-    path = tmp_path / "oplog.jsonl"
-    log = OperationLog(path)
-    log.append("ingest_delta", source_id="musicdb", payload_key="payload/1")
-    log.append("remove_source", source_id="fanwiki")
-    recovered = OperationLog(path)
-    assert recovered.head_lsn() == 2
-    assert recovered.get(2).operation == "remove_source"
-    recovered.append("ingest_delta", source_id="wiki")
-    assert OperationLog(path).head_lsn() == 3
-
-
-def test_log_record_json_roundtrip():
-    record = LogRecord(lsn=7, operation="ingest_delta", source_id="x",
-                       payload_key="k", metadata={"a": 1})
-    assert LogRecord.from_json(record.to_json()) == record
 
 
 # --------------------------------------------------------------------- #

@@ -4,6 +4,7 @@ import pytest
 
 from repro.baselines.legacy_nerd import LegacyEntityLinker, PopularityDisambiguator
 from repro.construction.object_resolution import ResolutionContext
+from repro.engine.views import ViewDelta
 from repro.errors import NERDError
 from repro.ml.nerd import (
     CandidateRetriever,
@@ -12,6 +13,8 @@ from repro.ml.nerd import (
     NERDEntityView,
     NERDService,
 )
+from repro.ml.similarity import normalize_string
+from repro.model.triples import ExtendedTriple, TripleStore
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +43,23 @@ def test_entity_view_summarizes_entities(entity_view, world, reference_store):
     assert artist.name.lower().split()[0] in " ".join(record.normalized_names())
 
 
-def test_entity_view_refresh_and_remove(entity_view, reference_store, world):
+def test_entity_view_refresh_and_remove(reference_store, world):
     artist = world.of_type("music_artist")[0]
-    view = NERDEntityView.build(reference_store)
-    assert view.refresh(reference_store, [artist.truth_id]) == 1
-    assert view.remove(artist.truth_id) is True
+    store = TripleStore(list(reference_store))
+    view = NERDEntityView.build(store)
+    record = view.get(artist.truth_id)
+    rebuilt = view.apply_delta(ViewDelta(updated=frozenset({artist.truth_id})))
+    assert rebuilt[artist.truth_id] == record == view.get(artist.truth_id)
+    store.remove_subject(artist.truth_id)
+    view.apply_delta(ViewDelta(deleted=frozenset({artist.truth_id})))
     assert artist.truth_id not in view
-    assert view.refresh(reference_store, ["truth:nonexistent"]) == 0
+    # the artist's albums no longer name it: every record equals a fresh build
+    fresh = NERDEntityView.build(store)
+    assert {r.entity_id: r for r in view.records()} == {r.entity_id: r for r in fresh.records()}
+    assert view.apply_delta(ViewDelta(updated=frozenset({"truth:nonexistent"}))) == {
+        "truth:nonexistent": None
+    }
+    assert "truth:nonexistent" not in view
 
 
 # --------------------------------------------------------------------- #
@@ -75,11 +88,22 @@ def test_candidate_retrieval_type_hints_filter(entity_view, ontology, world):
     assert all("song" in c.record.types for c in none_allowed) or none_allowed == []
 
 
-def test_candidate_retrieval_refresh_entities(entity_view, ontology, world):
-    retriever = CandidateRetriever(entity_view, ontology=ontology)
+def test_candidate_retrieval_refresh_entities(reference_store, ontology, world):
+    store = TripleStore(list(reference_store))
+    view = NERDEntityView.build(store)
+    retriever = CandidateRetriever(view, ontology=ontology)
     artist = world.of_type("music_artist")[1]
-    retriever.refresh_entities([artist.truth_id])
+    retriever.reindex(view.apply_delta(ViewDelta(updated=frozenset({artist.truth_id}))))
     assert any(c.entity_id == artist.truth_id for c in retriever.retrieve(artist.name))
+    # a rename moves the artist's postings from the old names to the new one
+    for fact in store.facts_about(artist.truth_id):
+        if fact.predicate in ("name", "alias"):
+            store.discard(fact)
+    store.add(ExtendedTriple(artist.truth_id, "name", "Zzyzx Quorble"))
+    retriever.reindex(view.apply_delta(ViewDelta(updated=frozenset({artist.truth_id}))))
+    assert [c.entity_id for c in retriever.retrieve("Zzyzx Quorble")] == [artist.truth_id]
+    assert not retriever.knows_name(normalize_string(artist.name))
+    assert all(c.entity_id != artist.truth_id for c in retriever.retrieve(artist.name))
 
 
 # --------------------------------------------------------------------- #
@@ -179,7 +203,7 @@ def test_nerd_resolve_satisfies_obr_protocol(nerd_service, world, ontology):
 def test_refresh_entities_keeps_service_fresh(reference_store, ontology, world):
     service = NERDService.from_store(reference_store, ontology)
     artist = world.of_type("music_artist")[0]
-    service.refresh_entities(reference_store, [artist.truth_id])
+    service.apply_delta(ViewDelta(updated=frozenset({artist.truth_id})))
     result = service.link_mention(artist.name)
     assert result.entity_id == artist.truth_id
 

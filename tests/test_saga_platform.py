@@ -6,6 +6,8 @@ from repro import SagaPlatform
 from repro.datagen import evolve_source
 from repro.ingestion import AlignmentConfig, PGF, EntityTransformer
 from repro.ingestion.importers import InMemoryImporter
+from repro.ml.nerd import NERDEntityView
+from repro.model.entity import SourceEntity
 
 
 def test_platform_ingests_all_sources(constructed_platform, source_suite):
@@ -67,6 +69,51 @@ def test_platform_annotation_and_live_graph(constructed_platform, world, live_ev
     stats = platform.live.stats()
     assert stats["events_processed"] >= 1
     assert stats["documents"] > 0
+
+
+def test_nerd_and_live_graph_follow_the_log():
+    """NERD records embed their neighbours' names, and the live graph serves
+    the stable KG: both must follow every publish, a source removal
+    included, not only the subjects a commit touched."""
+    platform = SagaPlatform()
+    platform.register_source("musicdb")
+    platform.register_source("wiki")
+
+    def artists(*names):
+        return [SourceEntity(f"m{i}", "music_artist", {"name": name}, source_id="musicdb")
+                for i, name in enumerate(names)]
+
+    platform.ingest_snapshot("musicdb", artists("Nova Quill"))
+    platform.ingest_snapshot("wiki", [SourceEntity(
+        "w1", "album", {"name": "Azure Endless", "performed_by": "Nova Quill"},
+        source_id="wiki",
+    )])
+    engine = platform.graph_engine
+    importance = {entity_id: score.score
+                  for entity_id, score in engine.importance_scores().items()}
+    nerd, live = platform.nerd, platform.live
+
+    def assert_nerd_matches_a_fresh_build():
+        fresh = NERDEntityView.build(engine.triples, importance)
+        assert {r.entity_id: r for r in nerd.view.records()} == (
+            {r.entity_id: r for r in fresh.records()}
+        )
+
+    album = nerd.link_mention("Azure Endless").entity_id
+    assert album is not None
+    platform.ingest_snapshot("musicdb", artists("Nova Quill Band"))
+    assert ("performed_by", "Nova Quill Band") in nerd.view.get(album).relations
+    assert_nerd_matches_a_fresh_build()
+
+    engine.remove_source("wiki")
+    assert_nerd_matches_a_fresh_build()
+    assert nerd.link_mention("Azure Endless").entity_id is None
+    assert nerd.generate_mentions("Azure Endless tops the charts") == []
+
+    platform.ingest_snapshot("musicdb", artists("Nova Quill Band", "Lumen Drift"))
+    assert_nerd_matches_a_fresh_build()
+    assert len(live.query("MATCH music_artist").rows) == 2
+    assert live.index.watermark("stable") == engine.minimum_version()
 
 
 def test_platform_source_onboarding_with_alignment():

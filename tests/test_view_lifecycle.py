@@ -1,13 +1,12 @@
 """View lifecycle tests: drop cascades, re-registration, LSN watermarks,
 selective maintenance closures, batched flushing, and live serving freshness
-(stable feeds on the live engine, view artifacts on a one-replica fleet)."""
+(view artifacts on a one-replica fleet)."""
 
 import pytest
 
 from repro.engine.graph_engine import GraphEngine
 from repro.engine.views import ViewCatalog, ViewDefinition, ViewDelta, ViewManager
 from repro.errors import ReplicaUnavailableError, StaleReadError, ViewError
-from repro.live.engine import LiveGraphEngine
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
 from repro.serving import Consistency, ServingFleet
@@ -486,28 +485,6 @@ def replica(served_engine):
     fleet = ServingFleet(engine.view_manager, num_replicas=1).start()
     yield fleet, fleet.replicas["replica-0"]
     fleet.stop()
-
-
-def test_live_sync_stable_view_skips_unchanged_upstream(served_engine):
-    engine, store = served_engine
-    live = LiveGraphEngine()
-    assert live.sync_stable_view(engine) > 0
-    assert live.index.watermark("stable") == engine.minimum_version()
-    assert live.sync_stable_view(engine) == 0          # upstream unchanged
-    store.add(triple("kg:a1", "genre", "pop", source="musicdb"))
-    engine.publish_subjects(store, ["kg:a1"], source_id="musicdb")
-    assert live.sync_stable_view(engine) > 0           # LSN advanced: reload
-
-
-def test_live_sync_with_different_type_filter_is_not_skipped(served_engine):
-    engine, _ = served_engine
-    live = LiveGraphEngine()
-    assert live.sync_stable_view(engine, ["music_artist"]) == 1
-    # a different filter at the same upstream version is its own feed
-    assert live.sync_stable_view(engine, ["record_label"]) == 1
-    assert live.sync_stable_view(engine, ["record_label"]) == 0
-    assert live.index.watermark("stable:music_artist") == engine.minimum_version()
-    assert live.index.watermark("stable:record_label") == engine.minimum_version()
 
 
 def _refused_without_trace(fleet, node, view_name: str, before: int) -> None:
