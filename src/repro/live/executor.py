@@ -2,12 +2,16 @@
 
 The executor evaluates plans produced by :class:`repro.live.planner.QueryPlanner`
 against the :class:`repro.live.index.LiveIndex`, and it has one strategy:
-candidates stay *id sets* for as long as possible.  Type gates are
-partition-membership checks, equality filters resolve through inverted-index
-postings intersection (a probe superset verified per document, so
-normalized-string postings can never change the answer), and the remaining
-conditions and projections run over batched value columns with one
-``get_many`` per traversal hop.
+walk candidate ids in id order, cheapest test first, and stop at the
+LIMIT-th survivor.  A type scan reads a ``(feed, type)`` partition of the
+key-value store, already in id order; a replica scopes a query to its view
+by naming the feed (``execute(plan, feed=...)``), so a scan never touches
+another feed's rows.  A single-hop range against a number compares over the
+partition's numeric column; equality seeds and filters resolve through the
+inverted index's postings (a probe superset verified per document, so
+normalized-string postings can never change the answer); everything else is
+evaluated on the document.  Projection reads single-hop columns off the
+documents and walks longer paths with one ``get_many`` per hop.
 
 The per-document reference loop this replaced lives with the tests
 (``tests/oracles/per_document_executor.py``): the seeded equivalence suite
@@ -21,14 +25,18 @@ deployment.
 
 from __future__ import annotations
 
+import heapq
 import json
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 from repro.errors import KGQPlanError, LiveGraphError
 from repro.live.index import LiveEntityDocument, LiveIndex
+from repro.live.kgq import Condition
 from repro.live.planner import IndexLookup, PhysicalPlan, TypeScan
 from repro.live.rpq import RpqEvaluator, Witness
 from repro.ml.similarity import normalize_string
@@ -226,6 +234,24 @@ def _equality_probes(target: object) -> set[str]:
     return probes
 
 
+def _postings_probes(operator: str, path: tuple[str, ...], target: object) -> set[str]:
+    """The probes of a single-hop equality the postings answer — their
+    superset holds every match, and each id kept is verified on its
+    document — or an empty set for any other condition."""
+    if operator != "=" or len(path) != 1 or not isinstance(target, (str, int, float, bool)):
+        return set()
+    return _equality_probes(target)
+
+
+def _column_condition(condition: Condition) -> bool:
+    """A single-hop ``<`` / ``>`` against a number: a numeric column answers it."""
+    return (
+        condition.operator in ("<", ">")
+        and len(condition.path) == 1
+        and isinstance(condition.value, (int, float))
+    )
+
+
 #: How many recent query latencies an executor keeps for its percentiles.
 LATENCY_WINDOW = 4096
 
@@ -246,7 +272,7 @@ class QueryExecutor:
         self,
         plan: PhysicalPlan,
         use_cache: bool = True,
-        scope: Callable[[LiveEntityDocument], bool] | None = None,
+        feed: str | None = None,
         reach_feed: str = "",
     ) -> QueryResult:
         """Run *plan* and return its result rows with timing.
@@ -256,11 +282,12 @@ class QueryExecutor:
         is accepted and ignored, for callers written against the old
         signature.
 
-        *scope* (when given) restricts execution to the documents it accepts,
-        applied right after seeding and before any condition work — this is
-        how a replica confines a query to one view's feed.
-        ``candidates_examined`` counts in-scope candidates actually examined
-        (a LIMIT early-break stops the count with the scan), so the figure
+        *feed* (when given) confines execution to the documents whose
+        ``source_id`` is *feed* — how a replica serves one view: a type scan
+        reads that feed's partition only, and index-lookup candidates and
+        REACH answers of other feeds are dropped before any other work.
+        ``candidates_examined`` counts the in-feed candidates examined (a
+        LIMIT early-break stops the count with the scan), so the figure
         shows the work this executor actually did.
 
         *reach_feed* names the adjacency feed a REACH clause expands over:
@@ -270,9 +297,9 @@ class QueryExecutor:
         """
         started = time.perf_counter()
         if plan.reach is not None:
-            rows, examined = self._execute_reach(plan, scope, reach_feed)
+            rows, examined = self._execute_reach(plan, feed, reach_feed)
         else:
-            survivors, examined = self.match_documents(plan, scope)
+            survivors, examined = self.match_documents(plan, feed)
             rows = self._project_batch(survivors, plan)
         latency = (time.perf_counter() - started) * 1000.0
         self.queries_executed += 1
@@ -285,7 +312,7 @@ class QueryExecutor:
     def match_documents(
         self,
         plan: PhysicalPlan,
-        scope: Callable[[LiveEntityDocument], bool] | None = None,
+        feed: str | None = None,
         apply_limit: bool = True,
     ) -> tuple[list[LiveEntityDocument], int]:
         """The documents *plan*'s seed/filter pipeline matches, plus examined.
@@ -295,52 +322,126 @@ class QueryExecutor:
         the final answers, not the seeds.
         """
         limit = plan.limit.limit if apply_limit and plan.limit is not None else None
-        candidate_ids, seed_type = self._seed_ids(plan)
-        documents = self.index.get_many(candidate_ids)
-        if scope is not None:
-            candidate_ids = [
-                entity_id
-                for entity_id in candidate_ids
-                if entity_id in documents and scope(documents[entity_id])
-            ]
-        elif len(documents) != len(candidate_ids):
-            # An IndexLookup may post ids whose documents vanished.
-            candidate_ids = [entity_id for entity_id in candidate_ids if entity_id in documents]
+        seed = plan.seed
+        if isinstance(seed, TypeScan):
+            return self._scan(plan, feed, limit)
+        if isinstance(seed, IndexLookup):
+            return self._lookup(plan, feed, limit)
+        raise KGQPlanError(f"unknown seed operator {seed!r}")
 
-        # Type gate as partition membership: a candidate passes when it is
-        # typed as the query asks or untyped.  Seeding from the query's own
-        # type partition makes the gate a no-op.
-        query_type = plan.query.entity_type
-        typed_ids = untyped_ids = None
-        if query_type and seed_type != query_type:
-            typed_ids = self.index.kv.ids_by_type(query_type)
-            untyped_ids = self.index.kv.ids_by_type("")
-
-        if limit is not None and not plan.filters:
-            # LIMIT early-break: walk ordered ids until the limit-th gate pass,
-            # so examined counts the candidates actually looked at.
-            examined = 0
-            survivor_ids: list[str] = []
-            for entity_id in candidate_ids:
-                examined += 1
-                if typed_ids is None or entity_id in typed_ids or entity_id in untyped_ids:
-                    survivor_ids.append(entity_id)
-                    if len(survivor_ids) >= limit:
-                        break
-        else:
-            examined = len(candidate_ids)
-            if typed_ids is None:
-                survivor_ids = candidate_ids
-            else:
-                survivor_ids = [
-                    entity_id
-                    for entity_id in candidate_ids
-                    if entity_id in typed_ids or entity_id in untyped_ids
-                ]
-            survivor_ids = self._apply_filters(plan, survivor_ids, documents)
-            if limit is not None:
-                survivor_ids = survivor_ids[:limit]
+    def _scan(
+        self, plan: PhysicalPlan, feed: str | None, limit: int | None
+    ) -> tuple[list[LiveEntityDocument], int]:
+        """A TypeScan: the feed's partition of the type, or (unscoped) every
+        feed's partition of it, merged in id order."""
+        kv = self.index.kv
+        entity_type = plan.seed.entity_type
+        feeds = kv.partition_feeds(entity_type) if feed is None else [feed]
+        # Every id of a partition has its type, so the type gate is one test.
+        gated = entity_type in ("", plan.query.entity_type)
+        examined = 0
+        runs = []
+        for partition_feed in feeds:
+            ids = kv.partition(partition_feed, entity_type)
+            examined += len(ids)
+            if gated:
+                runs.append(self._survivors(plan, ids, limit, (partition_feed, entity_type)))
+        survivor_ids = runs[0] if len(runs) == 1 else list(islice(heapq.merge(*runs), limit))
+        if limit is not None and not plan.filters and len(survivor_ids) == limit:
+            examined = limit        # the LIMIT early-break walked no further
+        documents = self.index.get_many(survivor_ids)
         return [documents[entity_id] for entity_id in survivor_ids], examined
+
+    def _lookup(
+        self, plan: PhysicalPlan, feed: str | None, limit: int | None
+    ) -> tuple[list[LiveEntityDocument], int]:
+        """An IndexLookup: the in-feed documents that satisfy the seed
+        condition, found through the postings probe superset and verified
+        like a pushed-down filter, then gated by type (untyped documents
+        pass)."""
+        seed = plan.seed
+        predicate, target = seed.predicate_path[0], seed.value
+        probes = _postings_probes(seed.operator, seed.predicate_path, target)
+        if probes:
+            superset: Iterable[str] = self._equality_superset(predicate, probes)
+        else:
+            superset = (document.entity_id for document in self.index.kv)
+        documents = self.index.get_many(superset)
+        candidate_ids = sorted(
+            entity_id
+            for entity_id, document in documents.items()
+            if (feed is None or document.source_id == feed)
+            and self._match_values(document.hop(predicate), seed.operator, target)
+        )
+        query_type = plan.query.entity_type
+        typed_ids = [
+            entity_id
+            for entity_id in candidate_ids
+            if documents[entity_id].entity_type in ("", query_type)
+        ]
+        survivor_ids = self._survivors(plan, typed_ids, limit)
+        examined = len(candidate_ids)
+        if limit is not None and not plan.filters and len(survivor_ids) == limit:
+            # The LIMIT early-break walked up to the limit-th survivor.
+            examined = bisect_left(candidate_ids, survivor_ids[-1]) + 1 if limit else 0
+        return [documents[entity_id] for entity_id in survivor_ids], examined
+
+    def _survivors(
+        self,
+        plan: PhysicalPlan,
+        ids: list[str],
+        limit: int | None,
+        partition: tuple[str, str] | None = None,
+    ) -> list[str]:
+        """The ids of *ids* that pass every filter, in order.
+
+        The walk is lazy, cheapest test first, and stops at the *limit*-th
+        survivor.  Over a ``(feed, type)`` *partition*, a single-hop ``<`` /
+        ``>`` against a number compares over the partition's numeric column;
+        single-hop equalities test membership in their postings probe
+        superset (smallest postings first) before verifying; every other
+        condition is evaluated on the document.
+        """
+        if not plan.filters:
+            return ids[:limit]
+        kv = self.index.kv
+        get = kv.get
+        staged = []
+        for filter_op in plan.filters:
+            condition = filter_op.condition
+            if partition is not None and _column_condition(condition):
+                staged.append((0, 0, condition, None))
+                continue
+            probes = _postings_probes(condition.operator, condition.path, condition.value)
+            if probes:
+                cost = self.index.seed_selectivity(condition.path[0], condition.value)
+                staged.append((1, cost, condition, probes))
+            else:
+                staged.append((2, 0, condition, None))
+        staged.sort(key=lambda stage: stage[:2])
+        survivors: Iterable[int] = range(len(ids))
+        for kind, _, condition, probes in staged:
+            if kind == 0:
+                low, high = kv.numeric_column(*partition, condition.path[0])  # type: ignore[misc]
+                threshold = float(condition.value)  # type: ignore[arg-type]
+                if condition.operator == ">":
+                    column, keep = high, threshold.__lt__
+                else:
+                    column, keep = low, threshold.__gt__
+                survivors = filter(
+                    lambda position, column=column, keep=keep: keep(column[position]), survivors
+                )
+                continue
+            matched = None if probes is None else self._equality_superset(condition.path[0], probes)
+
+            def passes(position: int, condition=condition, matched=matched) -> bool:
+                entity_id = ids[position]
+                if matched is not None and entity_id not in matched:
+                    return False
+                return self._evaluate_condition(get(entity_id), condition)
+
+            survivors = filter(passes, survivors)
+        return [ids[position] for position in islice(survivors, limit)]
 
     # -------------------------------------------------------------- #
     # REACH strategy (RPQ expansion over the adjacency bitmaps)
@@ -348,7 +449,7 @@ class QueryExecutor:
     def _execute_reach(
         self,
         plan: PhysicalPlan,
-        scope: Callable[[LiveEntityDocument], bool] | None,
+        feed: str | None,
         reach_feed: str,
     ) -> tuple[list[QueryResultRow], int]:
         """Seed via the plan's match pipeline, expand via the RPQ evaluator.
@@ -357,14 +458,14 @@ class QueryExecutor:
         bounds answers, not seeds); the compiled automaton expands it over
         *reach_feed*'s adjacency; answers are fetched back as documents,
         gated by the ``TO`` type (untyped documents pass, matching the type
-        gate everywhere else), re-scoped, ordered by entity id, truncated,
-        and projected — each row carrying its canonical witness path.
-        ``candidates_examined`` adds the product-BFS expansion count (or the
-        interval fast path's walk steps) to the seed phase's figure.
+        gate everywhere else), kept to *feed*, ordered by entity id,
+        truncated, and projected — each row carrying its canonical witness
+        path.  ``candidates_examined`` adds the product-BFS expansion count
+        (or the interval fast path's walk steps) to the seed phase's figure.
         """
         reach = plan.reach
         assert reach is not None
-        seeds, examined = self.match_documents(plan, scope=scope, apply_limit=False)
+        seeds, examined = self.match_documents(plan, feed, apply_limit=False)
         prefix = reach_feed[5:] + ":" if reach_feed.startswith("view:") else ""
         seed_nodes = []
         for document in seeds:
@@ -391,7 +492,7 @@ class QueryExecutor:
                 and document.entity_type != reach.target_type
             ):
                 continue
-            if scope is not None and not scope(document):
+            if feed is not None and document.source_id != feed:
                 continue
             survivors.append(document)
             witnesses.append(answers[node])
@@ -402,99 +503,31 @@ class QueryExecutor:
             row.witness = witness
         return rows, examined
 
-    def _seed_ids(self, plan: PhysicalPlan) -> tuple[list[str], str | None]:
-        """Ordered candidate entity ids plus the seed's type (TypeScan only)."""
-        seed = plan.seed
-        if isinstance(seed, TypeScan):
-            return sorted(self.index.kv.ids_by_type(seed.entity_type)), seed.entity_type
-        if isinstance(seed, IndexLookup):
-            predicate = seed.predicate_path[0]
-            if predicate in ("name", "alias"):
-                entity_ids = self.index.inverted.lookup_name(str(seed.value))
-            else:
-                entity_ids = self.index.inverted.lookup_value(predicate, seed.value)
-            return sorted(entity_ids), None
-        raise KGQPlanError(f"unknown seed operator {seed!r}")
+    def _equality_superset(self, predicate: str, probes: set[str]) -> set[str]:
+        """Ids that *may* satisfy ``predicate = target``, from the target's
+        :func:`_equality_probes`.
 
-    def _apply_filters(
-        self,
-        plan: PhysicalPlan,
-        candidate_ids: list[str],
-        documents: dict[str, LiveEntityDocument],
-    ) -> list[str]:
-        """Intersect the candidate id list with every filter's match set.
-
-        Single-hop equality conditions resolve through postings intersection
-        (cheapest postings first, so later verification touches the fewest
-        ids); everything else — ranges, CONTAINS, ``!=``, multi-hop paths —
-        evaluates over batched value columns.  Candidate order is preserved
-        throughout.
+        Unions the postings of every probe, plus — because a string value
+        may match by resolving to an entity whose *name* equals the target —
+        the postings of every entity id so named.  The result is a superset
+        of the true match set by construction; the caller verifies each id
+        it keeps with the exact condition on its document.
         """
-        if not plan.filters:
-            return candidate_ids
-        pushable = []
-        columnar = []
-        for filter_op in plan.filters:
-            condition = filter_op.condition
-            if (
-                condition.operator == "="
-                and len(condition.path) == 1
-                and isinstance(condition.value, (str, int, float, bool))
-                and _equality_probes(condition.value)
-            ):
-                pushable.append(condition)
-            else:
-                columnar.append(condition)
-        pushable.sort(
-            key=lambda condition: self.index.seed_selectivity(condition.path[0], condition.value)
-        )
-        ids = candidate_ids
-        for condition in pushable:
-            if not ids:
-                return []
-            matched = self._equality_match_ids(condition.path[0], condition.value, set(ids))
-            ids = [
-                entity_id
-                for entity_id in ids
-                if entity_id in matched
-                and self._evaluate_condition(documents[entity_id], condition)
-            ]
-        for condition in columnar:
-            if not ids:
-                return []
-            value_lists = self._walk_paths_batch(
-                [documents[entity_id] for entity_id in ids], condition.path
-            )
-            ids = [
-                entity_id
-                for entity_id, values in zip(ids, value_lists)
-                if self._match_values(values, condition.operator, condition.value)
-            ]
-        return ids
-
-    def _equality_match_ids(
-        self, predicate: str, target: object, candidate_ids: set[str]
-    ) -> set[str]:
-        """Candidates that *may* satisfy ``predicate = target``, via postings.
-
-        Unions the postings of every equality probe, plus — because a string
-        value may match by resolving to an entity whose *name* equals the
-        target — the postings of every entity id so named.  The result is a
-        superset of the true match set by construction; the caller verifies
-        each survivor with the exact condition on its document.
-        """
-        inverted = self.index.inverted
+        value_postings = self.index.inverted.value_postings
+        exact_name_postings = self.index.inverted.exact_name_postings
+        by_name = predicate == "name"
         superset: set[str] = set()
-        for probe in _equality_probes(target):
-            superset |= inverted.value_postings(predicate, probe)
-            if predicate == "name":
-                superset |= inverted.exact_name_postings(probe)
-            for named_id in inverted.exact_name_postings(probe):
+        for probe in probes:
+            superset |= value_postings(predicate, probe)
+            named = exact_name_postings(probe)
+            if by_name:
+                superset |= named
+            for named_id in named:
                 reference_key = normalize_string(named_id)
-                superset |= inverted.value_postings(predicate, reference_key)
-                if predicate == "name":
-                    superset |= inverted.exact_name_postings(reference_key)
-        return superset & candidate_ids
+                superset |= value_postings(predicate, reference_key)
+                if by_name:
+                    superset |= exact_name_postings(reference_key)
+        return superset
 
     # -------------------------------------------------------------- #
     # latency statistics
@@ -536,7 +569,13 @@ class QueryExecutor:
     def _project_batch(
         self, documents: list[LiveEntityDocument], plan: PhysicalPlan
     ) -> list[QueryResultRow]:
-        """Project *documents* to result rows: one display/walk batch per column."""
+        """Project *documents* to result rows with one display-name batch.
+
+        A single-hop column reads each document's own values
+        (:meth:`~repro.live.index.LiveEntityDocument.hop`); a multi-hop one
+        walks with one ``get_many`` per hop.  Every string that is the id of
+        a served, named document then reads as that name.
+        """
         returns = plan.project.returns
         if not returns or any(len(path) == 0 for path in returns):
             display = self._display_map(
@@ -552,11 +591,30 @@ class QueryExecutor:
                     row.values.setdefault(predicate, display.get(reference, reference))
                 rows.append(row)
             return rows
+        columns = [
+            [document.hop(path[0]) for document in documents]
+            if len(path) == 1
+            else self._walk_paths_batch(documents, path)
+            for path in returns
+        ]
+        display = self._display_map(
+            {
+                item
+                for value_lists in columns
+                for values in value_lists
+                for item in values
+                if isinstance(item, str)
+            }
+        )
         rows = [QueryResultRow(entity_id=document.entity_id) for document in documents]
-        for path in returns:
+        for path, value_lists in zip(returns, columns):
             column = ".".join(path)
-            value_lists = self._walk_paths_batch(documents, path, resolve_names=True)
             for row, values in zip(rows, value_lists):
+                if display:
+                    values = [
+                        display.get(item, item) if isinstance(item, str) else item
+                        for item in values
+                    ]
                 if not values:
                     row.values[column] = None
                 elif len(values) == 1:
@@ -580,26 +638,19 @@ class QueryExecutor:
                     if predicate == "name" and isinstance(item, str):
                         next_values.append(item)
                     continue
-                if predicate == "name" and doc.name:
-                    next_values.append(doc.name)
-                    continue
-                next_values.extend(doc.values(predicate))
+                next_values.extend(doc.hop(predicate))
             current = next_values
             if not current:
                 return []
         return current
 
     def _walk_paths_batch(
-        self,
-        documents: list[LiveEntityDocument],
-        path: tuple[str, ...],
-        resolve_names: bool = False,
+        self, documents: list[LiveEntityDocument], path: tuple[str, ...]
     ) -> list[list[object]]:
         """Walk *path* from every document at once: one ``get_many`` per hop.
 
         Returns one value list per input document, each identical to
-        ``_walk_path(document, path)``; *resolve_names* then replaces every
-        reference id that names a served document by that document's name.
+        ``_walk_path(document, path)``.
         """
         frontiers: list[list[object]] = [[document] for document in documents]
         for predicate in path:
@@ -623,19 +674,8 @@ class QueryExecutor:
                             continue
                     else:
                         continue
-                    if predicate == "name" and doc.name:
-                        next_values.append(doc.name)
-                        continue
-                    next_values.extend(doc.values(predicate))
+                    next_values.extend(doc.hop(predicate))
                 frontiers[position] = next_values
-        if resolve_names:
-            display = self._display_map(
-                {item for frontier in frontiers for item in frontier if isinstance(item, str)}
-            )
-            return [
-                [display.get(item, item) if isinstance(item, str) else item for item in frontier]
-                for frontier in frontiers
-            ]
         return frontiers
 
     def _display_map(self, references: Iterable[str]) -> dict[str, object]:

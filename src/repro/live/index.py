@@ -13,12 +13,22 @@ the replicas of one process share the documents a shipped batch decodes to
 (:meth:`repro.serving.shipping.ShipmentBatch.documents`), and each index
 diffs a new document against the one it replaces instead of keeping a
 reverse map of its own.
+
+The key-value store also keeps, per ``(feed, type)``, the partition's ids in
+id order and, built on the first read after the partition changed, a numeric
+column per queried predicate (:meth:`GraphKVStore.numeric_column`): the
+access pattern "a type of one feed, in id order, compared on one predicate"
+that type scans and range filters read.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
+import math
+from array import array
+from bisect import bisect_left, insort
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -71,6 +81,13 @@ class LiveEntityDocument:
             values.append(self.references[predicate])
         return values
 
+    def hop(self, predicate: str) -> list[object]:
+        """What one hop of a KGQ path reads here: the name for ``name``
+        when the document has one, else :meth:`values`."""
+        if predicate == "name" and self.name:
+            return [self.name]
+        return self.values(predicate)
+
     def merged(self, other: "LiveEntityDocument") -> "LiveEntityDocument":
         """This document updated by a newer one (streaming upsert), as a new value.
 
@@ -118,22 +135,53 @@ class LiveEntityDocument:
         return self._edges
 
 
+class _Partition:
+    """The ids of one ``(feed, type)`` partition in id order, a change count,
+    and the numeric columns built from it (each stamped with the count it
+    was built at)."""
+
+    __slots__ = ("ids", "changes", "columns")
+
+    def __init__(self) -> None:
+        self.ids: list[str] = []
+        self.changes = 0
+        self.columns: dict[str, tuple[int, array, array]] = {}
+
+
+def _numeric_bounds(values: Iterable[object]) -> tuple[float, float]:
+    """``(min, max)`` of the values ``float()`` accepts, NaN skipped;
+    ``(inf, -inf)`` when there are none."""
+    low, high = math.inf, -math.inf
+    for value in values:
+        try:
+            number = float(value)  # type: ignore[arg-type]
+        except (TypeError, ValueError):
+            continue
+        if number < low:
+            low = number
+        if number > high:
+            high = number
+    return low, high
+
+
 class GraphKVStore:
     """Key-value store of live entity documents: one dict, one owner.
 
     Scale-out is the replica fleet's job (every replica holds its own
     :class:`LiveIndex`; placement across replicas is
     :meth:`repro.serving.router.ShardRouter.owners`), so inside one index a
-    document lives in exactly one dict.  A per-type partition index serves
-    :meth:`by_type` / :meth:`ids_by_type` in time proportional to the
-    partition instead of scanning the store — the entry point the KGQ
-    executor seeds type scans from.
+    document lives in exactly one dict.  Beside it every ``(source_id,
+    entity_type)`` pair has a partition: its ids in id order, so a type scan
+    reads them without sorting and a feed-scoped scan reads no other feed's
+    rows.  A partition counts its changes, and :meth:`numeric_column` builds
+    a column on first read after the count moved, so applying a document
+    costs the partition one counter bump and no column work.
     """
 
     def __init__(self) -> None:
         self._documents: dict[str, LiveEntityDocument] = {}
-        # entity_type -> ids; "" holds untyped documents.
-        self._by_type: dict[str, set[str]] = defaultdict(set)
+        # (source_id, entity_type) -> partition; "" is the untyped type.
+        self._id_partitions: dict[tuple[str, str], _Partition] = {}
         self.reads = 0
 
     def put(self, document: LiveEntityDocument) -> LiveEntityDocument | None:
@@ -150,18 +198,35 @@ class GraphKVStore:
         entity_id = document.entity_id
         previous = self._documents.get(entity_id)
         self._documents[entity_id] = document
-        if previous is None or previous.entity_type != document.entity_type:
-            if previous is not None:
-                self._discard_type(previous.entity_type, entity_id)
-            self._by_type[document.entity_type].add(entity_id)
+        if (
+            previous is not None
+            and previous.source_id == document.source_id
+            and previous.entity_type == document.entity_type
+        ):
+            self._id_partitions[(document.source_id, document.entity_type)].changes += 1
+            return previous
+        if previous is not None:
+            self._unlist(previous)
+        key = (document.source_id, document.entity_type)
+        partition = self._id_partitions.get(key)
+        if partition is None:
+            partition = self._id_partitions[key] = _Partition()
+        ids = partition.ids
+        if not ids or ids[-1] < entity_id:
+            ids.append(entity_id)
+        else:
+            insort(ids, entity_id)
+        partition.changes += 1
         return previous
 
-    def _discard_type(self, entity_type: str, entity_id: str) -> None:
-        partition = self._by_type.get(entity_type)
-        if partition is not None:
-            partition.discard(entity_id)
-            if not partition:
-                del self._by_type[entity_type]
+    def _unlist(self, document: LiveEntityDocument) -> None:
+        key = (document.source_id, document.entity_type)
+        partition = self._id_partitions[key]
+        ids = partition.ids
+        del ids[bisect_left(ids, document.entity_id)]
+        partition.changes += 1
+        if not ids:
+            del self._id_partitions[key]
 
     def get(self, entity_id: str) -> LiveEntityDocument | None:
         """Point lookup by entity id."""
@@ -187,27 +252,55 @@ class GraphKVStore:
         """Remove a document and return it (``None`` when absent)."""
         document = self._documents.pop(entity_id, None)
         if document is not None:
-            self._discard_type(document.entity_type, entity_id)
+            self._unlist(document)
         return document
 
-    def by_type(self, entity_type: str) -> list[LiveEntityDocument]:
-        """All documents of one entity type, ordered by entity id.
+    def partition(self, feed: str, entity_type: str) -> list[str]:
+        """The ids of *feed*'s documents of *entity_type*, in id order.
 
-        Served from the type partition index — cost is proportional to the
-        partition, not the store.
+        Returned without copying; callers must treat it as frozen.
         """
+        partition = self._id_partitions.get((feed, entity_type))
+        return partition.ids if partition is not None else []
+
+    def partition_feeds(self, entity_type: str) -> list[str]:
+        """The feeds holding documents of *entity_type*."""
+        return [feed for feed, held_type in self._id_partitions if held_type == entity_type]
+
+    def by_type(self, entity_type: str) -> list[LiveEntityDocument]:
+        """All documents of one entity type, ordered by entity id: the
+        type's partitions merged."""
         self.reads += 1
         documents = self._documents
-        return [documents[entity_id] for entity_id in sorted(self._by_type.get(entity_type, ()))]
+        runs = [self.partition(feed, entity_type) for feed in self.partition_feeds(entity_type)]
+        return [documents[entity_id] for entity_id in heapq.merge(*runs)]
 
-    def ids_by_type(self, entity_type: str) -> set[str]:
-        """The id partition of one entity type (read-only view — do not mutate).
+    def numeric_column(
+        self, feed: str, entity_type: str, predicate: str
+    ) -> tuple[array, array]:
+        """``(low, high)``: per id of :meth:`partition`, the least and greatest
+        of the row's *predicate* values that ``float()`` accepts (NaN
+        skipped; ``inf`` / ``-inf`` when there are none).
 
-        ``""`` addresses the untyped partition.  Returned without copying so
-        the executor can intersect candidate sets against it; callers must
-        treat it as frozen.
+        Some value ``v`` has ``float(v) > t`` exactly when ``high > t``, and
+        ``float(v) < t`` exactly when ``low < t``.  The values are those one
+        KGQ path hop reads (:meth:`LiveEntityDocument.hop`).  Rebuilt on the
+        first read after the partition changed.
         """
-        return self._by_type.get(entity_type, _EMPTY_IDS)  # type: ignore[return-value]
+        partition = self._id_partitions.get((feed, entity_type))
+        if partition is None:
+            return array("d"), array("d")
+        built = partition.columns.get(predicate)
+        if built is not None and built[0] == partition.changes:
+            return built[1], built[2]
+        low, high = array("d"), array("d")
+        documents = self._documents
+        for entity_id in partition.ids:
+            row_low, row_high = _numeric_bounds(documents[entity_id].hop(predicate))
+            low.append(row_low)
+            high.append(row_high)
+        partition.columns[predicate] = (partition.changes, low, high)
+        return low, high
 
     def __iter__(self) -> Iterator[LiveEntityDocument]:
         return iter(self._documents.values())

@@ -266,17 +266,9 @@ class ReplicaNode:
             plan = query
         else:
             plan = self.planner.plan(parse(query) if isinstance(query, str) else query)
-        scope = None
-        reach_feed = ""
-        if view_name is not None:
-            feed = f"view:{view_name}"
-            reach_feed = feed
-
-            def scope(document, feed=feed):
-                return document.source_id == feed
-
+        feed = None if view_name is None else f"view:{view_name}"
         with self._apply_lock:
-            result = self.executor.execute(plan, scope=scope, reach_feed=reach_feed)
+            result = self.executor.execute(plan, feed=feed, reach_feed=feed or "")
         self.local_queries += 1
         return result
 

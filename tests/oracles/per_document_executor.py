@@ -18,11 +18,10 @@ also verifies every postings hit with.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.errors import KGQPlanError
 from repro.live.executor import QueryExecutor, QueryResultRow
 from repro.live.index import LiveEntityDocument
+from repro.live.kgq import Condition
 from repro.live.planner import IndexLookup, PhysicalPlan, TypeScan
 
 
@@ -32,40 +31,42 @@ class PerDocumentExecutor(QueryExecutor):
     def match_documents(
         self,
         plan: PhysicalPlan,
-        scope: Callable[[LiveEntityDocument], bool] | None = None,
+        feed: str | None = None,
         apply_limit: bool = True,
     ) -> tuple[list[LiveEntityDocument], int]:
         limit = plan.limit.limit if apply_limit and plan.limit is not None else None
         candidates = self._seed_candidates(plan)
-        if scope is not None:
-            candidates = [document for document in candidates if scope(document)]
+        if feed is not None:
+            candidates = [document for document in candidates if document.source_id == feed]
         query_type = plan.query.entity_type
         examined = 0
         survivors = []
         for document in candidates:
+            if limit is not None and len(survivors) >= limit and not plan.filters:
+                break
             examined += 1
             if document.entity_type and query_type and document.entity_type != query_type:
                 continue
             if all(self._evaluate_condition(document, f.condition) for f in plan.filters):
                 survivors.append(document)
-                if limit is not None and len(survivors) >= limit and not plan.filters:
-                    break
         if limit is not None:
             survivors = survivors[:limit]
         return survivors, examined
 
     def _seed_candidates(self, plan: PhysicalPlan) -> list[LiveEntityDocument]:
+        """Every document of the scanned type, or every document satisfying
+        the lookup's condition — the index is not consulted for the latter,
+        so a postings probe that misses a match shows as a difference."""
         seed = plan.seed
         if isinstance(seed, TypeScan):
             return self.index.kv.by_type(seed.entity_type)
         if isinstance(seed, IndexLookup):
-            predicate = seed.predicate_path[0]
-            if predicate in ("name", "alias"):
-                entity_ids = self.index.inverted.lookup_name(str(seed.value))
-            else:
-                entity_ids = self.index.inverted.lookup_value(predicate, seed.value)
-            documents = [self.index.get(entity_id) for entity_id in sorted(entity_ids)]
-            return [document for document in documents if document is not None]
+            condition = Condition(seed.predicate_path, seed.operator, seed.value)
+            documents = sorted(self.index.kv, key=lambda document: document.entity_id)
+            return [
+                document for document in documents
+                if self._evaluate_condition(document, condition)
+            ]
         raise KGQPlanError(f"unknown seed operator {seed!r}")
 
     def _project_batch(

@@ -8,7 +8,8 @@ and the per-document reference loop return
 suite) proves it over random document universes and random plans: index and
 type-scan seeds, ``=`` / ``!=`` / ``<`` / ``>`` / CONTAINS filters over
 one- and two-hop paths, multi-hop projections, ``RETURN *``, limits, and
-scoped (feed-style) execution — plus the same queries routed through a real
+feed-scoped execution over universes whose documents span several feeds
+and sometimes change type — plus the same queries routed through a real
 ``QueryRouter`` fleet whose replicas run either one.
 
 ``src/`` holds the set-based executor only; the per-document loop is the
@@ -18,20 +19,24 @@ and ``PerDocumentExecutor(index)``.
 
 The fixed tests pin the cross-type equality semantics the postings probes
 must preserve (``3`` vs ``3.0`` vs ``"3"`` vs ``True``, reference-by-name
-matches) and the exact LIMIT early-break ``candidates_examined`` counts.
+matches) whether a condition seeds or filters, the range semantics the
+numeric columns must preserve (multi-valued facts, numeric strings, bools,
+NaN, unparsable strings, references, non-numeric targets), and the exact
+LIMIT early-break ``candidates_examined`` counts.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 from oracles.per_document_executor import PerDocumentExecutor
-from repro.hashing import stable_hash
 from repro.live.executor import LATENCY_WINDOW, QueryExecutor
 from repro.live.index import LiveEntityDocument, LiveIndex
 from repro.live.kgq import Condition, Query, parse
 from repro.live.planner import (
     FilterOp,
+    LimitOp,
     PhysicalPlan,
     ProjectOp,
     QueryPlanner,
@@ -52,10 +57,15 @@ LAST = ("Lovelace", "Hopper", "Turing", "Dijkstra", "Liskov")
 VALUE_POOL = (0, 1, 2, 3, 7, 2.5, 3.0, True, False, "3", "seven")
 
 
+FEEDS = ("view:a", "view:b", "stream")
+
+
 def build_universe(rng: random.Random) -> LiveIndex:
-    """A random live index: typed/untyped docs, mixed-type facts, references."""
+    """A random live index: typed/untyped docs over 2-3 feeds, mixed-type
+    facts, references, and some documents re-upserted under another type."""
     index = LiveIndex()
     count = rng.randint(25, 45)
+    feeds = FEEDS[: rng.randint(2, 3)]
     entity_ids = [f"e{i:02d}" for i in range(count)]
     for position, entity_id in enumerate(entity_ids):
         facts: dict[str, list[object]] = {}
@@ -79,10 +89,15 @@ def build_universe(rng: random.Random) -> LiveIndex:
                 name=f"{rng.choice(FIRST)} {rng.choice(LAST)}" if rng.random() < 0.75 else "",
                 facts=facts,
                 references=references,
+                source_id=rng.choice(feeds),
                 timestamp=1,
                 is_live=True,
             )
         )
+    for entity_id in rng.sample(entity_ids, count // 5):
+        index.replace(dataclasses.replace(
+            index.get(entity_id), entity_type=rng.choice(TYPES), timestamp=2
+        ))
     return index
 
 
@@ -145,10 +160,10 @@ def both_modes(index: LiveIndex) -> tuple[QueryExecutor, QueryExecutor]:
     return QueryExecutor(index), PerDocumentExecutor(index)
 
 
-def assert_modes_agree(index: LiveIndex, plan, scope=None):
+def assert_modes_agree(index: LiveIndex, plan, feed=None):
     executor, reference_executor = both_modes(index)
-    vectorized = executor.execute(plan, scope=scope)
-    reference = reference_executor.execute(plan, scope=scope)
+    vectorized = executor.execute(plan, feed=feed)
+    reference = reference_executor.execute(plan, feed=feed)
     assert rows_of(vectorized) == rows_of(reference), plan.explain()
     assert vectorized.candidates_examined == reference.candidates_examined, plan.explain()
 
@@ -163,18 +178,15 @@ def test_vectorized_equivalence_seeded(kgq_seed):
 
 
 def test_vectorized_equivalence_scoped_seeded(kgq_seed):
-    """Scoped execution (how a replica confines a query) agrees across modes too."""
+    """Feed-scoped execution (how a replica serves one view) agrees across
+    modes, for every feed the universe holds and unscoped."""
     rng = random.Random(87_000 + kgq_seed)
     index = build_universe(rng)
     planner = QueryPlanner(selectivity=index.seed_selectivity)
-    modulus = rng.randint(2, 4)
-
-    def scope(document):
-        return stable_hash(document.entity_id) % modulus != 0
-
     for _ in range(6):
         plan = planner.plan(random_query(rng, index))
-        assert_modes_agree(index, plan, scope=scope)
+        for feed in (None, *FEEDS):
+            assert_modes_agree(index, plan, feed=feed)
 
 
 # ------------------------------------------------------------------ #
@@ -235,9 +247,10 @@ def test_vectorized_equality_matches_cross_type_values():
         assert_modes_agree(index, plan)
         result = executor.execute(plan)
         assert [row.entity_id for row in result.rows] == expected, target
-        # Pushed into the seed the match is exact-normalized; both modes
-        # must still agree on that narrower answer.
-        assert_modes_agree(index, planner.plan(plan.query))
+        # Pushed into the seed, the same condition matches the same rows.
+        seeded = planner.plan(plan.query)
+        assert_modes_agree(index, seeded)
+        assert [row.entity_id for row in executor.execute(seeded).rows] == expected, target
 
 
 def test_vectorized_equality_matches_references_by_name():
@@ -256,6 +269,87 @@ def test_vectorized_equality_matches_references_by_name():
     result = executor.execute(plan)
     assert [row.entity_id for row in result.rows] == ["g1"]
     assert result.rows[0].values["home_team.name"] == "Springfield Wolves"
+
+
+def test_rows_do_not_depend_on_which_condition_seeds():
+    """An index seed verifies its condition like a filter: a name seed does
+    not match an alias, and a value seed matches ``3.0`` for ``3``, so the
+    cost-based seed choice (moved here by five more ``Beta`` documents)
+    cannot change the rows."""
+    a = doc("a", name="Alpha", facts={"alias": ["Beta"], "score": [3.0], "genre": ["rock"]})
+    b = doc("b", name="Beta", facts={"score": [3], "genre": ["rock"]})
+    others = [doc(f"x{i}", name="Beta", facts={"score": [3], "genre": ["pop"]}) for i in range(5)]
+    for text, expected in (
+        ('MATCH thing WHERE genre = "rock" AND name = "Beta" RETURN name', ["b"]),
+        ('MATCH thing WHERE genre = "rock" AND score = 3 RETURN name', ["a", "b"]),
+    ):
+        seeds = set()
+        for documents in ([a, b], [a, b, *others]):
+            index = make_index(documents)
+            plan = QueryPlanner(selectivity=index.seed_selectivity).plan(parse(text))
+            seeds.add(plan.seed.predicate_path)
+            assert_modes_agree(index, plan)
+            for executor in both_modes(index):
+                assert [row.entity_id for row in executor.execute(plan).rows] == expected, text
+        assert len(seeds) == 2, text        # the additions did move the seed
+
+
+# ------------------------------------------------------------------ #
+# range filters over the numeric columns
+# ------------------------------------------------------------------ #
+def test_range_filters_match_the_oracle_on_column_edge_cases():
+    index = make_index([
+        doc("m1", facts={"value": [1, 9]}),             # multi-valued
+        doc("m2", facts={"value": ["3.5"]}),            # numeric string
+        doc("m3", facts={"value": [True]}),             # a bool is 1.0
+        doc("m4", facts={"value": ["nan"]}),            # NaN compares false
+        doc("m5", facts={"value": ["abc", 6]}),         # unparsable beside a number
+        doc("m6", refs={"value": "7"}),                 # a reference under the predicate
+        doc("m7", facts={"value": [2]}, refs={"value": "m1"}),
+        doc("m8"),                                      # no value at all
+        doc("m9", facts={"value": [float("inf")]}),
+    ])
+    executor = QueryExecutor(index)
+    for operator, target, expected in (
+        (">", 5, ["m1", "m5", "m6", "m9"]),
+        ("<", 5, ["m1", "m2", "m3", "m7"]),
+        (">", 3.5, ["m1", "m5", "m6", "m9"]),
+        ("<", 1, []),
+        (">", 0.5, ["m1", "m2", "m3", "m5", "m6", "m7", "m9"]),
+        (">", True, ["m1", "m2", "m5", "m6", "m7", "m9"]),
+        (">", float("nan"), []),
+        (">", float("inf"), []),
+        # A non-numeric target takes the per-document path: "5" still
+        # compares as a number there, "abc" never does.
+        (">", "5", ["m1", "m5", "m6", "m9"]),
+        ("<", "abc", []),
+    ):
+        plan = filter_plan("thing", Condition(("value",), operator, target))
+        assert_modes_agree(index, plan)
+        assert [row.entity_id for row in executor.execute(plan).rows] == expected, (operator, target)
+
+
+def test_range_equality_and_limit_together_match_the_oracle():
+    index = make_index([
+        doc(f"r{i:02d}", facts={"value": [i % 7], "genre": ["rock" if i % 3 else "pop"]})
+        for i in range(30)
+    ])
+    planner = QueryPlanner(selectivity=index.seed_selectivity)
+    plans = [
+        planner.plan(parse('MATCH thing WHERE value > 3 AND genre = "rock" RETURN value LIMIT 4')),
+        filter_plan("thing", Condition(("value",), "<", 2)),
+    ]
+    conditions = [Condition(("value",), ">", 3), Condition(("genre",), "=", "rock")]
+    query = Query(entity_type="thing", conditions=conditions, returns=[("value",)], limit=4)
+    plans.append(PhysicalPlan(
+        query=query, seed=TypeScan("thing"), filters=[FilterOp(c) for c in conditions],
+        project=ProjectOp((("value",),)), limit=LimitOp(4),
+    ))
+    for plan in plans:
+        assert_modes_agree(index, plan)
+    result = QueryExecutor(index).execute(plans[2])
+    assert [row.entity_id for row in result.rows] == ["r04", "r05", "r11", "r13"]
+    assert result.candidates_examined == 30
 
 
 # ------------------------------------------------------------------ #

@@ -1,5 +1,7 @@
 """Tests for the live KV store and inverted graph index."""
 
+import dataclasses
+from array import array
 from types import SimpleNamespace
 
 from repro.hashing import stable_hash
@@ -142,10 +144,9 @@ def test_kv_store_get_many_and_type_partitions():
     fetched = store.get_many(["g2", "missing", "g1", "g2"])
     assert sorted(fetched) == ["g1", "g2"]
     assert fetched["g2"].name == "Game 2"
-    assert store.ids_by_type("sports_game") == {"g1", "g2"}
-    assert store.ids_by_type("") == {"u1"}
-    assert store.ids_by_type("absent") == frozenset()
     assert [d.entity_id for d in store.by_type("sports_game")] == ["g1", "g2"]
+    assert [d.entity_id for d in store.by_type("")] == ["u1"]
+    assert store.by_type("absent") == []
     # get_many counts one batched read, not one per id.
     reads_before = store.reads
     store.get_many(["g1", "g2", "t1"])
@@ -155,13 +156,49 @@ def test_kv_store_get_many_and_type_partitions():
 def test_kv_store_type_change_moves_partition():
     store = GraphKVStore()
     store.put(doc("x1", "Thing", entity_type="draft"))
-    assert store.ids_by_type("draft") == {"x1"}
+    assert [d.entity_id for d in store.by_type("draft")] == ["x1"]
     store.put(doc("x1", "Thing", entity_type="published", timestamp=2))
-    assert store.ids_by_type("draft") == frozenset()     # empty partition pruned
-    assert store.ids_by_type("published") == {"x1"}
+    assert store.by_type("draft") == []
+    assert store.partition_feeds("draft") == []          # empty partition pruned
     assert [d.entity_id for d in store.by_type("published")] == ["x1"]
     store.pop("x1")
-    assert store.ids_by_type("published") == frozenset()
+    assert store.by_type("published") == []
+
+
+def test_kv_store_partitions_are_per_feed_and_in_id_order():
+    store = GraphKVStore()
+    for entity_id, feed in (("g3", "view:a"), ("g1", "view:b"), ("g2", "view:a"), ("g0", "view:a")):
+        store.replace(dataclasses.replace(doc(entity_id, entity_id), source_id=feed))
+    assert store.partition("view:a", "sports_game") == ["g0", "g2", "g3"]
+    assert store.partition("view:b", "sports_game") == ["g1"]
+    assert sorted(store.partition_feeds("sports_game")) == ["view:a", "view:b"]
+    assert [d.entity_id for d in store.by_type("sports_game")] == ["g0", "g1", "g2", "g3"]
+    store.replace(dataclasses.replace(doc("g2", "g2"), source_id="view:b"))   # moves feed
+    assert store.partition("view:a", "sports_game") == ["g0", "g3"]
+    assert store.partition("view:b", "sports_game") == ["g1", "g2"]
+    store.pop("g0")
+    assert store.partition("view:a", "sports_game") == ["g3"]
+
+
+def test_kv_store_numeric_column_bounds_and_staleness():
+    store = GraphKVStore()
+    rows = {
+        "a": {"score": [3, "7.5", "x"]},
+        "b": {"score": ["nan"]},
+        "c": {},
+        "d": {"score": [True, -2]},
+    }
+    for entity_id, facts in rows.items():
+        store.replace(doc(entity_id, entity_id, facts=facts))
+    low, high = store.numeric_column("", "sports_game", "score")
+    inf = float("inf")
+    assert list(low) == [3.0, inf, inf, -2.0]
+    assert list(high) == [7.5, -inf, -inf, 1.0]
+    assert store.numeric_column("", "sports_game", "score")[0] is low     # cached
+    store.replace(doc("c", "c", facts={"score": [10]}))
+    low, high = store.numeric_column("", "sports_game", "score")
+    assert list(high) == [7.5, -inf, 10.0, 1.0]
+    assert store.numeric_column("", "absent", "score") == (array("d"), array("d"))
 
 
 def test_live_index_seed_selectivity_reports_postings_sizes():

@@ -10,7 +10,9 @@ edge predicate) are checked after every step against a fresh
 :class:`~repro.live.index.LiveIndex` loaded with the documents that
 survived: the documents served (the very objects), every postings map, the
 forward / reverse bitmaps and the interval encodings, compared in node-name
-space because the two indexes intern nodes in different orders.  Replicas
+space because the two indexes intern nodes in different orders, every
+``(feed, type)`` id partition, and every numeric column read so far (columns
+are read between steps, so a column left stale by an apply shows).  Replicas
 in one process share the documents a batch decodes to, so the same
 sequence also runs through two indexes holding the same objects, one a step
 behind the other; and a streaming upsert must leave a document another
@@ -26,7 +28,10 @@ import dataclasses
 import random
 from typing import Callable
 
+from repro.live.executor import QueryExecutor
 from repro.live.index import LiveEntityDocument, LiveIndex
+from repro.live.kgq import parse
+from repro.live.planner import QueryPlanner
 from repro.live.rpq import _iter_bits
 
 SUBJECTS = [f"s{i:02d}" for i in range(12)]
@@ -123,6 +128,23 @@ def assert_index_equals_rebuild(index: LiveIndex, documents: dict[str, LiveEntit
     assert mine._value_postings == theirs._value_postings
     for feed in ["", "view:other", *(f"view:{view}" for view in VIEWS)]:
         assert graph_state(index, feed) == graph_state(fresh, feed), feed
+    assert partition_state(index) == partition_state(fresh)
+    for (feed, entity_type), partition in index.kv._id_partitions.items():
+        for predicate in list(partition.columns):
+            assert index.kv.numeric_column(feed, entity_type, predicate) == (
+                fresh.kv.numeric_column(feed, entity_type, predicate)
+            ), (feed, entity_type, predicate)
+
+
+def partition_state(index: LiveIndex) -> dict[tuple[str, str], list[str]]:
+    """Every ``(feed, type)`` partition's ids, as the index orders them."""
+    return {key: list(partition.ids) for key, partition in index.kv._id_partitions.items()}
+
+
+def build_columns(rng: random.Random, index: LiveIndex) -> None:
+    """Read a column or two, as range queries would between applies."""
+    for feed, entity_type in rng.sample(sorted(partition_state(index)), min(2, len(partition_state(index)))):
+        index.kv.numeric_column(feed, entity_type, rng.choice(("popularity", "part_of", "knows")))
 
 
 #: One step of a sequence: apply it to an index, and the documents served after it.
@@ -196,28 +218,55 @@ def random_steps(rng: random.Random) -> list[Step]:
 
 
 def test_index_diff_apply_matches_a_rebuild(index_seed):
+    rng = random.Random(47000 + index_seed)
     index = LiveIndex()
-    for apply, documents in random_steps(random.Random(47000 + index_seed)):
+    for apply, documents in random_steps(rng):
         apply(index)
         assert_index_equals_rebuild(index, documents)
+        build_columns(rng, index)
 
 
 def test_indexes_sharing_documents_each_match_a_rebuild(index_seed):
     """Two indexes apply the same document objects, one a step behind (a
     lagging replica): neither disturbs what the other holds."""
-    steps = random_steps(random.Random(48000 + index_seed))
+    rng = random.Random(48000 + index_seed)
+    steps = random_steps(rng)
     leader, follower = LiveIndex(), LiveIndex()
     for position, (apply, documents) in enumerate(steps):
         apply(leader)
         assert_index_equals_rebuild(leader, documents)
+        build_columns(rng, leader)
         if position:
             lagged, lagged_documents = steps[position - 1]
             lagged(follower)
             assert_index_equals_rebuild(follower, lagged_documents)
+            build_columns(rng, follower)
     if steps:
         apply, documents = steps[-1]
         apply(follower)
         assert_index_equals_rebuild(follower, documents)
+
+
+def test_a_range_query_sees_a_delta_applied_after_its_column_was_built():
+    feed = "view:a"
+    rows = [
+        LiveEntityDocument(
+            entity_id=f"a:{subject}", entity_type="node", name=subject,
+            facts={"popularity": [position / 10]}, source_id=feed, timestamp=1,
+        )
+        for position, subject in enumerate(SUBJECTS)
+    ]
+    index = LiveIndex()
+    index.replace_feed(feed, rows, 1)
+    executor = QueryExecutor(index)
+    plan = QueryPlanner().plan(parse("MATCH node WHERE popularity > 0.95 RETURN name"))
+    assert [row.entity_id for row in executor.execute(plan, feed=feed).rows] == ["a:s10", "a:s11"]
+    moved = dataclasses.replace(rows[3], facts={"popularity": [2.0]}, timestamp=2)
+    index.apply_feed_delta(feed, [moved], [], 2)      # the partition's ids stay as they were
+    assert [row.entity_id for row in executor.execute(plan, feed=feed).rows] == [
+        "a:s03", "a:s10", "a:s11",
+    ]
+    assert index.kv.numeric_column(feed, "node", "popularity")[1][3] == 2.0
 
 
 def test_streaming_upsert_leaves_a_document_another_index_holds_unchanged():

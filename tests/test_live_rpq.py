@@ -227,7 +227,7 @@ def test_bitmap_rpq_matches_naive_bfs_over_seeded_graphs(rpq_seed):
     rng = random.Random(47000 + rpq_seed)
     index = _random_graph_index(rng)
     planner = QueryPlanner(selectivity=index.seed_selectivity)
-    documents = [index.get(eid) for eid in sorted(index.kv.ids_by_type("node"))]
+    documents = index.kv.by_type("node")
     queries = rng.sample(REACH_BATTERY, k=4)
     for text in queries:
         plan = planner.plan(parse(text))
