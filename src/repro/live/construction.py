@@ -52,25 +52,34 @@ class EntityResolutionClient:
     Wraps anything exposing ``link_mention(mention, context_values=...,
     type_hints=...)`` (both :class:`repro.ml.nerd.NERDService` and the legacy
     baseline do) and caches answers, since live feeds repeat the same
-    references on every update.
+    references on every update.  An answer is cached per mention, context and
+    type hints, and only until the service applies its next delta: a service
+    that follows the log counts its deltas in ``deltas_applied``, and a
+    change of that count drops the cache (a service without the counter
+    never changes, so its answers are kept).
     """
 
     def __init__(self, service, confidence_threshold: float = 0.6) -> None:
         self.service = service
         self.confidence_threshold = confidence_threshold
-        self._cache: dict[tuple[str, tuple[str, ...]], str | None] = {}
+        self._cache: dict[tuple[str, tuple[str, ...], tuple[str, ...]], str | None] = {}
+        self._cached_at = 0
         self.calls = 0
 
     def resolve(
         self, mention: str, context_values: Sequence[str] = (), type_hints: tuple[str, ...] = ()
     ) -> str | None:
         """Return the stable entity id for *mention*, or ``None``."""
-        key = (mention.lower(), tuple(type_hints))
+        deltas_applied = getattr(self.service, "deltas_applied", 0)
+        if deltas_applied != self._cached_at:
+            self._cache.clear()
+            self._cached_at = deltas_applied
+        key = (mention.lower(), tuple(context_values), tuple(type_hints))
         if key in self._cache:
             return self._cache[key]
         self.calls += 1
         result = self.service.link_mention(
-            mention, context_values=tuple(context_values), type_hints=type_hints
+            mention, context_values=key[1], type_hints=type_hints
         )
         entity_id = (
             result.entity_id

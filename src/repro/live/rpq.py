@@ -3,9 +3,11 @@
 This module gives the KGQ REACH clause (:mod:`repro.live.kgq`) its runtime:
 
 * **Automaton compilation** — a REACH expression compiles through a Thompson
-  construction into an epsilon-free NFA (:func:`compile_automaton`), so
-  evaluation is a product construction over (node, automaton-state) pairs and
-  never re-interprets the regex.
+  construction and epsilon elimination into an NFA (:func:`compile_nfa`),
+  then by subset construction and Moore refinement into its minimal DFA
+  (:func:`compile_automaton`, memoised per expression), so evaluation is a
+  product construction over (node, DFA-state) pairs, never re-interprets the
+  regex, and reaches each node in as few states as the language allows.
 * **Per-predicate compressed adjacency** — :class:`AdjacencyIndex` maintains,
   per feed and per edge label, forward and reverse adjacency rows as packed
   bitsets (arbitrary-precision ints over dense node ordinals), kept
@@ -29,15 +31,19 @@ This module gives the KGQ REACH clause (:mod:`repro.live.kgq`) its runtime:
   scanning documents and runs a plain set-based BFS; it is the oracle the
   seeded equivalence suite (and the BENCH_RPQ gate) compares against.
 
-The product BFS of :class:`RpqEvaluator` is round-synchronised
-(:func:`expand_product_entries`, :func:`merge_frontier`,
-:func:`accepting_answers`); primary and replicas run the same evaluator, a
-replica over the ``view:X`` feed of the view it serves.
+The product BFS of :class:`RpqEvaluator` is round-synchronised: a round
+drops every already-visited pair before it builds anything, keeps the least
+``(parent witness, edge)`` per new pair, and builds one witness tuple per
+survivor (:func:`accepting_answers` projects the visited pairs onto
+answers).  Primary and replicas run the same evaluator, a replica over the
+``view:X`` feed of the view it serves.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import functools
+from dataclasses import dataclass
+from typing import Container, Iterable, Iterator
 
 from repro.live.kgq import RpqAlt, RpqConcat, RpqExpr, RpqLabel, RpqPlus, RpqStar
 
@@ -49,31 +55,38 @@ FrontierEntry = tuple[str, int, Witness]
 
 
 # ------------------------------------------------------------------ #
-# automaton compilation (Thompson construction, epsilon-eliminated)
+# automaton compilation (Thompson, epsilon elimination, minimal DFA)
 # ------------------------------------------------------------------ #
-class Automaton:
-    """Epsilon-free NFA over edge labels, compiled from a REACH expression.
+#: How many compiled expressions :func:`compile_automaton` keeps.  A REACH
+#: text names its seeds inline, so texts rarely repeat, but a workload holds
+#: only a handful of distinct expressions.
+COMPILED_EXPRESSIONS = 256
 
-    ``transitions`` maps each state to its outgoing ``(predicate, inverse,
-    next_state)`` edges; states are numbered compactly in a deterministic
-    BFS order from ``start``, so the same expression compiles to the same
-    automaton in every process — a requirement for distributed evaluation,
-    where primary and replicas must agree on state identity.
+#: Outgoing edges of one state: ``(predicate, inverse, next_state)``, sorted.
+Transitions = tuple[tuple[str, bool, int], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class Automaton:
+    """Finite automaton over edge labels, compiled from a REACH expression.
+
+    ``transitions[state]`` holds the state's outgoing ``(predicate, inverse,
+    next_state)`` edges; states are numbered ``0 .. num_states - 1`` in a
+    deterministic BFS order from ``start`` (edges explored in sorted label
+    order), so the same expression compiles to the same automaton in every
+    process — a requirement for distributed evaluation, where primary and
+    replicas must agree on state identity.  Immutable: one compiled
+    automaton is shared by every plan of its expression.
     """
 
-    __slots__ = ("start", "accepting", "transitions", "num_states")
+    accepting: frozenset[int]
+    transitions: tuple[Transitions, ...]
+    start: int = 0
 
-    def __init__(
-        self,
-        start: int,
-        accepting: frozenset[int],
-        transitions: dict[int, tuple[tuple[str, bool, int], ...]],
-        num_states: int,
-    ) -> None:
-        self.start = start
-        self.accepting = accepting
-        self.transitions = transitions
-        self.num_states = num_states
+    @property
+    def num_states(self) -> int:
+        """One state per ``transitions`` entry."""
+        return len(self.transitions)
 
     def matches_empty(self) -> bool:
         """Whether the expression accepts the zero-length path (seeds answer)."""
@@ -124,8 +137,40 @@ class _NfaBuilder:
         raise TypeError(f"unknown RPQ expression node {expr!r}")
 
 
-def compile_automaton(expr: RpqExpr) -> Automaton:
-    """Compile a REACH expression into an epsilon-free :class:`Automaton`."""
+def _renumbered(
+    start: int, accepting: Container[int], edges: dict[int, list[tuple[str, bool, int]]]
+) -> Automaton:
+    """Keep the states reachable from *start*, renumbered in BFS order.
+
+    *edges* lists each state's outgoing edges sorted; exploring them in that
+    order makes the numbering depend only on the automaton's shape.
+    """
+    order = {start: 0}
+    queue = [start]
+    for state in queue:                       # grows while it is walked
+        for _, _, target in edges.get(state, ()):
+            if target not in order:
+                order[target] = len(order)
+                queue.append(target)
+    return Automaton(
+        accepting=frozenset(order[state] for state in queue if state in accepting),
+        transitions=tuple(
+            tuple(
+                (predicate, inverse, order[target])
+                for predicate, inverse, target in edges.get(state, ())
+            )
+            for state in queue
+        ),
+    )
+
+
+def compile_nfa(expr: RpqExpr) -> Automaton:
+    """Compile a REACH expression into an epsilon-free NFA.
+
+    The first step of :func:`compile_automaton`, callable on its own so the
+    seeded equivalence suite can run its reference BFS over an automaton the
+    minimisation never touched.
+    """
     builder = _NfaBuilder()
     start, accept = builder.build(expr)
 
@@ -146,37 +191,83 @@ def compile_automaton(expr: RpqExpr) -> Automaton:
     for source, predicate, inverse, target in builder.edges:
         for state in range(builder.count):
             if source in closures[state]:
-                outgoing = by_source.setdefault(state, set())
-                for landed in sorted(closures[target]):
-                    outgoing.add((predicate, inverse, landed))
+                by_source.setdefault(state, set()).update(
+                    (predicate, inverse, landed) for landed in closures[target]
+                )
+    return _renumbered(
+        start,
+        {state for state in range(builder.count) if accept in closures[state]},
+        {state: sorted(edges) for state, edges in by_source.items()},
+    )
 
-    # Keep only states reachable from the start, renumbered in BFS order
-    # (edges explored in sorted label order) for cross-process determinism.
-    order: dict[int, int] = {start: 0}
-    queue = [start]
-    while queue:
-        state = queue.pop(0)
-        for predicate, inverse, target in sorted(by_source.get(state, ())):
-            if target not in order:
-                order[target] = len(order)
-                queue.append(target)
-    transitions = {
-        order[state]: tuple(
-            (predicate, inverse, order[target])
-            for predicate, inverse, target in sorted(by_source.get(state, ()))
-            if target in order
-        )
-        for state in order
-    }
-    accepting = frozenset(
-        order[state] for state in order if accept in closures[state]
-    )
-    return Automaton(
-        start=0,
-        accepting=accepting,
-        transitions={state: edges for state, edges in transitions.items() if edges},
-        num_states=len(order),
-    )
+
+def _minimal_dfa(nfa: Automaton) -> Automaton:
+    """Subset construction over *nfa*, then Moore partition refinement.
+
+    DFA states are sorted tuples of NFA states and symbols are visited in
+    sorted order, so no step depends on set iteration order.  The DFA is
+    partial (a missing move is the implicit dead state); every Thompson
+    state can reach acceptance, so no live state is equivalent to the dead
+    one and the quotient is the minimal DFA.
+    """
+    subsets = [(nfa.start,)]
+    ids = {subsets[0]: 0}
+    moves: list[dict[tuple[str, bool], int]] = []
+    for subset in subsets:                    # grows while it is walked
+        targets: dict[tuple[str, bool], set[int]] = {}
+        for state in subset:
+            for predicate, inverse, target in nfa.transitions[state]:
+                targets.setdefault((predicate, inverse), set()).add(target)
+        move = {}
+        for symbol in sorted(targets):
+            landed = tuple(sorted(targets[symbol]))
+            if landed not in ids:
+                ids[landed] = len(subsets)
+                subsets.append(landed)
+            move[symbol] = ids[landed]
+        moves.append(move)
+    alphabet = sorted({symbol for move in moves for symbol in move})
+
+    # Moore refinement: split blocks by (block, block of each move) until
+    # the block count stops growing; -1 stands for the dead state.
+    accepts = [any(s in nfa.accepting for s in subset) for subset in subsets]
+    blocks = [int(accept) for accept in accepts]
+    count = len(set(blocks))
+    while True:
+        signatures: dict[tuple[int, ...], int] = {}
+        blocks = [
+            signatures.setdefault(
+                (blocks[state],) + tuple(blocks[move[s]] if s in move else -1 for s in alphabet),
+                len(signatures),
+            )
+            for state, move in enumerate(moves)
+        ]
+        if len(signatures) == count:
+            break
+        count = len(signatures)
+
+    edges: dict[int, list[tuple[str, bool, int]]] = {}
+    for state, move in enumerate(moves):
+        if blocks[state] not in edges:        # any member speaks for its block
+            edges[blocks[state]] = [
+                (predicate, inverse, blocks[target])
+                for (predicate, inverse), target in move.items()
+            ]
+    accepting = {block for block, accept in zip(blocks, accepts) if accept}
+    return _renumbered(blocks[0], accepting, edges)
+
+
+@functools.lru_cache(maxsize=COMPILED_EXPRESSIONS)
+def compile_automaton(expr: RpqExpr) -> Automaton:
+    """Compile a REACH expression into its minimal DFA, once per expression.
+
+    Thompson construction, epsilon elimination (:func:`compile_nfa`), subset
+    construction and Moore refinement.  The language is unchanged, so the
+    accepted edge sequences — and with them every answer's canonical
+    witness — are those of the NFA.  Memoised on the frozen expression: every
+    plan of one expression shares one read-only :class:`Automaton`.
+    """
+    return _minimal_dfa(compile_nfa(expr))
 
 
 def single_label_closure(expr: RpqExpr) -> tuple[str, bool, bool] | None:
@@ -443,66 +534,6 @@ class AdjacencyIndex:
 # ------------------------------------------------------------------ #
 # the product BFS, one round at a time
 # ------------------------------------------------------------------ #
-def expand_product_entries(
-    graph: _FeedGraph | None, automaton: Automaton, entries: Iterable[FrontierEntry]
-) -> list[FrontierEntry]:
-    """One product-BFS step: every successor of every frontier entry.
-
-    Successor sets come from the bitmap rows (forward for plain labels,
-    reverse for ``^label``); each candidate's witness is the entry's witness
-    *times* (concatenated with) the traversed edge.
-    """
-    candidates: list[FrontierEntry] = []
-    if graph is None:
-        return candidates
-    names = graph.names
-    for node, state, witness in entries:
-        edges = automaton.transitions.get(state)
-        if not edges:
-            continue
-        ordinal = graph.ids.get(node)
-        if ordinal is None:
-            continue
-        for predicate, inverse, next_state in edges:
-            rows = graph.reverse.get(predicate) if inverse else graph.forward.get(predicate)
-            if not rows:
-                continue
-            bitmap = rows.get(ordinal)
-            if not bitmap:
-                continue
-            label = ("^" + predicate) if inverse else predicate
-            for target in _iter_bits(bitmap):
-                target_name = names[target]
-                candidates.append(
-                    (target_name, next_state, witness + ((node, label, target_name),))
-                )
-    return candidates
-
-
-def merge_frontier(
-    visited: dict[tuple[str, int], Witness], candidates: Iterable[FrontierEntry]
-) -> list[FrontierEntry]:
-    """Semiring *plus* over one round: keep the least witness per new pair.
-
-    Every candidate in a round has the same path length, so plain tuple
-    comparison picks the lexicographically least witness — and because all
-    shortest paths to a pair arrive in the same round (BFS), the survivor is
-    the canonical witness regardless of candidate order.  Already-visited
-    pairs are dropped (their canonical witness is shorter).  The new pairs
-    are folded into *visited* and returned, sorted, as the next frontier.
-    """
-    best: dict[tuple[str, int], Witness] = {}
-    for node, state, witness in candidates:
-        key = (node, state)
-        if key in visited:
-            continue
-        held = best.get(key)
-        if held is None or witness < held:
-            best[key] = witness
-    visited.update(best)
-    return [(node, state, witness) for (node, state), witness in sorted(best.items())]
-
-
 def accepting_answers(
     visited: dict[tuple[str, int], Witness], accepting: frozenset[int]
 ) -> dict[str, Witness]:
@@ -523,15 +554,6 @@ def accepting_answers(
         if (len(witness), witness) < (len(held), held):
             answers[node] = witness
     return answers
-
-
-def initial_frontier(
-    seeds: Iterable[str], automaton: Automaton
-) -> tuple[dict[tuple[str, int], Witness], list[FrontierEntry]]:
-    """Round-zero state: every seed at the start state with the empty witness."""
-    ordered = sorted(set(seeds))
-    visited = {(node, automaton.start): () for node in ordered}
-    return visited, [(node, automaton.start, ()) for node in ordered]
 
 
 # ------------------------------------------------------------------ #
@@ -578,13 +600,53 @@ class RpqEvaluator:
     def _evaluate_product(
         self, feed: str, seeds: list[str], automaton: Automaton
     ) -> tuple[dict[str, Witness], int]:
+        """Round-synchronised product BFS; the expansion count is the number
+        of (node, state) pairs reached, each expanded once."""
+        start = automaton.start
+        visited: dict[tuple[str, int], Witness] = {(node, start): () for node in seeds}
+        frontier: list[FrontierEntry] = [(node, start, ()) for node in seeds]
+        expanded = len(frontier)
         graph = self.adjacency.graph(feed)
-        visited, frontier = initial_frontier(seeds, automaton)
-        expanded = 0
+        if graph is None:
+            return accepting_answers(visited, automaton.accepting), expanded
+        ids, names = graph.ids, graph.names
+        transitions = automaton.transitions
         while frontier:
+            # Semiring *plus* over one round: every parent witness in a round
+            # has the same length, so the least (parent witness, edge) is the
+            # least concatenated witness.  A pair visited in an earlier round
+            # has a shorter canonical witness and is skipped before anything
+            # is built; each new pair builds its witness tuple once.
+            best: dict[tuple[str, int], tuple[Witness, tuple[str, str, str]]] = {}
+            for node, state, witness in frontier:
+                edges = transitions[state]
+                if not edges:
+                    continue
+                ordinal = ids.get(node)
+                if ordinal is None:
+                    continue
+                for predicate, inverse, next_state in edges:
+                    rows = graph.reverse.get(predicate) if inverse else graph.forward.get(predicate)
+                    if not rows:
+                        continue
+                    bitmap = rows.get(ordinal)
+                    if not bitmap:
+                        continue
+                    label = ("^" + predicate) if inverse else predicate
+                    for target in _iter_bits(bitmap):
+                        key = (names[target], next_state)
+                        if key in visited:
+                            continue
+                        edge = (node, label, key[0])
+                        held = best.get(key)
+                        if held is None or (witness, edge) < held:
+                            best[key] = (witness, edge)
+            frontier = []
+            for key, (witness, edge) in sorted(best.items()):
+                witness = witness + (edge,)
+                visited[key] = witness
+                frontier.append((key[0], key[1], witness))
             expanded += len(frontier)
-            candidates = expand_product_entries(graph, automaton, frontier)
-            frontier = merge_frontier(visited, candidates)
         return accepting_answers(visited, automaton.accepting), expanded
 
     def _evaluate_closure(
@@ -701,7 +763,7 @@ def naive_rpq(
         expanded += len(frontier)
         candidates: list[FrontierEntry] = []
         for node, state, witness in frontier:
-            for predicate, inverse, next_state in automaton.transitions.get(state, ()):
+            for predicate, inverse, next_state in automaton.transitions[state]:
                 rows = reverse.get(predicate) if inverse else forward.get(predicate)
                 if not rows:
                     continue

@@ -88,6 +88,8 @@ class NERDService:
         self.disambiguator = disambiguator or ContextualDisambiguator(
             encoder=encoder, rejection_threshold=self.config.confidence_threshold
         )
+        #: Log deltas applied so far; a caller caching answers compares it.
+        self.deltas_applied = 0
 
     @classmethod
     def from_store(
@@ -112,6 +114,7 @@ class NERDService:
         once every store has replayed it (``SagaPlatform.nerd`` registers it).
         """
         self.retriever.reindex(self.view.apply_delta(delta))
+        self.deltas_applied += 1
 
     # -------------------------------------------------------------- #
     # mention generation

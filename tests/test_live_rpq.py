@@ -6,7 +6,10 @@ Three contracts, property-tested over seeded inputs:
   maintained adjacency bitmaps (including the interval-encoding fast path for
   tree closures) returns exactly the rows *and witness paths* a from-scratch
   set-based BFS (:func:`repro.live.rpq.naive_rpq`) derives from the same
-  documents (``rpq_seed`` sequences, scaled by ``--runs-seeded``);
+  documents, run over the epsilon-free NFA (:func:`repro.live.rpq.compile_nfa`)
+  so the minimal DFA the executor uses is checked against an automaton
+  minimisation never touched (``rpq_seed`` sequences, scaled by
+  ``--runs-seeded``);
 * **distributed ≡ primary** — a REACH routed through the ``QueryRouter`` to
   one replica of a fleet (its evaluator over the ``view:X`` feed, with
   mid-sequence kills and restarts) returns the same rows, values, ordering,
@@ -19,10 +22,16 @@ Three contracts, property-tested over seeded inputs:
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from oracles.per_document_executor import PerDocumentExecutor
 from repro.errors import KGQPlanError, KGQSyntaxError
 from repro.live.executor import QueryExecutor, QueryResultRow
@@ -35,6 +44,7 @@ from repro.live.planner import (
 )
 from repro.live.rpq import (
     compile_automaton,
+    compile_nfa,
     naive_rpq,
     single_label_closure,
 )
@@ -104,6 +114,69 @@ def test_automaton_shapes_and_empty_path_acceptance():
     again = compile_automaton(parse("MATCH t REACH part_of* RETURN name").reach)
     assert again.transitions == star.transitions
     assert again.accepting == star.accepting
+
+
+def _compiled(expression: str):
+    return compile_automaton(parse(f"MATCH t REACH {expression} RETURN name").reach)
+
+
+def test_automata_are_minimal_dfas():
+    # the serve_paths product shape: 10 NFA states, one start and one
+    # accepting state once minimised
+    heavy = "(part_of|performed_by|record_label)+"
+    assert compile_nfa(parse(f"MATCH t REACH {heavy} RETURN name").reach).num_states == 10
+    assert _compiled(heavy).num_states == 2
+    assert _compiled("p*").num_states == 1
+    assert _compiled("a/b").num_states == 3
+    # one language, one automaton: the numbering depends on nothing else
+    assert _compiled("a+") == _compiled("a/a*")
+
+
+def test_plans_of_one_expression_share_one_automaton():
+    planner = QueryPlanner()
+    first = planner.plan(parse('MATCH t WHERE name = "x" REACH (a|b)+ RETURN name'))
+    second = planner.plan(parse('MATCH u WHERE name = "y" REACH (a|b)+ RETURN name LIMIT 3'))
+    assert first.reach.automaton is second.reach.automaton
+
+
+def test_compiled_automata_do_not_depend_on_the_hash_seed():
+    snippet = (
+        "import json, sys\n"
+        "from repro.live.kgq import parse\n"
+        "from repro.live.rpq import compile_automaton\n"
+        "automata = [compile_automaton(parse(text).reach) for text in json.load(sys.stdin)]\n"
+        "print(json.dumps([[a.transitions, sorted(a.accepting)] for a in automata]))\n"
+    )
+    src_dir = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    compiled = []
+    for hash_seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONPATH=src_dir, PYTHONHASHSEED=hash_seed)
+        output = subprocess.run(
+            [sys.executable, "-c", snippet], input=json.dumps(REACH_BATTERY),
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        compiled.append(json.loads(output))
+    assert compiled[0] == compiled[1]
+
+
+def test_reach_examines_each_reachable_dfa_pair_once():
+    # a chain v0 -a-> v1 -b-> v2 -c-> v3: the minimal DFA of (a|b|c)+ has a
+    # start and one accepting state, so the seed is one pair and every node
+    # it reaches one more (the 10-state NFA reached each in up to 7 states)
+    index = LiveIndex()
+    index.upsert(_doc("v0", kind="seed", a="v1"))
+    index.upsert(_doc("v1", b="v2"))
+    index.upsert(_doc("v2", c="v3"))
+    index.upsert(_doc("v3"))
+    plan = QueryPlanner(selectivity=index.seed_selectivity).plan(
+        parse('MATCH node WHERE kind = "seed" REACH (a|b|c)+ RETURN name')
+    )
+    executor = QueryExecutor(index)
+    _, seed_examined = executor.match_documents(plan, apply_limit=False)
+    result = executor.execute(plan)
+    assert [row.entity_id for row in result.rows] == ["v1", "v2", "v3"]
+    reachable_pairs = {("v0", 0), ("v1", 1), ("v2", 1), ("v3", 1)}
+    assert result.candidates_examined - seed_examined == len(reachable_pairs)
 
 
 def test_single_label_closure_detection():
@@ -197,6 +270,11 @@ REACH_BATTERY = (
     'MATCH node WHERE kind = "seed" REACH (knows|likes)+ RETURN name LIMIT 7',
     'MATCH node WHERE kind = "seed" REACH ^knows/likes* RETURN name',
     'MATCH node WHERE kind = "seed" REACH (part_of/part_of)* RETURN name',
+    # expressions whose minimal DFA is smaller than their NFA
+    'MATCH node WHERE kind = "seed" REACH (part_of|knows|likes)+ RETURN name',
+    'MATCH node WHERE kind = "seed" REACH knows/knows* RETURN name',
+    'MATCH node WHERE kind = "seed" REACH (knows|^knows)*/likes RETURN name',
+    'MATCH node WHERE kind = "seed" REACH ((part_of)*)+ RETURN name',
 )
 
 
@@ -231,10 +309,11 @@ def test_bitmap_rpq_matches_naive_bfs_over_seeded_graphs(rpq_seed):
     queries = rng.sample(REACH_BATTERY, k=4)
     for text in queries:
         plan = planner.plan(parse(text))
-        # the reference: per-document seed pipeline + set-based BFS
+        # the reference: per-document seed pipeline + set-based BFS over
+        # the NFA, so minimisation is not checked against itself
         reference_executor = PerDocumentExecutor(index)
         seeds, _ = reference_executor.match_documents(plan, apply_limit=False)
-        automaton = compile_automaton(plan.reach.expression)
+        automaton = compile_nfa(plan.reach.expression)
         answers, _ = naive_rpq(documents, [d.entity_id for d in seeds], automaton)
         expected = []
         for node in sorted(answers):

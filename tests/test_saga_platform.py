@@ -4,6 +4,7 @@ import pytest
 
 from repro import SagaPlatform
 from repro.datagen import evolve_source
+from repro.datagen.streams import LiveEvent
 from repro.ingestion import AlignmentConfig, PGF, EntityTransformer
 from repro.ingestion.importers import InMemoryImporter
 from repro.ml.nerd import NERDEntityView
@@ -114,6 +115,33 @@ def test_nerd_and_live_graph_follow_the_log():
     assert_nerd_matches_a_fresh_build()
     assert len(live.query("MATCH music_artist").rows) == 2
     assert live.index.watermark("stable") == engine.minimum_version()
+
+
+def test_live_references_resolve_against_the_current_kg():
+    """The live graph caches NERD's answers for repeated references; a
+    rename that NERD applied from the log must reach the next event."""
+    platform = SagaPlatform()
+    platform.register_source("musicdb")
+
+    def artists(*names):
+        return [SourceEntity(f"m{i}", "music_artist", {"name": name}, source_id="musicdb")
+                for i, name in enumerate(names)]
+
+    def concert(number):
+        return LiveEvent(source_id="tour", event_id=f"show{number}", entity_type="concert",
+                         payload={"name": f"Show {number}"},
+                         references={"headliner": "Nova Quill"}, timestamp=number)
+
+    platform.ingest_snapshot("musicdb", artists("Nova Quill", "Lumen Drift"))
+    nova, lumen = (platform.construction.link_table[m] for m in ("m0", "m1"))
+    platform.ingest_live_events([concert(1)])
+    assert platform.live.index.get("show1").references["headliner"] == nova
+
+    # the two artists swap names: "Nova Quill" now names the other entity
+    platform.ingest_snapshot("musicdb", artists("Lumen Drift", "Nova Quill"))
+    assert platform.nerd.link_mention("Nova Quill").entity_id == lumen
+    platform.ingest_live_events([concert(2)])
+    assert platform.live.index.get("show2").references["headliner"] == lumen
 
 
 def test_platform_source_onboarding_with_alignment():
