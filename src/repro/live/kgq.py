@@ -42,6 +42,20 @@ Examples::
     MATCH district WHERE name = "Old Town" REACH part_of* TO region RETURN name
     MATCH person WHERE name = "Ada" REACH mentor/(knows|^knows)+ TO person RETURN name
     CALL HeadOfState("Canada")
+
+Literal lifting
+---------------
+Front ends fill a few templates with different names and thresholds, so a
+server parses each query *shape* once.  :func:`lift_literals` replaces every
+string and number token of a text with ``?`` in one regex pass, reading them
+exactly as :func:`tokenize` does; :func:`parse_shape` parses the shape into a
+:class:`QueryShape` whose literal positions are numbered slots
+(:class:`Slot`), and :meth:`QueryShape.bind` puts a text's literals back.
+``?`` is not KGQ syntax: it is accepted only in a lifted shape, where a
+literal may stand (a condition value, the LIMIT count), and a ``?`` in a
+client's own text is a :class:`~repro.errors.KGQSyntaxError`.  A CALL text is
+not lifted: a virtual operator's expansion is arbitrary Python, so its shape
+is the whole text.
 """
 
 from __future__ import annotations
@@ -70,10 +84,17 @@ _TOKEN_PATTERN = re.compile(
   | (?P<pipe>\|)
   | (?P<slash>/)
   | (?P<caret>\^)
+  | (?P<slot>\?)
   | (?P<space>\s+)
 """,
     re.VERBOSE,
 )
+
+#: One string or number token, read as :func:`tokenize` reads it: a digit run
+#: right after an identifier character belongs to the identifier
+#: (``part_of2``), a leading ``-`` and a fraction belong to the number.
+_LITERAL_PATTERN = re.compile(r'("[^"]*"|-\d+(?:\.\d+)?|(?<![A-Za-z0-9_])\d+(?:\.\d+)?)')
+_CALL_PREFIX = re.compile(r"\s*CALL\b", re.IGNORECASE)
 
 
 @dataclass(frozen=True)
@@ -85,13 +106,13 @@ class Token:
     position: int
 
 
-def tokenize(text: str) -> list[Token]:
-    """Tokenize a KGQ query string."""
+def tokenize(text: str, *, slots: bool = False) -> list[Token]:
+    """Tokenize a KGQ query string; *slots* admits the ``?`` of a lifted shape."""
     tokens: list[Token] = []
     position = 0
     while position < len(text):
         match = _TOKEN_PATTERN.match(text, position)
-        if match is None:
+        if match is None or (match.lastgroup == "slot" and not slots):
             raise KGQSyntaxError(f"unexpected character {text[position]!r} at position {position}")
         kind = match.lastgroup or ""
         value = match.group()
@@ -220,12 +241,73 @@ class CallQuery:
     arguments: tuple[object, ...]
 
 
+@dataclass(frozen=True)
+class Slot:
+    """A lifted literal's place in a parsed shape: the text's *index*-th literal."""
+
+    index: int
+
+
+def _literal(raw: str) -> object:
+    """The value of one string or number token."""
+    if raw[0] == '"':
+        return raw[1:-1]
+    number = float(raw)
+    return int(number) if number.is_integer() else number
+
+
+@dataclass(frozen=True)
+class QueryShape:
+    """A parsed query shape: a query whose literals are numbered slots.
+
+    Condition values and the LIMIT count may be :class:`Slot` objects.  A
+    CALL shape has none: it is the whole text.
+    """
+
+    query: Query | CallQuery
+    slots: int
+
+    def bind(self, literals: Sequence[str]) -> Query | CallQuery:
+        """The query with *literals* (tokens, as lifted) in its slots.
+
+        Values convert as the parser converts them.  A LIMIT slot takes a
+        number only.
+        """
+        if len(literals) != self.slots:
+            raise KGQSyntaxError(
+                f"the shape has {self.slots} literal slots, got {len(literals)} literals"
+            )
+        query = self.query
+        if not self.slots:
+            return query
+        conditions = [
+            Condition(condition.path, condition.operator, _literal(literals[condition.value.index]))
+            if isinstance(condition.value, Slot) else condition
+            for condition in query.conditions
+        ]
+        limit = query.limit
+        if isinstance(limit, Slot):
+            raw = literals[limit.index]
+            if raw[0] == '"':
+                raise KGQSyntaxError(f"expected a number after LIMIT, got {raw!r}")
+            limit = int(float(raw))
+        return Query(
+            entity_type=query.entity_type,
+            conditions=conditions,
+            returns=query.returns,
+            limit=limit,
+            reach=query.reach,
+            reach_type=query.reach_type,
+        )
+
+
 class Parser:
     """Recursive-descent parser for KGQ."""
 
     def __init__(self, tokens: Sequence[Token]) -> None:
         self._tokens = list(tokens)
         self._index = 0
+        self.slots = 0      # slot tokens read as literals so far
 
     # ---- helpers -------------------------------------------------- #
     def _peek(self) -> Token | None:
@@ -313,9 +395,12 @@ class Parser:
         if self._is_keyword(self._peek(), "LIMIT"):
             self._next()
             number = self._next()
-            if number.kind != "number":
+            if number.kind == "slot":
+                query.limit = self._literal_value(number)
+            elif number.kind == "number":
+                query.limit = int(float(number.value))
+            else:
                 raise KGQSyntaxError(f"expected a number after LIMIT, got {number.value!r}")
-            query.limit = int(float(number.value))
 
         self._assert_consumed()
         return query
@@ -397,13 +482,13 @@ class Parser:
         return tuple(segments)
 
     def _literal_value(self, token: Token) -> object:
-        if token.kind == "string":
-            return token.value[1:-1]
-        if token.kind == "number":
-            number = float(token.value)
-            return int(number) if number.is_integer() else number
+        if token.kind in ("string", "number"):
+            return _literal(token.value)
         if token.kind == "ident":
             return token.value
+        if token.kind == "slot":
+            self.slots += 1
+            return Slot(self.slots - 1)
         raise KGQSyntaxError(f"expected a literal, got {token.value!r}")
 
     def _assert_consumed(self) -> None:
@@ -415,6 +500,34 @@ class Parser:
 def parse(text: str) -> Query | CallQuery:
     """Parse a KGQ query string."""
     return Parser(tokenize(text)).parse()
+
+
+def lift_literals(text: str) -> tuple[str, tuple[str, ...]]:
+    """Split *text* into its shape and its string and number tokens.
+
+    The shape is *text* with each such token replaced by ``?``; the literals
+    are the tokens as written, in text order.  A CALL text is its own shape.
+    A ``?`` outside a string literal raises
+    :class:`~repro.errors.KGQSyntaxError`, as :func:`parse` would.
+    """
+    if _CALL_PREFIX.match(text):
+        return text, ()
+    parts = _LITERAL_PATTERN.split(text)
+    shape = "?".join(parts[::2])
+    literals = tuple(parts[1::2])
+    if shape.count("?") != len(literals):
+        tokenize(text)      # raises at the client's own '?', or earlier
+        raise KGQSyntaxError("'?' is not KGQ syntax")
+    return shape, literals
+
+
+def parse_shape(shape: str) -> QueryShape:
+    """Parse a lifted shape; ``?`` stands only where a literal may."""
+    parser = Parser(tokenize(shape, slots=True))
+    query = parser.parse()
+    if isinstance(query, CallQuery) and parser.slots:
+        raise KGQSyntaxError("a CALL text is not lifted: '?' is not KGQ syntax")
+    return QueryShape(query=query, slots=parser.slots)
 
 
 VirtualOperator = Callable[..., Query]

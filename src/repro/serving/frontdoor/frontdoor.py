@@ -7,16 +7,19 @@ priority classes, executing the fleet's synchronous routed query
 honestly when saturated.  One request flows through:
 
 1. **tenancy** — the tenant is resolved once, on arrival, and the query
-   compiled through the tenant's own plan cache (the only plan cache on the
-   read path), with the view and entity-type boundary enforced at plan time
+   compiled through the tenant's own shape cache (the only plan cache on the
+   read path: a text's literals are lifted out, its shape is parsed once,
+   and each request binds its literals and plans), with the view and
+   entity-type boundary enforced at plan time
    (:class:`~repro.serving.frontdoor.tenancy.TenantRegistry`);
 2. **admission** — deadline-already-expired check, per-tenant token bucket,
    then either a free worker slot or the bounded priority queue; refusals
    raise typed :class:`~repro.errors.OverloadedError` /
    :class:`~repro.errors.DeadlineExceededError` carrying ``retry_after``
    (:mod:`~repro.serving.frontdoor.admission`);
-3. **serving** — per-tenant result cache (invalidated per view when the
-   primary commits a delta), else the compiled plan runs on one replica of
+3. **serving** — per-tenant result cache, keyed by the text's shape, its
+   literals and the consistency level, and invalidated per view when the
+   primary commits a delta; else the compiled plan runs on one replica of
    the fleet.  The per-tenant caches are the read path's only result cache
    (replicas cache nothing), so a cross-tenant hit is structurally
    impossible.  A MATCH plan (no REACH stage) runs inline on the event loop:
@@ -141,7 +144,8 @@ class FrontDoor:
         ``default_deadline``); an already-expired deadline is refused before
         it can consume tokens or a slot.  *use_cache* switches the tenant's
         result cache, the read path's only one: ``False`` neither reads nor
-        fills it.  Raises
+        fills it, and neither does a pre-parsed query, which has no text to
+        key it by.  Raises
         :class:`~repro.errors.TenantIsolationError` for boundary violations,
         :class:`~repro.errors.OverloadedError` (with ``retry_after``) for
         rate-limit and shed refusals, and
@@ -157,7 +161,7 @@ class FrontDoor:
 
         try:
             self.registry.ensure_view_allowed(state, view_name)
-            plan = self.registry.compile(state, query, self.query_router.planner)
+            plan, identity = self.registry.compile(state, query, self.query_router.planner)
         except TenantIsolationError:
             self.metrics.count(tenant_id, "isolation_rejections")
             raise
@@ -177,8 +181,9 @@ class FrontDoor:
                 retry_after=max(wait, self.retry_after_floor),
             )
 
-        cache_key = self._cache_key(plan, consistency)
+        use_cache = use_cache and identity is not None
         if use_cache:
+            cache_key = (*identity, consistency)
             rows = self.registry.cached_rows(state, view_name, cache_key)
             if rows is not None:
                 latency_ms = (self._clock() - arrived) * 1000.0
@@ -232,13 +237,6 @@ class FrontDoor:
         if use_cache:
             self.registry.store_rows(state, view_name, cache_key, result.rows)
         return result
-
-    @staticmethod
-    def _cache_key(plan, consistency: Consistency) -> str:
-        return (
-            f"{plan.query.render()} "
-            f"|{consistency.level}:{consistency.max_lag_lsns}:{consistency.min_lsn}"
-        )
 
     # -------------------------------------------------------------- #
     # the concurrency gate

@@ -14,15 +14,20 @@ before any replica sees the plan:
 Caches are strictly per tenant — separate objects, so a cross-tenant cache
 hit is structurally impossible, not merely key-disambiguated:
 
-* a **compiled-plan LRU** keyed by query text; plans are validated against
-  the tenant's scope *before* insertion, so a cached plan is a proven-safe
-  plan;
-* **result caches**, one :class:`QueryCache` per ``(tenant, view)``,
-  invalidated per view when the primary commits (and the fleet ships) a
-  delta for that view — a tenant only ever re-reads its own
-  freshly-invalidated cache, never another tenant's.  They are the read
-  path's only result cache: replicas and their executors execute every
-  plan they are handed.
+* a **shape LRU**: a text's string and number literals are lifted out
+  (:func:`repro.live.kgq.lift_literals`), and the rest, its *shape*, keys a
+  parsed :class:`~repro.live.kgq.QueryShape`.  Templated texts that differ
+  only in their literals parse once.  A shape is scope-checked *before*
+  insertion — the MATCH and ``TO`` types are part of it — so a cached shape
+  is a proven-safe shape; every request binds its literals into it and
+  plans the bound query;
+* **result caches**, one :class:`QueryCache` per ``(tenant, view)``, keyed
+  by ``(shape, literals, consistency)`` and invalidated per view when the
+  primary commits (and the fleet ships) a delta for that view — a tenant
+  only ever re-reads its own freshly-invalidated cache, never another
+  tenant's.  They are the read path's only result cache: replicas and their
+  executors execute every plan they are handed.  Their hit, miss and
+  eviction counters live on the tenant, so an invalidation keeps them.
 """
 
 from __future__ import annotations
@@ -30,18 +35,25 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import FrontDoorError, KGQPlanError, LiveGraphError, TenantIsolationError
+from repro.errors import (
+    FrontDoorError,
+    KGQPlanError,
+    KGQSyntaxError,
+    LiveGraphError,
+    TenantIsolationError,
+)
 from repro.live.executor import QueryResultRow
-from repro.live.kgq import parse
+from repro.live.kgq import QueryShape, lift_literals, parse, parse_shape
 from repro.live.planner import PhysicalPlan, QueryPlanner, ensure_plan_within_types
 from repro.serving.frontdoor.admission import TokenBucket
 
 
 class QueryCache:
-    """Tiny LRU cache of result rows keyed by query text.
+    """Tiny LRU cache of result rows.
 
     Rows are defensively copied on both :meth:`put` and :meth:`get` (the
     ``values`` dict of every row), so a caller mutating a returned row can
@@ -53,9 +65,7 @@ class QueryCache:
         if capacity <= 0:
             raise LiveGraphError("the query cache needs positive capacity")
         self.capacity = capacity
-        self._entries: OrderedDict[str, list[QueryResultRow]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        self._entries: OrderedDict[Hashable, list[QueryResultRow]] = OrderedDict()
         self.evictions = 0
 
     @staticmethod
@@ -66,17 +76,15 @@ class QueryCache:
             for row in rows
         ]
 
-    def get(self, key: str) -> list[QueryResultRow] | None:
+    def get(self, key: Hashable) -> list[QueryResultRow] | None:
         """Cached rows for *key* (fresh copies), refreshing recency."""
         rows = self._entries.get(key)
         if rows is None:
-            self.misses += 1
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
         return self._copy_rows(rows)
 
-    def put(self, key: str, rows: list[QueryResultRow]) -> None:
+    def put(self, key: Hashable, rows: list[QueryResultRow]) -> None:
         """Insert copies of *rows* for *key*, evicting the least-recently-used."""
         self._entries[key] = self._copy_rows(rows)
         self._entries.move_to_end(key)
@@ -104,15 +112,19 @@ class TenantProfile:
 
 
 class _TenantState:
-    """Runtime state: bucket, plan LRU, per-view result caches, counters."""
+    """Runtime state: bucket, shape LRU, per-view result caches, counters."""
 
     def __init__(self, profile: TenantProfile, clock: Callable[[], float]) -> None:
         self.profile = profile
         self.bucket = TokenBucket(profile.rate, profile.burst, clock=clock)
-        self.plans: OrderedDict[str, PhysicalPlan] = OrderedDict()
+        self.shapes: OrderedDict[str, QueryShape] = OrderedDict()
         self.result_caches: dict[str, QueryCache] = {}
         self.plan_hits = 0
         self.plan_misses = 0
+        # Result-cache counters outlive the per-view caches they count.
+        self.result_hits = 0
+        self.result_misses = 0
+        self.result_evictions = 0
         self.result_invalidations = 0
         self.isolation_rejections = 0
 
@@ -196,32 +208,46 @@ class TenantRegistry:
 
     def compile(
         self, state: _TenantState, query: object, planner: QueryPlanner
-    ) -> PhysicalPlan:
-        """Compile *query* through the tenant's own plan cache, scope-checked.
+    ) -> tuple[PhysicalPlan, tuple[str, tuple[str, ...]] | None]:
+        """Plan *query* through the tenant's own shape cache, scope-checked.
 
-        Query text hits the per-tenant LRU; pre-parsed queries plan directly.
-        Every plan — cached or fresh — was validated against the tenant's
-        entity-type slice before it became visible, so a cache hit is a
-        proven-safe plan and never re-validates.
+        Returns the plan and, for a text, its ``(shape, literals)`` — the
+        text's identity for result caching.  A text is lifted
+        (:func:`~repro.live.kgq.lift_literals`) and its shape looked up in
+        the per-tenant LRU; a miss parses the shape once, and every request
+        binds its own literals and plans the bound query, about 20 µs, so
+        the planner alone chooses each seed.  A shape becomes visible only
+        after its plan was validated against the tenant's entity-type slice;
+        the types it checks are part of the shape, so a cache hit is
+        proven-safe and never re-validates.  Pre-parsed queries plan and
+        validate directly and have no identity (``None``).
         """
         if not isinstance(query, str):
             plan = query if isinstance(query, PhysicalPlan) else planner.plan(query)
             self._validate(state, plan)
-            return plan
+            return plan, None
+        shape, literals = lift_literals(query)
         with self._lock:
-            plan = state.plans.get(query)
-            if plan is not None:
-                state.plans.move_to_end(query)
+            parsed = state.shapes.get(shape)
+            if parsed is not None:
+                state.shapes.move_to_end(shape)
                 state.plan_hits += 1
-                return plan
-            state.plan_misses += 1
-        plan = planner.plan(parse(query))
+            else:
+                state.plan_misses += 1
+        if parsed is not None:
+            return planner.plan(parsed.bind(literals)), (shape, literals)
+        try:
+            parsed = parse_shape(shape)
+        except KGQSyntaxError:
+            parse(query)        # raises the error the client's own text has
+            raise
+        plan = planner.plan(parsed.bind(literals))
         self._validate(state, plan)
         with self._lock:
-            state.plans[query] = plan
-            while len(state.plans) > state.profile.plan_cache_size:
-                state.plans.popitem(last=False)
-        return plan
+            state.shapes[shape] = parsed
+            while len(state.shapes) > state.profile.plan_cache_size:
+                state.shapes.popitem(last=False)
+        return plan, (shape, literals)
 
     def _validate(self, state: _TenantState, plan: PhysicalPlan) -> None:
         try:
@@ -236,17 +262,20 @@ class TenantRegistry:
     # per-tenant result caches
     # -------------------------------------------------------------- #
     def cached_rows(
-        self, state: _TenantState, view_name: str, key: str
+        self, state: _TenantState, view_name: str, key: Hashable
     ) -> list[QueryResultRow] | None:
         """The tenant's cached rows for *key* on *view_name* (None on miss)."""
         with self._lock:
             cache = state.result_caches.get(view_name)
-            if cache is None:
-                return None
-            return cache.get(key)
+            rows = None if cache is None else cache.get(key)
+            if rows is None:
+                state.result_misses += 1
+            else:
+                state.result_hits += 1
+            return rows
 
     def store_rows(
-        self, state: _TenantState, view_name: str, key: str, rows: list[QueryResultRow]
+        self, state: _TenantState, view_name: str, key: Hashable, rows: list[QueryResultRow]
     ) -> None:
         """Cache *rows* under the tenant's own cache for *view_name*."""
         with self._lock:
@@ -254,7 +283,9 @@ class TenantRegistry:
             if cache is None:
                 cache = QueryCache(capacity=state.profile.result_cache_size)
                 state.result_caches[view_name] = cache
+            evicted = cache.evictions
             cache.put(key, rows)
+            state.result_evictions += cache.evictions - evicted
 
     def invalidate_view(self, view_name: str) -> int:
         """Drop every tenant's result cache for *view_name*; returns tenants hit.
@@ -281,13 +312,12 @@ class TenantRegistry:
         with self._lock:
             report = {}
             for tenant_id, state in sorted(self._tenants.items()):
-                caches = state.result_caches.values()
                 report[tenant_id] = {
                     "plan_cache_hits": state.plan_hits,
                     "plan_cache_misses": state.plan_misses,
-                    "result_cache_hits": sum(cache.hits for cache in caches),
-                    "result_cache_misses": sum(cache.misses for cache in caches),
-                    "result_cache_evictions": sum(cache.evictions for cache in caches),
+                    "result_cache_hits": state.result_hits,
+                    "result_cache_misses": state.result_misses,
+                    "result_cache_evictions": state.result_evictions,
                     "result_invalidations": state.result_invalidations,
                     "isolation_rejections": state.isolation_rejections,
                     "bucket_acquired": state.bucket.acquired,

@@ -25,9 +25,9 @@ way: the call is re-dispatched to the next eligible owner (counted in
 ``fragment_retries``), so a crash mid-query degrades to a retried call,
 never to a lost result.
 
-The router keeps no plan cache: parsing and planning a text costs tens of
-microseconds, callers that repeat texts at volume (the front door) hand it
-compiled plans from their per-tenant LRUs, and a
+The router keeps no plan cache: parsing and planning a text costs about
+75 µs, callers that repeat texts at volume (the front door) hand it
+compiled plans from their per-tenant shape LRUs, and a
 :class:`~repro.live.planner.PhysicalPlan` passes through untouched.
 """
 
@@ -55,7 +55,7 @@ class QueryRouter:
         self.join_queries = 0                # cross-view joins through execute_join
 
     def compile(self, query: str | Query | CallQuery | PhysicalPlan) -> PhysicalPlan:
-        """Parse (a text) and plan *query*; no cache, tens of microseconds.
+        """Parse (a text) and plan *query*; no cache, about 75 µs a text.
 
         An already-compiled :class:`PhysicalPlan` passes through untouched —
         the front door compiles through per-tenant plan caches and must not

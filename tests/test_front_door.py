@@ -611,6 +611,140 @@ def test_journal_events_invalidate_only_the_affected_view():
     assert door.manager.listeners == []
 
 
+def test_result_cache_counters_survive_an_invalidation():
+    """An invalidation used to drop the view's cache with its counters, and a
+    lookup with no cache yet counted no miss."""
+    class Event:
+        kind, view_name = "append", "profile_rows"
+
+    door = make_door()
+    text = "MATCH alpha RETURN name"
+    (listener,) = door.manager.listeners
+    try:
+        async def scenario():
+            assert not (await door.query("acme", text, "profile_rows")).from_cache
+            assert (await door.query("acme", text, "profile_rows")).from_cache
+            listener(Event())
+            assert not (await door.query("acme", text, "profile_rows")).from_cache
+        asyncio.run(scenario())
+        caches = door.stats()["tenant_caches"]["acme"]
+        assert caches["result_cache_hits"] == 1
+        assert caches["result_cache_misses"] == 2
+        assert caches["result_invalidations"] == 1
+    finally:
+        door.close()
+
+
+# ------------------------------------------------------------------ #
+# the shape cache: each query shape parsed once, literals bound per request
+# ------------------------------------------------------------------ #
+def test_texts_of_one_shape_each_get_their_own_rows():
+    model = QueryModel()
+    for eid, value in (("a00", 10), ("a01", 20), ("b00", 30)):
+        model.entities[eid] = {"type": "alpha" if eid.startswith("a") else "beta", "value": value}
+    _, manager, _ = build_query_harness(model)
+    manager.materialize()
+    fleet = start_fleet(manager)
+    door = FrontDoor(fleet)
+    door.registry.register("acme", views={"profile_rows"})
+    template = 'MATCH alpha WHERE name = "Entity {}" RETURN name, value'
+    try:
+        async def scenario():
+            first = await door.query("acme", template.format("a00"), "profile_rows")
+            cached = await door.query("acme", template.format("a00"), "profile_rows")
+            other = await door.query("acme", template.format("a01"), "profile_rows")
+            return first, cached, other
+
+        first, cached, other = asyncio.run(scenario())
+        assert [row.values for row in first.rows] == [{"name": "Entity a00", "value": 10}]
+        assert cached.from_cache and cached.rows[0].values == first.rows[0].values
+        assert not other.from_cache     # one shape, other literals: another result
+        assert [row.values for row in other.rows] == [{"name": "Entity a01", "value": 20}]
+        caches = door.stats()["tenant_caches"]["acme"]
+        assert (caches["plan_cache_misses"], caches["plan_cache_hits"]) == (1, 2)
+    finally:
+        door.close()
+        fleet.stop()
+
+
+def test_texts_of_one_shape_parse_once():
+    door = make_door()
+    texts = [f"MATCH alpha WHERE value > {n} RETURN name LIMIT {n + 1}" for n in range(6)]
+    try:
+        async def scenario():
+            for text in texts:
+                assert not (await door.query("acme", text, "profile_rows")).from_cache
+        asyncio.run(scenario())
+        caches = door.stats()["tenant_caches"]["acme"]
+        assert caches["plan_cache_misses"] == 1
+        assert caches["plan_cache_hits"] == len(texts) - 1
+        # every request planned its own literals
+        assert door.fleet.query_router.executed == [
+            f"MATCH alpha WHERE value > {n} RETURN name LIMIT {n + 1}" for n in range(6)
+        ]
+    finally:
+        door.close()
+
+
+def test_every_text_of_an_out_of_slice_shape_is_refused():
+    door = make_door()     # tenant "acme": types {alpha}
+    refused = [f"MATCH beta WHERE value > {n} RETURN name" for n in range(4)]
+    refused.append('MATCH alpha WHERE name = "x" REACH part_of+ RETURN name')   # no TO type
+    try:
+        async def scenario():
+            for text in refused:
+                with pytest.raises(TenantIsolationError):
+                    await door.query("acme", text, "profile_rows")
+            served = await door.query("acme", "MATCH alpha WHERE value < 3 RETURN name",
+                                      "profile_rows")
+            assert served.rows
+        asyncio.run(scenario())
+        assert door.registry.stats()["acme"]["isolation_rejections"] == len(refused)
+        assert door.metrics.tenant_snapshot("acme")["isolation_rejections"] == len(refused)
+        assert door.fleet.query_router.executed == ["MATCH alpha WHERE value < 3 RETURN name"]
+    finally:
+        door.close()
+
+
+@pytest.mark.parametrize("text", [
+    "MATCH alpha WHERE name = ?",
+    'MATCH alpha RETURN name LIMIT "5"',
+    'MATCH alpha WHERE name = "x" LIMIT 5 trailing',
+    "MATCH alpha WHERE value > 1 2",
+    'CALL HeadOfState("x"',
+    'CALL HeadOfState(?)',
+])
+def test_a_malformed_text_fails_as_its_own_parse_does(text):
+    from repro.errors import KGQSyntaxError
+    from repro.live.kgq import parse
+
+    door = make_door()
+    try:
+        with pytest.raises(KGQSyntaxError) as parsed:
+            parse(text)
+        with pytest.raises(KGQSyntaxError) as served:
+            asyncio.run(door.query("acme", text, "profile_rows"))
+        assert str(served.value) == str(parsed.value)
+        assert door.fleet.query_router.executed == []
+    finally:
+        door.close()
+
+
+def test_a_pre_parsed_query_bypasses_the_result_cache():
+    from repro.live.kgq import parse
+
+    door = make_door()
+    query = parse("MATCH alpha RETURN name")
+    try:
+        async def scenario():
+            for _ in range(2):
+                assert not (await door.query("acme", query, "profile_rows")).from_cache
+        asyncio.run(scenario())
+        assert len(door.fleet.query_router.executed) == 2
+    finally:
+        door.close()
+
+
 # ------------------------------------------------------------------ #
 # seeded property: two tenants on a live fleet, zero leaks
 # ------------------------------------------------------------------ #
