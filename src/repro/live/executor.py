@@ -10,8 +10,13 @@ another feed's rows.  A single-hop range against a number compares over the
 partition's numeric column; equality seeds and filters resolve through the
 inverted index's postings (a probe superset verified per document, so
 normalized-string postings can never change the answer); everything else is
-evaluated on the document.  Projection reads single-hop columns off the
-documents and walks longer paths with one ``get_many`` per hop.
+evaluated on the document.  A type scan projects single-hop ``RETURN``
+columns from the partition's value columns at its survivor positions and
+reads no document; an index lookup, a REACH answer, a multi-hop path and
+``RETURN *`` project off the documents, walking longer paths with one
+``get_many`` per hop.  A row is an immutable value
+(:class:`QueryResultRow`), so the front door's result cache shares the
+executor's rows with every hit.
 
 The per-document reference loop this replaced lives with the tests
 (``tests/oracles/per_document_executor.py``): the seeded equivalence suite
@@ -29,10 +34,12 @@ import heapq
 import json
 import time
 from bisect import bisect_left
-from collections import deque
+from collections import deque, namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Iterable, Sequence
+from functools import partial
+from itertools import groupby, islice, repeat
+from operator import itemgetter
 
 from repro.errors import KGQPlanError, LiveGraphError
 from repro.live.index import LiveEntityDocument, LiveIndex
@@ -42,19 +49,68 @@ from repro.live.rpq import RpqEvaluator, Witness
 from repro.ml.similarity import normalize_string
 
 
-@dataclass
-class QueryResultRow:
-    """One result row: the matched entity plus its projected values.
+class RowValues(dict):
+    """A result row's projected columns: a dict that refuses every write.
 
-    REACH answers additionally carry their provenance ``witness`` — the
-    canonical edge sequence ``((src, label, dst), ...)`` proving the row is
-    reachable from a seed (``None`` for non-REACH queries, ``()`` when the
-    row is itself a seed and the expression accepts the empty path).
+    The front door's result cache hands the executor's own rows to every
+    hit, so a write raises :class:`TypeError` instead of reaching a later
+    reader.  ``dict(values)`` is a private, writable copy.
     """
 
-    entity_id: str
-    values: dict[str, object] = field(default_factory=dict)
-    witness: Witness | None = None
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("result row values are read-only; copy them with dict(values)")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return (RowValues, (dict(self),))
+
+
+class QueryResultRow(namedtuple("QueryResultRow", ("entity_id", "values", "witness"))):
+    """One result row, an immutable value: the matched entity, its projected
+    columns (:class:`RowValues`, a read-only mapping) and, for a REACH
+    answer, its provenance ``witness``.
+
+    The witness is the canonical edge sequence ``((src, label, dst), ...)``
+    proving the row is reachable from a seed (``None`` for non-REACH
+    queries, ``()`` when the row is itself a seed and the expression accepts
+    the empty path).  The constructor copies *values* into a
+    :class:`RowValues`; the executor builds its rows with :func:`_new_row`
+    from values it already holds read-only, with no per-row Python call.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, entity_id: str, values: Mapping[str, object] = (), witness: Witness | None = None
+    ) -> "QueryResultRow":
+        return tuple.__new__(cls, (entity_id, RowValues(values), witness))
+
+
+#: ``_new_row((entity_id, row_values, witness))``: a row from a
+#: :class:`RowValues` the caller built, without the constructor's copy.
+_new_row = partial(tuple.__new__, QueryResultRow)
+
+
+def _rows(
+    entity_ids: Iterable[str],
+    columns: Sequence[str],
+    cells: Sequence[Sequence[object]],
+    witnesses: Iterable[Witness | None],
+) -> list[QueryResultRow]:
+    """Rows from per-column cell lists aligned with *entity_ids*."""
+    values = map(RowValues, map(zip, repeat(columns), zip(*cells)))
+    return list(map(_new_row, zip(entity_ids, values, witnesses)))
+
+
+def _take(values: list, positions: Sequence[int]) -> list:
+    """``[values[p] for p in positions]``; a slice when *positions* is a range."""
+    if type(positions) is range:
+        return values[positions.start:positions.stop]
+    return list(map(values.__getitem__, positions))
 
 
 @dataclass
@@ -143,18 +199,14 @@ def join_result_rows(
         matches = table.get(canonical_join_key(projected_join_key(left_row, left_key)))
         if matches:
             for right_row in matches:
-                values = dict(right_row.values)
-                values.update(left_row.values)
-                joined.append(QueryResultRow(
-                    entity_id=(
-                        f"{left_row.entity_id}{JOIN_ID_SEPARATOR}{right_row.entity_id}"
-                    ),
-                    values=values,
-                ))
+                joined.append(_new_row((
+                    f"{left_row.entity_id}{JOIN_ID_SEPARATOR}{right_row.entity_id}",
+                    RowValues({**right_row.values, **left_row.values}),
+                    None,
+                )))
         elif how == "left":
-            joined.append(QueryResultRow(
-                entity_id=f"{left_row.entity_id}{JOIN_ID_SEPARATOR}",
-                values=dict(left_row.values),
+            joined.append(_new_row(
+                (f"{left_row.entity_id}{JOIN_ID_SEPARATOR}", left_row.values, None)
             ))
     return joined
 
@@ -299,12 +351,28 @@ class QueryExecutor:
         if plan.reach is not None:
             rows, examined = self._execute_reach(plan, feed, reach_feed)
         else:
-            survivors, examined = self.match_documents(plan, feed)
-            rows = self._project_batch(survivors, plan)
+            rows, examined = self._match_rows(plan, feed)
         latency = (time.perf_counter() - started) * 1000.0
         self.queries_executed += 1
         self.latencies_ms.append(latency)
         return QueryResult(rows=rows, latency_ms=latency, candidates_examined=examined)
+
+    def _match_rows(
+        self, plan: PhysicalPlan, feed: str | None
+    ) -> tuple[list[QueryResultRow], int]:
+        """A MATCH plan's rows and examined count.
+
+        A type scan whose ``RETURN`` columns are all single hops projects
+        from its partitions' value columns at the survivor positions and
+        reads no document; every other plan projects its matched documents.
+        """
+        returns = plan.project.returns
+        if isinstance(plan.seed, TypeScan) and returns and all(len(path) == 1 for path in returns):
+            limit = plan.limit.limit if plan.limit is not None else None
+            runs, examined = self._scan(plan, feed, limit)
+            return self._project_columns(runs, returns), examined
+        documents, examined = self.match_documents(plan, feed)
+        return self._project_batch(documents, plan), examined
 
     # -------------------------------------------------------------- #
     # document matching (MATCH/WHERE pipeline; also the REACH seed phase)
@@ -324,16 +392,27 @@ class QueryExecutor:
         limit = plan.limit.limit if apply_limit and plan.limit is not None else None
         seed = plan.seed
         if isinstance(seed, TypeScan):
-            return self._scan(plan, feed, limit)
+            runs, examined = self._scan(plan, feed, limit)
+            survivor_ids = [
+                entity_id for _, ids, positions in runs for entity_id in _take(ids, positions)
+            ]
+            documents = self.index.get_many(survivor_ids)
+            return [documents[entity_id] for entity_id in survivor_ids], examined
         if isinstance(seed, IndexLookup):
             return self._lookup(plan, feed, limit)
         raise KGQPlanError(f"unknown seed operator {seed!r}")
 
     def _scan(
         self, plan: PhysicalPlan, feed: str | None, limit: int | None
-    ) -> tuple[list[LiveEntityDocument], int]:
+    ) -> tuple[list[tuple[tuple[str, str], list[str], Sequence[int]]], int]:
         """A TypeScan: the feed's partition of the type, or (unscoped) every
-        feed's partition of it, merged in id order."""
+        feed's partition of it, merged in id order.
+
+        The survivors come back as runs ``((feed, type), ids, positions)``
+        in id order: one run for a single partition, and for several the
+        merged ``(id, partition, position)`` sequence cut at *limit* and
+        split where the partition changes.
+        """
         kv = self.index.kv
         entity_type = plan.seed.entity_type
         feeds = kv.partition_feeds(entity_type) if feed is None else [feed]
@@ -342,15 +421,23 @@ class QueryExecutor:
         examined = 0
         runs = []
         for partition_feed in feeds:
-            ids = kv.partition(partition_feed, entity_type)
+            key = (partition_feed, entity_type)
+            ids = kv.partition(*key)
             examined += len(ids)
             if gated:
-                runs.append(self._survivors(plan, ids, limit, (partition_feed, entity_type)))
-        survivor_ids = runs[0] if len(runs) == 1 else list(islice(heapq.merge(*runs), limit))
-        if limit is not None and not plan.filters and len(survivor_ids) == limit:
+                runs.append((key, ids, self._survivors(plan, ids, limit, key)))
+        if len(runs) > 1:
+            merged = heapq.merge(*(
+                [(ids[position], run, position) for position in positions]
+                for run, (_, ids, positions) in enumerate(runs)
+            ))
+            runs = [
+                (runs[run][0], runs[run][1], [position for _, _, position in group])
+                for run, group in groupby(islice(merged, limit), key=itemgetter(1))
+            ]
+        if limit is not None and not plan.filters and sum(len(run[2]) for run in runs) == limit:
             examined = limit        # the LIMIT early-break walked no further
-        documents = self.index.get_many(survivor_ids)
-        return [documents[entity_id] for entity_id in survivor_ids], examined
+        return runs, examined
 
     def _lookup(
         self, plan: PhysicalPlan, feed: str | None, limit: int | None
@@ -379,7 +466,7 @@ class QueryExecutor:
             for entity_id in candidate_ids
             if documents[entity_id].entity_type in ("", query_type)
         ]
-        survivor_ids = self._survivors(plan, typed_ids, limit)
+        survivor_ids = _take(typed_ids, self._survivors(plan, typed_ids, limit))
         examined = len(candidate_ids)
         if limit is not None and not plan.filters and len(survivor_ids) == limit:
             # The LIMIT early-break walked up to the limit-th survivor.
@@ -392,8 +479,9 @@ class QueryExecutor:
         ids: list[str],
         limit: int | None,
         partition: tuple[str, str] | None = None,
-    ) -> list[str]:
-        """The ids of *ids* that pass every filter, in order.
+    ) -> Sequence[int]:
+        """The positions in *ids* of the ids that pass every filter, in order
+        (a ``range`` when there are no filters).
 
         The walk is lazy, cheapest test first, and stops at the *limit*-th
         survivor.  Over a ``(feed, type)`` *partition*, a single-hop ``<`` /
@@ -403,7 +491,7 @@ class QueryExecutor:
         condition is evaluated on the document.
         """
         if not plan.filters:
-            return ids[:limit]
+            return range(len(ids))[:limit]
         kv = self.index.kv
         get = kv.get
         staged = []
@@ -441,7 +529,7 @@ class QueryExecutor:
                 return self._evaluate_condition(get(entity_id), condition)
 
             survivors = filter(passes, survivors)
-        return [ids[position] for position in islice(survivors, limit)]
+        return list(islice(survivors, limit))
 
     # -------------------------------------------------------------- #
     # REACH strategy (RPQ expansion over the adjacency bitmaps)
@@ -498,10 +586,7 @@ class QueryExecutor:
             witnesses.append(answers[node])
             if limit is not None and len(survivors) >= limit:
                 break
-        rows = self._project_batch(survivors, plan)
-        for row, witness in zip(rows, witnesses):
-            row.witness = witness
-        return rows, examined
+        return self._project_batch(survivors, plan, witnesses), examined
 
     def _equality_superset(self, predicate: str, probes: set[str]) -> set[str]:
         """Ids that *may* satisfy ``predicate = target``, from the target's
@@ -566,62 +651,81 @@ class QueryExecutor:
                     return True
         return False
 
-    def _project_batch(
-        self, documents: list[LiveEntityDocument], plan: PhysicalPlan
+    def _project_columns(
+        self,
+        runs: list[tuple[tuple[str, str], list[str], Sequence[int]]],
+        returns: tuple[tuple[str, ...], ...],
     ) -> list[QueryResultRow]:
-        """Project *documents* to result rows with one display-name batch.
+        """Project single-hop *returns* at the survivor positions of a scan's
+        *runs* from the partitions' value columns, reading no document.
+
+        Display names are resolved at read time
+        (:meth:`~repro.live.index.GraphKVStore.display`), so a renamed
+        target shows its new name whether or not its partition changed.
+        """
+        kv = self.index.kv
+        entity_ids: list[str] = []
+        for _, ids, positions in runs:
+            entity_ids.extend(_take(ids, positions))
+        cells = []
+        for (predicate,) in returns:
+            column: list[object] = []
+            for key, _, positions in runs:
+                single, many = kv.value_column(*key, predicate)
+                taken = kv.display(_take(single, positions))
+                if many:
+                    for slot, position in enumerate(positions):
+                        held = many.get(position)
+                        if held is not None:
+                            taken[slot] = kv.display(list(held))
+                column.extend(taken)
+            cells.append(column)
+        return _rows(entity_ids, [predicate for (predicate,) in returns], cells, repeat(None))
+
+    def _project_batch(
+        self,
+        documents: list[LiveEntityDocument],
+        plan: PhysicalPlan,
+        witnesses: Iterable[Witness | None] | None = None,
+    ) -> list[QueryResultRow]:
+        """Project *documents* to result rows, each row carrying its witness
+        from *witnesses* (REACH answers).
 
         A single-hop column reads each document's own values
         (:meth:`~repro.live.index.LiveEntityDocument.hop`); a multi-hop one
         walks with one ``get_many`` per hop.  Every string that is the id of
-        a served, named document then reads as that name.
+        a served, named document then reads as that name
+        (:meth:`~repro.live.index.GraphKVStore.display`).
         """
+        if witnesses is None:
+            witnesses = repeat(None)
+        display = self.index.kv.display
         returns = plan.project.returns
         if not returns or any(len(path) == 0 for path in returns):
-            display = self._display_map(
-                {reference for document in documents for reference in document.references.values()}
-            )
             rows = []
-            for document in documents:
-                row = QueryResultRow(entity_id=document.entity_id)
-                row.values["name"] = document.name
-                for predicate, values in document.facts.items():
-                    row.values[predicate] = values[0] if len(values) == 1 else list(values)
-                for predicate, reference in document.references.items():
-                    row.values.setdefault(predicate, display.get(reference, reference))
-                rows.append(row)
+            for document, witness in zip(documents, witnesses):
+                values = {"name": document.name}
+                for predicate, held in document.facts.items():
+                    values[predicate] = held[0] if len(held) == 1 else list(held)
+                references = document.references
+                for predicate, shown in zip(references, display(list(references.values()))):
+                    values.setdefault(predicate, shown)
+                rows.append(_new_row((document.entity_id, RowValues(values), witness)))
             return rows
-        columns = [
-            [document.hop(path[0]) for document in documents]
-            if len(path) == 1
-            else self._walk_paths_batch(documents, path)
+        cells = [
+            [
+                None if not values else values[0] if len(values) == 1 else values
+                for values in map(
+                    display,
+                    [document.hop(path[0]) for document in documents]
+                    if len(path) == 1
+                    else self._walk_paths_batch(documents, path),
+                )
+            ]
             for path in returns
         ]
-        display = self._display_map(
-            {
-                item
-                for value_lists in columns
-                for values in value_lists
-                for item in values
-                if isinstance(item, str)
-            }
-        )
-        rows = [QueryResultRow(entity_id=document.entity_id) for document in documents]
-        for path, value_lists in zip(returns, columns):
-            column = ".".join(path)
-            for row, values in zip(rows, value_lists):
-                if display:
-                    values = [
-                        display.get(item, item) if isinstance(item, str) else item
-                        for item in values
-                    ]
-                if not values:
-                    row.values[column] = None
-                elif len(values) == 1:
-                    row.values[column] = values[0]
-                else:
-                    row.values[column] = values
-        return rows
+        entity_ids = [document.entity_id for document in documents]
+        return _rows(entity_ids, [".".join(path) for path in returns], cells, witnesses)
 
     # -------------------------------------------------------------- #
     # path traversal
@@ -677,17 +781,6 @@ class QueryExecutor:
                     next_values.extend(doc.hop(predicate))
                 frontiers[position] = next_values
         return frontiers
-
-    def _display_map(self, references: Iterable[str]) -> dict[str, object]:
-        """Reference id -> display name, for the references that have one."""
-        pending = set(references)
-        if not pending:
-            return {}
-        resolved = self.index.get_many(pending)
-        return {
-            reference: document.name if document.name else reference
-            for reference, document in resolved.items()
-        }
 
     def _as_document(self, value: object) -> LiveEntityDocument | None:
         if isinstance(value, LiveEntityDocument):

@@ -15,10 +15,15 @@ diffs a new document against the one it replaces instead of keeping a
 reverse map of its own.
 
 The key-value store also keeps, per ``(feed, type)``, the partition's ids in
-id order and, built on the first read after the partition changed, a numeric
-column per queried predicate (:meth:`GraphKVStore.numeric_column`): the
-access pattern "a type of one feed, in id order, compared on one predicate"
-that type scans and range filters read.
+id order and, built on the first read after the partition changed, two
+columns per queried predicate: a numeric column
+(:meth:`GraphKVStore.numeric_column`), the access pattern "a type of one
+feed, in id order, compared on one predicate" that range filters read, and
+a value column (:meth:`GraphKVStore.value_column`), the raw values one hop
+reads per row, which a type scan projects from without reading a document.
+Display names are not baked into a value column: :meth:`GraphKVStore.display`
+resolves them at read time, one dict probe per value, so a renamed target
+shows its new name although its referrers' partition did not change.
 """
 
 from __future__ import annotations
@@ -137,15 +142,16 @@ class LiveEntityDocument:
 
 class _Partition:
     """The ids of one ``(feed, type)`` partition in id order, a change count,
-    and the numeric columns built from it (each stamped with the count it
-    was built at)."""
+    and the numeric and value columns built from it (each stamped with the
+    count it was built at)."""
 
-    __slots__ = ("ids", "changes", "columns")
+    __slots__ = ("ids", "changes", "columns", "value_columns")
 
     def __init__(self) -> None:
         self.ids: list[str] = []
         self.changes = 0
         self.columns: dict[str, tuple[int, array, array]] = {}
+        self.value_columns: dict[str, tuple[int, list, dict[int, tuple]]] = {}
 
 
 def _numeric_bounds(values: Iterable[object]) -> tuple[float, float]:
@@ -173,9 +179,10 @@ class GraphKVStore:
     document lives in exactly one dict.  Beside it every ``(source_id,
     entity_type)`` pair has a partition: its ids in id order, so a type scan
     reads them without sorting and a feed-scoped scan reads no other feed's
-    rows.  A partition counts its changes, and :meth:`numeric_column` builds
-    a column on first read after the count moved, so applying a document
-    costs the partition one counter bump and no column work.
+    rows.  A partition counts its changes, and :meth:`numeric_column` and
+    :meth:`value_column` build a column on first read after the count
+    moved, so applying a document costs the partition one counter bump and
+    no column work.
     """
 
     def __init__(self) -> None:
@@ -301,6 +308,57 @@ class GraphKVStore:
             high.append(row_high)
         partition.columns[predicate] = (partition.changes, low, high)
         return low, high
+
+    def value_column(
+        self, feed: str, entity_type: str, predicate: str
+    ) -> tuple[list, dict[int, tuple]]:
+        """``(single, many)``: per id of :meth:`partition`, the values one KGQ
+        path hop reads (:meth:`LiveEntityDocument.hop`).
+
+        ``single[i]`` is the row's value when it reads exactly one, else
+        ``None``; ``many`` maps each position reading two or more to them
+        all, in hop order.  Raw values: :meth:`display` resolves names at
+        read time.  Returned without copying (callers must treat both as
+        frozen) and rebuilt on the first read after the partition changed.
+        """
+        partition = self._id_partitions.get((feed, entity_type))
+        if partition is None:
+            return [], {}
+        built = partition.value_columns.get(predicate)
+        if built is not None and built[0] == partition.changes:
+            return built[1], built[2]
+        single: list[object] = []
+        many: dict[int, tuple] = {}
+        documents = self._documents
+        for position, entity_id in enumerate(partition.ids):
+            values = documents[entity_id].hop(predicate)
+            if len(values) == 1:
+                single.append(values[0])
+                continue
+            single.append(None)
+            if values:
+                many[position] = tuple(values)
+        partition.value_columns[predicate] = (partition.changes, single, many)
+        return single, many
+
+    def display(self, values: list) -> list:
+        """*values* as a result row shows them: a string that is the id of a
+        held document with a name reads as that name.
+
+        One dict probe per value; *values* comes back as it is when no value
+        names a document, else a new list.
+        """
+        documents = self._documents
+        try:
+            found = list(map(documents.get, values))
+        except TypeError:       # an unhashable value, which names nothing
+            found = [documents.get(value) if isinstance(value, str) else None for value in values]
+        if found.count(None) == len(found):
+            return values
+        return [
+            value if document is None or not document.name else document.name
+            for value, document in zip(values, found)
+        ]
 
     def __iter__(self) -> Iterator[LiveEntityDocument]:
         return iter(self._documents.values())

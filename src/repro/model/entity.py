@@ -17,8 +17,8 @@ construction packages.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
 
 from repro.errors import DataModelError
 from repro.model.identifiers import relationship_id

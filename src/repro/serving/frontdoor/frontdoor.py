@@ -9,8 +9,9 @@ honestly when saturated.  One request flows through:
 1. **tenancy** — the tenant is resolved once, on arrival, and the query
    compiled through the tenant's own shape cache (the only plan cache on the
    read path: a text's literals are lifted out, its shape is parsed once,
-   and each request binds its literals and plans), with the view and
-   entity-type boundary enforced at plan time
+   and each request binds its literals; a bound query is planned only when
+   the result cache misses), with the view and entity-type boundary
+   enforced at plan time
    (:class:`~repro.serving.frontdoor.tenancy.TenantRegistry`);
 2. **admission** — deadline-already-expired check, per-tenant token bucket,
    then either a free worker slot or the bounded priority queue; refusals
@@ -19,10 +20,11 @@ honestly when saturated.  One request flows through:
    (:mod:`~repro.serving.frontdoor.admission`);
 3. **serving** — per-tenant result cache, keyed by the text's shape, its
    literals and the consistency level, and invalidated per view when the
-   primary commits a delta; else the compiled plan runs on one replica of
-   the fleet.  The per-tenant caches are the read path's only result cache
-   (replicas cache nothing), so a cross-tenant hit is structurally
-   impossible.  A MATCH plan (no REACH stage) runs inline on the event loop:
+   primary commits a delta; a hit returns the executor's own immutable rows
+   in a new list, unplanned and uncopied.  Else the plan runs on one
+   replica of the fleet.  The per-tenant caches are the read path's only
+   result cache (replicas cache nothing), so a cross-tenant hit is
+   structurally impossible.  A MATCH plan (no REACH stage) runs inline on the event loop:
    its ~0.1 ms of index work is cheaper than the thread hop, two switches
    and a future under one interpreter lock, that a worker pool would add.
    The door then yields once (``asyncio.sleep(0)``), so the writer and
@@ -55,6 +57,7 @@ from repro.errors import (
     TenantIsolationError,
 )
 from repro.live.executor import QueryResult
+from repro.live.planner import PhysicalPlan
 from repro.serving.frontdoor.admission import (
     AdmissionQueue,
     Priority,
@@ -193,6 +196,8 @@ class FrontDoor:
                 self.metrics.observe_latency(tenant_id, latency_ms)
                 return QueryResult(rows=rows, latency_ms=latency_ms, from_cache=True)
 
+        if not isinstance(plan, PhysicalPlan):
+            plan = self.query_router.planner.plan(plan)     # a shape hit, bound
         try:
             await self._acquire_slot(priority, absolute_deadline, tenant_id)
         except OverloadedError:

@@ -19,15 +19,17 @@ hit is structurally impossible, not merely key-disambiguated:
   parsed :class:`~repro.live.kgq.QueryShape`.  Templated texts that differ
   only in their literals parse once.  A shape is scope-checked *before*
   insertion — the MATCH and ``TO`` types are part of it — so a cached shape
-  is a proven-safe shape; every request binds its literals into it and
-  plans the bound query;
+  is a proven-safe shape; every request binds its literals into it, and
+  the bound query is planned only when the result cache misses;
 * **result caches**, one :class:`QueryCache` per ``(tenant, view)``, keyed
   by ``(shape, literals, consistency)`` and invalidated per view when the
   primary commits (and the fleet ships) a delta for that view — a tenant
   only ever re-reads its own freshly-invalidated cache, never another
   tenant's.  They are the read path's only result cache: replicas and their
-  executors execute every plan they are handed.  Their hit, miss and
-  eviction counters live on the tenant, so an invalidation keeps them.
+  executors execute every plan they are handed.  An entry holds the
+  executor's own immutable rows and a hit shares them, copying nothing.
+  Their hit, miss and eviction counters live on the tenant, so an
+  invalidation keeps them.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Hashable
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 from typing import Callable
 
@@ -47,7 +49,7 @@ from repro.errors import (
     TenantIsolationError,
 )
 from repro.live.executor import QueryResultRow
-from repro.live.kgq import QueryShape, lift_literals, parse, parse_shape
+from repro.live.kgq import CallQuery, Query, QueryShape, lift_literals, parse, parse_shape
 from repro.live.planner import PhysicalPlan, QueryPlanner, ensure_plan_within_types
 from repro.serving.frontdoor.admission import TokenBucket
 
@@ -55,38 +57,33 @@ from repro.serving.frontdoor.admission import TokenBucket
 class QueryCache:
     """Tiny LRU cache of result rows.
 
-    Rows are defensively copied on both :meth:`put` and :meth:`get` (the
-    ``values`` dict of every row), so a caller mutating a returned row can
-    never poison later cache hits and a caller mutating its input rows after
-    ``put`` cannot corrupt the cached entry.
+    An entry holds the executor's own rows as a tuple, and a hit returns a
+    new list of those same row objects: nothing is copied.  A row is an
+    immutable value (:class:`~repro.live.executor.QueryResultRow`, whose
+    ``values`` refuse writes), so no caller can poison a later hit — writing
+    to a row raises, and clearing or appending to a returned list changes
+    only that list.
     """
 
     def __init__(self, capacity: int = 256) -> None:
         if capacity <= 0:
             raise LiveGraphError("the query cache needs positive capacity")
         self.capacity = capacity
-        self._entries: OrderedDict[Hashable, list[QueryResultRow]] = OrderedDict()
+        self._entries: OrderedDict[Hashable, tuple[QueryResultRow, ...]] = OrderedDict()
         self.evictions = 0
 
-    @staticmethod
-    def _copy_rows(rows: list[QueryResultRow]) -> list[QueryResultRow]:
-        # Witnesses are immutable tuples, so sharing them across copies is safe.
-        return [
-            QueryResultRow(entity_id=row.entity_id, values=dict(row.values), witness=row.witness)
-            for row in rows
-        ]
-
     def get(self, key: Hashable) -> list[QueryResultRow] | None:
-        """Cached rows for *key* (fresh copies), refreshing recency."""
+        """Cached rows for *key* (a new list of the stored rows), refreshing
+        recency."""
         rows = self._entries.get(key)
         if rows is None:
             return None
         self._entries.move_to_end(key)
-        return self._copy_rows(rows)
+        return list(rows)
 
-    def put(self, key: Hashable, rows: list[QueryResultRow]) -> None:
-        """Insert copies of *rows* for *key*, evicting the least-recently-used."""
-        self._entries[key] = self._copy_rows(rows)
+    def put(self, key: Hashable, rows: Iterable[QueryResultRow]) -> None:
+        """Hold *rows* for *key*, evicting the least-recently-used."""
+        self._entries[key] = tuple(rows)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
@@ -208,19 +205,22 @@ class TenantRegistry:
 
     def compile(
         self, state: _TenantState, query: object, planner: QueryPlanner
-    ) -> tuple[PhysicalPlan, tuple[str, tuple[str, ...]] | None]:
-        """Plan *query* through the tenant's own shape cache, scope-checked.
+    ) -> tuple[PhysicalPlan | Query | CallQuery, tuple[str, tuple[str, ...]] | None]:
+        """Compile *query* through the tenant's own shape cache, scope-checked.
 
-        Returns the plan and, for a text, its ``(shape, literals)`` — the
+        Returns what to run and, for a text, its ``(shape, literals)`` — the
         text's identity for result caching.  A text is lifted
         (:func:`~repro.live.kgq.lift_literals`) and its shape looked up in
-        the per-tenant LRU; a miss parses the shape once, and every request
-        binds its own literals and plans the bound query, about 20 µs, so
-        the planner alone chooses each seed.  A shape becomes visible only
-        after its plan was validated against the tenant's entity-type slice;
-        the types it checks are part of the shape, so a cache hit is
-        proven-safe and never re-validates.  Pre-parsed queries plan and
-        validate directly and have no identity (``None``).
+        the per-tenant LRU.  A hit binds the literals and returns the bound
+        query unplanned: the caller plans it (about 20 µs) only when the
+        result cache misses, so the planner alone still chooses each seed
+        and a result-cache hit plans nothing.  A miss parses the shape once,
+        plans the bound query and returns the plan; the shape becomes
+        visible only after that plan was validated against the tenant's
+        entity-type slice.  The types it checks are part of the shape, so a
+        shape hit is proven-safe and never re-validates.  Syntax and bind
+        refusals raise here, on a hit or a miss.  Pre-parsed queries plan
+        and validate directly and have no identity (``None``).
         """
         if not isinstance(query, str):
             plan = query if isinstance(query, PhysicalPlan) else planner.plan(query)
@@ -235,7 +235,7 @@ class TenantRegistry:
             else:
                 state.plan_misses += 1
         if parsed is not None:
-            return planner.plan(parsed.bind(literals)), (shape, literals)
+            return parsed.bind(literals), (shape, literals)
         try:
             parsed = parse_shape(shape)
         except KGQSyntaxError:

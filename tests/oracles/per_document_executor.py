@@ -11,12 +11,15 @@ program holds one executor.
 
 :class:`PerDocumentExecutor` is a drop-in :class:`QueryExecutor` (a replica's
 ``node.executor`` can be swapped for it).  It replaces matching and projection
-with the per-document forms; condition semantics (``_evaluate_condition``,
+with the per-document forms — a type scan too projects off its documents, not
+off the value columns; condition semantics (``_evaluate_condition``,
 ``_equal``, ``_walk_path``) are the executor's own, which the set-based path
 also verifies every postings hit with.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from repro.errors import KGQPlanError
 from repro.live.executor import QueryExecutor, QueryResultRow
@@ -27,6 +30,10 @@ from repro.live.planner import IndexLookup, PhysicalPlan, TypeScan
 
 class PerDocumentExecutor(QueryExecutor):
     """One condition evaluation per candidate document, one walk per column."""
+
+    def _match_rows(self, plan: PhysicalPlan, feed: str | None) -> tuple[list[QueryResultRow], int]:
+        documents, examined = self.match_documents(plan, feed)
+        return self._project_batch(documents, plan), examined
 
     def match_documents(
         self,
@@ -70,30 +77,35 @@ class PerDocumentExecutor(QueryExecutor):
         raise KGQPlanError(f"unknown seed operator {seed!r}")
 
     def _project_batch(
-        self, documents: list[LiveEntityDocument], plan: PhysicalPlan
+        self, documents: list[LiveEntityDocument], plan: PhysicalPlan, witnesses=None
     ) -> list[QueryResultRow]:
-        return [self._project(document, plan) for document in documents]
+        if witnesses is None:
+            witnesses = repeat(None)
+        return [
+            QueryResultRow(document.entity_id, self._project(document, plan), witness)
+            for document, witness in zip(documents, witnesses)
+        ]
 
-    def _project(self, document: LiveEntityDocument, plan: PhysicalPlan) -> QueryResultRow:
-        row = QueryResultRow(entity_id=document.entity_id)
+    def _project(self, document: LiveEntityDocument, plan: PhysicalPlan) -> dict[str, object]:
+        projected: dict[str, object] = {}
         returns = plan.project.returns
         if not returns or any(len(path) == 0 for path in returns):
-            row.values["name"] = document.name
+            projected["name"] = document.name
             for predicate, values in document.facts.items():
-                row.values[predicate] = values[0] if len(values) == 1 else list(values)
+                projected[predicate] = values[0] if len(values) == 1 else list(values)
             for predicate, reference in document.references.items():
-                row.values.setdefault(predicate, self._display(reference))
-            return row
+                projected.setdefault(predicate, self._display(reference))
+            return projected
         for path in returns:
             values = [self._display(value) for value in self._walk_path(document, path)]
             column = ".".join(path)
             if not values:
-                row.values[column] = None
+                projected[column] = None
             elif len(values) == 1:
-                row.values[column] = values[0]
+                projected[column] = values[0]
             else:
-                row.values[column] = values
-        return row
+                projected[column] = values
+        return projected
 
     def _display(self, value: object) -> object:
         if isinstance(value, str):

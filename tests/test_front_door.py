@@ -20,6 +20,8 @@ other fleet-backed suites — see ``conftest.py``).
 from __future__ import annotations
 
 import asyncio
+import copy
+import pickle
 import random
 import threading
 
@@ -913,13 +915,41 @@ def test_cache_hits_return_unaliased_rows():
     cache = QueryCache()
     rows = [QueryResultRow("e1", {"name": "Ada", "value": 1})]
     cache.put("k", rows)
-    # A caller scribbling over the rows it stored must not poison later hits …
-    rows[0].values["name"] = "CORRUPTED"
+    # A hit returns the stored row objects themselves, in a new list …
+    hit = cache.get("k")
+    assert hit == rows and hit is not rows
+    assert hit[0] is rows[0]
+    # … so the guarantee is structural: a stored or served row refuses writes …
+    for row in (rows[0], hit[0]):
+        with pytest.raises(TypeError):
+            row.values["name"] = "CORRUPTED"
+        with pytest.raises(TypeError):
+            row.values.update(value=999)
+        with pytest.raises(TypeError):
+            del row.values["value"]
+        with pytest.raises(AttributeError):
+            row.witness = (("e1", "knows", "e2"),)
+    # … and clearing or growing a returned list, or the stored one, changes
+    # only that list.
+    hit.clear()
+    rows.append(QueryResultRow("e2", {"name": "Bob"}))
     rehit = cache.get("k")
-    assert rehit[0].values["name"] == "Ada"
-    # … and neither must a caller mutating a row served *from* the cache.
-    rehit[0].values["value"] = 999
-    assert cache.get("k")[0].values == {"name": "Ada", "value": 1}
+    assert [(row.entity_id, row.values) for row in rehit] == [("e1", {"name": "Ada", "value": 1})]
+    rehit.append(QueryResultRow("e3"))
+    assert len(cache.get("k")) == 1
+
+
+def test_result_rows_are_values_that_copy_and_pickle():
+    witness = (("e1", "knows", "e2"),)
+    row = QueryResultRow("e2", {"name": "Bob", "tags": ["a", "b"]}, witness)
+    for twin in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
+        assert twin == row and twin.witness == witness
+        assert list(twin.values) == ["name", "tags"]
+        with pytest.raises(TypeError):
+            twin.values["name"] = "CORRUPTED"
+    writable = dict(row.values)
+    writable["name"] = "Robert"
+    assert row.values["name"] == "Bob"
 
 
 def test_door_cache_hits_survive_callers_mutating_their_rows():
@@ -928,16 +958,47 @@ def test_door_cache_hits_survive_callers_mutating_their_rows():
     try:
         async def scenario():
             first = await door.query("acme", text, "profile_rows")
-            first.rows[0].values["name"] = "CORRUPTED"
+            with pytest.raises(TypeError):
+                first.rows[0].values["name"] = "CORRUPTED"
+            first.rows.clear()
             rehit = await door.query("acme", text, "profile_rows")
             assert rehit.from_cache
             assert rehit.rows[0].values == {"name": "Entity e1"}
-            rehit.rows[0].values["name"] = "CORRUPTED"
+            with pytest.raises(TypeError):
+                rehit.rows[0].values["name"] = "CORRUPTED"
+            rehit.rows.append(QueryResultRow("view:v:e2", {"name": "Entity e2"}))
             again = await door.query("acme", text, "profile_rows")
             assert again.from_cache
-            assert again.rows[0].values == {"name": "Entity e1"}
+            assert [row.values for row in again.rows] == [{"name": "Entity e1"}]
+            # a hit serves the executor's own row objects, uncopied
+            assert again.rows[0] is rehit.rows[0]
         asyncio.run(scenario())
         assert len(door.fleet.query_router.executed) == 1
+    finally:
+        door.close()
+
+
+def test_result_cache_hits_make_no_plan_call(monkeypatch):
+    door = make_door()
+    planner = door.fleet.query_router.planner
+    calls: list[object] = []
+    plan = planner.plan
+    monkeypatch.setattr(planner, "plan", lambda query: calls.append(query) or plan(query))
+    try:
+        async def scenario():
+            await door.query("acme", 'MATCH alpha WHERE value = 1 RETURN name', "profile_rows")
+            assert len(calls) == 1          # the shape's miss plans once, to scope-check
+            for _ in range(5):
+                hit = await door.query("acme", 'MATCH alpha WHERE value = 1 RETURN name', "profile_rows")
+                assert hit.from_cache
+            assert len(calls) == 1          # five result-cache hits plan nothing
+            # a shape hit whose result misses plans once, on the miss
+            await door.query("acme", 'MATCH alpha WHERE value = 2 RETURN name', "profile_rows")
+            assert len(calls) == 2
+        asyncio.run(scenario())
+        caches = door.registry.stats()["acme"]
+        assert caches["plan_cache_hits"] == 6 and caches["plan_cache_misses"] == 1
+        assert caches["result_cache_hits"] == 5 and caches["result_cache_misses"] == 2
     finally:
         door.close()
 

@@ -201,6 +201,41 @@ def test_kv_store_numeric_column_bounds_and_staleness():
     assert store.numeric_column("", "absent", "score") == (array("d"), array("d"))
 
 
+def test_kv_store_value_column_holds_hop_values_and_goes_stale():
+    store = GraphKVStore()
+    rows = {
+        "a": ({"score": [3]}, {}),
+        "b": ({"score": [1, "two"]}, {"score": "a"}),
+        "c": ({}, {}),
+        "d": ({}, {"score": "b"}),
+    }
+    for entity_id, (facts, refs) in rows.items():
+        store.replace(doc(entity_id, "", facts=facts, refs=refs))
+    single, many = store.value_column("", "sports_game", "score")
+    assert single == [3, None, None, "b"]
+    assert many == {1: (1, "two", "a")}
+    assert store.value_column("", "sports_game", "score")[0] is single     # cached
+    # the name hop reads the document's name, and facts only without one
+    store.replace(doc("c", "Gamma"))
+    assert store.value_column("", "sports_game", "name") == (
+        [None, None, "Gamma", None], {}
+    )
+    assert store.value_column("", "sports_game", "score")[0] == [3, None, None, "b"]
+    assert store.value_column("", "absent", "score") == ([], {})
+
+
+def test_kv_store_display_reads_names_at_read_time():
+    store = GraphKVStore()
+    store.replace(doc("t1", "Wolves"))
+    store.replace(doc("t2", ""))
+    assert store.display(["t1", "t2", "t3", 1, None]) == ["Wolves", "t2", "t3", 1, None]
+    untouched = ["t3", 2.5]
+    assert store.display(untouched) is untouched
+    assert store.display([["t1"], "t1"]) == [["t1"], "Wolves"]     # unhashable values
+    store.replace(doc("t1", "Hawks"))
+    assert store.display(["t1"]) == ["Hawks"]
+
+
 def test_live_index_seed_selectivity_reports_postings_sizes():
     live = LiveIndex()
     live.upsert(doc("g1", "Alpha", facts={"status": ["final"]}))

@@ -11,8 +11,9 @@ edge predicate) are checked after every step against a fresh
 survived: the documents served (the very objects), every postings map, the
 forward / reverse bitmaps and the interval encodings, compared in node-name
 space because the two indexes intern nodes in different orders, every
-``(feed, type)`` id partition, and every numeric column read so far (columns
-are read between steps, so a column left stale by an apply shows).  Replicas
+``(feed, type)`` id partition, and every numeric and value column read so
+far (columns are read between steps, so a column left stale by an apply
+shows).  Replicas
 in one process share the documents a batch decodes to, so the same
 sequence also runs through two indexes holding the same objects, one a step
 behind the other; and a streaming upsert must leave a document another
@@ -134,6 +135,10 @@ def assert_index_equals_rebuild(index: LiveIndex, documents: dict[str, LiveEntit
             assert index.kv.numeric_column(feed, entity_type, predicate) == (
                 fresh.kv.numeric_column(feed, entity_type, predicate)
             ), (feed, entity_type, predicate)
+        for predicate in list(partition.value_columns):
+            assert index.kv.value_column(feed, entity_type, predicate) == (
+                fresh.kv.value_column(feed, entity_type, predicate)
+            ), (feed, entity_type, predicate)
 
 
 def partition_state(index: LiveIndex) -> dict[tuple[str, str], list[str]]:
@@ -142,9 +147,12 @@ def partition_state(index: LiveIndex) -> dict[tuple[str, str], list[str]]:
 
 
 def build_columns(rng: random.Random, index: LiveIndex) -> None:
-    """Read a column or two, as range queries would between applies."""
+    """Read a column or two, as range queries and scans would between applies."""
     for feed, entity_type in rng.sample(sorted(partition_state(index)), min(2, len(partition_state(index)))):
         index.kv.numeric_column(feed, entity_type, rng.choice(("popularity", "part_of", "knows")))
+        index.kv.value_column(
+            feed, entity_type, rng.choice(("name", "popularity", "part_of", "knows", "alias"))
+        )
 
 
 #: One step of a sequence: apply it to an index, and the documents served after it.
@@ -267,6 +275,41 @@ def test_a_range_query_sees_a_delta_applied_after_its_column_was_built():
         "a:s03", "a:s10", "a:s11",
     ]
     assert index.kv.numeric_column(feed, "node", "popularity")[1][3] == 2.0
+
+
+def test_a_scan_shows_a_target_renamed_in_another_partition():
+    """A scan projects its columns from value columns cached per partition.
+    A shipped delta that renames only the referenced target moves the
+    target's partition, not the scanned one, so a display name baked into
+    the scanned partition's column would go stale."""
+    feed = "view:a"
+    target = LiveEntityDocument(
+        entity_id="a:t1", entity_type="team", name="Wolves", source_id=feed, timestamp=1,
+    )
+    players = [
+        LiveEntityDocument(
+            entity_id=f"a:p{position}", entity_type="player", name=f"Player {position}",
+            facts={"plays_for": ["a:t1"], "number": [position]}, source_id=feed, timestamp=1,
+        )
+        for position in range(3)
+    ]
+    index = LiveIndex()
+    index.replace_feed(feed, [target, *players], 1)
+    executor = QueryExecutor(index)
+    plan = QueryPlanner().plan(parse("MATCH player RETURN name, plays_for LIMIT 2"))
+
+    def scanned() -> list[tuple[str, object]]:
+        return [
+            (row.entity_id, row.values["plays_for"])
+            for row in executor.execute(plan, feed=feed).rows
+        ]
+
+    assert scanned() == [("a:p0", "Wolves"), ("a:p1", "Wolves")]
+    changes = index.kv._id_partitions[(feed, "player")].changes
+    index.apply_feed_delta(feed, [dataclasses.replace(target, name="Hawks", timestamp=2)], [], 2)
+    assert index.kv._id_partitions[(feed, "player")].changes == changes
+    assert scanned() == [("a:p0", "Hawks"), ("a:p1", "Hawks")]
+    assert executor.execute(plan).rows == executor.execute(plan, feed=feed).rows
 
 
 def test_streaming_upsert_leaves_a_document_another_index_holds_unchanged():
