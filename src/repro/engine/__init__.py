@@ -15,9 +15,8 @@ from repro.engine.analytics import (
 from repro.engine.entity_store import EntityDocument, EntityStore
 from repro.engine.graph_engine import GraphEngine
 from repro.engine.importance import (
-    EntityImportance,
-    ImportanceConfig,
     ImportanceScore,
+    compute_importance,
     importance_view_rows,
 )
 from repro.engine.log import LogRecord, OperationLog
@@ -42,11 +41,9 @@ __all__ = [
     "CallbackAgent",
     "DeltaApplyResult",
     "EntityDocument",
-    "EntityImportance",
     "EntityStore",
     "EntityViewSpec",
     "GraphEngine",
-    "ImportanceConfig",
     "ImportanceScore",
     "InvertedTextIndex",
     "JoinAccessPattern",
@@ -68,5 +65,6 @@ __all__ = [
     "ViewDefinition",
     "ViewManager",
     "ViewState",
+    "compute_importance",
     "importance_view_rows",
 ]

@@ -44,7 +44,7 @@ from typing import Iterable, Sequence
 from repro.engine.agents import AgentCoordinator, OrchestrationAgent, ReplayReport
 from repro.engine.analytics import AnalyticsStore, EntityViewSpec, Relation
 from repro.engine.entity_store import EntityDocument, EntityStore
-from repro.engine.importance import EntityImportance, ImportanceScore, importance_view_rows
+from repro.engine.importance import ImportanceScore, compute_importance, importance_view_rows
 from repro.engine.log import LogRecord, OperationLog
 from repro.engine.metadata import MetadataStore
 from repro.engine.object_store import ObjectStore
@@ -204,7 +204,6 @@ class GraphEngine:
             entity_source=self.triples.subjects,
         )
         self.coordinator.add_delta_listener(self.view_manager.enqueue)
-        self.importance = EntityImportance()
         self.stats = EngineStats()
 
     # -------------------------------------------------------------- #
@@ -327,7 +326,7 @@ class GraphEngine:
 
     def importance_scores(self) -> dict[str, ImportanceScore]:
         """Compute structural importance for every entity in the primary store."""
-        scores = self.importance.compute(self.triples)
+        scores = compute_importance(self.triples)
         for entity_id, score in scores.items():
             if entity_id in self.entity_store:
                 self.entity_store.set_importance(entity_id, score.score)
@@ -370,7 +369,7 @@ class GraphEngine:
         engine = self
 
         def build_importance(context: ViewContext) -> list[dict]:
-            return importance_view_rows(engine.importance.compute(engine.triples).values())
+            return importance_view_rows(compute_importance(engine.triples).values())
 
         def build_entity_features(context: ViewContext) -> list[dict]:
             importance_rows = {row["subject"]: row for row in context.artifact("entity_importance")}
@@ -411,7 +410,7 @@ class GraphEngine:
             edges = []
             # Columnar scan: edge extraction only needs four columns, so stream
             # them straight out of the store instead of materializing triples.
-            for subject, predicate, r_predicate, obj in engine.triples.scan_tuples():
+            for subject, predicate, r_predicate, obj, _ in engine.triples.scan_tuples():
                 if isinstance(obj, str) and obj in features:
                     edges.append(
                         {

@@ -3,9 +3,28 @@
 Popularity signals (song plays, search frequency) cover head entities only, so
 Saga scores *every* entity from four structural signals: in-degree, out-degree,
 number of identities (how many sources contribute facts about the entity), and
-PageRank over the entity graph.  The four metrics are normalized and
-aggregated into a single importance score, and the computation is registered
-as a maintained view over the KG.
+PageRank over the entity graph.  Each metric is divided by its maximum over the
+graph and the four are blended with fixed weights into a single importance
+score; the computation is registered as a maintained view over the KG.
+
+The entity graph comes from one pass over the store's columns
+(:meth:`~repro.model.triples.TripleStore.scan_tuples`):
+
+* **Edges.**  A fact adds the edge subject -> object when its object is a
+  string other than the subject that is a KG identifier or names a subject.
+  Facts repeating a (subject, object) pair, under any predicate, add one edge;
+  the degrees count these distinct edges.
+* **Nodes.**  Every subject plus every edge target, ordered by id.  Edges are
+  summed in (source, target) order, so the scores do not depend on the
+  process's hash seed.
+* **Identities.**  The distinct sources in the provenance of a subject's facts;
+  a target that is no subject has none.
+
+PageRank is ``networkx.pagerank``'s power iteration: uniform start and
+teleport vectors, damping 0.85, the rank held by nodes without out-edges
+spread uniformly over all nodes, and a stop once a round moves the vector by
+less than N x 1e-6 in L1 norm.  A graph that has not met that tolerance after
+50 rounds (a star, say) keeps the 50th iterate instead of failing.
 """
 
 from __future__ import annotations
@@ -13,10 +32,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
+import numpy as np
 
 from repro.model.identifiers import is_kg_identifier
 from repro.model.triples import TripleStore
+
+WEIGHT_IN_DEGREE = 0.25
+WEIGHT_OUT_DEGREE = 0.15
+WEIGHT_IDENTITIES = 0.25
+WEIGHT_PAGERANK = 0.35
+DAMPING = 0.85
+TOLERANCE = 1e-6        # per node, in the L1 norm of one round's change
+MAX_ROUNDS = 50
 
 
 @dataclass
@@ -31,93 +58,60 @@ class ImportanceScore:
     score: float = 0.0
 
 
-@dataclass
-class ImportanceConfig:
-    """Aggregation weights and PageRank parameters."""
-
-    weight_in_degree: float = 0.25
-    weight_out_degree: float = 0.15
-    weight_identities: float = 0.25
-    weight_pagerank: float = 0.35
-    pagerank_damping: float = 0.85
-    pagerank_iterations: int = 50
-
-
-class EntityImportance:
-    """Compute structural entity-importance scores over the KG."""
-
-    def __init__(self, config: ImportanceConfig | None = None) -> None:
-        self.config = config or ImportanceConfig()
-
-    def entity_graph(self, store: TripleStore) -> nx.DiGraph:
-        """Directed entity graph: an edge per entity-to-entity reference."""
-        graph = nx.DiGraph()
-        for subject in store.subjects():
-            graph.add_node(subject)
-        for triple in store:
-            obj = triple.obj
-            if isinstance(obj, str) and obj != triple.subject and (
-                is_kg_identifier(obj) or obj in graph
-            ):
-                graph.add_edge(triple.subject, obj)
-        return graph
-
-    def compute(self, store: TripleStore) -> dict[str, ImportanceScore]:
-        """Return importance scores for every entity in *store*."""
-        graph = self.entity_graph(store)
-        if graph.number_of_nodes() == 0:
-            return {}
-        pagerank = nx.pagerank(
-            graph,
-            alpha=self.config.pagerank_damping,
-            max_iter=self.config.pagerank_iterations,
+def compute_importance(store: TripleStore) -> dict[str, ImportanceScore]:
+    """Importance scores for every node of *store*'s entity graph, keyed in
+    id order."""
+    subjects = store.subjects()
+    sources: dict[str, set[str]] = {}
+    pairs: set[tuple[str, str]] = set()
+    for subject, _, _, obj, provenance in store.scan_tuples():
+        sources.setdefault(subject, set()).update(provenance.sources)
+        if isinstance(obj, str) and obj != subject and (
+            obj in subjects or is_kg_identifier(obj)
+        ):
+            pairs.add((subject, obj))
+    nodes = sorted(subjects.union(target for _, target in pairs))
+    if not nodes:
+        return {}
+    position = {node: index for index, node in enumerate(nodes)}
+    edges = np.array(
+        sorted((position[source], position[target]) for source, target in pairs),
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    out_degree = np.bincount(edges[:, 0], minlength=len(nodes))
+    in_degree = np.bincount(edges[:, 1], minlength=len(nodes))
+    identities = np.array([len(sources.get(node, ())) for node in nodes])
+    pagerank = _pagerank(edges, out_degree)
+    score = (
+        WEIGHT_IN_DEGREE * in_degree / (in_degree.max() or 1)
+        + WEIGHT_OUT_DEGREE * out_degree / (out_degree.max() or 1)
+        + WEIGHT_IDENTITIES * identities / (identities.max() or 1)
+        + WEIGHT_PAGERANK * pagerank / pagerank.max()
+    )
+    return {
+        node: ImportanceScore(node, *metrics)
+        for node, *metrics in zip(
+            nodes, in_degree.tolist(), out_degree.tolist(), identities.tolist(),
+            pagerank.tolist(), score.tolist(),
         )
-        identity_counts = self._identity_counts(store)
-        scores: dict[str, ImportanceScore] = {}
-        for node in graph.nodes:
-            scores[node] = ImportanceScore(
-                entity_id=node,
-                in_degree=graph.in_degree(node),
-                out_degree=graph.out_degree(node),
-                identity_count=identity_counts.get(node, 0),
-                pagerank=pagerank.get(node, 0.0),
-            )
-        self._aggregate(scores)
-        return scores
+    }
 
-    def top_entities(self, store: TripleStore, k: int = 10) -> list[ImportanceScore]:
-        """The *k* most important entities."""
-        scores = self.compute(store)
-        ranked = sorted(scores.values(), key=lambda s: (-s.score, s.entity_id))
-        return ranked[:k]
 
-    # -------------------------------------------------------------- #
-    # internals
-    # -------------------------------------------------------------- #
-    def _identity_counts(self, store: TripleStore) -> dict[str, int]:
-        """Number of sources contributing facts for each entity."""
-        sources_by_entity: dict[str, set[str]] = {}
-        for triple in store:
-            bucket = sources_by_entity.setdefault(triple.subject, set())
-            bucket.update(triple.provenance.sources)
-        return {entity: len(sources) for entity, sources in sources_by_entity.items()}
-
-    def _aggregate(self, scores: dict[str, ImportanceScore]) -> None:
-        """Normalize each metric to [0, 1] and blend with the configured weights."""
-        if not scores:
-            return
-        max_in = max((s.in_degree for s in scores.values()), default=0) or 1
-        max_out = max((s.out_degree for s in scores.values()), default=0) or 1
-        max_identity = max((s.identity_count for s in scores.values()), default=0) or 1
-        max_pagerank = max((s.pagerank for s in scores.values()), default=0.0) or 1.0
-        config = self.config
-        for score in scores.values():
-            score.score = (
-                config.weight_in_degree * score.in_degree / max_in
-                + config.weight_out_degree * score.out_degree / max_out
-                + config.weight_identities * score.identity_count / max_identity
-                + config.weight_pagerank * score.pagerank / max_pagerank
-            )
+def _pagerank(edges: np.ndarray, out_degree: np.ndarray) -> np.ndarray:
+    """Power iteration over the (source, target) index pairs in *edges*."""
+    n = len(out_degree)
+    sources, targets = edges[:, 0], edges[:, 1]
+    share = 1.0 / out_degree[sources]       # each edge's part of its source's rank
+    dangling = out_degree == 0
+    uniform = 1.0 / n
+    rank = np.full(n, uniform)
+    for _ in range(MAX_ROUNDS):
+        last = rank
+        inflow = np.bincount(targets, weights=last[sources] * share, minlength=n)
+        rank = DAMPING * (inflow + last[dangling].sum() * uniform) + (1 - DAMPING) * uniform
+        if np.abs(rank - last).sum() < n * TOLERANCE:
+            break
+    return rank
 
 
 def importance_view_rows(scores: Iterable[ImportanceScore]) -> list[dict]:

@@ -704,9 +704,14 @@ class ViewState:
 
 
 def _topological_order(definitions: dict[str, ViewDefinition]) -> tuple[str, ...] | None:
-    """Every view after all its dependencies, generation by generation, in
-    the order ``networkx.topological_sort`` gives the dependency graph built
-    from *definitions*; ``None`` on a dependency cycle."""
+    """Every view after all its dependencies, generation by generation
+    (Kahn's algorithm, breadth first); ``None`` on a dependency cycle.
+
+    The views with no dependency come first, in order of first mention (a
+    view's own registration, or an earlier view naming it as a dependency).
+    The walk then takes the placed views in turn and appends, in
+    registration order, each dependent whose last unplaced dependency that
+    was."""
     dependents: dict[str, list[str]] = {}     # keyed in order of first mention
     waiting: dict[str, int] = {}
     for name, definition in definitions.items():

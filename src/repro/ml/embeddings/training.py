@@ -96,16 +96,13 @@ def extract_edges(store: TripleStore) -> KGEdgeList:
             relation_ids.append(name)
         return index
 
-    for triple in store:
-        predicate = triple.relationship_predicate or triple.predicate
+    for subject, predicate, r_predicate, obj, _ in store.scan_tuples():
+        predicate = r_predicate or predicate
         if predicate in METADATA_PREDICATES:
             continue
-        obj = triple.obj
         if not isinstance(obj, str) or obj not in subjects:
             continue
-        rows.append(
-            (entity_id_of(triple.subject), relation_id_of(predicate), entity_id_of(obj))
-        )
+        rows.append((entity_id_of(subject), relation_id_of(predicate), entity_id_of(obj)))
     if not rows:
         raise EmbeddingError("the KG contains no entity-to-entity relationship facts")
     return KGEdgeList(

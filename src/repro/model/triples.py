@@ -592,8 +592,9 @@ class TripleStore:
         return inserted
 
     def scan_tuples(self) -> Iterator[tuple]:
-        """Insertion-ordered ``(subject, predicate, relationship_predicate, object)``
-        scan without materializing triples — the graph-shaped hot-loop feed."""
+        """Insertion-ordered ``(subject, predicate, relationship_predicate,
+        object, provenance)`` scan without materializing triples — the
+        graph-shaped hot-loop feed."""
         subject_terms = self._subject_terms.terms
         predicate_terms = self._predicate_terms.terms
         for key, ref in self._by_key.items():
@@ -604,6 +605,7 @@ class TripleStore:
                 partition.predicate,
                 predicate_terms[partition.rpred[row]],
                 partition.objs[row],
+                partition.prov[row],
             )
 
     def scan_subject(self, subject: str) -> Iterator[tuple[str, bool, Value]]:

@@ -1,7 +1,7 @@
 """Reference implementations the equivalence suites and ratio benchmarks compare against.
 
-``src/`` holds one triple store, one KGQ executor and one Jaro kernel; their
-slower twins live here, as oracles:
+``src/`` holds one triple store, one KGQ executor, one Jaro kernel and one
+PageRank; their slower twins live here, as oracles:
 
 * :class:`~oracles.legacy_store.LegacyTripleStore` — the pre-columnar store
   (``tests/test_model_triples_columnar.py``, ``benchmarks/bench_triplestore.py``);
@@ -10,7 +10,9 @@ slower twins live here, as oracles:
   ``tests/test_live_rpq.py``, ``benchmarks/bench_kgq_executor.py``);
 * :mod:`~oracles.jaro` — the window-scanning Jaro kernel and the per-pair
   name features linking used before it compared each string once
-  (``tests/test_similarity_oracle.py``).
+  (``tests/test_similarity_oracle.py``);
+* :mod:`~oracles.pagerank` — a dict-based entity graph, textbook PageRank
+  and the structural importance metrics (``tests/test_engine_importance.py``).
 
 pytest puts ``tests/`` on ``sys.path`` for the test modules; the benchmarks
 need it there explicitly (``PYTHONPATH=src:tests``, as CI sets it).

@@ -18,6 +18,7 @@ from repro.ml.embeddings import (
     make_model,
     sample_negatives,
 )
+from repro.ml.embeddings.training import METADATA_PREDICATES
 from repro.model.triples import TripleStore
 
 
@@ -47,6 +48,26 @@ def test_extract_edges_filters_metadata(reference_store, edge_list):
     assert "type" not in edge_list.relation_ids
     assert "performed_by" in edge_list.relation_ids or "birth_place" in edge_list.relation_ids
     assert edge_list.edges.max() < edge_list.num_entities
+
+
+def test_extract_edges_equals_a_loop_over_the_stored_triples(reference_store, edge_list):
+    subjects = reference_store.subjects()
+    entity_ids: list[str] = []
+    relation_ids: list[str] = []
+    rows = []
+    for triple in reference_store:
+        predicate = triple.relationship_predicate or triple.predicate
+        if predicate in METADATA_PREDICATES or triple.obj not in subjects:
+            continue
+        for name, ids in ((triple.subject, entity_ids), (predicate, relation_ids),
+                          (triple.obj, entity_ids)):
+            if name not in ids:
+                ids.append(name)
+        rows.append((entity_ids.index(triple.subject), relation_ids.index(predicate),
+                     entity_ids.index(triple.obj)))
+    assert edge_list.entity_ids == entity_ids
+    assert edge_list.relation_ids == relation_ids
+    assert edge_list.edges.tolist() == [list(row) for row in rows]
 
 
 def test_extract_edges_requires_relationship_facts():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.engine.entity_store import EntityDocument, EntityStore
-from repro.engine.importance import EntityImportance, ImportanceConfig, importance_view_rows
+from repro.engine import importance
+from repro.engine.importance import compute_importance, importance_view_rows
 from repro.engine.text_index import InvertedTextIndex, TextDocument
 from repro.engine.vector_db import VectorDB
 from repro.errors import StoreError
@@ -127,7 +128,7 @@ def test_vector_db_delete_renumbers_rows():
 
 
 # --------------------------------------------------------------------- #
-# EntityImportance
+# Entity importance
 # --------------------------------------------------------------------- #
 @pytest.fixture
 def linked_store():
@@ -143,20 +144,31 @@ def linked_store():
 
 
 def test_importance_favours_connected_multi_source_entities(linked_store):
-    importance = EntityImportance()
-    scores = importance.compute(linked_store)
+    scores = compute_importance(linked_store)
     assert scores["kg:hub"].in_degree == 3
     assert scores["kg:hub"].identity_count == 2
     assert scores["kg:hub"].score > scores["kg:isolated"].score
-    top = importance.top_entities(linked_store, k=1)
-    assert top[0].entity_id == "kg:hub"
+    top = max(scores.values(), key=lambda s: (s.score, s.entity_id))
+    assert top.entity_id == "kg:hub"
 
 
 def test_importance_rows_and_weights(linked_store):
-    config = ImportanceConfig(weight_in_degree=1.0, weight_out_degree=0.0,
-                              weight_identities=0.0, weight_pagerank=0.0)
-    scores = EntityImportance(config).compute(linked_store)
-    assert scores["kg:hub"].score == pytest.approx(1.0)
+    scores = compute_importance(linked_store)
+    hub = scores["kg:hub"]
+    # the hub holds every maximum but out-degree: three in-edges, two
+    # sources, the highest rank, and no out-edge
+    assert (hub.in_degree, hub.out_degree, hub.identity_count) == (3, 0, 2)
+    assert hub.pagerank == max(s.pagerank for s in scores.values())
+    assert hub.score == pytest.approx(
+        importance.WEIGHT_IN_DEGREE + importance.WEIGHT_IDENTITIES + importance.WEIGHT_PAGERANK
+    )
+    leaf = scores["kg:e1"]
+    assert (leaf.in_degree, leaf.out_degree, leaf.identity_count) == (0, 1, 1)
+    assert leaf.score == pytest.approx(
+        importance.WEIGHT_OUT_DEGREE
+        + importance.WEIGHT_IDENTITIES / 2
+        + importance.WEIGHT_PAGERANK * leaf.pagerank / hub.pagerank
+    )
     rows = importance_view_rows(scores.values())
     assert rows[0]["subject"] == "kg:hub"
     assert set(rows[0]) == {"subject", "in_degree", "out_degree", "identity_count",
@@ -164,4 +176,4 @@ def test_importance_rows_and_weights(linked_store):
 
 
 def test_importance_of_empty_store():
-    assert EntityImportance().compute(TripleStore()) == {}
+    assert compute_importance(TripleStore()) == {}
