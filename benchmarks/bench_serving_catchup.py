@@ -32,7 +32,7 @@ def _register_song_rows(engine: GraphEngine) -> None:
         return {
             "subject": subject,
             "name": str(engine.triples.value_of(subject, "name") or ""),
-            "fact_count": len(engine.triples.facts_about(subject)),
+            "fact_count": engine.triples.fact_count(subject),
         }
 
     def song_scope(entity_id):

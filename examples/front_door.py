@@ -34,7 +34,7 @@ def register_entity_profile(engine) -> None:
         return {
             "subject": subject,
             "name": str(engine.triples.value_of(subject, "name") or ""),
-            "fact_count": len(engine.triples.facts_about(subject)),
+            "fact_count": engine.triples.fact_count(subject),
             "types": [str(engine.triples.value_of(subject, "type") or "")],
         }
 

@@ -10,6 +10,8 @@ after a fully-converged construction run.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from repro.datagen.world import World
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
@@ -19,54 +21,55 @@ REFERENCE_SOURCE = "reference"
 
 
 def world_to_store(world: World, source_id: str = REFERENCE_SOURCE) -> TripleStore:
-    """Materialize the ground-truth world as a triple store."""
+    """Materialize the ground-truth world as a triple store.
+
+    The facts go in through :meth:`TripleStore.add_batch`, which caches no
+    :class:`ExtendedTriple` view per fact the way :meth:`TripleStore.add`
+    does; nothing reads those views back here.
+    """
     store = TripleStore()
+    store.add_batch(_world_triples(world, source_id))
+    return store
+
+
+def _world_triples(world: World, source_id: str) -> Iterator[ExtendedTriple]:
+    """Every fact of *world*, entity by entity, in the store's insertion order."""
     for entity in world.entities.values():
         provenance = Provenance.from_source(source_id, 0.95)
-        store.add(
-            ExtendedTriple(
-                subject=entity.truth_id,
-                predicate="type",
-                obj=entity.entity_type,
-                provenance=provenance,
-            )
+        yield ExtendedTriple(
+            subject=entity.truth_id,
+            predicate="type",
+            obj=entity.entity_type,
+            provenance=provenance,
         )
-        store.add(
-            ExtendedTriple(
-                subject=entity.truth_id,
-                predicate="name",
-                obj=entity.name,
-                provenance=provenance,
-            )
+        yield ExtendedTriple(
+            subject=entity.truth_id,
+            predicate="name",
+            obj=entity.name,
+            provenance=provenance,
         )
         for alias in entity.aliases:
-            store.add(
-                ExtendedTriple(
-                    subject=entity.truth_id,
-                    predicate="alias",
-                    obj=alias,
-                    provenance=provenance,
-                )
-            )
-        store.add(
-            ExtendedTriple(
+            yield ExtendedTriple(
                 subject=entity.truth_id,
-                predicate="popularity",
-                obj=round(float(entity.popularity), 4),
+                predicate="alias",
+                obj=alias,
                 provenance=provenance,
             )
+        yield ExtendedTriple(
+            subject=entity.truth_id,
+            predicate="popularity",
+            obj=round(float(entity.popularity), 4),
+            provenance=provenance,
         )
         for predicate, value in entity.facts.items():
             for item in value if isinstance(value, list) else [value]:
                 if item is None:
                     continue
-                store.add(
-                    ExtendedTriple(
-                        subject=entity.truth_id,
-                        predicate=predicate,
-                        obj=item,
-                        provenance=provenance,
-                    )
+                yield ExtendedTriple(
+                    subject=entity.truth_id,
+                    predicate=predicate,
+                    obj=item,
+                    provenance=provenance,
                 )
         for predicate, nodes in entity.relationships.items():
             for node in nodes:
@@ -75,14 +78,11 @@ def world_to_store(world: World, source_id: str = REFERENCE_SOURCE) -> TripleSto
                 for rel_predicate, rel_value in node.items():
                     if rel_value is None:
                         continue
-                    store.add(
-                        ExtendedTriple(
-                            subject=entity.truth_id,
-                            predicate=predicate,
-                            obj=rel_value,
-                            relationship_id=rel_id,
-                            relationship_predicate=rel_predicate,
-                            provenance=provenance,
-                        )
+                    yield ExtendedTriple(
+                        subject=entity.truth_id,
+                        predicate=predicate,
+                        obj=rel_value,
+                        relationship_id=rel_id,
+                        relationship_predicate=rel_predicate,
+                        provenance=provenance,
                     )
-    return store

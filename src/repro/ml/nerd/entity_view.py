@@ -11,7 +11,7 @@ text mention against these summaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.model.entity import KGEntity
@@ -86,7 +86,9 @@ class NERDEntityView:
             view._rebuild(entity_id, names)
         return view
 
-    def apply_delta(self, delta: ViewDelta) -> dict[str, NERDEntityRecord | None]:
+    def apply_delta(
+        self, delta: ViewDelta, importance: dict[str, float] | None = None
+    ) -> dict[str, NERDEntityRecord | None]:
         """Rebuild every record *delta* can change, from the store now.
 
         A record embeds its neighbours' names and types, so the delta's
@@ -95,9 +97,17 @@ class NERDEntityView:
         subject's out-edges are already gone from the store).  The store may
         already be past *delta*; any other rebuilt record whose neighbours
         moved pulls in the ids that left or joined it.  A subject with no
-        facts left loses its record.  Returns the previous record (``None``:
-        none) of every id rebuilt.
+        facts left loses its record.
+
+        Importance is a whole-graph score, so a delta can move the score of
+        an entity it never names.  With *importance*, the view adopts that
+        map first, and every other record whose stored importance differs
+        from the map's score takes that score, which is all a rebuild would
+        change.  Returns the previous record (``None``: none) of every id
+        rebuilt or rescored.
         """
+        if importance is not None:
+            self.importance = importance
         subjects = delta.added | delta.updated | delta.deleted
         pending = set(subjects)
         previous: dict[str, NERDEntityRecord | None] = {}
@@ -109,6 +119,12 @@ class NERDEntityView:
             after = self._rebuild(entity_id, names)
             moved = before | after if entity_id in subjects else before ^ after
             pending.update(moved.difference(previous))
+        if importance is not None:
+            for entity_id, record in self._records.items():
+                score = importance.get(entity_id)
+                if entity_id not in previous and score is not None and record.importance != score:
+                    previous[entity_id] = record
+                    self._records[entity_id] = replace(record, importance=float(score))
         return previous
 
     # -------------------------------------------------------------- #

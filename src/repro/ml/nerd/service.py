@@ -107,13 +107,16 @@ class NERDService:
     # -------------------------------------------------------------- #
     # maintenance
     # -------------------------------------------------------------- #
-    def apply_delta(self, delta: ViewDelta) -> None:
+    def apply_delta(self, delta: ViewDelta, importance: dict[str, float] | None = None) -> None:
         """Bring the entity view and the retrieval indexes up to one log delta.
 
         The Graph Engine's coordinator calls this with each LSN-stamped delta
-        once every store has replayed it (``SagaPlatform.nerd`` registers it).
+        once every store has replayed it (``SagaPlatform.nerd`` registers it,
+        with the importance map recomputed for the delta).  With
+        *importance*, the view ranks by that map from now on
+        (:meth:`NERDEntityView.apply_delta`).
         """
-        self.retriever.reindex(self.view.apply_delta(delta))
+        self.retriever.reindex(self.view.apply_delta(delta, importance))
         self.deltas_applied += 1
 
     # -------------------------------------------------------------- #

@@ -56,6 +56,9 @@ from repro.model.columnar import (
     PredicatePartition,
     TermDict,
     pack_ref,
+    posting_add,
+    posting_ids,
+    posting_remove,
 )
 from repro.model.provenance import DEFAULT_LOCALE, Provenance, SourceReference
 
@@ -297,17 +300,25 @@ class TripleStore:
     Internal layout (private — the lint guard bans touching these outside
     ``src/repro/model/``):
 
-    ``_by_key``
-        Insertion-ordered dict from the id-encoded fact key
-        ``(sid, pid, rid, rpid, oid, lid)`` to a packed row reference
-        ``(pid << 32) | row``.  Iteration order of the store is this dict's
-        insertion order, matching the legacy layout.
+    ``_row_order``
+        Insertion-ordered dict whose keys are the packed row references
+        ``(pid << 32) | row`` of the live rows.  Iteration order of the store
+        is this dict's order, matching the legacy layout: a discard deletes
+        the ref, and a new row, in a reused slot too, appends its ref.  A
+        fact key is found through the partition's ``(subject, predicate)``
+        posting and a compare of that posting's few rows (:meth:`_find_ref`).
     ``_by_subject`` / ``_by_object``
-        Exact secondary indexes from subject / object id to packed refs.
-    ``_by_source``
-        Exact inverted index from source id to packed refs: a row's
-        provenance changes only through the store, which keeps this index
-        in step.
+        Exact secondary indexes from subject / object id to packed refs; a
+        posting with one ref is the bare ref.
+    ``_source_rows``
+        Per source id, the live rows whose provenance holds it: a row's
+        provenance changes only through the store, which keeps the counts in
+        step.  The rows themselves are found by reading the provenance
+        column.
+
+    Sort keys are not stored: :meth:`_sort_key_fn` joins the term
+    dictionaries' cached ``repr`` strings and the ``repr`` of the row's
+    literal.
     """
 
     def __init__(self, triples: Iterable[ExtendedTriple] | None = None) -> None:
@@ -319,10 +330,10 @@ class TripleStore:
         self._none_rid = self._rid_terms.intern(None)
         self._none_rpred = self._predicate_terms.intern(None)
         self._partitions: dict[int, PredicatePartition] = {}
-        self._by_key: dict[tuple, int] = {}
-        self._by_subject: dict[int, set[int]] = {}
-        self._by_object: dict[int, set[int]] = {}
-        self._by_source: dict[str, set[int]] = {}
+        self._row_order: dict[int, None] = {}
+        self._by_subject: dict[int, int | set[int]] = {}
+        self._by_object: dict[int, int | set[int]] = {}
+        self._source_rows: dict[str, int] = {}
         # Repeated-scan cache: subject id -> facts in facts_about order.
         # Invalidated per subject when a fact is created or removed; a
         # provenance replacement updates the cached view in place.
@@ -349,9 +360,7 @@ class TripleStore:
     def discard(self, triple: ExtendedTriple) -> bool:
         """Remove the fact identified by *triple*'s key. Returns ``True`` if present."""
         key = self._key_ids(triple)
-        if key is None:
-            return False
-        ref = self._by_key.get(key)
+        ref = None if key is None else self._find_ref(*key)
         if ref is None:
             return False
         self._discard_ref(ref)
@@ -360,9 +369,7 @@ class TripleStore:
     def remove_subject(self, subject: str) -> int:
         """Remove every fact about *subject*; return the number removed."""
         sid = self._subject_terms.id_of(subject)
-        if sid is None or sid not in self._by_subject:
-            return 0
-        refs = list(self._by_subject.get(sid, ()))
+        refs = tuple(posting_ids(self._by_subject.get(sid)))
         for ref in refs:
             self._discard_ref(ref)
         return len(refs)
@@ -371,23 +378,23 @@ class TripleStore:
         """Drop *source_id* from all provenance; purge facts left unsupported.
 
         Implements on-demand source deletion (licensing / governance).
-        Returns the number of facts removed entirely.  Touches only the facts
-        in the source's inverted-index entry, not the whole store.
+        Returns the number of facts removed entirely.  A rare operation, it
+        walks the provenance column of every partition; a source holding no
+        row returns at once.
         """
-        refs = self._by_source.get(source_id)
-        if not refs:
+        if not self._source_rows.get(source_id):
             return 0
-        return sum(self._retract(ref, source_id) for ref in list(refs))
+        return sum(self._retract(ref, source_id) for ref in self._refs_of_source(source_id))
 
     # ------------------------------------------------------------------ #
     # batch operators
     # ------------------------------------------------------------------ #
     def add_batch(self, triples: Iterable[ExtendedTriple]) -> int:
         """Insert triples without materializing views; return new-fact count."""
-        before = len(self._by_key)
+        before = len(self._row_order)
         for triple in triples:
             self._upsert_triple(triple)
-        return len(self._by_key) - before
+        return len(self._row_order) - before
 
     def add_rows(self, rows: Iterable[dict]) -> int:
         """Insert relational rows (:meth:`ExtendedTriple.to_row` format) directly.
@@ -395,7 +402,7 @@ class TripleStore:
         Skips triple construction entirely; validation matches
         :meth:`ExtendedTriple.from_row` exactly.  Returns new-fact count.
         """
-        before = len(self._by_key)
+        before = len(self._row_order)
         for row in rows:
             subject = row["subject"]
             predicate = row["predicate"]
@@ -422,7 +429,7 @@ class TripleStore:
                 row.get("locale", DEFAULT_LOCALE),
                 provenance,
             )
-        return len(self._by_key) - before
+        return len(self._row_order) - before
 
     def remove_subjects_batch(self, subjects: Iterable[str]) -> int:
         """Remove every fact of every listed subject; return the number removed."""
@@ -441,15 +448,14 @@ class TripleStore:
         """Remove *source_id* from the provenance of matching facts of the
         given subjects, purging facts left unsupported.
 
-        The fusion retract primitive: candidate facts come from intersecting
-        the subject and source inverted indexes, so a retraction touches only
-        the facts the source actually asserted instead of scanning every fact
-        of the subject.  *only_predicates* restricts the retraction to those
-        predicates (the volatile-partition path); *skip_predicates* exempts
-        predicates (fusion never retracts ``sameAs`` links).  Returns the
-        number of facts purged entirely.
+        The fusion retract primitive: candidate facts are the subject's refs
+        whose provenance holds the source, so a retraction reads only the
+        named subjects' few rows.  *only_predicates* restricts the retraction
+        to those predicates (the volatile-partition path); *skip_predicates*
+        exempts predicates (fusion never retracts ``sameAs`` links).  Returns
+        the number of facts purged entirely.
         """
-        if not self._by_source.get(source_id):
+        if not self._source_rows.get(source_id):
             return 0
         pid_filter = None
         if only_predicates is not None:
@@ -457,22 +463,18 @@ class TripleStore:
             pid_filter = {pid for pid in ids if pid is not None}
         ids = (self._predicate_terms.id_of(p) for p in skip_predicates)
         skip_pids = {pid for pid in ids if pid is not None}
+        partitions = self._partitions
         removed = 0
         for subject in subjects:
             sid = self._subject_terms.id_of(subject)
-            if sid is None:
-                continue
-            subject_refs = self._by_subject.get(sid)
-            source_refs = self._by_source.get(source_id)
-            if not subject_refs or not source_refs:
-                continue
-            for ref in subject_refs & source_refs:
+            for ref in tuple(posting_ids(self._by_subject.get(sid))):
                 pid = ref >> ROW_BITS
                 if pid_filter is not None and pid not in pid_filter:
                     continue
                 if pid in skip_pids:
                     continue
-                removed += self._retract(ref, source_id)
+                if source_id in partitions[pid].prov[ref & ROW_MASK]:
+                    removed += self._retract(ref, source_id)
         return removed
 
     def stage(self, subjects: Iterable[str]) -> TripleBatch:
@@ -490,13 +492,13 @@ class TripleStore:
 
         Each staged fact's provenance drops *source_id*, and a fact left with
         no source is omitted.  Returns the batch of the subjects that keep a
-        fact and, sorted, the subjects left with none.  Costs O(facts of the
-        touched subjects): the subjects come from the source's inverted index.
+        fact and, sorted, the subjects left with none.  The subjects come from
+        a walk of the provenance column, as in :meth:`remove_source`.
         """
         terms, partitions = self._subject_terms.terms, self._partitions
         touched = sorted({
             terms[partitions[ref >> ROW_BITS].subj[ref & ROW_MASK]]
-            for ref in self._by_source.get(source_id, ())
+            for ref in self._refs_of_source(source_id)
         })
         batch = self._stage(touched, dropped_source=source_id)
         kept = set(batch.subjects)
@@ -511,9 +513,10 @@ class TripleStore:
             (self._predicate_terms, self._rid_terms, self._locale_terms, self._object_terms),
         )
         kept: list[str] = []
+        sort_key = self._sort_key_fn()
         for subject in subjects:
             sid = self._subject_terms.id_of(subject)
-            for ref in sorted(self._by_subject.get(sid, ()), key=self._repr_of):
+            for ref in sorted(posting_ids(self._by_subject.get(sid)), key=sort_key):
                 partition = self._partitions[ref >> ROW_BITS]
                 row = ref & ROW_MASK
                 provenance = partition.prov[row]
@@ -543,9 +546,9 @@ class TripleStore:
         per call, each subject once per group), and each subject's group is
         diffed against the rows the store holds for it:
 
-        * a staged fact already stored keeps its row, its materialized
-          triple and its cached ``repr``; the row's provenance is replaced
-          only when the batch's value differs;
+        * a staged fact already stored keeps its row and its materialized
+          triple; the row's provenance is replaced only when the batch's
+          value differs;
         * a stored fact the batch no longer names is discarded (a subject
           staged without facts leaves the store);
         * a new fact is inserted id-encoded, sharing the batch's provenance
@@ -565,6 +568,7 @@ class TripleStore:
         oids = _translate_ids(batch._oids, their_objects, self._object_terms)
         lids = _translate_ids(batch._lids, their_locales, self._locale_terms)
         predicates = self._predicate_terms.terms
+        partitions = self._partitions
         objs, provs, starts = batch._objs, batch._provs, batch._starts
         inserted = 0
         for index, subject in enumerate(batch.subjects):
@@ -573,22 +577,32 @@ class TripleStore:
                 sid = self._subject_terms.id_of(subject)
             else:
                 sid = self._subject_terms.intern(subject)
-            stale = set(self._by_subject.get(sid, ()))
-            fresh: list[tuple[tuple, int]] = []
+            # the subject's stored refs by the rest of their fact key; what
+            # no staged fact claims is stale
+            stored: dict[tuple, int] = {}
+            for ref in posting_ids(self._by_subject.get(sid)):
+                partition = partitions[ref >> ROW_BITS]
+                row = ref & ROW_MASK
+                stored[(
+                    partition.pid, partition.rid[row], partition.rpred[row],
+                    partition.obj_ids[row], partition.loc[row],
+                )] = ref
+            fresh: list[int] = []
             for row in range(first, end):
-                key = (sid, pids[row], rids[row], rpids[row], oids[row], lids[row])
-                ref = self._by_key.get(key)
-                if ref in stale and self._holds_literal(ref, objs[row]):
-                    stale.discard(ref)
+                key = (pids[row], rids[row], rpids[row], oids[row], lids[row])
+                ref = stored.get(key)
+                if ref is not None and self._holds_literal(ref, objs[row]):
+                    del stored[key]
                     self._set_prov(ref, provs[row])
                 else:
-                    fresh.append((key, row))
-            for ref in stale:
+                    fresh.append(row)
+            for ref in stored.values():
                 self._discard_ref(ref)
-            before = len(self._by_key)
-            for key, row in fresh:
+            before = len(self._row_order)
+            for row in fresh:
+                key = (sid, pids[row], rids[row], rpids[row], oids[row], lids[row])
                 self._insert_ids(key, predicates[key[1]], objs[row], provs[row])
-            inserted += len(self._by_key) - before
+            inserted += len(self._row_order) - before
         return inserted
 
     def scan_tuples(self) -> Iterator[tuple]:
@@ -597,8 +611,8 @@ class TripleStore:
         graph-shaped hot-loop feed."""
         subject_terms = self._subject_terms.terms
         predicate_terms = self._predicate_terms.terms
-        for key, ref in self._by_key.items():
-            partition = self._partitions[key[1]]
+        for ref in self._row_order:
+            partition = self._partitions[ref >> ROW_BITS]
             row = ref & ROW_MASK
             yield (
                 subject_terms[partition.subj[row]],
@@ -615,7 +629,7 @@ class TripleStore:
         sid = self._subject_terms.id_of(subject)
         if sid is None:
             return
-        for ref in self._by_subject.get(sid, ()):
+        for ref in posting_ids(self._by_subject.get(sid)):
             partition = self._partitions[ref >> ROW_BITS]
             row = ref & ROW_MASK
             yield (
@@ -651,9 +665,12 @@ class TripleStore:
         cached = self._facts_cache.get(sid)
         if cached is None:
             refs = self._by_subject.get(sid)
-            if not refs:
+            if refs is None:
                 return []
-            cached = [self._materialize(ref) for ref in sorted(refs, key=self._repr_of)]
+            cached = [
+                self._materialize(ref)
+                for ref in sorted(posting_ids(refs), key=self._sort_key_fn())
+            ]
             self._facts_cache[sid] = cached
         return cached
 
@@ -664,7 +681,7 @@ class TripleStore:
         if partition is None or not partition.live:
             return []
         refs = [pack_ref(pid, row) for row in partition.live_rows()]
-        refs.sort(key=self._repr_of)
+        refs.sort(key=self._sort_key_fn())
         return [self._materialize(ref) for ref in refs]
 
     def facts_with_object(self, obj: Value) -> list[ExtendedTriple]:
@@ -673,10 +690,8 @@ class TripleStore:
             oid = self._object_terms.id_of(obj)
         except TypeError:  # unhashable object value: fall back to a scan
             return [t for t in self if t.obj == obj]
-        refs = self._by_object.get(oid) if oid is not None else None
-        if not refs:
-            return []
-        return [self._materialize(ref) for ref in sorted(refs, key=self._repr_of)]
+        refs = posting_ids(self._by_object.get(oid))
+        return [self._materialize(ref) for ref in sorted(refs, key=self._sort_key_fn())]
 
     def value_of(self, subject: str, predicate: str) -> Value | None:
         """Return one object for ``(subject, predicate)`` or ``None``.
@@ -732,9 +747,13 @@ class TripleStore:
         """Number of distinct subjects (entities) in the store."""
         return len(self._by_subject)
 
-    def fact_count(self) -> int:
-        """Number of distinct facts in the store."""
-        return len(self._by_key)
+    def fact_count(self, subject: str | None = None) -> int:
+        """Number of distinct facts in the store, or about *subject* when
+        given — counted from the subject's posting, materializing nothing."""
+        if subject is None:
+            return len(self._row_order)
+        sid = self._subject_terms.id_of(subject)
+        return len(posting_ids(self._by_subject.get(sid)))
 
     def filter(self, predicate_fn: Callable[[ExtendedTriple], bool]) -> "TripleStore":
         """Return a new store with the facts satisfying *predicate_fn*."""
@@ -742,7 +761,7 @@ class TripleStore:
 
     def to_rows(self) -> list[dict]:
         """Serialize the whole store to relational rows."""
-        return [self._row_of(ref) for ref in self._by_key.values()]
+        return [self._row_of(ref) for ref in self._row_order]
 
     def canonical_rows(self) -> list[tuple]:
         """Canonical content of the store: every fact with its provenance.
@@ -753,11 +772,12 @@ class TripleStore:
         equivalence suites compare stores through this one definition.
         """
         rows = []
-        for ref in self._by_key.values():
+        sort_key = self._sort_key_fn()
+        for ref in self._row_order:
             prov = self._partitions[ref >> ROW_BITS].prov[ref & ROW_MASK]
             rows.append(
                 (
-                    self._repr_of(ref),
+                    sort_key(ref),
                     tuple(sorted((r.source_id, r.trust) for r in prov.references)),
                 )
             )
@@ -810,8 +830,8 @@ class TripleStore:
     def _insert_ids(self, key: tuple, predicate: str, obj: Value, provenance: Provenance) -> int:
         """Insert one id-encoded fact holding *provenance*, or merge
         *provenance* into the fact already stored under *key*."""
-        pid = key[1]
-        ref = self._by_key.get(key)
+        sid, pid, rid, rpid, oid, lid = key
+        ref = self._find_ref(sid, pid, rid, rpid, oid, lid)
         if ref is not None:
             held = self._partitions[pid].prov[ref & ROW_MASK]
             self._set_prov(ref, held.merge(provenance))
@@ -819,15 +839,57 @@ class TripleStore:
         partition = self._partitions.get(pid)
         if partition is None:
             partition = self._partitions[pid] = PredicatePartition(pid, predicate)
-        row = partition.alloc(key[0], key[2], key[3], key[4], key[5], obj, provenance)
+        row = partition.alloc(sid, rid, rpid, oid, lid, obj, provenance)
         ref = pack_ref(pid, row)
-        self._by_key[key] = ref
-        self._by_subject.setdefault(key[0], set()).add(ref)
-        self._by_object.setdefault(key[4], set()).add(ref)
-        for r in provenance.references:
-            self._by_source.setdefault(r.source_id, set()).add(ref)
-        self._facts_cache.pop(key[0], None)
+        self._row_order[ref] = None
+        posting_add(self._by_subject, sid, ref)
+        posting_add(self._by_object, oid, ref)
+        self._count_sources(provenance, 1)
+        self._facts_cache.pop(sid, None)
         return ref
+
+    def _find_ref(self, sid: int, pid: int, rid: int, rpid: int, oid: int, lid: int) -> int | None:
+        """The packed ref of the live row holding the id-encoded fact key, or
+        ``None``: the ``(sid, pid)`` posting names the subject's few rows of
+        the predicate, and their id columns are compared."""
+        partition = self._partitions.get(pid)
+        if partition is None:
+            return None
+        rows = partition.by_subject.get(sid)
+        if rows is None:
+            return None
+        for row in (rows,) if type(rows) is int else rows:
+            if (
+                partition.obj_ids[row] == oid
+                and partition.rid[row] == rid
+                and partition.rpred[row] == rpid
+                and partition.loc[row] == lid
+            ):
+                return pack_ref(pid, row)
+        return None
+
+    def _count_sources(self, provenance: Provenance, step: int) -> None:
+        """Add *step* to the count of each source of *provenance*.  A count
+        is the source's references over the live rows, so it is positive
+        exactly while some live row holds the source."""
+        counts = self._source_rows
+        for reference in provenance.references:
+            source_id = reference.source_id
+            count = counts.get(source_id, 0) + step
+            if count:
+                counts[source_id] = count
+            else:
+                del counts[source_id]
+
+    def _refs_of_source(self, source_id: str) -> list[int]:
+        """Refs of every live row whose provenance holds *source_id*, read
+        from the provenance columns."""
+        return [
+            pack_ref(pid, row)
+            for pid, partition in self._partitions.items()
+            for row, prov in enumerate(partition.prov)
+            if prov is not None and source_id in prov
+        ]
 
     def _holds_literal(self, ref: int, obj: Value) -> bool:
         """Whether the live row stores *obj* as provided, not merely a
@@ -841,22 +903,15 @@ class TripleStore:
 
     def _set_prov(self, ref: int, provenance: Provenance) -> None:
         """Give one live row *provenance* unless it already holds that value;
-        ``_by_source`` follows the sources that left or joined."""
+        the per-source row counts follow the sources that left or joined."""
         partition = self._partitions[ref >> ROW_BITS]
         row = ref & ROW_MASK
         held = partition.prov[row]
         if held is provenance or held == provenance:
             return
         partition.replace_prov(row, provenance)
-        before = {r.source_id for r in held.references}
-        after = {r.source_id for r in provenance.references}
-        for source_id in before - after:
-            refs = self._by_source[source_id]
-            refs.discard(ref)
-            if not refs:
-                del self._by_source[source_id]
-        for source_id in after - before:
-            self._by_source.setdefault(source_id, set()).add(ref)
+        self._count_sources(held, -1)
+        self._count_sources(provenance, 1)
 
     def _key_ids(self, triple: ExtendedTriple) -> tuple | None:
         """Id-encode *triple*'s key, or ``None`` when any term is unknown.
@@ -884,30 +939,14 @@ class TripleStore:
 
     def _discard_ref(self, ref: int) -> None:
         """Remove one live row."""
-        pid, row = ref >> ROW_BITS, ref & ROW_MASK
-        partition = self._partitions[pid]
+        partition = self._partitions[ref >> ROW_BITS]
+        row = ref & ROW_MASK
         sid = partition.subj[row]
-        oid = partition.obj_ids[row]
-        key = (sid, pid, partition.rid[row], partition.rpred[row], oid, partition.loc[row])
-        del self._by_key[key]
+        del self._row_order[ref]
         self._facts_cache.pop(sid, None)
-        refs = self._by_subject.get(sid)
-        if refs is not None:
-            refs.discard(ref)
-            if not refs:
-                del self._by_subject[sid]
-        refs = self._by_object.get(oid)
-        if refs is not None:
-            refs.discard(ref)
-            if not refs:
-                del self._by_object[oid]
-        prov = partition.prov[row]
-        for r in prov.references:
-            refs = self._by_source.get(r.source_id)
-            if refs is not None:
-                refs.discard(ref)
-                if not refs:
-                    del self._by_source[r.source_id]
+        posting_remove(self._by_subject, sid, ref)
+        posting_remove(self._by_object, partition.obj_ids[row], ref)
+        self._count_sources(partition.prov[row], -1)
         partition.release(row)
 
     def _composite_index_refs(self, subject: str, predicate: str) -> list[int]:
@@ -921,12 +960,11 @@ class TripleStore:
         if partition is None:
             return []
         rows = partition.by_subject.get(sid)
-        if not rows:
+        if rows is None:
             return []
-        if len(rows) == 1:
-            (row,) = rows
-            return [pack_ref(pid, row)]
-        return sorted((pack_ref(pid, row) for row in rows), key=self._repr_of)
+        if type(rows) is int:
+            return [pack_ref(pid, rows)]
+        return sorted((pack_ref(pid, row) for row in rows), key=self._sort_key_fn())
 
     def _materialize(self, ref: int) -> ExtendedTriple:
         """The cached :class:`ExtendedTriple` view of one live row.
@@ -951,25 +989,28 @@ class TripleStore:
             partition.shims[row] = shim
         return shim
 
-    def _repr_of(self, ref: int) -> str:
-        """``repr`` of the row's key tuple, cached per row — the sort key of
-        every ordered lookup (identical to the legacy ``sorted(keys, key=repr)``)."""
-        partition = self._partitions[ref >> ROW_BITS]
-        row = ref & ROW_MASK
-        cached = partition.reprs[row]
-        if cached is None:
-            cached = repr(
-                (
-                    self._subject_terms.terms[partition.subj[row]],
-                    partition.predicate,
-                    self._rid_terms.terms[partition.rid[row]],
-                    self._predicate_terms.terms[partition.rpred[row]],
-                    partition.objs[row],
-                    self._locale_terms.terms[partition.loc[row]],
-                )
+    def _sort_key_fn(self) -> Callable[[int], str]:
+        """The sort key of every ordered lookup: a ref's ``repr`` of its key
+        tuple, identical to the legacy ``sorted(keys, key=repr)``.  It is
+        built from the term dictionaries' cached reprs and the row literal's
+        own ``repr`` and stored nowhere; the returned function binds the
+        dictionaries once per sort."""
+        partitions = self._partitions
+        subject_reprs = self._subject_terms.reprs
+        predicate_reprs = self._predicate_terms.reprs
+        rid_reprs = self._rid_terms.reprs
+        locale_reprs = self._locale_terms.reprs
+
+        def sort_key(ref: int) -> str:
+            partition = partitions[ref >> ROW_BITS]
+            row = ref & ROW_MASK
+            return (
+                f"({subject_reprs[partition.subj[row]]}, {predicate_reprs[partition.pid]}, "
+                f"{rid_reprs[partition.rid[row]]}, {predicate_reprs[partition.rpred[row]]}, "
+                f"{partition.objs[row]!r}, {locale_reprs[partition.loc[row]]})"
             )
-            partition.reprs[row] = cached
-        return cached
+
+        return sort_key
 
     def _row_of(self, ref: int) -> dict:
         partition = self._partitions[ref >> ROW_BITS]
@@ -987,13 +1028,13 @@ class TripleStore:
         }
 
     def __iter__(self) -> Iterator[ExtendedTriple]:
-        return iter([self._materialize(ref) for ref in self._by_key.values()])
+        return iter([self._materialize(ref) for ref in self._row_order])
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self._row_order)
 
     def __contains__(self, triple: object) -> bool:
         if not isinstance(triple, ExtendedTriple):
             return False
         key = self._key_ids(triple)
-        return key is not None and key in self._by_key
+        return key is not None and self._find_ref(*key) is not None

@@ -33,6 +33,8 @@ from repro.construction.pipeline import KnowledgeConstructionPipeline
 from repro.construction.incremental import ConstructionReport
 from repro.datagen.streams import LiveEvent
 from repro.engine.graph_engine import GraphEngine
+from repro.engine.importance import ImportanceScore, compute_importance
+from repro.engine.views import ViewDelta
 from repro.ingestion.alignment import AlignmentConfig
 from repro.ingestion.pipeline import IngestionHub, IngestionPipeline, IngestionResult
 from repro.ingestion.transform import EntityTransformer
@@ -45,6 +47,11 @@ from repro.model.ontology import Ontology, default_ontology
 from repro.serving.fleet import ServingFleet
 from repro.serving.frontdoor import FrontDoor, TenantRegistry
 from repro.serving.journal_store import FileJournalBackend, JournalStore
+
+
+def _score_map(scores: dict[str, ImportanceScore]) -> dict[str, float]:
+    """The aggregate importance score of each entity: NERD's ranking input."""
+    return {entity_id: score.score for entity_id, score in scores.items()}
 
 
 @dataclass
@@ -223,18 +230,22 @@ class SagaPlatform:
         delta listener of the Graph Engine's coordinator.
         """
         if self._nerd is None:
-            importance = {
-                entity_id: score.score
-                for entity_id, score in self.graph_engine.importance_scores().items()
-            }
             self._nerd = NERDService.from_store(
                 self.graph_engine.triples,
                 ontology=self.ontology,
                 encoder=self.name_encoder,
-                importance=importance,
+                importance=_score_map(self.graph_engine.importance_scores()),
             )
-            self.graph_engine.coordinator.add_delta_listener(self._nerd.apply_delta)
+            self.graph_engine.coordinator.add_delta_listener(self._apply_nerd_delta)
         return self._nerd
+
+    def _apply_nerd_delta(self, delta: ViewDelta) -> None:
+        """NERD's delta listener: structural importance is global (a new
+        in-edge moves every PageRank), so each delta recomputes it once and
+        hands NERD the fresh map with the delta."""
+        self._nerd.apply_delta(
+            delta, importance=_score_map(compute_importance(self.graph_engine.triples))
+        )
 
     def annotate(self, text: str) -> list:
         """Semantic annotation of free text with KG entities (§6.3)."""

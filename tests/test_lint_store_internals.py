@@ -1,12 +1,13 @@
 """Lint guard: TripleStore private internals stay inside the model layer.
 
 The columnar refactor (docs/store.md) made the store's layout an
-implementation detail: per-predicate column partitions, term dictionaries, and
-the key/subject/object/source indexes.  Consumers must go through the public
+implementation detail: per-predicate column partitions, term dictionaries (with
+their cached term reprs), the insertion-ordered ref dict, the subject/object
+indexes and the per-source row counts.  Consumers must go through the public
 API — ``facts_about``/``value_of`` lookups, the batch operators, ``to_rows``/
-``canonical_rows`` — so the layout can keep evolving (and the exact source
-index can stay in step with every provenance replacement) without auditing
-every caller.
+``canonical_rows`` — so the layout can keep evolving (and the per-source
+row counts can stay in step with every provenance replacement) without
+auditing every caller.
 
 This test greps the tree for attribute access to the private fields and fails
 with the offending locations.  ``src/repro/model/`` owns the layout, and
@@ -27,10 +28,10 @@ SCANNED_DIRS = ("src", "tests", "benchmarks", "examples")
 #: The store-private fields.  ``_by_predicate`` is deliberately absent:
 #: the analytics engine has an unrelated index of that name.
 PRIVATE_FIELDS = (
-    "by_key",
+    "row_order",
     "by_subject",
     "by_object",
-    "by_source",
+    "source_rows",
     "partitions",
     "subject_terms",
     "predicate_terms",

@@ -76,6 +76,7 @@ def assert_equivalent(columnar: TripleStore, legacy: LegacyTripleStore) -> None:
         assert [t.key() for t in col_facts] == [t.key() for t in leg_facts]
         assert [t.sources for t in col_facts] == [t.sources for t in leg_facts]
         assert [t.to_row() for t in col_facts] == [t.to_row() for t in leg_facts]
+        assert columnar.fact_count(subject) == len(leg_facts)
         for predicate in SIMPLE_PREDICATES:
             assert columnar.value_of(subject, predicate) == legacy.value_of(
                 subject, predicate
@@ -252,6 +253,90 @@ def test_batch_operators_match_rowwise(store_seed):
     late = TripleStore()
     late.apply_staged(staged)
     assert late.canonical_rows() == via_dicts.canonical_rows()
+
+
+def legacy_stage_without_source(legacy: LegacyTripleStore, source: str):
+    """The oracle of :meth:`TripleStore.stage_without_source`: the legacy
+    store's facts of every subject holding *source*, after ``remove_source``
+    on a copy, as batch rows, and the subjects left with none."""
+    touched = sorted({t.subject for t in legacy if source in t.provenance})
+    after = LegacyTripleStore(t.copy() for t in legacy)
+    after.remove_source(source)
+    rows = [
+        (t.subject, t.predicate, t.relationship_id, t.relationship_predicate, t.obj, t.locale,
+         t.provenance.references)
+        for subject in touched
+        for t in after.facts_about(subject)
+    ]
+    return rows, [subject for subject in touched if not after.facts_about(subject)]
+
+
+def test_postings_grow_and_shrink_match_legacy(store_seed):
+    """A ``(subject, predicate)`` or object posting holds one row as a bare
+    ref and a set from two rows on: facts going from one row to two and back
+    to one, a freed slot reused by a new fact, and the source operators that
+    read the provenance column all match the legacy store, ``to_rows()``
+    order included."""
+    rng = random.Random(57000 + store_seed)
+    subject, other = rng.sample(SUBJECTS, 2)
+    predicate = rng.choice(SIMPLE_PREDICATES)
+    # objects no random_triple draws, so each add below is a new fact
+    first, second, third = rng.sample(["P", "Q", "R", "kg:e5", 7.5], 3)
+    source, extra = rng.sample(SOURCES, 2)
+
+    def fact(s, o, src=source):
+        return ExtendedTriple(s, predicate, o, provenance=Provenance.from_source(
+            src, rng.choice(TRUSTS)))
+
+    columnar, legacy = TripleStore(), LegacyTripleStore()
+    for triple in [random_triple(rng) for _ in range(rng.randrange(5, 20))]:
+        columnar.add(triple.copy())
+        legacy.add(triple.copy())
+
+    def both(operation, *args):
+        result = getattr(columnar, operation)(*args)
+        assert result == getattr(legacy, operation)(*(
+            a.copy() if isinstance(a, ExtendedTriple) else a for a in args))
+        assert_equivalent(columnar, legacy)
+        return result
+
+    # one row, then two, per (subject, predicate) and per object
+    both("add", fact(subject, first))
+    both("add", fact(subject, second, extra))
+    both("add", fact(other, first, extra))
+    assert first in columnar.values_of(subject, predicate)
+    assert second in columnar.values_of(subject, predicate)
+    # back to one: the remaining row is still found, by key and by object
+    assert both("discard", fact(subject, first)) is True
+    assert fact(subject, second) in columnar
+    assert fact(subject, first) not in columnar
+    assert [t.subject for t in columnar.facts_with_object(first)] == [
+        t.subject for t in legacy.facts_with_object(first)
+    ]
+    # the freed slot goes to a new fact, which iterates last
+    both("add", fact(subject, third))
+    assert columnar.to_rows()[-1]["object"] == third
+    both("add", fact(subject, first, extra))
+    assert columnar.to_rows()[-1]["object"] == first
+
+    # the source operators read provenance, not a per-source index
+    rows, dropped = legacy_stage_without_source(legacy, source)
+    batch, left = columnar.stage_without_source(source)
+    assert list(batch.rows()) == rows
+    assert left == dropped
+    subjects = rng.sample(SUBJECTS, rng.randint(1, len(SUBJECTS))) + [subject]
+    skip = set(rng.sample(PREDICATES, rng.randint(0, 1)))
+    expected = legacy_retract(legacy, extra, subjects, skip_predicates=skip)
+    assert columnar.retract_source_from_subjects(
+        extra, subjects, skip_predicates=skip
+    ) == expected
+    assert_equivalent(columnar, legacy)
+    for dropped_source in SOURCES:
+        both("remove_source", dropped_source)
+        assert columnar.retract_source_from_subjects(dropped_source, SUBJECTS) == 0
+        assert columnar.stage_without_source(dropped_source)[1] == []
+    assert columnar.fact_count() == 0
+    assert columnar.fact_count(subject) == 0
 
 
 def test_handed_out_triple_reads_current_provenance():

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.baselines.legacy_nerd import LegacyEntityLinker, PopularityDisambiguator
+from repro import SagaPlatform
 from repro.construction.object_resolution import ResolutionContext
+from repro.engine.importance import compute_importance
 from repro.engine.views import ViewDelta
 from repro.errors import NERDError
 from repro.ml.nerd import (
@@ -60,6 +62,42 @@ def test_entity_view_refresh_and_remove(reference_store, world):
         "truth:nonexistent": None
     }
     assert "truth:nonexistent" not in view
+
+
+def test_platform_nerd_ranks_by_the_importance_of_the_kg_now():
+    """Importance is a whole-graph score: publishing ``kg:b`` with two
+    ``performed_by`` in-edges scores ``kg:b`` and lowers ``kg:hub``, which the
+    publish never names.  NERD's records follow both."""
+    store = TripleStore()
+
+    def entity(subject, name, kind, **edges):
+        store.add(ExtendedTriple(subject, "type", kind))
+        store.add(ExtendedTriple(subject, "name", name))
+        for predicate, obj in edges.items():
+            store.add(ExtendedTriple(subject, predicate, obj))
+
+    entity("kg:hub", "Hub Band", "music_artist")
+    entity("kg:s1", "First Song", "song", performed_by="kg:hub")
+    platform = SagaPlatform()
+    engine = platform.graph_engine
+    engine.publish_store(store)
+    nerd = platform.nerd
+    hub_before = nerd.view.get("kg:hub").importance
+
+    entity("kg:b", "Bee Band", "music_artist")
+    entity("kg:s2", "Second Song", "song", performed_by="kg:b")
+    entity("kg:s3", "Third Song", "song", performed_by="kg:b")
+    engine.publish_subjects(store, ["kg:b", "kg:s2", "kg:s3"])
+
+    importance = {entity_id: score.score
+                  for entity_id, score in compute_importance(engine.triples).items()}
+    assert importance["kg:b"] > 0.0
+    assert importance["kg:hub"] < hub_before
+    assert {r.entity_id: r.importance for r in nerd.view.records()} == importance
+    fresh = NERDEntityView.build(engine.triples, importance)
+    assert {r.entity_id: r for r in nerd.view.records()} == (
+        {r.entity_id: r for r in fresh.records()}
+    )
 
 
 # --------------------------------------------------------------------- #

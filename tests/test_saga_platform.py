@@ -90,11 +90,13 @@ def test_nerd_and_live_graph_follow_the_log():
         source_id="wiki",
     )])
     engine = platform.graph_engine
-    importance = {entity_id: score.score
-                  for entity_id, score in engine.importance_scores().items()}
     nerd, live = platform.nerd, platform.live
 
     def assert_nerd_matches_a_fresh_build():
+        # Importance is structural, so the fresh build ranks by the KG's
+        # importance now, not by the map NERD was first built with.
+        importance = {entity_id: score.score
+                      for entity_id, score in engine.importance_scores().items()}
         fresh = NERDEntityView.build(engine.triples, importance)
         assert {r.entity_id: r for r in nerd.view.records()} == (
             {r.entity_id: r for r in fresh.records()}
