@@ -1,13 +1,7 @@
 """Knowledge construction: blocking, matching, clustering, linking, OBR, fusion."""
 
-from repro.construction.blocking import (
-    BLOCKING_FUNCTIONS,
-    Block,
-    Blocker,
-    BlockingConfig,
-)
+from repro.construction.blocking import Block, Blocker
 from repro.construction.clustering import (
-    ClusteringConfig,
     CorrelationClustering,
     EntityCluster,
     LinkageGraph,
@@ -15,7 +9,7 @@ from repro.construction.clustering import (
     cluster_records,
     materialize_clusters,
 )
-from repro.construction.fusion import Fusion, FusionConfig, FusionReport
+from repro.construction.fusion import Fusion, FusionReport
 from repro.construction.incremental import (
     ConstructionReport,
     EntityDelta,
@@ -23,7 +17,6 @@ from repro.construction.incremental import (
 )
 from repro.construction.linking import (
     Linker,
-    LinkingConfig,
     LinkingResult,
     evaluate_linking,
 )
@@ -44,11 +37,7 @@ from repro.construction.object_resolution import (
     Resolution,
     ResolutionContext,
 )
-from repro.construction.pairs import (
-    CandidatePair,
-    PairGenerationConfig,
-    PairGenerator,
-)
+from repro.construction.pairs import CandidatePair, PairGenerator
 from repro.construction.pipeline import (
     GrowthHistory,
     GrowthPoint,
@@ -58,25 +47,20 @@ from repro.construction.records import LinkableRecord, records_by_type
 from repro.construction.truth_discovery import (
     Claim,
     TruthDiscovery,
-    TruthDiscoveryConfig,
     TruthDiscoveryResult,
 )
 
 __all__ = [
-    "BLOCKING_FUNCTIONS",
     "Block",
     "Blocker",
-    "BlockingConfig",
     "CandidatePair",
     "Claim",
-    "ClusteringConfig",
     "ConstructionReport",
     "CorrelationClustering",
     "EntityCluster",
     "EntityDelta",
     "FeatureSpec",
     "Fusion",
-    "FusionConfig",
     "FusionReport",
     "GrowthHistory",
     "GrowthPoint",
@@ -86,20 +70,17 @@ __all__ = [
     "LinkableRecord",
     "LinkageGraph",
     "Linker",
-    "LinkingConfig",
     "LinkingResult",
     "MatcherRegistry",
     "NameIndexResolver",
     "ObjectResolutionStage",
     "ObjectResolutionStats",
-    "PairGenerationConfig",
     "PairGenerator",
     "Resolution",
     "ResolutionContext",
     "RuleBasedMatcher",
     "ScoredPair",
     "TruthDiscovery",
-    "TruthDiscoveryConfig",
     "TruthDiscoveryResult",
     "build_linkage_graph",
     "cluster_records",

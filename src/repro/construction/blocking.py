@@ -2,9 +2,10 @@
 
 Record linkage is quadratic in the number of records; blocking (Section 2.3,
 step 3) applies lightweight functions that group entities likely to be linked
-into the same bucket, and only pairs within a bucket are ever compared.  Saga
-ships several blocking functions; a source/entity-type pipeline picks one or
-composes several.
+into the same bucket, and only pairs within a bucket are ever compared.  The
+:class:`Blocker` keys every record on its name tokens and name prefixes; the
+other key functions here (q-grams, Soundex, exact values) are library
+functions no pipeline calls.
 """
 
 from __future__ import annotations
@@ -84,29 +85,8 @@ def exact_value_keys(predicate: str) -> BlockingFunction:
     return _keys
 
 
-BLOCKING_FUNCTIONS: dict[str, BlockingFunction] = {
-    "name_qgram": name_qgram_keys,
-    "name_token": name_token_keys,
-    "name_prefix": name_prefix_keys,
-    "soundex": soundex_keys,
-}
-"""Registry of named blocking functions for config-driven pipelines."""
-
-
-@dataclass
-class BlockingConfig:
-    """Which blocking functions to apply and how to bound bucket sizes."""
-
-    functions: tuple[str, ...] = ("name_token", "name_prefix")
-    extra_functions: tuple[BlockingFunction, ...] = ()
-    max_block_size: int = 200
-    partition_by_type: bool = True
-
-    def resolved_functions(self) -> list[BlockingFunction]:
-        """Materialize the configured blocking functions."""
-        resolved = [BLOCKING_FUNCTIONS[name] for name in self.functions]
-        resolved.extend(self.extra_functions)
-        return resolved
+MAX_BLOCK_SIZE = 200
+"""Blocks with more records than this are dropped before pair generation."""
 
 
 @dataclass
@@ -128,10 +108,12 @@ class Block:
 
 
 class Blocker:
-    """Apply a :class:`BlockingConfig` to a combined payload."""
+    """Block a combined payload on name tokens and name prefixes.
 
-    def __init__(self, config: BlockingConfig | None = None) -> None:
-        self.config = config or BlockingConfig()
+    Records of every entity type share the buckets: the linker scopes each
+    run to one source entity type plus the compatible KG-view records, so a
+    source "person" can meet a KG "music_artist".
+    """
 
     def block(self, records: Sequence[LinkableRecord]) -> list[Block]:
         """Partition *records* into blocks.
@@ -140,21 +122,16 @@ class Blocker:
         dropped: their pairs are overwhelmingly non-matches and they would
         dominate the quadratic pair-generation cost.
         """
-        functions = self.config.resolved_functions()
         buckets: dict[str, list[LinkableRecord]] = defaultdict(list)
         for record in records:
-            keys: set[str] = set()
-            for function in functions:
-                keys.update(function(record))
-            type_prefix = record.entity_type if self.config.partition_by_type else ""
-            for key in keys:
-                buckets[f"{type_prefix}|{key}"].append(record)
+            for key in {*name_token_keys(record), *name_prefix_keys(record)}:
+                buckets[key].append(record)
 
         blocks = []
         for key, bucket_records in buckets.items():
             if len(bucket_records) < 2:
                 continue
-            if len(bucket_records) > self.config.max_block_size:
+            if len(bucket_records) > MAX_BLOCK_SIZE:
                 continue
             blocks.append(Block(key=key, records=bucket_records))
         blocks.sort(key=lambda block: block.key)

@@ -84,29 +84,28 @@ class LinkageGraph:
         return violations
 
 
-@dataclass
-class ClusteringConfig:
-    """Thresholds converting probabilities into signed edges."""
+MATCH_THRESHOLD = 0.85
+"""A pair scoring at least this becomes a positive (+1) edge."""
 
-    match_threshold: float = 0.85      # >= : positive edge
-    non_match_threshold: float = 0.35  # <= : negative edge
-    seed: int = 5
+NON_MATCH_THRESHOLD = 0.35
+"""A pair scoring at most this becomes a negative (-1) edge."""
+
+CLUSTERING_SEED = 5
+"""Seed of the pivot order, so one linkage graph always clusters alike."""
 
 
 def build_linkage_graph(
     scored_pairs: Iterable[ScoredPair],
-    config: ClusteringConfig | None = None,
     extra_records: Iterable[LinkableRecord] = (),
 ) -> LinkageGraph:
     """Threshold scored pairs into a signed linkage graph."""
-    config = config or ClusteringConfig()
     graph = LinkageGraph()
     for record in extra_records:
         graph.add_record(record)
     for scored in scored_pairs:
-        if scored.probability >= config.match_threshold:
+        if scored.probability >= MATCH_THRESHOLD:
             graph.add_positive(scored.left, scored.right)
-        elif scored.probability <= config.non_match_threshold:
+        elif scored.probability <= NON_MATCH_THRESHOLD:
             graph.add_negative(scored.left, scored.right)
         else:
             # Uncertain pairs contribute no edge; their records must still be
@@ -119,12 +118,9 @@ def build_linkage_graph(
 class CorrelationClustering:
     """Pivot-based correlation clustering with the one-KG-entity constraint."""
 
-    def __init__(self, config: ClusteringConfig | None = None) -> None:
-        self.config = config or ClusteringConfig()
-
     def cluster(self, graph: LinkageGraph) -> list[set[str]]:
         """Cluster the linkage graph into groups of co-referent record ids."""
-        rng = np.random.default_rng(self.config.seed)
+        rng = np.random.default_rng(CLUSTERING_SEED)
         unassigned = set(graph.node_ids())
         order = sorted(unassigned)
         rng.shuffle(order)
@@ -194,7 +190,6 @@ class EntityCluster:
 def cluster_records(
     scored_pairs: Iterable[ScoredPair],
     records: Iterable[LinkableRecord],
-    config: ClusteringConfig,
 ) -> list[EntityCluster]:
     """Cluster *records* into co-referent groups given their scored pairs.
 
@@ -205,8 +200,8 @@ def cluster_records(
     :meth:`~repro.construction.linking.Linker.link` mints them afterwards, in
     sorted type order.
     """
-    graph = build_linkage_graph(scored_pairs, config, extra_records=records)
-    return materialize_clusters(CorrelationClustering(config).cluster(graph), graph)
+    graph = build_linkage_graph(scored_pairs, extra_records=records)
+    return materialize_clusters(CorrelationClustering().cluster(graph), graph)
 
 
 def materialize_clusters(

@@ -61,20 +61,16 @@ class FusionReport:
         return self
 
 
-@dataclass
-class FusionConfig:
-    """Fusion thresholds."""
-
-    relationship_overlap_threshold: float = 0.5
-    run_truth_discovery: bool = True
+RELATIONSHIP_OVERLAP_THRESHOLD = 0.5
+"""An incoming relationship node merges into the existing node of the same
+``(subject, predicate)`` whose fact overlap is the largest and at least this."""
 
 
 class Fusion:
     """Fuse linked, object-resolved triples into the KG triple store."""
 
-    def __init__(self, ontology: Ontology, config: FusionConfig | None = None) -> None:
+    def __init__(self, ontology: Ontology) -> None:
         self.ontology = ontology
-        self.config = config or FusionConfig()
         self._truth = TruthDiscovery()
         self.last_truth_result: TruthDiscoveryResult | None = None
 
@@ -92,8 +88,7 @@ class Fusion:
         for subject, triples in sorted(triples_by_subject.items()):
             report.merge(self._fuse_subject(store, subject, triples))
         report.merge(self._record_same_as(store, same_as))
-        if self.config.run_truth_discovery:
-            report.conflicts_detected = self._score_conflicts(store, report.subjects_touched)
+        report.conflicts_detected = self._score_conflicts(store, report.subjects_touched)
         return report
 
     def fuse_updated(
@@ -247,7 +242,7 @@ class Fusion:
 
         target_id = node_id
         merged = False
-        if best_id is not None and best_overlap >= self.config.relationship_overlap_threshold:
+        if best_id is not None and best_overlap >= RELATIONSHIP_OVERLAP_THRESHOLD:
             target_id = best_id
             merged = True
         for triple in node_triples:

@@ -36,8 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from repro.construction.fusion import Fusion, FusionConfig, FusionReport
-from repro.construction.linking import Linker, LinkingConfig
+from repro.construction.fusion import Fusion, FusionReport
+from repro.construction.linking import Linker
 from repro.construction.matching import MatcherRegistry
 from repro.construction.object_resolution import (
     NameIndexResolver,
@@ -192,26 +192,15 @@ class IncrementalConstructor:
         ontology: Ontology,
         store: TripleStore | None = None,
         matchers: MatcherRegistry | None = None,
-        linking_config: LinkingConfig | None = None,
-        fusion_config: FusionConfig | None = None,
         resolver: ObjectResolver | None = None,
         id_generator: IdGenerator | None = None,
-        obr_confidence_threshold: float = 0.9,
-        obr_create_missing: bool = True,
     ) -> None:
         self.ontology = ontology
         self.store = store if store is not None else TripleStore()
         self.id_generator = id_generator or IdGenerator()
-        self.linker = Linker(
-            ontology,
-            matchers=matchers,
-            id_generator=self.id_generator,
-            config=linking_config,
-        )
-        self.fusion = Fusion(ontology, fusion_config)
+        self.linker = Linker(ontology, matchers=matchers, id_generator=self.id_generator)
+        self.fusion = Fusion(ontology)
         self._external_resolver = resolver
-        self.obr_confidence_threshold = obr_confidence_threshold
-        self.obr_create_missing = obr_create_missing
         self.link_table: dict[str, str] = {}
 
     # -------------------------------------------------------------- #
@@ -234,8 +223,6 @@ class IncrementalConstructor:
                 ontology=self.ontology,
                 resolver=self._resolver(),
                 id_generator=self.id_generator,
-                confidence_threshold=self.obr_confidence_threshold,
-                create_missing=self.obr_create_missing,
             )
             self._commit_added(delta.added, obr, report, tracker)
             self._commit_updated(delta, obr, report, tracker)
@@ -390,7 +377,6 @@ class IncrementalConstructor:
         total.examined += stats.examined
         total.resolved += stats.resolved
         total.created += stats.created
-        total.unresolved += stats.unresolved
         tracker.note([*triples_by_subject, *(kg_id for kg_id, _ in same_as)])
         report.fusion.merge(fuse(triples_by_subject, same_as))
 

@@ -23,32 +23,24 @@ and fusion, which write the store, are the constructor's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
-from repro.construction.blocking import Blocker, BlockingConfig
-from repro.construction.clustering import ClusteringConfig, EntityCluster, cluster_records
+from repro.construction.blocking import Blocker
+from repro.construction.clustering import EntityCluster, cluster_records
 from repro.construction.matching import (
     MatcherRegistry,
     RuleBasedMatcher,
     default_features,
     score_pairs,
 )
-from repro.construction.pairs import PairGenerationConfig, PairGenerator
+from repro.construction.pairs import PairGenerator
 from repro.construction.records import LinkableRecord, records_by_type
 from repro.ml.similarity import JaroWinklerMemo
 from repro.model.entity import KGEntity, SourceEntity
 from repro.model.identifiers import IdGenerator
 from repro.model.ontology import Ontology
-
-
-@dataclass
-class LinkingConfig:
-    """Configuration for one linking run."""
-
-    blocking: BlockingConfig = field(default_factory=BlockingConfig)
-    pair_generation: PairGenerationConfig = field(default_factory=PairGenerationConfig)
-    clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
 
 
 @dataclass
@@ -78,25 +70,14 @@ class Linker:
         ontology: Ontology,
         matchers: MatcherRegistry | None = None,
         id_generator: IdGenerator | None = None,
-        config: LinkingConfig | None = None,
     ) -> None:
         self.ontology = ontology
         if matchers is None:
             matchers = MatcherRegistry(default=RuleBasedMatcher(default_features(ontology)))
         self.matchers = matchers
         self.id_generator = id_generator or IdGenerator()
-        self.config = config or LinkingConfig()
-        # The linker scopes each blocking run to one source entity type plus
-        # the compatible KG-view records, so type partitioning inside the
-        # blocker would only prevent legitimate cross-type links (e.g. a
-        # source "person" matching a KG "music_artist").
-        blocking_config = replace(self.config.blocking, partition_by_type=False)
-        self._blocker = Blocker(blocking_config)
-        # Same reasoning for pair generation: the per-type scoping already
-        # guarantees ontology-compatible pairs, and the exact-equality type
-        # check would reject person/music_artist pairs.
-        pair_config = replace(self.config.pair_generation, require_compatible_types=False)
-        self._pair_generator = PairGenerator(pair_config)
+        self._blocker = Blocker()
+        self._pair_generator = PairGenerator()
 
     def link(
         self,
@@ -126,7 +107,7 @@ class Linker:
             records = [*source_records, *self.relevant_kg_records(entity_type, kg_by_type)]
             pairs = self._pair_generator.generate(self._blocker.block(records))
             scored = score_pairs(pairs, self.matchers)
-            clusters = cluster_records(scored, records, self.config.clustering)
+            clusters = cluster_records(scored, records)
             result.clusters.extend(clusters)
             result.candidate_pair_count += len(pairs)
             result.scored_pair_count += len(scored)
@@ -162,6 +143,7 @@ class Linker:
                     relevant.extend(records)
         return relevant
 
+
 def evaluate_linking(
     result: LinkingResult,
     truth_map: dict[str, str],
@@ -170,22 +152,23 @@ def evaluate_linking(
 
     ``truth_map`` maps source entity ids to ground-truth identifiers.  Two
     source records are a true pair when they share a ground-truth id; they are
-    a predicted pair when the linker assigned them the same KG id.
+    a predicted pair when the linker assigned them the same KG id.  The pairs
+    are counted, not listed: a group of *n* records holds C(n, 2) pairs, so
+    the true, predicted and true-positive counts sum that over the truth
+    groups, the assignment groups and their intersections.
     """
-    ids = sorted(set(truth_map) & set(result.assignments))
-    true_pairs = set()
-    predicted_pairs = set()
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            a, b = ids[i], ids[j]
-            if truth_map[a] == truth_map[b]:
-                true_pairs.add((a, b))
-            if result.assignments[a] == result.assignments[b]:
-                predicted_pairs.add((a, b))
+    ids = set(truth_map) & set(result.assignments)
+    true_pairs = _pair_count(truth_map[i] for i in ids)
+    predicted_pairs = _pair_count(result.assignments[i] for i in ids)
     if not predicted_pairs and not true_pairs:
         return {"precision": 1.0, "recall": 1.0, "f1": 1.0}
-    true_positive = len(true_pairs & predicted_pairs)
-    precision = true_positive / len(predicted_pairs) if predicted_pairs else 0.0
-    recall = true_positive / len(true_pairs) if true_pairs else 0.0
+    true_positive = _pair_count((truth_map[i], result.assignments[i]) for i in ids)
+    precision = true_positive / predicted_pairs if predicted_pairs else 0.0
+    recall = true_positive / true_pairs if true_pairs else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return {"precision": precision, "recall": recall, "f1": f1}
+
+
+def _pair_count(labels: Iterable[object]) -> int:
+    """Number of unordered pairs of items sharing a label: sum of C(n, 2)."""
+    return sum(n * (n - 1) // 2 for n in Counter(labels).values())

@@ -7,7 +7,9 @@ normalized.  The production system backs OBR with the NERD stack (Section 5.2);
 this module defines the resolver interface, a lightweight name-index resolver
 used for bootstrapping and tests, and :class:`ObjectResolutionStage`, whose
 :meth:`~ObjectResolutionStage.resolve_linked` a construction commit calls to
-rewrite linked entities into KG triples just before fusing them.
+rewrite linked entities into KG triples just before fusing them.  A mention
+no resolver answers with enough confidence gets a new entity, so every
+reference object leaves OBR as a KG identifier.
 
 The NERD service (:mod:`repro.ml.nerd.service`) satisfies the
 :class:`ObjectResolver` protocol structurally, so it can be plugged in without
@@ -25,6 +27,14 @@ from repro.model.entity import NAME_PREDICATES, SourceEntity
 from repro.model.identifiers import IdGenerator, is_kg_identifier
 from repro.model.ontology import Ontology, ValueKind
 from repro.model.triples import ExtendedTriple, TripleStore
+
+FUZZY_THRESHOLD = 0.90
+"""Least Jaro-Winkler score at which :class:`NameIndexResolver` accepts a
+fuzzy name match."""
+
+CONFIDENCE_THRESHOLD = 0.9
+"""Least resolver confidence :class:`ObjectResolutionStage` accepts; a mention
+below it gets a new entity."""
 
 
 @dataclass
@@ -65,14 +75,8 @@ class NameIndexResolver:
     "NERD + type hints" configuration in Figure 14(b).
     """
 
-    def __init__(
-        self,
-        store: TripleStore,
-        ontology: Ontology | None = None,
-        fuzzy_threshold: float = 0.90,
-    ) -> None:
+    def __init__(self, store: TripleStore, ontology: Ontology | None = None) -> None:
         self.ontology = ontology
-        self.fuzzy_threshold = fuzzy_threshold
         self._names: dict[str, set[str]] = defaultdict(set)   # normalized name -> entity ids
         self._types: dict[str, set[str]] = defaultdict(set)   # entity id -> types
         #: name -> (length, character bitmask, repeat surplus, character counts)
@@ -123,32 +127,31 @@ class NameIndexResolver:
             return Resolution(entity_id=chosen, confidence=0.97, candidate_count=len(exact))
         best_id, best_score, candidates = None, 0.0, 0
         # jw = jaro + prefix * 0.1 * (1 - jaro), prefix <= 4  =>  jw <= 0.6 * jaro + 0.4
-        min_jaro = (self.fuzzy_threshold - 0.4) / 0.6
+        min_jaro = (FUZZY_THRESHOLD - 0.4) / 0.6
         needed = 3.0 * min_jaro - 1.0    # m/|a| + m/|b| must reach this
         q_len, q_mask, q_surplus, q_counts = self._string_info(normalized)
         for name, (n_len, n_mask, n_surplus, n_counts) in self._name_info.items():
-            if min_jaro > 0:
-                # Jaro match count m is bounded by min(|a|, |b|) ...
-                shorter = q_len if q_len < n_len else n_len
-                if shorter / q_len + shorter / n_len < needed:
-                    continue
-                # ... by the distinct shared characters plus the smaller
-                # repeat surplus (multiset intersection <= distinct common +
-                # min surplus; bitmask collisions only loosen the bound) ...
-                bound = (q_mask & n_mask).bit_count() + (
-                    q_surplus if q_surplus < n_surplus else n_surplus
-                )
-                if bound < shorter and bound / q_len + bound / n_len < needed:
-                    continue
-                # ... and exactly by the character-multiset intersection.
-                common = sum(
-                    count if count < q_counts.get(char, 0) else q_counts.get(char, 0)
-                    for char, count in n_counts.items()
-                )
-                if common / q_len + common / n_len < needed:
-                    continue
+            # Jaro match count m is bounded by min(|a|, |b|) ...
+            shorter = q_len if q_len < n_len else n_len
+            if shorter / q_len + shorter / n_len < needed:
+                continue
+            # ... by the distinct shared characters plus the smaller
+            # repeat surplus (multiset intersection <= distinct common +
+            # min surplus; bitmask collisions only loosen the bound) ...
+            bound = (q_mask & n_mask).bit_count() + (
+                q_surplus if q_surplus < n_surplus else n_surplus
+            )
+            if bound < shorter and bound / q_len + bound / n_len < needed:
+                continue
+            # ... and exactly by the character-multiset intersection.
+            common = sum(
+                count if count < q_counts.get(char, 0) else q_counts.get(char, 0)
+                for char, count in n_counts.items()
+            )
+            if common / q_len + common / n_len < needed:
+                continue
             score = jaro_winkler_normalized(normalized, name)
-            if score < self.fuzzy_threshold:
+            if score < FUZZY_THRESHOLD:
                 continue
             filtered = self._filter_by_type(self._names[name], context)
             if not filtered:
@@ -214,7 +217,6 @@ class ObjectResolutionStats:
     examined: int = 0
     resolved: int = 0
     created: int = 0
-    unresolved: int = 0
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view for logging and tests."""
@@ -222,7 +224,6 @@ class ObjectResolutionStats:
             "examined": self.examined,
             "resolved": self.resolved,
             "created": self.created,
-            "unresolved": self.unresolved,
         }
 
 
@@ -233,8 +234,6 @@ class ObjectResolutionStage:
     ontology: Ontology
     resolver: ObjectResolver
     id_generator: IdGenerator | None = None
-    confidence_threshold: float = 0.9
-    create_missing: bool = False
     _creations: dict[str, str] = field(default_factory=dict)
 
     def resolve_linked(
@@ -271,8 +270,9 @@ class ObjectResolutionStage:
         """Resolve objects in *triples*.
 
         Returns ``(resolved_triples, new_entity_triples, stats)`` where
-        ``new_entity_triples`` carries name/type facts for entities minted for
-        unresolvable mentions (only when ``create_missing`` is enabled).
+        ``new_entity_triples`` carries the name/type facts of the entities
+        minted for mentions no resolver answered with at least
+        :data:`CONFIDENCE_THRESHOLD`; one mention mints one entity per stage.
         """
         stats = ObjectResolutionStats()
         resolved: list[ExtendedTriple] = []
@@ -295,18 +295,14 @@ class ObjectResolutionStage:
                 locale=triple.locale,
             )
             resolution = self.resolver.resolve(str(triple.obj), context)
-            if resolution is not None and resolution.confidence >= self.confidence_threshold:
+            if resolution is not None and resolution.confidence >= CONFIDENCE_THRESHOLD:
                 resolved.append(triple.with_object(resolution.entity_id))
                 stats.resolved += 1
                 continue
-            if self.create_missing:
-                entity_id, created_triples = self._create_entity(triple, predicate_name)
-                resolved.append(triple.with_object(entity_id))
-                new_entity_triples.extend(created_triples)
-                stats.created += 1
-                continue
-            resolved.append(triple)
-            stats.unresolved += 1
+            entity_id, created_triples = self._create_entity(triple, predicate_name)
+            resolved.append(triple.with_object(entity_id))
+            new_entity_triples.extend(created_triples)
+            stats.created += 1
         return resolved, new_entity_triples, stats
 
     # -------------------------------------------------------------- #

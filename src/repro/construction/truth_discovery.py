@@ -50,23 +50,27 @@ class TruthDiscoveryResult:
         return self.resolved_values.get(item)
 
 
-@dataclass
-class TruthDiscoveryConfig:
-    """Iteration and damping knobs of the algorithm."""
+MAX_ITERATIONS = 20
+"""Rounds of the value-confidence / source-reliability update at most."""
 
-    max_iterations: int = 20
-    tolerance: float = 1e-4
-    damping: float = 0.3          # weight of the prior when updating reliability
-    conflict_penalty: float = 0.35  # how strongly conflicting claims discount each other
-    min_reliability: float = 0.05
-    max_reliability: float = 0.99
+TOLERANCE = 1e-4
+"""The run stops once no source's reliability moves by this much in a round."""
+
+DAMPING = 0.3
+"""Weight of a source's previous reliability when it is re-estimated."""
+
+CONFLICT_PENALTY = 0.35
+"""How strongly conflicting claims on one item discount each other."""
+
+MIN_RELIABILITY = 0.05
+"""Lower bound every source reliability is clamped to."""
+
+MAX_RELIABILITY = 0.99
+"""Upper bound every source reliability is clamped to."""
 
 
 class TruthDiscovery:
     """Iterative source-reliability / value-confidence estimation."""
-
-    def __init__(self, config: TruthDiscoveryConfig | None = None) -> None:
-        self.config = config or TruthDiscoveryConfig()
 
     def run(self, claims: Sequence[Claim]) -> TruthDiscoveryResult:
         """Estimate value confidences and source reliabilities for *claims*."""
@@ -86,7 +90,7 @@ class TruthDiscovery:
         }
 
         confidence: dict[tuple[Hashable, Hashable], float] = {}
-        for iteration in range(1, self.config.max_iterations + 1):
+        for iteration in range(1, MAX_ITERATIONS + 1):
             confidence = self._update_value_confidence(claims_by_item, reliability)
             new_reliability = self._update_source_reliability(
                 claims_by_source, confidence, reliability
@@ -95,7 +99,7 @@ class TruthDiscovery:
                 abs(new_reliability[s] - reliability[s]) for s in reliability
             )
             reliability = new_reliability
-            if delta < self.config.tolerance:
+            if delta < TOLERANCE:
                 break
 
         result.value_confidence = confidence
@@ -135,7 +139,7 @@ class TruthDiscovery:
                     if other_value == value:
                         continue
                     conflict += sum(reliability[s] for s in other_sources)
-                discounted = support * (1.0 - self.config.conflict_penalty) ** conflict
+                discounted = support * (1.0 - CONFLICT_PENALTY) ** conflict
                 confidence[(item, value)] = max(0.0, min(1.0, discounted))
         return confidence
 
@@ -150,13 +154,8 @@ class TruthDiscovery:
             observed = _mean(
                 confidence.get((claim.item, claim.value), 0.0) for claim in source_claims
             )
-            blended = (
-                self.config.damping * previous[source_id]
-                + (1.0 - self.config.damping) * observed
-            )
-            updated[source_id] = min(
-                self.config.max_reliability, max(self.config.min_reliability, blended)
-            )
+            blended = DAMPING * previous[source_id] + (1.0 - DAMPING) * observed
+            updated[source_id] = min(MAX_RELIABILITY, max(MIN_RELIABILITY, blended))
         return updated
 
 

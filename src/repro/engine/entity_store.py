@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.errors import StoreError
 from repro.model.entity import KGEntity
 from repro.model.triples import TripleStore
 
@@ -26,10 +25,9 @@ class EntityDocument:
     types: list[str] = field(default_factory=list)
     facts: dict[str, list[object]] = field(default_factory=dict)
     relationships: dict[str, list[dict]] = field(default_factory=dict)
-    importance: float = 0.0
 
     @classmethod
-    def from_entity(cls, entity: KGEntity, importance: float = 0.0) -> "EntityDocument":
+    def from_entity(cls, entity: KGEntity) -> "EntityDocument":
         """Build the serving document from a materialized KG entity."""
         return cls(
             entity_id=entity.entity_id,
@@ -40,7 +38,6 @@ class EntityDocument:
                 predicate: [dict(node.facts) for node in nodes]
                 for predicate, nodes in entity.relationships.items()
             },
-            importance=importance,
         )
 
 
@@ -84,17 +81,8 @@ class EntityStore:
         return refreshed
 
     def put_entity(self, entity: KGEntity) -> None:
-        """Replace one entity's document, keeping its importance score."""
-        existing = self._documents.get(entity.entity_id)
-        importance = existing.importance if existing else 0.0
-        self.put(EntityDocument.from_entity(entity, importance))
-
-    def set_importance(self, entity_id: str, importance: float) -> None:
-        """Attach an importance score (produced by the importance view)."""
-        document = self._documents.get(entity_id)
-        if document is None:
-            raise StoreError(f"unknown entity {entity_id!r}")
-        document.importance = importance
+        """Replace one entity's document."""
+        self.put(EntityDocument.from_entity(entity))
 
     # -------------------------------------------------------------- #
     # retrieval

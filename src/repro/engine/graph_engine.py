@@ -325,12 +325,12 @@ class GraphEngine:
         return self.analytics.entity_view(spec)
 
     def importance_scores(self) -> dict[str, ImportanceScore]:
-        """Compute structural importance for every entity in the primary store."""
-        scores = compute_importance(self.triples)
-        for entity_id, score in scores.items():
-            if entity_id in self.entity_store:
-                self.entity_store.set_importance(entity_id, score.score)
-        return scores
+        """Compute structural importance for every entity in the primary store.
+
+        Writes nothing: a score depends on the whole graph, so a copy kept in
+        a store would go stale at the next publish.
+        """
+        return compute_importance(self.triples)
 
     # -------------------------------------------------------------- #
     # views

@@ -31,14 +31,15 @@ class Candidate:
         return self.record.entity_id
 
 
-@dataclass
-class CandidateRetrieverConfig:
-    """Retrieval budget and scoring knobs."""
+MAX_CANDIDATES = 10
+"""Candidates :meth:`CandidateRetriever.retrieve` returns at most."""
 
-    max_candidates: int = 10
-    fuzzy_threshold: float = 0.82
-    importance_weight: float = 0.15
-    use_learned_similarity: bool = True
+FUZZY_THRESHOLD = 0.82
+"""Least name similarity (Jaro-Winkler, or the encoder's when it is higher) at
+which a token-posting hit becomes a candidate."""
+
+IMPORTANCE_WEIGHT = 0.15
+"""Weight of entity importance added to a candidate's retrieval score."""
 
 
 def _tokens_of(names: set[str]) -> set[str]:
@@ -64,12 +65,10 @@ class CandidateRetriever:
         view: NERDEntityView,
         ontology: Ontology | None = None,
         encoder: StringEncoder | None = None,
-        config: CandidateRetrieverConfig | None = None,
     ) -> None:
         self.view = view
         self.ontology = ontology
         self.encoder = encoder
-        self.config = config or CandidateRetrieverConfig()
         self._exact: dict[str, set[str]] = defaultdict(set)
         self._token_postings: dict[str, set[str]] = defaultdict(set)
         self.reindex({record.entity_id: None for record in view.records()})
@@ -119,13 +118,13 @@ class CandidateRetriever:
                 (jaro_winkler_similarity(normalized, name) for name in record.normalized_names()),
                 default=0.0,
             )
-            if self.encoder is not None and self.config.use_learned_similarity:
+            if self.encoder is not None:
                 learned = max(
                     (self.encoder.similarity(normalized, name) for name in record.normalized_names()),
                     default=0.0,
                 )
                 best = max(best, learned)
-            if best >= self.config.fuzzy_threshold:
+            if best >= FUZZY_THRESHOLD:
                 scores[entity_id] = best
 
         candidates = []
@@ -135,10 +134,10 @@ class CandidateRetriever:
                 continue
             if type_hints and not self._type_admissible(record, type_hints):
                 continue
-            blended = score + self.config.importance_weight * record.importance
+            blended = score + IMPORTANCE_WEIGHT * record.importance
             candidates.append(Candidate(record=record, retrieval_score=blended))
         candidates.sort(key=lambda c: (-c.retrieval_score, c.entity_id))
-        return candidates[: self.config.max_candidates]
+        return candidates[:MAX_CANDIDATES]
 
     def _type_admissible(
         self, record: NERDEntityRecord, type_hints: tuple[str, ...]

@@ -31,6 +31,9 @@ _STOP_WORDS = {
     "after", "before", "from", "by", "is", "was", "were", "we", "new", "near",
 }
 
+REJECTION_THRESHOLD = 0.5
+"""A mention whose best candidate scores below this is left unlinked."""
+
 FEATURE_NAMES = (
     "name_similarity",
     "learned_name_similarity",
@@ -86,17 +89,10 @@ class ContextualDisambiguator:
     }
     DEFAULT_BIAS = -4.0
 
-    def __init__(
-        self,
-        encoder: StringEncoder | None = None,
-        rejection_threshold: float = 0.5,
-        weights: dict[str, float] | None = None,
-        bias: float | None = None,
-    ) -> None:
+    def __init__(self, encoder: StringEncoder | None = None) -> None:
         self.encoder = encoder
-        self.rejection_threshold = rejection_threshold
-        self.weights = dict(weights or self.DEFAULT_WEIGHTS)
-        self.bias = self.DEFAULT_BIAS if bias is None else bias
+        self.weights = dict(self.DEFAULT_WEIGHTS)
+        self.bias = self.DEFAULT_BIAS
         self.trained = False
 
     # -------------------------------------------------------------- #
@@ -161,7 +157,7 @@ class ContextualDisambiguator:
         }
         best_id = max(scores, key=lambda entity_id: (scores[entity_id], entity_id))
         best_score = scores[best_id]
-        if best_score < self.rejection_threshold:
+        if best_score < REJECTION_THRESHOLD:
             return DisambiguationResult(
                 None, best_score, rejected=True, scores=scores,
                 candidate_count=len(candidates),

@@ -20,11 +20,11 @@ change, moving only their retrieval postings.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.ml.encoders import StringEncoder
-from repro.ml.nerd.candidates import CandidateRetriever, CandidateRetrieverConfig
+from repro.ml.nerd.candidates import CandidateRetriever
 from repro.ml.nerd.disambiguation import (
     ContextualDisambiguator,
     DisambiguationResult,
@@ -37,6 +37,9 @@ from repro.model.triples import TripleStore
 
 if TYPE_CHECKING:
     from repro.engine.views import ViewDelta
+
+MAX_MENTION_TOKENS = 5
+"""Longest mention, in whitespace-separated words, the gazetteer matches."""
 
 
 @dataclass
@@ -59,15 +62,6 @@ class Annotation:
     candidate_count: int = 0
 
 
-@dataclass
-class NERDConfig:
-    """Service-level configuration."""
-
-    confidence_threshold: float = 0.5
-    max_mention_tokens: int = 5
-    retriever: CandidateRetrieverConfig = field(default_factory=CandidateRetrieverConfig)
-
-
 class NERDService:
     """Entity recognition and disambiguation over the NERD Entity View."""
 
@@ -76,18 +70,11 @@ class NERDService:
         view: NERDEntityView,
         ontology: Ontology | None = None,
         encoder: StringEncoder | None = None,
-        disambiguator: ContextualDisambiguator | None = None,
-        config: NERDConfig | None = None,
     ) -> None:
         self.view = view
         self.ontology = ontology
-        self.config = config or NERDConfig()
-        self.retriever = CandidateRetriever(
-            view, ontology=ontology, encoder=encoder, config=self.config.retriever
-        )
-        self.disambiguator = disambiguator or ContextualDisambiguator(
-            encoder=encoder, rejection_threshold=self.config.confidence_threshold
-        )
+        self.retriever = CandidateRetriever(view, ontology=ontology, encoder=encoder)
+        self.disambiguator = ContextualDisambiguator(encoder=encoder)
         #: Log deltas applied so far; a caller caching answers compares it.
         self.deltas_applied = 0
 
@@ -98,11 +85,10 @@ class NERDService:
         ontology: Ontology | None = None,
         encoder: StringEncoder | None = None,
         importance: dict[str, float] | None = None,
-        config: NERDConfig | None = None,
     ) -> "NERDService":
         """Build the entity view from a KG store and wrap a service around it."""
         view = NERDEntityView.build(store, importance)
-        return cls(view, ontology=ontology, encoder=encoder, config=config)
+        return cls(view, ontology=ontology, encoder=encoder)
 
     # -------------------------------------------------------------- #
     # maintenance
@@ -137,7 +123,7 @@ class NERDService:
         position = 0
         while position < len(word_spans):
             matched = None
-            for width in range(min(self.config.max_mention_tokens, len(word_spans) - position), 0, -1):
+            for width in range(min(MAX_MENTION_TOKENS, len(word_spans) - position), 0, -1):
                 start = word_spans[position][0]
                 end = word_spans[position + width - 1][1]
                 surface = text[start:end].strip(" ,.;:!?'\"")

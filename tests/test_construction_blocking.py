@@ -1,16 +1,16 @@
 """Tests for blocking and pair generation (repro.construction.blocking/pairs)."""
 
 
+from repro.construction import blocking
 from repro.construction.blocking import (
     Blocker,
-    BlockingConfig,
     exact_value_keys,
     name_prefix_keys,
     name_qgram_keys,
     name_token_keys,
     soundex_keys,
 )
-from repro.construction.pairs import PairGenerationConfig, PairGenerator
+from repro.construction.pairs import PairGenerator
 from repro.construction.records import LinkableRecord
 
 
@@ -32,7 +32,7 @@ def test_blocking_key_functions():
 
 
 def test_similar_names_share_blocks():
-    blocker = Blocker(BlockingConfig(functions=("name_token", "name_prefix")))
+    blocker = Blocker()
     records = [
         record("src:1", "Robert Smith"),
         record("kg:1", "Robert Smith", is_kg=True),
@@ -47,10 +47,11 @@ def test_similar_names_share_blocks():
     assert any(block.has_mixed_origin for block in together)
 
 
-def test_oversized_blocks_are_dropped():
-    blocker = Blocker(BlockingConfig(functions=("name_token",), max_block_size=3))
+def test_oversized_blocks_are_dropped(monkeypatch):
     records = [record(f"src:{i}", "Common Name") for i in range(10)]
-    assert blocker.block(records) == []
+    assert Blocker().block(records)
+    monkeypatch.setattr(blocking, "MAX_BLOCK_SIZE", 3)
+    assert Blocker().block(records) == []
 
 
 def test_singleton_blocks_are_dropped():
@@ -59,17 +60,18 @@ def test_singleton_blocks_are_dropped():
     assert blocks == []
 
 
-def test_type_partitioning_separates_types():
-    blocker = Blocker(BlockingConfig(functions=("name_token",), partition_by_type=True))
+def test_blocking_does_not_partition_by_type():
+    # The linker scopes a run to compatible types itself; the blocker must
+    # let a source "person" meet a KG "music_artist".
     records = [record("a", "Madison", entity_type="city"),
                record("b", "Madison", entity_type="person")]
-    assert blocker.block(records) == []
-    mixed = Blocker(BlockingConfig(functions=("name_token",), partition_by_type=False))
-    assert len(mixed.block(records)) == 1
+    blocks = Blocker().block(records)
+    assert [block.key for block in blocks] == ["pfx:madi", "tok:madison"]
+    assert all([r.record_id for r in block.records] == ["a", "b"] for block in blocks)
 
 
 def test_blocking_statistics():
-    blocker = Blocker(BlockingConfig(functions=("name_token",)))
+    blocker = Blocker()
     records = [record("a", "Alpha Beta"), record("b", "Alpha Gamma"), record("c", "Alpha Beta")]
     blocks = blocker.block(records)
     stats = blocker.statistics(blocks)
@@ -81,7 +83,7 @@ def test_blocking_statistics():
 
 
 def test_pair_generation_dedupes_and_skips_kg_kg():
-    blocker = Blocker(BlockingConfig(functions=("name_token", "name_prefix")))
+    blocker = Blocker()
     records = [
         record("src:1", "Robert Smith"),
         record("src:2", "Robert Smith"),
@@ -95,15 +97,8 @@ def test_pair_generation_dedupes_and_skips_kg_kg():
     assert any(pair.involves_kg for pair in pairs)
 
 
-def test_pair_generation_respects_max_pairs_and_type_compatibility():
-    blocker = Blocker(BlockingConfig(functions=("name_token",), partition_by_type=False))
-    records = [record(f"src:{i}", "Shared Name") for i in range(6)]
-    limited = PairGenerator(PairGenerationConfig(max_pairs=4)).generate(blocker.block(records))
-    assert len(limited) == 4
-
-    mixed = [record("a", "Madison", entity_type="city"),
-             record("b", "Madison", entity_type="person")]
-    pairs = PairGenerator(PairGenerationConfig(require_compatible_types=True)).generate(
-        blocker.block(mixed)
-    )
-    assert pairs == []
+def test_pair_generation_keeps_pairs_of_different_types():
+    records = [record("a", "Madison", entity_type="city"),
+               record("b", "Madison", entity_type="person")]
+    pairs = PairGenerator().generate(Blocker().block(records))
+    assert [pair.key for pair in pairs] == [("a", "b")]

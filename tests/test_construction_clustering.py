@@ -1,7 +1,9 @@
 """Tests for correlation clustering resolution (repro.construction.clustering)."""
 
+from repro.construction import clustering
 from repro.construction.clustering import (
-    ClusteringConfig,
+    MATCH_THRESHOLD,
+    NON_MATCH_THRESHOLD,
     CorrelationClustering,
     build_linkage_graph,
     materialize_clusters,
@@ -21,15 +23,20 @@ def scored(left, right, probability):
 
 
 def test_build_linkage_graph_thresholds_edges():
-    a, b, c = record("a"), record("b"), record("c")
-    graph = build_linkage_graph(
-        [scored(a, b, 0.95), scored(b, c, 0.1), scored(a, c, 0.5)],
-        ClusteringConfig(match_threshold=0.9, non_match_threshold=0.2),
-    )
+    a, b, c, d = record("a"), record("b"), record("c"), record("d")
+    # Both thresholds are inclusive; a score strictly between them adds no edge.
+    graph = build_linkage_graph([
+        scored(a, b, MATCH_THRESHOLD),
+        scored(b, c, NON_MATCH_THRESHOLD),
+        scored(a, c, (MATCH_THRESHOLD + NON_MATCH_THRESHOLD) / 2),
+        scored(a, d, MATCH_THRESHOLD - 1e-9),
+        scored(c, d, NON_MATCH_THRESHOLD + 1e-9),
+    ])
     assert "b" in graph.positive["a"]
     assert "c" in graph.negative["b"]
-    assert "c" not in graph.positive["a"] and "c" not in graph.negative["a"]
-    assert set(graph.node_ids()) == {"a", "b", "c"}
+    for left, right in (("a", "c"), ("a", "d"), ("c", "d")):
+        assert right not in graph.positive[left] and right not in graph.negative[left]
+    assert set(graph.node_ids()) == {"a", "b", "c", "d"}
 
 
 def test_clustering_groups_positive_components():
@@ -95,10 +102,12 @@ def test_disagreement_objective():
     assert graph.disagreement(bad) == 2
 
 
-def test_clustering_is_deterministic_for_fixed_seed():
+def test_clustering_is_deterministic_for_fixed_seed(monkeypatch):
     records = [record(f"r{i}") for i in range(6)]
     pairs = [scored(records[i], records[i + 1], 0.95) for i in range(5)]
     graph = build_linkage_graph(pairs)
-    first = CorrelationClustering(ClusteringConfig(seed=5)).cluster(graph)
-    second = CorrelationClustering(ClusteringConfig(seed=5)).cluster(graph)
-    assert first == second
+    for seed in (clustering.CLUSTERING_SEED, 11):
+        monkeypatch.setattr(clustering, "CLUSTERING_SEED", seed)
+        first = CorrelationClustering().cluster(graph)
+        second = CorrelationClustering().cluster(graph)
+        assert first == second

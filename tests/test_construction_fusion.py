@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.construction.fusion import Fusion, FusionConfig
+from repro.construction import fusion as fusion_module
+from repro.construction.fusion import RELATIONSHIP_OVERLAP_THRESHOLD, Fusion
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
 
@@ -125,14 +126,22 @@ def test_functional_conflicts_are_scored_by_truth_discovery(fusion):
     assert fusion.last_truth_result is result
 
 
-def test_fusion_config_threshold_controls_merging(ontology):
-    strict = Fusion(ontology, FusionConfig(relationship_overlap_threshold=0.99))
-    store = TripleStore([
-        triple("kg:e1", "educated_at", "UW", r_id="rel:old", r_pred="school"),
-        triple("kg:e1", "educated_at", "PhD", r_id="rel:old", r_pred="degree"),
-    ])
-    report = strict.fuse_added(store, {"kg:e1": [
-        triple("kg:e1", "educated_at", "UW", source="musicdb", r_id="rel:new", r_pred="school"),
-        triple("kg:e1", "educated_at", 2001, source="musicdb", r_id="rel:new", r_pred="year"),
-    ]})
-    assert report.relationship_nodes_added == 1           # 50% overlap < 99% threshold
+def test_fusion_config_threshold_controls_merging(ontology, monkeypatch):
+    def fuse_half_overlapping_node():
+        store = TripleStore([
+            triple("kg:e1", "educated_at", "UW", r_id="rel:old", r_pred="school"),
+            triple("kg:e1", "educated_at", "PhD", r_id="rel:old", r_pred="degree"),
+        ])
+        return Fusion(ontology).fuse_added(store, {"kg:e1": [
+            triple("kg:e1", "educated_at", "UW", source="musicdb", r_id="rel:new",
+                   r_pred="school"),
+            triple("kg:e1", "educated_at", 2001, source="musicdb", r_id="rel:new",
+                   r_pred="year"),
+        ]})
+
+    # One of two facts shared: an overlap of exactly 0.5, and the bound is inclusive.
+    assert RELATIONSHIP_OVERLAP_THRESHOLD == 0.5
+    assert fuse_half_overlapping_node().relationship_nodes_merged == 1
+    monkeypatch.setattr(fusion_module, "RELATIONSHIP_OVERLAP_THRESHOLD", 0.99)
+    report = fuse_half_overlapping_node()
+    assert (report.relationship_nodes_merged, report.relationship_nodes_added) == (0, 1)

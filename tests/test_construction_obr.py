@@ -3,6 +3,7 @@
 import pytest
 
 from repro.construction.object_resolution import (
+    FUZZY_THRESHOLD,
     NameIndexResolver,
     ObjectResolutionStage,
     ResolutionContext,
@@ -50,9 +51,10 @@ def test_name_index_resolver_type_hints_disambiguate(kg_store, ontology):
 
 
 def test_name_index_resolver_fuzzy_and_miss(kg_store, ontology):
-    resolver = NameIndexResolver(kg_store, ontology, fuzzy_threshold=0.85)
+    resolver = NameIndexResolver(kg_store, ontology)
     fuzzy = resolver.resolve("Springfeild", ResolutionContext(expected_types=("city",)))
     assert fuzzy is not None and fuzzy.entity_id == "kg:city2"
+    assert fuzzy.confidence >= FUZZY_THRESHOLD
     assert resolver.resolve("Zzyzx Completely Unknown", ResolutionContext()) is None
     assert resolver.resolve("", ResolutionContext()) is None
 
@@ -69,7 +71,6 @@ def test_resolution_stage_rewrites_reference_objects(kg_store, ontology):
     stage = ObjectResolutionStage(
         ontology=ontology,
         resolver=NameIndexResolver(kg_store, ontology),
-        confidence_threshold=0.9,
     )
     resolved, created, stats = stage.resolve_triples(triples)
     by_predicate = {t.predicate: t for t in resolved}
@@ -78,7 +79,7 @@ def test_resolution_stage_rewrites_reference_objects(kg_store, ontology):
     assert by_predicate["genre"].obj == "pop"           # literal predicate untouched
     assert created == []
     assert stats.resolved == 2
-    assert stats.unresolved == 0
+    assert stats.created == 0
 
 
 def test_resolution_stage_creates_entities_for_unknown_mentions(kg_store, ontology):
@@ -92,7 +93,6 @@ def test_resolution_stage_creates_entities_for_unknown_mentions(kg_store, ontolo
         ontology=ontology,
         resolver=NameIndexResolver(kg_store, ontology),
         id_generator=IdGenerator(),
-        create_missing=True,
     )
     resolved, created, stats = stage.resolve_triples(entity.to_triples())
     label_triple = next(t for t in resolved if t.predicate == "record_label")
@@ -113,20 +113,6 @@ def test_resolution_stage_creates_entities_for_unknown_mentions(kg_store, ontolo
     assert label2.obj == label_triple.obj
     assert created2 == []
     assert stats2.resolved + stats2.created <= 1
-
-
-def test_resolution_stage_leaves_unresolved_when_not_creating(kg_store, ontology):
-    stage = ObjectResolutionStage(
-        ontology=ontology,
-        resolver=NameIndexResolver(kg_store, ontology),
-        create_missing=False,
-    )
-    triples = [ExtendedTriple(subject="kg:new4", predicate="birth_place",
-                              obj="Atlantis", provenance=Provenance.from_source("src"))]
-    resolved, created, stats = stage.resolve_triples(triples)
-    assert resolved[0].obj == "Atlantis"
-    assert stats.unresolved == 1
-    assert created == []
 
 
 def test_already_resolved_objects_are_skipped(kg_store, ontology):

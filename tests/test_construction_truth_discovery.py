@@ -1,10 +1,13 @@
 """Tests for truth discovery and source reliability estimation."""
 
 
+from repro.construction import truth_discovery
 from repro.construction.truth_discovery import (
+    MAX_ITERATIONS,
+    MAX_RELIABILITY,
+    MIN_RELIABILITY,
     Claim,
     TruthDiscovery,
-    TruthDiscoveryConfig,
 )
 
 
@@ -54,23 +57,27 @@ def test_unknown_item_and_value_accessors():
     assert result.confidence_of(("missing", "item"), "x") == 0.0
 
 
-def test_iterations_respect_config():
-    config = TruthDiscoveryConfig(max_iterations=1)
-    result = TruthDiscovery(config).run(claims_for_conflict())
-    assert result.iterations == 1
-    long_config = TruthDiscoveryConfig(max_iterations=50, tolerance=0.0)
-    long_result = TruthDiscovery(long_config).run(claims_for_conflict())
-    assert long_result.iterations == 50
+def test_iterations_respect_config(monkeypatch):
+    assert 1 < TruthDiscovery().run(claims_for_conflict()).iterations <= MAX_ITERATIONS
+    monkeypatch.setattr(truth_discovery, "MAX_ITERATIONS", 1)
+    assert TruthDiscovery().run(claims_for_conflict()).iterations == 1
+    monkeypatch.setattr(truth_discovery, "MAX_ITERATIONS", 50)
+    monkeypatch.setattr(truth_discovery, "TOLERANCE", 0.0)
+    assert TruthDiscovery().run(claims_for_conflict()).iterations == 50
 
 
-def test_reliability_is_bounded():
-    config = TruthDiscoveryConfig(min_reliability=0.1, max_reliability=0.9)
+def test_reliability_is_bounded(monkeypatch):
     claims = [
         Claim(("i", "p"), "v", "always_right", 0.99),
         Claim(("i2", "p"), "v2", "always_right", 0.99),
         Claim(("i", "p"), "wrong", "always_wrong", 0.01),
     ]
-    result = TruthDiscovery(config).run(claims)
+    result = TruthDiscovery().run(claims)
+    assert MIN_RELIABILITY <= result.source_reliability["always_wrong"]
+    assert result.source_reliability["always_right"] <= MAX_RELIABILITY
+    monkeypatch.setattr(truth_discovery, "MIN_RELIABILITY", 0.1)
+    monkeypatch.setattr(truth_discovery, "MAX_RELIABILITY", 0.9)
+    result = TruthDiscovery().run(claims)
     assert result.source_reliability["always_right"] <= 0.9
     assert result.source_reliability["always_wrong"] >= 0.1
 

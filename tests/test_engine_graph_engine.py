@@ -1,5 +1,7 @@
 """Tests for the GraphEngine facade: polystore consistency, freshness, views."""
 
+import copy
+
 import pytest
 
 from repro.engine.analytics import EntityViewSpec
@@ -92,7 +94,16 @@ def test_entity_view_and_importance(engine):
     assert row["label"] == "Apex Records"
     scores = engine.importance_scores()
     assert "kg:l1" in scores
-    assert engine.entity("kg:l1").importance == scores["kg:l1"].score
+
+
+def test_importance_scores_leave_the_entity_store_unchanged(engine):
+    # A score depends on the whole graph; a copy kept on a document would be
+    # stale after the next publish.
+    store = engine.entity_store
+    before = copy.deepcopy(store.get_many(store.ids()))
+    scores = engine.importance_scores()
+    assert any(score.score > 0 for score in scores.values())
+    assert store.get_many(store.ids()) == before
 
 
 def test_standard_views_dependency_graph(engine, construction_store):

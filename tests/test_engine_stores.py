@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.engine.entity_store import EntityDocument, EntityStore
+from repro.engine.entity_store import EntityStore
 from repro.engine import importance
 from repro.engine.importance import compute_importance, importance_view_rows
 from repro.engine.text_index import InvertedTextIndex, TextDocument
 from repro.engine.vector_db import VectorDB
 from repro.errors import StoreError
-from repro.model.entity import KGEntity
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
 
@@ -41,15 +40,6 @@ def test_entity_store_update_from_triple_store():
     store.remove_subject("kg:e2")
     entity_store.update_from_store(store, ["kg:e2"])
     assert entity_store.get("kg:e2") is None
-
-
-def test_entity_store_importance_and_errors():
-    entity_store = EntityStore()
-    entity_store.put(EntityDocument.from_entity(KGEntity("kg:e1", names=["X"]), importance=0.2))
-    entity_store.set_importance("kg:e1", 0.9)
-    assert entity_store.get("kg:e1").importance == 0.9
-    with pytest.raises(StoreError):
-        entity_store.set_importance("kg:missing", 0.5)
 
 
 # --------------------------------------------------------------------- #

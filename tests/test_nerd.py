@@ -8,7 +8,9 @@ from repro.construction.object_resolution import ResolutionContext
 from repro.engine.importance import compute_importance
 from repro.engine.views import ViewDelta
 from repro.errors import NERDError
+from repro.ml.nerd import disambiguation
 from repro.ml.nerd import (
+    Candidate,
     CandidateRetriever,
     ContextualDisambiguator,
     MentionContext,
@@ -166,10 +168,19 @@ def test_ambiguous_mention_resolved_by_context(nerd_service, world):
     assert result.candidate_count >= 2
 
 
-def test_disambiguation_rejection_for_unknown_context():
-    disambiguator = ContextualDisambiguator(rejection_threshold=0.99)
+def test_disambiguation_rejection_for_unknown_context(entity_view, monkeypatch):
+    disambiguator = ContextualDisambiguator()
     context = MentionContext(mention="Some Entity")
     assert disambiguator.disambiguate(context, []).rejected
+    # The best candidate is rejected exactly when it scores below the threshold.
+    record = entity_view.records()[0]
+    candidates = [Candidate(record=record, retrieval_score=1.0)]
+    context = MentionContext(mention=record.names[0])
+    score = disambiguator.score(context, record)
+    monkeypatch.setattr(disambiguation, "REJECTION_THRESHOLD", score)
+    assert disambiguator.disambiguate(context, candidates).entity_id == record.entity_id
+    monkeypatch.setattr(disambiguation, "REJECTION_THRESHOLD", score + 1e-6)
+    assert disambiguator.disambiguate(context, candidates).rejected
 
 
 def test_disambiguator_fit_weak_supervision(entity_view, world):

@@ -2,10 +2,12 @@
 
 import string
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.construction.clustering import ClusteringConfig, CorrelationClustering, LinkageGraph
+from repro.construction import clustering
+from repro.construction.clustering import CorrelationClustering, LinkageGraph
 from repro.construction.records import LinkableRecord
 from repro.engine.log import OperationLog
 from repro.engine.text_index import InvertedTextIndex, TextDocument
@@ -172,7 +174,10 @@ def test_correlation_clustering_partitions_all_nodes(edges, seed):
             graph.add_positive(a, b)
         else:
             graph.add_negative(a, b)
-    clusters = CorrelationClustering(ClusteringConfig(seed=seed)).cluster(graph)
+    # A function-scoped monkeypatch fixture would span every example.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "CLUSTERING_SEED", seed)
+        clusters = CorrelationClustering().cluster(graph)
     assigned = [node for cluster in clusters for node in cluster]
     assert sorted(assigned) == sorted(graph.node_ids())     # exactly one cluster per node
     assert graph.disagreement(clusters) >= 0
