@@ -3,42 +3,17 @@
 Record linkage is quadratic in the number of records; blocking (Section 2.3,
 step 3) applies lightweight functions that group entities likely to be linked
 into the same bucket, and only pairs within a bucket are ever compared.  The
-:class:`Blocker` keys every record on its name tokens and name prefixes; the
-other key functions here (q-grams, Soundex, exact values) are library
-functions no pipeline calls.
+:class:`Blocker` keys every record on its name tokens and name prefixes.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from repro.construction.records import LinkableRecord
-from repro.ml.similarity import qgrams, soundex, tokens
-
-BlockingFunction = Callable[[LinkableRecord], Iterable[str]]
-
-
-def name_qgram_keys(record: LinkableRecord, q: int = 3, max_keys: int = 12) -> list[str]:
-    """Block on character q-grams of the record's names.
-
-    Records sharing enough of their name q-grams land in overlapping buckets,
-    which tolerates typos (the paper's example blocking function for movies).
-    """
-    keys: list[str] = []
-    for name in record.name_features.normalized:
-        keys.extend(qgrams(name, q))
-    # Deduplicate while preserving order, then cap to bound bucket fan-out.
-    seen: set[str] = set()
-    capped = []
-    for key in keys:
-        if key not in seen:
-            seen.add(key)
-            capped.append(key)
-        if len(capped) >= max_keys:
-            break
-    return [f"qg:{key}" for key in capped]
+from repro.ml.similarity import tokens
 
 
 def name_token_keys(record: LinkableRecord) -> list[str]:
@@ -59,30 +34,6 @@ def name_prefix_keys(record: LinkableRecord, length: int = 4) -> list[str]:
         if compact:
             keys.add(f"pfx:{compact[:length]}")
     return sorted(keys)
-
-
-def soundex_keys(record: LinkableRecord) -> list[str]:
-    """Block on the Soundex code of each name token (person names)."""
-    keys = set()
-    for name in record.name_features.normalized:
-        for token in tokens(name):
-            code = soundex(token)
-            if code:
-                keys.add(f"sdx:{code}")
-    return sorted(keys)
-
-
-def exact_value_keys(predicate: str) -> BlockingFunction:
-    """Build a blocking function keyed on the exact value of *predicate*."""
-
-    def _keys(record: LinkableRecord) -> list[str]:
-        return [
-            f"val:{predicate}:{str(value).strip().lower()}"
-            for value in record.values(predicate)
-            if value not in (None, "")
-        ]
-
-    return _keys
 
 
 MAX_BLOCK_SIZE = 200
@@ -136,16 +87,3 @@ class Blocker:
             blocks.append(Block(key=key, records=bucket_records))
         blocks.sort(key=lambda block: block.key)
         return blocks
-
-    def statistics(self, blocks: Sequence[Block]) -> dict[str, float]:
-        """Basic blocking statistics used in tests and ablation benches."""
-        if not blocks:
-            return {"blocks": 0, "max_size": 0, "mean_size": 0.0, "candidate_pairs": 0}
-        sizes = [len(block) for block in blocks]
-        pairs = sum(size * (size - 1) // 2 for size in sizes)
-        return {
-            "blocks": len(blocks),
-            "max_size": max(sizes),
-            "mean_size": sum(sizes) / len(sizes),
-            "candidate_pairs": pairs,
-        }

@@ -48,9 +48,9 @@ from repro.construction.object_resolution import (
 from repro.model.delta import SourceDelta
 from repro.model.entity import (
     SAME_AS_PREDICATE,
+    TYPE_PREDICATE,
     KGEntity,
     SourceEntity,
-    materialize_entities,
 )
 from repro.model.identifiers import IdGenerator
 from repro.model.ontology import Ontology
@@ -202,6 +202,15 @@ class IncrementalConstructor:
         self.fusion = Fusion(ontology)
         self._external_resolver = resolver
         self.link_table: dict[str, str] = {}
+        # What a commit reads (docs/construction.md): the name index (when no
+        # resolver is passed) and the KG view live as long as the
+        # constructor, and each commit re-reads only the subjects it noted.
+        self._name_index: NameIndexResolver | None = None
+        self._entities: dict[str, KGEntity] = {}        # subject -> assembled entity
+        self._by_type: dict[str, set[str]] = {}         # type -> its subjects
+        self._untyped: set[str] = set()                 # subjects without a type
+        self._synced_version: int | None = None         # store.version both reflect
+        self._tracker: _CommitTracker | None = None     # the commit in progress
 
     # -------------------------------------------------------------- #
     # public API
@@ -217,11 +226,13 @@ class IncrementalConstructor:
         covers anything the failing step may have touched.
         """
         report = ConstructionReport(source_id=delta.source_id, timestamp=delta.to_timestamp)
-        tracker = _CommitTracker(self.store)
+        self._sync()
+        tracker = self._tracker = _CommitTracker(self.store)
         try:
+            resolver = self._external_resolver
             obr = ObjectResolutionStage(
                 ontology=self.ontology,
-                resolver=self._resolver(),
+                resolver=resolver if resolver is not None else self._name_index,
                 id_generator=self.id_generator,
             )
             self._commit_added(delta.added, obr, report, tracker)
@@ -233,24 +244,40 @@ class IncrementalConstructor:
             report.entity_delta = tracker.finalize(tracker.pre_existing)
             exc.construction_report = report
             raise
+        finally:
+            self._tracker = None
+            self._reread(tracker.pre_existing)
         report.entity_delta = tracker.finalize(report.fusion.subjects_touched)
         return report
 
     def kg_view(self, entity_types: Sequence[str] = ()) -> list[KGEntity]:
-        """Materialize a KG view restricted to *entity_types* (all when empty).
+        """The KG entities of *entity_types* (all when empty), by subject.
 
         This is the "extract a subgraph containing relevant entities" step of
         the linking pipeline (Section 2.3, step 1).  Untyped entities are in
-        every view.
+        every view, and so are entities of a type compatible with a requested
+        one.  Entities are assembled from the store once and kept until a
+        commit changes their subject, so callers must not modify them.
         """
-        entities = materialize_entities(self.store).values()
+        self._sync()
         if not entity_types:
-            return list(entities)
-        allowed = set(entity_types)
-        return [
-            entity for entity in entities
-            if not entity.types or any(self._type_matches(t, allowed) for t in entity.types)
-        ]
+            subjects: Iterable[str] = self.store.subjects()
+        else:
+            allowed = set(entity_types)
+            subjects = set(self._untyped)
+            for entity_type, members in self._by_type.items():
+                if self._type_matches(entity_type, allowed):
+                    subjects.update(members)
+        entities = self._entities
+        view = []
+        for subject in sorted(subjects):
+            entity = entities.get(subject)
+            if entity is None:
+                entity = entities[subject] = KGEntity.from_triples(
+                    subject, self.store.facts_about(subject)
+                )
+            view.append(entity)
+        return view
 
     def entity_count(self) -> int:
         """Number of entities currently in the KG."""
@@ -383,10 +410,58 @@ class IncrementalConstructor:
     # -------------------------------------------------------------- #
     # helpers
     # -------------------------------------------------------------- #
-    def _resolver(self) -> ObjectResolver:
-        if self._external_resolver is not None:
-            return self._external_resolver
-        return NameIndexResolver(self.store, self.ontology)
+    def _sync(self) -> None:
+        """Bring the name index and the KG view up to the store.
+
+        Inside a commit only that commit has written, and only to subjects
+        it noted, so the view re-reads those (the name index waits for the
+        commit's end: within a commit it changes only through
+        :meth:`NameIndexResolver.add_entity`).  Outside a commit a moved
+        change counter means someone else wrote, and both are rebuilt.
+        """
+        if self.store.version == self._synced_version:
+            return
+        if self._tracker is not None:
+            self._reread_view(self._tracker.pre_existing)
+        else:
+            self._entities.clear()
+            self._by_type.clear()
+            self._untyped.clear()
+            self._reread_view(self.store.subjects())
+            if self._external_resolver is None:
+                if self._name_index is None:
+                    self._name_index = NameIndexResolver(self.store, self.ontology)
+                else:
+                    self._name_index.refresh(self.store)
+        self._synced_version = self.store.version
+
+    def _reread(self, subjects: Iterable[str]) -> None:
+        """After a commit, successful or not: re-read the subjects it noted
+        (and the name index also those it registered)."""
+        self._reread_view(subjects)
+        if self._name_index is not None:
+            self._name_index.reread(self.store, subjects)
+        self._synced_version = self.store.version
+
+    def _reread_view(self, subjects: Iterable[str]) -> None:
+        """Drop the cached entities of *subjects* and re-index their types."""
+        for subject in subjects:
+            self._entities.pop(subject, None)
+            self._untyped.discard(subject)
+            for members in self._by_type.values():   # a handful of types
+                members.discard(subject)
+            types: set[str] | None = None
+            for predicate, is_composite, obj in self.store.scan_subject(subject):
+                if types is None:
+                    types = set()
+                if predicate == TYPE_PREDICATE and not is_composite:
+                    types.add(str(obj))
+            if types is None:       # no facts left: not a KG subject
+                continue
+            for entity_type in types:
+                self._by_type.setdefault(entity_type, set()).add(subject)
+            if not types:
+                self._untyped.add(subject)
 
     def _type_matches(self, entity_type: str, allowed: set[str]) -> bool:
         if entity_type in allowed:

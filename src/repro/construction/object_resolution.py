@@ -18,12 +18,11 @@ an import dependency from the ML stack onto construction.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
 from repro.ml.similarity import jaro_winkler_normalized, normalize_string
-from repro.model.entity import NAME_PREDICATES, SourceEntity
+from repro.model.entity import NAME_PREDICATES, TYPE_PREDICATE, SourceEntity
 from repro.model.identifiers import IdGenerator, is_kg_identifier
 from repro.model.ontology import Ontology, ValueKind
 from repro.model.triples import ExtendedTriple, TripleStore
@@ -31,6 +30,15 @@ from repro.model.triples import ExtendedTriple, TripleStore
 FUZZY_THRESHOLD = 0.90
 """Least Jaro-Winkler score at which :class:`NameIndexResolver` accepts a
 fuzzy name match."""
+
+EXACT_CONFIDENCE = 0.97
+"""Confidence :class:`NameIndexResolver` reports for an exact name hit."""
+
+FUZZY_CONFIDENCE_CAP = 0.96
+"""Highest confidence :class:`NameIndexResolver` reports for a fuzzy hit,
+strictly below :data:`EXACT_CONFIDENCE`: a misspelt mention never outranks a
+correctly spelt one.  A fuzzy hit scores at least :data:`FUZZY_THRESHOLD`, so
+the cap changes no decision against :data:`CONFIDENCE_THRESHOLD`."""
 
 CONFIDENCE_THRESHOLD = 0.9
 """Least resolver confidence :class:`ObjectResolutionStage` accepts; a mention
@@ -73,42 +81,69 @@ class NameIndexResolver:
     with high confidence; otherwise the best fuzzy match above a threshold
     wins.  Entity-type hints restrict the candidate set exactly like the
     "NERD + type hints" configuration in Figure 14(b).
+
+    The index records which names and types each subject contributed, so
+    :meth:`reread` can bring a few subjects up to date without rescanning
+    the store; an :class:`~repro.construction.incremental.IncrementalConstructor`
+    keeps one resolver for its lifetime that way.
     """
 
     def __init__(self, store: TripleStore, ontology: Ontology | None = None) -> None:
         self.ontology = ontology
-        self._names: dict[str, set[str]] = defaultdict(set)   # normalized name -> entity ids
-        self._types: dict[str, set[str]] = defaultdict(set)   # entity id -> types
-        #: name -> (length, character bitmask, repeat surplus, character counts)
-        self._name_info: dict[str, tuple[int, int, int, dict[str, int]]] = {}
+        # Tuples, not sets: the index lives as long as its constructor, and
+        # nearly every name has one holder and every entity one type.
+        self._names: dict[str, tuple[str, ...]] = {}          # normalized name -> entity ids
+        self._types: dict[str, tuple[str, ...]] = {}          # entity id -> types
+        self._subject_names: dict[str, tuple[str, ...]] = {}  # entity id -> normalized names
+        #: :meth:`_string_info` of every name the index ever held, computed
+        #: once per name
+        self._name_info: dict[str, tuple[int, int, int, str, tuple[int, ...]]] = {}
+        #: entities :meth:`add_entity` registered since the last re-read
+        self._registered: set[str] = set()
         self.refresh(store)
 
     def refresh(self, store: TripleStore) -> None:
         """Rebuild the index from the current KG triple store."""
         self._names.clear()
         self._types.clear()
-        self._name_info.clear()
-        for predicate in NAME_PREDICATES:
-            for triple in store.facts_with_predicate(predicate):
-                normalized = normalize_string(triple.obj)
-                if normalized:
-                    self._names[normalized].add(triple.subject)
-                    self._index_info(normalized)
-        for triple in store.facts_with_predicate("type"):
-            self._types[triple.subject].add(str(triple.obj))
+        self._subject_names.clear()
+        self.reread(store, store.subjects())
+
+    def reread(self, store: TripleStore, subjects: Iterable[str]) -> None:
+        """Re-read *subjects*, and every entity :meth:`add_entity` registered
+        since the last re-read, from *store*: afterwards the index holds for
+        them exactly their ``name`` / ``alias`` / ``title`` / ``full_title``
+        and ``type`` objects in the store."""
+        for subject in {*subjects, *self._registered}:
+            for name in self._subject_names.pop(subject, ()):
+                holders = tuple(holder for holder in self._names[name] if holder != subject)
+                if holders:
+                    self._names[name] = holders
+                else:
+                    del self._names[name]
+            self._types.pop(subject, None)
+            for predicate, _, obj in store.scan_subject(subject):
+                if predicate == TYPE_PREDICATE:
+                    _add_member(self._types, subject, str(obj))
+                elif predicate in NAME_PREDICATES:
+                    self._add_name(subject, obj)
+        self._registered.clear()
 
     def add_entity(self, entity_id: str, names: Iterable[str], entity_type: str = "") -> None:
         """Register a newly created entity so later mentions resolve to it."""
         for name in names:
-            normalized = normalize_string(name)
-            if normalized:
-                self._names[normalized].add(entity_id)
-                self._index_info(normalized)
+            self._add_name(entity_id, name)
         if entity_type:
-            self._types[entity_id].add(entity_type)
+            _add_member(self._types, entity_id, entity_type)
+        self._registered.add(entity_id)
 
     def resolve(self, mention: str, context: ResolutionContext) -> Resolution | None:
         """Resolve *mention* against the name index.
+
+        An exact hit reports :data:`EXACT_CONFIDENCE`; a fuzzy one its
+        Jaro-Winkler score, capped at :data:`FUZZY_CONFIDENCE_CAP`.  Among
+        equal candidates the smallest entity id wins, so the answer does not
+        depend on the order names entered the index.
 
         The fuzzy scan prunes index names that provably cannot reach the
         threshold before computing any similarity: Jaro-Winkler with prefix
@@ -121,16 +156,20 @@ class NameIndexResolver:
         normalized = normalize_string(mention)
         if not normalized:
             return None
-        exact = self._filter_by_type(self._names.get(normalized, set()), context)
+        exact = self._filter_by_type(self._names.get(normalized, ()), context)
         if exact:
-            chosen = sorted(exact)[0]
-            return Resolution(entity_id=chosen, confidence=0.97, candidate_count=len(exact))
-        best_id, best_score, candidates = None, 0.0, 0
+            return Resolution(
+                entity_id=min(exact), confidence=EXACT_CONFIDENCE, candidate_count=len(exact)
+            )
+        best_id, best_score, candidates = "", 0.0, 0
         # jw = jaro + prefix * 0.1 * (1 - jaro), prefix <= 4  =>  jw <= 0.6 * jaro + 0.4
         min_jaro = (FUZZY_THRESHOLD - 0.4) / 0.6
         needed = 3.0 * min_jaro - 1.0    # m/|a| + m/|b| must reach this
-        q_len, q_mask, q_surplus, q_counts = self._string_info(normalized)
-        for name, (n_len, n_mask, n_surplus, n_counts) in self._name_info.items():
+        q_len, q_mask, q_surplus, q_chars, q_counts = self._string_info(normalized)
+        q_count_of = dict(zip(q_chars, q_counts))
+        name_info = self._name_info
+        for name, holders in self._names.items():
+            n_len, n_mask, n_surplus, n_chars, n_counts = name_info[name]
             # Jaro match count m is bounded by min(|a|, |b|) ...
             shorter = q_len if q_len < n_len else n_len
             if shorter / q_len + shorter / n_len < needed:
@@ -144,52 +183,69 @@ class NameIndexResolver:
             if bound < shorter and bound / q_len + bound / n_len < needed:
                 continue
             # ... and exactly by the character-multiset intersection.
-            common = sum(
-                count if count < q_counts.get(char, 0) else q_counts.get(char, 0)
-                for char, count in n_counts.items()
-            )
+            common = 0
+            for char, count in zip(n_chars, n_counts):
+                mine = q_count_of.get(char, 0)
+                common += count if count < mine else mine
             if common / q_len + common / n_len < needed:
                 continue
             score = jaro_winkler_normalized(normalized, name)
             if score < FUZZY_THRESHOLD:
                 continue
-            filtered = self._filter_by_type(self._names[name], context)
+            filtered = self._filter_by_type(holders, context)
             if not filtered:
                 continue
             candidates += len(filtered)
-            if score > best_score:
-                best_score = score
-                best_id = sorted(filtered)[0]
-        if best_id is None:
+            chosen = min(filtered)
+            if score > best_score or (score == best_score and chosen < best_id):
+                best_score, best_id = score, chosen
+        if not candidates:
             return None
-        return Resolution(entity_id=best_id, confidence=best_score, candidate_count=candidates)
+        return Resolution(
+            entity_id=best_id,
+            confidence=min(best_score, FUZZY_CONFIDENCE_CAP),
+            candidate_count=candidates,
+        )
 
-    def _index_info(self, normalized: str) -> None:
+    def _add_name(self, subject: str, name: object) -> None:
+        normalized = normalize_string(name)
+        if not normalized:
+            return
+        _add_member(self._names, normalized, subject)
+        _add_member(self._subject_names, subject, normalized)
         if normalized not in self._name_info:
             self._name_info[normalized] = self._string_info(normalized)
 
     @staticmethod
-    def _string_info(normalized: str) -> tuple[int, int, int, dict[str, int]]:
-        """``(length, character bitmask, repeat surplus, character counts)``.
+    def _string_info(normalized: str) -> tuple[int, int, int, str, tuple[int, ...]]:
+        """``(length, character bitmask, repeat surplus, distinct characters,
+        their counts)``.
 
         The bitmask folds characters onto 64 bits (collisions only loosen the
         pruning bound, never tighten it); the repeat surplus is ``length -
         distinct characters`` — together they bound the character-multiset
-        intersection from above without touching the counts dict.
+        intersection from above without touching the counts.  The counts are
+        a string and a tuple rather than a dict: the index keeps one entry per
+        name for its lifetime.
         """
         counts: dict[str, int] = {}
         mask = 0
         for char in normalized:
             counts[char] = counts.get(char, 0) + 1
             mask |= 1 << (ord(char) & 63)
-        return len(normalized), mask, len(normalized) - len(counts), counts
+        return (
+            len(normalized), mask, len(normalized) - len(counts),
+            "".join(counts), tuple(counts.values()),
+        )
 
-    def _filter_by_type(self, entity_ids: set[str], context: ResolutionContext) -> set[str]:
+    def _filter_by_type(
+        self, entity_ids: Iterable[str], context: ResolutionContext
+    ) -> set[str]:
         if not context.expected_types:
             return set(entity_ids)
         filtered = set()
         for entity_id in entity_ids:
-            entity_types = self._types.get(entity_id, set())
+            entity_types = self._types.get(entity_id, ())
             if not entity_types:
                 filtered.add(entity_id)
                 continue
@@ -368,3 +424,10 @@ def _context_values(triples: Sequence[ExtendedTriple]) -> dict[str, tuple[str, .
             if len(values) < 12:
                 values.append(str(triple.obj))
     return {subject: tuple(values) for subject, values in grouped.items()}
+
+
+def _add_member(index: dict[str, tuple[str, ...]], key: str, member: str) -> None:
+    """Add *member* to the tuple *index* holds under *key*, once."""
+    held = index.get(key, ())
+    if member not in held:
+        index[key] = (*held, member)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.model.entity import SourceEntity
+from repro.model.entity import SourceEntity, _copy_value, _freeze
 
 
 @dataclass
@@ -101,40 +101,50 @@ def compute_delta(
         to_timestamp=to_timestamp,
     )
 
+    # Entities are fingerprinted straight from their stable properties; only
+    # the ones a partition emits are copied.
     for entity_id, entity in current_by_id.items():
-        stable_entity = _strip_volatile(entity, volatile_set)
-        if entity_id not in previous_by_id:
-            delta.added.append(stable_entity)
-        else:
-            previous_stable = _strip_volatile(previous_by_id[entity_id], volatile_set)
-            if stable_entity.fingerprint() != previous_stable.fingerprint():
-                delta.updated.append(stable_entity)
-        volatile_entity = _only_volatile(entity, volatile_set)
-        if volatile_entity is not None:
-            delta.volatile.append(volatile_entity)
+        stable = _stable_properties(entity, volatile_set)
+        previous_entity = previous_by_id.get(entity_id)
+        if previous_entity is None:
+            delta.added.append(_with_properties(entity, stable))
+        elif _fingerprint(entity, stable) != _fingerprint(
+            previous_entity, _stable_properties(previous_entity, volatile_set)
+        ):
+            delta.updated.append(_with_properties(entity, stable))
+        if volatile_set:
+            kept = {k: v for k, v in entity.properties.items() if k in volatile_set}
+            if kept:
+                delta.volatile.append(_with_properties(entity, kept))
 
     for entity_id, entity in previous_by_id.items():
         if entity_id not in current_by_id:
-            delta.deleted.append(_strip_volatile(entity, volatile_set))
+            delta.deleted.append(
+                _with_properties(entity, _stable_properties(entity, volatile_set))
+            )
 
     return delta
 
 
-def _strip_volatile(entity: SourceEntity, volatile: set[str]) -> SourceEntity:
-    clone = entity.copy()
-    if volatile:
-        clone.properties = {
-            k: v for k, v in clone.properties.items() if k not in volatile
-        }
-    return clone
-
-
-def _only_volatile(entity: SourceEntity, volatile: set[str]) -> SourceEntity | None:
+def _stable_properties(entity: SourceEntity, volatile: set[str]) -> dict[str, object]:
+    """*entity*'s properties without the volatile ones (not copied)."""
     if not volatile:
-        return None
-    kept = {k: v for k, v in entity.properties.items() if k in volatile}
-    if not kept:
-        return None
-    clone = entity.copy()
-    clone.properties = kept
-    return clone
+        return entity.properties
+    return {k: v for k, v in entity.properties.items() if k not in volatile}
+
+
+def _fingerprint(entity: SourceEntity, properties: dict[str, object]) -> tuple:
+    """:meth:`SourceEntity.fingerprint` of *entity* holding *properties*."""
+    return (entity.entity_id, entity.entity_type, _freeze(properties))
+
+
+def _with_properties(entity: SourceEntity, properties: dict[str, object]) -> SourceEntity:
+    """An independent copy of *entity* holding copies of *properties*."""
+    return SourceEntity(
+        entity_id=entity.entity_id,
+        entity_type=entity.entity_type,
+        properties={k: _copy_value(v) for k, v in properties.items()},
+        source_id=entity.source_id,
+        trust=entity.trust,
+        locale=entity.locale,
+    )

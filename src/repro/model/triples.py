@@ -338,6 +338,11 @@ class TripleStore:
         # Invalidated per subject when a fact is created or removed; a
         # provenance replacement updates the cached view in place.
         self._facts_cache: dict[int, list[ExtendedTriple]] = {}
+        #: Bumped whenever some subject's set of facts changes (a row is
+        #: created or removed); a provenance merge or replacement leaves it.
+        #: A reader that keeps state derived from the facts compares it with
+        #: the value it last saw to learn whether anything changed since.
+        self.version = 0
         if triples:
             for triple in triples:
                 self._upsert_triple(triple)
@@ -846,6 +851,7 @@ class TripleStore:
         posting_add(self._by_object, oid, ref)
         self._count_sources(provenance, 1)
         self._facts_cache.pop(sid, None)
+        self.version += 1
         return ref
 
     def _find_ref(self, sid: int, pid: int, rid: int, rpid: int, oid: int, lid: int) -> int | None:
@@ -944,6 +950,7 @@ class TripleStore:
         sid = partition.subj[row]
         del self._row_order[ref]
         self._facts_cache.pop(sid, None)
+        self.version += 1
         posting_remove(self._by_subject, sid, ref)
         posting_remove(self._by_object, partition.obj_ids[row], ref)
         self._count_sources(partition.prov[row], -1)

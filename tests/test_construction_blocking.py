@@ -2,14 +2,7 @@
 
 
 from repro.construction import blocking
-from repro.construction.blocking import (
-    Blocker,
-    exact_value_keys,
-    name_prefix_keys,
-    name_qgram_keys,
-    name_token_keys,
-    soundex_keys,
-)
+from repro.construction.blocking import Blocker, name_prefix_keys, name_token_keys
 from repro.construction.pairs import PairGenerator
 from repro.construction.records import LinkableRecord
 
@@ -24,11 +17,8 @@ def record(record_id, name, entity_type="person", is_kg=False, **props):
 
 def test_blocking_key_functions():
     r = record("a", "Robert Smith")
-    assert any(key.startswith("qg:") for key in name_qgram_keys(r))
     assert set(name_token_keys(r)) == {"tok:robert", "tok:smith"}
     assert name_prefix_keys(r) == ["pfx:robe"]
-    assert all(key.startswith("sdx:") for key in soundex_keys(r))
-    assert exact_value_keys("genre")(record("b", "X", genre="pop")) == ["val:genre:pop"]
 
 
 def test_similar_names_share_blocks():
@@ -68,18 +58,6 @@ def test_blocking_does_not_partition_by_type():
     blocks = Blocker().block(records)
     assert [block.key for block in blocks] == ["pfx:madi", "tok:madison"]
     assert all([r.record_id for r in block.records] == ["a", "b"] for block in blocks)
-
-
-def test_blocking_statistics():
-    blocker = Blocker()
-    records = [record("a", "Alpha Beta"), record("b", "Alpha Gamma"), record("c", "Alpha Beta")]
-    blocks = blocker.block(records)
-    stats = blocker.statistics(blocks)
-    assert stats["blocks"] == len(blocks) > 0
-    assert stats["candidate_pairs"] > 0
-    assert blocker.statistics([]) == {
-        "blocks": 0, "max_size": 0, "mean_size": 0.0, "candidate_pairs": 0
-    }
 
 
 def test_pair_generation_dedupes_and_skips_kg_kg():

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.construction.object_resolution import (
+    CONFIDENCE_THRESHOLD,
+    EXACT_CONFIDENCE,
     FUZZY_THRESHOLD,
     NameIndexResolver,
     ObjectResolutionStage,
@@ -57,6 +59,29 @@ def test_name_index_resolver_fuzzy_and_miss(kg_store, ontology):
     assert fuzzy.confidence >= FUZZY_THRESHOLD
     assert resolver.resolve("Zzyzx Completely Unknown", ResolutionContext()) is None
     assert resolver.resolve("", ResolutionContext()) is None
+
+
+def test_a_fuzzy_hit_scores_below_an_exact_one(kg_store, ontology):
+    resolver = NameIndexResolver(kg_store, ontology)
+    context = ResolutionContext(expected_types=("city",))
+    exact = resolver.resolve("Springfield", context)
+    misspelt = resolver.resolve("Springfeild", context)
+    assert exact.entity_id == misspelt.entity_id == "kg:city2"
+    assert exact.confidence == EXACT_CONFIDENCE
+    assert CONFIDENCE_THRESHOLD <= misspelt.confidence < exact.confidence
+
+
+def test_equal_fuzzy_scores_go_to_the_smallest_id(ontology):
+    """Two names equally close to the mention: the smaller entity id wins,
+    whichever name entered the index first."""
+    names = {"kg:a": "Springfielt", "kg:b": "Springfielq"}
+    for order in (("kg:b", "kg:a"), ("kg:a", "kg:b")):
+        resolver = NameIndexResolver(TripleStore(), ontology)
+        for entity_id in order:
+            resolver.add_entity(entity_id, [names[entity_id]])
+        resolution = resolver.resolve("Springfield", ResolutionContext())
+        assert resolution.entity_id == "kg:a"
+        assert resolution.candidate_count == 2
 
 
 def test_resolution_stage_rewrites_reference_objects(kg_store, ontology):
