@@ -150,11 +150,12 @@ class CorrelationClustering:
         when the pivot heuristic glues two KG entities together (usually via
         an ambiguous source record) the cluster is re-partitioned around the
         KG entities, assigning each source record to the KG record it shares
-        a positive edge with (or the first KG record otherwise).
+        a positive edge with (or the smallest KG record id otherwise).
         """
         adjusted: list[set[str]] = []
         for cluster in clusters:
-            kg_ids = [rid for rid in cluster if graph.records[rid].is_kg]
+            # sorted: a set's order varies with the hash seed
+            kg_ids = sorted(rid for rid in cluster if graph.records[rid].is_kg)
             if len(kg_ids) <= 1:
                 adjusted.append(cluster)
                 continue

@@ -132,17 +132,31 @@ class Fusion:
 
         Volatile predicates (popularity and friends) bypass the join-based
         fusion: the source's previous volatile facts for each subject are
-        dropped wholesale and replaced by the fresh ones.
+        dropped wholesale and replaced by the fresh ones.  A subject whose
+        stored facts from the source already equal the fresh ones (predicate,
+        value and provenance) is left alone and not counted as touched.
         """
         volatile_predicates = self.ontology.volatile_predicates()
         report = FusionReport()
         for subject, triples in sorted(triples_by_subject.items()):
+            fresh = [t for t in triples if t.predicate in volatile_predicates]
+            # The (subject, predicate) value lookup turns most changed
+            # subjects away before their facts are materialized; a payload
+            # that repeats a fact key merges on re-add, so it is rewritten.
+            if all(t.obj in store.values_of(subject, t.predicate) for t in fresh):
+                claimed = {t.key(): t.provenance for t in fresh}
+                stored = {
+                    t.key(): t.provenance.restrict_to((source_id,))
+                    for t in store.facts_about(subject)
+                    if t.predicate in volatile_predicates and source_id in t.provenance
+                }
+                if len(claimed) == len(fresh) and claimed == stored:
+                    continue
             report.facts_removed += store.retract_source_from_subjects(
                 source_id, (subject,), only_predicates=volatile_predicates
             )
-            for triple in triples:
-                if triple.predicate in volatile_predicates:
-                    self._add_fact(store, triple, report)
+            for triple in fresh:
+                self._add_fact(store, triple, report)
             report.subjects_touched.add(subject)
         return report
 

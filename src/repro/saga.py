@@ -376,8 +376,8 @@ class SagaPlatform:
         Requires :meth:`start_serving_fleet` to have been called: the front
         door admits per-tenant KGQ requests (token buckets, a bounded
         priority admission queue, deadlines) and executes them through the
-        fleet's query router (MATCH plans on the event loop, REACH plans on
-        a bounded worker pool); ``front_door.stats()`` reports its serving
+        fleet's query router (every plan inline on the event loop);
+        ``front_door.stats()`` reports its serving
         metrics.  Tenants are onboarded through ``front_door.registry.register(...)``.
         """
         if self._fleet is None:

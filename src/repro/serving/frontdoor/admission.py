@@ -1,11 +1,12 @@
 """Admission control: token buckets, a priority shed queue, honest refusals.
 
 The front door never queues silently and never queues forever.  Three gates
-stand between an arriving request and a worker slot:
+stand between an arriving request and a slot:
 
 * a per-tenant :class:`TokenBucket` (sustained rate + burst) — the fairness
   gate, so one tenant's flood cannot starve the fleet for everyone else;
-* a global concurrency gate (the front door's bounded worker pool);
+* a global concurrency gate (``max_concurrency`` requests in flight, each
+  holding its slot until after the yield that follows its execution);
 * a bounded, deadline-aware :class:`AdmissionQueue` for requests that arrive
   while every slot is busy.  When the queue is full the *least important*
   request loses: an arriving request displaces a strictly lower-priority
@@ -99,7 +100,7 @@ class TokenBucket:
 
 @dataclass
 class Waiter:
-    """One queued admission request awaiting a worker slot.
+    """One queued admission request awaiting a slot.
 
     ``deadline`` is absolute on the front door's clock (``None`` = no
     deadline).  ``slot_granted`` is flipped by the queue's owner when a slot

@@ -14,7 +14,7 @@ honestly when saturated.  One request flows through:
    enforced at plan time
    (:class:`~repro.serving.frontdoor.tenancy.TenantRegistry`);
 2. **admission** — deadline-already-expired check, per-tenant token bucket,
-   then either a free worker slot or the bounded priority queue; refusals
+   then either a free slot or the bounded priority queue; refusals
    raise typed :class:`~repro.errors.OverloadedError` /
    :class:`~repro.errors.DeadlineExceededError` carrying ``retry_after``
    (:mod:`~repro.serving.frontdoor.admission`);
@@ -24,14 +24,11 @@ honestly when saturated.  One request flows through:
    in a new list, unplanned and uncopied.  Else the plan runs on one
    replica of the fleet.  The per-tenant caches are the read path's only
    result cache (replicas cache nothing), so a cross-tenant hit is
-   structurally impossible.  A MATCH plan (no REACH stage) runs inline on the event loop:
-   its ~0.1 ms of index work is cheaper than the thread hop, two switches
-   and a future under one interpreter lock, that a worker pool would add.
-   The door then yields once (``asyncio.sleep(0)``), so the writer and
-   replica-apply threads get the lock between requests instead of waiting
-   out the forced switch interval.  A REACH plan, an automaton-product
-   expansion of unbounded size, runs on the door's bounded worker pool and
-   never holds up the loop;
+   structurally impossible.  Every plan, MATCH and REACH, runs inline on
+   the event loop (a worker thread would hold the one interpreter lock for
+   the whole plan anyway); the door then yields once (``asyncio.sleep(0)``)
+   still holding the slot, so other threads get the lock and arrivals meet
+   the concurrency gate;
 4. **observability** — every outcome and served latency streams into
    :class:`~repro.serving.frontdoor.metrics.ServingMetrics`, surfaced by
    :meth:`FrontDoor.stats`.
@@ -46,8 +43,6 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
 from typing import Callable
 
 from repro.errors import (
@@ -80,11 +75,10 @@ class FrontDoor:
     *fleet* supplies the query router (``fleet.query_router``) and
     the primary view manager whose journal events drive per-view cache
     invalidation (``fleet.manager``); *registry* scopes tenants.  All
-    coroutine methods must be driven from one event loop.  MATCH plans run
-    on that loop and yield once after each request; REACH plans run on the
-    door's own bounded thread pool.  ``max_concurrency`` in-flight requests
-    of either kind is the global concurrency gate, then the bounded queue,
-    then load shedding.
+    coroutine methods must be driven from one event loop.  Every plan runs
+    on that loop, and each request yields once after it ran, still holding
+    its slot.  ``max_concurrency`` in-flight requests is the global
+    concurrency gate, then the bounded queue, then load shedding.
     """
 
     def __init__(
@@ -98,7 +92,7 @@ class FrontDoor:
         retry_after_floor: float = 0.05,
     ) -> None:
         if max_concurrency <= 0:
-            raise FrontDoorError("the front door needs at least one worker slot")
+            raise FrontDoorError("the front door needs at least one slot")
         if default_deadline is not None and default_deadline <= 0:
             raise FrontDoorError("the default deadline must be positive seconds")
         self.fleet = fleet
@@ -111,13 +105,9 @@ class FrontDoor:
         self.retry_after_floor = retry_after_floor
         self.metrics = ServingMetrics()
         self.queue = AdmissionQueue(queue_capacity, clock=self._clock)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_concurrency, thread_name_prefix="frontdoor"
-        )
         self._in_flight = 0
         self._max_in_flight = 0
-        self.executed_inline = 0
-        self.executed_pooled = 0
+        self.executed = 0
         self._seq = 0
         self._ewma_service_s = 0.01     # drain estimate seed; updated per completion
         self._closed = False
@@ -212,29 +202,22 @@ class FrontDoor:
             if absolute_deadline is not None and self._clock() > absolute_deadline:
                 self.metrics.count(tenant_id, "deadline_exceeded")
                 raise deadline_error(tenant_id, "before dispatch")
-            execute = partial(self.query_router.execute, plan, view_name, consistency)
-            inline = plan.reach is None
+            self.executed += 1
             started_execution = self._clock()
             try:
-                if inline:
-                    self.executed_inline += 1
-                    result = execute()
-                else:
-                    self.executed_pooled += 1
-                    loop = asyncio.get_running_loop()
-                    result = await loop.run_in_executor(self._pool, execute)
+                result = self.query_router.execute(plan, view_name, consistency)
             except Exception:
                 self.metrics.count(tenant_id, "execution_errors")
                 raise
             elapsed = self._clock() - started_execution
             self._ewma_service_s = 0.8 * self._ewma_service_s + 0.2 * elapsed
+            # The request never let go of the interpreter lock: yield once, or
+            # the writer and replica-apply threads each wait out the forced
+            # switch interval at every hand-off between requests.  The slot is
+            # held through the yield, so arrivals meanwhile queue or shed.
+            await asyncio.sleep(0)
         finally:
             self._release_slot()
-        if inline:
-            # An inline request never let go of the interpreter lock: yield
-            # once, or the writer and replica-apply threads each wait out the
-            # forced switch interval at every hand-off between requests.
-            await asyncio.sleep(0)
 
         latency_ms = (self._clock() - arrived) * 1000.0
         self.metrics.count(tenant_id, "completed")
@@ -249,7 +232,7 @@ class FrontDoor:
     async def _acquire_slot(
         self, priority: Priority, deadline: float | None, tenant_id: str
     ) -> None:
-        """Take a worker slot, queueing (bounded, deadline-aware) when busy."""
+        """Take a slot, queueing (bounded, deadline-aware) when busy."""
         if self._in_flight < self.max_concurrency:
             self._in_flight += 1
             self._max_in_flight = max(self._max_in_flight, self._in_flight)
@@ -272,25 +255,20 @@ class FrontDoor:
                     f"admission queue by a higher-priority arrival",
                     retry_after=self._drain_estimate(),
                 ))
-        if deadline is None:
-            await waiter.future
-            return
-        remaining = deadline - self._clock()
-        if remaining <= 0:
-            self.queue.discard(waiter)
-            waiter.future.cancel()
-            raise deadline_error(tenant_id, "while queued for admission")
+        remaining = None if deadline is None else deadline - self._clock()
         try:
             await asyncio.wait_for(asyncio.shield(waiter.future), timeout=remaining)
-        except asyncio.TimeoutError:
-            if waiter.future.done() and not waiter.future.cancelled() \
-                    and waiter.future.exception() is None:
-                # The slot was granted in the same instant the timer fired:
+        except (asyncio.TimeoutError, asyncio.CancelledError) as exc:
+            future = waiter.future
+            if future.done() and not future.cancelled() and future.exception() is None:
+                # The slot was granted in the same instant the wait ended:
                 # hand it straight to the next waiter instead of leaking it.
                 self._release_slot()
             else:
                 self.queue.discard(waiter)
-                waiter.future.cancel()
+                future.cancel()
+            if isinstance(exc, asyncio.CancelledError):
+                raise
             raise deadline_error(tenant_id, "while queued for admission") from None
 
     def _release_slot(self) -> None:
@@ -298,12 +276,12 @@ class FrontDoor:
         while True:
             waiter, expired = self.queue.pop_ready(self._clock())
             for dead in expired:
+                # The waiter's own query() counts the refusal it raises.
                 future = dead.future
                 if future is not None and not future.done():
                     future.set_exception(
                         deadline_error(dead.tenant_id, "while queued for admission")
                     )
-                self.metrics.count(dead.tenant_id, "deadline_exceeded")
             if waiter is None:
                 self._in_flight -= 1
                 return
@@ -334,7 +312,7 @@ class FrontDoor:
 
         Combines the metrics layer (per-tenant counters, latency
         percentiles), the saturation gauges (queue depth / high-water mark,
-        in-flight), the inline / pooled execution split, the registry's
+        in-flight), the count of executed plans, the registry's
         plan- and result-cache counters, and the query router's dispatch and
         join stats.
         """
@@ -342,8 +320,7 @@ class FrontDoor:
             **self.metrics.snapshot(),
             "in_flight": self._in_flight,
             "max_in_flight": self._max_in_flight,
-            "executed_inline": self.executed_inline,
-            "executed_pooled": self.executed_pooled,
+            "executed": self.executed,
             "max_concurrency": self.max_concurrency,
             "queue": self.queue.stats(),
             "view_invalidations": self.view_invalidations,
@@ -352,18 +329,16 @@ class FrontDoor:
         }
 
     def close(self) -> None:
-        """Detach from the view manager and retire the worker pool.
+        """Detach from the view manager and refuse new requests.
 
-        Idempotent.  In-flight work drains; queued waiters are failed with
-        :class:`~repro.errors.OverloadedError` by their own awaits only if a
-        loop is still driving them — close from outside the event loop after
+        Idempotent.  Requests already admitted or queued are still served
+        while a loop drives them — close from outside the event loop after
         request traffic stopped.
         """
         if self._closed:
             return
         self._closed = True
         self.manager.remove_journal_listener(self._journal_listener)
-        self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "FrontDoor":
         return self

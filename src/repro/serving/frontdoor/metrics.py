@@ -9,7 +9,7 @@ dicts, surfaced by ``FrontDoor.stats()``.
 Counter glossary (per tenant and summed globally):
 
 * ``requests`` — everything that arrived, before any gate;
-* ``admitted`` — passed isolation + bucket + queue and reached a worker (or
+* ``admitted`` — passed isolation + bucket + queue and took a slot (or
   was served from the tenant's result cache);
 * ``completed`` — returned rows (``cache_hits`` of them without touching
   the fleet);
@@ -109,8 +109,8 @@ class LatencyHistogram:
 class ServingMetrics:
     """Per-tenant admission counters plus global and per-tenant histograms.
 
-    Thread-safe: worker completions, the event loop, and maintenance-thread
-    invalidations all record through one lock.  Latency is observed only for
+    Thread-safe: the event loop records and any thread may take a snapshot,
+    through one lock.  Latency is observed only for
     requests that produced rows — refusals are counted, not timed, so the
     percentile figures describe *served* traffic (the benchmark's gate).
     """

@@ -114,6 +114,30 @@ def test_fuse_volatile_overwrites_partition(fusion):
     assert store.value_of("kg:e1", "name") == "A"
 
 
+def test_fuse_volatile_leaves_an_unchanged_partition_alone(fusion):
+    """Only an equal predicate, value and provenance is left in place: the
+    same value at another trust, or a value another source also holds, is
+    still the source's to rewrite."""
+    store = TripleStore()
+    fusion.fuse_added(store, {"kg:e1": [
+        triple("kg:e1", "popularity", 0.5, source="musicdb", trust=0.8),
+        triple("kg:e1", "popularity", 0.5, source="wiki", trust=0.7),
+    ]})
+    version = store.version
+    same = {"kg:e1": [triple("kg:e1", "popularity", 0.5, source="musicdb", trust=0.8)]}
+    report = fusion.fuse_volatile(store, "musicdb", same)
+    assert store.version == version
+    assert not report.subjects_touched
+    assert report.facts_added == report.facts_removed == report.facts_reinforced == 0
+
+    retrusted = {"kg:e1": [triple("kg:e1", "popularity", 0.5, source="musicdb", trust=0.6)]}
+    report = fusion.fuse_volatile(store, "musicdb", retrusted)
+    assert report.subjects_touched == {"kg:e1"}
+    [fact] = store.facts_about("kg:e1")
+    assert fact.provenance.trust_of("musicdb") == 0.6
+    assert fact.provenance.trust_of("wiki") == 0.7
+
+
 def test_functional_conflicts_are_scored_by_truth_discovery(fusion):
     store = TripleStore()
     fusion.fuse_added(store, {"kg:e1": [

@@ -113,6 +113,30 @@ def test_volatile_payload_overwrites_popularity(constructor):
     assert constructor.store.value_of(kg_id, "popularity") == 0.95
 
 
+def test_a_repeated_volatile_payload_changes_nothing(constructor):
+    constructor.consume(SourceDelta.initial("musicdb", [
+        artist("musicdb:1", "Echo Valley", popularity=0.4),
+    ]))
+    kg_id = constructor.link_table["musicdb:1"]
+
+    def popularity(value, timestamp):
+        entity = SourceEntity(entity_id="musicdb:1", entity_type="music_artist",
+                              properties={"popularity": value}, source_id="musicdb")
+        return SourceDelta(source_id="musicdb", volatile=[entity], to_timestamp=timestamp)
+
+    first = constructor.consume(popularity(0.95, 2))
+    assert first.entity_delta.updated == (kg_id,)
+    version = constructor.store.version
+    second = constructor.consume(popularity(0.95, 3))
+    assert constructor.store.version == version
+    assert kg_id not in second.entity_delta.updated
+    assert second.fusion.facts_added == second.fusion.facts_removed == 0
+    assert constructor.store.value_of(kg_id, "popularity") == 0.95
+    third = constructor.consume(popularity(0.5, 4))
+    assert third.entity_delta.updated == (kg_id,)
+    assert constructor.store.value_of(kg_id, "popularity") == 0.5
+
+
 def test_object_resolution_rewrites_references(constructor, ontology):
     constructor.consume(SourceDelta.initial("wiki", [
         SourceEntity(entity_id="wiki:label1", entity_type="record_label",

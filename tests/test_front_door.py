@@ -146,32 +146,26 @@ class FakeClock:
 
 
 # ------------------------------------------------------------------ #
-# stubs: a blockable single-view "fleet" for deterministic admission tests
+# stubs: a single-view "fleet" for deterministic admission tests
 # ------------------------------------------------------------------ #
-#: A REACH plan runs on a door worker, so a gated one can hold the only slot
-#: while the event loop keeps admitting, queueing and shedding.
-SLOT_HOLDER = "MATCH alpha REACH part_of* TO alpha RETURN name"
+#: A REACH plan: it runs inline on the event loop like a MATCH plan.
+REACH_TEXT = "MATCH alpha REACH part_of* TO alpha RETURN name"
 
 
 class StubQueryRouter:
-    """Executes instantly (or blocks on *gate*) and records dispatch order and
-    the thread each plan ran on; a query text in *failing* raises."""
+    """Executes instantly and records dispatch order and the thread each plan
+    ran on; a query text in *failing* raises."""
 
-    def __init__(self, gate: threading.Event | None = None):
+    def __init__(self):
         self.planner = QueryPlanner()
-        self.gate = gate
         self.failing: set[str] = set()
         self.executed: list[str] = []
         self.threads: dict[str, threading.Thread] = {}
-        self._lock = threading.Lock()
 
     def execute(self, plan, view_name, consistency):
         text = plan.query.render()
-        if self.gate is not None:
-            assert self.gate.wait(timeout=10.0), "stub gate never opened"
-        with self._lock:
-            self.executed.append(text)
-            self.threads[text] = threading.current_thread()
+        self.executed.append(text)
+        self.threads[text] = threading.current_thread()
         if text in self.failing:
             raise RuntimeError(f"stub failure for {text!r}")
         return QueryResult(rows=[QueryResultRow("view:v:e1", {"name": "Entity e1"})])
@@ -194,13 +188,13 @@ class StubManager:
 class StubFleet:
     """Just enough fleet surface for the FrontDoor: router and manager."""
 
-    def __init__(self, gate: threading.Event | None = None):
-        self.query_router = StubQueryRouter(gate)
+    def __init__(self):
+        self.query_router = StubQueryRouter()
         self.manager = StubManager()
 
 
-def make_door(gate=None, **kwargs) -> FrontDoor:
-    door = FrontDoor(StubFleet(gate), **kwargs)
+def make_door(**kwargs) -> FrontDoor:
+    door = FrontDoor(StubFleet(), **kwargs)
     door.registry.register("acme", views={"profile_rows"}, entity_types={"alpha"})
     return door
 
@@ -329,109 +323,143 @@ def test_rate_limit_refusal_is_typed_and_quotes_retry_after():
 
 
 def test_shed_ordering_under_mixed_priorities():
-    """With one worker and a 2-deep queue: BATCH is displaced by INTERACTIVE,
-    an equal-priority arrival is refused, and the queue drains in priority
-    order once the slot frees."""
-    gate = threading.Event()
-    door = make_door(gate, max_concurrency=1, queue_capacity=2)
-    q_running = SLOT_HOLDER     # a REACH plan: held on a worker, not the loop
+    """With one slot and a 2-deep queue: requests arriving while the running
+    one holds its slot through its post-execution yield queue; BATCH is
+    displaced by INTERACTIVE, an equal-priority arrival is refused, and the
+    queue drains in priority order once the slot frees."""
+    door = make_door(max_concurrency=1, queue_capacity=2)
+    q_running = REACH_TEXT
     q_batch = "MATCH alpha RETURN value"
     q_batch2 = "MATCH alpha RETURN name, value"
     q_interactive = "MATCH alpha RETURN *"
     q_refused = "MATCH alpha RETURN name LIMIT 1"
+    depths: list[int] = []
     try:
+        def request(text, priority=Priority.NORMAL):
+            return door.query("acme", text, "profile_rows",
+                              priority=priority, use_cache=False)
+
+        async def queue_depth():
+            depths.append(door.queue.depth)
+
         async def scenario():
-            running = asyncio.create_task(door.query(
-                "acme", q_running, "profile_rows", use_cache=False))
-            await asyncio.sleep(0.05)       # occupies the only worker (gated)
-            batch = asyncio.create_task(door.query(
-                "acme", q_batch, "profile_rows",
-                priority=Priority.BATCH, use_cache=False))
-            await asyncio.sleep(0.05)
-            batch2 = asyncio.create_task(door.query(
-                "acme", q_batch2, "profile_rows",
-                priority=Priority.BATCH, use_cache=False))
-            await asyncio.sleep(0.05)
-            assert door.queue.depth == 2
-            # arrival 1: INTERACTIVE displaces the newest BATCH waiter
-            interactive = asyncio.create_task(door.query(
-                "acme", q_interactive, "profile_rows",
-                priority=Priority.INTERACTIVE, use_cache=False))
-            await asyncio.sleep(0.05)
-            assert door.queue.depth == 2    # bounded: still at capacity
-            # arrival 2: BATCH cannot displace NORMAL-or-better -> refused
-            with pytest.raises(OverloadedError) as refusal:
-                await door.query("acme", q_refused, "profile_rows",
-                                 priority=Priority.BATCH, use_cache=False)
-            assert refusal.value.retry_after > 0.0
-            shed_result = await asyncio.gather(batch2, return_exceptions=True)
-            assert isinstance(shed_result[0], OverloadedError)
-            gate.set()
-            results = await asyncio.gather(running, batch, interactive)
-            assert all(isinstance(r, QueryResult) for r in results)
-        asyncio.run(scenario())
+            # gather starts each coroutine in order within one loop turn: the
+            # first runs and yields holding the only slot, the rest arrive
+            return await asyncio.gather(
+                request(q_running),
+                request(q_batch, Priority.BATCH),
+                request(q_batch2, Priority.BATCH),
+                queue_depth(),
+                # INTERACTIVE displaces the newest BATCH waiter
+                request(q_interactive, Priority.INTERACTIVE),
+                queue_depth(),
+                # BATCH cannot displace NORMAL-or-better -> refused
+                request(q_refused, Priority.BATCH),
+                return_exceptions=True,
+            )
+
+        running, batch, shed, _, interactive, _, refused = asyncio.run(scenario())
+        assert depths == [2, 2]                 # full, and bounded at capacity
+        assert isinstance(shed, OverloadedError)
+        assert isinstance(refused, OverloadedError)
+        assert refused.retry_after > 0.0
+        assert all(isinstance(r, QueryResult) for r in (running, batch, interactive))
         # dispatch order: the running query, then INTERACTIVE before BATCH
-        assert door.fleet.query_router.executed == [
-            SLOT_HOLDER,
-            "MATCH alpha RETURN *",
-            "MATCH alpha RETURN value",
-        ]
+        assert door.fleet.query_router.executed == [q_running, q_interactive, q_batch]
         snapshot = door.metrics.tenant_snapshot("acme")
         assert snapshot["shed"] == 2            # one displaced + one refused
         assert snapshot["completed"] == 3
         assert door.queue.max_depth <= door.queue.capacity
     finally:
-        gate.set()
         door.close()
 
 
 def test_deadline_while_queued_is_refused_and_slot_not_leaked():
-    gate = threading.Event()
-    door = make_door(gate, max_concurrency=1, queue_capacity=4)
+    """A request queued behind the running one's yield expires there when the
+    clock passes its deadline: it is refused, never dispatched, and the slot
+    it would have taken is retired rather than leaked."""
+    clock = FakeClock(100.0)
+    door = make_door(max_concurrency=1, queue_capacity=4, clock=clock)
+    queued = "MATCH alpha RETURN value"
     try:
+        async def expire_queued():
+            assert door.queue.depth == 1
+            clock.advance(0.5)                  # past the queued deadline
+
         async def scenario():
-            running = asyncio.create_task(door.query(
-                "acme", SLOT_HOLDER, "profile_rows", use_cache=False))
-            await asyncio.sleep(0.05)
-            with pytest.raises(DeadlineExceededError):
-                await door.query("acme", "MATCH alpha RETURN value",
-                                 "profile_rows", deadline=0.1, use_cache=False)
-            gate.set()
-            await running
+            running, refused, _ = await asyncio.gather(
+                door.query("acme", REACH_TEXT, "profile_rows", use_cache=False),
+                door.query("acme", queued, "profile_rows", deadline=0.1,
+                           use_cache=False),
+                expire_queued(),
+                return_exceptions=True,
+            )
+            assert isinstance(running, QueryResult)
+            assert isinstance(refused, DeadlineExceededError)
             # the freed slot was retired, not leaked to the dead waiter
-            follow_up = await door.query(
-                "acme", "MATCH alpha RETURN *", "profile_rows", use_cache=False)
+            follow_up = await asyncio.wait_for(door.query(
+                "acme", "MATCH alpha RETURN *", "profile_rows", use_cache=False), 10.0)
             assert not follow_up.from_cache
         asyncio.run(scenario())
+        assert queued not in door.fleet.query_router.executed
         snapshot = door.metrics.tenant_snapshot("acme")
         assert snapshot["deadline_exceeded"] == 1
         assert snapshot["completed"] == 2
         assert door._in_flight == 0
     finally:
-        gate.set()
+        door.close()
+
+
+@pytest.mark.parametrize("deadline", [None, 10.0])
+def test_a_cancelled_queued_request_leaks_no_slot(deadline):
+    """A queued request cancelled by its caller leaves the queue: the slot
+    the running request frees goes to the next arrival, not to the
+    cancelled one."""
+    door = make_door(max_concurrency=1, queue_capacity=4)
+    queued = "MATCH alpha RETURN value"
+    try:
+        async def scenario():
+            # tasks start in creation order: the first holds the only slot
+            running = asyncio.ensure_future(door.query(
+                "acme", REACH_TEXT, "profile_rows", use_cache=False))
+            waiting = asyncio.ensure_future(door.query(
+                "acme", queued, "profile_rows", deadline=deadline, use_cache=False))
+
+            async def cancel_waiting():
+                assert door.queue.depth == 1
+                waiting.cancel()
+
+            await asyncio.gather(running, cancel_waiting())
+            await asyncio.gather(waiting, return_exceptions=True)
+            assert waiting.cancelled()
+            follow_up = await asyncio.wait_for(door.query(
+                "acme", "MATCH alpha RETURN *", "profile_rows", use_cache=False), 10.0)
+            assert not follow_up.from_cache
+        asyncio.run(scenario())
+        assert queued not in door.fleet.query_router.executed
+        assert door._in_flight == 0 and door.queue.depth == 0
+    finally:
         door.close()
 
 
 # ------------------------------------------------------------------ #
-# where a plan runs: MATCH inline on the loop, REACH on the pool
+# where a plan runs: every plan inline on the loop
 # ------------------------------------------------------------------ #
-def test_match_runs_on_the_loop_thread_and_reach_on_a_worker():
+def test_match_and_reach_run_on_the_loop_thread():
     door = make_door()
     match = "MATCH alpha RETURN name"
     try:
         async def scenario():
             await door.query("acme", match, "profile_rows")
-            await door.query("acme", SLOT_HOLDER, "profile_rows")
-            return threading.current_thread()
+            await door.query("acme", REACH_TEXT, "profile_rows")
+            return threading.current_thread(), [t.name for t in threading.enumerate()]
 
-        loop_thread = asyncio.run(scenario())
+        loop_thread, names = asyncio.run(scenario())
         threads = door.fleet.query_router.threads
         assert threads[match] is loop_thread
-        assert threads[SLOT_HOLDER] is not loop_thread
-        assert threads[SLOT_HOLDER].name.startswith("frontdoor")
-        snapshot = door.stats()
-        assert snapshot["executed_inline"] == 1
-        assert snapshot["executed_pooled"] == 1
+        assert threads[REACH_TEXT] is loop_thread
+        assert not [name for name in names if name.startswith("frontdoor")]
+        assert door.stats()["executed"] == 2
     finally:
         door.close()
 
@@ -458,7 +486,7 @@ def test_inline_match_requests_yield_between_requests():
         asyncio.run(scenario())
         expected = [text for pair in zip(texts["a"], texts["b"]) for text in pair]
         assert door.fleet.query_router.executed == expected
-        assert door.stats()["executed_inline"] == 6
+        assert door.stats()["executed"] == 6
     finally:
         door.close()
 
@@ -862,8 +890,7 @@ def test_stats_snapshot():
         assert snapshot["latency"]["p99_ms"] >= snapshot["latency"]["p50_ms"]
         assert snapshot["in_flight"] == 0
         assert snapshot["max_in_flight"] == 1
-        assert snapshot["executed_inline"] == 1     # the repeat was a cache hit
-        assert snapshot["executed_pooled"] == 0
+        assert snapshot["executed"] == 1            # the repeat was a cache hit
         assert snapshot["queue"]["depth"] == 0
         assert snapshot["tenants"]["acme"]["admitted"] == 2
         assert snapshot["tenant_caches"]["acme"]["plan_cache_hits"] == 1
@@ -1006,36 +1033,31 @@ def test_result_cache_hits_make_no_plan_call(monkeypatch):
 # ------------------------------------------------------------------ #
 # a request resolves its tenant once: offboarding cannot lose its rows
 # ------------------------------------------------------------------ #
-def test_tenant_removed_while_its_request_is_on_a_worker_still_gets_rows(monkeypatch):
+def test_tenant_removed_while_its_request_holds_a_slot_still_gets_rows():
     """``registry.remove`` during an in-flight request used to make the
     closing ``store_rows`` raise ``FrontDoorError("unknown tenant")`` after
-    the query had run and been counted ``completed`` — the rows were lost."""
+    the query had run and been counted ``completed`` — the rows were lost.
+    The tenant is removed while the request yields after it ran, still
+    holding the only slot."""
     model = QueryModel()
     seed_model(model, random.Random(31), count=10)
     _, manager, _ = build_query_harness(model)
     manager.materialize()
     fleet = start_fleet(manager)
-    text = "MATCH alpha REACH part_of* TO alpha RETURN name, value"   # runs on a worker
+    text = "MATCH alpha REACH part_of* TO alpha RETURN name, value"
     expected = [(row.entity_id, row.values) for row in fleet.query(text, "profile_rows").rows]
-    on_worker, release = threading.Event(), threading.Event()
-    replica_query = ReplicaNode.query
-
-    def held_query(self, *args, **kwargs):
-        on_worker.set()
-        assert release.wait(timeout=10.0), "the test never released the replica"
-        return replica_query(self, *args, **kwargs)
-
-    monkeypatch.setattr(ReplicaNode, "query", held_query)
     door = FrontDoor(fleet, max_concurrency=1)
     door.registry.register("acme", views={"profile_rows"})
     try:
+        async def offboard():
+            # the request ran and holds its slot through the yield
+            assert door.stats()["executed"] == 1 and door._in_flight == 1
+            door.registry.remove("acme")        # offboarded mid-request
+
         async def scenario():
-            loop = asyncio.get_running_loop()
-            request = asyncio.ensure_future(door.query("acme", text, "profile_rows"))
-            assert await loop.run_in_executor(None, on_worker.wait, 10.0)
-            door.registry.remove("acme")            # offboarded mid-request
-            release.set()
-            return await asyncio.wait_for(request, timeout=10.0)
+            result, _ = await asyncio.gather(
+                door.query("acme", text, "profile_rows"), offboard())
+            return result
 
         result = asyncio.run(scenario())
         assert expected and [(row.entity_id, row.values) for row in result.rows] == expected
@@ -1044,7 +1066,6 @@ def test_tenant_removed_while_its_request_is_on_a_worker_still_gets_rows(monkeyp
         with pytest.raises(FrontDoorError, match="unknown tenant"):
             asyncio.run(door.query("acme", text, "profile_rows"))
     finally:
-        release.set()
         door.close()
         fleet.stop()
 
