@@ -5,8 +5,8 @@ scale.  This package rebuilds every subsystem the paper describes as an
 in-process Python library:
 
 * :mod:`repro.model` — the extended-triples data model, ontology, provenance;
-* :mod:`repro.ingestion` — source importers, entity transform, ontology
-  alignment (PGFs), eager delta computation, export;
+* :mod:`repro.ingestion` — ontology alignment (PGFs), eager delta
+  computation, export;
 * :mod:`repro.construction` — blocking, matching, correlation clustering,
   subject linking, object resolution, fusion, incremental construction;
 * :mod:`repro.engine` — the Graph Engine: shared operation log, federated

@@ -8,7 +8,6 @@ from repro.baselines.embedding_baselines import (
 from repro.baselines.legacy_nerd import (
     LegacyEntityLinker,
     PopularityDisambiguator,
-    PopularityDisambiguatorConfig,
 )
 from repro.baselines.legacy_views import LegacyViewEngine
 
@@ -19,5 +18,4 @@ __all__ = [
     "LegacyViewEngine",
     "PBGStyleTrainer",
     "PopularityDisambiguator",
-    "PopularityDisambiguatorConfig",
 ]

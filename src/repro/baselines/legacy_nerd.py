@@ -12,7 +12,7 @@ confident (or simply wrong) on tail entities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,21 +23,13 @@ from repro.ml.similarity import jaro_winkler_similarity, normalize_string
 from repro.model.ontology import Ontology
 
 
-@dataclass
-class PopularityDisambiguatorConfig:
-    """Weights of the popularity-prior baseline."""
-
-    name_weight: float = 3.4
-    popularity_weight: float = 2.6
-    bias: float = -3.2
-    rejection_threshold: float = 0.5
-
-
 class PopularityDisambiguator:
     """Context-free disambiguation: name similarity + popularity prior only."""
 
-    def __init__(self, config: PopularityDisambiguatorConfig | None = None) -> None:
-        self.config = config or PopularityDisambiguatorConfig()
+    NAME_WEIGHT: ClassVar[float] = 3.4
+    POPULARITY_WEIGHT: ClassVar[float] = 2.6
+    BIAS: ClassVar[float] = -3.2
+    REJECTION_THRESHOLD: ClassVar[float] = 0.5
 
     def score(self, context: MentionContext, record: NERDEntityRecord) -> float:
         """Probability of *record* being the referent, ignoring the context."""
@@ -47,9 +39,9 @@ class PopularityDisambiguator:
             (jaro_winkler_similarity(mention, name) for name in names), default=0.0
         )
         logit = (
-            self.config.bias
-            + self.config.name_weight * name_similarity
-            + self.config.popularity_weight * min(max(record.importance, 0.0), 1.0)
+            self.BIAS
+            + self.NAME_WEIGHT * name_similarity
+            + self.POPULARITY_WEIGHT * min(max(record.importance, 0.0), 1.0)
         )
         return float(1.0 / (1.0 + np.exp(-logit)))
 
@@ -62,7 +54,7 @@ class PopularityDisambiguator:
         scores = {c.entity_id: self.score(context, c.record) for c in candidates}
         best_id = max(scores, key=lambda entity_id: (scores[entity_id], entity_id))
         best = scores[best_id]
-        if best < self.config.rejection_threshold:
+        if best < self.REJECTION_THRESHOLD:
             return DisambiguationResult(
                 None, best, rejected=True, scores=scores, candidate_count=len(candidates)
             )
@@ -74,15 +66,10 @@ class PopularityDisambiguator:
 class LegacyEntityLinker:
     """Baseline service with the same interface shape as :class:`NERDService`."""
 
-    def __init__(
-        self,
-        view: NERDEntityView,
-        ontology: Ontology | None = None,
-        config: PopularityDisambiguatorConfig | None = None,
-    ) -> None:
+    def __init__(self, view: NERDEntityView, ontology: Ontology | None = None) -> None:
         self.view = view
         self.retriever = CandidateRetriever(view, ontology=ontology)
-        self.disambiguator = PopularityDisambiguator(config)
+        self.disambiguator = PopularityDisambiguator()
 
     def link_mention(
         self,

@@ -22,12 +22,9 @@ from repro.construction.linking import (
 )
 from repro.construction.matching import (
     FeatureSpec,
-    LearnedMatcher,
-    MatcherRegistry,
     RuleBasedMatcher,
     ScoredPair,
     default_features,
-    feature_vector,
     score_pairs,
 )
 from repro.construction.object_resolution import (
@@ -66,12 +63,10 @@ __all__ = [
     "GrowthPoint",
     "IncrementalConstructor",
     "KnowledgeConstructionPipeline",
-    "LearnedMatcher",
     "LinkableRecord",
     "LinkageGraph",
     "Linker",
     "LinkingResult",
-    "MatcherRegistry",
     "NameIndexResolver",
     "ObjectResolutionStage",
     "ObjectResolutionStats",
@@ -86,7 +81,6 @@ __all__ = [
     "cluster_records",
     "default_features",
     "evaluate_linking",
-    "feature_vector",
     "materialize_clusters",
     "records_by_type",
     "score_pairs",

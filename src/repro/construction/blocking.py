@@ -47,9 +47,6 @@ class Block:
     key: str
     records: list[LinkableRecord] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.records)
-
     @property
     def has_mixed_origin(self) -> bool:
         """True when the block holds both source and KG records."""

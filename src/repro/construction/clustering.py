@@ -53,36 +53,6 @@ class LinkageGraph:
         """All record ids present in the graph."""
         return sorted(self.records)
 
-    def disagreement(self, clusters: Sequence[set[str]]) -> int:
-        """Correlation-clustering objective: violated edge count.
-
-        Counts positive edges cut across clusters plus negative edges kept
-        inside a cluster.  Used by tests to check the clustering is sensible.
-        """
-        cluster_of: dict[str, int] = {}
-        for index, cluster in enumerate(clusters):
-            for node in cluster:
-                cluster_of[node] = index
-        violations = 0
-        seen: set[tuple[str, str]] = set()
-        for node, neighbors in self.positive.items():
-            for neighbor in neighbors:
-                edge = tuple(sorted((node, neighbor)))
-                if edge in seen:
-                    continue
-                seen.add(edge)
-                if cluster_of.get(node) != cluster_of.get(neighbor):
-                    violations += 1
-        for node, neighbors in self.negative.items():
-            for neighbor in neighbors:
-                edge = tuple(sorted((node, neighbor)))
-                if edge in seen:
-                    continue
-                seen.add(edge)
-                if cluster_of.get(node) == cluster_of.get(neighbor):
-                    violations += 1
-        return violations
-
 
 MATCH_THRESHOLD = 0.85
 """A pair scoring at least this becomes a positive (+1) edge."""

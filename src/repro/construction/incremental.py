@@ -38,7 +38,6 @@ from typing import Callable, Iterable, Sequence
 
 from repro.construction.fusion import Fusion, FusionReport
 from repro.construction.linking import Linker
-from repro.construction.matching import MatcherRegistry
 from repro.construction.object_resolution import (
     NameIndexResolver,
     ObjectResolutionStage,
@@ -81,10 +80,6 @@ class EntityDelta:
     def changed(self) -> tuple[str, ...]:
         """Added plus updated subjects."""
         return self.added + self.updated
-
-    def is_empty(self) -> bool:
-        """Whether the commit changed no subject at all."""
-        return not (self.added or self.updated or self.deleted)
 
     def as_dict(self) -> dict[str, list[str]]:
         """Plain-dict view of the three tuples."""
@@ -191,14 +186,13 @@ class IncrementalConstructor:
         self,
         ontology: Ontology,
         store: TripleStore | None = None,
-        matchers: MatcherRegistry | None = None,
         resolver: ObjectResolver | None = None,
         id_generator: IdGenerator | None = None,
     ) -> None:
         self.ontology = ontology
         self.store = store if store is not None else TripleStore()
         self.id_generator = id_generator or IdGenerator()
-        self.linker = Linker(ontology, matchers=matchers, id_generator=self.id_generator)
+        self.linker = Linker(ontology, id_generator=self.id_generator)
         self.fusion = Fusion(ontology)
         self._external_resolver = resolver
         self.link_table: dict[str, str] = {}

@@ -6,8 +6,8 @@ types:
 
 1. group the combined payload by entity type;
 2. block (:meth:`Blocker.block`), generate candidate pairs
-   (:meth:`PairGenerator.generate`) and score them with the type's matcher
-   (:func:`score_pairs`);
+   (:meth:`PairGenerator.generate`) and score them with the rule-based
+   matcher (:func:`score_pairs`);
 3. build the signed linkage graph and run correlation clustering
    (:func:`cluster_records`);
 4. assign every source record the identifier of the KG entity in its cluster,
@@ -29,12 +29,7 @@ from typing import Iterable, Sequence
 
 from repro.construction.blocking import Blocker
 from repro.construction.clustering import EntityCluster, cluster_records
-from repro.construction.matching import (
-    MatcherRegistry,
-    RuleBasedMatcher,
-    default_features,
-    score_pairs,
-)
+from repro.construction.matching import RuleBasedMatcher, default_features, score_pairs
 from repro.construction.pairs import PairGenerator
 from repro.construction.records import LinkableRecord, records_by_type
 from repro.ml.similarity import JaroWinklerMemo
@@ -68,13 +63,10 @@ class Linker:
     def __init__(
         self,
         ontology: Ontology,
-        matchers: MatcherRegistry | None = None,
         id_generator: IdGenerator | None = None,
     ) -> None:
         self.ontology = ontology
-        if matchers is None:
-            matchers = MatcherRegistry(default=RuleBasedMatcher(default_features(ontology)))
-        self.matchers = matchers
+        self.matcher = RuleBasedMatcher(default_features(ontology))
         self.id_generator = id_generator or IdGenerator()
         self._blocker = Blocker()
         self._pair_generator = PairGenerator()
@@ -106,7 +98,7 @@ class Linker:
         for entity_type, source_records in sorted(source_by_type.items()):
             records = [*source_records, *self.relevant_kg_records(entity_type, kg_by_type)]
             pairs = self._pair_generator.generate(self._blocker.block(records))
-            scored = score_pairs(pairs, self.matchers)
+            scored = score_pairs(pairs, self.matcher)
             clusters = cluster_records(scored, records)
             result.clusters.extend(clusters)
             result.candidate_pair_count += len(pairs)

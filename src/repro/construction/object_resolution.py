@@ -274,14 +274,6 @@ class ObjectResolutionStats:
     resolved: int = 0
     created: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        """Plain-dict view for logging and tests."""
-        return {
-            "examined": self.examined,
-            "resolved": self.resolved,
-            "created": self.created,
-        }
-
 
 @dataclass
 class ObjectResolutionStage:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.construction.incremental import ConstructionReport, IncrementalConstructor
-from repro.construction.matching import MatcherRegistry
 from repro.errors import ConstructionBatchError
 from repro.ingestion.pipeline import IngestionResult
 from repro.model.delta import SourceDelta
@@ -81,14 +80,13 @@ class KnowledgeConstructionPipeline:
         self,
         ontology: Ontology,
         store: TripleStore | None = None,
-        matchers: MatcherRegistry | None = None,
         constructor: IncrementalConstructor | None = None,
     ) -> None:
         self.ontology = ontology
         if constructor is not None:
             self.constructor = constructor
         else:
-            self.constructor = IncrementalConstructor(ontology, store=store, matchers=matchers)
+            self.constructor = IncrementalConstructor(ontology, store=store)
         self.growth = GrowthHistory()
         self.reports: list[ConstructionReport] = []
         self._clock = 0

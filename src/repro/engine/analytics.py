@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from repro.errors import StoreError
 from repro.model.entity import NAME_PREDICATES
-from repro.model.triples import ExtendedTriple, FactRow, fact_row_dict
+from repro.model.triples import ExtendedTriple, FactRow
 
 Row = dict
 
@@ -490,9 +490,22 @@ class AnalyticsStore:
         return Relation("names", rows)
 
     def full_relation(self) -> Relation:
-        """The raw extended-triples relation (used by ad-hoc analytics)."""
+        """The raw extended-triples relation (used by ad-hoc analytics), in
+        :meth:`ExtendedTriple.to_row`'s format (Table 1)."""
         rows = [
-            fact_row_dict(row) for subject_rows in self._rows.values() for row in subject_rows
+            {
+                "subject": subject,
+                "predicate": predicate,
+                "r_id": relationship_id,
+                "r_predicate": relationship_predicate,
+                "object": obj,
+                "locale": locale,
+                "sources": [reference.source_id for reference in references],
+                "trust": [reference.trust for reference in references],
+            }
+            for subject_rows in self._rows.values()
+            for subject, predicate, relationship_id, relationship_predicate, obj, locale, references
+            in subject_rows
         ]
         self.rows_scanned += len(rows)
         return Relation("triples", rows)

@@ -49,7 +49,7 @@ from repro.engine.log import LogRecord, OperationLog
 from repro.engine.metadata import MetadataStore
 from repro.engine.object_store import ObjectStore
 from repro.engine.text_index import InvertedTextIndex, SearchHit, TextDocument
-from repro.engine.vector_db import VectorDB, VectorHit
+from repro.engine.vector_db import VectorDB
 from repro.engine.views import ViewCatalog, ViewContext, ViewDefinition, ViewDelta, ViewManager
 from repro.errors import EngineError
 from repro.model.entity import KGEntity
@@ -314,12 +314,6 @@ class GraphEngine:
         """Ranked full-text entity search."""
         return self.text_index.search(query, k)
 
-    def nearest_neighbors(
-        self, vector: Sequence[float], k: int = 10, attribute_filter: dict | None = None
-    ) -> list[VectorHit]:
-        """Nearest-neighbour search in the vector store."""
-        return self.vector_db.search(vector, k, attribute_filter)
-
     def entity_view(self, spec: EntityViewSpec) -> Relation:
         """Compute a schematized entity view in the analytics warehouse."""
         return self.analytics.entity_view(spec)
@@ -346,10 +340,6 @@ class GraphEngine:
     def update_views(self) -> dict[str, float]:
         """Flush the delta log replay accumulated: maintain the affected views."""
         return self.view_manager.flush()
-
-    def drop_view(self, name: str) -> list[str]:
-        """Drop a view's materialization, cascading invalidation to dependents."""
-        return self.view_manager.drop(name)
 
     def view_freshness(self) -> dict[str, int]:
         """Per-view lag (in log positions) behind the operation-log head."""

@@ -42,12 +42,5 @@ class ObjectStore:
         """Delete a staged payload; returns ``True`` when it existed."""
         return self._objects.pop(key, None) is not None
 
-    def keys(self) -> list[str]:
-        """All staged payload keys."""
-        return sorted(self._objects)
-
     def __contains__(self, key: object) -> bool:
         return key in self._objects
-
-    def __len__(self) -> int:
-        return len(self._objects)

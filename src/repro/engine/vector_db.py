@@ -60,16 +60,6 @@ class VectorDB:
             self._matrix = np.vstack([self._matrix, array[None, :]])
         self._attributes[key] = dict(attributes or {})
 
-    def upsert_many(
-        self, items: Iterable[tuple[str, Sequence[float], dict | None]]
-    ) -> int:
-        """Upsert several ``(key, vector, attributes)`` items."""
-        count = 0
-        for key, vector, attributes in items:
-            self.upsert(key, vector, attributes)
-            count += 1
-        return count
-
     def delete(self, key: str) -> bool:
         """Remove a vector; returns ``True`` when it existed."""
         index = self._index_of.pop(key, None)

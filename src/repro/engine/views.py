@@ -3,9 +3,9 @@
 Section 3.2: a view is *any* transformation of the graph — subgraph views,
 schematized relational views, aggregates, iterative algorithms (PageRank), or
 alternative representations (embeddings).  View definitions are scripted
-against the target engine's native APIs and provide three procedures:
-``create``, ``apply_delta`` (the paper's update given the changed entities,
-handed over as a :class:`ViewDelta` with the ids classified) and ``drop``.
+against the target engine's native APIs and provide two procedures:
+``create`` and ``apply_delta`` (the paper's update given the changed entities,
+handed over as a :class:`ViewDelta` with the ids classified).
 Definitions live in a central view
 catalog with their dependencies; the View Manager coordinates execution over
 the dependency graph, which enables the 26% runtime saving from reusing shared
@@ -55,8 +55,8 @@ rebuilding every materialized view on any update:
   cannot be compared emit their scope-projected input delta.  A delta with
   nothing left in it becomes the watermark-only ``advance`` event of an
   unaffected view.  Views rebuilt through ``create``
-  emit ``truncate`` (the extent of the change is unknown), and removed
-  materializations emit ``drop``.  What changed since a given LSN is
+  emit ``truncate`` (the extent of the change is unknown).  What changed
+  since a given LSN is
   answered downstream, by the serving tier's
   :class:`~repro.serving.journal_store.JournalStore`, for the views
   something consumes.
@@ -75,10 +75,9 @@ rebuilding every materialized view on any update:
   and :meth:`ViewManager.lagging_views` answers which views trail the log
   head.  A view already at or beyond a batch's LSN is not maintained again.
 
-* **Lifecycle safety.**  ``drop`` cascades invalidation to transitive
-  dependents so no dependent keeps serving an artifact built from a dropped
-  view; re-registering a view swaps its definition and resets the runtime
-  state of the view and its dependents in every attached manager; and
+* **Lifecycle safety.**  A view name is registered once: the catalog
+  refuses a second definition under a registered name, so no artifact is
+  ever served under a definition other than the one that built it; and
   maintenance fails fast with a :class:`~repro.errors.ViewError` when a
   dependent would be rebuilt on top of a dependency that has never been
   materialized.
@@ -332,12 +331,10 @@ class JournalEvent:
     ``delta`` carries the subjects whose rows changed), ``"advance"`` (only the
     watermark moved to ``lsn``: the flush proved the view unaffected, or
     maintained it and no output row changed — shipped copies advance their
-    applied LSN without touching a row), ``"truncate"`` (the
+    applied LSN without touching a row), or ``"truncate"`` (the
     view was rebuilt from scratch; history restarts at ``lsn`` and any
-    shipped copy must resync from the artifact), or ``"drop"`` (the
-    materialization was removed; shipped copies must stop serving the view).
-    ``revision`` identifies the state lineage so consumers notice
-    redefinitions.
+    shipped copy must resync from the artifact).  ``revision`` identifies
+    the state lineage.
     """
 
     kind: str
@@ -383,7 +380,6 @@ class ViewContext:
 
 CreateProcedure = Callable[[ViewContext], object]
 DeltaProcedure = Callable[[ViewContext, ViewDelta], object]
-DropProcedure = Callable[[ViewContext], None]
 ScopePredicate = Callable[[str], bool]
 
 
@@ -395,7 +391,6 @@ class ViewDefinition:
     engine: str
     create: CreateProcedure
     apply_delta: DeltaProcedure | None = None  # incremental builder (ViewDelta in)
-    drop: DropProcedure | None = None
     dependencies: tuple[str, ...] = ()
     scope: ScopePredicate | None = None    # entity-id predicate for selectivity
     description: str = ""
@@ -480,7 +475,7 @@ class JoinViewDefinition(ViewDefinition):
 
     The instance holds the access-pattern state: register one instance with
     one manager (the usual catalog arrangement); ``create`` reseeds the
-    state from scratch, so redefinitions and forced rebuilds stay safe.
+    state from scratch, so forced rebuilds stay safe.
     """
 
     def __init__(
@@ -699,13 +694,13 @@ class ViewState:
     builds: int = 0
     delta_applies: int = 0         # maintenance runs through apply_delta
     skipped_updates: int = 0       # flushes that proved no rebuild was needed
-    invalidations: int = 0         # cascade invalidations (drop / re-register)
-    revision: int = 0              # bumped when state is recreated (redefinition)
+    revision: int = 0              # the state lineage, one per view per manager
 
 
-def _topological_order(definitions: dict[str, ViewDefinition]) -> tuple[str, ...] | None:
+def _topological_order(definitions: dict[str, ViewDefinition]) -> tuple[str, ...]:
     """Every view after all its dependencies, generation by generation
-    (Kahn's algorithm, breadth first); ``None`` on a dependency cycle.
+    (Kahn's algorithm, breadth first).  The definitions hold no cycle: each
+    was registered after its dependencies.
 
     The views with no dependency come first, in order of first mention (a
     view's own registration, or an earlier view naming it as a dependency).
@@ -726,7 +721,7 @@ def _topological_order(definitions: dict[str, ViewDefinition]) -> tuple[str, ...
             waiting[dependent] -= 1
             if not waiting[dependent]:
                 order.append(dependent)
-    return tuple(order) if len(order) == len(definitions) else None
+    return tuple(order)
 
 
 class ViewCatalog:
@@ -739,40 +734,27 @@ class ViewCatalog:
     def __init__(self) -> None:
         self._definitions: dict[str, ViewDefinition] = {}
         self._order: tuple[str, ...] = ()
-        self._managers: list["ViewManager"] = []
-
-    def attach(self, manager: "ViewManager") -> None:
-        """Attach a manager so lifecycle events can reset its runtime state."""
-        if manager not in self._managers:
-            self._managers.append(manager)
 
     def register(self, definition: ViewDefinition) -> ViewDefinition:
         """Register a view; dependencies must already be registered.
 
-        Re-registering an existing name swaps the definition and resets the
-        runtime state of the view *and* of every transitive dependent in all
-        attached managers — stale state built against the old definition
-        must never survive.  A definition that would close a dependency
-        cycle is rejected and the catalog keeps its previous state.
+        A name is registered once: a second definition under a registered
+        name is refused, as is a view that depends on itself (the only cycle
+        a new name can close), and the catalog keeps its previous state.
         """
-        for dependency in definition.dependencies:
-            if dependency != definition.name and dependency not in self._definitions:
-                raise ViewError(
-                    f"view {definition.name!r} depends on unknown view {dependency!r}"
-                )
-        existing = self._definitions.get(definition.name)
-        old_dependents = self.dependents_of(definition.name)
-        definitions = {**self._definitions, definition.name: definition}
-        order = _topological_order(definitions)
-        if order is None:
+        if definition.name in self._definitions:
+            raise ViewError(f"view {definition.name!r} is already registered")
+        if definition.name in definition.dependencies:
             raise ViewError(
                 f"registering view {definition.name!r} would create a dependency cycle"
             )
-        self._definitions, self._order = definitions, order
-        if existing is not None:
-            affected = {definition.name, *old_dependents, *self.dependents_of(definition.name)}
-            for manager in self._managers:
-                manager.reset_views(affected)
+        for dependency in definition.dependencies:
+            if dependency not in self._definitions:
+                raise ViewError(
+                    f"view {definition.name!r} depends on unknown view {dependency!r}"
+                )
+        self._definitions = {**self._definitions, definition.name: definition}
+        self._order = _topological_order(self._definitions)
         return definition
 
     def get(self, name: str) -> ViewDefinition:
@@ -871,7 +853,6 @@ class ViewManager:
         self.journal_listeners: list[JournalListener] = []
         # Bounded: a persistently failing listener must not grow memory.
         self.journal_listener_errors: deque[str] = deque(maxlen=256)
-        catalog.attach(self)
 
     def add_journal_listener(self, listener: JournalListener) -> None:
         """Call *listener* with every committed :class:`JournalEvent`.
@@ -924,8 +905,8 @@ class ViewManager:
         context.artifacts[name] = artifact
         state = self.states.get(name)
         if state is None:
-            # A fresh revision distinguishes "same LSN, new definition" for
-            # consumers caching by log position (e.g. the live serving layer).
+            # Each view's state lineage gets its own revision, which shipped
+            # copies and the persisted journal carry with every LSN.
             self._revision_counter += 1
             state = ViewState(revision=self._revision_counter)
             self.states[name] = state
@@ -1216,74 +1197,6 @@ class ViewManager:
             )
 
     # -------------------------------------------------------------- #
-    # lifecycle
-    # -------------------------------------------------------------- #
-    def drop(self, name: str) -> list[str]:
-        """Drop one view's materialization, cascading to its dependents.
-
-        Transitive dependents are invalidated (their drop procedures run, the
-        artifacts are discarded) in reverse topological order so no dependent
-        keeps serving a result built from the dropped view.  Returns the
-        names whose materialization was removed.
-        """
-        definition = self.catalog.get(name)
-        dependents = self.catalog.dependents_of(name)
-        removed: list[str] = []
-        if dependents:
-            dependent_set = set(dependents)
-            order = [n for n in self.catalog.execution_order() if n in dependent_set]
-            for dependent in reversed(order):
-                if self._invalidate(dependent):
-                    removed.append(dependent)
-        state = self.states.get(name)
-        if definition.drop is not None and state is not None and state.materialized:
-            definition.drop(ViewContext(engines=self.engines, artifacts=self._artifacts()))
-        if state is not None and state.materialized:
-            removed.append(name)
-        self.states.pop(name, None)
-        self._scope_snapshots.pop(name, None)
-        if state is not None:
-            self._emit_journal_event(JournalEvent(
-                kind="drop", view_name=name, lsn=state.built_at_lsn,
-                revision=state.revision,
-            ))
-        return removed
-
-    def _invalidate(self, name: str) -> bool:
-        """Invalidate one view's materialization; returns True when it was live."""
-        state = self.states.get(name)
-        if state is None or not state.materialized:
-            return False
-        definition = self.catalog.get(name) if name in self.catalog else None
-        if definition is not None and definition.drop is not None:
-            definition.drop(ViewContext(engines=self.engines, artifacts=self._artifacts()))
-        state.materialized = False
-        state.artifact = None
-        state.invalidations += 1
-        self._scope_snapshots.pop(name, None)
-        self._emit_journal_event(JournalEvent(
-            kind="drop", view_name=name, lsn=state.built_at_lsn,
-            revision=state.revision,
-        ))
-        return True
-
-    def reset_views(self, names: Iterable[str]) -> None:
-        """Discard runtime state for *names* (called on re-registration).
-
-        The old artifacts were built against definitions that no longer
-        exist, so the state is removed outright; drop procedures are not run
-        because they belong to the replaced definitions.
-        """
-        for name in names:
-            state = self.states.pop(name, None)
-            self._scope_snapshots.pop(name, None)
-            if state is not None:
-                self._emit_journal_event(JournalEvent(
-                    kind="drop", view_name=name, lsn=state.built_at_lsn,
-                    revision=state.revision,
-                ))
-
-    # -------------------------------------------------------------- #
     # access
     # -------------------------------------------------------------- #
     def artifact(self, name: str) -> object:
@@ -1304,10 +1217,10 @@ class ViewManager:
         return state.built_at_lsn if state is not None else 0
 
     def state_revision(self, name: str) -> int:
-        """Identifier of the view's state lineage; changes on redefinition.
+        """Identifier of the view's state lineage (0 before its first build).
 
-        Lets LSN-caching consumers notice that an artifact was rebuilt under
-        a new definition even when the log position did not move.
+        Shipped copies and the persisted journal carry it with every LSN, so
+        a consumer checks that history it holds belongs to this lineage.
         """
         state = self.states.get(name)
         return state.revision if state is not None else 0
@@ -1400,7 +1313,6 @@ class ViewManager:
                 "builds": state.builds,
                 "delta_applies": state.delta_applies,
                 "skipped_updates": state.skipped_updates,
-                "invalidations": state.invalidations,
                 "built_at_lsn": state.built_at_lsn,
             }
             for name, state in sorted(self.states.items())

@@ -21,11 +21,7 @@ class OntologyError(DataModelError):
 
 
 class IngestionError(SagaError):
-    """Raised by the source-ingestion pipeline (import, transform, align)."""
-
-
-class IntegrityError(IngestionError):
-    """Raised when a source entity violates a data-integrity check."""
+    """Raised by the source-ingestion pipeline (registration, batching, align)."""
 
 
 class AlignmentError(IngestionError):
@@ -54,10 +50,6 @@ class ConstructionBatchError(ConstructionError):
         )
         self.reports = list(reports)
         self.failures = list(failures)
-
-
-class LinkingError(ConstructionError):
-    """Raised during blocking, matching, or resolution."""
 
 
 class EngineError(SagaError):
@@ -199,10 +191,6 @@ class MLError(SagaError):
 
 class TrainingError(MLError):
     """Raised when a model cannot be trained on the provided data."""
-
-
-class NERDError(MLError):
-    """Raised by the entity recognition and disambiguation service."""
 
 
 class EmbeddingError(MLError):

@@ -1,4 +1,10 @@
-"""Source ingestion: importers, entity transform, ontology alignment, deltas."""
+"""Source ingestion: ontology alignment, delta computation and export.
+
+A source hands the platform entity-centric
+:class:`~repro.model.entity.SourceEntity` records; its
+:class:`IngestionPipeline` aligns them to the ontology, computes the delta
+against the snapshot the KG consumed last and exports it.
+"""
 
 from repro.ingestion.alignment import (
     PGF,
@@ -8,47 +14,26 @@ from repro.ingestion.alignment import (
     PredicateGenerationFunction,
     join_title,
     split_list,
-    to_float,
     to_int,
 )
 from repro.ingestion.delta import DeltaComputer
 from repro.ingestion.export import ExportedDelta, export_delta, export_entities
-from repro.ingestion.importers import (
-    CompositeImporter,
-    CSVImporter,
-    InMemoryImporter,
-    JSONImporter,
-    JSONLinesImporter,
-    make_importer,
-    register_importer,
-)
 from repro.ingestion.pipeline import IngestionHub, IngestionPipeline, IngestionResult
-from repro.ingestion.transform import EntityTransformer, IntegrityReport
 
 __all__ = [
     "PGF",
     "AlignmentConfig",
     "AlignmentReport",
-    "CSVImporter",
-    "CompositeImporter",
     "DeltaComputer",
-    "EntityTransformer",
     "ExportedDelta",
-    "InMemoryImporter",
     "IngestionHub",
     "IngestionPipeline",
     "IngestionResult",
-    "IntegrityReport",
-    "JSONImporter",
-    "JSONLinesImporter",
     "OntologyAligner",
     "PredicateGenerationFunction",
     "export_delta",
     "export_entities",
     "join_title",
-    "make_importer",
-    "register_importer",
     "split_list",
-    "to_float",
     "to_int",
 ]

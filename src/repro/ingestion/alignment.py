@@ -204,14 +204,6 @@ def to_int(value: object) -> int | None:
         return None
 
 
-def to_float(value: object) -> float | None:
-    """Parse *value* as a float, returning ``None`` when impossible."""
-    try:
-        return float(str(value).strip())
-    except (TypeError, ValueError):
-        return None
-
-
 def split_list(separator: str = "|") -> Callable[[object], object]:
     """Return a transform splitting delimiter-joined strings into lists."""
 

@@ -1,22 +1,22 @@
-"""The source ingestion pipeline: Import → Transform → Align → Delta → Export.
+"""The source ingestion pipeline: Align → Delta → Export (Figure 3).
 
-One :class:`IngestionPipeline` per upstream source, assembled from the
-pluggable components in this package (Figure 3 of the paper).  Engineers
-onboard a new source by providing an importer, a transformer configuration,
-and an alignment config — the pipeline machinery is shared.
+One :class:`IngestionPipeline` per upstream source.  A source hands the
+pipeline entity-centric :class:`~repro.model.entity.SourceEntity` records;
+the pipeline aligns them to the ontology (the source's alignment config and
+its predicate generation functions), computes the delta against the snapshot
+the KG consumed last, and exports it.  Engineers onboard a new source with an
+alignment config — the pipeline machinery is shared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import IngestionError
 from repro.ingestion.alignment import AlignmentConfig, AlignmentReport, OntologyAligner
 from repro.ingestion.delta import DeltaComputer
 from repro.ingestion.export import ExportedDelta, export_delta
-from repro.ingestion.importers import Importer, Row
-from repro.ingestion.transform import EntityTransformer, IntegrityReport
 from repro.model.delta import SourceDelta
 from repro.model.entity import SourceEntity
 from repro.model.ontology import Ontology
@@ -35,7 +35,6 @@ class IngestionResult:
     entities: list[SourceEntity]
     delta: SourceDelta
     exported: ExportedDelta
-    integrity: IntegrityReport
     alignment: AlignmentReport
     timestamp: int = 0
     delta_computer: DeltaComputer | None = field(default=None, repr=False, compare=False)
@@ -50,7 +49,6 @@ class IngestionResult:
         return {
             "source_id": self.source_id,
             "entities": len(self.entities),
-            "integrity_rejected": self.integrity.rejected,
             "delta": self.delta.summary(),
             "exported_triples": self.exported.triple_count(),
         }
@@ -63,54 +61,25 @@ class IngestionPipeline:
         self,
         source_id: str,
         ontology: Ontology,
-        transformer: EntityTransformer | None = None,
         alignment: AlignmentConfig | None = None,
         delta_computer: DeltaComputer | None = None,
     ) -> None:
         self.source_id = source_id
         self.ontology = ontology
-        self.transformer = transformer or EntityTransformer(source_id=source_id)
         self.alignment = alignment or AlignmentConfig(source_id=source_id)
         self.aligner = OntologyAligner(ontology, self.alignment)
         self.delta_computer = delta_computer or DeltaComputer(ontology=ontology)
         self._runs = 0
-
-    # -------------------------------------------------------------- #
-    # running over raw rows or an importer
-    # -------------------------------------------------------------- #
-    def run(self, importer: Importer, timestamp: int | None = None) -> IngestionResult:
-        """Run the full pipeline over an importer's payload."""
-        rows = importer.read()
-        return self.run_rows(rows, timestamp=timestamp)
-
-    def run_rows(self, rows: Iterable[Row], timestamp: int | None = None) -> IngestionResult:
-        """Run the pipeline over already-imported rows."""
-        entities, integrity = self.transformer.transform(rows)
-        return self._finish(entities, integrity, timestamp)
 
     def run_entities(
         self, entities: Sequence[SourceEntity], timestamp: int | None = None
     ) -> IngestionResult:
         """Run alignment + delta + export over pre-built entity records.
 
-        Used when an upstream team already produces entity-centric payloads
-        (and by the synthetic data generator in tests and benchmarks).
+        Upstream teams produce entity-centric payloads (the synthetic data
+        generator does in tests, examples and benchmarks).
         """
-        integrity = IntegrityReport(total=len(entities), passed=len(entities))
-        return self._finish(list(entities), integrity, timestamp)
-
-    def _finish(
-        self,
-        entities: list[SourceEntity],
-        integrity: IntegrityReport,
-        timestamp: int | None,
-    ) -> IngestionResult:
-        if not entities and integrity.total:
-            raise IngestionError(
-                f"source {self.source_id!r}: every entity was rejected by "
-                f"integrity checks ({integrity.violations[:3]}...)"
-            )
-        aligned, alignment_report = self.aligner.align(entities)
+        aligned, alignment_report = self.aligner.align(list(entities))
         self._runs += 1
         effective_timestamp = timestamp if timestamp is not None else self._runs
         delta = self.delta_computer.peek(
@@ -122,7 +91,6 @@ class IngestionPipeline:
             entities=aligned,
             delta=delta,
             exported=exported,
-            integrity=integrity,
             alignment=alignment_report,
             timestamp=effective_timestamp,
             delta_computer=self.delta_computer,
@@ -148,19 +116,10 @@ class IngestionHub:
         return pipeline
 
     def register_source(
-        self,
-        source_id: str,
-        transformer: EntityTransformer | None = None,
-        alignment: AlignmentConfig | None = None,
+        self, source_id: str, alignment: AlignmentConfig | None = None
     ) -> IngestionPipeline:
         """Create and register a pipeline for *source_id* with shared defaults."""
-        pipeline = IngestionPipeline(
-            source_id=source_id,
-            ontology=self.ontology,
-            transformer=transformer,
-            alignment=alignment,
-        )
-        return self.register(pipeline)
+        return self.register(IngestionPipeline(source_id, self.ontology, alignment))
 
     def get(self, source_id: str) -> IngestionPipeline:
         """Return the pipeline registered for *source_id*."""

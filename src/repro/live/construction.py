@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.datagen.streams import LiveEvent
 from repro.live.index import LiveEntityDocument, LiveIndex
@@ -149,14 +149,6 @@ class LiveGraphConstruction:
         self.index.upsert(document)
         self.stats.events_processed += 1
         return document
-
-    def ingest_events(self, events: Iterable[LiveEvent]) -> int:
-        """Ingest a stream of events in order; returns the number processed."""
-        count = 0
-        for event in events:
-            self.ingest_event(event)
-            count += 1
-        return count
 
     # -------------------------------------------------------------- #
     # curation hot-fixes (§4.3)

@@ -346,7 +346,13 @@ class _FeedGraph:
         # predicate -> source ordinal -> bitset of target ordinals (and back).
         self.forward: dict[str, dict[int, int]] = {}
         self.reverse: dict[str, dict[int, int]] = {}
-        self.mutations = 0
+        # predicate -> how often its edges changed (interval encoding stamps).
+        self.mutations: dict[str, int] = {}
+
+    def touch(self, predicates: Iterable[str]) -> None:
+        """Note that edges of each of *predicates* changed."""
+        for predicate in predicates:
+            self.mutations[predicate] = self.mutations.get(predicate, 0) + 1
 
     def intern(self, node: str) -> int:
         ordinal = self.ids.get(node)
@@ -463,10 +469,11 @@ class AdjacencyIndex:
     of the document it replaces (``document.edges()``, cached on the
     immutable document) and sets or clears only the bits that changed, and
     ``remove`` clears exactly the bits the removed document set.  Interval
-    encodings are derived state: a change to a feed's edges bumps its
-    mutation counter, and :meth:`interval_index` rebuilds lazily when its
-    stamp is stale — so a shipped delta that moves an edge drops the
-    encoding, and one that moves none keeps it.
+    encodings are derived state: a change to a feed's edges bumps the
+    mutation counter of each predicate it moved, and :meth:`interval_index`
+    rebuilds lazily when its stamp is stale — so a shipped delta that moves
+    a ``part_of`` edge drops the ``part_of`` encoding, and one that moves
+    only edges of other predicates keeps it.
     """
 
     def __init__(self) -> None:
@@ -497,8 +504,7 @@ class AdjacencyIndex:
             _clear_edge(graph, predicate, source, graph.ids[target])
         for predicate, target in new:
             _set_edge(graph, predicate, source, graph.intern(target))
-        if gone or new:
-            graph.mutations += 1
+        graph.touch({predicate for predicate, _ in gone} | {predicate for predicate, _ in new})
 
     def remove(self, document) -> None:
         """Clear every bit a held document set."""
@@ -510,7 +516,7 @@ class AdjacencyIndex:
         source = graph.ids[node]
         for predicate, target in edges:
             _clear_edge(graph, predicate, source, graph.ids[target])
-        graph.mutations += 1
+        graph.touch({predicate for predicate, _ in edges})
 
     def graph(self, feed: str) -> _FeedGraph | None:
         """The raw feed graph (``None`` when the feed asserted no edges)."""
@@ -522,11 +528,12 @@ class AdjacencyIndex:
         if graph is None:
             return None
         key = (feed, predicate)
+        stamp = graph.mutations.get(predicate, 0)
         cached = self._intervals.get(key)
-        if cached is not None and cached[0] == graph.mutations:
+        if cached is not None and cached[0] == stamp:
             return cached[1]
         built = _build_interval_index(graph, predicate)
-        self._intervals[key] = (graph.mutations, built)
+        self._intervals[key] = (stamp, built)
         self.interval_builds += 1
         return built
 

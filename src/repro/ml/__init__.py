@@ -1,24 +1,18 @@
 """Graph machine learning: similarities, encoders, NERD, and KG embeddings."""
 
-from repro.ml.encoders import EncoderConfig, EncoderRegistry, StringEncoder
-from repro.ml.similarity import SIMILARITY_FUNCTIONS, similarity_profile
+from repro.ml.encoders import EncoderConfig, StringEncoder
 from repro.ml.training import (
     DistantSupervisionConfig,
     alias_groups_to_triplets,
-    evaluate_encoder_recall,
     train_string_encoder,
     typo_variants,
 )
 
 __all__ = [
-    "SIMILARITY_FUNCTIONS",
     "DistantSupervisionConfig",
     "EncoderConfig",
-    "EncoderRegistry",
     "StringEncoder",
     "alias_groups_to_triplets",
-    "evaluate_encoder_recall",
-    "similarity_profile",
     "train_string_encoder",
     "typo_variants",
 ]

@@ -16,6 +16,7 @@ which model is in use.
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,7 @@ class EmbeddingConfig:
     seed: int = 41
 
 
-class KGEmbeddingModel:
+class KGEmbeddingModel(ABC):
     """Base class holding entity/relation parameter matrices."""
 
     name = "base"
@@ -49,14 +50,15 @@ class KGEmbeddingModel:
         self.relation_embeddings = rng.uniform(-scale, scale, (num_relations, config.dimension))
 
     # -- interface ---------------------------------------------------- #
+    @abstractmethod
     def score(self, subjects: np.ndarray, relations: np.ndarray, objects: np.ndarray) -> np.ndarray:
         """Plausibility scores for aligned (subject, relation, object) id arrays."""
-        raise NotImplementedError
 
+    @abstractmethod
     def score_all_objects(self, subject: int, relation: int) -> np.ndarray:
         """Scores of ``<subject, relation, ?>`` against every entity."""
-        raise NotImplementedError
 
+    @abstractmethod
     def train_step(
         self,
         positives: np.ndarray,
@@ -68,14 +70,13 @@ class KGEmbeddingModel:
         (subject, relation, object) ids; negatives are corruptions of the
         aligned positives.  Returns the mean batch loss.
         """
-        raise NotImplementedError
 
     def normalize(self) -> None:
         """Optional post-step parameter normalization."""
 
+    @abstractmethod
     def predicted_object_vector(self, subject: int, relation: int) -> np.ndarray:
         """Vector ``f(theta_s, theta_p)`` used for nearest-neighbour object search."""
-        raise NotImplementedError
 
 
 class TransE(KGEmbeddingModel):

@@ -22,7 +22,7 @@ with exactly the interface matching models consume as a feature function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -226,25 +226,3 @@ def _cosine_grad(x: np.ndarray, other: np.ndarray) -> np.ndarray:
         return np.zeros_like(x)
     cos = float(np.dot(x, other) / (norm_x * norm_o))
     return other / (norm_x * norm_o) - cos * x / (norm_x * norm_x)
-
-
-@dataclass
-class EncoderRegistry:
-    """Per-string-type registry of encoders (names, locations, titles, ...)."""
-
-    encoders: dict[str, StringEncoder] = field(default_factory=dict)
-
-    def register(self, string_type: str, encoder: StringEncoder) -> None:
-        """Register *encoder* for *string_type*."""
-        self.encoders[string_type] = encoder
-
-    def get(self, string_type: str) -> StringEncoder | None:
-        """Return the encoder for *string_type*, or ``None``."""
-        return self.encoders.get(string_type)
-
-    def similarity(self, string_type: str, first: object, second: object) -> float:
-        """Learned similarity for *string_type*, 0.0 when no encoder exists."""
-        encoder = self.get(string_type)
-        if encoder is None:
-            return 0.0
-        return encoder.similarity(first, second)

@@ -1,8 +1,8 @@
 """Candidate retrieval for NERD: the blocking analogue of entity linking (§5.2).
 
 Given an entity mention, candidate retrieval prunes the enormous space of KG
-entities to a small set of likely matches using exact normalized-name lookup,
-token-level postings, and — when available — a learned string encoder.
+entities to a small set of likely matches using exact normalized-name lookup
+and token-level postings scored by Jaro-Winkler.
 Admissible-type hints narrow the candidates further and entity importance
 prioritizes candidates when the budget is tight.
 """
@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.ml.encoders import StringEncoder
 from repro.ml.nerd.entity_view import NERDEntityRecord, NERDEntityView
 from repro.ml.similarity import jaro_winkler_similarity, normalize_string, tokens
 from repro.model.ontology import Ontology
@@ -35,8 +34,8 @@ MAX_CANDIDATES = 10
 """Candidates :meth:`CandidateRetriever.retrieve` returns at most."""
 
 FUZZY_THRESHOLD = 0.82
-"""Least name similarity (Jaro-Winkler, or the encoder's when it is higher) at
-which a token-posting hit becomes a candidate."""
+"""Least Jaro-Winkler name similarity at which a token-posting hit becomes a
+candidate."""
 
 IMPORTANCE_WEIGHT = 0.15
 """Weight of entity importance added to a candidate's retrieval score."""
@@ -60,15 +59,9 @@ def _move(postings: dict[str, set[str]], entity_id: str, before: set[str], after
 class CandidateRetriever:
     """Name-based candidate generation over the NERD Entity View."""
 
-    def __init__(
-        self,
-        view: NERDEntityView,
-        ontology: Ontology | None = None,
-        encoder: StringEncoder | None = None,
-    ) -> None:
+    def __init__(self, view: NERDEntityView, ontology: Ontology | None = None) -> None:
         self.view = view
         self.ontology = ontology
-        self.encoder = encoder
         self._exact: dict[str, set[str]] = defaultdict(set)
         self._token_postings: dict[str, set[str]] = defaultdict(set)
         self.reindex({record.entity_id: None for record in view.records()})
@@ -118,12 +111,6 @@ class CandidateRetriever:
                 (jaro_winkler_similarity(normalized, name) for name in record.normalized_names()),
                 default=0.0,
             )
-            if self.encoder is not None:
-                learned = max(
-                    (self.encoder.similarity(normalized, name) for name in record.normalized_names()),
-                    default=0.0,
-                )
-                best = max(best, learned)
             if best >= FUZZY_THRESHOLD:
                 scores[entity_id] = best
 

@@ -7,8 +7,8 @@ decision structure with an interpretable feature-interaction model:
 * one sub-score per view attribute (names, description, relations, neighbour
   types, entity types, importance) measuring its agreement with the mention
   and its surrounding context;
-* a linear layer over those sub-scores with a sigmoid link, trained with weak
-  supervision (labelled mentions bootstrapped from the KG and synthetic text);
+* a linear layer over those sub-scores with a sigmoid link, its weights
+  hand-tuned priors;
 * one-vs-all scoring across the candidate set with a rejection threshold, so
   the model can decline to link when no candidate is supported by the context.
 """
@@ -16,12 +16,10 @@ decision structure with an interpretable feature-interaction model:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from repro.errors import NERDError
-from repro.ml.encoders import StringEncoder
 from repro.ml.nerd.candidates import Candidate
 from repro.ml.nerd.entity_view import NERDEntityRecord
 from repro.ml.similarity import jaro_winkler_similarity, normalize_string, tokens
@@ -36,7 +34,6 @@ REJECTION_THRESHOLD = 0.5
 
 FEATURE_NAMES = (
     "name_similarity",
-    "learned_name_similarity",
     "context_overlap",
     "relation_overlap",
     "neighbor_type_overlap",
@@ -77,23 +74,16 @@ class DisambiguationResult:
 class ContextualDisambiguator:
     """Feature-interaction disambiguation model with rejection."""
 
-    #: Hand-tuned prior weights used before any weak-supervision training.
-    DEFAULT_WEIGHTS = {
+    #: Hand-tuned prior weights of the feature layer.
+    WEIGHTS: ClassVar[dict[str, float]] = {
         "name_similarity": 4.0,
-        "learned_name_similarity": 1.0,
         "context_overlap": 2.6,
         "relation_overlap": 2.2,
         "neighbor_type_overlap": 0.6,
         "type_hint_match": 1.2,
         "importance": 0.8,
     }
-    DEFAULT_BIAS = -4.0
-
-    def __init__(self, encoder: StringEncoder | None = None) -> None:
-        self.encoder = encoder
-        self.weights = dict(self.DEFAULT_WEIGHTS)
-        self.bias = self.DEFAULT_BIAS
-        self.trained = False
+    BIAS: ClassVar[float] = -4.0
 
     # -------------------------------------------------------------- #
     # features
@@ -107,11 +97,6 @@ class ContextualDisambiguator:
         name_similarity = max(
             (jaro_winkler_similarity(mention_norm, name) for name in names), default=0.0
         )
-        learned = 0.0
-        if self.encoder is not None:
-            learned = max(
-                (self.encoder.similarity(mention_norm, name) for name in names), default=0.0
-            )
         context_tokens = context.context_tokens()
         candidate_tokens = record.context_tokens() - set(tokens(context.mention))
         context_overlap = (
@@ -128,7 +113,6 @@ class ContextualDisambiguator:
             )
         return {
             "name_similarity": name_similarity,
-            "learned_name_similarity": learned,
             "context_overlap": min(context_overlap, 1.0),
             "relation_overlap": relation_overlap,
             "neighbor_type_overlap": neighbor_type_overlap,
@@ -139,7 +123,7 @@ class ContextualDisambiguator:
     def score(self, context: MentionContext, record: NERDEntityRecord) -> float:
         """Calibrated probability that *record* is the referent of the mention."""
         feats = self.features(context, record)
-        logit = self.bias + sum(self.weights[name] * feats[name] for name in FEATURE_NAMES)
+        logit = self.BIAS + sum(self.WEIGHTS[name] * feats[name] for name in FEATURE_NAMES)
         return float(1.0 / (1.0 + np.exp(-logit)))
 
     # -------------------------------------------------------------- #
@@ -166,46 +150,6 @@ class ContextualDisambiguator:
             best_id, best_score, rejected=False, scores=scores,
             candidate_count=len(candidates),
         )
-
-    # -------------------------------------------------------------- #
-    # weak-supervision training
-    # -------------------------------------------------------------- #
-    def fit(
-        self,
-        examples: Sequence[tuple[MentionContext, NERDEntityRecord, int]],
-        learning_rate: float = 0.3,
-        epochs: int = 150,
-        l2: float = 1e-3,
-        seed: int = 3,
-    ) -> "ContextualDisambiguator":
-        """Train the linear layer on (context, candidate, label) examples.
-
-        Labels are 1 for the true referent and 0 for negative candidates; the
-        examples are typically produced by weak supervision (entity-tagged
-        text, query logs, or templated snippets generated from KG facts).
-        """
-        if not examples:
-            raise NERDError("cannot train the disambiguator on zero examples")
-        matrix = np.array(
-            [[self.features(ctx, rec)[name] for name in FEATURE_NAMES] for ctx, rec, _ in examples]
-        )
-        labels = np.array([label for _, _, label in examples], dtype=float)
-        rng = np.random.default_rng(seed)
-        weights = np.array([self.weights[name] for name in FEATURE_NAMES]) + rng.normal(
-            0, 0.01, len(FEATURE_NAMES)
-        )
-        bias = self.bias
-        for _ in range(epochs):
-            logits = matrix @ weights + bias
-            predictions = 1.0 / (1.0 + np.exp(-logits))
-            error = predictions - labels
-            gradient = matrix.T @ error / len(labels) + l2 * weights
-            weights -= learning_rate * gradient
-            bias -= learning_rate * float(error.mean())
-        self.weights = dict(zip(FEATURE_NAMES, weights.tolist()))
-        self.bias = float(bias)
-        self.trained = True
-        return self
 
     # -------------------------------------------------------------- #
     # internals

@@ -23,7 +23,6 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.ml.encoders import StringEncoder
 from repro.ml.nerd.candidates import CandidateRetriever
 from repro.ml.nerd.disambiguation import (
     ContextualDisambiguator,
@@ -65,16 +64,11 @@ class Annotation:
 class NERDService:
     """Entity recognition and disambiguation over the NERD Entity View."""
 
-    def __init__(
-        self,
-        view: NERDEntityView,
-        ontology: Ontology | None = None,
-        encoder: StringEncoder | None = None,
-    ) -> None:
+    def __init__(self, view: NERDEntityView, ontology: Ontology | None = None) -> None:
         self.view = view
         self.ontology = ontology
-        self.retriever = CandidateRetriever(view, ontology=ontology, encoder=encoder)
-        self.disambiguator = ContextualDisambiguator(encoder=encoder)
+        self.retriever = CandidateRetriever(view, ontology=ontology)
+        self.disambiguator = ContextualDisambiguator()
         #: Log deltas applied so far; a caller caching answers compares it.
         self.deltas_applied = 0
 
@@ -83,12 +77,10 @@ class NERDService:
         cls,
         store: TripleStore,
         ontology: Ontology | None = None,
-        encoder: StringEncoder | None = None,
         importance: dict[str, float] | None = None,
     ) -> "NERDService":
         """Build the entity view from a KG store and wrap a service around it."""
-        view = NERDEntityView.build(store, importance)
-        return cls(view, ontology=ontology, encoder=encoder)
+        return cls(NERDEntityView.build(store, importance), ontology=ontology)
 
     # -------------------------------------------------------------- #
     # maintenance

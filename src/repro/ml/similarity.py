@@ -1,10 +1,11 @@
 """Deterministic similarity functions for matching models (Section 5.1).
 
 Saga exposes a library of similarity functions over different data types that
-matching models use as features.  This module provides the deterministic
-members of that library: edit distances, token/set overlaps, q-gram measures,
-phonetic codes, and typed helpers for numbers and dates.  Learned (neural)
-string similarity lives in :mod:`repro.ml.encoders`.
+matching models use as features.  This module holds the deterministic members
+the platform uses: Jaro-Winkler (linking's name features, object resolution's
+name index, NERD), Monge-Elkan over tokens, value-set overlap and year
+agreement, plus the string normalization and tokenization they share.
+Learned (neural) string similarity lives in :mod:`repro.ml.encoders`.
 
 All functions return a similarity in ``[0, 1]`` where ``1`` means identical,
 and treat ``None`` / empty inputs as maximally dissimilar (``0``) so they can
@@ -13,7 +14,6 @@ be used directly as features without special-casing missing values.
 
 from __future__ import annotations
 
-import math
 import re
 from typing import Iterable, Sequence
 
@@ -32,64 +32,9 @@ def tokens(text: object) -> list[str]:
     return _TOKEN_PATTERN.findall(normalize_string(text))
 
 
-def qgrams(text: object, q: int = 3) -> list[str]:
-    """Return the padded character q-grams of *text*.
-
-    >>> qgrams("abc", q=2)
-    ['#a', 'ab', 'bc', 'c#']
-    """
-    normalized = normalize_string(text)
-    if not normalized:
-        return []
-    padded = "#" * (q - 1) + normalized + "#" * (q - 1)
-    return [padded[i:i + q] for i in range(len(padded) - q + 1)]
-
-
 # --------------------------------------------------------------------- #
-# edit-based measures
+# Jaro-Winkler
 # --------------------------------------------------------------------- #
-def levenshtein_distance(first: str, second: str) -> int:
-    """Classic dynamic-programming Levenshtein distance."""
-    if first == second:
-        return 0
-    if not first:
-        return len(second)
-    if not second:
-        return len(first)
-    previous = list(range(len(second) + 1))
-    for i, char_a in enumerate(first, start=1):
-        current = [i]
-        for j, char_b in enumerate(second, start=1):
-            cost = 0 if char_a == char_b else 1
-            current.append(min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost))
-        previous = current
-    return previous[-1]
-
-
-def levenshtein_similarity(first: object, second: object) -> float:
-    """Normalized Levenshtein similarity in ``[0, 1]``."""
-    a, b = normalize_string(first), normalize_string(second)
-    if not a or not b:
-        return 0.0
-    longest = max(len(a), len(b))
-    return 1.0 - levenshtein_distance(a, b) / longest
-
-
-def hamming_similarity(first: object, second: object) -> float:
-    """Hamming similarity for equal-length strings, else prefix comparison."""
-    a, b = normalize_string(first), normalize_string(second)
-    if not a or not b:
-        return 0.0
-    longest = max(len(a), len(b))
-    matches = sum(1 for x, y in zip(a, b) if x == y)
-    return matches / longest
-
-
-def jaro_similarity(first: object, second: object) -> float:
-    """Jaro similarity, a name-matching classic."""
-    return _jaro_normalized(normalize_string(first), normalize_string(second))
-
-
 def _jaro_normalized(a: str, b: str) -> float:
     """Jaro similarity over strings that are already normalized.
 
@@ -197,44 +142,6 @@ class _JaroWinklerRow(dict):
 # --------------------------------------------------------------------- #
 # token / set measures
 # --------------------------------------------------------------------- #
-def jaccard_similarity(first: object, second: object) -> float:
-    """Jaccard overlap of the token sets of the two strings."""
-    set_a, set_b = set(tokens(first)), set(tokens(second))
-    if not set_a or not set_b:
-        return 0.0
-    return len(set_a & set_b) / len(set_a | set_b)
-
-
-def overlap_coefficient(first: object, second: object) -> float:
-    """Token overlap normalized by the smaller set (containment)."""
-    set_a, set_b = set(tokens(first)), set(tokens(second))
-    if not set_a or not set_b:
-        return 0.0
-    return len(set_a & set_b) / min(len(set_a), len(set_b))
-
-
-def qgram_similarity(first: object, second: object, q: int = 3) -> float:
-    """Dice coefficient over character q-gram multisets."""
-    grams_a, grams_b = qgrams(first, q), qgrams(second, q)
-    if not grams_a or not grams_b:
-        return 0.0
-    counts_a: dict[str, int] = {}
-    for gram in grams_a:
-        counts_a[gram] = counts_a.get(gram, 0) + 1
-    shared = 0
-    for gram in grams_b:
-        remaining = counts_a.get(gram, 0)
-        if remaining:
-            shared += 1
-            counts_a[gram] = remaining - 1
-    return 2.0 * shared / (len(grams_a) + len(grams_b))
-
-
-def monge_elkan_similarity(first: object, second: object) -> float:
-    """Average best token-level Jaro-Winkler match (handles word reordering)."""
-    return monge_elkan_tokens(tokens(first), tokens(second), JaroWinklerMemo())
-
-
 def monge_elkan_tokens(
     tokens_a: Sequence[str], tokens_b: Sequence[str], scores: JaroWinklerMemo
 ) -> float:
@@ -262,20 +169,6 @@ def set_similarity(first: Iterable[object], second: Iterable[object]) -> float:
 # --------------------------------------------------------------------- #
 # typed helpers
 # --------------------------------------------------------------------- #
-def numeric_similarity(first: object, second: object, tolerance: float = 0.1) -> float:
-    """Similarity of two numbers based on relative difference."""
-    try:
-        a = float(first)  # type: ignore[arg-type]
-        b = float(second)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        return 0.0
-    if a == b:
-        return 1.0
-    scale = max(abs(a), abs(b), 1e-12)
-    relative = abs(a - b) / scale
-    return max(0.0, 1.0 - relative / max(tolerance, 1e-12)) if relative < tolerance else 0.0
-
-
 def year_similarity(first: object, second: object, horizon: int = 5) -> float:
     """Similarity of two dates/years decaying linearly over *horizon* years."""
     year_a, year_b = _extract_year(first), _extract_year(second)
@@ -283,14 +176,6 @@ def year_similarity(first: object, second: object, horizon: int = 5) -> float:
         return 0.0
     gap = abs(year_a - year_b)
     return max(0.0, 1.0 - gap / horizon)
-
-
-def exact_similarity(first: object, second: object) -> float:
-    """1.0 when the normalized strings match exactly, else 0.0."""
-    a, b = normalize_string(first), normalize_string(second)
-    if not a or not b:
-        return 0.0
-    return 1.0 if a == b else 0.0
 
 
 def _extract_year(value: object) -> int | None:
@@ -301,96 +186,3 @@ def _extract_year(value: object) -> int | None:
         return year if 1000 <= year <= 3000 else None
     match = re.search(r"(1[0-9]{3}|2[0-9]{3})", str(value))
     return int(match.group(1)) if match else None
-
-
-# --------------------------------------------------------------------- #
-# phonetic code
-# --------------------------------------------------------------------- #
-_SOUNDEX_CODES = {
-    **dict.fromkeys("bfpv", "1"),
-    **dict.fromkeys("cgjkqsxz", "2"),
-    **dict.fromkeys("dt", "3"),
-    **dict.fromkeys("l", "4"),
-    **dict.fromkeys("mn", "5"),
-    **dict.fromkeys("r", "6"),
-}
-
-
-def soundex(text: object) -> str:
-    """American Soundex code of the first token of *text*."""
-    word_tokens = tokens(text)
-    if not word_tokens:
-        return ""
-    word = word_tokens[0]
-    first_letter = word[0].upper()
-    encoded = []
-    previous = _SOUNDEX_CODES.get(word[0], "")
-    for char in word[1:]:
-        code = _SOUNDEX_CODES.get(char, "")
-        if code and code != previous:
-            encoded.append(code)
-        if char not in "hw":
-            previous = code
-    return (first_letter + "".join(encoded) + "000")[:4]
-
-
-def soundex_similarity(first: object, second: object) -> float:
-    """1.0 when the Soundex codes of the first tokens match."""
-    code_a, code_b = soundex(first), soundex(second)
-    if not code_a or not code_b:
-        return 0.0
-    return 1.0 if code_a == code_b else 0.0
-
-
-# --------------------------------------------------------------------- #
-# tf-idf style cosine over q-grams (cheap vector-space similarity)
-# --------------------------------------------------------------------- #
-def cosine_qgram_similarity(first: object, second: object, q: int = 3) -> float:
-    """Cosine similarity between q-gram count vectors of the two strings."""
-    grams_a, grams_b = qgrams(first, q), qgrams(second, q)
-    if not grams_a or not grams_b:
-        return 0.0
-    counts_a: dict[str, int] = {}
-    counts_b: dict[str, int] = {}
-    for gram in grams_a:
-        counts_a[gram] = counts_a.get(gram, 0) + 1
-    for gram in grams_b:
-        counts_b[gram] = counts_b.get(gram, 0) + 1
-    dot = sum(counts_a[g] * counts_b.get(g, 0) for g in counts_a)
-    norm_a = math.sqrt(sum(c * c for c in counts_a.values()))
-    norm_b = math.sqrt(sum(c * c for c in counts_b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return min(1.0, dot / (norm_a * norm_b))
-
-
-SIMILARITY_FUNCTIONS = {
-    "levenshtein": levenshtein_similarity,
-    "hamming": hamming_similarity,
-    "jaro": jaro_similarity,
-    "jaro_winkler": jaro_winkler_similarity,
-    "jaccard": jaccard_similarity,
-    "overlap": overlap_coefficient,
-    "qgram": qgram_similarity,
-    "monge_elkan": monge_elkan_similarity,
-    "cosine_qgram": cosine_qgram_similarity,
-    "numeric": numeric_similarity,
-    "year": year_similarity,
-    "exact": exact_similarity,
-    "soundex": soundex_similarity,
-}
-"""Registry used by matching-model feature configuration."""
-
-
-def similarity_profile(first: object, second: object) -> dict[str, float]:
-    """Compute every registered string similarity for a pair of values.
-
-    Convenience helper used to featurize entity pairs quickly in tests and
-    examples; production matching models select a subset per entity type.
-    """
-    profile = {}
-    for name, function in SIMILARITY_FUNCTIONS.items():
-        if name in ("numeric", "year"):
-            continue
-        profile[name] = function(first, second)
-    return profile

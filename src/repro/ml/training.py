@@ -118,35 +118,3 @@ def train_string_encoder(
     encoder = StringEncoder(encoder_config, synonyms=synonyms)
     encoder.train(triplets)
     return encoder
-
-
-def evaluate_encoder_recall(
-    encoder: StringEncoder,
-    positive_pairs: list[tuple[str, str]],
-    negative_pairs: list[tuple[str, str]],
-    threshold: float = 0.5,
-) -> dict[str, float]:
-    """Evaluate a similarity function as a binary match classifier.
-
-    Returns precision, recall, and F1 at the given similarity *threshold* —
-    the metric used for the >20-point recall-improvement claim in §5.1.
-    """
-    true_positives = sum(
-        1 for a, b in positive_pairs if encoder.similarity(a, b) >= threshold
-    )
-    false_negatives = len(positive_pairs) - true_positives
-    false_positives = sum(
-        1 for a, b in negative_pairs if encoder.similarity(a, b) >= threshold
-    )
-    precision = (
-        true_positives / (true_positives + false_positives)
-        if (true_positives + false_positives)
-        else 0.0
-    )
-    recall = (
-        true_positives / (true_positives + false_negatives)
-        if (true_positives + false_negatives)
-        else 0.0
-    )
-    f1 = 2 * precision * recall / (precision + recall) if (precision + recall) else 0.0
-    return {"precision": precision, "recall": recall, "f1": f1}

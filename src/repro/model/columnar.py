@@ -38,7 +38,6 @@ Row references are packed ints: ``(partition id << ROW_BITS) | row index``.
 from __future__ import annotations
 
 from array import array
-from typing import Iterable
 
 from repro.model.provenance import Provenance
 
@@ -119,9 +118,6 @@ class TermDict:
     def id_of(self, term: object) -> int | None:
         """The id of *term*, or ``None`` when it was never interned."""
         return self.ids.get(term)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 class ObjectDict(TermDict):
@@ -247,7 +243,3 @@ class PredicatePartition:
         self.objs[row] = None
         self.free.append(row)
         self.live -= 1
-
-    def live_rows(self) -> Iterable[int]:
-        """Indexes of the live rows (order unspecified)."""
-        return (row for row, p in enumerate(self.prov) if p is not None)

@@ -53,10 +53,6 @@ class SourceEntity:
     # -------------------------------------------------------------- #
     # property access
     # -------------------------------------------------------------- #
-    def get(self, predicate: str, default: object = None) -> object:
-        """Return the raw value of *predicate* (scalar, list, or dicts)."""
-        return self.properties.get(predicate, default)
-
     def values(self, predicate: str) -> list[object]:
         """Return the value(s) of *predicate* as a flat list of scalars."""
         value = self.properties.get(predicate)

@@ -150,10 +150,6 @@ class Ontology:
         """All registered type names (including the root)."""
         return sorted(self._types)
 
-    def predicates(self) -> list[str]:
-        """All registered predicate names."""
-        return sorted(self._predicates)
-
     def volatile_predicates(self) -> set[str]:
         """Predicates flagged volatile (popularity-style update churn)."""
         return {name for name, spec in self._predicates.items() if spec.volatile}

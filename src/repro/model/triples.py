@@ -71,22 +71,6 @@ Value = object  # literal (str, int, float, bool) or an entity identifier
 FactRow = tuple[str, str, "str | None", "str | None", Value, str, tuple[SourceReference, ...]]
 
 
-def fact_row_dict(row: FactRow) -> dict:
-    """The flat relational row of Table 1 (:meth:`ExtendedTriple.to_row`'s
-    format) for one decoded fact."""
-    subject, predicate, relationship_id, relationship_predicate, obj, locale, references = row
-    return {
-        "subject": subject,
-        "predicate": predicate,
-        "r_id": relationship_id,
-        "r_predicate": relationship_predicate,
-        "object": obj,
-        "locale": locale,
-        "sources": [reference.source_id for reference in references],
-        "trust": [reference.trust for reference in references],
-    }
-
-
 @dataclass
 class ExtendedTriple:
     """One row of the extended-triples relational model.
@@ -143,10 +127,6 @@ class ExtendedTriple:
     def trust(self) -> list[float]:
         """Trust scores aligned with :attr:`sources`."""
         return self.provenance.trust_scores
-
-    def confidence(self) -> float:
-        """Aggregated probability that the fact is correct."""
-        return self.provenance.confidence()
 
     def key(self) -> tuple:
         """Identity key used when merging provenance of equivalent facts.
@@ -685,7 +665,7 @@ class TripleStore:
         partition = self._partitions.get(pid) if pid is not None else None
         if partition is None or not partition.live:
             return []
-        refs = [pack_ref(pid, row) for row in partition.live_rows()]
+        refs = [pack_ref(pid, row) for row, p in enumerate(partition.prov) if p is not None]
         refs.sort(key=self._sort_key_fn())
         return [self._materialize(ref) for ref in refs]
 

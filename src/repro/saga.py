@@ -27,31 +27,22 @@ import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.construction.matching import MatcherRegistry
 from repro.errors import ConstructionBatchError, IngestionError, ServingError
 from repro.construction.pipeline import KnowledgeConstructionPipeline
 from repro.construction.incremental import ConstructionReport
 from repro.datagen.streams import LiveEvent
 from repro.engine.graph_engine import GraphEngine
-from repro.engine.importance import ImportanceScore, compute_importance
+from repro.engine.importance import compute_importance
 from repro.engine.views import ViewDelta
 from repro.ingestion.alignment import AlignmentConfig
 from repro.ingestion.pipeline import IngestionHub, IngestionPipeline, IngestionResult
-from repro.ingestion.transform import EntityTransformer
-from repro.ingestion.importers import Importer
 from repro.live.engine import LiveGraphEngine
-from repro.ml.encoders import StringEncoder
 from repro.ml.nerd.service import NERDService
 from repro.model.entity import SourceEntity
 from repro.model.ontology import Ontology, default_ontology
 from repro.serving.fleet import ServingFleet
 from repro.serving.frontdoor import FrontDoor, TenantRegistry
 from repro.serving.journal_store import FileJournalBackend, JournalStore
-
-
-def _score_map(scores: dict[str, ImportanceScore]) -> dict[str, float]:
-    """The aggregate importance score of each entity: NERD's ranking input."""
-    return {entity_id: score.score for entity_id, score in scores.items()}
 
 
 @dataclass
@@ -70,9 +61,8 @@ class SagaMetrics:
 class SagaPlatform:
     """End-to-end knowledge construction and serving platform.
 
-    A snapshot enters the KG one way.  :meth:`ingest_batch`,
-    :meth:`ingest_snapshot` and :meth:`ingest_importer` only build their
-    ingestion results; one private path commits them through
+    A snapshot enters the KG one way.  :meth:`ingest_batch` and
+    :meth:`ingest_snapshot` only build their ingestion results; one private path commits them through
     :meth:`~repro.construction.pipeline.KnowledgeConstructionPipeline.consume_many`
     and publishes every report, a failed commit's included.  A batch fails
     with :class:`~repro.errors.ConstructionBatchError`; a call that ingests
@@ -80,17 +70,11 @@ class SagaPlatform:
     failed report as ``construction_report``.
     """
 
-    def __init__(
-        self,
-        ontology: Ontology | None = None,
-        matchers: MatcherRegistry | None = None,
-        name_encoder: StringEncoder | None = None,
-    ) -> None:
+    def __init__(self, ontology: Ontology | None = None) -> None:
         self.ontology = ontology or default_ontology()
         self.ingestion = IngestionHub(self.ontology)
-        self.construction = KnowledgeConstructionPipeline(self.ontology, matchers=matchers)
+        self.construction = KnowledgeConstructionPipeline(self.ontology)
         self.graph_engine = GraphEngine(self.ontology)
-        self.name_encoder = name_encoder
         self._nerd: NERDService | None = None
         self._live: LiveGraphEngine | None = None
         self._fleet: ServingFleet | None = None
@@ -100,13 +84,10 @@ class SagaPlatform:
     # source onboarding and ingestion
     # -------------------------------------------------------------- #
     def register_source(
-        self,
-        source_id: str,
-        transformer: EntityTransformer | None = None,
-        alignment: AlignmentConfig | None = None,
+        self, source_id: str, alignment: AlignmentConfig | None = None
     ) -> IngestionPipeline:
         """Register (self-serve onboard) a new data source."""
-        return self.ingestion.register_source(source_id, transformer, alignment)
+        return self.ingestion.register_source(source_id, alignment)
 
     def ingest_snapshot(
         self,
@@ -124,20 +105,6 @@ class SagaPlatform:
         instead of a :class:`~repro.errors.ConstructionBatchError`.
         """
         result = self.ingestion.get(source_id).run_entities(entities, timestamp=timestamp)
-        return self._ingest_one(result, publish)
-
-    def ingest_importer(
-        self,
-        source_id: str,
-        importer: Importer,
-        timestamp: int | None = None,
-        publish: bool = True,
-    ) -> ConstructionReport:
-        """Ingest a snapshot read from an importer (CSV / JSON / in-memory).
-
-        Commits and fails exactly as :meth:`ingest_snapshot` does.
-        """
-        result = self.ingestion.get(source_id).run(importer, timestamp=timestamp)
         return self._ingest_one(result, publish)
 
     def ingest_batch(
@@ -233,8 +200,10 @@ class SagaPlatform:
             self._nerd = NERDService.from_store(
                 self.graph_engine.triples,
                 ontology=self.ontology,
-                encoder=self.name_encoder,
-                importance=_score_map(self.graph_engine.importance_scores()),
+                importance={
+                    entity_id: score.score
+                    for entity_id, score in self.graph_engine.importance_scores().items()
+                },
             )
             self.graph_engine.coordinator.add_delta_listener(self._apply_nerd_delta)
         return self._nerd
@@ -242,9 +211,10 @@ class SagaPlatform:
     def _apply_nerd_delta(self, delta: ViewDelta) -> None:
         """NERD's delta listener: structural importance is global (a new
         in-edge moves every PageRank), so each delta recomputes it once and
-        hands NERD the fresh map with the delta."""
+        hands NERD the fresh aggregate scores with the delta."""
+        scores = compute_importance(self.graph_engine.triples)
         self._nerd.apply_delta(
-            delta, importance=_score_map(compute_importance(self.graph_engine.triples))
+            delta, importance={entity_id: score.score for entity_id, score in scores.items()}
         )
 
     def annotate(self, text: str) -> list:

@@ -151,7 +151,7 @@ class AntiEntropyAuditor:
             replica_revision = node.revisions.get(view_name, 0)
             if applied < primary_lsn or replica_revision < revision:
                 # Behind the audited LSN range, or serving an older state
-                # lineage (a redefinition whose snapshot batch it missed):
+                # lineage (one whose snapshot batch it missed):
                 # lag, not divergence — a catch-up resync closes either
                 # (the revision mismatch makes catchup answer a snapshot).
                 report.replicas.append(ReplicaAudit(
@@ -160,7 +160,7 @@ class AntiEntropyAuditor:
                 ))
                 continue
             if applied > primary_lsn or replica_revision > revision:
-                # Past the audited snapshot (a flush or redefinition landed
+                # Past the audited snapshot (a flush or a new lineage landed
                 # after it was taken): comparing would read false divergence.
                 # The next pass audits the newer state.
                 report.replicas.append(ReplicaAudit(

@@ -66,7 +66,7 @@ from repro.serving.router import ANY, Consistency
 #: Journal-event kinds that change a view's served content.  ``advance`` is a
 #: watermark-only event (a flush that proved the view unaffected) — cached
 #: results stay valid through it.
-_CONTENT_EVENTS = frozenset({"append", "truncate", "drop"})
+_CONTENT_EVENTS = frozenset({"append", "truncate"})
 
 
 class FrontDoor:
@@ -339,9 +339,3 @@ class FrontDoor:
             return
         self._closed = True
         self.manager.remove_journal_listener(self._journal_listener)
-
-    def __enter__(self) -> "FrontDoor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -9,16 +9,14 @@ fsync-able segment files on disk (cross-process serving catch-up).  A
 restarted serving process replays ``deltas_since(view, last_applied_lsn)``
 instead of rebuilding view artifacts from scratch.
 
-Three record kinds follow the manager's journal events:
+Two record kinds follow the manager's journal events:
 
 * ``delta`` — one scope-projected :class:`ViewDelta` a maintenance flush
   committed (entity ids plus the LSN range covered), held by the record as
   the same value, not re-shaped;
 * ``truncate`` — the view was rebuilt from scratch; persisted history below
   the record's LSN is dropped and the floor advances (consumers below the
-  floor must resync from a snapshot);
-* ``drop`` — the materialization was removed; all history is dropped so a
-  catching-up consumer stops serving the view.
+  floor must resync from a snapshot).
 
 Compaction-aware truncation (:meth:`JournalStore.truncate_below`) removes
 whole segments that every fleet consumer has already applied — it never
@@ -53,7 +51,7 @@ class JournalRecord:
     """
 
     view_name: str
-    kind: str                    # "delta" | "truncate" | "drop"
+    kind: str                    # "delta" | "truncate"
     revision: int
     delta: ViewDelta = ViewDelta()
 
@@ -248,7 +246,7 @@ class FileJournalBackend(JournalBackend):
 class JournalStore:
     """Segmented, durably persisted delta journals for a view fleet.
 
-    The store records the ``append`` / ``truncate`` / ``drop`` events of
+    The store records the ``append`` / ``truncate`` events of
     every shipped view into the backend and answers "what changed since LSN
     *n*" (``deltas_since``) across process restarts.  A fresh store over a
     non-empty backend recovers every view's segments, floor, and revision
@@ -292,13 +290,6 @@ class JournalStore:
             view_name, "truncate", revision, ViewDelta(first_lsn=lsn, last_lsn=lsn)
         ))
         self.truncations += 1
-
-    def record_drop(self, view_name: str, revision: int) -> None:
-        """The view's materialization was removed: forget it entirely."""
-        self._drop_view(view_name)
-        self._floors.pop(view_name, None)
-        self._revisions.pop(view_name, None)
-        self.backend.drop_checkpoint(self._meta_key(view_name))
 
     def truncate_below(self, view_name: str, lsn: int) -> int:
         """Drop whole segments every consumer at or past *lsn* has absorbed.

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.engine.views import JournalEvent, ViewDelta, ViewManager
-from repro.engine.views import rows_by_subject as _rows_by_subject
+from repro.engine.views import rows_by_subject
 from repro.errors import JournalGapError, ServingError
 from repro.live.index import LiveEntityDocument, view_row_documents
 from repro.serving.journal_store import JournalStore
@@ -42,7 +42,8 @@ class ShipmentBatch:
 
     ``kind`` is ``"delta"`` (apply ``rows`` / ``delta.deleted`` on top of
     ``prev_lsn``), ``"snapshot"`` (``rows`` is the whole view; replace the
-    served copy), or ``"drop"`` (stop serving the view).  ``rows`` maps the
+    served copy), or ``"drop"`` (stop serving the view: catch-up found it
+    unmaterialized).  ``rows`` maps the
     subject to its current artifact row; a subject in ``delta.changed`` with
     no row vanished from the artifact and must stop being served.
     """
@@ -116,19 +117,6 @@ class ReplicationBus:
         return delivered
 
 
-def rows_by_subject(artifact: object, view_name: str) -> dict[str, dict]:
-    """Normalize a row-shaped artifact into a subject → row mapping.
-
-    Accepts the two row shapes the platform produces: a sequence of dicts
-    with a ``subject`` key (the live layer's contract) or a mapping whose
-    values are such dicts.  Anything else cannot be shipped.  The shape
-    contract itself is defined once, in
-    :func:`repro.engine.views.rows_by_subject`; this wrapper only swaps the
-    error class so serving callers keep catching :class:`ServingError`.
-    """
-    return _rows_by_subject(artifact, view_name, error=ServingError)
-
-
 def rows_for_subjects(
     artifact: object, subjects: list[str], view_name: str
 ) -> dict[str, dict]:
@@ -136,7 +124,8 @@ def rows_for_subjects(
 
     Subject-keyed dict artifacts — the platform's normal row shape — are
     indexed directly, keeping per-delta shipping O(|delta|) instead of
-    O(|artifact|); sequence artifacts fall back to a full normalization.
+    O(|artifact|); sequence artifacts fall back to a full normalization
+    (:func:`repro.engine.views.rows_by_subject`, raising :class:`ServingError`).
     """
     if isinstance(artifact, dict):
         rows: dict[str, dict] = {}
@@ -150,7 +139,7 @@ def rows_for_subjects(
                 )
             rows[str(row["subject"])] = row
         return rows
-    by_subject = rows_by_subject(artifact, view_name)
+    by_subject = rows_by_subject(artifact, view_name, error=ServingError)
     return {s: by_subject[s] for s in subjects if s in by_subject}
 
 
@@ -197,15 +186,6 @@ class JournalShipper:
         (not materialized, not row-shaped) raises and is not shipped.
         """
         return self._publish_snapshot(view_name)
-
-    def unship_view(self, view_name: str) -> None:
-        """Stop shipping a view (already-shipped batches stay applied).
-
-        Deltas committed while unshipped are neither persisted nor
-        published; re-shipping later snapshots over the hole (see
-        :meth:`ship_view`), so no consumer can catch up through it.
-        """
-        self.shipped_views.pop(view_name, None)
 
     def snapshot_batch(self, view_name: str) -> ShipmentBatch:
         """A full-row snapshot of the view's current artifact.
@@ -280,15 +260,14 @@ class JournalShipper:
         """The batch that brings a consumer at (*applied_lsn*, *revision*) current.
 
         Serves a delta batch from the persisted journal when history reaches
-        back to *applied_lsn* under the same revision; a gap, a redefinition,
+        back to *applied_lsn* under the same revision; a gap, a revision change,
         or a view that is not being shipped (its persisted history is not
         current) answers with a full snapshot instead.  The delta batch is
         stamped with the LSN the shipper has persisted and published for the
         view — what the journal actually covers — so a flush whose event the
         shipper has not handled yet still applies when its batch arrives.  A
-        view that is not materialized right now (dropped, or invalidated and
-        not yet rebuilt) answers with a drop batch: the consumer must stop
-        serving it rather than crash its whole catch-up.
+        view that is not materialized answers with a drop batch: the consumer
+        must stop serving it rather than crash its whole catch-up.
         """
         if not self.manager.is_materialized(view_name):
             return ShipmentBatch(
@@ -355,13 +334,6 @@ class JournalShipper:
             self.batches_shipped += 1
         elif event.kind == "truncate":
             self._publish_snapshot(event.view_name)
-        elif event.kind == "drop":
-            self.journal_store.record_drop(event.view_name, event.revision)
-            self.shipped_views[event.view_name] = 0
-            self.bus.publish(ShipmentBatch(
-                kind="drop", view_name=event.view_name,
-                revision=event.revision, lsn=event.lsn,
-            ))
 
     def _delta_batch(
         self, view_name: str, revision: int, delta: ViewDelta, prev_lsn: int, lsn: int

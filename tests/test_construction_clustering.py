@@ -93,15 +93,6 @@ def test_isolated_records_become_singletons():
     assert clusters == [{"a"}]
 
 
-def test_disagreement_objective():
-    a, b, c = record("a"), record("b"), record("c")
-    graph = build_linkage_graph([scored(a, b, 0.95), scored(a, c, 0.05)])
-    perfect = [{"a", "b"}, {"c"}]
-    bad = [{"a", "c"}, {"b"}]
-    assert graph.disagreement(perfect) == 0
-    assert graph.disagreement(bad) == 2
-
-
 def test_clustering_is_deterministic_for_fixed_seed(monkeypatch):
     records = [record(f"r{i}") for i in range(6)]
     pairs = [scored(records[i], records[i + 1], 0.95) for i in range(5)]

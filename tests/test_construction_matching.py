@@ -3,21 +3,17 @@
 import pytest
 
 from repro.construction.matching import (
-    LearnedMatcher,
-    MatcherRegistry,
     RuleBasedMatcher,
     ScoredPair,
     best_name_similarity,
     date_agreement,
     default_features,
-    feature_vector,
     score_pairs,
     shared_predicate_agreement,
     type_compatibility,
 )
 from repro.construction.pairs import CandidatePair
 from repro.construction.records import LinkableRecord
-from repro.errors import LinkingError
 from repro.model.ontology import default_ontology
 
 
@@ -74,52 +70,12 @@ def test_rule_based_matcher_scores_are_calibrated(onto):
     assert different < fuzzy < exact
 
 
-def test_learned_matcher_fits_and_beats_chance(onto):
-    features = default_features(onto)
-    positives = [
-        (record(f"s:{i}", f"Artist {i}", genre="pop", birth_date="1980"),
-         record(f"k:{i}", f"Artist {i}", genre="pop", birth_date="1980", is_kg=True))
-        for i in range(10)
-    ]
-    negatives = [
-        (record(f"s:{i}", f"Artist {i}"), record(f"k:{i+50}", f"Other {i+50}", is_kg=True))
-        for i in range(10)
-    ]
-    pairs = positives + negatives
-    labels = [1] * 10 + [0] * 10
-    matcher = LearnedMatcher(features).fit(pairs, labels)
-    metrics = matcher.evaluate(pairs, labels)
-    assert metrics["f1"] > 0.8
-    assert matcher.score(*positives[0]) > matcher.score(*negatives[0])
-
-
-def test_learned_matcher_requires_fit_and_valid_data(onto):
-    matcher = LearnedMatcher(default_features(onto))
-    with pytest.raises(LinkingError):
-        matcher.score(record("a", "X"), record("b", "X"))
-    with pytest.raises(LinkingError):
-        matcher.fit([], [])
-    with pytest.raises(LinkingError):
-        matcher.fit([(record("a", "X"), record("b", "X"))], [1, 0])
-
-
-def test_feature_vector_shape(onto):
-    features = default_features(onto)
-    vector = feature_vector(features, record("a", "X"), record("b", "X"))
-    assert vector.shape == (len(features),)
-
-
-def test_matcher_registry_and_score_pairs(onto):
-    default = RuleBasedMatcher(default_features(onto))
-    strict = RuleBasedMatcher(default_features(onto), bias=-8.0)
-    registry = MatcherRegistry(default=default)
-    registry.register("movie", strict)
-    assert registry.matcher_for("movie") is strict
-    assert registry.matcher_for("person") is default
-
-    pair = CandidatePair(record("a", "Same Name"), record("b", "Same Name"))
-    movie_pair = CandidatePair(record("c", "Same Name", entity_type="movie"),
-                               record("d", "Same Name", entity_type="movie"))
-    scored = score_pairs([pair, movie_pair], registry)
-    assert isinstance(scored[0], ScoredPair)
+def test_score_pairs_scores_every_pair_with_the_matcher(onto):
+    matcher = RuleBasedMatcher(default_features(onto))
+    same = CandidatePair(record("a", "Same Name"), record("b", "Same Name"))
+    other = CandidatePair(record("c", "Same Name"), record("d", "Velvet Dreams"))
+    scored = score_pairs([same, other], matcher)
+    assert all(isinstance(item, ScoredPair) for item in scored)
+    assert [item.pair for item in scored] == [same, other]
+    assert scored[0].probability == matcher.score(same.left, same.right)
     assert scored[0].probability > scored[1].probability

@@ -124,27 +124,24 @@ def test_incremental_update_prefers_update_procedure():
     assert manager.states["incremental"].builds == 1
 
 
-def test_artifact_of_unmaterialized_view_raises_and_drop_works():
+def test_artifact_of_unmaterialized_view_raises():
     catalog = ViewCatalog()
-    dropped = []
-    catalog.register(ViewDefinition("v", "analytics", lambda ctx: 42,
-                                    drop=lambda ctx: dropped.append("v")))
+    catalog.register(ViewDefinition("v", "analytics", lambda ctx: 42))
     manager = make_manager(catalog)
     with pytest.raises(ViewError):
         manager.artifact("v")
     manager.materialize(["v"])
     assert manager.is_materialized("v")
-    manager.drop("v")
-    assert dropped == ["v"]
-    assert not manager.is_materialized("v")
+    assert manager.artifact("v") == 42
 
 
 def test_cycle_detection():
     catalog = ViewCatalog()
     catalog.register(ViewDefinition("a", "analytics", lambda ctx: 1))
     catalog.register(ViewDefinition("b", "analytics", lambda ctx: 1, dependencies=("a",)))
-    # registration is the only way in, and it refuses to close a cycle
-    with pytest.raises(ViewError, match="cycle"):
+    # registration is the only way in: a registered name cannot come back
+    # with new dependencies, and a new view cannot depend on itself
+    with pytest.raises(ViewError, match="already registered"):
         catalog.register(ViewDefinition("a", "analytics", lambda ctx: 1, dependencies=("b",)))
     with pytest.raises(ViewError, match="cycle"):
         catalog.register(ViewDefinition("c", "analytics", lambda ctx: 1, dependencies=("c",)))

@@ -36,7 +36,7 @@ from repro.errors import (
     OverloadedError,
     TenantIsolationError,
 )
-from repro.live.executor import QueryResult, QueryResultRow
+from repro.live.executor import QueryResult, QueryResultRow, RowValues
 from repro.live.planner import QueryPlanner
 from repro.model.entity import SourceEntity
 from repro.serving import (
@@ -278,6 +278,21 @@ def test_admission_queue_expires_stale_waiters_on_pop():
     assert queue.expirations == 1
     with pytest.raises(FrontDoorError):
         AdmissionQueue(capacity=0)
+
+
+def test_a_discarded_waiter_leaves_a_tombstone_and_counts_as_expired():
+    """The door discards a queued waiter whose own wait timed out or was
+    cancelled before a slot reached it."""
+    queue = AdmissionQueue(capacity=2)
+    gone = Waiter(priority=0, seq=1, tenant_id="t")
+    kept = Waiter(priority=1, seq=2, tenant_id="t")
+    queue.offer(gone, 0.1)
+    queue.offer(kept, 0.1)
+    assert queue.discard(gone) is True
+    assert queue.depth == 1 and gone.expired and queue.expirations == 1
+    assert queue.discard(gone) is False           # already left the queue
+    assert queue.pop_ready() == (kept, [])
+    assert queue.discard(kept) is False           # granted, not queued
 
 
 # ------------------------------------------------------------------ #
@@ -971,6 +986,7 @@ def test_result_rows_are_values_that_copy_and_pickle():
     row = QueryResultRow("e2", {"name": "Bob", "tags": ["a", "b"]}, witness)
     for twin in (copy.copy(row), copy.deepcopy(row), pickle.loads(pickle.dumps(row))):
         assert twin == row and twin.witness == witness
+        assert type(twin.values) is RowValues
         assert list(twin.values) == ["name", "tags"]
         with pytest.raises(TypeError):
             twin.values["name"] = "CORRUPTED"

@@ -123,8 +123,10 @@ def test_aligner_reports_unknown_entity_type():
     entity = SourceEntity(entity_id="src:1", entity_type="martian",
                           properties={"name": "Zork"}, source_id="src")
     aligned, report = aligner.align([entity])
-    assert "martian" in report.unknown_types
+    assert report.unknown_types == {"martian": 1}
     assert aligned[0].entity_type == "person"
+    report.note_unknown_type("martian")
+    assert report.unknown_types == {"martian": 2}
 
 
 def test_add_rename_convenience():

@@ -5,9 +5,7 @@ import pytest
 from repro.errors import IngestionError
 from repro.ingestion.delta import DeltaComputer
 from repro.ingestion.export import export_delta, export_entities
-from repro.ingestion.importers import InMemoryImporter
 from repro.ingestion.pipeline import IngestionHub, IngestionPipeline
-from repro.ingestion.transform import EntityTransformer
 from repro.model.delta import SourceDelta
 from repro.model.entity import SourceEntity
 
@@ -82,16 +80,9 @@ def test_export_delta_counts_triples():
 # --------------------------------------------------------------------- #
 # IngestionPipeline / IngestionHub
 # --------------------------------------------------------------------- #
-def test_pipeline_runs_rows_through_all_stages(ontology):
-    transformer = EntityTransformer(source_id="musicdb", id_column="id",
-                                    default_type="music_artist")
-    pipeline = IngestionPipeline("musicdb", ontology, transformer=transformer)
-    importer = InMemoryImporter([
-        {"id": "a1", "name": "Artist A", "genre": "pop"},
-        {"id": "a2", "name": "Artist B", "genre": "rock"},
-    ])
-    result = pipeline.run(importer)
-    assert result.integrity.passed == 2
+def test_pipeline_runs_entities_through_all_stages(ontology):
+    pipeline = IngestionPipeline("musicdb", ontology)
+    result = pipeline.run_entities([artist("musicdb:a1", "Artist A"), artist("musicdb:a2", "Artist B")])
     assert len(result.delta.added) == 2
     assert result.exported.triple_count() > 0
     summary = result.summary()
@@ -122,13 +113,6 @@ def test_pipeline_run_does_not_advance_until_committed(ontology):
     retried.commit()
     assert pipeline.delta_computer.last_timestamp("musicdb") == retried.timestamp
     assert pipeline.run_entities([]).delta.deleted == []
-
-
-def test_pipeline_raises_when_every_entity_is_rejected(ontology):
-    transformer = EntityTransformer(source_id="musicdb", id_column="id")
-    pipeline = IngestionPipeline("musicdb", ontology, transformer=transformer)
-    with pytest.raises(IngestionError):
-        pipeline.run_rows([{"name": "no id"}])
 
 
 def test_hub_registers_and_runs_sources(ontology):

@@ -85,6 +85,18 @@ def test_live_index_maintains_both_structures():
     assert live.upsert_many([doc("a", "A"), doc("b", "B")]) == 2
 
 
+def test_drop_feed_stops_serving_the_feed_and_forgets_its_watermark():
+    live = LiveIndex()
+    live.replace_feed("view:rows", [doc("r1", "Row One"), doc("r2", "Row Two")], lsn=4)
+    live.upsert(doc("g1", "Other game"))
+    assert live.watermark("view:rows") == 4
+    assert live.drop_feed("view:rows") == 2
+    assert live.feed_documents("view:rows") == set()
+    assert live.get("r1") is None and live.get("g1") is not None
+    assert live.watermark("view:rows") == 0
+    assert live.drop_feed("view:rows") == 0
+
+
 def test_replica_placement_is_process_stable():
     """Placement must not depend on PYTHONHASHSEED.
 

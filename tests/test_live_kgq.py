@@ -106,11 +106,14 @@ def test_virtual_operator_registry_expansion():
 
 def test_planner_pushes_down_name_equality():
     planner = QueryPlanner(default_virtual_operators())
-    plan = planner.plan(parse('MATCH country WHERE name = "Canada" AND population > 5 RETURN name'))
+    plan = planner.plan(
+        parse('MATCH country WHERE name = "Canada" AND population > 5 RETURN name LIMIT 3')
+    )
     assert isinstance(plan.seed, IndexLookup)
     assert plan.seed.predicate_path == ("name",)
     assert len(plan.filters) == 1
     assert "IndexLookup" in plan.explain()[0]
+    assert plan.explain()[-1] == plan.limit.describe() == "Limit(3)"
 
 
 def test_planner_falls_back_to_type_scan():

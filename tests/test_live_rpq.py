@@ -245,6 +245,29 @@ def test_interval_index_invalidated_by_shipped_mutations():
     assert rebuilt is not None and rebuilt is not interval
 
 
+def test_interval_index_survives_edges_of_other_predicates():
+    """The part_of encoding is stamped per predicate: a re-upsert that moves
+    only a performed_by edge keeps it, one that moves a part_of edge does not."""
+    index = LiveIndex()
+    index.upsert(_doc("album", part_of="label", performed_by="band"))
+    index.upsert(_doc("song", part_of="album"))
+    index.upsert(_doc("band"))
+    index.upsert(_doc("singer"))
+    interval = index.adjacency.interval_index("", "part_of")
+    assert interval is not None
+    builds = index.adjacency.interval_builds
+    index.upsert(_doc("album", part_of="label", performed_by="singer"))
+    assert index.adjacency.interval_index("", "part_of") is interval
+    assert index.adjacency.interval_builds == builds
+    index.delete("singer")                    # its document holds no edge
+    index.upsert(_doc("singer", performed_by="band"))
+    assert index.adjacency.interval_index("", "part_of") is interval
+    assert index.adjacency.interval_builds == builds
+    index.upsert(_doc("song", part_of="label"))
+    assert index.adjacency.interval_index("", "part_of") is not interval
+    assert index.adjacency.interval_builds == builds + 1
+
+
 def test_interval_index_refuses_cycles():
     index = LiveIndex()
     index.upsert(_doc("a", part_of="b"))

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import TrainingError
-from repro.ml.encoders import EncoderConfig, EncoderRegistry, StringEncoder
+from repro.ml.encoders import EncoderConfig, StringEncoder
 from repro.ml.training import (
     DistantSupervisionConfig,
     alias_groups_to_triplets,
-    evaluate_encoder_recall,
     train_string_encoder,
     typo_variants,
 )
@@ -91,14 +90,6 @@ def test_trained_encoder_separates_matches_from_non_matches(trained_encoder, wor
     assert np.mean(positive_scores) > np.mean(negative_scores)
 
 
-def test_evaluate_encoder_recall_metrics(trained_encoder):
-    positives = [("Robert Smith", "Bob Smith"), ("Jennifer Lee", "Jen Lee")]
-    negatives = [("Robert Smith", "Velvet Dreams")]
-    metrics = evaluate_encoder_recall(trained_encoder, positives, negatives, threshold=0.1)
-    assert set(metrics) == {"precision", "recall", "f1"}
-    assert 0.0 <= metrics["recall"] <= 1.0
-
-
 def test_state_dict_roundtrip(trained_encoder):
     state = trained_encoder.state_dict()
     restored = StringEncoder.from_state_dict(state)
@@ -106,12 +97,3 @@ def test_state_dict_roundtrip(trained_encoder):
         trained_encoder.similarity("Robert Smith", "Bob Smith")
     )
     assert restored.trained
-
-
-def test_encoder_registry():
-    registry = EncoderRegistry()
-    assert registry.get("name") is None
-    assert registry.similarity("name", "a", "b") == 0.0
-    registry.register("name", StringEncoder())
-    assert registry.get("name") is not None
-    assert registry.similarity("name", "abc", "abc") == pytest.approx(1.0, abs=1e-6)

@@ -7,7 +7,6 @@ from repro import SagaPlatform
 from repro.construction.object_resolution import ResolutionContext
 from repro.engine.importance import compute_importance
 from repro.engine.views import ViewDelta
-from repro.errors import NERDError
 from repro.ml.nerd import disambiguation
 from repro.ml.nerd import (
     Candidate,
@@ -181,25 +180,6 @@ def test_disambiguation_rejection_for_unknown_context(entity_view, monkeypatch):
     assert disambiguator.disambiguate(context, candidates).entity_id == record.entity_id
     monkeypatch.setattr(disambiguation, "REJECTION_THRESHOLD", score + 1e-6)
     assert disambiguator.disambiguate(context, candidates).rejected
-
-
-def test_disambiguator_fit_weak_supervision(entity_view, world):
-    records = entity_view.records()[:20]
-    examples = []
-    for record in records:
-        context = MentionContext(mention=record.names[0],
-                                 context_text=" ".join(n for _, n in record.relations[:3]))
-        examples.append((context, record, 1))
-        negative = records[(records.index(record) + 7) % len(records)]
-        examples.append((context, negative, 0))
-    model = ContextualDisambiguator().fit(examples, epochs=30)
-    assert model.trained
-    positive_context, positive_record, _ = examples[0]
-    assert model.score(positive_context, positive_record) > model.score(
-        positive_context, examples[1][1]
-    )
-    with pytest.raises(NERDError):
-        ContextualDisambiguator().fit([])
 
 
 # --------------------------------------------------------------------- #

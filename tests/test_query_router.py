@@ -837,12 +837,11 @@ def test_view_checksums_row_shape_and_metadata_lifecycle():
     assert digest == combine_checksums(checksums)
     # the digest is a pure read of the rows: asking again changes nothing
     assert manager.view_digest("profile_rows") == digest
-    # a dropped view has no rows left to digest
-    manager.drop("profile_rows")
-    with pytest.raises(ViewError):
-        manager.view_digest("profile_rows")
-    # non-row-shaped artifacts refuse row checksums
+    # an unmaterialized view has no rows to digest
     catalog.register(ViewDefinition("scalar", "analytics", create=lambda ctx: 42))
+    with pytest.raises(ViewError):
+        manager.view_digest("scalar")
+    # non-row-shaped artifacts refuse row checksums
     manager.materialize(["scalar"])
     with pytest.raises(ViewError):
         manager.view_rows_snapshot("scalar")

@@ -5,8 +5,7 @@ import pytest
 from repro import SagaPlatform
 from repro.datagen import evolve_source
 from repro.datagen.streams import LiveEvent
-from repro.ingestion import AlignmentConfig, PGF, EntityTransformer
-from repro.ingestion.importers import InMemoryImporter
+from repro.ingestion import AlignmentConfig, PGF
 from repro.ml.nerd import NERDEntityView
 from repro.model.entity import SourceEntity
 
@@ -153,14 +152,14 @@ def test_platform_source_onboarding_with_alignment():
         PGF("name", ("title",)),
         PGF("genre", ("category",)),
     ])
-    transformer = EntityTransformer(source_id="moviefeed", id_column="movie_id",
-                                    type_column="kind", default_type="movie")
-    platform.register_source("moviefeed", transformer=transformer, alignment=alignment)
-    importer = InMemoryImporter([
-        {"movie_id": "m1", "kind": "film", "title": "The Lost Kingdom", "category": "adventure"},
-        {"movie_id": "m2", "kind": "film", "title": "Silent Harbor", "category": "drama"},
+    platform.register_source("moviefeed", alignment=alignment)
+    report = platform.ingest_snapshot("moviefeed", [
+        SourceEntity(entity_id=f"moviefeed:{movie_id}", entity_type="film", source_id="moviefeed",
+                     properties={"title": title, "category": category})
+        for movie_id, title, category in [
+            ("m1", "The Lost Kingdom", "adventure"), ("m2", "Silent Harbor", "drama"),
+        ]
     ])
-    report = platform.ingest_importer("moviefeed", importer)
     assert report.linked_added == 2
     kg_id = platform.construction.link_table["moviefeed:m1"]
     assert platform.graph_engine.triples.value_of(kg_id, "genre") == "adventure"

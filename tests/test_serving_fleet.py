@@ -20,11 +20,13 @@ from repro.errors import (
     ReplicaUnavailableError,
     ServingError,
     StaleReadError,
+    ViewError,
 )
 from repro.serving import (
     Consistency,
     FileJournalBackend,
     InMemoryJournalBackend,
+    JournalRecord,
     JournalStore,
     ReplicaNode,
     ReplicationBus,
@@ -174,6 +176,8 @@ class TestJournalStore:
             '{"added": [], "deleted": [], "first_lsn": 4, "kind": "truncate", '
             '"last_lsn": 4, "revision": 3, "updated": [], "view": "w"}'
         ]
+        for line in backend.read_segment("v", 1) + backend.read_segment("w", 1):
+            assert JournalRecord.from_json(line).to_json() == line
         recovered = JournalStore(backend)
         assert recovered.deltas_since("v", 0) == delta(
             added=["a", "b"], updated=["u"], deleted=["c"], first_lsn=1, last_lsn=2
@@ -190,6 +194,14 @@ class TestJournalStore:
         assert recovered.view_names() == ["rows", "rows.v2"]
         assert recovered.deltas_since("rows", 0).added == frozenset({"x"})
         assert recovered.deltas_since("rows.v2", 0).added == frozenset({"y"})
+
+    def test_a_dropped_replica_checkpoint_is_gone_on_either_backend(self, tmp_path):
+        for backend in (InMemoryJournalBackend(), FileJournalBackend(tmp_path)):
+            store = JournalStore(backend)
+            store.save_replica_checkpoint("replica-1", {"v": 3}, {"v": 1})
+            store.drop_replica_checkpoint("replica-1")
+            assert JournalStore(backend).load_replica_checkpoint("replica-1") == ({}, {})
+            backend.drop_checkpoint("replica:replica-1")      # absent: a no-op
 
     def test_in_memory_backend_survives_store_restart(self):
         backend = InMemoryJournalBackend()
@@ -321,20 +333,6 @@ class TestShippingAndReplicas:
         assert node.index.feed_documents("view:rows") == {"rows:a", "rows:b"}
         fleet.stop()
 
-    def test_drop_unserves_the_view_on_replicas(self):
-        store, clock, manager = make_primary()
-        store["a"] = 1
-        manager.materialize()
-        fleet = ServingFleet(manager, num_replicas=1).start()
-        fleet.serve_view("rows")
-        assert fleet.drain()
-        manager.drop("rows")
-        assert fleet.drain()
-        node = fleet.replicas["replica-0"]
-        assert node.index.feed_documents("view:rows") == set()
-        assert node.applied_lsn("rows") == 0
-        fleet.stop()
-
     def test_crash_restart_catches_up_from_persisted_journal(self, tmp_path):
         journal = JournalStore(FileJournalBackend(tmp_path))
         store, clock, manager = make_primary()
@@ -394,22 +392,33 @@ class TestShippingAndReplicas:
         assert node.applied_lsn("rows") == clock["lsn"]
         fleet.stop()
 
-    def test_restart_after_view_drop_unserves_instead_of_crashing(self):
-        """Regression: a dropped view must not abort a replica restart — the
-        catch-up answers with a drop batch, not a ViewError from artifact()."""
+    def test_restart_after_view_drop_unserves_instead_of_crashing(self, tmp_path):
+        """Regression: a replica checkpoint can name a view the primary has
+        not materialized (a new primary process has not built it yet); the
+        replica's restart must not abort on it: the catch-up answers with a
+        drop batch, not a ViewError from artifact()."""
         store, clock, manager = make_primary()
         store["a"] = 1
         manager.materialize()
-        fleet = ServingFleet(manager, num_replicas=2).start()
+        fleet = ServingFleet(
+            manager, num_replicas=1, journal_store=JournalStore(FileJournalBackend(tmp_path))
+        ).start()
         fleet.serve_view("rows")
         assert fleet.drain()
-        fleet.kill_replica("replica-1")
-        manager.drop("rows")
-        caught_up = fleet.restart_replica("replica-1")
-        assert caught_up == ["rows"]
-        node = fleet.replicas["replica-1"]
-        assert node.index.feed_documents("view:rows") == set()
+        fleet.stop()
+        # a new primary process: "rows" is registered but not yet built
+        store, clock, manager = make_primary()
+        journal = JournalStore(FileJournalBackend(tmp_path))
+        assert journal.load_replica_checkpoint("replica-0")[0] == {"rows": 1}
+        fleet = ServingFleet(manager, num_replicas=1, journal_store=journal)
+        with pytest.raises(ViewError):
+            fleet.serve_view("rows")               # nothing built to ship
+        node = fleet.replicas["replica-0"]
+        assert node.restart() == ["rows"]
+        assert not node.serves_view("rows")
         assert node.applied_lsn("rows") == 0
+        assert node.index.feed_documents("view:rows") == set()
+        assert journal.load_replica_checkpoint("replica-0") == ({}, {})
         fleet.stop()
 
     def test_stopped_fleet_detaches_from_the_manager(self):
@@ -445,31 +454,6 @@ class TestShippingAndReplicas:
             document = fleet.read("rows", f"e{i}", Consistency.any())
             assert document is not None, f"false miss for e{i}"
         assert fleet.replicas["replica-9"].serves_view("rows")
-        fleet.stop()
-
-    def test_reship_after_unship_window_forces_resync_not_stale_catchup(self):
-        """Regression: deltas flushed while a view was unshipped are never
-        persisted; re-shipping must re-baseline the journal so a restarting
-        replica resyncs from the snapshot instead of catching up through the
-        hole and certifying stale rows as fresh."""
-        journal = JournalStore()
-        store, clock, manager = make_primary()
-        store["a"] = 2
-        manager.materialize()
-        fleet = ServingFleet(manager, num_replicas=2, journal_store=journal).start()
-        fleet.serve_view("rows")
-        assert fleet.drain()
-        fleet.kill_replica("replica-0")
-        fleet.shipper.unship_view("rows")
-        put(store, clock, manager, "a", 99)       # falls into the unshipped hole
-        manager.flush()
-        fleet.serve_view("rows")                  # re-ship: snapshot baseline
-        assert fleet.drain()
-        fleet.restart_replica("replica-0")
-        node = fleet.replicas["replica-0"]
-        assert node.get("rows", "a").value("value") == 99
-        assert node.applied_lsn("rows") == clock["lsn"]
-        assert node.snapshot_resyncs == 1         # the hole forced a snapshot
         fleet.stop()
 
     def test_journal_persist_failure_resyncs_the_chain_via_snapshot(self):

@@ -23,7 +23,8 @@ from repro.ml.similarity import (
     JaroWinklerMemo,
     _jaro_normalized,
     jaro_winkler_normalized,
-    monge_elkan_similarity,
+    monge_elkan_tokens,
+    tokens,
 )
 from repro.model import default_ontology
 from repro.model.delta import SourceDelta
@@ -104,7 +105,9 @@ def test_monge_elkan_matches_the_oracle_token_loop():
         second = " ".join(rng.choices(words, k=rng.randint(1, 4)))
         left = LinkableRecord("l", properties={"name": [first]})
         right = LinkableRecord("r", properties={"name": [second]})
-        assert monge_elkan_similarity(first, second) == oracle.name_token_overlap(left, right)
+        assert monge_elkan_tokens(tokens(first), tokens(second), JaroWinklerMemo()) == (
+            oracle.name_token_overlap(left, right)
+        )
 
 
 def test_linker_scores_equal_the_oracle_matcher(monkeypatch, source_suite):

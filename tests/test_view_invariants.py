@@ -1,6 +1,6 @@
 """Property-based view-invariant suite (seeded operation sequences).
 
-Random interleavings of enqueue / flush / delete / drop / re-register /
+Random interleavings of enqueue / flush / delete / revive /
 re-materialize are replayed against a model store, and after every flush the
 suite asserts the four core invariants of incremental view maintenance:
 
@@ -8,14 +8,14 @@ suite asserts the four core invariants of incremental view maintenance:
    rebuild from current store state, whether it was maintained through
    ``apply_delta`` or ``create``.
 2. **Monotonicity** — ``built_at_lsn`` never moves backwards within one state
-   lineage (a drop / re-registration starts a new revision).
+   lineage (each view has one revision per manager).
 3. **No ghosts** — no view serves rows for deleted entities.
 4. **Accounting** — skip counters plus rebuild counters sum to the total
    maintenance decisions the flushes made.
 5. **Journal sufficiency** — a replica that keeps ``alpha_rows`` current by
    pulling catch-ups from the persisted ``JournalStore`` alone serves exactly
    what a fresh snapshot load serves, and every catch-up rides a delta
-   unless the view was rebuilt or redefined in between — although the
+   unless the view was rebuilt in between — although the
    journal names only the rows that changed: writes that leave a row as it
    was (the ``touch`` op) are journaled as nothing.
 
@@ -225,14 +225,10 @@ class JournalConsumer:
         manager, name, node = self.manager, self.name, self.node
         snapshots, applied = node.snapshot_resyncs, node.applied_lsn(name)
         node.resync(name)
-        if not manager.is_materialized(name):
-            assert served_digests(node, name) == {} and not node.serves_view(name)
-            self.lineage = None
-            return
         state = manager.states[name]
         lineage = (state.revision, state.builds)
         if lineage == self.lineage and applied > 0:
-            # neither rebuilt nor redefined since the last catch-up (and not
+            # not rebuilt since the last catch-up (and not
             # still at LSN 0, which reads as "never applied"): a delta
             assert node.snapshot_resyncs == snapshots, name
         self.lineage = lineage
@@ -282,9 +278,6 @@ def test_random_op_sequences_preserve_view_invariants(op_seed):
     consumer = JournalConsumer(manager, "alpha_rows")
     expected_decisions = 0
 
-    def any_materialized():
-        return any(manager.is_materialized(n) for n in catalog.names())
-
     def enqueue(changed=(), deleted=(), added=()):
         clock["lsn"] += 1
         manager.enqueue(delta_at(
@@ -293,9 +286,9 @@ def test_random_op_sequences_preserve_view_invariants(op_seed):
 
     for _ in range(rng.randint(25, 45)):
         op = rng.choices(
-            ["add", "update", "touch", "retype", "delete", "revive", "flush", "drop",
-             "rematerialize", "reregister"],
-            weights=[18, 18, 10, 10, 15, 8, 25, 4, 8, 3],
+            ["add", "update", "touch", "retype", "delete", "revive", "flush",
+             "rematerialize"],
+            weights=[18, 18, 10, 10, 15, 8, 25, 8],
         )[0]
         if op == "add":
             counter += 1
@@ -335,18 +328,9 @@ def test_random_op_sequences_preserve_view_invariants(op_seed):
                 )
             manager.flush()
             check_invariants(store, catalog, manager, watermark_history, consumer)
-        elif op == "drop":
-            name = rng.choice(catalog.names())
-            if manager.is_materialized(name):
-                manager.drop(name)
         elif op == "rematerialize":
             manager.materialize()
             check_invariants(store, catalog, manager, watermark_history, consumer)
-        elif op == "reregister":
-            # swap in an equivalent definition: resets the view + dependents
-            fresh_catalog, _, _ = build_harness(store)
-            name = rng.choice(["alpha_rows", "beta_rows", "gamma_rows"])
-            catalog.register(fresh_catalog.get(name))
 
     # drain whatever is still pending, then check everything one last time
     if manager.pending_changes():

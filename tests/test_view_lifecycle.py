@@ -1,4 +1,4 @@
-"""View lifecycle tests: drop cascades, re-registration, LSN watermarks,
+"""View lifecycle tests: one registration per name, LSN watermarks,
 selective maintenance closures, batched flushing, and live serving freshness
 (view artifacts on a one-replica fleet)."""
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine.graph_engine import GraphEngine
 from repro.engine.views import ViewCatalog, ViewDefinition, ViewDelta, ViewManager
-from repro.errors import ReplicaUnavailableError, StaleReadError, ViewError
+from repro.errors import StaleReadError, ViewError
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
 from repro.serving import Consistency, ServingFleet
@@ -17,9 +17,8 @@ def triple(subject, predicate, obj, source="wiki"):
                           provenance=Provenance.from_source(source, 0.9))
 
 
-def make_chain_catalog(calls, dropped=None):
-    """base -> shared -> (left, right); creates append to *calls*, drops to *dropped*."""
-    dropped = dropped if dropped is not None else []
+def make_chain_catalog(calls):
+    """base -> shared -> (left, right); creates append to *calls*."""
     catalog = ViewCatalog()
 
     def register(name, dependencies=(), value=1):
@@ -31,14 +30,13 @@ def make_chain_catalog(calls, dropped=None):
 
         catalog.register(ViewDefinition(
             name, "analytics", create=create, dependencies=dependencies,
-            drop=lambda ctx, name=name: dropped.append(name),
         ))
 
     register("base", value=[1, 2, 3])
     register("shared", dependencies=("base",), value=3)
     register("left", dependencies=("shared",), value=30)
     register("right", dependencies=("shared",), value=4)
-    return catalog, dropped
+    return catalog
 
 
 def make_manager(catalog, lsn_source=lambda: 0):
@@ -52,33 +50,11 @@ def updated(ids, lsn):
 
 
 # ------------------------------------------------------------------ #
-# drop cascade
-# ------------------------------------------------------------------ #
-def test_drop_cascades_invalidation_to_transitive_dependents():
-    calls = []
-    catalog, dropped = make_chain_catalog(calls)
-    manager = make_manager(catalog)
-    manager.materialize()
-    removed = manager.drop("base")
-    assert set(removed) == {"base", "shared", "left", "right"}
-    # dependents are dropped first (reverse topological order)
-    assert dropped.index("left") < dropped.index("shared")
-    assert dropped.index("right") < dropped.index("shared")
-    assert dropped.index("shared") < dropped.index("base")
-    for name in ("base", "shared", "left", "right"):
-        assert not manager.is_materialized(name)
-        with pytest.raises(ViewError):
-            manager.artifact(name)
-    # invalidated dependents keep their counters for observability
-    assert manager.states["left"].invalidations == 1
-
-
-# ------------------------------------------------------------------ #
 # skipped-dependency fail-fast
 # ------------------------------------------------------------------ #
 def test_update_fails_fast_when_dependency_was_never_materialized():
     calls = []
-    catalog, _ = make_chain_catalog(calls)
+    catalog = make_chain_catalog(calls)
     manager = make_manager(catalog)
     manager.materialize()
     # simulate an operator wiping the dependency's materialization out-of-band
@@ -92,33 +68,22 @@ def test_update_fails_fast_when_dependency_was_never_materialized():
 # ------------------------------------------------------------------ #
 # re-registration
 # ------------------------------------------------------------------ #
-def test_reregistration_resets_state_of_view_and_dependents():
+def test_view_catalog_refuses_reregistration():
+    """A registered name keeps its definition: a second registration, with
+    or without new dependencies, is refused and changes neither the catalog
+    nor any view built from it."""
     calls = []
-    catalog, _ = make_chain_catalog(calls)
+    catalog = make_chain_catalog(calls)
     manager = make_manager(catalog)
     manager.materialize()
-    assert manager.artifact("shared") == 3
-    catalog.register(ViewDefinition("shared", "analytics",
-                                    create=lambda ctx: "redefined",
-                                    dependencies=("base",)))
-    for name in ("shared", "left", "right"):
-        assert not manager.is_materialized(name)
-        with pytest.raises(ViewError):
-            manager.artifact(name)
-    assert manager.is_materialized("base")        # untouched by the redefinition
-    manager.materialize(["shared"])
-    assert manager.artifact("shared") == "redefined"
-
-
-def test_reregistration_that_closes_a_cycle_is_refused():
-    calls = []
-    catalog, _ = make_chain_catalog(calls)
-    with pytest.raises(ViewError, match="cycle"):
-        catalog.register(ViewDefinition("base", "analytics", lambda ctx: 1,
-                                        dependencies=("left",)))
-    # the failed re-registration must not have corrupted the catalog
+    for dependencies in ((), ("left",)):
+        with pytest.raises(ViewError, match="already registered"):
+            catalog.register(ViewDefinition("base", "analytics", lambda ctx: "redefined",
+                                            dependencies=dependencies))
     assert catalog.get("base").dependencies == ()
     assert catalog.execution_order(["left"]) == ["base", "shared", "left"]
+    assert manager.artifact("base") == [1, 2, 3]
+    assert all(manager.is_materialized(name) for name in ("base", "shared", "left", "right"))
 
 
 # ------------------------------------------------------------------ #
@@ -288,21 +253,20 @@ def test_deletions_resolve_through_pre_delete_scope_snapshots(ontology):
     assert engine.view_freshness() == {}
 
 
-def test_live_reloads_after_view_redefinition_at_same_lsn(served_engine, replica):
+def test_live_reloads_after_view_rebuild_at_same_lsn(served_engine, replica):
     engine, _ = served_engine
     fleet, node = replica
+    name = {"value": "v1"}
     engine.register_view(ViewDefinition(
-        "tiny", "analytics", create=lambda ctx: [{"subject": "kg:a1", "name": "v1"}],
+        "tiny", "analytics", create=lambda ctx: [{"subject": "kg:a1", "name": name["value"]}],
     ))
     engine.materialize_views(["tiny"])
     assert fleet.serve_view("tiny") == 1
     assert fleet.drain()
     assert node.get("tiny", "kg:a1").name == "v1"
     lsn = node.applied_lsn("tiny")
-    # redefine and rebuild without any new log records: same LSN, new data
-    engine.register_view(ViewDefinition(
-        "tiny", "analytics", create=lambda ctx: [{"subject": "kg:a1", "name": "v2"}],
-    ))
+    # rebuild without any new log records: same LSN, new data
+    name["value"] = "v2"
     engine.materialize_views(["tiny"])
     assert fleet.drain()
     assert node.get("tiny", "kg:a1").name == "v2"
@@ -443,23 +407,6 @@ def test_live_reload_removes_rows_that_left_the_artifact(served_engine, replica)
     assert node.applied_lsn("entity_features") == engine.log.head_lsn()
 
 
-def test_drop_view_cascade_via_graph_engine(ontology):
-    store = TripleStore([
-        triple("kg:a1", "type", "music_artist"),
-        triple("kg:a1", "name", "Echo Valley"),
-    ])
-    engine = GraphEngine(ontology)
-    engine.publish_store(store)
-    engine.register_standard_views()
-    engine.materialize_views()
-    removed = engine.drop_view("entity_features")
-    assert set(removed) == {"entity_features", "ranked_entity_index",
-                            "entity_neighbourhood"}
-    with pytest.raises(ViewError):
-        engine.view_artifact("entity_neighbourhood")
-    assert engine.view_manager.is_materialized("entity_importance")
-
-
 # ------------------------------------------------------------------ #
 # live serving freshness
 # ------------------------------------------------------------------ #
@@ -536,21 +483,6 @@ def test_live_serves_view_artifact_with_watermark_gating(served_engine, replica)
     fresh = fleet.read("entity_features", "kg:a1", Consistency.read_your_writes(head))
     assert fresh.value("fact_count") == document.value("fact_count") + 1
     assert fleet.status()["lag"] == {"entity_features": {"replica-0": 0}}
-
-
-def test_live_refuses_artifacts_of_dropped_views(served_engine, replica):
-    engine, _ = served_engine
-    fleet, node = replica
-    fleet.serve_view("entity_features")
-    assert fleet.drain()
-    engine.drop_view("entity_importance")              # cascades to features
-    assert fleet.drain()
-    assert node.index.feed_documents("view:entity_features") == set()
-    assert not node.serves_view("entity_features")
-    with pytest.raises(ReplicaUnavailableError):
-        fleet.read("entity_features", "kg:a1")
-    with pytest.raises(ViewError):
-        fleet.serve_view("entity_features")
 
 
 def test_live_rejects_non_row_shaped_artifacts(served_engine, replica):
