@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 class WatermarkMap(dict):
     """Monotonic name → LSN map; the one freshness primitive every layer shares.
 
-    Store replay progress, replica applied positions, and live-index feed
-    versions all track "this consumer reflects the log up to LSN n" — same
-    advance-if-greater, default-zero, lag-versus-head semantics.
+    Store replay progress and live-index feed versions (a replica's applied
+    positions are its index's view feeds) all track "this consumer reflects
+    the log up to LSN n" — same advance-if-greater, default-zero,
+    lag-versus-head semantics.  A whole-feed replacement sets its entry.
     """
 
     def advance(self, name: str, lsn: int) -> None:

@@ -333,14 +333,12 @@ class JournalEvent:
     maintained it and no output row changed — shipped copies advance their
     applied LSN without touching a row), or ``"truncate"`` (the
     view was rebuilt from scratch; history restarts at ``lsn`` and any
-    shipped copy must resync from the artifact).  ``revision`` identifies
-    the state lineage.
+    shipped copy must resync from the artifact).
     """
 
     kind: str
     view_name: str
     lsn: int
-    revision: int
     delta: ViewDelta | None = None
 
 
@@ -694,7 +692,6 @@ class ViewState:
     builds: int = 0
     delta_applies: int = 0         # maintenance runs through apply_delta
     skipped_updates: int = 0       # flushes that proved no rebuild was needed
-    revision: int = 0              # the state lineage, one per view per manager
 
 
 def _topological_order(definitions: dict[str, ViewDefinition]) -> tuple[str, ...]:
@@ -846,7 +843,6 @@ class ViewManager:
         self.delta_rows_journaled = 0    # entities across appended maintenance deltas
         self.noop_maintenance = 0        # incremental runs that changed no output row
         self._pending = _DeltaBatch()
-        self._revision_counter = 0
         self._scope_snapshots: dict[str, set[str]] = {}
         self._state_locks: dict[str, threading.Lock] = {}
         self._locks_guard = threading.Lock()
@@ -903,13 +899,7 @@ class ViewManager:
         artifact = definition.create(context)
         elapsed = time.perf_counter() - started
         context.artifacts[name] = artifact
-        state = self.states.get(name)
-        if state is None:
-            # Each view's state lineage gets its own revision, which shipped
-            # copies and the persisted journal carry with every LSN.
-            self._revision_counter += 1
-            state = ViewState(revision=self._revision_counter)
-            self.states[name] = state
+        state = self.states.setdefault(name, ViewState())
         with self._state_lock(name):
             state.materialized = True
             state.artifact = artifact
@@ -920,7 +910,6 @@ class ViewManager:
         # relative to any previously served version: history restarts here.
         self._emit_journal_event(JournalEvent(
             kind="truncate", view_name=name, lsn=state.built_at_lsn,
-            revision=state.revision,
         ))
         return elapsed
 
@@ -989,7 +978,6 @@ class ViewManager:
                     # view ("empty delta is a positive answer").
                     self._emit_journal_event(JournalEvent(
                         kind="advance", view_name=name, lsn=target_lsn,
-                        revision=state.revision,
                     ))
                 continue
             if state.built_at_lsn >= target_lsn:
@@ -1088,19 +1076,17 @@ class ViewManager:
             # delta-driven create may touch rows the delta does not name.
             self._emit_journal_event(JournalEvent(
                 kind="truncate", view_name=name, lsn=state.built_at_lsn,
-                revision=state.revision,
             ))
         elif journaled.is_empty():
             # Maintenance ran and no row moved: to every consumer this is the
             # watermark-only progress of an unaffected view.
             self._emit_journal_event(JournalEvent(
                 kind="advance", view_name=name, lsn=state.built_at_lsn,
-                revision=state.revision,
             ))
         else:
             self._emit_journal_event(JournalEvent(
                 kind="append", view_name=name, lsn=state.built_at_lsn,
-                revision=state.revision, delta=journaled,
+                delta=journaled,
             ))
         self.maintenance_decisions += 1
         self.maintenance_rebuilds += 1
@@ -1216,17 +1202,8 @@ class ViewManager:
         state = self.states.get(name)
         return state.built_at_lsn if state is not None else 0
 
-    def state_revision(self, name: str) -> int:
-        """Identifier of the view's state lineage (0 before its first build).
-
-        Shipped copies and the persisted journal carry it with every LSN, so
-        a consumer checks that history it holds belongs to this lineage.
-        """
-        state = self.states.get(name)
-        return state.revision if state is not None else 0
-
-    def view_rows_snapshot(self, name: str) -> tuple[int, int, dict[str, dict]]:
-        """Atomic ``(built_at_lsn, revision, subject → row copy)`` snapshot.
+    def view_rows_snapshot(self, name: str) -> tuple[int, dict[str, dict]]:
+        """Atomic ``(built_at_lsn, subject → row copy)`` snapshot.
 
         Taken under the view's state lock — the same lock maintenance
         commits hold — so a concurrent flush can neither mutate the rows
@@ -1241,11 +1218,10 @@ class ViewManager:
                 subject: dict(row)
                 for subject, row in rows_by_subject(self.artifact(name), name).items()
             }
-            state = self.states[name]
-            return state.built_at_lsn, state.revision, rows
+            return self.states[name].built_at_lsn, rows
 
     def view_digest(
-        self, name: str, snapshot: tuple[int, int, dict[str, dict]] | None = None
+        self, name: str, snapshot: tuple[int, dict[str, dict]] | None = None
     ) -> str:
         """One content digest over the view's rows.
 
@@ -1258,7 +1234,7 @@ class ViewManager:
         """
         if snapshot is None:
             snapshot = self.view_rows_snapshot(name)
-        _, _, rows = snapshot
+        _, rows = snapshot
         return combine_checksums(
             {subject: row_checksum(row) for subject, row in rows.items()}
         )

@@ -611,8 +611,11 @@ class LiveIndex:
     ) -> int:
         """Authoritatively replace every document of *feed* (snapshot load).
 
-        Documents that vanished from the feed stop being served; the feed's
-        watermark advances to *lsn*.  Returns the number of documents written.
+        Documents that vanished from the feed stop being served.  The whole
+        feed is replaced, so its watermark is set to *lsn* — not advanced:
+        the feed now reflects exactly that position, even one below the
+        position the replaced copy held.  Returns the number of documents
+        written.
         """
         fresh_ids: set[str] = set()
         written = 0
@@ -622,7 +625,7 @@ class LiveIndex:
             written += 1
         self.delete_many(self._feed_documents.get(feed, set()) - fresh_ids)
         self._feed_documents[feed] = fresh_ids
-        self.watermarks.advance(feed, lsn)
+        self.watermarks[feed] = lsn
         return written
 
     def apply_feed_delta(

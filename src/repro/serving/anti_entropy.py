@@ -42,9 +42,9 @@ from repro.live.index import document_checksum, view_row_document
 class ReplicaAudit:
     """One replica's verdict for one view in one audit pass.
 
-    ``ahead`` means the replica has applied past the LSN (or onto a newer
-    revision than) the audited primary snapshot — the audit raced a newer
-    flush, so the comparison would be meaningless; the next pass covers it.
+    ``ahead`` means the replica has applied past the LSN of the audited
+    primary snapshot — the audit raced a newer flush, so the comparison
+    would be meaningless; the next pass covers it.
     """
 
     replica: str
@@ -65,7 +65,7 @@ class ReplicaAudit:
 class AuditReport:
     """Outcome of auditing one view across the fleet.
 
-    ``primary_lsn`` / ``revision`` / ``rows`` are the atomic primary
+    ``primary_lsn`` / ``rows`` are the atomic primary
     snapshot the audit ran against; repairs are built from exactly this
     snapshot so a flush landing between audit and repair can never be
     overwritten or watermarked away.
@@ -74,7 +74,6 @@ class AuditReport:
     view_name: str
     primary_lsn: int
     rows_checked: int
-    revision: int = 0
     digest: str = ""            # row-level view digest of the snapshot
     replicas: list[ReplicaAudit] = field(default_factory=list)
     rows: dict[str, dict] = field(default_factory=dict, repr=False)
@@ -122,19 +121,16 @@ class AntiEntropyAuditor:
         LSN.
         """
         manager = self.fleet.manager
-        primary_lsn, revision, rows = manager.view_rows_snapshot(view_name)
+        primary_lsn, rows = manager.view_rows_snapshot(view_name)
         expected = self._expected_checksums(view_name, rows)
         # The report's digest goes through the one canonical definition
         # (ViewManager.view_digest).  The document-level map above is the
         # replica comparison currency, not the recorded digest.
-        digest = manager.view_digest(
-            view_name, snapshot=(primary_lsn, revision, rows)
-        )
+        digest = manager.view_digest(view_name, snapshot=(primary_lsn, rows))
         report = AuditReport(
             view_name=view_name,
             primary_lsn=primary_lsn,
             rows_checked=len(expected),
-            revision=revision,
             digest=digest,
             rows=rows,
         )
@@ -148,29 +144,24 @@ class AntiEntropyAuditor:
                                                     primary_lsn=primary_lsn))
                 continue
             applied = node.applied_lsn(view_name)
-            replica_revision = node.revisions.get(view_name, 0)
-            if applied < primary_lsn or replica_revision < revision:
-                # Behind the audited LSN range, or serving an older state
-                # lineage (one whose snapshot batch it missed):
-                # lag, not divergence — a catch-up resync closes either
-                # (the revision mismatch makes catchup answer a snapshot).
+            if applied < primary_lsn:
+                # Behind the audited LSN range: lag, not divergence — a
+                # catch-up resync closes it.
                 report.replicas.append(ReplicaAudit(
                     replica=name, status="lagging",
                     applied_lsn=applied, primary_lsn=primary_lsn,
                 ))
                 continue
-            if applied > primary_lsn or replica_revision > revision:
-                # Past the audited snapshot (a flush or a new lineage landed
-                # after it was taken): comparing would read false divergence.
+            if applied > primary_lsn:
+                # Past the audited snapshot (a flush landed after it was
+                # taken): comparing would read false divergence.
                 # The next pass audits the newer state.
                 report.replicas.append(ReplicaAudit(
                     replica=name, status="ahead",
                     applied_lsn=applied, primary_lsn=primary_lsn,
                 ))
                 continue
-            verdict = node.checksum_divergence(
-                view_name, expected, at_lsn=primary_lsn, at_revision=revision
-            )
+            verdict = node.checksum_divergence(view_name, expected, at_lsn=primary_lsn)
             if verdict is None:
                 # A batch applied between the watermark check above and the
                 # locked comparison: the node moved past the snapshot.
@@ -255,7 +246,7 @@ class AntiEntropyAuditor:
             # replica past delta batches shipped after the audit.
             batch = self.fleet.shipper.repair_batch(
                 report.view_name, subjects, prev_lsn=audit.applied_lsn,
-                snapshot=(report.primary_lsn, report.revision, report.rows),
+                snapshot=(report.primary_lsn, report.rows),
             )
             if node.apply_repair(batch):
                 self.rows_repaired += len(subjects)

@@ -23,9 +23,11 @@ whole segments that every fleet consumer has already applied — it never
 splits a segment, and it advances the floor so a consumer that somehow fell
 behind the truncation point gets an explicit
 :class:`~repro.errors.JournalGapError` instead of a silently incomplete
-delta.  Per-view floors/revisions and per-replica applied-LSN checkpoints are
-persisted through the same backend, so both sides of the catch-up protocol
-survive a restart.
+delta.  Per-view floors and per-replica checkpoints (the views each replica
+serves, with their applied LSNs) are persisted through the same backend, so
+both sides of the catch-up protocol survive a restart.  The LSN is the only
+ordering either side compares; a line or checkpoint persisted with keys this
+format no longer writes still loads, those keys ignored.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ class JournalRecord:
 
     view_name: str
     kind: str                    # "delta" | "truncate"
-    revision: int
     delta: ViewDelta = ViewDelta()
 
     def to_json(self) -> str:
@@ -62,7 +63,6 @@ class JournalRecord:
             {
                 "view": self.view_name,
                 "kind": self.kind,
-                "revision": self.revision,
                 "first_lsn": delta.first_lsn,
                 "last_lsn": delta.last_lsn,
                 "added": sorted(delta.added),
@@ -79,7 +79,6 @@ class JournalRecord:
         return cls(
             view_name=data["view"],
             kind=data["kind"],
-            revision=int(data["revision"]),
             delta=ViewDelta(
                 added=frozenset(data.get("added", ())),
                 updated=frozenset(data.get("updated", ())),
@@ -249,8 +248,8 @@ class JournalStore:
     The store records the ``append`` / ``truncate`` events of
     every shipped view into the backend and answers "what changed since LSN
     *n*" (``deltas_since``) across process restarts.  A fresh store over a
-    non-empty backend recovers every view's segments, floor, and revision
-    before serving reads.
+    non-empty backend recovers every view's segments and floor before serving
+    reads.
     """
 
     def __init__(self, backend: JournalBackend | None = None, segment_records: int = 64) -> None:
@@ -260,7 +259,6 @@ class JournalStore:
         self.segment_records = segment_records
         self._segments: dict[str, list[tuple[int, list[JournalRecord]]]] = {}
         self._floors: dict[str, int] = {}
-        self._revisions: dict[str, int] = {}
         self.appends = 0
         self.truncations = 0
         self.recovered_records = 0
@@ -269,25 +267,21 @@ class JournalStore:
     # -------------------------------------------------------------- #
     # recording (primary side)
     # -------------------------------------------------------------- #
-    def append_delta(self, view_name: str, revision: int, delta: ViewDelta) -> JournalRecord:
+    def append_delta(self, view_name: str, delta: ViewDelta) -> JournalRecord:
         """Persist one committed view delta; rolls segments when full."""
         if delta.is_empty():
             raise ServingError("refusing to persist an empty delta")
-        if self._revisions.get(view_name, revision) != revision:
-            # A new state lineage invalidates persisted history wholesale.
-            self._drop_view(view_name)
-        record = JournalRecord(view_name, "delta", revision, delta)
+        record = JournalRecord(view_name, "delta", delta)
         self._append(record)
         self.appends += 1
         return record
 
-    def record_truncate(self, view_name: str, revision: int, lsn: int) -> None:
+    def record_truncate(self, view_name: str, lsn: int) -> None:
         """The view was rebuilt from scratch: drop history, advance the floor."""
         self._drop_view(view_name)
         self._floors[view_name] = lsn
-        self._revisions[view_name] = revision
         self._append(JournalRecord(
-            view_name, "truncate", revision, ViewDelta(first_lsn=lsn, last_lsn=lsn)
+            view_name, "truncate", ViewDelta(first_lsn=lsn, last_lsn=lsn)
         ))
         self.truncations += 1
 
@@ -332,7 +326,7 @@ class JournalStore:
         consumer must resync from a snapshot instead of trusting a partial
         delta.
         """
-        if view_name not in self._revisions and view_name not in self._segments:
+        if view_name not in self._segments and view_name not in self._floors:
             return None
         floor = self._floors.get(view_name, 0)
         if lsn < floor:
@@ -343,10 +337,6 @@ class JournalStore:
                 if record.kind == "delta" and record.delta.last_lsn > lsn:
                     merged = merged.merge(record.delta)
         return merged
-
-    def revision_of(self, view_name: str) -> int:
-        """The state-lineage revision the persisted history belongs to."""
-        return self._revisions.get(view_name, 0)
 
     def floor_lsn(self, view_name: str) -> int:
         """The LSN below which persisted history is unavailable."""
@@ -362,7 +352,7 @@ class JournalStore:
 
     def view_names(self) -> list[str]:
         """Every view with persisted journal state."""
-        return sorted(set(self._segments) | set(self._revisions))
+        return sorted(set(self._segments) | set(self._floors))
 
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-view segment/record counters for fleet introspection."""
@@ -372,7 +362,6 @@ class JournalStore:
                 "records": sum(len(r) for _, r in self._segments.get(name, [])),
                 "floor_lsn": self._floors.get(name, 0),
                 "high_water_mark": self.high_water_mark(name),
-                "revision": self._revisions.get(name, 0),
             }
             for name in self.view_names()
         }
@@ -380,23 +369,14 @@ class JournalStore:
     # -------------------------------------------------------------- #
     # replica checkpoints
     # -------------------------------------------------------------- #
-    def save_replica_checkpoint(
-        self, replica_name: str, applied: dict[str, int], revisions: dict[str, int]
-    ) -> None:
-        """Durably record a replica's per-view applied LSNs and revisions."""
-        self.backend.write_checkpoint(
-            f"replica:{replica_name}",
-            {"applied": dict(applied), "revisions": dict(revisions)},
-        )
+    def save_replica_checkpoint(self, replica_name: str, applied: dict[str, int]) -> None:
+        """Durably record the views a replica serves and their applied LSNs."""
+        self.backend.write_checkpoint(f"replica:{replica_name}", {"applied": dict(applied)})
 
-    def load_replica_checkpoint(self, replica_name: str) -> tuple[dict[str, int], dict[str, int]]:
-        """A replica's persisted applied LSNs and revisions (empty when new)."""
-        payload = self.backend.read_checkpoint(f"replica:{replica_name}")
-        if payload is None:
-            return {}, {}
-        applied = {str(k): int(v) for k, v in payload.get("applied", {}).items()}
-        revisions = {str(k): int(v) for k, v in payload.get("revisions", {}).items()}
-        return applied, revisions
+    def load_replica_checkpoint(self, replica_name: str) -> dict[str, int]:
+        """A replica's persisted applied LSNs per view (empty when new)."""
+        payload = self.backend.read_checkpoint(f"replica:{replica_name}") or {}
+        return {str(k): int(v) for k, v in payload.get("applied", {}).items()}
 
     def drop_replica_checkpoint(self, replica_name: str) -> None:
         """Forget a replica's checkpoint (the replica left the fleet)."""
@@ -412,7 +392,6 @@ class JournalStore:
     def _save_meta(self, view_name: str) -> None:
         self.backend.write_checkpoint(self._meta_key(view_name), {
             "floor_lsn": self._floors.get(view_name, 0),
-            "revision": self._revisions.get(view_name, 0),
         })
 
     def _append(self, record: JournalRecord) -> None:
@@ -437,7 +416,6 @@ class JournalStore:
                 pass
             raise
         records.append(record)
-        self._revisions[record.view_name] = record.revision
         self._save_meta(record.view_name)
 
     def _drop_view(self, view_name: str) -> None:
@@ -458,10 +436,6 @@ class JournalStore:
                 self.recovered_records += len(records)
             if segments:
                 self._segments[view_name] = segments
-                self._revisions[view_name] = segments[-1][1][-1].revision if segments[-1][1] else 0
             meta = self.backend.read_checkpoint(self._meta_key(view_name))
             if meta is not None:
                 self._floors[view_name] = int(meta.get("floor_lsn", 0))
-                self._revisions[view_name] = int(
-                    meta.get("revision", self._revisions.get(view_name, 0))
-                )

@@ -10,17 +10,22 @@ degrades to lag, never to backpressure on the primary.
 
 Batches are chained by ``prev_lsn``; a replica whose applied LSN does not
 reach a delta batch's ``prev_lsn`` (missed shipment, crash, late
-subscription) or whose revision disagrees detects the **gap** and resyncs by
-pulling a catch-up batch from its ``resync_source`` (the shipper): a journal
-delta when persisted history covers the gap, a full snapshot otherwise.
+subscription), or that holds no copy of the view, detects the **gap** and
+resyncs by pulling a catch-up batch from its ``resync_source`` (the
+shipper): a journal delta when persisted history covers the gap, a full
+snapshot otherwise.
 
 Durability model: the node's index plays the role of the replica's local
-store and the checkpoint persisted through the
-:class:`~repro.serving.journal_store.JournalStore` records exactly what that
-store has applied (the checkpoint is written after every applied batch).  A
-*crash* (:meth:`kill`) loses the in-flight queue but not the applied state;
-:meth:`restart` reloads the checkpoint and catches up **from the persisted
-journal, starting at the last applied LSN** — no view artifact is rebuilt.
+store, and its feed watermarks are the one record of which views the node
+serves and at which LSN (:meth:`applied_lsn`, :meth:`serves_view`).  The
+checkpoint persisted through the
+:class:`~repro.serving.journal_store.JournalStore` after every applied batch
+names the views that store serves.  A *crash* (:meth:`kill`) loses the
+in-flight queue but not the index; :meth:`restart` catches every
+checkpointed view up **from the LSN the index holds**, through the persisted
+journal — no view artifact is rebuilt.  A fresh node under the same name (a
+new process) holds nothing, so each view it catches up arrives as a
+snapshot.
 
 Beyond point reads, every replica is a **query node**: it owns a
 :class:`~repro.live.planner.QueryPlanner` and
@@ -41,7 +46,6 @@ import threading
 import time
 from collections import deque
 
-from repro.engine.metadata import WatermarkMap
 from repro.errors import ReplicaUnavailableError, ServingError
 from repro.live.executor import QueryExecutor, QueryResult, join_results
 from repro.live.index import LiveIndex, document_checksum
@@ -70,8 +74,6 @@ class ReplicaNode:
             default_virtual_operators(), selectivity=self.index.seed_selectivity
         )
         self.executor = QueryExecutor(self.index)
-        self.applied = WatermarkMap()            # view -> applied LSN
-        self.revisions: dict[str, int] = {}      # view -> state lineage served
         self.resync_source = resync_source
         self.journal_store = journal_store
         self._queue: queue.Queue[ShipmentBatch | None] = queue.Queue(maxsize=queue_capacity)
@@ -147,23 +149,24 @@ class ReplicaNode:
         return dropped
 
     def restart(self, views: list[str] | None = None) -> list[str]:
-        """Recover after a crash: reload the checkpoint, catch up, serve again.
+        """Recover after a crash: catch up what the index holds, serve again.
 
-        The persisted checkpoint is authoritative for what the local store
-        reflects; every checkpointed view (or *views*, when given) is caught
-        up through the resync source **starting from its applied LSN** — a
-        journal replay, not an artifact rebuild, whenever persisted history
-        covers the gap.  Returns the views that were caught up.
+        Every view the persisted checkpoint names or the index serves (or
+        *views*, when given) is caught up through the resync source
+        **starting from the LSN the index holds** — a journal replay, not an
+        artifact rebuild, whenever persisted history covers the gap.  The
+        checkpoint contributes view names only: a fresh node holds no copy,
+        so its catch-up is a snapshot.  Returns the views that were caught up.
         """
-        if self.journal_store is not None:
-            applied, revisions = self.journal_store.load_replica_checkpoint(self.name)
-            for view_name, lsn in applied.items():
-                self.applied.advance(view_name, lsn)
-            self.revisions.update(revisions)
+        if views is None:
+            checkpointed = (
+                self.journal_store.load_replica_checkpoint(self.name)
+                if self.journal_store is not None else {}
+            )
+            views = sorted(set(checkpointed) | set(self._served()))
         self.start()
-        targets = views if views is not None else sorted(self.revisions)
         caught_up = []
-        for view_name in targets:
+        for view_name in views:
             if self.resync(view_name):
                 caught_up.append(view_name)
         return caught_up
@@ -212,9 +215,7 @@ class ReplicaNode:
         if self.resync_source is None:
             return False
         self.resyncs += 1
-        batch = self.resync_source.catchup_batch(
-            view_name, self.applied.of(view_name), self.revisions.get(view_name, 0)
-        )
+        batch = self.resync_source.catchup_batch(view_name, self.applied_lsn(view_name))
         if batch.kind == "snapshot":
             self.snapshot_resyncs += 1
         with self._apply_lock:
@@ -222,16 +223,19 @@ class ReplicaNode:
         return True
 
     def applied_lsn(self, view_name: str) -> int:
-        """The LSN this replica's copy of *view_name* reflects (0 when unserved)."""
-        return self.applied.of(view_name)
+        """The LSN this replica's copy of *view_name* reflects (0 when unserved).
+
+        Read from the index's feed watermark, the node's one record of it.
+        """
+        return self.index.watermarks.get(f"view:{view_name}", 0)
 
     def serves_view(self, view_name: str) -> bool:
-        """Whether this node has ever applied state for *view_name*.
+        """Whether this node's index holds a copy of *view_name*.
 
         The router skips non-serving nodes instead of reporting their empty
         index as a row miss.
         """
-        return view_name in self.revisions
+        return f"view:{view_name}" in self.index.watermarks
 
     def get(self, view_name: str, subject: str):
         """Point-read one served row document (None when not served here)."""
@@ -305,7 +309,6 @@ class ReplicaNode:
         view_name: str,
         expected: dict[str, str],
         at_lsn: int | None = None,
-        at_revision: int | None = None,
     ) -> tuple[list[str], list[str], list[str]] | None:
         """Compare served documents against primary checksums for one view.
 
@@ -315,18 +318,17 @@ class ReplicaNode:
         rows the primary has that this node lacks, rows this node serves that
         the primary dropped, and rows whose content digests disagree.  Runs
         under the apply lock so the audit never races a half-applied batch.
-        *at_lsn* / *at_revision* (when given) pin the comparison to the
-        state the checksums were audited at: if this node has applied a
-        batch since the caller's unlocked watermark check, the comparison
-        would misread fresh rows as divergence, so ``None`` is returned
-        instead — the caller treats it as "moved past the snapshot".
+        *at_lsn* (when given) pins the comparison to the LSN the checksums
+        were audited at: if this node has applied a batch since the caller's
+        unlocked watermark check, the comparison would misread fresh rows as
+        divergence, so ``None`` is returned instead — the caller treats it as
+        "moved past the snapshot".
         """
+        feed = f"view:{view_name}"
         with self._apply_lock:
-            if at_lsn is not None and self.applied.of(view_name) != at_lsn:
+            if at_lsn is not None and self.index.watermarks.get(feed) != at_lsn:
                 return None
-            if at_revision is not None and self.revisions.get(view_name) != at_revision:
-                return None
-            served = self.index.feed_documents(f"view:{view_name}")
+            served = self.index.feed_documents(feed)
             missing: list[str] = []
             mismatched: list[str] = []
             for subject, digest in expected.items():
@@ -350,18 +352,14 @@ class ReplicaNode:
         LSN the audit compared against, so the normal duplicate-suppression
         would drop them; ``force`` pushes them through the same delta-apply
         machinery.  A repair is only valid against the exact state it was
-        audited at: when this node has already applied past the batch's LSN
-        (or onto another revision) — a flush landed between audit and
-        repair — the stale repair is refused (returns ``False``; the next
-        audit pass re-compares against the newer state) rather than
-        regressing fresher rows.  The check and the apply share the apply
+        audited at: when this node no longer holds the view at the batch's
+        LSN — a flush landed between audit and repair — the stale repair is
+        refused (returns ``False``; the next audit pass re-compares against
+        the newer state) rather than regressing fresher rows.  The check and the apply share the apply
         lock, so a concurrent worker apply cannot slip between them.
         """
         with self._apply_lock:
-            if (
-                self.applied.of(batch.view_name) != batch.lsn
-                or self.revisions.get(batch.view_name) != batch.revision
-            ):
+            if self.index.watermarks.get(f"view:{batch.view_name}") != batch.lsn:
                 return False
             self._apply(batch, resyncing=True, force=True)
         self.divergence_repairs += 1
@@ -373,7 +371,7 @@ class ReplicaNode:
             "alive": self._alive,
             "documents": len(self.index),
             "queue_depth": self._queue.qsize(),
-            "applied_lsns": dict(self.applied),
+            "applied_lsns": self._served(),
             "batches_applied": self.batches_applied,
             "backpressure_drops": self.backpressure_drops,
             "gaps_detected": self.gaps_detected,
@@ -407,31 +405,20 @@ class ReplicaNode:
         feed = f"view:{batch.view_name}"
         if batch.kind == "drop":
             self.index.drop_feed(feed)
-            self.applied.pop(batch.view_name, None)
-            self.revisions.pop(batch.view_name, None)
             self._checkpoint()
             return
         if batch.kind == "snapshot":
+            # Replaces the whole feed, so its LSN is set, not advanced.
             self.index.replace_feed(feed, batch.documents(), batch.lsn)
-            # Snapshots may rewind across revisions: set, don't advance.
-            self.applied[batch.view_name] = batch.lsn
-            self.revisions[batch.view_name] = batch.revision
             self._commit()
             return
         # delta batch
-        applied = self.applied.of(batch.view_name)
-        if (
-            not force
-            and batch.lsn <= applied
-            and self.revisions.get(batch.view_name) == batch.revision
-        ):
+        applied = self.index.watermarks.get(feed)       # None: no copy held
+        if not force and applied is not None and batch.lsn <= applied:
             self.batches_skipped += 1            # duplicate / already covered
             return
-        if not resyncing and (
-            self.revisions.get(batch.view_name) != batch.revision
-            or batch.prev_lsn > applied
-        ):
-            # Missed a shipment (or never saw this lineage): resync instead
+        if not resyncing and (applied is None or batch.prev_lsn > applied):
+            # Missed a shipment (or holds no copy to extend): resync instead
             # of applying a delta onto a base it does not extend.
             self.gaps_detected += 1
             self.resync(batch.view_name)
@@ -446,8 +433,6 @@ class ReplicaNode:
             f"{batch.view_name}:{s}" for s in sorted(delta.changed) if s not in shipped
         )
         self.index.apply_feed_delta(feed, upserts, deleted_ids, batch.lsn)
-        self.applied.advance(batch.view_name, batch.lsn)
-        self.revisions[batch.view_name] = batch.revision
         # Watermark-only (advance) batches skip the checkpoint write: a
         # restart catch-up re-stamps the current watermark anyway, and a
         # per-flush no-op fsync per view per replica adds up fast.
@@ -458,8 +443,15 @@ class ReplicaNode:
         if persist:
             self._checkpoint()
 
+    def _served(self) -> dict[str, int]:
+        """view → applied LSN of every view feed the index holds."""
+        # Copied in one step: the apply worker may add or drop a feed.
+        return {
+            feed.removeprefix("view:"): lsn
+            for feed, lsn in list(self.index.watermarks.items())
+            if feed.startswith("view:")
+        }
+
     def _checkpoint(self) -> None:
         if self.journal_store is not None:
-            self.journal_store.save_replica_checkpoint(
-                self.name, dict(self.applied), dict(self.revisions)
-            )
+            self.journal_store.save_replica_checkpoint(self.name, self._served())

@@ -8,18 +8,19 @@ view is persisted to the :class:`~repro.serving.journal_store.JournalStore`
 :class:`ShipmentBatch` (the LSN-ranged entity delta plus the actual artifact
 rows for the changed entities) published on the :class:`ReplicationBus` to
 every subscribed replica.  From-scratch rebuilds ship as snapshot batches
-(the full row set; persisted history restarts), and drops ship as drop
-batches.
+(the full row set; persisted history restarts), and a catch-up for a view
+the primary has not materialized answers a drop batch.
 
-Batches are chained: each delta batch carries ``prev_lsn``, the LSN of the
-batch it extends.  A replica whose applied LSN does not reach ``prev_lsn``
-has missed a shipment (backpressure drop, crash, late subscription) and must
-resync — it pulls :meth:`JournalShipper.catchup_batch`, which serves the gap
-from the persisted journal when it reaches back far enough and falls back to
-a full snapshot otherwise.  A catch-up delta is stamped with the LSN the
-shipper has persisted and published for the view, never the manager's
-watermark: a flush that committed but whose event the shipper has not
-handled yet is not in the store, and its own batch must still apply.
+Batches are chained by LSN alone: each delta batch carries ``prev_lsn``, the
+LSN of the batch it extends.  A replica whose applied LSN does not reach
+``prev_lsn``, or that holds no copy of the view, has missed a shipment
+(backpressure drop, crash, late subscription) and must resync — it pulls
+:meth:`JournalShipper.catchup_batch`, which serves the gap from the persisted
+journal when it reaches back far enough and falls back to a full snapshot
+otherwise (always for a consumer with no copy).  A catch-up delta is stamped
+with the LSN the shipper has persisted and published for the view, never the
+manager's watermark: a flush that committed but whose event the shipper has
+not handled yet is not in the store, and its own batch must still apply.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class ShipmentBatch:
 
     kind: str
     view_name: str
-    revision: int
     lsn: int
     prev_lsn: int = 0
     delta: ViewDelta | None = None
@@ -190,17 +190,16 @@ class JournalShipper:
     def snapshot_batch(self, view_name: str) -> ShipmentBatch:
         """A full-row snapshot of the view's current artifact.
 
-        Rows, LSN and revision come from one atomic
+        Rows and LSN come from one atomic
         :meth:`~repro.engine.views.ViewManager.view_rows_snapshot`, whose
         row copies the batch keeps: replica workers read batches
         asynchronously and must not alias dicts a later flush may patch in
         place.
         """
-        lsn, revision, rows = self.manager.view_rows_snapshot(view_name)
+        lsn, rows = self.manager.view_rows_snapshot(view_name)
         return ShipmentBatch(
             kind="snapshot",
             view_name=view_name,
-            revision=revision,
             lsn=lsn,
             rows=tuple(rows.values()),
         )
@@ -208,7 +207,7 @@ class JournalShipper:
     def _publish_snapshot(self, view_name: str) -> ShipmentBatch:
         """Snapshot-resync subscribers and re-baseline the persisted journal."""
         batch = self.snapshot_batch(view_name)
-        self.journal_store.record_truncate(view_name, batch.revision, batch.lsn)
+        self.journal_store.record_truncate(view_name, batch.lsn)
         self.shipped_views[view_name] = batch.lsn
         self.bus.publish(batch)
         self.snapshots_shipped += 1
@@ -219,7 +218,7 @@ class JournalShipper:
         view_name: str,
         subjects: Sequence[str],
         prev_lsn: int,
-        snapshot: tuple[int, int, dict[str, dict]] | None = None,
+        snapshot: tuple[int, dict[str, dict]] | None = None,
     ) -> ShipmentBatch:
         """A targeted delta batch that re-ships only *subjects* from the primary.
 
@@ -227,7 +226,7 @@ class JournalShipper:
         for the named subjects (a subject with no row is a delete — the
         primary no longer serves it), so a diverged replica converges by
         rewriting exactly the diverged rows instead of absorbing a full
-        snapshot.  *snapshot* is the ``(lsn, revision, rows)`` the audit was
+        snapshot.  *snapshot* is the ``(lsn, rows)`` the audit was
         taken against (:meth:`~repro.engine.views.ViewManager.view_rows_snapshot`
         is taken when omitted): the batch is stamped with the **snapshot**
         LSN, never the live head — a repair must not advance the replica's
@@ -237,7 +236,7 @@ class JournalShipper:
         """
         if snapshot is None:
             snapshot = self.manager.view_rows_snapshot(view_name)
-        lsn, revision, snapshot_rows = snapshot
+        lsn, snapshot_rows = snapshot
         ordered = sorted(set(subjects))
         rows = {s: snapshot_rows[s] for s in ordered if s in snapshot_rows}
         delta = ViewDelta(
@@ -249,20 +248,20 @@ class JournalShipper:
         return ShipmentBatch(
             kind="delta",
             view_name=view_name,
-            revision=revision,
             lsn=lsn,
             prev_lsn=prev_lsn,
             delta=delta,
             rows=tuple(dict(row) for row in rows.values()),
         )
 
-    def catchup_batch(self, view_name: str, applied_lsn: int, revision: int) -> ShipmentBatch:
-        """The batch that brings a consumer at (*applied_lsn*, *revision*) current.
+    def catchup_batch(self, view_name: str, applied_lsn: int) -> ShipmentBatch:
+        """The batch that brings a consumer at *applied_lsn* current.
 
-        Serves a delta batch from the persisted journal when history reaches
-        back to *applied_lsn* under the same revision; a gap, a revision change,
-        or a view that is not being shipped (its persisted history is not
-        current) answers with a full snapshot instead.  The delta batch is
+        Serves a delta batch from the persisted journal when the view is
+        shipped, the consumer holds a copy (*applied_lsn* above 0) and
+        history reaches back to *applied_lsn*; a consumer with no copy, a
+        gap, or a view that is not being shipped (its persisted history is
+        not current) answers with a full snapshot instead.  The delta batch is
         stamped with the LSN the shipper has persisted and published for the
         view — what the journal actually covers — so a flush whose event the
         shipper has not handled yet still applies when its batch arrives.  A
@@ -272,22 +271,16 @@ class JournalShipper:
         if not self.manager.is_materialized(view_name):
             return ShipmentBatch(
                 kind="drop", view_name=view_name,
-                revision=self.manager.state_revision(view_name),
                 lsn=self.manager.built_at_lsn(view_name),
             )
         shipped_lsn = self.shipped_views.get(view_name)
-        if (
-            shipped_lsn is not None
-            and applied_lsn > 0
-            and revision == self.manager.state_revision(view_name)
-            and revision == self.journal_store.revision_of(view_name)
-        ):
+        if shipped_lsn is not None and applied_lsn > 0:
             try:
                 delta = self.journal_store.deltas_since(view_name, applied_lsn)
             except JournalGapError:
                 delta = None
             if delta is not None:
-                return self._delta_batch(view_name, revision, delta,
+                return self._delta_batch(view_name, delta,
                                          prev_lsn=applied_lsn, lsn=shipped_lsn)
         return self.snapshot_batch(view_name)
 
@@ -299,8 +292,7 @@ class JournalShipper:
             return
         if event.kind == "append":
             try:
-                self.journal_store.append_delta(event.view_name, event.revision,
-                                                event.delta)
+                self.journal_store.append_delta(event.view_name, event.delta)
             except Exception:
                 # Persisted history is now incomplete (the store poisoned
                 # its floor).  The live chain must not silently skip the
@@ -311,7 +303,7 @@ class JournalShipper:
                 self._publish_snapshot(event.view_name)
                 raise
             batch = self._delta_batch(
-                event.view_name, event.revision, event.delta,
+                event.view_name, event.delta,
                 prev_lsn=self.shipped_views[event.view_name], lsn=event.lsn,
             )
             self.shipped_views[event.view_name] = batch.lsn
@@ -326,7 +318,6 @@ class JournalShipper:
             self.bus.publish(ShipmentBatch(
                 kind="delta",
                 view_name=event.view_name,
-                revision=event.revision,
                 lsn=event.lsn,
                 prev_lsn=prev_lsn,
                 delta=ViewDelta(first_lsn=prev_lsn, last_lsn=event.lsn),
@@ -336,7 +327,7 @@ class JournalShipper:
             self._publish_snapshot(event.view_name)
 
     def _delta_batch(
-        self, view_name: str, revision: int, delta: ViewDelta, prev_lsn: int, lsn: int
+        self, view_name: str, delta: ViewDelta, prev_lsn: int, lsn: int
     ) -> ShipmentBatch:
         # Shallow-copied: replica workers read batches asynchronously and
         # must not alias dicts a later flush may patch in place.
@@ -349,7 +340,6 @@ class JournalShipper:
         return ShipmentBatch(
             kind="delta",
             view_name=view_name,
-            revision=revision,
             lsn=lsn,
             prev_lsn=prev_lsn,
             delta=delta,

@@ -457,6 +457,44 @@ def test_a_cancelled_queued_request_leaks_no_slot(deadline):
         door.close()
 
 
+def test_queued_requests_that_leave_before_a_slot_reaches_them_free_the_queue():
+    """A queued request whose deadline fires in real time, and one its caller
+    cancels, both leave the admission queue while the only slot is still
+    held: the queue is empty, both count as expirations, and the freed slot
+    goes to the next arrival rather than to either of them."""
+    door = make_door(max_concurrency=1, queue_capacity=4)
+    timed_out, cancelled = "MATCH alpha RETURN value", "MATCH alpha RETURN name"
+    try:
+        async def scenario():
+            # the test itself holds the only slot for as long as it likes
+            await door._acquire_slot(Priority.NORMAL, None, "acme")
+            expiring = asyncio.ensure_future(door.query(
+                "acme", timed_out, "profile_rows", deadline=0.05, use_cache=False))
+            waiting = asyncio.ensure_future(door.query(
+                "acme", cancelled, "profile_rows", use_cache=False))
+            await asyncio.sleep(0)
+            assert door.queue.depth == 2
+            (refused,) = await asyncio.gather(expiring, return_exceptions=True)
+            assert isinstance(refused, DeadlineExceededError)
+            assert door.queue.depth == 1
+            waiting.cancel()
+            await asyncio.gather(waiting, return_exceptions=True)
+            assert waiting.cancelled()
+            assert door.queue.depth == 0
+            assert door.queue.expirations == 2
+            door._release_slot()
+            assert door._in_flight == 0
+            follow_up = await asyncio.wait_for(door.query(
+                "acme", "MATCH alpha RETURN *", "profile_rows", use_cache=False), 10.0)
+            assert not follow_up.from_cache
+        asyncio.run(scenario())
+        assert door.fleet.query_router.executed == ["MATCH alpha RETURN *"]
+        assert door._in_flight == 0 and door.queue.depth == 0
+        assert door.metrics.tenant_snapshot("acme")["deadline_exceeded"] == 1
+    finally:
+        door.close()
+
+
 # ------------------------------------------------------------------ #
 # where a plan runs: every plan inline on the loop
 # ------------------------------------------------------------------ #

@@ -407,7 +407,7 @@ def test_query_router_equivalence_across_modes():
         for i in range(30)
     )
     batch = ShipmentBatch(
-        kind="snapshot", view_name="profile_rows", revision=1, lsn=5, rows=rows
+        kind="snapshot", view_name="profile_rows", lsn=5, rows=rows
     )
     router = ShardRouter(head_lsn_source=lambda: 5)
     nodes = [ReplicaNode(name).start() for name in ("r1", "r2", "r3")]

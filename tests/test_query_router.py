@@ -548,7 +548,7 @@ def assert_others_match_primary(fleet, manager, view_name, victim):
     feed = f"view:{view_name}"
     expected = {
         subject: document_checksum(view_row_document(view_name, feed, row, 0))
-        for subject, row in manager.view_rows_snapshot(view_name)[2].items()
+        for subject, row in manager.view_rows_snapshot(view_name)[1].items()
     }
     for name, node in fleet.replicas.items():
         if name != victim:
@@ -619,7 +619,7 @@ def test_audit_detects_exact_subjects_and_repair_converges():
         last = fleet.auditor.last_reports["profile_rows"]
         lsn, digest = last.primary_lsn, last.digest
         assert lsn == manager.built_at_lsn("profile_rows")
-        _, _, rows = manager.view_rows_snapshot("profile_rows")
+        _, rows = manager.view_rows_snapshot("profile_rows")
         assert digest == combine_checksums(
             {subject: row_checksum(row) for subject, row in rows.items()}
         )
@@ -663,33 +663,6 @@ def test_repair_is_stamped_at_the_audited_snapshot_not_the_live_head():
         fresh = fleet.auditor.audit_view("profile_rows")
         assert {audit.replica for audit in fresh.diverged()} == {"replica-0"}
         fleet.auditor.repair(fresh)
-        assert fleet.audit(repair=False)["profile_rows"].clean()
-        assert_fleet_matches_primary(fleet, manager)
-    finally:
-        fleet.stop()
-
-
-def test_stale_revision_replica_is_resynced_not_skipped():
-    """A replica stuck on an older state lineage at the same LSN (a missed
-    redefinition snapshot) is lagging — it must be resynced, never parked
-    as 'ahead' while serving old-definition rows forever."""
-    model = QueryModel()
-    seed_model(model, random.Random(47), count=8)
-    _, manager, _ = build_query_harness(model)
-    manager.materialize()
-    fleet = start_fleet(manager)
-    try:
-        node = fleet.replicas["replica-1"]
-        victim = sorted(model.entities)[0]
-        # simulate a missed redefinition: older revision, stale row content
-        node.revisions["profile_rows"] -= 1
-        corrupt_row(node, "profile_rows", victim, -1)
-        assert_others_match_primary(fleet, manager, "profile_rows", "replica-1")
-        report = fleet.auditor.audit_view("profile_rows")
-        assert {audit.replica for audit in report.lagging()} == {"replica-1"}
-        fleet.auditor.repair(report)
-        # the revision mismatch makes catch-up answer a full snapshot
-        assert node.snapshot_resyncs == 1
         assert fleet.audit(repair=False)["profile_rows"].clean()
         assert_fleet_matches_primary(fleet, manager)
     finally:
@@ -818,9 +791,8 @@ def test_view_checksums_row_shape_and_metadata_lifecycle():
     seed_model(model, random.Random(41), count=5)
     catalog, manager, _ = build_query_harness(model)
     manager.materialize()
-    lsn, revision, rows = manager.view_rows_snapshot("profile_rows")
+    lsn, rows = manager.view_rows_snapshot("profile_rows")
     assert lsn == manager.built_at_lsn("profile_rows")
-    assert revision == manager.state_revision("profile_rows")
     assert set(rows) == set(model.entities)
     checksums = {subject: row_checksum(row) for subject, row in rows.items()}
     # order-independent and content-sensitive

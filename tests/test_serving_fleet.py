@@ -96,9 +96,9 @@ def delta(added=(), updated=(), deleted=(), first_lsn=1, last_lsn=1):
 class TestJournalStore:
     def test_append_and_deltas_since_merge(self):
         store = JournalStore()
-        store.append_delta("v", 1, delta(added=["a"], first_lsn=1, last_lsn=1))
-        store.append_delta("v", 1, delta(updated=["a"], added=["b"], first_lsn=2, last_lsn=2))
-        store.append_delta("v", 1, delta(deleted=["b"], first_lsn=3, last_lsn=3))
+        store.append_delta("v", delta(added=["a"], first_lsn=1, last_lsn=1))
+        store.append_delta("v", delta(updated=["a"], added=["b"], first_lsn=2, last_lsn=2))
+        store.append_delta("v", delta(deleted=["b"], first_lsn=3, last_lsn=3))
         merged = store.deltas_since("v", 0)
         assert merged.added == frozenset({"a"})
         assert merged.deleted == frozenset({"b"})
@@ -109,8 +109,8 @@ class TestJournalStore:
 
     def test_truncate_raises_gap_below_floor(self):
         store = JournalStore()
-        store.append_delta("v", 1, delta(added=["a"], first_lsn=1, last_lsn=1))
-        store.record_truncate("v", 1, lsn=5)
+        store.append_delta("v", delta(added=["a"], first_lsn=1, last_lsn=1))
+        store.record_truncate("v", lsn=5)
         with pytest.raises(JournalGapError) as excinfo:
             store.deltas_since("v", 3)
         assert excinfo.value.view_name == "v"
@@ -120,7 +120,7 @@ class TestJournalStore:
     def test_segment_rolling_and_compaction_aware_truncation(self):
         store = JournalStore(segment_records=2)
         for lsn in range(1, 8):
-            store.append_delta("v", 1, delta(added=[f"e{lsn}"], first_lsn=lsn, last_lsn=lsn))
+            store.append_delta("v", delta(added=[f"e{lsn}"], first_lsn=lsn, last_lsn=lsn))
         assert store.stats()["v"]["segments"] == 4
         # every consumer reached LSN 4: the first two whole segments drop
         assert store.truncate_below("v", 4) == 2
@@ -132,64 +132,78 @@ class TestJournalStore:
         assert store.truncate_below("v", 100) == 1
         assert store.stats()["v"]["segments"] == 1
 
-    def test_revision_change_drops_stale_history(self):
-        store = JournalStore()
-        store.append_delta("v", 1, delta(added=["a"], first_lsn=1, last_lsn=1))
-        store.append_delta("v", 2, delta(added=["b"], first_lsn=2, last_lsn=2))
-        assert store.revision_of("v") == 2
-        assert store.deltas_since("v", 0).added == frozenset({"b"})
-
     def test_file_backend_recovery_across_restart(self, tmp_path):
         backend = FileJournalBackend(tmp_path, fsync=True)
         store = JournalStore(backend, segment_records=2)
         for lsn in range(1, 6):
-            store.append_delta("song_rows", 3, delta(added=[f"e{lsn}"],
+            store.append_delta("song_rows", delta(added=[f"e{lsn}"],
                                                      first_lsn=lsn, last_lsn=lsn))
         store.truncate_below("song_rows", 2)
-        store.save_replica_checkpoint("replica-0", {"song_rows": 4}, {"song_rows": 3})
+        store.save_replica_checkpoint("replica-0", {"song_rows": 4})
 
         # a new process: fresh store over the same directory
         recovered = JournalStore(FileJournalBackend(tmp_path), segment_records=2)
         assert recovered.recovered_records > 0
-        assert recovered.revision_of("song_rows") == 3
         assert recovered.floor_lsn("song_rows") == 2
         assert recovered.deltas_since("song_rows", 4).added == frozenset({"e5"})
         with pytest.raises(JournalGapError):
             recovered.deltas_since("song_rows", 1)
-        applied, revisions = recovered.load_replica_checkpoint("replica-0")
-        assert applied == {"song_rows": 4}
-        assert revisions == {"song_rows": 3}
+        assert recovered.load_replica_checkpoint("replica-0") == {"song_rows": 4}
 
     def test_persisted_line_format_is_stable(self, tmp_path):
         """A journal directory outlives the code that wrote it: the JSON line
         a record persists as, and the delta a line recovers to, stay fixed."""
         store = JournalStore(FileJournalBackend(tmp_path))
-        store.append_delta("v", 1, delta(added=["b", "a"], updated=["u"], deleted=["c"],
+        store.append_delta("v", delta(added=["b", "a"], updated=["u"], deleted=["c"],
                                          first_lsn=1, last_lsn=2))
-        store.record_truncate("w", 3, lsn=4)
+        store.record_truncate("w", lsn=4)
         backend = FileJournalBackend(tmp_path)
         assert backend.read_segment("v", 1) == [
             '{"added": ["a", "b"], "deleted": ["c"], "first_lsn": 1, "kind": "delta", '
-            '"last_lsn": 2, "revision": 1, "updated": ["u"], "view": "v"}'
+            '"last_lsn": 2, "updated": ["u"], "view": "v"}'
         ]
         assert backend.read_segment("w", 1) == [
             '{"added": [], "deleted": [], "first_lsn": 4, "kind": "truncate", '
-            '"last_lsn": 4, "revision": 3, "updated": [], "view": "w"}'
+            '"last_lsn": 4, "updated": [], "view": "w"}'
         ]
+        assert backend.read_checkpoint("view-meta:w") == {"floor_lsn": 4}
         for line in backend.read_segment("v", 1) + backend.read_segment("w", 1):
             assert JournalRecord.from_json(line).to_json() == line
         recovered = JournalStore(backend)
         assert recovered.deltas_since("v", 0) == delta(
             added=["a", "b"], updated=["u"], deleted=["c"], first_lsn=1, last_lsn=2
         )
-        assert recovered.floor_lsn("w") == 4 and recovered.revision_of("w") == 3
+        assert recovered.floor_lsn("w") == 4
+
+    def test_lines_and_checkpoints_of_the_older_format_still_recover(self, tmp_path):
+        """Journal lines, view meta and replica checkpoints written while the
+        format carried a per-view lineage number load with that key ignored."""
+        backend = FileJournalBackend(tmp_path)
+        old_line = (
+            '{"added": ["a"], "deleted": [], "first_lsn": 2, "kind": "delta", '
+            '"last_lsn": 3, "revision": 1, "updated": ["u"], "view": "v"}'
+        )
+        backend.append_line("v", 1, old_line)
+        backend.write_checkpoint("view-meta:v", {"floor_lsn": 1, "revision": 1})
+        backend.write_checkpoint(
+            "replica:replica-0", {"applied": {"v": 3}, "revisions": {"v": 1}}
+        )
+        recovered = JournalStore(backend)
+        assert recovered.recovered_records == 1
+        assert recovered.floor_lsn("v") == 1
+        assert recovered.deltas_since("v", 1) == delta(
+            added=["a"], updated=["u"], first_lsn=1, last_lsn=3
+        )
+        assert recovered.load_replica_checkpoint("replica-0") == {"v": 3}
+        # a line rewritten by this version drops the old key
+        assert '"revision"' not in JournalRecord.from_json(old_line).to_json()
 
     def test_file_backend_keeps_dot_prefixed_view_names_apart(self, tmp_path):
         """Regression: a view named 'a.b' must not shadow view 'a' in the
         segment-file namespace (the dot also separates the segment id)."""
         store = JournalStore(FileJournalBackend(tmp_path))
-        store.append_delta("rows", 1, delta(added=["x"], first_lsn=1, last_lsn=1))
-        store.append_delta("rows.v2", 1, delta(added=["y"], first_lsn=1, last_lsn=1))
+        store.append_delta("rows", delta(added=["x"], first_lsn=1, last_lsn=1))
+        store.append_delta("rows.v2", delta(added=["y"], first_lsn=1, last_lsn=1))
         recovered = JournalStore(FileJournalBackend(tmp_path))
         assert recovered.view_names() == ["rows", "rows.v2"]
         assert recovered.deltas_since("rows", 0).added == frozenset({"x"})
@@ -198,15 +212,15 @@ class TestJournalStore:
     def test_a_dropped_replica_checkpoint_is_gone_on_either_backend(self, tmp_path):
         for backend in (InMemoryJournalBackend(), FileJournalBackend(tmp_path)):
             store = JournalStore(backend)
-            store.save_replica_checkpoint("replica-1", {"v": 3}, {"v": 1})
+            store.save_replica_checkpoint("replica-1", {"v": 3})
             store.drop_replica_checkpoint("replica-1")
-            assert JournalStore(backend).load_replica_checkpoint("replica-1") == ({}, {})
+            assert JournalStore(backend).load_replica_checkpoint("replica-1") == {}
             backend.drop_checkpoint("replica:replica-1")      # absent: a no-op
 
     def test_in_memory_backend_survives_store_restart(self):
         backend = InMemoryJournalBackend()
         store = JournalStore(backend)
-        store.append_delta("v", 1, delta(added=["a"], first_lsn=1, last_lsn=1))
+        store.append_delta("v", delta(added=["a"], first_lsn=1, last_lsn=1))
         restarted = JournalStore(backend)
         assert restarted.deltas_since("v", 0).added == frozenset({"a"})
 
@@ -214,7 +228,7 @@ class TestJournalStore:
         with pytest.raises(ServingError):
             JournalStore(segment_records=0)
         with pytest.raises(ServingError):
-            JournalStore().append_delta("v", 1, delta())
+            JournalStore().append_delta("v", delta())
 
 
 # ------------------------------------------------------------------ #
@@ -409,7 +423,7 @@ class TestShippingAndReplicas:
         # a new primary process: "rows" is registered but not yet built
         store, clock, manager = make_primary()
         journal = JournalStore(FileJournalBackend(tmp_path))
-        assert journal.load_replica_checkpoint("replica-0")[0] == {"rows": 1}
+        assert journal.load_replica_checkpoint("replica-0") == {"rows": 1}
         fleet = ServingFleet(manager, num_replicas=1, journal_store=journal)
         with pytest.raises(ViewError):
             fleet.serve_view("rows")               # nothing built to ship
@@ -418,7 +432,44 @@ class TestShippingAndReplicas:
         assert not node.serves_view("rows")
         assert node.applied_lsn("rows") == 0
         assert node.index.feed_documents("view:rows") == set()
-        assert journal.load_replica_checkpoint("replica-0") == ({}, {})
+        assert journal.load_replica_checkpoint("replica-0") == {}
+        fleet.stop()
+
+    def test_restart_in_a_new_process_snapshots_instead_of_trusting_its_checkpoint(
+        self, tmp_path
+    ):
+        """Regression: a new primary process can build a view with other
+        content at the very LSN a replica of the same name checkpointed.  A
+        fresh node holds no copy, so its restart catches up through a
+        snapshot and serves exactly the primary's rows; an empty journal
+        delta at the checkpointed LSN was skipped as a duplicate, and the
+        node served no rows while claiming the primary's LSN."""
+        store, clock, manager = make_primary()
+        store["a"] = 1
+        manager.materialize()
+        fleet = ServingFleet(
+            manager, num_replicas=1, journal_store=JournalStore(FileJournalBackend(tmp_path))
+        ).start()
+        fleet.serve_view("rows")
+        assert fleet.drain()
+        assert fleet.replicas["replica-0"].applied_lsn("rows") == 1
+        fleet.stop()
+        # a new primary process builds "rows" with other content, also at LSN 1
+        store, clock, manager = make_primary()
+        store["b"] = 2
+        manager.materialize()
+        assert manager.built_at_lsn("rows") == 1
+        fleet = ServingFleet(
+            manager, num_replicas=1, journal_store=JournalStore(FileJournalBackend(tmp_path))
+        )
+        fleet.serve_view("rows")                   # the fresh node is not up yet
+        node = fleet.replicas["replica-0"]
+        assert node.restart() == ["rows"]
+        assert node.snapshot_resyncs == 1
+        assert node.batches_skipped == 0
+        assert node.applied_lsn("rows") == 1
+        assert node.index.feed_documents("view:rows") == {"rows:b"}
+        assert node.get("rows", "b").value("value") == 2
         fleet.stop()
 
     def test_stopped_fleet_detaches_from_the_manager(self):
@@ -470,11 +521,11 @@ class TestShippingAndReplicas:
         broken = {"armed": True}
         real_append = journal.append_delta
 
-        def failing_append(view_name, revision, delta_):
+        def failing_append(view_name, delta_):
             if broken["armed"]:
                 broken["armed"] = False
                 raise ServingError("disk full")
-            return real_append(view_name, revision, delta_)
+            return real_append(view_name, delta_)
 
         journal.append_delta = failing_append
         put(store, clock, manager, "a", 2)
@@ -504,7 +555,7 @@ class TestShippingAndReplicas:
         assert "replica-1" not in fleet.replicas
         assert fleet.router.healthy_replicas() == ["replica-0"]
         assert fleet.lag() == {"rows": {"replica-0": 0}}
-        assert fleet.journal_store.load_replica_checkpoint("replica-1") == ({}, {})
+        assert fleet.journal_store.load_replica_checkpoint("replica-1") == {}
         put(store, clock, manager, "a", 2)    # shipping continues without it
         manager.flush()
         assert fleet.drain()

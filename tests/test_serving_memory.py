@@ -100,7 +100,7 @@ def test_concurrent_appliers_decode_a_batch_once(monkeypatch):
 
     monkeypatch.setattr(shipping, "view_row_documents", counted)
     batch = ShipmentBatch(
-        kind="snapshot", view_name="v", revision=1, lsn=3,
+        kind="snapshot", view_name="v", lsn=3,
         rows=tuple({"subject": f"s{i}", "name": f"name {i}"} for i in range(300)),
     )
     seen = []

@@ -7,8 +7,7 @@ suite asserts the four core invariants of incremental view maintenance:
 1. **Equivalence** — every materialized artifact equals a from-scratch
    rebuild from current store state, whether it was maintained through
    ``apply_delta`` or ``create``.
-2. **Monotonicity** — ``built_at_lsn`` never moves backwards within one state
-   lineage (each view has one revision per manager).
+2. **Monotonicity** — a view's ``built_at_lsn`` never moves backwards.
 3. **No ghosts** — no view serves rows for deleted entities.
 4. **Accounting** — skip counters plus rebuild counters sum to the total
    maintenance decisions the flushes made.
@@ -211,7 +210,7 @@ class JournalConsumer:
     It subscribes to no bus: after every flush it pulls one catch-up batch
     (``ReplicaNode.resync``), which the shipper answers from its
     ``JournalStore`` — a delta while persisted history reaches back to the
-    replica's LSN under its revision, a snapshot otherwise.
+    replica's LSN, a snapshot otherwise.
     """
 
     def __init__(self, manager, name):
@@ -219,19 +218,18 @@ class JournalConsumer:
         self.shipper = JournalShipper(manager, ReplicationBus(), JournalStore())
         self.shipper.ship_view(name)
         self.node = ReplicaNode(f"{name}-consumer", resync_source=self.shipper)
-        self.lineage = None      # (revision, builds) the last catch-up served
+        self.builds = None       # the view's builds at the last catch-up
 
     def catch_up(self):
         manager, name, node = self.manager, self.name, self.node
         snapshots, applied = node.snapshot_resyncs, node.applied_lsn(name)
         node.resync(name)
         state = manager.states[name]
-        lineage = (state.revision, state.builds)
-        if lineage == self.lineage and applied > 0:
+        if state.builds == self.builds and applied > 0:
             # not rebuilt since the last catch-up (and not
             # still at LSN 0, which reads as "never applied"): a delta
             assert node.snapshot_resyncs == snapshots, name
-        self.lineage = lineage
+        self.builds = state.builds
         assert node.applied_lsn(name) == state.built_at_lsn
         fresh = ReplicaNode("fresh", resync_source=self.shipper)
         fresh.resync(name)                      # a new replica: snapshot load
@@ -251,10 +249,9 @@ def check_invariants(store, catalog, manager, watermark_history, consumer=None):
         # 3. no view serves rows for deleted entities
         if name.endswith("_rows"):
             assert set(manager.artifact(name)) <= set(store.entities), name
-        # 2. built_at_lsn monotone within one state lineage
-        key = (name, state.revision)
-        assert state.built_at_lsn >= watermark_history.get(key, 0), name
-        watermark_history[key] = state.built_at_lsn
+        # 2. built_at_lsn monotone
+        assert state.built_at_lsn >= watermark_history.get(name, 0), name
+        watermark_history[name] = state.built_at_lsn
     # 4. skip + rebuild counters account for every maintenance decision
     assert manager.maintenance_decisions == (
         manager.maintenance_skips + manager.maintenance_rebuilds
@@ -274,7 +271,7 @@ def test_random_op_sequences_preserve_view_invariants(op_seed):
         counter += 1
         store.entities[f"e{counter}"] = {"type": rng.choice(TYPES), "value": counter}
     manager.materialize()
-    watermark_history: dict[tuple, int] = {}
+    watermark_history: dict[str, int] = {}
     consumer = JournalConsumer(manager, "alpha_rows")
     expected_decisions = 0
 
@@ -626,7 +623,7 @@ def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
 def test_delta_journal_merge_and_compaction_semantics():
     journal = JournalStore(segment_records=2)
     for lsn in range(1, 8):
-        journal.append_delta("v", 1, ViewDelta(
+        journal.append_delta("v", ViewDelta(
             added=frozenset({f"e{lsn}"}),
             deleted=frozenset({f"e{lsn - 1}"}) if lsn > 1 else frozenset(),
             first_lsn=lsn, last_lsn=lsn,
@@ -643,7 +640,7 @@ def test_delta_journal_merge_and_compaction_semantics():
     assert merged.added == frozenset({"e7"})
     assert merged.deleted == frozenset({"e4", "e5", "e6"})
     # history below the floor is refused after a rebuild's truncation
-    journal.record_truncate("v", 1, lsn=10)
+    journal.record_truncate("v", lsn=10)
     with pytest.raises(JournalGapError):
         journal.deltas_since("v", 9)
     assert journal.deltas_since("v", 10).is_empty()
