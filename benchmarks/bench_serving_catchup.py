@@ -1,7 +1,7 @@
 """SERVCATCH — replica restart catch-up and routed read latency.
 
 The serving fleet's restart story (docs/serving.md): a crashed replica
-recovers by replaying the persisted delta journal from its last applied LSN,
+recovers by replaying the delta journal from the LSN its index holds,
 instead of re-applying a full snapshot of the view artifact.  This benchmark
 measures both paths on the benchmark KG — a crashed replica that missed a
 small delta burst catching up via journal replay, against the same state
@@ -65,11 +65,7 @@ def serving_env(ontology, bench_store):
     engine.publish_store(bench_store, source_id="reference")
     _register_song_rows(engine)
     engine.materialize_views()
-    fleet = ServingFleet(
-        engine.view_manager,
-        num_replicas=3,
-        head_lsn_source=engine.minimum_version,
-    ).start()
+    fleet = ServingFleet(engine.view_manager, num_replicas=3).start()
     fleet.serve_view("song_rows")
     assert fleet.drain()
     songs = sorted(

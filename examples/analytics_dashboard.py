@@ -29,7 +29,7 @@ from repro.engine.views import (
     ViewManager,
 )
 from repro.model.triples import ExtendedTriple
-from repro.serving import InMemoryJournalBackend, JournalStore, ServingFleet
+from repro.serving import ServingFleet
 
 LABELS = ("l_apex", "l_bolt", "l_crest")
 
@@ -165,10 +165,7 @@ def main() -> None:
         entity_source=lambda: list(artists) + list(labels),
     )
     serving_manager.materialize()
-    fleet = ServingFleet(
-        serving_manager, num_replicas=3,
-        journal_store=JournalStore(InMemoryJournalBackend()),
-    ).start()
+    fleet = ServingFleet(serving_manager, num_replicas=3).start()
     fleet.serve_view("artist_rows")
     fleet.serve_view("label_rows")
     fleet.drain()

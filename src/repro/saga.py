@@ -42,7 +42,6 @@ from repro.model.entity import SourceEntity
 from repro.model.ontology import Ontology, default_ontology
 from repro.serving.fleet import ServingFleet
 from repro.serving.frontdoor import FrontDoor, TenantRegistry
-from repro.serving.journal_store import FileJournalBackend, JournalStore
 
 
 @dataclass
@@ -258,34 +257,23 @@ class SagaPlatform:
         self,
         views: Sequence[str] = (),
         num_replicas: int = 3,
-        journal_dir: str | None = None,
-        queue_capacity: int = 256,
-        anti_entropy_interval: float | None = None,
     ) -> ServingFleet:
         """Start a replicated serving fleet over the Graph Engine's views.
 
         The fleet ships every named materialized row-shaped view to
-        *num_replicas* live replicas, persists delta journals (to segment
-        files under *journal_dir* when given, in memory otherwise), and
+        *num_replicas* live replicas, journals their deltas in memory, and
         routes reads with the same LSN currency the engine's metadata store
         uses.  It returns once every live replica serves every named view
         (:class:`~repro.errors.ServingError` when one does not in time), so
         the first query cannot arrive before the snapshots have.  Served
         views are read through the fleet itself — ``fleet.read`` for one row,
         ``fleet.query`` / ``fleet.join`` for KGQs (one query, one replica).
-        With *anti_entropy_interval* the fleet also runs periodic checksum
-        audits (with repair) on a background thread.
+        Periodic checksum audits start with ``fleet.start_anti_entropy``.
         """
         if self._fleet is not None:
             raise ServingError("a serving fleet is already running; stop it first")
-        backend = FileJournalBackend(journal_dir) if journal_dir is not None else None
-        engine = self.graph_engine
         fleet = ServingFleet(
-            engine.view_manager,
-            num_replicas=num_replicas,
-            journal_store=JournalStore(backend) if backend is not None else None,
-            head_lsn_source=engine.minimum_version,
-            queue_capacity=queue_capacity,
+            self.graph_engine.view_manager, num_replicas=num_replicas
         ).start()
         try:
             fleet.serve_views(views)
@@ -301,13 +289,10 @@ class SagaPlatform:
                 raise ServingError(
                     f"replicas did not apply their initial snapshots in time: {waiting}"
                 )
-            if anti_entropy_interval is not None:
-                fleet.start_anti_entropy(anti_entropy_interval)
         except Exception:
             # Atomic start: an unshippable view (unmaterialized, not
-            # row-shaped) or an invalid audit interval must not leave
-            # replica threads and a journal listener behind — and must not
-            # block a corrected retry.
+            # row-shaped) must not leave replica threads and a journal
+            # listener behind — and must not block a corrected retry.
             fleet.stop()
             raise
         self._fleet = fleet

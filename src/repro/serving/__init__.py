@@ -1,8 +1,8 @@
-"""Replicated serving fleet: persistent journals, shipping, routed reads.
+"""Replicated serving fleet: in-memory journals, shipping, routed reads.
 
 Turns the view/journal machinery of :mod:`repro.engine.views` into a
 replicated serving tier (see ``docs/serving.md``): the primary's committed
-view deltas are durably journaled (:class:`JournalStore`), shipped as
+view deltas are journaled (:class:`JournalStore`), shipped as
 LSN-ranged batches (:class:`JournalShipper` over a :class:`ReplicationBus`)
 to live replicas (:class:`ReplicaNode`) that apply them asynchronously, and
 reads are routed across the replicas by a fixed per-key preference order
@@ -28,13 +28,7 @@ from repro.serving.frontdoor import (
     TenantRegistry,
     TokenBucket,
 )
-from repro.serving.journal_store import (
-    FileJournalBackend,
-    InMemoryJournalBackend,
-    JournalBackend,
-    JournalRecord,
-    JournalStore,
-)
+from repro.serving.journal_store import JournalStore
 from repro.serving.query_router import QueryRouter
 from repro.serving.replica import ReplicaNode
 from repro.serving.router import ANY, Consistency, ShardRouter, stable_hash
@@ -46,11 +40,7 @@ __all__ = [
     "AntiEntropyAuditor",
     "AuditReport",
     "Consistency",
-    "FileJournalBackend",
     "FrontDoor",
-    "InMemoryJournalBackend",
-    "JournalBackend",
-    "JournalRecord",
     "JournalShipper",
     "JournalStore",
     "LatencyHistogram",

@@ -11,8 +11,8 @@ over the LSN range both sides agree on:
 
 * a replica whose applied LSN trails the primary's ``built_at_lsn`` is
   **lagging**, not diverged — its repair is a catch-up
-  :meth:`~repro.serving.replica.ReplicaNode.resync` through the persisted
-  journal (journal replay, snapshot only when history was lost);
+  :meth:`~repro.serving.replica.ReplicaNode.resync` through the journal
+  (journal replay, snapshot only when history was lost);
 * a replica at (or past) the primary watermark whose row digests disagree is
   **diverged** — its repair is a targeted
   :meth:`~repro.serving.shipping.JournalShipper.repair_batch` that re-ships

@@ -3,8 +3,9 @@
 :class:`ServingFleet` wires the serving subsystem end to end over one primary
 :class:`~repro.engine.views.ViewManager`:
 
-* a :class:`~repro.serving.journal_store.JournalStore` persists every
-  committed view delta (restart durability for the whole fleet);
+* a :class:`~repro.serving.journal_store.JournalStore` keeps every shipped
+  view's committed deltas, from which a lagging or restarted replica
+  catches up;
 * a :class:`~repro.serving.shipping.JournalShipper` publishes LSN-ranged
   delta batches on a :class:`~repro.serving.shipping.ReplicationBus`;
 * N :class:`~repro.serving.replica.ReplicaNode` subscribers apply them
@@ -17,12 +18,13 @@
 
 Each replica owns its applied-LSN watermarks
 (:meth:`~repro.serving.replica.ReplicaNode.applied_lsn`); :meth:`ServingFleet.lag`
-reads them as per-view, per-replica lag behind the primary head.
+reads them as per-view, per-replica lag behind the primary head, the
+manager's :meth:`~repro.engine.views.ViewManager.current_lsn`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro.engine.views import ViewManager
 from repro.errors import ServingError
@@ -38,42 +40,28 @@ from repro.serving.shipping import JournalShipper, ReplicationBus
 class ServingFleet:
     """A primary view manager plus N live replicas behind an LSN-aware router."""
 
-    def __init__(
-        self,
-        manager: ViewManager,
-        num_replicas: int = 3,
-        journal_store: JournalStore | None = None,
-        head_lsn_source: Callable[[], int] | None = None,
-        queue_capacity: int = 256,
-        replica_prefix: str = "replica",
-    ) -> None:
+    def __init__(self, manager: ViewManager, num_replicas: int = 3) -> None:
         if num_replicas <= 0:
             raise ServingError("a serving fleet needs at least one replica")
         self.manager = manager
-        self.journal_store = journal_store if journal_store is not None else JournalStore()
-        self.head_lsn_source = head_lsn_source or manager.current_lsn
+        self.journal_store = JournalStore()
         self.bus = ReplicationBus()
         self.shipper = JournalShipper(manager, self.bus, self.journal_store)
-        self.router = ShardRouter(self.head_lsn_source)
+        self.router = ShardRouter(manager.current_lsn)
         self.query_router = QueryRouter(self.router)
         self.auditor = AntiEntropyAuditor(self)
         self.replicas: dict[str, ReplicaNode] = {}
         for index in range(num_replicas):
-            self.add_replica(f"{replica_prefix}-{index}", queue_capacity=queue_capacity)
+            self.add_replica(f"replica-{index}")
 
     # -------------------------------------------------------------- #
     # membership and lifecycle
     # -------------------------------------------------------------- #
-    def add_replica(self, name: str, queue_capacity: int = 256) -> ReplicaNode:
+    def add_replica(self, name: str) -> ReplicaNode:
         """Add (and register) one replica node; started by :meth:`start`."""
         if name in self.replicas:
             raise ServingError(f"replica {name!r} already exists in the fleet")
-        node = ReplicaNode(
-            name,
-            queue_capacity=queue_capacity,
-            resync_source=self.shipper,
-            journal_store=self.journal_store,
-        )
+        node = ReplicaNode(name, resync_source=self.shipper)
         self.replicas[name] = node
         self.bus.subscribe(node)
         self.router.add_replica(node)
@@ -102,15 +90,13 @@ class ServingFleet:
     def remove_replica(self, name: str) -> None:
         """Retire a replica for good: stop it and forget every trace of it.
 
-        Unsubscribes it from the bus and router, drops its persisted
-        checkpoint — unlike
-        :meth:`kill_replica`, which models a crash that will be recovered.
+        Unsubscribes it from the bus and router, unlike :meth:`kill_replica`,
+        which models a crash that will be recovered.
         """
         node = self._node(name)
         node.stop()
         self.bus.unsubscribe(name)
         self.router.remove_replica(name)
-        self.journal_store.drop_replica_checkpoint(name)
         del self.replicas[name]
 
     def kill_replica(self, name: str) -> int:
@@ -118,11 +104,12 @@ class ServingFleet:
         return self._node(name).kill()
 
     def restart_replica(self, name: str) -> list[str]:
-        """Recover a crashed replica from its persisted checkpoint + journal.
+        """Recover a crashed replica: catch every shipped view up.
 
-        The replica catches up from its last applied LSN by journal replay
-        (snapshot resync only when the journal cannot cover the gap); no
-        primary-side view artifact is rebuilt.  Returns the caught-up views.
+        Each view catches up from the LSN the replica's index holds, by
+        journal replay (a snapshot only when the index holds no copy or the
+        journal cannot cover the gap); no primary-side view artifact is
+        rebuilt.  Returns the caught-up views.
         """
         return self._node(name).restart(sorted(self.shipper.shipped_views))
 
@@ -202,12 +189,12 @@ class ServingFleet:
     # maintenance and introspection
     # -------------------------------------------------------------- #
     def compact_journals(self) -> dict[str, int]:
-        """Truncate persisted journals below the fleet-wide applied minimum.
+        """Drop the journal deltas every replica has applied.
 
-        A segment is dropped only when every replica has applied past its
-        highest LSN, so no live consumer can be pushed into a gap by
-        compaction; a crashed replica's checkpoint still counts (it will
-        resume from its applied LSN).  Returns segments dropped per view.
+        A view's history is truncated at the lowest LSN any replica's index
+        holds for it, so no consumer is pushed into a gap by compaction; a
+        crashed replica still counts, since it resumes from the LSN its index
+        holds.  Returns the deltas dropped per view.
         """
         dropped: dict[str, int] = {}
         for view_name in self.shipper.shipped_views:
@@ -231,7 +218,7 @@ class ServingFleet:
     def status(self) -> dict[str, object]:
         """Fleet introspection: health, lag, shipping and journal stats."""
         return {
-            "head_lsn": self.head_lsn_source(),
+            "head_lsn": self.manager.current_lsn(),
             "served_views": sorted(self.shipper.shipped_views),
             "healthy_replicas": self.router.healthy_replicas(),
             "lag": self.lag(),
@@ -239,7 +226,7 @@ class ServingFleet:
                 name: node.status() for name, node in sorted(self.replicas.items())
             },
             "batches_published": self.bus.batches_published,
-            "delivery_errors": len(self.bus.delivery_errors),
+            "delivery_errors": self.bus.delivery_failures,
             "reads_routed": self.router.reads_routed,
             "fallback_reads": self.router.fallback_reads,
             "consistency_rejections": self.router.consistency_rejections,

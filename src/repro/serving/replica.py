@@ -12,20 +12,16 @@ Batches are chained by ``prev_lsn``; a replica whose applied LSN does not
 reach a delta batch's ``prev_lsn`` (missed shipment, crash, late
 subscription), or that holds no copy of the view, detects the **gap** and
 resyncs by pulling a catch-up batch from its ``resync_source`` (the
-shipper): a journal delta when persisted history covers the gap, a full
+shipper): a journal delta when the journal's history covers the gap, a full
 snapshot otherwise.
 
-Durability model: the node's index plays the role of the replica's local
-store, and its feed watermarks are the one record of which views the node
-serves and at which LSN (:meth:`applied_lsn`, :meth:`serves_view`).  The
-checkpoint persisted through the
-:class:`~repro.serving.journal_store.JournalStore` after every applied batch
-names the views that store serves.  A *crash* (:meth:`kill`) loses the
-in-flight queue but not the index; :meth:`restart` catches every
-checkpointed view up **from the LSN the index holds**, through the persisted
-journal — no view artifact is rebuilt.  A fresh node under the same name (a
-new process) holds nothing, so each view it catches up arrives as a
-snapshot.
+The node's index plays the role of the replica's local store, and its feed
+watermarks are the one record of which views the node serves and at which
+LSN (:meth:`applied_lsn`, :meth:`serves_view`).  A *crash* (:meth:`kill`)
+loses the in-flight queue but not the index; :meth:`restart` catches every
+view the index serves (or the views it is given) up **from the LSN the index
+holds**, through the journal: no view artifact is rebuilt.  A fresh node
+holds nothing, so each view it catches up arrives as a snapshot.
 
 Beyond point reads, every replica is a **query node**: it owns a
 :class:`~repro.live.planner.QueryPlanner` and
@@ -53,21 +49,16 @@ from repro.live.kgq import CallQuery, Query, default_virtual_operators, parse
 from repro.live.planner import PhysicalPlan, QueryPlanner
 from repro.serving.shipping import ShipmentBatch
 
+#: Batches a replica queues before it drops one (gap detection repairs it).
+QUEUE_CAPACITY = 256
+
 
 class ReplicaNode:
     """One serving replica: bounded-queue async apply over its own LiveIndex."""
 
-    def __init__(
-        self,
-        name: str,
-        queue_capacity: int = 256,
-        resync_source=None,
-        journal_store=None,
-    ) -> None:
+    def __init__(self, name: str, resync_source=None) -> None:
         if not name:
             raise ServingError("replica needs a non-empty name")
-        if queue_capacity <= 0:
-            raise ServingError("replica queue capacity must be positive")
         self.name = name
         self.index = LiveIndex()
         self.planner = QueryPlanner(
@@ -75,8 +66,7 @@ class ReplicaNode:
         )
         self.executor = QueryExecutor(self.index)
         self.resync_source = resync_source
-        self.journal_store = journal_store
-        self._queue: queue.Queue[ShipmentBatch | None] = queue.Queue(maxsize=queue_capacity)
+        self._queue: queue.Queue[ShipmentBatch | None] = queue.Queue(maxsize=QUEUE_CAPACITY)
         self._worker: threading.Thread | None = None
         self._alive = False
         # Reentrant: a gap detected mid-apply resyncs inline under the lock.
@@ -126,8 +116,8 @@ class ReplicaNode:
     def kill(self) -> int:
         """Simulate a crash: the worker dies, queued batches are lost.
 
-        The applied state (index + checkpoint) survives — it models the
-        replica's local store — but everything in flight is gone.  Returns
+        The applied state (the index) survives — it models the replica's
+        local store — but everything in flight is gone.  Returns
         the number of batches dropped from the queue.
         """
         self._alive = False                      # worker exits at next get()
@@ -151,19 +141,14 @@ class ReplicaNode:
     def restart(self, views: list[str] | None = None) -> list[str]:
         """Recover after a crash: catch up what the index holds, serve again.
 
-        Every view the persisted checkpoint names or the index serves (or
-        *views*, when given) is caught up through the resync source
-        **starting from the LSN the index holds** — a journal replay, not an
-        artifact rebuild, whenever persisted history covers the gap.  The
-        checkpoint contributes view names only: a fresh node holds no copy,
-        so its catch-up is a snapshot.  Returns the views that were caught up.
+        Every view the index serves (or *views*, when given) is caught up
+        through the resync source **starting from the LSN the index holds**:
+        a journal replay, not an artifact rebuild, whenever the journal
+        covers the gap.  A view the index does not hold arrives as a
+        snapshot.  Returns the views that were caught up.
         """
         if views is None:
-            checkpointed = (
-                self.journal_store.load_replica_checkpoint(self.name)
-                if self.journal_store is not None else {}
-            )
-            views = sorted(set(checkpointed) | set(self._served()))
+            views = sorted(self._served())
         self.start()
         caught_up = []
         for view_name in views:
@@ -405,12 +390,11 @@ class ReplicaNode:
         feed = f"view:{batch.view_name}"
         if batch.kind == "drop":
             self.index.drop_feed(feed)
-            self._checkpoint()
             return
         if batch.kind == "snapshot":
             # Replaces the whole feed, so its LSN is set, not advanced.
             self.index.replace_feed(feed, batch.documents(), batch.lsn)
-            self._commit()
+            self.batches_applied += 1
             return
         # delta batch
         applied = self.index.watermarks.get(feed)       # None: no copy held
@@ -433,15 +417,7 @@ class ReplicaNode:
             f"{batch.view_name}:{s}" for s in sorted(delta.changed) if s not in shipped
         )
         self.index.apply_feed_delta(feed, upserts, deleted_ids, batch.lsn)
-        # Watermark-only (advance) batches skip the checkpoint write: a
-        # restart catch-up re-stamps the current watermark anyway, and a
-        # per-flush no-op fsync per view per replica adds up fast.
-        self._commit(persist=bool(upserts or deleted_ids))
-
-    def _commit(self, persist: bool = True) -> None:
         self.batches_applied += 1
-        if persist:
-            self._checkpoint()
 
     def _served(self) -> dict[str, int]:
         """view → applied LSN of every view feed the index holds."""
@@ -451,7 +427,3 @@ class ReplicaNode:
             for feed, lsn in list(self.index.watermarks.items())
             if feed.startswith("view:")
         }
-
-    def _checkpoint(self) -> None:
-        if self.journal_store is not None:
-            self.journal_store.save_replica_checkpoint(self.name, self._served())

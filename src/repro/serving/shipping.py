@@ -3,22 +3,22 @@
 The :class:`JournalShipper` hangs off the primary
 :class:`~repro.engine.views.ViewManager`'s journal-event hook; the manager
 keeps no change history of its own.  Every committed delta of a *shipped*
-view is persisted to the :class:`~repro.serving.journal_store.JournalStore`
+view is recorded in the :class:`~repro.serving.journal_store.JournalStore`
 — the one place that answers "what changed since LSN *n*" — and becomes a
 :class:`ShipmentBatch` (the LSN-ranged entity delta plus the actual artifact
 rows for the changed entities) published on the :class:`ReplicationBus` to
 every subscribed replica.  From-scratch rebuilds ship as snapshot batches
-(the full row set; persisted history restarts), and a catch-up for a view
+(the full row set; the journal's history restarts), and a catch-up for a view
 the primary has not materialized answers a drop batch.
 
 Batches are chained by LSN alone: each delta batch carries ``prev_lsn``, the
 LSN of the batch it extends.  A replica whose applied LSN does not reach
 ``prev_lsn``, or that holds no copy of the view, has missed a shipment
 (backpressure drop, crash, late subscription) and must resync — it pulls
-:meth:`JournalShipper.catchup_batch`, which serves the gap from the persisted
-journal when it reaches back far enough and falls back to a full snapshot
-otherwise (always for a consumer with no copy).  A catch-up delta is stamped
-with the LSN the shipper has persisted and published for the view, never the
+:meth:`JournalShipper.catchup_batch`, which serves the gap from the journal
+when it reaches back far enough and falls back to a full snapshot otherwise
+(always for a consumer with no copy).  A catch-up delta is stamped with the
+LSN the shipper has journaled and published for the view, never the
 manager's watermark: a flush that committed but whose event the shipper has
 not handled yet is not in the store, and its own batch must still apply.
 """
@@ -147,9 +147,9 @@ class JournalShipper:
     """Primary-side publisher of per-view delta batches.
 
     Attach to a manager, then :meth:`ship_view` each row-shaped view that the
-    fleet serves.  The shipper persists deltas through the journal store
-    (restart durability) before publishing them on the bus (replica
-    liveness), so a batch a replica missed can always be re-derived.
+    fleet serves.  The shipper records deltas in the journal store before
+    publishing them on the bus, so a batch a replica missed can always be
+    re-derived.
     """
 
     def __init__(
@@ -166,7 +166,7 @@ class JournalShipper:
     def detach(self) -> None:
         """Stop listening to the manager entirely (fleet shutdown).
 
-        Without this a stopped fleet would keep persisting and publishing on
+        Without this a stopped fleet would keep journaling and publishing on
         every later flush — and a restarted fleet would stack a second
         pipeline on top.
         """
@@ -179,10 +179,10 @@ class JournalShipper:
     def ship_view(self, view_name: str) -> ShipmentBatch:
         """Start (or resume) shipping a view: publishes its snapshot batch.
 
-        The snapshot also becomes the persisted journal's new baseline
-        (history is truncated to the snapshot LSN): deltas that fell into an
-        unshipped window were never persisted, so pre-snapshot history must
-        not be trusted for catch-up.  A view whose snapshot cannot be taken
+        The snapshot also becomes the journal's new baseline (history is
+        truncated to the snapshot LSN): deltas that fell into an unshipped
+        window were never journaled, so pre-snapshot history must not be
+        trusted for catch-up.  A view whose snapshot cannot be taken
         (not materialized, not row-shaped) raises and is not shipped.
         """
         return self._publish_snapshot(view_name)
@@ -205,7 +205,7 @@ class JournalShipper:
         )
 
     def _publish_snapshot(self, view_name: str) -> ShipmentBatch:
-        """Snapshot-resync subscribers and re-baseline the persisted journal."""
+        """Snapshot-resync subscribers and re-baseline the journal."""
         batch = self.snapshot_batch(view_name)
         self.journal_store.record_truncate(view_name, batch.lsn)
         self.shipped_views[view_name] = batch.lsn
@@ -257,13 +257,13 @@ class JournalShipper:
     def catchup_batch(self, view_name: str, applied_lsn: int) -> ShipmentBatch:
         """The batch that brings a consumer at *applied_lsn* current.
 
-        Serves a delta batch from the persisted journal when the view is
-        shipped, the consumer holds a copy (*applied_lsn* above 0) and
-        history reaches back to *applied_lsn*; a consumer with no copy, a
-        gap, or a view that is not being shipped (its persisted history is
-        not current) answers with a full snapshot instead.  The delta batch is
-        stamped with the LSN the shipper has persisted and published for the
-        view — what the journal actually covers — so a flush whose event the
+        Serves a delta batch from the journal when the view is shipped, the
+        consumer holds a copy (*applied_lsn* above 0) and history reaches
+        back to *applied_lsn*; a consumer with no copy, a gap, or a view that
+        is not being shipped (its journal is not current) answers with a full
+        snapshot instead.  The delta batch is stamped with the LSN the
+        shipper has journaled and published for the view — what the journal
+        actually covers — so a flush whose event the
         shipper has not handled yet still applies when its batch arrives.  A
         view that is not materialized answers with a drop batch: the consumer
         must stop serving it rather than crash its whole catch-up.
@@ -294,12 +294,12 @@ class JournalShipper:
             try:
                 self.journal_store.append_delta(event.view_name, event.delta)
             except Exception:
-                # Persisted history is now incomplete (the store poisoned
-                # its floor).  The live chain must not silently skip the
-                # delta either — the next batch's prev_lsn would extend
-                # every replica's applied LSN and they would diverge
-                # undetectably.  Resync subscribers via snapshot, then
-                # surface the persistence error to the manager's log.
+                # The journal misses this delta.  The live chain must not
+                # silently skip it either — the next batch's prev_lsn would
+                # extend every replica's applied LSN and they would diverge
+                # undetectably.  Resync subscribers via snapshot (which also
+                # re-baselines the journal), then surface the error to the
+                # manager's log.
                 self._publish_snapshot(event.view_name)
                 raise
             batch = self._delta_batch(
@@ -311,7 +311,7 @@ class JournalShipper:
             self.batches_shipped += 1
         elif event.kind == "advance":
             # Watermark-only progress: an empty delta batch lets replicas
-            # advance their applied LSN without row work.  Not persisted —
+            # advance their applied LSN without row work.  Not journaled —
             # a catch-up batch stamps the current watermark anyway.
             prev_lsn = self.shipped_views[event.view_name]
             self.shipped_views[event.view_name] = event.lsn

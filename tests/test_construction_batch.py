@@ -628,16 +628,14 @@ def test_ingest_batch_takes_one_snapshot_per_source():
     assert platform.construction.reports == []
 
 
-def test_classified_deltas_ship_to_replica_fleet(tmp_path):
+def test_classified_deltas_ship_to_replica_fleet():
     """The continuous path: construction commit → view journal → replicas."""
     platform = _platform_with_views()
     platform.register_source("musicdb")
     platform.ingest_snapshot("musicdb", _artist_entities("musicdb", ["Echo Valley"]))
     platform.graph_engine.update_views()
 
-    fleet = platform.start_serving_fleet(
-        views=["entity_features"], num_replicas=2, journal_dir=str(tmp_path)
-    )
+    fleet = platform.start_serving_fleet(views=["entity_features"], num_replicas=2)
     try:
         platform.ingest_snapshot(
             "musicdb", _artist_entities("musicdb", ["Echo Valley", "Blue Harbor"])

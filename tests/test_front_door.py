@@ -42,8 +42,6 @@ from repro.model.entity import SourceEntity
 from repro.serving import (
     AdmissionQueue,
     FrontDoor,
-    InMemoryJournalBackend,
-    JournalStore,
     Priority,
     ServingFleet,
     TokenBucket,
@@ -113,10 +111,7 @@ def build_query_harness(model: QueryModel):
 
 
 def start_fleet(manager, num_replicas=3):
-    fleet = ServingFleet(
-        manager, num_replicas=num_replicas,
-        journal_store=JournalStore(InMemoryJournalBackend()),
-    ).start()
+    fleet = ServingFleet(manager, num_replicas=num_replicas).start()
     fleet.serve_view("profile_rows")
     assert fleet.drain()
     return fleet

@@ -55,7 +55,7 @@ from repro.live.executor import (
 from repro.live.index import LiveIndex, view_row_document
 from repro.live.kgq import parse
 from repro.live.planner import QueryPlanner
-from repro.serving import Consistency, InMemoryJournalBackend, JournalStore, ServingFleet
+from repro.serving import Consistency, ServingFleet
 
 
 def delta_at(lsn, added=(), updated=(), deleted=()):
@@ -527,10 +527,7 @@ def build_fleet_harness(model: FleetModel):
 
 
 def start_join_fleet(manager, num_replicas=3):
-    fleet = ServingFleet(
-        manager, num_replicas=num_replicas,
-        journal_store=JournalStore(InMemoryJournalBackend()),
-    ).start()
+    fleet = ServingFleet(manager, num_replicas=num_replicas).start()
     fleet.serve_view("people_rows")
     fleet.serve_view("city_rows")
     assert fleet.drain()

@@ -48,12 +48,7 @@ from repro.live.executor import QueryExecutor
 from repro.live.index import LiveIndex, document_checksum, view_row_document
 from repro.live.kgq import parse
 from repro.live.planner import QueryPlanner
-from repro.serving import (
-    Consistency,
-    InMemoryJournalBackend,
-    JournalStore,
-    ServingFleet,
-)
+from repro.serving import Consistency, ServingFleet
 
 
 # The qr_seed / ae_seed fixtures are parametrized by the repo-level
@@ -121,10 +116,7 @@ def build_query_harness(model: QueryModel):
 
 
 def start_fleet(manager, num_replicas=3):
-    fleet = ServingFleet(
-        manager, num_replicas=num_replicas,
-        journal_store=JournalStore(InMemoryJournalBackend()),
-    ).start()
+    fleet = ServingFleet(manager, num_replicas=num_replicas).start()
     fleet.serve_view("profile_rows")
     assert fleet.drain()
     return fleet

@@ -1,10 +1,10 @@
 """Replicated serving fleet: journals, shipping, replicas, routing.
 
-Covers the serving subsystem end to end: durable segmented journal storage
-(persistence, recovery, compaction-aware truncation, gap signalling),
-journal shipping over the replication bus, asynchronous replica apply with
-gap-triggered resync, crash/restart catch-up from persisted journals, and
-LSN-aware read routing under the three consistency levels.
+Covers the serving subsystem end to end: the in-memory delta journal
+(merging, compaction, gap signalling), journal shipping over the replication
+bus, asynchronous replica apply with gap-triggered resync, crash/restart
+catch-up through the journal, and LSN-aware read routing under the three
+consistency levels.
 """
 
 from __future__ import annotations
@@ -22,11 +22,9 @@ from repro.errors import (
     StaleReadError,
     ViewError,
 )
+from repro.serving import replica as replica_module
 from repro.serving import (
     Consistency,
-    FileJournalBackend,
-    InMemoryJournalBackend,
-    JournalRecord,
     JournalStore,
     ReplicaNode,
     ReplicationBus,
@@ -118,115 +116,23 @@ class TestJournalStore:
         assert store.deltas_since("v", 5).is_empty()
 
     def test_segment_rolling_and_compaction_aware_truncation(self):
-        store = JournalStore(segment_records=2)
+        store = JournalStore()
         for lsn in range(1, 8):
             store.append_delta("v", delta(added=[f"e{lsn}"], first_lsn=lsn, last_lsn=lsn))
-        assert store.stats()["v"]["segments"] == 4
-        # every consumer reached LSN 4: the first two whole segments drop
-        assert store.truncate_below("v", 4) == 2
+        assert store.stats()["v"]["records"] == 7
+        # every consumer reached LSN 4: the four deltas at or below it drop
+        assert store.truncate_below("v", 4) == 4
+        assert store.stats()["v"]["records"] == 3
         assert store.floor_lsn("v") == 4
         assert store.deltas_since("v", 4).added == frozenset({"e5", "e6", "e7"})
         with pytest.raises(JournalGapError):
             store.deltas_since("v", 3)
-        # the active (last) segment is never dropped
-        assert store.truncate_below("v", 100) == 1
-        assert store.stats()["v"]["segments"] == 1
-
-    def test_file_backend_recovery_across_restart(self, tmp_path):
-        backend = FileJournalBackend(tmp_path, fsync=True)
-        store = JournalStore(backend, segment_records=2)
-        for lsn in range(1, 6):
-            store.append_delta("song_rows", delta(added=[f"e{lsn}"],
-                                                     first_lsn=lsn, last_lsn=lsn))
-        store.truncate_below("song_rows", 2)
-        store.save_replica_checkpoint("replica-0", {"song_rows": 4})
-
-        # a new process: fresh store over the same directory
-        recovered = JournalStore(FileJournalBackend(tmp_path), segment_records=2)
-        assert recovered.recovered_records > 0
-        assert recovered.floor_lsn("song_rows") == 2
-        assert recovered.deltas_since("song_rows", 4).added == frozenset({"e5"})
-        with pytest.raises(JournalGapError):
-            recovered.deltas_since("song_rows", 1)
-        assert recovered.load_replica_checkpoint("replica-0") == {"song_rows": 4}
-
-    def test_persisted_line_format_is_stable(self, tmp_path):
-        """A journal directory outlives the code that wrote it: the JSON line
-        a record persists as, and the delta a line recovers to, stay fixed."""
-        store = JournalStore(FileJournalBackend(tmp_path))
-        store.append_delta("v", delta(added=["b", "a"], updated=["u"], deleted=["c"],
-                                         first_lsn=1, last_lsn=2))
-        store.record_truncate("w", lsn=4)
-        backend = FileJournalBackend(tmp_path)
-        assert backend.read_segment("v", 1) == [
-            '{"added": ["a", "b"], "deleted": ["c"], "first_lsn": 1, "kind": "delta", '
-            '"last_lsn": 2, "updated": ["u"], "view": "v"}'
-        ]
-        assert backend.read_segment("w", 1) == [
-            '{"added": [], "deleted": [], "first_lsn": 4, "kind": "truncate", '
-            '"last_lsn": 4, "updated": [], "view": "w"}'
-        ]
-        assert backend.read_checkpoint("view-meta:w") == {"floor_lsn": 4}
-        for line in backend.read_segment("v", 1) + backend.read_segment("w", 1):
-            assert JournalRecord.from_json(line).to_json() == line
-        recovered = JournalStore(backend)
-        assert recovered.deltas_since("v", 0) == delta(
-            added=["a", "b"], updated=["u"], deleted=["c"], first_lsn=1, last_lsn=2
-        )
-        assert recovered.floor_lsn("w") == 4
-
-    def test_lines_and_checkpoints_of_the_older_format_still_recover(self, tmp_path):
-        """Journal lines, view meta and replica checkpoints written while the
-        format carried a per-view lineage number load with that key ignored."""
-        backend = FileJournalBackend(tmp_path)
-        old_line = (
-            '{"added": ["a"], "deleted": [], "first_lsn": 2, "kind": "delta", '
-            '"last_lsn": 3, "revision": 1, "updated": ["u"], "view": "v"}'
-        )
-        backend.append_line("v", 1, old_line)
-        backend.write_checkpoint("view-meta:v", {"floor_lsn": 1, "revision": 1})
-        backend.write_checkpoint(
-            "replica:replica-0", {"applied": {"v": 3}, "revisions": {"v": 1}}
-        )
-        recovered = JournalStore(backend)
-        assert recovered.recovered_records == 1
-        assert recovered.floor_lsn("v") == 1
-        assert recovered.deltas_since("v", 1) == delta(
-            added=["a"], updated=["u"], first_lsn=1, last_lsn=3
-        )
-        assert recovered.load_replica_checkpoint("replica-0") == {"v": 3}
-        # a line rewritten by this version drops the old key
-        assert '"revision"' not in JournalRecord.from_json(old_line).to_json()
-
-    def test_file_backend_keeps_dot_prefixed_view_names_apart(self, tmp_path):
-        """Regression: a view named 'a.b' must not shadow view 'a' in the
-        segment-file namespace (the dot also separates the segment id)."""
-        store = JournalStore(FileJournalBackend(tmp_path))
-        store.append_delta("rows", delta(added=["x"], first_lsn=1, last_lsn=1))
-        store.append_delta("rows.v2", delta(added=["y"], first_lsn=1, last_lsn=1))
-        recovered = JournalStore(FileJournalBackend(tmp_path))
-        assert recovered.view_names() == ["rows", "rows.v2"]
-        assert recovered.deltas_since("rows", 0).added == frozenset({"x"})
-        assert recovered.deltas_since("rows.v2", 0).added == frozenset({"y"})
-
-    def test_a_dropped_replica_checkpoint_is_gone_on_either_backend(self, tmp_path):
-        for backend in (InMemoryJournalBackend(), FileJournalBackend(tmp_path)):
-            store = JournalStore(backend)
-            store.save_replica_checkpoint("replica-1", {"v": 3})
-            store.drop_replica_checkpoint("replica-1")
-            assert JournalStore(backend).load_replica_checkpoint("replica-1") == {}
-            backend.drop_checkpoint("replica:replica-1")      # absent: a no-op
-
-    def test_in_memory_backend_survives_store_restart(self):
-        backend = InMemoryJournalBackend()
-        store = JournalStore(backend)
-        store.append_delta("v", delta(added=["a"], first_lsn=1, last_lsn=1))
-        restarted = JournalStore(backend)
-        assert restarted.deltas_since("v", 0).added == frozenset({"a"})
+        # past the newest delta: history empties, the floor stops at LSN 7
+        assert store.truncate_below("v", 100) == 3
+        assert store.stats()["v"] == {"records": 0, "floor_lsn": 7, "high_water_mark": 7}
+        assert store.deltas_since("v", 7).is_empty()
 
     def test_empty_delta_and_bad_segment_size_rejected(self):
-        with pytest.raises(ServingError):
-            JournalStore(segment_records=0)
         with pytest.raises(ServingError):
             JournalStore().append_delta("v", delta())
 
@@ -270,14 +176,33 @@ class TestShippingAndReplicas:
         assert fleet.bus.delivery_errors   # the dead replica was counted, not fatal
         fleet.stop()
 
-    def test_backpressure_drop_heals_through_gap_resync(self):
+    def test_status_counts_every_failed_delivery_past_the_error_log(self):
+        """Regression: ``status()["delivery_errors"]`` read the length of the
+        bus's bounded error log, so it stopped counting at 256."""
+        store, clock, manager = make_primary()
+        store["a"] = 0
+        manager.materialize()
+        fleet = ServingFleet(manager, num_replicas=1).start()
+        fleet.serve_view("rows")
+        assert fleet.drain()
+        fleet.kill_replica("replica-0")
+        for value in range(1, 301):
+            put(store, clock, manager, "a", value)
+            manager.flush()
+        assert fleet.bus.batches_published == 301
+        assert len(fleet.bus.delivery_errors) == 256      # the log stays bounded
+        assert fleet.status()["delivery_errors"] == 300
+        fleet.stop()
+
+    def test_backpressure_drop_heals_through_gap_resync(self, monkeypatch):
         store, clock, manager = make_primary()
         store["a"] = 1
         manager.materialize()
         bus = ReplicationBus()
         from repro.serving.shipping import JournalShipper
         shipper = JournalShipper(manager, bus, JournalStore())
-        node = ReplicaNode("r0", queue_capacity=1, resync_source=shipper)
+        monkeypatch.setattr(replica_module, "QUEUE_CAPACITY", 1)
+        node = ReplicaNode("r0", resync_source=shipper)
         bus.subscribe(node)
         node.start()
         shipper.ship_view("rows")
@@ -347,12 +272,11 @@ class TestShippingAndReplicas:
         assert node.index.feed_documents("view:rows") == {"rows:a", "rows:b"}
         fleet.stop()
 
-    def test_crash_restart_catches_up_from_persisted_journal(self, tmp_path):
-        journal = JournalStore(FileJournalBackend(tmp_path))
+    def test_crash_restart_catches_up_from_persisted_journal(self):
         store, clock, manager = make_primary()
         store.update({"a": 1, "b": 2})
         manager.materialize()
-        fleet = ServingFleet(manager, num_replicas=3, journal_store=journal).start()
+        fleet = ServingFleet(manager, num_replicas=3).start()
         fleet.serve_view("rows")
         assert fleet.drain()
         # crash replica-1, then keep flushing deltas it will miss
@@ -375,11 +299,11 @@ class TestShippingAndReplicas:
         fleet.stop()
 
     def test_restart_snapshot_resyncs_when_journal_compacted_past_checkpoint(self):
-        journal = JournalStore(segment_records=1)
         store, clock, manager = make_primary()
         store["a"] = 1
         manager.materialize()
-        fleet = ServingFleet(manager, num_replicas=2, journal_store=journal).start()
+        fleet = ServingFleet(manager, num_replicas=2).start()
+        journal = fleet.journal_store
         fleet.serve_view("rows")
         assert fleet.drain()
         fleet.kill_replica("replica-1")
@@ -387,16 +311,19 @@ class TestShippingAndReplicas:
             put(store, clock, manager, "a", value)
             manager.flush()
         assert fleet.drain()
-        # fleet.compact_journals() is checkpoint-safe: the crashed replica's
-        # applied LSN floors it, so after compaction its catch-up delta is
-        # still answerable (only the ship-time truncate marker may drop).
-        fleet.compact_journals()
+        # fleet.compact_journals() is safe for a crashed replica: the LSN
+        # its index holds floors it, so after compaction its catch-up delta
+        # is still answerable and all three deltas are kept.
+        assert fleet.compact_journals() == {}
         applied = fleet.replicas["replica-1"].applied_lsn("rows")
-        assert journal.deltas_since("rows", applied) is not None
-        # force-truncate past its checkpoint to model an operator compacting
-        # a long-dead replica away — the resulting staleness must surface as
-        # an explicit gap, not a diff
-        journal.truncate_below("rows", fleet.replicas["replica-0"].applied_lsn("rows"))
+        assert journal.deltas_since("rows", applied).updated == {"a"}
+        assert journal.stats()["rows"]["records"] == 3
+        # force-truncate past its applied LSN to model an operator
+        # compacting a long-dead replica away — the resulting staleness must
+        # surface as an explicit gap, not a diff
+        assert journal.truncate_below(
+            "rows", fleet.replicas["replica-0"].applied_lsn("rows")
+        ) == 3
         with pytest.raises(JournalGapError):
             journal.deltas_since("rows", fleet.replicas["replica-1"].applied_lsn("rows"))
         fleet.restart_replica("replica-1")
@@ -406,50 +333,41 @@ class TestShippingAndReplicas:
         assert node.applied_lsn("rows") == clock["lsn"]
         fleet.stop()
 
-    def test_restart_after_view_drop_unserves_instead_of_crashing(self, tmp_path):
-        """Regression: a replica checkpoint can name a view the primary has
-        not materialized (a new primary process has not built it yet); the
+    def test_restart_after_view_drop_unserves_instead_of_crashing(self):
+        """Regression: a restart can name a view the primary has not
+        materialized (a new primary process has not built it yet); the
         replica's restart must not abort on it: the catch-up answers with a
         drop batch, not a ViewError from artifact()."""
         store, clock, manager = make_primary()
         store["a"] = 1
         manager.materialize()
-        fleet = ServingFleet(
-            manager, num_replicas=1, journal_store=JournalStore(FileJournalBackend(tmp_path))
-        ).start()
+        fleet = ServingFleet(manager, num_replicas=1).start()
         fleet.serve_view("rows")
         assert fleet.drain()
         fleet.stop()
         # a new primary process: "rows" is registered but not yet built
         store, clock, manager = make_primary()
-        journal = JournalStore(FileJournalBackend(tmp_path))
-        assert journal.load_replica_checkpoint("replica-0") == {"rows": 1}
-        fleet = ServingFleet(manager, num_replicas=1, journal_store=journal)
+        fleet = ServingFleet(manager, num_replicas=1)
         with pytest.raises(ViewError):
             fleet.serve_view("rows")               # nothing built to ship
         node = fleet.replicas["replica-0"]
-        assert node.restart() == ["rows"]
+        assert node.restart(["rows"]) == ["rows"]
         assert not node.serves_view("rows")
         assert node.applied_lsn("rows") == 0
         assert node.index.feed_documents("view:rows") == set()
-        assert journal.load_replica_checkpoint("replica-0") == {}
         fleet.stop()
 
-    def test_restart_in_a_new_process_snapshots_instead_of_trusting_its_checkpoint(
-        self, tmp_path
-    ):
+    def test_restart_in_a_new_process_snapshots_instead_of_trusting_its_checkpoint(self):
         """Regression: a new primary process can build a view with other
-        content at the very LSN a replica of the same name checkpointed.  A
-        fresh node holds no copy, so its restart catches up through a
-        snapshot and serves exactly the primary's rows; an empty journal
-        delta at the checkpointed LSN was skipped as a duplicate, and the
-        node served no rows while claiming the primary's LSN."""
+        content at the very LSN a replica of the same name served.  A fresh
+        node holds no copy, so its restart catches up through a snapshot and
+        serves exactly the primary's rows; an empty journal delta at the old
+        LSN would be skipped as a duplicate, and the node would serve no rows
+        while claiming the primary's LSN."""
         store, clock, manager = make_primary()
         store["a"] = 1
         manager.materialize()
-        fleet = ServingFleet(
-            manager, num_replicas=1, journal_store=JournalStore(FileJournalBackend(tmp_path))
-        ).start()
+        fleet = ServingFleet(manager, num_replicas=1).start()
         fleet.serve_view("rows")
         assert fleet.drain()
         assert fleet.replicas["replica-0"].applied_lsn("rows") == 1
@@ -459,12 +377,10 @@ class TestShippingAndReplicas:
         store["b"] = 2
         manager.materialize()
         assert manager.built_at_lsn("rows") == 1
-        fleet = ServingFleet(
-            manager, num_replicas=1, journal_store=JournalStore(FileJournalBackend(tmp_path))
-        )
+        fleet = ServingFleet(manager, num_replicas=1)
         fleet.serve_view("rows")                   # the fresh node is not up yet
         node = fleet.replicas["replica-0"]
-        assert node.restart() == ["rows"]
+        assert node.restart(["rows"]) == ["rows"]
         assert node.snapshot_resyncs == 1
         assert node.batches_skipped == 0
         assert node.applied_lsn("rows") == 1
@@ -474,7 +390,7 @@ class TestShippingAndReplicas:
 
     def test_stopped_fleet_detaches_from_the_manager(self):
         """Regression: stop() must detach the shipper — a stopped fleet kept
-        persisting and publishing on every later flush."""
+        journaling and publishing on every later flush."""
         store, clock, manager = make_primary()
         store["a"] = 1
         manager.materialize()
@@ -508,14 +424,14 @@ class TestShippingAndReplicas:
         fleet.stop()
 
     def test_journal_persist_failure_resyncs_the_chain_via_snapshot(self):
-        """Regression: a delta the store failed to persist must not be
+        """Regression: a delta the store failed to record must not be
         silently skipped on the bus — the chain would extend every replica's
         applied LSN past changes they never saw.  The shipper snapshots."""
-        journal = JournalStore()
         store, clock, manager = make_primary()
         store["a"] = 1
         manager.materialize()
-        fleet = ServingFleet(manager, num_replicas=1, journal_store=journal).start()
+        fleet = ServingFleet(manager, num_replicas=1).start()
+        journal = fleet.journal_store
         fleet.serve_view("rows")
         assert fleet.drain()
         broken = {"armed": True}
@@ -555,7 +471,7 @@ class TestShippingAndReplicas:
         assert "replica-1" not in fleet.replicas
         assert fleet.router.healthy_replicas() == ["replica-0"]
         assert fleet.lag() == {"rows": {"replica-0": 0}}
-        assert fleet.journal_store.load_replica_checkpoint("replica-1") == {}
+        assert "replica-1" not in fleet.bus.subscribers
         put(store, clock, manager, "a", 2)    # shipping continues without it
         manager.flush()
         assert fleet.drain()
@@ -751,8 +667,8 @@ class TestShardRouter:
 # catch-up: explicit journal-gap resync and the catch-up stamp
 # ------------------------------------------------------------------ #
 def test_live_view_feed_counts_journal_gap_resyncs():
-    """A replica that missed a from-scratch rebuild finds the persisted
-    journal truncated past its applied LSN — an explicit gap — and resyncs
+    """A replica that missed a from-scratch rebuild finds the journal
+    truncated past its applied LSN — an explicit gap — and resyncs
     from a snapshot; one that missed only journaled deltas catches up by
     delta."""
     store, clock, manager = make_primary()
@@ -791,7 +707,7 @@ def test_catchup_racing_an_unhandled_append_does_not_skip_that_flush():
     yet was stamped with the manager's new watermark — the flush's own batch
     then looked like a duplicate and was skipped, and the replica served the
     old row under a satisfied ``read_your_writes``.  A catch-up batch is
-    stamped with what the shipper has persisted and published."""
+    stamped with what the shipper has journaled and published."""
     store, clock, manager = make_primary()
     store["a"] = 1
     manager.materialize()
@@ -816,5 +732,53 @@ def test_catchup_racing_an_unhandled_append_does_not_skip_that_flush():
         fresh = Consistency.read_your_writes(clock["lsn"])
         assert fleet.read("rows", "a", fresh).value("value") == 100
         assert all(report.clean() for report in fleet.audit(repair=False).values())
+    finally:
+        fleet.stop()
+
+
+def test_compaction_keeps_deltas_above_the_lsn_and_gaps_a_replica_below_it():
+    """``truncate_below(view, lsn)`` drops exactly the deltas at or below
+    *lsn*: a replica at *lsn* still catches up by a journal delta, and one
+    below it meets the ``JournalGapError`` and catches up by a snapshot."""
+    store, clock, manager = make_primary()
+    store["a"] = 0
+    manager.materialize()
+    fleet = ServingFleet(manager, num_replicas=3).start()
+    journal = fleet.journal_store
+    behind, at_floor = fleet.replicas["replica-1"], fleet.replicas["replica-2"]
+
+    def write(*values):
+        for value in values:
+            put(store, clock, manager, "a", value)
+            manager.flush()
+        assert fleet.drain()
+
+    try:
+        fleet.serve_view("rows")
+        assert fleet.drain()
+        fleet.kill_replica("replica-1")
+        write(1, 2)
+        floor = clock["lsn"]
+        fleet.kill_replica("replica-2")
+        write(3, 4)
+        assert behind.applied_lsn("rows") < floor == at_floor.applied_lsn("rows")
+
+        assert journal.truncate_below("rows", floor) == 2
+        assert journal.floor_lsn("rows") == floor
+        assert [d.last_lsn for d in journal._deltas["rows"]] == [floor + 1, floor + 2]
+
+        snapshots = at_floor.snapshot_resyncs
+        assert fleet.restart_replica("replica-2") == ["rows"]
+        assert at_floor.snapshot_resyncs == snapshots    # rode a journal delta
+        assert at_floor.applied_lsn("rows") == clock["lsn"]
+        assert at_floor.get("rows", "a").value("value") == 4
+
+        with pytest.raises(JournalGapError):
+            journal.deltas_since("rows", behind.applied_lsn("rows"))
+        snapshots = behind.snapshot_resyncs
+        assert behind.restart() == ["rows"]            # the views its index serves
+        assert behind.snapshot_resyncs == snapshots + 1
+        assert behind.applied_lsn("rows") == clock["lsn"]
+        assert behind.get("rows", "a").value("value") == 4
     finally:
         fleet.stop()

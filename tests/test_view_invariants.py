@@ -12,7 +12,7 @@ suite asserts the four core invariants of incremental view maintenance:
 4. **Accounting** — skip counters plus rebuild counters sum to the total
    maintenance decisions the flushes made.
 5. **Journal sufficiency** — a replica that keeps ``alpha_rows`` current by
-   pulling catch-ups from the persisted ``JournalStore`` alone serves exactly
+   pulling catch-ups from the ``JournalStore`` alone serves exactly
    what a fresh snapshot load serves, and every catch-up rides a delta
    unless the view was rebuilt in between — although the
    journal names only the rows that changed: writes that leave a row as it
@@ -39,7 +39,6 @@ from repro.model.triples import ExtendedTriple, TripleStore
 from repro.serving import (
     Consistency,
     FrontDoor,
-    InMemoryJournalBackend,
     JournalShipper,
     JournalStore,
     ReplicaNode,
@@ -205,11 +204,11 @@ def appended(events, view_name: str, after_lsn: int) -> ViewDelta:
 
 
 class JournalConsumer:
-    """A replica of one row view kept current from the persisted journal alone.
+    """A replica of one row view kept current from the journal alone.
 
     It subscribes to no bus: after every flush it pulls one catch-up batch
     (``ReplicaNode.resync``), which the shipper answers from its
-    ``JournalStore`` — a delta while persisted history reaches back to the
+    ``JournalStore`` — a delta while the journal's history reaches back to the
     replica's LSN, a snapshot otherwise.
     """
 
@@ -621,7 +620,7 @@ def test_pending_batch_is_the_merge_fold_of_its_events(op_seed):
 
 
 def test_delta_journal_merge_and_compaction_semantics():
-    journal = JournalStore(segment_records=2)
+    journal = JournalStore()
     for lsn in range(1, 8):
         journal.append_delta("v", ViewDelta(
             added=frozenset({f"e{lsn}"}),
@@ -632,8 +631,10 @@ def test_delta_journal_merge_and_compaction_semantics():
     # net effect: only the last added entity survives, everything prior deleted
     assert merged.added == frozenset({"e7"})
     assert merged.deleted == frozenset({f"e{i}" for i in range(1, 7)})
-    # compaction drops whole segments and never hands out a partial merge
-    assert journal.truncate_below("v", 4) == 2
+    # compaction drops exactly the deltas at or below the LSN and never
+    # hands out a partial merge
+    assert journal.truncate_below("v", 4) == 4
+    assert journal.stats()["v"]["records"] == 3
     with pytest.raises(JournalGapError):
         journal.deltas_since("v", 3)
     merged = journal.deltas_since("v", 4)
@@ -1012,7 +1013,7 @@ def test_replicated_fleet_sequences_converge_and_honor_consistency(fleet_seed):
     watermark* — also when the flush carried only ``touch`` writes, which
     change no served row and ship as watermark-only batches —, read-your-
     writes at the primary watermark always succeeds, and a crashed replica
-    restarted from the persisted journal catches up without a primary-side
+    restarted from the journal catches up without a primary-side
     rebuild."""
     rng = random.Random(9000 + fleet_seed)
     store = ModelStore()
@@ -1022,8 +1023,7 @@ def test_replicated_fleet_sequences_converge_and_honor_consistency(fleet_seed):
         counter += 1
         store.entities[f"e{counter}"] = {"type": rng.choice(TYPES), "value": counter}
     manager.materialize()
-    journal = JournalStore(InMemoryJournalBackend())
-    fleet = ServingFleet(manager, num_replicas=3, journal_store=journal).start()
+    fleet = ServingFleet(manager, num_replicas=3).start()
     fleet.serve_view("alpha_rows")
     assert fleet.drain()
     builds_baseline = manager.states["alpha_rows"].builds
@@ -1195,8 +1195,7 @@ def test_unchanged_rows_are_cut_off_before_journal_ship_and_apply():
     takes the whole append → ship → apply → invalidate path."""
     store, manager, clock = _two_view_primary()
     manager.materialize()
-    fleet = ServingFleet(manager, num_replicas=3,
-                         journal_store=JournalStore(InMemoryJournalBackend())).start()
+    fleet = ServingFleet(manager, num_replicas=3).start()
     door = FrontDoor(fleet)
     door.registry.register("acme", views={"value_rows", "pop_rows"})
     events = []
@@ -1228,7 +1227,7 @@ def test_unchanged_rows_are_cut_off_before_journal_ship_and_apply():
 
         lsn = write("e1", popularity=7)
 
-        # events and the persisted journal
+        # events and the journal
         assert sorted((e.kind, e.view_name) for e in events) == [
             ("advance", "value_rows"), ("append", "pop_rows"),
         ]
@@ -1254,7 +1253,7 @@ def test_unchanged_rows_are_cut_off_before_journal_ship_and_apply():
         assert door.view_invalidations == 1
 
         # a crashed replica misses a no-op flush and a real one, then
-        # restarts from its checkpoint and the persisted journal
+        # restarts from the LSN its index holds, through the journal
         fleet.kill_replica("replica-0")
         write("e2", popularity=3)
         lsn = write("e2", value=20, popularity=4)
