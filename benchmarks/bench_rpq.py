@@ -1,7 +1,8 @@
 """RPQ — interval-encoded reachability vs the naive BFS reference.
 
-The REACH operator evaluates over per-predicate adjacency bitmaps maintained
-incrementally in the :class:`~repro.live.index.LiveIndex`; tree-shaped
+The REACH operator evaluates over per-predicate adjacency rows (a bare
+ordinal, a sorted tuple of a few, a set of more) maintained incrementally in
+the :class:`~repro.live.index.LiveIndex`; tree-shaped
 closures (``part_of*`` ancestry, ``^part_of+`` descendants) additionally take
 the pre/post-order interval encoding (:class:`~repro.live.rpq.IntervalIndex`),
 turning iteration-to-fixpoint into parent-chain walks and one preorder range
@@ -19,8 +20,8 @@ Gated sections (≥3x):
 * **descendants** — ``^part_of+`` from an interior node: one preorder range
   scan vs frontier expansion to fixpoint.
 
-Reported ungated: the automaton-product path over the bitmaps for an
-alternation expression no interval can serve — the maintained-bitmap win
+Reported ungated: the automaton-product path over the adjacency rows for an
+alternation expression no interval can serve — the maintained-adjacency win
 without the encoding.
 
 Writes ``BENCH_RPQ.json`` (see ``write_bench_json``) so CI tracks the
@@ -120,7 +121,7 @@ def _measure(index: LiveIndex, documents: list[LiveEntityDocument]) -> dict:
 
 
 def bench_rpq_interval_vs_naive_bfs(benchmark):
-    """Interval/bitmap REACH evaluation vs the naive BFS reference."""
+    """Interval/adjacency REACH evaluation vs the naive BFS reference."""
     index, documents = build_index()
     gates = {"ancestry": ANCESTRY_GATE, "descendants": DESCENDANTS_GATE}
     # Re-measure on a gate miss to absorb scheduling jitter (same pattern as

@@ -33,7 +33,8 @@ def capped_runs(runs: int, ci_cap: int) -> int:
 #: tests/test_model_triples_columnar.py, kgq_seed drives
 #: tests/test_live_executor_vectorized.py, fd_seed drives
 #: tests/test_front_door.py, rpq_seed/rpq_fleet_seed drive
-#: tests/test_live_rpq.py, index_seed drives tests/test_live_index_apply.py,
+#: tests/test_live_rpq.py, index_seed drives tests/test_live_index_apply.py
+#: and tests/test_live_member_forms.py,
 #: ivm_seed/join_fleet_seed drive tests/test_join_ivm.py, jaro_seed drives
 #: tests/test_similarity_oracle.py.
 #: The heavyweight caps exist because

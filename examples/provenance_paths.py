@@ -7,7 +7,7 @@ queries against it:
    planner serves from the pre/post-order interval encoding;
 2. ``^part_of+`` descendants of a country — one preorder range scan;
 3. an alternation ``(part_of|twinned_with)/part_of*`` that no interval can
-   serve, evaluated as an automaton product over the adjacency bitmaps.
+   serve, evaluated as an automaton product over the adjacency rows.
 
 Every answer row carries a *witness path*: the canonical (shortest, then
 lexicographically least) sequence of labeled edges proving the answer is

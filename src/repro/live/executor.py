@@ -532,7 +532,7 @@ class QueryExecutor:
         return list(islice(survivors, limit))
 
     # -------------------------------------------------------------- #
-    # REACH strategy (RPQ expansion over the adjacency bitmaps)
+    # REACH strategy (RPQ expansion over the adjacency rows)
     # -------------------------------------------------------------- #
     def _execute_reach(
         self,
@@ -603,15 +603,15 @@ class QueryExecutor:
         by_name = predicate == "name"
         superset: set[str] = set()
         for probe in probes:
-            superset |= value_postings(predicate, probe)
+            superset.update(value_postings(predicate, probe))
             named = exact_name_postings(probe)
             if by_name:
-                superset |= named
+                superset.update(named)
             for named_id in named:
                 reference_key = normalize_string(named_id)
-                superset |= value_postings(predicate, reference_key)
+                superset.update(value_postings(predicate, reference_key))
                 if by_name:
-                    superset |= exact_name_postings(reference_key)
+                    superset.update(exact_name_postings(reference_key))
         return superset
 
     # -------------------------------------------------------------- #

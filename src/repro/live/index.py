@@ -34,16 +34,14 @@ import json
 import math
 from array import array
 from bisect import bisect_left, insort
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.engine.metadata import WatermarkMap
+from repro.live.members import add_member, discard_member, members
 from repro.live.rpq import AdjacencyIndex, document_edges
 from repro.ml.similarity import normalize_string, tokens
 
-#: Shared immutable empty postings set (avoids allocating on every miss).
-_EMPTY_IDS: frozenset[str] = frozenset()
 
 def _shared(normalized: str, value: object) -> str:
     """*normalized*, or *value* itself when normalizing did not change it."""
@@ -370,28 +368,21 @@ class GraphKVStore:
         return isinstance(entity_id, str) and self.get(entity_id) is not None
 
 
-def _unpost(postings: dict, key: object, entity_id: str) -> None:
-    """Drop *entity_id* from one postings set, and the set once empty."""
-    posted = postings.get(key)
-    if posted is not None:
-        posted.discard(entity_id)
-        if not posted:
-            del postings[key]
-
-
 class InvertedGraphIndex:
     """Inverted index from tokens of names / literal values to entity ids.
 
     Re-indexing a document diffs its posting keys against those of the
     document it replaces (:meth:`LiveEntityDocument.posting_keys`, cached
     on the document) and touches only the postings it left or joined, so a
-    shipped row that changed one fact moves one posting.
+    shipped row that changed one fact moves one posting.  A posting is held
+    in the form its size picks (:mod:`repro.live.members`): the bare id, a
+    sorted tuple of a few ids, a set of more.
     """
 
     def __init__(self) -> None:
-        self._name_postings: dict[str, set[str]] = defaultdict(set)
-        self._exact_names: dict[str, set[str]] = defaultdict(set)
-        self._value_postings: dict[tuple[str, str], set[str]] = defaultdict(set)
+        self._name_postings: dict[str, str | tuple[str, ...] | set[str]] = {}
+        self._exact_names: dict[str, str | tuple[str, ...] | set[str]] = {}
+        self._value_postings: dict[tuple[str, str], str | tuple[str, ...] | set[str]] = {}
         self.lookups = 0
 
     def _postings(self) -> tuple[dict, dict, dict]:
@@ -410,56 +401,56 @@ class InvertedGraphIndex:
             if before == after:
                 continue
             for key in set(before).difference(after):
-                _unpost(postings, key, entity_id)
+                discard_member(postings, key, entity_id)
             for key in set(after).difference(before):
-                postings[key].add(entity_id)
+                add_member(postings, key, entity_id)
 
     def remove(self, document: LiveEntityDocument) -> None:
         """Drop a held document from all postings it is listed under."""
         for postings, held in zip(self._postings(), document.posting_keys()):
             for key in held:
-                _unpost(postings, key, document.entity_id)
+                discard_member(postings, key, document.entity_id)
 
     def lookup_name(self, name: str) -> set[str]:
         """Entity ids whose name matches *name* exactly (normalized)."""
         self.lookups += 1
-        return set(self._exact_names.get(normalize_string(name), set()))
+        return set(members(self._exact_names.get(normalize_string(name))))
 
     def search_name_tokens(self, query: str) -> set[str]:
         """Entity ids containing every token of *query* in their names."""
         self.lookups += 1
-        query_tokens = tokens(query)
-        if not query_tokens:
-            return set()
         results: set[str] | None = None
-        for token in query_tokens:
-            posting = self._name_postings.get(token, set())
-            results = posting if results is None else results & posting
+        for token in tokens(query):
+            posting = members(self._name_postings.get(token))
+            results = set(posting) if results is None else results.intersection(posting)
             if not results:
-                return set()
-        return set(results or set())
+                break
+        return results or set()
 
     def lookup_value(self, predicate: str, value: object) -> set[str]:
         """Entity ids with ``predicate = value`` (normalized string match)."""
         self.lookups += 1
-        return set(self._value_postings.get((predicate, normalize_string(value)), set()))
+        return set(members(self._value_postings.get((predicate, normalize_string(value)))))
 
     # -------------------------------------------------------------- #
     # raw postings (executor entry points)
     # -------------------------------------------------------------- #
-    def value_postings(self, predicate: str, normalized_value: str) -> set[str]:
-        """The raw ``(predicate, normalized value)`` postings set, uncopied.
+    def value_postings(self, predicate: str, normalized_value: str) -> tuple[str, ...] | set[str]:
+        """The ids posted under ``(predicate, normalized value)``: a tuple or
+        the index's own set, uncopied.
 
         Unlike :meth:`lookup_value` this takes an already-normalized value,
         does not copy, and does not count a lookup — it is the executor's
-        set-intersection primitive, called once per equality probe per
-        condition.  Callers must treat the result as frozen.
+        equality primitive, called once per equality probe per condition.
+        Callers must treat the result as frozen.
         """
-        return self._value_postings.get((predicate, normalized_value), _EMPTY_IDS)  # type: ignore[return-value]
+        return members(self._value_postings.get((predicate, normalized_value)))
 
-    def exact_name_postings(self, normalized_name: str) -> set[str]:
-        """The raw exact-name postings set, uncopied (read-only view)."""
-        return self._exact_names.get(normalized_name, _EMPTY_IDS)  # type: ignore[return-value]
+    def exact_name_postings(self, normalized_name: str) -> tuple[str, ...] | set[str]:
+        """The ids whose name or alias normalizes to *normalized_name*: a
+        tuple or the index's own set, uncopied (callers must treat it as
+        frozen)."""
+        return members(self._exact_names.get(normalized_name))
 
 
 def view_row_documents(
@@ -678,11 +669,11 @@ class LiveIndex:
     def seed_selectivity(self, predicate: str, value: object) -> int:
         """Estimated candidate count of seeding from ``predicate = value``.
 
-        Exact postings sizes, read without copying — the planner uses this to
-        seed from the cheapest pushable condition.  Name-shaped predicates
-        read the exact-name postings (what :class:`QueryExecutor`'s
-        ``IndexLookup`` resolves through); everything else reads the value
-        postings.
+        Exact postings sizes (a one-id posting counts 1), read without
+        copying — the planner uses this to seed from the cheapest pushable
+        condition.  Name-shaped predicates read the exact-name postings
+        (what :class:`QueryExecutor`'s ``IndexLookup`` resolves through);
+        everything else reads the value postings.
         """
         normalized = normalize_string(value)
         if predicate in ("name", "alias"):

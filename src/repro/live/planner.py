@@ -84,7 +84,7 @@ class ReachOp:
     The REACH expression is compiled at plan time into its minimal DFA, an
     :class:`~repro.live.rpq.Automaton` that every plan of the expression
     shares (:func:`~repro.live.rpq.compile_automaton` memoises it);
-    evaluation is then a product construction over the adjacency bitmaps
+    evaluation is then a product construction over the adjacency rows
     (see :class:`~repro.live.rpq.RpqEvaluator`).  ``closure`` marks single-label closures (``part_of*``)
     eligible for the interval-encoding fast path.  ``target_type`` restricts
     the answers to one entity type (the ``TO`` clause) — empty means any.

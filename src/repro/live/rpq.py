@@ -1,4 +1,4 @@
-"""Regular path query evaluation over compressed adjacency bitmaps.
+"""Regular path query evaluation over compact adjacency rows.
 
 This module gives the KGQ REACH clause (:mod:`repro.live.kgq`) its runtime:
 
@@ -8,9 +8,10 @@ This module gives the KGQ REACH clause (:mod:`repro.live.kgq`) its runtime:
   (:func:`compile_automaton`, memoised per expression), so evaluation is a
   product construction over (node, DFA-state) pairs, never re-interprets the
   regex, and reaches each node in as few states as the language allows.
-* **Per-predicate compressed adjacency** — :class:`AdjacencyIndex` maintains,
-  per feed and per edge label, forward and reverse adjacency rows as packed
-  bitsets (arbitrary-precision ints over dense node ordinals), kept
+* **Per-predicate compact adjacency** — :class:`AdjacencyIndex` maintains,
+  per feed and per edge label, forward and reverse adjacency rows over dense
+  node ordinals, each in the form its size picks (:mod:`repro.live.members`:
+  the bare ordinal, a sorted tuple of a few, a set of more), kept
   incrementally consistent by :class:`~repro.live.index.LiveIndex` on every
   upsert/replace/delete — a shipped view delta sets and clears only the
   edges it changed, exactly like it touches only the postings it changed.
@@ -43,9 +44,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Container, Iterable, Iterator
+from typing import Container, Iterable, Sequence
 
 from repro.live.kgq import RpqAlt, RpqConcat, RpqExpr, RpqLabel, RpqPlus, RpqStar
+from repro.live.members import add_member, discard_member, members
 
 #: One provenance witness: a tuple of (src, rendered label, dst) edge triples.
 Witness = tuple[tuple[str, str, str], ...]
@@ -325,27 +327,34 @@ def document_edges(document) -> list[tuple[str, str]]:
 
 
 # ------------------------------------------------------------------ #
-# compressed adjacency (packed bitsets over dense node ordinals)
+# compact adjacency (rows of dense node ordinals)
 # ------------------------------------------------------------------ #
-def _iter_bits(bitmap: int) -> Iterator[int]:
-    """Set-bit positions of a packed bitset, ascending."""
-    while bitmap:
-        low = bitmap & -bitmap
-        yield low.bit_length() - 1
-        bitmap ^= low
+def row_targets(row: int | tuple[int, ...] | set[int]) -> Sequence[int]:
+    """The ordinals one adjacency row holds, ascending.
+
+    The one reader of a row: a one-target row is the target's ordinal
+    itself, a few targets a sorted tuple, more a set (sorted here).
+    """
+    return sorted(row) if row.__class__ is set else members(row)    # type: ignore[return-value]
 
 
 class _FeedGraph:
-    """One feed's labeled graph: interned nodes + per-predicate bitmap rows."""
+    """One feed's labeled graph: interned nodes + per-predicate adjacency rows.
+
+    A row holds its targets in the form their count picks
+    (:mod:`repro.live.members`); a one-target row is the very int object
+    ``ids`` holds for the target, so it costs the row dict's slot alone.
+    Read a row only through :func:`row_targets`.
+    """
 
     __slots__ = ("ids", "names", "forward", "reverse", "mutations")
 
     def __init__(self) -> None:
         self.ids: dict[str, int] = {}
         self.names: list[str] = []
-        # predicate -> source ordinal -> bitset of target ordinals (and back).
-        self.forward: dict[str, dict[int, int]] = {}
-        self.reverse: dict[str, dict[int, int]] = {}
+        # predicate -> source ordinal -> target ordinals (and back).
+        self.forward: dict[str, dict[int, int | tuple[int, ...] | set[int]]] = {}
+        self.reverse: dict[str, dict[int, int | tuple[int, ...] | set[int]]] = {}
         # predicate -> how often its edges changed (interval encoding stamps).
         self.mutations: dict[str, int] = {}
 
@@ -370,7 +379,7 @@ class IntervalIndex:
     preorder number (``pre``) and the maximum preorder in its subtree
     (``end``), so the descendants of ``x`` are exactly the contiguous slice
     ``order[pre[x] : end[x] + 1]`` — ancestry becomes a range scan, and the
-    parent map answers ancestor chains without touching bitmap rows.
+    parent map answers ancestor chains without touching adjacency rows.
     """
 
     __slots__ = ("parent", "pre", "end", "order")
@@ -398,14 +407,14 @@ class IntervalIndex:
 def _build_interval_index(graph: _FeedGraph, predicate: str) -> IntervalIndex | None:
     """Interval-encode *predicate* when its edges form a forest, else ``None``.
 
-    Forest-shaped means functional (every node at most one out-edge) and
+    Forest-shaped means functional (every forward row a single ordinal) and
     acyclic; DFS order is by node name so the encoding is process-stable.
     """
     rows = graph.forward.get(predicate, {})
     parent: dict[int, int] = {}
     nodes: set[int] = set()
-    for source, bitmap in rows.items():
-        targets = list(_iter_bits(bitmap))
+    for source, row in rows.items():
+        targets = row_targets(row)
         if len(targets) != 1:
             return None                       # a node with two parents: not a tree
         parent[source] = targets[0]
@@ -441,39 +450,35 @@ def _build_interval_index(graph: _FeedGraph, predicate: str) -> IntervalIndex | 
 
 
 def _set_edge(graph: _FeedGraph, predicate: str, source: int, target: int) -> None:
-    row = graph.forward.setdefault(predicate, {})
-    row[source] = row.get(source, 0) | (1 << target)
-    row = graph.reverse.setdefault(predicate, {})
-    row[target] = row.get(target, 0) | (1 << source)
+    add_member(graph.forward.setdefault(predicate, {}), source, target)
+    add_member(graph.reverse.setdefault(predicate, {}), target, source)
 
 
 def _clear_edge(graph: _FeedGraph, predicate: str, source: int, target: int) -> None:
-    for rows, key, bit in ((graph.forward, source, target), (graph.reverse, target, source)):
+    for rows, key, member in ((graph.forward, source, target), (graph.reverse, target, source)):
         row = rows.get(predicate)
         if row is None:
             continue
-        remaining = row.get(key, 0) & ~(1 << bit)
-        if remaining:
-            row[key] = remaining
-            continue
-        row.pop(key, None)
+        discard_member(row, key, member)
         if not row:
             del rows[predicate]
 
 
 class AdjacencyIndex:
-    """Per-feed, per-predicate compressed adjacency, incrementally maintained.
+    """Per-feed, per-predicate compact adjacency, incrementally maintained.
 
     Mirrors the :class:`~repro.live.index.InvertedGraphIndex` maintenance
     discipline: ``index_document`` diffs one document's edges against those
     of the document it replaces (``document.edges()``, cached on the
-    immutable document) and sets or clears only the bits that changed, and
-    ``remove`` clears exactly the bits the removed document set.  Interval
-    encodings are derived state: a change to a feed's edges bumps the
-    mutation counter of each predicate it moved, and :meth:`interval_index`
-    rebuilds lazily when its stamp is stale — so a shipped delta that moves
-    a ``part_of`` edge drops the ``part_of`` encoding, and one that moves
-    only edges of other predicates keeps it.
+    immutable document) and adds or drops only the edges that changed, and
+    ``remove`` drops exactly the edges the removed document added.  Rows
+    take the form their target count picks and nothing else, so a graph
+    built by diffs equals, row for row, one rebuilt from the same
+    documents.  Interval encodings are derived state: a change to a feed's
+    edges bumps the mutation counter of each predicate it moved, and
+    :meth:`interval_index` rebuilds lazily when its stamp is stale — so a
+    shipped delta that moves a ``part_of`` edge drops the ``part_of``
+    encoding, and one that moves only edges of other predicates keeps it.
     """
 
     def __init__(self) -> None:
@@ -507,7 +512,7 @@ class AdjacencyIndex:
         graph.touch({predicate for predicate, _ in gone} | {predicate for predicate, _ in new})
 
     def remove(self, document) -> None:
-        """Clear every bit a held document set."""
+        """Drop every edge a held document added."""
         edges = document.edges()
         if not edges:
             return
@@ -571,7 +576,7 @@ class RpqEvaluator:
 
     Single-label closures over forest-shaped predicates take the interval
     fast path (parent-chain walks and preorder range scans — counted in
-    ``interval_hits``); everything else runs the bitmap product BFS
+    ``interval_hits``); everything else runs the adjacency product BFS
     (``product_runs``).  Both produce identical answers and canonical
     witnesses; only the reported expansion count differs, because the fast
     path genuinely does less work.
@@ -636,11 +641,11 @@ class RpqEvaluator:
                     rows = graph.reverse.get(predicate) if inverse else graph.forward.get(predicate)
                     if not rows:
                         continue
-                    bitmap = rows.get(ordinal)
-                    if not bitmap:
+                    row = rows.get(ordinal)
+                    if row is None:           # not `not row`: ordinal 0 is a row
                         continue
                     label = ("^" + predicate) if inverse else predicate
-                    for target in _iter_bits(bitmap):
+                    for target in row_targets(row):
                         key = (names[target], next_state)
                         if key in visited:
                             continue
@@ -747,8 +752,8 @@ def naive_rpq(
     Deliberately independent of :class:`AdjacencyIndex` — the edge relation
     is re-derived from the documents on every call and expansion uses plain
     dict-of-set adjacency, so the seeded equivalence suite genuinely tests
-    the bitmap and interval machinery against first principles.  Same
-    round-synchronised BFS, same canonical witnesses.
+    the compact adjacency and interval machinery against first principles.
+    Same round-synchronised BFS, same canonical witnesses.
     """
     forward: dict[str, dict[str, set[str]]] = {}
     reverse: dict[str, dict[str, set[str]]] = {}

@@ -5,7 +5,8 @@
 
 * a :class:`~repro.serving.journal_store.JournalStore` keeps every shipped
   view's committed deltas, from which a lagging or restarted replica
-  catches up;
+  catches up; each time a delta is journaled the fleet drops the view's
+  deltas every replica's index holds (:meth:`ServingFleet.compact_journals`);
 * a :class:`~repro.serving.shipping.JournalShipper` publishes LSN-ranged
   delta batches on a :class:`~repro.serving.shipping.ReplicationBus`;
 * N :class:`~repro.serving.replica.ReplicaNode` subscribers apply them
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.engine.views import ViewManager
+from repro.engine.views import JournalEvent, ViewManager
 from repro.errors import ServingError
 from repro.live.executor import QueryResult
 from repro.serving.anti_entropy import AntiEntropyAuditor, AuditReport
@@ -47,6 +48,8 @@ class ServingFleet:
         self.journal_store = JournalStore()
         self.bus = ReplicationBus()
         self.shipper = JournalShipper(manager, self.bus, self.journal_store)
+        # Registered after the shipper's, so it sees each delta journaled.
+        manager.add_journal_listener(self._on_journal_event)
         self.router = ShardRouter(manager.current_lsn)
         self.query_router = QueryRouter(self.router)
         self.auditor = AntiEntropyAuditor(self)
@@ -84,6 +87,7 @@ class ServingFleet:
         """Stop shipping and auditing, then drain and stop every replica."""
         self.auditor.stop()
         self.shipper.detach()
+        self.manager.remove_journal_listener(self._on_journal_event)
         for node in self.replicas.values():
             node.stop()
 
@@ -194,19 +198,26 @@ class ServingFleet:
         A view's history is truncated at the lowest LSN any replica's index
         holds for it, so no consumer is pushed into a gap by compaction; a
         crashed replica still counts, since it resumes from the LSN its index
-        holds.  Returns the deltas dropped per view.
+        holds.  The fleet runs this for a view each time the shipper
+        journals a delta for it.  Returns the deltas dropped per view.
         """
         dropped: dict[str, int] = {}
         for view_name in self.shipper.shipped_views:
-            floor = min(
-                (node.applied_lsn(view_name) for node in self.replicas.values()),
-                default=0,
-            )
-            if floor > 0:
-                count = self.journal_store.truncate_below(view_name, floor)
-                if count:
-                    dropped[view_name] = count
+            count = self._compact_journal(view_name)
+            if count:
+                dropped[view_name] = count
         return dropped
+
+    def _compact_journal(self, view_name: str) -> int:
+        floor = min(
+            (node.applied_lsn(view_name) for node in self.replicas.values()),
+            default=0,
+        )
+        return self.journal_store.truncate_below(view_name, floor) if floor > 0 else 0
+
+    def _on_journal_event(self, event: JournalEvent) -> None:
+        if event.kind == "append":
+            self._compact_journal(event.view_name)
 
     def lag(self) -> dict[str, dict[str, int]]:
         """Per-view, per-replica lag behind the primary head, in LSNs."""

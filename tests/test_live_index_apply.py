@@ -33,7 +33,7 @@ from repro.live.executor import QueryExecutor
 from repro.live.index import LiveEntityDocument, LiveIndex
 from repro.live.kgq import parse
 from repro.live.planner import QueryPlanner
-from repro.live.rpq import _iter_bits
+from repro.live.rpq import row_targets
 
 SUBJECTS = [f"s{i:02d}" for i in range(12)]
 VIEWS = ["a", "b"]
@@ -88,7 +88,7 @@ def edited_document(rng: random.Random, document: LiveEntityDocument, lsn: int) 
 
 
 def graph_state(index: LiveIndex, feed: str) -> tuple:
-    """One feed's adjacency in node names: bitmaps and intervals."""
+    """One feed's adjacency in node names: rows and intervals."""
     adjacency = index.adjacency
     graph = adjacency.graph(feed)
     if graph is None:       # a feed with no documents left encodes an empty forest
@@ -97,8 +97,8 @@ def graph_state(index: LiveIndex, feed: str) -> tuple:
 
     def rows(by_predicate):
         return {
-            predicate: {names[key]: {names[bit] for bit in _iter_bits(bitmap)}
-                        for key, bitmap in row.items()}
+            predicate: {names[key]: {names[target] for target in row_targets(targets)}
+                        for key, targets in row.items()}
             for predicate, row in by_predicate.items()
         }
 

@@ -298,6 +298,50 @@ class TestShippingAndReplicas:
         assert node.snapshot_resyncs == 0
         fleet.stop()
 
+    def test_running_fleet_compacts_what_every_replica_applied(self):
+        """Each journaled delta truncates the view's history at the lowest
+        LSN a replica's index holds, so a drained fleet keeps the newest
+        deltas only, not one per flush."""
+        store, clock, manager = make_primary()
+        store["a"] = 0
+        manager.materialize()
+        fleet = ServingFleet(manager, num_replicas=3).start()
+        fleet.serve_view("rows")
+        assert fleet.drain()
+        for value in range(1, 51):
+            put(store, clock, manager, "a", value)
+            manager.flush()
+            assert fleet.drain()
+        journal = fleet.status()["journal"]["rows"]
+        assert journal["records"] <= 2
+        assert journal["high_water_mark"] == clock["lsn"]
+        fleet.stop()
+
+    def test_crashed_replica_pins_the_history_it_catches_up_from(self):
+        store, clock, manager = make_primary()
+        store["a"] = 0
+        manager.materialize()
+        fleet = ServingFleet(manager, num_replicas=3).start()
+        fleet.serve_view("rows")
+        assert fleet.drain()
+        fleet.kill_replica("replica-1")
+        node = fleet.replicas["replica-1"]
+        resyncs_before = node.snapshot_resyncs
+        for value in range(1, 11):
+            put(store, clock, manager, "a", value)
+            manager.flush()
+            assert fleet.drain()
+        assert fleet.status()["journal"]["rows"]["records"] == 10
+        assert fleet.restart_replica("replica-1") == ["rows"]
+        assert node.snapshot_resyncs == resyncs_before       # a journal delta, no snapshot
+        assert node.applied_lsn("rows") == clock["lsn"]
+        assert node.get("rows", "a").value("value") == 10
+        put(store, clock, manager, "a", 11)
+        manager.flush()
+        assert fleet.drain()
+        assert fleet.status()["journal"]["rows"]["records"] <= 2
+        fleet.stop()
+
     def test_restart_snapshot_resyncs_when_journal_compacted_past_checkpoint(self):
         store, clock, manager = make_primary()
         store["a"] = 1

@@ -4,7 +4,8 @@
 3 replicas.  Every replica applies the documents a batch decodes to once, so
 after the snapshot and after a delta flush all three hold the same objects;
 and ``tracemalloc`` bounds the bytes the started fleet retains per served
-row, since the indexes keep no reverse map of what those documents say.
+row, since the indexes keep no reverse map of what those documents say
+and hold a small posting or adjacency row without a set or bitmap.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from repro.model.triples import ExtendedTriple
 from repro.serving import shipping
 from repro.serving.shipping import ShipmentBatch
 
-#: Retained bytes per served row with 3 replicas: 12.4 k measured on
-#: CPython 3.11, plus 20 %.  Decoding per replica and keeping per-replica
-#: reverse maps of posting keys and edges retained 20.8 k.
-BYTES_PER_ROW_BOUND = 14_900
+#: Retained bytes per served row with 3 replicas: 6.4 k measured on
+#: CPython 3.11, plus 20 %.  A set per posting and a bigint bitmap per
+#: adjacency row retained 12.2 k; decoding per replica and keeping
+#: per-replica reverse maps of posting keys and edges retained 20.8 k.
+BYTES_PER_ROW_BOUND = 7_700
 
 
 def register_profile_view(engine) -> None:
