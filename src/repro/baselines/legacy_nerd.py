@@ -87,20 +87,3 @@ class LegacyEntityLinker:
             type_hints=type_hints,
         )
         return self.disambiguator.disambiguate(context, candidates)
-
-    def resolve(self, mention: str, context) -> object | None:
-        """Object-resolution protocol adapter (mirrors :meth:`NERDService.resolve`)."""
-        from repro.construction.object_resolution import Resolution
-
-        result = self.link_mention(
-            mention,
-            context_values=tuple(getattr(context, "context_values", ()) or ()),
-            type_hints=tuple(getattr(context, "expected_types", ()) or ()),
-        )
-        if result.entity_id is None:
-            return None
-        return Resolution(
-            entity_id=result.entity_id,
-            confidence=result.confidence,
-            candidate_count=result.candidate_count,
-        )

@@ -42,7 +42,6 @@ from repro.construction.object_resolution import (
     NameIndexResolver,
     ObjectResolutionStage,
     ObjectResolutionStats,
-    ObjectResolver,
 )
 from repro.model.delta import SourceDelta
 from repro.model.entity import (
@@ -186,7 +185,6 @@ class IncrementalConstructor:
         self,
         ontology: Ontology,
         store: TripleStore | None = None,
-        resolver: ObjectResolver | None = None,
         id_generator: IdGenerator | None = None,
     ) -> None:
         self.ontology = ontology
@@ -194,11 +192,10 @@ class IncrementalConstructor:
         self.id_generator = id_generator or IdGenerator()
         self.linker = Linker(ontology, id_generator=self.id_generator)
         self.fusion = Fusion(ontology)
-        self._external_resolver = resolver
         self.link_table: dict[str, str] = {}
-        # What a commit reads (docs/construction.md): the name index (when no
-        # resolver is passed) and the KG view live as long as the
-        # constructor, and each commit re-reads only the subjects it noted.
+        # What a commit reads (docs/construction.md): the name index and the
+        # KG view live as long as the constructor, and each commit re-reads
+        # only the subjects it noted.
         self._name_index: NameIndexResolver | None = None
         self._entities: dict[str, KGEntity] = {}        # subject -> assembled entity
         self._by_type: dict[str, set[str]] = {}         # type -> its subjects
@@ -223,10 +220,9 @@ class IncrementalConstructor:
         self._sync()
         tracker = self._tracker = _CommitTracker(self.store)
         try:
-            resolver = self._external_resolver
             obr = ObjectResolutionStage(
                 ontology=self.ontology,
-                resolver=resolver if resolver is not None else self._name_index,
+                resolver=self._name_index,
                 id_generator=self.id_generator,
             )
             self._commit_added(delta.added, obr, report, tracker)
@@ -422,11 +418,10 @@ class IncrementalConstructor:
             self._by_type.clear()
             self._untyped.clear()
             self._reread_view(self.store.subjects())
-            if self._external_resolver is None:
-                if self._name_index is None:
-                    self._name_index = NameIndexResolver(self.store, self.ontology)
-                else:
-                    self._name_index.refresh(self.store)
+            if self._name_index is None:
+                self._name_index = NameIndexResolver(self.store, self.ontology)
+            else:
+                self._name_index.refresh(self.store)
         self._synced_version = self.store.version
 
     def _reread(self, subjects: Iterable[str]) -> None:

@@ -4,16 +4,14 @@ Section 2.3: many triples carry a string literal (e.g. a person name) in the
 object field of a reference predicate.  OBR resolves such literals to existing
 KG entities — or creates new entities — so cross-references in the KG are
 normalized.  The production system backs OBR with the NERD stack (Section 5.2);
-this module defines the resolver interface, a lightweight name-index resolver
-used for bootstrapping and tests, and :class:`ObjectResolutionStage`, whose
+here construction resolves through :class:`NameIndexResolver`, a name index
+over the KG that each commit keeps current.  This module defines the
+:class:`ObjectResolver` interface, that resolver, and
+:class:`ObjectResolutionStage`, whose
 :meth:`~ObjectResolutionStage.resolve_linked` a construction commit calls to
 rewrite linked entities into KG triples just before fusing them.  A mention
 no resolver answers with enough confidence gets a new entity, so every
 reference object leaves OBR as a KG identifier.
-
-The NERD service (:mod:`repro.ml.nerd.service`) satisfies the
-:class:`ObjectResolver` protocol structurally, so it can be plugged in without
-an import dependency from the ML stack onto construction.
 """
 
 from __future__ import annotations

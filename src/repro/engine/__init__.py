@@ -2,7 +2,6 @@
 
 from repro.engine.agents import (
     AgentCoordinator,
-    CallbackAgent,
     OrchestrationAgent,
     ReplayReport,
 )
@@ -38,7 +37,6 @@ from repro.engine.views import (
 __all__ = [
     "AgentCoordinator",
     "AnalyticsStore",
-    "CallbackAgent",
     "DeltaApplyResult",
     "EntityDocument",
     "EntityStore",

@@ -44,17 +44,6 @@ class OrchestrationAgent(ABC):
         self.errors.append(f"lsn={record.lsn}: {error}")
 
 
-class CallbackAgent(OrchestrationAgent):
-    """Adapter turning a plain callable into an orchestration agent."""
-
-    def __init__(self, name: str, callback) -> None:
-        super().__init__(name)
-        self._callback = callback
-
-    def apply(self, record: LogRecord, payload: object) -> None:
-        self._callback(record, payload)
-
-
 @dataclass
 class ReplayReport:
     """What one coordinator pass replayed."""

@@ -51,7 +51,6 @@ from repro.engine.object_store import ObjectStore
 from repro.engine.text_index import InvertedTextIndex, SearchHit, TextDocument
 from repro.engine.vector_db import VectorDB
 from repro.engine.views import ViewCatalog, ViewContext, ViewDefinition, ViewDelta, ViewManager
-from repro.errors import EngineError
 from repro.model.entity import KGEntity
 from repro.model.ontology import Ontology
 from repro.model.triples import TripleBatch, TripleStore
@@ -460,9 +459,3 @@ class GraphEngine:
             "vector_db": self.vector_db,
             "ontology": self.ontology,
         }
-
-    def register_agent(self, agent: OrchestrationAgent) -> None:
-        """Register an additional store agent (polystore extensibility)."""
-        if agent.name in self.coordinator.agents:
-            raise EngineError(f"agent {agent.name!r} already registered")
-        self.coordinator.register(agent)

@@ -46,34 +46,31 @@ def stable_document(entity: KGEntity) -> LiveEntityDocument:
     )
 
 
+RESOLUTION_CONFIDENCE = 0.6
+"""Least linking confidence at which :class:`EntityResolutionClient` takes a
+service's answer; below it the reference stays text."""
+
+
 class EntityResolutionClient:
     """Resolve text mentions to stable entity ids via the ER/NERD service.
 
     Wraps anything exposing ``link_mention(mention, context_values=...,
     type_hints=...)`` (both :class:`repro.ml.nerd.NERDService` and the legacy
-    baseline do) and caches answers, since live feeds repeat the same
-    references on every update.  An answer is cached per mention, context and
-    type hints, and only until the service applies its next delta: a service
-    that follows the log counts its deltas in ``deltas_applied``, and a
-    change of that count drops the cache (a service without the counter
-    never changes, so its answers are kept).
+    baseline do) and caches answers per mention, context and type hints,
+    since live feeds repeat the same references on every update.  The service
+    answers from the entity view it was built with, which does not change, so
+    a cached answer stays the service's answer.
     """
 
-    def __init__(self, service, confidence_threshold: float = 0.6) -> None:
+    def __init__(self, service) -> None:
         self.service = service
-        self.confidence_threshold = confidence_threshold
         self._cache: dict[tuple[str, tuple[str, ...], tuple[str, ...]], str | None] = {}
-        self._cached_at = 0
         self.calls = 0
 
     def resolve(
         self, mention: str, context_values: Sequence[str] = (), type_hints: tuple[str, ...] = ()
     ) -> str | None:
         """Return the stable entity id for *mention*, or ``None``."""
-        deltas_applied = getattr(self.service, "deltas_applied", 0)
-        if deltas_applied != self._cached_at:
-            self._cache.clear()
-            self._cached_at = deltas_applied
         key = (mention.lower(), tuple(context_values), tuple(type_hints))
         if key in self._cache:
             return self._cache[key]
@@ -83,7 +80,7 @@ class EntityResolutionClient:
         )
         entity_id = (
             result.entity_id
-            if result.entity_id is not None and result.confidence >= self.confidence_threshold
+            if result.entity_id is not None and result.confidence >= RESOLUTION_CONFIDENCE
             else None
         )
         self._cache[key] = entity_id

@@ -4,17 +4,17 @@ Ties together live construction, the live index, the KGQ compiler and
 executor, intent handling, multi-turn context, and the curation pipeline into
 one object that examples, tests, and benchmarks drive.
 
-The stable KG is one feed of the live index.  :meth:`LiveGraphEngine.load_stable_view`
-loads it whole (``LiveIndex.replace_feed``), and from then on
-:meth:`LiveGraphEngine.apply_stable_delta` follows the Graph Engine's log with
-it: each LSN-stamped delta becomes one ``LiveIndex.apply_feed_delta``, the two
-calls a serving replica applies a shipped batch through.
+The stable KG is one feed of the live index: :meth:`LiveGraphEngine.load_stable_view`
+loads a KG store whole (``LiveIndex.replace_feed``).  Streaming events join it
+through :meth:`LiveGraphEngine.ingest_events`, their text references resolved
+against the stable entities by the resolution service the engine was built
+with (a NERD service over the same store).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from repro.datagen.streams import LiveEvent
 from repro.errors import IntentError
@@ -26,21 +26,12 @@ from repro.live.construction import (
 from repro.live.context import ContextGraph
 from repro.live.curation import CurationDecision, CurationPipeline
 from repro.live.executor import QueryExecutor, QueryResult
-from repro.live.index import LiveEntityDocument, LiveIndex
-from repro.live.intents import Intent, IntentHandler, default_intent_handler
-from repro.live.kgq import (
-    CallQuery,
-    Query,
-    VirtualOperatorRegistry,
-    default_virtual_operators,
-    parse,
-)
+from repro.live.index import LiveIndex
+from repro.live.intents import Intent, default_intent_handler
+from repro.live.kgq import CallQuery, Query, default_virtual_operators, parse
 from repro.live.planner import PhysicalPlan, QueryPlanner
-from repro.model.entity import KGEntity, materialize_entities
+from repro.model.entity import materialize_entities
 from repro.model.triples import TripleStore
-
-if TYPE_CHECKING:
-    from repro.engine.views import ViewDelta
 
 #: The live index feed serving the stable KG.
 STABLE_FEED = "stable"
@@ -59,60 +50,34 @@ class IntentAnswer:
 class LiveGraphEngine:
     """Low-latency serving over the union of stable and streaming knowledge."""
 
-    def __init__(
-        self,
-        resolution_service=None,
-        virtual_operators: VirtualOperatorRegistry | None = None,
-        intent_handler: IntentHandler | None = None,
-    ) -> None:
+    def __init__(self, resolution_service=None) -> None:
         self.index = LiveIndex()
         resolution_client = (
             EntityResolutionClient(resolution_service) if resolution_service is not None else None
         )
         self.construction = LiveGraphConstruction(self.index, resolution_client)
-        self.virtual_operators = virtual_operators or default_virtual_operators()
+        self.virtual_operators = default_virtual_operators()
         # Cost-based seeding: the planner reads live postings sizes so the
         # cheapest pushable condition seeds execution.
         self.planner = QueryPlanner(
             self.virtual_operators, selectivity=self.index.seed_selectivity
         )
         self.executor = QueryExecutor(self.index)
-        self.intents = intent_handler or default_intent_handler(self.index)
+        self.intents = default_intent_handler(self.index)
         self.context = ContextGraph()
         self.curation = CurationPipeline()
 
     # -------------------------------------------------------------- #
     # construction
     # -------------------------------------------------------------- #
-    def load_stable_view(self, store: TripleStore, version: int = 0) -> int:
+    def load_stable_view(self, store: TripleStore) -> int:
         """Load the whole stable KG as the index's stable feed.
 
-        *version* is the Graph Engine log position (LSN) the store reflects;
-        it becomes the feed's watermark.  A document of an entity the store no
-        longer holds stops being served.  Returns the number of documents
-        loaded.
+        A document of an entity the store no longer holds stops being served.
+        Returns the number of documents loaded.
         """
         documents = (stable_document(entity) for entity in materialize_entities(store).values())
-        return self.index.replace_feed(STABLE_FEED, documents, version)
-
-    def apply_stable_delta(self, store: TripleStore, delta: ViewDelta) -> int:
-        """Apply one LSN-stamped log delta to the stable feed.
-
-        Each subject *delta* names is served as *store* holds it now, or
-        unserved when the store holds no fact about it; the feed's watermark
-        advances to the delta's LSN.  ``SagaPlatform.live`` registers this
-        as a delta listener of the Graph Engine's coordinator.  Returns the
-        number of documents written.
-        """
-        upserts: list[LiveEntityDocument] = []
-        deleted: list[str] = []
-        for subject in sorted(delta.added | delta.updated | delta.deleted):
-            facts = store.facts_about(subject)
-            if facts:
-                upserts.append(stable_document(KGEntity.from_triples(subject, facts)))
-            else:
-                deleted.append(subject)
-        return self.index.apply_feed_delta(STABLE_FEED, upserts, deleted, delta.last_lsn)
+        return self.index.replace_feed(STABLE_FEED, documents, 0)
 
     def ingest_events(self, events: Iterable[LiveEvent], screen: bool = True) -> int:
         """Ingest streaming events, optionally screening them for curation."""

@@ -41,21 +41,6 @@ IMPORTANCE_WEIGHT = 0.15
 """Weight of entity importance added to a candidate's retrieval score."""
 
 
-def _tokens_of(names: set[str]) -> set[str]:
-    return {token for name in names for token in tokens(name)}
-
-
-def _move(postings: dict[str, set[str]], entity_id: str, before: set[str], after: set[str]) -> None:
-    """Post *entity_id* under the keys of *after* instead of those of *before*."""
-    for key in before - after:
-        posted = postings[key]
-        posted.discard(entity_id)
-        if not posted:
-            del postings[key]
-    for key in after - before:
-        postings[key].add(entity_id)
-
-
 class CandidateRetriever:
     """Name-based candidate generation over the NERD Entity View."""
 
@@ -64,19 +49,11 @@ class CandidateRetriever:
         self.ontology = ontology
         self._exact: dict[str, set[str]] = defaultdict(set)
         self._token_postings: dict[str, set[str]] = defaultdict(set)
-        self.reindex({record.entity_id: None for record in view.records()})
-
-    def reindex(self, previous: dict[str, NERDEntityRecord | None]) -> None:
-        """Move each entity's postings from the names of its *previous* record
-        (``None``: none) to the names of its record in the view now."""
-        for entity_id, old in previous.items():
-            record = self.view.get(entity_id)
-            before = old.normalized_names() if old is not None else set()
-            after = record.normalized_names() if record is not None else set()
-            if before == after:
-                continue
-            _move(self._exact, entity_id, before, after)
-            _move(self._token_postings, entity_id, _tokens_of(before), _tokens_of(after))
+        for record in view.records():
+            for name in record.normalized_names():
+                self._exact[name].add(record.entity_id)
+                for token in tokens(name):
+                    self._token_postings[token].add(record.entity_id)
 
     def knows_name(self, normalized: str) -> bool:
         """Whether some record has *normalized* as a normalized name."""

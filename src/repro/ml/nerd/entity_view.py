@@ -2,25 +2,20 @@
 
 Each record summarizes what the KG knows about an entity — names and aliases,
 ontology types, a textual description, important one-hop relationships, the
-types of important neighbours, and the entity-importance score.  The view is
-built over the Graph Engine's primary store and kept fresh from the log: each
-:class:`~repro.engine.views.ViewDelta` the engine's coordinator delivers
-rebuilds the records it can change.  Disambiguation compares the context of a
-text mention against these summaries.
+types of important neighbours, and the entity-importance score (the entity's
+``popularity`` fact).  The view is built once over a KG store, such as the
+Graph Engine's primary.  Disambiguation compares the context of a text mention
+against these summaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass, field
 
 from repro.model.entity import KGEntity
 from repro.model.identifiers import is_kg_identifier
 from repro.model.triples import TripleStore
 from repro.ml.similarity import normalize_string, tokens
-
-if TYPE_CHECKING:
-    from repro.engine.views import ViewDelta
 
 
 @dataclass
@@ -54,78 +49,20 @@ class NERDEntityRecord:
 
 
 class NERDEntityView:
-    """Materialized entity summaries, kept current from the log's deltas.
+    """Materialized entity summaries of one KG store."""
 
-    The view keeps the store and the importance map it was built from.
-    :meth:`build` and :meth:`apply_delta` share one record builder, so a
-    record rebuilt after a change equals the record a fresh :meth:`build`
-    of the same store and importance map would hold.
-    """
-
-    def __init__(self, store: TripleStore, importance: dict[str, float] | None = None) -> None:
+    def __init__(self, store: TripleStore) -> None:
         self.store = store
-        self.importance = importance or {}
         self._records: dict[str, NERDEntityRecord] = {}
-        # entity id -> the ids its record was built from: the values it
-        # links to and the subjects pointing at it.
-        self._neighbours: dict[str, frozenset[str]] = {}
 
-    # -------------------------------------------------------------- #
-    # construction / maintenance
-    # -------------------------------------------------------------- #
     @classmethod
-    def build(
-        cls,
-        store: TripleStore,
-        importance: dict[str, float] | None = None,
-    ) -> "NERDEntityView":
+    def build(cls, store: TripleStore) -> "NERDEntityView":
         """Build the view for every entity in *store*."""
-        view = cls(store, importance)
+        view = cls(store)
         names: dict[str, str] = {}
         for entity_id in store.subjects():
-            view._rebuild(entity_id, names)
+            view._build_record(entity_id, names)
         return view
-
-    def apply_delta(
-        self, delta: ViewDelta, importance: dict[str, float] | None = None
-    ) -> dict[str, NERDEntityRecord | None]:
-        """Rebuild every record *delta* can change, from the store now.
-
-        A record embeds its neighbours' names and types, so the delta's
-        subjects pull in their one-hop in- and out-neighbours, both those in
-        the store now and those their old records were built from (a deleted
-        subject's out-edges are already gone from the store).  The store may
-        already be past *delta*; any other rebuilt record whose neighbours
-        moved pulls in the ids that left or joined it.  A subject with no
-        facts left loses its record.
-
-        Importance is a whole-graph score, so a delta can move the score of
-        an entity it never names.  With *importance*, the view adopts that
-        map first, and every other record whose stored importance differs
-        from the map's score takes that score, which is all a rebuild would
-        change.  Returns the previous record (``None``: none) of every id
-        rebuilt or rescored.
-        """
-        if importance is not None:
-            self.importance = importance
-        subjects = delta.added | delta.updated | delta.deleted
-        pending = set(subjects)
-        previous: dict[str, NERDEntityRecord | None] = {}
-        names: dict[str, str] = {}
-        while pending:
-            entity_id = pending.pop()
-            previous[entity_id] = self._records.get(entity_id)
-            before = self._neighbours.get(entity_id, frozenset())
-            after = self._rebuild(entity_id, names)
-            moved = before | after if entity_id in subjects else before ^ after
-            pending.update(moved.difference(previous))
-        if importance is not None:
-            for entity_id, record in self._records.items():
-                score = importance.get(entity_id)
-                if entity_id not in previous and score is not None and record.importance != score:
-                    previous[entity_id] = record
-                    self._records[entity_id] = replace(record, importance=float(score))
-        return previous
 
     # -------------------------------------------------------------- #
     # access
@@ -141,22 +78,16 @@ class NERDEntityView:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __contains__(self, entity_id: object) -> bool:
-        return entity_id in self._records
-
     # -------------------------------------------------------------- #
     # internals
     # -------------------------------------------------------------- #
-    def _rebuild(self, entity_id: str, names: dict[str, str]) -> frozenset[str]:
-        """(Re)build *entity_id*'s record, or drop it when the subject has no
-        facts; return the ids the record was built from."""
+    def _build_record(self, entity_id: str, names: dict[str, str]) -> None:
+        """Build *entity_id*'s record (none when the subject has no facts)."""
         store = self.store
-        pointing = store.facts_with_object(entity_id)
         facts = store.facts_about(entity_id)
         if not facts:
-            self._records.pop(entity_id, None)
-            self._neighbours.pop(entity_id, None)
-            return frozenset(t.subject for t in pointing)
+            return
+        pointing = store.facts_with_object(entity_id)
         entity = KGEntity.from_triples(entity_id, facts)
         linked = [
             (predicate, value)
@@ -191,10 +122,8 @@ class NERDEntityView:
             description=str(entity.value("description") or ""),
             relations=relations[:40],
             neighbor_types=self._neighbor_types(neighbours),
-            importance=float(self.importance.get(entity_id, self._popularity(entity))),
+            importance=self._popularity(entity),
         )
-        self._neighbours[entity_id] = frozenset(neighbours.union(v for _, v in nested))
-        return self._neighbours[entity_id]
 
     def _neighbor_types(self, neighbours: set[str]) -> list[str]:
         neighbor_types: list[str] = []

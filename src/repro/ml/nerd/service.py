@@ -1,27 +1,20 @@
 """The NERD service: mention generation, retrieval, disambiguation (Figure 10).
 
-The service wires the stack together and exposes the two interfaces the paper
-describes:
-
-* **annotation** of text passages or semi-structured records — mention
-  generation over the input, candidate retrieval, bulk contextual
-  disambiguation, and preparation of the annotated output;
-* **object resolution** for KG construction — the service structurally
-  satisfies :class:`repro.construction.object_resolution.ObjectResolver`, so
-  the construction pipeline can plug it in directly (optionally with entity
-  type hints, the "NERD + type hints" configuration of Figure 14b).
-
-The service follows the log like every other consumer of the Graph Engine:
-:meth:`NERDService.apply_delta` takes each LSN-stamped
-:class:`~repro.engine.views.ViewDelta` and rebuilds the entity records it can
-change, moving only their retrieval postings.
+The service wires the stack together and exposes the paper's annotation
+interface: mention generation over text passages or semi-structured records,
+candidate retrieval, bulk contextual disambiguation, and preparation of the
+annotated output.  :meth:`NERDService.link_mention` links one mention,
+with entity type hints when the caller knows them (the "NERD + type hints"
+configuration of Figure 14b).  The service is built over a KG store
+(:meth:`NERDService.from_store`) and answers from the entity view that build
+made.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.ml.nerd.candidates import CandidateRetriever
 from repro.ml.nerd.disambiguation import (
@@ -33,9 +26,6 @@ from repro.ml.nerd.entity_view import NERDEntityView
 from repro.ml.similarity import normalize_string
 from repro.model.ontology import Ontology
 from repro.model.triples import TripleStore
-
-if TYPE_CHECKING:
-    from repro.engine.views import ViewDelta
 
 MAX_MENTION_TOKENS = 5
 """Longest mention, in whitespace-separated words, the gazetteer matches."""
@@ -69,33 +59,11 @@ class NERDService:
         self.ontology = ontology
         self.retriever = CandidateRetriever(view, ontology=ontology)
         self.disambiguator = ContextualDisambiguator()
-        #: Log deltas applied so far; a caller caching answers compares it.
-        self.deltas_applied = 0
 
     @classmethod
-    def from_store(
-        cls,
-        store: TripleStore,
-        ontology: Ontology | None = None,
-        importance: dict[str, float] | None = None,
-    ) -> "NERDService":
+    def from_store(cls, store: TripleStore, ontology: Ontology | None = None) -> "NERDService":
         """Build the entity view from a KG store and wrap a service around it."""
-        return cls(NERDEntityView.build(store, importance), ontology=ontology)
-
-    # -------------------------------------------------------------- #
-    # maintenance
-    # -------------------------------------------------------------- #
-    def apply_delta(self, delta: ViewDelta, importance: dict[str, float] | None = None) -> None:
-        """Bring the entity view and the retrieval indexes up to one log delta.
-
-        The Graph Engine's coordinator calls this with each LSN-stamped delta
-        once every store has replayed it (``SagaPlatform.nerd`` registers it,
-        with the importance map recomputed for the delta).  With
-        *importance*, the view ranks by that map from now on
-        (:meth:`NERDEntityView.apply_delta`).
-        """
-        self.retriever.reindex(self.view.apply_delta(delta, importance))
-        self.deltas_applied += 1
+        return cls(NERDEntityView.build(store), ontology=ontology)
 
     # -------------------------------------------------------------- #
     # mention generation
@@ -172,30 +140,3 @@ class NERDService:
             type_hints=type_hints,
         )
         return self.disambiguator.disambiguate(context, candidates)
-
-    # -------------------------------------------------------------- #
-    # object resolution protocol (used by KG construction)
-    # -------------------------------------------------------------- #
-    def resolve(self, mention: str, context) -> object | None:
-        """Resolve *mention* for object resolution during construction.
-
-        ``context`` is a
-        :class:`repro.construction.object_resolution.ResolutionContext`; the
-        return value mirrors
-        :class:`repro.construction.object_resolution.Resolution`.  Imported
-        lazily to keep the ML stack import-independent from construction.
-        """
-        from repro.construction.object_resolution import Resolution
-
-        result = self.link_mention(
-            mention,
-            context_values=tuple(getattr(context, "context_values", ()) or ()),
-            type_hints=tuple(getattr(context, "expected_types", ()) or ()),
-        )
-        if result.entity_id is None:
-            return None
-        return Resolution(
-            entity_id=result.entity_id,
-            confidence=result.confidence,
-            candidate_count=result.candidate_count,
-        )

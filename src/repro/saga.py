@@ -3,13 +3,12 @@
 :class:`SagaPlatform` wires the individual subsystems into the end-to-end
 platform the paper describes: source ingestion pipelines feed the incremental
 knowledge-construction pipeline, whose output is published to the Graph Engine
-(the polystore serving layer); the NERD service is built over the engine's KG
-and powers both object resolution and semantic annotation; and the Live Graph
-engine serves the union of a stable-KG view with streaming sources under
-interactive latencies.  Like the engine's stores, views and replicas, the NERD
-entity view and the live graph's stable feed follow the operation log: each
-registers with the engine's coordinator when first used and applies every
-LSN-stamped delta from then on.
+(the polystore serving layer); the engine's views are shipped to a replicated
+serving fleet behind a multi-tenant front door.  The Graph Engine's view
+manager is the one consumer of the operation log's deltas.  The NERD service
+(:class:`~repro.ml.nerd.NERDService`) and the Live Graph engine
+(:class:`~repro.live.LiveGraphEngine`) are built by their caller over a KG
+store, such as ``platform.graph_engine.triples``.
 
 The facade is intentionally thin: every subsystem remains usable on its own
 (and is exercised independently in tests and benchmarks), but examples and
@@ -23,21 +22,15 @@ downstream users get a one-object entry point::
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.errors import ConstructionBatchError, IngestionError, ServingError
 from repro.construction.pipeline import KnowledgeConstructionPipeline
 from repro.construction.incremental import ConstructionReport
-from repro.datagen.streams import LiveEvent
 from repro.engine.graph_engine import GraphEngine
-from repro.engine.importance import compute_importance
-from repro.engine.views import ViewDelta
 from repro.ingestion.alignment import AlignmentConfig
 from repro.ingestion.pipeline import IngestionHub, IngestionPipeline, IngestionResult
-from repro.live.engine import LiveGraphEngine
-from repro.ml.nerd.service import NERDService
 from repro.model.entity import SourceEntity
 from repro.model.ontology import Ontology, default_ontology
 from repro.serving.fleet import ServingFleet
@@ -74,8 +67,6 @@ class SagaPlatform:
         self.ingestion = IngestionHub(self.ontology)
         self.construction = KnowledgeConstructionPipeline(self.ontology)
         self.graph_engine = GraphEngine(self.ontology)
-        self._nerd: NERDService | None = None
-        self._live: LiveGraphEngine | None = None
         self._fleet: ServingFleet | None = None
         self._front_door: FrontDoor | None = None
 
@@ -184,66 +175,6 @@ class SagaPlatform:
             deleted_subjects=delta.deleted,
             added_subjects=delta.added,
         )
-
-    # -------------------------------------------------------------- #
-    # ML services
-    # -------------------------------------------------------------- #
-    @property
-    def nerd(self) -> NERDService:
-        """The NERD service over the current KG.
-
-        Built on first use; from then on it follows the log as one more
-        delta listener of the Graph Engine's coordinator.
-        """
-        if self._nerd is None:
-            self._nerd = NERDService.from_store(
-                self.graph_engine.triples,
-                ontology=self.ontology,
-                importance={
-                    entity_id: score.score
-                    for entity_id, score in self.graph_engine.importance_scores().items()
-                },
-            )
-            self.graph_engine.coordinator.add_delta_listener(self._apply_nerd_delta)
-        return self._nerd
-
-    def _apply_nerd_delta(self, delta: ViewDelta) -> None:
-        """NERD's delta listener: structural importance is global (a new
-        in-edge moves every PageRank), so each delta recomputes it once and
-        hands NERD the fresh aggregate scores with the delta."""
-        scores = compute_importance(self.graph_engine.triples)
-        self._nerd.apply_delta(
-            delta, importance={entity_id: score.score for entity_id, score in scores.items()}
-        )
-
-    def annotate(self, text: str) -> list:
-        """Semantic annotation of free text with KG entities (§6.3)."""
-        return self.nerd.annotate(text)
-
-    # -------------------------------------------------------------- #
-    # live graph
-    # -------------------------------------------------------------- #
-    @property
-    def live(self) -> LiveGraphEngine:
-        """The live graph engine over the stable KG and the streaming feeds.
-
-        Built on first use, when the whole stable KG is loaded; from then on
-        its stable feed follows the log as one more delta listener of the
-        Graph Engine's coordinator.
-        """
-        if self._live is None:
-            engine = self.graph_engine
-            live = LiveGraphEngine(resolution_service=self.nerd)
-            live.load_stable_view(engine.triples, version=engine.minimum_version())
-            engine.coordinator.add_delta_listener(
-                functools.partial(live.apply_stable_delta, engine.triples)
-            )
-            self._live = live
-        return self._live
-
-    def ingest_live_events(self, events: Iterable[LiveEvent]) -> int:
-        """Feed streaming events into the live graph."""
-        return self.live.ingest_events(events)
 
     # -------------------------------------------------------------- #
     # replicated serving fleet

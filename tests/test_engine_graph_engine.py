@@ -6,8 +6,6 @@ import pytest
 
 from repro.engine.analytics import EntityViewSpec
 from repro.engine.graph_engine import GraphEngine
-from repro.engine.agents import OrchestrationAgent
-from repro.errors import EngineError
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
 
@@ -122,13 +120,3 @@ def test_standard_views_dependency_graph(engine, construction_store):
     assert engine.register_standard_views() == names
     engine.publish_subjects(construction_store, ["kg:a1"])
     assert set(engine.update_views()) == set(names)
-
-
-def test_register_agent_rejects_duplicates(engine):
-    class NullAgent(OrchestrationAgent):
-        def apply(self, record, payload):
-            pass
-
-    engine.register_agent(NullAgent("extra_store"))
-    with pytest.raises(EngineError):
-        engine.register_agent(NullAgent("extra_store"))

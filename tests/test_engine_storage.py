@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.agents import AgentCoordinator, CallbackAgent, OrchestrationAgent
+from repro.engine.agents import AgentCoordinator, OrchestrationAgent
 from repro.engine.log import OperationLog
 from repro.engine.metadata import MetadataStore
 from repro.engine.object_store import ObjectStore
@@ -143,13 +143,14 @@ def test_agent_error_log_is_bounded():
 
 
 def test_callback_agent_and_lagging_store_catches_up():
+    """An agent registered late replays the log from its start; the agent
+    called back from the first record sees each record once."""
     log, objects, metadata, coordinator = make_coordinator()
-    seen = []
-    coordinator.register(CallbackAgent("cb", lambda record, payload: seen.append(record.lsn)))
+    early = coordinator.register(RecordingAgent("early"))
     log.append("ingest_delta")
     coordinator.replay()
     coordinator.register(RecordingAgent("late"))
     log.append("ingest_delta")
     report = coordinator.replay()
     assert report.applied["late"] == 2          # replays from the beginning
-    assert seen == [1, 2]
+    assert [lsn for lsn, _ in early.seen] == [1, 2]

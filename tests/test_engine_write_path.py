@@ -15,26 +15,19 @@ composite facts, multi-source provenance, deletes, re-adds, publishes
 staged with ``replay=False`` and replayed after the source store moved on,
 and source removals: ``GraphEngine.remove_source`` against the oracle's
 ``TripleStore.remove_source`` on its primary, with every touched subject
-re-derived in the warehouse, the entity store and the text index.  From the
-second publish on, a NERD service and a live graph's stable feed follow the
-log as delta listeners, and at every replay point each must equal a fresh
-build from the primary.
+re-derived in the warehouse, the entity store and the text index.
 
 Sequence counts follow ``--runs-seeded`` (``store_seed``, see conftest.py).
 """
 
 from __future__ import annotations
 
-import functools
 import random
 
 from repro.engine.analytics import AnalyticsStore
 from repro.engine.entity_store import EntityStore
 from repro.engine.graph_engine import GraphEngine
 from repro.engine.text_index import InvertedTextIndex, TextDocument
-from repro.live.engine import LiveGraphEngine
-from repro.live.index import document_checksum
-from repro.ml.nerd import NERDService
 from repro.model.entity import KGEntity
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
@@ -166,51 +159,12 @@ def assert_stores_identical(engine: GraphEngine, oracle: DictRowOracle) -> None:
         assert engine.text_index.search(word, k=20) == oracle.text_index.search(word, k=20)
 
 
-def follow_the_log(engine: GraphEngine, ontology):
-    """Attach a NERD service and a live graph's stable feed to *engine*'s log,
-    as ``SagaPlatform`` does; return a check that each equals a fresh build
-    from the primary (NERD records and postings, stable documents by
-    checksum, the stable feed's watermark)."""
-    importance = {subject: 0.5 for subject in SUBJECTS[::2]}
-    nerd = NERDService.from_store(engine.triples, ontology, importance=importance)
-    live = LiveGraphEngine()
-    live.load_stable_view(engine.triples, version=engine.minimum_version())
-    engine.coordinator.add_delta_listener(nerd.apply_delta)
-    engine.coordinator.add_delta_listener(
-        functools.partial(live.apply_stable_delta, engine.triples)
-    )
-
-    def stable_checksums(index) -> dict[str, str]:
-        return {doc_id: document_checksum(index.get(doc_id))
-                for doc_id in index.feed_documents("stable")}
-
-    def check() -> None:
-        fresh = NERDService.from_store(engine.triples, ontology, importance=importance)
-        assert {r.entity_id: r for r in nerd.view.records()} == (
-            {r.entity_id: r for r in fresh.view.records()}
-        )
-        assert nerd.retriever._exact == fresh.retriever._exact
-        assert nerd.retriever._token_postings == fresh.retriever._token_postings
-        reloaded = LiveGraphEngine()
-        reloaded.load_stable_view(engine.triples)
-        assert stable_checksums(live.index) == stable_checksums(reloaded.index)
-        assert live.index.watermark("stable") == engine.minimum_version()
-
-    return check
-
-
 def test_staged_publish_matches_the_dict_row_path(ontology, store_seed):
     rng = random.Random(88000 + store_seed)
     source = TripleStore()
     engine = GraphEngine(ontology)
     oracle = DictRowOracle()
     pending: list[dict] = []          # oracle payloads staged with replay=False
-    followers = []                    # checks of the log's NERD and live consumers
-
-    def assert_all_identical():
-        assert_stores_identical(engine, oracle)
-        for check in followers:
-            check()
 
     def publish(subjects, deleted=()):
         replay = rng.random() < 0.7
@@ -219,21 +173,20 @@ def test_staged_publish_matches_the_dict_row_path(ontology, store_seed):
         if replay:
             while pending:
                 oracle.apply(pending.pop(0))
-            assert_all_identical()
+            assert_stores_identical(engine, oracle)
 
     for subject in SUBJECTS[:6]:
         source.add(ExtendedTriple(subject, "type", rng.choice(TYPES)))
         for _ in range(rng.randint(2, 8)):
             source.add(random_fact(rng, subject))
     publish(source.subjects())
-    followers.append(follow_the_log(engine, ontology))
 
     def remove(source_id):
         engine.remove_source(source_id)       # replays what is pending first
         while pending:
             oracle.apply(pending.pop(0))
         oracle.remove_source(source_id)
-        assert_all_identical()
+        assert_stores_identical(engine, oracle)
 
     live = set(source.subjects())
     for _ in range(rng.randint(8, 14)):
@@ -281,7 +234,7 @@ def test_staged_publish_matches_the_dict_row_path(ontology, store_seed):
     engine.replay()
     while pending:
         oracle.apply(pending.pop(0))
-    assert_all_identical()
+    assert_stores_identical(engine, oracle)
     assert engine.freshness() == {name: 0 for name in engine.coordinator.agents}
 
 

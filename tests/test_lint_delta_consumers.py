@@ -2,19 +2,19 @@
 
 Saga keeps each consumer fresh from one operation log (Section 3.1).  Once
 every store has replayed a record, ``AgentCoordinator`` hands its
-LSN-stamped ``ViewDelta`` to each delta listener: the view manager (wired by
-the Graph Engine), the NERD service and the live graph's stable feed (wired
-by ``SagaPlatform`` when each is first used).  A publish-side refresh call, a
-whole-KG reload or a second watermark setter would be a path beside the log,
-with its own idea of what changed and how fresh it is.
+LSN-stamped ``ViewDelta`` to its one delta listener, the view manager, which
+the Graph Engine wires; the serving fleet follows the views' journals from
+there.  NERD and the live graph are built by their caller over a fixed store
+and follow no log.  A publish-side refresh call, a whole-KG reload or a
+second watermark setter would be a path beside the log, with its own idea of
+what changed and how fresh it is.
 
 The guard parses ``src/repro`` and fails on:
 
 * a call to ``refresh_entities`` in ``saga.py``;
 * ``sync_stable_view``, ``_gazetteer``, ``set_watermark`` or
   ``refresh_entities`` anywhere, as a name, an attribute or a definition;
-* a call to ``add_delta_listener`` outside ``engine/graph_engine.py`` and
-  ``saga.py``;
+* a call to ``add_delta_listener`` outside ``engine/graph_engine.py``;
 * ``OperationLog.__init__`` taking a parameter (the log lives in memory,
   with the payloads its records point at).
 """
@@ -30,7 +30,7 @@ SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
 FORBIDDEN_NAMES = {"sync_stable_view", "_gazetteer", "set_watermark", "refresh_entities"}
 
 #: The modules that register delta listeners, relative to src/repro.
-LISTENER_WIRING = {"engine/graph_engine.py", "saga.py"}
+LISTENER_WIRING = {"engine/graph_engine.py"}
 
 
 def _modules():
@@ -100,12 +100,12 @@ def test_no_side_path_beside_the_log():
         for line, name in _names(tree, FORBIDDEN_NAMES)
     ]
     assert not violations, (
-        "NERD and the live graph follow the coordinator's deltas, not a side path:\n"
+        "consumers follow the coordinator's deltas, not a side path:\n"
         + "\n".join(violations)
     )
 
 
-def test_only_the_engine_and_the_platform_register_delta_listeners():
+def test_only_the_graph_engine_registers_delta_listeners():
     violations = [
         f"src/repro/{relative}:{line}: calls add_delta_listener"
         for relative, tree in _modules()

@@ -3,10 +3,6 @@
 import pytest
 
 from repro.baselines.legacy_nerd import LegacyEntityLinker, PopularityDisambiguator
-from repro import SagaPlatform
-from repro.construction.object_resolution import ResolutionContext
-from repro.engine.importance import compute_importance
-from repro.engine.views import ViewDelta
 from repro.ml.nerd import disambiguation
 from repro.ml.nerd import (
     Candidate,
@@ -16,8 +12,6 @@ from repro.ml.nerd import (
     NERDEntityView,
     NERDService,
 )
-from repro.ml.similarity import normalize_string
-from repro.model.triples import ExtendedTriple, TripleStore
 
 
 @pytest.fixture(scope="module")
@@ -46,61 +40,6 @@ def test_entity_view_summarizes_entities(entity_view, world, reference_store):
     assert artist.name.lower().split()[0] in " ".join(record.normalized_names())
 
 
-def test_entity_view_refresh_and_remove(reference_store, world):
-    artist = world.of_type("music_artist")[0]
-    store = TripleStore(list(reference_store))
-    view = NERDEntityView.build(store)
-    record = view.get(artist.truth_id)
-    rebuilt = view.apply_delta(ViewDelta(updated=frozenset({artist.truth_id})))
-    assert rebuilt[artist.truth_id] == record == view.get(artist.truth_id)
-    store.remove_subject(artist.truth_id)
-    view.apply_delta(ViewDelta(deleted=frozenset({artist.truth_id})))
-    assert artist.truth_id not in view
-    # the artist's albums no longer name it: every record equals a fresh build
-    fresh = NERDEntityView.build(store)
-    assert {r.entity_id: r for r in view.records()} == {r.entity_id: r for r in fresh.records()}
-    assert view.apply_delta(ViewDelta(updated=frozenset({"truth:nonexistent"}))) == {
-        "truth:nonexistent": None
-    }
-    assert "truth:nonexistent" not in view
-
-
-def test_platform_nerd_ranks_by_the_importance_of_the_kg_now():
-    """Importance is a whole-graph score: publishing ``kg:b`` with two
-    ``performed_by`` in-edges scores ``kg:b`` and lowers ``kg:hub``, which the
-    publish never names.  NERD's records follow both."""
-    store = TripleStore()
-
-    def entity(subject, name, kind, **edges):
-        store.add(ExtendedTriple(subject, "type", kind))
-        store.add(ExtendedTriple(subject, "name", name))
-        for predicate, obj in edges.items():
-            store.add(ExtendedTriple(subject, predicate, obj))
-
-    entity("kg:hub", "Hub Band", "music_artist")
-    entity("kg:s1", "First Song", "song", performed_by="kg:hub")
-    platform = SagaPlatform()
-    engine = platform.graph_engine
-    engine.publish_store(store)
-    nerd = platform.nerd
-    hub_before = nerd.view.get("kg:hub").importance
-
-    entity("kg:b", "Bee Band", "music_artist")
-    entity("kg:s2", "Second Song", "song", performed_by="kg:b")
-    entity("kg:s3", "Third Song", "song", performed_by="kg:b")
-    engine.publish_subjects(store, ["kg:b", "kg:s2", "kg:s3"])
-
-    importance = {entity_id: score.score
-                  for entity_id, score in compute_importance(engine.triples).items()}
-    assert importance["kg:b"] > 0.0
-    assert importance["kg:hub"] < hub_before
-    assert {r.entity_id: r.importance for r in nerd.view.records()} == importance
-    fresh = NERDEntityView.build(engine.triples, importance)
-    assert {r.entity_id: r for r in nerd.view.records()} == (
-        {r.entity_id: r for r in fresh.records()}
-    )
-
-
 # --------------------------------------------------------------------- #
 # candidate retrieval
 # --------------------------------------------------------------------- #
@@ -125,24 +64,6 @@ def test_candidate_retrieval_type_hints_filter(entity_view, ontology, world):
     assert all("city" in c.record.types for c in candidates)
     none_allowed = retriever.retrieve(city.name, type_hints=("song",))
     assert all("song" in c.record.types for c in none_allowed) or none_allowed == []
-
-
-def test_candidate_retrieval_refresh_entities(reference_store, ontology, world):
-    store = TripleStore(list(reference_store))
-    view = NERDEntityView.build(store)
-    retriever = CandidateRetriever(view, ontology=ontology)
-    artist = world.of_type("music_artist")[1]
-    retriever.reindex(view.apply_delta(ViewDelta(updated=frozenset({artist.truth_id}))))
-    assert any(c.entity_id == artist.truth_id for c in retriever.retrieve(artist.name))
-    # a rename moves the artist's postings from the old names to the new one
-    for fact in store.facts_about(artist.truth_id):
-        if fact.predicate in ("name", "alias"):
-            store.discard(fact)
-    store.add(ExtendedTriple(artist.truth_id, "name", "Zzyzx Quorble"))
-    retriever.reindex(view.apply_delta(ViewDelta(updated=frozenset({artist.truth_id}))))
-    assert [c.entity_id for c in retriever.retrieve("Zzyzx Quorble")] == [artist.truth_id]
-    assert not retriever.knows_name(normalize_string(artist.name))
-    assert all(c.entity_id != artist.truth_id for c in retriever.retrieve(artist.name))
 
 
 # --------------------------------------------------------------------- #
@@ -183,7 +104,7 @@ def test_disambiguation_rejection_for_unknown_context(entity_view, monkeypatch):
 
 
 # --------------------------------------------------------------------- #
-# service: mention generation, annotation, OBR protocol
+# service: mention generation, annotation
 # --------------------------------------------------------------------- #
 def test_mention_generation_finds_known_names(nerd_service, world):
     artist = world.of_type("music_artist")[0]
@@ -215,26 +136,6 @@ def test_annotate_links_mentions_with_confidence(nerd_service, passages, world):
 def test_annotate_batch(nerd_service):
     results = nerd_service.annotate_batch(["nothing known here", ""])
     assert len(results) == 2
-
-
-def test_nerd_resolve_satisfies_obr_protocol(nerd_service, world, ontology):
-    label = world.of_type("record_label")[0]
-    resolution = nerd_service.resolve(
-        label.name,
-        ResolutionContext(predicate="record_label", expected_types=("record_label",)),
-    )
-    assert resolution is not None
-    assert resolution.entity_id == label.truth_id
-    assert resolution.confidence > 0.5
-    assert nerd_service.resolve("Unknown Gibberish Entity 999", ResolutionContext()) is None
-
-
-def test_refresh_entities_keeps_service_fresh(reference_store, ontology, world):
-    service = NERDService.from_store(reference_store, ontology)
-    artist = world.of_type("music_artist")[0]
-    service.apply_delta(ViewDelta(updated=frozenset({artist.truth_id})))
-    result = service.link_mention(artist.name)
-    assert result.entity_id == artist.truth_id
 
 
 # --------------------------------------------------------------------- #
@@ -272,10 +173,3 @@ def test_popularity_disambiguator_scores_monotonic_in_importance(entity_view):
     assert disambiguator.score(context, a) > disambiguator.score(
         MentionContext(mention=a.names[0]), b
     )
-
-
-def test_legacy_resolve_protocol(entity_view, ontology, world):
-    linker = LegacyEntityLinker(entity_view, ontology)
-    label = world.of_type("record_label")[0]
-    resolution = linker.resolve(label.name, ResolutionContext(expected_types=("record_label",)))
-    assert resolution is None or resolution.entity_id.startswith("truth:")

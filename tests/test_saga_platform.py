@@ -4,9 +4,9 @@ import pytest
 
 from repro import SagaPlatform
 from repro.datagen import evolve_source
-from repro.datagen.streams import LiveEvent
 from repro.ingestion import AlignmentConfig, PGF
-from repro.ml.nerd import NERDEntityView
+from repro.live import LiveGraphEngine
+from repro.ml.nerd import NERDService
 from repro.model.entity import SourceEntity
 
 
@@ -61,88 +61,19 @@ def test_platform_incremental_second_snapshot(constructed_platform, world, sourc
 
 
 def test_platform_annotation_and_live_graph(constructed_platform, world, live_events):
+    """NERD and the live graph are built over the platform's KG by their caller."""
     platform = constructed_platform
+    store = platform.graph_engine.triples
+    nerd = NERDService.from_store(store, platform.ontology)
     artist = world.of_type("music_artist")[0]
-    annotations = platform.annotate(f"A new single from {artist.name} tops the charts.")
+    annotations = nerd.annotate(f"A new single from {artist.name} tops the charts.")
     assert annotations, "the artist mention should be detected"
-    platform.ingest_live_events(live_events[:20])
-    stats = platform.live.stats()
+    live = LiveGraphEngine(resolution_service=nerd)
+    live.load_stable_view(store)
+    live.ingest_events(live_events[:20])
+    stats = live.stats()
     assert stats["events_processed"] >= 1
     assert stats["documents"] > 0
-
-
-def test_nerd_and_live_graph_follow_the_log():
-    """NERD records embed their neighbours' names, and the live graph serves
-    the stable KG: both must follow every publish, a source removal
-    included, not only the subjects a commit touched."""
-    platform = SagaPlatform()
-    platform.register_source("musicdb")
-    platform.register_source("wiki")
-
-    def artists(*names):
-        return [SourceEntity(f"m{i}", "music_artist", {"name": name}, source_id="musicdb")
-                for i, name in enumerate(names)]
-
-    platform.ingest_snapshot("musicdb", artists("Nova Quill"))
-    platform.ingest_snapshot("wiki", [SourceEntity(
-        "w1", "album", {"name": "Azure Endless", "performed_by": "Nova Quill"},
-        source_id="wiki",
-    )])
-    engine = platform.graph_engine
-    nerd, live = platform.nerd, platform.live
-
-    def assert_nerd_matches_a_fresh_build():
-        # Importance is structural, so the fresh build ranks by the KG's
-        # importance now, not by the map NERD was first built with.
-        importance = {entity_id: score.score
-                      for entity_id, score in engine.importance_scores().items()}
-        fresh = NERDEntityView.build(engine.triples, importance)
-        assert {r.entity_id: r for r in nerd.view.records()} == (
-            {r.entity_id: r for r in fresh.records()}
-        )
-
-    album = nerd.link_mention("Azure Endless").entity_id
-    assert album is not None
-    platform.ingest_snapshot("musicdb", artists("Nova Quill Band"))
-    assert ("performed_by", "Nova Quill Band") in nerd.view.get(album).relations
-    assert_nerd_matches_a_fresh_build()
-
-    engine.remove_source("wiki")
-    assert_nerd_matches_a_fresh_build()
-    assert nerd.link_mention("Azure Endless").entity_id is None
-    assert nerd.generate_mentions("Azure Endless tops the charts") == []
-
-    platform.ingest_snapshot("musicdb", artists("Nova Quill Band", "Lumen Drift"))
-    assert_nerd_matches_a_fresh_build()
-    assert len(live.query("MATCH music_artist").rows) == 2
-    assert live.index.watermark("stable") == engine.minimum_version()
-
-
-def test_live_references_resolve_against_the_current_kg():
-    """The live graph caches NERD's answers for repeated references; a
-    rename that NERD applied from the log must reach the next event."""
-    platform = SagaPlatform()
-    platform.register_source("musicdb")
-
-    def artists(*names):
-        return [SourceEntity(f"m{i}", "music_artist", {"name": name}, source_id="musicdb")
-                for i, name in enumerate(names)]
-
-    def concert(number):
-        return LiveEvent(source_id="tour", event_id=f"show{number}", entity_type="concert",
-                         payload={"name": f"Show {number}"},
-                         references={"headliner": "Nova Quill"}, timestamp=number)
-
-    platform.ingest_snapshot("musicdb", artists("Nova Quill", "Lumen Drift"))
-    nova, lumen = (platform.construction.link_table[m] for m in ("m0", "m1"))
-    platform.ingest_live_events([concert(1)])
-    assert platform.live.index.get("show1").references["headliner"] == nova
-
-    # the two artists swap names: "Nova Quill" now names the other entity
-    platform.ingest_snapshot("musicdb", artists("Lumen Drift", "Nova Quill"))
-    assert platform.nerd.link_mention("Nova Quill").entity_id == lumen
-    platform.ingest_live_events([concert(2)])
-    assert platform.live.index.get("show2").references["headliner"] == lumen
 
 
 def test_platform_source_onboarding_with_alignment():

@@ -170,3 +170,36 @@ def test_a_run_that_crashes_before_entering_anything_fails(uncalled, tmp_path, c
     status, out = run_guard(uncalled, root, capsys)
     assert status == 1
     assert "examples/run.py: entered no src/repro function (exit 1)" in out
+
+
+def test_a_line_inserted_while_the_guard_runs_moves_no_key(
+    uncalled, tmp_path, capsys, monkeypatch
+):
+    # The source changes between the AST scan and the profiled runs: every
+    # function below the new line starts one line later than the scan saw.
+    root = make_tree(tmp_path, allow=ALLOW_PLANTED, test_text=CALLS_PLANTED)
+    scan = uncalled.defined_functions
+
+    def scan_then_edit(package):
+        scanned = scan(package)
+        module = package / "mod.py"
+        module.write_text("# a line added above every function\n" + module.read_text())
+        return scanned
+
+    monkeypatch.setattr(uncalled, "defined_functions", scan_then_edit)
+    status, out = run_guard(uncalled, root, capsys)
+    assert status == 0, out
+    assert "uncalled guard OK" in out
+
+
+def test_two_functions_with_one_qualified_name_fail_the_guard(uncalled, tmp_path):
+    root = make_tree(tmp_path)
+    module = root / "src" / "repro" / "mod.py"
+    module.write_text(module.read_text() + "\n\ndef planted():\n    return 4\n")
+    functions, _ = uncalled.defined_functions(root / "src" / "repro")
+    entered = {function.ident: "examples/run.py" for function in functions}
+    _, problems = uncalled.judge(functions, entered, [], {})
+    assert problems == [
+        "src/repro/mod.py:41: planted is also defined at line 13; "
+        "a run's entry cannot tell them apart"
+    ]

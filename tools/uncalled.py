@@ -17,9 +17,12 @@ entered by no run, unless the function
   which test drives the code that no run reaches.  An entry whose function a
   run enters no longer belongs on the list and fails the guard too.
 
-A run's exit status is not the verdict (a timing gate may fail under the
-profiler), but a run that enters no ``src/repro`` function at all fails the
-guard: it crashed before doing anything.  From the repository root:
+A function is matched to what the runs entered by its module and qualified
+name (``co_qualname``), not by its line, so an edit made while the guard runs
+renames nothing; two functions of one module with one qualified name fail the
+guard.  A run's exit status is not the verdict (a timing gate may fail under
+the profiler), but a run that enters no ``src/repro`` function at all fails
+the guard: it crashed before doing anything.  From the repository root:
 
     python tools/uncalled.py
 """
@@ -51,18 +54,15 @@ TEST_FLAGS = ("-q", "-p", "no:cacheprovider")
 class Function:
     path: str           # relative to src/repro, with "/" separators
     qualname: str
-    name: str
     first_line: int     # the first decorator's line, as in ``co_firstlineno``
     last_line: int
 
     @property
     def ident(self) -> str:
+        """The allow-list's name for the function, and how a run reports its
+        code object as entered: module and ``co_qualname``, so an edit that
+        moves lines changes no name."""
         return f"{self.path}::{self.qualname}"
-
-    @property
-    def key(self) -> tuple[str, int, str]:
-        """How a run reports the function's code object as entered."""
-        return (self.path, self.first_line, self.name)
 
     @property
     def lines(self) -> int:
@@ -112,7 +112,7 @@ def defined_functions(package: Path) -> tuple[list[Function], int]:
                     else:
                         first = min([child.lineno] + [d.lineno for d in child.decorator_list])
                         functions.append(Function(
-                            path, qualname, child.name, first, child.end_lineno or first
+                            path, qualname, first, child.end_lineno or first
                         ))
                     visit(child, f"{qualname}.<locals>.")
                 else:
@@ -150,7 +150,7 @@ def allow_list_runs(root: Path, allow: list[AllowEntry]) -> list[tuple[str, list
 
 def _child(out_path: str, package: str, argv: list[str]) -> None:
     """Run *argv* as ``python`` would, profiling every thread, and write the
-    ``(file, first line, name)`` of each entered code object under *package*."""
+    ``(file, qualified name)`` of each entered code object under *package*."""
     import cProfile
     import runpy
     import threading
@@ -199,8 +199,7 @@ def _child(out_path: str, package: str, argv: list[str]) -> None:
                     codes.add(entry.code)
         prefix = os.path.realpath(package) + os.sep
         entered = sorted({
-            (os.path.relpath(os.path.realpath(code.co_filename), package), code.co_firstlineno,
-             code.co_name)
+            (os.path.relpath(os.path.realpath(code.co_filename), package), code.co_qualname)
             for code in codes if os.path.realpath(code.co_filename).startswith(prefix)
         })
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -211,7 +210,7 @@ def _child(out_path: str, package: str, argv: list[str]) -> None:
 
 
 def run_one(root: Path, argv: list[str], workdir: str, index: int) -> tuple[int | None, set]:
-    """Run one entry under the profiler: (exit status or None, entered keys)."""
+    """Run one entry under the profiler: (exit status or None, entered idents)."""
     out_path = os.path.join(workdir, f"run-{index}.json")
     env = dict(os.environ, PYTHONHASHSEED="0", BENCH_JSON_DIR=workdir)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -228,7 +227,7 @@ def run_one(root: Path, argv: list[str], workdir: str, index: int) -> tuple[int 
             result = json.load(handle)
     except (OSError, ValueError):
         return None, set()
-    entered = {(path.replace(os.sep, "/"), line, name) for path, line, name in result["entered"]}
+    entered = {f"{path.replace(os.sep, '/')}::{qualname}" for path, qualname in result["entered"]}
     return result["status"], entered
 
 
@@ -252,24 +251,31 @@ def judge(functions: list[Function], entered: dict, allow: list[AllowEntry],
           tests_entered: dict[str, set]) -> tuple[list[Function], list[str]]:
     """The functions no run entered, and the problems that fail the guard.
 
-    *entered* maps each key a run entered to that run's label;
-    *tests_entered* maps each test file run to the keys it entered.
+    *entered* maps each function ident a run entered to that run's label;
+    *tests_entered* maps each test file run to the idents it entered.
     """
-    uncalled = [f for f in functions if f.key not in entered]
-    by_ident = {f.ident: f for f in functions}
+    uncalled = [f for f in functions if f.ident not in entered]
+    by_ident: dict[str, Function] = {}
     problems = []
+    for function in functions:
+        first = by_ident.setdefault(function.ident, function)
+        if first is not function:
+            problems.append(
+                f"src/repro/{function.path}:{function.first_line}: {function.qualname} is "
+                f"also defined at line {first.first_line}; a run's entry cannot tell them apart"
+            )
     allowed = set()
     for entry in allow:
         function = by_ident.get(entry.ident)
         where = f"{ALLOW_FILE}:{entry.line}"
         if function is None:
             problems.append(f"{where}: {entry.ident} is not a function under src/repro")
-        elif function.key in entered:
-            problems.append(f"{where}: {entry.ident} is entered by {entered[function.key]}; "
+        elif function.ident in entered:
+            problems.append(f"{where}: {entry.ident} is entered by {entered[function.ident]}; "
                             "it does not belong on the allow-list")
         elif entry.test_file not in tests_entered:
             problems.append(f"{where}: {entry.test_file} does not exist")
-        elif function.key not in tests_entered[entry.test_file]:
+        elif function.ident not in tests_entered[entry.test_file]:
             problems.append(f"{where}: {entry.test_file} does not enter {entry.ident}")
         else:
             allowed.add(entry.ident)
