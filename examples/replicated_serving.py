@@ -137,7 +137,7 @@ def main() -> None:
     print(f"  journal:        {status['journal']['entity_profile']}")
     placement = {s: fleet.router.owners(s)[0] for s in subjects}
     print(f"  placement:      {placement}")
-    print(f"  compacted:      {fleet.compact_journals()} deltas dropped")
+    print(f"  compacted:      {fleet.shipper.compact_journals()} deltas dropped")
     platform.stop_serving_fleet()
 
 

@@ -65,7 +65,6 @@ class EntityResolutionClient:
     def __init__(self, service) -> None:
         self.service = service
         self._cache: dict[tuple[str, tuple[str, ...], tuple[str, ...]], str | None] = {}
-        self.calls = 0
 
     def resolve(
         self, mention: str, context_values: Sequence[str] = (), type_hints: tuple[str, ...] = ()
@@ -74,7 +73,6 @@ class EntityResolutionClient:
         key = (mention.lower(), tuple(context_values), tuple(type_hints))
         if key in self._cache:
             return self._cache[key]
-        self.calls += 1
         result = self.service.link_mention(
             mention, context_values=key[1], type_hints=type_hints
         )

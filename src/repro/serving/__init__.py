@@ -3,12 +3,13 @@
 Turns the view/journal machinery of :mod:`repro.engine.views` into a
 replicated serving tier (see ``docs/serving.md``): the primary's committed
 view deltas are journaled (:class:`JournalStore`), shipped as
-LSN-ranged batches (:class:`JournalShipper` over a :class:`ReplicationBus`)
-to live replicas (:class:`ReplicaNode`) that apply them asynchronously, and
-reads are routed across the replicas by a fixed per-key preference order
-under a selectable consistency level (:class:`ShardRouter`,
-:class:`Consistency`).  Whole KGQs run on one replica each, placed by the
-same order through the :class:`QueryRouter`, and the :class:`AntiEntropyAuditor` periodically
+LSN-ranged batches (:class:`JournalShipper`) to live replicas
+(:class:`ReplicaNode`) that apply them asynchronously, and reads are routed
+across the same replicas by a fixed per-key preference order under a
+selectable consistency level (:class:`ShardRouter`, :class:`Consistency`).
+The shipper and the router read one replica map, the fleet's.  Whole KGQs
+run on one replica each, placed by the same order through the
+:class:`QueryRouter`, and the :class:`AntiEntropyAuditor` periodically
 checksums replica state against the primary, repairing lag by journal
 replay and divergence by targeted row re-shipment.
 :class:`ServingFleet` wires all of it over one view manager, and the
@@ -32,7 +33,7 @@ from repro.serving.journal_store import JournalStore
 from repro.serving.query_router import QueryRouter
 from repro.serving.replica import ReplicaNode
 from repro.serving.router import ANY, Consistency, ShardRouter, stable_hash
-from repro.serving.shipping import JournalShipper, ReplicationBus, ShipmentBatch
+from repro.serving.shipping import JournalShipper, ShipmentBatch
 
 __all__ = [
     "ANY",
@@ -48,7 +49,6 @@ __all__ = [
     "QueryRouter",
     "ReplicaAudit",
     "ReplicaNode",
-    "ReplicationBus",
     "ServingFleet",
     "ServingMetrics",
     "ShardRouter",

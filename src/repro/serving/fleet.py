@@ -5,17 +5,23 @@
 
 * a :class:`~repro.serving.journal_store.JournalStore` keeps every shipped
   view's committed deltas, from which a lagging or restarted replica
-  catches up; each time a delta is journaled the fleet drops the view's
-  deltas every replica's index holds (:meth:`ServingFleet.compact_journals`);
-* a :class:`~repro.serving.shipping.JournalShipper` publishes LSN-ranged
-  delta batches on a :class:`~repro.serving.shipping.ReplicationBus`;
-* N :class:`~repro.serving.replica.ReplicaNode` subscribers apply them
+  catches up;
+* a :class:`~repro.serving.shipping.JournalShipper`, the fleet's one journal
+  listener, offers LSN-ranged delta batches to every replica and, right
+  after it offers a delta, drops the view's deltas every replica's index
+  holds (:meth:`~repro.serving.shipping.JournalShipper.compact_journals`);
+* N :class:`~repro.serving.replica.ReplicaNode` replicas apply them
   asynchronously into their own live indexes;
 * a :class:`~repro.serving.router.ShardRouter` routes reads across the
   replicas by a fixed per-key preference order under a selectable
   consistency level, and a
   :class:`~repro.serving.query_router.QueryRouter` places whole KGQs on
   them by the same order and the same placement walk.
+
+The fleet's ``replicas`` dict is the one map of its replicas: the shipper
+offers batches to it and the router reads it, so a replica is in the fleet
+from the moment :meth:`ServingFleet.add_replica` inserts it.  The fleet is
+fixed: a replica is killed and restarted, never removed.
 
 Each replica owns its applied-LSN watermarks
 (:meth:`~repro.serving.replica.ReplicaNode.applied_lsn`); :meth:`ServingFleet.lag`
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.engine.views import JournalEvent, ViewManager
+from repro.engine.views import ViewManager
 from repro.errors import ServingError
 from repro.live.executor import QueryResult
 from repro.serving.anti_entropy import AntiEntropyAuditor, AuditReport
@@ -35,7 +41,7 @@ from repro.serving.journal_store import JournalStore
 from repro.serving.query_router import QueryRouter
 from repro.serving.replica import ReplicaNode
 from repro.serving.router import ANY, Consistency, ShardRouter
-from repro.serving.shipping import JournalShipper, ReplicationBus
+from repro.serving.shipping import JournalShipper
 
 
 class ServingFleet:
@@ -46,14 +52,11 @@ class ServingFleet:
             raise ServingError("a serving fleet needs at least one replica")
         self.manager = manager
         self.journal_store = JournalStore()
-        self.bus = ReplicationBus()
-        self.shipper = JournalShipper(manager, self.bus, self.journal_store)
-        # Registered after the shipper's, so it sees each delta journaled.
-        manager.add_journal_listener(self._on_journal_event)
-        self.router = ShardRouter(manager.current_lsn)
+        self.replicas: dict[str, ReplicaNode] = {}
+        self.shipper = JournalShipper(manager, self.replicas, self.journal_store)
+        self.router = ShardRouter(self.replicas, manager.current_lsn)
         self.query_router = QueryRouter(self.router)
         self.auditor = AntiEntropyAuditor(self)
-        self.replicas: dict[str, ReplicaNode] = {}
         for index in range(num_replicas):
             self.add_replica(f"replica-{index}")
 
@@ -61,13 +64,15 @@ class ServingFleet:
     # membership and lifecycle
     # -------------------------------------------------------------- #
     def add_replica(self, name: str) -> ReplicaNode:
-        """Add (and register) one replica node; started by :meth:`start`."""
+        """Add one replica node; started by :meth:`start`.
+
+        Inserted into the fleet's replica map first, so it is offered every
+        batch shipped from then on — including during its seeding resync.
+        """
         if name in self.replicas:
             raise ServingError(f"replica {name!r} already exists in the fleet")
         node = ReplicaNode(name, resync_source=self.shipper)
         self.replicas[name] = node
-        self.bus.subscribe(node)
-        self.router.add_replica(node)
         if self.shipper.shipped_views:
             # A replica joining a serving fleet is routed to immediately:
             # seed it with every shipped view's current state or routed
@@ -87,21 +92,8 @@ class ServingFleet:
         """Stop shipping and auditing, then drain and stop every replica."""
         self.auditor.stop()
         self.shipper.detach()
-        self.manager.remove_journal_listener(self._on_journal_event)
         for node in self.replicas.values():
             node.stop()
-
-    def remove_replica(self, name: str) -> None:
-        """Retire a replica for good: stop it and forget every trace of it.
-
-        Unsubscribes it from the bus and router, unlike :meth:`kill_replica`,
-        which models a crash that will be recovered.
-        """
-        node = self._node(name)
-        node.stop()
-        self.bus.unsubscribe(name)
-        self.router.remove_replica(name)
-        del self.replicas[name]
 
     def kill_replica(self, name: str) -> int:
         """Crash one replica (queued batches lost); returns batches dropped."""
@@ -190,35 +182,8 @@ class ServingFleet:
         )
 
     # -------------------------------------------------------------- #
-    # maintenance and introspection
+    # introspection
     # -------------------------------------------------------------- #
-    def compact_journals(self) -> dict[str, int]:
-        """Drop the journal deltas every replica has applied.
-
-        A view's history is truncated at the lowest LSN any replica's index
-        holds for it, so no consumer is pushed into a gap by compaction; a
-        crashed replica still counts, since it resumes from the LSN its index
-        holds.  The fleet runs this for a view each time the shipper
-        journals a delta for it.  Returns the deltas dropped per view.
-        """
-        dropped: dict[str, int] = {}
-        for view_name in self.shipper.shipped_views:
-            count = self._compact_journal(view_name)
-            if count:
-                dropped[view_name] = count
-        return dropped
-
-    def _compact_journal(self, view_name: str) -> int:
-        floor = min(
-            (node.applied_lsn(view_name) for node in self.replicas.values()),
-            default=0,
-        )
-        return self.journal_store.truncate_below(view_name, floor) if floor > 0 else 0
-
-    def _on_journal_event(self, event: JournalEvent) -> None:
-        if event.kind == "append":
-            self._compact_journal(event.view_name)
-
     def lag(self) -> dict[str, dict[str, int]]:
         """Per-view, per-replica lag behind the primary head, in LSNs."""
         return {
@@ -236,8 +201,10 @@ class ServingFleet:
             "replicas": {
                 name: node.status() for name, node in sorted(self.replicas.items())
             },
-            "batches_published": self.bus.batches_published,
-            "delivery_errors": self.bus.delivery_failures,
+            "batches_published": (
+                self.shipper.batches_shipped + self.shipper.snapshots_shipped
+            ),
+            "delivery_errors": self.shipper.delivery_failures,
             "reads_routed": self.router.reads_routed,
             "fallback_reads": self.router.fallback_reads,
             "consistency_rejections": self.router.consistency_rejections,

@@ -10,7 +10,7 @@ degrades to lag, never to backpressure on the primary.
 
 Batches are chained by ``prev_lsn``; a replica whose applied LSN does not
 reach a delta batch's ``prev_lsn`` (missed shipment, crash, late
-subscription), or that holds no copy of the view, detects the **gap** and
+join), or that holds no copy of the view, detects the **gap** and
 resyncs by pulling a catch-up batch from its ``resync_source`` (the
 shipper): a journal delta when the journal's history covers the gap, a full
 snapshot otherwise.
@@ -24,12 +24,11 @@ holds**, through the journal: no view artifact is rebuilt.  A fresh node
 holds nothing, so each view it catches up arrives as a snapshot.
 
 Beyond point reads, every replica is a **query node**: it owns a
-:class:`~repro.live.planner.QueryPlanner` and
 :class:`~repro.live.executor.QueryExecutor` over its full copy of the served
-views, answers whole KGQs — text or the compiled plans the
-:class:`~repro.serving.query_router.QueryRouter` places on it — through
-:meth:`query`, answers whole cross-view joins at one state of its index
-(:meth:`join`), and audits its served rows against primary checksums
+views, runs the compiled plans the
+:class:`~repro.serving.query_router.QueryRouter` places on it, one named
+view each (:meth:`query`), answers whole cross-view joins at one state of
+its index (:meth:`join`), and audits its served rows against primary checksums
 (:meth:`checksum_divergence`, :meth:`apply_repair` — the anti-entropy
 hooks).  It keeps no result cache: every call executes against the index
 as it stands, so applying a batch never has a cache to invalidate.
@@ -45,8 +44,7 @@ from collections import deque
 from repro.errors import ReplicaUnavailableError, ServingError
 from repro.live.executor import QueryExecutor, QueryResult, join_results
 from repro.live.index import LiveIndex, document_checksum
-from repro.live.kgq import CallQuery, Query, default_virtual_operators, parse
-from repro.live.planner import PhysicalPlan, QueryPlanner
+from repro.live.planner import PhysicalPlan
 from repro.serving.shipping import ShipmentBatch
 
 #: Batches a replica queues before it drops one (gap detection repairs it).
@@ -61,9 +59,6 @@ class ReplicaNode:
             raise ServingError("replica needs a non-empty name")
         self.name = name
         self.index = LiveIndex()
-        self.planner = QueryPlanner(
-            default_virtual_operators(), selectivity=self.index.seed_selectivity
-        )
         self.executor = QueryExecutor(self.index)
         self.resync_source = resync_source
         self._queue: queue.Queue[ShipmentBatch | None] = queue.Queue(maxsize=QUEUE_CAPACITY)
@@ -71,7 +66,6 @@ class ReplicaNode:
         self._alive = False
         # Reentrant: a gap detected mid-apply resyncs inline under the lock.
         self._apply_lock = threading.RLock()
-        self.batches_offered = 0
         self.batches_applied = 0
         self.batches_skipped = 0                 # duplicates below the applied LSN
         self.backpressure_drops = 0
@@ -181,13 +175,12 @@ class ReplicaNode:
         """Enqueue a batch for asynchronous apply.
 
         Raises :class:`~repro.errors.ReplicaUnavailableError` when the node
-        is down (the bus records the failed delivery).  A full queue drops
+        is down (the shipper records the failed delivery).  A full queue drops
         the batch and lets gap detection repair the loss later — the caller
         is never blocked.
         """
         if not self._alive:
             raise ReplicaUnavailableError(f"replica {self.name!r} is not running")
-        self.batches_offered += 1
         try:
             self._queue.put_nowait(batch)
             return True
@@ -229,35 +222,24 @@ class ReplicaNode:
     # -------------------------------------------------------------- #
     # query surface (driven by QueryRouter: one whole request per call)
     # -------------------------------------------------------------- #
-    def query(
-        self,
-        query: str | Query | CallQuery | PhysicalPlan,
-        view_name: str | None = None,
-    ) -> QueryResult:
-        """Execute a whole KGQ against this node's own index.
+    def query(self, plan: PhysicalPlan, view_name: str) -> QueryResult:
+        """Run a compiled KGQ plan on this node's copy of *view_name*.
 
-        The one query entry point of a replica — the
-        :class:`~repro.serving.query_router.QueryRouter` hands it compiled
-        plans, and it also answers text directly (single-replica
-        deployments, debugging what one node would answer on its own).  An
-        already-compiled :class:`~repro.live.planner.PhysicalPlan` runs as
-        is; anything else is planned by this node's planner first.
-        *view_name* (when given) restricts execution to that view's feed and
-        is the graph a REACH stage expands over.  Runs under the apply lock
-        so a query never observes a half-applied batch.  Raises
-        :class:`~repro.errors.ReplicaUnavailableError` when the node is down.
+        The one query entry point of a replica: the
+        :class:`~repro.serving.query_router.QueryRouter` compiles every
+        request and hands it the plan.  Execution is restricted to the
+        view's feed, which is also the graph a REACH stage expands over.
+        Runs under the apply lock so a query never observes a half-applied
+        batch.  Raises :class:`~repro.errors.ReplicaUnavailableError` when
+        the node is down.
         """
         if not self._alive:
             raise ReplicaUnavailableError(
                 f"replica {self.name!r} is not running; cannot serve queries"
             )
-        if isinstance(query, PhysicalPlan):
-            plan = query
-        else:
-            plan = self.planner.plan(parse(query) if isinstance(query, str) else query)
-        feed = None if view_name is None else f"view:{view_name}"
+        feed = f"view:{view_name}"
         with self._apply_lock:
-            result = self.executor.execute(plan, feed=feed, reach_feed=feed or "")
+            result = self.executor.execute(plan, feed=feed, reach_feed=feed)
         self.local_queries += 1
         return result
 

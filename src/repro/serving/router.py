@@ -4,8 +4,9 @@ Every replica holds each view it serves whole and keeps no state keyed by
 placement, so placement only has to spread keys and be deterministic.  A
 key's preference order (:meth:`ShardRouter.owners`) is the routed replicas'
 sorted names rotated to start at ``stable_hash(key) % n`` — stable across
-processes, since Python's salted ``hash`` is never used.  Removing a replica
-keeps the others in the same relative order.
+processes, since Python's salted ``hash`` is never used.  The router keeps
+no membership of its own: it reads the replica map it is given (the
+fleet's, the one the shipper offers batches to) on every call.
 
 The :class:`ShardRouter` owns the **one placement rule** of the serving
 tier, :meth:`ShardRouter.eligible`: walk a key's owners in preference order
@@ -82,28 +83,20 @@ ANY = Consistency.any()
 
 
 class ShardRouter:
-    """Read router over the fleet's replica nodes, one preference order per key."""
+    """Read router over the fleet's replica nodes, one preference order per key.
 
-    def __init__(self, head_lsn_source: Callable[[], int]) -> None:
+    *replicas* maps each name to a node with ``alive``, ``serves_view``,
+    ``applied_lsn`` and ``get``; the router reads it live and never
+    changes it.
+    """
+
+    def __init__(self, replicas: dict, head_lsn_source: Callable[[], int]) -> None:
+        self.replicas = replicas
         self.head_lsn_source = head_lsn_source
-        self.replicas: dict[str, object] = {}
         self.reads_routed = 0                    # point reads
         # Counted by eligible(), so point reads and placed queries alike:
         self.fallback_reads = 0                  # served by a non-preferred owner
         self.consistency_rejections = 0          # replicas skipped for staleness
-
-    # -------------------------------------------------------------- #
-    # membership
-    # -------------------------------------------------------------- #
-    def add_replica(self, node) -> None:
-        """Route to one more replica node."""
-        if node.name in self.replicas:
-            raise ServingError(f"replica {node.name!r} is already routed")
-        self.replicas[node.name] = node
-
-    def remove_replica(self, name: str) -> None:
-        """Stop routing to a replica; the others keep their relative order."""
-        self.replicas.pop(name, None)
 
     # -------------------------------------------------------------- #
     # routing
@@ -144,10 +137,9 @@ class ShardRouter:
         """
         lagging: dict[str, int] = {}
         for position, name in enumerate(self.owners(key)):
-            node = self.replicas.get(name)   # None: removed since owners() ran
+            node = self.replicas[name]
             if (
-                node is None
-                or not node.alive
+                not node.alive
                 or not all(node.serves_view(view) for view in view_names)
             ):
                 continue

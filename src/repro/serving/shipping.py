@@ -1,4 +1,4 @@
-"""Journal shipping: publish committed view deltas to subscriber replicas.
+"""Journal shipping: offer committed view deltas to the fleet's replicas.
 
 The :class:`JournalShipper` hangs off the primary
 :class:`~repro.engine.views.ViewManager`'s journal-event hook; the manager
@@ -6,15 +6,17 @@ keeps no change history of its own.  Every committed delta of a *shipped*
 view is recorded in the :class:`~repro.serving.journal_store.JournalStore`
 — the one place that answers "what changed since LSN *n*" — and becomes a
 :class:`ShipmentBatch` (the LSN-ranged entity delta plus the actual artifact
-rows for the changed entities) published on the :class:`ReplicationBus` to
-every subscribed replica.  From-scratch rebuilds ship as snapshot batches
-(the full row set; the journal's history restarts), and a catch-up for a view
-the primary has not materialized answers a drop batch.
+rows for the changed entities) offered to every node of the fleet's replica
+map, the one map the router reads too.  Right after it offers a delta it
+drops the view's journal deltas every replica's index holds.  From-scratch
+rebuilds ship as snapshot batches (the full row set; the journal's history
+restarts), and a catch-up for a view the primary has not materialized
+answers a drop batch.
 
 Batches are chained by LSN alone: each delta batch carries ``prev_lsn``, the
 LSN of the batch it extends.  A replica whose applied LSN does not reach
 ``prev_lsn``, or that holds no copy of the view, has missed a shipment
-(backpressure drop, crash, late subscription) and must resync — it pulls
+(backpressure drop, crash, late join) and must resync — it pulls
 :meth:`JournalShipper.catchup_batch`, which serves the gap from the journal
 when it reaches back far enough and falls back to a full snapshot otherwise
 (always for a consumer with no copy).  A catch-up delta is stamped with the
@@ -62,7 +64,7 @@ class ShipmentBatch:
     def documents(self) -> tuple[LiveEntityDocument, ...]:
         """The batch's rows as serving documents, decoded once per process.
 
-        The same batch object fans out to every subscribed replica, and a
+        The same batch object fans out to every replica, and a
         held document is never mutated, so every replica applies these same
         objects.  The first replica to apply the batch decodes it, under the
         batch's lock; the others wait for that decode and reuse it.  Batch
@@ -75,46 +77,6 @@ class ShipmentBatch:
                     view_row_documents(self.view_name, feed, self.rows, self.lsn)
                 ))
         return self._documents
-
-
-class ReplicationBus:
-    """Fan-out of shipment batches to subscribed replica nodes.
-
-    Delivery is per-subscriber fire-and-forget: a failing or dead subscriber
-    is counted (``delivery_errors``) and never blocks the other replicas or
-    the publishing flush.  Gap detection on the replica side repairs any
-    missed delivery.
-    """
-
-    def __init__(self) -> None:
-        self.subscribers: dict[str, object] = {}
-        self.batches_published = 0
-        self.deliveries = 0
-        self.delivery_failures = 0
-        # Bounded: a replica left down for days must not grow memory.
-        self.delivery_errors: deque[str] = deque(maxlen=256)
-
-    def subscribe(self, node) -> None:
-        """Add a replica node (anything with ``name`` and ``offer(batch)``)."""
-        self.subscribers[node.name] = node
-
-    def unsubscribe(self, name: str) -> None:
-        """Remove a subscriber; undelivered batches surface as gaps."""
-        self.subscribers.pop(name, None)
-
-    def publish(self, batch: ShipmentBatch) -> int:
-        """Deliver *batch* to every subscriber; returns successful deliveries."""
-        self.batches_published += 1
-        delivered = 0
-        for name, node in list(self.subscribers.items()):
-            try:
-                node.offer(batch)
-                delivered += 1
-                self.deliveries += 1
-            except Exception as exc:  # noqa: BLE001 - a dead replica must not stop the fleet
-                self.delivery_failures += 1
-                self.delivery_errors.append(f"{name} <- {batch.view_name}@{batch.lsn}: {exc}")
-        return delivered
 
 
 def rows_for_subjects(
@@ -148,19 +110,26 @@ class JournalShipper:
 
     Attach to a manager, then :meth:`ship_view` each row-shaped view that the
     fleet serves.  The shipper records deltas in the journal store before
-    publishing them on the bus, so a batch a replica missed can always be
-    re-derived.
+    offering them to *replicas* (name → node with ``offer(batch)`` and
+    ``applied_lsn(view)``; the fleet's own map, read live), so a batch a
+    replica missed can always be re-derived.  Delivery is fire-and-forget
+    per node: a failing or dead replica is counted (``delivery_failures``,
+    the latest in ``delivery_errors``) and never blocks the others or the
+    publishing flush; gap detection on the replica repairs the loss.
     """
 
     def __init__(
-        self, manager: ViewManager, bus: ReplicationBus, journal_store: JournalStore
+        self, manager: ViewManager, replicas: dict, journal_store: JournalStore
     ) -> None:
         self.manager = manager
-        self.bus = bus
+        self.replicas = replicas
         self.journal_store = journal_store
         self.shipped_views: dict[str, int] = {}       # view -> last shipped LSN
         self.batches_shipped = 0
         self.snapshots_shipped = 0
+        self.delivery_failures = 0
+        # Bounded: a replica left down for days must not grow memory.
+        self.delivery_errors: deque[str] = deque(maxlen=256)
         manager.add_journal_listener(self._on_journal_event)
 
     def detach(self) -> None:
@@ -205,11 +174,11 @@ class JournalShipper:
         )
 
     def _publish_snapshot(self, view_name: str) -> ShipmentBatch:
-        """Snapshot-resync subscribers and re-baseline the journal."""
+        """Snapshot-resync every replica and re-baseline the journal."""
         batch = self.snapshot_batch(view_name)
         self.journal_store.record_truncate(view_name, batch.lsn)
         self.shipped_views[view_name] = batch.lsn
-        self.bus.publish(batch)
+        self._publish(batch)
         self.snapshots_shipped += 1
         return batch
 
@@ -284,6 +253,29 @@ class JournalShipper:
                                          prev_lsn=applied_lsn, lsn=shipped_lsn)
         return self.snapshot_batch(view_name)
 
+    def compact_journals(self) -> dict[str, int]:
+        """Drop the journal deltas every replica has applied.
+
+        A view's history is truncated at the lowest LSN any replica's index
+        holds for it, so no consumer is pushed into a gap by compaction; a
+        crashed replica still counts, since it resumes from the LSN its index
+        holds.  The shipper runs this for a view each time it offers a
+        journaled delta of it.  Returns the deltas dropped per view.
+        """
+        dropped: dict[str, int] = {}
+        for view_name in self.shipped_views:
+            count = self._compact_journal(view_name)
+            if count:
+                dropped[view_name] = count
+        return dropped
+
+    def _compact_journal(self, view_name: str) -> int:
+        floor = min(
+            (node.applied_lsn(view_name) for node in self.replicas.values()),
+            default=0,
+        )
+        return self.journal_store.truncate_below(view_name, floor) if floor > 0 else 0
+
     # -------------------------------------------------------------- #
     # journal-event plumbing
     # -------------------------------------------------------------- #
@@ -297,7 +289,7 @@ class JournalShipper:
                 # The journal misses this delta.  The live chain must not
                 # silently skip it either — the next batch's prev_lsn would
                 # extend every replica's applied LSN and they would diverge
-                # undetectably.  Resync subscribers via snapshot (which also
+                # undetectably.  Resync replicas via snapshot (which also
                 # re-baselines the journal), then surface the error to the
                 # manager's log.
                 self._publish_snapshot(event.view_name)
@@ -307,15 +299,16 @@ class JournalShipper:
                 prev_lsn=self.shipped_views[event.view_name], lsn=event.lsn,
             )
             self.shipped_views[event.view_name] = batch.lsn
-            self.bus.publish(batch)
+            self._publish(batch)
             self.batches_shipped += 1
+            self._compact_journal(event.view_name)
         elif event.kind == "advance":
             # Watermark-only progress: an empty delta batch lets replicas
             # advance their applied LSN without row work.  Not journaled —
             # a catch-up batch stamps the current watermark anyway.
             prev_lsn = self.shipped_views[event.view_name]
             self.shipped_views[event.view_name] = event.lsn
-            self.bus.publish(ShipmentBatch(
+            self._publish(ShipmentBatch(
                 kind="delta",
                 view_name=event.view_name,
                 lsn=event.lsn,
@@ -325,6 +318,15 @@ class JournalShipper:
             self.batches_shipped += 1
         elif event.kind == "truncate":
             self._publish_snapshot(event.view_name)
+
+    def _publish(self, batch: ShipmentBatch) -> None:
+        # A copy of the map: a replica can join while a flush ships.
+        for name, node in list(self.replicas.items()):
+            try:
+                node.offer(batch)
+            except Exception as exc:  # noqa: BLE001 - a dead replica must not stop the fleet
+                self.delivery_failures += 1
+                self.delivery_errors.append(f"{name} <- {batch.view_name}@{batch.lsn}: {exc}")
 
     def _delta_batch(
         self, view_name: str, delta: ViewDelta, prev_lsn: int, lsn: int

@@ -710,7 +710,11 @@ CITY_TEXT = TWO_VIEW_QUERIES[0][1]
 
 
 def lagging_replica_fleet():
-    """Two replicas over fixed people/cities; replica-1 gets no more batches."""
+    """Two replicas over fixed people/cities; replica-1 gets no more batches.
+
+    Its ``offer`` drops every batch, as a backpressure drop does, so it
+    keeps serving the state it holds until something resyncs it.
+    """
     model = FleetModel()
     model.cities.update({"c0": {"pop": 1000}, "c1": {"pop": 2000}})
     for i in range(8):
@@ -719,7 +723,7 @@ def lagging_replica_fleet():
     manager, clock = build_fleet_harness(model)
     manager.materialize()
     fleet = start_join_fleet(manager, num_replicas=2)
-    fleet.bus.unsubscribe("replica-1")
+    fleet.replicas["replica-1"].offer = lambda batch: False
     return model, manager, clock, fleet
 
 

@@ -409,12 +409,11 @@ def test_query_router_equivalence_across_modes():
     batch = ShipmentBatch(
         kind="snapshot", view_name="profile_rows", lsn=5, rows=rows
     )
-    router = ShardRouter(head_lsn_source=lambda: 5)
     nodes = [ReplicaNode(name).start() for name in ("r1", "r2", "r3")]
+    router = ShardRouter({node.name: node for node in nodes}, head_lsn_source=lambda: 5)
     try:
         for node in nodes:
             node.offer(batch)
-            router.add_replica(node)
         for node in nodes:
             assert node.drain()
         query_router = QueryRouter(router)

@@ -122,9 +122,8 @@ def test_replica_placement_is_process_stable():
         "from types import SimpleNamespace\n"
         "from repro.hashing import stable_hash\n"
         "from repro.serving.router import ShardRouter\n"
-        "router = ShardRouter(lambda: 0)\n"
-        "for name in ('replica-0', 'replica-1', 'replica-2'):\n"
-        "    router.add_replica(SimpleNamespace(name=name))\n"
+        "names = ('replica-0', 'replica-1', 'replica-2')\n"
+        "router = ShardRouter({name: SimpleNamespace(name=name) for name in names}, lambda: 0)\n"
         "keys = [f'entity:{i:03d}' for i in range(64)]\n"
         "print(json.dumps([[stable_hash(k), router.owners(k)] for k in keys]))\n"
     )
@@ -139,9 +138,8 @@ def test_replica_placement_is_process_stable():
         layouts.append(json.loads(output))
     assert layouts[0] == layouts[1]
 
-    router = ShardRouter(lambda: 0)
-    for name in ("replica-0", "replica-1", "replica-2"):
-        router.add_replica(SimpleNamespace(name=name))
+    names = ("replica-0", "replica-1", "replica-2")
+    router = ShardRouter({name: SimpleNamespace(name=name) for name in names}, lambda: 0)
     keys = [f"entity:{i:03d}" for i in range(64)]
     assert [[stable_hash(k), router.owners(k)] for k in keys] == layouts[0]
     assert {owners[0] for _, owners in layouts[0]} == set(router.replicas)   # keys spread

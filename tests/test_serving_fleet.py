@@ -1,8 +1,8 @@
 """Replicated serving fleet: journals, shipping, replicas, routing.
 
 Covers the serving subsystem end to end: the in-memory delta journal
-(merging, compaction, gap signalling), journal shipping over the replication
-bus, asynchronous replica apply with gap-triggered resync, crash/restart
+(merging, compaction, gap signalling), journal shipping to the fleet's
+replica map, asynchronous replica apply with gap-triggered resync, crash/restart
 catch-up through the journal, and LSN-aware read routing under the three
 consistency levels.
 """
@@ -27,7 +27,6 @@ from repro.serving import (
     Consistency,
     JournalStore,
     ReplicaNode,
-    ReplicationBus,
     ServingFleet,
     ShardRouter,
     stable_hash,
@@ -173,12 +172,12 @@ class TestShippingAndReplicas:
         manager.flush()
         assert fleet.drain()
         assert fleet.replicas["replica-1"].get("rows", "a").value("value") == 2
-        assert fleet.bus.delivery_errors   # the dead replica was counted, not fatal
+        assert fleet.shipper.delivery_errors   # the dead replica was counted, not fatal
         fleet.stop()
 
     def test_status_counts_every_failed_delivery_past_the_error_log(self):
         """Regression: ``status()["delivery_errors"]`` read the length of the
-        bus's bounded error log, so it stopped counting at 256."""
+        bounded error log, so it stopped counting at 256."""
         store, clock, manager = make_primary()
         store["a"] = 0
         manager.materialize()
@@ -189,8 +188,8 @@ class TestShippingAndReplicas:
         for value in range(1, 301):
             put(store, clock, manager, "a", value)
             manager.flush()
-        assert fleet.bus.batches_published == 301
-        assert len(fleet.bus.delivery_errors) == 256      # the log stays bounded
+        assert fleet.status()["batches_published"] == 301
+        assert len(fleet.shipper.delivery_errors) == 256  # the log stays bounded
         assert fleet.status()["delivery_errors"] == 300
         fleet.stop()
 
@@ -198,12 +197,12 @@ class TestShippingAndReplicas:
         store, clock, manager = make_primary()
         store["a"] = 1
         manager.materialize()
-        bus = ReplicationBus()
+        replicas = {}
         from repro.serving.shipping import JournalShipper
-        shipper = JournalShipper(manager, bus, JournalStore())
+        shipper = JournalShipper(manager, replicas, JournalStore())
         monkeypatch.setattr(replica_module, "QUEUE_CAPACITY", 1)
         node = ReplicaNode("r0", resync_source=shipper)
-        bus.subscribe(node)
+        replicas[node.name] = node
         node.start()
         shipper.ship_view("rows")
         # stall the worker so the tiny queue overflows
@@ -355,10 +354,10 @@ class TestShippingAndReplicas:
             put(store, clock, manager, "a", value)
             manager.flush()
         assert fleet.drain()
-        # fleet.compact_journals() is safe for a crashed replica: the LSN
+        # fleet.shipper.compact_journals() is safe for a crashed replica: the LSN
         # its index holds floors it, so after compaction its catch-up delta
         # is still answerable and all three deltas are kept.
-        assert fleet.compact_journals() == {}
+        assert fleet.shipper.compact_journals() == {}
         applied = fleet.replicas["replica-1"].applied_lsn("rows")
         assert journal.deltas_since("rows", applied).updated == {"a"}
         assert journal.stats()["rows"]["records"] == 3
@@ -442,12 +441,29 @@ class TestShippingAndReplicas:
         fleet.serve_view("rows")
         assert fleet.drain()
         fleet.stop()
-        published = fleet.bus.batches_published
+        published = fleet.status()["batches_published"]
         put(store, clock, manager, "a", 2)
         manager.flush()
-        assert fleet.bus.batches_published == published
+        assert fleet.status()["batches_published"] == published
         assert not manager.journal_listeners
-        assert not fleet.bus.delivery_errors
+        assert not fleet.shipper.delivery_errors
+
+    def test_a_fleet_registers_one_journal_listener(self):
+        """The shipper is the fleet's only journal listener: it offers each
+        batch and compacts the journal itself, so no second listener has to
+        run after it in registration order."""
+        store, clock, manager = make_primary()
+        store["a"] = 1
+        manager.materialize()
+        before = list(manager.journal_listeners)
+        fleet = ServingFleet(manager, num_replicas=2)
+        added = [listener for listener in manager.journal_listeners
+                 if listener not in before]
+        assert added == [fleet.shipper._on_journal_event]
+        assert fleet.router.replicas is fleet.replicas
+        assert fleet.shipper.replicas is fleet.replicas
+        fleet.stop()
+        assert manager.journal_listeners == before
 
     def test_late_joining_replica_is_seeded_before_owning_reads(self):
         """Regression: a replica added after serve_view owns key ranges
@@ -469,7 +485,7 @@ class TestShippingAndReplicas:
 
     def test_journal_persist_failure_resyncs_the_chain_via_snapshot(self):
         """Regression: a delta the store failed to record must not be
-        silently skipped on the bus — the chain would extend every replica's
+        silently skipped in shipping — the chain would extend every replica's
         applied LSN past changes they never saw.  The shipper snapshots."""
         store, clock, manager = make_primary()
         store["a"] = 1
@@ -500,26 +516,6 @@ class TestShippingAndReplicas:
         manager.flush()
         assert fleet.drain()
         assert node.get("rows", "a").value("value") == 3
-        fleet.stop()
-
-    def test_remove_replica_forgets_checkpoint_and_watermarks(self):
-        store, clock, manager = make_primary()
-        store["a"] = 1
-        manager.materialize()
-        fleet = ServingFleet(manager, num_replicas=2).start()
-        fleet.serve_view("rows")
-        assert fleet.drain()
-        assert fleet.replicas["replica-1"].applied_lsn("rows") > 0
-        assert set(fleet.lag()["rows"]) == {"replica-0", "replica-1"}
-        fleet.remove_replica("replica-1")
-        assert "replica-1" not in fleet.replicas
-        assert fleet.router.healthy_replicas() == ["replica-0"]
-        assert fleet.lag() == {"rows": {"replica-0": 0}}
-        assert "replica-1" not in fleet.bus.subscribers
-        put(store, clock, manager, "a", 2)    # shipping continues without it
-        manager.flush()
-        assert fleet.drain()
-        assert fleet.replicas["replica-0"].get("rows", "a").value("value") == 2
         fleet.stop()
 
     def test_replica_watermarks_read_from_the_replicas(self):
@@ -563,9 +559,9 @@ class FakeReplica:
 
 class TestShardRouter:
     def test_owners_rotate_the_sorted_names_and_spread_first_place(self):
-        router = ShardRouter(lambda: 0)
-        for name in ("r2", "r0", "r1"):                      # insertion order is irrelevant
-            router.add_replica(FakeReplica(name))
+        # insertion order is irrelevant
+        router = ShardRouter({name: FakeReplica(name) for name in ("r2", "r0", "r1")},
+                             lambda: 0)
         names = ["r0", "r1", "r2"]
         firsts = set()
         for key in (f"kg:e{i}" for i in range(300)):
@@ -575,12 +571,11 @@ class TestShardRouter:
         assert firsts == set(names)                          # every replica leads somewhere
 
     def test_removing_a_replica_keeps_the_others_relative_order(self):
-        router = ShardRouter(lambda: 0)
-        for i in range(4):
-            router.add_replica(FakeReplica(f"r{i}"))
+        replicas = {f"r{i}": FakeReplica(f"r{i}") for i in range(4)}
         keys = [f"kg:e{i}" for i in range(100)]
-        before = {key: router.owners(key) for key in keys}
-        router.remove_replica("r2")
+        before = {key: ShardRouter(replicas, lambda: 0).owners(key) for key in keys}
+        del replicas["r2"]
+        router = ShardRouter(replicas, lambda: 0)
         for key in keys:
             after = router.owners(key)
             assert sorted(after) == ["r0", "r1", "r3"]
@@ -590,12 +585,11 @@ class TestShardRouter:
             assert after == survivors[rotation:] + survivors[:rotation]
 
     def test_consistency_levels_gate_replicas(self):
-        router = ShardRouter(lambda: 10)
         fresh = FakeReplica("fresh", applied=10)
         stale = FakeReplica("stale", applied=4)
         for node in (fresh, stale):
             node.docs["v:x"] = object()
-            router.add_replica(node)
+        router = ShardRouter({"fresh": fresh, "stale": stale}, lambda: 10)
         assert router.satisfies(stale, "v", Consistency.any())
         assert not router.satisfies(stale, "v", Consistency.bounded_staleness(2))
         assert router.satisfies(stale, "v", Consistency.bounded_staleness(6))
@@ -603,13 +597,12 @@ class TestShardRouter:
         assert router.satisfies(fresh, "v", Consistency.read_your_writes(10))
 
     def test_read_falls_back_and_raises_honestly(self):
-        router = ShardRouter(lambda: 10)
         fresh = FakeReplica("fresh", applied=10)
         stale = FakeReplica("stale", applied=4)
         fresh.docs["v:x"] = "fresh-doc"
         stale.docs["v:x"] = "stale-doc"
-        router.add_replica(fresh)
-        router.add_replica(stale)
+        replicas = {"fresh": fresh, "stale": stale}
+        router = ShardRouter(replicas, lambda: 10)
         # read_your_writes(10): only the fresh replica qualifies, whoever owns x
         assert router.read("v", "x", Consistency.read_your_writes(10)) == "fresh-doc"
         with pytest.raises(StaleReadError):
@@ -618,8 +611,7 @@ class TestShardRouter:
         stale.alive = False
         with pytest.raises(ReplicaUnavailableError):
             router.read("v", "x")
-        router.remove_replica("fresh")
-        router.remove_replica("stale")
+        replicas.clear()
         with pytest.raises(ReplicaUnavailableError):
             router.read("v", "x")
 

@@ -42,7 +42,6 @@ from repro.serving import (
     JournalShipper,
     JournalStore,
     ReplicaNode,
-    ReplicationBus,
     ServingFleet,
 )
 
@@ -206,7 +205,8 @@ def appended(events, view_name: str, after_lsn: int) -> ViewDelta:
 class JournalConsumer:
     """A replica of one row view kept current from the journal alone.
 
-    It subscribes to no bus: after every flush it pulls one catch-up batch
+    It is in no replica map, so no batch is offered to it: after every
+    flush it pulls one catch-up batch
     (``ReplicaNode.resync``), which the shipper answers from its
     ``JournalStore`` — a delta while the journal's history reaches back to the
     replica's LSN, a snapshot otherwise.
@@ -214,7 +214,7 @@ class JournalConsumer:
 
     def __init__(self, manager, name):
         self.manager, self.name = manager, name
-        self.shipper = JournalShipper(manager, ReplicationBus(), JournalStore())
+        self.shipper = JournalShipper(manager, {}, JournalStore())
         self.shipper.ship_view(name)
         self.node = ReplicaNode(f"{name}-consumer", resync_source=self.shipper)
         self.builds = None       # the view's builds at the last catch-up
