@@ -92,8 +92,11 @@ class StagedEntities:
     after the other and both need each subject's assembled entity; this
     one-slot memo assembles them on the first request for a batch and hands
     the same entities to the second.  It holds one batch's entities — not
-    the payload, which lives in the object store for the life of the log.
-    Subjects staged without facts have no entity.
+    the payload, which lives in the object store for the life of the log —
+    and only while a replay runs: :meth:`GraphEngine.replay` releases it
+    when the coordinator returns, so after a bootstrap the whole KG's
+    entities are held by the stores alone.  Subjects staged without facts
+    have no entity.
     """
 
     def __init__(self) -> None:
@@ -110,6 +113,11 @@ class StagedEntities:
             }
             self._batch = batch
         return self._entities
+
+    def release(self) -> None:
+        """Drop the memoized batch and its entities."""
+        self._batch = None
+        self._entities = {}
 
 
 class EntityStoreAgent(OrchestrationAgent):
@@ -188,9 +196,9 @@ class GraphEngine:
         self.coordinator = AgentCoordinator(self.log, self.object_store, self.metadata)
         self.coordinator.register(PrimaryStoreAgent(self.triples))
         self.coordinator.register(AnalyticsAgent(self.analytics))
-        staged_entities = StagedEntities()
-        self.coordinator.register(EntityStoreAgent(self.entity_store, staged_entities))
-        self.coordinator.register(TextIndexAgent(self.text_index, staged_entities))
+        self._staged_entities = StagedEntities()
+        self.coordinator.register(EntityStoreAgent(self.entity_store, self._staged_entities))
+        self.coordinator.register(TextIndexAgent(self.text_index, self._staged_entities))
         self.view_catalog = ViewCatalog()
         # Views read the replayed stores, so their builds reflect the minimum
         # store watermark — not the log head, which may be ahead of replay.
@@ -286,10 +294,17 @@ class GraphEngine:
         return record
 
     def replay(self) -> ReplayReport:
-        """Replay pending log records into every store in dependency order."""
+        """Replay pending log records into every store in dependency order.
+
+        The staged-entity memo is released when the coordinator returns:
+        the stores hold what they replayed.
+        """
         ordered = [name for name in AGENT_ORDER if name in self.coordinator.agents]
         extra = [name for name in sorted(self.coordinator.agents) if name not in ordered]
-        return self.coordinator.replay(ordered + extra)
+        try:
+            return self.coordinator.replay(ordered + extra)
+        finally:
+            self._staged_entities.release()
 
     # -------------------------------------------------------------- #
     # freshness

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.engine.metadata import WatermarkMap
-from repro.live.members import add_member, discard_member, members
+from repro.live.members import add_member, copy_members, discard_member, members
 from repro.live.rpq import AdjacencyIndex, document_edges
 from repro.ml.similarity import normalize_string, tokens
 
@@ -151,6 +151,16 @@ class _Partition:
         self.columns: dict[str, tuple[int, array, array]] = {}
         self.value_columns: dict[str, tuple[int, list, dict[int, tuple]]] = {}
 
+    def copy(self) -> "_Partition":
+        """A partition with its own id list and column dicts; a built column
+        is never mutated (a stale one is replaced), so the columns are shared."""
+        twin = _Partition()
+        twin.ids = list(self.ids)
+        twin.changes = self.changes
+        twin.columns = dict(self.columns)
+        twin.value_columns = dict(self.value_columns)
+        return twin
+
 
 def _numeric_bounds(values: Iterable[object]) -> tuple[float, float]:
     """``(min, max)`` of the values ``float()`` accepts, NaN skipped;
@@ -232,6 +242,16 @@ class GraphKVStore:
         partition.changes += 1
         if not ids:
             del self._id_partitions[key]
+
+    def copy(self) -> "GraphKVStore":
+        """A store holding the very same documents (values, never mutated)
+        in partitions of its own."""
+        twin = GraphKVStore()
+        twin._documents = dict(self._documents)
+        twin._id_partitions = {
+            key: partition.copy() for key, partition in self._id_partitions.items()
+        }
+        return twin
 
     def get(self, entity_id: str) -> LiveEntityDocument | None:
         """Point lookup by entity id."""
@@ -387,6 +407,15 @@ class InvertedGraphIndex:
 
     def _postings(self) -> tuple[dict, dict, dict]:
         return (self._name_postings, self._exact_names, self._value_postings)
+
+    def copy(self) -> "InvertedGraphIndex":
+        """An index with postings equal to these, sharing every bare id and
+        tuple posting and copying every set."""
+        twin = InvertedGraphIndex()
+        twin._name_postings, twin._exact_names, twin._value_postings = (
+            copy_members(postings) for postings in self._postings()
+        )
+        return twin
 
     def index_document(
         self, document: LiveEntityDocument, previous: LiveEntityDocument | None = None
@@ -547,6 +576,25 @@ class LiveIndex:
         self.adjacency = AdjacencyIndex()
         self.watermarks = WatermarkMap()
         self._feed_documents: dict[str, set[str]] = {}
+
+    def copy(self) -> "LiveIndex":
+        """An index equal, map for map, to a rebuild from the documents this
+        one holds, and independent of it: applying to either leaves the other
+        as it was.
+
+        It shares what is immutable — the documents, bare ids, tuple members,
+        built columns and interval encodings — and copies every set and
+        mutable container, so a replica can start from a current peer's index
+        instead of rebuilding the same postings and rows from the same
+        documents.
+        """
+        twin = LiveIndex()
+        twin.kv = self.kv.copy()
+        twin.inverted = self.inverted.copy()
+        twin.adjacency = self.adjacency.copy()
+        twin.watermarks.update(self.watermarks)
+        twin._feed_documents = {feed: set(ids) for feed, ids in self._feed_documents.items()}
+        return twin
 
     def watermark(self, feed: str) -> int:
         """The upstream LSN *feed* currently serves (0 when never loaded)."""

@@ -15,7 +15,8 @@ The form is a function of the members alone, with no hysteresis and nothing
 of the order they came in, so a dict built by adding and discarding equals,
 key for key, one built from the final members.  A member is never a tuple or
 a set.  Read a stored value only through :func:`members`: a bare id string
-iterates as its characters.
+iterates as its characters.  Only the sets are mutable, so
+:func:`copy_members` copies a dict of them by copying the dict and its sets.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ def members(held: object) -> tuple | set:
     if cls is tuple or cls is set:
         return held    # type: ignore[return-value]
     return (held,)
+
+
+def copy_members(store: dict) -> dict:
+    """A copy of *store* that shares no mutable value with it: a ``set`` is
+    copied, a bare member or a tuple is immutable and shared."""
+    return {key: held.copy() if held.__class__ is set else held for key, held in store.items()}
 
 
 def add_member(store: dict, key: Hashable, member: object) -> None:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Container, Iterable, Sequence
 
 from repro.live.kgq import RpqAlt, RpqConcat, RpqExpr, RpqLabel, RpqPlus, RpqStar
-from repro.live.members import add_member, discard_member, members
+from repro.live.members import add_member, copy_members, discard_member, members
 
 #: One provenance witness: a tuple of (src, rendered label, dst) edge triples.
 Witness = tuple[tuple[str, str, str], ...]
@@ -363,6 +363,17 @@ class _FeedGraph:
         for predicate in predicates:
             self.mutations[predicate] = self.mutations.get(predicate, 0) + 1
 
+    def copy(self) -> "_FeedGraph":
+        """A graph equal to this one that shares only immutable parts: the
+        interned names and ordinals, bare-ordinal rows and tuple rows."""
+        twin = _FeedGraph()
+        twin.ids = dict(self.ids)
+        twin.names = list(self.names)
+        twin.forward = {predicate: copy_members(rows) for predicate, rows in self.forward.items()}
+        twin.reverse = {predicate: copy_members(rows) for predicate, rows in self.reverse.items()}
+        twin.mutations = dict(self.mutations)
+        return twin
+
     def intern(self, node: str) -> int:
         ordinal = self.ids.get(node)
         if ordinal is None:
@@ -522,6 +533,15 @@ class AdjacencyIndex:
         for predicate, target in edges:
             _clear_edge(graph, predicate, source, graph.ids[target])
         graph.touch({predicate for predicate, _ in edges})
+
+    def copy(self) -> "AdjacencyIndex":
+        """An index equal to this one, graph for graph, that later edits to
+        either leave the other alone.  A built interval encoding is never
+        mutated, so the copy shares it under the same mutation stamp."""
+        twin = AdjacencyIndex()
+        twin._feeds = {feed: graph.copy() for feed, graph in self._feeds.items()}
+        twin._intervals = dict(self._intervals)
+        return twin
 
     def graph(self, feed: str) -> _FeedGraph | None:
         """The raw feed graph (``None`` when the feed asserted no edges)."""

@@ -194,7 +194,11 @@ class SagaPlatform:
         The fleet ships every named materialized row-shaped view to
         *num_replicas* live replicas, journals their deltas in memory, and
         routes reads with the same LSN currency the engine's metadata store
-        uses.  It returns once every live replica serves every named view
+        uses.  The snapshots go to ``replica-0`` alone; once it has applied
+        them, every further replica starts from a copy of its index
+        (:meth:`~repro.serving.fleet.ServingFleet.add_replica`), so the
+        postings and adjacency rows are built once.  It returns once every
+        live replica serves every named view
         (:class:`~repro.errors.ServingError` when one does not in time), so
         the first query cannot arrive before the snapshots have.  Served
         views are read through the fleet itself — ``fleet.read`` for one row,
@@ -203,14 +207,18 @@ class SagaPlatform:
         """
         if self._fleet is not None:
             raise ServingError("a serving fleet is already running; stop it first")
+        # replica-0 alone (ServingFleet refuses fewer than one replica).
         fleet = ServingFleet(
-            self.graph_engine.view_manager, num_replicas=num_replicas
+            self.graph_engine.view_manager, num_replicas=min(num_replicas, 1)
         ).start()
         try:
             fleet.serve_views(views)
             # The snapshots apply asynchronously; a caller that queries the
             # moment this returns must find every replica serving.
             fleet.drain()
+            for index in range(1, num_replicas):
+                fleet.add_replica(f"replica-{index}")
+            fleet.start()       # with no view shipped, add_replica starts none
             waiting = sorted(
                 f"{name}/{view}"
                 for name, node in fleet.replicas.items() if node.alive

@@ -11,7 +11,10 @@
   after it offers a delta, drops the view's deltas every replica's index
   holds (:meth:`~repro.serving.shipping.JournalShipper.compact_journals`);
 * N :class:`~repro.serving.replica.ReplicaNode` replicas apply them
-  asynchronously into their own live indexes;
+  asynchronously into their own live indexes.  A replica added to a
+  serving fleet starts from a copy of a current peer's index, so the fleet
+  builds its postings, adjacency rows and partitions once, not once per
+  replica;
 * a :class:`~repro.serving.router.ShardRouter` routes reads across the
   replicas by a fixed per-key preference order under a selectable
   consistency level, and a
@@ -67,19 +70,20 @@ class ServingFleet:
         """Add one replica node; started by :meth:`start`.
 
         Inserted into the fleet's replica map first, so it is offered every
-        batch shipped from then on — including during its seeding resync.
+        batch shipped from then on — including while it seeds.  A replica
+        joining a serving fleet is routed to at once, so it is seeded before
+        this returns: from a copy of a current peer's index
+        (:meth:`~repro.serving.replica.ReplicaNode.start_from`), or, with no
+        current peer, by a snapshot resync of every shipped view.
         """
         if name in self.replicas:
             raise ServingError(f"replica {name!r} already exists in the fleet")
         node = ReplicaNode(name, resync_source=self.shipper)
         self.replicas[name] = node
         if self.shipper.shipped_views:
-            # A replica joining a serving fleet is routed to immediately:
-            # seed it with every shipped view's current state or routed
-            # reads would hit its empty index as false misses.
-            node.start()
-            for view_name in sorted(self.shipper.shipped_views):
-                node.resync(view_name)
+            node.start_from(
+                [self.replicas[peer] for peer in sorted(self.replicas) if peer != name]
+            )
         return node
 
     def start(self) -> "ServingFleet":

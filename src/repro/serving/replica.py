@@ -6,11 +6,14 @@ applies :class:`~repro.serving.shipping.ShipmentBatch` messages into it
 immediately (the primary's flush thread is never coupled to replica apply
 speed), while a worker thread drains the queue.  A full queue *drops* the
 batch — the subsequent gap detection repairs the loss — so a slow replica
-degrades to lag, never to backpressure on the primary.
+degrades to lag, never to backpressure on the primary.  A dropped snapshot
+marks its view: a rebuild may change rows at an LSN the replica already
+holds, so no later ``prev_lsn`` shows the loss, and the view's next batch
+resyncs it by snapshot instead.
 
 Batches are chained by ``prev_lsn``; a replica whose applied LSN does not
-reach a delta batch's ``prev_lsn`` (missed shipment, crash, late
-join), or that holds no copy of the view, detects the **gap** and
+reach a delta batch's ``prev_lsn`` (missed shipment, crash), or that
+holds no copy of the view, detects the **gap** and
 resyncs by pulling a catch-up batch from its ``resync_source`` (the
 shipper): a journal delta when the journal's history covers the gap, a full
 snapshot otherwise.
@@ -20,8 +23,11 @@ watermarks are the one record of which views the node serves and at which
 LSN (:meth:`applied_lsn`, :meth:`serves_view`).  A *crash* (:meth:`kill`)
 loses the in-flight queue but not the index; :meth:`restart` catches every
 view the index serves (or the views it is given) up **from the LSN the index
-holds**, through the journal: no view artifact is rebuilt.  A fresh node
-holds nothing, so each view it catches up arrives as a snapshot.
+holds**, through the journal: no view artifact is rebuilt.  A node that
+joins a serving fleet starts from a copy of a current peer's index
+(:meth:`start_from`) and catches up from the LSNs the copy holds; a fresh
+node with no current peer holds nothing, so each view it catches up
+arrives as a snapshot.
 
 Beyond point reads, every replica is a **query node**: it owns a
 :class:`~repro.live.executor.QueryExecutor` over its full copy of the served
@@ -40,6 +46,7 @@ import queue
 import threading
 import time
 from collections import deque
+from typing import Iterable
 
 from repro.errors import ReplicaUnavailableError, ServingError
 from repro.live.executor import QueryExecutor, QueryResult, join_results
@@ -66,6 +73,8 @@ class ReplicaNode:
         self._alive = False
         # Reentrant: a gap detected mid-apply resyncs inline under the lock.
         self._apply_lock = threading.RLock()
+        # Views whose last offered snapshot the full queue dropped.
+        self._missed_snapshots: set[str] = set()
         self.batches_applied = 0
         self.batches_skipped = 0                 # duplicates below the applied LSN
         self.backpressure_drops = 0
@@ -96,6 +105,31 @@ class ReplicaNode:
         )
         self._worker.start()
         return self
+
+    def start_from(self, peers: Iterable["ReplicaNode"]) -> None:
+        """Start the worker serving every view the resync source ships.
+
+        Meant for a fresh node already in the fleet's map.  It starts from
+        a copy of the first current peer's index (:meth:`_current_at`:
+        alive, drained, missed no snapshot, and holding every shipped view
+        at exactly its shipped LSN), taken under this node's apply lock and
+        then the peer's; with no current peer it snapshot-resyncs each
+        shipped view instead.  Either way this node holds its own apply
+        lock until it is seeded, so its worker applies nothing before: a
+        batch offered meanwhile waits, then applies on top of the seed or
+        is skipped as a duplicate.
+        """
+        with self._apply_lock:
+            self.start()
+            shipped = dict(self.resync_source.shipped_views)
+            for peer in peers:
+                with peer._apply_lock:
+                    if peer._current_at(shipped):
+                        self.index = peer.index.copy()
+                        self.executor = QueryExecutor(self.index)
+                        return
+            for view_name in sorted(shipped):
+                self.resync(view_name)
 
     def stop(self) -> None:
         """Drain the queue, then stop the worker (a clean shutdown)."""
@@ -183,17 +217,30 @@ class ReplicaNode:
             raise ReplicaUnavailableError(f"replica {self.name!r} is not running")
         try:
             self._queue.put_nowait(batch)
-            return True
         except queue.Full:
             self.backpressure_drops += 1
+            if batch.kind == "snapshot":
+                self._missed_snapshots.add(batch.view_name)
             return False
+        if batch.kind == "snapshot":
+            # It supersedes any snapshot of the view dropped before it.
+            self._missed_snapshots.discard(batch.view_name)
+        return True
 
     def resync(self, view_name: str) -> bool:
-        """Pull a catch-up batch for one view and apply it inline."""
+        """Pull a catch-up batch for one view and apply it inline.
+
+        A view whose snapshot was dropped catches up from LSN 0, as a
+        snapshot: the journal cannot say what a rebuild changed.
+        """
         if self.resync_source is None:
             return False
         self.resyncs += 1
-        batch = self.resync_source.catchup_batch(view_name, self.applied_lsn(view_name))
+        applied = self.applied_lsn(view_name)
+        if view_name in self._missed_snapshots:
+            self._missed_snapshots.discard(view_name)
+            applied = 0
+        batch = self.resync_source.catchup_batch(view_name, applied)
         if batch.kind == "snapshot":
             self.snapshot_resyncs += 1
         with self._apply_lock:
@@ -214,6 +261,19 @@ class ReplicaNode:
         index as a row miss.
         """
         return f"view:{view_name}" in self.index.watermarks
+
+    def _current_at(self, lsns: dict[str, int]) -> bool:
+        """Whether this node may seed another: alive, drained, missed no
+        snapshot, and serving each view of *lsns* at exactly its LSN."""
+        return (
+            self._alive
+            and not self._missed_snapshots
+            and self.drain(timeout=0.0)
+            and all(
+                self.serves_view(view_name) and self.applied_lsn(view_name) == lsn
+                for view_name, lsn in lsns.items()
+            )
+        )
 
     def get(self, view_name: str, subject: str):
         """Point-read one served row document (None when not served here)."""
@@ -383,9 +443,13 @@ class ReplicaNode:
         if not force and applied is not None and batch.lsn <= applied:
             self.batches_skipped += 1            # duplicate / already covered
             return
-        if not resyncing and (applied is None or batch.prev_lsn > applied):
-            # Missed a shipment (or holds no copy to extend): resync instead
-            # of applying a delta onto a base it does not extend.
+        if not resyncing and (
+            applied is None
+            or batch.prev_lsn > applied
+            or batch.view_name in self._missed_snapshots
+        ):
+            # Missed a shipment (or a snapshot, or holds no copy to extend):
+            # resync instead of applying a delta onto a base it does not extend.
             self.gaps_detected += 1
             self.resync(batch.view_name)
             return

@@ -16,7 +16,7 @@ answers a drop batch.
 Batches are chained by LSN alone: each delta batch carries ``prev_lsn``, the
 LSN of the batch it extends.  A replica whose applied LSN does not reach
 ``prev_lsn``, or that holds no copy of the view, has missed a shipment
-(backpressure drop, crash, late join) and must resync — it pulls
+(backpressure drop, crash) and must resync — it pulls
 :meth:`JournalShipper.catchup_batch`, which serves the gap from the journal
 when it reaches back far enough and falls back to a full snapshot otherwise
 (always for a consumer with no copy).  A catch-up delta is stamped with the

@@ -74,6 +74,20 @@ def test_remove_source_operation(engine):
     assert engine.triples.facts_about("kg:p1") == []
 
 
+def test_replay_releases_the_staged_entity_memo(engine, construction_store):
+    """The entity store and the text index share one memo of a batch's
+    entities while they replay it; once replay ends, the stores alone hold
+    them, so the memo keeps no batch and no entity."""
+    staged = engine.coordinator.agents["entity_store"].staged
+    assert staged is engine.coordinator.agents["text_index"].staged
+    assert staged._batch is None and staged._entities == {}
+    construction_store.add(triple("kg:a1", "genre", "indie", source="musicdb"))
+    engine.publish_subjects(construction_store, ["kg:a1"], source_id="musicdb")
+    assert staged._batch is None and staged._entities == {}
+    assert engine.entity("kg:a1").name == "Echo Valley"
+    assert engine.search("Echo Valley")[0].doc_id == "kg:a1"
+
+
 def test_deferred_replay_and_lag(ontology, construction_store):
     engine = GraphEngine(ontology)
     engine.publish_store(construction_store, replay=False)

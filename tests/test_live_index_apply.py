@@ -16,8 +16,9 @@ far (columns are read between steps, so a column left stale by an apply
 shows).  Replicas
 in one process share the documents a batch decodes to, so the same
 sequence also runs through two indexes holding the same objects, one a step
-behind the other; and a streaming upsert must leave a document another
-index holds untouched.
+behind the other, and through an index and its ``copy()`` taken part-way
+(a replica seeded from a peer); and a streaming upsert must leave a
+document another index holds untouched.
 
 Sequence counts follow ``--runs-seeded`` (``index_seed``, see conftest.py).
 """
@@ -155,6 +156,26 @@ def build_columns(rng: random.Random, index: LiveIndex) -> None:
         )
 
 
+def mutable_parts(index: LiveIndex) -> list:
+    """Every container *index* edits in place: its maps, id lists, feed id
+    sets, set-valued postings and rows, and interned node tables."""
+    parts: list = [
+        index.watermarks, index._feed_documents, *index._feed_documents.values(),
+        index.kv._documents, index.kv._id_partitions, index.adjacency._feeds,
+        index.adjacency._intervals, *index.inverted._postings(),
+    ]
+    for partition in index.kv._id_partitions.values():
+        parts += [partition.ids, partition.columns, partition.value_columns]
+    for graph in index.adjacency._feeds.values():
+        parts += [graph.ids, graph.names, graph.forward, graph.reverse, graph.mutations]
+        parts += [*graph.forward.values(), *graph.reverse.values()]
+    parts += [
+        held for store in parts if isinstance(store, dict)
+        for held in store.values() if held.__class__ is set
+    ]
+    return parts
+
+
 #: One step of a sequence: apply it to an index, and the documents served after it.
 Step = tuple[Callable[[LiveIndex], None], dict[str, LiveEntityDocument]]
 
@@ -253,6 +274,43 @@ def test_indexes_sharing_documents_each_match_a_rebuild(index_seed):
         apply, documents = steps[-1]
         apply(follower)
         assert_index_equals_rebuild(follower, documents)
+
+
+def test_a_copy_and_its_source_each_match_a_rebuild(index_seed):
+    """A replica that starts from a copy of a peer's index: the two share no
+    container either edits in place, and after the copy both apply the same
+    steps, either one first, and each matches a rebuild after every step —
+    the one that has not applied a step yet still matches the documents
+    before it, so neither sees a set, id list or feed map the other edits."""
+    rng = random.Random(49000 + index_seed)
+    steps = random_steps(rng)
+    split = rng.randint(0, len(steps))
+    source = LiveIndex()
+    documents: dict[str, LiveEntityDocument] = {}
+    for apply, documents in steps[:split]:
+        apply(source)
+        assert_index_equals_rebuild(source, documents)
+        build_columns(rng, source)
+    copied = source.copy()
+    assert_index_equals_rebuild(copied, documents)
+    assert not {id(part) for part in mutable_parts(source)} & {
+        id(part) for part in mutable_parts(copied)
+    }
+    for apply, after in steps[split:]:
+        first, second = rng.sample([source, copied], 2)
+        served = {feed: set(ids) for feed, ids in second._feed_documents.items()}
+        watermarks = dict(second.watermarks)
+        apply(first)
+        assert_index_equals_rebuild(first, after)
+        build_columns(rng, first)
+        assert_index_equals_rebuild(second, documents)
+        assert second._feed_documents == served and second.watermarks == watermarks
+        apply(second)
+        assert_index_equals_rebuild(second, after)
+        build_columns(rng, second)
+        documents = after
+    assert source._feed_documents == copied._feed_documents
+    assert source.watermarks == copied.watermarks
 
 
 def test_a_range_query_sees_a_delta_applied_after_its_column_was_built():

@@ -9,6 +9,7 @@ consistency levels.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -22,6 +23,7 @@ from repro.errors import (
     StaleReadError,
     ViewError,
 )
+from repro.live.index import LiveIndex
 from repro.serving import replica as replica_module
 from repro.serving import (
     Consistency,
@@ -481,6 +483,100 @@ class TestShippingAndReplicas:
             document = fleet.read("rows", f"e{i}", Consistency.any())
             assert document is not None, f"false miss for e{i}"
         assert fleet.replicas["replica-9"].serves_view("rows")
+        fleet.stop()
+
+    def test_a_flush_landing_while_a_replica_seeds_applies_on_top_of_its_copy(
+        self, monkeypatch
+    ):
+        """A replica joining a serving fleet starts from a copy of a current
+        peer's index.  It is in the replica map before it seeds, so a flush
+        that lands right after the copy is taken is queued on it and applies
+        on top of the copy: no snapshot, no gap."""
+        store, clock, manager = make_primary()
+        store.update({"a": 1, "b": 2})
+        manager.materialize()
+        fleet = ServingFleet(manager, num_replicas=1).start()
+        fleet.serve_view("rows")
+        assert fleet.drain()
+        copy = LiveIndex.copy
+        copies = []
+
+        def copy_then_flush(index):
+            copied = copy(index)
+            if not copies:
+                put(store, clock, manager, "a", 10)
+                put(store, clock, manager, "c", 3, added=True)
+                manager.flush()
+            copies.append(copied)
+            return copied
+
+        monkeypatch.setattr(LiveIndex, "copy", copy_then_flush)
+        node = fleet.add_replica("replica-1")
+        assert len(copies) == 1
+        assert fleet.drain()
+        assert node.applied_lsn("rows") == clock["lsn"]
+        assert {s: node.get("rows", s).value("value") for s in "abc"} == {
+            "a": 10, "b": 2, "c": 3,
+        }
+        assert node.snapshot_resyncs == 0 and node.gaps_detected == 0
+        assert node.batches_applied == 1              # the flush; the copy is no batch
+        assert all(report.clean() for report in fleet.audit(repair=False).values())
+        fleet.stop()
+
+    def test_replicas_joining_while_a_writer_flushes_converge(self):
+        """Stress: four replicas join one by one while a writer thread
+        flushes, with a short switch interval; each seeds from a copy or a
+        snapshot, and every one ends equal to the primary."""
+        store, clock, manager = make_primary()
+        store.update({f"e{i}": i for i in range(20)})
+        manager.materialize()
+        fleet = ServingFleet(manager, num_replicas=1).start()
+        fleet.serve_view("rows")
+        assert fleet.drain()
+        stop = threading.Event()
+
+        def writer():
+            value = 100
+            while not stop.is_set():
+                put(store, clock, manager, f"e{value % 20}", value)
+                manager.flush()
+                value += 1
+
+        thread = threading.Thread(target=writer)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            thread.start()
+            for index in range(1, 5):
+                fleet.add_replica(f"replica-{index}")
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert fleet.drain()
+        for node in fleet.replicas.values():
+            assert node.applied_lsn("rows") == clock["lsn"], node.name
+            assert {s: node.get("rows", s).value("value") for s in store} == store
+            assert not node.apply_errors
+        assert all(report.clean() for report in fleet.audit(repair=False).values())
+        fleet.stop()
+
+    def test_a_replica_whose_only_peer_is_killed_seeds_by_snapshot(self):
+        """A killed peer is not current, though its index holds the shipped
+        LSN: the new replica falls back to a snapshot resync."""
+        store, clock, manager = make_primary()
+        store.update({"a": 1, "b": 2})
+        manager.materialize()
+        fleet = ServingFleet(manager, num_replicas=1).start()
+        fleet.serve_view("rows")
+        assert fleet.drain()
+        fleet.kill_replica("replica-0")
+        assert fleet.replicas["replica-0"].applied_lsn("rows") == clock["lsn"]
+        node = fleet.add_replica("replica-1")
+        assert node.snapshot_resyncs == 1 and node.batches_applied == 1
+        assert node.applied_lsn("rows") == clock["lsn"]
+        assert node.index.feed_documents("view:rows") == {"rows:a", "rows:b"}
         fleet.stop()
 
     def test_journal_persist_failure_resyncs_the_chain_via_snapshot(self):

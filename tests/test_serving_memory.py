@@ -1,11 +1,13 @@
 """Replicas in one process hold a served row's document once, not once each.
 
 ``SagaPlatform.start_serving_fleet`` ships a row view of the tier-1 world to
-3 replicas.  Every replica applies the documents a batch decodes to once, so
-after the snapshot and after a delta flush all three hold the same objects;
-and ``tracemalloc`` bounds the bytes the started fleet retains per served
-row, since the indexes keep no reverse map of what those documents say
-and hold a small posting or adjacency row without a set or bitmap.
+3 replicas: the snapshot to the first, and the other two start from a copy
+of its index, which shares its documents and its tuple postings.  A delta
+batch decodes once for every replica, so after the snapshot and after a
+delta flush all three hold the same objects; and ``tracemalloc`` bounds the
+bytes the started fleet retains per served row, since the indexes keep no
+reverse map of what those documents say, hold a small posting or adjacency
+row without a set or bitmap, and are built once per fleet.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ from repro.model.triples import ExtendedTriple
 from repro.serving import shipping
 from repro.serving.shipping import ShipmentBatch
 
-#: Retained bytes per served row with 3 replicas: 6.4 k measured on
-#: CPython 3.11, plus 20 %.  A set per posting and a bigint bitmap per
-#: adjacency row retained 12.2 k; decoding per replica and keeping
-#: per-replica reverse maps of posting keys and edges retained 20.8 k.
-BYTES_PER_ROW_BOUND = 7_700
+#: Retained bytes per served row with 3 replicas: 5,825 measured on
+#: CPython 3.11, plus 20 %.  Building every replica's index from the
+#: snapshot instead of copying the first one's retained 6,371; a set per
+#: posting and a bigint bitmap per adjacency row retained 12.2 k; decoding
+#: per replica and keeping per-replica reverse maps of posting keys and
+#: edges retained 20.8 k.
+BYTES_PER_ROW_BOUND = 7_000
 
 
 def register_profile_view(engine) -> None:
@@ -87,6 +91,32 @@ def test_replicas_hold_the_same_document_objects(world):
             assert held[0] is not None
             assert all(document is held[0] for document in held), subject
         assert [replicas[0].get("profile", s).value("rank") for s in changed] == [99] * 3
+    finally:
+        platform.stop_serving_fleet()
+
+
+def test_seeded_replicas_share_the_first_replicas_postings(world):
+    """Replicas 1 and 2 start from a copy of replica 0's index: each holds
+    the very tuple of a multi-member posting that replica 0 built, and a set
+    of its own."""
+    platform = serving_platform(world_to_store(world))
+    fleet = platform.start_serving_fleet(views=["profile"], num_replicas=3)
+    try:
+        first, *others = (
+            fleet.replicas[name].index.inverted._postings() for name in sorted(fleet.replicas)
+        )
+        tuples = sets = 0
+        for postings in others:
+            for mine, theirs in zip(postings, first):
+                assert mine == theirs
+                for key, held in theirs.items():
+                    if held.__class__ is tuple:
+                        assert mine[key] is held, key
+                        tuples += 1
+                    elif held.__class__ is set:
+                        assert mine[key] is not held, key
+                        sets += 1
+        assert tuples and sets
     finally:
         platform.stop_serving_fleet()
 

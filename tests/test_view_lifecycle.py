@@ -2,6 +2,8 @@
 selective maintenance closures, batched flushing, and live serving freshness
 (view artifacts on a one-replica fleet)."""
 
+import time
+
 import pytest
 
 from repro.engine.graph_engine import GraphEngine
@@ -10,6 +12,8 @@ from repro.errors import StaleReadError, ViewError
 from repro.model.provenance import Provenance
 from repro.model.triples import ExtendedTriple, TripleStore
 from repro.serving import Consistency, ServingFleet
+from repro.serving import replica as replica_module
+from repro.serving.shipping import ShipmentBatch
 
 
 def triple(subject, predicate, obj, source="wiki"):
@@ -271,6 +275,69 @@ def test_live_reloads_after_view_rebuild_at_same_lsn(served_engine, replica):
     assert fleet.drain()
     assert node.get("tiny", "kg:a1").name == "v2"
     assert node.applied_lsn("tiny") == lsn
+
+
+def test_a_dropped_rebuild_snapshot_at_the_same_lsn_resyncs_on_the_next_batch(
+    served_engine, monkeypatch
+):
+    """A full queue drops the snapshot of a rebuild that kept the view's
+    LSN, so the next batch's ``prev_lsn`` equals what the replica holds and
+    shows no gap.  The drop marks the view: the marked replica seeds no new
+    one, and the view's next batch resyncs it as a snapshot."""
+    engine, store = served_engine
+    monkeypatch.setattr(replica_module, "QUEUE_CAPACITY", 1)
+    labels = {"kg:a1": "v1"}
+
+    def row(subject):
+        return {"subject": subject, "name": labels.get(subject, subject),
+                "facts": len(engine.triples.facts_about(subject))}
+
+    engine.register_view(ViewDefinition(
+        "tiny", "analytics",
+        create=lambda ctx: {subject: row(subject) for subject in sorted(engine.triples.subjects())},
+        apply_delta=lambda ctx, delta: {
+            **ctx.artifact("tiny"), **{subject: row(subject) for subject in delta.changed},
+        },
+    ))
+    engine.materialize_views(["tiny"])
+    fleet = ServingFleet(engine.view_manager, num_replicas=1).start()
+    node = fleet.replicas["replica-0"]
+    try:
+        fleet.serve_view("tiny")
+        assert fleet.drain()
+        lsn = node.applied_lsn("tiny")
+        # An already-applied batch: the worker skips it as a duplicate.
+        duplicate = ShipmentBatch(kind="delta", view_name="tiny", lsn=lsn, prev_lsn=lsn,
+                                  delta=ViewDelta(first_lsn=lsn, last_lsn=lsn))
+        node._apply_lock.acquire()            # the worker blocks on its next batch
+        try:
+            node.offer(duplicate)
+            deadline = time.monotonic() + 5
+            while node._queue.qsize() and time.monotonic() < deadline:
+                time.sleep(0.001)              # the worker took it...
+            node.offer(duplicate)              # ...and this one fills the queue
+            labels["kg:a1"] = "v2"
+            engine.materialize_views(["tiny"])
+            assert engine.view_manager.built_at_lsn("tiny") == lsn
+        finally:
+            node._apply_lock.release()
+        assert fleet.drain()
+        assert node.backpressure_drops == 1 and node.batches_skipped == 2
+        assert node.applied_lsn("tiny") == lsn
+        assert node.get("tiny", "kg:a1").name == "v1"        # the snapshot was lost
+        seeded = fleet.add_replica("replica-1")
+        assert seeded.snapshot_resyncs == 1                  # not a copy of replica-0
+        assert seeded.get("tiny", "kg:a1").name == "v2"
+        store.add(triple("kg:l1", "genre", "jazz"))
+        engine.publish_subjects(store, ["kg:l1"], source_id="construction")
+        engine.update_views()
+        assert fleet.drain()
+        assert node.get("tiny", "kg:a1").name == "v2"
+        assert node.snapshot_resyncs == 1 and node.gaps_detected == 1
+        assert node.applied_lsn("tiny") == engine.view_manager.built_at_lsn("tiny") > lsn
+        assert all(report.clean() for report in fleet.audit(repair=False).values())
+    finally:
+        fleet.stop()
 
 
 def test_full_refresh_rebuilds_instead_of_blind_incremental_update(ontology):
