@@ -22,7 +22,16 @@ Gated sections (≥3x):
 
 Reported ungated: the automaton-product path over the adjacency rows for an
 alternation expression no interval can serve — the maintained-adjacency win
-without the encoding.
+without the encoding; and **limited_product** — ``(part_of|knows)+ LIMIT 50``
+through the executor, each query seeded by the ~41 concepts of one
+``rank`` (interior nodes and leaves; one seed alone reaches too few
+answers for the LIMIT to bind), in µs per query with the witnesses each
+query built (the rows it returned, not the pairs it reached), every
+query's rows and witnesses first checked against the naive BFS's first 50
+answers.
+
+The gated sections time evaluation plus every answer's witness, which is
+what the naive BFS returns.
 
 Writes ``BENCH_RPQ.json`` (see ``write_bench_json``) so CI tracks the
 trajectory per commit.
@@ -37,12 +46,16 @@ from benchmarks.conftest import print_table, write_bench_json
 from repro.live.executor import QueryExecutor
 from repro.live.index import LiveEntityDocument, LiveIndex
 from repro.live.kgq import parse
+from repro.live.planner import QueryPlanner
 from repro.live.rpq import compile_automaton, naive_rpq, single_label_closure
 
 NUM_NODES = 4_000
 FANOUT = 4
 ANCESTRY_GATE = 3.0
 DESCENDANTS_GATE = 3.0
+LIMITED_EXPRESSION = "(part_of|knows)+"
+LIMITED_ROWS = 50
+LIMITED_QUERIES = 16
 
 
 def build_index() -> tuple[LiveIndex, list[LiveEntityDocument]]:
@@ -78,6 +91,12 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
+def _witnesses(answers) -> dict:
+    """Every answer's witness: the evaluator's answers as the naive BFS
+    returns them."""
+    return dict(zip(answers, answers.witnesses(answers)))
+
+
 def _measure(index: LiveIndex, documents: list[LiveEntityDocument]) -> dict:
     executor = QueryExecutor(index)
     rng = random.Random(11)
@@ -102,12 +121,15 @@ def _measure(index: LiveIndex, documents: list[LiveEntityDocument]) -> dict:
         automaton = compile_automaton(expr)
         closure = single_label_closure(expr)
         seeds = spec["seeds"]
-        indexed_answers, _ = executor.rpq.evaluate("", seeds, automaton, closure)
+        answers, _ = executor.rpq.evaluate("", seeds, automaton, closure)
+        indexed_answers = {node: answers.witness(node) for node in answers}
         naive_answers, _ = naive_rpq(documents, seeds, automaton)
         assert indexed_answers == naive_answers, name       # rows AND witnesses
         if closure is not None:
             assert executor.rpq.interval_hits > 0, name     # the fast path ran
-        indexed_s = _best_of(lambda: executor.rpq.evaluate("", seeds, automaton, closure))
+        indexed_s = _best_of(
+            lambda: _witnesses(executor.rpq.evaluate("", seeds, automaton, closure)[0])
+        )
         naive_s = _best_of(lambda: naive_rpq(documents, seeds, automaton))
         results[name] = {
             "expression": spec["expression"],
@@ -118,6 +140,46 @@ def _measure(index: LiveIndex, documents: list[LiveEntityDocument]) -> dict:
             "speedup": naive_s / max(indexed_s, 1e-9),
         }
     return results
+
+
+def _measure_limited(index: LiveIndex, documents: list[LiveEntityDocument]) -> dict:
+    """``(part_of|knows)+ LIMIT 50`` from the concepts of one rank a query,
+    through the executor; each query's rows first checked against the
+    naive BFS's first 50 answers."""
+    ranks = range(LIMITED_QUERIES)
+    planner = QueryPlanner(selectivity=index.seed_selectivity)
+    automaton = compile_automaton(
+        parse(f"MATCH concept REACH {LIMITED_EXPRESSION} RETURN name").reach
+    )
+    plans = [
+        planner.plan(parse(
+            f"MATCH concept WHERE rank = {rank} REACH {LIMITED_EXPRESSION} "
+            f"RETURN name LIMIT {LIMITED_ROWS}"
+        ))
+        for rank in ranks
+    ]
+    executor = QueryExecutor(index)
+    answers = 0
+    for rank, plan in zip(ranks, plans):
+        seeds = [d.entity_id for d in documents if d.facts["rank"] == [rank]]
+        expected, _ = naive_rpq(documents, seeds, automaton)
+        answers += len(expected)
+        rows = executor.execute(plan).rows
+        assert [(row.entity_id, row.witness) for row in rows] == [
+            (node, expected[node]) for node in sorted(expected)[:LIMITED_ROWS]
+        ], rank
+    built = executor.rpq.witnesses_built
+    for plan in plans:
+        executor.execute(plan)
+    built = executor.rpq.witnesses_built - built
+    elapsed_s = _best_of(lambda: [executor.execute(plan) for plan in plans])
+    return {
+        "expression": f"{LIMITED_EXPRESSION} LIMIT {LIMITED_ROWS}",
+        "queries": len(plans),
+        "answers_per_query": answers / len(plans),
+        "us_per_query": elapsed_s / len(plans) * 1e6,
+        "witnesses_built_per_query": built / len(plans),
+    }
 
 
 def bench_rpq_interval_vs_naive_bfs(benchmark):
@@ -138,6 +200,13 @@ def bench_rpq_interval_vs_naive_bfs(benchmark):
              r["indexed_ms"], r["naive_bfs_ms"], r["speedup"]]
             for name, r in results.items()
         ],
+    )
+    limited = results["limited_product"] = _measure_limited(index, documents)
+    print_table(
+        "REACH with a LIMIT through the executor (ungated)",
+        ["expression", "queries", "answers_per_query", "us_per_query", "witnesses_built_per_query"],
+        [[limited["expression"], limited["queries"], limited["answers_per_query"],
+          limited["us_per_query"], limited["witnesses_built_per_query"]]],
     )
     write_bench_json("BENCH_RPQ.json", {
         "benchmark": "RPQ",

@@ -544,12 +544,14 @@ class QueryExecutor:
 
         The MATCH/WHERE stages produce the seed set (LIMIT deferred — it
         bounds answers, not seeds); the compiled automaton expands it over
-        *reach_feed*'s adjacency; answers are fetched back as documents,
-        gated by the ``TO`` type (untyped documents pass, matching the type
-        gate everywhere else), kept to *feed*, ordered by entity id,
-        truncated, and projected — each row carrying its canonical witness
-        path.  ``candidates_examined`` adds the product-BFS expansion count
-        (or the interval fast path's walk steps) to the seed phase's figure.
+        *reach_feed*'s adjacency.  The answers are walked in entity id
+        order, each fetched back as a document (one counted read for the
+        walk), gated by the ``TO`` type (untyped documents pass, matching
+        the type gate everywhere else) and kept to *feed*; the walk stops
+        at the LIMIT-th survivor, and only the survivors build their
+        canonical witness paths.  ``candidates_examined`` adds the
+        product-BFS expansion count (or the interval fast path's walk
+        steps) to the seed phase's figure.
         """
         reach = plan.reach
         assert reach is not None
@@ -565,28 +567,24 @@ class QueryExecutor:
             reach_feed, seed_nodes, reach.automaton, reach.closure
         )
         examined += expanded
-        answer_ids = [prefix + node for node in sorted(answers)]
-        documents = self.index.get_many(answer_ids)
-        survivors: list[LiveEntityDocument] = []
-        witnesses: list[Witness] = []
+        get = self.index.kv.reader()
+        target_type = reach.target_type
         limit = plan.limit.limit if plan.limit is not None else None
-        for node, entity_id in zip(sorted(answers), answer_ids):
-            document = documents.get(entity_id)
+        survivors: list[LiveEntityDocument] = []
+        nodes: list[str] = []
+        for node in sorted(answers):
+            if len(survivors) == limit:
+                break
+            document = get(prefix + node)
             if document is None:
                 continue
-            if (
-                reach.target_type
-                and document.entity_type
-                and document.entity_type != reach.target_type
-            ):
+            if target_type and document.entity_type and document.entity_type != target_type:
                 continue
             if feed is not None and document.source_id != feed:
                 continue
             survivors.append(document)
-            witnesses.append(answers[node])
-            if limit is not None and len(survivors) >= limit:
-                break
-        return self._project_batch(survivors, plan, witnesses), examined
+            nodes.append(node)
+        return self._project_batch(survivors, plan, answers.witnesses(nodes)), examined
 
     def _equality_superset(self, predicate: str, probes: set[str]) -> set[str]:
         """Ids that *may* satisfy ``predicate = target``, from the target's

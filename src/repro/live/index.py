@@ -35,7 +35,7 @@ import math
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.engine.metadata import WatermarkMap
 from repro.live.members import add_member, copy_members, discard_member, members
@@ -272,6 +272,13 @@ class GraphKVStore:
             if document is not None:
                 found[entity_id] = document
         return found
+
+    def reader(self) -> Callable[[str], LiveEntityDocument | None]:
+        """Lazy point lookups counted as one read operation, like
+        :meth:`get_many`: the caller resolves ids one at a time and may
+        stop early (a REACH walk stops at its LIMIT)."""
+        self.reads += 1
+        return self._documents.get
 
     def pop(self, entity_id: str) -> LiveEntityDocument | None:
         """Remove a document and return it (``None`` when absent)."""

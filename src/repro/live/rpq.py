@@ -32,28 +32,28 @@ This module gives the KGQ REACH clause (:mod:`repro.live.kgq`) its runtime:
   scanning documents and runs a plain set-based BFS; it is the oracle the
   seeded equivalence suite (and the BENCH_RPQ gate) compares against.
 
-The product BFS of :class:`RpqEvaluator` is round-synchronised: a round
-drops every already-visited pair before it builds anything, keeps the least
-``(parent witness, edge)`` per new pair, and builds one witness tuple per
-survivor (:func:`accepting_answers` projects the visited pairs onto
-answers).  Primary and replicas run the same evaluator, a replica over the
-``view:X`` feed of the view it serves.
+The product BFS of :class:`RpqEvaluator` walks (node, DFA-state) pairs in
+canonical-witness order: a pair's first discovery is its canonical witness,
+so each pair holds only its parent pair and the label of the edge between
+them, and :class:`ReachAnswers` builds a witness from those on demand — a
+REACH that stops at its LIMIT builds witnesses for the rows it returns
+alone (the interval path's descendants answer the same way; its ancestry
+walk builds its few witnesses as it climbs, :class:`WalkedAnswers`).
+Primary and replicas run the same evaluator, a replica over the ``view:X``
+feed of the view it serves.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from repro.live.kgq import RpqAlt, RpqConcat, RpqExpr, RpqLabel, RpqPlus, RpqStar
 from repro.live.members import add_member, copy_members, discard_member, members
 
 #: One provenance witness: a tuple of (src, rendered label, dst) edge triples.
 Witness = tuple[tuple[str, str, str], ...]
-
-#: One frontier entry of the product BFS: (node, automaton state, witness).
-FrontierEntry = tuple[str, int, Witness]
 
 
 # ------------------------------------------------------------------ #
@@ -64,8 +64,14 @@ FrontierEntry = tuple[str, int, Witness]
 #: only a handful of distinct expressions.
 COMPILED_EXPRESSIONS = 256
 
-#: Outgoing edges of one state: ``(predicate, inverse, next_state)``, sorted.
+#: Outgoing edges of one state: ``(predicate, inverse, next_state)``, in
+#: :func:`edge_label` order (then by target state).
 Transitions = tuple[tuple[str, bool, int], ...]
+
+
+def edge_label(predicate: str, inverse: bool) -> str:
+    """How a witness renders an edge's label: ``p``, or ``^p`` walked backwards."""
+    return ("^" + predicate) if inverse else predicate
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,10 +79,11 @@ class Automaton:
     """Finite automaton over edge labels, compiled from a REACH expression.
 
     ``transitions[state]`` holds the state's outgoing ``(predicate, inverse,
-    next_state)`` edges; states are numbered ``0 .. num_states - 1`` in a
-    deterministic BFS order from ``start`` (edges explored in sorted label
-    order), so the same expression compiles to the same automaton in every
-    process — a requirement for distributed evaluation, where primary and
+    next_state)`` edges in rendered-label order (:func:`edge_label`), the
+    order a witness compares them in; states are numbered ``0 ..
+    num_states - 1`` in a deterministic BFS order from ``start`` (edges
+    explored in that order), so the same expression compiles to the same
+    automaton in every process — a requirement for distributed evaluation, where primary and
     replicas must agree on state identity.  Immutable: one compiled
     automaton is shared by every plan of its expression.
     """
@@ -144,13 +151,17 @@ def _renumbered(
 ) -> Automaton:
     """Keep the states reachable from *start*, renumbered in BFS order.
 
-    *edges* lists each state's outgoing edges sorted; exploring them in that
-    order makes the numbering depend only on the automaton's shape.
+    Each state's outgoing edges are explored and kept in rendered-label
+    order, so the numbering depends only on the automaton's shape.
     """
+    ordered = {
+        state: sorted(held, key=lambda edge: (edge_label(edge[0], edge[1]), edge[2]))
+        for state, held in edges.items()
+    }
     order = {start: 0}
     queue = [start]
     for state in queue:                       # grows while it is walked
-        for _, _, target in edges.get(state, ()):
+        for _, _, target in ordered.get(state, ()):
             if target not in order:
                 order[target] = len(order)
                 queue.append(target)
@@ -159,7 +170,7 @@ def _renumbered(
         transitions=tuple(
             tuple(
                 (predicate, inverse, order[target])
-                for predicate, inverse, target in edges.get(state, ())
+                for predicate, inverse, target in ordered.get(state, ())
             )
             for state in queue
         ),
@@ -332,8 +343,9 @@ def document_edges(document) -> list[tuple[str, str]]:
 def row_targets(row: int | tuple[int, ...] | set[int]) -> Sequence[int]:
     """The ordinals one adjacency row holds, ascending.
 
-    The one reader of a row: a one-target row is the target's ordinal
-    itself, a few targets a sorted tuple, more a set (sorted here).
+    A one-target row is the target's ordinal itself, a few targets a
+    sorted tuple, more a set (sorted here).  The product BFS reads rows
+    itself, in target name order (:meth:`RpqEvaluator._evaluate_product`).
     """
     return sorted(row) if row.__class__ is set else members(row)    # type: ignore[return-value]
 
@@ -344,7 +356,7 @@ class _FeedGraph:
     A row holds its targets in the form their count picks
     (:mod:`repro.live.members`); a one-target row is the very int object
     ``ids`` holds for the target, so it costs the row dict's slot alone.
-    Read a row only through :func:`row_targets`.
+    Read a row through :func:`row_targets`, or as the product BFS does.
     """
 
     __slots__ = ("ids", "names", "forward", "reverse", "mutations")
@@ -564,28 +576,108 @@ class AdjacencyIndex:
 
 
 # ------------------------------------------------------------------ #
-# the product BFS, one round at a time
+# answers: pairs reached, witnesses built on demand
 # ------------------------------------------------------------------ #
-def accepting_answers(
-    visited: dict[tuple[str, int], Witness], accepting: frozenset[int]
-) -> dict[str, Witness]:
-    """Project visited pairs onto accepting states: node -> canonical witness.
+class ReachAnswers:
+    """The answers of one REACH evaluation: node -> the pair that answers it.
 
-    A node reached in several accepting states keeps the shortest witness,
-    ties broken lexicographically — the same canonical choice the per-round
-    merge makes.
+    The pairs an evaluation reached form a forest: pair ``i`` is the node
+    ordinal ``keys[i] // num_states`` (in some automaton state), reached
+    over an edge labelled ``labels[i]`` from pair ``parents[i]`` (``-1``
+    for a seed).  An answer maps to the pair whose path is its canonical
+    witness, ``-1`` when that is the empty path; :meth:`witnesses` walks
+    the parents to build theirs.  Iterating yields the answer nodes,
+    unordered.
     """
-    answers: dict[str, Witness] = {}
-    for (node, state), witness in visited.items():
-        if state not in accepting:
-            continue
-        if node not in answers:
-            answers[node] = witness
-            continue
-        held = answers[node]
-        if (len(witness), witness) < (len(held), held):
-            answers[node] = witness
-    return answers
+
+    __slots__ = (
+        "_pairs", "_names", "_keys", "_num_states", "_parents", "_labels", "_evaluator", "_built",
+    )
+
+    def __init__(
+        self,
+        pairs: dict[str, int],
+        names: Sequence[str],
+        keys: list[int],
+        num_states: int,
+        parents: list[int],
+        labels: list[str],
+        evaluator: "RpqEvaluator",
+    ) -> None:
+        self._pairs = pairs
+        self._names = names
+        self._keys = keys
+        self._num_states = num_states
+        self._parents = parents
+        self._labels = labels
+        self._evaluator = evaluator
+        self._built: dict[int, Witness] = {-1: ()}
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._pairs)
+
+    def witness(self, node: str) -> Witness:
+        """*node*'s canonical witness: :meth:`witnesses` of one node."""
+        return self.witnesses((node,))[0]
+
+    def witnesses(self, nodes: Iterable[str]) -> list[Witness]:
+        """The canonical witnesses of *nodes*, each an answer (``KeyError``
+        otherwise), counted in the evaluator's ``witnesses_built``.  A
+        built witness is kept per pair, so answers along one path share
+        its prefixes."""
+        pairs, built, build = self._pairs, self._built, self._build
+        witnesses = [built.get(pair) or build(pair) for pair in map(pairs.__getitem__, nodes)]
+        self._evaluator.witnesses_built += len(witnesses)
+        return witnesses
+
+    def _build(self, pair: int) -> Witness:
+        built, parents = self._built, self._parents
+        unbuilt = []                          # pairs up to a built one, deepest first
+        while pair not in built:
+            parent = parents[pair]
+            if parent < 0:
+                built[pair] = ()              # a seed: the empty path
+                break
+            unbuilt.append(pair)
+            pair = parent
+        witness = built[pair]
+        if unbuilt:
+            names, keys, num_states = self._names, self._keys, self._num_states
+            labels = self._labels
+            source = names[keys[pair] // num_states]
+            for pair in reversed(unbuilt):
+                target = names[keys[pair] // num_states]
+                witness += ((source, labels[pair], target),)
+                built[pair] = witness
+                source = target
+        return witness
+
+
+class WalkedAnswers(dict):
+    """Answers whose witnesses the walk built as it went: node -> witness.
+
+    The ancestry closure's (``part_of*``): every answer lies on a seed's
+    parent chain, which the walk climbs to its root anyway to count its
+    steps, so a witness costs one tuple per step of that climb — less than
+    keeping pairs to build it from later, and the answers are a few chains
+    of the tree's depth.  Read like :class:`ReachAnswers`.
+    """
+
+    __slots__ = ("_evaluator",)
+
+    def __init__(self, evaluator: "RpqEvaluator") -> None:
+        super().__init__()
+        self._evaluator = evaluator
+
+    def witness(self, node: str) -> Witness:
+        """*node*'s canonical witness: :meth:`witnesses` of one node."""
+        return self.witnesses((node,))[0]
+
+    def witnesses(self, nodes: Iterable[str]) -> list[Witness]:
+        """The witnesses of *nodes*, counted in ``witnesses_built``."""
+        witnesses = list(map(self.__getitem__, nodes))
+        self._evaluator.witnesses_built += len(witnesses)
+        return witnesses
 
 
 # ------------------------------------------------------------------ #
@@ -599,13 +691,16 @@ class RpqEvaluator:
     ``interval_hits``); everything else runs the adjacency product BFS
     (``product_runs``).  Both produce identical answers and canonical
     witnesses; only the reported expansion count differs, because the fast
-    path genuinely does less work.
+    path genuinely does less work.  ``witnesses_built`` counts the
+    witnesses the answers handed out: built on demand, or for ancestry
+    (:class:`WalkedAnswers`) as the walk went.
     """
 
     def __init__(self, adjacency: AdjacencyIndex) -> None:
         self.adjacency = adjacency
         self.interval_hits = 0
         self.product_runs = 0
+        self.witnesses_built = 0
 
     def evaluate(
         self,
@@ -613,149 +708,174 @@ class RpqEvaluator:
         seeds: Iterable[str],
         automaton: Automaton,
         closure: tuple[str, bool, bool] | None = None,
-    ) -> tuple[dict[str, Witness], int]:
-        """All reachable ``node -> witness`` answers plus the expansion count.
+    ) -> tuple[ReachAnswers | WalkedAnswers, int]:
+        """Every reachable answer (witnesses on demand) plus the expansion count.
 
         *closure* (from :func:`single_label_closure`) enables the interval
         fast path; it silently falls back to the product BFS when the
         predicate is not forest-shaped in this feed.
         """
         ordered = sorted(set(seeds))
-        if closure is not None:
-            fast = self._evaluate_closure(feed, ordered, closure)
-            if fast is not None:
+        graph = self.adjacency.graph(feed)
+        if closure is not None and graph is not None:
+            interval = self.adjacency.interval_index(feed, closure[0])
+            if interval is not None:
                 self.interval_hits += 1
-                return fast
+                return self._evaluate_closure(graph, interval, ordered, closure)
         self.product_runs += 1
-        return self._evaluate_product(feed, ordered, automaton)
+        return self._evaluate_product(graph, ordered, automaton)
 
     def _evaluate_product(
-        self, feed: str, seeds: list[str], automaton: Automaton
-    ) -> tuple[dict[str, Witness], int]:
-        """Round-synchronised product BFS; the expansion count is the number
-        of (node, state) pairs reached, each expanded once."""
+        self, graph: _FeedGraph | None, seeds: list[str], automaton: Automaton
+    ) -> tuple[ReachAnswers, int]:
+        """Product BFS over ``ordinal * num_states + state`` pair keys; the
+        expansion count is the number of pairs reached, each expanded once.
+
+        Seeds enter in name order and each pair's edges are walked in
+        ``(label, target name)`` order, so the FIFO queue holds every round
+        in canonical-witness order: a pair's first discovery is its least
+        shortest witness, and a node's first accepting pair its answer.
+        """
+        num_states = automaton.num_states
         start = automaton.start
-        visited: dict[tuple[str, int], Witness] = {(node, start): () for node in seeds}
-        frontier: list[FrontierEntry] = [(node, start, ()) for node in seeds]
-        expanded = len(frontier)
-        graph = self.adjacency.graph(feed)
+        accepting = automaton.accepting
+        names: Sequence[str] = graph.names if graph is not None else ()
+        ids = graph.ids if graph is not None else {}
+        answers: dict[str, int] = {}
+        keys: list[int] = []
+        parents: list[int] = []
+        labels: list[str] = []
+        absent = 0
+        for seed in seeds:
+            ordinal = ids.get(seed)
+            if start in accepting:
+                answers[seed] = -1            # the empty path
+            if ordinal is None:
+                absent += 1                   # no edges: nothing to expand
+                continue
+            keys.append(ordinal * num_states + start)
+            parents.append(-1)
+            labels.append("")
         if graph is None:
-            return accepting_answers(visited, automaton.accepting), expanded
-        ids, names = graph.ids, graph.names
-        transitions = automaton.transitions
-        while frontier:
-            # Semiring *plus* over one round: every parent witness in a round
-            # has the same length, so the least (parent witness, edge) is the
-            # least concatenated witness.  A pair visited in an earlier round
-            # has a shorter canonical witness and is skipped before anything
-            # is built; each new pair builds its witness tuple once.
-            best: dict[tuple[str, int], tuple[Witness, tuple[str, str, str]]] = {}
-            for node, state, witness in frontier:
-                edges = transitions[state]
-                if not edges:
+            return ReachAnswers(answers, names, keys, num_states, parents, labels, self), absent
+        # Per state, its moves with the rows they read, in label order.
+        moves = [
+            [
+                (rows, edge_label(predicate, inverse), target_state, target_state in accepting)
+                for predicate, inverse, target_state in edges
+                if (rows := (graph.reverse if inverse else graph.forward).get(predicate))
+            ]
+            for edges in automaton.transitions
+        ]
+        by_name = names.__getitem__
+        seen = set(keys)
+        see, add_key, add_parent, add_label = seen.add, keys.append, parents.append, labels.append
+        for pair, key in enumerate(keys):     # grows while it is walked
+            ordinal, state = divmod(key, num_states)
+            for rows, label, target_state, accepts in moves[state]:
+                row = rows.get(ordinal)
+                if row is None:               # not `not row`: ordinal 0 is a row
                     continue
-                ordinal = ids.get(node)
-                if ordinal is None:
-                    continue
-                for predicate, inverse, next_state in edges:
-                    rows = graph.reverse.get(predicate) if inverse else graph.forward.get(predicate)
-                    if not rows:
+                for target in (row,) if row.__class__ is int else sorted(row, key=by_name):
+                    target_key = target * num_states + target_state
+                    if target_key in seen:
                         continue
-                    row = rows.get(ordinal)
-                    if row is None:           # not `not row`: ordinal 0 is a row
-                        continue
-                    label = ("^" + predicate) if inverse else predicate
-                    for target in row_targets(row):
-                        key = (names[target], next_state)
-                        if key in visited:
-                            continue
-                        edge = (node, label, key[0])
-                        held = best.get(key)
-                        if held is None or (witness, edge) < held:
-                            best[key] = (witness, edge)
-            frontier = []
-            for key, (witness, edge) in sorted(best.items()):
-                witness = witness + (edge,)
-                visited[key] = witness
-                frontier.append((key[0], key[1], witness))
-            expanded += len(frontier)
-        return accepting_answers(visited, automaton.accepting), expanded
+                    see(target_key)
+                    if accepts:
+                        answers.setdefault(names[target], len(keys))
+                    add_key(target_key)
+                    add_parent(pair)
+                    add_label(label)
+        return ReachAnswers(answers, names, keys, num_states, parents, labels, self), (
+            len(keys) + absent
+        )
 
     def _evaluate_closure(
-        self, feed: str, seeds: list[str], closure: tuple[str, bool, bool]
-    ) -> tuple[dict[str, Witness], int] | None:
+        self,
+        graph: _FeedGraph,
+        interval: IntervalIndex,
+        seeds: list[str],
+        closure: tuple[str, bool, bool],
+    ) -> tuple[ReachAnswers | WalkedAnswers, int]:
+        """A single-label closure over a forest; the expansion count is the
+        walk steps: each seed's whole parent chain (ancestry), or each
+        reached node's chain up to its nearest seed ancestor (descendants).
+
+        A node's answer is its shortest chain from a seed, ties going to
+        the least seed name.  Descendants' pairs are node ordinals, and an
+        answer builds nothing until its witness is asked for.
+        """
         predicate, inverse, include_zero = closure
-        graph = self.adjacency.graph(feed)
-        if graph is None:
-            return None
-        interval = self.adjacency.interval_index(feed, predicate)
-        if interval is None:
-            return None
-        label = ("^" + predicate) if inverse else predicate
-        answers: dict[str, Witness] = {}
+        label = edge_label(predicate, inverse)
+        ids, names, parent_of = graph.ids, graph.names, interval.parent
         steps = 0
-
-        def offer(node: str, witness: Witness) -> None:
-            if node not in answers:
-                answers[node] = witness
-                return
-            held = answers[node]
-            if (len(witness), witness) < (len(held), held):
-                answers[node] = witness
-
         if not inverse:
-            # Ancestry (`part_of*`): walk each seed's parent chain — the path
-            # is unique in a forest, so it is the canonical witness.
-            for seed in seeds:
-                if include_zero:
-                    offer(seed, ())
-                witness: Witness = ()
-                current = graph.ids.get(seed)
-                name = seed
-                while current is not None:
-                    parent = interval.parent.get(current)
-                    if parent is None:
-                        break
-                    parent_name = graph.names[parent]
-                    witness = witness + ((name, label, parent_name),)
-                    steps += 1
-                    offer(parent_name, witness)
-                    current, name = parent, parent_name
-            return answers, steps
-
-        # Descendants (`^part_of*`): one preorder range scan per seed, then
-        # each reached node's witness is the unique chain down from its
-        # nearest seed ancestor (nearest = shortest, hence canonical).
-        seed_ordinals = {
-            graph.ids[seed] for seed in seeds if seed in graph.ids
-        }
-        reached: set[int] = set()
-        for seed in seeds:
+            # Ancestry (`part_of*`): climb each seed's parent chain, its
+            # witness growing one edge a step; a node keeps the shortest,
+            # ties going to the lexicographically least.
+            walked = WalkedAnswers(self)
             if include_zero:
-                offer(seed, ())
-            ordinal = graph.ids.get(seed)
-            if ordinal is not None:
-                reached.update(interval.descendants(ordinal))
-        for ordinal in reached:
-            name = graph.names[ordinal]
-            if include_zero and ordinal in seed_ordinals:
-                continue                      # already answered with ()
-            chain: list[tuple[str, str, str]] = []
-            current = ordinal
-            found = False
-            while True:
-                parent = interval.parent.get(current)
-                if parent is None:
-                    break
-                chain.append((graph.names[parent], label, graph.names[current]))
-                steps += 1
-                if parent in seed_ordinals:
-                    found = True
-                    break
-                current = parent
-            if found:
-                offer(name, tuple(reversed(chain)))
-        return answers, steps
+                walked.update(dict.fromkeys(seeds, ()))
+            for seed in seeds:
+                witness: Witness = ()
+                name, current = seed, ids.get(seed)
+                while (current := parent_of.get(current)) is not None:
+                    parent_name = names[current]
+                    witness += ((name, label, parent_name),)
+                    steps += 1
+                    held = walked.get(parent_name)
+                    if held is None or (len(witness), witness) < (len(held), held):
+                        walked[parent_name] = witness
+                    name = parent_name
+            return walked, steps
+
+        answers: dict[str, int] = dict.fromkeys(seeds, -1) if include_zero else {}
+        keys: list[int] = []
+        parents: list[int] = []
+        # Descendants (`^part_of*`): the seeds' preorder ranges, each nested
+        # range skipped, walked in preorder, so a node's parent is walked
+        # before it; a node's chain is its parent's plus one edge, or one
+        # edge under a seed.
+        seed_pairs: dict[int, int] = {}
+        for seed in seeds:
+            ordinal = ids.get(seed)
+            if ordinal is not None and ordinal in interval.pre:
+                seed_pairs[ordinal] = len(keys)
+                keys.append(ordinal)
+                parents.append(-1)
+        chains: dict[int, tuple[int, int]] = {}   # non-seed node -> (pair, chain length)
+        walked = -1
+        for seed_ordinal in sorted(seed_pairs, key=interval.pre.__getitem__):
+            if interval.pre[seed_ordinal] <= walked:
+                continue                      # inside a range already walked
+            walked = interval.end[seed_ordinal]
+            for ordinal in interval.descendants(seed_ordinal):
+                is_seed = ordinal in seed_pairs
+                if is_seed and include_zero:
+                    continue                  # answered with the empty path
+                up = parent_of.get(ordinal)
+                if up is None:
+                    continue                  # a root seed: no seed above it
+                if up in seed_pairs:
+                    parent, length = seed_pairs[up], 1
+                elif up in chains:
+                    parent, length = chains[up]
+                    length += 1
+                else:
+                    # A seed under no seed: its whole chain is walked in vain.
+                    length = 1
+                    while (up := parent_of.get(up)) is not None:
+                        length += 1
+                    steps += length
+                    continue
+                steps += length
+                pair = len(keys)
+                keys.append(ordinal)
+                parents.append(parent)
+                answers[names[ordinal]] = pair
+                if not is_seed:
+                    chains[ordinal] = (pair, length)
+        return ReachAnswers(answers, names, keys, 1, parents, [label] * len(keys), self), steps
 
 
 # ------------------------------------------------------------------ #
@@ -789,11 +909,11 @@ def naive_rpq(
     visited: dict[tuple[str, int], Witness] = {
         (node, automaton.start): () for node in ordered
     }
-    frontier: list[FrontierEntry] = [(node, automaton.start, ()) for node in ordered]
+    frontier: list[tuple[str, int, Witness]] = [(node, automaton.start, ()) for node in ordered]
     expanded = 0
     while frontier:
         expanded += len(frontier)
-        candidates: list[FrontierEntry] = []
+        candidates: list[tuple[str, int, Witness]] = []
         for node, state, witness in frontier:
             for predicate, inverse, next_state in automaton.transitions[state]:
                 rows = reverse.get(predicate) if inverse else forward.get(predicate)

@@ -7,9 +7,10 @@ immediately (the primary's flush thread is never coupled to replica apply
 speed), while a worker thread drains the queue.  A full queue *drops* the
 batch — the subsequent gap detection repairs the loss — so a slow replica
 degrades to lag, never to backpressure on the primary.  A dropped snapshot
-marks its view: a rebuild may change rows at an LSN the replica already
+marks its view, and so does one offered to a killed node or lost from its
+queue by the kill: a rebuild may change rows at an LSN the replica already
 holds, so no later ``prev_lsn`` shows the loss, and the view's next batch
-resyncs it by snapshot instead.
+(or the restart) resyncs it by snapshot instead.
 
 Batches are chained by ``prev_lsn``; a replica whose applied LSN does not
 reach a delta batch's ``prev_lsn`` (missed shipment, crash), or that
@@ -24,10 +25,10 @@ LSN (:meth:`applied_lsn`, :meth:`serves_view`).  A *crash* (:meth:`kill`)
 loses the in-flight queue but not the index; :meth:`restart` catches every
 view the index serves (or the views it is given) up **from the LSN the index
 holds**, through the journal: no view artifact is rebuilt.  A node that
-joins a serving fleet starts from a copy of a current peer's index
-(:meth:`start_from`) and catches up from the LSNs the copy holds; a fresh
-node with no current peer holds nothing, so each view it catches up
-arrives as a snapshot.
+joins a serving fleet starts from a copy of a peer's index that is at or
+past the LSNs the node joined at (:meth:`start_from`) and applies the
+batches it was offered since on top; a fresh node with no such peer holds
+nothing, so each view it catches up arrives as a snapshot.
 
 Beyond point reads, every replica is a **query node**: it owns a
 :class:`~repro.live.executor.QueryExecutor` over its full copy of the served
@@ -73,8 +74,13 @@ class ReplicaNode:
         self._alive = False
         # Reentrant: a gap detected mid-apply resyncs inline under the lock.
         self._apply_lock = threading.RLock()
-        # Views whose last offered snapshot the full queue dropped.
+        # Views whose last offered snapshot the full queue dropped, the
+        # killed node refused or a kill lost from the queue.
         self._missed_snapshots: set[str] = set()
+        # Snapshot batches queued, and those applied or dropped since (one
+        # writer each: the publishing thread, the worker or a kill).
+        self._snapshots_queued = 0
+        self._snapshots_settled = 0
         self.batches_applied = 0
         self.batches_skipped = 0                 # duplicates below the applied LSN
         self.backpressure_drops = 0
@@ -109,15 +115,18 @@ class ReplicaNode:
     def start_from(self, peers: Iterable["ReplicaNode"]) -> None:
         """Start the worker serving every view the resync source ships.
 
-        Meant for a fresh node already in the fleet's map.  It starts from
-        a copy of the first current peer's index (:meth:`_current_at`:
-        alive, drained, missed no snapshot, and holding every shipped view
-        at exactly its shipped LSN), taken under this node's apply lock and
-        then the peer's; with no current peer it snapshot-resyncs each
-        shipped view instead.  Either way this node holds its own apply
-        lock until it is seeded, so its worker applies nothing before: a
-        batch offered meanwhile waits, then applies on top of the seed or
-        is skipped as a duplicate.
+        Meant for a fresh node already in the fleet's map.  Once its worker
+        runs, every batch shipped is offered to it too, so the shipped LSNs
+        read right then are its join LSNs: a peer that holds each view at
+        or past its join LSN holds everything this node is not offered.  It
+        starts from a copy of the first such peer's index
+        (:meth:`_current_at`: alive, no snapshot missed or still queued,
+        batches queued or not), taken under this node's apply lock and then
+        the peer's; with no such peer it snapshot-resyncs each shipped view
+        instead.  Either way this node holds its own apply lock until it is
+        seeded, so its worker applies nothing before: a batch offered
+        meanwhile waits, then applies on top of the seed or, at or below
+        the copy's LSN, is skipped as a duplicate.
         """
         with self._apply_lock:
             self.start()
@@ -159,8 +168,10 @@ class ReplicaNode:
         dropped = 0
         while True:
             try:
-                if self._queue.get_nowait() is not None:
+                batch = self._queue.get_nowait()
+                if batch is not None:
                     dropped += 1
+                    self._drop_snapshot(batch)
                 self._queue.task_done()
             except queue.Empty:
                 break
@@ -209,11 +220,14 @@ class ReplicaNode:
         """Enqueue a batch for asynchronous apply.
 
         Raises :class:`~repro.errors.ReplicaUnavailableError` when the node
-        is down (the shipper records the failed delivery).  A full queue drops
-        the batch and lets gap detection repair the loss later — the caller
-        is never blocked.
+        is down (the shipper records the failed delivery); a snapshot of a
+        view its index serves marks the view, so :meth:`restart` resyncs
+        it by snapshot.  A full queue drops the batch and lets gap
+        detection repair the loss later — the caller is never blocked.
         """
         if not self._alive:
+            if batch.kind == "snapshot" and self.serves_view(batch.view_name):
+                self._missed_snapshots.add(batch.view_name)
             raise ReplicaUnavailableError(f"replica {self.name!r} is not running")
         try:
             self._queue.put_nowait(batch)
@@ -223,6 +237,7 @@ class ReplicaNode:
                 self._missed_snapshots.add(batch.view_name)
             return False
         if batch.kind == "snapshot":
+            self._snapshots_queued += 1
             # It supersedes any snapshot of the view dropped before it.
             self._missed_snapshots.discard(batch.view_name)
         return True
@@ -263,14 +278,17 @@ class ReplicaNode:
         return f"view:{view_name}" in self.index.watermarks
 
     def _current_at(self, lsns: dict[str, int]) -> bool:
-        """Whether this node may seed another: alive, drained, missed no
-        snapshot, and serving each view of *lsns* at exactly its LSN."""
+        """Whether this node may seed a node that joined at *lsns*: alive,
+        no snapshot missed or queued, and serving each view of *lsns* at or
+        past its LSN.  Queued deltas are no bar, since the joining node is
+        offered every batch above its join LSNs; a queued snapshot is,
+        since a rebuild may keep its view's LSN and change its rows."""
         return (
             self._alive
             and not self._missed_snapshots
-            and self.drain(timeout=0.0)
+            and self._snapshots_settled == self._snapshots_queued
             and all(
-                self.serves_view(view_name) and self.applied_lsn(view_name) == lsn
+                self.serves_view(view_name) and self.applied_lsn(view_name) >= lsn
                 for view_name, lsn in lsns.items()
             )
         )
@@ -417,14 +435,24 @@ class ReplicaNode:
         while True:
             batch = self._queue.get()
             try:
-                if batch is None or not self._alive:
+                if batch is None:
+                    break
+                if not self._alive:
+                    self._drop_snapshot(batch)     # killed: the batch is lost
                     break
                 with self._apply_lock:
+                    self._snapshots_settled += batch.kind == "snapshot"
                     self._apply(batch)
             except Exception as exc:  # noqa: BLE001 - a bad batch must not kill the worker
                 self.apply_errors.append(f"{batch.view_name}@{batch.lsn}: {exc}")
             finally:
                 self._queue.task_done()
+
+    def _drop_snapshot(self, batch: ShipmentBatch) -> None:
+        """A queued batch is lost to a kill: a snapshot marks its view."""
+        if batch.kind == "snapshot":
+            self._snapshots_settled += 1
+            self._missed_snapshots.add(batch.view_name)
 
     def _apply(
         self, batch: ShipmentBatch, resyncing: bool = False, force: bool = False

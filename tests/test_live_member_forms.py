@@ -127,7 +127,7 @@ def assert_reach(index: LiveIndex, documents: list[LiveEntityDocument]) -> None:
         for seeds in ([ROOT], ["jazz", IDS[0]]):
             answers, _ = evaluator.evaluate("", seeds, compile_automaton(expression), closure)
             expected, _ = naive_rpq(documents, seeds, compile_nfa(expression))
-            assert answers == expected, (text, seeds)
+            assert {node: answers.witness(node) for node in answers} == expected, (text, seeds)
 
 
 def test_posting_and_row_forms_follow_members_alone(index_seed):

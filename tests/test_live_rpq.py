@@ -9,7 +9,10 @@ Three contracts, property-tested over seeded inputs:
   documents, run over the epsilon-free NFA (:func:`repro.live.rpq.compile_nfa`)
   so the minimal DFA the executor uses is checked against an automaton
   minimisation never touched (``rpq_seed`` sequences, scaled by
-  ``--runs-seeded``);
+  ``--runs-seeded``).  The random graphs intern their nodes out of name
+  order and hold hubs above the tuple limit, equal-length alternative paths,
+  targets of another type for ``TO`` to drop under a LIMIT, and the
+  evaluator is also asked from seeds absent from the graph;
 * **distributed ≡ primary** — a REACH routed through the ``QueryRouter`` to
   one replica of a fleet (its evaluator over the ``view:X`` feed, with
   mid-sequence kills and restarts) returns the same rows, values, ordering,
@@ -179,6 +182,65 @@ def test_reach_examines_each_reachable_dfa_pair_once():
     assert result.candidates_examined - seed_examined == len(reachable_pairs)
 
 
+def test_a_limit_builds_witnesses_for_the_returned_rows_alone():
+    # a part_of tree: twelve children under the root (a row above the tuple
+    # limit) and a six-node chain from the seed leaf d0 up to it, with knows
+    # edges along the children; both expressions answer more than 3 rows,
+    # the first on the interval path, the second on the product path
+    index = LiveIndex()
+    index.upsert(_doc("root", kind="seed"))
+    for i in range(12):
+        index.upsert(_doc(f"c{i:02d}", part_of="root", knows=f"c{i + 1:02d}"))
+    for i in range(6):
+        index.upsert(_doc(f"d{i}", part_of=f"d{i + 1}" if i < 5 else "root"))
+    index.upsert(_doc("d0", kind="seed", part_of="d1"))
+    planner = QueryPlanner(selectivity=index.seed_selectivity)
+    for expression, fast in (("^part_of+", True), ("(part_of|knows)+", False)):
+        executor = QueryExecutor(index)
+        plan = planner.plan(parse(f'MATCH node WHERE kind = "seed" REACH {expression} RETURN name'))
+        every = executor.execute(plan).rows
+        assert len(every) > 3 and executor.rpq.witnesses_built == len(every), expression
+        executor = QueryExecutor(index)
+        limited = planner.plan(parse(
+            f'MATCH node WHERE kind = "seed" REACH {expression} RETURN name LIMIT 3'
+        ))
+        rows = executor.execute(limited).rows
+        assert [(row.entity_id, row.witness) for row in rows] == [
+            (row.entity_id, row.witness) for row in every[:3]
+        ]
+        assert executor.rpq.witnesses_built == 3, expression
+        assert (executor.rpq.interval_hits, executor.rpq.product_runs) == (
+            (1, 0) if fast else (0, 1)
+        ), expression
+        # LIMIT 0 returns no row, as it does for a MATCH
+        nothing = planner.plan(parse(
+            f'MATCH node WHERE kind = "seed" REACH {expression} RETURN name LIMIT 0'
+        ))
+        assert executor.execute(nothing).rows == [] and executor.rpq.witnesses_built == 3
+
+
+def test_interval_walk_steps_count_each_chain():
+    # r <- a <- b <- c and d <- a: ancestry counts every seed's whole chain;
+    # descendants count each reached node's chain up to its nearest seed
+    # (a seed under no seed, with `+`, its whole chain in vain)
+    index = LiveIndex()
+    index.upsert(_doc("r"))
+    index.upsert(_doc("a", part_of="r"))
+    index.upsert(_doc("b", part_of="a"))
+    index.upsert(_doc("c", part_of="b"))
+    index.upsert(_doc("d", part_of="a"))
+    rpq = QueryExecutor(index).rpq
+
+    def steps(expression, seeds):
+        expr = parse(f"MATCH node REACH {expression} RETURN name").reach
+        return rpq.evaluate("", seeds, compile_automaton(expr), single_label_closure(expr))[1]
+
+    assert steps("part_of*", ["c", "d"]) == 3 + 2
+    assert steps("^part_of+", ["a", "b"]) == 1 + 1 + 1 + 1      # a->r, b, c, d
+    assert steps("^part_of*", ["a", "b"]) == 1 + 1              # c, d
+    assert (rpq.interval_hits, rpq.product_runs) == (3, 0)
+
+
 def test_single_label_closure_detection():
     assert single_label_closure(parse("MATCH t REACH p* RETURN name").reach) == ("p", False, True)
     assert single_label_closure(parse("MATCH t REACH ^p+ RETURN name").reach) == ("p", True, False)
@@ -298,6 +360,14 @@ REACH_BATTERY = (
     'MATCH node WHERE kind = "seed" REACH knows/knows* RETURN name',
     'MATCH node WHERE kind = "seed" REACH (knows|^knows)*/likes RETURN name',
     'MATCH node WHERE kind = "seed" REACH ((part_of)*)+ RETURN name',
+    # a node reached in two accepting states: the shorter path answers, or
+    # at equal length the lexicographically least
+    'MATCH node WHERE kind = "seed" REACH likes|knows/likes* RETURN name',
+    'MATCH node WHERE kind = "seed" REACH knows/likes|likes/knows/likes* RETURN name',
+    # a LIMIT below the answer count, after TO drops the place answers
+    'MATCH node WHERE kind = "seed" REACH (knows|likes|^part_of)+ TO node RETURN name LIMIT 3',
+    'MATCH node WHERE kind = "seed" REACH ^part_of* TO node RETURN name LIMIT 2',
+    'MATCH node WHERE kind = "seed" REACH part_of+ TO place RETURN name LIMIT 1',
 )
 
 
@@ -306,29 +376,55 @@ def _random_graph_index(rng: random.Random) -> LiveIndex:
 
     Some sequences deliberately break the forest shape (a node with two
     parents) so the interval fast path's honest fallback is exercised too.
+    Documents are upserted in random order, so node ordinals do not follow
+    names; some forests hang many children off one node and some graphs
+    hold a knows hub, so rows above the tuple limit (sets) are read; knows
+    and likes lists of several targets give equal-length alternative paths
+    for the lexicographic tie-break; a share of the nodes are ``place``
+    documents, which ``TO node`` drops.
     """
     index = LiveIndex()
-    n = rng.randint(6, 18)
+    n = rng.randint(6, 30)
     break_tree = rng.random() < 0.3
+    bushy = rng.random() < 0.4
+    hub = rng.randrange(n) if rng.random() < 0.5 else None
+    documents = []
     for i in range(n):
-        facts: dict = {"kind": ["seed"] if rng.random() < 0.4 else ["other"]}
+        facts: dict = {"kind": ["seed"] if rng.random() < 0.3 else ["other"]}
         if i > 0:
-            parents = [f"v{rng.randrange(i):02d}"]
+            parents = [f"v{rng.randrange(min(i, 2) if bushy else i):02d}"]
             if break_tree and rng.random() < 0.2:
                 parents.append(f"v{rng.randrange(i):02d}")
             facts["part_of"] = sorted(set(parents))
         for predicate in ("knows", "likes"):
             if rng.random() < 0.5:
-                facts[predicate] = [f"v{rng.randrange(n):02d}"]
-        index.upsert(_doc(f"v{i:02d}", **facts))
+                facts[predicate] = sorted({
+                    f"v{rng.randrange(n):02d}" for _ in range(rng.randint(1, 3))
+                })
+        if i == hub:
+            facts["knows"] = sorted({f"v{rng.randrange(n):02d}" for _ in range(n)})
+        etype = "place" if rng.random() < 0.25 else "node"
+        documents.append(_doc(f"v{i:02d}", etype=etype, **facts))
+    rng.shuffle(documents)
+    for document in documents:
+        index.upsert(document)
     return index
+
+
+def _witnesses(answers) -> dict:
+    """Every answer's witness, as the naive reference returns them."""
+    return {node: answers.witness(node) for node in answers}
+
+
+#: Seeds no document has, so the graph holds no node for them.
+ABSENT_SEEDS = ["a-missing", "zz-missing"]
 
 
 def test_bitmap_rpq_matches_naive_bfs_over_seeded_graphs(rpq_seed):
     rng = random.Random(47000 + rpq_seed)
     index = _random_graph_index(rng)
     planner = QueryPlanner(selectivity=index.seed_selectivity)
-    documents = index.kv.by_type("node")
+    documents = list(index.kv)
     queries = rng.sample(REACH_BATTERY, k=4)
     for text in queries:
         plan = planner.plan(parse(text))
@@ -357,6 +453,16 @@ def test_bitmap_rpq_matches_naive_bfs_over_seeded_graphs(rpq_seed):
             result = executor.execute(plan)
             got = [(row.entity_id, row.witness) for row in result.rows]
             assert got == expected, (text, type(executor).__name__)
+            assert executor.rpq.witnesses_built == len(got), text
+        # the evaluator alone, also from seeds the graph does not hold, on
+        # the interval path (when the plan may take it) and the product path
+        with_absent = [d.entity_id for d in seeds] + ABSENT_SEEDS
+        expected_answers, _ = naive_rpq(documents, with_absent, automaton)
+        for closure in {plan.reach.closure, None}:
+            evaluated, _ = QueryExecutor(index).rpq.evaluate(
+                "", with_absent, plan.reach.automaton, closure
+            )
+            assert _witnesses(evaluated) == expected_answers, (text, closure)
 
 
 def test_interval_fast_path_is_taken_and_agrees_with_product():
@@ -384,7 +490,7 @@ def test_interval_fast_path_is_taken_and_agrees_with_product():
             plan.reach.automaton,
             closure=None,
         )
-        assert {row.entity_id: row.witness for row in fast_result.rows} == slow_answers
+        assert {row.entity_id: row.witness for row in fast_result.rows} == _witnesses(slow_answers)
     del rng  # seeded layout documented above; nothing random-dependent below
 
 
@@ -400,13 +506,13 @@ def test_witness_is_shortest_then_lexicographically_least():
     executor = QueryExecutor(index)
     auto = compile_automaton(parse("MATCH node REACH knows+ RETURN name").reach)
     answers, _ = executor.rpq.evaluate("", ["a"], auto)
-    assert answers["z"] == (("a", "knows", "z"),)
+    assert answers.witness("z") == (("a", "knows", "z"),)
     # equal-length tie: the lexicographically least edge sequence wins
     index.upsert(_doc("a", knows=["b", "c"]))
     index.upsert(_doc("b", knows="z"))
     index.upsert(_doc("c", knows="z"))
     answers, _ = executor.rpq.evaluate("", ["a"], auto)
-    assert answers["z"] == (("a", "knows", "b"), ("b", "knows", "z"))
+    assert answers.witness("z") == (("a", "knows", "b"), ("b", "knows", "z"))
 
 
 def test_query_cache_preserves_witnesses():

@@ -523,6 +523,68 @@ class TestShippingAndReplicas:
         assert all(report.clean() for report in fleet.audit(repair=False).values())
         fleet.stop()
 
+    def test_a_peer_with_a_batch_queued_past_the_join_lsn_seeds_by_copy(self, monkeypatch):
+        """A flush lands after the new replica joined, while ``start_from``
+        holds the peer's apply lock: its batch waits queued on the peer,
+        which still holds the view at the join LSN.  The new replica was
+        offered that batch too, so it copies the peer and applies the batch
+        on top: no snapshot, no gap."""
+        store, clock, manager = make_primary()
+        store.update({"a": 1, "b": 2})
+        manager.materialize()
+        fleet = ServingFleet(manager, num_replicas=1).start()
+        fleet.serve_view("rows")
+        assert fleet.drain()
+        peer = fleet.replicas["replica-0"]
+        joined_at = clock["lsn"]
+        current_at = ReplicaNode._current_at
+        checked = []
+
+        def flush_then_check(node, lsns):
+            if not checked:
+                put(store, clock, manager, "a", 10)
+                manager.flush()
+                assert peer._queue.unfinished_tasks == 1       # queued, not applied
+                assert peer.applied_lsn("rows") == joined_at == lsns["rows"]
+            checked.append(node.name)
+            return current_at(node, lsns)
+
+        monkeypatch.setattr(ReplicaNode, "_current_at", flush_then_check)
+        node = fleet.add_replica("replica-1")
+        assert checked == ["replica-0"]
+        assert fleet.drain()
+        assert node.snapshot_resyncs == 0 and node.gaps_detected == 0
+        assert node.applied_lsn("rows") == clock["lsn"] > joined_at
+        assert {s: node.get("rows", s).value("value") for s in "ab"} == {"a": 10, "b": 2}
+        assert all(report.clean() for report in fleet.audit(repair=False).values())
+        fleet.stop()
+
+    def test_a_peer_with_a_snapshot_queued_seeds_no_copy(self):
+        """A view rebuilt at its shipped LSN ships a snapshot at that LSN;
+        while the peer has it queued, its index holds the old rows at the
+        join LSN, and a copy would keep them, since no later batch shows the
+        change.  The new replica snapshot-resyncs instead."""
+        store, clock, manager = make_primary()
+        store.update({"a": 1, "b": 2})
+        manager.materialize()
+        fleet = ServingFleet(manager, num_replicas=1).start()
+        fleet.serve_view("rows")
+        assert fleet.drain()
+        peer = fleet.replicas["replica-0"]
+        lsn = peer.applied_lsn("rows")
+        with peer._apply_lock:                 # its worker cannot apply the snapshot
+            store["a"] = 100
+            manager.materialize()              # from scratch, at the same LSN
+            assert manager.built_at_lsn("rows") == lsn
+            node = fleet.add_replica("replica-1")
+            assert peer.get("rows", "a").value("value") == 1
+        assert node.snapshot_resyncs == 1
+        assert node.get("rows", "a").value("value") == 100
+        assert fleet.drain()
+        assert peer.get("rows", "a").value("value") == 100
+        assert all(report.clean() for report in fleet.audit(repair=False).values())
+        fleet.stop()
+
     def test_replicas_joining_while_a_writer_flushes_converge(self):
         """Stress: four replicas join one by one while a writer thread
         flushes, with a short switch interval; each seeds from a copy or a

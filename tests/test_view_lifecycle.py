@@ -2,6 +2,7 @@
 selective maintenance closures, batched flushing, and live serving freshness
 (view artifacts on a one-replica fleet)."""
 
+import threading
 import time
 
 import pytest
@@ -335,6 +336,104 @@ def test_a_dropped_rebuild_snapshot_at_the_same_lsn_resyncs_on_the_next_batch(
         assert node.get("tiny", "kg:a1").name == "v2"
         assert node.snapshot_resyncs == 1 and node.gaps_detected == 1
         assert node.applied_lsn("tiny") == engine.view_manager.built_at_lsn("tiny") > lsn
+        assert all(report.clean() for report in fleet.audit(repair=False).values())
+    finally:
+        fleet.stop()
+
+
+def test_a_rebuild_snapshot_at_the_same_lsn_missed_while_killed_resyncs_on_restart(
+    served_engine,
+):
+    """A replica is killed while a view is rebuilt at an unchanged LSN, so
+    the rebuild's snapshot is offered to a dead node.  Its restart catches
+    up from the LSN its index holds, the rebuild's, where the journal holds
+    nothing: the failed offer marked the view, and the restart resyncs it
+    by snapshot."""
+    engine, store = served_engine
+    labels = {"kg:a1": "v1"}
+
+    def row(subject):
+        return {"subject": subject, "name": labels.get(subject, subject),
+                "facts": len(engine.triples.facts_about(subject))}
+
+    engine.register_view(ViewDefinition(
+        "tiny", "analytics",
+        create=lambda ctx: {subject: row(subject) for subject in sorted(engine.triples.subjects())},
+        apply_delta=lambda ctx, delta: {
+            **ctx.artifact("tiny"), **{subject: row(subject) for subject in delta.changed},
+        },
+    ))
+    engine.materialize_views(["tiny"])
+    fleet = ServingFleet(engine.view_manager, num_replicas=1).start()
+    node = fleet.replicas["replica-0"]
+    try:
+        fleet.serve_view("tiny")
+        assert fleet.drain()
+        lsn = node.applied_lsn("tiny")
+        fleet.kill_replica("replica-0")
+        labels["kg:a1"] = "v2"
+        engine.materialize_views(["tiny"])
+        assert engine.view_manager.built_at_lsn("tiny") == lsn
+        assert fleet.restart_replica("replica-0") == ["tiny"]
+        assert node.snapshot_resyncs == 1
+        assert node.get("tiny", "kg:a1").name == "v2"
+        store.add(triple("kg:l1", "genre", "jazz"))
+        engine.publish_subjects(store, ["kg:l1"], source_id="construction")
+        engine.update_views()
+        assert fleet.drain()
+        assert node.get("tiny", "kg:a1").name == "v2"
+        assert node.snapshot_resyncs == 1 and node.gaps_detected == 0
+        assert node.applied_lsn("tiny") == engine.view_manager.built_at_lsn("tiny") > lsn
+        assert all(report.clean() for report in fleet.audit(repair=False).values())
+    finally:
+        fleet.stop()
+
+
+def test_a_rebuild_snapshot_lost_from_a_killed_replicas_queue_resyncs_on_restart(
+    served_engine, monkeypatch
+):
+    """The rebuild's snapshot is queued behind a batch the worker is still
+    applying when the replica is killed, so the kill loses it: the view is
+    marked, and the restart resyncs it by snapshot."""
+    engine, _ = served_engine
+    labels = {"kg:a1": "v1"}
+    engine.register_view(ViewDefinition(
+        "tiny", "analytics",
+        create=lambda ctx: {"kg:a1": {"subject": "kg:a1", "name": labels["kg:a1"]}},
+    ))
+    engine.materialize_views(["tiny"])
+    fleet = ServingFleet(engine.view_manager, num_replicas=1).start()
+    node = fleet.replicas["replica-0"]
+    try:
+        fleet.serve_view("tiny")
+        assert fleet.drain()
+        lsn = node.applied_lsn("tiny")
+        held = ShipmentBatch(kind="delta", view_name="tiny", lsn=lsn, prev_lsn=lsn,
+                             delta=ViewDelta(first_lsn=lsn, last_lsn=lsn))
+        release = threading.Event()
+        apply = replica_module.ReplicaNode._apply
+
+        def apply_held_last(self, batch, *args, **kwargs):
+            if batch is held:
+                release.wait(5)
+            return apply(self, batch, *args, **kwargs)
+
+        monkeypatch.setattr(replica_module.ReplicaNode, "_apply", apply_held_last)
+        node.offer(held)
+        labels["kg:a1"] = "v2"
+        engine.materialize_views(["tiny"])     # its snapshot queues behind `held`
+        assert engine.view_manager.built_at_lsn("tiny") == lsn
+        killer = threading.Thread(target=fleet.kill_replica, args=("replica-0",))
+        killer.start()
+        deadline = time.monotonic() + 5
+        while node.alive and time.monotonic() < deadline:
+            time.sleep(0.001)
+        release.set()
+        killer.join(timeout=10)
+        assert not node.alive and node.get("tiny", "kg:a1").name == "v1"
+        assert fleet.restart_replica("replica-0") == ["tiny"]
+        assert node.snapshot_resyncs == 1
+        assert node.get("tiny", "kg:a1").name == "v2"
         assert all(report.clean() for report in fleet.audit(repair=False).values())
     finally:
         fleet.stop()
