@@ -9,7 +9,7 @@ orchestration agent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from repro.model.entity import KGEntity
@@ -83,6 +83,39 @@ class EntityStore:
     def put_entity(self, entity: KGEntity) -> None:
         """Replace one entity's document."""
         self.put(EntityDocument.from_entity(entity))
+
+    def replace_facts(self, entity_id: str, objects: dict[str, list[object]]) -> bool:
+        """Swap new value lists into one document: per predicate of
+        *objects*, its simple facts' objects in fact order, listed once each
+        as :meth:`KGEntity.from_facts` lists them.
+
+        The new document shares every other list with the one it replaces,
+        which is left as it was; with no predicate named, the document
+        stands.  Returns ``False`` and changes nothing when the document is
+        absent or the change would add or drop one of its predicates: the
+        order of ``facts`` follows the entity's facts, so such a document is
+        rebuilt instead.
+        """
+        document = self._documents.get(entity_id)
+        if document is None:
+            return False
+        if not objects:
+            return True
+        held = document.facts
+        values: dict[str, list[object]] = {}
+        for predicate, found in objects.items():
+            if not found or predicate not in held:
+                return False
+            distinct: list[object] = []
+            for obj in found:
+                if obj not in distinct:
+                    distinct.append(obj)
+            values[predicate] = distinct
+        self._documents[entity_id] = replace(
+            document,
+            facts={predicate: values.get(predicate, kept) for predicate, kept in held.items()},
+        )
+        return True
 
     # -------------------------------------------------------------- #
     # retrieval

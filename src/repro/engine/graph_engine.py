@@ -15,16 +15,28 @@ every registered store.
 One payload, staged once: a publish asks the source store for a single
 immutable columnar :class:`~repro.model.triples.TripleBatch` of the changed
 subjects (:meth:`TripleStore.stage <repro.model.triples.TripleStore.stage>`)
-and every agent consumes that same batch — the primary translates its ids
-into its own dictionaries and applies each subject's diff (``apply_staged``:
-an unchanged fact keeps its row, a dropped one is discarded, a new one is
-inserted), the warehouse ingests its decoded rows, and each changed
-subject's :class:`~repro.model.entity.KGEntity` is
-assembled once (:class:`StagedEntities`) for the entity store and the text
-index together.  No relational row dict, ``ExtendedTriple`` or provenance
-object is built on the way, and a batch keeps a snapshot's semantics, so a
-publish made with ``replay=False`` replays what was published however the
-source store changed in between.
+and every agent consumes that same batch.  No relational row dict,
+``ExtendedTriple`` or provenance object is built on the way, and a batch
+keeps a snapshot's semantics, so a publish made with ``replay=False``
+replays what was published however the source store changed in between.
+
+One diff, found once: the primary replays first, translating the batch's
+ids into its own dictionaries and applying each subject's diff
+(``apply_staged``: an unchanged fact keeps its row, a dropped one is
+discarded, a new one is inserted).  What that match found — per subject, a
+:class:`~repro.model.triples.SubjectDiff` naming the predicates whose rows
+moved or changed provenance — is handed to the derived agents for the rest
+of that replay only; it never enters the payload.  Each derived store does
+the work its diff calls for: the warehouse replaces the rows of the changed
+predicates, the entity store swaps the changed value lists into a new
+document, and the text index re-indexes only a subject whose names, types
+or description moved.  A subject without a usable diff — deleted, new,
+reshaped (a name, type, ``same_as`` or relationship row moved), staged by a
+record the primary did not replay in this pass (a late agent replaying from
+LSN 0, a record the primary failed on), or written into the primary outside
+replay (:meth:`TripleStore.track_outside_writes
+<repro.model.triples.TripleStore.track_outside_writes>`) — is re-derived
+whole from the batch.  :class:`EngineStats` counts both kinds per store.
 
 One delta, built once: the payload also carries the publish's
 :class:`~repro.engine.views.ViewDelta` (added / updated / deleted subjects).
@@ -38,7 +50,8 @@ delta as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from abc import abstractmethod
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.engine.agents import AgentCoordinator, OrchestrationAgent, ReplayReport
@@ -51,68 +64,137 @@ from repro.engine.object_store import ObjectStore
 from repro.engine.text_index import InvertedTextIndex, SearchHit, TextDocument
 from repro.engine.vector_db import VectorDB
 from repro.engine.views import ViewCatalog, ViewContext, ViewDefinition, ViewDelta, ViewManager
-from repro.model.entity import KGEntity
+from repro.model.entity import NAME_PREDICATES, SAME_AS_PREDICATE, TYPE_PREDICATE, KGEntity
 from repro.model.ontology import Ontology
-from repro.model.triples import TripleBatch, TripleStore
+from repro.model.triples import SubjectDiff, TripleBatch, TripleStore
 
 #: Replay order: the primary store must apply an operation before the derived
 #: stores read from it.
 AGENT_ORDER = ("primary", "analytics", "entity_store", "text_index")
+DERIVED_STORES = AGENT_ORDER[1:]
+
+#: Predicates that shape an entity document beyond its ``facts`` values
+#: (its name, types and ``same_as`` links): a diff moving one rebuilds it.
+ENTITY_SHAPE_PREDICATES = frozenset((*NAME_PREDICATES, TYPE_PREDICATE, SAME_AS_PREDICATE))
+#: Predicates a text document is made of.
+TEXT_PREDICATES = frozenset((*NAME_PREDICATES, TYPE_PREDICATE, "description"))
+
+#: The diffs of the replay in progress: log LSN -> subject -> diff.
+ReplayDiffs = dict[int, dict[str, SubjectDiff]]
+
+
+@dataclass
+class EngineStats:
+    """Operational counters of the Graph Engine.
+
+    ``rederived`` and ``patched`` count, per derived store, the published
+    subjects it re-derived whole and those it patched from their diff or
+    left as they were; deletions are not counted.
+    """
+
+    operations_published: int = 0
+    subjects_published: int = 0
+    rederived: dict[str, int] = field(default_factory=lambda: dict.fromkeys(DERIVED_STORES, 0))
+    patched: dict[str, int] = field(default_factory=lambda: dict.fromkeys(DERIVED_STORES, 0))
 
 
 class PrimaryStoreAgent(OrchestrationAgent):
-    """Maintains the engine's primary extended-triples store."""
+    """Maintains the engine's primary extended-triples store and records
+    what each replayed batch changed in it."""
 
-    def __init__(self, store: TripleStore) -> None:
+    def __init__(self, store: TripleStore, diffs: ReplayDiffs) -> None:
         super().__init__("primary")
         self.store = store
+        self.diffs = diffs
 
     def apply(self, record: LogRecord, payload: dict) -> None:
         self.store.remove_subjects_batch(sorted(payload["delta"].deleted))
-        self.store.apply_staged(payload["batch"])
+        found: dict[str, SubjectDiff] = {}
+        self.store.apply_staged(payload["batch"], found)
+        self.diffs[record.lsn] = found
 
 
-class AnalyticsAgent(OrchestrationAgent):
-    """Maintains the analytics warehouse."""
+class DerivedStoreAgent(OrchestrationAgent):
+    """An agent of a store derived from the primary: it reads the diffs the
+    primary recorded in this replay and counts what it did per subject."""
 
-    def __init__(self, analytics: AnalyticsStore) -> None:
-        super().__init__("analytics")
-        self.analytics = analytics
+    def __init__(self, name: str, diffs: ReplayDiffs, stats: EngineStats) -> None:
+        super().__init__(name)
+        self.diffs = diffs
+        self.stats = stats
 
     def apply(self, record: LogRecord, payload: dict) -> None:
         batch = payload["batch"]
-        self.analytics.remove_subjects([*payload["delta"].deleted, *batch.subjects])
-        self.analytics.ingest_rows(batch.rows())
+        rederived = self.apply_batch(
+            batch, self.diffs.get(record.lsn, {}), payload["delta"].deleted
+        )
+        self.stats.rederived[self.name] += rederived
+        self.stats.patched[self.name] += len(batch.subjects) - rederived
+
+    @abstractmethod
+    def apply_batch(
+        self, batch: TripleBatch, diffs: dict[str, SubjectDiff], deleted: frozenset[str]
+    ) -> int:
+        """Apply one batch and its deletions; return how many of the batch's
+        subjects were re-derived whole."""
+
+
+class AnalyticsAgent(DerivedStoreAgent):
+    """Maintains the analytics warehouse."""
+
+    def __init__(self, analytics: AnalyticsStore, diffs: ReplayDiffs, stats: EngineStats) -> None:
+        super().__init__("analytics", diffs, stats)
+        self.analytics = analytics
+
+    def apply_batch(
+        self, batch: TripleBatch, diffs: dict[str, SubjectDiff], deleted: frozenset[str]
+    ) -> int:
+        self.analytics.remove_subjects(deleted)
+        rederived = 0
+        for index, subject in enumerate(batch.subjects):
+            diff = diffs.get(subject)
+            if diff is not None and not diff.new:
+                # full_relation reads sources and trust: a kept row whose
+                # provenance changed is a changed row
+                changed = diff.moved | diff.reprovenanced
+                if self.analytics.replace_predicates(
+                    subject, batch.rows_of(index, changed), changed
+                ):
+                    continue
+            rederived += 1
+            self.analytics.remove_subjects((subject,))
+            self.analytics.ingest_rows(batch.rows_of(index))
+        return rederived
 
 
 class StagedEntities:
-    """The :class:`KGEntity` of every subject of the batch being replayed.
+    """The :class:`KGEntity` of each subject of the batch being replayed
+    that a derived store re-derives whole.
 
     The entity store and the text index replay the same staged batch one
-    after the other and both need each subject's assembled entity; this
-    one-slot memo assembles them on the first request for a batch and hands
-    the same entities to the second.  It holds one batch's entities — not
-    the payload, which lives in the object store for the life of the log —
-    and only while a replay runs: :meth:`GraphEngine.replay` releases it
-    when the coordinator returns, so after a bootstrap the whole KG's
-    entities are held by the stores alone.  Subjects staged without facts
-    have no entity.
+    after the other, and a subject without a usable diff (every subject of
+    a bootstrap) needs its assembled entity in both; this one-slot memo
+    assembles a subject's entity on the first request for it and hands the
+    same entity to the second.  A subject both stores patch is never
+    assembled.  It holds one batch's entities — not the payload, which
+    lives in the object store for the life of the log — and only while a
+    replay runs: :meth:`GraphEngine.replay` releases it when the
+    coordinator returns.  A subject staged without facts has no entity.
     """
 
     def __init__(self) -> None:
         self._batch: TripleBatch | None = None
-        self._entities: dict[str, KGEntity] = {}
+        self._entities: dict[str, KGEntity | None] = {}
 
-    def of(self, batch: TripleBatch) -> dict[str, KGEntity]:
-        """Subject → entity for every subject of *batch* that has facts."""
+    def of(self, batch: TripleBatch, index: int) -> KGEntity | None:
+        """The entity of ``batch.subjects[index]``, or ``None`` without facts."""
         if batch is not self._batch:
-            self._entities = {
-                subject: KGEntity.from_facts(subject, facts)
-                for subject, facts in batch.subject_facts()
-                if facts
-            }
-            self._batch = batch
-        return self._entities
+            self._batch, self._entities = batch, {}
+        subject = batch.subjects[index]
+        if subject not in self._entities:
+            facts = batch.facts_of(index)
+            self._entities[subject] = KGEntity.from_facts(subject, facts) if facts else None
+        return self._entities[subject]
 
     def release(self) -> None:
         """Drop the memoized batch and its entities."""
@@ -120,40 +202,66 @@ class StagedEntities:
         self._entities = {}
 
 
-class EntityStoreAgent(OrchestrationAgent):
+class EntityStoreAgent(DerivedStoreAgent):
     """Maintains the key-value entity index from the staged batch."""
 
-    def __init__(self, entity_store: EntityStore, staged: StagedEntities) -> None:
-        super().__init__("entity_store")
+    def __init__(
+        self, entity_store: EntityStore, staged: StagedEntities, diffs: ReplayDiffs,
+        stats: EngineStats,
+    ) -> None:
+        super().__init__("entity_store", diffs, stats)
         self.entity_store = entity_store
         self.staged = staged
 
-    def apply(self, record: LogRecord, payload: dict) -> None:
-        batch = payload["batch"]
-        entities = self.staged.of(batch)
-        for subject in dict.fromkeys([*batch.subjects, *sorted(payload["delta"].deleted)]):
-            entity = entities.get(subject)
+    def apply_batch(
+        self, batch: TripleBatch, diffs: dict[str, SubjectDiff], deleted: frozenset[str]
+    ) -> int:
+        rederived = 0
+        for index, subject in enumerate(batch.subjects):
+            diff = diffs.get(subject)
+            if diff is not None and not (
+                diff.new or diff.composite_moved or diff.moved & ENTITY_SHAPE_PREDICATES
+            ):
+                objects: dict[str, list[object]] = {predicate: [] for predicate in diff.moved}
+                for row in batch.rows_of(index, diff.moved):
+                    if row[2] is None:      # a simple fact, not a relationship node's
+                        objects[row[1]].append(row[4])
+                if self.entity_store.replace_facts(subject, objects):
+                    continue
+            rederived += 1
+            entity = self.staged.of(batch, index)
             if entity is None:
                 self.entity_store.delete(subject)
             else:
                 self.entity_store.put_entity(entity)
+        for subject in sorted(deleted.difference(batch.subjects)):
+            self.entity_store.delete(subject)
+        return rederived
 
 
-class TextIndexAgent(OrchestrationAgent):
+class TextIndexAgent(DerivedStoreAgent):
     """Maintains the full-text entity index from the staged batch."""
 
-    def __init__(self, text_index: InvertedTextIndex, staged: StagedEntities) -> None:
-        super().__init__("text_index")
+    def __init__(
+        self, text_index: InvertedTextIndex, staged: StagedEntities, diffs: ReplayDiffs,
+        stats: EngineStats,
+    ) -> None:
+        super().__init__("text_index", diffs, stats)
         self.text_index = text_index
         self.staged = staged
 
-    def apply(self, record: LogRecord, payload: dict) -> None:
-        batch = payload["batch"]
-        entities = self.staged.of(batch)
-        for subject in sorted(payload["delta"].deleted):
+    def apply_batch(
+        self, batch: TripleBatch, diffs: dict[str, SubjectDiff], deleted: frozenset[str]
+    ) -> int:
+        for subject in sorted(deleted):
             self.text_index.remove(subject)
-        for subject in batch.subjects:
-            entity = entities.get(subject)
+        rederived = 0
+        for index, subject in enumerate(batch.subjects):
+            diff = diffs.get(subject)
+            if diff is not None and not diff.new and not diff.moved & TEXT_PREDICATES:
+                continue
+            rederived += 1
+            entity = self.staged.of(batch, index)
             if entity is None:
                 self.text_index.remove(subject)
                 continue
@@ -166,14 +274,7 @@ class TextIndexAgent(OrchestrationAgent):
                     payload={"types": entity.types, "name": entity.primary_name},
                 )
             )
-
-
-@dataclass
-class EngineStats:
-    """Operational counters of the Graph Engine."""
-
-    operations_published: int = 0
-    subjects_published: int = 0
+        return rederived
 
 
 class GraphEngine:
@@ -194,11 +295,22 @@ class GraphEngine:
         self.object_store = ObjectStore()
         self.metadata = MetadataStore()
         self.coordinator = AgentCoordinator(self.log, self.object_store, self.metadata)
-        self.coordinator.register(PrimaryStoreAgent(self.triples))
-        self.coordinator.register(AnalyticsAgent(self.analytics))
+        self.stats = EngineStats()
+        # The primary's diffs of the replay in progress, read by the derived
+        # agents; replay() empties it when the coordinator returns.
+        self._diffs: ReplayDiffs = {}
+        # A subject written into the primary outside replay holds facts the
+        # derived stores never saw: its next publish re-derives it whole.
+        self.triples.track_outside_writes()
+        self.coordinator.register(PrimaryStoreAgent(self.triples, self._diffs))
+        self.coordinator.register(AnalyticsAgent(self.analytics, self._diffs, self.stats))
         self._staged_entities = StagedEntities()
-        self.coordinator.register(EntityStoreAgent(self.entity_store, self._staged_entities))
-        self.coordinator.register(TextIndexAgent(self.text_index, self._staged_entities))
+        self.coordinator.register(
+            EntityStoreAgent(self.entity_store, self._staged_entities, self._diffs, self.stats)
+        )
+        self.coordinator.register(
+            TextIndexAgent(self.text_index, self._staged_entities, self._diffs, self.stats)
+        )
         self.view_catalog = ViewCatalog()
         # Views read the replayed stores, so their builds reflect the minimum
         # store watermark — not the log head, which may be ahead of replay.
@@ -211,7 +323,6 @@ class GraphEngine:
             entity_source=self.triples.subjects,
         )
         self.coordinator.add_delta_listener(self.view_manager.enqueue)
-        self.stats = EngineStats()
 
     # -------------------------------------------------------------- #
     # ingest (producer API used by KG construction)
@@ -296,14 +407,17 @@ class GraphEngine:
     def replay(self) -> ReplayReport:
         """Replay pending log records into every store in dependency order.
 
-        The staged-entity memo is released when the coordinator returns:
-        the stores hold what they replayed.
+        The primary's diffs and the staged-entity memo are released when the
+        coordinator returns: a diff describes one record's change to the
+        stores that replay it in the same pass, and the stores hold what
+        they replayed.
         """
         ordered = [name for name in AGENT_ORDER if name in self.coordinator.agents]
         extra = [name for name in sorted(self.coordinator.agents) if name not in ordered]
         try:
             return self.coordinator.replay(ordered + extra)
         finally:
+            self._diffs.clear()
             self._staged_entities.release()
 
     # -------------------------------------------------------------- #

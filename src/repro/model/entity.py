@@ -234,8 +234,8 @@ class KGEntity:
         """Assemble an entity from its ``(predicate, relationship_id,
         relationship_predicate, object)`` facts, in the order given — the
         column-side twin of :meth:`from_triples`
-        (:meth:`TripleBatch.subject_facts
-        <repro.model.triples.TripleBatch.subject_facts>` feeds it)."""
+        (:meth:`TripleBatch.facts_of
+        <repro.model.triples.TripleBatch.facts_of>` feeds it)."""
         entity = cls(entity_id=entity_id)
         nodes: dict[tuple[str, str], RelationshipNode] = {}
         names_by_predicate: dict[str, list[str]] = defaultdict(list)

@@ -46,7 +46,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from itertools import repeat
+from operator import attrgetter
+from typing import AbstractSet, Callable, Iterable, Iterator
 
 from repro.errors import DataModelError
 from repro.model.columnar import (
@@ -69,6 +71,8 @@ Value = object  # literal (str, int, float, bool) or an entity identifier
 #: *references* a tuple of :class:`~repro.model.provenance.SourceReference`.
 #: Immutable end to end, so every consumer of a batch may keep it as is.
 FactRow = tuple[str, str, "str | None", "str | None", Value, str, tuple[SourceReference, ...]]
+
+_REFERENCES = attrgetter("references")
 
 
 @dataclass
@@ -185,6 +189,36 @@ class ExtendedTriple:
         )
 
 
+class SubjectDiff:
+    """What :meth:`TripleStore.apply_staged` changed of one subject.
+
+    ``new`` — the subject held no row before; ``moved`` — the predicates
+    that had a row inserted or discarded (a literal rewritten to a dict-equal
+    one of another type counts); ``reprovenanced`` — the predicates of kept
+    rows whose provenance value was replaced; ``composite_moved`` — an
+    inserted or discarded row belonged to a relationship node.  A subject
+    whose diff is empty holds exactly what it held.
+    """
+
+    __slots__ = ("new", "moved", "reprovenanced", "composite_moved")
+
+    def __init__(
+        self,
+        new: bool = False,
+        moved: frozenset[str] | set[str] = frozenset(),
+        reprovenanced: frozenset[str] | set[str] = frozenset(),
+        composite_moved: bool = False,
+    ) -> None:
+        self.new = new
+        self.moved = moved
+        self.reprovenanced = reprovenanced
+        self.composite_moved = composite_moved
+
+
+#: The diff of a subject that held no row: its readers derive it whole.
+NEW_SUBJECT = SubjectDiff(new=True)
+
+
 class TripleBatch:
     """Immutable columnar snapshot of every fact of a set of subjects.
 
@@ -220,38 +254,52 @@ class TripleBatch:
     def __len__(self) -> int:
         return len(self._objs)
 
-    def rows(self) -> Iterator[FactRow]:
-        """Every staged fact, decoded, in batch order."""
-        predicate_terms, rid_terms, locale_terms, _ = self._terms
-        predicates, rids, locales = predicate_terms.terms, rid_terms.terms, locale_terms.terms
-        for index, subject in enumerate(self.subjects):
-            for row in range(self._starts[index], self._starts[index + 1]):
-                yield (
-                    subject,
-                    predicates[self._pids[row]],
-                    rids[self._rids[row]],
-                    predicates[self._rpids[row]],
-                    self._objs[row],
-                    locales[self._lids[row]],
-                    self._provs[row].references,
-                )
+    def rows_of(self, index: int, predicates: AbstractSet[str] | None = None) -> list[FactRow]:
+        """The decoded facts of ``subjects[index]``, in batch order; with
+        *predicates*, only the facts of those predicates."""
+        first, end = self._starts[index], self._starts[index + 1]
+        if predicates is None:
+            return self._decode(index, first, end)
+        names, pids = self._terms[0].terms, self._pids
+        rows: list[FactRow] = []
+        while first < end:
+            # a predicate's facts are adjacent: decode each wanted run at once
+            stop = first + 1
+            while stop < end and pids[stop] == pids[first]:
+                stop += 1
+            if names[pids[first]] in predicates:
+                rows += self._decode(index, first, stop)
+            first = stop
+        return rows
 
-    def subject_facts(self) -> Iterator[tuple[str, list[tuple]]]:
-        """``(subject, [(predicate, relationship_id, relationship_predicate,
-        object), ...])`` per staged subject — the entity-materialization feed
+    def _decode(self, index: int, first: int, end: int) -> list[FactRow]:
+        predicate_terms, rid_terms, locale_terms, _ = self._terms
+        predicate = predicate_terms.terms.__getitem__
+        return list(zip(
+            repeat(self.subjects[index], end - first),
+            map(predicate, self._pids[first:end]),
+            map(rid_terms.terms.__getitem__, self._rids[first:end]),
+            map(predicate, self._rpids[first:end]),
+            self._objs[first:end],
+            map(locale_terms.terms.__getitem__, self._lids[first:end]),
+            map(_REFERENCES, self._provs[first:end]),
+        ))
+
+    def facts_of(self, index: int) -> list[tuple]:
+        """``[(predicate, relationship_id, relationship_predicate, object),
+        ...]`` of ``subjects[index]`` — the entity-materialization feed
         (:meth:`repro.model.entity.KGEntity.from_facts`)."""
         predicate_terms, rid_terms, _, _ = self._terms
         predicates, rids = predicate_terms.terms, rid_terms.terms
-        for index, subject in enumerate(self.subjects):
-            yield subject, [
-                (
-                    predicates[self._pids[row]],
-                    rids[self._rids[row]],
-                    predicates[self._rpids[row]],
-                    self._objs[row],
-                )
-                for row in range(self._starts[index], self._starts[index + 1])
-            ]
+        return [
+            (
+                predicates[self._pids[row]],
+                rids[self._rids[row]],
+                predicates[self._rpids[row]],
+                self._objs[row],
+            )
+            for row in range(self._starts[index], self._starts[index + 1])
+        ]
 
 
 def _translate_ids(column: Iterable[int], theirs: TermDict, mine: TermDict) -> list[int]:
@@ -323,6 +371,9 @@ class TripleStore:
         #: A reader that keeps state derived from the facts compares it with
         #: the value it last saw to learn whether anything changed since.
         self.version = 0
+        # Subject ids written outside a diffed apply_staged, while
+        # track_outside_writes() is on; None (the default) tracks nothing.
+        self._outside: set[int] | None = None
         if triples:
             for triple in triples:
                 self._upsert_triple(triple)
@@ -522,9 +573,31 @@ class TripleStore:
         batch.subjects = tuple(kept)
         return batch
 
-    def apply_staged(self, batch: TripleBatch) -> int:
+    def track_outside_writes(self) -> None:
+        """From now on, remember each subject that a write other than a
+        diffed :meth:`apply_staged` changes.
+
+        A store that others mirror by replaying its diffs (the Graph Engine's
+        primary) turns this on: a subject written outside replay holds facts
+        the mirrors never saw, so its next diffed apply reports no diff for
+        it and the mirrors re-derive it whole.  A subject left with no row
+        drops its mark — it comes back new.  Off by default: source and
+        construction stores are written directly all the time.
+        """
+        if self._outside is None:
+            self._outside = set()
+
+    def apply_staged(
+        self, batch: TripleBatch, diffs: dict[str, SubjectDiff] | None = None
+    ) -> int:
         """Make each subject of a staged *batch* hold exactly its staged
         facts; return how many facts were inserted.
+
+        With *diffs*, each subject the batch leaves with facts is reported
+        there as the :class:`SubjectDiff` of what its match found — unless
+        the subject was written outside a diffed apply since its last one
+        (:meth:`track_outside_writes`): such a subject is left out, and its
+        mark is cleared.  A diffed apply is a replay, so it marks nothing.
 
         The batch's id columns are translated into this store's dictionaries
         through per-column memo tables (each distinct term is interned once
@@ -546,6 +619,20 @@ class TripleStore:
         followed by inserting its facts; only :meth:`to_rows` order differs,
         since unchanged facts keep their place.
         """
+        outside = self._outside
+        if diffs is not None:
+            self._outside = None
+        try:
+            return self._apply_staged(batch, diffs, outside if diffs is not None else None)
+        finally:
+            self._outside = outside
+
+    def _apply_staged(
+        self,
+        batch: TripleBatch,
+        diffs: dict[str, SubjectDiff] | None,
+        outside: set[int] | None,
+    ) -> int:
         their_predicates, their_rids, their_locales, their_objects = batch._terms
         pids = _translate_ids(batch._pids, their_predicates, self._predicate_terms)
         rpids = _translate_ids(batch._rpids, their_predicates, self._predicate_terms)
@@ -562,6 +649,10 @@ class TripleStore:
                 sid = self._subject_terms.id_of(subject)
             else:
                 sid = self._subject_terms.intern(subject)
+            report = diffs is not None and first != end
+            if outside and sid in outside:
+                outside.discard(sid)
+                report = False
             # the subject's stored refs by the rest of their fact key; what
             # no staged fact claims is stale
             stored: dict[tuple, int] = {}
@@ -572,15 +663,22 @@ class TripleStore:
                     partition.pid, partition.rid[row], partition.rpred[row],
                     partition.obj_ids[row], partition.loc[row],
                 )] = ref
+            new = not stored
+            reprovenanced: set[str] = set()
             fresh: list[int] = []
             for row in range(first, end):
                 key = (pids[row], rids[row], rpids[row], oids[row], lids[row])
                 ref = stored.get(key)
                 if ref is not None and self._holds_literal(ref, objs[row]):
                     del stored[key]
-                    self._set_prov(ref, provs[row])
+                    if self._set_prov(ref, provs[row]) and report:
+                        reprovenanced.add(predicates[key[0]])
                 else:
                     fresh.append(row)
+            if report:
+                diffs[subject] = NEW_SUBJECT if new else self._diff(
+                    [(pids[row], rids[row]) for row in fresh], stored.values(), reprovenanced
+                )
             for ref in stored.values():
                 self._discard_ref(ref)
             before = len(self._row_order)
@@ -589,6 +687,20 @@ class TripleStore:
                 self._insert_ids(key, predicates[key[1]], objs[row], provs[row])
             inserted += len(self._row_order) - before
         return inserted
+
+    def _diff(
+        self, inserted: list[tuple[int, int]], discarded: Iterable[int], reprovenanced: set[str]
+    ) -> SubjectDiff:
+        """The :class:`SubjectDiff` of a held subject given the ``(pid,
+        rid)`` of its inserted rows and the refs of its discarded ones."""
+        predicates, none_rid = self._predicate_terms.terms, self._none_rid
+        moved = {predicates[pid] for pid, _ in inserted}
+        composite_moved = any(rid != none_rid for _, rid in inserted)
+        for ref in discarded:
+            partition = self._partitions[ref >> ROW_BITS]
+            moved.add(partition.predicate)
+            composite_moved = composite_moved or partition.rid[ref & ROW_MASK] != none_rid
+        return SubjectDiff(False, moved, reprovenanced, composite_moved)
 
     def scan_tuples(self) -> Iterator[tuple]:
         """Insertion-ordered ``(subject, predicate, relationship_predicate,
@@ -816,6 +928,8 @@ class TripleStore:
         """Insert one id-encoded fact holding *provenance*, or merge
         *provenance* into the fact already stored under *key*."""
         sid, pid, rid, rpid, oid, lid = key
+        if self._outside is not None:
+            self._outside.add(sid)
         ref = self._find_ref(sid, pid, rid, rpid, oid, lid)
         if ref is not None:
             held = self._partitions[pid].prov[ref & ROW_MASK]
@@ -887,17 +1001,21 @@ class TripleStore:
             return False
         return type(obj) is str or repr(stored) == repr(obj)
 
-    def _set_prov(self, ref: int, provenance: Provenance) -> None:
+    def _set_prov(self, ref: int, provenance: Provenance) -> bool:
         """Give one live row *provenance* unless it already holds that value;
-        the per-source row counts follow the sources that left or joined."""
+        the per-source row counts follow the sources that left or joined.
+        ``True`` when the value was replaced."""
         partition = self._partitions[ref >> ROW_BITS]
         row = ref & ROW_MASK
         held = partition.prov[row]
         if held is provenance or held == provenance:
-            return
+            return False
         partition.replace_prov(row, provenance)
         self._count_sources(held, -1)
         self._count_sources(provenance, 1)
+        if self._outside is not None:
+            self._outside.add(partition.subj[row])
+        return True
 
     def _key_ids(self, triple: ExtendedTriple) -> tuple | None:
         """Id-encode *triple*'s key, or ``None`` when any term is unknown.
@@ -935,6 +1053,11 @@ class TripleStore:
         posting_remove(self._by_object, partition.obj_ids[row], ref)
         self._count_sources(partition.prov[row], -1)
         partition.release(row)
+        if self._outside is not None:
+            if sid in self._by_subject:
+                self._outside.add(sid)
+            else:
+                self._outside.discard(sid)
 
     def _composite_index_refs(self, subject: str, predicate: str) -> list[int]:
         """Refs of ``(subject, predicate)`` in :meth:`facts_about` order, from

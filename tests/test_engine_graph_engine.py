@@ -88,6 +88,41 @@ def test_replay_releases_the_staged_entity_memo(engine, construction_store):
     assert engine.search("Echo Valley")[0].doc_id == "kg:a1"
 
 
+def test_replay_keeps_no_diff_after_it_returns(engine, construction_store):
+    """The primary's diffs live for one replay: the object store's payloads
+    hold only the batch and the delta, and once replay returns the engine
+    holds no diff."""
+    diffs = engine.coordinator.agents["primary"].diffs
+    assert all(agent.diffs is diffs for agent in engine.coordinator.agents.values())
+    seen = []
+    engine.coordinator.add_delta_listener(lambda delta: seen.append(dict(diffs)))
+    construction_store.add(triple("kg:a1", "genre", "indie", source="musicdb"))
+    record = engine.publish_subjects(construction_store, ["kg:a1"], source_id="musicdb")
+    assert set(seen[-1][record.lsn]) == {"kg:a1"}     # present while replay ran
+    assert diffs == {}
+    for lsn in range(1, engine.log.head_lsn() + 1):
+        payload = engine.object_store.get(engine.log.get(lsn).payload_key)
+        assert set(payload) == {"batch", "delta"}
+    assert engine.entity("kg:a1").facts["genre"] == ["indie", "pop"]
+
+
+def test_stats_count_what_each_store_rederived(engine, construction_store):
+    """Per derived store, the published subjects re-derived whole and those
+    patched from their diff or left alone."""
+    derived = ("analytics", "entity_store", "text_index")
+    # the bootstrap published three new subjects: all re-derived
+    assert engine.stats.rederived == dict.fromkeys(derived, 3)
+    assert engine.stats.patched == dict.fromkeys(derived, 0)
+    construction_store.add(triple("kg:a1", "genre", "indie", source="musicdb"))
+    construction_store.add(triple("kg:l1", "alias", "Apex", source="musicdb"))
+    engine.publish_subjects(construction_store, ["kg:a1", "kg:l1", "kg:p1"])
+    # a genre moved on kg:a1, nothing on kg:p1, and kg:l1 gained an alias:
+    # a name, and a predicate whose rows have no place in its warehouse rows
+    assert engine.stats.rederived == dict.fromkeys(derived, 4)
+    assert engine.stats.patched == dict.fromkeys(derived, 2)
+    assert engine.search("Apex")[0].doc_id == "kg:l1"
+
+
 def test_deferred_replay_and_lag(ontology, construction_store):
     engine = GraphEngine(ontology)
     engine.publish_store(construction_store, replay=False)

@@ -13,9 +13,14 @@ warehouse's relations, the entity documents and the text hits must be
 identical, over random stores with
 composite facts, multi-source provenance, deletes, re-adds, publishes
 staged with ``replay=False`` and replayed after the source store moved on,
-and source removals: ``GraphEngine.remove_source`` against the oracle's
+source removals (``GraphEngine.remove_source`` against the oracle's
 ``TripleStore.remove_source`` on its primary, with every touched subject
-re-derived in the warehouse, the entity store and the text index.
+re-derived in the warehouse, the entity store and the text index), publishes
+that change one simple fact of a few subjects or only a description (the
+derived stores apply the primary's diff instead of re-deriving), and facts
+written straight into ``engine.triples`` outside replay before their subject
+is published (the derived stores never saw them, so that subject must be
+re-derived whole).
 
 Sequence counts follow ``--runs-seeded`` (``store_seed``, see conftest.py).
 """
@@ -44,7 +49,8 @@ NUMBERS = [1, 1.0, True, 0, 7, 3.5]
 
 def random_fact(rng: random.Random, subject: str) -> ExtendedTriple:
     kind = rng.choice(
-        ["type", "name", "alias", "description", "genre", "popularity", "spouse", "composite"]
+        ["type", "name", "alias", "description", "genre", "popularity", "spouse", "composite",
+         "schooling"]
     )
     relationship_id = relationship_predicate = None
     if kind == "type":
@@ -59,6 +65,9 @@ def random_fact(rng: random.Random, subject: str) -> ExtendedTriple:
         predicate, obj = kind, rng.choice(NUMBERS)
     elif kind == "spouse":
         predicate, obj = kind, rng.choice(SUBJECTS)
+    elif kind == "schooling":
+        # a simple fact of the composite facts' predicate
+        predicate, obj = "educated_at", rng.choice(WORDS)
     else:
         predicate = "educated_at"
         relationship_id = rng.choice(RELATIONSHIP_IDS)
@@ -188,10 +197,22 @@ def test_staged_publish_matches_the_dict_row_path(ontology, store_seed):
         oracle.remove_source(source_id)
         assert_stores_identical(engine, oracle)
 
+    def replace_fact(subject, predicate, obj):
+        for fact in source.facts_about(subject):
+            if fact.predicate == predicate and fact.relationship_id is None:
+                source.discard(fact)
+        source.add(ExtendedTriple(
+            subject, predicate, obj, locale=rng.choice(["en", "fr"]),
+            provenance=Provenance.from_source(rng.choice(SOURCES), rng.choice(TRUSTS)),
+        ))
+
     live = set(source.subjects())
     for _ in range(rng.randint(8, 14)):
-        op = rng.choices(["grow", "rewrite", "delete", "readd", "resource", "remove"],
-                         weights=[30, 25, 15, 15, 15, 10])[0]
+        op = rng.choices(
+            ["grow", "rewrite", "delete", "readd", "resource", "remove", "touch", "describe",
+             "outside"],
+            weights=[30, 25, 15, 15, 15, 10, 25, 10, 10],
+        )[0]
         if op == "grow":
             touched = rng.sample(SUBJECTS, rng.randint(1, 3))
             for subject in touched:
@@ -229,6 +250,26 @@ def test_staged_publish_matches_the_dict_row_path(ontology, store_seed):
             publish([subject])
         elif op == "remove":
             remove(rng.choice(SOURCES))
+        elif op == "touch" and live:
+            # the serve writes' shape: one simple fact moves on a few subjects
+            touched = rng.sample(sorted(live), min(len(live), rng.randint(1, 4)))
+            for subject in touched:
+                replace_fact(subject, "popularity", rng.choice(NUMBERS))
+            publish(touched)
+        elif op == "describe" and live:
+            subject = rng.choice(sorted(live))
+            replace_fact(subject, "description", " ".join(rng.sample(WORDS, 3)))
+            publish([subject])
+        elif op == "outside":
+            # a hot fix written into the primary outside replay, then
+            # published from the source that holds it too
+            subject = rng.choice(SUBJECTS)
+            fact = random_fact(rng, subject)
+            engine.triples.add(fact)
+            oracle.primary.add(fact)
+            source.add(fact)
+            live.add(subject)
+            publish([subject])
 
     remove(rng.choice(SOURCES))
     engine.replay()
@@ -272,7 +313,8 @@ def test_publish_shares_provenance_values(ontology):
         ExtendedTriple("kg:b", "type", "song", provenance=Provenance.from_source("wiki", 0.5)),
     ])
     expected = [t.provenance for s in ("kg:a", "kg:b") for t in source.facts_about(s)]
-    staged = [row[6] for row in source.stage(["kg:a", "kg:b"]).rows()]
+    batch = source.stage(["kg:a", "kg:b"])
+    staged = [row[6] for index in range(2) for row in batch.rows_of(index)]
     assert len(staged) == len(expected) == 3
     assert all(mine is theirs.references for mine, theirs in zip(staged, expected))
 
@@ -339,3 +381,59 @@ def test_republish_replaces_dict_equal_literals(ontology):
         assert type(stored) is type(value) and stored == value
         assert engine.triples.canonical_rows() == source.canonical_rows()
         assert engine.entity("kg:a").facts["popularity"] == [value]
+
+
+def test_a_popularity_only_publish_rederives_nothing(ontology, monkeypatch):
+    """On a loaded engine, a publish that moves one ``popularity`` fact of
+    each of 25 subjects assembles no entity and indexes no text: every
+    derived store applies the primary's diff, and all of them still equal
+    the oracle's re-derived stores."""
+    rng = random.Random(5)
+    source = TripleStore()
+    subjects = [f"kg:p{i}" for i in range(40)]
+    for subject in subjects:
+        source.add(ExtendedTriple(subject, "type", rng.choice(TYPES)))
+        source.add(ExtendedTriple(subject, "name", f"{rng.choice(WORDS)} {subject}"))
+        source.add(ExtendedTriple(subject, "popularity", rng.randint(0, 99)))
+        for _ in range(rng.randint(2, 8)):
+            source.add(random_fact(rng, subject))
+    engine = GraphEngine(ontology)
+    oracle = DictRowOracle()
+    engine.publish_store(source)
+    oracle.apply(oracle.stage(source, source.subjects(), ()))
+    assert_stores_identical(engine, oracle)
+
+    touched = rng.sample(subjects, 25)
+    for subject in touched:
+        for fact in source.facts_about(subject):
+            if fact.predicate == "popularity":
+                source.discard(fact)
+        source.add(ExtendedTriple(subject, "popularity", 100 + rng.randint(0, 99)))
+    assembled, indexed = [], []
+    from_facts, index = KGEntity.from_facts, InvertedTextIndex.index
+
+    def counted_from_facts(cls, entity_id, facts):
+        assembled.append(entity_id)
+        return from_facts(entity_id, facts)
+
+    def counted_index(self, document):
+        indexed.append(document.doc_id)
+        index(self, document)
+
+    monkeypatch.setattr(KGEntity, "from_facts", classmethod(counted_from_facts))
+    monkeypatch.setattr(InvertedTextIndex, "index", counted_index)
+    rederived, patched = dict(engine.stats.rederived), dict(engine.stats.patched)
+    engine.publish_subjects(source, touched)
+    assert assembled == [] and indexed == []
+    assert {name: engine.stats.rederived[name] - count for name, count in rederived.items()} == (
+        dict.fromkeys(rederived, 0)
+    )
+    assert {name: engine.stats.patched[name] - count for name, count in patched.items()} == (
+        dict.fromkeys(patched, 25)
+    )
+    monkeypatch.undo()
+    oracle.apply(oracle.stage(source, touched, ()))
+    assert_stores_identical(engine, oracle)
+    assert {engine.entity(s).facts["popularity"][0] for s in touched} == {
+        source.value_of(s, "popularity") for s in touched
+    }
