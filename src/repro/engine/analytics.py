@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.errors import StoreError
 from repro.model.entity import NAME_PREDICATES
@@ -345,8 +345,8 @@ class AnalyticsStore:
         )
 
     def ingest_rows(self, rows: Iterable[FactRow]) -> int:
-        """Batch-ingest decoded fact rows (:meth:`TripleBatch.rows_of
-        <repro.model.triples.TripleBatch.rows_of>`) without building triples."""
+        """Batch-ingest decoded fact rows (:meth:`TripleBatch.rows
+        <repro.model.triples.TripleBatch.rows>`) without building triples."""
         count = 0
         for row in rows:
             subject, predicate, relationship_id, relationship_predicate, obj, _, _ = row
@@ -375,71 +375,6 @@ class AnalyticsStore:
                 self._subjects_by_type[type_name].discard(subject)
             self._names.pop(subject, None)
         return removed
-
-    def replace_predicates(
-        self, subject: str, fresh: list[FactRow], changed: AbstractSet[str]
-    ) -> bool:
-        """Replace the rows *subject* holds of the *changed* predicates with
-        *fresh*, its new rows of those predicates in fact order; a changed
-        predicate the subject no longer has has no fresh row.
-
-        The result equals :meth:`remove_subjects` then :meth:`ingest_rows`
-        of the subject's new rows: the subject moves to the end of every
-        index that holds it, in the order :meth:`full_relation` and the
-        relation scans read.  The rows and index entries of the other
-        predicates move as they are.  Returns ``False`` and changes nothing
-        when the warehouse does not hold the subject, or a fresh row's
-        predicate has no held row to take the place of: the caller then
-        ingests the subject whole.
-        """
-        held = self._rows.get(subject)
-        if held is None:
-            return False
-        segments: dict[str, list[FactRow]] = {}
-        for row in fresh:
-            segments.setdefault(row[1], []).append(row)
-        rows: list[FactRow] = []
-        for row in held:
-            if row[1] in changed:
-                # a predicate's rows are adjacent: its fresh ones go where
-                # its first held one was
-                rows += segments.pop(row[1], ())
-            else:
-                rows.append(row)
-        if segments:
-            return False
-        del self._rows[subject]
-        self._rows[subject] = rows
-        keys = {row[3] or row[1] for row in held}
-        stale = {row[3] or row[1] for part in (held, fresh) for row in part if row[1] in changed}
-        index = self._by_predicate
-        for key in keys:
-            objects = index[key].pop(subject)
-            if key not in stale:
-                index[key][subject] = objects
-        for row in rows:
-            key = row[3] or row[1]
-            if key in stale:
-                index[key][subject].append(row[4])
-        if "type" in changed:
-            for type_name in self._types.pop(subject, []):
-                self._subjects_by_type[type_name].discard(subject)
-            for row in rows:
-                if row[1] == "type" and row[2] is None:
-                    type_name = str(row[4])
-                    self._types[subject].append(type_name)
-                    self._subjects_by_type[type_name].add(subject)
-        elif subject in self._types:
-            self._types[subject] = self._types.pop(subject)
-        if not changed.isdisjoint(NAME_PREDICATES):
-            self._names.pop(subject, None)
-            for row in rows:
-                if row[1] in NAME_PREDICATES:
-                    self._names[subject] = str(row[4])
-                    break
-        elif subject in self._names:
-            self._names[subject] = self._names.pop(subject)
-        return True
 
     def refresh_subjects(
         self, subjects: Iterable[str], triples: Iterable[ExtendedTriple]

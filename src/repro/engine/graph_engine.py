@@ -25,18 +25,19 @@ ids into its own dictionaries and applying each subject's diff
 (``apply_staged``: an unchanged fact keeps its row, a dropped one is
 discarded, a new one is inserted).  What that match found — per subject, a
 :class:`~repro.model.triples.SubjectDiff` naming the predicates whose rows
-moved or changed provenance — is handed to the derived agents for the rest
-of that replay only; it never enters the payload.  Each derived store does
-the work its diff calls for: the warehouse replaces the rows of the changed
-predicates, the entity store swaps the changed value lists into a new
-document, and the text index re-indexes only a subject whose names, types
-or description moved.  A subject without a usable diff — deleted, new,
-reshaped (a name, type, ``same_as`` or relationship row moved), staged by a
-record the primary did not replay in this pass (a late agent replaying from
-LSN 0, a record the primary failed on), or written into the primary outside
-replay (:meth:`TripleStore.track_outside_writes
-<repro.model.triples.TripleStore.track_outside_writes>`) — is re-derived
-whole from the batch.  :class:`EngineStats` counts both kinds per store.
+moved — is handed to the derived agents for the rest of that replay only;
+it never enters the payload.  The entity store swaps the changed value
+lists into a new document, and the text index re-indexes only a subject
+whose names, types or description moved; the warehouse, whose relations
+read provenance, removes and re-ingests every published subject.  A
+subject without a usable diff — deleted, new, reshaped (a name, type,
+``same_as`` or relationship row moved), or staged by a record the primary
+did not replay in this pass (a late agent replaying from LSN 0, a record
+the primary failed on) — is re-derived whole from the batch.  So is every
+subject published once something wrote into the primary outside replay
+(its change counter moved between two of the primary agent's applies): the
+derived stores never saw that write, and no diff names its subjects.
+:class:`EngineStats` counts both kinds per store.
 
 One delta, built once: the payload also carries the publish's
 :class:`~repro.engine.views.ViewDelta` (added / updated / deleted subjects).
@@ -100,18 +101,35 @@ class EngineStats:
 
 class PrimaryStoreAgent(OrchestrationAgent):
     """Maintains the engine's primary extended-triples store and records
-    what each replayed batch changed in it."""
+    what each replayed batch changed in it.
+
+    A diff is only true for stores that saw every earlier write.  Once the
+    store's change counter moves between two of this agent's applies,
+    something wrote into the primary outside replay, on subjects no diff
+    names: from then on every record is applied without a diff, and the
+    derived stores re-derive its subjects whole.  (A provenance-only write
+    leaves the counter; no diffed store reads provenance.)
+    """
 
     def __init__(self, store: TripleStore, diffs: ReplayDiffs) -> None:
         super().__init__("primary")
         self.store = store
         self.diffs = diffs
+        # the store's version after this agent's last apply; None once the
+        # store was written outside replay
+        self._version: int | None = store.version
 
     def apply(self, record: LogRecord, payload: dict) -> None:
+        if self.store.version != self._version:
+            self._version = None
         self.store.remove_subjects_batch(sorted(payload["delta"].deleted))
+        if self._version is None:
+            self.store.apply_staged(payload["batch"])
+            return
         found: dict[str, SubjectDiff] = {}
         self.store.apply_staged(payload["batch"], found)
         self.diffs[record.lsn] = found
+        self._version = self.store.version
 
 
 class DerivedStoreAgent(OrchestrationAgent):
@@ -149,22 +167,11 @@ class AnalyticsAgent(DerivedStoreAgent):
     def apply_batch(
         self, batch: TripleBatch, diffs: dict[str, SubjectDiff], deleted: frozenset[str]
     ) -> int:
-        self.analytics.remove_subjects(deleted)
-        rederived = 0
-        for index, subject in enumerate(batch.subjects):
-            diff = diffs.get(subject)
-            if diff is not None and not diff.new:
-                # full_relation reads sources and trust: a kept row whose
-                # provenance changed is a changed row
-                changed = diff.moved | diff.reprovenanced
-                if self.analytics.replace_predicates(
-                    subject, batch.rows_of(index, changed), changed
-                ):
-                    continue
-            rederived += 1
-            self.analytics.remove_subjects((subject,))
-            self.analytics.ingest_rows(batch.rows_of(index))
-        return rederived
+        # full_relation reads sources and trust, which a diff does not name:
+        # every published subject is removed and re-ingested
+        self.analytics.remove_subjects([*deleted, *batch.subjects])
+        self.analytics.ingest_rows(batch.rows())
+        return len(batch.subjects)
 
 
 class StagedEntities:
@@ -299,9 +306,6 @@ class GraphEngine:
         # The primary's diffs of the replay in progress, read by the derived
         # agents; replay() empties it when the coordinator returns.
         self._diffs: ReplayDiffs = {}
-        # A subject written into the primary outside replay holds facts the
-        # derived stores never saw: its next publish re-derives it whole.
-        self.triples.track_outside_writes()
         self.coordinator.register(PrimaryStoreAgent(self.triples, self._diffs))
         self.coordinator.register(AnalyticsAgent(self.analytics, self._diffs, self.stats))
         self._staged_entities = StagedEntities()

@@ -194,24 +194,21 @@ class SubjectDiff:
 
     ``new`` — the subject held no row before; ``moved`` — the predicates
     that had a row inserted or discarded (a literal rewritten to a dict-equal
-    one of another type counts); ``reprovenanced`` — the predicates of kept
-    rows whose provenance value was replaced; ``composite_moved`` — an
-    inserted or discarded row belonged to a relationship node.  A subject
-    whose diff is empty holds exactly what it held.
+    one of another type counts); ``composite_moved`` — an inserted or
+    discarded row belonged to a relationship node.  A subject whose diff is
+    empty holds the rows it held; only their provenance may have changed.
     """
 
-    __slots__ = ("new", "moved", "reprovenanced", "composite_moved")
+    __slots__ = ("new", "moved", "composite_moved")
 
     def __init__(
         self,
         new: bool = False,
         moved: frozenset[str] | set[str] = frozenset(),
-        reprovenanced: frozenset[str] | set[str] = frozenset(),
         composite_moved: bool = False,
     ) -> None:
         self.new = new
         self.moved = moved
-        self.reprovenanced = reprovenanced
         self.composite_moved = composite_moved
 
 
@@ -254,12 +251,16 @@ class TripleBatch:
     def __len__(self) -> int:
         return len(self._objs)
 
-    def rows_of(self, index: int, predicates: AbstractSet[str] | None = None) -> list[FactRow]:
-        """The decoded facts of ``subjects[index]``, in batch order; with
-        *predicates*, only the facts of those predicates."""
+    def rows(self) -> Iterator[FactRow]:
+        """Every staged fact, decoded, in batch order."""
+        starts = self._starts
+        for index in range(len(self.subjects)):
+            yield from self._decode(index, starts[index], starts[index + 1])
+
+    def rows_of(self, index: int, predicates: AbstractSet[str]) -> list[FactRow]:
+        """The decoded facts of ``subjects[index]`` whose predicate is one of
+        *predicates*, in batch order."""
         first, end = self._starts[index], self._starts[index + 1]
-        if predicates is None:
-            return self._decode(index, first, end)
         names, pids = self._terms[0].terms, self._pids
         rows: list[FactRow] = []
         while first < end:
@@ -371,9 +372,6 @@ class TripleStore:
         #: A reader that keeps state derived from the facts compares it with
         #: the value it last saw to learn whether anything changed since.
         self.version = 0
-        # Subject ids written outside a diffed apply_staged, while
-        # track_outside_writes() is on; None (the default) tracks nothing.
-        self._outside: set[int] | None = None
         if triples:
             for triple in triples:
                 self._upsert_triple(triple)
@@ -573,20 +571,6 @@ class TripleStore:
         batch.subjects = tuple(kept)
         return batch
 
-    def track_outside_writes(self) -> None:
-        """From now on, remember each subject that a write other than a
-        diffed :meth:`apply_staged` changes.
-
-        A store that others mirror by replaying its diffs (the Graph Engine's
-        primary) turns this on: a subject written outside replay holds facts
-        the mirrors never saw, so its next diffed apply reports no diff for
-        it and the mirrors re-derive it whole.  A subject left with no row
-        drops its mark — it comes back new.  Off by default: source and
-        construction stores are written directly all the time.
-        """
-        if self._outside is None:
-            self._outside = set()
-
     def apply_staged(
         self, batch: TripleBatch, diffs: dict[str, SubjectDiff] | None = None
     ) -> int:
@@ -594,10 +578,7 @@ class TripleStore:
         facts; return how many facts were inserted.
 
         With *diffs*, each subject the batch leaves with facts is reported
-        there as the :class:`SubjectDiff` of what its match found — unless
-        the subject was written outside a diffed apply since its last one
-        (:meth:`track_outside_writes`): such a subject is left out, and its
-        mark is cleared.  A diffed apply is a replay, so it marks nothing.
+        there as the :class:`SubjectDiff` of what its match found.
 
         The batch's id columns are translated into this store's dictionaries
         through per-column memo tables (each distinct term is interned once
@@ -619,20 +600,6 @@ class TripleStore:
         followed by inserting its facts; only :meth:`to_rows` order differs,
         since unchanged facts keep their place.
         """
-        outside = self._outside
-        if diffs is not None:
-            self._outside = None
-        try:
-            return self._apply_staged(batch, diffs, outside if diffs is not None else None)
-        finally:
-            self._outside = outside
-
-    def _apply_staged(
-        self,
-        batch: TripleBatch,
-        diffs: dict[str, SubjectDiff] | None,
-        outside: set[int] | None,
-    ) -> int:
         their_predicates, their_rids, their_locales, their_objects = batch._terms
         pids = _translate_ids(batch._pids, their_predicates, self._predicate_terms)
         rpids = _translate_ids(batch._rpids, their_predicates, self._predicate_terms)
@@ -649,10 +616,6 @@ class TripleStore:
                 sid = self._subject_terms.id_of(subject)
             else:
                 sid = self._subject_terms.intern(subject)
-            report = diffs is not None and first != end
-            if outside and sid in outside:
-                outside.discard(sid)
-                report = False
             # the subject's stored refs by the rest of their fact key; what
             # no staged fact claims is stale
             stored: dict[tuple, int] = {}
@@ -664,20 +627,18 @@ class TripleStore:
                     partition.obj_ids[row], partition.loc[row],
                 )] = ref
             new = not stored
-            reprovenanced: set[str] = set()
             fresh: list[int] = []
             for row in range(first, end):
                 key = (pids[row], rids[row], rpids[row], oids[row], lids[row])
                 ref = stored.get(key)
                 if ref is not None and self._holds_literal(ref, objs[row]):
                     del stored[key]
-                    if self._set_prov(ref, provs[row]) and report:
-                        reprovenanced.add(predicates[key[0]])
+                    self._set_prov(ref, provs[row])
                 else:
                     fresh.append(row)
-            if report:
+            if diffs is not None and first != end:
                 diffs[subject] = NEW_SUBJECT if new else self._diff(
-                    [(pids[row], rids[row]) for row in fresh], stored.values(), reprovenanced
+                    [(pids[row], rids[row]) for row in fresh], stored.values()
                 )
             for ref in stored.values():
                 self._discard_ref(ref)
@@ -688,9 +649,7 @@ class TripleStore:
             inserted += len(self._row_order) - before
         return inserted
 
-    def _diff(
-        self, inserted: list[tuple[int, int]], discarded: Iterable[int], reprovenanced: set[str]
-    ) -> SubjectDiff:
+    def _diff(self, inserted: list[tuple[int, int]], discarded: Iterable[int]) -> SubjectDiff:
         """The :class:`SubjectDiff` of a held subject given the ``(pid,
         rid)`` of its inserted rows and the refs of its discarded ones."""
         predicates, none_rid = self._predicate_terms.terms, self._none_rid
@@ -700,7 +659,7 @@ class TripleStore:
             partition = self._partitions[ref >> ROW_BITS]
             moved.add(partition.predicate)
             composite_moved = composite_moved or partition.rid[ref & ROW_MASK] != none_rid
-        return SubjectDiff(False, moved, reprovenanced, composite_moved)
+        return SubjectDiff(False, moved, composite_moved)
 
     def scan_tuples(self) -> Iterator[tuple]:
         """Insertion-ordered ``(subject, predicate, relationship_predicate,
@@ -928,8 +887,6 @@ class TripleStore:
         """Insert one id-encoded fact holding *provenance*, or merge
         *provenance* into the fact already stored under *key*."""
         sid, pid, rid, rpid, oid, lid = key
-        if self._outside is not None:
-            self._outside.add(sid)
         ref = self._find_ref(sid, pid, rid, rpid, oid, lid)
         if ref is not None:
             held = self._partitions[pid].prov[ref & ROW_MASK]
@@ -1001,21 +958,17 @@ class TripleStore:
             return False
         return type(obj) is str or repr(stored) == repr(obj)
 
-    def _set_prov(self, ref: int, provenance: Provenance) -> bool:
+    def _set_prov(self, ref: int, provenance: Provenance) -> None:
         """Give one live row *provenance* unless it already holds that value;
-        the per-source row counts follow the sources that left or joined.
-        ``True`` when the value was replaced."""
+        the per-source row counts follow the sources that left or joined."""
         partition = self._partitions[ref >> ROW_BITS]
         row = ref & ROW_MASK
         held = partition.prov[row]
         if held is provenance or held == provenance:
-            return False
+            return
         partition.replace_prov(row, provenance)
         self._count_sources(held, -1)
         self._count_sources(provenance, 1)
-        if self._outside is not None:
-            self._outside.add(partition.subj[row])
-        return True
 
     def _key_ids(self, triple: ExtendedTriple) -> tuple | None:
         """Id-encode *triple*'s key, or ``None`` when any term is unknown.
@@ -1053,11 +1006,6 @@ class TripleStore:
         posting_remove(self._by_object, partition.obj_ids[row], ref)
         self._count_sources(partition.prov[row], -1)
         partition.release(row)
-        if self._outside is not None:
-            if sid in self._by_subject:
-                self._outside.add(sid)
-            else:
-                self._outside.discard(sid)
 
     def _composite_index_refs(self, subject: str, predicate: str) -> list[int]:
         """Refs of ``(subject, predicate)`` in :meth:`facts_about` order, from

@@ -40,11 +40,6 @@ LOCALES = ["en", "fr"]
 TRUSTS = [0.2, 0.5, 0.8, 0.9]
 
 
-def batch_rows(batch):
-    """Every decoded row of *batch*, in batch order."""
-    return [row for index in range(len(batch.subjects)) for row in batch.rows_of(index)]
-
-
 def random_triple(rng: random.Random) -> ExtendedTriple:
     composite = rng.random() < 0.3
     if composite:
@@ -212,7 +207,7 @@ def test_batch_operators_match_rowwise(store_seed):
     )
     assert staged.subjects == tuple(sorted(staged_subjects))
     assert len(staged) == via_dicts.fact_count()
-    assert [row[:6] for row in batch_rows(staged)] == [
+    assert [row[:6] for row in staged.rows()] == [
         (r["subject"], r["predicate"], r["r_id"], r["r_predicate"], r["object"], r["locale"])
         for r in via_dicts.to_rows()
     ]
@@ -327,7 +322,7 @@ def test_postings_grow_and_shrink_match_legacy(store_seed):
     # the source operators read provenance, not a per-source index
     rows, dropped = legacy_stage_without_source(legacy, source)
     batch, left = columnar.stage_without_source(source)
-    assert batch_rows(batch) == rows
+    assert list(batch.rows()) == rows
     assert left == dropped
     subjects = rng.sample(SUBJECTS, rng.randint(1, len(SUBJECTS))) + [subject]
     skip = set(rng.sample(PREDICATES, rng.randint(0, 1)))
