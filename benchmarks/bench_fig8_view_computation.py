@@ -22,6 +22,7 @@ from benchmarks.conftest import print_table
 from repro.baselines import LegacyViewEngine
 from repro.engine.analytics import AnalyticsStore, EntityViewSpec
 from repro.engine.views import ViewCatalog, ViewDefinition, ViewDelta, ViewManager
+from repro.model.triples import TripleStore
 
 #: The six production views of Figure 8, expressed over our ontology.
 VIEW_SPECS = [
@@ -78,8 +79,7 @@ PAPER_SPEEDUPS = {
 @pytest.fixture(scope="module")
 def engines(bench_store):
     triples = list(bench_store)
-    optimized = AnalyticsStore()
-    optimized.ingest(triples)
+    optimized = AnalyticsStore(TripleStore(triples))
     legacy = LegacyViewEngine.from_triples(triples)
     return optimized, legacy
 

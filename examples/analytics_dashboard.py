@@ -3,9 +3,10 @@
 Builds the warehouse half of a "top artists by label" dashboard (see
 docs/views.md and docs/serving.md):
 
-* an :class:`AnalyticsStore` ingests artist and label triples, and its
-  ``entity_rows`` loader feeds both sides of a :class:`JoinViewDefinition` —
-  artists joined to their record label's row on ``label``;
+* artist and label triples go into a :class:`TripleStore`, and the
+  ``entity_rows`` loader of an :class:`AnalyticsStore` over it feeds both
+  sides of a :class:`JoinViewDefinition` — artists joined to their record
+  label's row on ``label``;
 * live updates (signings, label renames, label shutdowns) flow through the
   **delta rules** — the view recomputes only the affected output rows, never
   the full join, and the journal carries the changed *output* subjects;
@@ -28,15 +29,14 @@ from repro.engine.views import (
     ViewDelta,
     ViewManager,
 )
-from repro.model.triples import ExtendedTriple
+from repro.model.triples import ExtendedTriple, TripleStore
 from repro.serving import ServingFleet
 
 LABELS = ("l_apex", "l_bolt", "l_crest")
 
 
-def build_warehouse(rng: random.Random) -> tuple[AnalyticsStore, dict, dict]:
-    """Ingest a small music-industry world into the analytics warehouse."""
-    store = AnalyticsStore()
+def build_warehouse(rng: random.Random) -> tuple[TripleStore, dict, dict]:
+    """Write a small music-industry world into a triple store."""
     labels = {name: {"country": rng.choice(["US", "UK", "JP"])} for name in LABELS}
     artists = {
         f"a{i:02d}": {"label": rng.choice(LABELS), "albums": rng.randint(1, 9)}
@@ -56,13 +56,13 @@ def build_warehouse(rng: random.Random) -> tuple[AnalyticsStore, dict, dict]:
             ExtendedTriple(artist, "signed_to", fields["label"]),
             ExtendedTriple(artist, "albums", fields["albums"]),
         ]
-    store.ingest(triples)
-    return store, artists, labels
+    return TripleStore(triples), artists, labels
 
 
 def main() -> None:
     rng = random.Random(11)
-    store, artists, labels = build_warehouse(rng)
+    triples, artists, labels = build_warehouse(rng)
+    store = AnalyticsStore(triples)
     print(f"warehouse ready: {store.triple_count()} triples, "
           f"types {store.entity_types()}")
 
@@ -110,7 +110,9 @@ def main() -> None:
         ))
         manager.flush()
 
-    store.refresh_subjects(["a00"], [
+    # The warehouse reads the triple store: a rewrite shows at once.
+    triples.remove_subject("a00")
+    triples.add_all([
         ExtendedTriple("a00", "type", "artist"),
         ExtendedTriple("a00", "name", "Artist a00"),
         ExtendedTriple("a00", "signed_to", "l_crest"),      # re-signed!
@@ -119,7 +121,8 @@ def main() -> None:
     apply(changed=["a00"])
     print(f"  a00 re-signed  -> {manager.artifact('artist_dashboard')['a00']}")
 
-    store.refresh_subjects(["l_crest"], [
+    triples.remove_subject("l_crest")
+    triples.add_all([
         ExtendedTriple("l_crest", "type", "label"),
         ExtendedTriple("l_crest", "name", "Label Crest Intl"),
         ExtendedTriple("l_crest", "country", "DE"),         # relocated

@@ -1,17 +1,21 @@
-"""The analytics warehouse: a read-optimized relational store over the KG.
+"""The analytics warehouse: a relational projection of the KG.
 
-Section 3.1.1: the analytics engine is a relational data warehouse storing the
+Section 3.1.1: the analytics engine is a relational data warehouse over the
 KG extended triples; it powers analytics jobs and generates subgraph and
 schematized entity views for upstream tasks.  Its optimized join processing is
 what Figure 8 compares against a legacy Spark-based implementation.
 
 This module provides:
 
-* :class:`Relation` — a small in-memory relational table with filter, project,
+* :class:`Relation` — a small in-memory relational table with rename,
   hash-join, and group-by operators;
-* :class:`AnalyticsStore` — an ingest-able triple warehouse with per-predicate
-  indexes, relation extraction, and schematized entity-view computation built
-  on hash joins (the optimized path measured in the FIG8 benchmark).
+* :class:`AnalyticsStore` — a read-only projection of a
+  :class:`~repro.model.triples.TripleStore`: relation extraction, join-input
+  loaders and schematized entity-view computation built on hash joins (the
+  optimized path measured in the FIG8 benchmark), all read off the store's
+  columns, with no copy of the facts;
+* :class:`JoinAccessPattern` — the indexed join inputs of incrementally
+  maintained join views (:mod:`repro.engine.views`).
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro.errors import StoreError
-from repro.model.entity import NAME_PREDICATES
-from repro.model.triples import ExtendedTriple, FactRow
+from repro.model.entity import NAME_PREDICATES, TYPE_PREDICATE
+from repro.model.triples import TripleStore
 
 Row = dict
 
@@ -60,27 +64,9 @@ class Relation:
         ]
         return cls(name, rows)
 
-    def columns(self) -> list[str]:
-        """Union of column names across rows."""
-        seen: set[str] = set()
-        for row in self.rows:
-            seen.update(row)
-        return sorted(seen)
-
     # -------------------------------------------------------------- #
     # operators
     # -------------------------------------------------------------- #
-    def filter(self, predicate: Callable[[Row], bool]) -> "Relation":
-        """Rows satisfying *predicate*."""
-        return Relation(self.name, [row for row in self.rows if predicate(row)])
-
-    def project(self, columns: Sequence[str]) -> "Relation":
-        """Keep only *columns* (missing values become ``None``)."""
-        return Relation(
-            self.name,
-            [{column: row.get(column) for column in columns} for row in self.rows],
-        )
-
     def rename(self, mapping: dict[str, str]) -> "Relation":
         """Rename columns according to *mapping*."""
         renamed = []
@@ -159,17 +145,6 @@ class Relation:
                 out[name] = aggregate(group_rows)
             result.append(out)
         return Relation(f"{self.name}_grouped", result)
-
-    def distinct(self) -> "Relation":
-        """Remove duplicate rows."""
-        seen = set()
-        unique = []
-        for row in self.rows:
-            key = tuple(sorted((k, repr(v)) for k, v in row.items()))
-            if key not in seen:
-                seen.add(key)
-                unique.append(row)
-        return Relation(self.name, unique)
 
     def to_rows(self) -> list[Row]:
         """Copy of the underlying rows."""
@@ -310,124 +285,43 @@ class EntityViewSpec:
 
 
 class AnalyticsStore:
-    """Read-optimized warehouse of extended triples with hash-join views."""
+    """Read-only relational projection of a :class:`TripleStore`.
 
-    def __init__(self) -> None:
-        # subject -> its fact rows: dropping or refreshing a subject touches
-        # that subject's rows only, never the whole warehouse
-        self._rows: dict[str, list[FactRow]] = {}
-        # predicate -> subject -> [objects]
-        self._by_predicate: dict[str, dict[str, list[object]]] = defaultdict(
-            lambda: defaultdict(list)
-        )
-        self._types: dict[str, list[str]] = defaultdict(list)
-        self._subjects_by_type: dict[str, set[str]] = defaultdict(set)
-        self._names: dict[str, str] = {}
+    Every relation and view is read off the store's columns when asked for:
+    the warehouse holds no fact, row, value list, type set or name map of
+    its own, so it never lags the store and shows a write the moment the
+    store holds it.  Subjects come out sorted and a subject's values in
+    :meth:`TripleStore.facts_about` order, so a relation's row order depends
+    on the facts alone, not on the order they were written in.  A composite
+    fact is keyed under its relationship predicate, any other under its
+    predicate.
+    """
+
+    def __init__(self, triples: TripleStore) -> None:
+        self.triples = triples
         self.rows_scanned = 0
         self.joins_executed = 0
 
-    # -------------------------------------------------------------- #
-    # ingest
-    # -------------------------------------------------------------- #
-    def ingest(self, triples: Iterable[ExtendedTriple]) -> int:
-        """Batch-ingest triples (updates to the engine are batched, §3.1.1)."""
-        return self.ingest_rows(
-            (
-                triple.subject,
-                triple.predicate,
-                triple.relationship_id,
-                triple.relationship_predicate,
-                triple.obj,
-                triple.locale,
-                triple.provenance.references,
-            )
-            for triple in triples
-        )
-
-    def ingest_rows(self, rows: Iterable[FactRow]) -> int:
-        """Batch-ingest decoded fact rows (:meth:`TripleBatch.rows
-        <repro.model.triples.TripleBatch.rows>`) without building triples."""
-        count = 0
-        for row in rows:
-            subject, predicate, relationship_id, relationship_predicate, obj, _, _ = row
-            self._rows.setdefault(subject, []).append(row)
-            self._by_predicate[relationship_predicate or predicate][subject].append(obj)
-            if predicate == "type" and relationship_id is None:
-                type_name = str(obj)
-                self._types[subject].append(type_name)
-                self._subjects_by_type[type_name].add(subject)
-            if predicate in NAME_PREDICATES and subject not in self._names:
-                self._names[subject] = str(obj)
-            count += 1
-        return count
-
-    def remove_subjects(self, subjects: Iterable[str]) -> int:
-        """Drop every triple about the given subjects (delta maintenance)."""
-        removed = 0
-        for subject in set(subjects):
-            rows = self._rows.pop(subject, None)
-            if rows is None:
-                continue
-            removed += len(rows)
-            for _, predicate, _, relationship_predicate, _, _, _ in rows:
-                self._by_predicate[relationship_predicate or predicate].pop(subject, None)
-            for type_name in self._types.pop(subject, []):
-                self._subjects_by_type[type_name].discard(subject)
-            self._names.pop(subject, None)
-        return removed
-
-    def refresh_subjects(
-        self, subjects: Iterable[str], triples: Iterable[ExtendedTriple]
-    ) -> int:
-        """Replace the stored triples of *subjects* with *triples* (incremental update)."""
-        self.remove_subjects(subjects)
-        return self.ingest(triples)
-
-    # -------------------------------------------------------------- #
-    # relational access
-    # -------------------------------------------------------------- #
     def triple_count(self) -> int:
-        """Number of stored triple rows."""
-        return sum(map(len, self._rows.values()))
+        """Number of stored facts."""
+        return len(self.triples)
 
     def subjects_of_type(self, entity_type: str) -> list[str]:
         """Subjects having the given type."""
-        return sorted(self._subjects_by_type.get(entity_type, set()))
+        return sorted(self.triples.subjects_with(TYPE_PREDICATE, entity_type))
 
     def entity_types(self) -> list[str]:
-        """All entity types present in the warehouse."""
-        return sorted(self._subjects_by_type)
+        """Every type some subject has."""
+        return sorted({
+            str(fact.obj)
+            for fact in self.triples.facts_with_predicate(TYPE_PREDICATE)
+            if fact.relationship_id is None
+        })
 
     def display_name(self, subject: str) -> str:
-        """First recorded name of a subject (falls back to the identifier)."""
-        return self._names.get(subject, subject)
-
-    def predicate_relation(self, predicate: str) -> Relation:
-        """Relation ``(subject, object)`` for one predicate, from the index."""
-        index = self._by_predicate.get(predicate, {})
-        rows = []
-        for subject, objects in index.items():
-            for obj in objects:
-                rows.append({"subject": subject, "object": obj})
-        self.rows_scanned += len(rows)
-        return Relation(predicate, rows)
-
-    def predicate_columns(self, predicate: str) -> tuple[list[str], list[object]]:
-        """Parallel ``(subjects, objects)`` columns of one predicate.
-
-        Column form of :meth:`predicate_relation` — same pairs, same index
-        order, same ``rows_scanned`` accounting — feeding
-        :meth:`Relation.from_columns` join build sides without materializing
-        a dict per pair first.
-        """
-        index = self._by_predicate.get(predicate, {})
-        subjects: list[str] = []
-        objects: list[object] = []
-        for subject, values in index.items():
-            subjects.extend([subject] * len(values))
-            objects.extend(values)
-        self.rows_scanned += len(subjects)
-        return subjects, objects
+        """First name fact of a subject (falls back to the identifier)."""
+        name = self._name(subject)
+        return subject if name is None else name
 
     def entity_rows(
         self,
@@ -438,75 +332,41 @@ class AnalyticsStore:
         """One collapsed row per subject of *entity_type* — a join-input loader.
 
         Each row carries ``subject`` plus one column per predicate (collapsed
-        to a scalar when single-valued, like :meth:`grouped_predicate_relation`;
-        absent predicates stay absent).  With *subjects* given, only the named
-        subjects are loaded **and only those still of the type are returned**
-        — exactly the contract :class:`~repro.engine.views.JoinInput` loaders
-        follow, so an entity that migrated away from the type reads as "no
-        longer a member".
+        to a scalar when single-valued; absent predicates stay absent).  With
+        *subjects* given, only the named subjects are loaded **and only those
+        still of the type are returned** — exactly the contract
+        :class:`~repro.engine.views.JoinInput` loaders follow, so an entity
+        that migrated away from the type reads as "no longer a member".
         """
-        members = self._subjects_by_type.get(entity_type, set())
         if subjects is None:
-            pool = sorted(members)
+            pool = self.subjects_of_type(entity_type)
         else:
-            pool = sorted(set(str(subject) for subject in subjects) & members)
+            pool = sorted({str(subject) for subject in subjects})
         rows: list[Row] = []
-        scanned = 0
         for subject in pool:
+            facts = self.triples.facts_about(subject)
+            self.rows_scanned += len(facts) + 1
+            if subjects is not None and not any(
+                fact.predicate == TYPE_PREDICATE
+                and fact.relationship_id is None
+                and fact.obj == entity_type
+                for fact in facts
+            ):
+                continue
+            values: dict[str, list[object]] = {}
+            for fact in facts:
+                values.setdefault(fact.relationship_predicate or fact.predicate, []).append(fact.obj)
             row: Row = {"subject": subject}
             for predicate in predicates:
-                values = self._by_predicate.get(predicate, {}).get(subject)
-                if values:
-                    scanned += len(values)
-                    row[predicate] = _collapse(list(values))
+                if predicate in values:
+                    row[predicate] = _collapse(values[predicate])
             rows.append(row)
-        self.rows_scanned += scanned + len(pool)
         return rows
-
-    def grouped_predicate_relation(self, predicate: str, column_name: str) -> Relation:
-        """Per-subject collapsed relation of one predicate, from the index.
-
-        Produces exactly ``predicate_relation(predicate).group_by(["subject"],
-        {column_name: collapse})`` — the per-predicate index is already
-        grouped by subject, so the pair rows and the regroup are skipped
-        entirely.  ``rows_scanned`` still counts the underlying pairs.
-        """
-        index = self._by_predicate.get(predicate, {})
-        rows = []
-        scanned = 0
-        for subject, values in index.items():
-            scanned += len(values)
-            rows.append({"subject": subject, column_name: _collapse(values)})
-        self.rows_scanned += scanned
-        return Relation(f"{predicate}_grouped", rows)
-
-    def name_relation(self) -> Relation:
-        """Relation ``(subject, display_name)`` for every named subject."""
-        rows = [
-            {"subject": subject, "display_name": name}
-            for subject, name in self._names.items()
-        ]
-        self.rows_scanned += len(rows)
-        return Relation("names", rows)
 
     def full_relation(self) -> Relation:
         """The raw extended-triples relation (used by ad-hoc analytics), in
         :meth:`ExtendedTriple.to_row`'s format (Table 1)."""
-        rows = [
-            {
-                "subject": subject,
-                "predicate": predicate,
-                "r_id": relationship_id,
-                "r_predicate": relationship_predicate,
-                "object": obj,
-                "locale": locale,
-                "sources": [reference.source_id for reference in references],
-                "trust": [reference.trust for reference in references],
-            }
-            for subject_rows in self._rows.values()
-            for subject, predicate, relationship_id, relationship_predicate, obj, locale, references
-            in subject_rows
-        ]
+        rows = [fact.to_row() for _, facts in self.triples.iter_subject_groups() for fact in facts]
         self.rows_scanned += len(rows)
         return Relation("triples", rows)
 
@@ -516,69 +376,86 @@ class AnalyticsStore:
     def entity_view(self, spec: EntityViewSpec) -> Relation:
         """Compute a schematized entity-centric view using hash joins.
 
-        Join build sides assemble from whole index columns
-        (:meth:`predicate_columns` into :meth:`Relation.from_columns`) and
-        literal predicate columns come pre-grouped from the index
-        (:meth:`grouped_predicate_relation`) — the row output, join plan, and
-        ``rows_scanned`` / ``joins_executed`` accounting are identical to the
-        row-at-a-time build, pair-row materialization is not.
+        Join inputs are read off the store's predicate columns
+        (:meth:`TripleStore.objects_by_subject`) and assembled whole
+        (:meth:`Relation.from_columns`); the name relation holds the
+        entities a join resolves.
         """
         subjects = self.subjects_of_type(spec.entity_type)
         base = Relation.from_columns(spec.name, {"subject": subjects})
         self.rows_scanned += len(subjects)
 
         for predicate in spec.predicates:
-            column = self.grouped_predicate_relation(predicate, predicate)
+            held = self.triples.objects_by_subject(predicate)
+            self.rows_scanned += sum(map(len, held.values()))
+            column = Relation.from_columns(
+                predicate, {"subject": list(held), predicate: list(map(_collapse, held.values()))}
+            )
             base = base.hash_join(column, "subject", "subject", how="left")
             self.joins_executed += 1
 
-        name_subjects = list(self._names)
-        name_values = list(self._names.values())
-        self.rows_scanned += len(name_subjects)
-        name_relation = Relation.from_columns(
-            "names", {"_ref": name_subjects, "_name": name_values}
-        )
         for column_name, reference_predicate in spec.reference_joins.items():
-            ref_subjects, ref_objects = self.predicate_columns(reference_predicate)
-            reference = Relation.from_columns(
-                reference_predicate, {"subject": ref_subjects, "_ref": ref_objects}
-            )
-            resolved = reference.hash_join(name_relation, "_ref", "_ref", how="left")
+            reference = self._pairs(reference_predicate, "subject", "_ref")
+            resolved = reference.hash_join(self._names(reference), "_ref", "_ref", how="left")
             self.joins_executed += 2
-            collapsed = resolved.group_by(
-                ["subject"],
-                {column_name: lambda rows: _collapse(
-                    [r.get("_name") or r.get("_ref") for r in rows]
-                )},
+            base = base.hash_join(
+                _named_column(resolved, column_name), "subject", "subject", how="left"
             )
-            base = base.hash_join(collapsed, "subject", "subject", how="left")
             self.joins_executed += 1
 
         for column_name, (first, second) in spec.nested_joins.items():
-            first_subjects, first_objects = self.predicate_columns(first)
-            first_hop = Relation.from_columns(
-                first, {"subject": first_subjects, "_mid": first_objects}
-            )
-            second_subjects, second_objects = self.predicate_columns(second)
-            second_hop = Relation.from_columns(
-                second, {"_mid": second_subjects, "_far": second_objects}
-            )
-            two_hop = first_hop.hash_join(second_hop, "_mid", "_mid")
+            first_hop = self._pairs(first, "subject", "_mid")
+            second_hop = self._pairs(second, "_mid", "_far")
+            two_hop = first_hop.hash_join(second_hop, "_mid", "_mid").rename({"_far": "_ref"})
             self.joins_executed += 2
-            far_named = two_hop.rename({"_far": "_ref"}).hash_join(
-                name_relation, "_ref", "_ref", how="left"
-            )
+            far_named = two_hop.hash_join(self._names(two_hop), "_ref", "_ref", how="left")
             self.joins_executed += 1
-            collapsed = far_named.group_by(
-                ["subject"],
-                {column_name: lambda rows: _collapse(
-                    [r.get("_name") or r.get("_ref") for r in rows]
-                )},
+            base = base.hash_join(
+                _named_column(far_named, column_name), "subject", "subject", how="left"
             )
-            base = base.hash_join(collapsed, "subject", "subject", how="left")
             self.joins_executed += 1
 
         return Relation(spec.name, base.to_rows())
+
+    def _pairs(self, predicate: str, left: str, right: str) -> Relation:
+        """Relation ``(left, right)`` of every subject and each of its
+        *predicate* objects."""
+        subjects: list[str] = []
+        objects: list[object] = []
+        for subject, held in self.triples.objects_by_subject(predicate).items():
+            subjects.extend([subject] * len(held))
+            objects.extend(held)
+        self.rows_scanned += len(subjects)
+        return Relation.from_columns(predicate, {left: subjects, right: objects})
+
+    def _name(self, subject: str) -> str | None:
+        """The first name fact of *subject* in ``facts_about`` order."""
+        for fact in self.triples.facts_about(subject):
+            if fact.predicate in NAME_PREDICATES:
+                return str(fact.obj)
+        return None
+
+    def _names(self, references: Relation) -> Relation:
+        """Relation ``(_ref, _name)`` of the named entities among the
+        ``_ref`` values of *references*."""
+        refs: list[object] = []
+        names: list[str] = []
+        for ref in dict.fromkeys(row["_ref"] for row in references.rows):
+            name = self._name(ref)
+            if name is not None:
+                refs.append(ref)
+                names.append(name)
+        self.rows_scanned += len(refs)
+        return Relation.from_columns("names", {"_ref": refs, "_name": names})
+
+
+def _named_column(resolved: Relation, column_name: str) -> Relation:
+    """Per subject, its resolved names (a reference without a name shows
+    its identifier), collapsed into *column_name*."""
+    return resolved.group_by(
+        ["subject"],
+        {column_name: lambda rows: _collapse([r.get("_name") or r.get("_ref") for r in rows])},
+    )
 
 
 def _collapse(values: list[object]) -> object:

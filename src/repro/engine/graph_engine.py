@@ -2,10 +2,13 @@
 
 The Graph Engine is the primary store for the KG, computes knowledge views
 over the graph, and exposes query APIs to consumers.  It follows a federated
-polystore design: specialized stores (analytics warehouse, entity KV index,
-full-text index, vector DB) are kept consistent by replaying a shared
-operation log through per-store orchestration agents; log sequence
-numbers give consumers a freshness guarantee per store.
+polystore design: specialized stores (entity KV index, full-text index,
+vector DB) are kept consistent by replaying a shared operation log through
+per-store orchestration agents; log sequence numbers give consumers a
+freshness guarantee per store.  The analytics warehouse is no copy: it is a
+read-only relational projection of the primary store
+(:class:`~repro.engine.analytics.AnalyticsStore`), so it has no agent, never
+lags the primary and shows every write to it at once.
 
 The KG construction pipeline is the *sole producer*: it publishes ingest
 operations via :meth:`GraphEngine.publish_subjects` (payloads staged in the
@@ -28,12 +31,11 @@ discarded, a new one is inserted).  What that match found — per subject, a
 moved — is handed to the derived agents for the rest of that replay only;
 it never enters the payload.  The entity store swaps the changed value
 lists into a new document, and the text index re-indexes only a subject
-whose names, types or description moved; the warehouse, whose relations
-read provenance, removes and re-ingests every published subject.  A
-subject without a usable diff — deleted, new, reshaped (a name, type,
-``same_as`` or relationship row moved), or staged by a record the primary
-did not replay in this pass (a late agent replaying from LSN 0, a record
-the primary failed on) — is re-derived whole from the batch.  So is every
+whose names, types or description moved.  A subject without a usable
+diff — deleted, new, reshaped (a name, type, ``same_as`` or relationship
+row moved), or staged by a record the primary did not replay in this pass
+(a late agent replaying from LSN 0, a record the primary failed on) — is
+re-derived whole from the batch.  So is every
 subject published once something wrote into the primary outside replay
 (its change counter moved between two of the primary agent's applies): the
 derived stores never saw that write, and no diff names its subjects.
@@ -71,7 +73,7 @@ from repro.model.triples import SubjectDiff, TripleBatch, TripleStore
 
 #: Replay order: the primary store must apply an operation before the derived
 #: stores read from it.
-AGENT_ORDER = ("primary", "analytics", "entity_store", "text_index")
+AGENT_ORDER = ("primary", "entity_store", "text_index")
 DERIVED_STORES = AGENT_ORDER[1:]
 
 #: Predicates that shape an entity document beyond its ``facts`` values
@@ -155,23 +157,6 @@ class DerivedStoreAgent(OrchestrationAgent):
     ) -> int:
         """Apply one batch and its deletions; return how many of the batch's
         subjects were re-derived whole."""
-
-
-class AnalyticsAgent(DerivedStoreAgent):
-    """Maintains the analytics warehouse."""
-
-    def __init__(self, analytics: AnalyticsStore, diffs: ReplayDiffs, stats: EngineStats) -> None:
-        super().__init__("analytics", diffs, stats)
-        self.analytics = analytics
-
-    def apply_batch(
-        self, batch: TripleBatch, diffs: dict[str, SubjectDiff], deleted: frozenset[str]
-    ) -> int:
-        # full_relation reads sources and trust, which a diff does not name:
-        # every published subject is removed and re-ingested
-        self.analytics.remove_subjects([*deleted, *batch.subjects])
-        self.analytics.ingest_rows(batch.rows())
-        return len(batch.subjects)
 
 
 class StagedEntities:
@@ -294,7 +279,7 @@ class GraphEngine:
     ) -> None:
         self.ontology = ontology
         self.triples = TripleStore()
-        self.analytics = AnalyticsStore()
+        self.analytics = AnalyticsStore(self.triples)
         self.entity_store = EntityStore()
         self.text_index = InvertedTextIndex()
         self.vector_db = VectorDB(dimension=embedding_dimension)
@@ -307,7 +292,6 @@ class GraphEngine:
         # agents; replay() empties it when the coordinator returns.
         self._diffs: ReplayDiffs = {}
         self.coordinator.register(PrimaryStoreAgent(self.triples, self._diffs))
-        self.coordinator.register(AnalyticsAgent(self.analytics, self._diffs, self.stats))
         self._staged_entities = StagedEntities()
         self.coordinator.register(
             EntityStoreAgent(self.entity_store, self._staged_entities, self._diffs, self.stats)
@@ -447,7 +431,7 @@ class GraphEngine:
         return self.text_index.search(query, k)
 
     def entity_view(self, spec: EntityViewSpec) -> Relation:
-        """Compute a schematized entity view in the analytics warehouse."""
+        """Compute a schematized entity view over the primary store."""
         return self.analytics.entity_view(spec)
 
     def importance_scores(self) -> dict[str, ImportanceScore]:

@@ -251,12 +251,6 @@ class TripleBatch:
     def __len__(self) -> int:
         return len(self._objs)
 
-    def rows(self) -> Iterator[FactRow]:
-        """Every staged fact, decoded, in batch order."""
-        starts = self._starts
-        for index in range(len(self.subjects)):
-            yield from self._decode(index, starts[index], starts[index + 1])
-
     def rows_of(self, index: int, predicates: AbstractSet[str]) -> list[FactRow]:
         """The decoded facts of ``subjects[index]`` whose predicate is one of
         *predicates*, in batch order."""
@@ -748,6 +742,54 @@ class TripleStore:
             return [t for t in self if t.obj == obj]
         refs = posting_ids(self._by_object.get(oid))
         return [self._materialize(ref) for ref in sorted(refs, key=self._sort_key_fn())]
+
+    def subjects_with(self, predicate: str, obj: Value) -> set[str]:
+        """Subjects holding the simple fact ``(predicate, obj)`` (any
+        dict-equal literal), read off the object index without
+        materializing triples."""
+        pid = self._predicate_terms.id_of(predicate)
+        oid = self._object_terms.id_of(obj)
+        partition = self._partitions.get(pid) if pid is not None else None
+        if partition is None or oid is None:
+            return set()
+        subject_terms = self._subject_terms.terms
+        subjects = set()
+        for ref in posting_ids(self._by_object.get(oid)):
+            row = ref & ROW_MASK
+            if ref >> ROW_BITS == pid and partition.rid[row] == self._none_rid:
+                subjects.add(subject_terms[partition.subj[row]])
+        return subjects
+
+    def objects_by_subject(self, predicate: str) -> dict[str, list[Value]]:
+        """The objects of every fact that answers *predicate* — a fact with
+        a relationship predicate answers that, any other its predicate —
+        by subject in sorted order, each list in :meth:`facts_about` order.
+
+        Reads the predicate's partition and, for composite facts, the
+        partitions whose relationship-predicate column names it."""
+        pid = self._predicate_terms.id_of(predicate)
+        if pid is None:
+            return {}
+        none_rpred = self._none_rpred
+        refs = []
+        for partition in self._partitions.values():
+            own = partition.pid == pid
+            rpred, prov = partition.rpred, partition.prov
+            if own or pid in rpred:
+                refs.extend(
+                    pack_ref(partition.pid, row)
+                    for row in range(len(prov))
+                    if prov[row] is not None
+                    and (rpred[row] == pid or own and rpred[row] == none_rpred)
+                )
+        refs.sort(key=self._sort_key_fn())
+        subject_terms = self._subject_terms.terms
+        objects: dict[str, list[Value]] = {}
+        for ref in refs:
+            partition = self._partitions[ref >> ROW_BITS]
+            row = ref & ROW_MASK
+            objects.setdefault(subject_terms[partition.subj[row]], []).append(partition.objs[row])
+        return dict(sorted(objects.items()))
 
     def value_of(self, subject: str, predicate: str) -> Value | None:
         """Return one object for ``(subject, predicate)`` or ``None``.

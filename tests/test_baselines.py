@@ -6,7 +6,7 @@ from repro.baselines import DGLKEStyleTrainer, LegacyViewEngine, PBGStyleTrainer
 from repro.engine.analytics import AnalyticsStore, EntityViewSpec
 from repro.ml.embeddings import EmbeddingConfig, InMemoryTrainer, TrainerConfig, extract_edges
 from repro.model.provenance import Provenance
-from repro.model.triples import ExtendedTriple
+from repro.model.triples import ExtendedTriple, TripleStore
 
 
 def triple(subject, predicate, obj):
@@ -37,8 +37,7 @@ def test_legacy_view_engine_matches_optimized_output(small_kg_triples):
         reference_joins={"label_name": "record_label"},
         nested_joins={"label_city": ("record_label", "headquarters")},
     )
-    optimized_store = AnalyticsStore()
-    optimized_store.ingest(small_kg_triples)
+    optimized_store = AnalyticsStore(TripleStore(small_kg_triples))
     optimized = {row["subject"]: row for row in optimized_store.entity_view(spec).rows}
 
     legacy = LegacyViewEngine.from_triples(small_kg_triples)
@@ -57,8 +56,7 @@ def test_legacy_view_engine_scans_many_more_rows(small_kg_triples):
                           predicates=("genre",), reference_joins={"label": "record_label"})
     legacy = LegacyViewEngine.from_triples(small_kg_triples)
     legacy.entity_view(spec)
-    optimized = AnalyticsStore()
-    optimized.ingest(small_kg_triples)
+    optimized = AnalyticsStore(TripleStore(small_kg_triples))
     optimized.entity_view(spec)
     assert legacy.rows_scanned > optimized.rows_scanned
 

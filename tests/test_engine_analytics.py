@@ -1,11 +1,14 @@
-"""Tests for the analytics warehouse and Relation operators."""
+"""Tests for the analytics warehouse and Relation operators.
+
+The warehouse is a read-only projection of a ``TripleStore``: every test
+writes into the store and reads through ``AnalyticsStore(store)``."""
 
 import pytest
 
 from repro.engine.analytics import AnalyticsStore, EntityViewSpec, Relation
 from repro.errors import StoreError
 from repro.model.provenance import Provenance
-from repro.model.triples import ExtendedTriple
+from repro.model.triples import ExtendedTriple, TripleStore
 
 
 def triple(subject, predicate, obj, r_id=None, r_pred=None):
@@ -15,9 +18,8 @@ def triple(subject, predicate, obj, r_id=None, r_pred=None):
 
 
 @pytest.fixture
-def warehouse():
-    store = AnalyticsStore()
-    store.ingest([
+def store():
+    return TripleStore([
         triple("kg:a1", "type", "music_artist"),
         triple("kg:a1", "name", "Echo Valley"),
         triple("kg:a1", "genre", "pop"),
@@ -34,18 +36,21 @@ def warehouse():
         triple("kg:s1", "name", "Night Drive"),
         triple("kg:s1", "performed_by", "kg:a1"),
     ])
-    return store
+
+
+@pytest.fixture
+def warehouse(store):
+    return AnalyticsStore(store)
 
 
 # --------------------------------------------------------------------- #
 # Relation operators
 # --------------------------------------------------------------------- #
-def test_relation_filter_project_rename_distinct():
-    relation = Relation("r", [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}, {"a": 1, "b": "x"}])
-    assert len(relation.filter(lambda row: row["a"] == 1)) == 2
-    assert relation.project(["a"]).columns() == ["a"]
-    assert relation.rename({"a": "alpha"}).columns() == ["alpha", "b"]
-    assert len(relation.distinct()) == 2
+def test_relation_rename():
+    relation = Relation("r", [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}])
+    assert relation.rename({"a": "alpha"}).rows == [
+        {"alpha": 1, "b": "x"}, {"alpha": 2, "b": "y"},
+    ]
 
 
 def test_relation_hash_join_inner_and_left():
@@ -77,8 +82,14 @@ def test_ingest_and_basic_lookups(warehouse):
     assert "record_label" in warehouse.entity_types()
     assert warehouse.display_name("kg:a1") == "Echo Valley"
     assert warehouse.display_name("kg:unknown") == "kg:unknown"
-    assert len(warehouse.predicate_relation("genre")) == 2
-    assert len(warehouse.full_relation()) == 15
+    assert warehouse.entity_rows("music_artist", ["genre"]) == [
+        {"subject": "kg:a1", "genre": "pop"}, {"subject": "kg:a2", "genre": "rock"},
+    ]
+    relation = warehouse.full_relation()
+    assert len(relation) == 15
+    # subjects sorted, each subject's facts in facts_about order
+    assert [row["subject"] for row in relation.rows[:4]] == ["kg:a1"] * 4
+    assert relation.rows[:4] == [t.to_row() for t in warehouse.triples.facts_about("kg:a1")]
 
 
 def test_entity_view_with_reference_join(warehouse):
@@ -107,34 +118,33 @@ def test_entity_view_with_nested_join(warehouse):
     assert rows["kg:a1"]["label_city"] == "Springfield"
 
 
-def test_remove_and_refresh_subjects(warehouse):
-    removed = warehouse.remove_subjects(["kg:a2"])
-    assert removed == 3
+def test_remove_and_refresh_subjects(store, warehouse):
+    """Subjects removed from and rewritten in the store show in the
+    warehouse at once: it reads the store, it copies nothing."""
+    assert store.remove_subject("kg:a2") == 3
     assert warehouse.subjects_of_type("music_artist") == ["kg:a1"]
-    warehouse.refresh_subjects(
-        ["kg:a1"],
-        [triple("kg:a1", "type", "music_artist"), triple("kg:a1", "name", "Echo Valley (new)"),
-         triple("kg:a1", "genre", "indie")],
-    )
-    assert warehouse.display_name("kg:a1") == "Echo Valley (new)"
-    rows = warehouse.predicate_relation("genre").rows
-    assert [row["object"] for row in rows if row["subject"] == "kg:a1"] == ["indie"]
-
-
-def test_composite_triples_index_under_relationship_predicate(warehouse):
-    warehouse.ingest([
-        triple("kg:a1", "educated_at", "UW", r_id="rel:1", r_pred="school"),
+    store.remove_subject("kg:a1")
+    store.add_all([
+        triple("kg:a1", "type", "music_artist"), triple("kg:a1", "name", "Echo Valley (new)"),
+        triple("kg:a1", "genre", "indie"),
     ])
-    assert len(warehouse.predicate_relation("school")) == 1
-    assert len(warehouse.predicate_relation("educated_at")) == 0
+    assert warehouse.display_name("kg:a1") == "Echo Valley (new)"
+    assert warehouse.entity_rows("music_artist", ["genre"]) == [
+        {"subject": "kg:a1", "genre": "indie"},
+    ]
+    assert warehouse.triple_count() == 11
+
+
+def test_composite_triples_index_under_relationship_predicate(store, warehouse):
+    store.add(triple("kg:a1", "educated_at", "UW", r_id="rel:1", r_pred="school"))
+    rows = warehouse.entity_rows("music_artist", ["school", "educated_at"])
+    assert rows[0] == {"subject": "kg:a1", "school": "UW"}
 
 
 def test_subject_indexed_triples_match_a_naive_list(store_seed):
-    """``remove_subjects`` / ``refresh_subjects`` reach a subject's rows
-    through the per-subject index; a flat list filtered in full — the layout
-    it replaced — is the oracle for ``triple_count`` and ``full_relation``
-    (same rows in the same order), and the derived indexes must agree with a
-    warehouse rebuilt from that list."""
+    """A warehouse over a store edited subject by subject equals one over a
+    store rebuilt from a flat list of the surviving facts — the relations'
+    row order depends on the facts alone, not on the edits' order."""
     import random
 
     rng = random.Random(52000 + store_seed)
@@ -148,11 +158,12 @@ def test_subject_indexed_triples_match_a_naive_list(store_seed):
                                     r_id=f"rel:{rng.randint(0, 2)}",
                                     r_pred=rng.choice(["school", "degree"])))
             else:
-                facts.append(triple(subject, rng.choice(["name", "genre", "plays"]),
+                facts.append(triple(subject, rng.choice(["name", "alias", "genre", "plays"]),
                                     rng.choice(["A", "B", 1, 1.0, 7])))
         return facts
 
-    warehouse = AnalyticsStore()
+    store = TripleStore()
+    warehouse = AnalyticsStore(store)
     flat: list[ExtendedTriple] = []
     for _ in range(rng.randint(10, 20)):
         op = rng.choice(["refresh", "refresh", "remove", "remove_missing"])
@@ -160,24 +171,46 @@ def test_subject_indexed_triples_match_a_naive_list(store_seed):
         if op == "refresh":
             fresh = [fact for subject in chosen for fact in facts_for(subject)]
             flat = [t for t in flat if t.subject not in chosen] + fresh
-            assert warehouse.refresh_subjects(chosen, fresh) == len(fresh)
+            store.remove_subjects_batch(chosen)
+            store.add_all(fresh)
         elif op == "remove":
-            expected = sum(1 for t in flat if t.subject in chosen)
             flat = [t for t in flat if t.subject not in chosen]
-            assert warehouse.remove_subjects(chosen) == expected
+            store.remove_subjects_batch(chosen)
         else:
-            assert warehouse.remove_subjects(["kg:never-ingested"]) == 0
-        assert warehouse.triple_count() == len(flat)
-        assert warehouse.full_relation().rows == [t.to_row() for t in flat]
-        rebuilt = AnalyticsStore()
-        rebuilt.ingest(flat)
+            assert store.remove_subject("kg:never-ingested") == 0
+        rebuilt = AnalyticsStore(TripleStore(flat))
+        # the store reads the warehouse rests on, against the flat list
+        held = sorted({t.subject for t in flat})
+        for entity_type in ("song", "music_artist"):
+            assert store.subjects_with("type", entity_type) == {
+                t.subject for t in flat
+                if t.predicate == "type" and t.relationship_id is None and t.obj == entity_type
+            }
+        for predicate in ("type", "name", "genre", "plays", "educated_at", "school", "degree"):
+            naive = {
+                subject: [t.obj for t in store.facts_about(subject)
+                          if (t.relationship_predicate or t.predicate) == predicate]
+                for subject in held
+            }
+            assert list(store.objects_by_subject(predicate).items()) == [
+                (subject, objects) for subject, objects in naive.items() if objects
+            ]
+        assert warehouse.triple_count() == rebuilt.triple_count()
+        assert warehouse.full_relation().rows == rebuilt.full_relation().rows
+        assert warehouse.entity_types() == rebuilt.entity_types()
+        predicates = ["name", "alias", "genre", "plays", "school", "degree"]
         for entity_type in ("song", "music_artist"):
             assert warehouse.subjects_of_type(entity_type) == rebuilt.subjects_of_type(entity_type)
-            assert warehouse.entity_rows(entity_type, ["name", "genre", "school"]) == (
-                rebuilt.entity_rows(entity_type, ["name", "genre", "school"])
+            assert warehouse.entity_rows(entity_type, predicates) == (
+                rebuilt.entity_rows(entity_type, predicates)
             )
-        for predicate in ("type", "name", "genre", "plays", "school", "degree"):
-            assert warehouse.predicate_relation(predicate).rows == (
-                rebuilt.predicate_relation(predicate).rows
+            assert warehouse.entity_rows(entity_type, predicates, subjects) == (
+                rebuilt.entity_rows(entity_type, predicates, subjects)
             )
-        assert warehouse.name_relation().rows == rebuilt.name_relation().rows
+        for subject in subjects:
+            assert warehouse.display_name(subject) == rebuilt.display_name(subject)
+        spec = EntityViewSpec(
+            name="v", entity_type="song", predicates=("genre",),
+            reference_joins={"named": "plays"}, nested_joins={"far": ("plays", "genre")},
+        )
+        assert warehouse.entity_view(spec).rows == rebuilt.entity_view(spec).rows

@@ -44,8 +44,7 @@ def test_publish_keeps_all_stores_consistent(engine, construction_store):
     assert engine.entity("kg:a1").name == "Echo Valley"
     hits = engine.search("Echo Valley")
     assert hits and hits[0].doc_id == "kg:a1"
-    assert engine.freshness() == {"primary": 0, "analytics": 0, "entity_store": 0,
-                                  "text_index": 0}
+    assert engine.freshness() == {"primary": 0, "entity_store": 0, "text_index": 0}
     assert engine.minimum_version() == engine.log.head_lsn()
 
 
@@ -109,7 +108,7 @@ def test_replay_keeps_no_diff_after_it_returns(engine, construction_store):
 def test_stats_count_what_each_store_rederived(engine, construction_store):
     """Per derived store, the published subjects re-derived whole and those
     patched from their diff or left alone."""
-    derived = ("analytics", "entity_store", "text_index")
+    derived = ("entity_store", "text_index")
     # the bootstrap published three new subjects: all re-derived
     assert engine.stats.rederived == dict.fromkeys(derived, 3)
     assert engine.stats.patched == dict.fromkeys(derived, 0)
@@ -117,22 +116,55 @@ def test_stats_count_what_each_store_rederived(engine, construction_store):
     construction_store.add(triple("kg:l1", "alias", "Apex", source="musicdb"))
     engine.publish_subjects(construction_store, ["kg:a1", "kg:l1", "kg:p1"])
     # a genre moved on kg:a1, nothing on kg:p1, and kg:l1 gained an alias (a
-    # name); the warehouse re-derives every published subject
-    assert engine.stats.rederived == {"analytics": 6, "entity_store": 4, "text_index": 4}
-    assert engine.stats.patched == {"analytics": 0, "entity_store": 2, "text_index": 2}
+    # name)
+    assert engine.stats.rederived == {"entity_store": 4, "text_index": 4}
+    assert engine.stats.patched == {"entity_store": 2, "text_index": 2}
     assert engine.search("Apex")[0].doc_id == "kg:l1"
 
 
 def test_a_write_outside_replay_turns_the_diff_off(engine, construction_store):
     """A fact written straight into the primary is one the derived stores
     never saw, and no diff names its subject: from then on every publish is
-    re-derived whole, a publish of another subject in between included."""
+    re-derived whole, a publish of another subject in between included.
+    The warehouse reads the primary, so it shows the fact at once."""
     engine.triples.add(triple("kg:a1", "genre", "rock", source="hotfix"))
+    assert engine.analytics.entity_rows("music_artist", ["genre"]) == [
+        {"subject": "kg:a1", "genre": ["pop", "rock"]},
+    ]
     engine.publish_subjects(engine.triples, ["kg:p1"], source_id="hotfix")
     engine.publish_subjects(engine.triples, ["kg:a1"], source_id="hotfix")
     assert engine.entity("kg:a1").facts["genre"] == ["pop", "rock"]
     assert engine.stats.rederived == dict.fromkeys(engine.stats.rederived, 5)
     assert engine.stats.patched == dict.fromkeys(engine.stats.patched, 0)
+
+
+def test_entity_types_leave_out_a_type_whose_last_subject_was_deleted(ontology):
+    source = TripleStore([
+        triple("kg:s1", "type", "song"),
+        triple("kg:al1", "type", "album"),
+        triple("kg:al1", "name", "Only Album"),
+    ])
+    engine = GraphEngine(ontology)
+    engine.publish_store(source)
+    assert engine.analytics.entity_types() == ["album", "song"]
+    source.remove_subject("kg:al1")
+    engine.publish_subjects(source, [], deleted_subjects=["kg:al1"])
+    assert engine.analytics.subjects_of_type("album") == []
+    assert engine.analytics.entity_types() == ["song"]
+
+
+def test_display_name_is_the_first_name_fact_in_facts_about_order(ontology):
+    """The warehouse names a subject by its first ``NAME_PREDICATES`` fact in
+    the primary's ``facts_about`` order, where ``alias`` sorts before
+    ``name``; the entity's ``primary_name`` prefers ``name``."""
+    engine = GraphEngine(ontology)
+    engine.publish_store(TripleStore([
+        triple("kg:z", "type", "music_artist"),
+        triple("kg:z", "name", "Zed"),
+        triple("kg:z", "alias", "Alpha"),
+    ]))
+    assert engine.analytics.display_name("kg:z") == "Alpha"
+    assert engine.entity("kg:z").name == "Zed"
 
 
 def test_deferred_replay_and_lag(ontology, construction_store):

@@ -2,20 +2,20 @@
 
 Seeded equivalence of ``GraphEngine.publish_subjects`` — one
 :class:`~repro.model.triples.TripleBatch` staged from the source store's
-columns and consumed by all four agents — against the dict-row path it
+columns and consumed by all three agents — against the dict-row path it
 replaced, kept here as the oracle: relational rows staged with
-``facts_about`` + ``to_row``, the primary fed through ``add_rows``, the
-warehouse through ``ExtendedTriple.from_row``, and the entity store and text
-index each re-reading the primary.  After every publish the primary's facts
-and provenance (``canonical_rows``, not ``to_rows()`` order: the primary
-applies a subject's diff, so unchanged facts keep their place), the
-warehouse's relations, the entity documents and the text hits must be
-identical, over random stores with
+``facts_about`` + ``to_row``, the primary fed through ``add_rows``, and the
+entity store and text index each re-reading the primary.  After every
+publish the primary's facts and provenance (``canonical_rows``, not
+``to_rows()`` order: the primary applies a subject's diff, so unchanged
+facts keep their place), the relations of the warehouse over each primary
+(which must not depend on that order), the entity documents and the text
+hits must be identical, over random stores with
 composite facts, multi-source provenance, deletes, re-adds, publishes
 staged with ``replay=False`` and replayed after the source store moved on,
 source removals (``GraphEngine.remove_source`` against the oracle's
 ``TripleStore.remove_source`` on its primary, with every touched subject
-re-derived in the warehouse, the entity store and the text index), publishes
+re-derived in the entity store and the text index), publishes
 that change one simple fact of a few subjects or only a description (the
 entity store and the text index apply the primary's diff instead of
 re-deriving), and facts written straight into ``engine.triples`` outside
@@ -86,11 +86,12 @@ def random_fact(rng: random.Random, subject: str) -> ExtendedTriple:
 
 
 class DictRowOracle:
-    """The four stores, fed the way the agents fed them before the batch."""
+    """The stores, fed the way the agents fed them before the batch; the
+    warehouse is a projection of the oracle's own primary."""
 
     def __init__(self) -> None:
         self.primary = TripleStore()
-        self.analytics = AnalyticsStore()
+        self.analytics = AnalyticsStore(self.primary)
         self.entity_store = EntityStore()
         self.text_index = InvertedTextIndex()
 
@@ -105,10 +106,6 @@ class DictRowOracle:
         self.primary.remove_subjects_batch(deleted)
         self.primary.remove_subjects_batch(subjects)
         self.primary.add_rows(rows)
-        self.analytics.remove_subjects(deleted)
-        self.analytics.refresh_subjects(
-            subjects, [ExtendedTriple.from_row(row) for row in rows]
-        )
         self.entity_store.update_from_store(self.primary, subjects + deleted)
         for subject in deleted:
             self.text_index.remove(subject)
@@ -116,12 +113,9 @@ class DictRowOracle:
 
     def remove_source(self, source_id: str) -> None:
         """The primary's own ``remove_source``, then every subject the source
-        touched re-derived in the other three stores."""
+        touched re-derived in the entity store and the text index."""
         touched = sorted({t.subject for t in self.primary if source_id in t.provenance})
         self.primary.remove_source(source_id)
-        self.analytics.refresh_subjects(
-            touched, [t for subject in touched for t in self.primary.facts_about(subject)]
-        )
         self.entity_store.update_from_store(self.primary, touched)
         self.index_text(touched)
 
@@ -154,11 +148,11 @@ def assert_stores_identical(engine: GraphEngine, oracle: DictRowOracle) -> None:
         assert engine.analytics.entity_rows(entity_type, predicates) == (
             oracle.analytics.entity_rows(entity_type, predicates)
         )
-    for predicate in predicates + ["type"]:
-        assert engine.analytics.predicate_relation(predicate).rows == (
-            oracle.analytics.predicate_relation(predicate).rows
+        assert engine.analytics.entity_rows(entity_type, predicates, SUBJECTS) == (
+            oracle.analytics.entity_rows(entity_type, predicates, SUBJECTS)
         )
-    assert engine.analytics.name_relation().rows == oracle.analytics.name_relation().rows
+    for subject in SUBJECTS:
+        assert engine.analytics.display_name(subject) == oracle.analytics.display_name(subject)
     # entity documents
     assert engine.entity_store.ids() == oracle.entity_store.ids()
     for entity_id in engine.entity_store.ids():
@@ -320,7 +314,12 @@ def test_publish_shares_provenance_values(ontology):
         ExtendedTriple("kg:b", "type", "song", provenance=Provenance.from_source("wiki", 0.5)),
     ])
     expected = [t.provenance for s in ("kg:a", "kg:b") for t in source.facts_about(s)]
-    staged = [row[6] for row in source.stage(["kg:a", "kg:b"]).rows()]
+    batch = source.stage(["kg:a", "kg:b"])
+    staged = [
+        row[6]
+        for index in range(len(batch.subjects))
+        for row in batch.rows_of(index, source.predicates())
+    ]
     assert len(staged) == len(expected) == 3
     assert all(mine is theirs.references for mine, theirs in zip(staged, expected))
 
@@ -392,9 +391,8 @@ def test_republish_replaces_dict_equal_literals(ontology):
 def test_a_popularity_only_publish_assembles_no_entity(ontology, monkeypatch):
     """On a loaded engine, a publish that moves one ``popularity`` fact of
     each of 25 subjects assembles no entity and indexes no text: the entity
-    store and the text index apply the primary's diff (the warehouse
-    re-derives every published subject), and every store still equals the
-    oracle's re-derived one."""
+    store and the text index apply the primary's diff, and every store still
+    equals the oracle's re-derived one."""
     rng = random.Random(5)
     source = TripleStore()
     subjects = [f"kg:p{i}" for i in range(40)]
@@ -433,10 +431,10 @@ def test_a_popularity_only_publish_assembles_no_entity(ontology, monkeypatch):
     engine.publish_subjects(source, touched)
     assert assembled == [] and indexed == []
     assert {name: engine.stats.rederived[name] - count for name, count in rederived.items()} == (
-        {"analytics": 25, "entity_store": 0, "text_index": 0}
+        {"entity_store": 0, "text_index": 0}
     )
     assert {name: engine.stats.patched[name] - count for name, count in patched.items()} == (
-        {"analytics": 0, "entity_store": 25, "text_index": 25}
+        {"entity_store": 25, "text_index": 25}
     )
     monkeypatch.undo()
     oracle.apply(oracle.stage(source, touched, ()))

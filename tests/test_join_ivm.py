@@ -18,7 +18,7 @@ Two equivalence contracts, both property-tested over seeded sequences:
 
 The warehouse satellites ride along: ``Relation.from_columns`` ragged-column
 rejection, ``hash_join`` missing-key rejection, and operator edge cases
-(duplicate right keys, inner fan-out, empty group-by, distinct stability).
+(duplicate right keys, inner fan-out, empty group-by).
 
 Sequence counts follow ``--runs-seeded`` (see ``conftest.py``);
 ``join_fleet_seed`` is capped like the other fleet-backed suites.
@@ -133,13 +133,6 @@ def test_group_by_on_empty_relation_yields_no_groups():
     # and grouping by a column nobody has produces one None-keyed group
     grouped = Relation("r", [{"v": 1}, {"v": 2}]).group_by(["k"], {"n": len})
     assert grouped.rows == [{"k": None, "n": 2}]
-
-
-def test_distinct_keeps_first_occurrence_order():
-    rows = [{"a": 1}, {"a": 2}, {"a": 1}, {"a": 3}, {"a": 2}]
-    assert Relation("r", rows).distinct().rows == [{"a": 1}, {"a": 2}, {"a": 3}]
-    # value-sensitive, not repr-order-sensitive
-    assert len(Relation("r", [{"a": 1, "b": 2}, {"b": 2, "a": 1}]).distinct()) == 1
 
 
 # ------------------------------------------------------------------ #

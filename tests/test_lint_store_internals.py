@@ -25,8 +25,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Directories whose Python files must not reach into the store's internals.
 SCANNED_DIRS = ("src", "tests", "benchmarks", "examples")
 
-#: The store-private fields.  ``_by_predicate`` is deliberately absent:
-#: the analytics engine has an unrelated index of that name.
+#: The store-private fields.
 PRIVATE_FIELDS = (
     "row_order",
     "by_subject",
