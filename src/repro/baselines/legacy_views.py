@@ -89,11 +89,18 @@ class LegacyViewEngine:
         return values
 
     def _scan_display_name(self, subject: str) -> object:
+        """The subject's first name in ``NAME_PREDICATES`` order, as the
+        warehouse picks it, from one full scan."""
+        names: dict[str, object] = {}
         for triple in self.triples:
             self.rows_scanned += 1
-            if triple.subject == subject and triple.predicate in NAME_PREDICATES:
-                return triple.obj
-        return subject
+            if (
+                triple.subject == subject
+                and triple.predicate in NAME_PREDICATES
+                and not triple.is_composite
+            ):
+                names.setdefault(triple.predicate, triple.obj)
+        return next((names[p] for p in NAME_PREDICATES if p in names), subject)
 
     @staticmethod
     def _collapse(values: list[object]) -> object:

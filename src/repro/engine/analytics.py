@@ -319,7 +319,8 @@ class AnalyticsStore:
         })
 
     def display_name(self, subject: str) -> str:
-        """First name fact of a subject (falls back to the identifier)."""
+        """The subject's first name in ``NAME_PREDICATES`` order (falls back
+        to the identifier)."""
         name = self._name(subject)
         return subject if name is None else name
 
@@ -429,10 +430,13 @@ class AnalyticsStore:
         return Relation.from_columns(predicate, {left: subjects, right: objects})
 
     def _name(self, subject: str) -> str | None:
-        """The first name fact of *subject* in ``facts_about`` order."""
-        for fact in self.triples.facts_about(subject):
-            if fact.predicate in NAME_PREDICATES:
-                return str(fact.obj)
+        """The first name of *subject* in ``NAME_PREDICATES`` order, the name
+        :attr:`KGEntity.primary_name <repro.model.entity.KGEntity.primary_name>`
+        picks: a ``name`` beats an ``alias`` however the facts sort."""
+        for predicate in NAME_PREDICATES:
+            values = self.triples.values_of(subject, predicate)
+            if values:
+                return str(values[0])
         return None
 
     def _names(self, references: Relation) -> Relation:

@@ -39,6 +39,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby, islice, repeat
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from repro.errors import KGQPlanError, LiveGraphError
@@ -144,8 +145,12 @@ def canonical_join_key(value: object) -> str:
     The key-equality definition of the hash table in
     :func:`join_result_rows`.  Numerics (``3``, ``3.0``, ``True``) normalize
     to one numeric form, mirroring the executor's cross-type ``_equal``
-    semantics; every other value canonicalizes through sorted-key JSON.
+    semantics; every other value canonicalizes through sorted-key JSON.  A
+    string, the common key, is quoted by the JSON encoder's own escaping
+    function, which gives the string ``json.dumps`` would.
     """
+    if type(value) is str:
+        return "s:" + encode_basestring_ascii(value)
     if isinstance(value, (bool, int, float)):
         as_float = float(value)
         if as_float.is_integer():

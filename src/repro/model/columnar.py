@@ -21,10 +21,13 @@ lazily materialized :class:`~repro.model.triples.ExtendedTriple`
 compatibility shims — and the ``(subject, predicate)`` composite index
 (``by_subject``), since a partition already fixes the predicate.
 
-Indexes hold ids, not one container per posting: a posting with one entry
-is the bare row id (or packed ref) itself and becomes a ``set`` only when a
-second entry arrives (:func:`posting_add`, :func:`posting_remove`,
-:func:`posting_ids`).  Most ``(subject, predicate)`` postings hold one row.
+Indexes hold ids, not one container per posting.  A posting takes one of
+two forms: the bare row id (or packed ref) while it holds one entry, and an
+``array('q')`` of ids, in insertion order, from the second entry on
+(:func:`posting_add`, :func:`posting_remove`, :func:`posting_ids`).  No
+posting is a ``set``: an array of two refs takes 96 bytes where a set took
+216 (``sys.getsizeof``, CPython 3.11).  Most ``(subject, predicate)``
+postings hold one row.
 
 A row's provenance is an immutable
 :class:`~repro.model.provenance.Provenance` value, so rows (and the staged
@@ -52,15 +55,15 @@ def pack_ref(pid: int, row: int) -> int:
 
 
 def posting_add(index: dict, key: object, value: int) -> None:
-    """Add *value* to *key*'s posting in *index*."""
+    """Append *value* to *key*'s posting in *index*.  A ref is posted only
+    when its row is created, so it is never in the posting already."""
     posting = index.get(key)
     if posting is None:
         index[key] = value
     elif type(posting) is int:
-        if posting != value:
-            index[key] = {posting, value}
+        index[key] = array("q", (posting, value))
     else:
-        posting.add(value)
+        posting.append(value)
 
 
 def posting_remove(index: dict, key: object, value: int) -> None:
@@ -73,14 +76,15 @@ def posting_remove(index: dict, key: object, value: int) -> None:
         if posting == value:
             del index[key]
         return
-    posting.discard(value)
+    posting.remove(value)
     if len(posting) == 1:
-        index[key] = next(iter(posting))
+        index[key] = posting[0]
 
 
-def posting_ids(posting: int | set[int] | None) -> tuple[int, ...] | set[int]:
-    """The ids of one posting (``()`` for an absent one).  A set posting is
-    returned as is: copy it before changing the index while iterating."""
+def posting_ids(posting: int | array | None) -> tuple[int, ...] | array:
+    """The ids of one posting (``()`` for an absent one).  An array posting
+    is returned uncopied, and a loop over it skips entries when the posting
+    changes: copy it before changing the index while iterating."""
     if posting is None:
         return ()
     if type(posting) is int:
@@ -151,11 +155,11 @@ class PredicatePartition:
     ``subj``/``rid``/``rpred``/``obj_ids``/``loc`` are parallel ``array('q')``
     columns over the store's term dictionaries; ``objs`` is the literal
     side-table holding each row's object value as provided.  ``by_subject``
-    maps a subject id to its rows here, as a bare row index while there is
-    one.  A dead row keeps its column slots (``prov[row] is None`` marks it)
-    and its index goes on the free list for reuse; global iteration order
-    lives in the store's insertion-ordered ref dict, so slot reuse never
-    disturbs it.
+    maps a subject id to its rows here: a bare row index while there is
+    one, an ``array('q')`` of row indexes from two on.  A dead row keeps
+    its column slots (``prov[row] is None`` marks it) and its index goes on
+    the free list for reuse; global iteration order lives in the store's
+    insertion-ordered ref dict, so slot reuse never disturbs it.
     """
 
     __slots__ = (
@@ -185,7 +189,7 @@ class PredicatePartition:
         self.objs: list[object] = []
         self.prov: list[Provenance | None] = []
         self.shims: list[object | None] = []
-        self.by_subject: dict[int, int | set[int]] = {}
+        self.by_subject: dict[int, int | array] = {}
         self.free: list[int] = []
         self.live = 0
 

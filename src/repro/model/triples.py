@@ -332,7 +332,8 @@ class TripleStore:
         posting and a compare of that posting's few rows (:meth:`_find_ref`).
     ``_by_subject`` / ``_by_object``
         Exact secondary indexes from subject / object id to packed refs; a
-        posting with one ref is the bare ref.
+        posting with one ref is the bare ref, and an ``array('q')`` of refs
+        from two on.
     ``_source_rows``
         Per source id, the live rows whose provenance holds it: a row's
         provenance changes only through the store, which keeps the counts in
@@ -354,8 +355,8 @@ class TripleStore:
         self._none_rpred = self._predicate_terms.intern(None)
         self._partitions: dict[int, PredicatePartition] = {}
         self._row_order: dict[int, None] = {}
-        self._by_subject: dict[int, int | set[int]] = {}
-        self._by_object: dict[int, int | set[int]] = {}
+        self._by_subject: dict[int, int | array] = {}
+        self._by_object: dict[int, int | array] = {}
         self._source_rows: dict[str, int] = {}
         # Repeated-scan cache: subject id -> facts in facts_about order.
         # Invalidated per subject when a fact is created or removed; a
@@ -675,7 +676,9 @@ class TripleStore:
     def scan_subject(self, subject: str) -> Iterator[tuple[str, bool, Value]]:
         """Unordered ``(predicate, is_composite, object)`` scan of one
         subject's facts, without materializing triples — for liveness and
-        type checks that don't care about fact order."""
+        type checks that don't care about fact order.  It reads the
+        subject's posting uncopied: change no fact of the subject while
+        the scan runs."""
         sid = self._subject_terms.id_of(subject)
         if sid is None:
             return

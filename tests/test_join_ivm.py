@@ -26,6 +26,7 @@ Sequence counts follow ``--runs-seeded`` (see ``conftest.py``);
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -847,3 +848,14 @@ def test_canonical_join_key_unifies_numeric_and_structured_values():
     assert canonical_join_key(None) != canonical_join_key("null")
     assert canonical_join_key(["a", 1]) == canonical_join_key(["a", 1])
     assert canonical_join_key(["a", 1]) != canonical_join_key(["a", 2])
+
+
+@pytest.mark.parametrize("key", [
+    "kg:e1", "", "Beyoncé", "東京", "emoji 🎵", 'say "hi"', "back\\slash",
+    "tab\tnew\nline\x00\x1f\x7f", "\u2028", "3", "null",
+])
+def test_canonical_join_key_of_a_string_is_the_json_dumps_form(key):
+    """A string key's canonical form is quoted by the JSON encoder's escaping
+    function: the very string the sorted-key ``json.dumps`` call gives."""
+    expected = "s:" + json.dumps(key, sort_keys=True, default=str, separators=(",", ":"))
+    assert canonical_join_key(key) == expected

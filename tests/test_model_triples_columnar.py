@@ -279,20 +279,29 @@ def legacy_stage_without_source(legacy: LegacyTripleStore, source: str):
 
 def test_postings_grow_and_shrink_match_legacy(store_seed):
     """A ``(subject, predicate)`` or object posting holds one row as a bare
-    ref and a set from two rows on: facts going from one row to two and back
-    to one, a freed slot reused by a new fact, and the source operators that
-    read the provenance column all match the legacy store, ``to_rows()``
-    order included."""
+    ref and an ``array('q')`` of refs from two rows on: postings grown to
+    four rows and shrunk in an order other than insertion, a freed slot
+    reused by a new fact, and ``remove_subject``,
+    ``retract_source_from_subjects`` and ``remove_source`` on a subject
+    holding three or more rows of one predicate all match the legacy store,
+    ``to_rows()`` order included."""
     rng = random.Random(57000 + store_seed)
-    subject, other = rng.sample(SUBJECTS, 2)
+    subject, *others = rng.sample(SUBJECTS, 4)
     predicate = rng.choice(SIMPLE_PREDICATES)
     # objects no random_triple draws, so each add below is a new fact
-    first, second, third = rng.sample(["P", "Q", "R", "kg:e5", 7.5], 3)
+    *grown, shared, reused = rng.sample(["P", "Q", "R", "S", "T", "kg:e5", 7.5], 6)
     source, extra = rng.sample(SOURCES, 2)
 
     def fact(s, o, src=source):
         return ExtendedTriple(s, predicate, o, provenance=Provenance.from_source(
             src, rng.choice(TRUSTS)))
+
+    def shuffled(items):
+        """The list *items* in a random order other than the one given."""
+        order = list(items)
+        while order == items:
+            rng.shuffle(order)
+        return order
 
     columnar, legacy = TripleStore(), LegacyTripleStore()
     for triple in [random_triple(rng) for _ in range(rng.randrange(5, 20))]:
@@ -306,37 +315,63 @@ def test_postings_grow_and_shrink_match_legacy(store_seed):
         assert_equivalent(columnar, legacy)
         return result
 
-    # one row, then two, per (subject, predicate) and per object
-    both("add", fact(subject, first))
-    both("add", fact(subject, second, extra))
-    both("add", fact(other, first, extra))
-    assert first in columnar.values_of(subject, predicate)
-    assert second in columnar.values_of(subject, predicate)
-    # back to one: the remaining row is still found, by key and by object
-    assert both("discard", fact(subject, first)) is True
-    assert fact(subject, second) in columnar
-    assert fact(subject, first) not in columnar
-    assert [t.subject for t in columnar.facts_with_object(first)] == [
-        t.subject for t in legacy.facts_with_object(first)
-    ]
+    def by_object(obj):
+        found = [t.key() for t in columnar.facts_with_object(obj)]
+        assert found == [t.key() for t in legacy.facts_with_object(obj)]
+        return found
+
+    # one row, then four, per (subject, predicate) and per object
+    for index, obj in enumerate(grown):
+        both("add", fact(subject, obj, (source, extra)[index % 2]))
+    holders = [subject, *others]
+    for holder in holders:
+        both("add", fact(holder, shared, extra))
+    assert len(columnar.values_of(subject, predicate)) >= 5
+    assert len(by_object(shared)) == 4
+    # shrink in another order than insertion: the rows left are still found,
+    # by key and by object, down to one row and none
+    kept = rng.choice(holders)
+    for holder in shuffled([h for h in holders if h != kept]):
+        assert both("discard", fact(holder, shared)) is True
+        assert fact(holder, shared) not in columnar
+    assert fact(kept, shared) in columnar
+    assert by_object(shared) == [fact(kept, shared).key()]
+    assert both("discard", fact(kept, shared)) is True
+    assert by_object(shared) == []
+    order = shuffled(grown)
+    for index, obj in enumerate(order):
+        assert both("discard", fact(subject, obj)) is True
+        assert fact(subject, obj) not in columnar
+        assert all(fact(subject, o) in columnar for o in order[index + 1:])
     # the freed slot goes to a new fact, which iterates last
-    both("add", fact(subject, third))
-    assert columnar.to_rows()[-1]["object"] == third
-    both("add", fact(subject, first, extra))
-    assert columnar.to_rows()[-1]["object"] == first
+    both("add", fact(subject, reused))
+    assert columnar.to_rows()[-1]["object"] == reused
+    for obj in grown:
+        both("add", fact(subject, obj, extra))
+        assert columnar.to_rows()[-1]["object"] == obj
 
     # the source operators read provenance, not a per-source index
     rows, dropped = legacy_stage_without_source(legacy, source)
     batch, left = columnar.stage_without_source(source)
     assert decoded(batch, columnar) == rows
     assert left == dropped
+    # a retraction discards adjacent rows of the posting it reads
     subjects = rng.sample(SUBJECTS, rng.randint(1, len(SUBJECTS))) + [subject]
     skip = set(rng.sample(PREDICATES, rng.randint(0, 1)))
+    assert len(columnar.values_of(subject, predicate)) >= 5
     expected = legacy_retract(legacy, extra, subjects, skip_predicates=skip)
     assert columnar.retract_source_from_subjects(
         extra, subjects, skip_predicates=skip
     ) == expected
     assert_equivalent(columnar, legacy)
+    for obj in grown[:3]:
+        both("add", fact(subject, obj))
+    assert len(columnar.values_of(subject, predicate)) >= 3
+    both("remove_source", source)
+    for obj in grown[:3]:
+        both("add", fact(subject, obj, extra))
+    assert len(columnar.values_of(subject, predicate)) >= 3
+    assert both("remove_subject", subject) >= 3
     for dropped_source in SOURCES:
         both("remove_source", dropped_source)
         assert columnar.retract_source_from_subjects(dropped_source, SUBJECTS) == 0

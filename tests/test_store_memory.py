@@ -4,9 +4,10 @@
 every subject runs each ordered read path once, so a sort key cached per row
 would stay behind.  ``tracemalloc`` then bounds the bytes the store retains
 per fact, and ``gc`` the objects it adds to the cyclic collector's tracking
-per fact: a one-row posting is the bare row id, a fact key is found through
-its ``(subject, predicate)`` posting, and no per-source index, per-row
-``repr`` or unread ``ExtendedTriple`` view is kept.
+per fact: a one-row posting is the bare row id and a longer one an
+``array('q')`` of ids, a fact key is found through its ``(subject,
+predicate)`` posting, and no per-source index, per-row ``repr`` or unread
+``ExtendedTriple`` view is kept.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ import tracemalloc
 
 from repro.datagen import world_to_store
 
-#: Retained bytes per fact: 455 measured on CPython 3.11, plus 20 %.  A set
-#: per posting, a 6-tuple key per fact, a per-source ref index, a cached
-#: ``repr`` per row and a view cached per ``add`` retained 1,092.
-BYTES_PER_FACT_BOUND = 546
+#: Retained bytes per fact: 341 measured on CPython 3.11, plus 20 %.  Postings
+#: of two or more ids held as ``array('q')``; held as a ``set`` they retained
+#: 455.  A set per posting, a 6-tuple key per fact, a per-source ref index, a
+#: cached ``repr`` per row and a view cached per ``add`` retained 1,092.
+BYTES_PER_FACT_BOUND = 410
 
 #: GC-tracked objects per fact: 0.893 measured on CPython 3.11, plus 20 %.
 #: The same layout tracked 3.19.
